@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-serving race-serve race-pipeline race-persist soak chaos chaos-smoke fuzz-smoke serve-demo bench bench-incupdate bench-replicas bench-serving bench-serve-http bench-serve-http-smoke bench-hotpath bench-pipeline bench-pipeline-full bench-persist profile
+.PHONY: check fmt vet build test race race-serving race-serve race-pipeline race-persist soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-ground bench-incupdate bench-replicas bench-serving bench-serve-http bench-serve-http-smoke bench-hotpath bench-pipeline bench-pipeline-full bench-persist profile
 
 # Everything CI runs. (go test ./... includes the short soak; the full
 # acceptance-length soak is `make soak`.)
@@ -24,9 +24,11 @@ test:
 # patched graphs share pool backing arrays across the lineage, and the
 # replica learner steps weight replicas concurrently; run all three
 # packages under the race detector (covers the cached-state and
-# differential tests).
+# differential tests). internal/ground's parallel delta grounding has
+# workers run compiled plans over internal/db's in-place indexes and
+# old-state view concurrently, so both are in the set.
 race:
-	$(GO) test -race ./internal/gibbs/... ./internal/factor/... ./internal/learn/... ./internal/ground/...
+	$(GO) test -race ./internal/gibbs/... ./internal/factor/... ./internal/learn/... ./internal/ground/... ./internal/db/...
 
 # The serving API's concurrency proof: lock-free snapshot readers
 # against live Apply/queue writers, context cancellation, coalescing,
@@ -96,8 +98,23 @@ chaos-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/datalog -run='^$$' -fuzz=FuzzDatalogParser -fuzztime=10s
 
+# The repository's benchmark (BENCHMARK.json; bench/README.md): one
+# workload of the served-KB harness, e.g.
+#   make kbbench W=stream_docs SEED=3 TRACE=1
+W ?= devloop_rules
+SEED ?= 1
+TRACE ?= 0
+kbbench:
+	bash bench/run.sh --workload $(W) --seed $(SEED) --seconds 25 --trace $(TRACE)
+
 bench:
 	$(GO) test -bench='SamplerSequentialCorpus|SamplerParallelCorpus|GibbsSweep' -run=xxx .
+
+# The grounding join engine alone: full-rule evaluation and a
+# one-document delta on a 500- and a 2000-sentence corpus, with
+# allocations.
+bench-ground:
+	$(GO) test -bench='GroundFullRule|GroundDocDelta' -benchmem -run=xxx ./internal/ground/
 
 # Δ-vs-full graph update cost (results recorded in BENCH_incupdate.json).
 bench-incupdate:

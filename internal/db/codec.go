@@ -17,20 +17,15 @@ func (r *Relation) AppendSnapshot(b *persist.Buf) {
 	b.Strs(r.cols)
 	b.U64(r.version)
 	b.U64(uint64(len(r.order)))
-	for _, k := range r.order {
-		row := r.rows[k]
-		if row == nil {
-			b.I64(-1)
-			b.Strs(TupleFromKey(k))
-			continue
-		}
+	for _, row := range r.order {
 		b.I64(int64(row.Count))
 		b.Strs(row.Tuple)
 	}
 }
 
 // RestoreSnapshot decodes rows written by AppendSnapshot into r, which
-// must be freshly created (same name and columns, no rows yet).
+// must be freshly created (same name and columns, no rows yet). Indexes
+// already built on r (compiled plans hold handles to them) are refilled.
 func (r *Relation) RestoreSnapshot(rd *persist.Rd) error {
 	if len(r.rows) != 0 || len(r.order) != 0 {
 		return fmt.Errorf("db: RestoreSnapshot into non-empty relation %s", r.name)
@@ -49,16 +44,20 @@ func (r *Relation) RestoreSnapshot(rd *persist.Rd) error {
 		if rd.Err() != nil {
 			break
 		}
-		k := tup.Key()
-		r.order = append(r.order, k)
-		if count < 0 { // order key whose row was dropped
-			r.dead++
-			continue
+		if len(tup) != len(r.cols) || count < 0 || r.find(tup) != nil {
+			return fmt.Errorf("db: corrupt snapshot row %v (count %d) in relation %s", tup, count, r.name)
 		}
-		r.rows[k] = &Row{Tuple: tup, Count: int(count)}
-		if count == 0 {
+		row := &Row{Tuple: tup, Count: int(count)}
+		r.rows[tup.Key()] = row
+		r.order = append(r.order, row)
+		if count > 0 {
+			r.live++
+		} else {
 			r.dead++
 		}
+	}
+	for _, ix := range r.indexes {
+		ix.rebuild()
 	}
 	return rd.Err()
 }

@@ -1,18 +1,25 @@
 // Package db is the relational substrate DeepDive runs on — the role
 // Postgres/Greenplum play in the paper. It provides named relations with
 // counted multiset semantics (the derivation counts DRed incremental view
-// maintenance needs), hash indexes, and conjunctive-query evaluation used
-// by grounding.
+// maintenance needs), hash indexes maintained in place, and compiled
+// conjunctive-query plans used by grounding (plan.go).
 //
 // Counted semantics: every distinct tuple carries a derivation count. A
 // tuple is *visible* while its count is positive. Inserting an existing
 // tuple increments the count; deleting decrements it. The boolean returns
 // of Insert/Delete report visibility transitions, which is exactly the
 // delta stream downstream rules consume.
+//
+// Passes: an incremental grounding pass brackets its mutations with
+// BeginPass. Every row remembers the parity of its visibility toggles in
+// the current pass, so the relation's state at the start of the pass (the
+// DRed "old" state) is answerable from the live rows and indexes —
+// old-visible = visible XOR toggled an odd number of times — with no copy.
 package db
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -26,9 +33,24 @@ type Value = string
 // Tuple is one row.
 type Tuple []Value
 
+// keySep separates column values in tuple and index keys.
+const keySep = 0x1f
+
 // Key returns the canonical map key of a tuple. Column values may contain
 // any bytes except the 0x1f unit separator.
 func (t Tuple) Key() string { return strings.Join(t, "\x1f") }
+
+// AppendKey appends the tuple's canonical key to buf. Lookups through
+// m[string(buf)] on the result do not allocate.
+func (t Tuple) AppendKey(buf []byte) []byte {
+	for i, v := range t {
+		if i > 0 {
+			buf = append(buf, keySep)
+		}
+		buf = append(buf, v...)
+	}
+	return buf
+}
 
 // Clone returns a copy of the tuple.
 func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
@@ -43,35 +65,41 @@ func TupleFromKey(k string) Tuple { return strings.Split(k, "\x1f") }
 type Row struct {
 	Tuple Tuple
 	Count int
+	// flip is pass<<1|parity: the parity of this row's visibility toggles
+	// in the pass that last toggled it.
+	flip uint64
 }
 
-// Relation is a named, counted multiset of tuples with lazily built hash
-// indexes. Iteration order is insertion order of first appearance, which
-// keeps every downstream computation deterministic.
+// Relation is a named, counted multiset of tuples with hash indexes.
+// Iteration order is insertion order of first appearance, which keeps
+// every downstream computation deterministic; a tuple whose count returns
+// from zero before its tombstone is compacted away reappears in its
+// original position.
 //
-// Concurrency: mutations (Insert/Delete/Clear) require exclusive access,
-// but any number of goroutines may evaluate read-only queries (Each,
-// Tuples, IndexOn, Lookup, EvalJoin) concurrently — the lazily built
-// index cache is the only mutable state a read touches, and it is
-// guarded by idxMu.
+// Concurrency: mutations (Insert/Delete/Clear/BeginPass) require
+// exclusive access, but any number of goroutines may read (Each, Tuples,
+// Lookup, Plan.Run) concurrently between mutations. Reads take no lock;
+// only IndexOn, which may build a new index, serializes on idxMu.
 type Relation struct {
 	name    string
 	cols    []string
 	rows    map[string]*Row
-	order   []string // first-insertion order of keys (may contain dead keys)
-	dead    int      // dead entries in order (count == 0 or missing)
-	version uint64   // bumped on every visibility change
+	order   []*Row // first-insertion order; may contain dead (count 0) rows
+	live    int    // visible rows
+	dead    int    // dead rows in order
+	pinned  int    // dead rows that died this pass: the old-state view still shows them
+	pass    uint64 // current pass number (see BeginPass)
+	version uint64 // bumped on every visibility change
 	idxMu   sync.Mutex
-	indexes map[string]*Index
+	indexes []*Index
 }
 
 // NewRelation creates an empty relation with the given column names.
 func NewRelation(name string, cols ...string) *Relation {
 	return &Relation{
-		name:    name,
-		cols:    append([]string(nil), cols...),
-		rows:    make(map[string]*Row),
-		indexes: make(map[string]*Index),
+		name: name,
+		cols: append([]string(nil), cols...),
+		rows: make(map[string]*Row),
 	}
 }
 
@@ -85,19 +113,7 @@ func (r *Relation) Cols() []string { return r.cols }
 func (r *Relation) Arity() int { return len(r.cols) }
 
 // Len returns the number of visible (count > 0) distinct tuples.
-func (r *Relation) Len() int {
-	n := 0
-	for _, row := range r.rows {
-		if row.Count > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Version returns a counter that changes whenever visibility changes;
-// used by indexes to detect staleness.
-func (r *Relation) Version() uint64 { return r.version }
+func (r *Relation) Len() int { return r.live }
 
 func (r *Relation) checkArity(t Tuple) {
 	if len(t) != len(r.cols) {
@@ -105,24 +121,53 @@ func (r *Relation) checkArity(t Tuple) {
 	}
 }
 
+// BeginPass starts a new pass: the old-state view (Plan atoms compiled
+// with old=true) now answers with the relation's state as of this call.
+func (r *Relation) BeginPass() {
+	r.pass++
+	r.pinned = 0
+}
+
+// toggledOdd reports whether row's visibility toggled an odd number of
+// times in the current pass.
+func (r *Relation) toggledOdd(row *Row) bool { return row.flip == r.pass<<1|1 }
+
+// visible reports whether row is visible in the live state (old=false)
+// or was visible when the current pass began (old=true).
+func (r *Relation) visible(row *Row, old bool) bool {
+	return (row.Count > 0) != (old && r.toggledOdd(row))
+}
+
+// find returns the row stored for t, or nil.
+func (r *Relation) find(t Tuple) *Row {
+	var a [128]byte
+	return r.rows[string(t.AppendKey(a[:0]))]
+}
+
 // Insert adds one derivation of t and reports whether the tuple became
 // visible (count went 0 → 1).
 func (r *Relation) Insert(t Tuple) bool { return r.InsertN(t, 1) }
 
 // InsertN adds n derivations (n may be negative for deletion) and reports
-// whether visibility changed in either direction.
+// whether visibility changed in either direction. Indexes are maintained
+// in place: a first-seen tuple is appended to its bucket of every built
+// index; a tuple that dies stays in its buckets as a tombstone (lookups
+// skip it), so a revival needs no index work and lands in its original
+// slot.
 func (r *Relation) InsertN(t Tuple, n int) bool {
 	r.checkArity(t)
 	if n == 0 {
 		return false
 	}
-	k := t.Key()
-	row := r.rows[k]
+	row := r.find(t)
 	fresh := row == nil
 	if fresh {
 		row = &Row{Tuple: t.Clone()}
-		r.rows[k] = row
-		r.order = append(r.order, k)
+		r.rows[row.Tuple.Key()] = row
+		r.order = append(r.order, row)
+		for _, ix := range r.indexes {
+			ix.add(row)
+		}
 	}
 	was := row.Count > 0
 	row.Count += n
@@ -131,72 +176,87 @@ func (r *Relation) InsertN(t Tuple, n int) bool {
 		panic(fmt.Sprintf("db: %s: negative count for %v", r.name, t))
 	}
 	now := row.Count > 0
-	if was != now {
-		r.version++
-		if !now {
-			r.dead++
-			r.maybeCompact()
-		} else if !fresh {
-			r.dead--
-		}
-		return true
+	if was == now {
+		return false
 	}
-	return false
+	r.version++
+	wasOdd := r.toggledOdd(row)
+	row.flip = r.pass << 1
+	if !wasOdd {
+		row.flip |= 1
+	}
+	if now {
+		r.live++
+		if !fresh {
+			r.dead--
+			if wasOdd {
+				r.pinned--
+			}
+		}
+	} else {
+		r.live--
+		r.dead++
+		if !wasOdd {
+			r.pinned++
+		}
+		r.maybeCompact()
+	}
+	return true
 }
 
-// maybeCompact drops dead keys from the iteration order once they dominate.
+// maybeCompact drops dead rows from the iteration order (and the indexes)
+// once they dominate. Rows that died in the current pass are kept — the
+// old-state view still enumerates them — and do not count towards the
+// trigger, so a pass that deletes most of a relation compacts it on a
+// later pass instead of rescanning it on every delete.
 func (r *Relation) maybeCompact() {
-	if r.dead <= 64 || r.dead*2 < len(r.order) {
+	droppable := r.dead - r.pinned
+	if droppable <= 64 || droppable*2 < len(r.order) {
 		return
 	}
-	live := r.order[:0]
-	for _, k := range r.order {
-		if row := r.rows[k]; row != nil && row.Count > 0 {
-			live = append(live, k)
+	var a [128]byte
+	keep := r.order[:0]
+	for _, row := range r.order {
+		if row.Count > 0 || r.toggledOdd(row) {
+			keep = append(keep, row)
 		} else {
-			delete(r.rows, k)
+			delete(r.rows, string(row.Tuple.AppendKey(a[:0])))
 		}
 	}
-	r.order = live
-	r.dead = 0
+	clear(r.order[len(keep):])
+	r.order = keep
+	r.dead = r.pinned
+	for _, ix := range r.indexes {
+		ix.rebuild()
+	}
 }
 
 // Delete removes one derivation of t and reports whether the tuple became
 // invisible (count went 1 → 0). Deleting an absent tuple panics.
 func (r *Relation) Delete(t Tuple) bool {
 	r.checkArity(t)
-	k := t.Key()
-	row := r.rows[k]
-	if row == nil || row.Count == 0 {
+	if row := r.find(t); row == nil || row.Count == 0 {
 		panic(fmt.Sprintf("db: %s: delete of absent tuple %v", r.name, t))
 	}
 	return r.InsertN(t, -1)
 }
 
 // Contains reports whether t is visible.
-func (r *Relation) Contains(t Tuple) bool {
-	row := r.rows[t.Key()]
-	return row != nil && row.Count > 0
-}
+func (r *Relation) Contains(t Tuple) bool { return r.Count(t) > 0 }
 
 // Count returns the derivation count of t (0 when absent).
 func (r *Relation) Count(t Tuple) int {
-	row := r.rows[t.Key()]
-	if row == nil {
-		return 0
+	if row := r.find(t); row != nil {
+		return row.Count
 	}
-	return row.Count
+	return 0
 }
 
 // Each visits every visible tuple in first-insertion order. Returning
 // false from f stops the walk. f must not mutate the relation.
 func (r *Relation) Each(f func(Tuple) bool) {
-	for _, k := range r.order {
-		row := r.rows[k]
-		if row == nil || row.Count <= 0 {
-			continue
-		}
-		if !f(row.Tuple) {
+	for _, row := range r.order {
+		if row.Count > 0 && !f(row.Tuple) {
 			return
 		}
 	}
@@ -204,112 +264,114 @@ func (r *Relation) Each(f func(Tuple) bool) {
 
 // Tuples returns all visible tuples in deterministic order.
 func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, 0, len(r.rows))
-	r.Each(func(t Tuple) bool {
-		out = append(out, t)
-		return true
-	})
+	out := make([]Tuple, 0, r.live)
+	for _, row := range r.order {
+		if row.Count > 0 {
+			out = append(out, row.Tuple)
+		}
+	}
 	return out
 }
 
-// Clear removes every tuple.
+// Clear removes every tuple. Built indexes stay registered (compiled
+// plans hold handles to them) and are emptied.
 func (r *Relation) Clear() {
 	r.rows = make(map[string]*Row)
 	r.order = nil
-	r.dead = 0
+	r.live, r.dead, r.pinned = 0, 0, 0
 	r.version++
-	r.idxMu.Lock()
-	r.indexes = make(map[string]*Index)
-	r.idxMu.Unlock()
-}
-
-// Snapshot returns an independent copy of the relation (rows and counts).
-func (r *Relation) Snapshot() *Relation {
-	c := NewRelation(r.name, r.cols...)
-	for _, k := range r.order {
-		row := r.rows[k]
-		if row == nil || row.Count <= 0 {
-			continue
-		}
-		c.InsertN(row.Tuple, row.Count)
+	for _, ix := range r.indexes {
+		ix.rebuild()
 	}
-	return c
 }
 
-// Index is a hash index on a subset of columns. It is rebuilt lazily when
-// the relation has changed since the index was built.
+// Index is a hash index on a subset of columns, maintained in place by
+// the relation's mutations. A bucket lists its rows — dead ones included,
+// until compaction — in the relation's first-insertion order, so the
+// enumeration of a bucket is exactly what a rebuild from scratch, or a
+// relation restored from its snapshot, would yield.
 type Index struct {
 	rel     *Relation
 	cols    []int
-	built   uint64
-	buckets map[string][]Tuple
+	buckets map[string]*bucket
 }
 
-func indexKey(cols []int) string {
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		parts[i] = fmt.Sprint(c)
-	}
-	return strings.Join(parts, ",")
-}
+// bucket is boxed so that appending to an existing bucket is a lookup
+// (no key allocation) rather than a map assignment.
+type bucket struct{ rows []*Row }
 
-// IndexOn returns (building or refreshing as needed) an index on the given
-// column positions. Safe for concurrent readers: the index map and the
-// lazy build/refresh are serialized on the relation's index lock, so
-// parallel query evaluation over an unchanging relation is race-free.
+// IndexOn returns (building it on first use) the index on the given
+// column positions. Building requires that no mutation is in flight, like
+// any read.
 func (r *Relation) IndexOn(cols ...int) *Index {
 	for _, c := range cols {
 		if c < 0 || c >= len(r.cols) {
 			panic(fmt.Sprintf("db: %s: index column %d out of range", r.name, c))
 		}
 	}
-	k := indexKey(cols)
 	r.idxMu.Lock()
 	defer r.idxMu.Unlock()
-	idx := r.indexes[k]
-	if idx == nil {
-		idx = &Index{rel: r, cols: append([]int(nil), cols...)}
-		r.indexes[k] = idx
+	for _, ix := range r.indexes {
+		if slices.Equal(ix.cols, cols) {
+			return ix
+		}
 	}
-	idx.refresh()
-	return idx
+	ix := &Index{rel: r, cols: append([]int(nil), cols...)}
+	ix.rebuild()
+	r.indexes = append(r.indexes, ix)
+	return ix
 }
 
-func (ix *Index) refresh() {
-	if ix.buckets != nil && ix.built == ix.rel.version {
-		return
+// rebuild refills the buckets from the relation's row order.
+func (ix *Index) rebuild() {
+	ix.buckets = make(map[string]*bucket)
+	for _, row := range ix.rel.order {
+		ix.add(row)
 	}
-	ix.buckets = make(map[string][]Tuple)
-	ix.rel.Each(func(t Tuple) bool {
-		ix.buckets[ix.keyOf(t)] = append(ix.buckets[ix.keyOf(t)], t)
-		return true
-	})
-	ix.built = ix.rel.version
 }
 
-func (ix *Index) keyOf(t Tuple) string {
-	parts := make([]string, len(ix.cols))
+// add appends row to its bucket.
+func (ix *Index) add(row *Row) {
+	var a [128]byte
+	key := a[:0]
 	for i, c := range ix.cols {
-		parts[i] = t[c]
+		if i > 0 {
+			key = append(key, keySep)
+		}
+		key = append(key, row.Tuple[c]...)
 	}
-	return strings.Join(parts, "\x1f")
+	b := ix.buckets[string(key)]
+	if b == nil {
+		b = new(bucket)
+		ix.buckets[string(key)] = b
+	}
+	b.rows = append(b.rows, row)
 }
 
-// Lookup returns the tuples whose indexed columns equal vals, in
-// deterministic order. The slice is shared; do not mutate. The staleness
-// re-check takes the relation's index lock only when the relation changed
-// after IndexOn returned — concurrent readers over an unchanging relation
-// stay on the lock-free fast path.
+// probe returns the bucket for an index key (the indexed column values
+// joined by the key separator). The rows may be dead; callers filter by
+// visibility. Lock-free and allocation-free.
+func (ix *Index) probe(key []byte) []*Row {
+	if b := ix.buckets[string(key)]; b != nil {
+		return b.rows
+	}
+	return nil
+}
+
+// Lookup returns the visible tuples whose indexed columns equal vals, in
+// the relation's iteration order.
 func (ix *Index) Lookup(vals ...Value) []Tuple {
 	if len(vals) != len(ix.cols) {
 		panic(fmt.Sprintf("db: index lookup with %d values, want %d", len(vals), len(ix.cols)))
 	}
-	if ix.built != ix.rel.version {
-		ix.rel.idxMu.Lock()
-		ix.refresh()
-		ix.rel.idxMu.Unlock()
+	var a [128]byte
+	var out []Tuple
+	for _, row := range ix.probe(Tuple(vals).AppendKey(a[:0])) {
+		if row.Count > 0 {
+			out = append(out, row.Tuple)
+		}
 	}
-	return ix.buckets[strings.Join(vals, "\x1f")]
+	return out
 }
 
 // Database is a named collection of relations.
@@ -357,6 +419,13 @@ func (d *Database) SortedNames() []string {
 	out := append([]string(nil), d.names...)
 	sort.Strings(out)
 	return out
+}
+
+// BeginPass starts a new pass on every relation.
+func (d *Database) BeginPass() {
+	for _, name := range d.names {
+		d.rels[name].BeginPass()
+	}
 }
 
 // TotalTuples returns the number of visible tuples across all relations.

@@ -3,8 +3,11 @@ package db
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"deepdive/internal/persist"
 )
 
 func TestTupleKeyRoundTrip(t *testing.T) {
@@ -112,21 +115,94 @@ func TestCompaction(t *testing.T) {
 	}
 }
 
-func TestSnapshotIndependence(t *testing.T) {
+// oldTuples enumerates a relation's state as of BeginPass through the
+// old-state view, by scan and (when cols is given) by index probe.
+func oldTuples(t *testing.T, r *Relation) []string {
+	t.Helper()
+	terms := make([]Term, r.Arity())
+	for i := range terms {
+		terms[i] = V(fmt.Sprint("v", i))
+	}
+	q := &Query{Atoms: []QueryAtom{{Rel: r, Terms: terms}}}
+	p, err := q.Compile(ScanOld)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	p.Run(new(Exec), nil, func(regs []Value) bool {
+		out = append(out, Tuple(regs).Key())
+		return true
+	})
+	return out
+}
+
+func TestOldStateView(t *testing.T) {
 	r := NewRelation("R", "x")
 	r.Insert(Tuple{"a"})
 	r.InsertN(Tuple{"b"}, 3)
-	s := r.Snapshot()
-	r.Delete(Tuple{"a"})
-	if !s.Contains(Tuple{"a"}) {
-		t.Fatal("snapshot affected by later mutation")
+	r.Insert(Tuple{"c"})
+	r.Delete(Tuple{"c"}) // dead before the pass
+	r.BeginPass()
+	r.Delete(Tuple{"a"})      // dies this pass: old-visible
+	r.Insert(Tuple{"c"})      // revived this pass: old-invisible
+	r.Insert(Tuple{"d"})      // born this pass
+	r.InsertN(Tuple{"b"}, -2) // count change, no toggle
+	r.Insert(Tuple{"e"})
+	r.Delete(Tuple{"e"}) // born and died this pass
+	if got := oldTuples(t, r); !slices.Equal(got, []string{"a", "b"}) {
+		t.Fatalf("old state = %v, want [a b]", got)
 	}
-	if s.Count(Tuple{"b"}) != 3 {
-		t.Fatalf("snapshot count = %d, want 3", s.Count(Tuple{"b"}))
+	r.Insert(Tuple{"a"}) // toggled back: even parity
+	if got := oldTuples(t, r); !slices.Equal(got, []string{"a", "b"}) {
+		t.Fatalf("old state after revive = %v, want [a b]", got)
+	}
+	r.BeginPass()
+	if got := oldTuples(t, r); !slices.Equal(got, []string{"a", "b", "c", "d"}) {
+		t.Fatalf("old state of the next pass = %v, want the live state [a b c d]", got)
 	}
 }
 
-func TestIndexLookupAndStaleness(t *testing.T) {
+// TestInPassCompactionKeepsOldState: a compaction that fires inside a
+// pass drops only rows the old-state view no longer shows, and a row it
+// kept revives into its original slot.
+func TestInPassCompactionKeepsOldState(t *testing.T) {
+	r := NewRelation("R", "x")
+	for i := 0; i < 200; i++ {
+		r.Insert(Tuple{fmt.Sprint(i)})
+	}
+	r.BeginPass()
+	for i := 0; i < 150; i++ {
+		r.Delete(Tuple{fmt.Sprint(i)})
+	}
+	// Everything that died is pinned by this pass's old-state view.
+	if len(r.order) != 200 || len(oldTuples(t, r)) != 200 {
+		t.Fatalf("pass 1: %d rows kept, old state %d; want 200 and 200", len(r.order), len(oldTuples(t, r)))
+	}
+	r.BeginPass()
+	r.Delete(Tuple{"175"}) // first death of pass 2 compacts pass 1's tombstones away
+	if len(r.order) != 50 || r.dead != 1 {
+		t.Fatalf("pass 2: %d rows kept (%d dead), want 50 (1 dead)", len(r.order), r.dead)
+	}
+	old := oldTuples(t, r)
+	if len(old) != 50 || old[25] != "175" {
+		t.Fatalf("old state lost the row that died this pass: %d rows, [25] = %q", len(old), old[25])
+	}
+	r.Insert(Tuple{"175"})
+	if got := r.Tuples(); len(got) != 50 || got[25][0] != "175" {
+		t.Fatalf("revived row did not return to its slot: [25] = %v", got[25])
+	}
+	// A pass that deletes nearly everything does not rescan per delete:
+	// pinned rows do not count towards the trigger.
+	r.BeginPass()
+	for i := 150; i < 199; i++ {
+		r.Delete(Tuple{fmt.Sprint(i)})
+	}
+	if len(r.order) != 50 || r.pinned != 49 {
+		t.Fatalf("pass 3: %d rows kept, %d pinned; want 50 and 49", len(r.order), r.pinned)
+	}
+}
+
+func TestIndexMaintainedInPlace(t *testing.T) {
 	r := NewRelation("R", "x", "y")
 	r.Insert(Tuple{"a", "1"})
 	r.Insert(Tuple{"a", "2"})
@@ -137,11 +213,109 @@ func TestIndexLookupAndStaleness(t *testing.T) {
 	}
 	r.Insert(Tuple{"a", "3"})
 	if got := ix.Lookup("a"); len(got) != 3 {
-		t.Fatalf("stale index: Lookup(a) = %d tuples after insert, want 3", len(got))
+		t.Fatalf("Lookup(a) = %d tuples after insert, want 3", len(got))
+	}
+	r.Delete(Tuple{"a", "2"})
+	if got := ix.Lookup("a"); len(got) != 2 || got[1][1] != "3" {
+		t.Fatalf("Lookup(a) after delete = %v, want (a,1) (a,3)", got)
+	}
+	r.Insert(Tuple{"a", "2"})
+	if got := ix.Lookup("a"); len(got) != 3 || got[1][1] != "2" {
+		t.Fatalf("revived tuple left its slot: Lookup(a) = %v", got)
+	}
+	if r.IndexOn(0) != ix {
+		t.Fatal("IndexOn built a second index on the same columns")
 	}
 	ix2 := r.IndexOn(1, 0)
 	if got := ix2.Lookup("1", "a"); len(got) != 1 {
 		t.Fatalf("two-column lookup = %d, want 1", len(got))
+	}
+	r.Clear()
+	r.Insert(Tuple{"a", "9"})
+	if got := ix.Lookup("a"); len(got) != 1 || got[0][1] != "9" {
+		t.Fatalf("index handle stale after Clear: %v", got)
+	}
+}
+
+// TestIndexesMatchRestoredRelation: after any sequence of inserts,
+// deletes, revivals, passes and compactions, every index lookup — on
+// indexes built before, during and after the sequence — equals, in order,
+// the lookup on a relation round-tripped through its snapshot codec
+// (whose indexes are built from scratch), and the O(1) counters equal a
+// recount.
+func TestIndexesMatchRestoredRelation(t *testing.T) {
+	colSets := [][]int{{0}, {1}, {2}, {0, 1}, {2, 0}, {0, 1, 2}}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRelation("R", "x", "y", "z")
+		val := func(n int) Value { return fmt.Sprint(rng.Intn(n)) }
+		check := func(step int) {
+			var b persist.Buf
+			r.AppendSnapshot(&b)
+			fresh := NewRelation("R", "x", "y", "z")
+			if err := fresh.RestoreSnapshot(persist.NewRd(b.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			live := 0
+			for _, row := range r.rows {
+				if row.Count > 0 {
+					live++
+				}
+			}
+			if r.Len() != live || fresh.Len() != live || r.dead != len(r.order)-live {
+				t.Fatalf("seed %d step %d: Len %d (restored %d), recount %d; dead %d of %d rows",
+					seed, step, r.Len(), fresh.Len(), live, r.dead, len(r.order))
+			}
+			if !slices.EqualFunc(r.Tuples(), fresh.Tuples(), func(a, b Tuple) bool { return slices.Equal(a, b) }) {
+				t.Fatalf("seed %d step %d: iteration order differs from the restored relation", seed, step)
+			}
+			for _, cols := range colSets {
+				if rng.Intn(3) != 0 && step < 1500 {
+					continue // leave some indexes to be built later in the sequence
+				}
+				ix, fx := r.IndexOn(cols...), fresh.IndexOn(cols...)
+				for probe := 0; probe < 40; probe++ {
+					vals := make([]Value, len(cols))
+					for i, c := range cols {
+						vals[i] = val([]int{6, 6, 12}[c])
+					}
+					got, want := ix.Lookup(vals...), fx.Lookup(vals...)
+					if !slices.EqualFunc(got, want, func(a, b Tuple) bool { return slices.Equal(a, b) }) {
+						t.Fatalf("seed %d step %d: index %v lookup %v = %v, restored relation gives %v",
+							seed, step, cols, vals, got, want)
+					}
+				}
+			}
+		}
+		for step := 1; step <= 1500; step++ {
+			tu := Tuple{val(6), val(6), val(12)}
+			switch {
+			case rng.Intn(40) == 0:
+				r.BeginPass()
+			case r.Contains(tu) && rng.Intn(3) > 0:
+				r.Delete(tu)
+			default:
+				r.InsertN(tu, 1+rng.Intn(2))
+			}
+			if step%150 == 0 {
+				check(step)
+			}
+		}
+		// Drain it, so compaction fires (more than 64 droppable tombstones).
+		for _, tu := range r.Tuples() {
+			r.InsertN(tu, -r.Count(tu))
+			if rng.Intn(30) == 0 {
+				r.BeginPass()
+			}
+		}
+		r.BeginPass()
+		for i := 0; i < 100; i++ {
+			r.Insert(Tuple{val(6), val(6), val(12)})
+		}
+		if len(r.order) > 300 {
+			t.Fatalf("seed %d: %d rows kept for %d live: compaction never fired", seed, len(r.order), r.Len())
+		}
+		check(1500)
 	}
 }
 

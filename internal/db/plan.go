@@ -1,0 +1,425 @@
+package db
+
+import (
+	"fmt"
+	"strconv"
+)
+
+// Term is one argument position of a query atom: a named variable or a
+// constant value.
+type Term struct {
+	IsVar bool
+	Var   string // variable name when IsVar
+	Const Value  // constant otherwise
+}
+
+// V returns a variable term.
+func V(name string) Term { return Term{IsVar: true, Var: name} }
+
+// C returns a constant term.
+func C(v Value) Term { return Term{Const: v} }
+
+// QueryAtom is one conjunct of a conjunctive query: a relation and a term
+// pattern. A negated atom is an anti-join guard — the conjunction only
+// holds where no matching tuple exists. Lead marks the atom an unseeded
+// plan evaluates first (grounding's head guard: the candidate set is the
+// tightest restriction a weighted rule has).
+type QueryAtom struct {
+	Rel   *Relation
+	Terms []Term
+	Neg   bool
+	Lead  bool
+}
+
+// Constraint is a comparison between two terms. Supported ops: "=", "!=",
+// "<", "<=" (numeric when both sides parse as integers, lexicographic
+// otherwise).
+type Constraint struct {
+	Op   string
+	L, R Term
+}
+
+// Query is a conjunction of atoms and constraints. The atom order is the
+// query's *canonical* order: it numbers the variables and defines which
+// side of a seed reads which state (see Compile), but not the evaluation
+// order, which the planner chooses.
+type Query struct {
+	Atoms []QueryAtom
+	Cons  []Constraint
+}
+
+// Unseeded plan modes for Compile.
+const (
+	ScanLive = -1 // every atom reads the live state
+	ScanOld  = -2 // every atom reads the state as of BeginPass
+)
+
+// Vars returns the query's variables in slot order: first occurrence over
+// the atoms in canonical order, then the constraints. The numbering is a
+// function of the query alone, so every plan compiled from it shares one
+// register layout.
+func (q *Query) Vars() []string {
+	var out []string
+	seen := map[string]bool{}
+	add := func(t Term) {
+		if t.IsVar && !seen[t.Var] {
+			seen[t.Var] = true
+			out = append(out, t.Var)
+		}
+	}
+	for _, a := range q.Atoms {
+		for _, t := range a.Terms {
+			add(t)
+		}
+	}
+	for _, c := range q.Cons {
+		add(c.L)
+		add(c.R)
+	}
+	return out
+}
+
+// src is where a plan step reads a value: a register, or a constant when
+// slot < 0.
+type src struct {
+	slot int
+	val  Value
+}
+
+func (s src) get(regs []Value) Value {
+	if s.slot < 0 {
+		return s.val
+	}
+	return regs[s.slot]
+}
+
+// colSlot pairs a tuple column with a register.
+type colSlot struct{ col, slot int }
+
+// colVal pairs a tuple column with a constant.
+type colVal struct {
+	col int
+	val Value
+}
+
+// matcher checks a tuple against an atom's term pattern and loads its
+// free variables: consts are (column, value) checks (seed tuples only —
+// elsewhere constants are part of the probe key), bind loads a column
+// into a register, and same checks a column against a register loaded
+// earlier from the same tuple (a variable repeated within the atom).
+type matcher struct {
+	consts []colVal
+	bind   []colSlot
+	same   []colSlot
+}
+
+func (m *matcher) match(t Tuple, regs []Value) bool {
+	for _, c := range m.consts {
+		if t[c.col] != c.val {
+			return false
+		}
+	}
+	for _, b := range m.bind {
+		regs[b.slot] = t[b.col]
+	}
+	for _, s := range m.same {
+		if t[s.col] != regs[s.slot] {
+			return false
+		}
+	}
+	return true
+}
+
+type stepKind uint8
+
+const (
+	stepScan   stepKind = iota // enumerate a bucket (or the whole relation) and bind free columns
+	stepExists                 // fully bound positive atom: one row lookup
+	stepAnti                   // negated atom: continue only when no visible row matches
+	stepCmp                    // comparison between two bound terms
+)
+
+type cmpOp uint8
+
+const (
+	opEq cmpOp = iota
+	opNe
+	opLt
+	opLe
+)
+
+var cmpOps = map[string]cmpOp{"=": opEq, "!=": opNe, "<": opLt, "<=": opLe}
+
+// step is one instruction of a plan.
+type step struct {
+	kind stepKind
+	rel  *Relation
+	old  bool   // read the state as of BeginPass instead of the live one
+	idx  *Index // stepScan: nil scans the whole relation
+	key  []src  // probe key sources, in index column order (all columns for exists/anti)
+	m    matcher
+	op   cmpOp
+	l, r src
+}
+
+// Plan is a compiled query: variables numbered into a register file, a
+// static join order, and per atom the precomputed probe-key sources,
+// free-column loads and resolved index handle. A plan is immutable and
+// may be run by any number of goroutines at once, each with its own Exec.
+type Plan struct {
+	nslots int
+	seed   *matcher // binds the seed tuple; nil for unseeded plans
+	steps  []step
+	order  []int // atom indexes in evaluation order (seed first)
+}
+
+// Compile plans the query for one seed position. seed >= 0 names a
+// positive atom that Run binds to a given tuple instead of scanning —
+// one term of the DRed telescoping sum: atoms before it in canonical
+// order read the live state, atoms after it the state as of BeginPass.
+// seed = ScanLive or ScanOld plans a full evaluation over one state.
+//
+// Join order is static: the seed — or, unseeded, the Lead atom — first,
+// then repeatedly the positive atom with the most bound columns
+// (constants included), ties to the earlier canonical position. Negated
+// atoms and constraints run at the earliest point all their variables
+// are bound; one that never gets there makes the query unplannable,
+// which is the only error besides an unknown comparison operator.
+func (q *Query) Compile(seed int) (*Plan, error) {
+	vars := q.Vars()
+	slotOf := make(map[string]int, len(vars))
+	for i, v := range vars {
+		slotOf[v] = i
+	}
+	p := &Plan{nslots: len(vars)}
+	bound := make([]bool, len(vars))
+	termSrc := func(t Term) (src, bool) {
+		if !t.IsVar {
+			return src{slot: -1, val: t.Const}, true
+		}
+		s := slotOf[t.Var]
+		return src{slot: s}, bound[s]
+	}
+	// pattern compiles an atom's terms against the current bound set: bound
+	// positions become probe-key sources, the rest matcher loads/checks.
+	pattern := func(terms []Term) (keyCols []int, key []src, m matcher) {
+		loaded := map[int]bool{}
+		for col, t := range terms {
+			if s, ok := termSrc(t); ok {
+				keyCols = append(keyCols, col)
+				key = append(key, s)
+				continue
+			}
+			slot := slotOf[t.Var]
+			if loaded[slot] {
+				m.same = append(m.same, colSlot{col, slot})
+			} else {
+				loaded[slot] = true
+				m.bind = append(m.bind, colSlot{col, slot})
+			}
+		}
+		return keyCols, key, m
+	}
+	bindAll := func(m *matcher) {
+		for _, b := range m.bind {
+			bound[b.slot] = true
+		}
+	}
+
+	doneAtom := make([]bool, len(q.Atoms))
+	doneCon := make([]bool, len(q.Cons))
+	if seed >= 0 {
+		if seed >= len(q.Atoms) || q.Atoms[seed].Neg {
+			return nil, fmt.Errorf("db: seed position %d is not a positive atom", seed)
+		}
+		// The seed tuple is matched whole, so its key columns (nothing is
+		// bound yet: the atom's constants) become checks instead.
+		keyCols, key, m := pattern(q.Atoms[seed].Terms)
+		for i, col := range keyCols {
+			m.consts = append(m.consts, colVal{col, key[i].val})
+		}
+		bindAll(&m)
+		p.seed = &m
+		p.order = append(p.order, seed)
+		doneAtom[seed] = true
+	}
+	readsOld := func(i int) bool { return seed == ScanOld || (seed >= 0 && i > seed) }
+
+	// flush schedules every constraint, then every negated atom, whose
+	// variables are all bound by now.
+	flush := func() error {
+		for i, c := range q.Cons {
+			if doneCon[i] {
+				continue
+			}
+			l, lok := termSrc(c.L)
+			r, rok := termSrc(c.R)
+			if !lok || !rok {
+				continue
+			}
+			op, ok := cmpOps[c.Op]
+			if !ok {
+				return fmt.Errorf("db: unsupported constraint op %q", c.Op)
+			}
+			p.steps = append(p.steps, step{kind: stepCmp, op: op, l: l, r: r})
+			doneCon[i] = true
+		}
+		for i, a := range q.Atoms {
+			if doneAtom[i] || !a.Neg {
+				continue
+			}
+			keyCols, key, _ := pattern(a.Terms)
+			if len(keyCols) != len(a.Terms) {
+				continue
+			}
+			p.steps = append(p.steps, step{kind: stepAnti, rel: a.Rel, old: readsOld(i), key: key})
+			p.order = append(p.order, i)
+			doneAtom[i] = true
+		}
+		return nil
+	}
+	if err := flush(); err != nil {
+		return nil, err
+	}
+	for first := true; ; first = false {
+		best, bestBound := -1, -1
+		for i, a := range q.Atoms {
+			if doneAtom[i] || a.Neg {
+				continue
+			}
+			if first && seed < 0 && a.Lead {
+				best = i
+				break
+			}
+			if keyCols, _, _ := pattern(a.Terms); len(keyCols) > bestBound {
+				best, bestBound = i, len(keyCols)
+			}
+		}
+		if best < 0 {
+			break
+		}
+		a := q.Atoms[best]
+		keyCols, key, m := pattern(a.Terms)
+		st := step{kind: stepScan, rel: a.Rel, old: readsOld(best), key: key, m: m}
+		switch {
+		case len(keyCols) == len(a.Terms):
+			st.kind = stepExists
+		case len(keyCols) > 0:
+			st.idx = a.Rel.IndexOn(keyCols...)
+		}
+		bindAll(&m)
+		p.steps = append(p.steps, st)
+		p.order = append(p.order, best)
+		doneAtom[best] = true
+		if err := flush(); err != nil {
+			return nil, err
+		}
+	}
+	for i, a := range q.Atoms {
+		if !doneAtom[i] {
+			for _, t := range a.Terms {
+				if _, ok := termSrc(t); !ok {
+					return nil, fmt.Errorf("db: negated atom over %s has unbound variable %q", a.Rel.Name(), t.Var)
+				}
+			}
+		}
+	}
+	for i, c := range q.Cons {
+		if !doneCon[i] {
+			return nil, fmt.Errorf("db: constraint %v %s %v has unbound variable", c.L, c.Op, c.R)
+		}
+	}
+	return p, nil
+}
+
+// Exec is the reusable per-goroutine state of plan execution: the
+// register file and the probe-key buffer. The zero value is ready to use.
+type Exec struct {
+	regs []Value
+	key  []byte
+}
+
+// Run enumerates every binding of the plan and calls emit with the
+// register file, indexed by the slot order of Query.Vars. The slice is
+// reused across calls — copy out what must be retained. Returning false
+// from emit stops the enumeration. seed is the tuple bound at the plan's
+// seed position (ignored by unseeded plans). The enumeration order is a
+// pure function of the plan and of the relations' contents and insertion
+// order.
+func (p *Plan) Run(x *Exec, seed Tuple, emit func(regs []Value) bool) {
+	if cap(x.regs) < p.nslots {
+		x.regs = make([]Value, p.nslots)
+	}
+	x.regs = x.regs[:p.nslots]
+	if p.seed != nil && !p.seed.match(seed, x.regs) {
+		return
+	}
+	x.run(p.steps, emit)
+}
+
+// probeKey builds a step's probe key in the reused buffer.
+func (x *Exec) probeKey(key []src) []byte {
+	buf := x.key[:0]
+	for i, s := range key {
+		if i > 0 {
+			buf = append(buf, keySep)
+		}
+		buf = append(buf, s.get(x.regs)...)
+	}
+	x.key = buf
+	return buf
+}
+
+// run executes steps over the current registers; false means emit asked
+// to stop.
+func (x *Exec) run(steps []step, emit func([]Value) bool) bool {
+	if len(steps) == 0 {
+		return emit(x.regs)
+	}
+	st, rest := &steps[0], steps[1:]
+	switch st.kind {
+	case stepCmp:
+		if !compare(st.op, st.l.get(x.regs), st.r.get(x.regs)) {
+			return true
+		}
+		return x.run(rest, emit)
+	case stepExists, stepAnti:
+		row := st.rel.rows[string(x.probeKey(st.key))]
+		found := row != nil && st.rel.visible(row, st.old)
+		if found == (st.kind == stepAnti) {
+			return true
+		}
+		return x.run(rest, emit)
+	}
+	rows := st.rel.order
+	if st.idx != nil {
+		rows = st.idx.probe(x.probeKey(st.key))
+	}
+	for _, row := range rows {
+		if !st.rel.visible(row, st.old) || !st.m.match(row.Tuple, x.regs) {
+			continue
+		}
+		if !x.run(rest, emit) {
+			return false
+		}
+	}
+	return true
+}
+
+func compare(op cmpOp, l, r Value) bool {
+	switch op {
+	case opEq:
+		return l == r
+	case opNe:
+		return l != r
+	}
+	li, lerr := strconv.Atoi(l)
+	ri, rerr := strconv.Atoi(r)
+	var less, eq bool
+	if lerr == nil && rerr == nil {
+		less, eq = li < ri, li == ri
+	} else {
+		less, eq = l < r, l == r
+	}
+	return less || (op == opLe && eq)
+}

@@ -103,7 +103,7 @@ func (g *Grounder) RestoreSnapshot(rd *persist.Rd, cur *factor.Graph) error {
 	g.vars = make([]varInfo, len(rels))
 	for i := range rels {
 		g.vars[i] = varInfo{rel: rels[i], key: keys[i]}
-		g.varIdx[varKey(rels[i], keys[i])] = factor.VarID(i)
+		g.varIdx[rels[i]+"\x00"+keys[i]] = factor.VarID(i)
 	}
 	g.live = rd.Bools("var live")
 	g.evTrue = rd.Ints("var evTrue")
@@ -139,6 +139,9 @@ func (g *Grounder) RestoreSnapshot(rd *persist.Rd, cur *factor.Graph) error {
 			}
 			gs.gnds[key] = gnd
 			gs.gndOrder = append(gs.gndOrder, key)
+			if gnd.count > 0 {
+				g.nGroundings++
+			}
 		}
 		g.groupIdx[gs.key] = len(g.groups)
 		g.groups = append(g.groups, gs)

@@ -2,19 +2,61 @@ package ground
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"deepdive/internal/datalog"
 	"deepdive/internal/db"
 	"deepdive/internal/factor"
 )
 
-// relResolver returns the relation state an evaluation should read for a
-// given body position. Incremental evaluation mixes pre-update snapshots
-// and post-update states per the DRed telescoping sum.
-type relResolver func(name string) *db.Relation
+// argSrc is one argument of an atom to instantiate from a binding: a
+// register of the rule's plans, or a constant when slot < 0.
+type argSrc struct {
+	slot int
+	val  db.Value
+}
 
-// currentState resolves every relation to its live state.
-func (g *Grounder) currentState(name string) *db.Relation { return g.data.Relation(name) }
+// atomSpec instantiates an atom's tuple from a plan's register file.
+type atomSpec struct {
+	pred string
+	args []argSrc
+}
+
+func (a *atomSpec) instantiate(regs []db.Value) db.Tuple {
+	t := make(db.Tuple, len(a.args))
+	for i, s := range a.args {
+		if s.slot < 0 {
+			t[i] = s.val
+		} else {
+			t[i] = regs[s.slot]
+		}
+	}
+	return t
+}
+
+// ruleEval is a compiled rule: its body as a db.Query in canonical item
+// order — the body atoms in source order, then, for weighted rules, a
+// synthetic *head guard* (a join atom over the head relation that
+// restricts groundings to existing candidate tuples: inference rules
+// relate existing variables, they do not derive tuples) — plus everything
+// applying a binding needs, resolved to register slots once.
+type ruleEval struct {
+	rule  *datalog.Rule
+	idx   int // stable index for weight keys
+	query db.Query
+	// plans caches the compiled plan per db.Query.Compile seed (an atom
+	// position, db.ScanLive or db.ScanOld). Filled on the driver goroutine
+	// only: workers receive resolved plans in their jobs.
+	plans map[int]*db.Plan
+
+	head       atomSpec
+	lits       []atomSpec // body atoms that become factor literals (weighted rules)
+	weightArgs []int      // slots of the weight expression's arguments
+	keySlots   []int      // slots of every rule variable: a grounding's identity c̄ (Section 2.4)
+	wprefix    string     // weight key up to the tie values
+	udf        UDF        // weight UDF, nil for fixed and w(...) weights
+}
 
 // toTerm converts a datalog term to a query term.
 func toTerm(t datalog.Term) db.Term {
@@ -24,151 +66,131 @@ func toTerm(t datalog.Term) db.Term {
 	return db.C(t.Value)
 }
 
-// bodyPlan is the compiled query plan of one rule body: join atoms (by
-// body-item index) and the variable-relation atoms that become factor
-// literals in weighted rules. For weighted rules the plan ends with a
-// synthetic *head guard* item (index len(body)): a join atom over the
-// head relation that restricts groundings to existing candidate tuples —
-// inference rules relate existing variables, they do not derive tuples.
-type bodyPlan struct {
-	joinItems []int // body item indexes (guard index = len(body)) in join order
-	litItems  []int // body item indexes that become literals (weighted rules)
-	guardIdx  int   // index used for the head guard, or -1 for none
+func (g *Grounder) queryAtom(a *datalog.Atom, neg, lead bool) db.QueryAtom {
+	terms := make([]db.Term, len(a.Args))
+	for i, t := range a.Args {
+		terms[i] = toTerm(t)
+	}
+	return db.QueryAtom{Rel: g.data.Relation(a.Pred), Terms: terms, Neg: neg, Lead: lead}
 }
 
-// planBody splits the body of a rule. For weighted (inference) rules,
-// positive atoms over variable relations both join (to range over
-// candidate tuples) and emit factor literals; negated atoms over variable
-// relations are rejected at compile time (their grounding identity would
-// depend on candidate liveness, which breaks exact DRed cancellation).
-// For deterministic rules every atom joins — negation over a variable
-// relation there is a plain anti-join over the candidate set.
-func (g *Grounder) planBody(re *ruleEval) bodyPlan {
-	if re.plan != nil {
-		return *re.plan
-	}
-	p := bodyPlan{guardIdx: -1}
-	weighted := re.rule.Kind == datalog.KindInference
-	for i, item := range re.rule.Body {
-		if item.Atom == nil {
-			continue // conditions handled separately
+// compileRule validates a rule against the grounder (UDF availability,
+// the incremental-grounding restrictions, plannability) and compiles it.
+// It registers nothing: a rule that fails here leaves no trace.
+//
+// For weighted (inference) rules, positive atoms over variable relations
+// both join (to range over candidate tuples) and emit factor literals;
+// negated atoms over variable relations are rejected (their grounding
+// identity would depend on candidate liveness, which breaks exact DRed
+// cancellation). For deterministic rules every atom joins — negation over
+// a variable relation there is a plain anti-join over the candidate set.
+func (g *Grounder) compileRule(r *datalog.Rule, idx int) (*ruleEval, error) {
+	re := &ruleEval{rule: r, idx: idx, plans: make(map[int]*db.Plan)}
+	weighted := r.Kind == datalog.KindInference
+	if r.Weight.HasWeight && !r.Weight.IsFixed && r.Weight.Func != "w" {
+		udf, ok := g.udfs[r.Weight.Func]
+		if !ok {
+			return nil, fmt.Errorf("ground: rule %s uses unknown UDF %q", r.Head.Pred, r.Weight.Func)
 		}
-		decl := g.prog.Decls[item.Atom.Pred]
-		p.joinItems = append(p.joinItems, i)
-		if weighted && decl.Variable && !item.Neg {
-			p.litItems = append(p.litItems, i)
+		re.udf = udf
+	}
+	var litAtoms []*datalog.Atom
+	for _, item := range r.Body {
+		if item.Cond != nil {
+			re.query.Cons = append(re.query.Cons, db.Constraint{Op: item.Cond.Op, L: toTerm(item.Cond.L), R: toTerm(item.Cond.R)})
+			continue
+		}
+		if d := g.prog.Decls[item.Atom.Pred]; weighted && d != nil && d.Variable {
+			if item.Neg {
+				return nil, fmt.Errorf("ground: rule %s negates variable relation %s in a weighted rule; not supported",
+					r.Head.Pred, item.Atom.Pred)
+			}
+			litAtoms = append(litAtoms, item.Atom)
+		}
+		re.query.Atoms = append(re.query.Atoms, g.queryAtom(item.Atom, item.Neg, false))
+	}
+	if weighted && len(r.Body) > 0 {
+		re.query.Atoms = append(re.query.Atoms, g.queryAtom(&r.Head, false, true))
+	}
+	if len(r.Body) > 0 {
+		// Every seeded plan schedules the same atoms over the same
+		// variables, so the full plan being plannable covers them all.
+		if _, err := re.plan(db.ScanLive); err != nil {
+			return nil, fmt.Errorf("ground: rule %s: %w", r.Head.Pred, err)
 		}
 	}
-	if weighted {
-		p.guardIdx = len(re.rule.Body)
-		p.joinItems = append(p.joinItems, p.guardIdx)
+
+	slotOf := map[string]int{}
+	for i, v := range re.query.Vars() {
+		slotOf[v] = i
 	}
-	re.plan = &p
+	spec := func(a *datalog.Atom) atomSpec {
+		s := atomSpec{pred: a.Pred, args: make([]argSrc, len(a.Args))}
+		for i, t := range a.Args {
+			if t.IsVar {
+				s.args[i] = argSrc{slot: slotOf[t.Name]}
+			} else {
+				s.args[i] = argSrc{slot: -1, val: t.Value}
+			}
+		}
+		return s
+	}
+	re.head = spec(&r.Head)
+	if !weighted {
+		return re, nil
+	}
+	for _, a := range litAtoms {
+		re.lits = append(re.lits, spec(a))
+	}
+	seen := map[string]bool{}
+	for _, v := range append(r.Head.Vars(), r.BodyVars()...) {
+		if !seen[v] {
+			seen[v] = true
+			re.keySlots = append(re.keySlots, slotOf[v])
+		}
+	}
+	re.wprefix = "w:" + strconv.Itoa(idx)
+	if w := r.Weight; !w.IsFixed {
+		for _, arg := range w.Args {
+			re.weightArgs = append(re.weightArgs, slotOf[arg])
+		}
+		re.wprefix += ":"
+		if re.udf != nil {
+			re.wprefix += w.Func + ":"
+		}
+	}
+	return re, nil
+}
+
+// plan returns (compiling on first use) the rule's plan for one seed.
+func (re *ruleEval) plan(seed int) (*db.Plan, error) {
+	if p := re.plans[seed]; p != nil {
+		return p, nil
+	}
+	p, err := re.query.Compile(seed)
+	if err != nil {
+		return nil, err
+	}
+	re.plans[seed] = p
+	return p, nil
+}
+
+// mustPlan is plan for rules that passed compileRule, whose plans cannot
+// fail to compile.
+func (re *ruleEval) mustPlan(seed int) *db.Plan {
+	p, err := re.plan(seed)
+	if err != nil {
+		panic(fmt.Sprintf("ground: rule %s passed compileRule but seed %d does not plan: %v", re.rule.Head.Pred, seed, err))
+	}
 	return p
 }
 
-// itemAtom returns the atom of a plan item index (the head atom for the
-// guard index).
-func (g *Grounder) itemAtom(re *ruleEval, itemIdx int) (*datalog.Atom, bool) {
-	if itemIdx == len(re.rule.Body) {
-		return &re.rule.Head, false
-	}
-	item := re.rule.Body[itemIdx]
-	return item.Atom, item.Neg
-}
-
-// conditions extracts the rule's comparison constraints.
-func conditions(re *ruleEval) []db.Constraint {
-	var cons []db.Constraint
-	for _, item := range re.rule.Body {
-		if item.Cond != nil {
-			cons = append(cons, db.Constraint{Op: item.Cond.Op, L: toTerm(item.Cond.L), R: toTerm(item.Cond.R)})
-		}
-	}
-	return cons
-}
-
-// evalRule enumerates the bindings of a rule body. resolve picks relation
-// states per body item index. When seedItem >= 0, the positive join atom
-// at that body index is bound to seedTuple instead of being scanned.
-// seedResolve applies to the remaining atoms.
-func (g *Grounder) evalRule(re *ruleEval, resolve func(item int, name string) *db.Relation,
-	seedItem int, seedTuple db.Tuple, emit func(db.Binding) bool) error {
-
-	plan := g.planBody(re)
-	init := db.Binding{}
-	var atoms []db.QueryAtom
-	for _, i := range plan.joinItems {
-		atom, neg := g.itemAtom(re, i)
-		if i == seedItem {
-			// Bind the seed tuple manually.
-			for pos, t := range atom.Args {
-				if t.IsVar {
-					if v, ok := init[t.Name]; ok {
-						if v != seedTuple[pos] {
-							return nil // repeated var mismatch: no bindings
-						}
-						continue
-					}
-					init[t.Name] = seedTuple[pos]
-				} else if t.Value != seedTuple[pos] {
-					return nil // constant mismatch: no bindings
-				}
-			}
-			continue
-		}
-		rel := resolve(i, atom.Pred)
-		terms := make([]db.Term, len(atom.Args))
-		for pos, t := range atom.Args {
-			terms[pos] = toTerm(t)
-		}
-		atoms = append(atoms, db.QueryAtom{Rel: rel, Terms: terms, Neg: neg})
-	}
-	return db.EvalJoin(atoms, conditions(re), init, emit)
-}
-
-// instantiate builds the tuple of an atom under a binding.
-func instantiate(a datalog.Atom, b db.Binding) db.Tuple {
-	t := make(db.Tuple, len(a.Args))
-	for i, term := range a.Args {
-		if term.IsVar {
-			v, ok := b[term.Name]
-			if !ok {
-				panic(fmt.Sprintf("ground: unbound head variable %s in %s (validation bug)", term.Name, a.Pred))
-			}
-			t[i] = v
-		} else {
-			t[i] = term.Value
-		}
-	}
-	return t
-}
-
-// weightKeyOf computes the interned weight key and initial value for a
-// rule binding.
-func (g *Grounder) weightKeyOf(re *ruleEval, b db.Binding) (key string, init float64, learn bool) {
-	w := re.rule.Weight
-	if w.IsFixed {
-		return fmt.Sprintf("w:%d", re.idx), w.Fixed, false
-	}
-	vals := make([]string, len(w.Args))
-	for i, arg := range w.Args {
-		vals[i] = b[arg]
-	}
-	if w.Func == "w" {
-		return fmt.Sprintf("w:%d:%s", re.idx, db.Tuple(vals).Key()), 0, true
-	}
-	udf := g.udfs[w.Func]
-	return fmt.Sprintf("w:%d:%s:%s", re.idx, w.Func, udf(vals)), 0, true
-}
-
 // tracker accumulates the effects of one grounding pass (full or
-// incremental): relation deltas for downstream rules, snapshots, and the
-// ΔV/ΔF bookkeeping reported to incremental inference.
+// incremental): relation deltas for downstream rules and the ΔV/ΔF
+// bookkeeping reported to incremental inference.
 type tracker struct {
 	added   map[string][]db.Tuple
 	removed map[string][]db.Tuple
-	olds    map[string]*db.Relation
 
 	newVars        []factor.VarID
 	evChanged      map[factor.VarID]bool
@@ -186,12 +208,16 @@ func newTracker() *tracker {
 	return &tracker{
 		added:          make(map[string][]db.Tuple),
 		removed:        make(map[string][]db.Tuple),
-		olds:           make(map[string]*db.Relation),
 		evChanged:      make(map[factor.VarID]bool),
 		modifiedGroups: make(map[int]bool),
 		addedSet:       make(map[int]bool),
 		touched:        make(map[int]map[string]bool),
 	}
+}
+
+// changed reports whether the pass toggled any tuple of the relation.
+func (tr *tracker) changed(name string) bool {
+	return len(tr.added[name]) > 0 || len(tr.removed[name]) > 0
 }
 
 // touch records a grounding visibility toggle in a pre-existing group.
@@ -202,46 +228,31 @@ func (tr *tracker) touch(gi int, key string) {
 	tr.touched[gi][key] = true
 }
 
-// snapshot records the pre-update state of a relation once.
-func (tr *tracker) snapshot(r *db.Relation) {
-	if _, ok := tr.olds[r.Name()]; !ok {
-		tr.olds[r.Name()] = r.Snapshot()
-	}
-}
-
-// oldState resolves a relation to its pre-update snapshot (falling back to
-// the live state when it was never modified).
-func (g *Grounder) oldState(tr *tracker, name string) *db.Relation {
-	if old, ok := tr.olds[name]; ok {
-		return old
-	}
-	return g.data.Relation(name)
-}
-
 // applyTupleDelta adds count derivations of t to rel, maintaining variable
-// liveness, evidence counts, and the delta stream. The relation is
-// snapshotted before its first modification in this pass.
+// liveness, evidence counts, and the delta stream. The relation's state
+// before the pass stays readable through old-state plan atoms (see
+// db.Relation.BeginPass).
 func (g *Grounder) applyTupleDelta(tr *tracker, relName string, t db.Tuple, count int) error {
 	r := g.data.Relation(relName)
 	if r == nil {
 		return fmt.Errorf("ground: unknown relation %s", relName)
 	}
-	tr.snapshot(r)
 	if !r.InsertN(t, count) {
 		return nil // visibility unchanged: nothing propagates
 	}
-	visible := r.Contains(t)
+	// The delta lists live for this pass only, and t is either a tuple of
+	// the update in flight or a freshly instantiated head: no copy needed.
+	visible := count > 0
 	if visible {
-		tr.added[relName] = append(tr.added[relName], t.Clone())
+		tr.added[relName] = append(tr.added[relName], t)
 	} else {
-		tr.removed[relName] = append(tr.removed[relName], t.Clone())
+		tr.removed[relName] = append(tr.removed[relName], t)
 	}
 	decl := g.prog.Decls[relName]
 	if decl != nil && decl.Variable {
 		if visible {
-			before := len(g.vars)
-			id := g.varFor(relName, t)
-			if int(id) >= before {
+			id, isNew := g.varFor(relName, t)
+			if isNew {
 				tr.newVars = append(tr.newVars, id)
 			}
 			g.live[id] = true
@@ -270,10 +281,8 @@ func (g *Grounder) applyEvidenceDelta(tr *tracker, baseRel string, evTuple db.Tu
 	default:
 		return fmt.Errorf("ground: evidence label %q in %s_Ev must be true or false", label, baseRel)
 	}
-	base := evTuple[:len(evTuple)-1]
-	before := len(g.vars)
-	id := g.varFor(baseRel, base)
-	if int(id) >= before {
+	id, isNew := g.varFor(baseRel, evTuple[:len(evTuple)-1])
+	if isNew {
 		tr.newVars = append(tr.newVars, id)
 	}
 	d := 1
@@ -307,22 +316,45 @@ type bindingPre struct {
 	lits  []db.Tuple
 }
 
-// precompute derives a binding's pure apply inputs. Safe to call from
-// evaluation workers: it reads only immutable rule state, the pre-warmed
-// plan/varsOf memos, and the (pure) UDF registry; the binding is not
-// retained.
-func (g *Grounder) precompute(re *ruleEval, b db.Binding) bindingPre {
-	p := bindingPre{head: instantiate(re.rule.Head, b)}
+// precompute derives a binding's pure apply inputs from a plan's register
+// file. Safe to call from evaluation workers: it reads only immutable rule
+// state and the (pure) UDF registry; regs is not retained.
+func (re *ruleEval) precompute(regs []db.Value) bindingPre {
+	p := bindingPre{head: re.head.instantiate(regs)}
 	if re.rule.Kind != datalog.KindInference {
 		return p
 	}
-	p.wkey, p.winit, p.learn = g.weightKeyOf(re, b)
-	p.bkey = bindingKey(re, b)
-	items := g.planBody(re).litItems
-	if len(items) > 0 {
-		p.lits = make([]db.Tuple, len(items))
-		for k, i := range items {
-			p.lits[k] = instantiate(*re.rule.Body[i].Atom, b)
+	// Weight key: the rule, then its tie values.
+	if w := re.rule.Weight; w.IsFixed {
+		p.wkey, p.winit = re.wprefix, w.Fixed
+	} else {
+		vals := make([]string, len(re.weightArgs))
+		for i, s := range re.weightArgs {
+			vals[i] = regs[s]
+		}
+		if re.udf != nil {
+			p.wkey = re.wprefix + re.udf(vals)
+		} else {
+			p.wkey = re.wprefix + db.Tuple(vals).Key()
+		}
+		p.learn = true
+	}
+	// Binding key: the rule's full binding c̄.
+	n := 0
+	for _, s := range re.keySlots {
+		n += len(regs[s]) + 1
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for _, s := range re.keySlots {
+		sb.WriteString(regs[s])
+		sb.WriteByte(0x1f)
+	}
+	p.bkey = sb.String()
+	if len(re.lits) > 0 {
+		p.lits = make([]db.Tuple, len(re.lits))
+		for k := range re.lits {
+			p.lits[k] = re.lits[k].instantiate(regs)
 		}
 	}
 	return p
@@ -332,8 +364,8 @@ func (g *Grounder) precompute(re *ruleEval, b db.Binding) bindingPre {
 // −1 retract). Derivation and supervision rules derive head tuples;
 // weighted rules materialize factor groundings over existing candidate
 // variables (the head-guard join guarantees the head tuple exists).
-func (g *Grounder) applyBinding(re *ruleEval, b db.Binding, sign int, tr *tracker) error {
-	p := g.precompute(re, b)
+func (g *Grounder) applyBinding(re *ruleEval, regs []db.Value, sign int, tr *tracker) error {
+	p := re.precompute(regs)
 	return g.applyPre(re, &p, sign, tr)
 }
 
@@ -342,42 +374,54 @@ func (g *Grounder) applyBinding(re *ruleEval, b db.Binding, sign int, tr *tracke
 // grounding counts — and must run on the driver goroutine.
 func (g *Grounder) applyPre(re *ruleEval, p *bindingPre, sign int, tr *tracker) error {
 	if re.rule.Kind != datalog.KindInference {
-		return g.applyTupleDelta(tr, re.rule.Head.Pred, p.head, sign)
+		return g.applyTupleDelta(tr, re.head.pred, p.head, sign)
 	}
-	// Weighted rule: materialize the grounding.
-	headVar, ok := g.VarOf(re.rule.Head.Pred, p.head)
-	if !ok {
-		// Candidate visible (guard join) but var not yet assigned — happens
-		// when the candidate was loaded as base data before Ground.
-		headVar = g.varFor(re.rule.Head.Pred, p.head)
-		tr.newVars = append(tr.newVars, headVar)
+	// Weighted rule: materialize the grounding. The candidate is visible
+	// (guard join) but its var may not be assigned yet — it is when the
+	// candidate was loaded as base data before Ground.
+	internVar := func(rel string, t db.Tuple) factor.VarID {
+		id, isNew := g.varFor(rel, t)
+		if isNew {
+			tr.newVars = append(tr.newVars, id)
+		}
+		return id
 	}
+	headVar := internVar(re.head.pred, p.head)
 	wid, isNewW := g.weightFor(p.wkey, p.winit, p.learn)
 	if isNewW {
 		tr.newWeights = append(tr.newWeights, wid)
 	}
-	var lits []factor.Literal
-	for k, i := range g.planBody(re).litItems {
-		item := re.rule.Body[i]
-		t := p.lits[k]
-		id, ok := g.VarOf(item.Atom.Pred, t)
-		if !ok {
-			id = g.varFor(item.Atom.Pred, t)
-			tr.newVars = append(tr.newVars, id)
-		}
-		lits = append(lits, factor.Literal{Var: id})
-	}
-	gkey := fmt.Sprintf("g:%d:%s:%d", re.idx, p.head.Key(), wid)
+	var a [160]byte
+	gkey := append(a[:0], "g:"...)
+	gkey = strconv.AppendInt(gkey, int64(re.idx), 10)
+	gkey = append(gkey, ':')
+	gkey = p.head.AppendKey(gkey)
+	gkey = append(gkey, ':')
+	gkey = strconv.AppendInt(gkey, int64(wid), 10)
 	gi, isNewG := g.groupFor(gkey, headVar, wid, g.prog.SemOf(re.rule))
 	if isNewG {
 		tr.addedGroups = append(tr.addedGroups, gi)
 		tr.addedSet[gi] = true
 	}
+	// A grounding seen before already has its literals (and their vars).
+	gs := g.groups[gi]
+	gnd := gs.gnds[p.bkey]
+	if gnd == nil {
+		gnd = &gndState{flatID: -1}
+		if len(re.lits) > 0 {
+			gnd.lits = make([]factor.Literal, len(re.lits))
+			for k := range re.lits {
+				gnd.lits[k] = factor.Literal{Var: internVar(re.lits[k].pred, p.lits[k])}
+			}
+		}
+		gs.gnds[p.bkey] = gnd
+		gs.gndOrder = append(gs.gndOrder, p.bkey)
+	}
 	// Groups created earlier in this same pass count as added, not
 	// modified: they do not exist in the pre-update graph, so reporting
 	// them in ModifiedGroups would leak an out-of-range index into
 	// ChangedGroupsOld.
-	if g.addGrounding(gi, p.bkey, lits, sign) && !tr.addedSet[gi] {
+	if g.addCount(gs, gnd, sign) && !tr.addedSet[gi] {
 		tr.modifiedGroups[gi] = true
 		tr.touch(gi, p.bkey)
 	}
@@ -405,9 +449,11 @@ func (g *Grounder) Ground() error {
 	g.weightIdx = make(map[string]factor.WeightID)
 	g.groups = nil
 	g.groupIdx = make(map[string]int)
+	g.nGroundings = 0
 	g.lastGraph = nil
 	g.graphDirty = true
 
+	g.data.BeginPass()
 	tr := newTracker()
 	// Phase 1: the deterministic derivation pipeline, in topological order.
 	for _, relName := range g.topo {
@@ -431,24 +477,8 @@ func (g *Grounder) Ground() error {
 // runRuleFull evaluates a rule over current state and applies every
 // binding with sign +1.
 func (g *Grounder) runRuleFull(re *ruleEval, tr *tracker) error {
-	if len(re.rule.Body) == 0 {
-		return g.applyBinding(re, db.Binding{}, +1, tr)
-	}
-	var applyErr error
-	err := g.evalRule(re,
-		func(_ int, name string) *db.Relation { return g.currentState(name) },
-		-1, nil,
-		func(b db.Binding) bool {
-			if e := g.applyBinding(re, b, +1, tr); e != nil {
-				applyErr = e
-				return false
-			}
-			return true
-		})
-	if applyErr != nil {
-		return applyErr
-	}
-	return err
+	j := re.fullJob()
+	return g.evalApply(&j, tr)
 }
 
 // ensureCandidateVars creates variables for every visible tuple of every
@@ -461,7 +491,7 @@ func (g *Grounder) ensureCandidateVars() {
 		}
 		rel := g.data.Relation(name)
 		rel.Each(func(t db.Tuple) bool {
-			id := g.varFor(name, t)
+			id, _ := g.varFor(name, t)
 			g.live[id] = true
 			return true
 		})

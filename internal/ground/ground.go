@@ -16,7 +16,6 @@ package ground
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"deepdive/internal/datalog"
 	"deepdive/internal/db"
@@ -31,8 +30,13 @@ type UDF func(args []string) string
 // UDFRegistry names the UDFs available to a program.
 type UDFRegistry map[string]UDF
 
-// varKey builds the variable-map key for a tuple of a variable relation.
-func varKey(rel string, tupleKey string) string { return rel + "\x00" + tupleKey }
+// appendVarKey appends the variable-map key for a tuple of a variable
+// relation: the relation name, a NUL, the tuple key.
+func appendVarKey(buf []byte, rel string, t db.Tuple) []byte {
+	buf = append(buf, rel...)
+	buf = append(buf, 0)
+	return t.AppendKey(buf)
+}
 
 // varInfo records which tuple a VarID stands for.
 type varInfo struct {
@@ -61,40 +65,6 @@ type groupState struct {
 	gndOrder []string
 }
 
-// ruleEval is a compiled rule.
-type ruleEval struct {
-	rule    *datalog.Rule
-	idx     int       // stable index for weight keys
-	plan    *bodyPlan // cached body plan
-	allVars []string  // body+head variable names, for grounding identity
-}
-
-// varsOf returns (caching) the rule's variable names in deterministic
-// order; a grounding's identity is the rule's full binding c̄ over these
-// (Section 2.4: the support counts distinct groundings c̄ ∈ D^|z̄|).
-func (re *ruleEval) varsOf() []string {
-	if re.allVars != nil {
-		return re.allVars
-	}
-	seen := map[string]bool{}
-	var out []string
-	add := func(names []string) {
-		for _, v := range names {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	add(re.rule.Head.Vars())
-	add(re.rule.BodyVars())
-	if out == nil {
-		out = []string{}
-	}
-	re.allVars = out
-	return out
-}
-
 // Grounder holds the database and all grounding state for one program.
 type Grounder struct {
 	prog *datalog.Program
@@ -118,8 +88,13 @@ type Grounder struct {
 	weightLearn []bool
 	weightIdx   map[string]factor.WeightID
 
-	groups   []*groupState
-	groupIdx map[string]int
+	groups      []*groupState
+	groupIdx    map[string]int
+	nGroundings int // visible groundings across groups, kept at the count transitions
+
+	// exec is the driver goroutine's plan-execution state (the sequential
+	// path and Ground); parallel workers bring their own.
+	exec db.Exec
 
 	graphDirty bool
 	lastGraph  *factor.Graph
@@ -207,66 +182,71 @@ func New(prog *datalog.Program, udfs UDFRegistry) (*Grounder, error) {
 			return nil, err
 		}
 	}
-	for _, r := range prog.Rules {
-		if _, err := g.compileRule(r); err != nil {
-			return nil, err
-		}
-	}
-	if err := g.computeTopo(); err != nil {
+	if _, err := g.addRules(prog.Rules); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// compileRule registers a rule (validating UDF availability and the
-// incremental-grounding restrictions) and returns its evaluator.
-func (g *Grounder) compileRule(r *datalog.Rule) (*ruleEval, error) {
-	if r.Weight.HasWeight && !r.Weight.IsFixed && r.Weight.Func != "w" {
-		if _, ok := g.udfs[r.Weight.Func]; !ok {
-			return nil, fmt.Errorf("ground: rule %s uses unknown UDF %q", r.Head.Pred, r.Weight.Func)
+// addRules compiles rules, checks the extended rule set stays
+// non-recursive, and only then registers them: on error the grounder is
+// exactly as it was.
+func (g *Grounder) addRules(rules []*datalog.Rule) ([]*ruleEval, error) {
+	res := make([]*ruleEval, len(rules))
+	for i, r := range rules {
+		re, err := g.compileRule(r, g.nextRuleIdx+i)
+		if err != nil {
+			return nil, err
 		}
+		res[i] = re
 	}
-	if r.Kind == datalog.KindInference {
-		for _, item := range r.Body {
-			if item.Atom == nil || !item.Neg {
-				continue
-			}
-			if d := g.prog.Decls[item.Atom.Pred]; d != nil && d.Variable {
-				return nil, fmt.Errorf("ground: rule %s negates variable relation %s in a weighted rule; not supported",
-					r.Head.Pred, item.Atom.Pred)
-			}
+	topo, err := g.computeTopo(res)
+	if err != nil {
+		return nil, err
+	}
+	g.topo = topo
+	g.nextRuleIdx += len(res)
+	for _, re := range res {
+		if re.rule.Kind == datalog.KindInference {
+			// Weighted rules ground factors over existing candidate variables;
+			// they never derive tuples, so they create no relation dependencies
+			// (this is what makes symmetry rules like the paper's I1
+			// non-recursive).
+			g.weighted = append(g.weighted, re)
+			continue
 		}
+		head := re.rule.Head.Pred
+		g.rulesByHead[head] = append(g.rulesByHead[head], re)
+		g.derived[head] = true
 	}
-	re := &ruleEval{rule: r, idx: g.nextRuleIdx}
-	g.nextRuleIdx++
-	if r.Kind == datalog.KindInference {
-		// Weighted rules ground factors over existing candidate variables;
-		// they never derive tuples, so they create no relation dependencies
-		// (this is what makes symmetry rules like the paper's I1
-		// non-recursive).
-		g.weighted = append(g.weighted, re)
-		return re, nil
-	}
-	g.rulesByHead[r.Head.Pred] = append(g.rulesByHead[r.Head.Pred], re)
-	g.derived[r.Head.Pred] = true
-	return re, nil
+	return res, nil
 }
 
 // computeTopo orders relations so every rule's body relations precede its
-// head. Errors on recursion (KBC programs are non-recursive).
-func (g *Grounder) computeTopo() error {
+// head, over the registered derivation rules plus extra (rules about to
+// be registered). Errors on recursion (KBC programs are non-recursive).
+func (g *Grounder) computeTopo(extra []*ruleEval) ([]string, error) {
 	// Build dependency edges: body rel -> head rel.
 	deps := make(map[string]map[string]bool) // head -> set of body rels
-	for head, rules := range g.rulesByHead {
+	addDeps := func(re *ruleEval) {
+		head := re.rule.Head.Pred
 		if deps[head] == nil {
 			deps[head] = make(map[string]bool)
 		}
-		for _, re := range rules {
-			for _, b := range re.rule.Body {
-				if b.Atom != nil {
-					deps[head][b.Atom.Pred] = true
-				}
+		for _, b := range re.rule.Body {
+			if b.Atom != nil {
+				deps[head][b.Atom.Pred] = true
 			}
+		}
+	}
+	for _, rules := range g.rulesByHead {
+		for _, re := range rules {
+			addDeps(re)
+		}
+	}
+	for _, re := range extra {
+		if re.rule.Kind != datalog.KindInference {
+			addDeps(re)
 		}
 	}
 	var order []string
@@ -300,11 +280,10 @@ func (g *Grounder) computeTopo() error {
 	}
 	for _, name := range g.prog.DeclOrder {
 		if err := visit(name); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	g.topo = order
-	return nil
+	return order, nil
 }
 
 // DB exposes the underlying database (read-only use expected; mutate base
@@ -332,25 +311,28 @@ func (g *Grounder) LoadBase(rel string, tuples []db.Tuple) error {
 }
 
 // varFor returns (creating if needed) the VarID of a variable-relation
-// tuple. Liveness is managed by visibility transitions in
-// applyTupleDelta, not here.
-func (g *Grounder) varFor(rel string, t db.Tuple) factor.VarID {
-	k := varKey(rel, t.Key())
-	if id, ok := g.varIdx[k]; ok {
-		return id
+// tuple, and whether it was created. Liveness is managed by visibility
+// transitions in applyTupleDelta, not here.
+func (g *Grounder) varFor(rel string, t db.Tuple) (factor.VarID, bool) {
+	var a [160]byte
+	buf := appendVarKey(a[:0], rel, t)
+	if id, ok := g.varIdx[string(buf)]; ok {
+		return id, false
 	}
+	k := string(buf)
 	id := factor.VarID(len(g.vars))
-	g.vars = append(g.vars, varInfo{rel: rel, key: t.Key()})
+	g.vars = append(g.vars, varInfo{rel: rel, key: k[len(rel)+1:]})
 	g.live = append(g.live, true)
 	g.evTrue = append(g.evTrue, 0)
 	g.evFalse = append(g.evFalse, 0)
 	g.varIdx[k] = id
-	return id
+	return id, true
 }
 
 // VarOf looks up the VarID of a tuple without creating it.
 func (g *Grounder) VarOf(rel string, t db.Tuple) (factor.VarID, bool) {
-	id, ok := g.varIdx[varKey(rel, t.Key())]
+	var a [160]byte
+	id, ok := g.varIdx[string(appendVarKey(a[:0], rel, t))]
 	return id, ok
 }
 
@@ -398,61 +380,41 @@ func (g *Grounder) LearnableWeights() []factor.WeightID {
 func (g *Grounder) NumGroups() int { return len(g.groups) }
 
 // NumGroundings returns the number of visible groundings across groups.
-func (g *Grounder) NumGroundings() int {
-	n := 0
-	for _, gs := range g.groups {
-		for _, gnd := range gs.gnds {
-			if gnd.count > 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (g *Grounder) NumGroundings() int { return g.nGroundings }
 
 // groupFor interns a group. Returns the group index and whether it is new.
-func (g *Grounder) groupFor(key string, head factor.VarID, w factor.WeightID, sem factor.Semantics) (int, bool) {
-	if gi, ok := g.groupIdx[key]; ok {
+func (g *Grounder) groupFor(key []byte, head factor.VarID, w factor.WeightID, sem factor.Semantics) (int, bool) {
+	if gi, ok := g.groupIdx[string(key)]; ok {
 		return gi, false
 	}
 	gi := len(g.groups)
-	g.groups = append(g.groups, &groupState{
-		key: key, head: head, weight: w, sem: sem,
+	gs := &groupState{
+		key: string(key), head: head, weight: w, sem: sem,
 		gnds: make(map[string]*gndState),
-	})
-	g.groupIdx[key] = gi
+	}
+	g.groups = append(g.groups, gs)
+	g.groupIdx[gs.key] = gi
 	return gi, true
 }
 
-// addGrounding adds (count may be negative for removal) derivations of
-// the grounding identified by key (the rule's binding c̄) to a group.
-// Reports whether the group's visible grounding set changed.
-func (g *Grounder) addGrounding(gi int, key string, lits []factor.Literal, count int) bool {
-	gs := g.groups[gi]
-	k := key
-	gnd := gs.gnds[k]
-	if gnd == nil {
-		gnd = &gndState{lits: lits, flatID: -1}
-		gs.gnds[k] = gnd
-		gs.gndOrder = append(gs.gndOrder, k)
-	}
+// addCount adds count derivations (negative for removal) to a grounding
+// of gs and reports whether the group's visible grounding set changed.
+func (g *Grounder) addCount(gs *groupState, gnd *gndState, count int) bool {
 	was := gnd.count > 0
 	gnd.count += count
 	if gnd.count < 0 {
 		panic(fmt.Sprintf("ground: grounding count below zero in group %s", gs.key))
 	}
 	now := gnd.count > 0
-	return was != now
-}
-
-// bindingKey serializes a rule binding over the rule's variables.
-func bindingKey(re *ruleEval, b db.Binding) string {
-	var sb strings.Builder
-	for _, v := range re.varsOf() {
-		sb.WriteString(b[v])
-		sb.WriteByte(0x1f)
+	if was == now {
+		return false
 	}
-	return sb.String()
+	if now {
+		g.nGroundings++
+	} else {
+		g.nGroundings--
+	}
+	return true
 }
 
 // Graph builds (or returns the cached) factor graph for the current

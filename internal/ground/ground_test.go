@@ -190,6 +190,8 @@ func liveTupleSet(g *Grounder) map[string]bool {
 // random assignment pairs.
 func requireEquivalent(t *testing.T, a, b *Grounder, seed int64) {
 	t.Helper()
+	requireCounters(t, a)
+	requireCounters(t, b)
 	ga, gb := a.Graph(), b.Graph()
 	weightByKey(a, ga)
 	weightByKey(b, gb)

@@ -108,36 +108,60 @@ func (g *Grounder) ApplyUpdate(u Update) (*Delta, error) {
 // Ground/ApplyUpdate/ApplyUpdateStaged/Graph call on this grounder, and
 // must not run commit concurrently with evaluation over any graph of the
 // cached graph's lineage (commit patches shared pool state; see
-// factor.Patch). On error no commit is returned and the grounder may be
-// left partially updated with a dirty graph, exactly like ApplyUpdate.
+// factor.Patch). An update rejected up front (unknown or derived target
+// relations, rules that do not validate, compile, plan or stay
+// non-recursive) leaves the grounder exactly as it was; an error during
+// evaluation (a bad evidence label) returns no commit and may leave it
+// partially updated with a dirty graph. ApplyUpdate behaves the same.
 func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
+	// 1. Everything that can reject the update runs before the first
+	// mutation, so a rejected update leaves the program, every relation and
+	// the version untouched: base deltas must name existing, non-derived
+	// relations (a new rule's head counts as derived only once the rule is
+	// in), and new rules must validate at the program level, compile —
+	// including join planning — and keep the rule set non-recursive.
+	for _, m := range []map[string][]db.Tuple{u.Inserts, u.Deletes} {
+		for rel := range m {
+			if !g.data.Has(rel) {
+				return nil, nil, fmt.Errorf("ground: unknown relation %s", rel)
+			}
+		}
+	}
+	newHeads := make(map[string]bool)
+	for _, r := range u.NewRules {
+		newHeads[r.Head.Pred] = true
+	}
+	for rel := range u.Inserts {
+		if g.derived[rel] && !newHeads[rel] {
+			return nil, nil, fmt.Errorf("ground: cannot insert directly into derived relation %s", rel)
+		}
+	}
+	newRules := make(map[*ruleEval]bool)
+	if len(u.NewRules) > 0 {
+		nOld := len(g.prog.Rules)
+		g.prog.Rules = append(g.prog.Rules, u.NewRules...)
+		err := datalog.Validate(g.prog)
+		var res []*ruleEval
+		if err == nil {
+			res, err = g.addRules(u.NewRules)
+		}
+		if err != nil {
+			g.prog.Rules = g.prog.Rules[:nOld]
+			return nil, nil, err
+		}
+		for _, re := range res {
+			newRules[re] = true
+		}
+	}
+
 	// In-place patching needs the cached graph to reflect the pre-update
 	// state; decide before mutating anything. The dirty flag is set
 	// eagerly so error paths (which may leave the grounder partially
 	// updated) can never serve a stale cached graph.
 	canPatch := g.inPlace && g.lastGraph != nil && !g.graphDirty
 	g.graphDirty = true
+	g.data.BeginPass()
 	tr := newTracker()
-
-	// 1. Register new rules (program-level validation, compile, re-topo).
-	newRules := make(map[*ruleEval]bool)
-	if len(u.NewRules) > 0 {
-		g.prog.Rules = append(g.prog.Rules, u.NewRules...)
-		if err := datalog.Validate(g.prog); err != nil {
-			g.prog.Rules = g.prog.Rules[:len(g.prog.Rules)-len(u.NewRules)]
-			return nil, nil, err
-		}
-		for _, r := range u.NewRules {
-			re, err := g.compileRule(r)
-			if err != nil {
-				return nil, nil, err
-			}
-			newRules[re] = true
-		}
-		if err := g.computeTopo(); err != nil {
-			return nil, nil, err
-		}
-	}
 
 	// 2. Apply base-relation deltas, relations in sorted-name order:
 	// applyTupleDelta interns variables for variable base relations, so a
@@ -145,9 +169,6 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 	// iteration — breaking the bit-for-bit determinism WAL replay (and
 	// the differential harnesses) relies on.
 	for _, rel := range sortedRelNames(u.Inserts) {
-		if g.derived[rel] && !isNewHead(newRules, rel) {
-			return nil, nil, fmt.Errorf("ground: cannot insert directly into derived relation %s", rel)
-		}
 		for _, t := range u.Inserts[rel] {
 			if err := g.applyTupleDelta(tr, rel, t, +1); err != nil {
 				return nil, nil, err
@@ -163,14 +184,18 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 	}
 
 	// 3. Propagate through the derivation pipeline in topological order,
-	// then ground weighted rules over the final candidate sets. With
-	// parallelism configured, each level fans its DRed join evaluations
-	// out across workers (see parallel.go); the sequential path keeps the
-	// interleaved evaluate-and-apply loop, which never materializes
-	// binding lists.
+	// then ground weighted rules over the final candidate sets: new rules
+	// are evaluated once in full, existing rules by their DRed delta terms
+	// (parallel.go). With parallelism configured, each level fans its join
+	// evaluations out across workers; the sequential path interleaves
+	// evaluate and apply, which never materializes binding lists.
 	par := g.parallelism() > 1
+	levels := make([][]*ruleEval, 0, len(g.topo)+1)
 	for _, relName := range g.topo {
-		rules := g.rulesByHead[relName]
+		levels = append(levels, g.rulesByHead[relName])
+	}
+	levels = append(levels, g.weighted)
+	for _, rules := range levels {
 		if par {
 			if err := g.runRuleLevel(rules, tr, newRules); err != nil {
 				return nil, nil, err
@@ -178,31 +203,10 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 			continue
 		}
 		for _, re := range rules {
-			if newRules[re] {
-				if err := g.runRuleFull(re, tr); err != nil {
+			for _, j := range g.ruleJobs(re, tr, newRules[re]) {
+				if err := g.evalApply(&j, tr); err != nil {
 					return nil, nil, err
 				}
-				continue
-			}
-			if err := g.runRuleDelta(re, tr); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	if par {
-		if err := g.runRuleLevel(g.weighted, tr, newRules); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		for _, re := range g.weighted {
-			if newRules[re] {
-				if err := g.runRuleFull(re, tr); err != nil {
-					return nil, nil, err
-				}
-				continue
-			}
-			if err := g.runRuleDelta(re, tr); err != nil {
-				return nil, nil, err
 			}
 		}
 	}
@@ -327,129 +331,3 @@ func sortedRelNames(m map[string][]db.Tuple) []string {
 	slices.Sort(out)
 	return out
 }
-
-func isNewHead(newRules map[*ruleEval]bool, rel string) bool {
-	for re := range newRules {
-		if re.rule.Head.Pred == rel {
-			return true
-		}
-	}
-	return false
-}
-
-// runRuleDelta applies the DRed delta terms of an existing rule:
-//
-//	Δ(A₁ ⋈ … ⋈ Aₙ) = Σᵢ A₁ⁿᵉʷ ⋈ … ⋈ Aᵢ₋₁ⁿᵉʷ ⋈ ΔAᵢ ⋈ Aᵢ₊₁ᵒˡᵈ ⋈ … ⋈ Aₙᵒˡᵈ
-//
-// Rules with a joined negated atom over a changed relation fall back to a
-// full old-vs-new re-evaluation (counts make the retract/re-derive pair
-// safe). Rules whose body touches no changed relation are skipped — this
-// skip is where the incremental-grounding speedup comes from.
-func (g *Grounder) runRuleDelta(re *ruleEval, tr *tracker) error {
-	if len(re.rule.Body) == 0 {
-		return nil // facts never re-fire
-	}
-	changed := func(name string) bool {
-		return len(tr.added[name]) > 0 || len(tr.removed[name]) > 0
-	}
-	plan := g.planBody(re)
-	touches := false
-	negOnChanged := false
-	for _, itemIdx := range plan.joinItems {
-		atom, neg := g.itemAtom(re, itemIdx)
-		if changed(atom.Pred) {
-			touches = true
-			if neg {
-				negOnChanged = true
-			}
-		}
-	}
-	if !touches {
-		return nil
-	}
-	if negOnChanged {
-		return g.recomputeRule(re, tr)
-	}
-	// Snapshot of deltas before this rule runs: the rule must not consume
-	// deltas it produces itself (its head differs from its body by the
-	// no-recursion invariant, but applyBinding may add tuples to *body
-	// variable relations* via varFor — those do not touch tr.added).
-	type seed struct {
-		tuples []db.Tuple
-		sign   int
-	}
-	seedsFor := func(name string) []seed {
-		return []seed{
-			{tuples: append([]db.Tuple(nil), tr.added[name]...), sign: +1},
-			{tuples: append([]db.Tuple(nil), tr.removed[name]...), sign: -1},
-		}
-	}
-
-	for si, itemIdx := range plan.joinItems {
-		atom, neg := g.itemAtom(re, itemIdx)
-		if neg || !changed(atom.Pred) {
-			continue
-		}
-		resolver := func(otherItem int, name string) *db.Relation {
-			// Position of otherItem within joinItems determines old/new.
-			for sj, idx := range plan.joinItems {
-				if idx == otherItem {
-					if sj < si {
-						return g.currentState(name)
-					}
-					return g.oldState(tr, name)
-				}
-			}
-			return g.currentState(name)
-		}
-		for _, sd := range seedsFor(atom.Pred) {
-			for _, t := range sd.tuples {
-				var applyErr error
-				err := g.evalRule(re, resolver, itemIdx, t, func(b db.Binding) bool {
-					if e := g.applyBinding(re, b, sd.sign, tr); e != nil {
-						applyErr = e
-						return false
-					}
-					return true
-				})
-				if applyErr != nil {
-					return applyErr
-				}
-				if err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// recomputeRule fully retracts the rule's old derivations (evaluated
-// against pre-update snapshots) and re-derives against the new state.
-// Counted semantics make the pairing exact even when most derivations are
-// unchanged.
-func (g *Grounder) recomputeRule(re *ruleEval, tr *tracker) error {
-	var applyErr error
-	err := g.evalRule(re,
-		func(_ int, name string) *db.Relation { return g.oldState(tr, name) },
-		-1, nil,
-		func(b db.Binding) bool {
-			if e := g.applyBinding(re, b, -1, tr); e != nil {
-				applyErr = e
-				return false
-			}
-			return true
-		})
-	if applyErr != nil {
-		return applyErr
-	}
-	if err != nil {
-		return err
-	}
-	return g.runRuleFull(re, tr)
-}
-
-// The delta-sized sorts above use slices.Sort (O(n log n)); the former
-// hand-rolled insertion sorts were quadratic on large update batches.
-// Remaining per-update walks in this package (QueryVars/VarsOf/
-// NumGroundings and the patch loops) are single linear passes.

@@ -84,6 +84,10 @@ func runInPlaceDifferential(t *testing.T, seed int64, compactThresh float64) {
 			t.Fatalf("seed %d step %d: deltas diverge: %+v vs %+v", seed, step, dp, dr)
 		}
 
+		requireCounters(t, patched.g)
+		if n := patched.g.NumGroundings(); n != patched.g.Graph().NumGroundings() {
+			t.Fatalf("seed %d step %d: grounder counts %d visible groundings, its graph %d", seed, step, n, patched.g.Graph().NumGroundings())
+		}
 		ga := patched.g.Graph()
 		gb := rebuild.g.Graph()
 		if ga.Patched() {

@@ -22,10 +22,11 @@ package ground
 // bit-identical — the property the differential test in parallel_test.go
 // pins down.
 //
-// Concurrent evaluation is safe because the lazily built db indexes are
-// the only mutable state a join touches, and package db serializes their
-// build/refresh internally; the lazy rule memos (plan, variable order)
-// are pre-warmed before fan-out.
+// Concurrent evaluation is safe because a plan run only reads: the db
+// indexes are maintained by the mutations themselves (none runs during a
+// fan-out), warm probes take no lock, and every plan a job needs is
+// compiled — and its indexes built — on the driver while the jobs are
+// generated.
 
 import (
 	"runtime"
@@ -35,20 +36,19 @@ import (
 	"deepdive/internal/db"
 )
 
-// evalJob is one read-only join evaluation: a rule with an optional delta
-// seed bound at one body position, the relation-state resolver of its
-// DRed term, and the sign its bindings are applied with. Workers fill
-// out/err; the driver applies out serially.
+// evalJob is one read-only join evaluation: a rule's plan for one DRed
+// term (or a full evaluation), the delta tuple bound at the plan's seed
+// position, and the sign its bindings are applied with. Both paths
+// generate the same jobs in the same order; the sequential one evaluates
+// and applies each in turn (evalApply), the parallel one has workers fill
+// out and the driver apply it serially.
 type evalJob struct {
-	re       *ruleEval
-	seedItem int      // body item index the seed binds, -1 for a full scan
-	seed     db.Tuple // nil for a full scan
-	sign     int      // +1 derive, -1 retract
-	resolve  func(item int, name string) *db.Relation
-	skipEval bool // out is pre-filled (empty-body rules)
+	re   *ruleEval
+	plan *db.Plan // nil for an empty-body rule: one binding, no variables
+	seed db.Tuple // nil for a full evaluation
+	sign int      // +1 derive, -1 retract
 
 	out []bindingPre // precomputed bindings in emission order
-	err error
 }
 
 // parallelism resolves the configured worker count.
@@ -59,31 +59,43 @@ func (g *Grounder) parallelism() int {
 	return g.par
 }
 
-// runEvalJob evaluates one job, collecting precomputed bindings in
-// emission order. Precomputing in the worker moves every pure
-// per-binding derivation — head/literal instantiation, the UDF weight
-// key, the binding key — off the serial apply path; EvalJoin's reused
-// binding need not be cloned because precompute retains nothing of it.
-func (g *Grounder) runEvalJob(j *evalJob) {
-	if j.skipEval {
+// evalApply evaluates one job on the driver goroutine and applies each
+// binding as it is emitted.
+func (g *Grounder) evalApply(j *evalJob, tr *tracker) error {
+	if j.plan == nil {
+		return g.applyBinding(j.re, nil, j.sign, tr)
+	}
+	var err error
+	j.plan.Run(&g.exec, j.seed, func(regs []db.Value) bool {
+		err = g.applyBinding(j.re, regs, j.sign, tr)
+		return err == nil
+	})
+	return err
+}
+
+// collect evaluates one job, collecting precomputed bindings in emission
+// order. Precomputing in the worker moves every pure per-binding
+// derivation — head/literal instantiation, the UDF weight key, the
+// binding key — off the serial apply path; the plan's reused register
+// file need not be copied because precompute retains nothing of it.
+func (j *evalJob) collect(x *db.Exec) {
+	if j.plan == nil {
+		j.out = []bindingPre{j.re.precompute(nil)}
 		return
 	}
-	j.err = g.evalRule(j.re, j.resolve, j.seedItem, j.seed, func(b db.Binding) bool {
-		j.out = append(j.out, g.precompute(j.re, b))
+	j.plan.Run(x, j.seed, func(regs []db.Value) bool {
+		j.out = append(j.out, j.re.precompute(regs))
 		return true
 	})
 }
 
 // runJobs evaluates jobs across the configured workers (work-stealing by
 // atomic counter; job order does not matter here, only the apply order).
-func (g *Grounder) runJobs(jobs []*evalJob) {
-	n := g.parallelism()
-	if n > len(jobs) {
-		n = len(jobs)
-	}
+func (g *Grounder) runJobs(jobs []evalJob) {
+	n := min(g.parallelism(), len(jobs))
 	if n <= 1 {
-		for _, j := range jobs {
-			g.runEvalJob(j)
+		for i := range jobs {
+			jobs[i].collect(&g.exec)
 		}
 		return
 	}
@@ -93,90 +105,79 @@ func (g *Grounder) runJobs(jobs []*evalJob) {
 	for w := 0; w < n; w++ {
 		go func() {
 			defer wg.Done()
+			var x db.Exec
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) {
 					return
 				}
-				g.runEvalJob(jobs[i])
+				jobs[i].collect(&x)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// fullJobs decomposes a full-rule evaluation (new rules) into jobs.
-func (g *Grounder) fullJobs(re *ruleEval) []*evalJob {
-	if len(re.rule.Body) == 0 {
-		return []*evalJob{{re: re, sign: +1, skipEval: true, out: []bindingPre{g.precompute(re, db.Binding{})}}}
+// ruleJobs decomposes one rule's share of an update into jobs: a full
+// evaluation for a rule the update introduced, the DRed delta terms for
+// an existing one.
+func (g *Grounder) ruleJobs(re *ruleEval, tr *tracker, isNew bool) []evalJob {
+	if isNew {
+		return []evalJob{re.fullJob()}
 	}
-	return []*evalJob{{
-		re: re, seedItem: -1, sign: +1,
-		resolve: func(_ int, name string) *db.Relation { return g.currentState(name) },
-	}}
+	return g.deltaJobs(re, tr)
 }
 
-// deltaJobs decomposes one existing rule's DRed delta evaluation into
-// jobs, mirroring runRuleDelta term for term: one job per (changed
-// positive join atom, sign, delta seed), with the same old/new resolver
-// split around the seed position; the negated-atom fallback becomes the
-// ordered retract + re-derive job pair of recomputeRule.
-func (g *Grounder) deltaJobs(re *ruleEval, tr *tracker) []*evalJob {
+// fullJob is a full-rule evaluation over the live state.
+func (re *ruleEval) fullJob() evalJob {
 	if len(re.rule.Body) == 0 {
-		return nil // facts never re-fire
+		return evalJob{re: re, sign: +1}
 	}
-	changed := func(name string) bool {
-		return len(tr.added[name]) > 0 || len(tr.removed[name]) > 0
-	}
-	plan := g.planBody(re)
-	touches := false
-	negOnChanged := false
-	for _, itemIdx := range plan.joinItems {
-		atom, neg := g.itemAtom(re, itemIdx)
-		if changed(atom.Pred) {
+	return evalJob{re: re, plan: re.mustPlan(db.ScanLive), sign: +1}
+}
+
+// deltaJobs decomposes an existing rule's DRed delta evaluation
+//
+//	Δ(A₁ ⋈ … ⋈ Aₙ) = Σᵢ A₁ⁿᵉʷ ⋈ … ⋈ Aᵢ₋₁ⁿᵉʷ ⋈ ΔAᵢ ⋈ Aᵢ₊₁ᵒˡᵈ ⋈ … ⋈ Aₙᵒˡᵈ
+//
+// into one job per (changed positive atom i, delta tuple, sign). The sum
+// telescopes over the rule's canonical item order (ruleEval.query); the
+// plan seeded at i reads the live state before i and the old state after
+// it, in whatever join order the planner chose. Rules with a negated atom
+// over a changed relation fall back to retracting every old derivation
+// (a full evaluation over the old state) and re-deriving against the new
+// one — counts make the pair exact. Rules whose body touches no changed
+// relation yield no jobs: this skip is where the incremental-grounding
+// speedup comes from.
+//
+// The jobs hold the delta tuples as of this call, so a rule never consumes
+// deltas its own bindings produce.
+func (g *Grounder) deltaJobs(re *ruleEval, tr *tracker) []evalJob {
+	touches, negOnChanged := false, false
+	for _, a := range re.query.Atoms {
+		if tr.changed(a.Rel.Name()) {
 			touches = true
-			if neg {
-				negOnChanged = true
-			}
+			negOnChanged = negOnChanged || a.Neg
 		}
 	}
-	if !touches {
+	if !touches { // includes facts, which never re-fire
 		return nil
 	}
 	if negOnChanged {
-		return append([]*evalJob{{
-			re: re, seedItem: -1, sign: -1,
-			resolve: func(_ int, name string) *db.Relation { return g.oldState(tr, name) },
-		}}, g.fullJobs(re)...)
+		return []evalJob{{re: re, plan: re.mustPlan(db.ScanOld), sign: -1}, re.fullJob()}
 	}
-	var jobs []*evalJob
-	for si, itemIdx := range plan.joinItems {
-		atom, neg := g.itemAtom(re, itemIdx)
-		if neg || !changed(atom.Pred) {
+	var jobs []evalJob
+	for i, a := range re.query.Atoms {
+		name := a.Rel.Name()
+		if a.Neg || !tr.changed(name) {
 			continue
 		}
-		si := si
-		resolver := func(otherItem int, name string) *db.Relation {
-			for sj, idx := range plan.joinItems {
-				if idx == otherItem {
-					if sj < si {
-						return g.currentState(name)
-					}
-					return g.oldState(tr, name)
-				}
-			}
-			return g.currentState(name)
+		plan := re.mustPlan(i)
+		for _, t := range tr.added[name] {
+			jobs = append(jobs, evalJob{re: re, plan: plan, seed: t, sign: +1})
 		}
-		for _, sd := range []struct {
-			tuples []db.Tuple
-			sign   int
-		}{
-			{append([]db.Tuple(nil), tr.added[atom.Pred]...), +1},
-			{append([]db.Tuple(nil), tr.removed[atom.Pred]...), -1},
-		} {
-			for _, t := range sd.tuples {
-				jobs = append(jobs, &evalJob{re: re, seedItem: itemIdx, seed: t, sign: sd.sign, resolve: resolver})
-			}
+		for _, t := range tr.removed[name] {
+			jobs = append(jobs, evalJob{re: re, plan: plan, seed: t, sign: -1})
 		}
 	}
 	return jobs
@@ -185,29 +186,17 @@ func (g *Grounder) deltaJobs(re *ruleEval, tr *tracker) []*evalJob {
 // runRuleLevel runs one level of the update pipeline on the parallel
 // path: jobs generated in sequential order, evaluated concurrently,
 // bindings applied serially in job order (the canonical sequential
-// order). Errors surface at the job that produced them, after all
-// earlier jobs' bindings were applied — the same "grounder partially
-// updated" error state the sequential path leaves behind.
+// order).
 func (g *Grounder) runRuleLevel(rules []*ruleEval, tr *tracker, newRules map[*ruleEval]bool) error {
-	var jobs []*evalJob
+	var jobs []evalJob
 	for _, re := range rules {
-		// Pre-warm the rule's lazy memos before fan-out: evalRule consults
-		// the cached body plan, and applyBinding the variable order.
-		g.planBody(re)
-		re.varsOf()
-		if newRules[re] {
-			jobs = append(jobs, g.fullJobs(re)...)
-		} else {
-			jobs = append(jobs, g.deltaJobs(re, tr)...)
-		}
+		jobs = append(jobs, g.ruleJobs(re, tr, newRules[re])...)
 	}
 	g.runJobs(jobs)
-	for _, j := range jobs {
-		if j.err != nil {
-			return j.err
-		}
-		for i := range j.out {
-			if err := g.applyPre(j.re, &j.out[i], j.sign, tr); err != nil {
+	for i := range jobs {
+		j := &jobs[i]
+		for k := range j.out {
+			if err := g.applyPre(j.re, &j.out[k], j.sign, tr); err != nil {
 				return err
 			}
 		}

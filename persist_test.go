@@ -386,6 +386,58 @@ func TestCrashLoggedUnpublished(t *testing.T) {
 	assertSameBits(t, want, spouseBits(kb), "logged unpublished")
 }
 
+// TestCrashDeleteReinsertTail covers a WAL tail that deletes a document
+// and re-inserts the very same tuples: the revived rows return to their
+// original slots in the relations' iteration order and index buckets, so
+// the replayed joins enumerate — and intern variables, weights and
+// groups — exactly as the never-crashed process did. The crash lands on
+// the last record (logged, never published), after a checkpoint taken
+// while the document was deleted, so recovery restores relations that
+// hold its tombstones and replays the revival on top of them.
+func TestCrashDeleteReinsertTail(t *testing.T) {
+	ctx := context.Background()
+	run := func(kb *deepdive.KB, arm *faultArm) {
+		bmust(t, kb.Checkpoint(ctx))
+		step := func(u deepdive.Update, last bool) {
+			if last && arm != nil {
+				arm.arm(deepdive.FaultWALAppended)
+			}
+			if _, err := kb.Apply(ctx, u); (err != nil) != (last && arm != nil) {
+				t.Fatalf("apply: %v", err)
+			}
+		}
+		step(docUpdate(0), false)
+		step(docUpdate(1), false)
+		step(deepdive.Update{Deletes: docUpdate(0).Inserts}, false)
+		bmust(t, kb.Checkpoint(ctx))
+		step(docUpdate(2), false)
+		step(docUpdate(0), false) // the same tuples again
+		step(deepdive.Update{Deletes: docUpdate(1).Inserts}, false)
+		step(docUpdate(1), true)
+	}
+	oracle := persistSpouseKB(t, deepdive.WithDataDir(t.TempDir()))
+	defer oracle.Close()
+	run(oracle, nil)
+	want := spouseBits(oracle)
+
+	dir := t.TempDir()
+	arm := &faultArm{}
+	run(persistSpouseKB(t, deepdive.WithDataDir(dir), deepdive.WithPersistFaultHook(arm.hook)), arm)
+	if arm.firedCount() != 1 {
+		t.Fatal("fault hook did not fire")
+	}
+	kb := reopenSpouseKB(t, dir)
+	defer kb.Close()
+	assertSameBits(t, want, spouseBits(kb), "delete + re-insert tail")
+	// Both KBs keep agreeing on the next update.
+	for _, k := range []*deepdive.KB{oracle, kb} {
+		if _, err := k.Apply(ctx, docUpdate(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSameBits(t, spouseBits(oracle), spouseBits(kb), "update after recovery")
+}
+
 // crashedCheckpointOracle runs the shared sequence for the two
 // snapshot-write kill points with no fault injected: checkpoint, two
 // updates, a second (successful) checkpoint, two more updates.
