@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-serving race-serve race-pipeline race-persist soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-ground bench-incupdate bench-replicas bench-serving bench-serve-http bench-serve-http-smoke bench-hotpath bench-pipeline bench-pipeline-full bench-persist profile
+.PHONY: check fmt vet build test race race-serving race-serve race-pipeline race-persist soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-ground bench-incupdate bench-replicas bench-serving bench-serve-http bench-serve-http-smoke bench-hotpath bench-hotpath-full bench-pipeline bench-pipeline-full bench-persist profile
 
 # Everything CI runs. (go test ./... includes the short soak; the full
 # acceptance-length soak is `make soak`.)

@@ -54,7 +54,7 @@ type rematRun struct {
 // store has drained below the configured low-water mark. Callers hold
 // stateMu (it reads engine state and the current graph/generation).
 func (kb *KB) maybeRematerialize() {
-	if kb.replaying || kb.opts.RematLowWater <= 0 || kb.opts.StaticOptimizer || kb.engine == nil || kb.curGraph == nil {
+	if kb.replaying || kb.opts.RematLowWater <= 0 || kb.opts.Lesions.StaticOptimizer || kb.engine == nil || kb.curGraph == nil {
 		return
 	}
 	if kb.engine.Store().Remaining() >= kb.opts.RematLowWater {
@@ -171,7 +171,7 @@ func (kb *KB) noteRematOutcome(landed bool) {
 // path, and the queue's lifecycle context aborts the hold on shutdown.
 func (kb *KB) cooperativeRematSlot(ctx context.Context) {
 	n := kb.opts.RematForceAfter
-	if n <= 0 || kb.opts.RematLowWater <= 0 || kb.opts.StaticOptimizer {
+	if n <= 0 || kb.opts.RematLowWater <= 0 || kb.opts.Lesions.StaticOptimizer {
 		return
 	}
 	kb.rematMu.Lock()
@@ -215,6 +215,10 @@ func (kb *KB) preemptRemat() {
 	}
 	run.cancel()
 	<-run.done
+	// Retire the cancelled run here rather than when its goroutine gets
+	// round to it: the caller re-arms the trigger at the end of its own
+	// update, and a run still registered then would swallow that launch.
+	kb.clearRematRun(run)
 }
 
 // clearRematRun retires a finished run, re-arming maybeRematerialize.
@@ -308,6 +312,10 @@ type AutopilotStats struct {
 	StoreLen       int
 	StoreRemaining int
 	LowWater       int
+	// VariationalFactors is the factor count of the materialized
+	// variational approximation (the quantity Figure 6 plots against λ);
+	// 0 under the NoVariational lesion.
+	VariationalFactors int
 	// Rematerializations counts background engine swaps that landed;
 	// RematPreempted counts launches that were cancelled or superseded by
 	// a write before swapping. Rematerializing reports an in-flight run.
@@ -346,6 +354,9 @@ func (kb *KB) autopilotLocked() AutopilotStats {
 	if kb.engine != nil {
 		st.StoreLen = kb.engine.Store().Len()
 		st.StoreRemaining = kb.engine.Store().Remaining()
+		if vm := kb.engine.Variational(); vm != nil {
+			st.VariationalFactors = vm.NumFactors()
+		}
 	}
 	kb.rematMu.Lock()
 	st.Rematerializing = kb.rematRun != nil

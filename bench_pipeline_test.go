@@ -5,7 +5,7 @@ package deepdive_test
 // conflict-chained document inserts/deletes to the queue and waits for
 // every ticket — comparing the stage-overlapped pipeline (grounding of
 // batch N+1 concurrent with learning/inference of batch N) against the
-// serialized lesion (WithSerializedUpdates). The documents are larger
+// serialized lesion (Lesions.SerializedUpdates). The documents are larger
 // than the serving bench's (more mentions per sentence, so candidate
 // generation joins quadratically more pairs) to give the grounding stage
 // weight comparable to the finish stage — the regime the pipeline is
@@ -120,7 +120,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			b.Run(fmt.Sprintf("udf=%s/mode=%s", u.name, mode), func(b *testing.B) {
 				opts := append([]deepdive.Option{}, u.opts...)
 				if serialized {
-					opts = append(opts, deepdive.WithSerializedUpdates(true))
+					opts = append(opts, deepdive.WithLesions(deepdive.Lesions{SerializedUpdates: true}))
 				}
 				runPipelineThroughput(b, opts...)
 			})

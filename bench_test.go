@@ -2,8 +2,7 @@
 // evaluation, one testing.B benchmark per artifact. Each benchmark wraps
 // the corresponding internal/exp regeneration function (the same code the
 // deepdive-exp command runs), so `go test -bench=.` re-measures the whole
-// evaluation. DESIGN.md maps benchmarks to paper artifacts; see
-// EXPERIMENTS.md for recorded paper-vs-measured values.
+// evaluation; each benchmark's comment names its paper artifact.
 package deepdive_test
 
 import (
@@ -211,12 +210,11 @@ func corpusGraph(b *testing.B) *factor.Graph {
 		if spec.FalsePairsPerRel > 24 {
 			spec.FalsePairsPerRel = 24
 		}
-		sys := corpus.Generate(spec)
-		p, err := kbc.NewPipeline(sys, kbc.Config{Sem: factor.Ratio, Seed: 1})
+		g, err := kbc.Ground(corpus.Generate(spec), factor.Ratio, 0)
 		if err != nil {
 			panic(err)
 		}
-		corpusGraphVal = p.G.Graph()
+		corpusGraphVal = g.Graph()
 	})
 	return corpusGraphVal
 }

@@ -510,7 +510,7 @@ func runChaosLesion(t *testing.T) (lesion struct {
 	plan := deepdive.NewIOFaultPlan(42)
 	kb := persistSpouseKB(t, deepdive.WithDataDir(t.TempDir()),
 		deepdive.WithIOFaults(plan),
-		deepdive.WithAutoRepair(false),
+		deepdive.WithLesions(deepdive.Lesions{NoAutoRepair: true}),
 		deepdive.WithRepairBackoff(10*time.Millisecond, 40*time.Millisecond))
 	defer kb.Close()
 	bmust(t, kb.Checkpoint(ctx))

@@ -6,8 +6,8 @@
 //	deepdive-exp all
 //
 // Experiments: f4 f5a f5b f5c f6 f7 f9 f10a f10b f11 f13 f14 f15 f16 f17
-// ground. See DESIGN.md for the experiment index and EXPERIMENTS.md for
-// recorded results.
+// ground (one per table or figure of the paper; internal/exp documents
+// each).
 package main
 
 import (

@@ -1,35 +1,39 @@
-// Command deepdive runs one of the built-in KBC systems end to end:
-// corpus generation, NLP preprocessing, grounding, weight learning,
-// inference, and an incremental development loop over the paper's
-// A1/FE1/FE2/I1/S1/S2 rule iterations.
+// Command deepdive runs one of the built-in KBC systems end to end on a
+// deepdive.KB: corpus generation, NLP preprocessing, grounding, weight
+// learning, inference, materialization, and the incremental development
+// loop over the paper's A1/FE1/FE2/I1/S1/S2 rule iterations, each
+// submitted through the KB's update queue.
 //
 // Usage:
 //
 //	deepdive [-system News] [-sem ratio] [-threshold 0.9] [-seed 1] [-full]
-//	         [-parallel -1 | -replicas -1 [-syncevery 8]] [-inplace]
+//	         [-parallel -1 | -replicas -1 [-syncevery 8]] [-rebuild]
 //	         [-serve 127.0.0.1:8090 [-serve-for 30s] [-data-dir ./kb]]
 //
-// -serve starts the real HTTP serving tier (KB.Serve) on the given
-// address after the iteration loop: lock-free snapshot reads, update
-// POSTs through the coalescing queue, and SSE marginal-delta
-// subscriptions. The development iterations are streamed through the
-// queue while serving so subscribers see live deltas. The server runs
-// until -serve-for elapses or SIGINT/SIGTERM.
+// -serve starts the HTTP serving tier (KB.Serve) on the given address
+// once the KB is materialized: lock-free snapshot reads, update POSTs
+// through the coalescing queue, and SSE marginal-delta subscriptions.
+// The development iterations are then spaced across the serving window,
+// so subscribers see live deltas. The server runs until -serve-for
+// elapses or SIGINT/SIGTERM.
 //
 // With -data-dir the served KB is durable: the materialized KB is
-// checkpointed there, every streamed update is write-ahead logged, and
-// a rerun with the same directory restarts from snapshot + WAL instead
-// of re-grounding and re-materializing.
+// checkpointed there, every update is write-ahead logged, and a rerun
+// with the same directory restarts from snapshot + WAL instead of
+// re-grounding and re-materializing, and submits only the iterations the
+// restored program lacks.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 	"time"
 
@@ -42,28 +46,31 @@ import (
 func main() {
 	// All work happens in run so deferred cleanups (profile flushes) fire
 	// before the process exits, on error paths included.
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run() int {
-	system := flag.String("system", "Genomics", "system: Adversarial, News, Genomics, Pharma, Paleontology")
-	semName := flag.String("sem", "ratio", "counting semantics: linear, logical, ratio")
-	threshold := flag.Float64("threshold", 0.9, "extraction threshold")
-	seed := flag.Int64("seed", 1, "random seed")
-	full := flag.Bool("full", false, "use the full scaled corpus (slower)")
-	parallel := flag.Int("parallel", 1, "Gibbs worker shards (<=1 sequential, -1 one per core)")
-	replicas := flag.Int("replicas", 0, "replica engine workers (0 off, -1 one per core); overrides -parallel")
-	syncEvery := flag.Int("syncevery", 0, "replica merge interval in sweeps/steps (0 = default)")
-	rebuild := flag.Bool("rebuild", false, "rebuild the factor graph on every update (lesion; default is the O(Δ) in-place patch)")
-	serve := flag.String("serve", "", "after the iteration loop, serve the KB over HTTP on this address (e.g. 127.0.0.1:8090, :0 for a free port) while streaming the rule iterations through the update queue")
-	serveFor := flag.Duration("serve-for", 0, "shut the -serve server down after this long (0 = serve until SIGINT/SIGTERM)")
-	rematLow := flag.Int("remat-low", 0, "serving: background re-materialization low-water mark in unconsumed samples (0 off)")
-	rematBudget := flag.Duration("remat-budget", 0, "serving: extra sampling time per background re-materialization")
-	staticOpt := flag.Bool("static-optimizer", false, "serving lesion: static §3.3 strategy rules, per-update change sets, no re-materialization")
-	dataDir := flag.String("data-dir", "", "serving: durable KB directory (snapshot + WAL); rerunning with the same directory restarts from disk")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")
-	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	flag.Parse()
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("deepdive", flag.ContinueOnError)
+	system := fs.String("system", "Genomics", "system: Adversarial, News, Genomics, Pharma, Paleontology")
+	semName := fs.String("sem", "ratio", "counting semantics: linear, logical, ratio")
+	threshold := fs.Float64("threshold", 0.9, "extraction threshold")
+	seed := fs.Int64("seed", 1, "random seed")
+	full := fs.Bool("full", false, "use the full scaled corpus (slower)")
+	parallel := fs.Int("parallel", 1, "Gibbs worker shards (<=1 sequential, -1 one per core)")
+	replicas := fs.Int("replicas", 0, "replica engine workers (0 off, -1 one per core); overrides -parallel")
+	syncEvery := fs.Int("syncevery", 0, "replica merge interval in sweeps/steps (0 = default)")
+	rebuild := fs.Bool("rebuild", false, "rebuild the factor graph on every update (lesion; default is the O(Δ) in-place patch)")
+	staticOpt := fs.Bool("static-optimizer", false, "lesion: static §3.3 strategy rules, per-update change sets, no re-materialization")
+	serve := fs.String("serve", "", "serve the KB over HTTP on this address (e.g. 127.0.0.1:8090, :0 for a free port) while the rule iterations stream through the update queue")
+	serveFor := fs.Duration("serve-for", 0, "shut the -serve server down after this long (0 = serve until SIGINT/SIGTERM)")
+	rematLow := fs.Int("remat-low", 0, "background re-materialization low-water mark in unconsumed samples (0 off)")
+	rematBudget := fs.Duration("remat-budget", 0, "extra sampling time per background re-materialization")
+	dataDir := fs.String("data-dir", "", "durable KB directory (snapshot + WAL); rerunning with the same directory restarts from disk")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")
+	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -105,214 +112,225 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	if !*full {
+	if !*full && sys.Spec.NumDocs > 120 {
 		spec := sys.Spec
-		if spec.NumDocs > 120 {
-			spec.NumDocs = 120
-		}
+		spec.NumDocs = 120
 		sys = corpus.Generate(spec)
 	}
-
-	cfg := kbc.Config{
-		Sem: sem, Seed: *seed, Threshold: *threshold,
-		Parallelism: *parallel, Replicas: *replicas, SyncEvery: *syncEvery,
-		RebuildUpdates: *rebuild,
-	}
-	fmt.Printf("== %s (%d docs, %d relations) ==\n",
+	fmt.Fprintf(out, "== %s (%d docs, %d relations) ==\n",
 		sys.Spec.Name, len(sys.Docs), len(sys.Spec.Relations))
 
-	p, err := kbc.NewPipeline(sys, cfg)
+	opts := []deepdive.Option{
+		deepdive.WithSeed(*seed),
+		deepdive.WithParallelism(*parallel),
+		deepdive.WithReplicas(*replicas, *syncEvery),
+		deepdive.WithRematerialization(*rematLow, *rematBudget),
+		deepdive.WithLesions(deepdive.Lesions{RebuildUpdates: *rebuild, StaticOptimizer: *staticOpt}),
+	}
+	if *dataDir != "" {
+		opts = append(opts, deepdive.WithDataDir(*dataDir))
+	}
+	d := demo{out: out, sys: sys, threshold: *threshold, dataDir: *dataDir}
+	if err := d.build(sem, opts); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer d.kb.Close()
+	if *serve != "" {
+		err = d.serve(*serve, *serveFor)
+	} else {
+		err = d.develop(context.Background(), 0)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	st := p.SystemStats()
-	fmt.Printf("grounded: %d vars, %d factors, %d rules\n", st.Vars, st.Factors, st.Rules)
-
-	learnT := p.LearnFull()
-	inferT := p.InferFromScratch()
-	fmt.Printf("initial learn %v, inference %v, F1 %.3f\n",
-		learnT.Round(1e6), inferT.Round(1e6), p.Evaluate(p.Marginals, *threshold).F1)
-
-	matT := p.Materialize()
-	fmt.Printf("materialized both strategies in %v (%d samples)\n",
-		matT.Round(1e6), p.Engine().Store().Len())
-
-	fmt.Printf("\n%-5s %10s %12s %12s %12s %6s  %s\n",
-		"rule", "F1", "ground", "learn", "infer", "acc", "strategy")
-	for _, rule := range kbc.IterationNames {
-		res, err := p.ApplyIteration(rule)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", rule, err)
-			return 1
-		}
-		fmt.Printf("%-5s %10.3f %12v %12v %12v %6.2f  %v\n",
-			rule, res.Scores.F1, res.GroundTime.Round(1e3), res.LearnTime.Round(1e3),
-			res.InferTime.Round(1e3), res.Acceptance, res.Strategy)
-	}
-
-	fmt.Printf("\ncalibration (probability bucket -> empirical accuracy):\n")
-	for _, b := range p.Calibration(p.Marginals, 5) {
-		if b.Count == 0 {
-			continue
-		}
-		fmt.Printf("  [%.1f,%.1f): %4d facts, %.2f true\n", b.Lo, b.Hi, b.Count, b.FracTrue)
-	}
-
-	if *serve != "" {
-		sc := serveConfig{addr: *serve, serveFor: *serveFor,
-			rematLow: *rematLow, rematBudget: *rematBudget, staticOpt: *staticOpt,
-			dataDir: *dataDir}
-		if err := serveHTTP(sys, sem, cfg, sc); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
 	return 0
 }
 
-// serveConfig carries the -serve flags: listen address, window, and the
-// quality-autopilot knobs.
-type serveConfig struct {
-	addr        string
-	serveFor    time.Duration
-	rematLow    int
-	rematBudget time.Duration
-	staticOpt   bool
-	dataDir     string
+// demo is one system's KB on its way through the development loop.
+type demo struct {
+	out       io.Writer
+	sys       *corpus.System
+	threshold float64
+	dataDir   string
+	kb        *deepdive.KB
 }
 
-// serveHTTP is the network serving tier end to end: a deepdive.KB is
-// built over the same generated system (or recovered from -data-dir),
-// exposed over HTTP via KB.Serve, and the development iterations are
-// streamed through the coalescing update queue while clients read,
-// update, and subscribe. Runs until serveFor elapses or the process is
-// interrupted; queue and autopilot statistics are printed at the end.
-func serveHTTP(sys *corpus.System, sem factor.Semantics, cfg kbc.Config, sc serveConfig) error {
-	fmt.Printf("\n== serving: HTTP tier on %s, updates streaming through the queue ==\n", sc.addr)
-	opts := []deepdive.Option{
-		deepdive.WithSeed(cfg.Seed),
-		deepdive.WithParallelism(cfg.Parallelism),
-		deepdive.WithReplicas(cfg.Replicas, cfg.SyncEvery),
-		deepdive.WithRebuildUpdates(cfg.RebuildUpdates),
-		deepdive.WithRematerialization(sc.rematLow, sc.rematBudget),
-		deepdive.WithStaticOptimizer(sc.staticOpt),
-	}
-	for name, f := range kbc.UDFs() {
-		opts = append(opts, deepdive.WithUDF(name, f))
-	}
-	if sc.dataDir != "" {
-		opts = append(opts, deepdive.WithDataDir(sc.dataDir))
-	}
-	kb, err := deepdive.OpenKB(kbc.BaseProgram(sys, sem), opts...)
+func (d *demo) f1() float64 {
+	return kbc.Evaluate(d.sys, d.kb, d.threshold).F1
+}
+
+// build takes the KB to the update-ready state: grounded, learned,
+// inferred and materialized — or restored from the data directory.
+func (d *demo) build(sem factor.Semantics, opts []deepdive.Option) error {
+	kb, err := kbc.OpenKB(d.sys, sem, 0, opts...)
 	if err != nil {
 		return err
+	}
+	d.kb = kb
+	if kb.Recovered() {
+		fmt.Fprintf(d.out, "restarted from %s: epoch %d, %d vars — skipping ground/learn/infer/materialize\n",
+			d.dataDir, kb.Snapshot().Epoch(), kb.Stats().Variables)
+		return nil
 	}
 	ctx := context.Background()
-	if kb.Recovered() {
-		fmt.Printf("restarted from %s: epoch %d, %d vars — skipping ground/learn/infer/materialize\n",
-			sc.dataDir, kb.Snapshot().Epoch(), kb.Stats().Variables)
-	} else {
-		for rel, tuples := range kbc.BaseTuples(sys) {
-			if err := kb.Load(rel, tuples); err != nil {
-				return err
-			}
-		}
-		if err := kb.Init(ctx); err != nil {
-			return err
-		}
-		if _, err := kb.Learn(ctx); err != nil {
-			return err
-		}
-		if _, err := kb.Infer(ctx); err != nil {
-			return err
-		}
-		if _, err := kb.Materialize(ctx); err != nil {
-			return err
-		}
-		if sc.dataDir != "" {
-			if err := kb.Checkpoint(ctx); err != nil {
-				return err
-			}
-			fmt.Printf("checkpointed materialized KB to %s\n", sc.dataDir)
-		}
-	}
-	// The server lives until the window elapses or the process is
-	// interrupted; cancelling the context severs subscription streams.
-	sctx, stopSig := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stopSig()
-	if sc.serveFor > 0 {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(sctx, sc.serveFor)
-		defer cancel()
-	}
-	srv, err := kb.Serve(sctx, deepdive.ServeOptions{Addr: sc.addr})
+	st := kb.Stats()
+	fmt.Fprintf(d.out, "grounded: %d vars, %d factors, %d weights\n", st.Variables, st.Factors, st.Weights)
+	learnT, err := kb.Learn(ctx)
 	if err != nil {
-		kb.Close()
 		return err
 	}
-	start := time.Now()
-	fmt.Printf("serving on http://%s\n", srv.Addr())
-	fmt.Printf("  curl 'http://%s/v1/health'\n", srv.Addr())
-	fmt.Printf("  curl 'http://%s/v1/facts?relation=Rel_%s&threshold=0.9'\n", srv.Addr(), sys.Spec.Relations[0].Name)
-	fmt.Printf("  curl -N 'http://%s/v1/subscribe?relation=Rel_%s'\n", srv.Addr(), sys.Spec.Relations[0].Name)
+	inferT, err := kb.Infer(ctx)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(d.out, "initial learn %v, inference %v, F1 %.3f\n", learnT.Round(1e6), inferT.Round(1e6), d.f1())
+	matT, err := kb.Materialize(ctx)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(d.out, "materialized both strategies in %v (%d samples)\n", matT.Round(1e6), kb.Autopilot().StoreLen)
+	if d.dataDir != "" {
+		if err := kb.Checkpoint(ctx); err != nil {
+			return err
+		}
+		fmt.Fprintf(d.out, "checkpointed materialized KB to %s\n", d.dataDir)
+	}
+	return nil
+}
 
-	// Stream each development iteration through the coalescing queue,
-	// spaced across the window (capped at 2s apart), so subscribers see
-	// live deltas; HTTP clients read/update/subscribe concurrently.
-	q := kb.Updates()
+// develop submits the development iterations the KB's program does not
+// hold yet through the update queue, one at a time and space apart, until
+// ctx is done, and reports each; then the calibration of the final KB. A
+// KB restored from a run that was cut short resumes where that run
+// stopped.
+func (d *demo) develop(ctx context.Context, space time.Duration) error {
+	var todo []string
+	prog := d.kb.Program()
+	for _, rule := range kbc.IterationNames {
+		// A rule's label opens its line in the rendered program. A1 adds
+		// no rules, so there is nothing of it to redo on a restored KB.
+		label, _, labeled := strings.Cut(kbc.IterationRules(d.sys, rule), ":")
+		if held := strings.Contains(prog, "\n"+label+":"); labeled && !held || !labeled && !d.kb.Recovered() {
+			todo = append(todo, rule)
+		}
+	}
+	if len(todo) == 0 {
+		fmt.Fprintf(d.out, "\nthe restored KB already holds the development iterations\n")
+	} else {
+		fmt.Fprintf(d.out, "\n%-5s %10s %12s %12s %12s %6s  %s\n",
+			"rule", "F1", "ground", "learn", "infer", "acc", "strategy")
+	}
+	for i, rule := range todo {
+		if i > 0 {
+			select {
+			case <-ctx.Done():
+			case <-time.After(space):
+			}
+		}
+		if ctx.Err() != nil {
+			break // interrupted: the rest waits for the next run
+		}
+		var res *deepdive.UpdateResult
+		t, err := d.kb.Updates().SubmitCtx(ctx, deepdive.Update{RuleSource: kbc.IterationRules(d.sys, rule)})
+		if err == nil {
+			res, err = t.Wait(ctx)
+		}
+		if ctx.Err() != nil {
+			break // interrupted mid-update: the queue withdraws it
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", rule, err)
+		}
+		fmt.Fprintf(d.out, "%-5s %10.3f %12v %12v %12v %6.2f  %v\n",
+			rule, d.f1(), res.GroundTime.Round(1e3), res.LearnTime.Round(1e3),
+			res.InferTime.Round(1e3), res.Acceptance, res.Strategy)
+	}
+	fmt.Fprintf(d.out, "\ncalibration (probability bucket -> empirical accuracy):\n")
+	for _, b := range kbc.Calibration(d.sys, d.kb, 5) {
+		if b.Count == 0 {
+			continue
+		}
+		fmt.Fprintf(d.out, "  [%.1f,%.1f): %4d facts, %.2f true\n", b.Lo, b.Hi, b.Count, b.FracTrue)
+	}
+	return nil
+}
+
+// serve is the network serving tier end to end: the KB is exposed over
+// HTTP via KB.Serve while the development iterations stream through the
+// coalescing update queue and clients read, update, and subscribe. Runs
+// until serveFor elapses or the process is interrupted; queue and
+// autopilot statistics are printed at the end.
+func (d *demo) serve(addr string, serveFor time.Duration) error {
+	kb := d.kb
+	fmt.Fprintf(d.out, "\n== serving: HTTP tier on %s, updates streaming through the queue ==\n", addr)
+	// The server lives until the window elapses or the process is
+	// interrupted; cancelling the context severs subscription streams.
+	sigctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSig()
+	sctx := sigctx
+	// The iterations are spaced across the window (capped at 2s apart),
+	// so subscribers see live deltas.
 	space := 2 * time.Second
-	if sc.serveFor > 0 {
-		if s := sc.serveFor / 20; s < space {
+	if serveFor > 0 {
+		var cancel context.CancelFunc
+		sctx, cancel = context.WithTimeout(sigctx, serveFor)
+		defer cancel()
+		if s := serveFor / 20; s < space {
 			space = s
 		}
 	}
-	var tickets []*deepdive.Ticket
-	for _, rule := range kbc.IterationNames {
-		if src := kbc.IterationRules(sys, rule); src != "" {
-			tickets = append(tickets, q.Submit(deepdive.Update{RuleSource: src}))
-		}
-		select {
-		case <-sctx.Done():
-		case <-time.After(space):
-		}
+	srv, err := kb.Serve(sctx, deepdive.ServeOptions{Addr: addr})
+	if err != nil {
+		return err
 	}
-	for _, t := range tickets {
-		if _, err := t.Wait(ctx); err != nil {
-			fmt.Printf("  update failed: %v\n", err)
-		}
-	}
+	start := time.Now()
+	rel := d.sys.Spec.Relations[0].Name
+	fmt.Fprintf(d.out, "serving on http://%s\n", srv.Addr())
+	fmt.Fprintf(d.out, "  curl 'http://%s/v1/health'\n", srv.Addr())
+	fmt.Fprintf(d.out, "  curl 'http://%s/v1/facts?relation=Rel_%s&threshold=0.9'\n", srv.Addr(), rel)
+	fmt.Fprintf(d.out, "  curl -N 'http://%s/v1/subscribe?relation=Rel_%s'\n", srv.Addr(), rel)
+
+	// An interrupt stops the development loop; the end of the window does
+	// not, so a short window still sees every iteration applied.
+	devErr := d.develop(sigctx, space)
 	<-sctx.Done()
 	shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shctx); err != nil {
-		fmt.Printf("  shutdown: %v\n", err)
+		fmt.Fprintf(d.out, "  shutdown: %v\n", err)
 	}
-	if sc.dataDir != "" {
-		if err := kb.Checkpoint(ctx); err != nil {
-			fmt.Printf("  final checkpoint failed: %v\n", err)
+	if devErr != nil {
+		return devErr
+	}
+	if d.dataDir != "" {
+		if err := kb.Checkpoint(context.Background()); err != nil {
+			fmt.Fprintf(d.out, "  final checkpoint failed: %v\n", err)
 		} else {
-			fmt.Printf("final checkpoint written to %s; rerun with -data-dir %s to restart from it\n",
-				sc.dataDir, sc.dataDir)
+			fmt.Fprintf(d.out, "final checkpoint written to %s; rerun with -data-dir %s to restart from it\n",
+				d.dataDir, d.dataDir)
 		}
 	}
-	kb.Close()
-	elapsed := time.Since(start)
+	q := kb.Updates()
+	if err := kb.Close(); err != nil {
+		return err
+	}
 	snap := kb.Snapshot()
-	fmt.Printf("served for %v: %d updates applied in %d coalesced batches\n",
-		elapsed.Round(time.Millisecond), q.Applied(), q.Batches())
-	fmt.Printf("final snapshot: epoch %d, ground version %d, graph epoch %d, %d vars\n",
+	fmt.Fprintf(d.out, "served for %v: %d updates applied in %d coalesced batches\n",
+		time.Since(start).Round(time.Millisecond), q.Applied(), q.Batches())
+	fmt.Fprintf(d.out, "final snapshot: epoch %d, ground version %d, graph epoch %d, %d vars\n",
 		snap.Epoch(), snap.GroundVersion(), snap.GraphEpoch(), snap.Stats().Variables)
 	ap := kb.Autopilot()
-	fmt.Printf("autopilot: %d sampling / %d variational / %d rerun runs (%d fallbacks), store %d/%d",
+	fmt.Fprintf(d.out, "autopilot: %d sampling / %d variational / %d rerun runs (%d fallbacks), store %d/%d",
 		ap.SamplingRuns, ap.VariationalRuns, ap.RerunRuns, ap.Fallbacks, ap.StoreRemaining, ap.StoreLen)
 	if ap.LowWater > 0 {
-		fmt.Printf(", low-water %d, %d re-materializations (%d preempted, %d forced slots)",
+		fmt.Fprintf(d.out, ", low-water %d, %d re-materializations (%d preempted, %d forced slots)",
 			ap.LowWater, ap.Rematerializations, ap.RematPreempted, ap.RematForced)
 	}
-	fmt.Println()
+	fmt.Fprintln(d.out)
 	if ap.LastProbe >= 0 {
-		fmt.Printf("autopilot: last measured acceptance probe %.2f, histogram %v\n", ap.LastProbe, ap.AcceptanceHist)
+		fmt.Fprintf(d.out, "autopilot: last measured acceptance probe %.2f, histogram %v\n", ap.LastProbe, ap.AcceptanceHist)
 	}
 	return nil
 }

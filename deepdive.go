@@ -39,13 +39,9 @@
 //	// Stream updates through the coalescing queue:
 //	t := kb.Updates().Submit(deepdive.Update{RuleSource: newRules})
 //	res, _ := t.Wait(ctx)
-//
-// The Engine type is the deprecated synchronous wrapper of the pre-KB
-// API; new code should use KB directly.
 package deepdive
 
 import (
-	"context"
 	"time"
 
 	"deepdive/internal/db"
@@ -112,7 +108,7 @@ var (
 // probabilistic arm's RNG so chaos schedules are reproducible.
 func NewIOFaultPlan(seed int64) *IOFaultPlan { return persist.NewFaultPlan(seed) }
 
-// Options configure a KB (or the deprecated Engine wrapper).
+// Options configure a KB.
 type Options struct {
 	UDFs map[string]UDF
 
@@ -149,27 +145,12 @@ type Options struct {
 	// gradient steps); <= 0 selects the default (8).
 	SyncEvery int
 
-	// RebuildUpdates selects the rebuild lesion configuration: every
-	// update marks the factor graph dirty for an O(V+F) rebuild of the
-	// flat pools. Off by default — updates splice (ΔV, ΔF) into the live
-	// graph through factor.Patch in O(|Δ|), with fragmentation from
-	// accumulated tombstones triggering an occasional compacting rebuild.
-	RebuildUpdates bool
-
 	// MaxPending bounds the update queue's pending depth: when the queue
 	// already holds this many unapplied updates, Submit blocks (and
 	// SubmitCtx honours its context) until the writer drains a batch —
 	// backpressure instead of unbounded producer memory. 0 means
 	// unbounded.
 	MaxPending int
-
-	// SerializedUpdates selects the serialized-queue lesion: the update
-	// queue finishes each batch (learning, inference, publication) before
-	// grounding the next, instead of overlapping batch N+1's grounding
-	// with batch N's finish stage. Results are bit-identical either way —
-	// the pipeline exists purely for throughput — so this is a comparison
-	// and debugging knob.
-	SerializedUpdates bool
 
 	// RematLowWater arms the quality autopilot's background
 	// re-materializer: when an update leaves fewer than this many
@@ -224,13 +205,6 @@ type Options struct {
 	// production.
 	IOFaults IOInjector
 
-	// DisableAutoRepair turns the background WAL repair loop off: after a
-	// failed append the KB stays DurabilityDegraded (refusing updates)
-	// until a manual Checkpoint. This is the pre-self-healing behavior and
-	// the chaos harness's lesion configuration. Off by default — a broken
-	// durable chain repairs itself.
-	DisableAutoRepair bool
-
 	// RepairBackoff and RepairBackoffMax schedule the background repair
 	// loop: the delay before each attempt is jittered over [b/2, b], with
 	// b doubling from RepairBackoff and capped at RepairBackoffMax.
@@ -245,17 +219,6 @@ type Options struct {
 	// hot-retrying a KB whose disk is probably gone. 0 (the default)
 	// never escalates.
 	ReadOnlyAfter int
-
-	// StaticOptimizer is the quality-autopilot lesion switch: the
-	// pre-autopilot behavior of the §3.3 static strategy rules, per-update
-	// change sets (no cumulative accumulation since materialization), and
-	// no background re-materialization. By default the KB runs the §3.2
-	// measured optimizer (strategy chosen from a non-consuming
-	// acceptance-rate probe of the stored samples) and scores every update
-	// against the cumulative post-materialization change set — the
-	// combination that keeps marginals pinned to a from-scratch oracle
-	// under sustained update streams (see the soak tests).
-	StaticOptimizer bool
 
 	// ProgressPublish auto-publishes partial progress on long coalesced
 	// batches: when an update's grounding stage (delta evaluation + graph
@@ -277,7 +240,48 @@ type Options struct {
 	// selects the replica engine during learning.
 	AsyncAveraging bool
 
+	// Lesions switches mechanisms off for ablation studies (see Lesions).
+	// The zero value — everything on — is the production configuration.
+	Lesions Lesions
+
 	Seed int64
+}
+
+// Lesions is the ablation surface: each field switches one mechanism of
+// the development loop off, the way the paper's lesion studies (Figures
+// 11 and 14) and this repository's differential tests and benchmarks do.
+// The zero value runs everything; no field is meant for production.
+type Lesions struct {
+	// RebuildUpdates marks the factor graph dirty on every update for an
+	// O(V+F) rebuild of the flat pools, instead of splicing (ΔV, ΔF) into
+	// the live graph through factor.Patch in O(|Δ|).
+	RebuildUpdates bool
+	// SerializedUpdates makes the update queue finish each batch
+	// (learning, inference, publication) before grounding the next,
+	// instead of overlapping batch N+1's grounding with batch N's finish
+	// stage. Results are bit-identical either way.
+	SerializedUpdates bool
+	// StaticOptimizer reverts the quality autopilot: the §3.3 static
+	// strategy rules instead of the §3.2 measured acceptance probe,
+	// per-update change sets instead of the cumulative
+	// post-materialization set, and no background re-materialization.
+	StaticOptimizer bool
+	// NoAutoRepair turns the background WAL repair loop off: after a
+	// failed append the KB stays DurabilityDegraded (refusing updates)
+	// until a manual Checkpoint.
+	NoAutoRepair bool
+
+	// NoSampling and NoVariational disable one materialization strategy
+	// (Figure 11: every update runs variationally / by sampling with a
+	// rerun fallback). NoWorkloadInfo ignores what the update changed:
+	// always try sampling first and fall back on store exhaustion.
+	NoSampling     bool
+	NoVariational  bool
+	NoWorkloadInfo bool
+	// NoDecomposition disables the Algorithm 2 blocked inference (Figure
+	// 14): a sampling update runs one global acceptance test instead of
+	// one per connected component.
+	NoDecomposition bool
 }
 
 // Option mutates Options.
@@ -325,18 +329,10 @@ func WithReplicas(n, syncEvery int) Option {
 	return func(o *Options) { o.Replicas = n; o.SyncEvery = syncEvery }
 }
 
-// WithRebuildUpdates toggles the rebuild lesion configuration (see
-// Options.RebuildUpdates). In-place O(Δ) patching is the default.
-func WithRebuildUpdates(on bool) Option { return func(o *Options) { o.RebuildUpdates = on } }
-
 // WithMaxPending bounds the update queue's pending depth (see
 // Options.MaxPending): submissions past the bound block until the writer
 // drains a batch. n <= 0 means unbounded (the default).
 func WithMaxPending(n int) Option { return func(o *Options) { o.MaxPending = n } }
-
-// WithSerializedUpdates toggles the serialized-queue lesion (see
-// Options.SerializedUpdates). The pipelined path is the default.
-func WithSerializedUpdates(on bool) Option { return func(o *Options) { o.SerializedUpdates = on } }
 
 // WithAsyncAveraging lets replica learning overlap model averaging with
 // the next segment's gradient steps (see Options.AsyncAveraging).
@@ -378,11 +374,6 @@ func WithPersistFaultHook(h FaultHook) Option { return func(o *Options) { o.Pers
 // write paths (see Options.IOFaults). Build one with NewIOFaultPlan.
 func WithIOFaults(inj IOInjector) Option { return func(o *Options) { o.IOFaults = inj } }
 
-// WithAutoRepair toggles the background WAL repair loop (see
-// Options.DisableAutoRepair). On by default; WithAutoRepair(false) is
-// the manual-Checkpoint lesion configuration.
-func WithAutoRepair(on bool) Option { return func(o *Options) { o.DisableAutoRepair = !on } }
-
 // WithRepairBackoff overrides the repair loop's backoff schedule (see
 // Options.RepairBackoff). Non-positive values keep the defaults.
 func WithRepairBackoff(base, max time.Duration) Option {
@@ -394,16 +385,9 @@ func WithRepairBackoff(base, max time.Duration) Option {
 // n <= 0 (the default) never escalates.
 func WithReadOnlyAfter(n int) Option { return func(o *Options) { o.ReadOnlyAfter = n } }
 
-// WithStaticOptimizer selects the quality-autopilot lesion configuration:
-// static §3.3 strategy rules, per-update change sets, and no background
-// re-materialization (see Options.StaticOptimizer).
-func WithStaticOptimizer(on bool) Option { return func(o *Options) { o.StaticOptimizer = on } }
-
-// WithInPlaceUpdates toggles O(Δ)-cost in-place factor-graph patching.
-//
-// Deprecated: in-place patching is on by default; use
-// WithRebuildUpdates(true) to select the rebuild lesion configuration.
-func WithInPlaceUpdates(on bool) Option { return func(o *Options) { o.RebuildUpdates = !on } }
+// WithLesions selects an ablation configuration (see Lesions). The zero
+// Lesions{} is the default.
+func WithLesions(l Lesions) Option { return func(o *Options) { o.Lesions = l } }
 
 func (o *Options) fill() {
 	if o.LearnEpochs <= 0 {
@@ -493,93 +477,6 @@ type GraphStats struct {
 	// on snapshots published before Materialize).
 	Autopilot *AutopilotStats
 }
-
-// Engine is the deprecated synchronous handle of one KBC system. It
-// wraps a KB with the pre-serving API: no contexts, no snapshots, not
-// safe for concurrent use (reads may interleave with writes only through
-// the underlying KB's snapshot isolation).
-//
-// Deprecated: use OpenKB and the KB type; its Snapshot views are safe
-// for concurrent serving, and its write operations accept contexts.
-type Engine struct {
-	kb *KB
-}
-
-// Open parses and validates a DeepDive program.
-//
-// Deprecated: use OpenKB.
-func Open(source string, opts ...Option) (*Engine, error) {
-	kb, err := OpenKB(source, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{kb: kb}, nil
-}
-
-// KB returns the serving handle the engine wraps, for migration.
-func (e *Engine) KB() *KB { return e.kb }
-
-// Load inserts base tuples into a base relation. Call before Init; use
-// Update for changes afterwards.
-func (e *Engine) Load(relation string, tuples []Tuple) error {
-	return e.kb.Load(relation, tuples)
-}
-
-// Init performs the initial grounding (candidate generation, feature
-// extraction, supervision, factor-graph construction).
-func (e *Engine) Init() error { return e.kb.Init(context.Background()) }
-
-// Learn fits rule weights from scratch (tied weights start at zero;
-// fixed weights stay fixed).
-func (e *Engine) Learn() time.Duration {
-	d, _ := e.kb.Learn(context.Background())
-	return d
-}
-
-// Infer runs Gibbs sampling from scratch on the current graph and stores
-// marginals for every candidate fact.
-func (e *Engine) Infer() time.Duration {
-	d, _ := e.kb.Infer(context.Background())
-	return d
-}
-
-// Materialize prepares the incremental-inference engine (sample bundles +
-// variational approximation) over the current distribution. Call after
-// Learn; afterwards Update serves changes incrementally.
-func (e *Engine) Materialize() (time.Duration, error) {
-	return e.kb.Materialize(context.Background())
-}
-
-// Update applies an increment: incremental grounding (DRed), warmstart
-// learning when the model changed, and incremental inference under the
-// optimizer's materialization strategy. Marginals are refreshed.
-func (e *Engine) Update(u Update) (*UpdateResult, error) {
-	return e.kb.Apply(context.Background(), u)
-}
-
-// Marginal returns the latest marginal probability of a candidate fact,
-// or (0, false) when no such candidate exists. Evidence facts report
-// their supervised value (0 or 1).
-func (e *Engine) Marginal(relation string, t Tuple) (float64, bool) {
-	return e.kb.Marginal(relation, t)
-}
-
-// Extractions returns the facts of a variable relation whose probability
-// exceeds the threshold, including supervised-true evidence facts.
-func (e *Engine) Extractions(relation string, threshold float64) []Extraction {
-	return e.kb.Extractions(relation, threshold)
-}
-
-// Candidates returns every live candidate tuple of a variable relation.
-func (e *Engine) Candidates(relation string) []Tuple {
-	return e.kb.Candidates(relation)
-}
-
-// Stats reports the current grounding statistics.
-func (e *Engine) Stats() GraphStats { return e.kb.Stats() }
-
-// Relation exposes a read-only view of a database relation's tuples.
-func (e *Engine) Relation(name string) []Tuple { return e.kb.Relation(name) }
 
 // addWeightChanges marks groups whose weight values changed since
 // materialization (relearning shifts the distribution).

@@ -1,6 +1,7 @@
 package deepdive_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -39,35 +40,30 @@ func phraseUDF(args []string) string {
 	return "short"
 }
 
-func spouseEngine(t *testing.T) *deepdive.Engine {
+// spouseInit is the spouse KB (three sentences: two expressing marriage
+// with "wife", one neutral) after its initial grounding.
+func spouseInit(t *testing.T, opts ...deepdive.Option) *deepdive.KB {
 	t.Helper()
-	eng, err := deepdive.Open(spouseSource,
-		deepdive.WithUDF("phrase", phraseUDF),
-		deepdive.WithSeed(7),
-		deepdive.WithLearning(15, 0.3),
-		deepdive.WithInference(30, 400),
-		deepdive.WithMaterialization(600, 0.01),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three sentences: two expressing marriage with "wife", one neutral.
-	must(t, eng.Load("Sentence", []deepdive.Tuple{
-		{"s1", "Alan and his wife Beth"},
-		{"s2", "Carl and his wife Dana"},
-		{"s3", "Eve met Frank"},
-	}))
-	must(t, eng.Load("PersonMention", []deepdive.Tuple{
-		{"a", "s1", "Alan"}, {"b", "s1", "Beth"},
-		{"c", "s2", "Carl"}, {"d", "s2", "Dana"},
-		{"e", "s3", "Eve"}, {"f", "s3", "Frank"},
-	}))
-	must(t, eng.Load("Married", []deepdive.Tuple{
-		{"Alan", "Beth"},
-	}))
-	must(t, eng.Init())
-	return eng
+	kb := spouseKBRaw(t, opts...)
+	t.Cleanup(func() { kb.Close() })
+	must(t, kb.Init(ctx))
+	return kb
 }
+
+// spouseMaterialized is spouseInit learned and materialized, ready for
+// updates (no from-scratch inference: the first marginals come from the
+// first update).
+func spouseMaterialized(t *testing.T, opts ...deepdive.Option) *deepdive.KB {
+	t.Helper()
+	kb := spouseInit(t, opts...)
+	_, err := kb.Learn(ctx)
+	must(t, err)
+	_, err = kb.Materialize(ctx)
+	must(t, err)
+	return kb
+}
+
+var ctx = context.Background()
 
 func must(t *testing.T, err error) {
 	t.Helper()
@@ -77,7 +73,7 @@ func must(t *testing.T, err error) {
 }
 
 func TestEngineEndToEnd(t *testing.T) {
-	eng := spouseEngine(t)
+	eng := spouseInit(t)
 	st := eng.Stats()
 	if st.Variables != 6 { // 3 sentences × 2 ordered pairs
 		t.Fatalf("vars = %d, want 6", st.Variables)
@@ -85,8 +81,10 @@ func TestEngineEndToEnd(t *testing.T) {
 	if st.Evidence != 1 { // (a,b) supervised via Married(Alan, Beth)
 		t.Fatalf("evidence = %d, want 1", st.Evidence)
 	}
-	eng.Learn()
-	eng.Infer()
+	_, err := eng.Learn(ctx)
+	must(t, err)
+	_, err = eng.Infer(ctx)
+	must(t, err)
 	// Distant supervision on s1's "wife" phrase should transfer to s2.
 	p, ok := eng.Marginal("HasSpouse", deepdive.Tuple{"c", "d"})
 	if !ok {
@@ -120,13 +118,9 @@ func TestEngineEndToEnd(t *testing.T) {
 }
 
 func TestEngineIncrementalUpdate(t *testing.T) {
-	eng := spouseEngine(t)
-	eng.Learn()
-	if _, err := eng.Materialize(); err != nil {
-		t.Fatal(err)
-	}
+	eng := spouseMaterialized(t)
 	// New document arrives incrementally.
-	res, err := eng.Update(deepdive.Update{
+	res, err := eng.Apply(ctx, deepdive.Update{
 		Inserts: map[string][]deepdive.Tuple{
 			"Sentence":      {{"s4", "Gus and his wife Hana"}},
 			"PersonMention": {{"g", "s4", "Gus"}, {"h", "s4", "Hana"}},
@@ -148,12 +142,8 @@ func TestEngineIncrementalUpdate(t *testing.T) {
 }
 
 func TestEngineUpdateWithNewRule(t *testing.T) {
-	eng := spouseEngine(t)
-	eng.Learn()
-	if _, err := eng.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Update(deepdive.Update{
+	eng := spouseMaterialized(t)
+	res, err := eng.Apply(ctx, deepdive.Update{
 		RuleSource: `Sym: HasSpouse(m2, m1) :- HasSpouse(m1, m2) weight = 1.5.`,
 	})
 	if err != nil {
@@ -173,14 +163,14 @@ func TestEngineUpdateWithNewRule(t *testing.T) {
 }
 
 func TestEngineErrors(t *testing.T) {
-	if _, err := deepdive.Open("not a program"); err == nil {
+	if _, err := deepdive.OpenKB("not a program"); err == nil {
 		t.Fatal("bad program accepted")
 	}
-	eng := spouseEngine(t)
+	eng := spouseInit(t)
 	if err := eng.Load("Sentence", nil); err == nil {
 		t.Fatal("Load after Init accepted")
 	}
-	if _, err := eng.Update(deepdive.Update{}); err == nil {
+	if _, err := eng.Apply(ctx, deepdive.Update{}); err == nil {
 		t.Fatal("Update before Materialize accepted")
 	}
 	if _, ok := eng.Marginal("HasSpouse", deepdive.Tuple{"zz", "yy"}); ok {
@@ -198,7 +188,7 @@ func TestEngineErrors(t *testing.T) {
 }
 
 func TestOpenRejectsUnknownUDF(t *testing.T) {
-	_, err := deepdive.Open(`
+	_, err := deepdive.OpenKB(`
 @variable Q(x).
 @relation R(x).
 Q(x) :- R(x).

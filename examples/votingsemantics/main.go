@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,13 +28,11 @@ func main() {
 	const nUp, nDown = 60, 50
 	for _, sem := range []string{"linear", "logical", "ratio"} {
 		src := fmt.Sprintf(programTemplate, sem, sem)
-		eng, err := deepdive.Open(src,
+		kb, err := deepdive.OpenKB(src,
 			deepdive.WithSeed(9),
 			deepdive.WithInference(200, 4000),
 		)
-		if err != nil {
-			log.Fatal(err)
-		}
+		check(err)
 		var ups, downs []deepdive.Tuple
 		for i := 0; i < nUp; i++ {
 			ups = append(ups, deepdive.Tuple{fmt.Sprintf("u%d", i)})
@@ -41,12 +40,15 @@ func main() {
 		for i := 0; i < nDown; i++ {
 			downs = append(downs, deepdive.Tuple{fmt.Sprintf("d%d", i)})
 		}
-		check(eng.Load("Up", ups))
-		check(eng.Load("Down", downs))
-		check(eng.Load("Seed", []deepdive.Tuple{{"q"}}))
-		check(eng.Init())
-		eng.Infer() // weights are fixed: no learning needed
-		p, _ := eng.Marginal("Q", deepdive.Tuple{"q"})
+		check(kb.Load("Up", ups))
+		check(kb.Load("Down", downs))
+		check(kb.Load("Seed", []deepdive.Tuple{{"q"}}))
+		ctx := context.Background()
+		check(kb.Init(ctx))
+		_, err = kb.Infer(ctx) // weights are fixed: no learning needed
+		check(err)
+		p, _ := kb.Marginal("Q", deepdive.Tuple{"q"})
+		check(kb.Close())
 		fmt.Printf("%-8s  %d up / %d down votes  ->  Pr[Q] = %.3f\n", sem, nUp, nDown, p)
 	}
 	fmt.Println("\nlinear counts every vote at full weight (saturates);")

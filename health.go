@@ -79,7 +79,7 @@ type HealthStats struct {
 	WALBroken bool // the durable chain is currently incomplete
 
 	AutoRepair bool // background repair is enabled
-	Repairing  bool // the repair goroutine is currently running
+	Repairing  bool // the chain is broken and the repair goroutine is running
 
 	RepairAttempts uint64 // auto-repair checkpoint attempts
 	RepairFailures uint64 // attempts that failed
@@ -90,14 +90,21 @@ type HealthStats struct {
 // any goroutine; never blocks on the writer locks.
 func (kb *KB) Health() HealthStats {
 	kb.repairMu.Lock()
-	repairing := kb.repairActive
+	active := kb.repairActive
 	kb.repairMu.Unlock()
+	// A landed repair bumps autoRepairs, clears walBroken and only then
+	// turns the state Healthy; reading in the opposite order means a
+	// Healthy report never carries a broken chain or misses the repair
+	// that healed it. The loop's goroutine outlives that repair by a few
+	// instructions, so Repairing follows the chain, not the goroutine.
+	state := HealthState(kb.health.Load())
+	broken := kb.walBroken.Load()
 	return HealthStats{
-		State:          HealthState(kb.health.Load()),
+		State:          state,
 		Durable:        kb.opts.DataDir != "",
-		WALBroken:      kb.walBroken.Load(),
-		AutoRepair:     kb.opts.DataDir != "" && !kb.opts.DisableAutoRepair,
-		Repairing:      repairing,
+		WALBroken:      broken,
+		AutoRepair:     kb.opts.DataDir != "" && !kb.opts.Lesions.NoAutoRepair,
+		Repairing:      active && broken,
 		RepairAttempts: kb.repairAttempts.Load(),
 		RepairFailures: kb.repairFailures.Load(),
 		AutoRepairs:    kb.autoRepairs.Load(),
@@ -123,7 +130,7 @@ func (kb *KB) noteChainRepaired() {
 // launchRepair starts the background repair goroutine if auto-repair is
 // enabled and no loop is already running.
 func (kb *KB) launchRepair() {
-	if kb.opts.DataDir == "" || kb.opts.DisableAutoRepair {
+	if kb.opts.DataDir == "" || kb.opts.Lesions.NoAutoRepair {
 		return
 	}
 	kb.repairMu.Lock()
@@ -174,9 +181,8 @@ func (kb *KB) repairLoop(ctx context.Context) {
 			return // a manual Checkpoint repaired the chain first
 		}
 		kb.repairAttempts.Add(1)
-		err := kb.Checkpoint(ctx)
+		err := kb.checkpoint(ctx, true)
 		if err == nil {
-			kb.autoRepairs.Add(1)
 			if !kb.walBroken.Load() {
 				return
 			}

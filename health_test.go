@@ -130,7 +130,7 @@ func TestAutoRepairLesionStaysWedged(t *testing.T) {
 	plan := deepdive.NewIOFaultPlan(3)
 	kb := persistSpouseKB(t, deepdive.WithDataDir(t.TempDir()),
 		deepdive.WithIOFaults(plan),
-		deepdive.WithAutoRepair(false),
+		deepdive.WithLesions(deepdive.Lesions{NoAutoRepair: true}),
 		deepdive.WithRepairBackoff(5*time.Millisecond, 10*time.Millisecond))
 	defer kb.Close()
 	bmust(t, kb.Checkpoint(ctx))

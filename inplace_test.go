@@ -7,45 +7,9 @@ import (
 	"deepdive"
 )
 
-// inPlaceEngine is spouseEngine with the O(Δ) in-place update path
-// toggled by opt.
-func inPlaceEngine(t *testing.T, inPlace bool) *deepdive.Engine {
-	t.Helper()
-	eng, err := deepdive.Open(spouseSource,
-		deepdive.WithUDF("phrase", phraseUDF),
-		deepdive.WithSeed(7),
-		deepdive.WithLearning(15, 0.3),
-		deepdive.WithInference(30, 400),
-		deepdive.WithMaterialization(600, 0.01),
-		deepdive.WithInPlaceUpdates(inPlace),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	must(t, eng.Load("Sentence", []deepdive.Tuple{
-		{"s1", "Alan and his wife Beth"},
-		{"s2", "Carl and his wife Dana"},
-		{"s3", "Eve met Frank"},
-	}))
-	must(t, eng.Load("PersonMention", []deepdive.Tuple{
-		{"a", "s1", "Alan"}, {"b", "s1", "Beth"},
-		{"c", "s2", "Carl"}, {"d", "s2", "Dana"},
-		{"e", "s3", "Eve"}, {"f", "s3", "Frank"},
-	}))
-	must(t, eng.Load("Married", []deepdive.Tuple{
-		{"Alan", "Beth"},
-	}))
-	must(t, eng.Init())
-	eng.Learn()
-	if _, err := eng.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
-
 // TestEngineInPlaceUpdateMatchesRebuild runs the same development
 // sequence — a new document, then a new rule — through the default
-// rebuild path and the WithInPlaceUpdates patch path, and requires the
+// O(Δ) patch path and the RebuildUpdates lesion, and requires the
 // resulting knowledge bases to agree: same candidates, same evidence,
 // marginals within sampling tolerance.
 func TestEngineInPlaceUpdateMatchesRebuild(t *testing.T) {
@@ -57,13 +21,13 @@ func TestEngineInPlaceUpdateMatchesRebuild(t *testing.T) {
 		{RuleSource: `Sym: HasSpouse(m2, m1) :- HasSpouse(m1, m2) weight = 1.5.`},
 	}
 
-	engines := map[string]*deepdive.Engine{
-		"rebuild": inPlaceEngine(t, false),
-		"inplace": inPlaceEngine(t, true),
+	engines := map[string]*deepdive.KB{
+		"rebuild": spouseMaterialized(t, deepdive.WithLesions(deepdive.Lesions{RebuildUpdates: true})),
+		"inplace": spouseMaterialized(t),
 	}
 	for name, eng := range engines {
 		for i, u := range updates {
-			if _, err := eng.Update(u); err != nil {
+			if _, err := eng.Apply(ctx, u); err != nil {
 				t.Fatalf("%s: update %d: %v", name, i, err)
 			}
 		}

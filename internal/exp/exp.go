@@ -2,10 +2,8 @@
 // function per table/figure of the evaluation (Sections 3.2.4 and 4,
 // Appendices A/B). Each function returns formatted report lines; the
 // deepdive-exp command prints them and the repository benchmarks wrap
-// them. Everything is deterministic in the configured seeds.
-//
-// DESIGN.md carries the experiment index; EXPERIMENTS.md records
-// paper-reported versus measured values.
+// them. Everything is deterministic in the configured seeds. The
+// experiment index is cmd/deepdive-exp's usage text.
 package exp
 
 import (
@@ -15,7 +13,6 @@ import (
 
 	"deepdive/internal/corpus"
 	"deepdive/internal/factor"
-	"deepdive/internal/kbc"
 )
 
 // Report is a titled block of result lines.
@@ -69,17 +66,6 @@ func systems(sc Scale) []*corpus.System {
 		corpus.Generate(shrink(corpus.Genomics(), 25, 9)),
 		corpus.Generate(shrink(corpus.Pharma(), 40, 7)),
 		corpus.Generate(shrink(corpus.Paleontology(), 30, 8)),
-	}
-}
-
-// kbcConfig is the shared pipeline configuration for KBC experiments.
-func kbcConfig(sem factor.Semantics, seed int64) kbc.Config {
-	return kbc.Config{
-		Sem:         sem,
-		LearnEpochs: 8, IncLearnEpochs: 3,
-		InferBurnin: 15, InferKeep: 150,
-		MatSamples: 500,
-		Seed:       seed,
 	}
 }
 

@@ -1,16 +1,147 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
+	"deepdive"
 	"deepdive/internal/corpus"
 	"deepdive/internal/db"
 	"deepdive/internal/factor"
 	"deepdive/internal/ground"
+	"deepdive/internal/inc"
 	"deepdive/internal/kbc"
+	"deepdive/internal/learn"
 )
+
+// The KBC experiments run the development loop a deployment runs:
+// deepdive.KB's Learn/Infer/Materialize/Apply. The incremental side
+// materializes the base program once and applies the six iterations as
+// rule updates; the Rerun baseline is a fresh KB on the longer program,
+// learned and inferred from scratch. Each figure first computes its rows
+// as values (which the tests assert on) and then formats them.
+
+// threshold is the extraction threshold F1 is scored at.
+const threshold = 0.5
+
+// finalProgram is the upTo of the program with every iteration in it.
+var finalProgram = len(kbc.IterationNames)
+
+// kbOptions is the shared KB configuration for KBC experiments, sized
+// for second-scale runs.
+func kbOptions(seed int64, extra ...deepdive.Option) []deepdive.Option {
+	return append([]deepdive.Option{
+		deepdive.WithSeed(seed),
+		deepdive.WithLearning(8, 0.25),
+		deepdive.WithInference(15, 150),
+		deepdive.WithMaterialization(500, 0.01),
+	}, extra...)
+}
+
+// news is the system the single-system figures use.
+func news(sc Scale) *corpus.System { return systems(sc)[1] }
+
+func f1(sys *corpus.System, kb *deepdive.KB) float64 {
+	return kbc.Evaluate(sys, kb, threshold).F1
+}
+
+// rerun is the paper's Rerun baseline: a fresh KB over the program with
+// the first upTo iterations, learned and inferred from scratch. It
+// returns the learn + inference time (the quantity Figure 9 reports) and
+// the KB, which the caller closes.
+func rerun(sys *corpus.System, sem factor.Semantics, upTo int, opts []deepdive.Option) (*deepdive.KB, time.Duration, error) {
+	ctx := context.Background()
+	kb, err := kbc.OpenKB(sys, sem, upTo, opts...)
+	if err != nil {
+		return nil, 0, err
+	}
+	learnT, err := kb.Learn(ctx)
+	if err != nil {
+		kb.Close()
+		return nil, 0, err
+	}
+	inferT, err := kb.Infer(ctx)
+	if err != nil {
+		kb.Close()
+		return nil, 0, err
+	}
+	return kb, learnT + inferT, nil
+}
+
+// materialized is rerun taken on to the update-ready state.
+func materialized(sys *corpus.System, upTo int, opts []deepdive.Option) (*deepdive.KB, error) {
+	kb, _, err := rerun(sys, factor.Ratio, upTo, opts)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := kb.Materialize(context.Background()); err != nil {
+		kb.Close()
+		return nil, err
+	}
+	return kb, nil
+}
+
+// step is one development iteration applied incrementally.
+type step struct {
+	Rule string
+	deepdive.UpdateResult
+	F1 float64
+}
+
+// develop materializes the base program and applies the six development
+// iterations through KB.Apply, handing each to visit as it lands.
+func develop(sys *corpus.System, opts []deepdive.Option, visit func(k int, st step) error) error {
+	kb, err := materialized(sys, 0, opts)
+	if err != nil {
+		return err
+	}
+	defer kb.Close()
+	for k, rule := range kbc.IterationNames {
+		res, err := kb.Apply(context.Background(), deepdive.Update{RuleSource: kbc.IterationRules(sys, rule)})
+		if err != nil {
+			return fmt.Errorf("%s %s: %w", sys.Spec.Name, rule, err)
+		}
+		if err := visit(k, step{rule, *res, f1(sys, kb)}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// loopRow is one development iteration run both ways: incrementally on
+// the materialized KB, and from scratch on the program grown by it.
+type loopRow struct {
+	System, Rule string
+	Rerun, Inc   time.Duration // learn + inference time
+	RerunF1      float64
+	IncF1        float64
+	Strategy     deepdive.Strategy
+}
+
+// devLoop runs the Rerun-vs-Incremental comparison on one system. Each
+// iteration's rerun follows its incremental update directly, so that a
+// busy stretch on the machine slows both sides of the comparison.
+func devLoop(sys *corpus.System, seed int64) ([]loopRow, error) {
+	opts := kbOptions(seed)
+	var rows []loopRow
+	err := develop(sys, opts, func(k int, st step) error {
+		kb, total, err := rerun(sys, factor.Ratio, k+1, opts)
+		if err != nil {
+			return fmt.Errorf("%s %s: rerun: %w", sys.Spec.Name, st.Rule, err)
+		}
+		defer kb.Close()
+		rows = append(rows, loopRow{
+			System: sys.Spec.Name, Rule: st.Rule,
+			Rerun: total, Inc: st.LearnTime + st.InferTime,
+			RerunF1: f1(sys, kb), IncF1: st.F1,
+			Strategy: st.Strategy,
+		})
+		return nil
+	})
+	return rows, err
+}
 
 // Fig7 reproduces the Figure 7 statistics table for the five systems,
 // grounded with the full rule inventory.
@@ -18,29 +149,28 @@ func Fig7(sc Scale, seed int64) *Report {
 	r := &Report{Title: "Figure 7: statistics of the KBC systems (scaled ~2000x)"}
 	r.addf("%-14s %8s %6s %7s %9s %10s", "System", "#Docs", "#Rels", "#Rules", "#Vars", "#Factors")
 	for _, sys := range systems(sc) {
-		rr, err := kbc.Rerun(sys, kbcConfig(factor.Ratio, seed), len(kbc.IterationNames)-1)
+		g, err := kbc.Ground(sys, factor.Ratio, finalProgram)
 		if err != nil {
 			r.addf("%-14s error: %v", sys.Spec.Name, err)
 			continue
 		}
-		st := rr.Pipeline.SystemStats()
 		r.addf("%-14s %8d %6d %7d %9d %10d",
-			sys.Spec.Name, st.Docs, st.Relations, st.Rules, st.Vars, st.Factors)
+			sys.Spec.Name, len(sys.Docs), len(sys.Spec.Relations),
+			len(g.Program().Rules), g.NumVars(), g.NumGroundings())
 	}
 	return r
 }
 
-// buildIncPipeline grounds, learns, and materializes the snapshot-0
-// system.
-func buildIncPipeline(sys *corpus.System, cfg kbc.Config) (*kbc.Pipeline, error) {
-	p, err := kbc.NewPipeline(sys, cfg)
-	if err != nil {
-		return nil, err
+func fig9Rows(sc Scale, seed int64) ([]loopRow, error) {
+	var rows []loopRow
+	for _, sys := range systems(sc) {
+		sysRows, err := devLoop(sys, seed)
+		if err != nil {
+			return rows, err
+		}
+		rows = append(rows, sysRows...)
 	}
-	p.LearnFull()
-	p.InferFromScratch()
-	p.Materialize()
-	return p, nil
+	return rows, nil
 }
 
 // Fig9 reproduces the Figure 9 table: per rule category and per system,
@@ -49,28 +179,13 @@ func buildIncPipeline(sys *corpus.System, cfg kbc.Config) (*kbc.Pipeline, error)
 func Fig9(sc Scale, seed int64) *Report {
 	r := &Report{Title: "Figure 9: end-to-end efficiency of incremental inference and learning"}
 	r.addf("%-14s %-5s %12s %12s %8s  %-12s", "System", "Rule", "Rerun", "Incremental", "Speedup", "Strategy")
-	for _, sys := range systems(sc) {
-		cfg := kbcConfig(factor.Ratio, seed)
-		incP, err := buildIncPipeline(sys, cfg)
-		if err != nil {
-			r.addf("%-14s error: %v", sys.Spec.Name, err)
-			continue
-		}
-		for k, rule := range kbc.IterationNames {
-			ir, err := incP.ApplyIteration(rule)
-			if err != nil {
-				r.addf("%-14s %-5s error: %v", sys.Spec.Name, rule, err)
-				break
-			}
-			rr, err := kbc.Rerun(sys, cfg, k)
-			if err != nil {
-				r.addf("%-14s %-5s rerun error: %v", sys.Spec.Name, rule, err)
-				break
-			}
-			r.addf("%-14s %-5s %12s %12s %8s  %-12s",
-				sys.Spec.Name, rule, ms(rr.Total()), ms(ir.Total()),
-				speedup(rr.Total(), ir.Total()), ir.Strategy)
-		}
+	rows, err := fig9Rows(sc, seed)
+	for _, row := range rows {
+		r.addf("%-14s %-5s %12s %12s %8s  %-12s",
+			row.System, row.Rule, ms(row.Rerun), ms(row.Inc), speedup(row.Rerun, row.Inc), row.Strategy)
+	}
+	if err != nil {
+		r.addf("error: %v", err)
 	}
 	return r
 }
@@ -79,31 +194,18 @@ func Fig9(sc Scale, seed int64) *Report {
 // execution time for Rerun and Incremental on the News system.
 func Fig10a(sc Scale, seed int64) *Report {
 	r := &Report{Title: "Figure 10(a): quality improvement over cumulative time (News)"}
-	sys := systems(sc)[1] // News
-	cfg := kbcConfig(factor.Ratio, seed)
-
 	r.addf("%-5s %14s %8s   %14s %8s", "Rule", "rerun-cum", "F1", "inc-cum", "F1")
-	incP, err := buildIncPipeline(sys, cfg)
+	rows, err := devLoop(news(sc), seed)
 	if err != nil {
 		r.addf("error: %v", err)
 		return r
 	}
 	var rerunCum, incCum time.Duration
-	for k, rule := range kbc.IterationNames {
-		ir, err := incP.ApplyIteration(rule)
-		if err != nil {
-			r.addf("%s: %v", rule, err)
-			return r
-		}
-		incCum += ir.Total()
-		rr, err := kbc.Rerun(sys, cfg, k)
-		if err != nil {
-			r.addf("%s: %v", rule, err)
-			return r
-		}
-		rerunCum += rr.Total()
+	for _, row := range rows {
+		rerunCum += row.Rerun
+		incCum += row.Inc
 		r.addf("%-5s %14s %8.3f   %14s %8.3f",
-			rule, ms(rerunCum), rr.Scores.F1, ms(incCum), ir.Scores.F1)
+			row.Rule, ms(rerunCum), row.RerunF1, ms(incCum), row.IncF1)
 	}
 	r.addf("(same quality trajectory, delivered faster — the 22x claim at paper scale)")
 	return r
@@ -112,24 +214,22 @@ func Fig10a(sc Scale, seed int64) *Report {
 // Fig10b reproduces Figure 10(b): F1 of the three semantics per system.
 func Fig10b(sc Scale, seed int64) *Report {
 	r := &Report{Title: "Figure 10(b): quality (F1) of different semantics"}
-	r.addf("%-10s %-14s %-10s %-8s %-14s", "", "Adversarial", "News", "Genomics", "Pharma/Paleo")
 	sysList := systems(sc)
-	names := []string{"Adversarial", "News", "Genomics", "Pharma", "Paleontology"}
-	r.Lines = r.Lines[:0]
 	header := fmt.Sprintf("%-9s", "Sem")
-	for _, n := range names {
-		header += fmt.Sprintf(" %12s", n)
+	for _, sys := range sysList {
+		header += fmt.Sprintf(" %12s", sys.Spec.Name)
 	}
 	r.Lines = append(r.Lines, header)
 	for _, sem := range []factor.Semantics{factor.Linear, factor.Logical, factor.Ratio} {
 		line := fmt.Sprintf("%-9s", sem)
 		for _, sys := range sysList {
-			rr, err := kbc.Rerun(sys, kbcConfig(sem, seed), len(kbc.IterationNames)-1)
+			kb, _, err := rerun(sys, sem, finalProgram, kbOptions(seed))
 			if err != nil {
 				line += fmt.Sprintf(" %12s", "err")
 				continue
 			}
-			line += fmt.Sprintf(" %12.3f", rr.Scores.F1)
+			line += fmt.Sprintf(" %12.3f", f1(sys, kb))
+			kb.Close()
 		}
 		r.Lines = append(r.Lines, line)
 	}
@@ -146,34 +246,50 @@ var Fig6Lambdas = []float64{0.001, 0.01, 0.1, 1, 10}
 func Fig6(sc Scale, lambdas []float64, seed int64) *Report {
 	r := &Report{Title: "Figure 6: variational λ sweep on News (quality and #factors)"}
 	r.addf("%10s %10s %10s %12s", "lambda", "F1", "#factors", "inf-time")
-	sys := systems(sc)[1]
+	sys := news(sc)
 	for _, lambda := range lambdas {
-		cfg := kbcConfig(factor.Ratio, seed)
-		cfg.Lambda = lambda
 		// Materialize a mature graph (through I1, which contributes the
 		// pairwise correlations the relaxation sparsifies), then apply the
 		// supervision rule S1 — the workload that routes to variational.
-		rr, err := kbc.Rerun(sys, cfg, 3)
+		kb, err := materialized(sys, 4, kbOptions(seed, deepdive.WithMaterialization(500, lambda)))
 		if err != nil {
 			r.addf("λ=%g: %v", lambda, err)
 			continue
 		}
-		p := rr.Pipeline
-		p.Materialize()
-		ir, err := p.ApplyIteration("S1")
+		res, err := kb.Apply(context.Background(), deepdive.Update{RuleSource: kbc.IterationRules(sys, "S1")})
 		if err != nil {
 			r.addf("λ=%g: %v", lambda, err)
-			continue
+		} else {
+			r.addf("%10g %10.3f %10d %12s", lambda, f1(sys, kb),
+				kb.Snapshot().Stats().Autopilot.VariationalFactors, ms(res.InferTime))
 		}
-		nf := 0
-		if vm := p.Engine().Variational(); vm != nil {
-			nf = vm.NumFactors()
-		}
-		r.addf("%10g %10.3f %10d %12s", lambda, ir.Scores.F1, nf, ms(ir.InferTime))
+		kb.Close()
 	}
 	r.addf("(small λ: dense approximation; large λ: sparse and fast, quality degrades past the safe region)")
 	return r
 }
+
+// lesionRows runs the development loop on News once per lesion and
+// returns the runs side by side: rows[i][v] is iteration i under
+// variants[v].
+func lesionRows(sc Scale, seed int64, variants []deepdive.Lesions) ([][]step, error) {
+	sys := news(sc)
+	rows := make([][]step, len(kbc.IterationNames))
+	for _, l := range variants {
+		err := develop(sys, kbOptions(seed, deepdive.WithLesions(l)), func(k int, st step) error {
+			rows[k] = append(rows[k], st)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+// fig11Variants are the columns of Figure 11: the full optimizer,
+// NoSampling, NoRelaxation (variational disabled) and NoWorkloadInfo.
+var fig11Variants = []deepdive.Lesions{{}, {NoSampling: true}, {NoVariational: true}, {NoWorkloadInfo: true}}
 
 // Fig11 reproduces the Figure 11 lesion study on one system: inference
 // time per rule with the full optimizer vs. NoSampling vs. NoRelaxation
@@ -181,127 +297,101 @@ func Fig6(sc Scale, lambdas []float64, seed int64) *Report {
 func Fig11(sc Scale, seed int64) *Report {
 	r := &Report{Title: "Figure 11: lesion study of the materialization tradeoff (News)"}
 	r.addf("%-5s %12s %12s %12s %12s", "Rule", "Full", "NoSampling", "NoRelax", "NoWorkload")
-	sys := systems(sc)[1]
-	variants := []struct {
-		name string
-		mut  func(*kbc.Config)
-	}{
-		{"Full", func(c *kbc.Config) {}},
-		{"NoSampling", func(c *kbc.Config) { c.DisableSampling = true }},
-		{"NoRelax", func(c *kbc.Config) { c.DisableVariational = true }},
-		{"NoWorkload", func(c *kbc.Config) { c.IgnoreWorkload = true }},
+	rows, err := lesionRows(sc, seed, fig11Variants)
+	if err != nil {
+		r.addf("error: %v", err)
+		return r
 	}
-	times := make(map[string]map[string]time.Duration)
-	for _, v := range variants {
-		cfg := kbcConfig(factor.Ratio, seed)
-		v.mut(&cfg)
-		p, err := buildIncPipeline(sys, cfg)
-		if err != nil {
-			r.addf("%s: %v", v.name, err)
-			return r
-		}
-		times[v.name] = map[string]time.Duration{}
-		for _, rule := range kbc.IterationNames {
-			ir, err := p.ApplyIteration(rule)
-			if err != nil {
-				r.addf("%s/%s: %v", v.name, rule, err)
-				return r
-			}
-			times[v.name][rule] = ir.InferTime
-		}
-	}
-	for _, rule := range kbc.IterationNames {
-		r.addf("%-5s %12s %12s %12s %12s", rule,
-			ms(times["Full"][rule]), ms(times["NoSampling"][rule]),
-			ms(times["NoRelax"][rule]), ms(times["NoWorkload"][rule]))
+	for _, row := range rows {
+		r.addf("%-5s %12s %12s %12s %12s", row[0].Rule,
+			ms(row[0].InferTime), ms(row[1].InferTime), ms(row[2].InferTime), ms(row[3].InferTime))
 	}
 	return r
 }
 
-// Fig14 reproduces the Figure 14 lesion: inference time with and without
-// the Algorithm 2 decomposition.
-func Fig14(sc Scale, seed int64) *Report {
-	r := &Report{Title: "Figure 14: lesion study of decomposition (News)"}
-	r.addf("%-5s %12s %16s %14s %14s", "Rule", "All", "NoDecomposition", "acc(All)", "acc(NoDec)")
-	sys := systems(sc)[1]
+// fig14Variants are the columns of Figure 14: the sampling approach with
+// and without the Algorithm 2 decomposition. Both run with the
+// variational side off, so that every update takes the acceptance test
+// the figure is about: on the default loop the optimizer measures the
+// undecomposed test's collapse and routes the update to variational.
+var fig14Variants = []deepdive.Lesions{{NoVariational: true}, {NoVariational: true, NoDecomposition: true}}
 
-	run := func(noDec bool) (map[string]time.Duration, map[string]float64, error) {
-		cfg := kbcConfig(factor.Ratio, seed)
-		cfg.NoDecompose = noDec
-		p, err := buildIncPipeline(sys, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		t := map[string]time.Duration{}
-		a := map[string]float64{}
-		for _, rule := range kbc.IterationNames {
-			ir, err := p.ApplyIteration(rule)
-			if err != nil {
-				return nil, nil, err
-			}
-			t[rule] = ir.InferTime
-			a[rule] = ir.Acceptance
-		}
-		return t, a, nil
-	}
-	tAll, aAll, err := run(false)
+// Fig14 reproduces the Figure 14 lesion: inference time with and without
+// the Algorithm 2 decomposition, on a loop that always samples.
+func Fig14(sc Scale, seed int64) *Report {
+	r := &Report{Title: "Figure 14: lesion study of decomposition (News, sampling forced)"}
+	r.addf("%-5s %12s %16s %14s %14s", "Rule", "Sampling", "NoDecomposition", "acc(Sampling)", "acc(NoDec)")
+	rows, err := lesionRows(sc, seed, fig14Variants)
 	if err != nil {
 		r.addf("error: %v", err)
 		return r
 	}
-	tNo, aNo, err := run(true)
-	if err != nil {
-		r.addf("error: %v", err)
-		return r
+	for _, row := range rows {
+		r.addf("%-5s %12s %16s %14.2f %14.2f", row[0].Rule,
+			ms(row[0].InferTime), ms(row[1].InferTime), row[0].Acceptance, row[1].Acceptance)
 	}
-	for _, rule := range kbc.IterationNames {
-		r.addf("%-5s %12s %16s %14.2f %14.2f",
-			rule, ms(tAll[rule]), ms(tNo[rule]), aAll[rule], aNo[rule])
-	}
-	r.addf("(without decomposition, any change collapses the global acceptance test)")
+	r.addf("(both columns run with the variational strategy off: without decomposition, any change")
+	r.addf(" collapses the global acceptance test; the default loop would route it to variational)")
 	return r
 }
 
 // Fig15 reproduces Figure 15: how many samples each system materializes
 // within a fixed wall-clock budget (the paper's 8 hours, scaled to the
-// given budget).
+// given budget). It measures the inc layer alone, on a bare grounder.
 func Fig15(sc Scale, budget time.Duration, seed int64) *Report {
 	r := &Report{Title: fmt.Sprintf("Figure 15: samples materialized within %v", budget)}
 	r.addf("%-14s %12s", "System", "#Samples")
 	for _, sys := range systems(sc) {
-		cfg := kbcConfig(factor.Ratio, seed)
-		cfg.MatSamples = 10 // the budget loop does the real work
-		p, err := buildIncPipeline(sys, cfg)
+		n, err := samplesWithin(sys, budget, seed)
 		if err != nil {
 			r.addf("%-14s error: %v", sys.Spec.Name, err)
 			continue
 		}
-		n := p.Engine().MaterializeForBudget(budget)
 		r.addf("%-14s %12d", sys.Spec.Name, n)
 	}
 	return r
 }
 
+// samplesWithin learns the base program's weights and counts the sample
+// worlds the incremental engine stores within budget.
+func samplesWithin(sys *corpus.System, budget time.Duration, seed int64) (int, error) {
+	g, err := kbc.Ground(sys, factor.Ratio, 0)
+	if err != nil {
+		return 0, err
+	}
+	graph := g.Graph()
+	frozen := make([]bool, graph.NumWeights())
+	for i := range frozen {
+		frozen[i] = true
+	}
+	warm := append([]float64(nil), graph.Weights()...)
+	for _, w := range g.LearnableWeights() {
+		frozen[w] = false
+		warm[w] = 0
+	}
+	learn.Train(graph, learn.Options{Epochs: 8, StepSize: 0.25, Seed: seed + 1, Warmstart: warm, Frozen: frozen})
+	eng, err := inc.NewEngine(graph, inc.Options{
+		MaterializationSamples: 10, // the budget loop does the real work
+		Burnin:                 15,
+		KeepSamples:            150,
+		Seed:                   seed + 3,
+	})
+	if err != nil {
+		return 0, err
+	}
+	return eng.MaterializeForBudget(budget), nil
+}
+
 // Grounding reproduces the incremental-grounding claim of Sections 1/4.2
 // (up to 360× for FE1 on News at paper scale): time to fold a new-document
 // delta into the grounding incrementally versus re-grounding from
-// scratch.
+// scratch. It measures the ground layer alone.
 func Grounding(sc Scale, seed int64) *Report {
 	r := &Report{Title: "Incremental grounding: delta evaluation vs. full re-grounding (News + FE1)"}
-	sys := systems(sc)[1]
-	cfg := kbcConfig(factor.Ratio, seed)
-	p, err := kbc.NewPipeline(sys, cfg)
+	sys := news(sc)
+	// Through FE1, so the delta has feature work to do.
+	g, err := kbc.Ground(sys, factor.Ratio, 2)
 	if err != nil {
-		r.addf("error: %v", err)
-		return r
-	}
-	// Install FE1 so the delta has feature work to do.
-	rules, err := kbc.ParseIteration(sys, p.BaseSrc, "FE1")
-	if err != nil {
-		r.addf("error: %v", err)
-		return r
-	}
-	if _, err := p.G.ApplyUpdate(ground.Update{NewRules: rules}); err != nil {
 		r.addf("error: %v", err)
 		return r
 	}
@@ -328,14 +418,14 @@ func Grounding(sc Scale, seed int64) *Report {
 	}
 
 	start := time.Now()
-	if _, err := p.G.ApplyUpdate(ground.Update{Inserts: ins}); err != nil {
+	if _, err := g.ApplyUpdate(ground.Update{Inserts: ins}); err != nil {
 		r.addf("incremental error: %v", err)
 		return r
 	}
 	incTime := time.Since(start)
 
 	start = time.Now()
-	if err := p.G.Ground(); err != nil {
+	if err := g.Ground(); err != nil {
 		r.addf("full reground error: %v", err)
 		return r
 	}

@@ -147,9 +147,6 @@ func (g *Grounder) SetParallelism(n int) { g.par = n }
 // graph's patch epoch it pins a serving snapshot to one consistent view.
 func (g *Grounder) Version() uint64 { return g.version }
 
-// InPlaceUpdates reports whether in-place patching is enabled.
-func (g *Grounder) InPlaceUpdates() bool { return g.inPlace }
-
 // SetCompactionThreshold overrides DefaultCompactionThreshold. t <= 0
 // restores the default.
 func (g *Grounder) SetCompactionThreshold(t float64) { g.compactThresh = t }
@@ -463,27 +460,4 @@ func (g *Grounder) Graph() *factor.Graph {
 	g.lastGraph = graph
 	g.graphDirty = false
 	return graph
-}
-
-// QueryVars returns the live, non-evidence variables of a relation — the
-// tuples whose marginals the KBC system reports.
-func (g *Grounder) QueryVars(rel string) []factor.VarID {
-	var out []factor.VarID
-	for id := range g.vars {
-		if g.vars[id].rel == rel && g.live[id] && g.evTrue[id]+g.evFalse[id] == 0 {
-			out = append(out, factor.VarID(id))
-		}
-	}
-	return out
-}
-
-// VarsOf returns all live variables of a relation (evidence included).
-func (g *Grounder) VarsOf(rel string) []factor.VarID {
-	var out []factor.VarID
-	for id := range g.vars {
-		if g.vars[id].rel == rel && g.live[id] {
-			out = append(out, factor.VarID(id))
-		}
-	}
-	return out
 }

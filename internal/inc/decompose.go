@@ -161,7 +161,7 @@ func Decompose(g *factor.Graph, active []factor.VarID) []DecompGroup {
 // as decomposition groups with empty boundaries — the natural inference
 // blocks when no interest area is declared (per-sentence clusters in KBC
 // graphs). Unlike Decompose it performs no merging, so each component
-// keeps its own acceptance test in InferDecomposed.
+// keeps its own acceptance test in InferDecomposedCtx.
 func ComponentGroups(g *factor.Graph) []DecompGroup {
 	comps := components(g)
 	out := make([]DecompGroup, 0, len(comps))

@@ -473,7 +473,7 @@ func TestEngineInferUnchangedMatchesTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Infer(g, ChangeSet{})
+	res := e.AutoInferCtx(nil, g, ChangeSet{}, nil)
 	if res.Strategy != StrategySampling || res.FellBack {
 		t.Fatalf("unchanged inference used %v (fellback=%v)", res.Strategy, res.FellBack)
 	}
@@ -489,7 +489,7 @@ func TestEngineFallsBackOnExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Infer(g, ChangeSet{})
+	res := e.AutoInferCtx(nil, g, ChangeSet{}, nil)
 	if !res.FellBack || res.Strategy != StrategyVariational {
 		t.Fatalf("expected variational fallback, got %v fellback=%v", res.Strategy, res.FellBack)
 	}
@@ -607,7 +607,7 @@ func TestInferDecomposedUntouchedBlocksFree(t *testing.T) {
 			if len(groups) != 2 {
 				t.Fatalf("decomposition groups = %d, want 2: %+v", len(groups), groups)
 			}
-			res := e.InferDecomposed(newG, cs, groups)
+			res := e.InferDecomposedCtx(nil, newG, cs, groups)
 			truth := MaterializeStrawmanMust(t, g).ExactMarginals(newG, cs.ChangedOld, cs.ChangedNew)
 			if d := maxAbsDiff(res.Marginals, truth, newG); d > 0.08 {
 				t.Fatalf("decomposed marginals diff %v (truth %v, got %v)", d, truth, res.Marginals)

@@ -95,8 +95,8 @@ type Options struct {
 	AcceptLow float64
 
 	// CumulativeChanges makes the engine accumulate every change set it
-	// infers over (NoteChanges) since materialization, scoring each update
-	// against the union. The target distribution always differs from the
+	// infers over since materialization, scoring each update against the
+	// union. The target distribution always differs from the
 	// materialized Pr(0) by *all* deltas since materialization, not just
 	// the latest one — without accumulation the variational inference
 	// graph encodes only the current update's groups and facts touched by
@@ -293,7 +293,7 @@ func (e *Engine) Variational() *Variational { return e.vm }
 //   - no structure change              → sampling (rule 1)
 //   - evidence modified                → variational (rule 2)
 //   - new features introduced          → sampling (rule 3)
-//   - samples exhausted (at run time)  → variational (rule 4, in Infer)
+//   - samples exhausted (at run time)  → variational (rule 4, in inferAs)
 //
 // Lesion switches override the choice.
 func (e *Engine) ChooseStrategy(cs ChangeSet) Strategy {
@@ -330,16 +330,17 @@ func (e *Engine) ChooseStrategy(cs ChangeSet) Strategy {
 // would keep AcceptLow unreachable.
 //
 // The probe is skipped (returning -1) when measurement cannot inform the
-// choice: MeasuredOptimizer off or a lesion forcing one side (static
-// rules decide), an empty change set (every proposal accepts — the A1
-// case), an evidence change (forced evidence values hide the shift from
-// group-energy scoring, so rule 2 decides), or too few unconsumed samples
-// to finish a sampling pass anyway (rule 4 applied upfront instead of
-// after burning what is left).
+// choice: MeasuredOptimizer off, a lesion forcing one side, or the
+// NoWorkloadInfo lesion (a probe of the change set is workload
+// information) — static rules decide; an empty change set (every proposal
+// accepts — the A1 case); an evidence change (forced evidence values hide
+// the shift from group-energy scoring, so rule 2 decides); or too few
+// unconsumed samples to finish a sampling pass anyway (rule 4 applied
+// upfront instead of after burning what is left).
 func (e *Engine) ChooseStrategyMeasured(newG *factor.Graph, cs ChangeSet) (Strategy, float64) {
 	e.probeHit = false
 	e.probeSkip = false
-	if !e.opts.MeasuredOptimizer || e.opts.DisableSampling || e.opts.DisableVariational {
+	if !e.opts.MeasuredOptimizer || e.opts.DisableSampling || e.opts.DisableVariational || e.opts.IgnoreWorkload {
 		return e.ChooseStrategy(cs), -1
 	}
 	if cs.Empty() {
@@ -442,10 +443,6 @@ func (e *Engine) probeFingerprint(newG *factor.Graph, cs ChangeSet) uint64 {
 	return h
 }
 
-// ProbeReused reports whether the most recent strategy choice was
-// served from the probe memo.
-func (e *Engine) ProbeReused() bool { return e.probeHit }
-
 // ProbeSkipped reports whether the most recent strategy choice was
 // decided from the acceptance prior without probing.
 func (e *Engine) ProbeSkipped() bool { return e.probeSkip }
@@ -472,14 +469,6 @@ func (e *Engine) ResetProbeCache() {
 	e.probeHit = false
 	e.priorValid = false
 	e.probeSkip = false
-}
-
-// NoteChanges folds cs into the accumulated post-materialization change
-// set. A no-op unless Options.CumulativeChanges is set.
-func (e *Engine) NoteChanges(cs ChangeSet) {
-	if e.opts.CumulativeChanges {
-		e.accum = e.accum.Merge(cs)
-	}
 }
 
 // Accumulated returns the change sets noted since materialization (the
@@ -513,20 +502,6 @@ func (e *Engine) AutoInferCtx(ctx context.Context, newG *factor.Graph, cs Change
 	res.ProbeReused = e.probeHit
 	res.ProbeSkipped = skipped
 	return res
-}
-
-// Infer computes marginals under the updated distribution represented by
-// newG (the graph after incremental grounding) and the change set.
-func (e *Engine) Infer(newG *factor.Graph, cs ChangeSet) *Result {
-	return e.InferCtx(nil, newG, cs)
-}
-
-// InferCtx is Infer with a cooperative cancellation check threaded into
-// every inference loop (proposal scoring, variational sweeps, rerun
-// sweeps). A cancelled run returns partial marginals; callers that must
-// not serve them check ctx.Err() afterwards.
-func (e *Engine) InferCtx(ctx context.Context, newG *factor.Graph, cs ChangeSet) *Result {
-	return e.inferAs(ctx, newG, cs, e.ChooseStrategy(cs))
 }
 
 // inferAs runs one inference pass under an already-chosen strategy (the
@@ -569,45 +544,24 @@ func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, 
 	return res
 }
 
-// Rerun is the from-scratch baseline ("Rerun" in Section 4.2): Gibbs over
-// the full new graph.
-func Rerun(newG *factor.Graph, burnin, keep int, seed int64) []float64 {
-	return RerunParallel(newG, burnin, keep, seed, 1)
-}
-
-// RerunParallel is Rerun on a chain with the given worker count (<= 1
-// sequential, negative means one worker per core).
-func RerunParallel(newG *factor.Graph, burnin, keep int, seed int64, workers int) []float64 {
-	return RerunWith(newG, burnin, keep, seed, gibbs.Runtime{Workers: workers})
-}
-
-// RerunWith is Rerun on the chain the runtime config selects (sequential,
-// sharded, or replica).
-func RerunWith(newG *factor.Graph, burnin, keep int, seed int64, rt gibbs.Runtime) []float64 {
-	return RerunWithCtx(nil, newG, burnin, keep, seed, rt)
-}
-
-// RerunWithCtx is RerunWith with a cooperative cancellation check between
-// sweeps; on cancellation it returns the estimate over the worlds
-// observed so far.
+// RerunWithCtx is the from-scratch baseline ("Rerun" in Section 4.2):
+// Gibbs over the full new graph, on the chain the runtime config selects
+// (sequential, sharded, or replica), with a cooperative cancellation
+// check between sweeps; on cancellation it returns the estimate over the
+// worlds observed so far.
 func RerunWithCtx(ctx context.Context, newG *factor.Graph, burnin, keep int, seed int64, rt gibbs.Runtime) []float64 {
 	s := rt.NewChain(newG, seed)
 	s.RandomizeState()
 	return s.MarginalsCtx(ctx, burnin, keep)
 }
 
-// InferDecomposed runs per-group incremental inference over an Algorithm 2
-// decomposition: groups untouched by the update adopt stored samples
-// directly (acceptance rate 1 — no computation on their factors), touched
-// groups run a group-local acceptance test. This is the mechanism behind
-// the Figure 14 lesion: without decomposition a single global acceptance
-// test collapses when any part of the distribution changes.
-func (e *Engine) InferDecomposed(newG *factor.Graph, cs ChangeSet, groups []DecompGroup) *Result {
-	return e.InferDecomposedCtx(nil, newG, cs, groups)
-}
-
-// InferDecomposedCtx is InferDecomposed with a cooperative cancellation
-// check between stored-sample proposals.
+// InferDecomposedCtx runs per-group incremental inference over an
+// Algorithm 2 decomposition: groups untouched by the update adopt stored
+// samples directly (acceptance rate 1 — no computation on their factors),
+// touched groups run a group-local acceptance test. This is the mechanism
+// behind the Figure 14 lesion: without decomposition a single global
+// acceptance test collapses when any part of the distribution changes.
+// ctx is checked between stored-sample proposals.
 func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs ChangeSet, groups []DecompGroup) *Result {
 	start := time.Now()
 	res := &Result{Strategy: StrategySampling, AcceptanceRate: 1, Probed: -1}

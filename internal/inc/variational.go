@@ -29,7 +29,7 @@ type UnaryFactor struct {
 // Pr(0). Edge weights come from the inverse-covariance estimate X̂ of the
 // log-determinant relaxation; the ℓ1 box half-width λ controls sparsity.
 //
-// Deviation note (documented in DESIGN.md): Algorithm 1's line 5-7 emits a
+// Deviation note: Algorithm 1's line 5-7 emits a
 // factor per non-zero X̂ij. We emit pairwise factors from the off-diagonal
 // X̂ entries and unary factors matched to the sampled first moments, which
 // keeps single-variable marginals calibrated while preserving the
@@ -68,7 +68,7 @@ func (o VariationalOptions) fill() VariationalOptions {
 // The NZ pattern comes from factor co-occurrence; the optimization runs
 // per connected component so dense linear algebra stays small. Components
 // larger than MaxDenseComponent use covariance thresholding directly (the
-// scalable fallback documented in DESIGN.md).
+// scalable fallback; see thresholdEdges).
 func MaterializeVariational(g *factor.Graph, store *gibbs.Store, opts VariationalOptions) (*Variational, error) {
 	return MaterializeVariationalCtx(nil, g, store, opts)
 }

@@ -3,8 +3,8 @@ package kbc
 import (
 	"math"
 
-	"deepdive/internal/db"
-	"deepdive/internal/factor"
+	"deepdive"
+	"deepdive/internal/corpus"
 )
 
 // Scores are the paper's quality measures: precision (how often a claimed
@@ -29,51 +29,48 @@ func scoresFrom(tp, fp, fn int) Scores {
 	return s
 }
 
-// entityOf maps a mention id to its linked entity via the Mention
-// relation.
-func (p *Pipeline) entityOf(mid string) (string, bool) {
-	rel := p.G.DB().Relation("Mention")
-	rows := rel.IndexOn(0).Lookup(mid)
-	if len(rows) == 0 {
-		return "", false
+// eachFact calls f for every live fact kb serves of every target
+// relation whose two mentions are linked to entities (through the KB's
+// Mention relation), with the generator's verdict on the entity pair.
+func eachFact(sys *corpus.System, kb *deepdive.KB, f func(fact deepdive.Fact, truth bool)) {
+	entity := map[string]string{}
+	for _, m := range kb.Relation("Mention") {
+		entity[m[0]] = m[3]
 	}
-	return rows[0][3], true
-}
-
-// Evaluate scores the output knowledge base against the generator's
-// exact ground truth, micro-averaged over every target relation. The
-// output KB consists of every candidate fact whose probability clears
-// the threshold; evidence variables contribute their supervised value
-// (distant supervision puts facts into the KB directly, which is part of
-// why the paper's S rules improve end-to-end quality).
-func (p *Pipeline) Evaluate(marginals []float64, threshold float64) Scores {
-	graph := p.G.Graph()
-	tp, fp, fn := 0, 0, 0
-	for _, r := range p.Sys.Spec.Relations {
-		for _, v := range p.G.VarsOf(relVar(r.Name)) {
-			_, tuple := p.G.VarTuple(v)
-			e1, ok1 := p.entityOf(tuple[0])
-			e2, ok2 := p.entityOf(tuple[1])
-			if !ok1 || !ok2 {
-				continue
-			}
-			truth := p.Sys.IsTrue(r.Name, e1, e2)
-			var pred bool
-			if graph.IsEvidence(v) {
-				pred = graph.EvidenceValue(v)
-			} else if int(v) < len(marginals) {
-				pred = marginals[v] > threshold
-			}
-			switch {
-			case pred && truth:
-				tp++
-			case pred && !truth:
-				fp++
-			case !pred && truth:
-				fn++
+	snap := kb.Snapshot()
+	for _, r := range sys.Spec.Relations {
+		for _, fact := range snap.Facts(relVar(r.Name)) {
+			e1, ok1 := entity[fact.Tuple[0]]
+			e2, ok2 := entity[fact.Tuple[1]]
+			if ok1 && ok2 {
+				f(fact, sys.IsTrue(r.Name, e1, e2))
 			}
 		}
 	}
+}
+
+// Evaluate scores the knowledge base kb currently serves against the
+// generator's exact ground truth, micro-averaged over every target
+// relation. The output KB consists of every candidate fact whose
+// probability clears the threshold; evidence facts contribute their
+// supervised value (distant supervision puts facts into the KB directly,
+// which is part of why the paper's S rules improve end-to-end quality).
+func Evaluate(sys *corpus.System, kb *deepdive.KB, threshold float64) Scores {
+	tp, fp, fn := 0, 0, 0
+	eachFact(sys, kb, func(f deepdive.Fact, truth bool) {
+		pred := f.Known && f.Probability > threshold
+		if f.Evidence {
+			pred = f.Probability == 1
+		}
+		switch {
+		case pred && truth:
+			tp++
+		case pred && !truth:
+			fp++
+		case !pred && truth:
+			fn++
+		}
+	})
 	return scoresFrom(tp, fp, fn)
 }
 
@@ -83,16 +80,16 @@ type Fact struct {
 	M1, M2 string
 }
 
-// FactProbs returns the marginal probability of every query fact.
-func (p *Pipeline) FactProbs(marginals []float64) map[Fact]float64 {
+// FactProbs returns the marginal probability of every query fact kb
+// serves.
+func FactProbs(sys *corpus.System, kb *deepdive.KB) map[Fact]float64 {
 	out := map[Fact]float64{}
-	for _, r := range p.Sys.Spec.Relations {
-		for _, v := range p.G.QueryVars(relVar(r.Name)) {
-			if int(v) >= len(marginals) {
-				continue
+	snap := kb.Snapshot()
+	for _, r := range sys.Spec.Relations {
+		for _, f := range snap.Facts(relVar(r.Name)) {
+			if f.Known && !f.Evidence {
+				out[Fact{Rel: r.Name, M1: f.Tuple[0], M2: f.Tuple[1]}] = f.Probability
 			}
-			_, tuple := p.G.VarTuple(v)
-			out[Fact{Rel: r.Name, M1: tuple[0], M2: tuple[1]}] = marginals[v]
 		}
 	}
 	return out
@@ -170,7 +167,7 @@ type CalibrationBin struct {
 // fraction of true facts per bucket — DeepDive's calibrated-probability
 // claim ("if one examined all facts with probability 0.9, approximately
 // 90% would be correct").
-func (p *Pipeline) Calibration(marginals []float64, bins int) []CalibrationBin {
+func Calibration(sys *corpus.System, kb *deepdive.KB, bins int) []CalibrationBin {
 	out := make([]CalibrationBin, bins)
 	sums := make([]float64, bins)
 	trues := make([]int, bins)
@@ -178,29 +175,20 @@ func (p *Pipeline) Calibration(marginals []float64, bins int) []CalibrationBin {
 		out[i].Lo = float64(i) / float64(bins)
 		out[i].Hi = float64(i+1) / float64(bins)
 	}
-	for _, r := range p.Sys.Spec.Relations {
-		for _, v := range p.G.QueryVars(relVar(r.Name)) {
-			if int(v) >= len(marginals) {
-				continue
-			}
-			_, tuple := p.G.VarTuple(v)
-			e1, ok1 := p.entityOf(tuple[0])
-			e2, ok2 := p.entityOf(tuple[1])
-			if !ok1 || !ok2 {
-				continue
-			}
-			prob := marginals[v]
-			b := int(prob * float64(bins))
-			if b >= bins {
-				b = bins - 1
-			}
-			out[b].Count++
-			sums[b] += prob
-			if p.Sys.IsTrue(r.Name, e1, e2) {
-				trues[b]++
-			}
+	eachFact(sys, kb, func(f deepdive.Fact, truth bool) {
+		if !f.Known || f.Evidence {
+			return
 		}
-	}
+		b := int(f.Probability * float64(bins))
+		if b >= bins {
+			b = bins - 1
+		}
+		out[b].Count++
+		sums[b] += f.Probability
+		if truth {
+			trues[b]++
+		}
+	})
 	for i := range out {
 		if out[i].Count > 0 {
 			out[i].FracTrue = float64(trues[i]) / float64(out[i].Count)
@@ -209,34 +197,3 @@ func (p *Pipeline) Calibration(marginals []float64, bins int) []CalibrationBin {
 	}
 	return out
 }
-
-// CountQueryVars returns the number of scored query variables (used by
-// the Figure 7 statistics reproduction).
-func (p *Pipeline) CountQueryVars() int {
-	n := 0
-	for _, r := range p.Sys.Spec.Relations {
-		n += len(p.G.QueryVars(relVar(r.Name)))
-	}
-	return n
-}
-
-// Stats reports the Figure 7 row of this pipeline: documents, relations,
-// rules, variables, factors.
-type Stats struct {
-	Docs, Relations, Rules, Vars, Factors int
-}
-
-// SystemStats computes the Figure 7 statistics for the pipeline's
-// current grounding state.
-func (p *Pipeline) SystemStats() Stats {
-	return Stats{
-		Docs:      len(p.Sys.Docs),
-		Relations: len(p.Sys.Spec.Relations),
-		Rules:     len(p.G.Program().Rules),
-		Vars:      p.G.NumVars(),
-		Factors:   p.G.NumGroundings(),
-	}
-}
-
-var _ = db.Tuple{} // keep imports honest if refactors drop uses
-var _ factor.VarID = 0

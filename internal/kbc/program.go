@@ -1,16 +1,22 @@
-// Package kbc assembles the end-to-end KBC pipeline of Figure 1: raw
-// documents through NLP preprocessing into base relations, a generated
-// DeepDive program per system (candidate generation, feature extraction,
-// supervision, inference rules — the rule inventory of Figure 8), the
-// iteration snapshots A1/FE1/FE2/I1/S1/S2 used throughout Section 4, and
-// the Rerun-vs-Incremental measurement harness.
+// Package kbc is the glue between the generated corpora and a
+// deepdive.KB, plus the quality metrics of the evaluation. The glue: raw
+// documents through NLP preprocessing into base relations (Figure 1), a
+// generated DeepDive program per system (candidate generation, feature
+// extraction, supervision, inference rules — the rule inventory of
+// Figure 8), the development iterations A1/FE1/FE2/I1/S1/S2 used
+// throughout Section 4, and OpenKB to load it all into a KB. The metrics
+// (metrics.go) score a KB snapshot against the generator's exact ground
+// truth. The development loop itself is deepdive.KB's; nothing here
+// learns or infers.
 package kbc
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
 
+	"deepdive"
 	"deepdive/internal/corpus"
 	"deepdive/internal/datalog"
 	"deepdive/internal/db"
@@ -205,20 +211,62 @@ func BaseTuples(sys *corpus.System) map[string][]db.Tuple {
 	return out
 }
 
-// ParseIteration parses the rules of an iteration against the current
-// program (so new rules can be handed to ApplyUpdate).
-func ParseIteration(sys *corpus.System, baseSrc, name string) ([]*datalog.Rule, error) {
-	src := IterationRules(sys, name)
-	if strings.TrimSpace(src) == "" {
-		return nil, nil
+// Program renders a system's DeepDive program with the first upTo
+// development iterations already in it: 0 is the base program, and
+// len(IterationNames) the final program of the development loop.
+func Program(sys *corpus.System, sem factor.Semantics, upTo int) string {
+	src := BaseProgram(sys, sem)
+	for i := 0; i < upTo && i < len(IterationNames); i++ {
+		src += IterationRules(sys, IterationNames[i])
 	}
-	full, err := datalog.Parse(baseSrc + src)
+	return src
+}
+
+// Ground grounds Program(sys, sem, upTo) over the system's base tuples on
+// a bare grounder, for single-layer measurements that need the grounding
+// tables or the factor graph itself, which a KB does not expose.
+func Ground(sys *corpus.System, sem factor.Semantics, upTo int) (*ground.Grounder, error) {
+	prog, err := datalog.Parse(Program(sys, sem, upTo))
+	if err != nil {
+		return nil, fmt.Errorf("kbc: %s: %w", sys.Spec.Name, err)
+	}
+	g, err := ground.New(prog, UDFs())
 	if err != nil {
 		return nil, err
 	}
-	base, err := datalog.Parse(baseSrc)
-	if err != nil {
-		return nil, err
+	for rel, tuples := range BaseTuples(sys) {
+		if err := g.LoadBase(rel, tuples); err != nil {
+			return nil, err
+		}
 	}
-	return full.Rules[len(base.Rules):], nil
+	return g, g.Ground()
+}
+
+// OpenKB opens a KB over Program(sys, sem, upTo) with the feature UDFs
+// registered, loads the system's base tuples and runs the initial
+// grounding. A KB recovered from a data directory (deepdive.WithDataDir)
+// is returned as restored: it already holds its data and its program.
+func OpenKB(sys *corpus.System, sem factor.Semantics, upTo int, opts ...deepdive.Option) (*deepdive.KB, error) {
+	var all []deepdive.Option
+	for name, f := range UDFs() {
+		all = append(all, deepdive.WithUDF(name, f))
+	}
+	kb, err := deepdive.OpenKB(Program(sys, sem, upTo), append(all, opts...)...)
+	if err != nil {
+		return nil, fmt.Errorf("kbc: %s: %w", sys.Spec.Name, err)
+	}
+	if kb.Recovered() {
+		return kb, nil
+	}
+	for rel, tuples := range BaseTuples(sys) {
+		if err := kb.Load(rel, tuples); err != nil {
+			kb.CloseNow()
+			return nil, fmt.Errorf("kbc: %s: load %s: %w", sys.Spec.Name, rel, err)
+		}
+	}
+	if err := kb.Init(context.Background()); err != nil {
+		kb.CloseNow()
+		return nil, fmt.Errorf("kbc: %s: %w", sys.Spec.Name, err)
+	}
+	return kb, nil
 }

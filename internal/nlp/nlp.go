@@ -3,7 +3,7 @@
 // DeepDive: sentence splitting, tokenization, a heuristic part-of-speech
 // tagger, gazetteer-based named-entity recognition, and the feature
 // functions (phrase-between, word sequences, tag paths) the paper's
-// FE1/FE2 rules use as UDFs. See DESIGN.md for the substitution note.
+// FE1/FE2 rules use as UDFs.
 package nlp
 
 import (

@@ -43,8 +43,7 @@ import (
 //
 // Updates() exposes an asynchronous, coalescing update queue on top of
 // Apply for streaming ingest. The zero KB is not usable; construct one
-// with OpenKB. The deprecated Engine wraps a KB with the old synchronous
-// single-goroutine API.
+// with OpenKB.
 type KB struct {
 	opts Options
 
@@ -195,7 +194,7 @@ func OpenKB(source string, opts ...Option) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.SetInPlaceUpdates(!o.RebuildUpdates)
+	g.SetInPlaceUpdates(!o.Lesions.RebuildUpdates)
 	g.SetParallelism(o.Parallelism)
 	kb := &KB{opts: o, grounder: g}
 	kb.seqCond = sync.NewCond(&kb.seqMu)
@@ -358,6 +357,7 @@ func (kb *KB) runtime() gibbs.Runtime {
 // §3.2 optimizer and cumulative change tracking are on unless the
 // StaticOptimizer lesion reverts to the pre-autopilot behavior.
 func (kb *KB) engineOpts(seed int64) inc.Options {
+	l := kb.opts.Lesions
 	return inc.Options{
 		MaterializationSamples: kb.opts.MatSamples,
 		Burnin:                 kb.opts.InferBurnin,
@@ -367,8 +367,11 @@ func (kb *KB) engineOpts(seed int64) inc.Options {
 		Replicas:               kb.opts.Replicas,
 		SyncEvery:              kb.opts.SyncEvery,
 		Seed:                   seed,
-		MeasuredOptimizer:      !kb.opts.StaticOptimizer,
-		CumulativeChanges:      !kb.opts.StaticOptimizer,
+		MeasuredOptimizer:      !l.StaticOptimizer,
+		CumulativeChanges:      !l.StaticOptimizer,
+		DisableSampling:        l.NoSampling,
+		DisableVariational:     l.NoVariational,
+		IgnoreWorkload:         l.NoWorkloadInfo,
 	}
 }
 
@@ -666,10 +669,12 @@ func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, 
 	cs := kb.pending.Merge(inc.ChangeSet{})
 	addWeightChanges(&cs, kb.engine, st.graph)
 
+	groups := func() []inc.DecompGroup { return inc.ComponentGroups(st.graph) }
+	if kb.opts.Lesions.NoDecomposition {
+		groups = nil
+	}
 	start := time.Now()
-	ir := kb.engine.AutoInferCtx(ctx, st.graph, cs, func() []inc.DecompGroup {
-		return inc.ComponentGroups(st.graph)
-	})
+	ir := kb.engine.AutoInferCtx(ctx, st.graph, cs, groups)
 	res.InferTime = time.Since(start)
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -843,6 +848,15 @@ func (kb *KB) Relation(name string) []Tuple {
 		return nil
 	}
 	return r.Tuples()
+}
+
+// Program renders the program the KB currently runs: the source it was
+// opened on plus the rules every applied update added. A restored KB
+// reports the program it was checkpointed with.
+func (kb *KB) Program() string {
+	kb.groundMu.Lock()
+	defer kb.groundMu.Unlock()
+	return kb.grounder.Program().String()
 }
 
 // ctxErr returns ctx's error, tolerating a nil context.

@@ -9,6 +9,7 @@ import (
 	"deepdive/internal/datalog"
 	"deepdive/internal/db"
 	"deepdive/internal/factor"
+	"deepdive/internal/gibbs"
 	"deepdive/internal/ground"
 	"deepdive/internal/inc"
 	"deepdive/internal/learn"
@@ -69,8 +70,8 @@ func quickstartGraph(t *testing.T) *factor.Graph {
 // the acceptance bound for the parallel sampling path.
 func TestParallelInferenceMatchesSequentialOnQuickstart(t *testing.T) {
 	g := quickstartGraph(t)
-	seq := inc.Rerun(g, 50, 5000, 9)
-	par := inc.RerunParallel(g, 50, 5000, 9, 4)
+	seq := inc.RerunWithCtx(ctx, g, 50, 5000, 9, gibbs.Runtime{})
+	par := inc.RerunWithCtx(ctx, g, 50, 5000, 9, gibbs.Runtime{Workers: 4})
 	if len(seq) != len(par) {
 		t.Fatalf("marginal widths differ: %d vs %d", len(seq), len(par))
 	}
@@ -97,31 +98,17 @@ func TestParallelInferenceMatchesSequentialOnQuickstart(t *testing.T) {
 // enabled, checking that the parallel path is wired through every layer
 // and still learns the quickstart relation.
 func TestEngineWithParallelism(t *testing.T) {
-	eng, err := deepdive.Open(spouseSource,
-		deepdive.WithUDF("phrase", phraseUDF),
-		deepdive.WithSeed(7),
-		deepdive.WithLearning(15, 0.3),
-		deepdive.WithInference(30, 400),
-		deepdive.WithMaterialization(600, 0.01),
-		deepdive.WithParallelism(4),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	must(t, eng.Load("Sentence", []deepdive.Tuple{
-		{"s1", "Alan and his wife Beth"},
-		{"s2", "Carl and his wife Dana"},
-		{"s3", "Eve met Frank"},
-	}))
-	must(t, eng.Load("PersonMention", []deepdive.Tuple{
-		{"a", "s1", "Alan"}, {"b", "s1", "Beth"},
-		{"c", "s2", "Carl"}, {"d", "s2", "Dana"},
-		{"e", "s3", "Eve"}, {"f", "s3", "Frank"},
-	}))
-	must(t, eng.Load("Married", []deepdive.Tuple{{"Alan", "Beth"}}))
-	must(t, eng.Init())
-	eng.Learn()
-	eng.Infer()
+	developOn(t, spouseInit(t, deepdive.WithParallelism(4)))
+}
+
+// developOn drives the public development loop on an initialised spouse
+// KB: learn, infer, materialize, and one incremental document.
+func developOn(t *testing.T, eng *deepdive.KB) {
+	t.Helper()
+	_, err := eng.Learn(ctx)
+	must(t, err)
+	_, err = eng.Infer(ctx)
+	must(t, err)
 	p, ok := eng.Marginal("HasSpouse", deepdive.Tuple{"c", "d"})
 	if !ok {
 		t.Fatal("no marginal for (c,d)")
@@ -129,10 +116,9 @@ func TestEngineWithParallelism(t *testing.T) {
 	if p < 0.6 {
 		t.Fatalf("P(HasSpouse(c,d)) = %v, want > 0.6 (learned from s1)", p)
 	}
-	if _, err := eng.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Update(deepdive.Update{Inserts: map[string][]deepdive.Tuple{
+	_, err = eng.Materialize(ctx)
+	must(t, err)
+	res, err := eng.Apply(ctx, deepdive.Update{Inserts: map[string][]deepdive.Tuple{
 		"Sentence":      {{"s4", "Gail and her husband Hank"}},
 		"PersonMention": {{"g", "s4", "Gail"}, {"h", "s4", "Hank"}},
 	}})

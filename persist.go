@@ -229,7 +229,12 @@ func readTupleMap(r *persist.Rd, p []byte, what string) map[string][]Tuple {
 // re-establishes a complete durable chain (in that case the file write
 // stays under the locks so no update can commit against a chain that is
 // still incomplete).
-func (kb *KB) Checkpoint(ctx context.Context) error {
+func (kb *KB) Checkpoint(ctx context.Context) error { return kb.checkpoint(ctx, false) }
+
+// checkpoint is Checkpoint; auto marks the background repair loop's
+// attempts, so a repair it lands is counted before Health can report the
+// chain whole again.
+func (kb *KB) checkpoint(ctx context.Context, auto bool) error {
 	if kb.opts.DataDir == "" {
 		return fmt.Errorf("deepdive: Checkpoint without a data directory (WithDataDir)")
 	}
@@ -300,6 +305,9 @@ func (kb *KB) Checkpoint(ctx context.Context) error {
 	}
 	if err := persist.WriteFileAtomic(snapPath(kb.opts.DataDir, newGen), data, kb.opts.IOFaults); err != nil {
 		return err
+	}
+	if repairing && auto {
+		kb.autoRepairs.Add(1)
 	}
 	kb.walBroken.Store(false)
 	kb.noteChainRepaired()
@@ -495,7 +503,7 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.SetInPlaceUpdates(!o.RebuildUpdates)
+	g.SetInPlaceUpdates(!o.Lesions.RebuildUpdates)
 	g.SetParallelism(o.Parallelism)
 
 	crd, err := sectionRd(secs, secGraphCur, "current graph")

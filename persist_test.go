@@ -286,7 +286,7 @@ func TestCrashWALAppendLost(t *testing.T) {
 	// Auto-repair off: this test pins the latched-broken behavior itself
 	// (the self-healing loop has its own tests in health_test.go).
 	victim := persistSpouseKB(t, deepdive.WithDataDir(dir),
-		deepdive.WithPersistFaultHook(arm.hook), deepdive.WithAutoRepair(false))
+		deepdive.WithPersistFaultHook(arm.hook), deepdive.WithLesions(deepdive.Lesions{NoAutoRepair: true}))
 	bmust(t, victim.Checkpoint(ctx))
 	for i := 0; i < 2; i++ {
 		if _, err := victim.Apply(ctx, docUpdate(i)); err != nil {
@@ -322,7 +322,7 @@ func TestWALRepairCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	arm := &faultArm{}
 	kb := persistSpouseKB(t, deepdive.WithDataDir(dir),
-		deepdive.WithPersistFaultHook(arm.hook), deepdive.WithAutoRepair(false))
+		deepdive.WithPersistFaultHook(arm.hook), deepdive.WithLesions(deepdive.Lesions{NoAutoRepair: true}))
 	bmust(t, kb.Checkpoint(ctx))
 	if _, err := kb.Apply(ctx, docUpdate(0)); err != nil {
 		t.Fatal(err)

@@ -138,7 +138,7 @@ func TestPipelinedQueueMatchesSerialized(t *testing.T) {
 	}
 
 	pipelined := viaQueue()
-	serialized := viaQueue(deepdive.WithSerializedUpdates(true))
+	serialized := viaQueue(deepdive.WithLesions(deepdive.Lesions{SerializedUpdates: true}))
 	requireSnapshotsEqual(t, pipelined, serialized, "pipelined", "serialized")
 
 	direct := spouseKB(t)

@@ -16,8 +16,8 @@ import (
 // the acceptance bound for the replica sampling path.
 func TestReplicaInferenceMatchesSequentialOnQuickstart(t *testing.T) {
 	g := quickstartGraph(t)
-	seq := inc.Rerun(g, 50, 5000, 9)
-	rep := inc.RerunWith(g, 50, 1500, 9, gibbs.Runtime{Replicas: 4, SyncEvery: 8})
+	seq := inc.RerunWithCtx(ctx, g, 50, 5000, 9, gibbs.Runtime{})
+	rep := inc.RerunWithCtx(ctx, g, 50, 1500, 9, gibbs.Runtime{Replicas: 4, SyncEvery: 8})
 	if len(seq) != len(rep) {
 		t.Fatalf("marginal widths differ: %d vs %d", len(seq), len(rep))
 	}
@@ -44,71 +44,25 @@ func TestReplicaInferenceMatchesSequentialOnQuickstart(t *testing.T) {
 // checking that WithReplicas is wired through every layer and still
 // learns the quickstart relation.
 func TestEngineWithReplicas(t *testing.T) {
-	eng, err := deepdive.Open(spouseSource,
-		deepdive.WithUDF("phrase", phraseUDF),
-		deepdive.WithSeed(7),
-		deepdive.WithLearning(15, 0.3),
-		deepdive.WithInference(30, 400),
-		deepdive.WithMaterialization(600, 0.01),
-		deepdive.WithReplicas(4, 8),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	must(t, eng.Load("Sentence", []deepdive.Tuple{
-		{"s1", "Alan and his wife Beth"},
-		{"s2", "Carl and his wife Dana"},
-		{"s3", "Eve met Frank"},
-	}))
-	must(t, eng.Load("PersonMention", []deepdive.Tuple{
-		{"a", "s1", "Alan"}, {"b", "s1", "Beth"},
-		{"c", "s2", "Carl"}, {"d", "s2", "Dana"},
-		{"e", "s3", "Eve"}, {"f", "s3", "Frank"},
-	}))
-	must(t, eng.Load("Married", []deepdive.Tuple{{"Alan", "Beth"}}))
-	must(t, eng.Init())
-	eng.Learn()
-	eng.Infer()
-	p, ok := eng.Marginal("HasSpouse", deepdive.Tuple{"c", "d"})
-	if !ok {
-		t.Fatal("no marginal for (c,d)")
-	}
-	if p < 0.6 {
-		t.Fatalf("P(HasSpouse(c,d)) = %v, want > 0.6 (learned from s1)", p)
-	}
-	if _, err := eng.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Update(deepdive.Update{Inserts: map[string][]deepdive.Tuple{
-		"Sentence":      {{"s4", "Gail and her husband Hank"}},
-		"PersonMention": {{"g", "s4", "Gail"}, {"h", "s4", "Hank"}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NewVars == 0 {
-		t.Fatal("update grounded no new variables")
-	}
-	if _, ok := eng.Marginal("HasSpouse", deepdive.Tuple{"g", "h"}); !ok {
-		t.Fatal("no marginal for the incremental pair (g,h)")
-	}
+	developOn(t, spouseInit(t, deepdive.WithReplicas(4, 8)))
 }
 
-// TestEngineReplicasWithInPlaceUpdates composes the replica engine with
-// the O(Δ) patch path: replicas sample over a patched CSR pool lineage.
-func TestEngineReplicasWithInPlaceUpdates(t *testing.T) {
-	eng, err := deepdive.Open(spouseSource,
+// TestEngineReplicasOnPatchedGraph composes the replica engine with
+// the O(Δ) patch path (the default): replicas sample over a patched CSR
+// pool lineage.
+func TestEngineReplicasOnPatchedGraph(t *testing.T) {
+	eng, err := deepdive.OpenKB(spouseSource,
 		deepdive.WithUDF("phrase", phraseUDF),
 		deepdive.WithSeed(11),
 		deepdive.WithLearning(10, 0.3),
 		deepdive.WithInference(20, 200),
 		deepdive.WithMaterialization(400, 0.01),
 		deepdive.WithReplicas(2, 4),
-		deepdive.WithInPlaceUpdates(true),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	must(t, eng.Load("Sentence", []deepdive.Tuple{
 		{"s1", "Alan and his wife Beth"},
 		{"s2", "Carl and his wife Dana"},
@@ -118,12 +72,12 @@ func TestEngineReplicasWithInPlaceUpdates(t *testing.T) {
 		{"c", "s2", "Carl"}, {"d", "s2", "Dana"},
 	}))
 	must(t, eng.Load("Married", []deepdive.Tuple{{"Alan", "Beth"}}))
-	must(t, eng.Init())
-	eng.Learn()
-	if _, err := eng.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Update(deepdive.Update{Inserts: map[string][]deepdive.Tuple{
+	must(t, eng.Init(ctx))
+	_, err = eng.Learn(ctx)
+	must(t, err)
+	_, err = eng.Materialize(ctx)
+	must(t, err)
+	res, err := eng.Apply(ctx, deepdive.Update{Inserts: map[string][]deepdive.Tuple{
 		"Sentence":      {{"s3", "Eve and her husband Frank"}},
 		"PersonMention": {{"e", "s3", "Eve"}, {"f", "s3", "Frank"}},
 	}})

@@ -28,7 +28,7 @@ package deepdive_test
 //     good, but cumulative change tracking keeps every
 //     post-materialization delta encoded in the variational graph. Must
 //     still track the oracle.
-//   - static lesion (WithStaticOptimizer): per-update change sets, no
+//   - static lesion (Lesions.StaticOptimizer): per-update change sets, no
 //     re-materialization. Must FAIL the drift bound — this proves the
 //     soak detects the regression rather than passing vacuously.
 //
@@ -227,7 +227,7 @@ func TestSoakCumulativeOnly(t *testing.T) {
 // the mean bound in particular, since forgetting is systematic across
 // the tracked facts rather than noise on one of them.
 func TestSoakStaticLesionDrifts(t *testing.T) {
-	cps := runSoak(t, soakUpdates(t), deepdive.WithStaticOptimizer(true))
+	cps := runSoak(t, soakUpdates(t), deepdive.WithLesions(deepdive.Lesions{StaticOptimizer: true}))
 	worst, worstMean := 0.0, 0.0
 	for _, cp := range cps {
 		if cp.drift > worst {
