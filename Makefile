@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-serving race-serve race-pipeline race-persist soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-ground bench-incupdate bench-replicas bench-serving bench-serve-http bench-serve-http-smoke bench-hotpath bench-hotpath-full bench-pipeline bench-pipeline-full bench-persist profile
+.PHONY: check fmt vet build test race race-serving race-serve race-pipeline race-persist soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-ground bench-finish bench-incupdate bench-replicas bench-serving bench-serve-http bench-serve-http-smoke bench-hotpath bench-hotpath-full bench-pipeline bench-pipeline-full bench-persist profile
 
 # Everything CI runs. (go test ./... includes the short soak; the full
 # acceptance-length soak is `make soak`.)
@@ -115,6 +115,13 @@ bench:
 # allocations.
 bench-ground:
 	$(GO) test -bench='GroundFullRule|GroundDocDelta' -benchmem -run=xxx ./internal/ground/
+
+# The finish stage's scaling check: 64 document deltas through KB.Apply
+# on the served News corpus at 1× and 4× the documents; reports ns/update
+# and the x4/x1 ratio (a single pass; repeat it, wall clock on a small box
+# swings ±10 %). CI runs it as a smoke.
+bench-finish:
+	$(GO) test -bench='ApplyDocDelta' -benchtime=1x -run=xxx .
 
 # Δ-vs-full graph update cost (results recorded in BENCH_incupdate.json).
 bench-incupdate:

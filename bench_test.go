@@ -143,6 +143,46 @@ func BenchmarkGroundingIncremental(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyDocDelta is the finish stage's scaling check: 64 document
+// deltas (three inserts to one delete) through KB.Apply, patching on, on
+// the harness's served News corpus at 1× and at 4× the documents (size
+// factor 8: the generator's floors make small factors sub-linear). Each
+// size reports ns/update; x4 also reports the ratio to x1, which an O(Δ)
+// finish stage keeps near 1 (the tied-weight fan-out of an update that
+// does learn still grows with the corpus).
+func BenchmarkApplyDocDelta(b *testing.B) {
+	var x1 float64
+	for _, size := range []struct {
+		name   string
+		factor float64
+	}{{"x1", 1}, {"x4", 8}} {
+		b.Run(size.name, func(b *testing.B) {
+			var spent time.Duration
+			updates := 0
+			for i := 0; i < b.N; i++ {
+				w := newWireCorpus(b, 3, size.factor, 64)
+				kb := w.materialized(b)
+				start := time.Now()
+				for _, u := range w.stream {
+					if _, err := kb.Apply(ctx, u); err != nil {
+						b.Fatal(err)
+					}
+				}
+				spent += time.Since(start)
+				updates += len(w.stream)
+				kb.CloseNow()
+			}
+			per := float64(spent.Nanoseconds()) / float64(updates)
+			b.ReportMetric(per, "ns/update")
+			if size.factor == 1 {
+				x1 = per
+			} else if x1 > 0 {
+				b.ReportMetric(per/x1, "x4/x1")
+			}
+		})
+	}
+}
+
 // ---- Micro-benchmarks of the core machinery -------------------------
 
 // benchGraph builds a pairwise graph for sampler micro-benchmarks.

@@ -280,8 +280,13 @@ type Lesions struct {
 	NoWorkloadInfo bool
 	// NoDecomposition disables the Algorithm 2 blocked inference (Figure
 	// 14): a sampling update runs one global acceptance test instead of
-	// one per connected component.
+	// one per connected component, and inference always covers the graph.
 	NoDecomposition bool
+	// GlobalFinish makes every update's finish stage cover the graph:
+	// warmstart learning moves every learnable weight over every variable
+	// and inference re-estimates every marginal, instead of working on the
+	// connected components the delta touched.
+	GlobalFinish bool
 }
 
 // Option mutates Options.
@@ -446,6 +451,15 @@ type UpdateResult struct {
 	ProbeReused bool
 	NewVars     int
 	NewFactors  int
+	// ScopeVars, LearnedWeights and DirtyVars say how much of the graph the
+	// finish stage worked on: the variables of the subgraph warmstart
+	// learning sampled (0: learning was skipped) and the weights it was
+	// free to move, and the variables whose marginals inference
+	// re-estimated (every other one kept its published value). 0/0/0 is
+	// "nothing to do"; Stats().Variables is "the whole graph".
+	ScopeVars      int
+	LearnedWeights int
+	DirtyVars      int
 	// Coalesced is how many queued updates the batch merged (1 for a
 	// direct Apply; set by the update queue).
 	Coalesced int
@@ -478,25 +492,31 @@ type GraphStats struct {
 	Autopilot *AutopilotStats
 }
 
-// addWeightChanges marks groups whose weight values changed since
-// materialization (relearning shifts the distribution).
-func addWeightChanges(cs *inc.ChangeSet, eng *inc.Engine, newGraph *factor.Graph) {
+// weightChanges is what relearning did to the distribution the engine
+// materialized: the materialized groups tied to a weight this update moved
+// (moved[w]; nil = none) whose value now differs from the materialized
+// one — a weight that moved back is not marked — as a change set, and the
+// variables of every group, materialized or newer, tied to a moved
+// weight: the ones whose conditionals the move changed.
+func weightChanges(eng *inc.Engine, g *factor.Graph, moved []bool) (cs inc.ChangeSet, touched []factor.VarID) {
+	if moved == nil {
+		return cs, nil
+	}
 	oldG := eng.OldGraph()
 	const eps = 1e-9
-	seen := map[int32]bool{}
-	for _, gi := range cs.ChangedOld {
-		seen[gi] = true
-	}
-	for gi := 0; gi < oldG.NumGroups(); gi++ {
-		if seen[int32(gi)] {
+	touch := func(v factor.VarID) { touched = append(touched, v) }
+	for gi := 0; gi < g.NumGroups(); gi++ {
+		w := g.GroupWeight(gi)
+		if !moved[w] {
 			continue
 		}
-		w := oldG.GroupWeight(gi)
-		if int(w) < newGraph.NumWeights() {
-			if d := oldG.Weight(w) - newGraph.Weight(w); d > eps || d < -eps {
+		g.GroupVars(int32(gi), touch)
+		if gi < oldG.NumGroups() && int(w) < oldG.NumWeights() {
+			if d := oldG.Weight(w) - g.Weight(w); d > eps || d < -eps {
 				cs.ChangedOld = append(cs.ChangedOld, int32(gi))
 				cs.ChangedNew = append(cs.ChangedNew, int32(gi))
 			}
 		}
 	}
+	return cs, touched
 }

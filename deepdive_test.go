@@ -65,7 +65,7 @@ func spouseMaterialized(t *testing.T, opts ...deepdive.Option) *deepdive.KB {
 
 var ctx = context.Background()
 
-func must(t *testing.T, err error) {
+func must(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)

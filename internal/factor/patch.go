@@ -107,21 +107,24 @@ func (p *Patch) ownStruct() {
 	}
 	p.structOwned = true
 	g := p.g
-	ge := make([][]int32, len(g.groupHead))
+	// Each copy leaves room for the rows this patch will append, so the
+	// AddVar/AddGroup calls that follow do not copy the table again.
+	nG, nV := len(g.groupHead), g.numVars
+	ge := make([][]int32, nG, nG+nG/8+16)
 	copy(ge, g.gndExtra)
 	g.gndExtra = ge
-	ae := make([][]int32, g.numVars)
+	ae := make([][]int32, nV, nV+nV/8+16)
 	copy(ae, g.adjExtra)
 	g.adjExtra = ae
-	be := make([][]bodyOcc, g.numVars)
+	be := make([][]bodyOcc, nV, nV+nV/8+16)
 	copy(be, g.bodyExtra)
 	g.bodyExtra = be
-	ne := make([][]int32, g.numVars)
+	ne := make([][]int32, nV, nV+nV/8+16)
 	copy(ne, g.nbrExtra)
 	g.nbrExtra = ne
 	// Semantics-table offsets are a per-group side table: extending a
 	// group's table relocates its row, so the patch owns the offsets.
-	g.semOff = append([]int32(nil), g.semOff...)
+	g.semOff = append(make([]int32, 0, nG+nG/8+16), g.semOff...)
 }
 
 // AddVar registers a new free variable and returns its id.

@@ -1,0 +1,125 @@
+package factor
+
+import "slices"
+
+// Reach is a set of variables grown outward from seed variables over the
+// var→var neighbor rows, one connected component at a time, in O(|set|) —
+// never from the graph. It comes in the two adjacencies the finish stage
+// needs:
+//
+//   - released: evidence variables connect like any other. These are the
+//     components of the evidence-released graph, the ones log Pr[E] =
+//     log Z_clamped − log Z_free factorises over, and the set is closed
+//     under Neighbors (Induced requires that).
+//   - free: only free variables connect. These are the components
+//     inference blocks on; an evidence variable joins as the boundary of
+//     the components it touches but leads nowhere — unless it is grown
+//     itself, which is how a variable that just gained evidence reaches
+//     the neighbors whose conditionals that changed.
+//
+// Tombstoned groundings keep their neighbor links, which can only merge
+// components, never split one.
+type Reach struct {
+	g    *Graph
+	free bool
+	mark []uint8 // 0 unseen, 1 member, 2 visited and dropped, 3 boundary member
+	// Vars are the members in discovery order until Sorted is called.
+	Vars []VarID
+}
+
+// NewReach returns the empty set over g, over the free-variable adjacency
+// or the evidence-released one.
+func (g *Graph) NewReach(free bool) *Reach {
+	return &Reach{g: g, free: free, mark: make([]uint8, g.numVars)}
+}
+
+// Has reports whether v is a member.
+func (r *Reach) Has(v VarID) bool { return r.mark[v]&1 == 1 }
+
+// Grow adds the connected component of v unless it was visited before.
+// With evidenceOnly, a component holding no evidence variable is marked
+// visited but not added.
+func (r *Reach) Grow(v VarID, evidenceOnly bool) {
+	start := len(r.Vars)
+	switch r.mark[v] {
+	case 0:
+		r.Vars = append(r.Vars, v)
+	case 3: // a boundary member grown in its own right: expand from it
+	default:
+		return
+	}
+	r.mark[v] = 1
+	evidence := r.g.evidence[v]
+	expand := func(u VarID) {
+		r.g.Neighbors(u, func(w VarID) {
+			if r.mark[w] != 0 {
+				return
+			}
+			r.mark[w] = 1
+			if r.g.evidence[w] {
+				evidence = true
+				if r.free {
+					r.mark[w] = 3
+				}
+			}
+			r.Vars = append(r.Vars, w)
+		})
+	}
+	expand(v)
+	for i := start; i < len(r.Vars); i++ {
+		if u := r.Vars[i]; u != v && r.mark[u] == 1 {
+			expand(u)
+		}
+	}
+	if evidenceOnly && !evidence {
+		for _, u := range r.Vars[start:] {
+			r.mark[u] = 2
+		}
+		r.Vars = r.Vars[:start]
+	}
+}
+
+// Sorted orders Vars ascending — the canonical order everything derived
+// from a scope is built in — and returns them.
+func (r *Reach) Sorted() []VarID {
+	slices.Sort(r.Vars)
+	return r.Vars
+}
+
+// Induced builds the subgraph induced by vars, which must be ascending and
+// closed under Neighbors (Reach.Sorted): local variable i is vars[i] with
+// its evidence state, the weight table is copied whole so weight ids (and
+// Frozen masks, warm-start vectors) carry over unchanged, and the groups
+// are every group touching a member, in ascending parent index — returned
+// as the second result. The energy of a world restricted to vars equals
+// the parent's EnergyOfGroups over those groups, so chains and trainers
+// run on the subgraph exactly as they would on the parent's components.
+func (g *Graph) Induced(vars []VarID) (*Graph, []int32) {
+	local := make([]int32, g.numVars)
+	for i := range local {
+		local[i] = -1
+	}
+	b := &Builder{weights: slices.Clone(g.weights)}
+	var groups []int32
+	for i, v := range vars {
+		local[v] = int32(i)
+		b.evidence = append(b.evidence, g.evidence[v])
+		b.evValue = append(b.evValue, g.evValue[v])
+		groups = append(groups, g.adjGroups[g.adjOff[v]:g.adjOff[v+1]]...)
+		if g.adjExtra != nil {
+			groups = append(groups, g.adjExtra[v]...)
+		}
+	}
+	groups = sortDedupInt32(groups)
+	for _, gi := range groups {
+		gr := g.Group(int(gi))
+		gr.Head = VarID(local[gr.Head])
+		for _, gnd := range gr.Groundings {
+			for i := range gnd.Lits {
+				gnd.Lits[i].Var = VarID(local[gnd.Lits[i].Var])
+			}
+		}
+		b.groups = append(b.groups, *gr)
+	}
+	return b.MustBuild(), groups
+}

@@ -111,6 +111,10 @@ func (s *Store) Next(dst []bool) (out []bool, ok bool) {
 	return out, true
 }
 
+// Skip consumes the next n samples without unpacking them — for callers
+// that read the columns they need through Bit. n is clamped to Remaining.
+func (s *Store) Skip(n int) { s.cursor += min(n, s.Remaining()) }
+
 // Peek unpacks the k-th unconsumed sample (the one Next would return
 // after k more calls) into dst without advancing the cursor. ok is false
 // when fewer than k+1 unconsumed samples remain. Probing code — e.g. the

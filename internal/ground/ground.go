@@ -339,6 +339,9 @@ func (g *Grounder) VarTuple(v factor.VarID) (rel string, t db.Tuple) {
 	return info.rel, db.TupleFromKey(info.key)
 }
 
+// VarKey returns the canonical key (Tuple.Key) of the variable's tuple.
+func (g *Grounder) VarKey(v factor.VarID) string { return g.vars[v].key }
+
 // IsLive reports whether the variable's tuple is still visible.
 func (g *Grounder) IsLive(v factor.VarID) bool { return g.live[v] }
 

@@ -91,12 +91,12 @@ func TestCumulativeChangesetEncodesEarlierUpdates(t *testing.T) {
 			t.Fatal(err)
 		}
 		g1, a, giA := addBiasedVar(t, base, 2.0)
-		r1 := eng.AutoInferCtx(nil, g1, ChangeSet{ChangedNew: []int32{giA}}, nil)
+		r1 := eng.AutoInferCtx(nil, g1, ChangeSet{ChangedNew: []int32{giA}}, nil, false)
 		if r1.Strategy != StrategyVariational {
 			t.Fatalf("first update strategy = %v, want variational", r1.Strategy)
 		}
 		g2, _, giB := addBiasedVar(t, g1, 2.0)
-		r2 := eng.AutoInferCtx(nil, g2, ChangeSet{ChangedNew: []int32{giB}}, nil)
+		r2 := eng.AutoInferCtx(nil, g2, ChangeSet{ChangedNew: []int32{giB}}, nil, false)
 		if r2.Strategy != StrategyVariational {
 			t.Fatalf("second update strategy = %v, want variational", r2.Strategy)
 		}
@@ -212,7 +212,7 @@ func TestAcceptancePriorSkipsProbe(t *testing.T) {
 	// Cold engine: the first update probes, runs sampling (near-identical
 	// distribution), and its observed acceptance becomes a decisive prior.
 	g1, cs1 := retune(0)
-	r := eng.AutoInferCtx(nil, g1, cs1, nil)
+	r := eng.AutoInferCtx(nil, g1, cs1, nil, false)
 	if r.Strategy != StrategySampling || r.Probed < 0 || r.ProbeSkipped {
 		t.Fatalf("cold update: strategy=%v probed=%v skipped=%v, want probed sampling", r.Strategy, r.Probed, r.ProbeSkipped)
 	}

@@ -16,8 +16,13 @@
 //     updates are applied directly to the approximate graph.
 //
 // A rule-based optimizer (Section 3.3) chooses between sampling and
-// variational per update, and Algorithm 2 (Appendix B.1) decomposes the
-// graph into independently-materialized groups around "active" variables.
+// variational per update. Of Algorithm 2 (Appendix B.1) what is
+// implemented is the case with no active variables: the connected
+// components of the free variables (ComponentGroups), each with its own
+// acceptance test. The same components, grown outward from an update's
+// seed variables (Engine.Scope), bound what an update re-estimates: the
+// runners cover that dirty set and every other marginal stays as
+// published.
 package inc
 
 import (

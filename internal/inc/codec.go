@@ -59,7 +59,7 @@ func RestoreEngine(old *factor.Graph, opts Options, r *persist.Rd) (*Engine, err
 	if err != nil {
 		return nil, err
 	}
-	e.accum = accum
+	e.note(accum)
 	// The chain exists only for the MaterializeForBudget idle path; it
 	// carries no sampled state worth persisting.
 	e.sampler = o.runtime().NewChain(old, o.Seed)

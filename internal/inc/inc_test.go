@@ -2,6 +2,7 @@ package inc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"deepdive/internal/factor"
@@ -473,7 +474,7 @@ func TestEngineInferUnchangedMatchesTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.AutoInferCtx(nil, g, ChangeSet{}, nil)
+	res := e.AutoInferCtx(nil, g, ChangeSet{}, nil, false)
 	if res.Strategy != StrategySampling || res.FellBack {
 		t.Fatalf("unchanged inference used %v (fellback=%v)", res.Strategy, res.FellBack)
 	}
@@ -489,7 +490,7 @@ func TestEngineFallsBackOnExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.AutoInferCtx(nil, g, ChangeSet{}, nil)
+	res := e.AutoInferCtx(nil, g, ChangeSet{}, nil, false)
 	if !res.FellBack || res.Strategy != StrategyVariational {
 		t.Fatalf("expected variational fallback, got %v fellback=%v", res.Strategy, res.FellBack)
 	}
@@ -511,82 +512,10 @@ func TestEngineMaterializeForBudget(t *testing.T) {
 	}
 }
 
-func TestDecomposeStructure(t *testing.T) {
-	// v1—a—v2 and v3 isolated; a active. Components {v1}, {v2} share
-	// boundary {a} and merge; {v3} has an empty boundary, which the
-	// paper's merge criterion (|A_j ∪ A_k| = max(|A_j|, |A_k|)) also
-	// absorbs — the empty set is contained in every boundary.
-	b := factor.NewBuilder()
-	a := b.AddVar()
-	v1 := b.AddVar()
-	v2 := b.AddVar()
-	v3 := b.AddVar()
-	w := b.AddWeight(1)
-	b.AddGroup(v1, w, factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: a}}}})
-	b.AddGroup(v2, w, factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: a}}}})
-	_ = v3
-	g := b.MustBuild()
-	groups := Decompose(g, []factor.VarID{a})
-	if len(groups) != 1 {
-		t.Fatalf("got %d groups, want 1 after paper-literal merging: %+v", len(groups), groups)
-	}
-	grp := groups[0]
-	if len(grp.Inactive) != 3 || len(grp.Active) != 1 || grp.Active[0] != a {
-		t.Fatalf("merged group wrong: %+v", grp)
-	}
-}
-
-func TestDecomposeDistinctBoundariesStaySeparate(t *testing.T) {
-	// a1—v1 and a2—v2 with disjoint boundaries {a1} and {a2}:
-	// |{a1} ∪ {a2}| = 2 ≠ max(1, 1), so the groups must NOT merge.
-	b := factor.NewBuilder()
-	a1 := b.AddVar()
-	a2 := b.AddVar()
-	v1 := b.AddVar()
-	v2 := b.AddVar()
-	w := b.AddWeight(1)
-	b.AddGroup(v1, w, factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: a1}}}})
-	b.AddGroup(v2, w, factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: a2}}}})
-	g := b.MustBuild()
-	groups := Decompose(g, []factor.VarID{a1, a2})
-	if len(groups) != 2 {
-		t.Fatalf("got %d groups, want 2: %+v", len(groups), groups)
-	}
-}
-
-func TestDecomposePartition(t *testing.T) {
-	g := chainGraph(10, 0.5)
-	active := []factor.VarID{3, 7}
-	groups := Decompose(g, active)
-	seen := map[factor.VarID]int{}
-	for _, grp := range groups {
-		for _, v := range grp.Inactive {
-			seen[v]++
-			if v == 3 || v == 7 {
-				t.Fatalf("active var %d in inactive set", v)
-			}
-			if g.IsEvidence(v) {
-				t.Fatalf("evidence var %d in inactive set", v)
-			}
-		}
-	}
-	// Every free non-active var appears exactly once.
-	for v := 0; v < g.NumVars(); v++ {
-		id := factor.VarID(v)
-		if g.IsEvidence(id) || id == 3 || id == 7 {
-			continue
-		}
-		if seen[id] != 1 {
-			t.Fatalf("var %d appears %d times", v, seen[id])
-		}
-	}
-}
-
 func TestInferDecomposedUntouchedBlocksFree(t *testing.T) {
 	for _, mode := range deriveModes {
 		t.Run(mode, func(t *testing.T) {
-			// Two chains, each anchored on its own active variable, so the
-			// decomposition keeps them separate. Change only the second chain's
+			// Two chains, one component each. Change only the second chain's
 			// factor; the first block adopts samples without acceptance testing.
 			b := factor.NewBuilder()
 			a1, a2 := b.AddVar(), b.AddVar()
@@ -603,11 +532,12 @@ func TestInferDecomposedUntouchedBlocksFree(t *testing.T) {
 			newG := rebuildOrPatch(t, g, mode, nil)
 			newG.SetWeight(newG.Group(1).Weight, -1.0)
 			cs := ChangeSet{ChangedOld: []int32{1}, ChangedNew: []int32{1}}
-			groups := Decompose(g, []factor.VarID{a1, a2})
-			if len(groups) != 2 {
-				t.Fatalf("decomposition groups = %d, want 2: %+v", len(groups), groups)
+			groups := ComponentGroups(g, nil)
+			want := []DecompGroup{{Inactive: []factor.VarID{a1, v1}}, {Inactive: []factor.VarID{a2, v2}}}
+			if !reflect.DeepEqual(groups, want) {
+				t.Fatalf("component groups = %+v, want %+v", groups, want)
 			}
-			res := e.InferDecomposedCtx(nil, newG, cs, groups)
+			res := e.InferDecomposedCtx(nil, newG, cs, groups, nil)
 			truth := MaterializeStrawmanMust(t, g).ExactMarginals(newG, cs.ChangedOld, cs.ChangedNew)
 			if d := maxAbsDiff(res.Marginals, truth, newG); d > 0.08 {
 				t.Fatalf("decomposed marginals diff %v (truth %v, got %v)", d, truth, res.Marginals)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"deepdive/internal/factor"
@@ -190,6 +191,9 @@ type Engine struct {
 	// (Options.CumulativeChanges): the updated distribution differs from
 	// Pr(0) by all of them, so every inference pass scores the union.
 	accum ChangeSet
+	// inOld/inNew mark accum's group membership by group index, so noting
+	// an update costs O(|update|), not O(|accum|).
+	inOld, inNew []bool
 
 	// Probe-verdict memo (see ChooseStrategyMeasured): the last measured
 	// (strategy, probe) pair and the fingerprint of the inputs it was
@@ -475,29 +479,127 @@ func (e *Engine) ResetProbeCache() {
 // union AutoInferCtx scores against). Callers must not mutate it.
 func (e *Engine) Accumulated() ChangeSet { return e.accum }
 
+// note folds cs into the accumulated change set, duplicate-free and in
+// first-noted order, as ChangeSet.Merge would.
+func (e *Engine) note(cs ChangeSet) {
+	unseen := func(dst, src []int32, in *[]bool) []int32 {
+		for _, gi := range src {
+			if int(gi) >= len(*in) {
+				*in = append(*in, make([]bool, int(gi)+1-len(*in))...)
+			}
+			if !(*in)[gi] {
+				(*in)[gi] = true
+				dst = append(dst, gi)
+			}
+		}
+		return dst
+	}
+	e.accum.ChangedOld = unseen(e.accum.ChangedOld, cs.ChangedOld, &e.inOld)
+	e.accum.ChangedNew = unseen(e.accum.ChangedNew, cs.ChangedNew, &e.inNew)
+	e.accum.EvidenceChanged = mergeVarIDs(e.accum.EvidenceChanged, cs.EvidenceChanged)
+	e.accum.NewFeatures = e.accum.NewFeatures || cs.NewFeatures
+}
+
+// Scope grows the inference dirty set of an update over newG: the
+// connected components — over the free-variable adjacency and the
+// variational approximation's edges — of the free variables among touched
+// (the variables of every group whose energy the update changed) and of
+// the variables whose evidence it changed. Every variable outside it has
+// the inference graph it had before the update, so its published marginal
+// is still a draw from the right distribution.
+func (e *Engine) Scope(newG *factor.Graph, touched, evidenceChanged []factor.VarID) *factor.Reach {
+	r := newG.NewReach(true)
+	for _, v := range evidenceChanged {
+		r.Grow(v, false)
+	}
+	for _, v := range touched {
+		if !newG.IsEvidence(v) {
+			r.Grow(v, false)
+		}
+	}
+	if e.vm == nil {
+		return r
+	}
+	// The approximation's edges follow the materialized graph's adjacency,
+	// which compaction may since have dropped: follow them from every free
+	// member explicitly (one flat pass when nothing is missing, the rule).
+	for grew := true; grew; {
+		grew = false
+		for _, ed := range e.vm.Edges {
+			for _, end := range [2][2]factor.VarID{{ed.I, ed.J}, {ed.J, ed.I}} {
+				if r.Has(end[0]) && !newG.IsEvidence(end[0]) && !r.Has(end[1]) {
+					r.Grow(end[1], false)
+					grew = true
+				}
+			}
+		}
+	}
+	return r
+}
+
+// within restricts the change set to a scope: the groups with a free
+// member variable — the scope then holds every variable of theirs — and
+// the evidence changes of members.
+func (c ChangeSet) within(g *factor.Graph, r *factor.Reach) ChangeSet {
+	in := func(groups []int32) (out []int32) {
+		for _, gi := range groups {
+			// A group's free variables share a component: a free head decides.
+			head := g.GroupHead(int(gi))
+			hit := r.Has(head)
+			if g.IsEvidence(head) {
+				hit = false
+				g.GroupVars(gi, func(v factor.VarID) { hit = hit || !g.IsEvidence(v) && r.Has(v) })
+			}
+			if hit {
+				out = append(out, gi)
+			}
+		}
+		return out
+	}
+	out := ChangeSet{ChangedOld: in(c.ChangedOld), ChangedNew: in(c.ChangedNew), NewFeatures: c.NewFeatures}
+	for _, v := range c.EvidenceChanged {
+		if r.Has(v) {
+			out.EvidenceChanged = append(out.EvidenceChanged, v)
+		}
+	}
+	return out
+}
+
 // AutoInferCtx is the serving layer's inference entry point: it notes cs
 // into the cumulative post-materialization change set (when enabled),
 // chooses a strategy — measured (§3.2) or static (§3.3) per the options —
-// and dispatches to the decomposed sampling path (Algorithm 2, when the
-// structure changed and a decomposition is supplied) or the plain
-// strategy runner. groups is called only when the decomposition is
-// actually used. Result.Probed carries the measured estimate (-1 when the
-// choice was unprobed).
-func (e *Engine) AutoInferCtx(ctx context.Context, newG *factor.Graph, cs ChangeSet, groups func() []DecompGroup) *Result {
+// and dispatches to the decomposed sampling path (one acceptance test per
+// connected component, when the structure changed and decompose is set)
+// or the plain strategy runner. Result.Probed carries the measured
+// estimate (-1 when the choice was unprobed).
+//
+// dirty is the update's scope (see Scope), or nil for the whole
+// graph. With a scope, the strategy is chosen for, and inference runs
+// over, the scope's share of the change set and its variables only;
+// Result.Marginals is still indexed by newG's variable ids, and only the
+// scope's entries are meaningful.
+func (e *Engine) AutoInferCtx(ctx context.Context, newG *factor.Graph, cs ChangeSet, dirty *factor.Reach, decompose bool) *Result {
 	if e.opts.CumulativeChanges {
-		e.accum = e.accum.Merge(cs)
+		e.note(cs)
 		cs = e.accum
+	}
+	var scope []factor.VarID
+	if dirty != nil {
+		if len(dirty.Vars) == 0 {
+			// Nothing changed: every published marginal stands (the A1 case,
+			// reported under the strategy the rules name for it).
+			return &Result{Strategy: e.ChooseStrategy(ChangeSet{}), AcceptanceRate: 1, Probed: -1}
+		}
+		cs, scope = cs.within(newG, dirty), dirty.Sorted()
 	}
 	strat, probed := e.ChooseStrategyMeasured(newG, cs)
 	skipped := e.probeSkip
-	if strat == StrategySampling && cs.StructureChanged() && groups != nil {
-		res := e.InferDecomposedCtx(ctx, newG, cs, groups())
-		res.Probed = probed
-		res.ProbeReused = e.probeHit
-		res.ProbeSkipped = skipped
-		return res
+	var res *Result
+	if strat == StrategySampling && cs.StructureChanged() && decompose {
+		res = e.InferDecomposedCtx(ctx, newG, cs, ComponentGroups(newG, scope), scope)
+	} else {
+		res = e.inferAs(ctx, newG, cs, strat, scope)
 	}
-	res := e.inferAs(ctx, newG, cs, strat)
 	res.Probed = probed
 	res.ProbeReused = e.probeHit
 	res.ProbeSkipped = skipped
@@ -506,8 +608,9 @@ func (e *Engine) AutoInferCtx(ctx context.Context, newG *factor.Graph, cs Change
 
 // inferAs runs one inference pass under an already-chosen strategy (the
 // run-time exhaustion fallback of rule 4 still applies inside the
-// sampling branch).
-func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, strat Strategy) *Result {
+// sampling branch). Only the variational runner is scoped; the global
+// Metropolis-Hastings chain and the rerun always cover the graph.
+func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, strat Strategy, scope []factor.VarID) *Result {
 	start := time.Now()
 	res := &Result{Strategy: strat, AcceptanceRate: 1, Probed: -1}
 	switch res.Strategy {
@@ -521,7 +624,7 @@ func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, 
 		if sr.Exhausted && sr.WorldsObserved < e.opts.KeepSamples && !canceled(ctx) {
 			if e.vm != nil {
 				// Rule 4: out of samples → variational.
-				res.Marginals = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew,
+				res.Marginals = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
 					e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+23)
 				res.Strategy = StrategyVariational
 				res.FellBack = true
@@ -535,7 +638,7 @@ func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, 
 			res.Marginals = sr.Marginals
 		}
 	case StrategyVariational:
-		res.Marginals = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew,
+		res.Marginals = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
 			e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+23)
 	default:
 		res.Marginals = RerunWithCtx(ctx, newG, e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+29, e.opts.runtime())
@@ -555,14 +658,22 @@ func RerunWithCtx(ctx context.Context, newG *factor.Graph, burnin, keep int, see
 	return s.MarginalsCtx(ctx, burnin, keep)
 }
 
-// InferDecomposedCtx runs per-group incremental inference over an
-// Algorithm 2 decomposition: groups untouched by the update adopt stored
-// samples directly (acceptance rate 1 — no computation on their factors),
-// touched groups run a group-local acceptance test. This is the mechanism
-// behind the Figure 14 lesion: without decomposition a single global
-// acceptance test collapses when any part of the distribution changes.
-// ctx is checked between stored-sample proposals.
-func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs ChangeSet, groups []DecompGroup) *Result {
+// InferDecomposedCtx runs per-block incremental inference over a
+// decomposition into independent blocks (ComponentGroups): blocks
+// untouched by the update adopt stored samples directly (acceptance rate
+// 1 — no computation on their factors), touched blocks run a block-local
+// acceptance test. This is the mechanism behind the Figure 14 lesion:
+// without decomposition a single global acceptance test collapses when
+// any part of the distribution changes. ctx is checked between
+// stored-sample proposals.
+//
+// With a nil scope the blocks cover the graph, free variables in no block
+// share a residual one, and the run consumes the worlds it replays. With
+// a scope (sorted; cs and groups restricted to it) only the scope's
+// variables are proposed, tested and observed — every other marginal
+// reads 0 — and the run, which reads only its own columns of the worlds
+// it replays, consumes only that share of them.
+func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs ChangeSet, groups []DecompGroup, scope []factor.VarID) *Result {
 	start := time.Now()
 	res := &Result{Strategy: StrategySampling, AcceptanceRate: 1, Probed: -1}
 	// Groups created by post-materialization updates are not part of
@@ -570,6 +681,15 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 	cs.ChangedOld = clampToGraph(e.old, cs.ChangedOld)
 
 	n := newG.NumVars()
+	est, vars := gibbs.NewEstimator(n), scope
+	if scope != nil {
+		est = gibbs.NewEstimatorOver(n, scope)
+	} else {
+		vars = make([]factor.VarID, n)
+		for v := range vars {
+			vars[v] = factor.VarID(v)
+		}
+	}
 	blockOf := make([]int, n)
 	for i := range blockOf {
 		blockOf[i] = -1
@@ -578,24 +698,28 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 		for _, v := range grp.Inactive {
 			blockOf[v] = bi
 		}
-		for _, v := range grp.Active {
-			if blockOf[v] == -1 {
-				blockOf[v] = bi
-			}
-		}
 	}
-	// Residual block for unassigned free vars (e.g. new vars).
+	// Residual block for unassigned free vars (e.g. new vars). Of a
+	// block's variables a stored world proposes the stored ones; the fresh
+	// ones — appended since materialization — keep their chain values.
 	residual := len(groups)
-	for v := 0; v < n; v++ {
-		if blockOf[v] == -1 && !newG.IsEvidence(factor.VarID(v)) {
-			blockOf[v] = residual
-		}
-	}
 	nBlocks := residual + 1
 	varsByBlock := make([][]factor.VarID, nBlocks)
-	for v := 0; v < n; v++ {
-		if b := blockOf[v]; b >= 0 && !newG.IsEvidence(factor.VarID(v)) {
-			varsByBlock[b] = append(varsByBlock[b], factor.VarID(v))
+	var stored, fresh []factor.VarID
+	for _, v := range vars {
+		if newG.IsEvidence(v) {
+			continue
+		}
+		if blockOf[v] == -1 && scope == nil {
+			blockOf[v] = residual
+		}
+		if b := blockOf[v]; b >= 0 {
+			varsByBlock[b] = append(varsByBlock[b], v)
+		}
+		if int(v) < e.store.NumVars() {
+			stored = append(stored, v)
+		} else {
+			fresh = append(fresh, v)
 		}
 	}
 
@@ -630,7 +754,6 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 	rng := rand.New(rand.NewSource(e.opts.Seed + 31))
 	st := factor.NewState(newG)
 	sampler := gibbs.FromState(st, e.opts.Seed+37)
-	est := gibbs.NewEstimator(n)
 
 	// Old-graph groups reference only old variables, so the (wider) new
 	// world can be scored against both graphs directly.
@@ -643,27 +766,25 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 	}
 
 	prop := make([]bool, n)
-	hybrid := make([]bool, n)
+	// hybrid mirrors st.Assign except within the block under test.
+	hybrid := slices.Clone(st.Assign)
 	accepted, proposed := 0, 0
+	next, used := e.store.Len()-e.store.Remaining(), 0
 	for est.N() < e.opts.KeepSamples {
 		if canceled(ctx) {
 			break
 		}
-		raw, ok := e.store.Next(nil)
-		if !ok {
+		if used == e.store.Remaining() {
 			res.FellBack = true
 			break
 		}
-		copy(prop, raw[:min(len(raw), n)])
-		for v := 0; v < n; v++ {
-			if newG.IsEvidence(factor.VarID(v)) {
-				prop[v] = newG.EvidenceValue(factor.VarID(v))
-			} else if v >= e.old.NumVars() {
-				prop[v] = st.Assign[v] // new vars keep chain values
-			}
+		for _, v := range stored {
+			prop[v] = e.store.Bit(next+used, int(v))
 		}
-		// hybrid mirrors st.Assign except within the block under test.
-		copy(hybrid, st.Assign)
+		used++
+		for _, v := range fresh {
+			prop[v] = st.Assign[v]
+		}
 		for b := 0; b < nBlocks; b++ {
 			touched := len(changedNewByBlock[b]) > 0 || len(changedOldByBlock[b]) > 0
 			if !touched {
@@ -690,11 +811,24 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 				}
 			}
 		}
-		completeNewVars(sampler, e.old.NumVars())
+		// Resample the variables the update appended from their
+		// conditionals given the adopted world.
+		for _, v := range fresh {
+			sampler.SampleVar(v)
+			hybrid[v] = st.Assign[v]
+		}
 		est.Observe(st.Assign)
 	}
+	// A whole-graph run spends every world it replayed. A scoped run read
+	// len(scope) of each world's n columns and spends that share of them
+	// (rounded up), so rule 4 and the low-water re-materializer meter the
+	// stored bits a run used, not the number of runs.
+	if scope != nil {
+		used = (used*len(scope) + n - 1) / n
+	}
+	e.store.Skip(used)
 	if res.FellBack && e.vm != nil && est.N() < e.opts.KeepSamples && !canceled(ctx) {
-		res.Marginals = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew,
+		res.Marginals = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
 			e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+41)
 		res.Strategy = StrategyVariational
 	} else {

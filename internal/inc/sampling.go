@@ -74,17 +74,20 @@ func SamplingInferCtx(ctx context.Context, oldG, newG *factor.Graph, store *gibb
 	st := factor.NewState(newG)
 	sampler := gibbs.FromState(st, seed+1)
 
+	// One unpack buffer and one proposal buffer serve every proposal (the
+	// chain state copies what it adopts), and the evidence to force is
+	// listed once.
+	evidence := evidenceVars(newG)
+	raw := make([]bool, store.NumVars())
+	full := make([]bool, newG.NumVars())
 	propose := func() ([]bool, bool) {
-		raw, ok := store.Next(nil)
-		if !ok {
+		var ok bool
+		if raw, ok = store.Next(raw); !ok {
 			return nil, false
 		}
-		full := make([]bool, newG.NumVars())
-		copy(full, raw[:min(len(raw), len(full))])
-		for v := 0; v < newG.NumVars(); v++ {
-			if newG.IsEvidence(factor.VarID(v)) {
-				full[v] = newG.EvidenceValue(factor.VarID(v))
-			}
+		clear(full[copy(full, raw):])
+		for _, v := range evidence {
+			full[v] = newG.EvidenceValue(v)
 		}
 		return full, true
 	}
@@ -180,6 +183,17 @@ func completeNewVars(s *gibbs.Sampler, firstNew int) {
 			s.SampleVar(v)
 		}
 	}
+}
+
+// evidenceVars lists g's evidence variables, ascending.
+func evidenceVars(g *factor.Graph) []factor.VarID {
+	var out []factor.VarID
+	for v := 0; v < g.NumVars(); v++ {
+		if g.IsEvidence(factor.VarID(v)) {
+			out = append(out, factor.VarID(v))
+		}
+	}
+	return out
 }
 
 // EstimateAcceptanceRate scores a random selection of the *unconsumed*

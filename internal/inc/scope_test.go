@@ -1,0 +1,142 @@
+package inc
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"deepdive/internal/factor"
+)
+
+// scopeFixture is twelve independent two-variable components (every
+// fourth one anchored on an evidence variable), materialized, and an
+// update that appends a variable pair to component 2 and moves the
+// weights of components 0 and 5: three components changed, nine not.
+func scopeFixture(t *testing.T) (e *Engine, newG *factor.Graph, cs ChangeSet, seeds []factor.VarID) {
+	t.Helper()
+	b := factor.NewBuilder()
+	anchor := b.AddEvidenceVar(true)
+	var heads []factor.VarID
+	for c := 0; c < 12; c++ {
+		x, y := b.AddVar(), b.AddVar() // (every fourth y stays unused: the pinned chains count it)
+		if c%4 == 3 {
+			y = b.AddEvidenceVar(c%8 == 3)
+		}
+		w := b.AddWeight(0.3 + 0.1*float64(c))
+		b.AddGroup(x, w, factor.Ratio, []factor.Grounding{{Lits: []factor.Literal{{Var: y}}}})
+		bw := b.AddWeight(0.4 - 0.05*float64(c))
+		b.AddGroup(x, bw, factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: anchor}}}})
+		heads = append(heads, x)
+	}
+	g := b.MustBuild()
+	e, err := NewEngine(g, Options{MaterializationSamples: 700, KeepSamples: 200, Burnin: 30, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := factor.NewPatch(g)
+	nv := p.AddVar()
+	ne := p.AddVar()
+	p.SetEvidence(ne, true, true)
+	nw := p.AddWeight(0.9)
+	gi := p.AddGroup(nv, nw, factor.Ratio)
+	p.AddGrounding(gi, []factor.Literal{{Var: heads[2]}})
+	p.AddGrounding(gi, []factor.Literal{{Var: ne}})
+	newG = p.Apply()
+	newG.SetWeight(newG.GroupWeight(0), -0.8)
+	newG.SetWeight(newG.GroupWeight(10), 1.4)
+	cs = ChangeSet{ChangedOld: []int32{0, 10}, ChangedNew: []int32{0, 10, int32(gi)}, NewFeatures: true}
+	return e, newG, cs, []factor.VarID{nv, ne, heads[0], heads[5]}
+}
+
+func marginalHash(m []float64) string {
+	h := fnv.New64a()
+	for _, x := range m {
+		var buf [8]byte
+		u := math.Float64bits(x)
+		for i := range buf {
+			buf[i] = byte(u >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestSamplingRunnersKeepTheirChains pins the whole-graph sampling
+// runners bit for bit across the buffer reuse: the hashes and counters
+// were recorded from the per-proposal-allocating implementation on this
+// fixture (fresh unpack and proposal buffers, evidence re-forced over
+// every variable, a full copy of the hybrid world per proposal).
+func TestSamplingRunnersKeepTheirChains(t *testing.T) {
+	e, newG, cs, _ := scopeFixture(t)
+	sr := SamplingInferCtx(nil, e.OldGraph(), newG, e.Store(), cs, 200, 28, 0)
+	if got := marginalHash(sr.Marginals); got != "87dcc7c85311bea2" || sr.Accepted != 122 || sr.Proposed != 200 || e.Store().Remaining() != 499 {
+		t.Fatalf("global chain moved: marginals %s, %d/%d accepted, %d worlds left", got, sr.Accepted, sr.Proposed, e.Store().Remaining())
+	}
+	res := e.InferDecomposedCtx(nil, newG, cs, ComponentGroups(newG, nil), nil)
+	if got := marginalHash(res.Marginals); got != "378989c9d05ba49e" || res.AcceptanceRate != 0.8616666666666667 || res.SamplesUsed != 600 || e.Store().Remaining() != 299 {
+		t.Fatalf("decomposed chain moved: marginals %s, acceptance %v over %d tests, %d worlds left", got, res.AcceptanceRate, res.SamplesUsed, e.Store().Remaining())
+	}
+}
+
+// TestScopedInferenceCoversItsComponents: the dirty set of an update is
+// the union of the components of its seeds; both runners, handed that
+// scope, estimate its variables as the whole-graph run does and leave
+// every other entry alone; and a scoped sampling run spends only its
+// share of the worlds it replays.
+func TestScopedInferenceCoversItsComponents(t *testing.T) {
+	for _, strat := range []Strategy{StrategySampling, StrategyVariational} {
+		t.Run(strat.String(), func(t *testing.T) {
+			e, newG, cs, seeds := scopeFixture(t)
+			dirty := e.Scope(newG, seeds, nil)
+			scope := dirty.Sorted()
+			// Components 0, 2 (with its appended pair) and 5, two variables
+			// each, the two new ones, and the evidence anchor every bias
+			// group hangs on — a member as their boundary, a bridge to none
+			// of the nine other components.
+			if len(scope) != 9 || !dirty.Has(seeds[0]) || !dirty.Has(factor.VarID(0)) || dirty.Has(factor.VarID(3)) {
+				t.Fatalf("scope = %v", scope)
+			}
+			run := func(e *Engine, scope []factor.VarID) *Result {
+				if strat == StrategyVariational {
+					return e.inferAs(nil, newG, cs, strat, scope)
+				}
+				return e.InferDecomposedCtx(nil, newG, cs, ComponentGroups(newG, scope), scope)
+			}
+			left := e.Store().Remaining()
+			got := run(e, scope)
+			if strat == StrategySampling {
+				// 200 worlds replayed, 9 of 30 columns read: ⌈200·9/30⌉.
+				if spent := left - e.Store().Remaining(); spent != 60 {
+					t.Fatalf("scoped run spent %d worlds, want 60", spent)
+				}
+			}
+			e2, _, _, _ := scopeFixture(t)
+			want := run(e2, nil)
+			for v := 0; v < newG.NumVars(); v++ {
+				switch {
+				case !dirty.Has(factor.VarID(v)):
+					if got.Marginals[v] != 0 {
+						t.Fatalf("variable %d is outside the scope but reads %v", v, got.Marginals[v])
+					}
+				case math.Abs(got.Marginals[v]-want.Marginals[v]) > 0.1:
+					t.Fatalf("variable %d: %v scoped, %v on the whole graph", v, got.Marginals[v], want.Marginals[v])
+				}
+			}
+		})
+	}
+}
+
+// TestScopeFollowsVariationalEdges: an edge of the approximation keeps
+// its endpoints in one scope even when the graph no longer links them.
+func TestScopeFollowsVariationalEdges(t *testing.T) {
+	e, newG, _, _ := scopeFixture(t)
+	a, b := factor.VarID(1), factor.VarID(20) // heads of components 0 and 9
+	if e.Scope(newG, []factor.VarID{a}, nil).Has(b) {
+		t.Fatal("unrelated components share a scope")
+	}
+	e.vm.Edges = append(e.vm.Edges, PairFactor{I: b, J: a, W: 0.5})
+	if r := e.Scope(newG, []factor.VarID{a}, nil); !r.Has(b) || len(r.Vars) != 5 {
+		t.Fatalf("scope across the edge = %v", r.Sorted())
+	}
+}

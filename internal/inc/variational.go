@@ -95,7 +95,7 @@ func MaterializeVariationalCtx(ctx context.Context, g *factor.Graph, store *gibb
 		}
 	}
 
-	comps := components(g)
+	comps := components(g, nil)
 	for _, comp := range comps {
 		if canceled(ctx) {
 			return nil, ctx.Err()
@@ -217,67 +217,67 @@ func clamp(x, lo, hi float64) float64 {
 }
 
 // components returns the connected components of the graph's variable
-// adjacency (variables sharing a group), each as a sorted var list.
-// Evidence variables do not connect components (they are fixed).
-// Groups are walked CSR-direct (factor.Graph.GroupVars reports the head
-// first, then each live grounding's variables), so no nested view is
+// adjacency (variables sharing a group), each as a sorted var list, in
+// order of smallest member. Evidence variables do not connect components
+// (they are fixed). With a non-nil scope (Engine.Scope, sorted) only the
+// scope's variables and the groups touching them are walked. Groups are walked CSR-direct (factor.Graph.GroupVars reports the
+// head first, then each live grounding's variables), so no nested view is
 // synthesized per group.
-func components(g *factor.Graph) [][]int {
+func components(g *factor.Graph, scope []factor.VarID) [][]int {
 	n := g.NumVars()
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for gi := 0; gi < g.NumGroups(); gi++ {
+	link := func(gi int32) {
 		anchorVar := -1
-		g.GroupVars(int32(gi), func(v factor.VarID) {
+		g.GroupVars(gi, func(v factor.VarID) {
 			if g.IsEvidence(v) {
 				return
 			}
 			if anchorVar == -1 {
 				anchorVar = int(v)
-			} else {
-				union(anchorVar, int(v))
+			} else if ra, rb := find(anchorVar), find(int(v)); ra != rb {
+				parent[ra] = rb
 			}
 		})
 	}
-	byRoot := make(map[int][]int)
-	for v := 0; v < n; v++ {
+	var out [][]int
+	compAt := make([]int, n) // root → 1 + index into out
+	collect := func(v int) {
 		if g.IsEvidence(factor.VarID(v)) {
-			continue
+			return
 		}
 		r := find(v)
-		byRoot[r] = append(byRoot[r], v)
-	}
-	var out [][]int
-	// Deterministic order: by smallest member.
-	var roots []int
-	for r := range byRoot {
-		roots = append(roots, byRoot[r][0])
-	}
-	sortInts(roots)
-	seen := make(map[int]bool)
-	for _, first := range roots {
-		r := find(first)
-		if seen[r] {
-			continue
+		if compAt[r] == 0 {
+			out = append(out, nil)
+			compAt[r] = len(out)
 		}
-		seen[r] = true
-		out = append(out, byRoot[r])
+		out[compAt[r]-1] = append(out[compAt[r]-1], v)
+	}
+	if scope == nil {
+		for gi := 0; gi < g.NumGroups(); gi++ {
+			link(int32(gi))
+		}
+		for v := 0; v < n; v++ {
+			collect(v)
+		}
+		return out
+	}
+	for _, v := range scope {
+		for _, gi := range g.AdjacentGroups(v) {
+			link(gi)
+		}
+	}
+	for _, v := range scope {
+		collect(int(v))
 	}
 	return out
 }
@@ -323,14 +323,6 @@ func visitAdjacent(g *factor.Graph, comp []int, local map[int]int, f func(a, b i
 	}
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
 // BuildInferenceGraph applies an update to the approximated graph
 // (Section 3.2.3's inference phase): the result contains the pairwise and
 // unary approximation factors, evidence copied from the new graph, and
@@ -340,63 +332,95 @@ func sortInts(xs []int) {
 // appended with the weight difference (w_new − w_old) so the combined
 // energy approximates E_old + ΔE = E_new instead of double counting.
 // Structurally new groups carry their full weight. Pass oldG = nil to
-// append everything at full weight. The final variable
-// (id = newG.NumVars()) is an always-true anchor used by unary
-// potentials.
-func (vm *Variational) BuildInferenceGraph(oldG, newG *factor.Graph, changedNew []int32) *factor.Graph {
+// append everything at full weight.
+//
+// With a nil scope the graph covers every variable of newG under its own
+// id. With a scope (Engine.Scope, sorted; changedNew restricted to it)
+// variable i of the result is scope[i] and nothing outside the scope is
+// built: the inference graph of the scope's components alone. Either way
+// the final variable is an always-true anchor used by unary potentials.
+func (vm *Variational) BuildInferenceGraph(oldG, newG *factor.Graph, changedNew []int32, scope []factor.VarID) *factor.Graph {
 	b := factor.NewBuilder()
-	for v := 0; v < newG.NumVars(); v++ {
-		if newG.IsEvidence(factor.VarID(v)) {
-			b.AddEvidenceVar(newG.EvidenceValue(factor.VarID(v)))
-		} else {
-			b.AddVar()
+	local := func(v factor.VarID) factor.VarID { return v }
+	if scope == nil {
+		for v := 0; v < newG.NumVars(); v++ {
+			addInferenceVar(b, newG, factor.VarID(v))
 		}
+	} else {
+		at := make([]factor.VarID, newG.NumVars())
+		for i := range at {
+			at[i] = factor.NoVar
+		}
+		for _, v := range scope {
+			at[v] = addInferenceVar(b, newG, v)
+		}
+		local = func(v factor.VarID) factor.VarID { return at[v] }
 	}
 	anchor := b.AddEvidenceVar(true)
 	for _, u := range vm.Unaries {
-		if newG.IsEvidence(u.V) {
+		if local(u.V) == factor.NoVar || newG.IsEvidence(u.V) {
 			continue
 		}
 		w := b.AddWeight(u.W)
-		b.AddGroup(u.V, w, factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: anchor}}}})
+		b.AddGroup(local(u.V), w, factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: anchor}}}})
 	}
 	for _, e := range vm.Edges {
+		if local(e.I) == factor.NoVar || local(e.J) == factor.NoVar {
+			continue // an end outside the scope: the other is evidence by now
+		}
 		w := b.AddWeight(e.W)
-		b.AddGroup(e.I, w, factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: e.J}}}})
+		b.AddGroup(local(e.I), w, factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: local(e.J)}}}})
 	}
 	for _, gi := range changedNew {
 		gr := newG.Group(int(gi))
 		wv := newG.Weight(gr.Weight)
 		if oldG != nil && int(gi) < oldG.NumGroups() {
-			old := oldG.Group(int(gi))
-			if old.Weight == gr.Weight && int(old.Weight) < oldG.NumWeights() {
-				wv -= oldG.Weight(old.Weight)
+			if ow := oldG.GroupWeight(int(gi)); ow == gr.Weight && int(ow) < oldG.NumWeights() {
+				wv -= oldG.Weight(ow)
 			}
 		}
 		if wv == 0 {
 			continue
 		}
 		w := b.AddWeight(wv)
-		gnds := make([]factor.Grounding, len(gr.Groundings))
-		for i, gnd := range gr.Groundings {
-			gnds[i] = factor.Grounding{Lits: append([]factor.Literal(nil), gnd.Lits...)}
+		for _, gnd := range gr.Groundings { // synthesized views are already deep copies
+			for i := range gnd.Lits {
+				gnd.Lits[i].Var = local(gnd.Lits[i].Var)
+			}
 		}
-		b.AddGroup(gr.Head, w, gr.Sem, gnds)
+		b.AddGroup(local(gr.Head), w, gr.Sem, gr.Groundings)
 	}
 	return b.MustBuild()
+}
+
+// addInferenceVar appends newG's variable v to b with its evidence state.
+func addInferenceVar(b *factor.Builder, newG *factor.Graph, v factor.VarID) factor.VarID {
+	if newG.IsEvidence(v) {
+		return b.AddEvidenceVar(newG.EvidenceValue(v))
+	}
+	return b.AddVar()
 }
 
 // VariationalInfer runs Gibbs on the approximated (plus update) graph and
 // returns marginals for the new graph's variables.
 func VariationalInfer(vm *Variational, oldG, newG *factor.Graph, changedNew []int32, burnin, keep int, seed int64) []float64 {
-	return VariationalInferCtx(nil, vm, oldG, newG, changedNew, burnin, keep, seed)
+	return VariationalInferCtx(nil, vm, oldG, newG, changedNew, nil, burnin, keep, seed)
 }
 
 // VariationalInferCtx is VariationalInfer with a cooperative cancellation
-// check between sweeps of the approximate-graph chain.
-func VariationalInferCtx(ctx context.Context, vm *Variational, oldG, newG *factor.Graph, changedNew []int32, burnin, keep int, seed int64) []float64 {
-	ig := vm.BuildInferenceGraph(oldG, newG, changedNew)
+// check between sweeps of the approximate-graph chain, and an optional
+// scope (see BuildInferenceGraph): the chain then sweeps the scope's
+// variables only, and every entry outside the scope reads 0.
+func VariationalInferCtx(ctx context.Context, vm *Variational, oldG, newG *factor.Graph, changedNew []int32, scope []factor.VarID, burnin, keep int, seed int64) []float64 {
+	ig := vm.BuildInferenceGraph(oldG, newG, changedNew, scope)
 	s := gibbs.New(ig, seed)
 	m := s.MarginalsCtx(ctx, burnin, keep)
-	return m[:newG.NumVars()]
+	if scope == nil {
+		return m[:newG.NumVars()]
+	}
+	out := make([]float64, newG.NumVars())
+	for i, v := range scope {
+		out[v] = m[i]
+	}
+	return out
 }

@@ -68,9 +68,17 @@ type UpdateResult struct {
 	ProbeReused       bool    `json:"probe_reused,omitempty"`
 	NewVars           int     `json:"new_vars"`
 	NewFactors        int     `json:"new_factors"`
-	GroundMillis      float64 `json:"ground_ms"`
-	LearnMillis       float64 `json:"learn_ms"`
-	InferMillis       float64 `json:"infer_ms"`
+	// ScopeVars, LearnedWeights and DirtyVars say how much of the graph the
+	// finish stage worked on (deepdive.UpdateResult): the variables
+	// learning sampled and the weights it could move, and the variables
+	// inference re-estimated. 0/0/0 is "nothing to do"; the stats'
+	// variable count is "the whole graph".
+	ScopeVars      int     `json:"scope_vars"`
+	LearnedWeights int     `json:"learned_weights"`
+	DirtyVars      int     `json:"dirty_vars"`
+	GroundMillis   float64 `json:"ground_ms"`
+	LearnMillis    float64 `json:"learn_ms"`
+	InferMillis    float64 `json:"infer_ms"`
 }
 
 // QueueStats is the wire form of the update queue's counters. The

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -405,6 +406,16 @@ func (kb *KB) Learn(ctx context.Context) (time.Duration, error) {
 	if err != nil {
 		return time.Since(start), err
 	}
+	if kb.engine != nil {
+		// The engine still materializes the old weights: carry the drift,
+		// so the next update scores it and covers the graph.
+		all := make([]bool, g.NumWeights())
+		for w := range all {
+			all[w] = true
+		}
+		drift, _ := weightChanges(kb.engine, g, all)
+		kb.pending = kb.pending.Merge(drift)
+	}
 	kb.publishLocked()
 	return time.Since(start), nil
 }
@@ -483,8 +494,13 @@ type stagedApply struct {
 	delta  *ground.Delta
 	graph  *factor.Graph
 	frozen []bool
-	skel   *Snapshot
-	res    *UpdateResult
+	// seeds are the variables the delta touched (see deltaSeeds); carried
+	// reports that an earlier update's delta committed without publishing,
+	// so this finish answers for more than its own delta.
+	seeds   []factor.VarID
+	carried bool
+	skel    *Snapshot
+	res     *UpdateResult
 	// walErr records a durability failure (or an injected crash) on this
 	// update's write-ahead append: the commit stands, but applyFinish
 	// fails the update without publishing and the delta carries in
@@ -597,10 +613,13 @@ func (kb *KB) applyGround(ctx context.Context, u Update) (*stagedApply, error) {
 	}
 	kb.preemptRemat()
 	kb.stateMu.Lock()
+	prev := kb.curGraph
 	commit()
 	kb.stateGen++
 	st.graph = kb.grounder.Graph()
 	kb.curGraph = st.graph
+	st.seeds = deltaSeeds(delta, prev, st.graph)
+	st.carried = !kb.pending.Empty()
 	// The grounded delta is now committed. Fold it into the pending
 	// change set immediately: if this update's learning or inference is
 	// cancelled, the next apply scores this delta's groups too instead of
@@ -629,11 +648,39 @@ func (kb *KB) applyGround(ctx context.Context, u Update) (*stagedApply, error) {
 	return st, nil
 }
 
+// deltaSeeds lists the variables a committed delta touched: the new
+// ones, those whose evidence changed, and every variable of a modified or
+// added group — read off both the pre-update graph (which still sees the
+// groundings the update removed) and the committed one. The finish stage
+// grows its scopes outward from them. Duplicates are harmless.
+func deltaSeeds(d *ground.Delta, prev, g *factor.Graph) []factor.VarID {
+	seeds := append(slices.Clone(d.NewVars), d.EvidenceChanged...)
+	add := func(v factor.VarID) { seeds = append(seeds, v) }
+	for _, gi := range d.ModifiedGroups {
+		prev.GroupVars(int32(gi), add)
+		g.GroupVars(int32(gi), add)
+	}
+	for _, gi := range d.AddedGroups {
+		g.GroupVars(int32(gi), add)
+	}
+	return seeds
+}
+
 // applyFinish runs the finish stage of the apply pipeline — warmstart
 // learning when the model changed, incremental inference under the
 // optimizer's strategy choice, snapshot publication — and retires the
 // pipeline ticket. It holds only stateMu, so the next update's grounding
 // stage evaluates concurrently under groundMu.
+//
+// Both stages run on the update's scope, not on the graph: the connected
+// components the delta touched, grown outward from its seed variables in
+// O(|scope|). The likelihood and the posterior factorise over components,
+// so learning on the induced subgraph and re-estimating only the dirty
+// variables is what the whole-graph computation would have produced for
+// them, and everything else keeps its weights and published marginals bit
+// for bit. A scope beyond half the graph's variables is the graph: no
+// subgraph is extracted. So is the scope of an update that answers for a
+// carried delta, and every scope under the GlobalFinish lesion.
 func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, error) {
 	defer kb.seqExit(st.seq)
 	kb.stateMu.Lock()
@@ -644,37 +691,38 @@ func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, 
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	res, delta := st.res, st.delta
+	res, delta, g := st.res, st.delta, st.graph
+	var comps *factor.Reach // the delta's components; nil = the graph
+	if !kb.opts.Lesions.GlobalFinish && !st.carried {
+		comps = g.NewReach(false)
+		for _, v := range st.seeds {
+			comps.Grow(v, false)
+		}
+	}
+	var moved []bool
 	if delta.StructureChanged() || delta.HasEvidenceChange() {
-		start := time.Now()
-		_, err := learn.TrainCtx(ctx, st.graph, learn.Options{
-			Epochs:         kb.opts.IncLearnEpochs,
-			StepSize:       kb.opts.LearnStep,
-			Parallelism:    kb.opts.Parallelism,
-			Replicas:       kb.opts.Replicas,
-			SyncEvery:      kb.opts.SyncEvery,
-			AsyncAveraging: kb.opts.AsyncAveraging,
-			Seed:           kb.opts.Seed + 5,
-			Warmstart:      append([]float64(nil), st.graph.Weights()...),
-			Frozen:         st.frozen,
-		})
-		res.LearnTime = time.Since(start)
-		if err != nil {
+		var err error
+		if moved, err = kb.learnDelta(ctx, st, comps); err != nil {
 			return nil, err
 		}
 	}
 
 	// Score the accumulated set; weight drift is recomputed against the
 	// current weights on every attempt, so it is not folded into pending.
-	cs := kb.pending.Merge(inc.ChangeSet{})
-	addWeightChanges(&cs, kb.engine, st.graph)
+	drift, touched := weightChanges(kb.engine, g, moved)
+	cs := kb.pending.Merge(drift)
 
-	groups := func() []inc.DecompGroup { return inc.ComponentGroups(st.graph) }
-	if kb.opts.Lesions.NoDecomposition {
-		groups = nil
+	// The dirty set: the delta's components plus those of every group
+	// whose weight this update moved. Without published marginals to keep,
+	// or without the decomposition, it is the graph.
+	var dirty *factor.Reach
+	if comps != nil && kb.marg != nil && !kb.opts.Lesions.NoDecomposition {
+		if dirty = kb.engine.Scope(g, append(st.seeds, touched...), delta.EvidenceChanged); beyondHalf(dirty, g) {
+			dirty = nil
+		}
 	}
 	start := time.Now()
-	ir := kb.engine.AutoInferCtx(ctx, st.graph, cs, groups)
+	ir := kb.engine.AutoInferCtx(ctx, g, cs, dirty, !kb.opts.Lesions.NoDecomposition)
 	res.InferTime = time.Since(start)
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -684,7 +732,18 @@ func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, 
 	res.Probe = ir.Probed
 	res.ProbeReused = ir.ProbeReused
 	kb.recordAutoResult(ir)
-	kb.marg = ir.Marginals
+	if dirty == nil {
+		res.DirtyVars = g.NumVars()
+		kb.marg = ir.Marginals
+	} else {
+		res.DirtyVars = len(dirty.Vars)
+		marg := make([]float64, g.NumVars())
+		copy(marg, kb.marg)
+		for _, v := range dirty.Vars {
+			marg[v] = ir.Marginals[v]
+		}
+		kb.marg = marg
+	}
 	kb.pending = inc.ChangeSet{} // published: nothing carries over
 	res.Epoch = kb.publishStaged(st.skel).Epoch()
 	// With the store drawn down by this update's inference, check the
@@ -692,6 +751,91 @@ func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, 
 	// the write locks are idle.
 	kb.maybeRematerialize()
 	return res, nil
+}
+
+// beyondHalf is the rule that turns a scope into the graph: past half
+// the variables, extracting a subgraph saves nothing worth its cost.
+func beyondHalf(r *factor.Reach, g *factor.Graph) bool { return 2*len(r.Vars) > g.NumVars() }
+
+// learnDelta is the finish stage's warmstart learning: IncLearnEpochs of
+// SGD from the current weights, on the subgraph and the weights the delta
+// can inform. log Pr[E] is a sum over the connected components of the
+// evidence-released graph, a query-only component contributes exactly
+// zero gradient, and a delta changes only the terms of the components it
+// touches. So with W_R the learnable weights grounded in the delta's
+// components whose term changed (those holding evidence, or a variable
+// that just gained or lost it), training W_R on those components plus
+// every evidence-bearing component holding a group tied to W_R follows
+// the exact gradient for those coordinates; every other weight stays as
+// it was. With no such component there is nothing to learn. comps is the
+// delta's components; nil, or beyond half the graph (here or after the
+// tied components joined), trains every learnable weight on the graph
+// itself. It returns the mask of weights whose value changed.
+func (kb *KB) learnDelta(ctx context.Context, st *stagedApply, comps *factor.Reach) ([]bool, error) {
+	g := st.graph
+	target, frozen := g, st.frozen
+	if comps != nil {
+		// The delta's components whose likelihood term it changed: those
+		// holding evidence, or a variable that just gained or lost it.
+		lr := g.NewReach(false)
+		for _, v := range st.delta.EvidenceChanged {
+			lr.Grow(v, false)
+		}
+		for _, v := range st.seeds {
+			lr.Grow(v, true)
+		}
+		if len(lr.Vars) == 0 {
+			return nil, nil
+		}
+		if !beyondHalf(comps, g) {
+			frozen = make([]bool, g.NumWeights())
+			for w := range frozen {
+				frozen[w] = true
+			}
+			for _, v := range lr.Vars {
+				for _, gi := range g.AdjacentGroups(v) {
+					w := g.GroupWeight(int(gi))
+					frozen[w] = st.frozen[w]
+				}
+			}
+			for gi := 0; gi < g.NumGroups(); gi++ {
+				if !frozen[g.GroupWeight(gi)] {
+					lr.Grow(g.GroupHead(gi), true)
+				}
+			}
+			if beyondHalf(lr, g) {
+				frozen = st.frozen
+			} else {
+				target, _ = g.Induced(lr.Sorted())
+			}
+		}
+	}
+	before := slices.Clone(g.Weights())
+	start := time.Now()
+	_, err := learn.TrainCtx(ctx, target, learn.Options{
+		Epochs:         kb.opts.IncLearnEpochs,
+		StepSize:       kb.opts.LearnStep,
+		Parallelism:    kb.opts.Parallelism,
+		Replicas:       kb.opts.Replicas,
+		SyncEvery:      kb.opts.SyncEvery,
+		AsyncAveraging: kb.opts.AsyncAveraging,
+		Seed:           kb.opts.Seed + 5,
+		Warmstart:      before,
+		Frozen:         frozen,
+	})
+	moved := make([]bool, len(before))
+	for w := range before {
+		if target != g && !frozen[w] {
+			g.SetWeight(factor.WeightID(w), target.Weight(factor.WeightID(w)))
+		}
+		moved[w] = g.Weight(factor.WeightID(w)) != before[w]
+		if !frozen[w] {
+			st.res.LearnedWeights++
+		}
+	}
+	st.res.LearnTime = time.Since(start)
+	st.res.ScopeVars = target.NumVars()
+	return moved, err
 }
 
 // Updates returns the KB's asynchronous update queue, starting it on
@@ -774,7 +918,7 @@ func (kb *KB) buildSkeleton(g *factor.Graph) *Snapshot {
 			f.evidence = true
 			f.evValue = g.EvidenceValue(id)
 		}
-		rv.byKey[tuple.Key()] = int32(len(rv.facts))
+		rv.byKey[kb.grounder.VarKey(id)] = int32(len(rv.facts))
 		rv.facts = append(rv.facts, f)
 	}
 	st := GraphStats{
@@ -836,6 +980,17 @@ func (kb *KB) Candidates(relation string) []Tuple {
 
 // Stats reports the grounding statistics of the latest snapshot.
 func (kb *KB) Stats() GraphStats { return kb.Snapshot().Stats() }
+
+// Weights returns a copy of the current tied-weight vector, indexed by
+// weight id (ids are stable; updates append).
+func (kb *KB) Weights() []float64 {
+	kb.stateMu.Lock()
+	defer kb.stateMu.Unlock()
+	if kb.curGraph == nil {
+		return nil
+	}
+	return slices.Clone(kb.curGraph.Weights())
+}
 
 // Relation exposes a read-only copy of a database relation's current
 // tuples. Unlike snapshot queries this reads the live database (under

@@ -128,6 +128,22 @@ func assertSameBits(tb testing.TB, want, got map[string]uint64, label string) {
 	}
 }
 
+// docDelta is the recovery tests' document delta. Even documents are
+// unsupervised — a scoped finish that skips learning and re-estimates the
+// document's own component — and odd ones arrive married: their evidence
+// makes the finish stage learn the weights they ground, on the induced
+// subgraph of the evidence-bearing components tied to them, and
+// re-estimate every component a moved weight reaches. Recovery must
+// replay both kinds, and their deletions, bit for bit.
+func docDelta(i int) deepdive.Update {
+	u := docUpdate(i)
+	if i%2 == 1 {
+		m := u.Inserts["PersonMention"]
+		u.Inserts["Married"] = []deepdive.Tuple{{m[0][2], m[1][2]}}
+	}
+	return u
+}
+
 // faultArm injects a single failure at one kill point, then disarms.
 type faultArm struct {
 	mu    sync.Mutex
@@ -164,7 +180,7 @@ func TestCheckpointRestart(t *testing.T) {
 	kb := persistSpouseKB(t, deepdive.WithDataDir(dir))
 	bmust(t, kb.Checkpoint(ctx))
 	for i := 0; i < 3; i++ {
-		if _, err := kb.Apply(ctx, docUpdate(i)); err != nil {
+		if _, err := kb.Apply(ctx, docDelta(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +192,7 @@ func TestCheckpointRestart(t *testing.T) {
 	assertSameBits(t, want, spouseBits(kb2), "after restart")
 
 	// The recovered KB is live: it takes updates and checkpoints.
-	if _, err := kb2.Apply(ctx, docUpdate(7)); err != nil {
+	if _, err := kb2.Apply(ctx, docDelta(7)); err != nil {
 		t.Fatal(err)
 	}
 	bmust(t, kb2.Checkpoint(ctx))
@@ -226,7 +242,7 @@ func TestCrashTornWALTail(t *testing.T) {
 	defer oracle.Close()
 	bmust(t, oracle.Checkpoint(ctx))
 	for i := 0; i < 2; i++ {
-		if _, err := oracle.Apply(ctx, docUpdate(i)); err != nil {
+		if _, err := oracle.Apply(ctx, docDelta(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +252,7 @@ func TestCrashTornWALTail(t *testing.T) {
 	victim := persistSpouseKB(t, deepdive.WithDataDir(dir))
 	bmust(t, victim.Checkpoint(ctx))
 	for i := 0; i < 2; i++ {
-		if _, err := victim.Apply(ctx, docUpdate(i)); err != nil {
+		if _, err := victim.Apply(ctx, docDelta(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,7 +275,7 @@ func TestCrashTornWALTail(t *testing.T) {
 	assertSameBits(t, want, spouseBits(kb), "torn WAL tail")
 
 	// The trimmed segment keeps taking appends after recovery.
-	if _, err := kb.Apply(ctx, docUpdate(9)); err != nil {
+	if _, err := kb.Apply(ctx, docDelta(9)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -275,7 +291,7 @@ func TestCrashWALAppendLost(t *testing.T) {
 	defer oracle.Close()
 	bmust(t, oracle.Checkpoint(ctx))
 	for i := 0; i < 2; i++ {
-		if _, err := oracle.Apply(ctx, docUpdate(i)); err != nil {
+		if _, err := oracle.Apply(ctx, docDelta(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,19 +305,19 @@ func TestCrashWALAppendLost(t *testing.T) {
 		deepdive.WithPersistFaultHook(arm.hook), deepdive.WithLesions(deepdive.Lesions{NoAutoRepair: true}))
 	bmust(t, victim.Checkpoint(ctx))
 	for i := 0; i < 2; i++ {
-		if _, err := victim.Apply(ctx, docUpdate(i)); err != nil {
+		if _, err := victim.Apply(ctx, docDelta(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	arm.arm(deepdive.FaultWALAppend)
-	if _, err := victim.Apply(ctx, docUpdate(2)); !errors.Is(err, deepdive.ErrDurabilitySuspended) {
+	if _, err := victim.Apply(ctx, docDelta(2)); !errors.Is(err, deepdive.ErrDurabilitySuspended) {
 		t.Fatalf("update with lost WAL record: got %v, want ErrDurabilitySuspended", err)
 	}
 	if arm.firedCount() != 1 {
 		t.Fatal("fault hook did not fire")
 	}
 	// Durability is latched broken: later updates refuse too.
-	if _, err := victim.Apply(ctx, docUpdate(3)); !errors.Is(err, deepdive.ErrDurabilitySuspended) {
+	if _, err := victim.Apply(ctx, docDelta(3)); !errors.Is(err, deepdive.ErrDurabilitySuspended) {
 		t.Fatalf("update on broken chain: got %v, want ErrDurabilitySuspended", err)
 	}
 
@@ -309,7 +325,7 @@ func TestCrashWALAppendLost(t *testing.T) {
 	kb := reopenSpouseKB(t, dir)
 	defer kb.Close()
 	assertSameBits(t, want, spouseBits(kb), "lost WAL append")
-	if _, err := kb.Apply(ctx, docUpdate(9)); err != nil {
+	if _, err := kb.Apply(ctx, docDelta(9)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -324,18 +340,18 @@ func TestWALRepairCheckpoint(t *testing.T) {
 	kb := persistSpouseKB(t, deepdive.WithDataDir(dir),
 		deepdive.WithPersistFaultHook(arm.hook), deepdive.WithLesions(deepdive.Lesions{NoAutoRepair: true}))
 	bmust(t, kb.Checkpoint(ctx))
-	if _, err := kb.Apply(ctx, docUpdate(0)); err != nil {
+	if _, err := kb.Apply(ctx, docDelta(0)); err != nil {
 		t.Fatal(err)
 	}
 	arm.arm(deepdive.FaultWALAppend)
-	if _, err := kb.Apply(ctx, docUpdate(1)); err == nil {
+	if _, err := kb.Apply(ctx, docDelta(1)); err == nil {
 		t.Fatal("lost-record update acknowledged")
 	}
-	if _, err := kb.Apply(ctx, docUpdate(2)); err == nil {
+	if _, err := kb.Apply(ctx, docDelta(2)); err == nil {
 		t.Fatal("update accepted on broken chain")
 	}
 	bmust(t, kb.Checkpoint(ctx)) // repair
-	if _, err := kb.Apply(ctx, docUpdate(3)); err != nil {
+	if _, err := kb.Apply(ctx, docDelta(3)); err != nil {
 		t.Fatalf("update after repair: %v", err)
 	}
 	want := spouseBits(kb)
@@ -357,7 +373,7 @@ func TestCrashLoggedUnpublished(t *testing.T) {
 	defer oracle.Close()
 	bmust(t, oracle.Checkpoint(ctx))
 	for i := 0; i < 3; i++ {
-		if _, err := oracle.Apply(ctx, docUpdate(i)); err != nil {
+		if _, err := oracle.Apply(ctx, docDelta(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,12 +385,12 @@ func TestCrashLoggedUnpublished(t *testing.T) {
 		deepdive.WithPersistFaultHook(arm.hook))
 	bmust(t, victim.Checkpoint(ctx))
 	for i := 0; i < 2; i++ {
-		if _, err := victim.Apply(ctx, docUpdate(i)); err != nil {
+		if _, err := victim.Apply(ctx, docDelta(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	arm.arm(deepdive.FaultWALAppended)
-	if _, err := victim.Apply(ctx, docUpdate(2)); err == nil {
+	if _, err := victim.Apply(ctx, docDelta(2)); err == nil {
 		t.Fatal("crashed-before-publish update reported success")
 	}
 	if arm.firedCount() != 1 {
@@ -406,14 +422,14 @@ func TestCrashDeleteReinsertTail(t *testing.T) {
 				t.Fatalf("apply: %v", err)
 			}
 		}
-		step(docUpdate(0), false)
-		step(docUpdate(1), false)
-		step(deepdive.Update{Deletes: docUpdate(0).Inserts}, false)
+		step(docDelta(0), false)
+		step(docDelta(1), false)
+		step(deepdive.Update{Deletes: docDelta(0).Inserts}, false)
 		bmust(t, kb.Checkpoint(ctx))
-		step(docUpdate(2), false)
-		step(docUpdate(0), false) // the same tuples again
-		step(deepdive.Update{Deletes: docUpdate(1).Inserts}, false)
-		step(docUpdate(1), true)
+		step(docDelta(2), false)
+		step(docDelta(0), false) // the same tuples again
+		step(deepdive.Update{Deletes: docDelta(1).Inserts}, false)
+		step(docDelta(1), true)
 	}
 	oracle := persistSpouseKB(t, deepdive.WithDataDir(t.TempDir()))
 	defer oracle.Close()
@@ -431,7 +447,7 @@ func TestCrashDeleteReinsertTail(t *testing.T) {
 	assertSameBits(t, want, spouseBits(kb), "delete + re-insert tail")
 	// Both KBs keep agreeing on the next update.
 	for _, k := range []*deepdive.KB{oracle, kb} {
-		if _, err := k.Apply(ctx, docUpdate(3)); err != nil {
+		if _, err := k.Apply(ctx, docDelta(3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -448,13 +464,13 @@ func crashedCheckpointOracle(t *testing.T) map[string]uint64 {
 	defer kb.Close()
 	bmust(t, kb.Checkpoint(ctx))
 	for i := 0; i < 2; i++ {
-		if _, err := kb.Apply(ctx, docUpdate(i)); err != nil {
+		if _, err := kb.Apply(ctx, docDelta(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	bmust(t, kb.Checkpoint(ctx))
 	for i := 2; i < 4; i++ {
-		if _, err := kb.Apply(ctx, docUpdate(i)); err != nil {
+		if _, err := kb.Apply(ctx, docDelta(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -473,7 +489,7 @@ func crashedCheckpointVictim(t *testing.T, point string) string {
 		deepdive.WithPersistFaultHook(arm.hook))
 	bmust(t, kb.Checkpoint(ctx))
 	for i := 0; i < 2; i++ {
-		if _, err := kb.Apply(ctx, docUpdate(i)); err != nil {
+		if _, err := kb.Apply(ctx, docDelta(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -484,7 +500,7 @@ func crashedCheckpointVictim(t *testing.T, point string) string {
 	// The WAL rotated before the kill point either way; post-crash
 	// updates commit to the new segment.
 	for i := 2; i < 4; i++ {
-		if _, err := kb.Apply(ctx, docUpdate(i)); err != nil {
+		if _, err := kb.Apply(ctx, docDelta(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -513,7 +529,7 @@ func TestCrashMidSnapshotWrite(t *testing.T) {
 	kb := reopenSpouseKB(t, dir)
 	defer kb.Close()
 	assertSameBits(t, want, spouseBits(kb), "mid snapshot write")
-	if _, err := kb.Apply(context.Background(), docUpdate(9)); err != nil {
+	if _, err := kb.Apply(context.Background(), docDelta(9)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -557,10 +573,25 @@ func TestWALReplayDeterminism(t *testing.T) {
 			kb := persistSpouseKB(t, deepdive.WithDataDir(dir),
 				deepdive.WithParallelism(par))
 			bmust(t, kb.Checkpoint(ctx))
-			for i := 0; i < 4; i++ {
-				if _, err := kb.Apply(ctx, docUpdate(i)); err != nil {
+			stream := []deepdive.Update{docDelta(0), docDelta(1), docDelta(2), docDelta(3),
+				{Deletes: docDelta(1).Inserts}, docDelta(4)}
+			subgraphLearns, partialInfers := 0, 0
+			for _, u := range stream {
+				res, err := kb.Apply(ctx, u)
+				if err != nil {
 					t.Fatal(err)
 				}
+				vars := kb.Stats().Variables
+				if res.ScopeVars > 0 && res.ScopeVars < vars {
+					subgraphLearns++
+				}
+				if res.DirtyVars < vars {
+					partialInfers++
+				}
+			}
+			if subgraphLearns == 0 || partialInfers == 0 {
+				t.Fatalf("the stream must replay scoped finishes: %d learned on a subgraph, %d re-estimated part of the graph",
+					subgraphLearns, partialInfers)
 			}
 			want := spouseBits(kb)
 			bmust(t, kb.Close())

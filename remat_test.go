@@ -19,13 +19,15 @@ import (
 
 // rematKB builds the spouse KB with a deliberately small store and an
 // aggressive low-water mark, so a single update's inference drains the
-// store below the mark and arms the re-materializer.
+// store below the mark and arms the re-materializer. (The mark sits at
+// 290 of 300 because a scoped update spends only its share of the worlds
+// it replays: a new document's two variables of eight, 30 of 120.)
 func rematKB(t *testing.T, budget time.Duration, opts ...deepdive.Option) *deepdive.KB {
 	t.Helper()
 	return spouseKB(t, append([]deepdive.Option{
 		deepdive.WithMaterialization(300, 0.01),
 		deepdive.WithInference(20, 120),
-		deepdive.WithRematerialization(250, budget),
+		deepdive.WithRematerialization(290, budget),
 	}, opts...)...)
 }
 

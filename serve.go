@@ -249,6 +249,9 @@ func wireResult(r *UpdateResult) *serve.UpdateResult {
 		ProbeReused:       r.ProbeReused,
 		NewVars:           r.NewVars,
 		NewFactors:        r.NewFactors,
+		ScopeVars:         r.ScopeVars,
+		LearnedWeights:    r.LearnedWeights,
+		DirtyVars:         r.DirtyVars,
 		GroundMillis:      float64(r.GroundTime) / float64(time.Millisecond),
 		LearnMillis:       float64(r.LearnTime) / float64(time.Millisecond),
 		InferMillis:       float64(r.InferTime) / float64(time.Millisecond),

@@ -124,6 +124,11 @@ func TestServeHTTPEndToEnd(t *testing.T) {
 	if res["coalesced"].(float64) < 1 {
 		t.Fatalf("coalesced = %v", res["coalesced"])
 	}
+	// "Why was that update slow" is in the reply: an unsupervised document
+	// taught nothing and dirtied its own two candidates.
+	if res["scope_vars"].(float64) != 0 || res["learned_weights"].(float64) != 0 || res["dirty_vars"].(float64) != 2 {
+		t.Fatalf("finish-stage scope in the reply: %v", res)
+	}
 
 	// The new document's candidate pair is now served.
 	code, body = getJSON(t, base+"/v1/marginal?relation=HasSpouse&tuple=p1a&tuple=p1b")
@@ -352,7 +357,11 @@ func TestProgressPublishDefaultOff(t *testing.T) {
 // with the marginals filled in. The watcher captures the intermediate
 // through Published(), the same broadcast subscribers use.
 func TestProgressPublish(t *testing.T) {
-	kb := spouseKB(t, deepdive.WithProgressPublish(time.Nanosecond))
+	// GlobalFinish: the watcher below needs a finish stage it can win a
+	// race against, and an unsupervised document's scoped finish (no
+	// learning, two dirty variables) is over before a goroutine wakes.
+	kb := spouseKB(t, deepdive.WithProgressPublish(time.Nanosecond),
+		deepdive.WithLesions(deepdive.Lesions{GlobalFinish: true}))
 	t.Cleanup(func() { kb.Close() })
 	ctx := context.Background()
 
