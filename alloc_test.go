@@ -1,0 +1,58 @@
+package deepdive_test
+
+import (
+	"runtime"
+	"testing"
+)
+
+// docUpdateAllocs streams the wire corpus (three document inserts to one
+// delete) through KB.Apply at a size factor and returns the bytes and heap
+// objects one update allocates, on the mean of 64 updates. The 16 updates
+// before those are not counted: they hold the first insert and the first
+// delete, which compile the delta plans and build the join indexes those
+// plans probe — once per KB, at a cost that does follow its size.
+func docUpdateAllocs(t *testing.T, factor float64) (bytes, objects float64) {
+	t.Helper()
+	const warm, measured = 16, 64
+	w := newWireCorpus(t, 3, factor, warm+measured)
+	kb := w.materialized(t)
+	defer kb.CloseNow()
+	var before, after runtime.MemStats
+	for i, u := range w.stream {
+		if i == warm {
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+		}
+		_, err := kb.Apply(ctx, u)
+		must(t, err)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / measured, float64(after.Mallocs-before.Mallocs) / measured
+}
+
+// TestDocUpdateAllocationScaling is the allocation guard on the O(Δ)
+// update: what one document update allocates must not follow the size of
+// the KB. At 4× the documents (size factor 8, as BenchmarkApplyDocDelta)
+// the same stream may allocate at most 1.5× what it does at 1× — the
+// remainder is the tied-weight fan-out, which does grow with the corpus —
+// and at 1× an update stays under 450 KB. (With whole-table copies in
+// factor.Patch and a snapshot skeleton rebuilt per publication the same
+// measurement read 1 109 KB at 1×, 2 658 KB at 4×: ratio 2.4.)
+func TestDocUpdateAllocationScaling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("materializes the wire corpus at two sizes")
+	}
+	b1, o1 := docUpdateAllocs(t, 1)
+	b4, o4 := docUpdateAllocs(t, 8)
+	t.Logf("per document update: %.0f KB / %.0f objects at 1×, %.0f KB / %.0f objects at 4× (ratios %.2f / %.2f)",
+		b1/1024, o1, b4/1024, o4, b4/b1, o4/o1)
+	if b1 > 450<<10 {
+		t.Errorf("a document update allocates %.0f KB at 1×, want ≤ 450 KB", b1/1024)
+	}
+	if r := b4 / b1; r > 1.5 {
+		t.Errorf("bytes per update grow %.2f× from 1× to 4× the documents, want ≤ 1.5×", r)
+	}
+	if r := o4 / o1; r > 1.5 {
+		t.Errorf("objects per update grow %.2f× from 1× to 4× the documents, want ≤ 1.5×", r)
+	}
+}

@@ -157,6 +157,7 @@ func BenchmarkApplyDocDelta(b *testing.B) {
 		factor float64
 	}{{"x1", 1}, {"x4", 8}} {
 		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var spent time.Duration
 			updates := 0
 			for i := 0; i < b.N; i++ {

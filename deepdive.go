@@ -425,12 +425,21 @@ func (o *Options) fill() {
 }
 
 // Update is one increment of the development loop: new rules (as program
-// source), inserted tuples, and/or deleted tuples.
+// source), inserted tuples, and/or deleted tuples. A tuple has as many
+// values as its relation has columns, a value holds any bytes but 0x1f,
+// and a delete names a tuple the relation holds (counting this update's
+// own inserts): an update breaking any of that is refused whole, before it
+// changes anything, with an error matching ErrInvalidTuple.
 type Update struct {
 	RuleSource string
 	Inserts    map[string][]Tuple
 	Deletes    map[string][]Tuple
 }
+
+// ErrInvalidTuple is the class of the errors refusing an update (or a
+// Load) for a malformed base tuple; see Update. The serving tier answers
+// it 400.
+var ErrInvalidTuple = ground.ErrBadTuple
 
 // UpdateResult reports how an update (or a coalesced batch of updates)
 // was processed.

@@ -115,6 +115,22 @@ func (r *Relation) Arity() int { return len(r.cols) }
 // Len returns the number of visible (count > 0) distinct tuples.
 func (r *Relation) Len() int { return r.live }
 
+// Accepts reports why t cannot be stored in r — the wrong number of
+// columns, or a value holding the 0x1f byte tuple keys are joined with —
+// or nil. Mutations panic on a wrong arity: callers taking tuples from
+// outside the program check them here first.
+func (r *Relation) Accepts(t Tuple) error {
+	if len(t) != len(r.cols) {
+		return fmt.Errorf("%s has %d columns, tuple %q has %d", r.name, len(r.cols), []string(t), len(t))
+	}
+	for _, v := range t {
+		if strings.IndexByte(v, keySep) >= 0 {
+			return fmt.Errorf("%s: value %q contains the reserved byte 0x1f", r.name, v)
+		}
+	}
+	return nil
+}
+
 func (r *Relation) checkArity(t Tuple) {
 	if len(t) != len(r.cols) {
 		panic(fmt.Sprintf("db: %s: tuple arity %d, want %d", r.name, len(t), len(r.cols)))

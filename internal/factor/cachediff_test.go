@@ -43,7 +43,7 @@ func TestConditionalCacheDifferential(t *testing.T) {
 
 func runCacheDifferential(t *testing.T, mode string, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	m, g := seedModel(rng, t)
+	m, g := seedModel(rng, t, false)
 
 	newStates := func(g *factor.Graph, assign []bool) (cached, plain *factor.State) {
 		cached = factor.NewStateWith(g, assign)
@@ -163,7 +163,7 @@ func randomFreeVar(rng *rand.Rand, g *factor.Graph) factor.VarID {
 // NoteWeightsChanged must all leave the cache serving fresh conditionals.
 func TestCacheSurvivesStateResets(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	_, g := seedModel(rng, t)
+	_, g := seedModel(rng, t, false)
 	st := factor.NewStateWith(g, make([]bool, g.NumVars()))
 
 	warm := func() {

@@ -42,18 +42,19 @@ func (g *Graph) AppendSnapshot(b *persist.Buf) {
 	b.I32s(packBodyRecs(g.bodyRecs))
 	b.I32s(g.adjOff)
 	b.I32s(g.adjGroups)
-	b.I32s(g.semOff)
-	b.F64s(g.semTab)
+	semOff, semTab := g.groupSemTables()
+	b.I32s(semOff)
+	b.F64s(semTab)
 	b.I32s(g.nbrOff)
 	b.I32s(g.nbrs)
-	appendRows(b, g.nbrExtra)
+	appendRows(b, g.nbrExtra.rows())
 	b.Bool(g.deadAt != nil)
 	if g.deadAt != nil {
 		b.I32s(g.deadAt)
 	}
-	appendRows(b, g.gndExtra)
-	appendBodyRows(b, g.bodyExtra)
-	appendRows(b, g.adjExtra)
+	appendRows(b, g.gndExtra.rows())
+	appendBodyRows(b, g.bodyExtra.rows())
+	appendRows(b, g.adjExtra.rows())
 }
 
 // DecodeGraphSnapshot rebuilds a graph from r.
@@ -84,24 +85,52 @@ func DecodeGraphSnapshot(r *persist.Rd) (*Graph, error) {
 	g.bodyRecs = unpackBodyRecs(r.I32s("bodyRecs"))
 	g.adjOff = r.I32s("adjOff")
 	g.adjGroups = r.I32s("adjGroups")
-	g.semOff = r.I32s("semOff")
-	g.semTab = r.F64s("semTab")
+	r.I32s("semOff") // derived: see groupSemTables
+	r.F64s("semTab")
 	g.nbrOff = r.I32s("nbrOff")
 	g.nbrs = r.I32s("nbrs")
-	g.nbrExtra = decodeRows(r, "nbrExtra")
+	g.nbrExtra = pagedOf(decodeRows(r, "nbrExtra"))
 	if r.Bool("deadAt present") {
 		g.deadAt = r.I32s("deadAt")
 		if g.deadAt == nil { // present but empty: preserve non-nil-ness
 			g.deadAt = []int32{}
 		}
 	}
-	g.gndExtra = decodeRows(r, "gndExtra")
-	g.bodyExtra = decodeBodyRows(r, "bodyExtra")
-	g.adjExtra = decodeRows(r, "adjExtra")
+	g.gndExtra = pagedOf(decodeRows(r, "gndExtra"))
+	g.bodyExtra = pagedOf(decodeBodyRows(r, "bodyExtra"))
+	g.adjExtra = pagedOf(decodeRows(r, "adjExtra"))
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	if len(g.gndOff) != len(g.groupSem)+1 || (g.gndExtra.present() && g.gndExtra.n != len(g.groupSem)) {
+		return nil, fmt.Errorf("factor: graph snapshot: %d groups, %d grounding offsets", len(g.groupSem), len(g.gndOff))
+	}
+	for gi, sem := range g.groupSem {
+		if sem >= numSemantics {
+			return nil, fmt.Errorf("factor: graph snapshot: group %d has unknown semantics %d", gi, sem)
+		}
+		g.semGrow(sem, g.gndCount(int32(gi)))
+	}
 	return g, nil
+}
+
+// gndCount is group gi's grounding count, tombstones included: the bound
+// on its support.
+func (g *Graph) gndCount(gi int32) int {
+	return int(g.gndOff[gi+1]-g.gndOff[gi]) + len(g.extraGnds(gi))
+}
+
+// groupSemTables lays the semantics values out per group — g(0..count) at
+// semTab[semOff[gi]:] — which is how the snapshot format stores them (the
+// graph itself keeps one table per semantics and rebuilds it on decode).
+func (g *Graph) groupSemTables() (semOff []int32, semTab []float64) {
+	semOff = make([]int32, len(g.groupSem))
+	semTab = make([]float64, 0, g.nGnd+len(g.groupSem))
+	for gi, sem := range g.groupSem {
+		semOff[gi] = int32(len(semTab))
+		semTab = append(semTab, g.semTabs[sem][:g.gndCount(int32(gi))+1]...)
+	}
+	return semOff, semTab
 }
 
 // packBodyRecs flattens bodyOcc records into 3 int32 words each:

@@ -10,11 +10,12 @@ import (
 // index arithmetic (e.g. the parallel Gibbs workers) read these arrays
 // directly instead of walking the nested Group view.
 //
-// On a patched graph the frozen arrays alone are not the whole story:
-// overflow rows (GndExtra, AdjExtra) hold the patched-in groundings and
-// adjacency entries, and DeadAt/Epoch mark tombstoned groundings (a
-// grounding k is dead when DeadAt[k] != 0 && DeadAt[k] <= Epoch). Rebuild
-// through NewBuilderFrom to recover a purely contiguous view.
+// On a patched graph the frozen arrays alone are not the whole story: the
+// patched-in groundings and adjacency entries live in copy-on-write
+// overflow tables read through Graph.ExtraNeighbors/ExtraAdjacent, and
+// DeadAt/Epoch mark tombstoned groundings (a grounding k is dead when
+// DeadAt[k] != 0 && DeadAt[k] <= Epoch). Rebuild through NewBuilderFrom to
+// recover a purely contiguous view.
 //
 // All slices are shared with the Graph and must be treated as read-only.
 type CSR struct {
@@ -35,11 +36,6 @@ type CSR struct {
 	AdjOff    []int32
 	AdjGroups []int32
 
-	// Per-group semantics lookup tables: group g's precomputed g(n) values
-	// are SemTab[SemOff[g]+n] for n in [0, max support of g].
-	SemOff []int32
-	SemTab []float64
-
 	// Markov-blanket neighbor CSR: variable v shares at least one group
 	// with exactly Nbrs[NbrOff[v]:NbrOff[v+1]] (deduplicated, ascending,
 	// self excluded). Conditional caches invalidate along these rows.
@@ -47,11 +43,8 @@ type CSR struct {
 	Nbrs   []int32
 
 	// Patch extensions (zero-valued on freshly built graphs).
-	GndExtra [][]int32 // per group: overflow grounding ids
-	AdjExtra [][]int32 // per var: overflow adjacent group ids
-	NbrExtra [][]int32 // per var: overflow blanket neighbors
-	DeadAt   []int32   // per grounding: tombstoning epoch (0 = live)
-	Epoch    int32     // this view's patch generation
+	DeadAt []int32 // per grounding: tombstoning epoch (0 = live)
+	Epoch  int32   // this view's patch generation
 }
 
 // LitVar decodes the variable of a pooled literal.
@@ -72,13 +65,8 @@ func (g *Graph) CSR() CSR {
 		Lits:        g.lits,
 		AdjOff:      g.adjOff,
 		AdjGroups:   g.adjGroups,
-		SemOff:      g.semOff,
-		SemTab:      g.semTab,
 		NbrOff:      g.nbrOff,
 		Nbrs:        g.nbrs,
-		GndExtra:    g.gndExtra,
-		AdjExtra:    g.adjExtra,
-		NbrExtra:    g.nbrExtra,
 		DeadAt:      g.deadAt,
 		Epoch:       g.epoch,
 	}
@@ -145,15 +133,13 @@ func (g *Graph) shardSupport(gi, vi int32, cur, snap []bool, lo, hi int32) (n1, 
 		n1 += i1
 		n0 += i0
 	}
-	if g.gndExtra != nil {
-		for _, k := range g.gndExtra[gi] {
-			if !g.gndLive(k) {
-				continue
-			}
-			i1, i0 := g.shardGnd(k, vi, cur, snap, lo, hi)
-			n1 += i1
-			n0 += i0
+	for _, k := range g.extraGnds(gi) {
+		if !g.gndLive(k) {
+			continue
 		}
+		i1, i0 := g.shardGnd(k, vi, cur, snap, lo, hi)
+		n1 += i1
+		n0 += i0
 	}
 	return n1, n0
 }
@@ -168,12 +154,9 @@ func (g *Graph) EnergyDeltaShard(cur, snap []bool, lo, hi int32, v VarID) float6
 	vi := int32(v)
 	var delta float64
 	adj := g.adjGroups[g.adjOff[v]:g.adjOff[v+1]]
-	var xadj []int32
-	if g.adjExtra != nil {
-		xadj = g.adjExtra[v]
-	}
+	xadj := g.ExtraAdjacent(v)
 	weights, groupWeight, groupHead := g.weights, g.groupWeight, g.groupHead
-	semOff, semTab := g.semOff, g.semTab
+	groupSem, semTabs := g.groupSem, &g.semTabs
 	for ai := 0; ai < len(adj)+len(xadj); ai++ {
 		var gi int32
 		if ai < len(adj) {
@@ -184,7 +167,7 @@ func (g *Graph) EnergyDeltaShard(cur, snap []bool, lo, hi int32, v VarID) float6
 		// n1/n0: satisfied groundings of the group with v=true / v=false.
 		n1, n0 := g.shardSupport(gi, vi, cur, snap, lo, hi)
 		w := weights[groupWeight[gi]]
-		tab := semTab[semOff[gi]:]
+		tab := semTabs[groupSem[gi]]
 		if groupHead[gi] == vi {
 			// E(v=1) = +w·g(n1); E(v=0) = −w·g(n0) ⇒ diff = w·(g(n1)+g(n0)).
 			delta += w * (tab[n1] + tab[n0])

@@ -111,13 +111,12 @@ type Graph struct {
 	adjOff    []int32
 	adjGroups []int32
 
-	// Table-driven semantics: group gi's g(n) values are precomputed at
-	// semTab[semOff[gi] + n] for n in [0, max support of gi]. The support
-	// of a group is bounded by its grounding count, so the table replaces
-	// the per-evaluation Semantics.G switch (and Ratio's log1p) with one
-	// indexed load in every hot evaluator.
-	semOff []int32
-	semTab []float64
+	// Table-driven semantics: semTabs[s][n] is g(n) of semantics s for every
+	// n up to the largest grounding count of any group using s, so the hot
+	// evaluators replace the Semantics.G switch (and Ratio's log1p) with one
+	// indexed load. g(n) depends on nothing but (s, n): the graphs of a
+	// patch lineage share the tables, a patch only ever appends to them.
+	semTabs [numSemantics][]float64
 
 	// Markov-blanket adjacency, CSR: variable v's neighbors — every other
 	// variable sharing at least one group with v — are
@@ -127,7 +126,7 @@ type Graph struct {
 	// Patched-in couplings live in the nbrExtra overflow rows.
 	nbrOff   []int32
 	nbrs     []int32
-	nbrExtra [][]int32
+	nbrExtra paged[[]int32]
 
 	// weightGen counts weight mutations (SetWeight, SetWeights,
 	// NoteWeightsChanged). Conditional caches compare it against the value
@@ -137,14 +136,15 @@ type Graph struct {
 
 	nGnd int // grounding pool size (live + tombstoned)
 
-	// Patch state (zero on freshly built graphs); see Patch.
-	epoch     int32       // patch generation of this view
-	deadAt    []int32     // per grounding: epoch that tombstoned it (0 = live)
-	gndExtra  [][]int32   // per group: overflow grounding ids (nil = none)
-	bodyExtra [][]bodyOcc // per var: overflow occurrence records
-	adjExtra  [][]int32   // per var: overflow adjacent group ids
-	nDead     int         // tombstoned groundings visible at this epoch
-	nExtra    int         // groundings living in overflow rows
+	// Patch state (zero on freshly built graphs); see Patch. The overflow
+	// tables are copy-on-write along the lineage; see paged.
+	epoch     int32            // patch generation of this view
+	deadAt    []int32          // per grounding: epoch that tombstoned it (0 = live)
+	gndExtra  paged[[]int32]   // per group: overflow grounding ids
+	bodyExtra paged[[]bodyOcc] // per var: overflow occurrence records
+	adjExtra  paged[[]int32]   // per var: overflow adjacent group ids
+	nDead     int              // tombstoned groundings visible at this epoch
+	nExtra    int              // groundings living in overflow rows
 }
 
 // NumVars returns the number of variables.
@@ -189,10 +189,29 @@ func (g *Graph) gndLive(k int32) bool {
 
 // extraGnds returns group gi's overflow grounding ids (nil when none).
 func (g *Graph) extraGnds(gi int32) []int32 {
-	if g.gndExtra == nil {
+	if !g.gndExtra.present() {
 		return nil
 	}
-	return g.gndExtra[gi]
+	return g.gndExtra.at(gi)
+}
+
+// ExtraNeighbors returns v's patched-in blanket neighbors (nil when none):
+// the overflow half of Neighbors, for kernels that walk the frozen CSR row
+// themselves.
+func (g *Graph) ExtraNeighbors(v VarID) []int32 {
+	if !g.nbrExtra.present() {
+		return nil
+	}
+	return g.nbrExtra.at(int32(v))
+}
+
+// ExtraAdjacent returns v's patched-in adjacent groups (nil when none), the
+// overflow half of AdjacentGroups.
+func (g *Graph) ExtraAdjacent(v VarID) []int32 {
+	if !g.adjExtra.present() {
+		return nil
+	}
+	return g.adjExtra.at(int32(v))
 }
 
 // eachLiveGnd calls f for every live grounding of group gi, frozen range
@@ -274,7 +293,16 @@ func (g *Graph) WeightGeneration() uint64 { return g.weightGen }
 func (g *Graph) NoteWeightsChanged() { g.weightGen++ }
 
 // semVal returns the precomputed g(n) of group gi.
-func (g *Graph) semVal(gi int32, n int) float64 { return g.semTab[int(g.semOff[gi])+n] }
+func (g *Graph) semVal(gi int32, n int) float64 { return g.semTabs[g.groupSem[gi]][n] }
+
+// semGrow extends semantics s's table to cover a support of n.
+func (g *Graph) semGrow(s Semantics, n int) {
+	tab := g.semTabs[s]
+	for len(tab) <= n {
+		tab = append(tab, s.G(len(tab)))
+	}
+	g.semTabs[s] = tab
+}
 
 // Neighbors calls f for every variable sharing at least one group with v
 // (v's Markov blanket), frozen CSR row first (ascending), then patched-in
@@ -283,10 +311,8 @@ func (g *Graph) Neighbors(v VarID, f func(VarID)) {
 	for _, u := range g.nbrs[g.nbrOff[v]:g.nbrOff[v+1]] {
 		f(VarID(u))
 	}
-	if g.nbrExtra != nil {
-		for _, u := range g.nbrExtra[v] {
-			f(VarID(u))
-		}
+	for _, u := range g.ExtraNeighbors(v) {
+		f(VarID(u))
 	}
 }
 
@@ -340,10 +366,7 @@ func (g *Graph) SetEvidence(v VarID, ev bool, val bool) {
 // ascending order, followed by patched-in entries in patch order.
 func (g *Graph) AdjacentGroups(v VarID) []int32 {
 	out := append([]int32(nil), g.adjGroups[g.adjOff[v]:g.adjOff[v+1]]...)
-	if g.adjExtra != nil {
-		out = append(out, g.adjExtra[v]...)
-	}
-	return out
+	return append(out, g.ExtraAdjacent(v)...)
 }
 
 // gndSatisfied reports whether grounding k holds under assign.
@@ -366,11 +389,9 @@ func (g *Graph) groupSupport(gi int32, assign []bool) int {
 			n++
 		}
 	}
-	if g.gndExtra != nil {
-		for _, k := range g.gndExtra[gi] {
-			if g.gndLive(k) && g.gndSatisfied(k, assign) {
-				n++
-			}
+	for _, k := range g.extraGnds(gi) {
+		if g.gndLive(k) && g.gndSatisfied(k, assign) {
+			n++
 		}
 	}
 	return n
@@ -574,6 +595,9 @@ func (b *Builder) Build() (*Graph, error) {
 		if gr.Weight < 0 || int(gr.Weight) >= len(g.weights) {
 			return nil, fmt.Errorf("factor: group %d weight %d out of range [0,%d)", gi, gr.Weight, len(g.weights))
 		}
+		if gr.Sem >= numSemantics {
+			return nil, fmt.Errorf("factor: group %d has unknown semantics %d", gi, gr.Sem)
+		}
 		totalGnd += len(gr.Groundings)
 		for gndi, gnd := range gr.Groundings {
 			for _, lit := range gnd.Lits {
@@ -602,10 +626,14 @@ func (b *Builder) Build() (*Graph, error) {
 			adjTmp[v] = append(a, gi)
 		}
 	}
-	type occKey struct {
+	// occs holds the current group's (variable, grounding) occurrence
+	// records in first-occurrence order; a grounding's own stretch of it is
+	// searched linearly (groundings have a handful of literals).
+	type varOcc struct {
 		v   VarID
-		gnd int32
+		occ bodyOcc
 	}
+	var occs []varOcc
 	var gk int32 // global grounding index
 	for gi := range b.groups {
 		gr := &b.groups[gi]
@@ -623,11 +651,10 @@ func (b *Builder) Build() (*Graph, error) {
 			}
 		}
 		markVar(int32(gr.Head))
-		// Collect per-(var, grounding) occurrence counts.
-		occ := make(map[occKey]*bodyOcc)
-		var order []occKey
+		occs = occs[:0]
 		for _, gnd := range gr.Groundings {
 			g.litOff[gk] = int32(len(g.lits))
+			first := len(occs)
 			for _, lit := range gnd.Lits {
 				enc := int32(lit.Var) << 1
 				if lit.Neg {
@@ -635,24 +662,20 @@ func (b *Builder) Build() (*Graph, error) {
 				}
 				g.lits = append(g.lits, enc)
 				markVar(int32(lit.Var))
-				k := occKey{lit.Var, gk}
-				o := occ[k]
-				if o == nil {
-					o = &bodyOcc{group: int32(gi), gnd: gk}
-					occ[k] = o
-					order = append(order, k)
+				at := first
+				for at < len(occs) && occs[at].v != lit.Var {
+					at++
 				}
-				if lit.Neg {
-					o.n[1]++
-				} else {
-					o.n[0]++
+				if at == len(occs) {
+					occs = append(occs, varOcc{v: lit.Var, occ: bodyOcc{group: int32(gi), gnd: gk}})
 				}
+				occs[at].occ.n[b2i(lit.Neg)]++
 			}
 			gk++
 		}
-		for _, k := range order {
-			bodyTmp[k.v] = append(bodyTmp[k.v], *occ[k])
-			addAdj(k.v, int32(gi))
+		for i := range occs {
+			bodyTmp[occs[i].v] = append(bodyTmp[occs[i].v], occs[i].occ)
+			addAdj(occs[i].v, int32(gi))
 		}
 		for i, a := range groupVars {
 			for _, c := range groupVars[i+1:] {
@@ -664,16 +687,8 @@ func (b *Builder) Build() (*Graph, error) {
 	g.gndOff[nG] = gk
 	g.litOff[gk] = int32(len(g.lits))
 
-	// Semantics lookup tables: one row of g(0..count) per group.
-	g.semOff = make([]int32, nG)
-	g.semTab = make([]float64, 0, totalGnd+nG)
-	for gi := 0; gi < nG; gi++ {
-		g.semOff[gi] = int32(len(g.semTab))
-		cnt := int(g.gndOff[gi+1] - g.gndOff[gi])
-		sem := g.groupSem[gi]
-		for sup := 0; sup <= cnt; sup++ {
-			g.semTab = append(g.semTab, sem.G(sup))
-		}
+	for gi, sem := range g.groupSem {
+		g.semGrow(sem, int(g.gndOff[gi+1]-g.gndOff[gi]))
 	}
 
 	for v := range nbrTmp {

@@ -12,12 +12,17 @@ import (
 // untouched pools are never rewritten. This is the Δ-cost update path the
 // paper's incremental-grounding contribution calls for.
 //
-// Precisely, a patch costs O(|Δ|) pool writes plus flat memcpys of the
-// per-variable/per-group side tables (weight values, evidence flags, and
-// overflow slice headers — O(V + G + W) words with no hashing or
-// per-element allocation). A full rebuild is O(Σ groundings·literals)
-// with per-group map construction, so the patch path wins by an order of
-// magnitude already at percent-scale deltas and the gap widens with
+// Precisely, a patch costs O(|Δ|) pool writes, plus what it shares the
+// side tables for: the per-variable and per-group overflow rows live in
+// copy-on-write paged tables (see paged), so a patch copies one pointer
+// per 32 rows of each table and clones only the pages holding a row it
+// rewrites — rows it appends land in the shared tail page — and an older
+// graph of the lineage, the engine's Pr(0) graph hundreds of patches back
+// included, keeps every row it had. What is still copied flat is
+// pointer-free and small: the weight values and the evidence flags
+// (8·W + 2·V bytes), because callers mutate both on a live graph. A full
+// rebuild is O(Σ groundings·literals), so the patch path wins by an order
+// of magnitude already at percent-scale deltas and the gap widens with
 // graph size; see BenchmarkApplyUpdatePatched vs
 // BenchmarkApplyUpdateRebuild.
 //
@@ -98,33 +103,20 @@ func (p *Patch) checkOpen() {
 	}
 }
 
-// ownStruct takes private copies of the per-row overflow tables (top
-// level only — the rows themselves stay shared and are grown by guarded
-// appends). Called before any structural mutation.
+// ownStruct forks the side tables (see paged) so this patch can write
+// them: one pointer per page is copied, the pages stay shared until a
+// write lands on one. Called before any structural mutation.
 func (p *Patch) ownStruct() {
 	if p.structOwned {
 		return
 	}
 	p.structOwned = true
-	g := p.g
-	// Each copy leaves room for the rows this patch will append, so the
-	// AddVar/AddGroup calls that follow do not copy the table again.
+	g, b := p.g, p.base
 	nG, nV := len(g.groupHead), g.numVars
-	ge := make([][]int32, nG, nG+nG/8+16)
-	copy(ge, g.gndExtra)
-	g.gndExtra = ge
-	ae := make([][]int32, nV, nV+nV/8+16)
-	copy(ae, g.adjExtra)
-	g.adjExtra = ae
-	be := make([][]bodyOcc, nV, nV+nV/8+16)
-	copy(be, g.bodyExtra)
-	g.bodyExtra = be
-	ne := make([][]int32, nV, nV+nV/8+16)
-	copy(ne, g.nbrExtra)
-	g.nbrExtra = ne
-	// Semantics-table offsets are a per-group side table: extending a
-	// group's table relocates its row, so the patch owns the offsets.
-	g.semOff = append(make([]int32, 0, nG+nG/8+16), g.semOff...)
+	g.gndExtra = b.gndExtra.fork(nG)
+	g.adjExtra = b.adjExtra.fork(nV)
+	g.bodyExtra = b.bodyExtra.fork(nV)
+	g.nbrExtra = b.nbrExtra.fork(nV)
 }
 
 // AddVar registers a new free variable and returns its id.
@@ -137,9 +129,9 @@ func (p *Patch) AddVar() VarID {
 	g.bodyOff = append(g.bodyOff, g.bodyOff[len(g.bodyOff)-1])
 	g.adjOff = append(g.adjOff, g.adjOff[len(g.adjOff)-1])
 	g.nbrOff = append(g.nbrOff, g.nbrOff[len(g.nbrOff)-1])
-	g.bodyExtra = append(g.bodyExtra, nil)
-	g.adjExtra = append(g.adjExtra, nil)
-	g.nbrExtra = append(g.nbrExtra, nil)
+	g.bodyExtra.push(nil)
+	g.adjExtra.push(nil)
+	g.nbrExtra.push(nil)
 	g.numVars++
 	return VarID(g.numVars - 1)
 }
@@ -182,11 +174,8 @@ func (p *Patch) AddGroup(head VarID, w WeightID, sem Semantics) int {
 	// in the overflow row. The repeated offset keeps len(gndOff) ==
 	// NumGroups+1 with an empty [off, off) main range.
 	g.gndOff = append(g.gndOff, g.gndOff[len(g.gndOff)-1])
-	g.gndExtra = append(g.gndExtra, nil)
-	// The new group's semantics table starts at the pool tail with the
-	// support-0 entry; AddGrounding extends it in place.
-	g.semOff = append(g.semOff, int32(len(g.semTab)))
-	g.semTab = append(g.semTab, sem.G(0))
+	g.gndExtra.push(nil)
+	g.semGrow(sem, 0)
 	gi := len(g.groupHead) - 1
 	p.addAdj(head, int32(gi))
 	return gi
@@ -204,7 +193,7 @@ func (p *Patch) hasAdj(v VarID, gi int32) bool {
 	i := sort.Search(len(row), func(i int) bool { return row[i] >= gi })
 	found := i < len(row) && row[i] == gi
 	if !found {
-		for _, x := range g.adjExtra[v] {
+		for _, x := range g.adjExtra.at(int32(v)) {
 			if x == gi {
 				found = true
 				break
@@ -222,7 +211,7 @@ func (p *Patch) addAdj(v VarID, gi int32) {
 	if p.hasAdj(v, gi) {
 		return
 	}
-	p.g.adjExtra[v] = append(p.g.adjExtra[v], gi)
+	p.g.adjExtra.set(&p.base.adjExtra, int32(v), append(p.g.adjExtra.at(int32(v)), gi))
 	p.adjSeen[int64(v)<<32|int64(uint32(gi))] = true
 }
 
@@ -243,7 +232,7 @@ func (p *Patch) hasNbr(a, b VarID) bool {
 	i := sort.Search(len(row), func(i int) bool { return row[i] >= int32(b) })
 	found := i < len(row) && row[i] == int32(b)
 	if !found {
-		for _, x := range g.nbrExtra[a] {
+		for _, x := range g.nbrExtra.at(int32(a)) {
 			if x == int32(b) {
 				found = true
 				break
@@ -261,8 +250,9 @@ func (p *Patch) addNbr(a, b VarID) {
 	if a == b || p.hasNbr(a, b) {
 		return
 	}
-	p.g.nbrExtra[a] = append(p.g.nbrExtra[a], int32(b))
-	p.g.nbrExtra[b] = append(p.g.nbrExtra[b], int32(a))
+	nx, bx := &p.g.nbrExtra, &p.base.nbrExtra
+	nx.set(bx, int32(a), append(nx.at(int32(a)), int32(b)))
+	nx.set(bx, int32(b), append(nx.at(int32(b)), int32(a)))
 	lo, hi := a, b
 	if lo > hi {
 		lo, hi = hi, lo
@@ -287,7 +277,7 @@ func (p *Patch) groupVars(gi int32) *groupVarSet {
 			s.add(VarID(g.lits[li] >> 1))
 		}
 	}
-	for _, k := range g.gndExtra[gi] {
+	for _, k := range g.gndExtra.at(gi) {
 		for li := g.litOff[k]; li < g.litOff[k+1]; li++ {
 			s.add(VarID(g.lits[li] >> 1))
 		}
@@ -328,22 +318,12 @@ func (p *Patch) AddGrounding(gi int, lits []Literal) int32 {
 		g.deadAt = append(g.deadAt, 0)
 	}
 
-	// Extend the group's semantics table by one support level. The
-	// group's prior table covers [0, oldCnt]; when it sits at the pool
-	// tail (the common case: groundings stream into the most recently
-	// patched groups) it extends in place, otherwise it relocates to the
-	// tail — O(group) at worst, amortized O(1) on streaming patterns.
-	oldCnt := int(g.gndOff[gi+1]-g.gndOff[gi]) + len(g.gndExtra[gi])
-	off := int(g.semOff[gi])
-	if off+oldCnt+1 != len(g.semTab) {
-		g.semOff[gi] = int32(len(g.semTab))
-		g.semTab = append(g.semTab, g.semTab[off:off+oldCnt+1]...)
-	}
-	g.semTab = append(g.semTab, g.groupSem[gi].G(oldCnt+1))
+	extra := g.gndExtra.at(int32(gi))
+	g.semGrow(g.groupSem[gi], g.gndCount(int32(gi))+1)
 
 	g.nGnd++
 	g.nExtra++
-	g.gndExtra[gi] = append(g.gndExtra[gi], k)
+	g.gndExtra.set(&p.base.gndExtra, int32(gi), append(extra, k))
 
 	// Occurrence records: one per distinct variable of the grounding,
 	// merging repeated (possibly negated) occurrences, like Build.
@@ -369,7 +349,7 @@ func (p *Patch) AddGrounding(gi int, lits []Literal) int32 {
 				occ.n[0]++
 			}
 		}
-		g.bodyExtra[lit.Var] = append(g.bodyExtra[lit.Var], occ)
+		g.bodyExtra.set(&p.base.bodyExtra, int32(lit.Var), append(g.bodyExtra.at(int32(lit.Var)), occ))
 		p.addAdj(lit.Var, int32(gi))
 		// Blanket links: to every variable already tracked for the group —
 		// including this grounding's earlier variables, which were added to

@@ -6,8 +6,9 @@ package factor_test
 // through factor.Builder after every step — and the two graphs must stay
 // semantically identical (energies, conditional deltas under both
 // evaluation paths, weight statistics, adjacency sets, marginals at a
-// fixed seed). The pre-patch graph is also re-checked after each step:
-// lineage sharing must leave the old distribution untouched.
+// fixed seed). The pre-patch graph is also re-checked after each step, and
+// every graph of the lineage once more after the last one: lineage sharing
+// must leave each older distribution untouched, however many patches on.
 //
 // Failures print the subtest seed (t.Run("seed=N")); re-run with
 // -run 'TestPatchDifferential/seed=N' to reproduce.
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"deepdive/internal/factor"
@@ -111,10 +113,14 @@ func (m *model) liveRefs() (out [][2]int) {
 var allSems = []factor.Semantics{factor.Linear, factor.Logical, factor.Ratio}
 
 // seedModel builds the starting graph and its model, and stamps the
-// initial flat ids (Build assigns them sequentially in group order).
-func seedModel(rng *rand.Rand, t *testing.T) (*model, *factor.Graph) {
+// initial flat ids (Build assigns them sequentially in group order). A
+// big model spreads its side tables over several copy-on-write pages.
+func seedModel(rng *rand.Rand, t *testing.T, big bool) (*model, *factor.Graph) {
 	m := &model{}
 	nVars := 8 + rng.Intn(8)
+	if big {
+		nVars = 70 + rng.Intn(60)
+	}
 	for i := 0; i < nVars; i++ {
 		ev := rng.Intn(5) == 0
 		m.evidence = append(m.evidence, ev)
@@ -125,6 +131,9 @@ func seedModel(rng *rand.Rand, t *testing.T) (*model, *factor.Graph) {
 		m.weights = append(m.weights, rng.Float64()*2-1)
 	}
 	nG := 4 + rng.Intn(8)
+	if big {
+		nG = 40 + rng.Intn(60)
+	}
 	for gi := 0; gi < nG; gi++ {
 		gr := &modelGroup{
 			head: factor.VarID(rng.Intn(nVars)),
@@ -221,15 +230,37 @@ func mutateStep(rng *rand.Rand, p *factor.Patch, m *model) {
 	}
 }
 
+// retained is one graph of a patch lineage as it looked when it was the
+// head: its model, and the adjacency and blanket of every variable.
+type retained struct {
+	g    *factor.Graph
+	m    *model
+	adj  [][]int32
+	nbrs [][]factor.VarID
+}
+
+func retain(g *factor.Graph, m *model) retained {
+	r := retained{g: g, m: m.clone()}
+	for v := 0; v < g.NumVars(); v++ {
+		r.adj = append(r.adj, g.AdjacentGroups(factor.VarID(v)))
+		var nb []factor.VarID
+		g.Neighbors(factor.VarID(v), func(u factor.VarID) { nb = append(nb, u) })
+		r.nbrs = append(r.nbrs, nb)
+	}
+	return r
+}
+
 // TestPatchDifferential is the headline harness: 8 seeds × 30 steps = 240
 // randomized update steps, each asserting patched ≡ rebuilt, plus
-// old-lineage preservation and periodic fixed-seed marginal agreement.
+// old-lineage preservation — one step back after every patch, the whole
+// lineage after the last — and periodic fixed-seed marginal agreement.
 func TestPatchDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			m, g := seedModel(rng, t)
+			m, g := seedModel(rng, t, seed > 4)
+			lineage := []retained{retain(g, m)}
 			for step := 0; step < 30; step++ {
 				prevG, prevM := g, m.clone()
 
@@ -254,6 +285,8 @@ func TestPatchDifferential(t *testing.T) {
 					t.Fatalf("seed %d step %d: patched != NewBuilderFrom compaction:\n%s", seed, step, joinLines(diffs))
 				}
 
+				lineage = append(lineage, retain(g, m))
+
 				if step%10 == 9 {
 					mp := gibbs.New(g, seed+99).Marginals(20, 400)
 					mr := gibbs.New(ref, seed+99).Marginals(20, 400)
@@ -267,6 +300,17 @@ func TestPatchDifferential(t *testing.T) {
 			}
 			if frag := g.Fragmentation(); frag <= 0 {
 				t.Fatalf("seed %d: expected fragmentation after 30 patch steps, got %v", seed, frag)
+			}
+			// Every graph of the lineage, the step-0 one included, is what it
+			// was when the patches after it had not happened.
+			for step, r := range lineage {
+				if diffs := factor.DiffGraphs(r.g, r.m.build(t), 2, seed*4000+int64(step)); len(diffs) > 0 {
+					t.Fatalf("seed %d: the graph of step %d changed under later patches:\n%s", seed, step, joinLines(diffs))
+				}
+				now := retain(r.g, r.m)
+				if !reflect.DeepEqual(now.adj, r.adj) || !reflect.DeepEqual(now.nbrs, r.nbrs) {
+					t.Fatalf("seed %d: AdjacentGroups/Neighbors of the step-%d graph changed under later patches", seed, step)
+				}
 			}
 		})
 	}

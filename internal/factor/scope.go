@@ -86,40 +86,50 @@ func (r *Reach) Sorted() []VarID {
 	return r.Vars
 }
 
-// Induced builds the subgraph induced by vars, which must be ascending and
-// closed under Neighbors (Reach.Sorted): local variable i is vars[i] with
-// its evidence state, the weight table is copied whole so weight ids (and
-// Frozen masks, warm-start vectors) carry over unchanged, and the groups
-// are every group touching a member, in ascending parent index — returned
-// as the second result. The energy of a world restricted to vars equals
-// the parent's EnergyOfGroups over those groups, so chains and trainers
-// run on the subgraph exactly as they would on the parent's components.
+// Induced builds the subgraph induced by vars, which must be ascending:
+// local variable i is vars[i] with its evidence state, the weight table is
+// copied whole so weight ids (and Frozen masks, warm-start vectors) carry
+// over unchanged, and the groups are every group whose variables are all
+// members, in ascending parent index — returned as the second result. On a
+// set closed under Neighbors (a released Reach) those are the groups
+// touching a member, and the energy of a world restricted to vars equals
+// the parent's EnergyOfGroups over them, so chains and trainers run on the
+// subgraph exactly as they would on the parent's components. On a free
+// Reach the groups left out touch only boundary evidence: every free
+// member keeps all of its groups, hence its conditional.
 func (g *Graph) Induced(vars []VarID) (*Graph, []int32) {
-	local := make([]int32, g.numVars)
-	for i := range local {
-		local[i] = -1
-	}
 	b := &Builder{weights: slices.Clone(g.weights)}
-	var groups []int32
-	for i, v := range vars {
-		local[v] = int32(i)
+	var adjacent []int32
+	for _, v := range vars {
 		b.evidence = append(b.evidence, g.evidence[v])
 		b.evValue = append(b.evValue, g.evValue[v])
-		groups = append(groups, g.adjGroups[g.adjOff[v]:g.adjOff[v+1]]...)
-		if g.adjExtra != nil {
-			groups = append(groups, g.adjExtra[v]...)
-		}
+		adjacent = append(adjacent, g.adjGroups[g.adjOff[v]:g.adjOff[v+1]]...)
+		adjacent = append(adjacent, g.ExtraAdjacent(v)...)
 	}
-	groups = sortDedupInt32(groups)
-	for _, gi := range groups {
+	// local maps a parent variable to its index in vars, false when it is
+	// not a member.
+	local := func(v *VarID) bool {
+		i, ok := slices.BinarySearch(vars, *v)
+		*v = VarID(i)
+		return ok
+	}
+	adjacent = sortDedupInt32(adjacent)
+	groups := adjacent[:0] // filtered in place
+next:
+	for _, gi := range adjacent {
 		gr := g.Group(int(gi))
-		gr.Head = VarID(local[gr.Head])
+		if !local(&gr.Head) {
+			continue
+		}
 		for _, gnd := range gr.Groundings {
 			for i := range gnd.Lits {
-				gnd.Lits[i].Var = VarID(local[gnd.Lits[i].Var])
+				if !local(&gnd.Lits[i].Var) {
+					continue next
+				}
 			}
 		}
 		b.groups = append(b.groups, *gr)
+		groups = append(groups, gi)
 	}
 	return b.MustBuild(), groups
 }

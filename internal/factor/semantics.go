@@ -30,6 +30,8 @@ const (
 	Logical
 	// Ratio is g(n) = log(1+n): diminishing returns in the support count.
 	Ratio
+
+	numSemantics = 3
 )
 
 // G evaluates the semantics function on a support count.

@@ -115,10 +115,8 @@ func (s *State) Recount() {
 		for k := g.gndOff[gi]; k < g.gndOff[gi+1]; k++ {
 			sat += s.recountGnd(k)
 		}
-		if g.gndExtra != nil {
-			for _, k := range g.gndExtra[gi] {
-				sat += s.recountGnd(k)
-			}
+		for _, k := range g.extraGnds(int32(gi)) {
+			sat += s.recountGnd(k)
 		}
 		s.sat[gi] = sat
 	}
@@ -204,7 +202,7 @@ func (s *State) ensureFresh() {
 // the fast path still covers the untouched bulk).
 func (s *State) overflowVar(v VarID) bool {
 	g := s.G
-	return (g.bodyExtra != nil && g.bodyExtra[v] != nil) || (g.adjExtra != nil && g.adjExtra[v] != nil)
+	return g.adjExtra.present() && (g.bodyExtra.at(int32(v)) != nil || g.adjExtra.at(int32(v)) != nil)
 }
 
 // invalidateBlanket drops the cached conditionals of every variable whose
@@ -218,10 +216,8 @@ func (s *State) invalidateBlanket(v VarID) {
 	for _, u := range g.nbrs[g.nbrOff[v]:g.nbrOff[v+1]] {
 		cStamp[u] = 0
 	}
-	if g.nbrExtra != nil {
-		for _, u := range g.nbrExtra[v] {
-			cStamp[u] = 0
-		}
+	for _, u := range g.ExtraNeighbors(v) {
+		cStamp[u] = 0
 	}
 }
 
@@ -244,7 +240,7 @@ func (s *State) deltaFused(v VarID) float64 {
 	scr := s.scratch[:len(recs)]
 	unsat, sat := s.unsat, s.sat
 	weights, groupWeight, groupHead := g.weights, g.groupWeight, g.groupHead
-	semOff, semTab := g.semOff, g.semTab
+	groupSem, semTabs := g.groupSem, &g.semTabs
 	ci := b2i(cur)
 	ri := 0
 	var delta float64
@@ -275,7 +271,7 @@ func (s *State) deltaFused(v VarID) float64 {
 			}
 			ri++
 		}
-		tab := semTab[semOff[gi]:]
+		tab := semTabs[groupSem[gi]]
 		w := weights[groupWeight[gi]]
 		if groupHead[gi] == int32(v) {
 			// Head group: sign flips with v. If v also appears in the body,
@@ -446,9 +442,10 @@ func (s *State) setAny(v VarID, val bool) bool {
 			}
 		}
 	}
-	if g.bodyExtra != nil {
-		for i := range g.bodyExtra[v] {
-			occ := &g.bodyExtra[v][i]
+	if g.bodyExtra.present() {
+		extra := g.bodyExtra.at(int32(v))
+		for i := range extra {
+			occ := &extra[i]
 			u := unsat[occ.gnd]
 			uAfter := u - occ.n[ci] + occ.n[vi]
 			if uAfter != u {

@@ -190,17 +190,15 @@ func (p *ParallelSampler) bumpStamp() {
 // frequent flippers are weakly coupled variables with tiny blankets, so
 // even mixing-phase sweeps propagate cheaply.
 func (p *ParallelSampler) propagateFlips() {
-	nbrOff, nbrs, nbrX := p.csr.NbrOff, p.csr.Nbrs, p.csr.NbrExtra
+	nbrOff, nbrs := p.csr.NbrOff, p.csr.Nbrs
 	cStamp := p.cStamp
 	for w := range p.flips {
 		for _, v := range p.flips[w] {
 			for _, u := range nbrs[nbrOff[v]:nbrOff[v+1]] {
 				cStamp[u] = 0
 			}
-			if nbrX != nil {
-				for _, u := range nbrX[v] {
-					cStamp[u] = 0
-				}
+			for _, u := range p.g.ExtraNeighbors(factor.VarID(v)) {
+				cStamp[u] = 0
 			}
 		}
 		p.flips[w] = p.flips[w][:0]
@@ -264,7 +262,6 @@ func (p *ParallelSampler) sweepShardCached(w int) {
 	rng := p.rngs[w]
 	cSig, cStamp, stamp := p.cSig, p.cStamp, p.stamp
 	nbrOff, nbrs := p.csr.NbrOff, p.csr.Nbrs
-	nbrX, adjX := p.csr.NbrExtra, p.csr.AdjExtra
 	flips := p.flips[w][:0]
 	collecting := p.collecting
 	for _, v := range p.shards[w] {
@@ -276,7 +273,7 @@ func (p *ParallelSampler) sweepShardCached(w int) {
 			sig = 1 / (1 + math.Exp(-delta))
 			// Overflow-row variables evaluate through patched-in adjacency;
 			// conservatively never cache them (they are Δ-sized).
-			if adjX == nil || adjX[v] == nil {
+			if g.ExtraAdjacent(v) == nil {
 				cSig[v] = sig
 				cStamp[v] = stamp
 			}
@@ -295,11 +292,9 @@ func (p *ParallelSampler) sweepShardCached(w int) {
 					cStamp[u] = 0
 				}
 			}
-			if nbrX != nil {
-				for _, u := range nbrX[v] {
-					if u >= lo && u <= hi {
-						cStamp[u] = 0
-					}
+			for _, u := range g.ExtraNeighbors(v) {
+				if u >= lo && u <= hi {
+					cStamp[u] = 0
 				}
 			}
 		}

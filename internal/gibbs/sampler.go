@@ -194,18 +194,6 @@ func NewEstimatorFor(g *factor.Graph) *Estimator {
 	return e
 }
 
-// NewEstimatorOver returns an estimator over nVars variables whose
-// observe loop touches only vars; every other entry reads 0.
-func NewEstimatorOver(nVars int, vars []factor.VarID) *Estimator {
-	return &Estimator{
-		counts:   make([]float64, nVars),
-		freeOnly: true,
-		free:     vars,
-		ev:       make([]bool, nVars),
-		evTrue:   make([]bool, nVars),
-	}
-}
-
 // Observe adds one world.
 func (e *Estimator) Observe(assign []bool) {
 	if e.freeOnly {

@@ -115,18 +115,6 @@ func (s *Store) Next(dst []bool) (out []bool, ok bool) {
 // that read the columns they need through Bit. n is clamped to Remaining.
 func (s *Store) Skip(n int) { s.cursor += min(n, s.Remaining()) }
 
-// Peek unpacks the k-th unconsumed sample (the one Next would return
-// after k more calls) into dst without advancing the cursor. ok is false
-// when fewer than k+1 unconsumed samples remain. Probing code — e.g. the
-// optimizer's acceptance-rate estimate — uses Peek so that measurement
-// never eats into the proposals inference itself will consume.
-func (s *Store) Peek(k int, dst []bool) (out []bool, ok bool) {
-	if k < 0 || s.cursor+k >= len(s.samples) {
-		return dst, false
-	}
-	return s.Get(s.cursor+k, dst), true
-}
-
 // Bit returns variable v of sample i without unpacking the whole world.
 func (s *Store) Bit(i int, v int) bool {
 	return s.samples[i][v/64]&(1<<(uint(v)%64)) != 0

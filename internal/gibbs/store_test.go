@@ -70,64 +70,6 @@ func TestStoreNextAndExhaustion(t *testing.T) {
 	}
 }
 
-// TestStorePeek pins the non-consuming window contract: Peek(k) returns
-// the sample Next would return after k more calls, never moves the
-// cursor, and reports ok=false outside the unconsumed region.
-func TestStorePeek(t *testing.T) {
-	st := NewStore(3)
-	worlds := [][]bool{
-		{true, false, true},
-		{false, true, false},
-		{true, true, true},
-	}
-	for _, w := range worlds {
-		st.Add(w)
-	}
-	check := func(k, wantIdx int) {
-		t.Helper()
-		got, ok := st.Peek(k, nil)
-		if !ok {
-			t.Fatalf("Peek(%d) not ok with %d remaining", k, st.Remaining())
-		}
-		for i, v := range worlds[wantIdx] {
-			if got[i] != v {
-				t.Fatalf("Peek(%d) bit %d = %v, want sample %d", k, i, got[i], wantIdx)
-			}
-		}
-	}
-	check(0, 0)
-	check(2, 2)
-	if st.Remaining() != 3 {
-		t.Fatalf("Peek moved the cursor: Remaining = %d, want 3", st.Remaining())
-	}
-	if _, ok := st.Peek(3, nil); ok {
-		t.Fatal("Peek past the stored samples reported ok")
-	}
-	if _, ok := st.Peek(-1, nil); ok {
-		t.Fatal("Peek(-1) reported ok")
-	}
-
-	// After consuming one sample the window shifts: Peek(0) is sample 1.
-	if _, ok := st.Next(nil); !ok {
-		t.Fatal("Next failed")
-	}
-	check(0, 1)
-	check(1, 2)
-	if _, ok := st.Peek(2, nil); ok {
-		t.Fatal("Peek past the unconsumed region reported ok")
-	}
-	if st.Remaining() != 2 {
-		t.Fatalf("Remaining = %d after peeks, want 2", st.Remaining())
-	}
-
-	// Fully consumed: nothing to peek at any offset.
-	st.Next(nil)
-	st.Next(nil)
-	if _, ok := st.Peek(0, nil); ok {
-		t.Fatal("Peek on an exhausted store reported ok")
-	}
-}
-
 func TestStoreMemoryBytes(t *testing.T) {
 	st := NewStore(65) // 2 words per sample
 	if st.MemoryBytes() != 0 {

@@ -193,6 +193,7 @@ type tracker struct {
 	removed map[string][]db.Tuple
 
 	newVars        []factor.VarID
+	liveToggled    []factor.VarID // pre-existing variables whose tuple left or re-entered; repeats allowed
 	evChanged      map[factor.VarID]bool
 	modifiedGroups map[int]bool
 	addedGroups    []int
@@ -254,9 +255,14 @@ func (g *Grounder) applyTupleDelta(tr *tracker, relName string, t db.Tuple, coun
 			id, isNew := g.varFor(relName, t)
 			if isNew {
 				tr.newVars = append(tr.newVars, id)
+			} else if !g.live[id] {
+				tr.liveToggled = append(tr.liveToggled, id)
 			}
 			g.live[id] = true
 		} else if id, ok := g.VarOf(relName, t); ok {
+			if g.live[id] {
+				tr.liveToggled = append(tr.liveToggled, id)
+			}
 			g.live[id] = false
 		}
 	}

@@ -93,8 +93,12 @@ type Grounder struct {
 	nGroundings int // visible groundings across groups, kept at the count transitions
 
 	// exec is the driver goroutine's plan-execution state (the sequential
-	// path and Ground); parallel workers bring their own.
+	// path and Ground); parallel workers bring their own. jobs is the
+	// driver's job list, refilled per rule (sequential path) or per level
+	// (parallel path): one job per rule × changed atom × delta tuple adds up
+	// to hundreds of kilobytes per document update if built afresh.
 	exec db.Exec
+	jobs []evalJob
 
 	graphDirty bool
 	lastGraph  *factor.Graph
@@ -293,13 +297,13 @@ func (g *Grounder) Program() *datalog.Program { return g.prog }
 // LoadBase inserts base tuples into a non-derived relation before the
 // initial Ground call.
 func (g *Grounder) LoadBase(rel string, tuples []db.Tuple) error {
-	r := g.data.Relation(rel)
-	if r == nil {
-		return fmt.Errorf("ground: unknown relation %s", rel)
+	if err := g.checkBaseTuples(rel, tuples); err != nil {
+		return err
 	}
 	if g.derived[rel] {
 		return fmt.Errorf("ground: %s is derived; load base data into base relations only", rel)
 	}
+	r := g.data.Relation(rel)
 	for _, t := range tuples {
 		r.Insert(t)
 	}
@@ -338,6 +342,9 @@ func (g *Grounder) VarTuple(v factor.VarID) (rel string, t db.Tuple) {
 	info := g.vars[v]
 	return info.rel, db.TupleFromKey(info.key)
 }
+
+// VarRelation returns the relation the variable's tuple belongs to.
+func (g *Grounder) VarRelation(v factor.VarID) string { return g.vars[v].rel }
 
 // VarKey returns the canonical key (Tuple.Key) of the variable's tuple.
 func (g *Grounder) VarKey(v factor.VarID) string { return g.vars[v].key }

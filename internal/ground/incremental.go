@@ -1,6 +1,7 @@
 package ground
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -36,6 +37,10 @@ type Delta struct {
 	// AddedGroups are indexes of groups created by this update (valid in
 	// the new graph only).
 	AddedGroups []int
+	// LivenessChanged are pre-existing variables whose tuple left the
+	// candidate set or came back to it (IsLive toggled at least once during
+	// the update; one that toggled back is still listed). Ascending.
+	LivenessChanged []factor.VarID
 	// EvidenceChanged are variables whose evidence status or value
 	// changed (supervision updates).
 	EvidenceChanged []factor.VarID
@@ -80,6 +85,26 @@ func (d *Delta) ChangedGroupsNew() []int32 {
 	return out
 }
 
+// ErrBadTuple is the class of the errors that reject a base tuple before
+// anything is mutated: the wrong number of columns for its relation, a
+// value holding the reserved 0x1f byte, a delete of a tuple the relation
+// does not hold.
+var ErrBadTuple = errors.New("ground: bad tuple")
+
+// checkBaseTuples reports the first reason rel cannot take tuples.
+func (g *Grounder) checkBaseTuples(rel string, tuples []db.Tuple) error {
+	r := g.data.Relation(rel)
+	if r == nil {
+		return fmt.Errorf("ground: unknown relation %s", rel)
+	}
+	for _, t := range tuples {
+		if err := r.Accepts(t); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadTuple, err)
+		}
+	}
+	return nil
+}
+
 // ApplyUpdate incrementally folds an update into the grounding state:
 // base deltas propagate through the rule pipeline with DRed-style delta
 // joins (old rules touched by changed relations re-evaluate only the
@@ -109,8 +134,9 @@ func (g *Grounder) ApplyUpdate(u Update) (*Delta, error) {
 // must not run commit concurrently with evaluation over any graph of the
 // cached graph's lineage (commit patches shared pool state; see
 // factor.Patch). An update rejected up front (unknown or derived target
-// relations, rules that do not validate, compile, plan or stay
-// non-recursive) leaves the grounder exactly as it was; an error during
+// relations, tuples of the wrong arity, with a reserved byte or deleting
+// what is not there — ErrBadTuple —, rules that do not validate, compile,
+// plan or stay non-recursive) leaves the grounder exactly as it was; an error during
 // evaluation (a bad evidence label) returns no commit and may leave it
 // partially updated with a dirty graph. ApplyUpdate behaves the same.
 func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
@@ -121,9 +147,23 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 	// in), and new rules must validate at the program level, compile —
 	// including join planning — and keep the rule set non-recursive.
 	for _, m := range []map[string][]db.Tuple{u.Inserts, u.Deletes} {
-		for rel := range m {
-			if !g.data.Has(rel) {
-				return nil, nil, fmt.Errorf("ground: unknown relation %s", rel)
+		for rel, ts := range m {
+			if err := g.checkBaseTuples(rel, ts); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	for rel, ts := range u.Deletes {
+		// Inserts apply first: a delete may take back what this update put in,
+		// never more copies than the relation then holds.
+		r, net := g.data.Relation(rel), map[string]int{}
+		for _, t := range u.Inserts[rel] {
+			net[t.Key()]++
+		}
+		for _, t := range ts {
+			k := t.Key()
+			if net[k]--; r.Count(t)+net[k] < 0 {
+				return nil, nil, fmt.Errorf("%w: delete of %q, which %s does not hold", ErrBadTuple, []string(t), rel)
 			}
 		}
 	}
@@ -203,8 +243,9 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 			continue
 		}
 		for _, re := range rules {
-			for _, j := range g.ruleJobs(re, tr, newRules[re]) {
-				if err := g.evalApply(&j, tr); err != nil {
+			g.jobs = g.ruleJobs(g.jobs[:0], re, tr, newRules[re])
+			for i := range g.jobs {
+				if err := g.evalApply(&g.jobs[i], tr); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -225,6 +266,8 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 		d.EvidenceChanged = append(d.EvidenceChanged, v)
 	}
 	slices.Sort(d.EvidenceChanged)
+	slices.Sort(tr.liveToggled)
+	d.LivenessChanged = slices.Compact(tr.liveToggled)
 	commit := func() {
 		if canPatch {
 			g.patchGraph(tr)

@@ -118,14 +118,14 @@ func (g *Grounder) runJobs(jobs []evalJob) {
 	wg.Wait()
 }
 
-// ruleJobs decomposes one rule's share of an update into jobs: a full
+// ruleJobs appends one rule's share of an update to jobs: a full
 // evaluation for a rule the update introduced, the DRed delta terms for
 // an existing one.
-func (g *Grounder) ruleJobs(re *ruleEval, tr *tracker, isNew bool) []evalJob {
+func (g *Grounder) ruleJobs(jobs []evalJob, re *ruleEval, tr *tracker, isNew bool) []evalJob {
 	if isNew {
-		return []evalJob{re.fullJob()}
+		return append(jobs, re.fullJob())
 	}
-	return g.deltaJobs(re, tr)
+	return g.deltaJobs(jobs, re, tr)
 }
 
 // fullJob is a full-rule evaluation over the live state.
@@ -150,9 +150,9 @@ func (re *ruleEval) fullJob() evalJob {
 // relation yield no jobs: this skip is where the incremental-grounding
 // speedup comes from.
 //
-// The jobs hold the delta tuples as of this call, so a rule never consumes
-// deltas its own bindings produce.
-func (g *Grounder) deltaJobs(re *ruleEval, tr *tracker) []evalJob {
+// The jobs — appended to jobs — hold the delta tuples as of this call, so
+// a rule never consumes deltas its own bindings produce.
+func (g *Grounder) deltaJobs(jobs []evalJob, re *ruleEval, tr *tracker) []evalJob {
 	touches, negOnChanged := false, false
 	for _, a := range re.query.Atoms {
 		if tr.changed(a.Rel.Name()) {
@@ -161,12 +161,11 @@ func (g *Grounder) deltaJobs(re *ruleEval, tr *tracker) []evalJob {
 		}
 	}
 	if !touches { // includes facts, which never re-fire
-		return nil
+		return jobs
 	}
 	if negOnChanged {
-		return []evalJob{{re: re, plan: re.mustPlan(db.ScanOld), sign: -1}, re.fullJob()}
+		return append(jobs, evalJob{re: re, plan: re.mustPlan(db.ScanOld), sign: -1}, re.fullJob())
 	}
-	var jobs []evalJob
 	for i, a := range re.query.Atoms {
 		name := a.Rel.Name()
 		if a.Neg || !tr.changed(name) {
@@ -188,10 +187,13 @@ func (g *Grounder) deltaJobs(re *ruleEval, tr *tracker) []evalJob {
 // bindings applied serially in job order (the canonical sequential
 // order).
 func (g *Grounder) runRuleLevel(rules []*ruleEval, tr *tracker, newRules map[*ruleEval]bool) error {
-	var jobs []evalJob
+	jobs := g.jobs[:0]
 	for _, re := range rules {
-		jobs = append(jobs, g.ruleJobs(re, tr, newRules[re])...)
+		jobs = g.ruleJobs(jobs, re, tr, newRules[re])
 	}
+	// The scratch list keeps its capacity for the next level, not the
+	// bindings the workers collect into it.
+	defer func() { clear(jobs); g.jobs = jobs[:0] }()
 	g.runJobs(jobs)
 	for i := range jobs {
 		j := &jobs[i]

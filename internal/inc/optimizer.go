@@ -149,6 +149,8 @@ func (o Options) runtime() gibbs.Runtime {
 
 // Result reports one incremental inference run.
 type Result struct {
+	// Marginals are indexed by variable id after a whole-graph run, by
+	// position in the (sorted) scope after a scoped one.
 	Marginals      []float64
 	Strategy       Strategy
 	FellBack       bool // sampling exhausted; variational finished the job
@@ -575,9 +577,9 @@ func (c ChangeSet) within(g *factor.Graph, r *factor.Reach) ChangeSet {
 //
 // dirty is the update's scope (see Scope), or nil for the whole
 // graph. With a scope, the strategy is chosen for, and inference runs
-// over, the scope's share of the change set and its variables only;
-// Result.Marginals is still indexed by newG's variable ids, and only the
-// scope's entries are meaningful.
+// over, the scope's share of the change set and its variables only, every
+// buffer sized by the scope; dirty.Vars is left sorted and
+// Result.Marginals[i] is the marginal of dirty.Vars[i].
 func (e *Engine) AutoInferCtx(ctx context.Context, newG *factor.Graph, cs ChangeSet, dirty *factor.Reach, decompose bool) *Result {
 	if e.opts.CumulativeChanges {
 		e.note(cs)
@@ -609,10 +611,21 @@ func (e *Engine) AutoInferCtx(ctx context.Context, newG *factor.Graph, cs Change
 // inferAs runs one inference pass under an already-chosen strategy (the
 // run-time exhaustion fallback of rule 4 still applies inside the
 // sampling branch). Only the variational runner is scoped; the global
-// Metropolis-Hastings chain and the rerun always cover the graph.
+// Metropolis-Hastings chain and the rerun always cover the graph, and
+// their estimate is then read off at the scope.
 func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, strat Strategy, scope []factor.VarID) *Result {
 	start := time.Now()
 	res := &Result{Strategy: strat, AcceptanceRate: 1, Probed: -1}
+	atScope := func(m []float64) []float64 {
+		if scope == nil {
+			return m
+		}
+		out := make([]float64, len(scope))
+		for i, v := range scope {
+			out[i] = m[v]
+		}
+		return out
+	}
 	switch res.Strategy {
 	case StrategySampling:
 		sr := SamplingInferCtx(ctx, e.old, newG, e.store, cs, e.opts.KeepSamples, e.opts.Seed+17, e.opts.Parallelism)
@@ -630,18 +643,18 @@ func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, 
 				res.FellBack = true
 			} else {
 				// Lesion configuration without the variational side: rerun.
-				res.Marginals = RerunWithCtx(ctx, newG, e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+29, e.opts.runtime())
+				res.Marginals = atScope(RerunWithCtx(ctx, newG, e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+29, e.opts.runtime()))
 				res.Strategy = StrategyRerun
 				res.FellBack = true
 			}
 		} else {
-			res.Marginals = sr.Marginals
+			res.Marginals = atScope(sr.Marginals)
 		}
 	case StrategyVariational:
 		res.Marginals = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
 			e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+23)
 	default:
-		res.Marginals = RerunWithCtx(ctx, newG, e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+29, e.opts.runtime())
+		res.Marginals = atScope(RerunWithCtx(ctx, newG, e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+29, e.opts.runtime()))
 	}
 	res.Elapsed = time.Since(start)
 	return res
@@ -658,6 +671,18 @@ func RerunWithCtx(ctx context.Context, newG *factor.Graph, burnin, keep int, see
 	return s.MarginalsCtx(ctx, burnin, keep)
 }
 
+// localOf is v's index in the sorted scope, or v itself on the whole graph
+// (nil scope); -1 when v lies outside the scope.
+func localOf(scope []factor.VarID, v factor.VarID) int {
+	if scope == nil {
+		return int(v)
+	}
+	if i, ok := slices.BinarySearch(scope, v); ok {
+		return i
+	}
+	return -1
+}
+
 // InferDecomposedCtx runs per-block incremental inference over a
 // decomposition into independent blocks (ComponentGroups): blocks
 // untouched by the update adopt stored samples directly (acceptance rate
@@ -669,10 +694,11 @@ func RerunWithCtx(ctx context.Context, newG *factor.Graph, burnin, keep int, see
 //
 // With a nil scope the blocks cover the graph, free variables in no block
 // share a residual one, and the run consumes the worlds it replays. With
-// a scope (sorted; cs and groups restricted to it) only the scope's
-// variables are proposed, tested and observed — every other marginal
-// reads 0 — and the run, which reads only its own columns of the worlds
-// it replays, consumes only that share of them.
+// a scope (sorted; cs and groups restricted to it) the chain runs on the
+// scope's induced subgraph — its state, estimator and result are sized by
+// the scope, Result.Marginals[i] belonging to scope[i] — and the run,
+// which reads only its own columns of the worlds it replays, consumes only
+// that share of them.
 func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs ChangeSet, groups []DecompGroup, scope []factor.VarID) *Result {
 	start := time.Now()
 	res := &Result{Strategy: StrategySampling, AcceptanceRate: 1, Probed: -1}
@@ -680,23 +706,27 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 	// Pr(0); a later modification of one has no old-side energy.
 	cs.ChangedOld = clampToGraph(e.old, cs.ChangedOld)
 
+	// The chain lives on target: the graph, or the subgraph induced by the
+	// scope, whose variable l is vars[l]. A free member of a scope keeps
+	// every one of its groups there, so its conditional is the graph's.
 	n := newG.NumVars()
-	est, vars := gibbs.NewEstimator(n), scope
+	target, vars := newG, scope
 	if scope != nil {
-		est = gibbs.NewEstimatorOver(n, scope)
+		target, _ = newG.Induced(scope)
 	} else {
 		vars = make([]factor.VarID, n)
 		for v := range vars {
 			vars[v] = factor.VarID(v)
 		}
 	}
-	blockOf := make([]int, n)
-	for i := range blockOf {
-		blockOf[i] = -1
+	est := gibbs.NewEstimator(len(vars))
+	blockOf := make([]int32, len(vars)) // by target id
+	for l := range blockOf {
+		blockOf[l] = -1
 	}
 	for bi, grp := range groups {
 		for _, v := range grp.Inactive {
-			blockOf[v] = bi
+			blockOf[localOf(scope, v)] = int32(bi)
 		}
 	}
 	// Residual block for unassigned free vars (e.g. new vars). Of a
@@ -704,22 +734,24 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 	// ones — appended since materialization — keep their chain values.
 	residual := len(groups)
 	nBlocks := residual + 1
-	varsByBlock := make([][]factor.VarID, nBlocks)
-	var stored, fresh []factor.VarID
-	for _, v := range vars {
+	type member struct{ v, l factor.VarID } // one variable: its id in newG, its id in target
+	varsByBlock := make([][]member, nBlocks)
+	var stored, fresh []member
+	for l, v := range vars {
 		if newG.IsEvidence(v) {
 			continue
 		}
-		if blockOf[v] == -1 && scope == nil {
-			blockOf[v] = residual
+		if blockOf[l] == -1 && scope == nil {
+			blockOf[l] = int32(residual)
 		}
-		if b := blockOf[v]; b >= 0 {
-			varsByBlock[b] = append(varsByBlock[b], v)
+		m := member{v: v, l: factor.VarID(l)}
+		if b := blockOf[l]; b >= 0 {
+			varsByBlock[b] = append(varsByBlock[b], m)
 		}
 		if int(v) < e.store.NumVars() {
-			stored = append(stored, v)
+			stored = append(stored, m)
 		} else {
-			fresh = append(fresh, v)
+			fresh = append(fresh, m)
 		}
 	}
 
@@ -733,8 +765,8 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 			if found || g.IsEvidence(v) {
 				return
 			}
-			if blockOf[v] >= 0 {
-				block = blockOf[v]
+			if l := localOf(scope, v); l >= 0 && blockOf[l] >= 0 {
+				block = int(blockOf[l])
 				found = true
 			}
 		})
@@ -752,7 +784,7 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 	}
 
 	rng := rand.New(rand.NewSource(e.opts.Seed + 31))
-	st := factor.NewState(newG)
+	st := factor.NewState(target)
 	sampler := gibbs.FromState(st, e.opts.Seed+37)
 
 	// Old-graph groups reference only old variables, so the (wider) new
@@ -765,9 +797,25 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 			e.old.EnergyOfGroups(world, changedOldByBlock[b])
 	}
 
+	// Worlds are scored under newG's variable ids (a byte per variable):
+	// cur is the chain's world — its own assignment on the whole graph, a
+	// mirror of it laid over the evidence on a scope — and hybrid is cur
+	// except within the block under test.
+	cur := st.Assign
+	if scope != nil {
+		cur = make([]bool, n)
+		for v := range cur {
+			cur[v] = newG.IsEvidence(factor.VarID(v)) && newG.EvidenceValue(factor.VarID(v))
+		}
+	}
 	prop := make([]bool, n)
-	// hybrid mirrors st.Assign except within the block under test.
-	hybrid := slices.Clone(st.Assign)
+	hybrid := slices.Clone(cur)
+	adopt := func(ms []member) {
+		for _, m := range ms {
+			st.Set(m.l, prop[m.v])
+			cur[m.v], hybrid[m.v] = prop[m.v], prop[m.v]
+		}
+	}
 	accepted, proposed := 0, 0
 	next, used := e.store.Len()-e.store.Remaining(), 0
 	for est.N() < e.opts.KeepSamples {
@@ -778,44 +826,40 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 			res.FellBack = true
 			break
 		}
-		for _, v := range stored {
-			prop[v] = e.store.Bit(next+used, int(v))
+		for _, m := range stored {
+			prop[m.v] = e.store.Bit(next+used, int(m.v))
 		}
 		used++
-		for _, v := range fresh {
-			prop[v] = st.Assign[v]
+		for _, m := range fresh {
+			prop[m.v] = cur[m.v]
 		}
 		for b := 0; b < nBlocks; b++ {
 			touched := len(changedNewByBlock[b]) > 0 || len(changedOldByBlock[b]) > 0
 			if !touched {
 				// Untouched block: adopt the proposal outright.
-				for _, v := range varsByBlock[b] {
-					st.Set(v, prop[v])
-					hybrid[v] = prop[v]
-				}
+				adopt(varsByBlock[b])
 				continue
 			}
 			proposed++
-			for _, v := range varsByBlock[b] {
-				hybrid[v] = prop[v]
+			for _, m := range varsByBlock[b] {
+				hybrid[m.v] = prop[m.v]
 			}
-			d := blockScore(hybrid, b) - blockScore(st.Assign, b)
+			d := blockScore(hybrid, b) - blockScore(cur, b)
 			if d >= 0 || rng.Float64() < math.Exp(d) {
 				accepted++
-				for _, v := range varsByBlock[b] {
-					st.Set(v, prop[v])
-				}
+				adopt(varsByBlock[b])
 			} else {
-				for _, v := range varsByBlock[b] {
-					hybrid[v] = st.Assign[v]
+				for _, m := range varsByBlock[b] {
+					hybrid[m.v] = cur[m.v]
 				}
 			}
 		}
 		// Resample the variables the update appended from their
 		// conditionals given the adopted world.
-		for _, v := range fresh {
-			sampler.SampleVar(v)
-			hybrid[v] = st.Assign[v]
+		for _, m := range fresh {
+			sampler.SampleVar(m.l)
+			cur[m.v] = st.Assign[m.l]
+			hybrid[m.v] = cur[m.v]
 		}
 		est.Observe(st.Assign)
 	}

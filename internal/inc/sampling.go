@@ -199,7 +199,7 @@ func evidenceVars(g *factor.Graph) []factor.VarID {
 // EstimateAcceptanceRate scores a random selection of the *unconsumed*
 // stored samples against the updated distribution — a cheap probe the
 // optimizer can use. Probing is strictly non-consuming: samples are read
-// through Store.Peek, so the cursor (and therefore the number of
+// through Store.Bit, so the cursor (and therefore the number of
 // proposals a subsequent sampling run can draw) is untouched — a measured
 // optimizer that probes before every update must not accelerate store
 // exhaustion. Only the unconsumed region is scored because those are the
@@ -220,14 +220,25 @@ func EstimateAcceptanceRate(oldG, newG *factor.Graph, store *gibbs.Store, cs Cha
 	}
 	cs.ChangedOld = clampToGraph(oldG, cs.ChangedOld)
 	rng := rand.New(rand.NewSource(seed))
+	// A score reads the variables of the changed groups and no others: only
+	// those columns of a stored world are unpacked (a variable newer than
+	// the store reads false, evidence its fixed value).
+	var read []factor.VarID
+	note := func(v factor.VarID) { read = append(read, v) }
+	for _, gi := range cs.ChangedNew {
+		newG.GroupVars(gi, note)
+	}
+	for _, gi := range cs.ChangedOld {
+		oldG.GroupVars(gi, note)
+	}
 	full := make([]bool, newG.NumVars())
-	raw := make([]bool, store.NumVars())
 	score := func(k int) float64 {
-		raw, _ = store.Peek(k, raw)
-		copy(full, raw[:min(len(raw), len(full))])
-		for v := 0; v < newG.NumVars(); v++ {
-			if newG.IsEvidence(factor.VarID(v)) {
-				full[v] = newG.EvidenceValue(factor.VarID(v))
+		for _, v := range read {
+			switch {
+			case newG.IsEvidence(v):
+				full[v] = newG.EvidenceValue(v)
+			case int(v) < store.NumVars():
+				full[v] = store.Bit(store.Len()-remaining+k, int(v))
 			}
 		}
 		return newG.EnergyOfGroups(full, cs.ChangedNew) - oldG.EnergyOfGroups(full, cs.ChangedOld)

@@ -220,16 +220,23 @@ func clamp(x, lo, hi float64) float64 {
 // adjacency (variables sharing a group), each as a sorted var list, in
 // order of smallest member. Evidence variables do not connect components
 // (they are fixed). With a non-nil scope (Engine.Scope, sorted) only the
-// scope's variables and the groups touching them are walked. Groups are walked CSR-direct (factor.Graph.GroupVars reports the
-// head first, then each live grounding's variables), so no nested view is
-// synthesized per group.
+// scope's variables and the groups touching them are walked, and nothing
+// is sized by the graph. Groups are walked CSR-direct
+// (factor.Graph.GroupVars reports the head first, then each live
+// grounding's variables), so no nested view is synthesized per group.
 func components(g *factor.Graph, scope []factor.VarID) [][]int {
+	// Union-find over the walked variables: the graph's, or the scope's by
+	// position (a free member shares groups only with members, so variables
+	// outside the scope are skipped, not linked).
 	n := g.NumVars()
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
+	if scope != nil {
+		n = len(scope)
 	}
-	find := func(x int) int {
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -237,28 +244,29 @@ func components(g *factor.Graph, scope []factor.VarID) [][]int {
 		return x
 	}
 	link := func(gi int32) {
-		anchorVar := -1
+		anchor := int32(-1)
 		g.GroupVars(gi, func(v factor.VarID) {
-			if g.IsEvidence(v) {
+			l := int32(localOf(scope, v))
+			if l < 0 || g.IsEvidence(v) {
 				return
 			}
-			if anchorVar == -1 {
-				anchorVar = int(v)
-			} else if ra, rb := find(anchorVar), find(int(v)); ra != rb {
+			if anchor == -1 {
+				anchor = l
+			} else if ra, rb := find(anchor), find(l); ra != rb {
 				parent[ra] = rb
 			}
 		})
 	}
 	var out [][]int
-	compAt := make([]int, n) // root → 1 + index into out
-	collect := func(v int) {
+	compAt := make([]int32, n) // root → 1 + index into out
+	collect := func(l int32, v int) {
 		if g.IsEvidence(factor.VarID(v)) {
 			return
 		}
-		r := find(v)
+		r := find(l)
 		if compAt[r] == 0 {
 			out = append(out, nil)
-			compAt[r] = len(out)
+			compAt[r] = int32(len(out))
 		}
 		out[compAt[r]-1] = append(out[compAt[r]-1], v)
 	}
@@ -267,7 +275,7 @@ func components(g *factor.Graph, scope []factor.VarID) [][]int {
 			link(int32(gi))
 		}
 		for v := 0; v < n; v++ {
-			collect(v)
+			collect(int32(v), v)
 		}
 		return out
 	}
@@ -276,8 +284,8 @@ func components(g *factor.Graph, scope []factor.VarID) [][]int {
 			link(gi)
 		}
 	}
-	for _, v := range scope {
-		collect(int(v))
+	for l, v := range scope {
+		collect(int32(l), int(v))
 	}
 	return out
 }
@@ -347,14 +355,19 @@ func (vm *Variational) BuildInferenceGraph(oldG, newG *factor.Graph, changedNew 
 			addInferenceVar(b, newG, factor.VarID(v))
 		}
 	} else {
-		at := make([]factor.VarID, newG.NumVars())
-		for i := range at {
-			at[i] = factor.NoVar
-		}
+		// Every unary and edge of the approximation is tested against the
+		// scope: a byte per variable answers for the many outside it.
+		member := make([]bool, newG.NumVars())
 		for _, v := range scope {
-			at[v] = addInferenceVar(b, newG, v)
+			member[v] = true
+			addInferenceVar(b, newG, v)
 		}
-		local = func(v factor.VarID) factor.VarID { return at[v] }
+		local = func(v factor.VarID) factor.VarID {
+			if !member[v] {
+				return factor.NoVar
+			}
+			return factor.VarID(localOf(scope, v))
+		}
 	}
 	anchor := b.AddEvidenceVar(true)
 	for _, u := range vm.Unaries {
@@ -394,11 +407,12 @@ func (vm *Variational) BuildInferenceGraph(oldG, newG *factor.Graph, changedNew 
 }
 
 // addInferenceVar appends newG's variable v to b with its evidence state.
-func addInferenceVar(b *factor.Builder, newG *factor.Graph, v factor.VarID) factor.VarID {
+func addInferenceVar(b *factor.Builder, newG *factor.Graph, v factor.VarID) {
 	if newG.IsEvidence(v) {
-		return b.AddEvidenceVar(newG.EvidenceValue(v))
+		b.AddEvidenceVar(newG.EvidenceValue(v))
+	} else {
+		b.AddVar()
 	}
-	return b.AddVar()
 }
 
 // VariationalInfer runs Gibbs on the approximated (plus update) graph and
@@ -410,7 +424,7 @@ func VariationalInfer(vm *Variational, oldG, newG *factor.Graph, changedNew []in
 // VariationalInferCtx is VariationalInfer with a cooperative cancellation
 // check between sweeps of the approximate-graph chain, and an optional
 // scope (see BuildInferenceGraph): the chain then sweeps the scope's
-// variables only, and every entry outside the scope reads 0.
+// variables only, and entry i of the result belongs to scope[i].
 func VariationalInferCtx(ctx context.Context, vm *Variational, oldG, newG *factor.Graph, changedNew []int32, scope []factor.VarID, burnin, keep int, seed int64) []float64 {
 	ig := vm.BuildInferenceGraph(oldG, newG, changedNew, scope)
 	s := gibbs.New(ig, seed)
@@ -418,9 +432,5 @@ func VariationalInferCtx(ctx context.Context, vm *Variational, oldG, newG *facto
 	if scope == nil {
 		return m[:newG.NumVars()]
 	}
-	out := make([]float64, newG.NumVars())
-	for i, v := range scope {
-		out[v] = m[i]
-	}
-	return out
+	return m[:len(scope)]
 }

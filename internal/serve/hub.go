@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,8 +17,8 @@ import (
 // by epoch, so a subscriber reconnecting with a Last-Event-ID still in
 // the window can resume with one catch-up delta instead of a full
 // snapshot resync. Views are immutable, so holding them costs only the
-// memory of the snapshots themselves (which share structure with the
-// live one). Filled by the subscription handlers as they observe
+// memory of the snapshots themselves (which share with the live one
+// everything the updates in between did not change). Filled by the subscription handlers as they observe
 // publications; an epoch that was never observed by any subscriber ages
 // out naturally and resumption falls back to the full resync.
 type resumeRing struct {
@@ -121,6 +122,10 @@ func factKey(tuple []string) string { return strings.Join(tuple, "\x00") }
 // it last SENT — not against the previous epoch — so a subscriber that
 // falls behind coalesces the missed epochs into one resync delta (the
 // event's skipped count says how many) instead of replaying a backlog.
+// A diff costs what changed: it visits the union of the change sets
+// published since the epoch the subscriber last diffed at
+// (View.ChangedSince), and every fact only when that epoch has left the
+// window the views carry.
 //
 // The publish path never blocks on subscribers: publication just closes
 // a broadcast channel (see Backend.Published), and all per-subscriber
@@ -215,7 +220,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	v := s.b.View()
 	s.ring.add(v)
 	sent := make(map[string]map[string]sentFact)
+	// lastEpoch is the epoch of the last event written, diffed the epoch
+	// sent was last compared at: they part when a diff clears no floor.
 	lastEpoch := v.Epoch()
+	diffed := lastEpoch
 
 	// Last-Event-ID resumption: rebuild the subscriber's last-sent state
 	// from the held view of the epoch it already has, so the catch-up is
@@ -225,7 +233,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		if ep, err := strconv.ParseUint(tok, 10, 64); err == nil && ep <= lastEpoch {
 			if held := s.ring.at(ep); held != nil {
 				collectSent(held, &filter, sent)
-				lastEpoch = ep
+				lastEpoch, diffed = ep, ep
 				resumed = true
 				s.subsResumed.Add(1)
 			}
@@ -239,7 +247,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		// min_delta bookkeeping as the loop: an all-filtered diff keeps
 		// lastEpoch stale so the skipped count stays honest later.
 		if v.Epoch() != lastEpoch {
-			ev := s.diff(v, &filter, sent)
+			ev := diff(v, &filter, sent, diffed)
+			diffed = v.Epoch()
 			if len(ev.Changes) > 0 {
 				ev.Skipped = v.Epoch() - lastEpoch - 1
 				lastEpoch = v.Epoch()
@@ -303,10 +312,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		pub = s.b.Published()
 		v = s.b.View()
 		s.ring.add(v)
-		if v.Epoch() == lastEpoch {
+		if v.Epoch() == diffed {
 			continue
 		}
-		ev := s.diff(v, &filter, sent)
+		ev := diff(v, &filter, sent, diffed)
+		diffed = v.Epoch()
 		if len(ev.Changes) == 0 {
 			// All movement below min_delta: keep lastEpoch stale so the
 			// skipped count stays honest when a change finally clears it.
@@ -342,76 +352,134 @@ func collectSent(v View, filter *subFilter, sent map[string]map[string]sentFact)
 	}
 }
 
-// diff computes the delta event between a subscriber's last-sent state
-// and the current view, updating sent in place for every emitted change
-// (changes below the min_delta floor keep their old sent state, so small
-// drifts accumulate and eventually clear the floor).
-func (s *Server) diff(v View, filter *subFilter, sent map[string]map[string]sentFact) deltaEvent {
-	ev := deltaEvent{Epoch: v.Epoch()}
-	seen := make(map[string]bool, len(sent))
-	for _, rel := range v.Relations() {
-		if !filter.wantRel(rel) {
+// diff computes the delta event between a subscriber's last-sent state —
+// last compared against the view of epoch since — and the current view,
+// updating sent in place for every emitted change (changes below the
+// min_delta floor keep their old sent state, so small drifts accumulate
+// and eventually clear the floor). It visits the facts the publications
+// after since changed when the view knows them, every fact otherwise; the
+// two emit the same event, relations in sorted order, each relation's
+// present facts in the view's order followed by its removals in key order.
+func diff(v View, filter *subFilter, sent map[string]map[string]sentFact, since uint64) deltaEvent {
+	if changed, ok := v.ChangedSince(since); ok {
+		return diffChanged(v.Epoch(), changed, filter, sent)
+	}
+	return diffAll(v, filter, sent)
+}
+
+// relDiff accumulates one relation's share of a delta event.
+type relDiff struct {
+	ev      *deltaEvent
+	filter  *subFilter
+	rel     string
+	m       map[string]sentFact // the relation's sent state
+	removed []string            // keys of sent facts the view no longer holds
+}
+
+// present compares one fact the view holds against its sent state.
+func (d *relDiff) present(k string, f Fact) {
+	old, existed := d.m[k]
+	cur := sentFact{p: f.Probability, known: f.Known, evidence: f.Evidence}
+	c := Change{Relation: d.rel, Tuple: f.Tuple, Probability: f.Probability, Known: f.Known, Evidence: f.Evidence}
+	switch {
+	case !existed:
+	case old.known != cur.known || old.evidence != cur.evidence ||
+		(cur.known && abs(cur.p-old.p) >= d.filter.minDelta && cur.p != old.p):
+		c.Delta = cur.p - old.p
+	default:
+		return
+	}
+	d.ev.Changes = append(d.ev.Changes, c)
+	d.m[k] = cur
+}
+
+// flush emits the relation's removals, in key order.
+func (d *relDiff) flush() {
+	sort.Strings(d.removed)
+	for _, k := range d.removed {
+		d.ev.Changes = append(d.ev.Changes, Change{
+			Relation: d.rel, Tuple: strings.Split(k, "\x00"),
+			Delta: -d.m[k].p, Removed: true,
+		})
+		delete(d.m, k)
+	}
+}
+
+// relState returns (creating it) the sent state of one relation.
+func relState(sent map[string]map[string]sentFact, rel string) map[string]sentFact {
+	m := sent[rel]
+	if m == nil {
+		m = make(map[string]sentFact)
+		sent[rel] = m
+	}
+	return m
+}
+
+// diffChanged is diff over the facts changed since the last one.
+func diffChanged(epoch uint64, changed []FactChange, filter *subFilter, sent map[string]map[string]sentFact) deltaEvent {
+	ev := deltaEvent{Epoch: epoch}
+	var d *relDiff
+	for i := range changed {
+		c := &changed[i]
+		if !filter.wantRel(c.Relation) {
 			continue
 		}
-		seen[rel] = true
-		m := sent[rel]
-		if m == nil {
-			m = make(map[string]sentFact)
-			sent[rel] = m
+		k := factKey(c.Tuple)
+		if filter.tupleKey != "" && k != filter.tupleKey {
+			continue
 		}
-		live := make(map[string]bool, len(m))
+		if d == nil || d.rel != c.Relation {
+			if d != nil {
+				d.flush()
+			}
+			d = &relDiff{ev: &ev, filter: filter, rel: c.Relation, m: relState(sent, c.Relation)}
+		}
+		if c.Live {
+			d.present(k, c.Fact)
+		} else if _, was := d.m[k]; was {
+			d.removed = append(d.removed, k)
+		}
+	}
+	if d != nil {
+		d.flush()
+	}
+	return ev
+}
+
+// diffAll is diff over every fact of the view and of the sent state: the
+// path of a subscriber whose last diff has left the views' change window,
+// and the oracle the change-set path is tested against.
+func diffAll(v View, filter *subFilter, sent map[string]map[string]sentFact) deltaEvent {
+	ev := deltaEvent{Epoch: v.Epoch()}
+	// The view's relations and those the subscriber still holds facts of
+	// (a relation vanishes when its every fact is retracted).
+	rels := v.Relations()
+	for rel, m := range sent {
+		if len(m) > 0 {
+			rels = append(rels, rel)
+		}
+	}
+	sort.Strings(rels)
+	for i, rel := range rels {
+		if !filter.wantRel(rel) || (i > 0 && rel == rels[i-1]) {
+			continue
+		}
+		d := &relDiff{ev: &ev, filter: filter, rel: rel, m: relState(sent, rel)}
+		live := make(map[string]bool, len(d.m))
 		for _, f := range v.Facts(rel) {
 			k := factKey(f.Tuple)
 			if filter.tupleKey != "" && k != filter.tupleKey {
 				continue
 			}
 			live[k] = true
-			old, existed := m[k]
-			cur := sentFact{p: f.Probability, known: f.Known, evidence: f.Evidence}
-			switch {
-			case !existed:
-				ev.Changes = append(ev.Changes, Change{
-					Relation: rel, Tuple: f.Tuple,
-					Probability: f.Probability, Known: f.Known, Evidence: f.Evidence,
-				})
-			case old.known != cur.known || old.evidence != cur.evidence ||
-				(cur.known && abs(cur.p-old.p) >= filter.minDelta && cur.p != old.p):
-				ev.Changes = append(ev.Changes, Change{
-					Relation: rel, Tuple: f.Tuple,
-					Probability: f.Probability, Known: f.Known, Evidence: f.Evidence,
-					Delta: cur.p - old.p,
-				})
-			default:
-				continue
+			d.present(k, f)
+		}
+		for k := range d.m {
+			if !live[k] {
+				d.removed = append(d.removed, k)
 			}
-			m[k] = cur
 		}
-		for k, old := range m {
-			if live[k] {
-				continue
-			}
-			ev.Changes = append(ev.Changes, Change{
-				Relation: rel, Tuple: strings.Split(k, "\x00"),
-				Delta: -old.p, Removed: true,
-			})
-			delete(m, k)
-		}
-	}
-	// Relations that vanished entirely (every fact retracted).
-	for rel, m := range sent {
-		if seen[rel] || len(m) == 0 {
-			continue
-		}
-		if !filter.wantRel(rel) {
-			continue
-		}
-		for k, old := range m {
-			ev.Changes = append(ev.Changes, Change{
-				Relation: rel, Tuple: strings.Split(k, "\x00"),
-				Delta: -old.p, Removed: true,
-			})
-			delete(m, k)
-		}
+		d.flush()
 	}
 	return ev
 }

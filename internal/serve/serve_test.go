@@ -40,6 +40,10 @@ func (v *fakeView) Marginal(rel string, tuple []string) (float64, bool) {
 }
 func (v *fakeView) Stats() any { return map[string]int{"vars": 1} }
 
+// ChangedSince: the hand-built views do not say what changed, so their
+// subscribers compare every fact (hub_diff_test.go has views that do).
+func (v *fakeView) ChangedSince(uint64) ([]FactChange, bool) { return nil, false }
+
 // fakeBackend implements Backend with the same publication contract the
 // KB adapter provides: Published returns a channel closed by the next
 // publish call.

@@ -143,6 +143,21 @@ type View interface {
 	Marginal(relation string, tuple []string) (float64, bool)
 	// Stats returns the JSON-marshalable graph statistics blob.
 	Stats() any
+	// ChangedSince lists the facts whose state may differ between the view
+	// of publication epoch since and this one, ordered by relation and
+	// within a relation as Facts orders them, each as this view holds it.
+	// ok is false when the view cannot say — since is too far back, or a
+	// publication in between changed everything — and the caller must
+	// compare every fact.
+	ChangedSince(since uint64) (changed []FactChange, ok bool)
+}
+
+// FactChange is one entry of View.ChangedSince: a fact of the view, or —
+// Live false — one the view no longer holds.
+type FactChange struct {
+	Relation string
+	Fact
+	Live bool
 }
 
 // Backend is the narrow surface the HTTP layer needs from a KB. All

@@ -143,6 +143,13 @@ type KB struct {
 
 	epoch atomic.Uint64
 	snap  atomic.Pointer[Snapshot]
+	// skel is the skeleton of the last committed grounding — published or
+	// not — which the next update's is derived from, and unpublished what
+	// the skeletons since the last publication changed (an update cancelled
+	// after its commit leaves its share here for the next one to publish).
+	// Guarded by stateMu.
+	skel        *skeleton
+	unpublished changeSet
 
 	// Publication broadcast for subscribers (see Published): pubCh is
 	// closed by every snapshot publication and lazily re-armed by the next
@@ -499,7 +506,10 @@ type stagedApply struct {
 	// so this finish answers for more than its own delta.
 	seeds   []factor.VarID
 	carried bool
-	skel    *Snapshot
+	// skel is the committed grounding's snapshot skeleton, changed what it
+	// changes against the last published one (see nextSkeleton).
+	skel    *skeleton
+	changed changeSet
 	res     *UpdateResult
 	// walErr records a durability failure (or an injected crash) on this
 	// update's write-ahead append: the commit stands, but applyFinish
@@ -636,10 +646,14 @@ func (kb *KB) applyGround(ctx context.Context, u Update) (*stagedApply, error) {
 	// by this batch report "no marginal yet" until the final publication
 	// re-scores everything. Suppressed during WAL replay (replay timing is
 	// not the original run's) — recovery re-publishes only final states.
+	var step changeSet
+	kb.skel, step = kb.nextSkeleton(kb.skel, st.graph, delta)
+	kb.unpublished.full = kb.unpublished.full || step.full
+	kb.unpublished.vars = append(kb.unpublished.vars, step.vars...)
+	st.skel, st.changed = kb.skel, kb.unpublished
 	if d := kb.opts.ProgressPublish; d > 0 && !kb.replaying && time.Since(start) >= d {
-		st.res.IntermediateEpoch = kb.publishStaged(kb.buildSkeleton(st.graph)).Epoch()
+		st.res.IntermediateEpoch = kb.publishStaged(st.skel, st.changed).Epoch()
 	}
-	st.skel = kb.buildSkeleton(st.graph)
 	kb.stateMu.Unlock()
 
 	res.GroundTime = time.Since(start)
@@ -732,20 +746,29 @@ func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, 
 	res.Probe = ir.Probed
 	res.ProbeReused = ir.ProbeReused
 	kb.recordAutoResult(ir)
+	// What this publication changes: the skeleton's structural changes and
+	// the re-estimated variables, or everything when the marginal vector is
+	// replaced.
+	pub := st.changed
 	if dirty == nil {
 		res.DirtyVars = g.NumVars()
 		kb.marg = ir.Marginals
+		pub = changeSet{full: true}
 	} else {
 		res.DirtyVars = len(dirty.Vars)
+		// Readers share the published vector: merge into a copy (the one
+		// per-update cost that still follows the number of variables, eight
+		// pointer-free bytes each).
 		marg := make([]float64, g.NumVars())
 		copy(marg, kb.marg)
-		for _, v := range dirty.Vars {
-			marg[v] = ir.Marginals[v]
+		for i, v := range dirty.Vars { // sorted by AutoInferCtx: ir.Marginals follows it
+			marg[v] = ir.Marginals[i]
 		}
 		kb.marg = marg
+		pub.vars = append(pub.vars, dirty.Vars...)
 	}
 	kb.pending = inc.ChangeSet{} // published: nothing carries over
-	res.Epoch = kb.publishStaged(st.skel).Epoch()
+	res.Epoch = kb.publishStaged(st.skel, pub).Epoch()
 	// With the store drawn down by this update's inference, check the
 	// low-water mark and kick off a background re-materialization while
 	// the write locks are idle.
@@ -887,67 +910,25 @@ func (kb *KB) CloseNow() error {
 	return kb.closeWAL()
 }
 
-// buildSkeleton freezes the grounding-dependent half of a snapshot: the
-// per-relation fact tables (tuples, variable ids, evidence values) and
-// graph statistics, pinned to the current grounding version and graph
-// epoch. The marginal vector and the publication epoch are attached
-// later by publishStaged, once inference has run — this is what lets the
-// pipelined apply path build the skeleton during its grounding stage.
-// Callers hold groundMu (the skeleton reads grounder state) and pass the
-// committed graph the snapshot pins.
-func (kb *KB) buildSkeleton(g *factor.Graph) *Snapshot {
-	s := &Snapshot{
-		groundVersion: kb.grounder.Version(),
-		graphEpoch:    g.Epoch(),
-		rels:          map[string]*relView{},
-	}
-	nv := kb.grounder.NumVars()
-	for v := 0; v < nv; v++ {
-		id := factor.VarID(v)
-		if !kb.grounder.IsLive(id) {
-			continue
-		}
-		rel, tuple := kb.grounder.VarTuple(id)
-		rv := s.rels[rel]
-		if rv == nil {
-			rv = &relView{byKey: map[string]int32{}}
-			s.rels[rel] = rv
-		}
-		f := snapFact{tuple: tuple, v: int32(v)}
-		if v < g.NumVars() && g.IsEvidence(id) {
-			f.evidence = true
-			f.evValue = g.EvidenceValue(id)
-		}
-		rv.byKey[kb.grounder.VarKey(id)] = int32(len(rv.facts))
-		rv.facts = append(rv.facts, f)
-	}
-	st := GraphStats{
-		Variables: g.NumVars(),
-		Factors:   kb.grounder.NumGroundings(),
-		Weights:   g.NumWeights(),
-	}
-	for v := 0; v < g.NumVars(); v++ {
-		if g.IsEvidence(factor.VarID(v)) {
-			st.Evidence++
-		}
-	}
-	st.QueryFacts = st.Variables - st.Evidence
-	s.stats = st
-	return s
-}
-
-// publishStaged attaches the current marginals and the next publication
-// epoch to a prepared skeleton and swaps it in as the served view.
-// Callers hold stateMu.
-func (kb *KB) publishStaged(s *Snapshot) *Snapshot {
-	if kb.marg != nil {
-		s.marg = append([]float64(nil), kb.marg...)
-	}
+// publishStaged attaches the current marginals, the next publication epoch
+// and the publication's change set to a prepared skeleton and swaps the
+// result in as the served view. Callers hold stateMu.
+func (kb *KB) publishStaged(sk *skeleton, cs changeSet) *Snapshot {
+	s := &Snapshot{skeleton: *sk, marg: kb.marg}
 	if kb.engine != nil {
 		ap := kb.autopilotLocked()
 		s.stats.Autopilot = &ap
 	}
 	s.epoch = kb.epoch.Add(1)
+	cs.epoch = s.epoch
+	// The window slides over one backing array, appended to in place: a
+	// published snapshot reads only its own stretch of it.
+	w := kb.snap.Load().changes
+	if len(w) >= changeWindow {
+		w = w[len(w)-changeWindow+1:]
+	}
+	s.changes = append(w, cs)
+	kb.unpublished = changeSet{}
 	kb.snap.Store(s)
 	kb.notifyPublish()
 	return s
@@ -955,11 +936,14 @@ func (kb *KB) publishStaged(s *Snapshot) *Snapshot {
 
 // publishLocked freezes the current grounding + marginal state into a
 // fresh Snapshot and swaps it in as the served view — the monolithic
-// writer path. Callers hold both writer locks (lockExclusive).
+// writer path, which rebuilds the skeleton and may have replaced the
+// marginals: the publication changes everything. Callers hold both writer
+// locks (lockExclusive).
 func (kb *KB) publishLocked() *Snapshot {
 	g := kb.grounder.Graph()
 	kb.curGraph = g
-	return kb.publishStaged(kb.buildSkeleton(g))
+	kb.skel = kb.buildSkeleton(g)
+	return kb.publishStaged(kb.skel, changeSet{full: true})
 }
 
 // Marginal is shorthand for Snapshot().Marginal — one consistent point

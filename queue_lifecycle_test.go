@@ -274,3 +274,55 @@ func TestQueueCloseRacingPauseResume(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueRejectsMalformedTuples: a tuple of the wrong arity, a value
+// holding the reserved 0x1f byte, or a delete of a tuple the relation does
+// not hold used to pass the update's up-front validation and panic the
+// queue goroutine — the process — from inside the database. Each is now
+// refused whole before the first mutation, with ErrInvalidTuple, and the
+// queue goes on to apply the next update.
+func TestQueueRejectsMalformedTuples(t *testing.T) {
+	kb := spouseKB(t)
+	defer kb.Close()
+	before := kb.Snapshot()
+	for name, u := range map[string]deepdive.Update{
+		"short tuple":        {Inserts: map[string][]deepdive.Tuple{"Sentence": {{"one-column"}}}},
+		"long tuple":         {Deletes: map[string][]deepdive.Tuple{"Married": {{"Alan", "Beth", "extra"}}}},
+		"reserved byte":      {Inserts: map[string][]deepdive.Tuple{"Sentence": {{"s9", "split\x1fhere"}}}},
+		"absent delete":      {Deletes: map[string][]deepdive.Tuple{"Married": {{"Nobody", "Noone"}}}},
+		"delete twice":       {Deletes: map[string][]deepdive.Tuple{"Married": {{"Alan", "Beth"}, {"Alan", "Beth"}}}},
+		"bad among the good": {Inserts: map[string][]deepdive.Tuple{"Sentence": {{"s9", "fine"}, {"s10"}}, "Married": {{"Eve", "Frank"}}}},
+	} {
+		res, err := kb.Updates().Submit(u).Wait(ctx)
+		if res != nil || !errors.Is(err, deepdive.ErrInvalidTuple) {
+			t.Fatalf("%s: result %+v, error %v; want ErrInvalidTuple", name, res, err)
+		}
+		if _, err := kb.Apply(ctx, u); !errors.Is(err, deepdive.ErrInvalidTuple) {
+			t.Fatalf("%s: Apply error %v; want ErrInvalidTuple", name, err)
+		}
+	}
+	if err := kb.Load("Sentence", []deepdive.Tuple{{"late"}}); err == nil {
+		t.Fatal("Load after Init accepted a tuple")
+	}
+	if now := kb.Snapshot(); now != before || len(kb.Relation("Sentence")) != 3 || len(kb.Relation("Married")) != 1 {
+		t.Fatalf("a refused update changed the KB: epoch %d → %d, %d sentences, %d married pairs",
+			before.Epoch(), now.Epoch(), len(kb.Relation("Sentence")), len(kb.Relation("Married")))
+	}
+	// The queue is alive, and an update that takes back what it inserts is
+	// not a delete of something absent.
+	u := docUpdate(1)
+	u.Inserts["Married"] = []deepdive.Tuple{{"Eve", "Frank"}}
+	u.Deletes = map[string][]deepdive.Tuple{"Married": {{"Eve", "Frank"}}}
+	res, err := kb.Updates().Submit(u).Wait(ctx)
+	must(t, err)
+	if res.Epoch != before.Epoch()+1 || len(kb.Relation("Married")) != 1 {
+		t.Fatalf("the update after the refusals: %+v, %d married pairs", res, len(kb.Relation("Married")))
+	}
+
+	// Before Init the same check guards Load.
+	raw, err := deepdive.OpenKB(spouseSource, deepdive.WithUDF("phrase", phraseUDF))
+	must(t, err)
+	if err := raw.Load("Sentence", []deepdive.Tuple{{"one-column"}}); !errors.Is(err, deepdive.ErrInvalidTuple) {
+		t.Fatalf("Load of a one-column sentence: %v", err)
+	}
+}

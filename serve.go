@@ -226,6 +226,9 @@ func (b kbBackend) mapKBError(err error) error {
 	case errors.Is(err, ErrQueueClosed):
 		return &serve.StatusError{Status: http.StatusServiceUnavailable,
 			Code: "shutting_down", Msg: err.Error()}
+	case errors.Is(err, ErrInvalidTuple):
+		return &serve.StatusError{Status: http.StatusBadRequest,
+			Code: "invalid_tuple", Msg: err.Error()}
 	}
 	return err
 }
@@ -273,12 +276,28 @@ func (v kbView) Facts(relation string) []serve.Fact {
 	facts := v.s.Facts(relation)
 	out := make([]serve.Fact, len(facts))
 	for i, f := range facts {
-		out[i] = serve.Fact{
-			Tuple:       []string(f.Tuple),
-			Probability: f.Probability,
-			Known:       f.Known,
-			Evidence:    f.Evidence,
-		}
+		out[i] = wireFact(f)
 	}
 	return out
+}
+
+func (v kbView) ChangedSince(since uint64) ([]serve.FactChange, bool) {
+	changed, ok := v.s.changedSince(since)
+	if !ok {
+		return nil, false
+	}
+	out := make([]serve.FactChange, len(changed))
+	for i, c := range changed {
+		out[i] = serve.FactChange{Relation: c.relation, Fact: wireFact(c.fact), Live: c.live}
+	}
+	return out, true
+}
+
+func wireFact(f Fact) serve.Fact {
+	return serve.Fact{
+		Tuple:       []string(f.Tuple),
+		Probability: f.Probability,
+		Known:       f.Known,
+		Evidence:    f.Evidence,
+	}
 }

@@ -418,3 +418,76 @@ func TestProgressPublish(t *testing.T) {
 	}
 	t.Fatal("watcher never beat the finish stage in 50 attempts")
 }
+
+// TestServeHTTPRejectsMalformedTuples: the wire twin of
+// TestQueueRejectsMalformedTuples — a body whose tuple has the wrong arity
+// (or a reserved byte, or deletes what is not there) is a 400 with code
+// invalid_tuple, not a dead process, and the server keeps taking updates.
+func TestServeHTTPRejectsMalformedTuples(t *testing.T) {
+	kb := spouseKB(t)
+	defer kb.Close()
+	base := "http://" + serveKB(t, kb, deepdive.ServeOptions{}).Addr()
+	for _, body := range []string{
+		`{"inserts": {"Sentence": [["one-column"]]}}`,
+		`{"inserts": {"Sentence": [["s9", "split\u001fhere"]]}}`,
+		`{"deletes": {"Married": [["Nobody", "Noone"]]}}`,
+	} {
+		code, out := postUpdate(t, base, body, true)
+		if code != http.StatusBadRequest || out["code"] != "invalid_tuple" {
+			t.Fatalf("POST %s: %d %v, want 400 invalid_tuple", body, code, out)
+		}
+	}
+	if code, out := postUpdate(t, base, wireDocUpdate(1), true); code != http.StatusOK {
+		t.Fatalf("the update after the refusals: %d %v", code, out)
+	}
+	if code, out := getJSON(t, base+"/v1/health"); code != http.StatusOK || out["state"] != "healthy" {
+		t.Fatalf("health after the refusals: %d %v", code, out)
+	}
+}
+
+// FuzzServeUpdateBody throws arbitrary bodies at POST /v1/update?wait=1 on
+// a live KB: whatever arrives, the handler answers (200, 400, 409 or 413,
+// never a panic, never a 5xx) and the queue stays able to apply a
+// well-formed update afterwards.
+func FuzzServeUpdateBody(f *testing.F) {
+	f.Add(`{"inserts": {"Sentence": [["one-column"]]}}`)
+	f.Add(`{"inserts": {"Sentence": [["s9", "split\u001fhere"]]}}`)
+	f.Add(`{"deletes": {"Married": [["Alan", "Beth"], ["Alan", "Beth"]]}}`)
+	f.Add(`{"inserts": {"NoSuchRelation": [["x"]]}}`)
+	f.Add(`{"rule_source": "Broken: HasSpouse(m1) :- ."}`)
+	f.Add(wireDocUpdate(7))
+	f.Add(`{"inserts": {"Sentence": [[]]}}`)
+	f.Add(`[1, 2`)
+	kb, err := deepdive.OpenKB(spouseSource, deepdive.WithUDF("phrase", phraseUDF), deepdive.WithSeed(7),
+		deepdive.WithLearning(5, 0.3), deepdive.WithInference(10, 60), deepdive.WithMaterialization(120, 0.01))
+	must(f, err)
+	must(f, kb.Load("Sentence", []deepdive.Tuple{{"s1", "Alan and his wife Beth"}}))
+	must(f, kb.Load("PersonMention", []deepdive.Tuple{{"a", "s1", "Alan"}, {"b", "s1", "Beth"}}))
+	must(f, kb.Load("Married", []deepdive.Tuple{{"Alan", "Beth"}}))
+	must(f, kb.Init(ctx))
+	for _, stage := range []func(context.Context) (time.Duration, error){kb.Learn, kb.Infer, kb.Materialize} {
+		_, err := stage(ctx)
+		must(f, err)
+	}
+	srv, err := kb.Serve(ctx, deepdive.ServeOptions{})
+	must(f, err)
+	f.Cleanup(func() { srv.Shutdown(ctx); kb.CloseNow() })
+	n := 0
+	f.Fuzz(func(t *testing.T, body string) {
+		resp, err := http.Post("http://"+srv.Addr()+"/v1/update?wait=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %q: %v", body, err)
+		}
+		resp.Body.Close()
+		if c := resp.StatusCode; c != 200 && c != 400 && c != 409 && c != 413 {
+			t.Fatalf("POST %q: status %d", body, c)
+		}
+		n++
+		probe := docUpdate(1000 + n)
+		if _, err := kb.Updates().Submit(probe).Wait(ctx); err != nil {
+			t.Fatalf("after POST %q the queue refuses a document: %v", body, err)
+		}
+		_, err = kb.Updates().Submit(deepdive.Update{Deletes: probe.Inserts}).Wait(ctx)
+		must(t, err)
+	})
+}

@@ -1,6 +1,13 @@
 package deepdive
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+
+	"deepdive/internal/factor"
+	"deepdive/internal/ground"
+)
 
 // Snapshot is an immutable, point-in-time view of the knowledge base: the
 // marginal probability and extraction state of every live candidate fact,
@@ -11,39 +18,130 @@ import "sort"
 // one. A snapshot never changes after publication: readers that need a
 // consistent multi-query view hold one Snapshot and issue every query
 // against it.
+//
+// Consecutive snapshots share what an update did not change (see
+// skeleton), so a held Snapshot pins its own marginal vector (8 bytes per
+// variable), the one-byte-per-fact state of the relations that changed
+// since, and — only once the lineage has outgrown or compacted them — the
+// fact and index storage it was published over.
 type Snapshot struct {
-	epoch         uint64
+	skeleton
+	epoch uint64
+	marg  []float64 // shared with the KB, which replaces it and never writes it; nil before the first inference
+	// changes are the change sets of this and the preceding publications,
+	// oldest first, consecutive epochs (see changedSince).
+	changes []changeSet
+}
+
+// skeleton is the grounding-dependent half of a snapshot: the per-relation
+// fact tables and graph statistics, pinned to one grounding version and
+// graph epoch. The marginal vector and the publication epoch are attached
+// by publishStaged once inference has run — which is what lets the
+// pipelined apply path prepare the skeleton during its grounding stage.
+//
+// A document update derives its skeleton from the previous one and the
+// committed delta (KB.nextSkeleton): relations the delta did not touch
+// share their relView, a touched relation shares its fact storage and its
+// key index with its predecessor, and loc grows in place. buildSkeleton
+// from the grounder is the base case.
+type skeleton struct {
 	groundVersion uint64
 	graphEpoch    int32
 	stats         GraphStats
-	marg          []float64 // owned copy; nil before the first inference
 	rels          map[string]*relView
+	// loc[v] is where variable v's fact is stored. Entries never change and
+	// the slice only grows, so the skeletons of a lineage share one backing
+	// array, each with its own length.
+	loc []factLoc
+	// stored and dead count the facts in storage and those of them that are
+	// not live, over all relations: once the dead outgrow a share of the
+	// live, the next skeleton is rebuilt compact.
+	stored, dead int
 }
 
-// snapFact is one live candidate fact frozen into a snapshot. Marginals
-// are looked up through the variable id in the snapshot's marginal
-// vector: the fact table (the snapshot *skeleton*) is built during the
-// grounding stage of a pipelined apply, before that update's inference
-// has produced marginals — the finish stage attaches the vector and the
-// epoch without touching the fact table again.
+// factLoc places one variable's fact: position pos of relation rel's
+// storage, or pos < 0 for a variable that was not live when the lineage's
+// base skeleton was built (it has no storage until a rebuild).
+type factLoc struct {
+	rel string
+	pos int32
+}
+
+// snapFact is the immutable part of one stored candidate fact. Marginals
+// are looked up through the variable id in the snapshot's marginal vector.
 type snapFact struct {
-	tuple    Tuple
-	v        int32 // variable id (index into marg)
-	evidence bool
-	evValue  bool
+	tuple Tuple
+	v     int32 // variable id (index into marg)
 }
 
-// relView is the frozen per-relation fact table: facts in ascending
-// variable-id order (the same order Engine.Extractions historically
-// reported) plus a tuple-key index for point lookups.
+// Per-fact state bits of relView.state.
+const (
+	factLive     = 1 << iota // the candidate tuple is visible
+	factEvidence             // the variable's value is fixed by supervision
+	factTrue                 // that value
+)
+
+// relView is one relation's fact table as of one skeleton: the stored
+// facts in ascending variable-id order (the order Extractions, Facts and
+// Candidates report), their state, and a tuple-key index for point
+// lookups. A fact that stops being live stays stored with its live bit
+// cleared — a revival restores it in place, in order — so facts and index
+// only ever grow and are shared along the lineage: facts is appended to in
+// place (each view has its own length; nobody reads past theirs), index is
+// persistent. state is this view's own: one byte per stored fact.
 type relView struct {
-	byKey map[string]int32
 	facts []snapFact
+	state []uint8
+	index keyIndex
+	live  int
 }
+
+// keyIndex maps tuple keys to storage positions. Keys are only ever added,
+// so it is a stack of immutable maps over disjoint key sets, each at most
+// half the size of the one before: adding keys allocates a map of the new
+// keys and merges the small end of the stack (every key is copied O(log n)
+// times over the life of the index), and a lookup probes the large maps
+// first — one probe for at least half the keys.
+type keyIndex []map[string]int32
+
+func (ix keyIndex) get(key []byte) (int32, bool) {
+	for _, m := range ix {
+		if p, ok := m[string(key)]; ok {
+			return p, true
+		}
+	}
+	return 0, false
+}
+
+// with returns the index extended by add, which it takes ownership of.
+func (ix keyIndex) with(add map[string]int32) keyIndex {
+	out := append(ix[:len(ix):len(ix)], add)
+	for n := len(out); n >= 2 && 2*len(out[n-1]) > len(out[n-2]); n = len(out) {
+		merged := make(map[string]int32, len(out[n-1])+len(out[n-2]))
+		maps.Copy(merged, out[n-2])
+		maps.Copy(merged, out[n-1])
+		out = append(out[:n-2:n-2], merged)
+	}
+	return out
+}
+
+// changeSet names the facts one publication changed against the one before
+// it: born, died, evidence flipped, marginal re-estimated. full stands for
+// "any of them" — a publication that replaced the marginal vector or
+// rebuilt the skeleton.
+type changeSet struct {
+	epoch uint64
+	full  bool
+	vars  []factor.VarID
+}
+
+// changeWindow is how many publications back a snapshot can name what
+// changed (the serving tier's default resume window).
+const changeWindow = 32
 
 // emptySnapshot is what KB.Snapshot returns before the first publication.
 func emptySnapshot() *Snapshot {
-	return &Snapshot{rels: map[string]*relView{}}
+	return &Snapshot{skeleton: skeleton{rels: map[string]*relView{}}}
 }
 
 // Epoch returns the KB publication generation this snapshot belongs to:
@@ -63,6 +161,21 @@ func (s *Snapshot) GraphEpoch() int32 { return s.graphEpoch }
 // Stats reports the grounded factor-graph statistics at snapshot time.
 func (s *Snapshot) Stats() GraphStats { return s.stats }
 
+// fill renders stored fact i of rv into out (zero on entry) as a reader
+// sees it.
+func (s *Snapshot) fill(out *Fact, rv *relView, i int) {
+	f, st := &rv.facts[i], rv.state[i]
+	out.Tuple = f.tuple
+	if st&factEvidence != 0 {
+		out.Evidence, out.Known = true, true
+		if st&factTrue != 0 {
+			out.Probability = 1
+		}
+	} else if int(f.v) < len(s.marg) {
+		out.Probability, out.Known = s.marg[f.v], true
+	}
+}
+
 // Marginal returns the marginal probability of a candidate fact, or
 // (0, false) when no such live candidate exists or no inference has run
 // yet. Evidence facts report their supervised value (0 or 1).
@@ -71,22 +184,14 @@ func (s *Snapshot) Marginal(relation string, t Tuple) (float64, bool) {
 	if rv == nil {
 		return 0, false
 	}
-	i, ok := rv.byKey[t.Key()]
-	if !ok {
+	var buf [128]byte
+	i, ok := rv.index.get(t.AppendKey(buf[:0]))
+	if !ok || rv.state[i]&factLive == 0 {
 		return 0, false
 	}
-	f := &rv.facts[i]
-	switch {
-	case f.evidence:
-		if f.evValue {
-			return 1, true
-		}
-		return 0, true
-	case s.marg != nil && int(f.v) < len(s.marg):
-		return s.marg[f.v], true
-	default:
-		return 0, false
-	}
+	var f Fact
+	s.fill(&f, rv, int(i))
+	return f.Probability, f.Known
 }
 
 // Extractions returns the facts of a variable relation whose probability
@@ -98,15 +203,18 @@ func (s *Snapshot) Extractions(relation string, threshold float64) []Extraction 
 		return nil
 	}
 	var out []Extraction
-	for i := range rv.facts {
+	for i, st := range rv.state {
+		if st&factLive == 0 {
+			continue
+		}
 		f := &rv.facts[i]
-		if f.evidence {
-			if f.evValue {
+		if st&factEvidence != 0 {
+			if st&factTrue != 0 {
 				out = append(out, Extraction{Tuple: f.tuple, Probability: 1, Evidence: true})
 			}
 			continue
 		}
-		if s.marg != nil && int(f.v) < len(s.marg) && s.marg[f.v] > threshold {
+		if int(f.v) < len(s.marg) && s.marg[f.v] > threshold {
 			out = append(out, Extraction{Tuple: f.tuple, Probability: s.marg[f.v]})
 		}
 	}
@@ -131,21 +239,15 @@ type Fact struct {
 // consumers that diff successive snapshots (e.g. streaming subscribers).
 func (s *Snapshot) Facts(relation string) []Fact {
 	rv := s.rels[relation]
-	if rv == nil {
+	if rv == nil || rv.live == 0 {
 		return nil
 	}
-	out := make([]Fact, len(rv.facts))
-	for i := range rv.facts {
-		f := &rv.facts[i]
-		out[i] = Fact{Tuple: f.tuple}
-		switch {
-		case f.evidence:
-			out[i].Evidence, out[i].Known = true, true
-			if f.evValue {
-				out[i].Probability = 1
-			}
-		case s.marg != nil && int(f.v) < len(s.marg):
-			out[i].Probability, out[i].Known = s.marg[f.v], true
+	out := make([]Fact, rv.live)
+	k := 0
+	for i, st := range rv.state {
+		if st&factLive != 0 {
+			s.fill(&out[k], rv, i)
+			k++
 		}
 	}
 	return out
@@ -155,8 +257,10 @@ func (s *Snapshot) Facts(relation string) []Fact {
 // sorted order.
 func (s *Snapshot) Relations() []string {
 	out := make([]string, 0, len(s.rels))
-	for name := range s.rels {
-		out = append(out, name)
+	for name, rv := range s.rels {
+		if rv.live > 0 {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -166,12 +270,220 @@ func (s *Snapshot) Relations() []string {
 // in stable (variable-id) order.
 func (s *Snapshot) Candidates(relation string) []Tuple {
 	rv := s.rels[relation]
-	if rv == nil {
+	if rv == nil || rv.live == 0 {
 		return nil
 	}
-	out := make([]Tuple, len(rv.facts))
-	for i := range rv.facts {
-		out[i] = rv.facts[i].tuple
+	out := make([]Tuple, 0, rv.live)
+	for i, st := range rv.state {
+		if st&factLive != 0 {
+			out = append(out, rv.facts[i].tuple)
+		}
 	}
 	return out
+}
+
+// factChange is one entry of changedSince: a fact as this snapshot holds
+// it, or — live false — one it no longer does.
+type factChange struct {
+	relation string
+	fact     Fact
+	live     bool
+}
+
+// changedSince lists every fact whose state in this snapshot may differ
+// from the one it had at publication epoch since, ordered by relation and
+// within a relation by variable id: the union of the change sets published
+// after since. ok is false when that union is not known — since lies
+// beyond the window the snapshot carries, or one of the publications in
+// between changed everything — and the caller has to compare all facts.
+func (s *Snapshot) changedSince(since uint64) (changed []factChange, ok bool) {
+	if since >= s.epoch {
+		return nil, true
+	}
+	first := len(s.changes)
+	for first > 0 && s.changes[first-1].epoch > since {
+		first--
+		if s.changes[first].full {
+			return nil, false
+		}
+	}
+	if first == len(s.changes) || s.changes[first].epoch != since+1 {
+		return nil, false
+	}
+	var vars []factor.VarID
+	for _, cs := range s.changes[first:] {
+		vars = append(vars, cs.vars...)
+	}
+	slices.Sort(vars)
+	vars = slices.Compact(vars)
+	changed = make([]factChange, 0, len(vars))
+	for _, v := range vars {
+		l := s.loc[v]
+		if l.pos < 0 {
+			continue // never live in this lineage: no reader has seen it
+		}
+		rv := s.rels[l.rel]
+		c := factChange{relation: l.rel, live: rv.state[l.pos]&factLive != 0}
+		s.fill(&c.fact, rv, int(l.pos))
+		changed = append(changed, c)
+	}
+	sort.SliceStable(changed, func(i, j int) bool { return changed[i].relation < changed[j].relation })
+	return changed, true
+}
+
+// factState is variable v's state bits as the grounder and the committed
+// graph g have it.
+func (kb *KB) factState(g *factor.Graph, v factor.VarID) (st uint8) {
+	if kb.grounder.IsLive(v) {
+		st |= factLive
+	}
+	if int(v) < g.NumVars() && g.IsEvidence(v) {
+		st |= factEvidence
+		if g.EvidenceValue(v) {
+			st |= factTrue
+		}
+	}
+	return st
+}
+
+// buildSkeleton is the base case: every relation's fact table from the
+// grounder's variable tables, with no tombstones and nothing shared. It
+// runs where there is no predecessor to derive from — Init, Learn, Infer,
+// Materialize, a landed re-materialization, Checkpoint, restore — and when
+// nextSkeleton gives up. Callers hold groundMu (the skeleton reads
+// grounder state) and pass the committed graph the snapshot pins.
+func (kb *KB) buildSkeleton(g *factor.Graph) *skeleton {
+	nv := kb.grounder.NumVars()
+	s := &skeleton{
+		groundVersion: kb.grounder.Version(),
+		graphEpoch:    g.Epoch(),
+		rels:          map[string]*relView{},
+		loc:           make([]factLoc, nv, nv+nv/8+16),
+	}
+	keys := map[string]map[string]int32{}
+	for v := 0; v < nv; v++ {
+		id := factor.VarID(v)
+		st := kb.factState(g, id)
+		if st&factEvidence != 0 {
+			s.stats.Evidence++
+		}
+		if st&factLive == 0 {
+			s.loc[v] = factLoc{rel: kb.grounder.VarRelation(id), pos: -1}
+			continue
+		}
+		rel, tuple := kb.grounder.VarTuple(id)
+		rv := s.rels[rel]
+		if rv == nil {
+			rv = &relView{}
+			s.rels[rel], keys[rel] = rv, map[string]int32{}
+		}
+		s.loc[v] = factLoc{rel: rel, pos: int32(len(rv.facts))}
+		keys[rel][kb.grounder.VarKey(id)] = int32(len(rv.facts))
+		rv.facts = append(rv.facts, snapFact{tuple: tuple, v: int32(v)})
+		rv.state = append(rv.state, st)
+		rv.live++
+		s.stored++
+	}
+	for rel, rv := range s.rels {
+		rv.index = keyIndex{keys[rel]}
+	}
+	s.setGraphStats(kb, g)
+	return s
+}
+
+// setGraphStats fills the statistics read off the graph and the grounder;
+// Evidence is counted by the caller.
+func (s *skeleton) setGraphStats(kb *KB, g *factor.Graph) {
+	s.stats.Variables = g.NumVars()
+	s.stats.Factors = kb.grounder.NumGroundings()
+	s.stats.Weights = g.NumWeights()
+	s.stats.QueryFacts = s.stats.Variables - s.stats.Evidence
+}
+
+// nextSkeleton derives the skeleton of a committed update from its
+// predecessor and the update's delta, in O(|delta|) plus one byte per
+// stored fact of each relation the delta touched: new variables are
+// appended to their relation's storage, liveness and evidence changes flip
+// state bits. It also returns what the step changed, for the
+// publication's change set: the variables whose fact was born, died,
+// revived or had its supervision flipped — or everything, when it rebuilt
+// from scratch instead (storage positions moved): there is no
+// predecessor, the delta touches a variable the lineage has no storage
+// for, or dead facts have outgrown a quarter of the live ones. Callers
+// hold groundMu and stateMu.
+func (kb *KB) nextSkeleton(prev *skeleton, g *factor.Graph, d *ground.Delta) (s *skeleton, changed changeSet) {
+	if prev == nil || prev.dead > 16+(prev.stored-prev.dead)/4 {
+		return kb.buildSkeleton(g), changeSet{full: true}
+	}
+	for _, vs := range [][]factor.VarID{d.LivenessChanged, d.EvidenceChanged} {
+		for _, v := range vs {
+			if int(v) < len(prev.loc) && prev.loc[v].pos < 0 {
+				return kb.buildSkeleton(g), changeSet{full: true}
+			}
+		}
+	}
+	sk := *prev
+	s = &sk
+	s.groundVersion, s.graphEpoch = kb.grounder.Version(), g.Epoch()
+
+	// own returns rel's view for writing, cloning it (and, once, the
+	// relation map) the first time this update touches it.
+	owned := map[string]*relView{}
+	newKeys := map[string]map[string]int32{}
+	own := func(rel string) *relView {
+		if rv := owned[rel]; rv != nil {
+			return rv
+		}
+		if len(owned) == 0 {
+			s.rels = maps.Clone(prev.rels)
+		}
+		rv := &relView{}
+		if old := prev.rels[rel]; old != nil {
+			*rv = *old
+			rv.state = append(make([]uint8, 0, len(old.state)+8), old.state...)
+		}
+		owned[rel], s.rels[rel] = rv, rv
+		return rv
+	}
+	set := func(v factor.VarID, rv *relView, pos int32, st uint8) {
+		old := rv.state[pos]
+		if old == st {
+			return
+		}
+		rv.state[pos] = st
+		live := int(st&factLive) - int(old&factLive)
+		rv.live += live
+		s.dead -= live
+		s.stats.Evidence += (int(st&factEvidence) - int(old&factEvidence)) / factEvidence
+		changed.vars = append(changed.vars, v)
+	}
+	for _, vs := range [][]factor.VarID{d.LivenessChanged, d.EvidenceChanged} {
+		for _, v := range vs {
+			if int(v) < len(prev.loc) {
+				l := s.loc[v]
+				set(v, own(l.rel), l.pos, kb.factState(g, v))
+			}
+		}
+	}
+	for v := len(prev.loc); v < kb.grounder.NumVars(); v++ {
+		id := factor.VarID(v)
+		rel, tuple := kb.grounder.VarTuple(id)
+		rv := own(rel)
+		pos := int32(len(rv.facts))
+		if newKeys[rel] == nil {
+			newKeys[rel] = map[string]int32{}
+		}
+		newKeys[rel][kb.grounder.VarKey(id)] = pos
+		rv.facts = append(rv.facts, snapFact{tuple: tuple, v: int32(v)})
+		rv.state = append(rv.state, 0)
+		s.loc = append(s.loc, factLoc{rel: rel, pos: pos})
+		s.stored++
+		s.dead++ // until set finds it live
+		set(id, rv, pos, kb.factState(g, id))
+	}
+	for rel, add := range newKeys {
+		owned[rel].index = owned[rel].index.with(add)
+	}
+	s.setGraphStats(kb, g)
+	return s, changed
 }
