@@ -1,8 +1,14 @@
 package deepdive_test
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
+
+	"deepdive"
+	"deepdive/internal/factor"
+	"deepdive/internal/kbc"
 )
 
 // docUpdateAllocs streams the wire corpus (three document inserts to one
@@ -54,5 +60,65 @@ func TestDocUpdateAllocationScaling(t *testing.T) {
 	}
 	if r := o4 / o1; r > 1.5 {
 		t.Errorf("objects per update grow %.2f× from 1× to 4× the documents, want ≤ 1.5×", r)
+	}
+}
+
+// TestCheckpointRecoveryAllocation guards what the persist layer hands the
+// collector. A checkpoint encodes its image in place, in one buffer sized
+// from the last image: beside the graph compaction it allocates about one
+// image (2.3 in all here; 9.7 with a buffer per section grown by doubling,
+// then copied). A recovery cuts the KB's strings from the image it read and
+// its row, group and grounding records from slabs: an object per 84 bytes
+// of image here, not one per persisted string and record (one per 24
+// bytes). On a small durable KB those two were most of the garbage and
+// most of the live objects — the collector's pace and the cost of each
+// collection, which lands on whatever update or recovery runs meanwhile.
+func TestCheckpointRecoveryAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("materializes the wire corpus")
+	}
+	dir := t.TempDir()
+	w := newWireCorpus(t, 3, 1, 8)
+	kb := w.materialized(t, deepdive.WithDataDir(dir))
+	must(t, kb.Checkpoint(ctx))
+
+	measure := func(f func()) (bytes, objects float64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc), float64(after.Mallocs - before.Mallocs)
+	}
+	ckptBytes, _ := measure(func() { must(t, kb.Checkpoint(ctx)) })
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.ddkb"))
+	must(t, err)
+	if len(snaps) != 1 {
+		t.Fatalf("snapshots after a checkpoint: %v", snaps)
+	}
+	st, err := os.Stat(snaps[0])
+	must(t, err)
+	image := float64(st.Size())
+	must(t, kb.CloseNow())
+
+	opts := []deepdive.Option{deepdive.WithSeed(w.seed), deepdive.WithDataDir(dir)}
+	for name, udf := range kbc.UDFs() {
+		opts = append(opts, deepdive.WithUDF(name, udf))
+	}
+	source := kbc.Program(w.sys, factor.Ratio, len(kbc.IterationNames))
+	var back *deepdive.KB
+	openBytes, openObjects := measure(func() { back, err = deepdive.OpenKB(source, opts...) })
+	must(t, err)
+	t.Cleanup(func() { back.CloseNow() })
+	if !back.Recovered() {
+		t.Fatal("OpenKB on the data directory did not recover")
+	}
+	t.Logf("image %.0f KB; a checkpoint allocates %.0f KB (%.1f images), a recovery %.0f KB in %.0f objects (one per %.0f bytes of image)",
+		image/1024, ckptBytes/1024, ckptBytes/image, openBytes/1024, openObjects, image/openObjects)
+	if ckptBytes > 3*image {
+		t.Errorf("a checkpoint allocates %.1f images, want ≤ 3", ckptBytes/image)
+	}
+	if openObjects > image/48 {
+		t.Errorf("a recovery allocates one object per %.0f bytes of image, want at most one per 48", image/openObjects)
 	}
 }

@@ -91,11 +91,16 @@ func (kb *KB) rematerialize(ctx context.Context, run *rematRun, g *factor.Graph,
 	}
 	// All reads of g are complete. Release preemptors before taking any
 	// lock: a writer holding groundMu may be blocked in preemptRemat
-	// waiting for exactly this signal.
+	// waiting for exactly this signal. A lost run is counted first, so the
+	// writer that cancelled it finds it in RematPreempted when its own
+	// update returns (an update is shorter than a goroutine switch now).
+	lost := err != nil || ctx.Err() != nil
+	if lost {
+		kb.rematLost.Add(1)
+	}
 	close(run.done)
 
-	if err != nil || ctx.Err() != nil {
-		kb.rematLost.Add(1)
+	if lost {
 		if ctx.Err() != nil {
 			kb.noteRematOutcome(false)
 		}

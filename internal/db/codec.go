@@ -37,20 +37,45 @@ func (r *Relation) RestoreSnapshot(rd *persist.Rd) error {
 			name, cols, r.name, r.cols)
 	}
 	r.version = rd.U64("relation version")
-	n := rd.U64("relation row count")
-	for i := uint64(0); i < n && rd.Err() == nil; i++ {
+	// Rows, their column values and their keys are cut from one slab each:
+	// a restored relation is a handful of objects, not a handful per row.
+	n := rd.Count(16, "relation row count")
+	arity := len(r.cols)
+	slab, cells := make([]Row, n), make([]string, n*arity)
+	keyBytes := 0
+	for i := range slab {
 		count := rd.I64("row count")
-		tup := Tuple(rd.Strs("row tuple"))
+		tup := Tuple(cells[i*arity : (i+1)*arity : (i+1)*arity])
+		rd.StrsInto(tup, "row tuple")
 		if rd.Err() != nil {
-			break
+			return rd.Err()
 		}
-		if len(tup) != len(r.cols) || count < 0 || r.find(tup) != nil {
+		if count < 0 {
 			return fmt.Errorf("db: corrupt snapshot row %v (count %d) in relation %s", tup, count, r.name)
 		}
-		row := &Row{Tuple: tup, Count: int(count)}
-		r.rows[tup.Key()] = row
-		r.order = append(r.order, row)
-		if count > 0 {
+		slab[i] = Row{Tuple: tup, Count: int(count)}
+		keyBytes += max(arity-1, 0)
+		for _, v := range tup {
+			keyBytes += len(v)
+		}
+	}
+	keys, ends := make([]byte, 0, keyBytes), make([]int, n)
+	for i := range slab {
+		keys = slab[i].Tuple.AppendKey(keys)
+		ends[i] = len(keys)
+	}
+	allKeys, start := string(keys), 0
+	r.rows = make(map[string]*Row, n)
+	r.order = make([]*Row, n, n+n/8)
+	for i := range slab {
+		row, key := &slab[i], allKeys[start:ends[i]]
+		start = ends[i]
+		if r.rows[key] != nil {
+			return fmt.Errorf("db: corrupt snapshot row %v (count %d) in relation %s", row.Tuple, row.Count, r.name)
+		}
+		r.rows[key] = row
+		r.order[i] = row
+		if row.Count > 0 {
 			r.live++
 		} else {
 			r.dead++

@@ -310,11 +310,18 @@ type Index struct {
 	rel     *Relation
 	cols    []int
 	buckets map[string]*bucket
+	spare   []bucket // the unused rest of the chunk buckets are cut from
 }
 
 // bucket is boxed so that appending to an existing bucket is a lookup
-// (no key allocation) rather than a map assignment.
-type bucket struct{ rows []*Row }
+// (no key allocation) rather than a map assignment. A bucket's first row
+// is stored in the bucket itself — on a key column that is every row — and
+// buckets are allocated in chunks, so an index costs the collector a few
+// objects per hundred keys rather than three per key.
+type bucket struct {
+	rows []*Row
+	one  [1]*Row
+}
 
 // IndexOn returns (building it on first use) the index on the given
 // column positions. Building requires that no mutation is in flight, like
@@ -340,7 +347,7 @@ func (r *Relation) IndexOn(cols ...int) *Index {
 
 // rebuild refills the buckets from the relation's row order.
 func (ix *Index) rebuild() {
-	ix.buckets = make(map[string]*bucket)
+	ix.buckets, ix.spare = make(map[string]*bucket), nil
 	for _, row := range ix.rel.order {
 		ix.add(row)
 	}
@@ -358,8 +365,16 @@ func (ix *Index) add(row *Row) {
 	}
 	b := ix.buckets[string(key)]
 	if b == nil {
-		b = new(bucket)
-		ix.buckets[string(key)] = b
+		if len(ix.spare) == 0 {
+			ix.spare = make([]bucket, min(max(8, len(ix.buckets)/2), 512))
+		}
+		b, ix.spare = &ix.spare[0], ix.spare[1:]
+		b.rows = b.one[:0]
+		if len(ix.cols) == 1 {
+			ix.buckets[row.Tuple[ix.cols[0]]] = b // the row's own string: no key to allocate
+		} else {
+			ix.buckets[string(key)] = b
+		}
 	}
 	b.rows = append(b.rows, row)
 }

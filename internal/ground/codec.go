@@ -10,7 +10,7 @@ import (
 // Snapshot codec for Grounder. Persisted: the extraction tables (every
 // db relation, first-insertion order preserved), the variable / weight
 // / group interning tables in creation order, each group's groundings
-// in gndOrder with counts and flat-pool handles, and the grounding
+// in creation order with counts and flat-pool handles, and the grounding
 // version. NOT persisted: the compiled rules — the caller re-parses
 // the persisted program source and builds a fresh Grounder with
 // ground.New, which recompiles rules in declaration order and so
@@ -52,10 +52,9 @@ func (g *Grounder) AppendSnapshot(b *persist.Buf) {
 		b.I64(int64(gs.head))
 		b.I64(int64(gs.weight))
 		b.U8(uint8(gs.sem))
-		b.U64(uint64(len(gs.gndOrder)))
-		for _, k := range gs.gndOrder {
-			gnd := gs.gnds[k]
-			b.Str(k)
+		b.U64(uint64(len(gs.gnds)))
+		for _, gnd := range gs.gnds {
+			b.Str(gnd.key)
 			b.I64(int64(gnd.count))
 			b.I64(int64(gnd.flatID))
 			lits := make([]int32, len(gnd.lits))
@@ -101,9 +100,21 @@ func (g *Grounder) RestoreSnapshot(rd *persist.Rd, cur *factor.Graph) error {
 		return fmt.Errorf("ground: corrupt var table: %d rels, %d keys", len(rels), len(keys))
 	}
 	g.vars = make([]varInfo, len(rels))
+	// The side map's keys are cut from one string.
+	idxBytes := len(rels)
 	for i := range rels {
 		g.vars[i] = varInfo{rel: rels[i], key: keys[i]}
-		g.varIdx[rels[i]+"\x00"+keys[i]] = factor.VarID(i)
+		idxBytes += len(rels[i]) + len(keys[i])
+	}
+	idx, ends := make([]byte, 0, idxBytes), make([]int, len(rels))
+	for i := range rels {
+		idx = append(append(append(idx, rels[i]...), 0), keys[i]...)
+		ends[i] = len(idx)
+	}
+	g.varIdx = make(map[string]factor.VarID, len(rels))
+	for i, all, start := 0, string(idx), 0; i < len(ends); i++ {
+		g.varIdx[all[start:ends[i]]] = factor.VarID(i)
+		start = ends[i]
 	}
 	g.live = rd.Bools("var live")
 	g.evTrue = rd.Ints("var evTrue")
@@ -116,29 +127,57 @@ func (g *Grounder) RestoreSnapshot(rd *persist.Rd, cur *factor.Graph) error {
 		g.weightIdx[k] = factor.WeightID(i)
 	}
 
-	nGroups := rd.U64("group count")
-	for gi := uint64(0); gi < nGroups && rd.Err() == nil; gi++ {
-		gs := &groupState{
+	// Group, grounding and literal records are cut from chunks: most groups
+	// hold one grounding, and one object each per group and per grounding is
+	// most of what a restored KB gives the collector to walk.
+	const chunk = 1024
+	var (
+		groupChunk []groupState
+		gndChunk   []gndState
+		orderChunk []*gndState
+		litChunk   []factor.Literal
+		enc        []int32
+	)
+	nGroups := rd.Count(33, "group count")
+	g.groups = make([]*groupState, 0, nGroups+nGroups/8)
+	g.groupIdx = make(map[string]int, nGroups)
+	for gi := 0; gi < nGroups && rd.Err() == nil; gi++ {
+		if len(groupChunk) == 0 {
+			groupChunk = make([]groupState, min(chunk, nGroups-gi))
+		}
+		gs := &groupChunk[0]
+		groupChunk = groupChunk[1:]
+		*gs = groupState{
 			key:    rd.Str("group key"),
 			head:   factor.VarID(rd.I64("group head")),
 			weight: factor.WeightID(rd.I64("group weight")),
 			sem:    factor.Semantics(rd.U8("group sem")),
-			gnds:   make(map[string]*gndState),
 		}
-		nGnds := rd.U64("grounding count")
-		for k := uint64(0); k < nGnds && rd.Err() == nil; k++ {
-			key := rd.Str("grounding key")
-			gnd := &gndState{
-				count:  int(rd.I64("grounding count")),
-				flatID: int32(rd.I64("grounding flatID")),
+		nGnds := rd.Count(32, "grounding count")
+		if len(orderChunk) < nGnds {
+			orderChunk = make([]*gndState, max(chunk, nGnds))
+		}
+		gs.gnds, orderChunk = orderChunk[:0:nGnds], orderChunk[nGnds:]
+		for k := 0; k < nGnds && rd.Err() == nil; k++ {
+			if len(gndChunk) == 0 {
+				gndChunk = make([]gndState, chunk)
 			}
-			enc := rd.I32s("grounding lits")
-			gnd.lits = make([]factor.Literal, len(enc))
-			for i, e := range enc {
-				gnd.lits[i] = factor.Literal{Var: factor.VarID(e >> 1), Neg: e&1 == 1}
+			gnd := &gndChunk[0]
+			gndChunk = gndChunk[1:]
+			gnd.key = rd.Str("grounding key")
+			gnd.count = int(rd.I64("grounding count"))
+			gnd.flatID = int32(rd.I64("grounding flatID"))
+			enc = rd.AppendI32s(enc[:0], "grounding lits")
+			if len(enc) > 0 {
+				if len(litChunk) < len(enc) {
+					litChunk = make([]factor.Literal, max(chunk, len(enc)))
+				}
+				gnd.lits, litChunk = litChunk[:len(enc):len(enc)], litChunk[len(enc):]
+				for i, e := range enc {
+					gnd.lits[i] = factor.Literal{Var: factor.VarID(e >> 1), Neg: e&1 == 1}
+				}
 			}
-			gs.gnds[key] = gnd
-			gs.gndOrder = append(gs.gndOrder, key)
+			gs.add(gnd)
 			if gnd.count > 0 {
 				g.nGroundings++
 			}

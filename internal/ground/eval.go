@@ -411,17 +411,16 @@ func (g *Grounder) applyPre(re *ruleEval, p *bindingPre, sign int, tr *tracker) 
 	}
 	// A grounding seen before already has its literals (and their vars).
 	gs := g.groups[gi]
-	gnd := gs.gnds[p.bkey]
+	gnd := gs.find(p.bkey)
 	if gnd == nil {
-		gnd = &gndState{flatID: -1}
+		gnd = &gndState{key: p.bkey, flatID: -1}
 		if len(re.lits) > 0 {
 			gnd.lits = make([]factor.Literal, len(re.lits))
 			for k := range re.lits {
 				gnd.lits[k] = factor.Literal{Var: internVar(re.lits[k].pred, p.lits[k])}
 			}
 		}
-		gs.gnds[p.bkey] = gnd
-		gs.gndOrder = append(gs.gndOrder, p.bkey)
+		gs.add(gnd)
 	}
 	// Groups created earlier in this same pass count as added, not
 	// modified: they do not exist in the pre-update graph, so reporting

@@ -49,6 +49,7 @@ type varInfo struct {
 // graph when the grounding is visible there, -1 otherwise — the handle
 // the in-place patch path uses to tombstone retracted groundings.
 type gndState struct {
+	key    string // the body binding's key, unique within the group
 	lits   []factor.Literal
 	count  int
 	flatID int32
@@ -57,12 +58,43 @@ type gndState struct {
 // groupState accumulates the groundings of one grounded rule instance
 // γ = (rule, head binding, weight binding).
 type groupState struct {
-	key      string
-	head     factor.VarID
-	weight   factor.WeightID
-	sem      factor.Semantics
-	gnds     map[string]*gndState
-	gndOrder []string
+	key    string
+	head   factor.VarID
+	weight factor.WeightID
+	sem    factor.Semantics
+	gnds   []*gndState          // in creation order
+	byKey  map[string]*gndState // nil while a scan of gnds is as fast
+}
+
+// A group of up to smallGroup groundings is searched by scanning gnds. Most
+// groups hold one grounding, and a map each would be most of the grounding
+// tables' memory.
+const smallGroup = 8
+
+// find returns the grounding of gs with the given key, or nil.
+func (gs *groupState) find(key string) *gndState {
+	if gs.byKey != nil {
+		return gs.byKey[key]
+	}
+	for _, gnd := range gs.gnds {
+		if gnd.key == key {
+			return gnd
+		}
+	}
+	return nil
+}
+
+// add appends a grounding whose key gs does not hold yet.
+func (gs *groupState) add(gnd *gndState) {
+	gs.gnds = append(gs.gnds, gnd)
+	if gs.byKey != nil {
+		gs.byKey[gnd.key] = gnd
+	} else if len(gs.gnds) > smallGroup {
+		gs.byKey = make(map[string]*gndState, 2*len(gs.gnds))
+		for _, o := range gs.gnds {
+			gs.byKey[o.key] = o
+		}
+	}
 }
 
 // Grounder holds the database and all grounding state for one program.
@@ -395,10 +427,7 @@ func (g *Grounder) groupFor(key []byte, head factor.VarID, w factor.WeightID, se
 		return gi, false
 	}
 	gi := len(g.groups)
-	gs := &groupState{
-		key: string(key), head: head, weight: w, sem: sem,
-		gnds: make(map[string]*gndState),
-	}
+	gs := &groupState{key: string(key), head: head, weight: w, sem: sem}
 	g.groups = append(g.groups, gs)
 	g.groupIdx[gs.key] = gi
 	return gi, true
@@ -449,8 +478,7 @@ func (g *Grounder) Graph() *factor.Graph {
 	var flatID int32
 	for _, gs := range g.groups {
 		var gnds []factor.Grounding
-		for _, k := range gs.gndOrder {
-			gnd := gs.gnds[k]
+		for _, gnd := range gs.gnds {
 			if gnd.count > 0 {
 				gnds = append(gnds, factor.Grounding{Lits: gnd.lits})
 				gnd.flatID = flatID

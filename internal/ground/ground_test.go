@@ -1,6 +1,7 @@
 package ground
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"deepdive/internal/datalog"
 	"deepdive/internal/db"
 	"deepdive/internal/factor"
+	"deepdive/internal/persist"
 )
 
 // spouseSrc is the paper's running example (Figure 2).
@@ -646,6 +648,78 @@ func TestQuickRandomUpdateSequences(t *testing.T) {
 			}
 			full := newSpouseGrounder(t, fresh)
 			requireEquivalent(t, inc, full, int64(7000+trial*10+step))
+		}
+	}
+}
+
+// A group is searched by scanning up to smallGroup groundings and through a
+// map beyond; the snapshot codec rebuilds either from the same records.
+// Groups on both sides of the boundary must survive a snapshot round trip
+// and keep taking updates exactly as the grounder they were saved from.
+func TestSnapshotRestoreAcrossGroupSizes(t *testing.T) {
+	const src = `
+@variable Class(x).
+@relation R(x, f).
+Class(x) :- R(x, f).
+Class(x) :- R(x, f) weight = 0.5.
+`
+	build := func() *Grounder {
+		g, err := New(datalog.MustParse(src), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	live := build()
+	var base []db.Tuple
+	for i := 0; i < 2*smallGroup; i++ { // wide: one group, 2·smallGroup groundings
+		base = append(base, db.Tuple{"wide", fmt.Sprint("f", i)})
+	}
+	for i := 0; i < smallGroup; i++ { // edge: exactly smallGroup, grows past it below
+		base = append(base, db.Tuple{"edge", fmt.Sprint("f", i)})
+	}
+	base = append(base, db.Tuple{"one", "f0"})
+	if err := live.LoadBase("R", base); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Ground(); err != nil {
+		t.Fatal(err)
+	}
+	image := func(g *Grounder) []byte {
+		var b persist.Buf
+		g.AppendSnapshot(&b)
+		return b.Bytes()
+	}
+	// Graph numbers the groundings the snapshot records; the restored
+	// grounder patches a decoded copy of it, as a restored KB does.
+	var gb persist.Buf
+	live.Graph().AppendSnapshot(&gb)
+	graph, err := factor.DecodeGraphSnapshot(persist.NewRd(gb.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := build()
+	if err := restored.RestoreSnapshot(persist.NewRdOwned(image(live)), graph); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image(restored), image(live)) {
+		t.Fatal("the restored grounder encodes another snapshot than the one it was restored from")
+	}
+	for _, u := range []Update{
+		{Inserts: map[string][]db.Tuple{"R": {{"edge", "f100"}, {"one", "f1"}, {"wide", "f100"}}}},
+		{Deletes: map[string][]db.Tuple{"R": {{"edge", "f0"}, {"wide", "f3"}, {"wide", "f100"}}}},
+		{Inserts: map[string][]db.Tuple{"R": {{"wide", "f3"}}}},
+	} {
+		for _, g := range []*Grounder{live, restored} {
+			if _, err := g.ApplyUpdate(cloneUpdate(u)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(image(restored), image(live)) {
+			t.Fatalf("after %v the restored grounder and the live one differ", u)
+		}
+		if d := factor.DiffGraphs(restored.Graph(), live.Graph(), 50, 1); len(d) > 0 {
+			t.Fatalf("after %v their graphs differ: %v", u, d)
 		}
 	}
 }

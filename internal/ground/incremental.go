@@ -305,8 +305,7 @@ func (g *Grounder) patchGraph(tr *tracker) {
 		if pgi := p.AddGroup(gs.head, gs.weight, gs.sem); pgi != gi {
 			panic(fmt.Sprintf("ground: patch group index %d does not match grounder group %d", pgi, gi))
 		}
-		for _, key := range gs.gndOrder {
-			gnd := gs.gnds[key]
+		for _, gnd := range gs.gnds {
 			if gnd.count > 0 {
 				gnd.flatID = p.AddGrounding(gi, gnd.lits)
 			} else {
@@ -325,11 +324,10 @@ func (g *Grounder) patchGraph(tr *tracker) {
 	for _, gi := range modGroups {
 		gs := g.groups[gi]
 		keys := tr.touched[gi]
-		for _, key := range gs.gndOrder {
-			if !keys[key] {
+		for _, gnd := range gs.gnds {
+			if !keys[gnd.key] {
 				continue
 			}
-			gnd := gs.gnds[key]
 			if gnd.count > 0 {
 				if gnd.flatID < 0 {
 					gnd.flatID = p.AddGrounding(gi, gnd.lits)

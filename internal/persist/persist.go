@@ -20,6 +20,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -151,9 +152,19 @@ type Rd struct {
 	b   []byte
 	off int
 	err error
+	str string // NewRdOwned: b as a string, which decoded strings are cut from
 }
 
 func NewRd(b []byte) *Rd { return &Rd{b: b} }
+
+// NewRdOwned is NewRd for a payload the caller gives up: decoded strings
+// are cut from b instead of copied out of it, so b must never be written
+// again and stays in memory as long as one of them does. Restoring a
+// snapshot decodes its image this way — no allocation per persisted
+// string, and the KB's strings are one object to the collector.
+func NewRdOwned(b []byte) *Rd {
+	return &Rd{b: b, str: unsafe.String(unsafe.SliceData(b), len(b))}
+}
 
 // Err returns the first decode error, if any.
 func (r *Rd) Err() error { return r.err }
@@ -220,9 +231,10 @@ func (r *Rd) I64(what string) int64 { return int64(r.U64(what)) }
 
 func (r *Rd) F64(what string) float64 { return math.Float64frombits(r.U64(what)) }
 
-// count reads a u64 element count and bounds-checks it against the
-// remaining payload so a corrupt length cannot drive a huge allocation.
-func (r *Rd) count(size int, what string) int {
+// Count reads a u64 element count and bounds-checks it against the
+// remaining payload, at size bytes per element, so a corrupt length
+// cannot drive a huge allocation.
+func (r *Rd) Count(size int, what string) int {
 	n := r.U64(what)
 	if r.err != nil {
 		return 0
@@ -237,7 +249,7 @@ func (r *Rd) count(size int, what string) int {
 // rawRead reads n elements of width size into a freshly allocated
 // slice; one memmove on little-endian hosts.
 func rawRead[T any](r *Rd, size int, what string) []T {
-	n := r.count(size, what)
+	n := r.Count(size, what)
 	if r.err != nil || n == 0 {
 		return nil
 	}
@@ -269,13 +281,22 @@ func rawRead[T any](r *Rd, size int, what string) []T {
 	return out
 }
 
+// AppendI32s is I32s into the caller's storage.
+func (r *Rd) AppendI32s(dst []int32, what string) []int32 {
+	n := r.Count(4, what)
+	for p := r.take(4*n, what); len(p) > 0; p = p[4:] {
+		dst = append(dst, int32(binary.LittleEndian.Uint32(p)))
+	}
+	return dst
+}
+
 func (r *Rd) I32s(what string) []int32   { return rawRead[int32](r, 4, what) }
 func (r *Rd) U64s(what string) []uint64  { return rawRead[uint64](r, 8, what) }
 func (r *Rd) F64s(what string) []float64 { return rawRead[float64](r, 8, what) }
 func (r *Rd) Bools(what string) []bool   { return rawRead[bool](r, 1, what) }
 
 func (r *Rd) Ints(what string) []int {
-	n := r.count(8, what)
+	n := r.Count(8, what)
 	if r.err != nil || n == 0 {
 		return nil
 	}
@@ -286,46 +307,70 @@ func (r *Rd) Ints(what string) []int {
 	return out
 }
 
-func (r *Rd) Str(what string) string {
-	n := r.count(1, what)
+// cut returns the n bytes at the cursor as a string.
+func (r *Rd) cut(n int, what string) string {
 	p := r.take(n, what)
 	if p == nil {
 		return ""
 	}
+	if r.str != "" {
+		return r.str[r.off-n : r.off]
+	}
 	return string(p)
 }
 
+func (r *Rd) Str(what string) string { return r.cut(r.Count(1, what), what) }
+
 func (r *Rd) Strs(what string) []string {
-	n := r.count(4, what)
+	n := r.Count(4, what)
 	if r.err != nil || n == 0 {
 		return nil
 	}
+	out := make([]string, n)
+	if !r.strsBody(out, what) {
+		return nil
+	}
+	return out
+}
+
+// StrsInto decodes a string table of exactly len(dst) strings into dst,
+// the caller's storage; any other count fails the decoder.
+func (r *Rd) StrsInto(dst []string, what string) {
+	if n := r.Count(4, what); r.err == nil && n != len(dst) {
+		r.Fail(what)
+	}
+	if r.err == nil && len(dst) > 0 {
+		r.strsBody(dst, what)
+	}
+}
+
+// strsBody decodes the length table and the bytes of len(out) strings. The
+// strings share one allocation (none on an owned payload).
+func (r *Rd) strsBody(out []string, what string) bool {
+	n := len(out)
 	lens := r.take(4*n, what)
 	if lens == nil {
-		return nil
+		return false
 	}
 	total := 0
 	for i := 0; i < n; i++ {
-		total += int(uint32(lens[4*i]) | uint32(lens[4*i+1])<<8 |
-			uint32(lens[4*i+2])<<16 | uint32(lens[4*i+3])<<24)
+		total += int(binary.LittleEndian.Uint32(lens[4*i:]))
 		if total > len(r.b)-r.off {
 			r.fail(what)
-			return nil
+			return false
 		}
 	}
-	blob := r.take(total, what)
-	if blob == nil {
-		return nil
+	blob := r.cut(total, what)
+	if r.err != nil {
+		return false
 	}
-	out := make([]string, n)
 	off := 0
-	for i := 0; i < n; i++ {
-		l := int(uint32(lens[4*i]) | uint32(lens[4*i+1])<<8 |
-			uint32(lens[4*i+2])<<16 | uint32(lens[4*i+3])<<24)
-		out[i] = string(blob[off : off+l])
+	for i := range out {
+		l := int(binary.LittleEndian.Uint32(lens[4*i:]))
+		out[i] = blob[off : off+l]
 		off += l
 	}
-	return out
+	return true
 }
 
 // ---------------------------------------------------------------------
@@ -341,29 +386,48 @@ type Section struct {
 
 const endKind = 0xFFFFFFFF
 
-// EncodeFile assembles a snapshot file image: magic, each section with
-// its CRC-32C, and the end marker that proves the file was written out
-// completely.
-func EncodeFile(magic uint64, secs []Section) []byte {
-	var b Buf
-	b.U64(magic)
-	for _, s := range secs {
-		b.U32(s.Kind)
-		b.U32(0) // reserved / pad to 8
-		b.U64(uint64(len(s.Payload)))
-		b.U32(crc32.Checksum(s.Payload, castagnoli))
-		b.U32(0) // pad: payload starts 8-byte aligned
-		b.b = append(b.b, s.Payload...)
-		for len(b.b)%8 != 0 {
-			b.U8(0)
-		}
+// FileEnc assembles a snapshot file image in one buffer: the magic, each
+// section — Begin, the payload appended through the embedded Buf, End —
+// with its CRC-32C, and the end marker that proves the file was written
+// out completely. Encoding in place is what keeps a checkpoint's garbage at
+// one file image instead of a buffer per section plus their copy.
+type FileEnc struct {
+	Buf
+	payload int // where the open section's payload starts
+}
+
+// NewFileEnc starts an image; sizeHint (0 for unknown) is the capacity to
+// start from, typically the size of the previous image.
+func NewFileEnc(magic uint64, sizeHint int) *FileEnc {
+	e := &FileEnc{Buf: Buf{b: make([]byte, 0, sizeHint)}}
+	e.U64(magic)
+	return e
+}
+
+// Begin opens a section: its header, with length and checksum left for End.
+func (e *FileEnc) Begin(kind uint32) {
+	e.U32(kind)
+	e.U32(0) // reserved / pad to 8
+	e.U64(0) // length
+	e.U32(0) // CRC-32C
+	e.U32(0) // pad: payload starts 8-byte aligned
+	e.payload = len(e.b)
+}
+
+// End closes the open section.
+func (e *FileEnc) End() {
+	payload := e.b[e.payload:]
+	binary.LittleEndian.PutUint64(e.b[e.payload-16:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(e.b[e.payload-8:], crc32.Checksum(payload, castagnoli))
+	for len(e.b)%8 != 0 {
+		e.U8(0)
 	}
-	b.U32(endKind)
-	b.U32(0)
-	b.U64(0)
-	b.U32(0)
-	b.U32(0)
-	return b.Bytes()
+}
+
+// Finish writes the end marker and returns the image.
+func (e *FileEnc) Finish() []byte {
+	e.Begin(endKind)
+	return e.b
 }
 
 // ErrBadFile marks a snapshot file that fails structural validation

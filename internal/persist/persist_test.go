@@ -2,8 +2,10 @@ package persist
 
 import (
 	"bytes"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -116,6 +118,31 @@ func TestRdCorruptCountBounded(t *testing.T) {
 	}
 }
 
+// encodeFileRef is the container layout written the plain way — every
+// payload ready, copied behind its header — which FileEnc, encoding the
+// payloads in place, has to reproduce byte for byte.
+func encodeFileRef(magic uint64, secs []Section) []byte {
+	var b Buf
+	b.U64(magic)
+	for _, s := range secs {
+		b.U32(s.Kind)
+		b.U32(0) // reserved / pad to 8
+		b.U64(uint64(len(s.Payload)))
+		b.U32(crc32.Checksum(s.Payload, castagnoli))
+		b.U32(0) // pad: payload starts 8-byte aligned
+		b.b = append(b.b, s.Payload...)
+		for len(b.b)%8 != 0 {
+			b.U8(0)
+		}
+	}
+	b.U32(endKind)
+	b.U32(0)
+	b.U64(0)
+	b.U32(0)
+	b.U32(0)
+	return b.Bytes()
+}
+
 func TestFileContainerRoundTrip(t *testing.T) {
 	secs := []Section{
 		{Kind: 1, Payload: []byte("alpha")},
@@ -123,7 +150,20 @@ func TestFileContainerRoundTrip(t *testing.T) {
 		{Kind: 9, Payload: bytes.Repeat([]byte{0xAB}, 37)},
 	}
 	const magic = 0x1122334455667788
-	img := EncodeFile(magic, secs)
+	for _, hint := range []int{0, 4096} {
+		e := NewFileEnc(magic, hint)
+		for _, s := range secs {
+			e.Begin(s.Kind)
+			for _, c := range s.Payload {
+				e.U8(c)
+			}
+			e.End()
+		}
+		if !bytes.Equal(e.Finish(), encodeFileRef(magic, secs)) {
+			t.Fatalf("FileEnc (size hint %d) does not write the container layout", hint)
+		}
+	}
+	img := encodeFileRef(magic, secs)
 	got, err := DecodeFile(magic, img)
 	if err != nil {
 		t.Fatal(err)
@@ -249,5 +289,39 @@ func TestWriteFileAtomic(t *testing.T) {
 	ents, _ := os.ReadDir(dir)
 	if len(ents) != 1 {
 		t.Fatalf("%d entries in dir", len(ents))
+	}
+}
+
+// An owned decoder cuts its strings from the payload; a copying one must
+// not. Both decode the same values, into the caller's storage too.
+func TestRdOwnedAndInto(t *testing.T) {
+	var b Buf
+	b.Str("relation")
+	b.Strs([]string{"a", "", "ccc"})
+	b.I32s([]int32{7, -1, 1 << 30})
+	b.Strs([]string{"x", "y"})
+	for _, owned := range []bool{false, true} {
+		payload := append([]byte(nil), b.Bytes()...)
+		r := NewRd(payload)
+		if owned {
+			r = NewRdOwned(payload)
+		}
+		name := r.Str("name")
+		cols := make([]string, 3)
+		r.StrsInto(cols, "cols")
+		ints := r.AppendI32s([]int32{5}, "ints")
+		if name != "relation" || !slices.Equal(cols, []string{"a", "", "ccc"}) || !slices.Equal(ints, []int32{5, 7, -1, 1 << 30}) || r.Err() != nil {
+			t.Fatalf("owned=%v: decoded %q %q %v, err %v", owned, name, cols, ints, r.Err())
+		}
+		r.StrsInto(make([]string, 3), "two strings into three")
+		if r.Err() == nil {
+			t.Fatalf("owned=%v: StrsInto accepted a table of another length", owned)
+		}
+		for i := range payload {
+			payload[i] = '#'
+		}
+		if got := name == "relation" && cols[2] == "ccc"; got == owned {
+			t.Fatalf("owned=%v, but the strings survive overwriting the payload: %v", owned, got)
+		}
 	}
 }

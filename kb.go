@@ -116,9 +116,12 @@ type KB struct {
 	// replay during recovery (suppresses re-logging and background
 	// re-materialization); recovered reports restore-from-snapshot;
 	// engineSeed is the seed the live engine was materialized with
-	// (persisted so a restored engine is reconstructed identically).
+	// (persisted so a restored engine is reconstructed identically);
+	// snapBytes is the size of the last snapshot image written or restored
+	// (guarded by ckptMu), the next checkpoint's buffer size.
 	wal          *persist.WAL
 	walGen       uint64
+	snapBytes    int
 	commitTicket uint64
 	walBroken    atomic.Bool
 	ckptMu       sync.Mutex

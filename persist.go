@@ -323,67 +323,71 @@ func (kb *KB) checkpoint(ctx context.Context, auto bool) error {
 // encodeSnapshotLocked assembles the snapshot file image. Callers hold
 // both writer locks with the pipeline drained (lockExclusive).
 func (kb *KB) encodeSnapshotLocked(walGen uint64) []byte {
-	var meta persist.Buf
-	meta.U8(kbSnapVersion)
-	meta.U64(walGen)
-	meta.U64(kb.commitTicket)
-	meta.U64(kb.epoch.Load())
-	meta.I64(kb.engineSeed)
+	// One buffer for the whole image, sized from the previous one: a
+	// checkpoint allocates about one file image, whatever the KB's size.
+	e := persist.NewFileEnc(kbSnapMagic, kb.snapBytes+kb.snapBytes/8)
+
+	e.Begin(secMeta)
+	e.U8(kbSnapVersion)
+	e.U64(walGen)
+	e.U64(kb.commitTicket)
+	e.U64(kb.epoch.Load())
+	e.I64(kb.engineSeed)
 	kb.rematMu.Lock()
-	meta.I64(kb.rematSpawns)
+	e.I64(kb.rematSpawns)
 	kb.rematMu.Unlock()
+	e.End()
 
-	var prog persist.Buf
-	prog.Str(kb.grounder.Program().String())
+	e.Begin(secProgram)
+	e.Str(kb.grounder.Program().String())
+	e.End()
 
-	var grd persist.Buf
-	kb.grounder.AppendSnapshot(&grd)
+	e.Begin(secGrounder)
+	kb.grounder.AppendSnapshot(&e.Buf)
+	e.End()
 
-	var cur persist.Buf
-	kb.curGraph.AppendSnapshot(&cur)
+	e.Begin(secGraphCur)
+	kb.curGraph.AppendSnapshot(&e.Buf)
+	e.End()
 
-	secs := []persist.Section{
-		{Kind: secMeta, Payload: meta.Bytes()},
-		{Kind: secProgram, Payload: prog.Bytes()},
-		{Kind: secGrounder, Payload: grd.Bytes()},
-		{Kind: secGraphCur, Payload: cur.Bytes()},
-	}
 	if kb.engine != nil {
 		if old := kb.engine.OldGraph(); old != kb.curGraph {
-			var b persist.Buf
-			old.AppendSnapshot(&b)
-			secs = append(secs, persist.Section{Kind: secGraphOld, Payload: b.Bytes()})
+			e.Begin(secGraphOld)
+			old.AppendSnapshot(&e.Buf)
+			e.End()
 		}
-		var b persist.Buf
-		kb.engine.AppendSnapshot(&b)
-		secs = append(secs, persist.Section{Kind: secEngine, Payload: b.Bytes()})
+		e.Begin(secEngine)
+		kb.engine.AppendSnapshot(&e.Buf)
+		e.End()
 	}
 	if kb.marg != nil {
-		var b persist.Buf
-		b.F64s(kb.marg)
-		secs = append(secs, persist.Section{Kind: secMarg, Payload: b.Bytes()})
+		e.Begin(secMarg)
+		e.F64s(kb.marg)
+		e.End()
 	}
-	var pend persist.Buf
-	kb.pending.AppendSnapshot(&pend)
-	secs = append(secs, persist.Section{Kind: secPending, Payload: pend.Bytes()})
+	e.Begin(secPending)
+	kb.pending.AppendSnapshot(&e.Buf)
+	e.End()
 
-	var auto persist.Buf
-	auto.U64(kb.auto.sampling)
-	auto.U64(kb.auto.variational)
-	auto.U64(kb.auto.rerun)
-	auto.U64(kb.auto.fallbacks)
+	e.Begin(secAuto)
+	e.U64(kb.auto.sampling)
+	e.U64(kb.auto.variational)
+	e.U64(kb.auto.rerun)
+	e.U64(kb.auto.fallbacks)
 	for _, h := range kb.auto.hist {
-		auto.U64(h)
+		e.U64(h)
 	}
-	auto.F64(kb.auto.lastAccept)
-	auto.F64(kb.auto.lastProbe)
-	auto.U64(kb.auto.probeSkips)
-	auto.U64(kb.remats.Load())
-	auto.U64(kb.rematLost.Load())
-	auto.U64(kb.rematForced.Load())
-	secs = append(secs, persist.Section{Kind: secAuto, Payload: auto.Bytes()})
+	e.F64(kb.auto.lastAccept)
+	e.F64(kb.auto.lastProbe)
+	e.U64(kb.auto.probeSkips)
+	e.U64(kb.remats.Load())
+	e.U64(kb.rematLost.Load())
+	e.U64(kb.rematForced.Load())
+	e.End()
 
-	return persist.EncodeFile(kbSnapMagic, secs)
+	data := e.Finish()
+	kb.snapBytes = len(data)
+	return data
 }
 
 // removeStaleGenerations best-effort deletes snapshots and WAL segments
@@ -439,13 +443,16 @@ func recoverKB(source string, o Options) (*KB, error) {
 	return nil, fmt.Errorf("deepdive: no usable snapshot in %s: %w", o.DataDir, lastErr)
 }
 
-// sectionRd wraps a required section in a decoder.
+// sectionRd wraps a required section in a decoder. The image is the
+// restore's own, read for it and never written: the strings decoded from it
+// are cut from the image (persist.NewRdOwned), which the restored KB keeps
+// in memory for as long as it keeps one of them.
 func sectionRd(secs []persist.Section, kind uint32, name string) (*persist.Rd, error) {
 	p := persist.FindSection(secs, kind)
 	if p == nil {
 		return nil, fmt.Errorf("deepdive: snapshot missing %s section", name)
 	}
-	return persist.NewRd(p), nil
+	return persist.NewRdOwned(p), nil
 }
 
 // restoreKB loads one snapshot generation and replays its WAL tail.
@@ -522,7 +529,7 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 		return nil, err
 	}
 
-	kb := &KB{opts: o, grounder: g}
+	kb := &KB{opts: o, grounder: g, snapBytes: len(data)}
 	kb.seqCond = sync.NewCond(&kb.seqMu)
 	kb.snap.Store(emptySnapshot())
 	kb.curGraph = curG
@@ -536,12 +543,12 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 	if eb := persist.FindSection(secs, secEngine); eb != nil {
 		oldG := curG
 		if ob := persist.FindSection(secs, secGraphOld); ob != nil {
-			oldG, err = factor.DecodeGraphSnapshot(persist.NewRd(ob))
+			oldG, err = factor.DecodeGraphSnapshot(persist.NewRdOwned(ob))
 			if err != nil {
 				return nil, err
 			}
 		}
-		eng, err := inc.RestoreEngine(oldG, kb.engineOpts(engineSeed), persist.NewRd(eb))
+		eng, err := inc.RestoreEngine(oldG, kb.engineOpts(engineSeed), persist.NewRdOwned(eb))
 		if err != nil {
 			return nil, err
 		}
