@@ -117,11 +117,13 @@ bench-ground:
 	$(GO) test -bench='GroundFullRule|GroundDocDelta' -benchmem -run=xxx ./internal/ground/
 
 # The finish stage's scaling check: 64 document deltas through KB.Apply
-# on the served News corpus at 1× and 4× the documents; reports ns/update
-# and the x4/x1 ratio (a single pass; repeat it, wall clock on a small box
-# swings ±10 %). CI runs it as a smoke.
+# on the served News corpus at 1× and 4× the documents, then the six rule
+# iterations at 1× and 4× the candidates (the added ones query-only);
+# reports ns/update, the x4/x1 ratio and, for the rule updates, the
+# ground/learn/infer split and the learn stage's own ratio (a single pass;
+# repeat it, wall clock on a small box swings ±10 %). CI runs it as a smoke.
 bench-finish:
-	$(GO) test -bench='ApplyDocDelta' -benchtime=1x -run=xxx .
+	$(GO) test -bench='ApplyDocDelta|ApplyRuleDelta' -benchtime=1x -run=xxx .
 
 # Δ-vs-full graph update cost (results recorded in BENCH_incupdate.json).
 bench-incupdate:

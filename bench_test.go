@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"deepdive"
 	"deepdive/internal/corpus"
 	"deepdive/internal/exp"
 	"deepdive/internal/factor"
@@ -179,6 +180,54 @@ func BenchmarkApplyDocDelta(b *testing.B) {
 				x1 = per
 			} else if x1 > 0 {
 				b.ReportMetric(per/x1, "x4/x1")
+			}
+		})
+	}
+}
+
+// BenchmarkApplyRuleDelta is the same check for whole-rule updates: the six
+// development iterations through KB.Apply on the harness's News corpus as
+// it is and with four times the candidates, the added ones query-only
+// (withQueryOnlyCopies). Each size reports ns/update and its ground, learn
+// and infer parts from UpdateResult; x4 also reports its learn stage's
+// ratio to x1, which learning on the evidence scope keeps near 1 while
+// grounding and inference, which a rule does owe every candidate, grow.
+func BenchmarkApplyRuleDelta(b *testing.B) {
+	var learnX1 float64
+	for _, size := range []struct {
+		name   string
+		copies int
+	}{{"x1", 0}, {"x4", 3}} {
+		b.Run(size.name, func(b *testing.B) {
+			var spent, ground, learn, infer time.Duration
+			for i := 0; i < b.N; i++ {
+				w := newWireCorpus(b, 3, 1, 0).withQueryOnlyCopies(size.copies)
+				kb := w.open(b, 0, 0)
+				if _, err := kb.Materialize(ctx); err != nil {
+					b.Fatal(err)
+				}
+				start := time.Now()
+				for _, name := range kbc.IterationNames {
+					res, err := kb.Apply(ctx, deepdive.Update{RuleSource: kbc.IterationRules(w.sys, name)})
+					if err != nil {
+						b.Fatal(err)
+					}
+					ground, learn, infer = ground+res.GroundTime, learn+res.LearnTime, infer+res.InferTime
+				}
+				spent += time.Since(start)
+				kb.CloseNow()
+			}
+			per := func(d time.Duration) float64 {
+				return float64(d.Nanoseconds()) / float64(b.N*len(kbc.IterationNames))
+			}
+			b.ReportMetric(per(spent), "ns/update")
+			b.ReportMetric(per(ground), "ground-ns/update")
+			b.ReportMetric(per(learn), "learn-ns/update")
+			b.ReportMetric(per(infer), "infer-ns/update")
+			if size.copies == 0 {
+				learnX1 = per(learn)
+			} else if learnX1 > 0 {
+				b.ReportMetric(per(learn)/learnX1, "learn-x4/x1")
 			}
 		})
 	}

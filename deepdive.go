@@ -425,7 +425,10 @@ func (o *Options) fill() {
 }
 
 // Update is one increment of the development loop: new rules (as program
-// source), inserted tuples, and/or deleted tuples. A tuple has as many
+// source), inserted tuples, and/or deleted tuples. RuleSource holds rules
+// only, over the relations the program declares, none under a label the
+// program already uses; it is parsed against the running program
+// (datalog.ParseRules), which is not re-parsed. A tuple has as many
 // values as its relation has columns, a value holds any bytes but 0x1f,
 // and a delete names a tuple the relation holds (counting this update's
 // own inserts): an update breaking any of that is refused whole, before it

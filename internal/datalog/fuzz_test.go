@@ -4,11 +4,12 @@ import (
 	"testing"
 )
 
-// FuzzDatalogParser drives Parse with arbitrary program text. The parser
-// must never panic, and any program it accepts must round-trip: the
-// String rendering of the parsed program must parse again to the same
-// number of declarations and rules (the incremental-update path relies on
-// re-parsing Program.String plus appended rule source).
+// FuzzDatalogParser drives Parse and ParseRules with arbitrary program
+// text. The parser must never panic, and any program it accepts must
+// round-trip: the String rendering of the parsed program must parse again
+// to the same number of declarations and rules (a checkpoint stores a KB's
+// program as its rendering). A rule update ParseRules accepts must be one
+// the whole-program parse accepts.
 //
 // Run the smoke pass with `make fuzz-smoke`; a short pass also runs in CI.
 func FuzzDatalogParser(f *testing.F) {
@@ -25,13 +26,29 @@ func FuzzDatalogParser(f *testing.F) {
 		"weight = 1.5 sem = linear.",
 		"@variable Q(x).\nQ(true) :- .",
 		"∆∆∆ @relation ümlaut(x).",
+		"FE2: MarriedMentions(m2, m1) :- MarriedMentions(m1, m2) weight = 1.5.",
+		"FE1: MarriedMentions(m1, m2) :- MarriedCandidate(m1, m2) weight = 1.",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	base := MustParse(spouseProgram)
+	baseRules := len(base.Rules)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<14 {
 			t.Skip("oversized input")
+		}
+		// The same text as a rule update on a fixed program: never a panic,
+		// and whatever is accepted leaves the program as it was and parses
+		// as part of the whole program too.
+		if rules, err := ParseRules(base, src); err == nil {
+			if len(base.Rules) != baseRules {
+				t.Fatalf("ParseRules changed the program: %d rules, had %d\nsource: %q", len(base.Rules), baseRules, src)
+			}
+			full, err := Parse(base.String() + src)
+			if err != nil || len(full.Rules) != baseRules+len(rules) {
+				t.Fatalf("ParseRules accepted %d rules the whole-program parse does not: %v\nsource: %q", len(rules), err, src)
+			}
 		}
 		prog, err := Parse(src)
 		if err != nil {

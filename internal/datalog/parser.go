@@ -60,6 +60,42 @@ func MustParse(src string) *Program {
 	return p
 }
 
+// ParseRules parses src as rules extending prog — what a rule update
+// carries — without rendering and re-parsing prog itself: the rules are
+// validated against prog's declarations exactly as Parse(prog.String() +
+// src) validates them, and are returned without being added to prog. src
+// holds rules only (an update cannot declare a relation), and a labelled
+// rule must not reuse a label prog or src already holds.
+func ParseRules(prog *Program, src string) ([]*Rule, error) {
+	toks, err := lexAll(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks, prog: &Program{}}
+	for p.cur().kind != tokEOF {
+		if t := p.cur(); t.kind == tokPunct && t.text == "@" {
+			return nil, p.errorf(t, "a rule update cannot carry a declaration")
+		}
+		if err := p.parseRule(); err != nil {
+			return nil, err
+		}
+	}
+	labels := make(map[string]bool, len(prog.Rules))
+	for _, r := range prog.Rules {
+		labels[r.Label] = true
+	}
+	for _, r := range p.prog.Rules {
+		if r.Label != "" && labels[r.Label] {
+			return nil, fmt.Errorf("datalog: duplicate rule label %s", r.Label)
+		}
+		labels[r.Label] = true
+		if err := validateRule(prog, r); err != nil {
+			return nil, err
+		}
+	}
+	return p.prog.Rules, nil
+}
+
 type parser struct {
 	toks []token
 	pos  int

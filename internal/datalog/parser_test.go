@@ -174,6 +174,59 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRules: rules parsed as an extension of a program are the rules
+// the whole-program parse appends, and what that parse refuses — plus a
+// reused label and a declaration — is refused, leaving the program alone.
+func TestParseRules(t *testing.T) {
+	prog := MustParse(spouseProgram)
+	ext := `
+FE2: MarriedMentions(m1, m2) :- MarriedCandidate(m1, m2), !Mentions(m1, m2) weight = -0.5 sem = ratio.
+MarriedMentions(m2, m1) :- MarriedMentions(m1, m2) weight = 1.5.
+S2: MarriedMentions_Ev(m1, m2, false) :- MarriedCandidate(m1, m2), EL(m1, e), EL(m2, e).
+`
+	got, err := ParseRules(prog, ext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := MustParse(prog.String() + ext)
+	want := full.Rules[len(prog.Rules):]
+	if len(got) != 3 || len(want) != 3 || len(prog.Rules) != 3 {
+		t.Fatalf("%d rules parsed, %d by the whole-program parse, program now holds %d", len(got), len(want), len(prog.Rules))
+	}
+	for i, r := range got {
+		if r.String() != want[i].String() || r.Kind != want[i].Kind || prog.SemOf(r) != full.SemOf(want[i]) {
+			t.Errorf("rule %d: got %v (%v), want %v (%v)", i, r, r.Kind, want[i], want[i].Kind)
+		}
+	}
+	if rs, err := ParseRules(prog, " # nothing\n"); err != nil || len(rs) != 0 {
+		t.Errorf("empty extension: %v, %v", rs, err)
+	}
+	refusals := []struct{ name, src, frag string }{
+		{"undeclared relation", `X1: MarriedMentions(m1, m2) :- Nowhere(m1, m2) weight = 1.`, "undeclared body relation Nowhere"},
+		{"undeclared head", `X1: Nowhere(m1, m2) :- MarriedCandidate(m1, m2).`, "undeclared head relation Nowhere"},
+		{"arity mismatch", `X1: MarriedMentions(m1, m2) :- MarriedCandidate(m1, m2, m3) weight = 1.`, "body atom MarriedCandidate has 3 args"},
+		{"duplicate label", `FE1: MarriedMentions(m1, m2) :- MarriedCandidate(m1, m2) weight = 1.`, "duplicate rule label FE1"},
+		{"duplicate label within the update", "X1: MarriedMentions(m1, m2) :- MarriedCandidate(m1, m2) weight = 1.\nX1: MarriedMentions(m2, m1) :- MarriedCandidate(m1, m2) weight = 1.", "duplicate rule label X1"},
+		{"trailing garbage", `X1: MarriedMentions(m1, m2) :- MarriedCandidate(m1, m2) weight = 1. and then`, "expected"},
+		{"declaration", "@relation Extra(x).\nX1: MarriedMentions(m1, m2) :- MarriedCandidate(m1, m2) weight = 1.", "cannot carry a declaration"},
+		{"unterminated string", `X1: MarriedMentions(m1, m2) :- MarriedCandidate(m1, "oops) weight = 1.`, "unterminated"},
+	}
+	for _, c := range refusals {
+		_, err := ParseRules(prog, c.src)
+		if err == nil || !strings.Contains(err.Error(), c.frag) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.frag)
+		}
+		// The whole-program parse refuses the same extensions, except the two
+		// it has no rule against.
+		if _, perr := Parse(prog.String() + c.src); perr == nil && !strings.HasPrefix(c.name, "duplicate label") && c.name != "declaration" {
+			t.Errorf("%s: refused by ParseRules, accepted by Parse", c.name)
+		}
+	}
+	if len(prog.Rules) != 3 {
+		t.Fatalf("refused extensions left %d rules in the program", len(prog.Rules))
+	}
+}
+
 func TestEvidenceTarget(t *testing.T) {
 	if base, ok := EvidenceTarget("Married_Ev"); !ok || base != "Married" {
 		t.Fatalf("EvidenceTarget = %q, %v", base, ok)

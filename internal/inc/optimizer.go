@@ -772,16 +772,30 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 		})
 		return block
 	}
+	// A block is closed when every variable its changed groups read that
+	// the chain can move is its own: its score then moves only when the
+	// block itself does, and is kept between proposals. (A group straddles
+	// blocks once compaction has dropped the tombstoned grounding that
+	// tied them; such a block is rescored on every test.)
 	changedNewByBlock := make([][]int32, nBlocks)
-	for _, gi := range cs.ChangedNew {
-		b := blockForGroup(newG, gi)
-		changedNewByBlock[b] = append(changedNewByBlock[b], gi)
-	}
 	changedOldByBlock := make([][]int32, nBlocks)
-	for _, gi := range cs.ChangedOld {
-		b := blockForGroup(e.old, gi)
-		changedOldByBlock[b] = append(changedOldByBlock[b], gi)
+	closed := make([]bool, nBlocks)
+	for b := range closed {
+		closed[b] = true
 	}
+	place := func(g *factor.Graph, changed []int32, byBlock [][]int32) {
+		for _, gi := range changed {
+			b := blockForGroup(g, gi)
+			byBlock[b] = append(byBlock[b], gi)
+			g.GroupVars(gi, func(v factor.VarID) {
+				if l := localOf(scope, v); l >= 0 && !newG.IsEvidence(v) && int(blockOf[l]) != b {
+					closed[b] = false
+				}
+			})
+		}
+	}
+	place(newG, cs.ChangedNew, changedNewByBlock)
+	place(e.old, cs.ChangedOld, changedOldByBlock)
 
 	rng := rand.New(rand.NewSource(e.opts.Seed + 31))
 	st := factor.NewState(target)
@@ -790,9 +804,6 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 	// Old-graph groups reference only old variables, so the (wider) new
 	// world can be scored against both graphs directly.
 	blockScore := func(world []bool, b int) float64 {
-		if len(changedNewByBlock[b]) == 0 && len(changedOldByBlock[b]) == 0 {
-			return 0
-		}
 		return newG.EnergyOfGroups(world, changedNewByBlock[b]) -
 			e.old.EnergyOfGroups(world, changedOldByBlock[b])
 	}
@@ -816,6 +827,12 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 			cur[m.v], hybrid[m.v] = prop[m.v], prop[m.v]
 		}
 	}
+	// curScore[b] is blockScore(cur, b) while known[b]: set when block b
+	// adopts a proposal (the hybrid it was scored on is then the chain's
+	// world), dropped when a fresh variable of the block is resampled, and
+	// never kept for a block that is not closed.
+	curScore := make([]float64, nBlocks)
+	known := make([]bool, nBlocks)
 	accepted, proposed := 0, 0
 	next, used := e.store.Len()-e.store.Remaining(), 0
 	for est.N() < e.opts.KeepSamples {
@@ -833,23 +850,35 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 		for _, m := range fresh {
 			prop[m.v] = cur[m.v]
 		}
-		for b := 0; b < nBlocks; b++ {
+		for b, ms := range varsByBlock {
 			touched := len(changedNewByBlock[b]) > 0 || len(changedOldByBlock[b]) > 0
 			if !touched {
 				// Untouched block: adopt the proposal outright.
-				adopt(varsByBlock[b])
+				adopt(ms)
 				continue
 			}
 			proposed++
-			for _, m := range varsByBlock[b] {
+			differs := false
+			for _, m := range ms {
 				hybrid[m.v] = prop[m.v]
+				differs = differs || prop[m.v] != cur[m.v]
 			}
-			d := blockScore(hybrid, b) - blockScore(cur, b)
-			if d >= 0 || rng.Float64() < math.Exp(d) {
+			if !differs {
+				// The proposal is the chain's world on this block: d = 0
+				// exactly, accepted without a score or a draw.
 				accepted++
-				adopt(varsByBlock[b])
+				continue
+			}
+			if !known[b] {
+				curScore[b], known[b] = blockScore(cur, b), closed[b]
+			}
+			propScore := blockScore(hybrid, b)
+			if d := propScore - curScore[b]; d >= 0 || rng.Float64() < math.Exp(d) {
+				accepted++
+				adopt(ms)
+				curScore[b] = propScore
 			} else {
-				for _, m := range varsByBlock[b] {
+				for _, m := range ms {
 					hybrid[m.v] = cur[m.v]
 				}
 			}
@@ -857,7 +886,11 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 		// Resample the variables the update appended from their
 		// conditionals given the adopted world.
 		for _, m := range fresh {
+			was := st.Assign[m.l] // cur is st.Assign itself on the whole graph
 			sampler.SampleVar(m.l)
+			if b := blockOf[m.l]; b >= 0 && st.Assign[m.l] != was {
+				known[b] = false
+			}
 			cur[m.v] = st.Assign[m.l]
 			hybrid[m.v] = cur[m.v]
 		}

@@ -69,23 +69,43 @@ func develop(t *testing.T, sys *corpus.System, kb *deepdive.KB) {
 
 var ctx = context.Background()
 
-func TestBaseProgramParses(t *testing.T) {
+// TestIterationRulesParse: every prefix of every system's development
+// loop parses, and datalog.ParseRules — what a rule update goes through —
+// yields for each of the 6 × 5 iterations exactly the rules the
+// whole-program parse appends: the same source, kind and semantics.
+func TestIterationRulesParse(t *testing.T) {
 	for _, sys := range corpus.AllSystems() {
 		src := BaseProgram(sys, factor.Ratio)
-		if _, err := datalog.Parse(src); err != nil {
+		prog, err := datalog.Parse(src)
+		if err != nil {
 			t.Fatalf("%s base program: %v", sys.Spec.Name, err)
 		}
 		for _, it := range IterationNames {
-			full := src
-			for _, name := range IterationNames {
-				full += IterationRules(sys, name)
-				if name == it {
-					break
-				}
-			}
-			if _, err := datalog.Parse(full); err != nil {
+			rules := IterationRules(sys, it)
+			src += rules
+			full, err := datalog.Parse(src)
+			if err != nil {
 				t.Fatalf("%s through %s: %v", sys.Spec.Name, it, err)
 			}
+			got, err := datalog.ParseRules(prog, rules)
+			if err != nil {
+				t.Fatalf("%s %s: ParseRules: %v", sys.Spec.Name, it, err)
+			}
+			want := full.Rules[len(prog.Rules):]
+			if len(got) != len(want) {
+				t.Fatalf("%s %s: ParseRules gives %d rules, the whole-program parse %d", sys.Spec.Name, it, len(got), len(want))
+			}
+			for i, r := range got {
+				if r.String() != want[i].String() || r.Kind != want[i].Kind || prog.SemOf(r) != full.SemOf(want[i]) {
+					t.Fatalf("%s %s rule %d:\n got %v (%v)\nwant %v (%v)", sys.Spec.Name, it, i, r, r.Kind, want[i], want[i].Kind)
+				}
+			}
+			if len(got) > 0 {
+				if _, err := datalog.ParseRules(full, rules); err == nil || !strings.Contains(err.Error(), "duplicate rule label") {
+					t.Fatalf("%s %s applied twice: %v, want a duplicate-label refusal", sys.Spec.Name, it, err)
+				}
+			}
+			prog = full
 		}
 	}
 }
@@ -180,10 +200,12 @@ func TestPipelineEndToEnd(t *testing.T) {
 // epochs the other tests use, 0.90 at 40), and incremental against rerun
 // lands in the same band (0.65–1.00, mean 0.85; 0.79–1.00, mean 0.92).
 // The retired loop met 0.9 at a single seed only because its incremental
-// side had stopped moving.
+// side had stopped moving. With a per-seed spread that wide, a ten-seed
+// mean sat at 0.900 ± 0.03 — any change of learning trajectory flipped it —
+// so the mean is taken over thirty.
 func TestIncrementalMatchesRerunQuality(t *testing.T) {
 	sys := smallSystem()
-	const seeds = 10
+	const seeds = 30
 	var overlap float64
 	for seed := int64(1); seed <= seeds; seed++ {
 		opts := []deepdive.Option{deepdive.WithSeed(seed), deepdive.WithLearning(40, 0.25)}

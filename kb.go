@@ -551,13 +551,10 @@ func (kb *KB) applyGround(ctx context.Context, u Update) (*stagedApply, error) {
 	}
 	var rules []*datalog.Rule
 	if u.RuleSource != "" {
-		prog := kb.grounder.Program()
-		combined := prog.String() + "\n" + u.RuleSource
-		full, err := datalog.Parse(combined)
-		if err != nil {
+		var err error
+		if rules, err = datalog.ParseRules(kb.grounder.Program(), u.RuleSource); err != nil {
 			return nil, err
 		}
-		rules = full.Rules[len(prog.Rules):]
 	}
 	res := &UpdateResult{}
 
@@ -689,15 +686,17 @@ func deltaSeeds(d *ground.Delta, prev, g *factor.Graph) []factor.VarID {
 // pipeline ticket. It holds only stateMu, so the next update's grounding
 // stage evaluates concurrently under groundMu.
 //
-// Both stages run on the update's scope, not on the graph: the connected
-// components the delta touched, grown outward from its seed variables in
-// O(|scope|). The likelihood and the posterior factorise over components,
-// so learning on the induced subgraph and re-estimating only the dirty
-// variables is what the whole-graph computation would have produced for
-// them, and everything else keeps its weights and published marginals bit
-// for bit. A scope beyond half the graph's variables is the graph: no
-// subgraph is extracted. So is the scope of an update that answers for a
-// carried delta, and every scope under the GlobalFinish lesion.
+// Both stages run on their own scope, not on the graph: connected
+// components grown outward from the delta's seed variables in O(|scope|) —
+// the evidence-bearing ones for learning (learnDelta), the free-variable
+// ones for inference (inc.Engine.Scope). The likelihood and the posterior
+// factorise over components, so learning on the induced subgraph and
+// re-estimating only the dirty variables is what the whole-graph
+// computation would have produced for them, and everything else keeps its
+// weights and published marginals bit for bit. A scope beyond half the
+// graph's variables is the graph: no subgraph is extracted. So is the
+// scope of an update that answers for a carried delta, and every scope
+// under the GlobalFinish lesion.
 func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, error) {
 	defer kb.seqExit(st.seq)
 	kb.stateMu.Lock()
@@ -709,17 +708,11 @@ func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, 
 		return nil, err
 	}
 	res, delta, g := st.res, st.delta, st.graph
-	var comps *factor.Reach // the delta's components; nil = the graph
-	if !kb.opts.Lesions.GlobalFinish && !st.carried {
-		comps = g.NewReach(false)
-		for _, v := range st.seeds {
-			comps.Grow(v, false)
-		}
-	}
+	scoped := !kb.opts.Lesions.GlobalFinish && !st.carried
 	var moved []bool
 	if delta.StructureChanged() || delta.HasEvidenceChange() {
 		var err error
-		if moved, err = kb.learnDelta(ctx, st, comps); err != nil {
+		if moved, err = kb.learnDelta(ctx, st, scoped); err != nil {
 			return nil, err
 		}
 	}
@@ -733,7 +726,7 @@ func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, 
 	// whose weight this update moved. Without published marginals to keep,
 	// or without the decomposition, it is the graph.
 	var dirty *factor.Reach
-	if comps != nil && kb.marg != nil && !kb.opts.Lesions.NoDecomposition {
+	if scoped && kb.marg != nil && !kb.opts.Lesions.NoDecomposition {
 		if dirty = kb.engine.Scope(g, append(st.seeds, touched...), delta.EvidenceChanged); beyondHalf(dirty, g) {
 			dirty = nil
 		}
@@ -793,14 +786,16 @@ func beyondHalf(r *factor.Reach, g *factor.Graph) bool { return 2*len(r.Vars) > 
 // that just gained or lost it), training W_R on those components plus
 // every evidence-bearing component holding a group tied to W_R follows
 // the exact gradient for those coordinates; every other weight stays as
-// it was. With no such component there is nothing to learn. comps is the
-// delta's components; nil, or beyond half the graph (here or after the
-// tied components joined), trains every learnable weight on the graph
-// itself. It returns the mask of weights whose value changed.
-func (kb *KB) learnDelta(ctx context.Context, st *stagedApply, comps *factor.Reach) ([]bool, error) {
+// it was. With no such component there is nothing to learn. The size of
+// that learning scope decides, not the delta's: a rule that grounds on
+// every candidate still learns on the evidence-bearing components alone.
+// Unscoped (GlobalFinish, a carried delta), or with a learning scope beyond
+// half the graph, every learnable weight trains on the graph itself. It
+// returns the mask of weights whose value changed.
+func (kb *KB) learnDelta(ctx context.Context, st *stagedApply, scoped bool) ([]bool, error) {
 	g := st.graph
 	target, frozen := g, st.frozen
-	if comps != nil {
+	if scoped {
 		// The delta's components whose likelihood term it changed: those
 		// holding evidence, or a variable that just gained or lost it.
 		lr := g.NewReach(false)
@@ -813,27 +808,25 @@ func (kb *KB) learnDelta(ctx context.Context, st *stagedApply, comps *factor.Rea
 		if len(lr.Vars) == 0 {
 			return nil, nil
 		}
-		if !beyondHalf(comps, g) {
-			frozen = make([]bool, g.NumWeights())
-			for w := range frozen {
-				frozen[w] = true
+		frozen = make([]bool, g.NumWeights())
+		for w := range frozen {
+			frozen[w] = true
+		}
+		for _, v := range lr.Vars {
+			for _, gi := range g.AdjacentGroups(v) {
+				w := g.GroupWeight(int(gi))
+				frozen[w] = st.frozen[w]
 			}
-			for _, v := range lr.Vars {
-				for _, gi := range g.AdjacentGroups(v) {
-					w := g.GroupWeight(int(gi))
-					frozen[w] = st.frozen[w]
-				}
+		}
+		for gi := 0; gi < g.NumGroups(); gi++ {
+			if !frozen[g.GroupWeight(gi)] {
+				lr.Grow(g.GroupHead(gi), true)
 			}
-			for gi := 0; gi < g.NumGroups(); gi++ {
-				if !frozen[g.GroupWeight(gi)] {
-					lr.Grow(g.GroupHead(gi), true)
-				}
-			}
-			if beyondHalf(lr, g) {
-				frozen = st.frozen
-			} else {
-				target, _ = g.Induced(lr.Sorted())
-			}
+		}
+		if beyondHalf(lr, g) {
+			frozen = st.frozen
+		} else {
+			target, _ = g.Induced(lr.Sorted())
 		}
 	}
 	before := slices.Clone(g.Weights())

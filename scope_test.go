@@ -14,7 +14,9 @@ import (
 
 	"deepdive"
 	"deepdive/internal/corpus"
+	"deepdive/internal/datalog"
 	"deepdive/internal/factor"
+	"deepdive/internal/ground"
 	"deepdive/internal/kbc"
 )
 
@@ -279,36 +281,123 @@ func highConfAgreement(a, b map[kbc.Fact]float64) float64 {
 	return (ov.HighConfOverlapAB + ov.HighConfOverlapBA) / 2
 }
 
-// TestRuleUpdateTakesTheWholeGraph: a rule that grounds on every
-// candidate scopes beyond half the graph, so the scope is the graph — and
-// the update is bit-identical to the GlobalFinish lesion's.
-func TestRuleUpdateTakesTheWholeGraph(t *testing.T) {
-	w := newWireCorpus(t, 1, 1, 0)
-	var bits [2]map[kbc.Fact]uint64
-	var weights [2][]float64
-	for i, opts := range [][]deepdive.Option{nil, {globalFinish}} {
-		kb := w.open(t, 1, 0, opts...) // the base program: FE1 not yet in
-		_, err := kb.Materialize(ctx)
+// withQueryOnlyCopies is the corpus with every loaded document repeated
+// copies more times under fresh sentence, mention and entity ids: the
+// copies' candidates carry the originals' features — the same tied weights
+// — but no knowledge base names their entities, so they are query-only.
+func (w *wireCorpus) withQueryOnlyCopies(copies int) *wireCorpus {
+	out := *w
+	out.base = map[string][]deepdive.Tuple{}
+	for rel, ts := range w.base {
+		out.base[rel] = ts[:len(ts):len(ts)]
+	}
+	for k := 1; k <= copies; k++ {
+		tag := fmt.Sprint("x", k)
+		for _, t := range w.base["Sentence"] {
+			out.base["Sentence"] = append(out.base["Sentence"], deepdive.Tuple{t[0] + tag, t[1]})
+		}
+		for _, t := range w.base["Mention"] { // (m:<sid>:<start>:<end>, sid, type, entity)
+			mid := strings.Replace(t[0], ":"+t[1]+":", ":"+t[1]+tag+":", 1)
+			out.base["Mention"] = append(out.base["Mention"], deepdive.Tuple{mid, t[1] + tag, t[2], t[3] + tag})
+		}
+	}
+	return &out
+}
+
+// TestRuleUpdateLearnsOnEvidenceScope: a rule that grounds on every
+// candidate dirties every marginal, but what it can teach the model lies
+// in the evidence-bearing components. FE1 learns on exactly those — the
+// same subgraph and the same weights with four times the query-only
+// candidates around them — and every weight it could not inform stays bit
+// for bit what it was; under GlobalFinish it still takes the whole graph.
+// The expected scope and W_R are read off a bare grounder taken through
+// the same two steps.
+func TestRuleUpdateLearnsOnEvidenceScope(t *testing.T) {
+	plain := newWireCorpus(t, 1, 1, 0)
+	fe1 := kbc.IterationRules(plain.sys, "FE1")
+	var scopes, learned [2]int
+	for i, copies := range []int{0, 3} {
+		w := plain.withQueryOnlyCopies(copies)
+
+		gr, err := ground.New(datalog.MustParse(kbc.Program(w.sys, factor.Ratio, 1)), kbc.UDFs())
 		must(t, err)
-		res, err := kb.Apply(ctx, deepdive.Update{RuleSource: kbc.IterationRules(w.sys, "FE1")})
+		for rel, ts := range w.base {
+			must(t, gr.LoadBase(rel, ts))
+		}
+		must(t, gr.Ground())
+		gr.Graph()
+		rules, err := datalog.ParseRules(gr.Program(), fe1)
 		must(t, err)
-		if vars := kb.Stats().Variables; res.ScopeVars != vars || res.DirtyVars != vars || res.LearnedWeights == 0 {
-			t.Fatalf("FE1 did not take the whole %d-variable graph: %+v", vars, res)
+		_, err = gr.ApplyUpdate(ground.Update{NewRules: rules})
+		must(t, err)
+		g := gr.Graph()
+		evidence := g.NewReach(false)
+		for v := 0; v < g.NumVars(); v++ {
+			evidence.Grow(factor.VarID(v), true)
 		}
-		bits[i], weights[i] = factBits(w, kb), kb.Weights()
-	}
-	if len(bits[0]) == 0 || len(bits[0]) != len(bits[1]) {
-		t.Fatalf("%d facts by default, %d under GlobalFinish", len(bits[0]), len(bits[1]))
-	}
-	for f, b := range bits[0] {
-		if bits[1][f] != b {
-			t.Fatalf("%v: marginal %v by default, %v under GlobalFinish", f, math.Float64frombits(b), math.Float64frombits(bits[1][f]))
+		learnable := make([]bool, g.NumWeights())
+		for _, wid := range gr.LearnableWeights() {
+			learnable[wid] = true
 		}
-	}
-	for k := range weights[0] {
-		if math.Float64bits(weights[0][k]) != math.Float64bits(weights[1][k]) {
-			t.Fatalf("weight %d: %v by default, %v under GlobalFinish", k, weights[0][k], weights[1][k])
+		inWR, sizeWR := make([]bool, g.NumWeights()), 0
+		for _, v := range evidence.Vars {
+			for _, gi := range g.AdjacentGroups(v) {
+				if wid := g.GroupWeight(int(gi)); learnable[wid] && !inWR[wid] {
+					inWR[wid] = true
+					sizeWR++
+				}
+			}
 		}
+		if len(evidence.Vars) == 0 || 2*len(evidence.Vars) > g.NumVars() || sizeWR == len(gr.LearnableWeights()) {
+			t.Fatalf("%d copies: %d of %d variables in evidence-bearing components, %d of %d learnable weights on them: not the case under test",
+				copies, len(evidence.Vars), g.NumVars(), sizeWR, len(gr.LearnableWeights()))
+		}
+
+		kb := w.open(t, 1, 0) // the base program: FE1 not yet in
+		_, err = kb.Materialize(ctx)
+		must(t, err)
+		before := kb.Weights()
+		res, err := kb.Apply(ctx, deepdive.Update{RuleSource: fe1})
+		must(t, err)
+		vars, after := kb.Stats().Variables, kb.Weights()
+		if vars != g.NumVars() || len(after) != g.NumWeights() {
+			t.Fatalf("%d copies: the KB holds %d variables and %d weights, the bare grounder %d and %d", copies, vars, len(after), g.NumVars(), g.NumWeights())
+		}
+		if res.ScopeVars != len(evidence.Vars) || res.LearnedWeights != sizeWR || res.DirtyVars != vars {
+			t.Fatalf("%d copies: FE1 learned %d weights on %d variables and re-estimated %d; want %d on %d, and all %d: %+v",
+				copies, res.LearnedWeights, res.ScopeVars, res.DirtyVars, sizeWR, len(evidence.Vars), vars, res)
+		}
+		moved := 0
+		for wid, x := range after {
+			was := g.Weight(factor.WeightID(wid)) // a weight FE1 created: its initial value
+			if wid < len(before) {
+				was = before[wid]
+			}
+			if math.Float64bits(x) == math.Float64bits(was) {
+				continue
+			}
+			moved++
+			if !inWR[wid] {
+				t.Fatalf("%d copies: weight %d, on no evidence-bearing component, moved from %v to %v", copies, wid, was, x)
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("%d copies: FE1 moved no weight", copies)
+		}
+		scopes[i], learned[i] = res.ScopeVars, res.LearnedWeights
+
+		lesion := w.open(t, 1, 0, globalFinish)
+		_, err = lesion.Materialize(ctx)
+		must(t, err)
+		res, err = lesion.Apply(ctx, deepdive.Update{RuleSource: fe1})
+		must(t, err)
+		if res.ScopeVars != vars || res.DirtyVars != vars || res.LearnedWeights != len(gr.LearnableWeights()) {
+			t.Fatalf("%d copies: under GlobalFinish FE1 did not take the whole %d-variable graph and its %d learnable weights: %+v", copies, vars, len(gr.LearnableWeights()), res)
+		}
+		t.Logf("%d copies: %d variables, learning scope %d, %d of %d learnable weights, %d moved", copies, vars, scopes[i], learned[i], len(gr.LearnableWeights()), moved)
+	}
+	if scopes[0] != scopes[1] || learned[0] != learned[1] {
+		t.Fatalf("four times the query-only candidates changed the learning scope: %d variables and %d weights, then %d and %d", scopes[0], learned[0], scopes[1], learned[1])
 	}
 }
 
