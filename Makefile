@@ -26,9 +26,12 @@ test:
 # packages under the race detector (covers the cached-state and
 # differential tests). internal/ground's parallel delta grounding has
 # workers run compiled plans over internal/db's in-place indexes and
-# old-state view concurrently, so both are in the set.
+# old-state view concurrently, so both are in the set. internal/inc drives
+# the samplers (materialization on the configured runtime, the sharded
+# sampling runner, the variational runner's swept remainder) over graphs a
+# patch lineage shares.
 race:
-	$(GO) test -race ./internal/gibbs/... ./internal/factor/... ./internal/learn/... ./internal/ground/... ./internal/db/...
+	$(GO) test -race ./internal/gibbs/... ./internal/factor/... ./internal/learn/... ./internal/inc/... ./internal/ground/... ./internal/db/...
 
 # The serving API's concurrency proof: lock-free snapshot readers
 # against live Apply/queue writers, context cancellation, coalescing,
@@ -120,8 +123,11 @@ bench-ground:
 # on the served News corpus at 1× and 4× the documents, then the six rule
 # iterations at 1× and 4× the candidates (the added ones query-only);
 # reports ns/update, the x4/x1 ratio and, for the rule updates, the
-# ground/learn/infer split and the learn stage's own ratio (a single pass;
-# repeat it, wall clock on a small box swings ±10 %). CI runs it as a smoke.
+# ground/learn/infer split, the learn stage's own ratio and how many
+# variables the variational runs left to a Gibbs chain (swept-vars/update:
+# 0 when every component of their inference graphs was solved exactly) (a
+# single pass; repeat it, wall clock on a small box swings ±10 %). CI runs
+# it as the finish-stage smoke.
 bench-finish:
 	$(GO) test -bench='ApplyDocDelta|ApplyRuleDelta' -benchtime=1x -run=xxx .
 

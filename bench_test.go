@@ -189,7 +189,9 @@ func BenchmarkApplyDocDelta(b *testing.B) {
 // development iterations through KB.Apply on the harness's News corpus as
 // it is and with four times the candidates, the added ones query-only
 // (withQueryOnlyCopies). Each size reports ns/update and its ground, learn
-// and infer parts from UpdateResult; x4 also reports its learn stage's
+// and infer parts from UpdateResult, and beside them how many variables
+// the variational runs left to a Gibbs chain (0: every component of their
+// inference graphs was solved exactly); x4 also reports its learn stage's
 // ratio to x1, which learning on the evidence scope keeps near 1 while
 // grounding and inference, which a rule does owe every candidate, grow.
 func BenchmarkApplyRuleDelta(b *testing.B) {
@@ -200,6 +202,7 @@ func BenchmarkApplyRuleDelta(b *testing.B) {
 	}{{"x1", 0}, {"x4", 3}} {
 		b.Run(size.name, func(b *testing.B) {
 			var spent, ground, learn, infer time.Duration
+			swept := 0
 			for i := 0; i < b.N; i++ {
 				w := newWireCorpus(b, 3, 1, 0).withQueryOnlyCopies(size.copies)
 				kb := w.open(b, 0, 0)
@@ -213,6 +216,7 @@ func BenchmarkApplyRuleDelta(b *testing.B) {
 						b.Fatal(err)
 					}
 					ground, learn, infer = ground+res.GroundTime, learn+res.LearnTime, infer+res.InferTime
+					swept += res.SweptVars
 				}
 				spent += time.Since(start)
 				kb.CloseNow()
@@ -224,6 +228,7 @@ func BenchmarkApplyRuleDelta(b *testing.B) {
 			b.ReportMetric(per(ground), "ground-ns/update")
 			b.ReportMetric(per(learn), "learn-ns/update")
 			b.ReportMetric(per(infer), "infer-ns/update")
+			b.ReportMetric(float64(swept)/float64(b.N*len(kbc.IterationNames)), "swept-vars/update")
 			if size.copies == 0 {
 				learnX1 = per(learn)
 			} else if learnX1 > 0 {

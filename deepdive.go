@@ -472,6 +472,11 @@ type UpdateResult struct {
 	ScopeVars      int
 	LearnedWeights int
 	DirtyVars      int
+	// SweptVars is how many of the DirtyVars a variational run left to its
+	// Gibbs chain — the rest it solved exactly, one connected component of
+	// the inference graph at a time (inc.VariationalInferCtx). 0 after a
+	// sampling run.
+	SweptVars int
 	// Coalesced is how many queued updates the batch merged (1 for a
 	// direct Apply; set by the update queue).
 	Coalesced int

@@ -23,6 +23,52 @@ func loopSeeds() []int64 {
 	return []int64{1, 2, 3}
 }
 
+// parentStrategies are the strategies the optimizer chose for A1…S2 on
+// the five systems at Quick scale (s: sampling, v: variational), scoped and
+// under GlobalFinish, recorded before the variational runner stopped
+// sweeping what it can enumerate. The optimizer never sees how a
+// variational run came by its marginals, so they must not move.
+var parentStrategies = map[int64][2][5]string{
+	1: {{"ssssvs", "svvvvv", "ssssvs", "svvsvv", "svvvvv"}, {"sssvvv", "sssvvv", "sssvvv", "sssvvv", "sssvvv"}},
+	2: {{"ssssvs", "svvvvv", "ssssvs", "svvvvv", "svvvvv"}, {"sssvvv", "sssvvv", "sssvvv", "sssvvv", "sssvvv"}},
+	3: {{"ssssvs", "svvvvv", "ssssvs", "svvvvv", "ssssvv"}, {"sssvvv", "sssvvv", "sssvvv", "sssvvv", "sssvvv"}},
+}
+
+// TestVariationalRunsSweepNothing is the count guard: over the five systems
+// and the six iterations, on the update's scope and on the whole graph
+// (GlobalFinish), every connected component of every variational run's
+// inference graph is small enough to enumerate — no variable is left to a
+// Gibbs chain — and the strategy sequence is the one recorded at the parent.
+func TestVariationalRunsSweepNothing(t *testing.T) {
+	variational := 0
+	for _, seed := range loopSeeds() {
+		for li, l := range []deepdive.Lesions{{}, {GlobalFinish: true}} {
+			for si, sys := range systems(Quick) {
+				got := ""
+				err := develop(sys, kbOptions(seed, deepdive.WithLesions(l)), func(k int, st step) error {
+					got += st.Strategy.String()[:1]
+					if st.Strategy == deepdive.StrategyVariational {
+						variational++
+					}
+					if st.SweptVars != 0 {
+						t.Errorf("seed %d %s %s (whole graph %v): %s run swept %d of %d dirty variables", seed, sys.Spec.Name, st.Rule, l.GlobalFinish, st.Strategy, st.SweptVars, st.DirtyVars)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := parentStrategies[seed][li][si]; got != want {
+					t.Errorf("seed %d %s (whole graph %v): strategies %s, recorded at the parent %s", seed, sys.Spec.Name, l.GlobalFinish, got, want)
+				}
+			}
+		}
+	}
+	if variational < 25 {
+		t.Errorf("%d variational runs: the guard guards nothing", variational)
+	}
+}
+
 // f1GapBound is the bench's inc.f1_gap bound: how far incremental F1 may
 // trail the from-scratch rerun's.
 const f1GapBound = 0.03

@@ -496,12 +496,22 @@ func (g *Graph) MarginalOfIsolated(v VarID, assign []bool) float64 {
 }
 
 // Builder accumulates variables, weights, and groups, then freezes them
-// into a Graph. The zero value is ready to use.
+// into a Graph. The zero value is ready to use. Groups are kept in the flat
+// layout Build freezes — per-group attribute arrays, grounding offsets, one
+// literal pool — so Build hands the pools over instead of flattening a
+// nested copy, and CopyGroup moves a group from graph to builder without
+// synthesizing its nested view. The graph shares the builder's arrays.
 type Builder struct {
 	evidence []bool
 	evValue  []bool
 	weights  []float64
-	groups   []Group
+
+	groupHead   []int32
+	groupWeight []int32
+	groupSem    []Semantics
+	gndOff      []int32 // per group: its first grounding
+	litOff      []int32 // per grounding: its first literal
+	lits        []int32 // var<<1|neg, as in Graph
 }
 
 // NewBuilder returns an empty Builder.
@@ -517,12 +527,22 @@ func NewBuilderFrom(g *Graph) *Builder {
 		evidence: append([]bool(nil), g.evidence...),
 		evValue:  append([]bool(nil), g.evValue...),
 		weights:  append([]float64(nil), g.weights...),
-		groups:   make([]Group, g.NumGroups()),
 	}
-	for i := range b.groups {
-		b.groups[i] = *g.Group(i) // synthesized views are already deep copies
+	b.Grow(0, 0, g.NumGroups())
+	for gi := range g.groupHead {
+		b.CopyGroup(g, int32(gi), WeightID(g.groupWeight[gi]), func(v VarID) VarID { return v })
 	}
 	return b
+}
+
+// Grow reserves room for vars more variables, weights more weights and
+// groups more groups, for callers that know what they are about to add: a
+// hint only, exceeding it costs the usual amortized growth.
+func (b *Builder) Grow(vars, weights, groups int) {
+	b.evidence, b.evValue = slices.Grow(b.evidence, vars), slices.Grow(b.evValue, vars)
+	b.weights = slices.Grow(b.weights, weights)
+	b.groupHead, b.groupWeight = slices.Grow(b.groupHead, groups), slices.Grow(b.groupWeight, groups)
+	b.groupSem, b.gndOff = slices.Grow(b.groupSem, groups), slices.Grow(b.gndOff, groups+1)
 }
 
 // AddVar registers a new free variable and returns its id.
@@ -560,177 +580,214 @@ func (b *Builder) AddWeight(v float64) WeightID {
 // NumWeights returns the number of weights added so far.
 func (b *Builder) NumWeights() int { return len(b.weights) }
 
-// AddGroup appends a rule group. Groundings are retained, not copied.
+// AddGroup appends a rule group and returns its index. The groundings are
+// copied into the builder's literal pool; AddGrounding appends further ones.
 func (b *Builder) AddGroup(head VarID, w WeightID, sem Semantics, groundings []Grounding) int {
-	b.groups = append(b.groups, Group{Head: head, Weight: w, Sem: sem, Groundings: groundings})
-	return len(b.groups) - 1
+	b.groupHead = append(b.groupHead, int32(head))
+	b.groupWeight = append(b.groupWeight, int32(w))
+	b.groupSem = append(b.groupSem, sem)
+	b.gndOff = append(b.gndOff, int32(len(b.litOff)))
+	for _, gnd := range groundings {
+		b.AddGrounding(gnd.Lits)
+	}
+	return len(b.groupHead) - 1
+}
+
+// AddGrounding appends one grounding to the group added last. A grounding
+// without literals is satisfied in every world.
+func (b *Builder) AddGrounding(lits []Literal) {
+	b.litOff = append(b.litOff, int32(len(b.lits)))
+	for _, lit := range lits {
+		b.lits = append(b.lits, int32(lit.Var)<<1|int32(b2i(lit.Neg)))
+	}
+}
+
+// CopyGroup appends group gi of src — its live groundings, read off src's
+// literal pool — under weight w, every variable mapped through local, and
+// returns the new group's index. When local maps one of the group's
+// variables to NoVar nothing is appended and the result is -1.
+func (b *Builder) CopyGroup(src *Graph, gi int32, w WeightID, local func(VarID) VarID) int {
+	nGnd, nLit := len(b.litOff), len(b.lits)
+	head := local(VarID(src.groupHead[gi]))
+	ok := head != NoVar
+	src.eachLiveGnd(gi, func(k int32) {
+		if !ok {
+			return
+		}
+		b.litOff = append(b.litOff, int32(len(b.lits)))
+		for _, l := range src.lits[src.litOff[k]:src.litOff[k+1]] {
+			v := local(VarID(l >> 1))
+			if v == NoVar {
+				ok = false
+				return
+			}
+			b.lits = append(b.lits, int32(v)<<1|l&1)
+		}
+	})
+	if !ok {
+		b.litOff, b.lits = b.litOff[:nGnd], b.lits[:nLit]
+		return -1
+	}
+	b.groupHead = append(b.groupHead, int32(head))
+	b.groupWeight = append(b.groupWeight, int32(w))
+	b.groupSem = append(b.groupSem, src.groupSem[gi])
+	b.gndOff = append(b.gndOff, int32(nGnd))
+	return len(b.groupHead) - 1
 }
 
 // Build validates the accumulated structure and freezes it into a Graph:
-// the nested groups are flattened into the CSR layout (literal pool,
-// grounding offsets, group attribute arrays) and the per-variable
-// adjacency indexes are built. The nested view is not retained; Graph.Group
-// synthesizes it back from the flat pools on demand.
+// the builder's flat pools (literal pool, grounding offsets, group attribute
+// arrays) become the graph's, and the per-variable adjacency indexes are
+// built over them. Graph.Group synthesizes the nested view back from the
+// flat pools on demand.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.evidence)
-	nG := len(b.groups)
+	nG := len(b.groupHead)
+	nGnd := len(b.litOff)
 	g := &Graph{
 		numVars:     n,
 		evidence:    b.evidence,
 		evValue:     b.evValue,
 		weights:     b.weights,
-		groupHead:   make([]int32, nG),
-		groupWeight: make([]int32, nG),
-		groupSem:    make([]Semantics, nG),
-		gndOff:      make([]int32, nG+1),
+		groupHead:   fit(b.groupHead),
+		groupWeight: fit(b.groupWeight),
+		groupSem:    fit(b.groupSem),
+		gndOff:      fit(append(b.gndOff, int32(nGnd))),
+		litOff:      fit(append(b.litOff, int32(len(b.lits)))),
+		lits:        fit(b.lits),
+		nGnd:        nGnd,
 	}
 
-	// Pass 1: validate and size the pools.
-	totalGnd, totalLit := 0, 0
-	for gi := range b.groups {
-		gr := &b.groups[gi]
-		if gr.Head < 0 || int(gr.Head) >= n {
-			return nil, fmt.Errorf("factor: group %d head %d out of range [0,%d)", gi, gr.Head, n)
+	// Pass 1: validate.
+	for gi := 0; gi < nG; gi++ {
+		if h := g.groupHead[gi]; h < 0 || int(h) >= n {
+			return nil, fmt.Errorf("factor: group %d head %d out of range [0,%d)", gi, h, n)
 		}
-		if gr.Weight < 0 || int(gr.Weight) >= len(g.weights) {
-			return nil, fmt.Errorf("factor: group %d weight %d out of range [0,%d)", gi, gr.Weight, len(g.weights))
+		if w := g.groupWeight[gi]; w < 0 || int(w) >= len(g.weights) {
+			return nil, fmt.Errorf("factor: group %d weight %d out of range [0,%d)", gi, w, len(g.weights))
 		}
-		if gr.Sem >= numSemantics {
-			return nil, fmt.Errorf("factor: group %d has unknown semantics %d", gi, gr.Sem)
+		if g.groupSem[gi] >= numSemantics {
+			return nil, fmt.Errorf("factor: group %d has unknown semantics %d", gi, g.groupSem[gi])
 		}
-		totalGnd += len(gr.Groundings)
-		for gndi, gnd := range gr.Groundings {
-			for _, lit := range gnd.Lits {
-				if lit.Var < 0 || int(lit.Var) >= n {
-					return nil, fmt.Errorf("factor: group %d grounding %d references var %d out of range [0,%d)", gi, gndi, lit.Var, n)
+		for k := g.gndOff[gi]; k < g.gndOff[gi+1]; k++ {
+			for _, l := range g.lits[g.litOff[k]:g.litOff[k+1]] {
+				if v := l >> 1; v < 0 || int(v) >= n {
+					return nil, fmt.Errorf("factor: group %d grounding %d references var %d out of range [0,%d)", gi, k-g.gndOff[gi], v, n)
 				}
 			}
-			totalLit += len(gnd.Lits)
 		}
 	}
-	g.nGnd = totalGnd
-	g.litOff = make([]int32, totalGnd+1)
-	g.lits = make([]int32, 0, totalLit)
 
-	// Pass 2: fill the pools and accumulate per-variable adjacency plus the
-	// Markov-blanket neighbor rows (every pair of variables co-occurring in
-	// a group, head included).
-	bodyTmp := make([][]bodyOcc, n)
-	adjTmp := make([][]int32, n)
-	nbrTmp := make([][]int32, n)
-	groupMark := make([]int32, n) // stamp = group index + 1
-	var groupVars []int32         // distinct variables of the current group
-	addAdj := func(v VarID, gi int32) {
-		a := adjTmp[v]
-		if len(a) == 0 || a[len(a)-1] != gi {
-			adjTmp[v] = append(a, gi)
-		}
-	}
-	// occs holds the current group's (variable, grounding) occurrence
-	// records in first-occurrence order; a grounding's own stretch of it is
-	// searched linearly (groundings have a handful of literals).
+	// Pass 2: list, group after group, each group's distinct variables and
+	// its (variable, grounding) occurrence records — a grounding's own
+	// stretch of them is searched linearly (groundings have a handful of
+	// literals) — and size every variable's rows on the way: one adjacency
+	// entry per group it appears in, one occurrence record per grounding, and
+	// (before deduplication) one neighbor entry per other variable of each
+	// of its groups.
 	type varOcc struct {
-		v   VarID
+		v   int32
 		occ bodyOcc
 	}
-	var occs []varOcc
-	var gk int32 // global grounding index
-	for gi := range b.groups {
-		gr := &b.groups[gi]
-		g.groupHead[gi] = int32(gr.Head)
-		g.groupWeight[gi] = int32(gr.Weight)
-		g.groupSem[gi] = gr.Sem
-		g.gndOff[gi] = gk
-		addAdj(gr.Head, int32(gi))
-		groupVars = groupVars[:0]
+	occs := make([]varOcc, 0, len(g.lits))
+	groupVars := make([]int32, 0, nG+len(g.lits))
+	varsEnd := make([]int32, nG)  // per group: end of its stretch of groupVars
+	groupMark := make([]int32, n) // stamp = group index + 1
+	g.adjOff, g.bodyOff = make([]int32, n+1), make([]int32, n+1)
+	nbrOff := make([]int32, n+1)
+	for gi := 0; gi < nG; gi++ {
 		stamp := int32(gi) + 1
-		markVar := func(v int32) {
-			if groupMark[v] != stamp {
-				groupMark[v] = stamp
-				groupVars = append(groupVars, v)
-			}
-		}
-		markVar(int32(gr.Head))
-		occs = occs[:0]
-		for _, gnd := range gr.Groundings {
-			g.litOff[gk] = int32(len(g.lits))
+		firstVar, firstOcc := len(groupVars), len(occs)
+		groupMark[g.groupHead[gi]] = stamp
+		groupVars = append(groupVars, g.groupHead[gi])
+		for k := g.gndOff[gi]; k < g.gndOff[gi+1]; k++ {
 			first := len(occs)
-			for _, lit := range gnd.Lits {
-				enc := int32(lit.Var) << 1
-				if lit.Neg {
-					enc |= 1
+			for _, l := range g.lits[g.litOff[k]:g.litOff[k+1]] {
+				v := l >> 1
+				if groupMark[v] != stamp {
+					groupMark[v] = stamp
+					groupVars = append(groupVars, v)
 				}
-				g.lits = append(g.lits, enc)
-				markVar(int32(lit.Var))
 				at := first
-				for at < len(occs) && occs[at].v != lit.Var {
+				for at < len(occs) && occs[at].v != v {
 					at++
 				}
 				if at == len(occs) {
-					occs = append(occs, varOcc{v: lit.Var, occ: bodyOcc{group: int32(gi), gnd: gk}})
+					occs = append(occs, varOcc{v: v, occ: bodyOcc{group: int32(gi), gnd: k}})
 				}
-				occs[at].occ.n[b2i(lit.Neg)]++
+				occs[at].occ.n[l&1]++
 			}
-			gk++
 		}
-		for i := range occs {
-			bodyTmp[occs[i].v] = append(bodyTmp[occs[i].v], occs[i].occ)
-			addAdj(occs[i].v, int32(gi))
+		varsEnd[gi] = int32(len(groupVars))
+		others := int32(len(groupVars) - firstVar - 1)
+		for _, v := range groupVars[firstVar:] {
+			g.adjOff[v+1]++
+			nbrOff[v+1] += others
 		}
-		for i, a := range groupVars {
-			for _, c := range groupVars[i+1:] {
-				nbrTmp[a] = append(nbrTmp[a], c)
-				nbrTmp[c] = append(nbrTmp[c], a)
-			}
+		for _, o := range occs[firstOcc:] {
+			g.bodyOff[o.v+1]++
 		}
 	}
-	g.gndOff[nG] = gk
-	g.litOff[gk] = int32(len(g.lits))
+	for v := 0; v < n; v++ {
+		g.adjOff[v+1] += g.adjOff[v]
+		g.bodyOff[v+1] += g.bodyOff[v]
+		nbrOff[v+1] += nbrOff[v]
+	}
+
+	// Pass 3: fill the rows, groups ascending, so every row comes out in
+	// group order (the body records of one group in first-occurrence order).
+	g.adjGroups = make([]int32, g.adjOff[n])
+	g.bodyRecs = make([]bodyOcc, g.bodyOff[n])
+	nbrs := make([]int32, nbrOff[n])
+	adjAt, bodyAt, nbrAt := slices.Clone(g.adjOff[:n]), slices.Clone(g.bodyOff[:n]), slices.Clone(nbrOff[:n])
+	from := int32(0)
+	for gi := 0; gi < nG; gi++ {
+		vars := groupVars[from:varsEnd[gi]]
+		from = varsEnd[gi]
+		for i, v := range vars {
+			g.adjGroups[adjAt[v]] = int32(gi)
+			adjAt[v]++
+			nbrAt[v] += int32(copy(nbrs[nbrAt[v]:], vars[:i]))
+			nbrAt[v] += int32(copy(nbrs[nbrAt[v]:], vars[i+1:]))
+		}
+	}
+	for _, o := range occs {
+		g.bodyRecs[bodyAt[o.v]] = o.occ
+		bodyAt[o.v]++
+	}
+
+	// The Markov-blanket rows: sorted, deduplicated, packed to the front.
+	g.nbrOff = make([]int32, n+1)
+	packed := int32(0)
+	for v := 0; v < n; v++ {
+		row := sortDedupInt32(nbrs[nbrOff[v]:nbrOff[v+1]])
+		g.nbrOff[v] = packed
+		packed += int32(copy(nbrs[packed:], row))
+	}
+	g.nbrOff[n] = packed
+	if g.nbrs = nbrs[:packed]; int(packed) < len(nbrs) {
+		g.nbrs = slices.Clone(g.nbrs) // do not retain the duplicates' room
+	}
 
 	for gi, sem := range g.groupSem {
 		g.semGrow(sem, int(g.gndOff[gi+1]-g.gndOff[gi]))
 	}
-
-	for v := range nbrTmp {
-		nbrTmp[v] = sortDedupInt32(nbrTmp[v])
-	}
-	g.nbrOff, g.nbrs = flattenInt32(nbrTmp)
-
-	g.adjOff, g.adjGroups = flattenInt32(adjTmp)
-	total := 0
-	for _, recs := range bodyTmp {
-		total += len(recs)
-	}
-	g.bodyOff = make([]int32, n+1)
-	g.bodyRecs = make([]bodyOcc, 0, total)
-	for v, recs := range bodyTmp {
-		g.bodyOff[v] = int32(len(g.bodyRecs))
-		g.bodyRecs = append(g.bodyRecs, recs...)
-	}
-	g.bodyOff[n] = int32(len(g.bodyRecs))
 	return g, nil
+}
+
+// fit returns pool, copied to its length when more than an eighth of it is
+// room its builder grew and never filled: a graph outlives its builder.
+func fit[T any](pool []T) []T {
+	if cap(pool)-len(pool) > len(pool)/8 {
+		return slices.Clone(pool)
+	}
+	return pool
 }
 
 // sortDedupInt32 sorts a row ascending and drops duplicates in place.
 func sortDedupInt32(row []int32) []int32 {
 	slices.Sort(row)
 	return slices.Compact(row)
-}
-
-// flattenInt32 packs per-row slices into one CSR offset/value pair.
-func flattenInt32(rows [][]int32) (off, flat []int32) {
-	total := 0
-	for _, r := range rows {
-		total += len(r)
-	}
-	off = make([]int32, len(rows)+1)
-	flat = make([]int32, 0, total)
-	for i, r := range rows {
-		off[i] = int32(len(flat))
-		flat = append(flat, r...)
-	}
-	off[len(rows)] = int32(len(flat))
-	return off, flat
 }
 
 // MustBuild is Build that panics on error; for tests and generators whose

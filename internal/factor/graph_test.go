@@ -62,6 +62,62 @@ func TestBuilderBasics(t *testing.T) {
 	}
 }
 
+// TestBuilderFlatGroups: the builder's flat surface — a grounding appended
+// to the last group, one without literals (satisfied in every world, the
+// body of a unary potential), and a group copied from a graph's pools with
+// its variables renamed, or not at all when one of them has no new name.
+func TestBuilderFlatGroups(t *testing.T) {
+	b := NewBuilder()
+	v0, v1 := b.AddVar(), b.AddVar()
+	b.AddGroup(v0, b.AddWeight(0.75), Linear, nil)
+	b.AddGrounding(nil) // unary: energy ±0.75 with v0
+	b.AddGroup(v1, b.AddWeight(-2), Ratio, []Grounding{{Lits: []Literal{{Var: v0}}}})
+	b.AddGrounding([]Literal{{Var: v0, Neg: true}, {Var: v1}})
+	g := b.MustBuild()
+	if g.NumGroundings() != 3 || len(g.Group(1).Groundings) != 2 || !g.Group(1).Groundings[1].Lits[0].Neg {
+		t.Fatalf("groups = %+v, %+v", g.Group(0), g.Group(1))
+	}
+	u := NewBuilder()
+	x := u.AddVar()
+	u.AddGroup(x, u.AddWeight(0.75), Linear, nil)
+	u.AddGrounding(nil)
+	ug := u.MustBuild()
+	if d, direct := NewState(ug).EnergyDelta(x), ug.EnergyDeltaOf([]bool{true}, x); d != 1.5 || direct != 1.5 {
+		t.Fatalf("unary of weight 0.75: E(x=1) − E(x=0) = %v on the counters, %v directly, want 1.5", d, direct)
+	}
+	st := NewState(g)
+	for _, assign := range [][]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+		st.SetAssignment(assign)
+		if math.Abs(st.Energy()-g.Energy(assign)) > 1e-12 {
+			t.Fatalf("world %v: counters give %v, direct evaluation %v", assign, st.Energy(), g.Energy(assign))
+		}
+	}
+
+	// Copy group 1 into a builder whose variables are the old ones swapped.
+	swap := func(v VarID) VarID { return 1 - v }
+	c := NewBuilder()
+	c.AddVar()
+	c.AddVar()
+	if gi := c.CopyGroup(g, 1, c.AddWeight(5), swap); gi != 0 {
+		t.Fatalf("CopyGroup = %d", gi)
+	}
+	if gi := c.CopyGroup(g, 1, 0, func(v VarID) VarID {
+		if v == v1 {
+			return NoVar
+		}
+		return v
+	}); gi != -1 {
+		t.Fatalf("CopyGroup of a group with an unmapped variable = %d, want -1", gi)
+	}
+	c.AddGroup(0, 0, Logical, nil) // lands after the copy as if the refused one was never tried
+	cg := c.MustBuild()
+	got, want := cg.Group(0), g.Group(1)
+	if cg.NumGroups() != 2 || cg.NumGroundings() != 2 || got.Head != v0 || got.Sem != Ratio || cg.Weight(got.Weight) != 5 ||
+		got.Groundings[1].Lits[0] != (Literal{Var: v1, Neg: true}) || got.Groundings[1].Lits[1] != (Literal{Var: v0}) || len(got.Groundings) != len(want.Groundings) {
+		t.Fatalf("copied group = %+v, from %+v", got, want)
+	}
+}
+
 func TestBuildValidation(t *testing.T) {
 	b := NewBuilder()
 	v := b.AddVar()

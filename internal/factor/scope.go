@@ -106,30 +106,20 @@ func (g *Graph) Induced(vars []VarID) (*Graph, []int32) {
 		adjacent = append(adjacent, g.adjGroups[g.adjOff[v]:g.adjOff[v+1]]...)
 		adjacent = append(adjacent, g.ExtraAdjacent(v)...)
 	}
-	// local maps a parent variable to its index in vars, false when it is
+	// local maps a parent variable to its index in vars, NoVar when it is
 	// not a member.
-	local := func(v *VarID) bool {
-		i, ok := slices.BinarySearch(vars, *v)
-		*v = VarID(i)
-		return ok
+	local := func(v VarID) VarID {
+		if i, ok := slices.BinarySearch(vars, v); ok {
+			return VarID(i)
+		}
+		return NoVar
 	}
 	adjacent = sortDedupInt32(adjacent)
 	groups := adjacent[:0] // filtered in place
-next:
 	for _, gi := range adjacent {
-		gr := g.Group(int(gi))
-		if !local(&gr.Head) {
-			continue
+		if b.CopyGroup(g, gi, WeightID(g.groupWeight[gi]), local) >= 0 {
+			groups = append(groups, gi)
 		}
-		for _, gnd := range gr.Groundings {
-			for i := range gnd.Lits {
-				if !local(&gnd.Lits[i].Var) {
-					continue next
-				}
-			}
-		}
-		b.groups = append(b.groups, *gr)
-		groups = append(groups, gi)
 	}
 	return b.MustBuild(), groups
 }

@@ -33,14 +33,29 @@ func New(g *factor.Graph, seed int64) *Sampler {
 
 // FromState wraps an existing state. The sampler takes ownership.
 func FromState(st *factor.State, seed int64) *Sampler {
-	s := &Sampler{State: st, rng: rand.New(rand.NewSource(seed))}
-	g := st.G
+	return FromStateOver(st, seed, freeVars(st.G))
+}
+
+// FromStateOver is FromState with the scan order restricted to vars: free
+// variables of st.G, swept in the order given, while every other variable
+// keeps the value the state holds (Marginals reports 0 for the free ones
+// among them). With vars the free variables of whole connected components,
+// ascending, this is the chain FromState runs on the subgraph those
+// components induce, draw for draw: a member's conditional reads only its
+// own component and the evidence.
+func FromStateOver(st *factor.State, seed int64, vars []factor.VarID) *Sampler {
+	return &Sampler{State: st, rng: rand.New(rand.NewSource(seed)), free: vars}
+}
+
+// freeVars lists g's non-evidence variables, ascending.
+func freeVars(g *factor.Graph) []factor.VarID {
+	var free []factor.VarID
 	for v := 0; v < g.NumVars(); v++ {
 		if !g.IsEvidence(factor.VarID(v)) {
-			s.free = append(s.free, factor.VarID(v))
+			free = append(free, factor.VarID(v))
 		}
 	}
-	return s
+	return free
 }
 
 // NumFree returns the number of free (sampled) variables.
@@ -112,7 +127,7 @@ func (s *Sampler) Marginals(burnin, keep int) []float64 {
 // MarginalsCtx is Marginals with a cooperative cancellation check
 // between sweeps.
 func (s *Sampler) MarginalsCtx(ctx context.Context, burnin, keep int) []float64 {
-	est := NewEstimatorFor(s.State.G)
+	est := newEstimatorOver(s.State.G, s.free)
 	s.RunCtx(ctx, burnin)
 	for i := 0; i < keep; i++ {
 		if canceled(ctx) {
@@ -176,20 +191,23 @@ func NewEstimator(nVars int) *Estimator {
 // NewEstimatorFor returns an estimator over g's variables whose observe
 // loop touches only the free variables.
 func NewEstimatorFor(g *factor.Graph) *Estimator {
+	return newEstimatorOver(g, freeVars(g))
+}
+
+// newEstimatorOver is NewEstimatorFor observing only the listed free
+// variables — a chain's scan order, all it ever moves.
+func newEstimatorOver(g *factor.Graph, free []factor.VarID) *Estimator {
 	e := &Estimator{
 		counts:   make([]float64, g.NumVars()),
 		freeOnly: true,
+		free:     free,
 		ev:       make([]bool, g.NumVars()),
 		evTrue:   make([]bool, g.NumVars()),
 	}
-	for v := 0; v < g.NumVars(); v++ {
+	for v := range e.ev {
 		id := factor.VarID(v)
-		if g.IsEvidence(id) {
-			e.ev[v] = true
-			e.evTrue[v] = g.EvidenceValue(id)
-		} else {
-			e.free = append(e.free, id)
-		}
+		e.ev[v] = g.IsEvidence(id)
+		e.evTrue[v] = e.ev[v] && g.EvidenceValue(id)
 	}
 	return e
 }

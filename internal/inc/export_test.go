@@ -237,7 +237,7 @@ func (e *Engine) InferDecomposedRef(ctx context.Context, newG *factor.Graph, cs 
 	}
 	e.store.Skip(used)
 	if res.FellBack && e.vm != nil && est.N() < e.opts.KeepSamples && !canceled(ctx) {
-		res.Marginals = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
+		res.Marginals, res.Solved = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
 			e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+41)
 		res.Strategy = StrategyVariational
 	} else {

@@ -174,6 +174,10 @@ type Result struct {
 	// was decisive on its own (see the acceptance prior in
 	// ChooseStrategyMeasured). Probed is -1 on such runs.
 	ProbeSkipped bool
+	// Solved counts the variables a variational run (chosen or fallen back
+	// to) solved in closed form, by enumeration and by sweeping; zero after
+	// a sampling or rerun pass.
+	Solved Solved
 }
 
 // Engine owns the materialization of the original distribution Pr(0) and
@@ -637,7 +641,7 @@ func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, 
 		if sr.Exhausted && sr.WorldsObserved < e.opts.KeepSamples && !canceled(ctx) {
 			if e.vm != nil {
 				// Rule 4: out of samples → variational.
-				res.Marginals = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
+				res.Marginals, res.Solved = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
 					e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+23)
 				res.Strategy = StrategyVariational
 				res.FellBack = true
@@ -651,7 +655,7 @@ func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, 
 			res.Marginals = atScope(sr.Marginals)
 		}
 	case StrategyVariational:
-		res.Marginals = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
+		res.Marginals, res.Solved = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
 			e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+23)
 	default:
 		res.Marginals = atScope(RerunWithCtx(ctx, newG, e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+29, e.opts.runtime()))
@@ -905,7 +909,7 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 	}
 	e.store.Skip(used)
 	if res.FellBack && e.vm != nil && est.N() < e.opts.KeepSamples && !canceled(ctx) {
-		res.Marginals = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
+		res.Marginals, res.Solved = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
 			e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+41)
 		res.Strategy = StrategyVariational
 	} else {

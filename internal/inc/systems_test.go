@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"deepdive/internal/corpus"
 	"deepdive/internal/datalog"
@@ -217,4 +218,43 @@ func TestDecomposedStraddlingGroup(t *testing.T) {
 	if a.AcceptanceRate != b.AcceptanceRate || a.SamplesUsed != b.SamplesUsed || b.AcceptanceRate == 1 || !slices.Equal(a.Marginals, b.Marginals) {
 		t.Fatalf("acceptance %v over %d tests, marginals %v; the reference loop %v over %d, %v", a.AcceptanceRate, a.SamplesUsed, a.Marginals, b.AcceptanceRate, b.SamplesUsed, b.Marginals)
 	}
+}
+
+// BenchmarkVariationalRun is one whole-graph variational run on a quarter
+// of the News corpus after I1, every weight drifted (9 127 variables, 36 508
+// changed groups): ns/op is the run, build-ns/op the share of it spent in
+// BuildInferenceGraph (timed on a second build of the same graph).
+func BenchmarkVariationalRun(b *testing.B) {
+	spec := corpus.News()
+	spec.NumDocs /= 4
+	sys := corpus.Generate(spec)
+	gr, err := kbc.Ground(sys, factor.Ratio, 3)
+	must(b, err)
+	oldG := train(gr, 5, 3)
+	eng, err := inc.NewEngine(oldG, inc.Options{MaterializationSamples: 300, KeepSamples: 300, Burnin: 30, Seed: 7})
+	must(b, err)
+	delta := applyIteration(b, gr, sys, kbc.IterationNames[3])
+	newG := train(gr, 2, 5)
+	cs := inc.FromDelta(delta)
+	for gi := 0; gi < oldG.NumGroups(); gi++ {
+		if w := oldG.GroupWeight(gi); oldG.Weight(w) != newG.Weight(w) {
+			cs.ChangedNew = append(cs.ChangedNew, int32(gi))
+		}
+	}
+	vm := eng.Variational()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var build time.Duration
+	swept := 0
+	for i := 0; i < b.N; i++ {
+		_, solved := inc.VariationalInferCtx(nil, vm, oldG, newG, cs.ChangedNew, nil, 30, 300, 1)
+		swept += solved.Swept
+		b.StopTimer()
+		start := time.Now()
+		vm.BuildInferenceGraph(oldG, newG, cs.ChangedNew, nil)
+		build += time.Since(start)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(build.Nanoseconds())/float64(b.N), "build-ns/op")
+	b.ReportMetric(float64(swept)/float64(b.N), "swept-vars/op")
 }

@@ -3,6 +3,7 @@ package inc
 import (
 	"context"
 	"math"
+	"math/bits"
 	"slices"
 
 	"deepdive/internal/factor"
@@ -258,35 +259,49 @@ func components(g *factor.Graph, scope []factor.VarID) [][]int {
 			}
 		})
 	}
-	var out [][]int
-	compAt := make([]int32, n) // root → 1 + index into out
-	collect := func(l int32, v int) {
-		if g.IsEvidence(factor.VarID(v)) {
-			return
-		}
-		r := find(l)
-		if compAt[r] == 0 {
-			out = append(out, nil)
-			compAt[r] = int32(len(out))
-		}
-		out[compAt[r]-1] = append(out[compAt[r]-1], v)
-	}
 	if scope == nil {
 		for gi := 0; gi < g.NumGroups(); gi++ {
 			link(int32(gi))
 		}
-		for v := 0; v < n; v++ {
-			collect(int32(v), v)
-		}
-		return out
-	}
-	for _, v := range scope {
-		for _, gi := range g.AdjacentGroups(v) {
-			link(gi)
+	} else {
+		for _, v := range scope {
+			for _, gi := range g.AdjacentGroups(v) {
+				link(gi)
+			}
 		}
 	}
-	for l, v := range scope {
-		collect(int32(l), int(v))
+	// Two passes over the walked variables — size every component, then
+	// fill them — so all are cut from one backing array.
+	free := func(l int) (v int, ok bool) {
+		if v = l; scope != nil {
+			v = int(scope[l])
+		}
+		return v, !g.IsEvidence(factor.VarID(v))
+	}
+	var sizes []int
+	compAt := make([]int32, n) // root → 1 + its index in sizes and out
+	total := 0
+	for l := 0; l < n; l++ {
+		if _, ok := free(l); ok {
+			r := find(int32(l))
+			if compAt[r] == 0 {
+				sizes = append(sizes, 0)
+				compAt[r] = int32(len(sizes))
+			}
+			sizes[compAt[r]-1]++
+			total++
+		}
+	}
+	flat := make([]int, total)
+	out := make([][]int, len(sizes))
+	for c, size := range sizes {
+		out[c], flat = flat[:0:size], flat[size:]
+	}
+	for l := 0; l < n; l++ {
+		if v, ok := free(l); ok {
+			c := compAt[find(int32(l))] - 1
+			out[c] = append(out[c], v)
+		}
 	}
 	return out
 }
@@ -353,12 +368,19 @@ func visitAdjacent(g *factor.Graph, comp []int, local map[int]int, f func(a, b i
 // With a nil scope the graph covers every variable of newG under its own
 // id. With a scope (Engine.Scope, sorted; changedNew restricted to it)
 // variable i of the result is scope[i] and nothing outside the scope is
-// built: the inference graph of the scope's components alone. Either way
-// the final variable is an always-true anchor used by unary potentials.
+// built: the inference graph of the scope's components alone.
+//
+// A unary potential is a Linear group over one grounding without literals
+// (satisfied in every world: energy ±w with the head). The changed groups
+// are copied from newG's literal pool to the builder's
+// (factor.Builder.CopyGroup), no nested view synthesized in between.
 func (vm *Variational) BuildInferenceGraph(oldG, newG *factor.Graph, changedNew []int32, scope []factor.VarID) *factor.Graph {
 	b := factor.NewBuilder()
 	local := func(v factor.VarID) factor.VarID { return v }
 	if scope == nil {
+		// Every unary, edge and changed group brings a weight of its own.
+		groups := len(vm.Unaries) + len(vm.Edges) + len(changedNew)
+		b.Grow(newG.NumVars(), groups, groups)
 		for v := 0; v < newG.NumVars(); v++ {
 			addInferenceVar(b, newG, factor.VarID(v))
 		}
@@ -366,6 +388,8 @@ func (vm *Variational) BuildInferenceGraph(oldG, newG *factor.Graph, changedNew 
 		// Every unary and edge of the approximation is tested against the
 		// scope: a byte per variable answers for the many outside it.
 		member := make([]bool, newG.NumVars())
+		groups := len(scope) + len(changedNew) // at most a unary per member; edges grow it
+		b.Grow(len(scope), groups, groups)
 		for _, v := range scope {
 			member[v] = true
 			addInferenceVar(b, newG, v)
@@ -377,39 +401,31 @@ func (vm *Variational) BuildInferenceGraph(oldG, newG *factor.Graph, changedNew 
 			return factor.VarID(localOf(scope, v))
 		}
 	}
-	anchor := b.AddEvidenceVar(true)
 	for _, u := range vm.Unaries {
 		if local(u.V) == factor.NoVar || newG.IsEvidence(u.V) {
 			continue
 		}
-		w := b.AddWeight(u.W)
-		b.AddGroup(local(u.V), w, factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: anchor}}}})
+		b.AddGroup(local(u.V), b.AddWeight(u.W), factor.Linear, nil)
+		b.AddGrounding(nil)
 	}
 	for _, e := range vm.Edges {
 		if local(e.I) == factor.NoVar || local(e.J) == factor.NoVar {
 			continue // an end outside the scope: the other is evidence by now
 		}
-		w := b.AddWeight(e.W)
-		b.AddGroup(local(e.I), w, factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: local(e.J)}}}})
+		b.AddGroup(local(e.I), b.AddWeight(e.W), factor.Linear, nil)
+		b.AddGrounding([]factor.Literal{{Var: local(e.J)}})
 	}
 	for _, gi := range changedNew {
-		gr := newG.Group(int(gi))
-		wv := newG.Weight(gr.Weight)
+		w := newG.GroupWeight(int(gi))
+		wv := newG.Weight(w)
 		if oldG != nil && int(gi) < oldG.NumGroups() {
-			if ow := oldG.GroupWeight(int(gi)); ow == gr.Weight && int(ow) < oldG.NumWeights() {
+			if ow := oldG.GroupWeight(int(gi)); ow == w && int(ow) < oldG.NumWeights() {
 				wv -= oldG.Weight(ow)
 			}
 		}
-		if wv == 0 {
-			continue
+		if wv != 0 {
+			b.CopyGroup(newG, gi, b.AddWeight(wv), local)
 		}
-		w := b.AddWeight(wv)
-		for _, gnd := range gr.Groundings { // synthesized views are already deep copies
-			for i := range gnd.Lits {
-				gnd.Lits[i].Var = local(gnd.Lits[i].Var)
-			}
-		}
-		b.AddGroup(local(gr.Head), w, gr.Sem, gr.Groundings)
 	}
 	return b.MustBuild()
 }
@@ -423,22 +439,140 @@ func addInferenceVar(b *factor.Builder, newG *factor.Graph, v factor.VarID) {
 	}
 }
 
-// VariationalInfer runs Gibbs on the approximated (plus update) graph and
-// returns marginals for the new graph's variables.
-func VariationalInfer(vm *Variational, oldG, newG *factor.Graph, changedNew []int32, burnin, keep int, seed int64) []float64 {
-	return VariationalInferCtx(nil, vm, oldG, newG, changedNew, nil, burnin, keep, seed)
+// Solved counts how a variational run came by the marginals of its free
+// variables: Closed in closed form (a component of one), Enumerated by
+// walking every world of their component, Swept by the Gibbs chain.
+type Solved struct {
+	Closed, Enumerated, Swept int
 }
 
-// VariationalInferCtx is VariationalInfer with a cooperative cancellation
-// check between sweeps of the approximate-graph chain, and an optional
-// scope (see BuildInferenceGraph): the chain then sweeps the scope's
-// variables only, and entry i of the result belongs to scope[i].
-func VariationalInferCtx(ctx context.Context, vm *Variational, oldG, newG *factor.Graph, changedNew []int32, scope []factor.VarID, burnin, keep int, seed int64) []float64 {
+// VariationalInfer returns marginals for the new graph's variables under
+// the approximated (plus update) graph; see VariationalInferCtx.
+func VariationalInfer(vm *Variational, oldG, newG *factor.Graph, changedNew []int32, burnin, keep int, seed int64) []float64 {
+	m, _ := VariationalInferCtx(nil, vm, oldG, newG, changedNew, nil, burnin, keep, seed)
+	return m
+}
+
+// VariationalInferCtx is the inference phase of the variational approach:
+// it builds the inference graph (BuildInferenceGraph; with a scope, entry i
+// of the result belongs to scope[i]) and solves it one connected component
+// of its free variables at a time — evidence cuts the sparse approximation
+// into graphs small enough for the strawman of Section 3.2.1, which wins
+// wherever it is feasible (Figure 5(a)). Three regimes, chosen by a
+// component's size k alone:
+//
+//   - k = 1: the marginal is the conditional, sigmoid(EnergyDelta) — one
+//     evaluation, exact.
+//   - 2^k ≤ (burnin+keep)·k and k ≤ MaxStrawmanVars: every world of the
+//     component is visited once in Gray-code order on the state's counters
+//     (one EnergyDelta and one Set per world) and the marginals are summed
+//     exactly. The bound is the run's own sweep budget: sampling the
+//     component costs (burnin+keep)·k conditional evaluations and flips,
+//     enumerating it 2^k, so enumeration is taken exactly when it is also
+//     the cheaper side (k ≤ 11 at 30+300 sweeps, k ≤ 12 at 50+500).
+//   - otherwise the component is left to the sequential Gibbs sampler,
+//     which then scans the free variables of those components only — the
+//     chain, seed and estimate a plain sampler gives on the subgraph they
+//     induce.
+//
+// ctx is checked every few hundred components, every thousand worlds of
+// an enumeration and between sweeps; a cancelled run returns what it has.
+func VariationalInferCtx(ctx context.Context, vm *Variational, oldG, newG *factor.Graph, changedNew []int32, scope []factor.VarID, burnin, keep int, seed int64) ([]float64, Solved) {
 	ig := vm.BuildInferenceGraph(oldG, newG, changedNew, scope)
-	s := gibbs.New(ig, seed)
-	m := s.MarginalsCtx(ctx, burnin, keep)
-	if scope == nil {
-		return m[:newG.NumVars()]
+	return solveComponents(ctx, ig, burnin, keep, seed)
+}
+
+// solveComponents returns the marginals of g (evidence reports its value)
+// under the three regimes of VariationalInferCtx.
+func solveComponents(ctx context.Context, g *factor.Graph, burnin, keep int, seed int64) ([]float64, Solved) {
+	var n Solved
+	out := make([]float64, g.NumVars())
+	for v := range out {
+		if id := factor.VarID(v); g.IsEvidence(id) && g.EvidenceValue(id) {
+			out[v] = 1
+		}
 	}
-	return m[:len(scope)]
+	st := factor.NewState(g)
+	var swept []factor.VarID
+	var energies []float64 // one enumeration's worlds, reused
+	for ci, comp := range components(g, nil) {
+		if ci&255 == 0 && canceled(ctx) {
+			return out, n
+		}
+		k := len(comp)
+		switch {
+		case k == 1:
+			out[comp[0]] = st.CondProb(factor.VarID(comp[0]))
+			n.Closed++
+		case k <= MaxStrawmanVars && 1<<k <= (burnin+keep)*k:
+			if energies = enumerate(ctx, st, comp, out, energies); energies == nil {
+				return out, n
+			}
+			n.Enumerated += k
+		default:
+			for _, v := range comp {
+				swept = append(swept, factor.VarID(v))
+			}
+		}
+	}
+	if len(swept) == 0 {
+		return out, n
+	}
+	n.Swept = len(swept)
+	slices.Sort(swept) // components come by smallest member: interleaved
+	m := gibbs.FromStateOver(st, seed, swept).MarginalsCtx(ctx, burnin, keep)
+	for _, v := range swept {
+		out[v] = m[v]
+	}
+	return out, n
+}
+
+// enumerate writes the exact marginals of comp — the free variables of one
+// connected component of st.G — into out: it visits the component's 2^k
+// worlds in Gray-code order, each one flip away from the last, so a world's
+// energy relative to the all-false one is the running sum of the flipped
+// variables' EnergyDelta, and normalizes by log-sum-exp. buf is scratch for
+// the energies, returned (grown) for the next call; nil when ctx was
+// cancelled mid-walk.
+func enumerate(ctx context.Context, st *factor.State, comp []int, out []float64, buf []float64) []float64 {
+	k := len(comp)
+	for _, v := range comp {
+		st.Set(factor.VarID(v), false)
+	}
+	if cap(buf) < 1<<k {
+		buf = make([]float64, 1<<k)
+	}
+	energies := buf[:1<<k]
+	// World i of the walk is the assignment i ^ i>>1; step i flips the
+	// variable at the lowest set bit of i.
+	energies[0] = 0
+	var e, top float64
+	for i := 1; i < len(energies); i++ {
+		if i&1023 == 1 && canceled(ctx) {
+			return nil
+		}
+		v := factor.VarID(comp[bits.TrailingZeros(uint(i))])
+		if d := st.EnergyDelta(v); st.Assign[v] {
+			e -= d
+			st.Set(v, false)
+		} else {
+			e += d
+			st.Set(v, true)
+		}
+		energies[i] = e
+		top = max(top, e)
+	}
+	var z float64
+	var sums [MaxStrawmanVars]float64
+	for i, e := range energies {
+		p := math.Exp(e - top)
+		z += p
+		for world := uint(i ^ i>>1); world != 0; world &= world - 1 {
+			sums[bits.TrailingZeros(world)] += p
+		}
+	}
+	for b, v := range comp {
+		out[v] = sums[b] / z
+	}
+	return buf
 }

@@ -86,6 +86,9 @@ type deltaEvent struct {
 	// state resync, not a strict journal.
 	Skipped uint64   `json:"skipped,omitempty"`
 	Changes []Change `json:"changes"`
+	// held: the diff kept back a movement below the min_delta floor. An
+	// empty event is then not written (see handleSubscribe).
+	held bool
 }
 
 // snapshotEvent is the payload of the initial "snapshot" stream event.
@@ -117,7 +120,12 @@ func factKey(tuple []string) string { return strings.Join(tuple, "\x00") }
 // Protocol: one "snapshot" event with the full filtered fact state, then
 // one "delta" event per observed publication carrying every fact whose
 // probability moved by at least min_delta (plus all appearances,
-// removals, and known/evidence transitions). Each subscriber runs in its
+// removals, and known/evidence transitions). A publication that moved none
+// of the subscriber's facts still sends its delta, with no changes: the
+// subscriber holds that epoch, which is what an acked update's epoch is
+// checked against. Only a publication whose every movement was kept back
+// by the min_delta floor sends nothing; the next event's skipped count
+// covers it. Each subscriber runs in its
 // own handler goroutine and diffs the current snapshot against the state
 // it last SENT — not against the previous epoch — so a subscriber that
 // falls behind coalesces the missed epochs into one resync delta (the
@@ -249,7 +257,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		if v.Epoch() != lastEpoch {
 			ev := diff(v, &filter, sent, diffed)
 			diffed = v.Epoch()
-			if len(ev.Changes) > 0 {
+			if !ev.suppressed() {
 				ev.Skipped = v.Epoch() - lastEpoch - 1
 				lastEpoch = v.Epoch()
 				if err := writeEvent("delta", ev.Epoch, ev); err != nil {
@@ -317,7 +325,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 		ev := diff(v, &filter, sent, diffed)
 		diffed = v.Epoch()
-		if len(ev.Changes) == 0 {
+		if ev.suppressed() {
 			// All movement below min_delta: keep lastEpoch stale so the
 			// skipped count stays honest when a change finally clears it.
 			continue
@@ -329,6 +337,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
+
+// suppressed reports whether the event is not to be written: it carries no
+// change and a movement below the min_delta floor is why. An event that is
+// empty because nothing moved is written — its epoch is news.
+func (ev *deltaEvent) suppressed() bool { return len(ev.Changes) == 0 && ev.held }
 
 // collectSent seeds a subscriber's sent-state map with the filtered
 // facts of one view (the state the client is assumed to already hold).
@@ -360,6 +373,10 @@ func collectSent(v View, filter *subFilter, sent map[string]map[string]sentFact)
 // after since changed when the view knows them, every fact otherwise; the
 // two emit the same event, relations in sorted order, each relation's
 // present facts in the view's order followed by its removals in key order.
+// held says a visited fact moved by less than the floor: over the change
+// sets that is a movement of these publications, over every fact it is any
+// drift still kept back — the full comparison suppresses an empty event
+// for longer, never writes one the other path would not.
 func diff(v View, filter *subFilter, sent map[string]map[string]sentFact, since uint64) deltaEvent {
 	if changed, ok := v.ChangedSince(since); ok {
 		return diffChanged(v.Epoch(), changed, filter, sent)
@@ -387,6 +404,7 @@ func (d *relDiff) present(k string, f Fact) {
 		(cur.known && abs(cur.p-old.p) >= d.filter.minDelta && cur.p != old.p):
 		c.Delta = cur.p - old.p
 	default:
+		d.ev.held = d.ev.held || cur.known && cur.p != old.p
 		return
 	}
 	d.ev.Changes = append(d.ev.Changes, c)
@@ -417,7 +435,7 @@ func relState(sent map[string]map[string]sentFact, rel string) map[string]sentFa
 
 // diffChanged is diff over the facts changed since the last one.
 func diffChanged(epoch uint64, changed []FactChange, filter *subFilter, sent map[string]map[string]sentFact) deltaEvent {
-	ev := deltaEvent{Epoch: epoch}
+	ev := deltaEvent{Epoch: epoch, Changes: []Change{}}
 	var d *relDiff
 	for i := range changed {
 		c := &changed[i]
@@ -450,7 +468,7 @@ func diffChanged(epoch uint64, changed []FactChange, filter *subFilter, sent map
 // path of a subscriber whose last diff has left the views' change window,
 // and the oracle the change-set path is tested against.
 func diffAll(v View, filter *subFilter, sent map[string]map[string]sentFact) deltaEvent {
-	ev := deltaEvent{Epoch: v.Epoch()}
+	ev := deltaEvent{Epoch: v.Epoch(), Changes: []Change{}}
 	// The view's relations and those the subscriber still holds facts of
 	// (a relation vanishes when its every fact is retracted).
 	rels := v.Relations()

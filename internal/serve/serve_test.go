@@ -506,6 +506,45 @@ func TestSubscribeMinDelta(t *testing.T) {
 	}
 }
 
+// TestSubscribeEmptyPublication: a publication that moves none of the
+// subscriber's facts still reaches it — a delta with no changes — so the
+// subscriber holds the epoch of an acked update that changed nothing it
+// tracks. Only a movement kept back by the min_delta floor sends nothing,
+// and the next written event counts those epochs as skipped.
+func TestSubscribeEmptyPublication(t *testing.T) {
+	b := newFakeBackend(baseView())
+	ts := testServer(t, b, Options{Heartbeat: time.Hour})
+	c := dialSSE(t, ts.URL+"/v1/subscribe?relation=HasSpouse&min_delta=0.05")
+	if name, _ := c.next(t); name != "snapshot" {
+		t.Fatal("no snapshot event")
+	}
+	pub := func(epoch uint64, p float64) {
+		b.publish(&fakeView{epoch: epoch, rels: map[string][]Fact{
+			"HasSpouse": {
+				{Tuple: []string{"Alan", "Beth"}, Probability: p, Known: true},
+				{Tuple: []string{"Eve", "Frank"}, Probability: 0.3, Known: true},
+			},
+			"Other": {{Tuple: []string{"x"}, Probability: float64(epoch) / 10, Known: true}},
+		}})
+	}
+	pub(2, 0.9) // the served view is unchanged for this subscriber
+	name, data := c.next(t)
+	var ev deltaEvent
+	if name != "delta" || json.Unmarshal([]byte(data), &ev) != nil || ev.Epoch != 2 || ev.Skipped != 0 || !strings.Contains(data, `"changes":[]`) {
+		t.Fatalf("unchanged publication: event %q %s, want a delta at epoch 2 with \"changes\":[]", name, data)
+	}
+	pub(3, 0.9) // and again: one event per publication observed
+	if ev = c.nextDelta(t); ev.Epoch != 3 || len(ev.Changes) != 0 || ev.Skipped != 0 {
+		t.Fatalf("second unchanged publication: %+v", ev)
+	}
+	pub(4, 0.93) // below the floor: nothing is written
+	pub(5, 0.93) // nothing moved, but the drift of epoch 4 is still kept back
+	pub(6, 0.97) // clears the floor
+	if ev = c.nextDelta(t); ev.Epoch != 6 || len(ev.Changes) != 1 || ev.Skipped != 2 || abs(ev.Changes[0].Delta-0.07) > 1e-9 {
+		t.Fatalf("after a kept-back movement: %+v, want epoch 6 with the full 0.07 and 2 skipped", ev)
+	}
+}
+
 // TestSubscribeFactFilter pins the single-fact subscription: only the
 // named tuple's movements are pushed.
 func TestSubscribeFactFilter(t *testing.T) {

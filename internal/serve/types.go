@@ -72,10 +72,12 @@ type UpdateResult struct {
 	// finish stage worked on (deepdive.UpdateResult): the variables
 	// learning sampled and the weights it could move, and the variables
 	// inference re-estimated. 0/0/0 is "nothing to do"; the stats'
-	// variable count is "the whole graph".
+	// variable count is "the whole graph". SweptVars is the part of
+	// DirtyVars a variational run sampled instead of solving exactly.
 	ScopeVars      int     `json:"scope_vars"`
 	LearnedWeights int     `json:"learned_weights"`
 	DirtyVars      int     `json:"dirty_vars"`
+	SweptVars      int     `json:"swept_vars,omitempty"`
 	GroundMillis   float64 `json:"ground_ms"`
 	LearnMillis    float64 `json:"learn_ms"`
 	InferMillis    float64 `json:"infer_ms"`

@@ -741,6 +741,7 @@ func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, 
 	res.Acceptance = ir.AcceptanceRate
 	res.Probe = ir.Probed
 	res.ProbeReused = ir.ProbeReused
+	res.SweptVars = ir.Solved.Swept
 	kb.recordAutoResult(ir)
 	// What this publication changes: the skeleton's structural changes and
 	// the re-estimated variables, or everything when the marginal vector is

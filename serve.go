@@ -255,6 +255,7 @@ func wireResult(r *UpdateResult) *serve.UpdateResult {
 		ScopeVars:         r.ScopeVars,
 		LearnedWeights:    r.LearnedWeights,
 		DirtyVars:         r.DirtyVars,
+		SweptVars:         r.SweptVars,
 		GroundMillis:      float64(r.GroundTime) / float64(time.Millisecond),
 		LearnMillis:       float64(r.LearnTime) / float64(time.Millisecond),
 		InferMillis:       float64(r.InferTime) / float64(time.Millisecond),
