@@ -129,7 +129,7 @@ bench-ground:
 # single pass; repeat it, wall clock on a small box swings ±10 %). CI runs
 # it as the finish-stage smoke.
 bench-finish:
-	$(GO) test -bench='ApplyDocDelta|ApplyRuleDelta' -benchtime=1x -run=xxx .
+	$(GO) test -bench='ApplyDocDelta|ApplyRuleDelta|^BenchmarkMaterialize$$|InferFromScratch' -benchtime=1x -run=xxx .
 
 # Δ-vs-full graph update cost (results recorded in BENCH_incupdate.json).
 bench-incupdate:

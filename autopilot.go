@@ -15,7 +15,10 @@ import (
 // resets that boundary: a fresh engine is built from the *current* graph
 // and weights, its store full, its cumulative change set empty.
 //
-// Concurrency protocol. Sampling a materialization is seconds of work and
+// Concurrency protocol. A materialization evaluates the graph a connected
+// component at a time (inc.NewEngineCtx: exact worlds for what it can
+// enumerate, a Gibbs chain for the rest) — milliseconds on a graph of small
+// components, seconds when a large one must be swept — and
 // must not hold the write locks, but factor.Patch is not safe against
 // in-flight evaluation on any graph of the lineage, and learning mutates
 // weights in place. So:
@@ -85,8 +88,8 @@ func (kb *KB) rematerialize(ctx context.Context, run *rematRun, g *factor.Graph,
 
 	eng, err := inc.NewEngineCtx(ctx, g, kb.engineOpts(seed))
 	if err == nil && kb.opts.RematBudget > 0 && ctx.Err() == nil {
-		// Idle-time extension: keep sampling past the baseline count for
-		// the configured budget (cancellable between sweeps).
+		// Idle-time extension: keep drawing worlds past the baseline count
+		// for the configured budget (cancellable between batches).
 		eng.MaterializeForBudgetCtx(ctx, kb.opts.RematBudget)
 	}
 	// All reads of g are complete. Release preemptors before taking any
@@ -115,8 +118,9 @@ func (kb *KB) rematerialize(ctx context.Context, run *rematRun, g *factor.Graph,
 		kb.stateGen++
 		kb.engine = eng
 		kb.engineSeed = seed
-		// The fresh store is an i.i.d. sample of the current
-		// distribution: its means are from-scratch-quality marginals.
+		// The fresh store is a sample of the current distribution —
+		// independent exact draws on every enumerable component: its
+		// means are from-scratch-quality marginals.
 		// Publishing them snaps any drift the approximate paths
 		// accumulated since the last materialization.
 		kb.marg = eng.Store().Means()

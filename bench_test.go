@@ -238,6 +238,42 @@ func BenchmarkApplyRuleDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkMaterialize and BenchmarkInferFromScratch are the two from-scratch
+// passes of set-up — KB.Materialize and KB.Infer, snapshot publication
+// included — on the same News corpus at 1× and 4× candidates. Both solve the
+// graph a connected component at a time; swept-vars is what was left to a
+// Gibbs chain (0 on this corpus: every component enumerates).
+func BenchmarkMaterialize(b *testing.B) {
+	benchFromScratch(b, func(kb *deepdive.KB) (time.Duration, error) { return kb.Materialize(ctx) },
+		func(st deepdive.GraphStats) deepdive.Solved { return st.Materialized })
+}
+
+func BenchmarkInferFromScratch(b *testing.B) {
+	benchFromScratch(b, func(kb *deepdive.KB) (time.Duration, error) { return kb.Infer(ctx) },
+		func(st deepdive.GraphStats) deepdive.Solved { return st.Inferred })
+}
+
+func benchFromScratch(b *testing.B, pass func(*deepdive.KB) (time.Duration, error), solved func(deepdive.GraphStats) deepdive.Solved) {
+	for _, size := range []struct {
+		name   string
+		copies int
+	}{{"x1", 0}, {"x4", 3}} {
+		b.Run(size.name, func(b *testing.B) {
+			kb := newWireCorpus(b, 3, 1, 0).withQueryOnlyCopies(size.copies).open(b, 0, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pass(kb); err != nil {
+					b.Fatal(err)
+				}
+			}
+			st := kb.Stats()
+			b.ReportMetric(float64(st.QueryFacts), "free-vars")
+			b.ReportMetric(float64(solved(st).Swept), "swept-vars")
+		})
+	}
+}
+
 // ---- Micro-benchmarks of the core machinery -------------------------
 
 // benchGraph builds a pairwise graph for sampler micro-benchmarks.

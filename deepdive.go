@@ -310,12 +310,22 @@ func WithLearning(epochs int, step float64) Option {
 	return func(o *Options) { o.LearnEpochs = epochs; o.LearnStep = step }
 }
 
-// WithInference overrides inference parameters.
+// WithInference overrides inference parameters: the sweeps a Gibbs chain
+// burns in for and then keeps. Infer (and an update's rerun or variational
+// pass) samples only the connected components it cannot enumerate within
+// that budget — 2^k worlds against (burnin+keep)·k resamplings for a
+// component of k free variables, never beyond 20 variables — so on a graph
+// whose components are all small the two numbers bound the enumeration and no
+// chain runs.
 func WithInference(burnin, keep int) Option {
 	return func(o *Options) { o.InferBurnin = burnin; o.InferKeep = keep }
 }
 
-// WithMaterialization overrides incremental materialization parameters.
+// WithMaterialization overrides incremental materialization parameters: the
+// number of stored worlds and the variational λ. The worlds of components
+// that can be enumerated within the budget of samples sweeps plus
+// WithInference's burn-in are exact independent draws; only the others cost a
+// sweep each, after the burn-in.
 func WithMaterialization(samples int, lambda float64) Option {
 	return func(o *Options) { o.MatSamples = samples; o.Lambda = lambda }
 }
@@ -472,10 +482,10 @@ type UpdateResult struct {
 	ScopeVars      int
 	LearnedWeights int
 	DirtyVars      int
-	// SweptVars is how many of the DirtyVars a variational run left to its
-	// Gibbs chain — the rest it solved exactly, one connected component of
-	// the inference graph at a time (inc.VariationalInferCtx). 0 after a
-	// sampling run.
+	// SweptVars is how many variables a variational run (or a rerun
+	// fallback) left to its Gibbs chain — the rest it solved exactly, one
+	// connected component of its graph at a time (inc.RerunWithCtx). 0
+	// after a sampling run.
 	SweptVars int
 	// Coalesced is how many queued updates the batch merged (1 for a
 	// direct Apply; set by the update queue).
@@ -507,7 +517,19 @@ type GraphStats struct {
 	// Autopilot is the quality-autopilot state at publication time (nil
 	// on snapshots published before Materialize).
 	Autopilot *AutopilotStats
+	// Inferred and Materialized say how the last Infer and the live engine's
+	// materialization (Materialize, or a background re-materialization) came
+	// by their result; zero before the call and on a KB restored from its
+	// data directory, which ran neither.
+	Inferred, Materialized Solved
 }
+
+// Solved counts the free variables a from-scratch pass solved exactly — Closed
+// in closed form (alone in their component), Enumerated by walking every world
+// of their component — and those it Swept by Gibbs sampling, their component
+// being past the enumeration bound; Largest is the largest component met.
+// "Why was this materialization slow" is answered by Swept > 0.
+type Solved = inc.Solved
 
 // weightChanges is what relearning did to the distribution the engine
 // materialized: the materialized groups tied to a weight this update moved

@@ -23,22 +23,29 @@ func loopSeeds() []int64 {
 	return []int64{1, 2, 3}
 }
 
-// parentStrategies are the strategies the optimizer chose for A1…S2 on
+// recordedStrategies are the strategies the optimizer chose for A1…S2 on
 // the five systems at Quick scale (s: sampling, v: variational), scoped and
-// under GlobalFinish, recorded before the variational runner stopped
-// sweeping what it can enumerate. The optimizer never sees how a
-// variational run came by its marginals, so they must not move.
-var parentStrategies = map[int64][2][5]string{
-	1: {{"ssssvs", "svvvvv", "ssssvs", "svvsvv", "svvvvv"}, {"sssvvv", "sssvvv", "sssvvv", "sssvvv", "sssvvv"}},
-	2: {{"ssssvs", "svvvvv", "ssssvs", "svvvvv", "svvvvv"}, {"sssvvv", "sssvvv", "sssvvv", "sssvvv", "sssvvv"}},
-	3: {{"ssssvs", "svvvvv", "ssssvs", "svvvvv", "ssssvv"}, {"sssvvv", "sssvvv", "sssvvv", "sssvvv", "sssvvv"}},
+// under GlobalFinish. How a variational run comes by its marginals never
+// reaches the optimizer, so the table held when that runner stopped sweeping.
+// It was re-recorded once since: materialization now stores exact
+// independent worlds instead of consecutive sweeps of one chain, and the
+// measured probe — 24 stored worlds scored against the update — reads a
+// different store. Where its estimate sits near a threshold the verdict
+// follows the store's content (any change to how the worlds are drawn moves a
+// few sequences): three of the thirty scoped ones differ from the chain-era
+// record — Pharma seed 1 svvsvv → ssssvv, Pharma seed 2 svvvvv → svvsvv,
+// Paleontology seed 3 ssssvv → svvvvv — and none under GlobalFinish.
+var recordedStrategies = map[int64][2][5]string{
+	1: {{"ssssvs", "svvvvv", "ssssvs", "ssssvv", "svvvvv"}, {"sssvvv", "sssvvv", "sssvvv", "sssvvv", "sssvvv"}},
+	2: {{"ssssvs", "svvvvv", "ssssvs", "svvsvv", "svvvvv"}, {"sssvvv", "sssvvv", "sssvvv", "sssvvv", "sssvvv"}},
+	3: {{"ssssvs", "svvvvv", "ssssvs", "svvvvv", "svvvvv"}, {"sssvvv", "sssvvv", "sssvvv", "sssvvv", "sssvvv"}},
 }
 
 // TestVariationalRunsSweepNothing is the count guard: over the five systems
 // and the six iterations, on the update's scope and on the whole graph
 // (GlobalFinish), every connected component of every variational run's
 // inference graph is small enough to enumerate — no variable is left to a
-// Gibbs chain — and the strategy sequence is the one recorded at the parent.
+// Gibbs chain — and the strategy sequence is the recorded one.
 func TestVariationalRunsSweepNothing(t *testing.T) {
 	variational := 0
 	for _, seed := range loopSeeds() {
@@ -58,14 +65,39 @@ func TestVariationalRunsSweepNothing(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := parentStrategies[seed][li][si]; got != want {
-					t.Errorf("seed %d %s (whole graph %v): strategies %s, recorded at the parent %s", seed, sys.Spec.Name, l.GlobalFinish, got, want)
+				if want := recordedStrategies[seed][li][si]; got != want {
+					t.Errorf("seed %d %s (whole graph %v): strategies %s, recorded %s", seed, sys.Spec.Name, l.GlobalFinish, got, want)
 				}
 			}
 		}
 	}
 	if variational < 25 {
 		t.Errorf("%d variational runs: the guard guards nothing", variational)
+	}
+}
+
+// TestFromScratchSweepsNothing is the same guard for set-up: on the five
+// systems, under the base program and under the full one (the graphs the
+// bench's set-up, rerun and exact-inference oracles solve), Infer and
+// Materialize enumerate every component — each free variable is solved in
+// closed form or by enumeration, none is swept.
+func TestFromScratchSweepsNothing(t *testing.T) {
+	for _, seed := range loopSeeds() {
+		for _, sys := range systems(Quick) {
+			for _, upTo := range []int{0, finalProgram} {
+				kb, err := materialized(sys, upTo, kbOptions(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := kb.Stats()
+				kb.Close()
+				for pass, n := range map[string]deepdive.Solved{"Infer": st.Inferred, "Materialize": st.Materialized} {
+					if n.Swept != 0 || n.Closed+n.Enumerated != st.QueryFacts || n.Largest > 3 {
+						t.Errorf("seed %d %s (program %d): %s solved %+v of %d free variables", seed, sys.Spec.Name, upTo, pass, n, st.QueryFacts)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -33,18 +33,7 @@ func New(g *factor.Graph, seed int64) *Sampler {
 
 // FromState wraps an existing state. The sampler takes ownership.
 func FromState(st *factor.State, seed int64) *Sampler {
-	return FromStateOver(st, seed, freeVars(st.G))
-}
-
-// FromStateOver is FromState with the scan order restricted to vars: free
-// variables of st.G, swept in the order given, while every other variable
-// keeps the value the state holds (Marginals reports 0 for the free ones
-// among them). With vars the free variables of whole connected components,
-// ascending, this is the chain FromState runs on the subgraph those
-// components induce, draw for draw: a member's conditional reads only its
-// own component and the evidence.
-func FromStateOver(st *factor.State, seed int64, vars []factor.VarID) *Sampler {
-	return &Sampler{State: st, rng: rand.New(rand.NewSource(seed)), free: vars}
+	return &Sampler{State: st, rng: rand.New(rand.NewSource(seed)), free: freeVars(st.G)}
 }
 
 // freeVars lists g's non-evidence variables, ascending.

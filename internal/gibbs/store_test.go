@@ -149,3 +149,106 @@ func TestQuickStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStoreWordWalkMatchesBitLoops holds Means, Get and FloatWorlds — which
+// walk words and set bits — to the loops they replaced, one divide, modulo
+// and branch per bit, on random stores: equal bit for bit at widths on both
+// sides of a word boundary and at every density.
+func TestStoreWordWalkMatchesBitLoops(t *testing.T) {
+	bit := func(st *Store, i, v int) bool { return st.samples[i][v/64]&(1<<(uint(v)%64)) != 0 }
+	for _, width := range []int{1, 63, 64, 65, 1000} {
+		rng := rand.New(rand.NewSource(int64(width)))
+		st := NewStore(width)
+		world := make([]bool, width)
+		for i := 0; i < 37; i++ {
+			density := rng.Float64()
+			for v := range world {
+				world[v] = rng.Float64() < density
+			}
+			st.Add(world)
+		}
+		means := make([]float64, width)
+		for i := 0; i < st.Len(); i++ {
+			for v := 0; v < width; v++ {
+				if bit(st, i, v) {
+					means[v]++
+				}
+			}
+		}
+		for v, m := range st.Means() {
+			if want := means[v] * (1 / float64(st.Len())); m != want {
+				t.Fatalf("width %d: Means[%d] = %v, the bit loop gives %v", width, v, m, want)
+			}
+		}
+		sub := rng.Perm(width)[:(width+1)/2]
+		all, some := st.FloatWorlds(nil), st.FloatWorlds(sub)
+		dst := make([]bool, width)
+		for i := 0; i < st.Len(); i++ {
+			for v := range dst {
+				dst[v] = true // stale values a reused buffer may hold
+			}
+			dst = st.Get(i, dst)
+			for v := 0; v < width; v++ {
+				want := bit(st, i, v)
+				if dst[v] != want || st.Bit(i, v) != want || (all[i][v] == 1) != want || (all[i][v] != 0) != want {
+					t.Fatalf("width %d: sample %d variable %d: Get %v, Bit %v, FloatWorlds %v, the bit loop gives %v",
+						width, i, v, dst[v], st.Bit(i, v), all[i][v], want)
+				}
+			}
+			for k, v := range sub {
+				if (some[i][k] == 1) != bit(st, i, v) || len(some[i]) != len(sub) {
+					t.Fatalf("width %d: sample %d: FloatWorlds(sub)[%d] = %v for variable %d", width, i, k, some[i][k], v)
+				}
+			}
+		}
+	}
+}
+
+// TestStoreColumns: a block of n copies of a world, edited by Flip and
+// appended, reads back as those worlds with exactly the flipped bits
+// inverted; a block that is dropped leaves the store untouched, and one over
+// no variables still counts its worlds.
+func TestStoreColumns(t *testing.T) {
+	for _, width := range []int{0, 1, 64, 130} {
+		rng := rand.New(rand.NewSource(int64(width) + 7))
+		st := NewStore(width)
+		base := make([]bool, width)
+		for v := range base {
+			base[v] = rng.Intn(2) == 0
+		}
+		st.Add(base)
+		const n = 9
+		want := make([][]bool, n)
+		cols := st.NewColumns(base, n)
+		for i := range want {
+			want[i] = append([]bool(nil), base...)
+			for f := 0; width > 0 && f < 5; f++ {
+				v := rng.Intn(width)
+				want[i][v] = !want[i][v]
+				cols.Flip(i, v)
+			}
+		}
+		if dropped := st.NewColumns(base, 3); width > 0 {
+			dropped.Flip(2, width-1)
+		}
+		if st.Len() != 1 {
+			t.Fatalf("width %d: an unappended block changed the store: %d worlds", width, st.Len())
+		}
+		st.Append(cols)
+		if st.Len() != 1+n || st.Remaining() != 1+n {
+			t.Fatalf("width %d: %d worlds after appending %d to one", width, st.Len(), n)
+		}
+		for i, w := range want {
+			got := st.Get(1+i, nil)
+			for v := range w {
+				if got[v] != w[v] {
+					t.Fatalf("width %d: world %d variable %d = %v, want %v", width, i, v, got[v], w[v])
+				}
+			}
+		}
+		st.Add(base) // the arena path still works after a block
+		if st.Len() != 2+n {
+			t.Fatalf("width %d: Add after Append: %d worlds", width, st.Len())
+		}
+	}
+}

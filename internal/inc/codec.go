@@ -35,7 +35,8 @@ func (e *Engine) AppendSnapshot(b *persist.Buf) {
 
 // RestoreEngine rebuilds an engine around an already-decoded Pr(0)
 // graph. No sampling happens: the store is the persisted one, and the
-// (idle-path-only) materialization chain is rebuilt unsampled.
+// evaluation behind it (needed by the MaterializeForBudget idle path only)
+// is redone when that path first asks.
 func RestoreEngine(old *factor.Graph, opts Options, r *persist.Rd) (*Engine, error) {
 	if v := r.U8("engine version"); r.Err() == nil && v != engineCodecVersion {
 		return nil, fmt.Errorf("inc: unsupported engine codec version %d", v)
@@ -60,9 +61,6 @@ func RestoreEngine(old *factor.Graph, opts Options, r *persist.Rd) (*Engine, err
 		return nil, err
 	}
 	e.note(accum)
-	// The chain exists only for the MaterializeForBudget idle path; it
-	// carries no sampled state worth persisting.
-	e.sampler = o.runtime().NewChain(old, o.Seed)
 	return e, nil
 }
 

@@ -1,17 +1,21 @@
 package inc
 
-// The variational inference phase solves its inference graph one connected
-// component at a time (solveComponents): these tests hold the two exact
-// regimes to the strawman's enumeration of the whole graph, the swept
-// remainder to the plain sampler it replaces, and every loop to its
-// cancellation check.
+// From-scratch inference, the variational inference phase and
+// materialization solve their graph one connected component at a time
+// (solveComponents): these tests hold the exact regimes' marginals to the
+// strawman's enumeration of the whole graph, the exact worlds to the tables
+// they are drawn from, the swept remainder to the plain chain it replaces,
+// the Metropolis-Hastings runners over the exact store to the exact marginals
+// of the updated graph, and every loop to its cancellation check.
 
 import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"deepdive/internal/factor"
 	"deepdive/internal/gibbs"
@@ -32,7 +36,12 @@ type oracleCase struct {
 // a grounding tombstoned, one added, a group added on a new variable, a
 // weight moved, a materialized variable turned evidence —; and approximates
 // the old graph by random unaries and edges within its components.
-func genOracleCase(seed int64) oracleCase {
+func genOracleCase(seed int64) oracleCase { return genUpdate(seed, true) }
+
+// genUpdate is genOracleCase with the evidence change optional: the
+// Metropolis-Hastings runners score changed groups, which a variable forced
+// to a value it never took in the store hides from them.
+func genUpdate(seed int64, evidenceChange bool) oracleCase {
 	rng := rand.New(rand.NewSource(seed))
 	var c oracleCase
 	for left := 15; left > 0; {
@@ -159,7 +168,7 @@ func genOracleCase(seed int64) oracleCase {
 	ngi := p.AddGroup(fresh, p.AddWeight(rng.NormFloat64()), sem())
 	p.AddGrounding(ngi, lits)
 	note(ngi)
-	if last := comps[len(comps)-1]; len(last) > 1 {
+	if last := comps[len(comps)-1]; len(last) > 1 && evidenceChange {
 		p.SetEvidence(last[0], true, rng.Intn(2) == 0) // was free when materialized
 	}
 	c.newG = p.Apply()
@@ -280,7 +289,9 @@ func TestSweptRemainderIsThePlainSampler(t *testing.T) {
 	}
 	ig := vm.BuildInferenceGraph(nil, g, nil, nil)
 	sub, _ := ig.Induced(chain)
-	want := gibbs.New(sub, seed).Marginals(burnin, keep)
+	plain := gibbs.New(sub, seed)
+	plain.RandomizeState() // every remainder chain starts from a random world, as the rerun's always did
+	want := plain.Marginals(burnin, keep)
 	for i, v := range chain {
 		if math.Float64bits(got[v]) != math.Float64bits(want[i]) {
 			t.Fatalf("chain variable %d: %v, the plain sampler on the induced graph gives %v", v, got[v], want[i])
@@ -352,5 +363,453 @@ func TestComponentSolverCancels(t *testing.T) {
 	m, n := VariationalInferCtx(ctx, vm, nil, g, nil, nil, 500000, 500000, 1)
 	if ctx.calls > ctx.after+1 || n.Swept != 40 || len(m) != g.NumVars() {
 		t.Fatalf("sweeping: %d checks for a cancellation at the %dth, solved %+v, %d marginals", ctx.calls, ctx.after, n, len(m))
+	}
+}
+
+// oracleRuntimes are the chains a from-scratch pass can be handed.
+var oracleRuntimes = []gibbs.Runtime{{Workers: 1}, {Workers: 4}, {Replicas: 2}}
+
+// freeVarsOf lists g's free variables.
+func freeVarsOf(g *factor.Graph) (free []factor.VarID) {
+	for v := 0; v < g.NumVars(); v++ {
+		if !g.IsEvidence(factor.VarID(v)) {
+			free = append(free, factor.VarID(v))
+		}
+	}
+	return free
+}
+
+// TestRerunMatchesEnumeration: on the generated graphs, as built and as
+// patched (a tombstoned and an added grounding, a new variable, a variable
+// turned evidence), RerunWithCtx — the from-scratch pass behind KB.Infer —
+// returns the marginals of whole-graph enumeration to 1e-9 whatever the
+// runtime and the seed, solves every free variable exactly and reports the
+// largest component.
+func TestRerunMatchesEnumeration(t *testing.T) {
+	var solved Solved
+	for seed := int64(0); seed < 54; seed++ {
+		c := genOracleCase(seed)
+		for gi, g := range []*factor.Graph{c.oldG, c.newG} {
+			want := MaterializeStrawmanMust(t, g).ExactMarginals(nil, nil, nil)
+			for _, rt := range oracleRuntimes {
+				got, n := RerunWithCtx(nil, g, 30, 300, seed+int64(rt.Workers), rt)
+				if free := len(freeVarsOf(g)); n.Swept != 0 || n.Closed+n.Enumerated != free || n.Largest < 1 || n.Largest > 10 {
+					t.Fatalf("seed %d graph %d %+v: solved %+v of %d free variables", seed, gi, rt, n, free)
+				}
+				if gi == 0 && n.Largest != slices.Max(c.sizes) {
+					t.Fatalf("seed %d: largest component %d, generated sizes %v", seed, n.Largest, c.sizes)
+				}
+				for v := range want {
+					if math.Abs(got[v]-want[v]) > 1e-9 {
+						t.Fatalf("seed %d graph %d %+v: variable %d is %.12f, enumeration gives %.12f", seed, gi, rt, v, got[v], want[v])
+					}
+				}
+				solved.Closed, solved.Enumerated = solved.Closed+n.Closed, solved.Enumerated+n.Enumerated
+			}
+		}
+	}
+	t.Logf("%+v over 108 graphs × 3 runtimes", solved)
+	if solved.Closed < 300 || solved.Enumerated < 1500 {
+		t.Errorf("thin coverage: %+v", solved)
+	}
+}
+
+// sweptCase is a graph whose largest component — n variables chained by
+// groups of all three semantics, each reading an evidence variable too — is
+// past the enumeration bound, among singletons and pairs that are not.
+// induced lists the chain with the evidence on its boundary, ascending.
+func sweptCase(n int, seed int64) (g *factor.Graph, chain, induced []factor.VarID) {
+	rng := rand.New(rand.NewSource(seed))
+	b := factor.NewBuilder()
+	var evidence, singles []factor.VarID
+	for len(chain) < n {
+		switch rng.Intn(5) {
+		case 0:
+			singles = append(singles, b.AddVar())
+		case 1:
+			evidence = append(evidence, b.AddEvidenceVar(rng.Intn(2) == 0))
+		default:
+			chain = append(chain, b.AddVar())
+		}
+	}
+	evidence = append(evidence, b.AddEvidenceVar(true))
+	induced = slices.Clone(chain)
+	for i, v := range chain {
+		e := evidence[rng.Intn(len(evidence))]
+		lits := []factor.Literal{{Var: e, Neg: rng.Intn(2) == 0}}
+		if i > 0 {
+			lits = append(lits, factor.Literal{Var: chain[i-1], Neg: rng.Intn(4) == 0})
+		}
+		b.AddGroup(v, b.AddWeight(rng.NormFloat64()), factor.Semantics(i%3), []factor.Grounding{{Lits: lits}})
+		if !slices.Contains(induced, e) {
+			induced = append(induced, e)
+		}
+	}
+	for i, v := range singles {
+		b.AddGroup(v, b.AddWeight(rng.NormFloat64()), factor.Ratio, []factor.Grounding{{Lits: []factor.Literal{{Var: evidence[0]}}}})
+		if i%3 == 1 { // every third singleton pairs up with its predecessor
+			b.AddGroup(v, b.AddWeight(1.2), factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: singles[i-1]}}}})
+		}
+	}
+	slices.Sort(induced)
+	return b.MustBuild(), chain, induced
+}
+
+// TestRerunSweepsOnlyTheRemainder: with a chain of 40 past the bound, the
+// from-scratch pass hands exactly that component to the runtime's chain —
+// its marginals are, bit for bit, those of the same runtime's chain on the
+// subgraph the component and its boundary evidence induce, from a random
+// start — and solves the rest exactly; materialization does the same with
+// its worlds: the chain's columns are that chain's sweeps, the others are
+// drawn.
+func TestRerunSweepsOnlyTheRemainder(t *testing.T) {
+	const burnin, keep, seed = 30, 300, 11
+	g, chain, induced := sweptCase(40, 5)
+	sub, _ := g.Induced(induced)
+	exact, _ := RerunWithCtx(nil, g, burnin+1, keep, seed+1, gibbs.Runtime{}) // off the chain, no seed or budget matters
+	for _, rt := range oracleRuntimes {
+		got, n := RerunWithCtx(nil, g, burnin, keep, seed, rt)
+		if n.Swept != 40 || n.Largest != 40 || n.Closed+n.Enumerated+n.Swept != len(freeVarsOf(g)) || n.Closed < 1 || n.Enumerated < 2 {
+			t.Fatalf("%+v: solved %+v", rt, n)
+		}
+		plain := rt.NewChain(sub, seed)
+		plain.RandomizeState()
+		want := plain.Marginals(burnin, keep)
+		for l, v := range induced {
+			if math.Float64bits(got[v]) != math.Float64bits(want[l]) {
+				t.Fatalf("%+v: chain variable %d: %v, the runtime's chain on the induced graph gives %v", rt, v, got[v], want[l])
+			}
+		}
+		for v := range got {
+			if !slices.Contains(chain, factor.VarID(v)) && got[v] != exact[v] {
+				t.Fatalf("%+v: variable %d off the chain: %v, %v under another seed and budget", rt, v, got[v], exact[v])
+			}
+		}
+
+		e, err := NewEngine(g, Options{MaterializationSamples: 90, Burnin: burnin, Seed: seed,
+			Parallelism: rt.Workers, Replicas: rt.Replicas, DisableVariational: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain = rt.NewChain(sub, seed)
+		plain.RandomizeState()
+		worlds := plain.CollectSamples(burnin, 90)
+		if e.Solved() != n || e.Store().Len() != 90 {
+			t.Fatalf("%+v: materialization solved %+v into %d worlds", rt, e.Solved(), e.Store().Len())
+		}
+		// A top-up continues that chain, a batch of sweeps at a time.
+		for e.Store().Len() == 90 {
+			e.MaterializeForBudget(time.Microsecond)
+		}
+		for _, w := range storeWorlds(plain.CollectSamples(0, topUpWorlds), 0) {
+			worlds.Add(w)
+		}
+		for i := 0; i < 90+topUpWorlds; i++ {
+			for l, v := range induced {
+				if e.Store().Bit(i, int(v)) != worlds.Bit(i, l) {
+					t.Fatalf("%+v: world %d variable %d is not the chain's", rt, i, v)
+				}
+			}
+		}
+	}
+}
+
+// chiSquareBound is the 1 − 1e-5 quantile of χ² with df degrees of freedom
+// (Wilson–Hilferty).
+func chiSquareBound(df int) float64 {
+	k := float64(df)
+	return k * math.Pow(1-2/(9*k)+4.27*math.Sqrt(2/(9*k)), 3)
+}
+
+// TestExactWorldsMatchTheirTables: the worlds NewEngine stores are
+// independent exact draws. On generated graphs, 20 000 worlds each: every
+// component's world frequencies pass a χ² test against its enumerated
+// distribution (1e-5 level; cells expecting under five worlds pooled), and
+// every column mean sits within four standard errors (plus one world) of the
+// exact marginal.
+func TestExactWorldsMatchTheirTables(t *testing.T) {
+	const worlds = 20000
+	tested, cells := 0, 0
+	for seed := int64(0); seed < 18; seed++ {
+		g := genOracleCase(seed).oldG
+		e, err := NewEngine(g, Options{MaterializationSamples: worlds, Seed: seed + 100, DisableVariational: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := e.Store()
+		if n := e.Solved(); n.Swept != 0 || st.Len() != worlds {
+			t.Fatalf("seed %d: solved %+v into %d worlds", seed, n, st.Len())
+		}
+		exact := MaterializeStrawmanMust(t, g).ExactMarginals(nil, nil, nil)
+		for v, m := range st.Means() {
+			se := math.Sqrt(exact[v] * (1 - exact[v]) / worlds)
+			if math.Abs(m-exact[v]) > 4*se+1.0/worlds {
+				t.Errorf("seed %d: column %d has mean %.5f, exact marginal %.5f (standard error %.5f)", seed, v, m, exact[v], se)
+			}
+		}
+		// A component's distribution: the graph's energy over its worlds, the
+		// other components held anywhere (they are independent of it).
+		assign := make([]bool, g.NumVars())
+		for v := range assign {
+			assign[v] = g.IsEvidence(factor.VarID(v)) && g.EvidenceValue(factor.VarID(v))
+		}
+		for _, comp := range components(g, nil) {
+			k := len(comp)
+			p := make([]float64, 1<<k)
+			z := 0.0
+			for w := range p {
+				for b, v := range comp {
+					assign[v] = w>>b&1 == 1
+				}
+				p[w] = math.Exp(g.Energy(assign))
+				z += p[w]
+			}
+			seen := make([]float64, 1<<k)
+			for i := 0; i < worlds; i++ {
+				w := 0
+				for b, v := range comp {
+					if st.Bit(i, v) {
+						w |= 1 << b
+					}
+				}
+				seen[w]++
+			}
+			var chi, poolSeen, poolWant float64
+			df := -1
+			for w := range p {
+				want := worlds * p[w] / z
+				if want < 5 {
+					poolSeen, poolWant = poolSeen+seen[w], poolWant+want
+					continue
+				}
+				chi += (seen[w] - want) * (seen[w] - want) / want
+				df++
+			}
+			if poolWant >= 5 {
+				chi += (poolSeen - poolWant) * (poolSeen - poolWant) / poolWant
+				df++
+			} else if poolSeen > poolWant+6 {
+				t.Errorf("seed %d component %v: %v worlds in cells that expect %.2f together", seed, comp, poolSeen, poolWant)
+			}
+			if df < 1 {
+				continue
+			}
+			tested, cells = tested+1, cells+df+1
+			if chi > chiSquareBound(df) {
+				t.Errorf("seed %d component %v: χ² = %.1f over %d degrees of freedom (bound %.1f)", seed, comp, chi, df, chiSquareBound(df))
+			}
+		}
+	}
+	t.Logf("%d components, %d cells", tested, cells)
+	if tested < 60 {
+		t.Errorf("thin coverage: %d components tested", tested)
+	}
+}
+
+// lag1 is the lag-1 autocorrelation of column v over the store's worlds.
+func lag1(st *gibbs.Store, v int) float64 {
+	n := st.Len()
+	mean := st.Means()[v]
+	var num, den float64
+	for i := 0; i < n; i++ {
+		x := -mean
+		if st.Bit(i, v) {
+			x++
+		}
+		den += x * x
+		if i+1 < n {
+			y := -mean
+			if st.Bit(i+1, v) {
+				y++
+			}
+			num += x * y
+		}
+	}
+	return num / den
+}
+
+// TestExactWorldsAreIndependent: on a strongly coupled pair a Gibbs chain's
+// consecutive worlds repeat each other — lag-1 autocorrelation of a column
+// above 0.3 — where the exact store's are independent draws: within 0.05 of
+// zero over 6 000 worlds (three standard errors are 0.039). Same seed, same
+// store; another seed, another.
+func TestExactWorldsAreIndependent(t *testing.T) {
+	b := factor.NewBuilder()
+	x, y := b.AddVar(), b.AddVar()
+	b.AddGroup(x, b.AddWeight(2.5), factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: y}}}})
+	b.AddGroup(y, b.AddWeight(2.5), factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: x}}}})
+	g := b.MustBuild()
+	opts := Options{MaterializationSamples: 6000, Seed: 3, DisableVariational: true}
+	e, err := NewEngine(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := gibbs.New(g, 3)
+	chain.RandomizeState()
+	swept := chain.CollectSamples(50, 6000)
+	for _, v := range []int{int(x), int(y)} {
+		if r := lag1(swept, v); r < 0.3 {
+			t.Errorf("column %d of the Gibbs chain: lag-1 autocorrelation %.3f, want the pair sticky (> 0.3)", v, r)
+		}
+		if r := lag1(e.Store(), v); math.Abs(r) > 0.05 {
+			t.Errorf("column %d of the exact store: lag-1 autocorrelation %.3f, want 0 ± 0.05", v, r)
+		}
+	}
+	same, _ := NewEngine(g, opts)
+	opts.Seed++
+	other, _ := NewEngine(g, opts)
+	if !reflect.DeepEqual(storeWorlds(e.Store(), 0), storeWorlds(same.Store(), 0)) {
+		t.Error("the same seed drew another store")
+	}
+	if reflect.DeepEqual(storeWorlds(e.Store(), 0), storeWorlds(other.Store(), 0)) {
+		t.Error("another seed drew the same store")
+	}
+}
+
+// storeWorlds unpacks the store's worlds from the from-th on.
+func storeWorlds(st *gibbs.Store, from int) (out [][]bool) {
+	for i := from; i < st.Len(); i++ {
+		out = append(out, st.Get(i, nil))
+	}
+	return out
+}
+
+// TestTopUpContinuesTheStream: MaterializeForBudgetCtx leaves the worlds
+// NewEngine stored alone and appends whole batches; the sequence of worlds is
+// a function of the seed, not of where budgets ended — two engines topped up
+// for different budgets agree on every world both hold — and the added worlds
+// are exact draws too: their column means sit within four standard errors of
+// the exact marginals.
+func TestTopUpContinuesTheStream(t *testing.T) {
+	g := genOracleCase(4).oldG
+	opts := Options{MaterializationSamples: 100, Seed: 9, DisableVariational: true}
+	a, _ := NewEngine(g, opts)
+	b, _ := NewEngine(g, opts)
+	first := storeWorlds(a.Store(), 0)
+	for a.Store().Len() < 100+40*topUpWorlds {
+		a.MaterializeForBudget(time.Millisecond)
+	}
+	b.MaterializeForBudget(3 * time.Millisecond)
+	if n := a.Store().Len() - 100; n%topUpWorlds != 0 || b.Store().Len() <= 100 {
+		t.Fatalf("top-ups left %d and %d worlds", a.Store().Len(), b.Store().Len())
+	}
+	if !reflect.DeepEqual(storeWorlds(a.Store(), 0)[:100], first) {
+		t.Fatal("a top-up rewrote the materialized worlds")
+	}
+	common := min(a.Store().Len(), b.Store().Len())
+	if !reflect.DeepEqual(storeWorlds(a.Store(), 0)[:common], storeWorlds(b.Store(), 0)[:common]) {
+		t.Fatal("two top-ups of the same seed drew different worlds")
+	}
+	added := gibbs.NewStore(g.NumVars())
+	for _, w := range storeWorlds(a.Store(), 100) {
+		added.Add(w)
+	}
+	exact := MaterializeStrawmanMust(t, g).ExactMarginals(nil, nil, nil)
+	n := float64(added.Len())
+	for v, m := range added.Means() {
+		if se := math.Sqrt(exact[v] * (1 - exact[v]) / n); math.Abs(m-exact[v]) > 4*se+1/n {
+			t.Errorf("column %d of the %v added worlds has mean %.4f, exact marginal %.4f (standard error %.4f)", v, n, m, exact[v], se)
+		}
+	}
+	// A restored engine (no evaluation kept) tops up too, on a stream of its own.
+	r := &Engine{opts: opts.fill(), old: g, store: gibbs.NewStore(g.NumVars())}
+	for _, w := range first {
+		r.store.Add(w)
+	}
+	for r.Store().Len() == 100 {
+		r.MaterializeForBudget(time.Millisecond)
+	}
+	if reflect.DeepEqual(storeWorlds(r.Store(), 100)[:topUpWorlds], storeWorlds(a.Store(), 0)[:topUpWorlds]) {
+		t.Error("a restored engine's top-up replayed the worlds it already holds")
+	}
+}
+
+// TestSamplingOverExactStoreMatchesExactMarginals is the Metropolis-Hastings
+// half of the differential oracle: on generated updates of at most 17 free
+// variables (a grounding tombstoned, one added, a group on a new variable, a
+// weight moved) both sampling runners, replaying 6 000 exact independent
+// worlds of the old graph, land within 0.05 of the exact marginals of the
+// updated graph — enumerated whole — on every variable. (The bound is
+// sampling error: an independence chain of n proposals at acceptance rate a
+// has a standard error near sqrt(p(1−p)(2−a)/(a·n)) ≤ 0.013 at a = 0.5;
+// the smallest acceptance rate met here is logged.)
+func TestSamplingOverExactStoreMatchesExactMarginals(t *testing.T) {
+	const keep, bound = 6000, 0.05
+	worst, lowest := 0.0, 1.0
+	for seed := int64(0); seed < 12; seed++ {
+		c := genUpdate(seed, false)
+		cs := ChangeSet{ChangedOld: clampToGraph(c.oldG, c.changed), ChangedNew: c.changed, NewFeatures: true}
+		want := MaterializeStrawmanMust(t, c.newG).ExactMarginals(nil, nil, nil)
+		run := map[string]func(e *Engine) ([]float64, float64){
+			"global": func(e *Engine) ([]float64, float64) {
+				sr := SamplingInferCtx(nil, c.oldG, c.newG, e.Store(), cs, keep, seed+1, 0)
+				return sr.Marginals, sr.AcceptanceRate()
+			},
+			"decomposed": func(e *Engine) ([]float64, float64) {
+				res := e.InferDecomposedCtx(nil, c.newG, cs, ComponentGroups(c.newG, nil), nil)
+				return res.Marginals, res.AcceptanceRate
+			},
+		}
+		for name, infer := range run {
+			e, err := NewEngine(c.oldG, Options{MaterializationSamples: keep + 1, KeepSamples: keep, Seed: seed + 50, DisableVariational: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, accept := infer(e)
+			lowest = min(lowest, accept)
+			for v := range want {
+				d := math.Abs(got[v] - want[v])
+				worst = max(worst, d)
+				if d > bound {
+					t.Errorf("seed %d %s: variable %d is %.4f, exact %.4f (acceptance %.2f)", seed, name, v, got[v], want[v], accept)
+				}
+			}
+		}
+	}
+	t.Logf("largest error %.4f, lowest acceptance rate %.2f", worst, lowest)
+}
+
+// TestFromScratchPassesCancel: cancelled at its k-th check for every k until
+// one run completes, materialization returns the context's error and no
+// engine each time — between components, inside an enumeration, between the
+// chain's sweeps, while columns are drawn — and the from-scratch marginals
+// pass stops counting.
+func TestFromScratchPassesCancel(t *testing.T) {
+	b := factor.NewBuilder()
+	anchor := b.AddEvidenceVar(true)
+	var prev factor.VarID
+	for i := 0; i < 700; i++ { // 600 variables alone or in pairs, a chain of 11, a chain of 89
+		v := b.AddVar()
+		b.AddGroup(v, b.AddWeight(0.1*float64(i%7)-0.3), factor.Ratio, []factor.Grounding{{Lits: []factor.Literal{{Var: anchor}}}})
+		if i%3 == 1 && i < 600 || i > 600 && i != 611 {
+			b.AddGroup(v, b.AddWeight(0.5), factor.Linear, []factor.Grounding{{Lits: []factor.Literal{{Var: prev}}}})
+		}
+		prev = v
+	}
+	g := b.MustBuild()
+	// 240 sweeps enumerate the chain of 11 (2048 worlds: two checks inside).
+	opts := Options{MaterializationSamples: 40, Burnin: 200, Seed: 1, DisableVariational: true}
+	full, err := NewEngine(g, opts)
+	if want := (Solved{Closed: 200, Enumerated: 411, Swept: 89, Largest: 89}); err != nil || full.Solved() != want {
+		t.Fatalf("uncancelled: %v, solved %+v, want %+v", err, full.Solved(), want)
+	}
+	for after := 1; ; after++ {
+		ctx := &countdown{Context: context.Background(), after: after}
+		e, err := NewEngineCtx(ctx, g, opts)
+		if err == nil {
+			if after < 250 || !reflect.DeepEqual(storeWorlds(e.Store(), 0), storeWorlds(full.Store(), 0)) {
+				t.Fatalf("completed after %d checks; the same store: %v", after-1, after >= 250)
+			}
+			break
+		}
+		// At most three more: the sampling loop after a cancelled burn-in,
+		// draw's own check, and the error NewEngineCtx returns.
+		if e != nil || err != context.Canceled || ctx.calls > after+3 {
+			t.Fatalf("cancelled at check %d: engine %v, error %v, %d checks made", after, e != nil, err, ctx.calls)
+		}
+	}
+	ctx := &countdown{Context: context.Background(), after: 2}
+	if _, n := RerunWithCtx(ctx, g, 30, 300, 1, gibbs.Runtime{}); n.Swept != 0 || n.Closed+n.Enumerated > 256*2 {
+		t.Fatalf("marginals cancelled at the second check solved %+v", n)
 	}
 }

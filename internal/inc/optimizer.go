@@ -174,9 +174,9 @@ type Result struct {
 	// was decisive on its own (see the acceptance prior in
 	// ChooseStrategyMeasured). Probed is -1 on such runs.
 	ProbeSkipped bool
-	// Solved counts the variables a variational run (chosen or fallen back
-	// to) solved in closed form, by enumeration and by sweeping; zero after
-	// a sampling or rerun pass.
+	// Solved counts the variables a variational or rerun pass (chosen or
+	// fallen back to) solved in closed form, by enumeration and by sweeping;
+	// zero after a sampling pass.
 	Solved Solved
 }
 
@@ -187,11 +187,13 @@ type Result struct {
 // the variational approach, and defer the decision to the inference
 // phase").
 type Engine struct {
-	opts    Options
-	old     *factor.Graph
-	sampler gibbs.Chain
-	store   *gibbs.Store
-	vm      *Variational
+	opts  Options
+	old   *factor.Graph
+	store *gibbs.Store
+	vm    *Variational
+	// worlds draws Pr(0)'s samples; nil on a restored engine until a top-up
+	// asks for more.
+	worlds *worlds
 
 	// accum is the union of every change set noted since materialization
 	// (Options.CumulativeChanges): the updated distribution differs from
@@ -228,26 +230,29 @@ type Engine struct {
 	matElapsed time.Duration
 }
 
-// NewEngine materializes g under both strategies. The materialization
-// chain (the dominant cost at scale) runs on the sharded or replica
-// sampler when Options.Parallelism / Options.Replicas ask for it.
+// NewEngine materializes g under both strategies. The stored worlds are
+// exact, independent draws from Pr(0) wherever the graph's components can be
+// enumerated under the budget of Burnin+MaterializationSamples sweeps (see
+// solveComponents) — the independent proposals the acceptance test of
+// Section 3.2.2 assumes: no burn-in, no correlation between consecutive
+// worlds. Only components past that bound are sampled, one world a sweep
+// after Burnin sweeps, on the sharded or replica chain when
+// Options.Parallelism / Options.Replicas ask for it.
 func NewEngine(g *factor.Graph, opts Options) (*Engine, error) {
 	return NewEngineCtx(nil, g, opts)
 }
 
-// NewEngineCtx is NewEngine with a cooperative cancellation check
-// threaded into the materialization sweep loop. A cancelled
-// materialization returns ctx's error and no engine — materialization is
-// all-or-nothing, so a serving layer never installs a partially
-// materialized Pr(0).
+// NewEngineCtx is NewEngine with a cooperative cancellation check between
+// components, inside enumerations, between sweeps and while the worlds are
+// drawn. A cancelled materialization returns ctx's error and no engine —
+// materialization is all-or-nothing, so a serving layer never installs a
+// partially materialized Pr(0).
 func NewEngineCtx(ctx context.Context, g *factor.Graph, opts Options) (*Engine, error) {
 	o := opts.fill()
-	e := &Engine{opts: o, old: g}
+	e := &Engine{opts: o, old: g, store: gibbs.NewStore(g.NumVars())}
 	start := time.Now()
-	e.sampler = o.runtime().NewChain(g, o.Seed)
-	e.sampler.RandomizeState()
-	e.store = e.sampler.CollectSamplesCtx(ctx, o.Burnin, o.MaterializationSamples)
-	if canceled(ctx) {
+	e.worlds = newWorlds(ctx, g, o, o.MaterializationSamples, o.Seed)
+	if e.worlds == nil || !e.worlds.draw(ctx, e.store, o.MaterializationSamples) {
 		return nil, ctx.Err()
 	}
 	if !o.DisableVariational {
@@ -272,18 +277,33 @@ func (e *Engine) MaterializeForBudget(budget time.Duration) int {
 }
 
 // MaterializeForBudgetCtx is MaterializeForBudget with a cooperative
-// cancellation check between sweeps — the form the background
-// re-materializer uses so an incoming write can preempt it mid-budget.
-// The store keeps every world sampled before the cancellation.
+// cancellation check — the form the background re-materializer uses so an
+// incoming write can preempt it mid-budget. Worlds arrive topUpWorlds at a
+// time, continuing the stream NewEngine began; the store keeps every batch
+// completed before the cancellation.
 func (e *Engine) MaterializeForBudgetCtx(ctx context.Context, budget time.Duration) int {
 	deadline := time.Now().Add(budget)
-	for time.Now().Before(deadline) && !canceled(ctx) {
-		e.sampler.Sweep()
-		// StoreWorlds, not Assign: the replica chain's Assign is a
-		// consensus vote, which would bias the materialized samples.
-		e.sampler.StoreWorlds(e.store)
+	if e.worlds == nil {
+		// A restored engine: the evaluation is not persisted, and the stream
+		// must not replay the worlds the store already holds.
+		e.worlds = newWorlds(ctx, e.old, e.opts, e.store.Len(), e.opts.Seed+int64(e.store.Len()))
+	}
+	for e.worlds != nil && time.Now().Before(deadline) {
+		if !e.worlds.draw(ctx, e.store, topUpWorlds) {
+			break // cancelled
+		}
 	}
 	return e.store.Len()
+}
+
+// Solved reports how the materialization came by its worlds: the variables
+// drawn exactly (Closed, Enumerated) and those swept by the chain. Zero on a
+// restored engine, which materialized nothing.
+func (e *Engine) Solved() Solved {
+	if e.worlds == nil {
+		return Solved{}
+	}
+	return e.worlds.solved
 }
 
 // MaterializationTime returns the time spent in NewEngine.
@@ -630,6 +650,11 @@ func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, 
 		}
 		return out
 	}
+	rerun := func() {
+		var m []float64
+		m, res.Solved = RerunWithCtx(ctx, newG, e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+29, e.opts.runtime())
+		res.Marginals = atScope(m)
+	}
 	switch res.Strategy {
 	case StrategySampling:
 		sr := SamplingInferCtx(ctx, e.old, newG, e.store, cs, e.opts.KeepSamples, e.opts.Seed+17, e.opts.Parallelism)
@@ -647,7 +672,7 @@ func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, 
 				res.FellBack = true
 			} else {
 				// Lesion configuration without the variational side: rerun.
-				res.Marginals = atScope(RerunWithCtx(ctx, newG, e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+29, e.opts.runtime()))
+				rerun()
 				res.Strategy = StrategyRerun
 				res.FellBack = true
 			}
@@ -658,21 +683,10 @@ func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, 
 		res.Marginals, res.Solved = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
 			e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+23)
 	default:
-		res.Marginals = atScope(RerunWithCtx(ctx, newG, e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+29, e.opts.runtime()))
+		rerun()
 	}
 	res.Elapsed = time.Since(start)
 	return res
-}
-
-// RerunWithCtx is the from-scratch baseline ("Rerun" in Section 4.2):
-// Gibbs over the full new graph, on the chain the runtime config selects
-// (sequential, sharded, or replica), with a cooperative cancellation
-// check between sweeps; on cancellation it returns the estimate over the
-// worlds observed so far.
-func RerunWithCtx(ctx context.Context, newG *factor.Graph, burnin, keep int, seed int64, rt gibbs.Runtime) []float64 {
-	s := rt.NewChain(newG, seed)
-	s.RandomizeState()
-	return s.MarginalsCtx(ctx, burnin, keep)
 }
 
 // localOf is v's index in the sorted scope, or v itself on the whole graph

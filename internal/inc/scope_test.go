@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"deepdive/internal/factor"
+	"deepdive/internal/gibbs"
 )
 
 // scopeFixture is twelve independent two-variable components (every
@@ -67,8 +68,20 @@ func marginalHash(m []float64) string {
 // were recorded from the per-proposal-allocating implementation on this
 // fixture (fresh unpack and proposal buffers, evidence re-forced over
 // every variable, a full copy of the hybrid world per proposal).
+//
+// They were recorded over the store NewEngine collected then — 700
+// consecutive sweeps of one Gibbs chain. NewEngine now draws exact
+// independent worlds (this fixture's components all enumerate), a different
+// store; the runners did not change, so they are held to the recorded values
+// on the store they were recorded on.
 func TestSamplingRunnersKeepTheirChains(t *testing.T) {
 	e, newG, cs, _ := scopeFixture(t)
+	if n := e.Solved(); n.Swept != 0 || n.Closed+n.Enumerated != 24 {
+		t.Fatalf("the fixture's materialization solved %+v, want its 24 free variables exactly", n)
+	}
+	chain := gibbs.New(e.OldGraph(), 11)
+	chain.RandomizeState()
+	e.store = chain.CollectSamples(30, 700)
 	sr := SamplingInferCtx(nil, e.OldGraph(), newG, e.Store(), cs, 200, 28, 0)
 	if got := marginalHash(sr.Marginals); got != "87dcc7c85311bea2" || sr.Accepted != 122 || sr.Proposed != 200 || e.Store().Remaining() != 499 {
 		t.Fatalf("global chain moved: marginals %s, %d/%d accepted, %d worlds left", got, sr.Accepted, sr.Proposed, e.Store().Remaining())

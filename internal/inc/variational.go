@@ -3,7 +3,6 @@ package inc
 import (
 	"context"
 	"math"
-	"math/bits"
 	"slices"
 
 	"deepdive/internal/factor"
@@ -218,94 +217,6 @@ func clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// components returns the connected components of the graph's variable
-// adjacency (variables sharing a group), each as a sorted var list, in
-// order of smallest member. Evidence variables do not connect components
-// (they are fixed). With a non-nil scope (Engine.Scope, sorted) only the
-// scope's variables and the groups touching them are walked, and nothing
-// is sized by the graph. Groups are walked CSR-direct
-// (factor.Graph.GroupVars reports the head first, then each live
-// grounding's variables), so no nested view is synthesized per group.
-func components(g *factor.Graph, scope []factor.VarID) [][]int {
-	// Union-find over the walked variables: the graph's, or the scope's by
-	// position (a free member shares groups only with members, so variables
-	// outside the scope are skipped, not linked).
-	n := g.NumVars()
-	if scope != nil {
-		n = len(scope)
-	}
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	link := func(gi int32) {
-		anchor := int32(-1)
-		g.GroupVars(gi, func(v factor.VarID) {
-			l := int32(localOf(scope, v))
-			if l < 0 || g.IsEvidence(v) {
-				return
-			}
-			if anchor == -1 {
-				anchor = l
-			} else if ra, rb := find(anchor), find(l); ra != rb {
-				parent[ra] = rb
-			}
-		})
-	}
-	if scope == nil {
-		for gi := 0; gi < g.NumGroups(); gi++ {
-			link(int32(gi))
-		}
-	} else {
-		for _, v := range scope {
-			for _, gi := range g.AdjacentGroups(v) {
-				link(gi)
-			}
-		}
-	}
-	// Two passes over the walked variables — size every component, then
-	// fill them — so all are cut from one backing array.
-	free := func(l int) (v int, ok bool) {
-		if v = l; scope != nil {
-			v = int(scope[l])
-		}
-		return v, !g.IsEvidence(factor.VarID(v))
-	}
-	var sizes []int
-	compAt := make([]int32, n) // root → 1 + its index in sizes and out
-	total := 0
-	for l := 0; l < n; l++ {
-		if _, ok := free(l); ok {
-			r := find(int32(l))
-			if compAt[r] == 0 {
-				sizes = append(sizes, 0)
-				compAt[r] = int32(len(sizes))
-			}
-			sizes[compAt[r]-1]++
-			total++
-		}
-	}
-	flat := make([]int, total)
-	out := make([][]int, len(sizes))
-	for c, size := range sizes {
-		out[c], flat = flat[:0:size], flat[size:]
-	}
-	for l := 0; l < n; l++ {
-		if v, ok := free(l); ok {
-			c := compAt[find(int32(l))] - 1
-			out[c] = append(out[c], v)
-		}
-	}
-	return out
-}
-
 // markAdjacent sets pat for pairs of component variables co-occurring in
 // a group.
 func markAdjacent(g *factor.Graph, comp []int, local map[int]int, pat []bool) {
@@ -439,13 +350,6 @@ func addInferenceVar(b *factor.Builder, newG *factor.Graph, v factor.VarID) {
 	}
 }
 
-// Solved counts how a variational run came by the marginals of its free
-// variables: Closed in closed form (a component of one), Enumerated by
-// walking every world of their component, Swept by the Gibbs chain.
-type Solved struct {
-	Closed, Enumerated, Swept int
-}
-
 // VariationalInfer returns marginals for the new graph's variables under
 // the approximated (plus update) graph; see VariationalInferCtx.
 func VariationalInfer(vm *Variational, oldG, newG *factor.Graph, changedNew []int32, burnin, keep int, seed int64) []float64 {
@@ -456,123 +360,11 @@ func VariationalInfer(vm *Variational, oldG, newG *factor.Graph, changedNew []in
 // VariationalInferCtx is the inference phase of the variational approach:
 // it builds the inference graph (BuildInferenceGraph; with a scope, entry i
 // of the result belongs to scope[i]) and solves it one connected component
-// of its free variables at a time — evidence cuts the sparse approximation
-// into graphs small enough for the strawman of Section 3.2.1, which wins
-// wherever it is feasible (Figure 5(a)). Three regimes, chosen by a
-// component's size k alone:
-//
-//   - k = 1: the marginal is the conditional, sigmoid(EnergyDelta) — one
-//     evaluation, exact.
-//   - 2^k ≤ (burnin+keep)·k and k ≤ MaxStrawmanVars: every world of the
-//     component is visited once in Gray-code order on the state's counters
-//     (one EnergyDelta and one Set per world) and the marginals are summed
-//     exactly. The bound is the run's own sweep budget: sampling the
-//     component costs (burnin+keep)·k conditional evaluations and flips,
-//     enumerating it 2^k, so enumeration is taken exactly when it is also
-//     the cheaper side (k ≤ 11 at 30+300 sweeps, k ≤ 12 at 50+500).
-//   - otherwise the component is left to the sequential Gibbs sampler,
-//     which then scans the free variables of those components only — the
-//     chain, seed and estimate a plain sampler gives on the subgraph they
-//     induce.
-//
-// ctx is checked every few hundred components, every thousand worlds of
-// an enumeration and between sweeps; a cancelled run returns what it has.
+// of its free variables at a time (RerunWithCtx) — evidence cuts the sparse
+// approximation into graphs small enough for the strawman of Section 3.2.1 —
+// under a budget of burnin+keep sweeps, on the sequential chain for whatever
+// is past the bound. A cancelled run returns what it has.
 func VariationalInferCtx(ctx context.Context, vm *Variational, oldG, newG *factor.Graph, changedNew []int32, scope []factor.VarID, burnin, keep int, seed int64) ([]float64, Solved) {
 	ig := vm.BuildInferenceGraph(oldG, newG, changedNew, scope)
-	return solveComponents(ctx, ig, burnin, keep, seed)
-}
-
-// solveComponents returns the marginals of g (evidence reports its value)
-// under the three regimes of VariationalInferCtx.
-func solveComponents(ctx context.Context, g *factor.Graph, burnin, keep int, seed int64) ([]float64, Solved) {
-	var n Solved
-	out := make([]float64, g.NumVars())
-	for v := range out {
-		if id := factor.VarID(v); g.IsEvidence(id) && g.EvidenceValue(id) {
-			out[v] = 1
-		}
-	}
-	st := factor.NewState(g)
-	var swept []factor.VarID
-	var energies []float64 // one enumeration's worlds, reused
-	for ci, comp := range components(g, nil) {
-		if ci&255 == 0 && canceled(ctx) {
-			return out, n
-		}
-		k := len(comp)
-		switch {
-		case k == 1:
-			out[comp[0]] = st.CondProb(factor.VarID(comp[0]))
-			n.Closed++
-		case k <= MaxStrawmanVars && 1<<k <= (burnin+keep)*k:
-			if energies = enumerate(ctx, st, comp, out, energies); energies == nil {
-				return out, n
-			}
-			n.Enumerated += k
-		default:
-			for _, v := range comp {
-				swept = append(swept, factor.VarID(v))
-			}
-		}
-	}
-	if len(swept) == 0 {
-		return out, n
-	}
-	n.Swept = len(swept)
-	slices.Sort(swept) // components come by smallest member: interleaved
-	m := gibbs.FromStateOver(st, seed, swept).MarginalsCtx(ctx, burnin, keep)
-	for _, v := range swept {
-		out[v] = m[v]
-	}
-	return out, n
-}
-
-// enumerate writes the exact marginals of comp — the free variables of one
-// connected component of st.G — into out: it visits the component's 2^k
-// worlds in Gray-code order, each one flip away from the last, so a world's
-// energy relative to the all-false one is the running sum of the flipped
-// variables' EnergyDelta, and normalizes by log-sum-exp. buf is scratch for
-// the energies, returned (grown) for the next call; nil when ctx was
-// cancelled mid-walk.
-func enumerate(ctx context.Context, st *factor.State, comp []int, out []float64, buf []float64) []float64 {
-	k := len(comp)
-	for _, v := range comp {
-		st.Set(factor.VarID(v), false)
-	}
-	if cap(buf) < 1<<k {
-		buf = make([]float64, 1<<k)
-	}
-	energies := buf[:1<<k]
-	// World i of the walk is the assignment i ^ i>>1; step i flips the
-	// variable at the lowest set bit of i.
-	energies[0] = 0
-	var e, top float64
-	for i := 1; i < len(energies); i++ {
-		if i&1023 == 1 && canceled(ctx) {
-			return nil
-		}
-		v := factor.VarID(comp[bits.TrailingZeros(uint(i))])
-		if d := st.EnergyDelta(v); st.Assign[v] {
-			e -= d
-			st.Set(v, false)
-		} else {
-			e += d
-			st.Set(v, true)
-		}
-		energies[i] = e
-		top = max(top, e)
-	}
-	var z float64
-	var sums [MaxStrawmanVars]float64
-	for i, e := range energies {
-		p := math.Exp(e - top)
-		z += p
-		for world := uint(i ^ i>>1); world != 0; world &= world - 1 {
-			sums[bits.TrailingZeros(world)] += p
-		}
-	}
-	for b, v := range comp {
-		out[v] = sums[b] / z
-	}
-	return buf
+	return RerunWithCtx(ctx, ig, burnin, keep, seed, gibbs.Runtime{})
 }

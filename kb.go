@@ -76,6 +76,8 @@ type KB struct {
 	// the next apply scores the union, so no grounded delta's factors
 	// escape the acceptance test. Guarded by stateMu.
 	pending inc.ChangeSet
+	// inferSolved is how the last Infer came by marg. Guarded by stateMu.
+	inferSolved inc.Solved
 
 	// curGraph is the graph the served state corresponds to — the same
 	// pointer grounder.Graph() last returned, mirrored here so the
@@ -430,21 +432,28 @@ func (kb *KB) Learn(ctx context.Context) (time.Duration, error) {
 	return time.Since(start), nil
 }
 
-// Infer runs Gibbs sampling from scratch on the current graph, stores
-// marginals for every candidate fact, and publishes a snapshot carrying
-// them. Cancellation returns promptly with the context's error; the
-// partial estimate is discarded and the previous snapshot keeps serving.
+// Infer computes marginals from scratch on the current graph, stores them
+// for every candidate fact, and publishes a snapshot carrying them.
+// Conditioned on evidence the graph falls into connected components of its
+// free variables; every component small enough to enumerate under the
+// budget of WithInference's burnin+keep sweeps gets its exact marginals (no
+// sampling noise, the seed does not move them), and Gibbs sampling — keep
+// sweeps after burnin, on the chain WithParallelism/WithReplicas select —
+// runs on the others only. Stats().Inferred on the published snapshot says
+// which way the variables went. Cancellation returns promptly with the
+// context's error; the partial estimate is discarded and the previous
+// snapshot keeps serving.
 func (kb *KB) Infer(ctx context.Context) (time.Duration, error) {
 	defer kb.lockExclusive()()
 	if err := ctxErr(ctx); err != nil {
 		return 0, err
 	}
 	start := time.Now()
-	m := inc.RerunWithCtx(ctx, kb.grounder.Graph(), kb.opts.InferBurnin, kb.opts.InferKeep, kb.opts.Seed+2, kb.runtime())
+	m, solved := inc.RerunWithCtx(ctx, kb.grounder.Graph(), kb.opts.InferBurnin, kb.opts.InferKeep, kb.opts.Seed+2, kb.runtime())
 	if err := ctxErr(ctx); err != nil {
 		return time.Since(start), err
 	}
-	kb.marg = m
+	kb.marg, kb.inferSolved = m, solved
 	kb.pending = inc.ChangeSet{} // full rerun covered every grounded delta
 	kb.publishLocked()
 	return time.Since(start), nil
@@ -452,9 +461,14 @@ func (kb *KB) Infer(ctx context.Context) (time.Duration, error) {
 
 // Materialize prepares the incremental-inference engine (sample bundles +
 // variational approximation) over the current distribution. Call after
-// Learn; afterwards Apply serves changes incrementally. Materialization
-// is all-or-nothing under cancellation: a cancelled call installs no
-// engine and returns the context's error.
+// Learn; afterwards Apply serves changes incrementally. The stored worlds
+// are exact independent draws wherever the graph's components can be
+// enumerated under the budget of WithMaterialization's samples plus
+// WithInference's burnin sweeps — the independent proposals the acceptance
+// test assumes — and one world a Gibbs sweep after burnin for the others
+// (Stats().Materialized).
+// Materialization is all-or-nothing under cancellation: a cancelled call
+// installs no engine and returns the context's error.
 func (kb *KB) Materialize(ctx context.Context) (time.Duration, error) {
 	defer kb.lockExclusive()()
 	if err := ctxErr(ctx); err != nil {
@@ -912,9 +926,11 @@ func (kb *KB) CloseNow() error {
 // result in as the served view. Callers hold stateMu.
 func (kb *KB) publishStaged(sk *skeleton, cs changeSet) *Snapshot {
 	s := &Snapshot{skeleton: *sk, marg: kb.marg}
+	s.stats.Inferred = kb.inferSolved
 	if kb.engine != nil {
 		ap := kb.autopilotLocked()
 		s.stats.Autopilot = &ap
+		s.stats.Materialized = kb.engine.Solved()
 	}
 	s.epoch = kb.epoch.Add(1)
 	cs.epoch = s.epoch

@@ -70,8 +70,8 @@ func quickstartGraph(t *testing.T) *factor.Graph {
 // the acceptance bound for the parallel sampling path.
 func TestParallelInferenceMatchesSequentialOnQuickstart(t *testing.T) {
 	g := quickstartGraph(t)
-	seq := inc.RerunWithCtx(ctx, g, 50, 5000, 9, gibbs.Runtime{})
-	par := inc.RerunWithCtx(ctx, g, 50, 5000, 9, gibbs.Runtime{Workers: 4})
+	seq, _ := inc.RerunWithCtx(ctx, g, 50, 5000, 9, gibbs.Runtime{})
+	par, _ := inc.RerunWithCtx(ctx, g, 50, 5000, 9, gibbs.Runtime{Workers: 4})
 	if len(seq) != len(par) {
 		t.Fatalf("marginal widths differ: %d vs %d", len(seq), len(par))
 	}

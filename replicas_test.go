@@ -16,8 +16,8 @@ import (
 // the acceptance bound for the replica sampling path.
 func TestReplicaInferenceMatchesSequentialOnQuickstart(t *testing.T) {
 	g := quickstartGraph(t)
-	seq := inc.RerunWithCtx(ctx, g, 50, 5000, 9, gibbs.Runtime{})
-	rep := inc.RerunWithCtx(ctx, g, 50, 1500, 9, gibbs.Runtime{Replicas: 4, SyncEvery: 8})
+	seq, _ := inc.RerunWithCtx(ctx, g, 50, 5000, 9, gibbs.Runtime{})
+	rep, _ := inc.RerunWithCtx(ctx, g, 50, 1500, 9, gibbs.Runtime{Replicas: 4, SyncEvery: 8})
 	if len(seq) != len(rep) {
 		t.Fatalf("marginal widths differ: %d vs %d", len(seq), len(rep))
 	}

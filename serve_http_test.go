@@ -143,6 +143,14 @@ func TestServeHTTPEndToEnd(t *testing.T) {
 	if q := body["queue"].(map[string]any); q["applied"].(float64) < 1 {
 		t.Fatalf("queue stats: %v", q)
 	}
+	// "Why was that materialization slow" is on the wire: how Infer and
+	// Materialize came by their result — here without a sweep.
+	for _, pass := range []string{"Inferred", "Materialized"} {
+		n, _ := body["graph"].(map[string]any)[pass].(map[string]any)
+		if n == nil || n["Swept"].(float64) != 0 || n["Closed"].(float64)+n["Enumerated"].(float64) == 0 || n["Largest"].(float64) < 1 {
+			t.Fatalf("stats: graph.%s = %v", pass, n)
+		}
+	}
 	code, body = getJSON(t, base+"/v1/autopilot")
 	if code != 200 || body["autopilot"] == nil {
 		t.Fatalf("autopilot: %d %v", code, body)

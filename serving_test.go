@@ -64,6 +64,41 @@ func spouseKBRaw(t *testing.T, opts ...deepdive.Option) *deepdive.KB {
 	return kb
 }
 
+// chainSource couples every node to its successor: conditioned on nothing,
+// n nodes are one connected component of n free variables.
+const chainSource = `
+@relation Node(a).
+@relation Next(a, b).
+@variable On(a).
+
+@semantics(ratio).
+
+Cand: On(a) :- Node(a).
+Prior: On(a) :- Node(a) weight = 0.3.
+Chain: On(b) :- On(a), Next(a, b) weight = 0.8.
+`
+
+// chainKB is the chain program over n nodes after its initial grounding.
+func chainKB(t *testing.T, n int, opts ...deepdive.Option) *deepdive.KB {
+	t.Helper()
+	kb, err := deepdive.OpenKB(chainSource, append([]deepdive.Option{deepdive.WithSeed(7)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { kb.Close() })
+	var nodes, next []deepdive.Tuple
+	for i := 0; i < n; i++ {
+		nodes = append(nodes, deepdive.Tuple{fmt.Sprint("n", i)})
+		if i > 0 {
+			next = append(next, deepdive.Tuple{fmt.Sprint("n", i-1), fmt.Sprint("n", i)})
+		}
+	}
+	must(t, kb.Load("Node", nodes))
+	must(t, kb.Load("Next", next))
+	must(t, kb.Init(context.Background()))
+	return kb
+}
+
 // docUpdate builds the update inserting one two-mention document; the
 // resulting ordered mention pairs always arrive atomically in one update.
 func docUpdate(i int) deepdive.Update {
@@ -183,15 +218,17 @@ func TestKBContextCancellation(t *testing.T) {
 	}
 
 	// Mid-flight cancellation of an otherwise very long inference: the
-	// cooperative per-sweep check must return well before the full run
-	// (5e6 sweeps on this graph would take minutes).
+	// cooperative per-sweep check must return well before the full run.
+	// Every component of the spouse graph enumerates, so its Infer finishes
+	// before any cancel could fire whatever the budget; the chain program
+	// couples 40 variables into one component past inc.MaxStrawmanVars,
+	// which no budget enumerates — 5e7 sweeps of it would take a minute.
 	ctx, cancel2 := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel2()
 	}()
-	kbLong := spouseKBRaw(t, deepdive.WithInference(5_000_000, 1))
-	must(t, kbLong.Init(context.Background()))
+	kbLong := chainKB(t, 40, deepdive.WithInference(50_000_000, 1))
 	epochBefore := kbLong.Snapshot().Epoch()
 	start := time.Now()
 	_, err := kbLong.Infer(ctx)
@@ -203,6 +240,20 @@ func TestKBContextCancellation(t *testing.T) {
 	}
 	if e := kbLong.Snapshot().Epoch(); e != epochBefore {
 		t.Fatalf("cancelled Infer published snapshot (epoch %d -> %d)", epochBefore, e)
+	}
+	// The same for a materialization that owes the chain 5e7 stored sweeps.
+	ctx, cancel3 := context.WithCancel(context.Background())
+	time.AfterFunc(30*time.Millisecond, cancel3)
+	kbLong = chainKB(t, 40, deepdive.WithMaterialization(50_000_000, 0.01))
+	start = time.Now()
+	if _, err := kbLong.Materialize(ctx); err != context.Canceled {
+		t.Fatalf("Materialize err = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("cancelled Materialize took %v; cooperative check not reached", elapsed)
+	}
+	if st := kbLong.Snapshot().Stats(); st.Autopilot != nil || st.Materialized != (deepdive.Solved{}) {
+		t.Fatalf("cancelled Materialize installed an engine: %+v", st)
 	}
 
 	// The KB stays usable: a fresh uncancelled run succeeds and publishes.
@@ -217,6 +268,57 @@ func TestKBContextCancellation(t *testing.T) {
 	}
 	if _, ok := kb.Snapshot().Marginal("HasSpouse", deepdive.Tuple{"p0a", "p0b"}); !ok {
 		t.Fatal("post-cancellation Apply did not serve the new pair")
+	}
+}
+
+// TestSolvedStats: Infer and Materialize record how they came by their
+// result, readable off the snapshot they publish. The spouse graph's
+// components all enumerate — nothing is swept and every free variable is
+// accounted for; the chain program's 40 coupled variables are past the bound
+// under any budget, so they go to the runtime's chain — sequential, sharded
+// and replica alike — while inference and materialization still complete and
+// serve a marginal for every node.
+func TestSolvedStats(t *testing.T) {
+	kb := spouseKB(t)
+	st := kb.Snapshot().Stats()
+	for pass, n := range map[string]deepdive.Solved{"Infer": st.Inferred, "Materialize": st.Materialized} {
+		if n.Swept != 0 || n.Closed+n.Enumerated != st.QueryFacts || n.Largest < 1 {
+			t.Errorf("spouse %s solved %+v of %d free variables", pass, n, st.QueryFacts)
+		}
+	}
+	if _, err := kb.Apply(context.Background(), docUpdate(0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := kb.Snapshot().Stats(); got.Inferred != st.Inferred || got.Materialized != st.Materialized {
+		t.Errorf("an update rewrote the record: %+v, %+v", got.Inferred, got.Materialized)
+	}
+
+	for name, opt := range map[string]deepdive.Option{
+		"sequential": deepdive.WithParallelism(1),
+		"sharded":    deepdive.WithParallelism(4),
+		"replicas":   deepdive.WithReplicas(2, 8),
+	} {
+		kb := chainKB(t, 40, opt, deepdive.WithInference(30, 300), deepdive.WithMaterialization(200, 0.01))
+		if st := kb.Snapshot().Stats(); st.Inferred != (deepdive.Solved{}) || st.Materialized != (deepdive.Solved{}) {
+			t.Fatalf("%s: a record before any pass: %+v", name, st)
+		}
+		if _, err := kb.Infer(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := kb.Materialize(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		st := kb.Snapshot().Stats()
+		want := deepdive.Solved{Swept: 40, Largest: 40}
+		if st.Inferred != want || st.Materialized != want || st.Autopilot.StoreLen != 200 {
+			t.Fatalf("%s: chain of 40 solved %+v / %+v with %d worlds stored, want %+v and 200", name, st.Inferred, st.Materialized, st.Autopilot.StoreLen, want)
+		}
+		// Positive couplings and a positive prior: every node leans on.
+		for i := 0; i < 40; i++ {
+			if p, ok := kb.Snapshot().Marginal("On", deepdive.Tuple{fmt.Sprint("n", i)}); !ok || p < 0.5 || p > 0.99 {
+				t.Fatalf("%s: On(n%d) = %v, %v", name, i, p, ok)
+			}
+		}
 	}
 }
 

@@ -36,7 +36,8 @@ func answersOf(t *testing.T, s *deepdive.Snapshot) snapshotAnswers {
 		Facts: map[string][]deepdive.Fact{}, Candidates: map[string][]deepdive.Tuple{},
 		Extractions: map[string][]deepdive.Extraction{}, Marginals: map[string][]float64{},
 	}
-	a.Stats.Autopilot = nil
+	// What publication attaches: the engine's state, not the skeleton's.
+	a.Stats.Autopilot, a.Stats.Inferred, a.Stats.Materialized = nil, deepdive.Solved{}, deepdive.Solved{}
 	for _, rel := range a.Relations {
 		a.Facts[rel], a.Candidates[rel], a.Extractions[rel] = s.Facts(rel), s.Candidates(rel), s.Extractions(rel, 0.5)
 		if len(a.Facts[rel]) == 0 || len(a.Facts[rel]) != len(a.Candidates[rel]) {
