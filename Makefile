@@ -22,9 +22,9 @@ test:
 # The parallel and replica samplers' sweeps fan out across goroutines
 # (including the shard-local conditional-cache fills/invalidation),
 # patched graphs share pool backing arrays across the lineage, and the
-# replica learner steps weight replicas concurrently; run all three
-# packages under the race detector (covers the cached-state and
-# differential tests). internal/ground's parallel delta grounding has
+# learner drives those samplers' fan-out between weight steps under any
+# runtime; run all three packages under the race detector (covers the
+# cached-state and differential tests). internal/ground's parallel delta grounding has
 # workers run compiled plans over internal/db's in-place indexes and
 # old-state view concurrently, so both are in the set. internal/inc drives
 # the samplers (materialization on the configured runtime, the sharded

@@ -58,7 +58,7 @@ func run(args []string, out io.Writer) int {
 	full := fs.Bool("full", false, "use the full scaled corpus (slower)")
 	parallel := fs.Int("parallel", 1, "Gibbs worker shards (<=1 sequential, -1 one per core)")
 	replicas := fs.Int("replicas", 0, "replica engine workers (0 off, -1 one per core); overrides -parallel")
-	syncEvery := fs.Int("syncevery", 0, "replica merge interval in sweeps/steps (0 = default)")
+	syncEvery := fs.Int("syncevery", 0, "replica merge interval in sweeps (0 = default)")
 	rebuild := fs.Bool("rebuild", false, "rebuild the factor graph on every update (lesion; default is the O(Δ) in-place patch)")
 	staticOpt := fs.Bool("static-optimizer", false, "lesion: static §3.3 strategy rules, per-update change sets, no re-materialization")
 	serve := fs.String("serve", "", "serve the KB over HTTP on this address (e.g. 127.0.0.1:8090, :0 for a free port) while the rule iterations stream through the update queue")

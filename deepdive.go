@@ -135,14 +135,14 @@ type Options struct {
 
 	// Replicas selects the DimmWitted-style replica engine for every Gibbs
 	// chain the engine runs: each of n workers owns a full private
-	// assignment copy (and, during learning, a private weight vector) over
-	// the shared CSR pools, and the driver merges every SyncEvery sweeps —
-	// assignments by consensus vote and ring exchange, weights by model
-	// averaging. n >= 1 replicas, negative means one per core, 0 keeps the
-	// sharded/sequential runtime.
+	// assignment copy over the shared CSR pools, and the driver merges the
+	// copies every SyncEvery sweeps by consensus vote and ring exchange.
+	// Learning runs its clamped and free chains on the engine and steps one
+	// model on their replica-averaged statistics. n >= 1 replicas, negative
+	// means one per core, 0 keeps the sharded/sequential runtime.
 	Replicas int
-	// SyncEvery is the replica merge interval in sweeps (learning:
-	// gradient steps); <= 0 selects the default (8).
+	// SyncEvery is the replica merge interval in sweeps; <= 0 selects the
+	// default (8).
 	SyncEvery int
 
 	// MaxPending bounds the update queue's pending depth: when the queue
@@ -230,15 +230,6 @@ type Options struct {
 	// report no marginal until the final publication. 0 (the default)
 	// publishes only final states.
 	ProgressPublish time.Duration
-
-	// AsyncAveraging lets the replica learner overlap its model-averaging
-	// barrier with the first gradient steps of the next segment: each
-	// worker publishes its weights and immediately keeps stepping, then
-	// folds the segment mean in when it lands (a one-segment-lag
-	// correction). The trajectory differs from the barrier schedule but
-	// stays deterministic for a fixed seed. Only meaningful when Replicas
-	// selects the replica engine during learning.
-	AsyncAveraging bool
 
 	// Lesions switches mechanisms off for ablation studies (see Lesions).
 	// The zero value — everything on — is the production configuration.
@@ -337,9 +328,9 @@ func WithMaterialization(samples int, lambda float64) Option {
 func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
 
 // WithReplicas runs every Gibbs chain on the replica engine: n workers
-// with full private assignment (and, during learning, weight) copies,
-// merged every syncEvery sweeps/steps (see Options.Replicas). n negative
-// means one replica per core; syncEvery <= 0 selects the default.
+// with full private assignment copies, merged every syncEvery sweeps (see
+// Options.Replicas). n negative means one replica per core; syncEvery <= 0
+// selects the default.
 func WithReplicas(n, syncEvery int) Option {
 	return func(o *Options) { o.Replicas = n; o.SyncEvery = syncEvery }
 }
@@ -348,10 +339,6 @@ func WithReplicas(n, syncEvery int) Option {
 // Options.MaxPending): submissions past the bound block until the writer
 // drains a batch. n <= 0 means unbounded (the default).
 func WithMaxPending(n int) Option { return func(o *Options) { o.MaxPending = n } }
-
-// WithAsyncAveraging lets replica learning overlap model averaging with
-// the next segment's gradient steps (see Options.AsyncAveraging).
-func WithAsyncAveraging(on bool) Option { return func(o *Options) { o.AsyncAveraging = on } }
 
 // WithRematerialization arms the background re-materializer: when fewer
 // than lowWater unconsumed samples remain after an update, Pr(0) is

@@ -159,8 +159,8 @@ func randomFreeVar(rng *rand.Rand, g *factor.Graph) factor.VarID {
 
 // TestCacheSurvivesStateResets pins the bulk-invalidation paths the
 // learner and the incremental engine depend on: Recount, SyncEvidence,
-// SetAssignment, and direct weight-slice writes announced through
-// NoteWeightsChanged must all leave the cache serving fresh conditionals.
+// SetAssignment, SetWeight and SetWeights must all leave the cache serving
+// fresh conditionals.
 func TestCacheSurvivesStateResets(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	_, g := seedModel(rng, t, false)
@@ -188,23 +188,12 @@ func TestCacheSurvivesStateResets(t *testing.T) {
 	g.SetWeight(0, 1.75)
 	check("SetWeight")
 
-	// Weight change behind the graph's back (replica learner pattern).
+	// Whole-vector replacement (the learner's step).
 	warm()
-	view := g.WeightView(append([]float64(nil), g.Weights()...))
-	vst := factor.NewStateWith(view, st.Assign)
-	for v := 0; v < view.NumVars(); v++ {
-		vst.EnergyDelta(factor.VarID(v))
-	}
-	view.Weights()[0] = -2.5
-	view.NoteWeightsChanged()
-	for v := 0; v < view.NumVars(); v++ {
-		id := factor.VarID(v)
-		got := vst.EnergyDelta(id)
-		want := view.EnergyDeltaOf(vst.Assign, id)
-		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-			t.Fatalf("NoteWeightsChanged: var %d stale conditional %v, want %v", v, got, want)
-		}
-	}
+	ws := append([]float64(nil), g.Weights()...)
+	ws[0] = -2.5
+	g.SetWeights(ws)
+	check("SetWeights")
 
 	// Evidence flip + SyncEvidence.
 	warm()

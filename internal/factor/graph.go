@@ -128,10 +128,10 @@ type Graph struct {
 	nbrs     []int32
 	nbrExtra paged[[]int32]
 
-	// weightGen counts weight mutations (SetWeight, SetWeights,
-	// NoteWeightsChanged). Conditional caches compare it against the value
-	// they were filled under and bulk-invalidate on mismatch, so weight
-	// updates during learning can never serve a stale conditional.
+	// weightGen counts weight mutations (SetWeight, SetWeights).
+	// Conditional caches compare it against the value they were filled
+	// under and bulk-invalidate on mismatch, so the learner's gradient steps
+	// can never leave a chain serving a stale conditional.
 	weightGen uint64
 
 	nGnd int // grounding pool size (live + tombstoned)
@@ -286,12 +286,6 @@ func (g *Graph) SetWeights(vals []float64) {
 // bulk-invalidate when it moves.
 func (g *Graph) WeightGeneration() uint64 { return g.weightGen }
 
-// NoteWeightsChanged bumps the weight generation without changing any
-// value. Call it after mutating weight storage behind the graph's back —
-// the replica learner steps the caller-owned vector a WeightView is bound
-// to directly, which SetWeight(s) never sees.
-func (g *Graph) NoteWeightsChanged() { g.weightGen++ }
-
 // semVal returns the precomputed g(n) of group gi.
 func (g *Graph) semVal(gi int32, n int) float64 { return g.semTabs[g.groupSem[gi]][n] }
 
@@ -314,24 +308,6 @@ func (g *Graph) Neighbors(v VarID, f func(VarID)) {
 	for _, u := range g.ExtraNeighbors(v) {
 		f(VarID(u))
 	}
-}
-
-// WeightView returns a graph that shares every structural array with g —
-// the CSR pools, adjacency rows, evidence tables, and patch state — but
-// reads weight values from the caller-owned weights slice instead of g's.
-// This is the replica engine's model-copy primitive: per-worker learners
-// mutate their private vector freely while all views keep evaluating over
-// one immutable pool lineage. len(weights) must match NumWeights.
-//
-// The view is a read-only alias of g's structure: do not patch it, and do
-// not call SetEvidence on it (evidence arrays are shared with g).
-func (g *Graph) WeightView(weights []float64) *Graph {
-	if len(weights) != len(g.weights) {
-		panic(fmt.Sprintf("factor: WeightView got %d weights, want %d", len(weights), len(g.weights)))
-	}
-	ng := *g
-	ng.weights = weights
-	return &ng
 }
 
 // GroupVars calls f for group gi's head and for every variable of each

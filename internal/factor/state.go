@@ -163,11 +163,9 @@ func (s *State) Energy() float64 {
 	return e
 }
 
-// InvalidateConditionals drops every cached conditional in O(1). Weight
-// changes through Graph.SetWeight/SetWeights are detected automatically;
-// call this (or Graph.NoteWeightsChanged) when weight storage is mutated
-// directly — the replica learner steps the vector behind a WeightView —
-// so the next sweep recomputes every conditional under the new model.
+// InvalidateConditionals drops every cached conditional in O(1), so the
+// next sweep recomputes each one. Weight changes through
+// Graph.SetWeight/SetWeights are detected automatically (ensureFresh).
 func (s *State) InvalidateConditionals() {
 	s.stamp++
 	if s.stamp == 0 { // wrapped: stale stamps could collide, clear them

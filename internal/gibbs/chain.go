@@ -6,10 +6,11 @@ import (
 	"deepdive/internal/factor"
 )
 
-// Chain is a Gibbs chain over a factor graph — either the sequential
-// Sampler or the sharded ParallelSampler. Weight learning and incremental
-// materialization are written against this interface so parallelism is a
-// configuration knob, not a code path.
+// Chain is a Gibbs chain over a factor graph — the sequential Sampler, the
+// sharded ParallelSampler or the replica ReplicaSampler, as a Runtime
+// selects. Weight learning and incremental materialization are written
+// against this interface so parallelism is a configuration knob, not a
+// code path.
 //
 // The Ctx variants are the cancellation surface of the serving API: they
 // check ctx between sweeps (the cooperative-cancellation granularity —
@@ -71,20 +72,6 @@ func canceled(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
 }
 
-// NewChain returns a chain over g: the sequential Sampler when workers <= 1,
-// otherwise a ParallelSampler with that many worker shards. Negative
-// workers select one worker per core (runtime.GOMAXPROCS). Replica-mode
-// selection goes through Runtime.NewChain.
-func NewChain(g *factor.Graph, seed int64, workers int) Chain {
-	if workers < 0 {
-		return NewParallel(g, workers, seed) // resolves to GOMAXPROCS
-	}
-	if workers <= 1 {
-		return New(g, seed)
-	}
-	return NewParallel(g, workers, seed)
-}
-
 // Runtime selects the sampling runtime by configuration: the replica
 // engine when Replicas is non-zero, otherwise the sharded/sequential
 // chain by worker count. It is the single knob every layer (learning,
@@ -100,18 +87,25 @@ type Runtime struct {
 	// full per-worker assignment copies, negative one per core, 0 disables
 	// replica mode.
 	Replicas int
-	// SyncEvery is the replica merge interval in sweeps (learning: gradient
-	// steps); <= 0 selects DefaultSyncEvery. Unused outside replica mode.
+	// SyncEvery is the replica merge interval in sweeps; <= 0 selects
+	// DefaultSyncEvery. Unused outside replica mode.
 	SyncEvery int
 }
 
 // ReplicaMode reports whether the runtime selects the replica engine.
 func (rt Runtime) ReplicaMode() bool { return rt.Replicas != 0 }
 
-// NewChain builds the chain the runtime selects over g.
+// NewChain builds the chain the runtime selects over g: the replica engine
+// in replica mode, otherwise the sequential Sampler when Workers is 0 or 1
+// and a ParallelSampler with that many shards (one per core when
+// negative) beyond.
 func (rt Runtime) NewChain(g *factor.Graph, seed int64) Chain {
-	if rt.ReplicaMode() {
+	switch {
+	case rt.ReplicaMode():
 		return NewReplica(g, rt.Replicas, rt.SyncEvery, seed)
+	case rt.Workers == 0 || rt.Workers == 1:
+		return New(g, seed)
+	default:
+		return NewParallel(g, rt.Workers, seed) // negative resolves to GOMAXPROCS
 	}
-	return NewChain(g, seed, rt.Workers)
 }

@@ -136,7 +136,7 @@ func NewParallel(g *factor.Graph, workers int, seed int64) *ParallelSampler {
 		// from adjacent master seeds (the learner's clamped/free pair, the
 		// engine's phase offsets) must not share worker streams, which
 		// splitmix64(seed+w) alone would allow.
-		p.rngs[w] = rand.New(rand.NewSource(DeriveSeed(MixSeed(seed), w)))
+		p.rngs[w] = rand.New(rand.NewSource(deriveSeed(mixSeed(seed), w)))
 		// Flip-log capacity: a variable flips at most once per sweep, so a
 		// shard-sized row never reallocates mid-sweep.
 		p.flips[w] = make([]int32, 0, size)

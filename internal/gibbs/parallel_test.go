@@ -129,20 +129,20 @@ func TestParallelWorkerClamp(t *testing.T) {
 	}
 }
 
-// TestNewChainSelection checks the Chain factory's worker dispatch.
+// TestNewChainSelection checks the Runtime factory's worker dispatch.
 func TestNewChainSelection(t *testing.T) {
 	g := chainGraph(10, 0.3)
-	if _, ok := NewChain(g, 1, 0).(*Sampler); !ok {
-		t.Fatal("workers=0 should select the sequential Sampler")
+	if _, ok := (Runtime{Workers: 0}).NewChain(g, 1).(*Sampler); !ok {
+		t.Fatal("Workers=0 should select the sequential Sampler")
 	}
-	if _, ok := NewChain(g, 1, 1).(*Sampler); !ok {
-		t.Fatal("workers=1 should select the sequential Sampler")
+	if _, ok := (Runtime{Workers: 1}).NewChain(g, 1).(*Sampler); !ok {
+		t.Fatal("Workers=1 should select the sequential Sampler")
 	}
-	if _, ok := NewChain(g, 1, 4).(*ParallelSampler); !ok {
-		t.Fatal("workers=4 should select the ParallelSampler")
+	if _, ok := (Runtime{Workers: 4}).NewChain(g, 1).(*ParallelSampler); !ok {
+		t.Fatal("Workers=4 should select the ParallelSampler")
 	}
-	if _, ok := NewChain(g, 1, -1).(*ParallelSampler); !ok {
-		t.Fatal("workers=-1 should select the ParallelSampler")
+	if _, ok := (Runtime{Workers: -1}).NewChain(g, 1).(*ParallelSampler); !ok {
+		t.Fatal("Workers=-1 should select the ParallelSampler")
 	}
 }
 

@@ -9,20 +9,18 @@ import (
 	"deepdive/internal/factor"
 )
 
-// DefaultSyncEvery is the default number of sweeps (sampling) or gradient
-// steps (learning) between replica merges.
+// DefaultSyncEvery is the default number of sweeps between replica merges.
 const DefaultSyncEvery = 8
 
-// MixSeed scrambles a master seed through splitmix64 so that per-stream
-// seeds derived by DeriveSeed never collide with streams another caller
+// mixSeed scrambles a master seed through splitmix64 so that per-stream
+// seeds derived by deriveSeed never collide with streams another caller
 // derives from an adjacent master seed (engines hand stages seeds like
 // seed+1, seed+5, ...).
-func MixSeed(seed int64) uint64 { return splitmix64(uint64(seed)) }
+func mixSeed(seed int64) uint64 { return splitmix64(uint64(seed)) }
 
-// DeriveSeed yields the i-th independent stream seed of a mixed master
-// seed (the samplers' per-worker derivation rule, exported for the
-// replica learner).
-func DeriveSeed(mixed uint64, i int) int64 {
+// deriveSeed yields the i-th independent stream seed of a mixed master
+// seed (the samplers' per-worker derivation rule).
+func deriveSeed(mixed uint64, i int) int64 {
 	return int64(splitmix64(mixed + uint64(i)))
 }
 
@@ -77,6 +75,8 @@ type ReplicaSampler struct {
 
 	collecting bool
 	counts     [][]float64 // per-replica true counts
+
+	scratch []float64 // WeightStats' per-replica buffer, kept across calls
 }
 
 // NewReplica creates a replica sampler over g with the given replica
@@ -109,12 +109,12 @@ func NewReplica(g *factor.Graph, replicas, syncEvery int, seed int64) *ReplicaSa
 			r.free = append(r.free, factor.VarID(v))
 		}
 	}
-	base := MixSeed(seed)
+	base := mixSeed(seed)
 	for w := 0; w < replicas; w++ {
 		r.states[w] = factor.NewStateWith(g, r.cons)
 		// Same double-splitmix derivation as the sharded sampler: chains
 		// built from adjacent master seeds must not share worker streams.
-		r.rngs[w] = rand.New(rand.NewSource(DeriveSeed(base, w)))
+		r.rngs[w] = rand.New(rand.NewSource(deriveSeed(base, w)))
 	}
 	return r
 }
@@ -359,9 +359,13 @@ func (r *ReplicaSampler) CondProb(v factor.VarID) float64 {
 // statistic into out: each replica's world contributes 1/Replicas of its
 // statistic (computed from the replica's maintained support counters — no
 // grounding walk), an unbiased lower-variance estimate than any single
-// world's.
+// world's. The learner calls it twice per sweep, so the per-replica buffer
+// lives on the sampler: a call allocates only when out grows.
 func (r *ReplicaSampler) WeightStats(out []float64) {
-	scratch := make([]float64, len(out))
+	if cap(r.scratch) < len(out) {
+		r.scratch = make([]float64, len(out))
+	}
+	scratch := r.scratch[:len(out)]
 	inv := 1 / float64(r.replicas)
 	for _, rs := range r.states {
 		for i := range scratch {
@@ -372,156 +376,4 @@ func (r *ReplicaSampler) WeightStats(out []float64) {
 			out[i] += s * inv
 		}
 	}
-}
-
-// ReplicaLearner owns the model side of the replica engine during weight
-// learning: one private weight vector per worker plus the canonical
-// averaged model. Workers step their private vectors with no cross-worker
-// reads; Average applies the DimmWitted model-averaging rule — canonical
-// = mean of the replicas, broadcast back so every worker resumes from the
-// merged model. Bind each private vector to the shared CSR pools with
-// factor.Graph.WeightView.
-type ReplicaLearner struct {
-	weights   [][]float64
-	canonical []float64
-}
-
-// NewReplicaLearner creates replicas private copies of init (replicas
-// must be >= 1).
-func NewReplicaLearner(replicas int, init []float64) *ReplicaLearner {
-	if replicas < 1 {
-		replicas = 1
-	}
-	l := &ReplicaLearner{
-		weights:   make([][]float64, replicas),
-		canonical: append([]float64(nil), init...),
-	}
-	for r := range l.weights {
-		l.weights[r] = append([]float64(nil), init...)
-	}
-	return l
-}
-
-// Replicas returns the number of weight replicas.
-func (l *ReplicaLearner) Replicas() int { return len(l.weights) }
-
-// Weights returns replica r's live private vector; worker r mutates it
-// freely between Average calls.
-func (l *ReplicaLearner) Weights(r int) []float64 { return l.weights[r] }
-
-// Canonical returns the live canonical (averaged) vector. Valid after the
-// latest Average; between averages it holds the previous merge.
-func (l *ReplicaLearner) Canonical() []float64 { return l.canonical }
-
-// AsyncAverager coordinates overlap-averaged replica learning: instead
-// of stopping every worker at a segment boundary to merge (Average's
-// barrier), each worker publishes its private vector for segment s and
-// keeps stepping immediately; the segment mean becomes available once
-// all n workers have published, and workers fold it in one segment late.
-// Results are deterministic for a fixed seed regardless of goroutine
-// scheduling: a mean is computed — in replica order, so float summation
-// order is fixed — only from the complete set of published vectors, and
-// every correction a worker applies is a function of those means and its
-// own private trajectory.
-type AsyncAverager struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	segs    map[int]*asyncSeg
-	aborted bool
-}
-
-type asyncSeg struct {
-	count    int
-	vals     [][]float64 // indexed by replica until complete
-	mean     []float64   // set once count == n
-	consumed int         // WaitMean calls served; n frees the segment
-}
-
-// NewAsyncAverager creates an averager for n replica workers.
-func NewAsyncAverager(n int) *AsyncAverager {
-	a := &AsyncAverager{n: n, segs: map[int]*asyncSeg{}}
-	a.cond = sync.NewCond(&a.mu)
-	return a
-}
-
-// Publish contributes replica r's weights to segment seg's mean (w is
-// copied). The completing publish computes the mean and wakes waiters.
-func (a *AsyncAverager) Publish(seg, r int, w []float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.aborted {
-		return
-	}
-	s := a.segs[seg]
-	if s == nil {
-		s = &asyncSeg{vals: make([][]float64, a.n)}
-		a.segs[seg] = s
-	}
-	s.vals[r] = append([]float64(nil), w...)
-	s.count++
-	if s.count == a.n {
-		mean := make([]float64, len(w))
-		inv := 1 / float64(a.n)
-		for k := range mean {
-			var sum float64
-			for _, v := range s.vals {
-				sum += v[k]
-			}
-			mean[k] = sum * inv
-		}
-		s.mean = mean
-		s.vals = nil
-		a.cond.Broadcast()
-	}
-}
-
-// WaitMean blocks until segment seg's mean is complete and returns it,
-// or nil after Abort. The slice is shared across workers — read-only.
-// Each of the n workers calls WaitMean once per segment; the n-th call
-// frees the segment's storage.
-func (a *AsyncAverager) WaitMean(seg int) []float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for {
-		if a.aborted {
-			return nil
-		}
-		if s := a.segs[seg]; s != nil && s.mean != nil {
-			s.consumed++
-			if s.consumed == a.n {
-				delete(a.segs, seg)
-			}
-			return s.mean
-		}
-		a.cond.Wait()
-	}
-}
-
-// Abort permanently unblocks every current and future WaitMean with a
-// nil mean — the cancellation path when one worker stops early.
-func (a *AsyncAverager) Abort() {
-	a.mu.Lock()
-	a.aborted = true
-	a.cond.Broadcast()
-	a.mu.Unlock()
-}
-
-// Average merges the replicas under the model-averaging rule — canonical
-// = mean over replicas, element-wise — and broadcasts the merged model
-// back into every replica. Returns the canonical vector. Driver-side
-// only: no worker may be stepping during the merge.
-func (l *ReplicaLearner) Average() []float64 {
-	inv := 1 / float64(len(l.weights))
-	for k := range l.canonical {
-		var s float64
-		for _, w := range l.weights {
-			s += w[k]
-		}
-		l.canonical[k] = s * inv
-	}
-	for _, w := range l.weights {
-		copy(w, l.canonical)
-	}
-	return l.canonical
 }

@@ -186,6 +186,20 @@ func TestReplicaWeightStatsAveraged(t *testing.T) {
 	}
 }
 
+// TestReplicaWeightStatsAllocationFree guards the learner's per-sweep cost
+// in replica mode: it reads both chains' statistics every sweep, so
+// WeightStats must reuse the sampler's buffer instead of allocating one.
+func TestReplicaWeightStatsAllocationFree(t *testing.T) {
+	g := chainGraph(40, 0.5)
+	r := NewReplica(g, 3, 4, 9)
+	r.RandomizeState()
+	out := make([]float64, g.NumWeights())
+	r.WeightStats(out)
+	if n := testing.AllocsPerRun(20, func() { r.WeightStats(out) }); n != 0 {
+		t.Fatalf("WeightStats allocates %v times per call, want 0", n)
+	}
+}
+
 // TestReplicaOnPatchedGraph composes the replica engine with the PR 2
 // patch path: replicas over a patched graph (shared immutable pool
 // lineage) must agree with a sequential chain over the same graph.
@@ -212,30 +226,5 @@ func TestReplicaOnPatchedGraph(t *testing.T) {
 	mad /= float64(len(want))
 	if mad > 0.03 {
 		t.Fatalf("patched-graph replica marginals differ: MAD %.4f", mad)
-	}
-}
-
-// TestReplicaLearnerAveraging checks the DimmWitted model-averaging rule:
-// canonical = element-wise mean, broadcast back into every replica.
-func TestReplicaLearnerAveraging(t *testing.T) {
-	l := NewReplicaLearner(3, []float64{1, 2})
-	if l.Replicas() != 3 {
-		t.Fatalf("Replicas() = %d", l.Replicas())
-	}
-	l.Weights(0)[0] = 4
-	l.Weights(1)[0] = 1
-	l.Weights(2)[0] = 1
-	l.Weights(2)[1] = 5
-	avg := l.Average()
-	if avg[0] != 2 || avg[1] != 3 {
-		t.Fatalf("Average() = %v, want [2 3]", avg)
-	}
-	for r := 0; r < 3; r++ {
-		if l.Weights(r)[0] != 2 || l.Weights(r)[1] != 3 {
-			t.Fatalf("replica %d not re-seeded with canonical: %v", r, l.Weights(r))
-		}
-	}
-	if c := l.Canonical(); c[0] != 2 || c[1] != 3 {
-		t.Fatalf("Canonical() = %v", c)
 	}
 }

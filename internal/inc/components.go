@@ -236,7 +236,7 @@ func newWorlds(ctx context.Context, g *factor.Graph, o Options, n int, seed int6
 	}
 	w.solved = solved
 	if len(rest) > 0 {
-		w.chain, w.chainVars = restChain(g, rest, seed, o.runtime())
+		w.chain, w.chainVars = restChain(g, rest, seed, o.Runtime)
 	}
 	return w
 }

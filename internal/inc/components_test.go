@@ -487,7 +487,7 @@ func TestRerunSweepsOnlyTheRemainder(t *testing.T) {
 		}
 
 		e, err := NewEngine(g, Options{MaterializationSamples: 90, Burnin: burnin, Seed: seed,
-			Parallelism: rt.Workers, Replicas: rt.Replicas, DisableVariational: true})
+			Runtime: rt, DisableVariational: true})
 		if err != nil {
 			t.Fatal(err)
 		}

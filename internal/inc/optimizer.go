@@ -60,19 +60,11 @@ type Options struct {
 	Lambda float64
 	// MaxDenseComponent caps the dense log-det solve (default 300).
 	MaxDenseComponent int
-	// Parallelism selects the Gibbs chain for materialization and rerun
-	// fallbacks: <= 1 sequential, n > 1 shards sweeps across n workers,
-	// negative means one worker per core. Ignored when Replicas selects
-	// the replica engine.
-	Parallelism int
-	// Replicas selects the replica engine for materialization and rerun
-	// chains (per-worker assignment copies merged every SyncEvery sweeps):
-	// n >= 1 replicas, negative one per core, 0 disables.
-	Replicas int
-	// SyncEvery is the replica merge interval; <= 0 selects
-	// gibbs.DefaultSyncEvery.
-	SyncEvery int
-	Seed      int64
+	// Runtime selects the Gibbs chain for materialization and rerun
+	// fallbacks (sequential, sharded or replica); its Workers also shards
+	// the sampling runner's acceptance scoring.
+	Runtime gibbs.Runtime
+	Seed    int64
 
 	// MeasuredOptimizer drives the sampling-vs-variational choice from a
 	// measured acceptance-rate probe over the stored samples (the §3.2
@@ -140,11 +132,6 @@ func (o Options) fill() Options {
 		o.AcceptLow = 0.02
 	}
 	return o
-}
-
-// runtime derives the chain-selection config from the options.
-func (o Options) runtime() gibbs.Runtime {
-	return gibbs.Runtime{Workers: o.Parallelism, Replicas: o.Replicas, SyncEvery: o.SyncEvery}
 }
 
 // Result reports one incremental inference run.
@@ -236,8 +223,7 @@ type Engine struct {
 // solveComponents) — the independent proposals the acceptance test of
 // Section 3.2.2 assumes: no burn-in, no correlation between consecutive
 // worlds. Only components past that bound are sampled, one world a sweep
-// after Burnin sweeps, on the sharded or replica chain when
-// Options.Parallelism / Options.Replicas ask for it.
+// after Burnin sweeps, on the chain Options.Runtime selects.
 func NewEngine(g *factor.Graph, opts Options) (*Engine, error) {
 	return NewEngineCtx(nil, g, opts)
 }
@@ -652,12 +638,12 @@ func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, 
 	}
 	rerun := func() {
 		var m []float64
-		m, res.Solved = RerunWithCtx(ctx, newG, e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+29, e.opts.runtime())
+		m, res.Solved = RerunWithCtx(ctx, newG, e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+29, e.opts.Runtime)
 		res.Marginals = atScope(m)
 	}
 	switch res.Strategy {
 	case StrategySampling:
-		sr := SamplingInferCtx(ctx, e.old, newG, e.store, cs, e.opts.KeepSamples, e.opts.Seed+17, e.opts.Parallelism)
+		sr := SamplingInferCtx(ctx, e.old, newG, e.store, cs, e.opts.KeepSamples, e.opts.Seed+17, e.opts.Runtime.Workers)
 		res.AcceptanceRate = sr.AcceptanceRate()
 		res.SamplesUsed = sr.Proposed
 		if !canceled(ctx) {

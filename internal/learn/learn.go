@@ -23,8 +23,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"deepdive/internal/factor"
 	"deepdive/internal/gibbs"
@@ -61,30 +59,12 @@ type Options struct {
 	L2          float64 // ℓ2 regularization strength (default 1e-4)
 	BatchSweeps int     // sweeps averaged per GD gradient (default 10)
 	Burnin      int     // chain burn-in sweeps before learning (default 10)
-	// Parallelism selects the Gibbs chain driving the gradient estimates:
-	// <= 1 uses the sequential sampler, n > 1 shards sweeps across n
-	// workers, negative means one worker per core. Ignored when Replicas
-	// selects the replica engine.
-	Parallelism int
-	// Replicas selects the DimmWitted-style replica learning engine: each
-	// of n workers owns a private clamped/free chain pair and a private
-	// weight vector bound to the shared CSR pools, takes gradient steps
-	// with zero cross-worker reads, and the driver averages the weight
-	// replicas every SyncEvery steps (model averaging). 0 disables;
-	// negative means one worker per core.
-	Replicas int
-	// SyncEvery is the number of gradient steps between weight averaging
-	// in replica mode; <= 0 selects gibbs.DefaultSyncEvery.
-	SyncEvery int
-	// AsyncAveraging overlaps the replica engine's SGD averaging barrier
-	// with the next segment's gradient steps: workers publish their
-	// private vectors and keep stepping, folding each segment mean in one
-	// segment late (see Trainer.asyncSGDEpoch). Deterministic for a fixed
-	// seed, but a different trajectory than the barrier schedule. Ignored
-	// outside replica SGD.
-	AsyncAveraging bool
-	Seed           int64
-	Warmstart      []float64 // initial weights; nil means start from zero
+	// Runtime selects the Gibbs chains driving the gradient estimates: the
+	// sequential sampler, the sharded one, or the replica engine, whose
+	// replica-averaged statistics feed the same gradient step on one model.
+	Runtime   gibbs.Runtime
+	Seed      int64
+	Warmstart []float64 // initial weights; nil means start from zero
 	// Frozen marks weights excluded from learning (fixed-value rule
 	// weights). nil means all weights are learnable.
 	Frozen []bool
@@ -139,24 +119,8 @@ func freeCopy(g *factor.Graph) *factor.Graph {
 	return b.MustBuild()
 }
 
-// replicaWorker is one worker of the replica learning engine: a private
-// clamped/free chain pair over weight views bound to the worker's private
-// vector, plus private statistic buffers. Between averaging barriers a
-// worker reads and writes nothing shared.
-type replicaWorker struct {
-	clamped *gibbs.Sampler
-	free    *gibbs.Sampler
-	weights []float64 // the ReplicaLearner's private vector for this worker
-	statsC  []float64
-	statsF  []float64
-	grad    []float64
-}
-
 // Trainer holds the two chains and the weight vector across updates, so
 // incremental learning can continue from a previous state (warmstart).
-// In replica mode (Options.Replicas) it instead holds one chain pair and
-// one private weight vector per worker, merged through a
-// gibbs.ReplicaLearner.
 type Trainer struct {
 	clamped gibbs.Chain
 	free    gibbs.Chain
@@ -168,9 +132,6 @@ type Trainer struct {
 
 	statsC []float64
 	statsF []float64
-
-	rl      *gibbs.ReplicaLearner
-	workers []replicaWorker
 }
 
 // NewTrainer prepares chains over g. The graph's current weights are
@@ -196,20 +157,16 @@ func NewTrainerCtx(ctx context.Context, g *factor.Graph, opt Options) *Trainer {
 	g.SetWeights(w)
 	fg := freeCopy(g)
 	t := &Trainer{
+		clamped: o.Runtime.NewChain(g, o.Seed),
+		free:    o.Runtime.NewChain(fg, o.Seed+1),
 		g:       g,
 		fg:      fg,
 		weights: w,
 		opt:     o,
 		ctx:     ctx,
+		statsC:  make([]float64, len(w)),
+		statsF:  make([]float64, len(w)),
 	}
-	if o.Replicas != 0 {
-		t.initReplicas()
-		return t
-	}
-	t.statsC = make([]float64, len(w))
-	t.statsF = make([]float64, len(w))
-	t.clamped = gibbs.NewChain(g, o.Seed, o.Parallelism)
-	t.free = gibbs.NewChain(fg, o.Seed+1, o.Parallelism)
 	t.clamped.RandomizeState()
 	t.free.RandomizeState()
 	t.clamped.RunCtx(ctx, o.Burnin)
@@ -220,76 +177,6 @@ func NewTrainerCtx(ctx context.Context, g *factor.Graph, opt Options) *Trainer {
 // canceled reports whether the trainer's context is cancelled.
 func (t *Trainer) canceled() bool { return t.ctx != nil && t.ctx.Err() != nil }
 
-// initReplicas builds the replica learning engine: R weight replicas
-// (gibbs.ReplicaLearner) and, per worker, sequential clamped/free chains
-// over factor.WeightView bindings of the shared graphs to the worker's
-// private vector — the chains observe that worker's gradient steps and
-// nothing else until the next averaging barrier.
-func (t *Trainer) initReplicas() {
-	o := t.opt
-	n := o.Replicas
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		n = 1
-	}
-	t.rl = gibbs.NewReplicaLearner(n, t.weights)
-	t.workers = make([]replicaWorker, t.rl.Replicas())
-	// Mix the master seed before adding the per-chain index (same rule as
-	// the samplers' worker streams): callers derive stage seeds as small
-	// offsets of one engine seed, and raw o.Seed+2r would hand worker r's
-	// chain another stage's exact RNG stream.
-	base := gibbs.MixSeed(o.Seed)
-	for r := range t.workers {
-		wr := t.rl.Weights(r)
-		wk := &t.workers[r]
-		wk.weights = wr
-		wk.clamped = gibbs.New(t.g.WeightView(wr), gibbs.DeriveSeed(base, 2*r))
-		wk.free = gibbs.New(t.fg.WeightView(wr), gibbs.DeriveSeed(base, 2*r+1))
-		wk.statsC = make([]float64, len(wr))
-		wk.statsF = make([]float64, len(wr))
-		wk.grad = make([]float64, len(wr))
-	}
-	t.eachWorker(func(wk *replicaWorker) {
-		wk.clamped.RandomizeState()
-		wk.free.RandomizeState()
-		wk.clamped.RunCtx(t.ctx, o.Burnin)
-		wk.free.RunCtx(t.ctx, o.Burnin)
-	})
-	// Worker 0's chains double as the trainer's driver-side chains (Loss).
-	t.clamped = t.workers[0].clamped
-	t.free = t.workers[0].free
-}
-
-// eachWorker runs f over every replica worker concurrently and waits.
-// Each f touches only its worker's private state, so the fan-out is
-// race-free and the result deterministic.
-func (t *Trainer) eachWorker(f func(wk *replicaWorker)) {
-	if len(t.workers) == 1 {
-		f(&t.workers[0])
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(t.workers))
-	for r := range t.workers {
-		go func(r int) {
-			defer wg.Done()
-			f(&t.workers[r])
-		}(r)
-	}
-	wg.Wait()
-}
-
-// Replicas returns the replica worker count (0 when the replica engine is
-// not in use).
-func (t *Trainer) Replicas() int {
-	if t.rl == nil {
-		return 0
-	}
-	return t.rl.Replicas()
-}
-
 // Weights returns the live weight vector.
 func (t *Trainer) Weights() []float64 { return t.weights }
 
@@ -297,27 +184,6 @@ func (t *Trainer) Weights() []float64 { return t.weights }
 func (t *Trainer) syncWeights() {
 	t.g.SetWeights(t.weights)
 	t.fg.SetWeights(t.weights)
-}
-
-// finishGradient turns accumulated clamped/free statistics into the
-// regularized gradient estimate: (statsC − statsF)/sweeps − L2·w. The
-// single source of the objective for the sequential and replica paths.
-func (t *Trainer) finishGradient(statsC, statsF []float64, sweeps int, weights, out []float64) {
-	inv := 1 / float64(sweeps)
-	for k := range out {
-		out[k] = (statsC[k]-statsF[k])*inv - t.opt.L2*weights[k]
-	}
-}
-
-// applyStep takes one frozen-guarded gradient step on weights. The single
-// source of the update rule for the sequential and replica paths.
-func (t *Trainer) applyStep(weights, grad []float64, step float64) {
-	for k := range weights {
-		if t.opt.Frozen != nil && k < len(t.opt.Frozen) && t.opt.Frozen[k] {
-			continue
-		}
-		weights[k] += step * grad[k]
-	}
 }
 
 // gradient estimates the log-likelihood gradient using `sweeps` sweeps of
@@ -337,7 +203,10 @@ func (t *Trainer) gradient(sweeps int, out []float64) bool {
 		t.free.Sweep()
 		t.free.WeightStats(t.statsF)
 	}
-	t.finishGradient(t.statsC, t.statsF, sweeps, t.weights, out)
+	inv := 1 / float64(sweeps)
+	for k := range out {
+		out[k] = (t.statsC[k]-t.statsF[k])*inv - t.opt.L2*t.weights[k]
+	}
 	return true
 }
 
@@ -346,12 +215,14 @@ func (t *Trainer) gradient(sweeps int, out []float64) bool {
 // already applied remain (the weight vector stays a coherent model).
 func (t *Trainer) Epoch(epoch int) float64 {
 	step := t.opt.StepSize * math.Pow(t.opt.Decay, float64(epoch))
-	if t.rl != nil {
-		return t.replicaEpoch(step)
-	}
 	grad := make([]float64, len(t.weights))
 	apply := func() {
-		t.applyStep(t.weights, grad, step)
+		for k := range t.weights {
+			if t.opt.Frozen != nil && k < len(t.opt.Frozen) && t.opt.Frozen[k] {
+				continue
+			}
+			t.weights[k] += step * grad[k]
+		}
 		t.syncWeights()
 	}
 	switch t.opt.Method {
@@ -371,174 +242,6 @@ func (t *Trainer) Epoch(epoch int) float64 {
 		panic(fmt.Sprintf("learn: unknown method %v", t.opt.Method))
 	}
 	return step
-}
-
-// replicaEpoch runs one optimizer epoch on the replica engine: workers
-// take gradient steps on their private weight vectors concurrently, and
-// the driver averages the replicas every SyncEvery steps (SGD) or after
-// the epoch's single full-batch step (GD).
-func (t *Trainer) replicaEpoch(step float64) float64 {
-	syncEvery := t.opt.SyncEvery
-	if syncEvery <= 0 {
-		syncEvery = gibbs.DefaultSyncEvery
-	}
-	switch t.opt.Method {
-	case SGD:
-		if t.opt.AsyncAveraging && len(t.workers) > 1 {
-			t.asyncSGDEpoch(step, syncEvery)
-			return step
-		}
-		remaining := t.opt.BatchSweeps
-		for remaining > 0 {
-			if t.canceled() {
-				return step
-			}
-			seg := syncEvery
-			if seg > remaining {
-				seg = remaining
-			}
-			t.eachWorker(func(wk *replicaWorker) {
-				for s := 0; s < seg; s++ {
-					if !t.workerGradient(wk, 1) {
-						return
-					}
-					t.workerApply(wk, step)
-				}
-			})
-			t.averageReplicas()
-			remaining -= seg
-		}
-	case GD:
-		if t.canceled() {
-			return step
-		}
-		t.eachWorker(func(wk *replicaWorker) {
-			if t.workerGradient(wk, t.opt.BatchSweeps) {
-				t.workerApply(wk, step)
-			}
-		})
-		t.averageReplicas()
-	default:
-		panic(fmt.Sprintf("learn: unknown method %v", t.opt.Method))
-	}
-	return step
-}
-
-// asyncSGDEpoch is replicaEpoch's SGD arm with the averaging barrier
-// overlapped: each worker runs its segment of single-sweep gradient
-// steps, publishes its private vector V_{r,s} to an AsyncAverager, and
-// keeps stepping immediately instead of waiting at a barrier. The
-// segment-(s−1) mean C_{s−1} lands while segment s runs, and the worker
-// folds it in one segment late:
-//
-//	w_r ← C_{s−1} + (V_{r,s} − V_{r,s−1})
-//
-// i.e. the lagged consensus plus the worker's own progress since it was
-// taken — for frozen weights the correction is the identity. The
-// trajectory differs from the barrier schedule (the consensus arrives
-// one segment late) but is deterministic for a fixed seed regardless of
-// goroutine scheduling: every mean is computed in replica order from the
-// complete published set, and every correction is a function of those
-// means and the worker's private trajectory. A final driver-side merge
-// produces the canonical model.
-func (t *Trainer) asyncSGDEpoch(step float64, syncEvery int) {
-	// Segment lengths, identical for every worker.
-	var segs []int
-	for remaining := t.opt.BatchSweeps; remaining > 0; {
-		seg := syncEvery
-		if seg > remaining {
-			seg = remaining
-		}
-		segs = append(segs, seg)
-		remaining -= seg
-	}
-	av := gibbs.NewAsyncAverager(len(t.workers))
-	var wg sync.WaitGroup
-	wg.Add(len(t.workers))
-	for r := range t.workers {
-		go func(r int) {
-			defer wg.Done()
-			wk := &t.workers[r]
-			prev := append([]float64(nil), wk.weights...)
-			cur := make([]float64, len(wk.weights))
-			for s, n := range segs {
-				for i := 0; i < n; i++ {
-					if !t.workerGradient(wk, 1) {
-						av.Abort() // unblock peers waiting on this worker's publish
-						return
-					}
-					t.workerApply(wk, step)
-				}
-				copy(cur, wk.weights)
-				av.Publish(s, r, cur)
-				if s > 0 {
-					mean := av.WaitMean(s - 1)
-					if mean == nil {
-						return // aborted by a cancelled peer
-					}
-					for k := range wk.weights {
-						wk.weights[k] = mean[k] + (cur[k] - prev[k])
-					}
-					wk.clamped.Graph().NoteWeightsChanged()
-					wk.free.Graph().NoteWeightsChanged()
-				}
-				prev, cur = cur, prev
-			}
-		}(r)
-	}
-	wg.Wait()
-	if !t.canceled() {
-		t.averageReplicas()
-	}
-}
-
-// workerGradient estimates the gradient from the worker's private chains
-// and weights, writing it into wk.grad. The chains evaluate through
-// weight views of the shared graphs, so they observe this worker's steps
-// immediately and other workers' never. Returns false when cancelled
-// before all sweeps completed — the partial estimate must not be applied.
-func (t *Trainer) workerGradient(wk *replicaWorker, sweeps int) bool {
-	for i := range wk.statsC {
-		wk.statsC[i] = 0
-		wk.statsF[i] = 0
-	}
-	for s := 0; s < sweeps; s++ {
-		if t.canceled() {
-			return false
-		}
-		wk.clamped.Sweep()
-		wk.clamped.WeightStats(wk.statsC)
-		wk.free.Sweep()
-		wk.free.WeightStats(wk.statsF)
-	}
-	t.finishGradient(wk.statsC, wk.statsF, sweeps, wk.weights, wk.grad)
-	return true
-}
-
-// workerApply takes one gradient step on the worker's private vector and
-// notes the change on the worker's weight views — the step writes the
-// vector directly (never through Graph.SetWeights), so the chains' cached
-// conditionals would otherwise keep serving the pre-step model.
-func (t *Trainer) workerApply(wk *replicaWorker, step float64) {
-	t.applyStep(wk.weights, wk.grad, step)
-	wk.clamped.Graph().NoteWeightsChanged()
-	wk.free.Graph().NoteWeightsChanged()
-}
-
-// averageReplicas merges the weight replicas under the model-averaging
-// rule, records the canonical model as the trainer's weights, and pushes
-// it into the base graphs so driver-side evaluation (Loss, the final
-// SetWeights) sees the merged model.
-func (t *Trainer) averageReplicas() {
-	copy(t.weights, t.rl.Average())
-	t.syncWeights()
-	// Average broadcast the merged model into every replica's private
-	// vector by direct copy; invalidate each worker's cached conditionals.
-	for i := range t.workers {
-		wk := &t.workers[i]
-		wk.clamped.Graph().NoteWeightsChanged()
-		wk.free.Graph().NoteWeightsChanged()
-	}
 }
 
 // Loss estimates the evidence loss of the current weights: the average

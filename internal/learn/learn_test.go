@@ -146,16 +146,16 @@ func TestTrainerPanicsOnBadWarmstart(t *testing.T) {
 
 func TestTrainReplicasLearnsSeparatingWeights(t *testing.T) {
 	g, queries := classifierGraph(40, 30)
-	res := Train(g, Options{Epochs: 40, StepSize: 0.3, Seed: 1, Replicas: 4, SyncEvery: 4})
+	res := Train(g, Options{Epochs: 40, StepSize: 0.3, Seed: 1, Runtime: gibbs.Runtime{Replicas: 4, SyncEvery: 4}})
 	if res.Weights[0] <= 0.5 {
 		t.Fatalf("replica weight for positive feature = %v, want > 0.5", res.Weights[0])
 	}
 	if res.Weights[1] >= -0.5 {
 		t.Fatalf("replica weight for negative feature = %v, want < -0.5", res.Weights[1])
 	}
-	// The averaged model must be written back into the graph.
+	// The learned model must be written back into the graph.
 	if g.Weight(0) != res.Weights[0] || g.Weight(1) != res.Weights[1] {
-		t.Fatal("final canonical weights not pushed into the graph")
+		t.Fatal("final weights not pushed into the graph")
 	}
 	s := gibbs.New(g, 2)
 	m := s.Marginals(50, 1000)
@@ -173,7 +173,7 @@ func TestTrainReplicasLearnsSeparatingWeights(t *testing.T) {
 func TestTrainReplicasDeterministic(t *testing.T) {
 	run := func() []float64 {
 		g, _ := classifierGraph(30, 24)
-		return Train(g, Options{Epochs: 6, StepSize: 0.3, Seed: 9, Replicas: 3, SyncEvery: 2}).Weights
+		return Train(g, Options{Epochs: 6, StepSize: 0.3, Seed: 9, Runtime: gibbs.Runtime{Replicas: 3, SyncEvery: 2}}).Weights
 	}
 	a, b := run(), run()
 	for k := range a {
@@ -183,51 +183,9 @@ func TestTrainReplicasDeterministic(t *testing.T) {
 	}
 }
 
-func TestTrainReplicasAsyncAveragingLearns(t *testing.T) {
-	g, _ := classifierGraph(40, 30)
-	res := Train(g, Options{Epochs: 40, StepSize: 0.3, Seed: 1, Replicas: 4, SyncEvery: 4, AsyncAveraging: true})
-	if res.Weights[0] <= 0.5 {
-		t.Fatalf("async weight for positive feature = %v, want > 0.5", res.Weights[0])
-	}
-	if res.Weights[1] >= -0.5 {
-		t.Fatalf("async weight for negative feature = %v, want < -0.5", res.Weights[1])
-	}
-	if g.Weight(0) != res.Weights[0] || g.Weight(1) != res.Weights[1] {
-		t.Fatal("final canonical weights not pushed into the graph")
-	}
-}
-
-// TestTrainReplicasAsyncAveragingDeterministic pins the scheme's core
-// claim: the overlapped averaging trajectory is a function of the seed
-// alone, not of goroutine scheduling.
-func TestTrainReplicasAsyncAveragingDeterministic(t *testing.T) {
-	run := func() []float64 {
-		g, _ := classifierGraph(30, 24)
-		return Train(g, Options{Epochs: 6, StepSize: 0.3, Seed: 9, Replicas: 3, SyncEvery: 2, AsyncAveraging: true}).Weights
-	}
-	a, b := run(), run()
-	for k := range a {
-		if a[k] != b[k] {
-			t.Fatalf("weight %d: run1 %v, run2 %v — async averaging not deterministic", k, a[k], b[k])
-		}
-	}
-}
-
-func TestTrainReplicasAsyncAveragingRespectsFrozen(t *testing.T) {
-	g, _ := classifierGraph(20, 16)
-	frozen := []bool{false, true} // weight 1 fixed
-	res := Train(g, Options{Epochs: 15, StepSize: 0.3, Seed: 3, Replicas: 3, SyncEvery: 2, AsyncAveraging: true, Frozen: frozen})
-	if res.Weights[1] != 0 {
-		t.Fatalf("frozen weight moved to %v under async averaging", res.Weights[1])
-	}
-	if res.Weights[0] <= 0.3 {
-		t.Fatalf("learnable weight did not move: %v", res.Weights[0])
-	}
-}
-
 func TestTrainReplicasGD(t *testing.T) {
 	g, _ := classifierGraph(40, 30)
-	res := Train(g, Options{Method: GD, Epochs: 60, StepSize: 0.5, BatchSweeps: 5, Seed: 6, Replicas: 2})
+	res := Train(g, Options{Method: GD, Epochs: 60, StepSize: 0.5, BatchSweeps: 5, Seed: 6, Runtime: gibbs.Runtime{Replicas: 2, SyncEvery: 4}})
 	if res.Weights[0] <= 0.3 || res.Weights[1] >= -0.3 {
 		t.Fatalf("replica GD weights did not separate: %v", res.Weights[:2])
 	}
@@ -236,27 +194,37 @@ func TestTrainReplicasGD(t *testing.T) {
 func TestTrainReplicasRespectsFrozen(t *testing.T) {
 	g, _ := classifierGraph(20, 16)
 	frozen := []bool{false, true} // weight 1 fixed
-	res := Train(g, Options{Epochs: 15, StepSize: 0.3, Seed: 3, Replicas: 3, Frozen: frozen})
+	res := Train(g, Options{Epochs: 15, StepSize: 0.3, Seed: 3, Runtime: gibbs.Runtime{Replicas: 3, SyncEvery: 2}, Frozen: frozen})
 	if res.Weights[1] != 0 {
-		t.Fatalf("frozen weight moved to %v under replica averaging", res.Weights[1])
+		t.Fatalf("frozen weight moved to %v under replica chains", res.Weights[1])
 	}
 	if res.Weights[0] <= 0.3 {
 		t.Fatalf("learnable weight did not move: %v", res.Weights[0])
 	}
 }
 
+// TestTrainerReplicasAccessorsAndLoss checks that the replica runtime
+// reaches the learner as its two chains — no separate learning engine —
+// and that the driver-side loss reads them.
 func TestTrainerReplicasAccessorsAndLoss(t *testing.T) {
 	g, _ := classifierGraph(20, 16)
-	tr := NewTrainer(g, Options{Seed: 5, Replicas: 2})
-	if tr.Replicas() != 2 {
-		t.Fatalf("Replicas() = %d, want 2", tr.Replicas())
+	tr := NewTrainer(g, Options{Seed: 5, Runtime: gibbs.Runtime{Replicas: 2}})
+	for name, c := range map[string]gibbs.Chain{"clamped": tr.clamped, "free": tr.free} {
+		r, ok := c.(*gibbs.ReplicaSampler)
+		if !ok {
+			t.Fatalf("%s chain is %T, want *gibbs.ReplicaSampler", name, c)
+		}
+		if r.Replicas() != 2 {
+			t.Fatalf("%s chain runs %d replicas, want 2", name, r.Replicas())
+		}
 	}
-	if l := tr.Loss(3); math.IsNaN(l) || l <= 0 {
+	tr.Epoch(0)
+	if l := tr.Loss(3); math.IsNaN(l) || math.IsInf(l, 0) || l <= 0 {
 		t.Fatalf("replica trainer loss = %v", l)
 	}
 	seq := NewTrainer(g, Options{Seed: 5})
-	if seq.Replicas() != 0 {
-		t.Fatalf("sequential trainer Replicas() = %d, want 0", seq.Replicas())
+	if _, ok := seq.clamped.(*gibbs.Sampler); !ok {
+		t.Fatalf("default trainer chain is %T, want *gibbs.Sampler", seq.clamped)
 	}
 }
 

@@ -359,7 +359,9 @@ func (kb *KB) frozen(g *factor.Graph) []bool {
 	return mask
 }
 
-// runtime derives the Gibbs chain-selection config from the options.
+// runtime derives the Gibbs chain-selection config from the options — the
+// one place they turn into a gibbs.Runtime, for learning, inference and
+// materialization alike.
 func (kb *KB) runtime() gibbs.Runtime {
 	return gibbs.Runtime{Workers: kb.opts.Parallelism, Replicas: kb.opts.Replicas, SyncEvery: kb.opts.SyncEvery}
 }
@@ -376,9 +378,7 @@ func (kb *KB) engineOpts(seed int64) inc.Options {
 		Burnin:                 kb.opts.InferBurnin,
 		KeepSamples:            kb.opts.InferKeep,
 		Lambda:                 kb.opts.Lambda,
-		Parallelism:            kb.opts.Parallelism,
-		Replicas:               kb.opts.Replicas,
-		SyncEvery:              kb.opts.SyncEvery,
+		Runtime:                kb.runtime(),
 		Seed:                   seed,
 		MeasuredOptimizer:      !l.StaticOptimizer,
 		CumulativeChanges:      !l.StaticOptimizer,
@@ -405,15 +405,12 @@ func (kb *KB) Learn(ctx context.Context) (time.Duration, error) {
 		warm[w] = 0
 	}
 	_, err := learn.TrainCtx(ctx, g, learn.Options{
-		Epochs:         kb.opts.LearnEpochs,
-		StepSize:       kb.opts.LearnStep,
-		Parallelism:    kb.opts.Parallelism,
-		Replicas:       kb.opts.Replicas,
-		SyncEvery:      kb.opts.SyncEvery,
-		AsyncAveraging: kb.opts.AsyncAveraging,
-		Seed:           kb.opts.Seed + 1,
-		Warmstart:      warm,
-		Frozen:         kb.frozen(g),
+		Epochs:    kb.opts.LearnEpochs,
+		StepSize:  kb.opts.LearnStep,
+		Runtime:   kb.runtime(),
+		Seed:      kb.opts.Seed + 1,
+		Warmstart: warm,
+		Frozen:    kb.frozen(g),
 	})
 	if err != nil {
 		return time.Since(start), err
@@ -847,15 +844,12 @@ func (kb *KB) learnDelta(ctx context.Context, st *stagedApply, scoped bool) ([]b
 	before := slices.Clone(g.Weights())
 	start := time.Now()
 	_, err := learn.TrainCtx(ctx, target, learn.Options{
-		Epochs:         kb.opts.IncLearnEpochs,
-		StepSize:       kb.opts.LearnStep,
-		Parallelism:    kb.opts.Parallelism,
-		Replicas:       kb.opts.Replicas,
-		SyncEvery:      kb.opts.SyncEvery,
-		AsyncAveraging: kb.opts.AsyncAveraging,
-		Seed:           kb.opts.Seed + 5,
-		Warmstart:      before,
-		Frozen:         frozen,
+		Epochs:    kb.opts.IncLearnEpochs,
+		StepSize:  kb.opts.LearnStep,
+		Runtime:   kb.runtime(),
+		Seed:      kb.opts.Seed + 5,
+		Warmstart: before,
+		Frozen:    frozen,
 	})
 	moved := make([]bool, len(before))
 	for w := range before {

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"deepdive"
@@ -95,7 +96,10 @@ func skeletonDifferential(t *testing.T, seed int64) {
 	must(t, kb.Checkpoint(ctx))
 
 	// Readers against the writer: every call a reader can make, on whatever
-	// snapshot is current, for as long as the stream runs.
+	// snapshot is current, for as long as the stream runs. They follow the
+	// KB through an atomic pointer because the test reopens it below.
+	var live atomic.Pointer[deepdive.KB]
+	live.Store(kb)
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -108,7 +112,7 @@ func skeletonDifferential(t *testing.T, seed int64) {
 					return
 				default:
 				}
-				s := kb.Snapshot()
+				s := live.Load().Snapshot()
 				for _, rel := range s.Relations() {
 					for _, f := range s.Facts(rel) {
 						if p, ok := s.Marginal(rel, f.Tuple); ok != f.Known || p != f.Probability {
@@ -201,6 +205,7 @@ func skeletonDifferential(t *testing.T, seed int64) {
 	}
 	kb, err = deepdive.OpenKB(kbc.Program(w.sys, factor.Ratio, last), opts...)
 	must(t, err)
+	live.Store(kb)
 	t.Cleanup(func() { kb.CloseNow() })
 	if !kb.Recovered() {
 		t.Fatal("the reopened KB did not recover from its data directory")
