@@ -125,11 +125,12 @@ bench-ground:
 # reports ns/update, the x4/x1 ratio and, for the rule updates, the
 # ground/learn/infer split, the learn stage's own ratio and how many
 # variables the variational runs left to a Gibbs chain (swept-vars/update:
-# 0 when every component of their inference graphs was solved exactly) (a
-# single pass; repeat it, wall clock on a small box swings ±10 %). CI runs
-# it as the finish-stage smoke.
+# 0 when every component of their inference graphs was solved exactly), and
+# the three from-scratch passes of set-up (Materialize, Infer, Learn) at 1×
+# and 4× (a single pass; repeat it, wall clock on a small box swings ±10 %).
+# CI runs it as the finish-stage smoke.
 bench-finish:
-	$(GO) test -bench='ApplyDocDelta|ApplyRuleDelta|^BenchmarkMaterialize$$|InferFromScratch' -benchtime=1x -run=xxx .
+	$(GO) test -bench='ApplyDocDelta|ApplyRuleDelta|^BenchmarkMaterialize$$|InferFromScratch|LearnFromScratch' -benchtime=1x -run=xxx .
 
 # Δ-vs-full graph update cost (results recorded in BENCH_incupdate.json).
 bench-incupdate:

@@ -137,8 +137,9 @@ type Options struct {
 	// chain the engine runs: each of n workers owns a full private
 	// assignment copy over the shared CSR pools, and the driver merges the
 	// copies every SyncEvery sweeps by consensus vote and ring exchange.
-	// Learning runs its clamped and free chains on the engine and steps one
-	// model on their replica-averaged statistics. n >= 1 replicas, negative
+	// Learning runs the clamped and free chains of the components it cannot
+	// enumerate on the engine and steps one model on their replica-averaged
+	// statistics. n >= 1 replicas, negative
 	// means one per core, 0 keeps the sharded/sequential runtime.
 	Replicas int
 	// SyncEvery is the replica merge interval in sweeps; <= 0 selects the
@@ -296,7 +297,12 @@ func WithUDF(name string, f UDF) Option {
 // WithSeed fixes the random seed (default 0).
 func WithSeed(seed int64) Option { return func(o *Options) { o.Seed = seed } }
 
-// WithLearning overrides learning parameters.
+// WithLearning overrides learning parameters: the SGD epochs of Learn (ten
+// gradient steps each) and the step size. The epochs also size the budget
+// the enumeration bound is read against — 2^k worlds against the sweeps a
+// Gibbs chain pair would run (10 burn-in plus 10 per epoch) times k, for an
+// evidence-bearing component of k variables, never beyond 20 — so on a graph
+// whose components are all small learning runs no chain.
 func WithLearning(epochs int, step float64) Option {
 	return func(o *Options) { o.LearnEpochs = epochs; o.LearnStep = step }
 }
@@ -506,16 +512,21 @@ type GraphStats struct {
 	Autopilot *AutopilotStats
 	// Inferred and Materialized say how the last Infer and the live engine's
 	// materialization (Materialize, or a background re-materialization) came
-	// by their result; zero before the call and on a KB restored from its
-	// data directory, which ran neither.
-	Inferred, Materialized Solved
+	// by their result, Learned how the last Learn came by its gradient over
+	// the evidence-bearing components of the evidence-released graph; zero
+	// before the call and on a KB restored from its data directory, which ran
+	// none of them.
+	Inferred, Materialized, Learned Solved
 }
 
-// Solved counts the free variables a from-scratch pass solved exactly — Closed
-// in closed form (alone in their component), Enumerated by walking every world
-// of their component — and those it Swept by Gibbs sampling, their component
+// Solved counts the variables a from-scratch pass solved exactly — Closed in
+// closed form (alone in their component), Enumerated by walking every world of
+// their component — and those it Swept by Gibbs sampling, their component
 // being past the enumeration bound; Largest is the largest component met.
-// "Why was this materialization slow" is answered by Swept > 0.
+// Inference and materialization count the free variables of the graph's
+// components with evidence fixed, learning every variable of the components
+// holding evidence once it is released. "Why was this pass slow" is answered
+// by Swept > 0.
 type Solved = inc.Solved
 
 // weightChanges is what relearning did to the distribution the engine

@@ -1,5 +1,11 @@
 package deepdive
 
+import "context"
+
+// HoldFinish makes every later finish stage wait for hold(ctx) to return
+// before it starts, ctx being the update's context.
+func (kb *KB) HoldFinish(hold func(ctx context.Context)) { kb.holdFinish = hold }
+
 // RebuiltSnapshot is the differential tests' oracle: what the KB serves —
 // the same marginal vector, the same epoch — over a skeleton rebuilt from
 // the grounder's tables, sharing nothing with the served lineage.

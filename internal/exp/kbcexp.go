@@ -49,30 +49,26 @@ func f1(sys *corpus.System, kb *deepdive.KB) float64 {
 
 // rerun is the paper's Rerun baseline: a fresh KB over the program with
 // the first upTo iterations, learned and inferred from scratch. It
-// returns the learn + inference time (the quantity Figure 9 reports) and
-// the KB, which the caller closes.
-func rerun(sys *corpus.System, sem factor.Semantics, upTo int, opts []deepdive.Option) (*deepdive.KB, time.Duration, error) {
+// returns the learn and the inference time (their sum is the quantity
+// Figure 9 reports) and the KB, which the caller closes.
+func rerun(sys *corpus.System, sem factor.Semantics, upTo int, opts []deepdive.Option) (kb *deepdive.KB, learnT, inferT time.Duration, err error) {
 	ctx := context.Background()
-	kb, err := kbc.OpenKB(sys, sem, upTo, opts...)
-	if err != nil {
-		return nil, 0, err
+	if kb, err = kbc.OpenKB(sys, sem, upTo, opts...); err != nil {
+		return nil, 0, 0, err
 	}
-	learnT, err := kb.Learn(ctx)
-	if err != nil {
-		kb.Close()
-		return nil, 0, err
+	if learnT, err = kb.Learn(ctx); err == nil {
+		inferT, err = kb.Infer(ctx)
 	}
-	inferT, err := kb.Infer(ctx)
 	if err != nil {
 		kb.Close()
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return kb, learnT + inferT, nil
+	return kb, learnT, inferT, nil
 }
 
 // materialized is rerun taken on to the update-ready state.
 func materialized(sys *corpus.System, upTo int, opts []deepdive.Option) (*deepdive.KB, error) {
-	kb, _, err := rerun(sys, factor.Ratio, upTo, opts)
+	kb, _, _, err := rerun(sys, factor.Ratio, upTo, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -113,11 +109,12 @@ func develop(sys *corpus.System, opts []deepdive.Option, visit func(k int, st st
 // loopRow is one development iteration run both ways: incrementally on
 // the materialized KB, and from scratch on the program grown by it.
 type loopRow struct {
-	System, Rule string
-	Rerun, Inc   time.Duration // learn + inference time
-	RerunF1      float64
-	IncF1        float64
-	Strategy     deepdive.Strategy
+	System, Rule         string
+	Rerun, Inc           time.Duration // learn + inference time
+	RerunLearn, IncLearn time.Duration // the learning part of each
+	RerunF1              float64
+	IncF1                float64
+	Strategy             deepdive.Strategy
 }
 
 // devLoop runs the Rerun-vs-Incremental comparison on one system. Each
@@ -127,14 +124,15 @@ func devLoop(sys *corpus.System, seed int64) ([]loopRow, error) {
 	opts := kbOptions(seed)
 	var rows []loopRow
 	err := develop(sys, opts, func(k int, st step) error {
-		kb, total, err := rerun(sys, factor.Ratio, k+1, opts)
+		kb, learnT, inferT, err := rerun(sys, factor.Ratio, k+1, opts)
 		if err != nil {
 			return fmt.Errorf("%s %s: rerun: %w", sys.Spec.Name, st.Rule, err)
 		}
 		defer kb.Close()
 		rows = append(rows, loopRow{
 			System: sys.Spec.Name, Rule: st.Rule,
-			Rerun: total, Inc: st.LearnTime + st.InferTime,
+			Rerun: learnT + inferT, Inc: st.LearnTime + st.InferTime,
+			RerunLearn: learnT, IncLearn: st.LearnTime,
 			RerunF1: f1(sys, kb), IncF1: st.F1,
 			Strategy: st.Strategy,
 		})
@@ -223,7 +221,7 @@ func Fig10b(sc Scale, seed int64) *Report {
 	for _, sem := range []factor.Semantics{factor.Linear, factor.Logical, factor.Ratio} {
 		line := fmt.Sprintf("%-9s", sem)
 		for _, sys := range sysList {
-			kb, _, err := rerun(sys, sem, finalProgram, kbOptions(seed))
+			kb, _, _, err := rerun(sys, sem, finalProgram, kbOptions(seed))
 			if err != nil {
 				line += fmt.Sprintf(" %12s", "err")
 				continue

@@ -205,11 +205,6 @@ func (g *Graph) WeightStatsOf(assign []bool, out []float64) {
 		panic(fmt.Sprintf("factor: WeightStatsOf got %d slots, want %d", len(out), len(g.weights)))
 	}
 	for gi := range g.groupHead {
-		n := g.groupSupport(int32(gi), assign)
-		sign := -1.0
-		if assign[g.groupHead[gi]] {
-			sign = 1.0
-		}
-		out[g.groupWeight[gi]] += sign * g.semVal(int32(gi), n)
+		out[g.groupWeight[gi]] += g.GroupStat(int32(gi), assign)
 	}
 }

@@ -373,15 +373,22 @@ func (g *Graph) groupSupport(gi int32, assign []bool) int {
 	return n
 }
 
-// groupEnergy evaluates one group's energy from scratch under assign,
-// walking the flat literal pool.
-func (g *Graph) groupEnergy(gi int32, assign []bool) float64 {
-	n := g.groupSupport(gi, assign)
+// GroupStat evaluates group gi's statistic under assign from scratch:
+// sign(head)·g(n), n its satisfied live groundings — what its weight
+// multiplies in the energy of the world, and what the world adds to that
+// weight's sufficient statistic.
+func (g *Graph) GroupStat(gi int32, assign []bool) float64 {
 	sign := -1.0
 	if assign[g.groupHead[gi]] {
 		sign = 1.0
 	}
-	return g.weights[g.groupWeight[gi]] * sign * g.semVal(gi, n)
+	return sign * g.semVal(gi, g.groupSupport(gi, assign))
+}
+
+// groupEnergy evaluates one group's energy from scratch under assign,
+// walking the flat literal pool.
+func (g *Graph) groupEnergy(gi int32, assign []bool) float64 {
+	return g.weights[g.groupWeight[gi]] * g.GroupStat(gi, assign)
 }
 
 // Energy computes Ŵ(F, I) = Σ_γ w(γ, I) from scratch for the complete

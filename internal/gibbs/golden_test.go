@@ -131,7 +131,7 @@ func TestGoldenMarginalsPinned(t *testing.T) {
 }
 
 // TestGoldenWeightStatsPinned pins the learning-side sufficient statistic
-// the same way (learn.Train's gradient source).
+// the same way (what learn.Train's remainder chains feed its gradient).
 func TestGoldenWeightStatsPinned(t *testing.T) {
 	for _, c := range []struct {
 		name    string

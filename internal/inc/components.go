@@ -44,6 +44,11 @@ type Solved struct {
 	Largest                   int
 }
 
+// Enumerable is the size rule: a component of k variables under a budget of
+// sweeps is solved by visiting its 2^k worlds when k ≤ MaxStrawmanVars and
+// 2^k ≤ sweeps·k — the conditional evaluations sampling it would cost.
+func Enumerable(k, sweeps int) bool { return k <= MaxStrawmanVars && 1<<k <= sweeps*k }
+
 // solveComponents walks the connected components of g's free variables
 // under a budget of sweeps, hands each solved one to table — weights[i] the
 // unnormalized probability of the world i ^ i>>1 (bit b is comp[b]), z their
@@ -67,7 +72,7 @@ func solveComponents(ctx context.Context, g *factor.Graph, sweeps int, table fun
 			lone[0] = 1 - lone[1]
 			table(comp, lone, 1)
 			n.Closed++
-		case k <= MaxStrawmanVars && 1<<k <= sweeps*k:
+		case Enumerable(k, sweeps):
 			var z float64
 			if weights, z = enumerate(ctx, st, comp, weights); weights == nil {
 				return nil, n, false

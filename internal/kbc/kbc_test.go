@@ -192,21 +192,18 @@ func TestPipelineEndToEnd(t *testing.T) {
 // agreement claim: the incrementally developed KB and the rerun of the
 // final program reach the same F1 and share their high-confidence facts.
 //
-// The overlap is asserted as a mean over seeds, at 40 learning epochs,
-// because on this 214-fact corpus it is a property of the learner before
-// it is one of the incremental loop: one feature weight near the level
-// moves ~50 facts across it together, so a rerun compared with the same
-// rerun under another seed overlaps by 0.70–1.00 (mean 0.85 at the 10
-// epochs the other tests use, 0.90 at 40), and incremental against rerun
-// lands in the same band (0.65–1.00, mean 0.85; 0.79–1.00, mean 0.92).
-// The retired loop met 0.9 at a single seed only because its incremental
-// side had stopped moving. With a per-seed spread that wide, a ten-seed
-// mean sat at 0.900 ± 0.03 — any change of learning trajectory flipped it —
-// so the mean is taken over thirty.
+// The overlap is asserted for every seed. On this 214-fact corpus it is a
+// property of the learner before it is one of the incremental loop: one
+// feature weight near the level moves ~50 facts across it together. While
+// the learner sampled its gradient everywhere, a rerun compared with the
+// same rerun under another seed overlapped by 0.70–1.00 and incremental
+// against rerun landed in the same band, so only a thirty-seed mean could be
+// asserted. Every evidence-bearing component of this graph enumerates, so
+// learning is now exact and the seed moves no weight: the overlap is 1.00
+// at every seed.
 func TestIncrementalMatchesRerunQuality(t *testing.T) {
 	sys := smallSystem()
 	const seeds = 30
-	var overlap float64
 	for seed := int64(1); seed <= seeds; seed++ {
 		opts := []deepdive.Option{deepdive.WithSeed(seed), deepdive.WithLearning(40, 0.25)}
 		incKB := openKB(t, sys, 0, opts...)
@@ -225,10 +222,9 @@ func TestIncrementalMatchesRerunQuality(t *testing.T) {
 		}
 		t.Logf("seed %d: overlap AB=%.2f BA=%.2f largeDiff=%.2f shared=%d F1 inc=%.3f rerun=%.3f",
 			seed, ov.HighConfOverlapAB, ov.HighConfOverlapBA, ov.FracLargeDiff, ov.Shared, incF1, rrF1)
-		overlap += ov.HighConfOverlapAB
-	}
-	if overlap /= seeds; overlap < 0.9 {
-		t.Fatalf("mean high-confidence overlap %.3f over %d seeds, want >= 0.9", overlap, seeds)
+		if ov.HighConfOverlapAB < 0.9 {
+			t.Errorf("seed %d: high-confidence overlap %.2f, want >= 0.9", seed, ov.HighConfOverlapAB)
+		}
 	}
 }
 

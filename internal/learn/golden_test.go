@@ -2,9 +2,13 @@ package learn
 
 // Seed-pinned golden weights: the trainer's output at a fixed seed must
 // not move bit for bit under a refactor of its loop or of the chains it
-// drives. The hashes were captured at PR 20, before the replica learning
-// engine was retired; any change — a reordered float reduction, an extra
-// or missing RNG draw, a step applied to a frozen weight — shifts them.
+// drives; any change — a reordered float reduction, an extra or missing RNG
+// draw, a step applied to a frozen weight — shifts them. The sampled cases
+// were re-recorded when learning became exact by component: 37 of the golden
+// graph's 40 variables form one evidence-bearing component past the bound,
+// the other three no evidence-bearing one, so the chain pair now runs on the
+// subgraph those 37 induce instead of the whole graph. The exact cases run
+// no chain: seed and runtime do not move them.
 
 import (
 	"math"
@@ -49,6 +53,37 @@ func goldenGraph() *factor.Graph {
 	return b.MustBuild()
 }
 
+// exactGoldenGraph builds a deterministic mixed-semantics graph whose
+// evidence-bearing components all enumerate: 20 blocks of 1-3 variables
+// (about half evidence), each with 1-3 groups over its own variables tied to
+// 5 weights, all three counting semantics.
+func exactGoldenGraph() *factor.Graph {
+	rng := rand.New(rand.NewSource(37))
+	b := factor.NewBuilder()
+	for i := 0; i < 5; i++ {
+		b.AddWeight(0)
+	}
+	sems := []factor.Semantics{factor.Linear, factor.Logical, factor.Ratio}
+	for blk := 0; blk < 20; blk++ {
+		var vars []factor.VarID
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			if rng.Intn(2) == 0 {
+				vars = append(vars, b.AddEvidenceVar(rng.Intn(2) == 0))
+			} else {
+				vars = append(vars, b.AddVar())
+			}
+		}
+		for gi := 1 + rng.Intn(3); gi > 0; gi-- {
+			var gnds []factor.Grounding
+			for k := rng.Intn(3); k > 0; k-- {
+				gnds = append(gnds, factor.Grounding{Lits: []factor.Literal{{Var: vars[rng.Intn(len(vars))], Neg: rng.Intn(3) == 0}}})
+			}
+			b.AddGroup(vars[rng.Intn(len(vars))], factor.WeightID(rng.Intn(5)), sems[rng.Intn(3)], gnds)
+		}
+	}
+	return b.MustBuild()
+}
+
 // hashFloats folds float64 bit patterns through FNV-1a.
 func hashFloats(xs []float64) uint64 {
 	h := uint64(14695981039346656037)
@@ -65,24 +100,31 @@ func hashFloats(xs []float64) uint64 {
 func TestGoldenTrainPinned(t *testing.T) {
 	for _, c := range []struct {
 		name    string
+		graph   func() *factor.Graph
 		method  Method
-		workers int
+		runtime gibbs.Runtime
+		seed    int64
 		want    uint64
 	}{
-		{"sgd-w1", SGD, 1, 0x19e1567426775b50},
-		{"sgd-w4", SGD, 4, 0x7a32169c8afd9e29},
-		{"gd-w1", GD, 1, 0xa40cb560db3a5f7b},
-		{"gd-w4", GD, 4, 0x31b4c522e2339464},
+		{"sgd-w1", goldenGraph, SGD, gibbs.Runtime{Workers: 1}, 13, 0x486a181983172a97},
+		{"sgd-w4", goldenGraph, SGD, gibbs.Runtime{Workers: 4}, 13, 0xc245d7c3bb22a553},
+		{"gd-w1", goldenGraph, GD, gibbs.Runtime{Workers: 1}, 13, 0x1956145c94870b16},
+		{"gd-w4", goldenGraph, GD, gibbs.Runtime{Workers: 4}, 13, 0x73ddf644118c010c},
+		{"exact-sgd-w1", exactGoldenGraph, SGD, gibbs.Runtime{Workers: 1}, 13, 0x67e8bc50a5008a2b},
+		{"exact-sgd-w4", exactGoldenGraph, SGD, gibbs.Runtime{Workers: 4}, 13, 0x67e8bc50a5008a2b},
+		{"exact-sgd-replicas", exactGoldenGraph, SGD, gibbs.Runtime{Replicas: 2}, 14, 0x67e8bc50a5008a2b},
+		{"exact-gd-w1", exactGoldenGraph, GD, gibbs.Runtime{Workers: 1}, 13, 0x5cb00a11d5239615},
+		{"exact-gd-w4", exactGoldenGraph, GD, gibbs.Runtime{Workers: 4}, 14, 0x5cb00a11d5239615},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			g := goldenGraph()
+			g := c.graph()
 			res := Train(g, Options{
 				Method:    c.method,
 				Epochs:    8,
 				StepSize:  0.05,
-				Seed:      13,
-				Runtime:   gibbs.Runtime{Workers: c.workers},
+				Seed:      c.seed,
+				Runtime:   c.runtime,
 				Warmstart: []float64{0.5, -0.25, 0, 1.5, 0.75},
 				Frozen:    []bool{false, false, false, true, false},
 			})
@@ -90,7 +132,7 @@ func TestGoldenTrainPinned(t *testing.T) {
 				t.Fatalf("frozen weight moved to %v", res.Weights[3])
 			}
 			if got := hashFloats(res.Weights); got != c.want {
-				t.Fatalf("weights hash = %#x, want %#x (weights %v)", got, c.want, res.Weights)
+				t.Fatalf("weights hash = %#x, want %#x (weights %v, solved %+v)", got, c.want, res.Weights, res.Solved)
 			}
 		})
 	}

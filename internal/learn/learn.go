@@ -8,11 +8,16 @@
 //	∂ log Pr[E] / ∂w_k = E_{I ~ Pr(·|E)}[stat_k(I)] − E_{I ~ Pr}[stat_k(I)]
 //
 // where stat_k(I) = Σ_{γ with weight k} sign(γ,I)·g(n(γ,I)). Both
-// expectations are estimated with Gibbs chains: a clamped chain on the
-// graph as-is (evidence fixed) and a free chain on a copy with evidence
-// released. This is the standard contrastive scheme DeepDive/Tuffy use;
-// inference is the inner loop of learning, which is why incremental
-// inference speeds up learning too.
+// expectations factorise over the connected components of the graph with its
+// evidence released, and a component holding no evidence contributes exactly
+// zero, so the learner works component by component (exact.go): every
+// evidence-bearing component small enough to enumerate is compiled once into
+// tables of its worlds' statistics, clamped and released, and its part of
+// the gradient is read off them exactly at every step — no chain, no seed.
+// Only the components past the size bound are estimated with Gibbs chains: a
+// clamped chain on the subgraph they induce (evidence fixed) and a free one
+// on its copy with evidence released, the contrastive scheme DeepDive and
+// Tuffy use for the whole graph.
 //
 // The package also implements the incremental-learning strategies compared
 // in Appendix B.3: stochastic gradient descent with and without warmstart,
@@ -26,15 +31,18 @@ import (
 
 	"deepdive/internal/factor"
 	"deepdive/internal/gibbs"
+	"deepdive/internal/inc"
 )
 
 // Method selects the optimizer.
 type Method uint8
 
 const (
-	// SGD takes a noisy gradient step after every sweep pair.
+	// SGD takes BatchSweeps gradient steps per epoch, the remainder's part
+	// of each estimated from one sweep pair.
 	SGD Method = iota
-	// GD averages many sweeps into one full-batch gradient per epoch.
+	// GD takes one gradient step per epoch, the remainder's part averaged
+	// over BatchSweeps sweep pairs.
 	GD
 )
 
@@ -50,27 +58,31 @@ func (m Method) String() string {
 	}
 }
 
-// Options configures Train.
+// Options configures Train. Burnin, Seed and Runtime act on the remainder's
+// chain pair only, and BatchSweeps sizes its estimates besides the SGD epoch:
+// on a graph whose evidence-bearing components all enumerate no chain runs.
 type Options struct {
-	Method      Method
-	Epochs      int     // optimizer epochs (default 20)
-	StepSize    float64 // initial learning rate (default 0.1)
-	Decay       float64 // multiplicative step decay per epoch (default 0.95)
-	L2          float64 // ℓ2 regularization strength (default 1e-4)
-	BatchSweeps int     // sweeps averaged per GD gradient (default 10)
-	Burnin      int     // chain burn-in sweeps before learning (default 10)
-	// Runtime selects the Gibbs chains driving the gradient estimates: the
-	// sequential sampler, the sharded one, or the replica engine, whose
-	// replica-averaged statistics feed the same gradient step on one model.
+	Method   Method
+	Epochs   int     // optimizer epochs (default 20)
+	StepSize float64 // initial learning rate (default 0.1)
+	Decay    float64 // multiplicative step decay per epoch (default 0.95)
+	L2       float64 // ℓ2 regularization strength (default 1e-4)
+	// BatchSweeps is the SGD steps per epoch and the sweep pairs a GD step
+	// averages the remainder's statistics over (default 10).
+	BatchSweeps int
+	Burnin      int // the remainder chains' burn-in sweeps (default 10)
+	// Runtime selects the remainder's chains: the sequential sampler, the
+	// sharded one, or the replica engine, whose replica-averaged statistics
+	// feed the same gradient step on one model.
 	Runtime   gibbs.Runtime
-	Seed      int64
+	Seed      int64     // the remainder chains' seed
 	Warmstart []float64 // initial weights; nil means start from zero
 	// Frozen marks weights excluded from learning (fixed-value rule
 	// weights). nil means all weights are learnable.
 	Frozen []bool
 
 	// TrackLoss, when set, records the evidence loss after every epoch
-	// (costs extra sweeps).
+	// (costs the remainder extra sweeps).
 	TrackLoss bool
 }
 
@@ -105,6 +117,12 @@ type Result struct {
 	Weights     []float64
 	LossByEpoch []float64 // filled when Options.TrackLoss
 	Epochs      int
+	// Solved says how the gradient came by the evidence-bearing components
+	// of the released graph: the variables of those compiled into tables
+	// (Closed alone in their component, Enumerated in a larger one), the
+	// variables of those left to the chain pair (Swept), and the size of the
+	// largest.
+	Solved inc.Solved
 }
 
 // freeCopy builds a graph identical to g but with every evidence variable
@@ -119,13 +137,16 @@ func freeCopy(g *factor.Graph) *factor.Graph {
 	return b.MustBuild()
 }
 
-// Trainer holds the two chains and the weight vector across updates, so
-// incremental learning can continue from a previous state (warmstart).
+// Trainer holds the gradient source and the weight vector across updates,
+// so incremental learning can continue from a previous state (warmstart).
 type Trainer struct {
+	plan *plan
+	// clamped and free are the remainder's chain pair: on the subgraph the
+	// components past the bound induce, and on its copy with evidence
+	// released. Both nil when there is no remainder.
 	clamped gibbs.Chain
 	free    gibbs.Chain
 	g       *factor.Graph
-	fg      *factor.Graph
 	weights []float64
 	opt     Options
 	ctx     context.Context // cooperative cancellation; nil = never cancel
@@ -134,15 +155,17 @@ type Trainer struct {
 	statsF []float64
 }
 
-// NewTrainer prepares chains over g. The graph's current weights are
-// overwritten by opt.Warmstart (or zeros) before any sampling.
+// NewTrainer compiles the gradient source over g: the tables of the
+// evidence-bearing components that enumerate, the chain pair over the
+// others. The graph's current weights are overwritten by opt.Warmstart (or
+// zeros) first.
 func NewTrainer(g *factor.Graph, opt Options) *Trainer {
 	return NewTrainerCtx(nil, g, opt)
 }
 
 // NewTrainerCtx is NewTrainer with a cooperative cancellation context
-// threaded into every sweep loop the trainer runs (burn-in, gradient
-// estimation). Cancellation between sweeps never leaves the model
+// threaded into the compilation and every sweep loop the trainer runs
+// (burn-in, gradient estimation). Cancellation never leaves the model
 // half-stepped: a gradient step whose sweeps were cut short is discarded,
 // so the weight vector always reflects the last completed step.
 func NewTrainerCtx(ctx context.Context, g *factor.Graph, opt Options) *Trainer {
@@ -155,57 +178,70 @@ func NewTrainerCtx(ctx context.Context, g *factor.Graph, opt Options) *Trainer {
 		copy(w, o.Warmstart)
 	}
 	g.SetWeights(w)
-	fg := freeCopy(g)
 	t := &Trainer{
-		clamped: o.Runtime.NewChain(g, o.Seed),
-		free:    o.Runtime.NewChain(fg, o.Seed+1),
+		plan:    newPlan(ctx, g, o.Burnin+o.Epochs*o.BatchSweeps),
 		g:       g,
-		fg:      fg,
 		weights: w,
 		opt:     o,
 		ctx:     ctx,
-		statsC:  make([]float64, len(w)),
-		statsF:  make([]float64, len(w)),
 	}
-	t.clamped.RandomizeState()
-	t.free.RandomizeState()
-	t.clamped.RunCtx(ctx, o.Burnin)
-	t.free.RunCtx(ctx, o.Burnin)
+	if len(t.plan.rest) > 0 {
+		sub, _ := g.Induced(t.plan.rest)
+		t.clamped = o.Runtime.NewChain(sub, o.Seed)
+		t.free = o.Runtime.NewChain(freeCopy(sub), o.Seed+1)
+		t.statsC, t.statsF = make([]float64, len(w)), make([]float64, len(w))
+		t.clamped.RandomizeState()
+		t.free.RandomizeState()
+		t.clamped.RunCtx(ctx, o.Burnin)
+		t.free.RunCtx(ctx, o.Burnin)
+	}
 	return t
 }
 
 // canceled reports whether the trainer's context is cancelled.
-func (t *Trainer) canceled() bool { return t.ctx != nil && t.ctx.Err() != nil }
+func (t *Trainer) canceled() bool { return canceled(t.ctx) }
 
 // Weights returns the live weight vector.
 func (t *Trainer) Weights() []float64 { return t.weights }
 
-// syncWeights pushes the trainer's weights into both graphs.
+// syncWeights pushes the trainer's weights into the graph and the chains'.
 func (t *Trainer) syncWeights() {
 	t.g.SetWeights(t.weights)
-	t.fg.SetWeights(t.weights)
+	if t.clamped != nil {
+		t.clamped.Graph().SetWeights(t.weights)
+		t.free.Graph().SetWeights(t.weights)
+	}
 }
 
-// gradient estimates the log-likelihood gradient using `sweeps` sweeps of
-// each chain, writing it into out. Returns false when cancelled before
-// all sweeps completed — the partial estimate must not be applied.
+// gradient writes the log-likelihood gradient into out: exact for the
+// compiled components, estimated from `sweeps` sweeps of each remainder
+// chain for the rest. Returns false when cancelled before all sweeps
+// completed — the partial estimate must not be applied.
 func (t *Trainer) gradient(sweeps int, out []float64) bool {
-	for i := range t.statsC {
-		t.statsC[i] = 0
-		t.statsF[i] = 0
+	if t.canceled() {
+		return false
 	}
-	for s := 0; s < sweeps; s++ {
-		if t.canceled() {
-			return false
+	clear(out)
+	t.plan.expect(t.weights, out)
+	if t.clamped != nil {
+		clear(t.statsC)
+		clear(t.statsF)
+		for s := 0; s < sweeps; s++ {
+			if t.canceled() {
+				return false
+			}
+			t.clamped.Sweep()
+			t.clamped.WeightStats(t.statsC)
+			t.free.Sweep()
+			t.free.WeightStats(t.statsF)
 		}
-		t.clamped.Sweep()
-		t.clamped.WeightStats(t.statsC)
-		t.free.Sweep()
-		t.free.WeightStats(t.statsF)
+		inv := 1 / float64(sweeps)
+		for k := range out {
+			out[k] += (t.statsC[k] - t.statsF[k]) * inv
+		}
 	}
-	inv := 1 / float64(sweeps)
 	for k := range out {
-		out[k] = (t.statsC[k]-t.statsF[k])*inv - t.opt.L2*t.weights[k]
+		out[k] -= t.opt.L2 * t.weights[k]
 	}
 	return true
 }
@@ -227,7 +263,8 @@ func (t *Trainer) Epoch(epoch int) float64 {
 	}
 	switch t.opt.Method {
 	case SGD:
-		// A handful of noisy single-sweep steps per epoch.
+		// A handful of steps per epoch, the remainder's part of each from
+		// a single sweep pair.
 		for s := 0; s < t.opt.BatchSweeps; s++ {
 			if !t.gradient(1, grad) {
 				return step
@@ -244,11 +281,21 @@ func (t *Trainer) Epoch(epoch int) float64 {
 	return step
 }
 
-// Loss estimates the evidence loss of the current weights: the average
-// negative conditional log-likelihood of each evidence variable given the
-// rest of the clamped chain's world. Lower is better; 0 is perfect.
+// Loss is the evidence loss of the current weights per evidence variable:
+// over the compiled components, exactly −log Pr[E]; over the remainder,
+// each evidence variable's negative conditional log-likelihood given the
+// rest of the clamped chain's world, averaged over `sweeps` sweeps (see
+// EvidenceLoss). Lower is better; 0 is perfect.
 func (t *Trainer) Loss(sweeps int) float64 {
-	return EvidenceLoss(t.g, t.clamped, sweeps)
+	p := t.plan
+	if p.evidence == 0 {
+		return 0
+	}
+	nll := -p.expect(t.weights, nil)
+	if t.clamped != nil && p.restEvidence > 0 {
+		nll += EvidenceLoss(t.clamped.Graph(), t.clamped, sweeps) * float64(p.restEvidence)
+	}
+	return nll / float64(p.evidence)
 }
 
 // Train runs the full optimization and returns the learned weights.
@@ -263,7 +310,7 @@ func Train(g *factor.Graph, opt Options) *Result {
 // a coherent (partially trained) model is installed on g either way.
 func TrainCtx(ctx context.Context, g *factor.Graph, opt Options) (*Result, error) {
 	t := NewTrainerCtx(ctx, g, opt)
-	res := &Result{Epochs: t.opt.Epochs}
+	res := &Result{Epochs: t.opt.Epochs, Solved: t.plan.solved}
 	for e := 0; e < t.opt.Epochs; e++ {
 		if t.canceled() {
 			break

@@ -12,7 +12,10 @@ import (
 // Class(x) :- R(x, f) weight = w(f) over nObj objects: even objects carry
 // feature 0 and are labeled true, odd objects carry feature 1 and are
 // labeled false. The first nTrain objects are evidence; the rest are
-// held-out queries. Returns the graph and the query variable ids.
+// held-out queries. Returns the graph and the query variable ids. The
+// evidence anchor ties every object into one released component past the
+// enumeration bound, so the learner estimates its gradient with the chain
+// pair: these tests drive the runtimes' chains.
 func classifierGraph(nObj, nTrain int) (*factor.Graph, []factor.VarID) {
 	b := factor.NewBuilder()
 	anchor := b.AddEvidenceVar(true)

@@ -76,8 +76,9 @@ type KB struct {
 	// the next apply scores the union, so no grounded delta's factors
 	// escape the acceptance test. Guarded by stateMu.
 	pending inc.ChangeSet
-	// inferSolved is how the last Infer came by marg. Guarded by stateMu.
-	inferSolved inc.Solved
+	// inferSolved is how the last Infer came by marg, learnSolved how the
+	// last Learn came by its gradient. Guarded by stateMu.
+	inferSolved, learnSolved inc.Solved
 
 	// curGraph is the graph the served state corresponds to — the same
 	// pointer grounder.Graph() last returned, mirrored here so the
@@ -165,6 +166,11 @@ type KB struct {
 
 	queueOnce sync.Once
 	queue     *UpdateQueue
+
+	// holdFinish, when set, runs before every finish stage starts: the seam
+	// tests use to act between an update's graph commit and its finish. Nil
+	// outside tests.
+	holdFinish func(ctx context.Context)
 }
 
 // OpenKB parses and validates a DeepDive program and returns a serving
@@ -389,10 +395,18 @@ func (kb *KB) engineOpts(seed int64) inc.Options {
 }
 
 // Learn fits rule weights from scratch (tied weights start at zero;
-// fixed weights stay fixed). Cancellation via ctx returns promptly with
-// the context's error; the weights of the last completed gradient step
-// remain installed (a coherent, partially trained model) but no new
-// snapshot is published.
+// fixed weights stay fixed), WithLearning's epochs of SGD on the gradient of
+// log Pr[E]. The gradient is a sum over the connected components of the
+// graph with its evidence released, and a component without evidence adds
+// nothing, so only the evidence-bearing ones are visited: each small enough
+// to enumerate within the budget a pair of Gibbs chains would sweep is
+// compiled once into tables of its worlds' statistics and its part of every
+// step is exact (the seed and the runtime do not move it); Gibbs chains on
+// WithParallelism/WithReplicas's runtime sample the others only.
+// Stats().Learned on the published snapshot says which way the components
+// went. Cancellation via ctx returns promptly with the context's error; the
+// weights of the last completed gradient step remain installed (a coherent,
+// partially trained model) but no new snapshot is published.
 func (kb *KB) Learn(ctx context.Context) (time.Duration, error) {
 	defer kb.lockExclusive()()
 	if err := ctxErr(ctx); err != nil {
@@ -404,7 +418,7 @@ func (kb *KB) Learn(ctx context.Context) (time.Duration, error) {
 	for _, w := range kb.grounder.LearnableWeights() {
 		warm[w] = 0
 	}
-	_, err := learn.TrainCtx(ctx, g, learn.Options{
+	res, err := learn.TrainCtx(ctx, g, learn.Options{
 		Epochs:    kb.opts.LearnEpochs,
 		StepSize:  kb.opts.LearnStep,
 		Runtime:   kb.runtime(),
@@ -415,6 +429,7 @@ func (kb *KB) Learn(ctx context.Context) (time.Duration, error) {
 	if err != nil {
 		return time.Since(start), err
 	}
+	kb.learnSolved = res.Solved
 	if kb.engine != nil {
 		// The engine still materializes the old weights: carry the drift,
 		// so the next update scores it and covers the graph.
@@ -710,6 +725,9 @@ func deltaSeeds(d *ground.Delta, prev, g *factor.Graph) []factor.VarID {
 // under the GlobalFinish lesion.
 func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, error) {
 	defer kb.seqExit(st.seq)
+	if kb.holdFinish != nil {
+		kb.holdFinish(ctx)
+	}
 	kb.stateMu.Lock()
 	defer kb.stateMu.Unlock()
 	if st.walErr != nil {
@@ -920,7 +938,7 @@ func (kb *KB) CloseNow() error {
 // result in as the served view. Callers hold stateMu.
 func (kb *KB) publishStaged(sk *skeleton, cs changeSet) *Snapshot {
 	s := &Snapshot{skeleton: *sk, marg: kb.marg}
-	s.stats.Inferred = kb.inferSolved
+	s.stats.Inferred, s.stats.Learned = kb.inferSolved, kb.learnSolved
 	if kb.engine != nil {
 		ap := kb.autopilotLocked()
 		s.stats.Autopilot = &ap

@@ -185,11 +185,17 @@ func TestCheckpointRestart(t *testing.T) {
 		}
 	}
 	want := spouseBits(kb)
+	learned := kb.Stats().Learned
 	bmust(t, kb.Close())
 
 	// Restart replays the three logged updates on top of the snapshot.
 	kb2 := reopenSpouseKB(t, dir)
 	assertSameBits(t, want, spouseBits(kb2), "after restart")
+	// The restored KB ran none of the from-scratch passes: it records none.
+	if st := kb2.Stats(); learned == (deepdive.Solved{}) || st.Learned != (deepdive.Solved{}) ||
+		st.Inferred != (deepdive.Solved{}) || st.Materialized != (deepdive.Solved{}) {
+		t.Fatalf("restored KB records passes it did not run: %+v (the original learned %+v)", st, learned)
+	}
 
 	// The recovered KB is live: it takes updates and checkpoints.
 	if _, err := kb2.Apply(ctx, docDelta(7)); err != nil {

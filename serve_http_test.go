@@ -143,9 +143,9 @@ func TestServeHTTPEndToEnd(t *testing.T) {
 	if q := body["queue"].(map[string]any); q["applied"].(float64) < 1 {
 		t.Fatalf("queue stats: %v", q)
 	}
-	// "Why was that materialization slow" is on the wire: how Infer and
-	// Materialize came by their result — here without a sweep.
-	for _, pass := range []string{"Inferred", "Materialized"} {
+	// "Why was that materialization slow" is on the wire: how Learn, Infer
+	// and Materialize came by their result — here without a sweep.
+	for _, pass := range []string{"Learned", "Inferred", "Materialized"} {
 		n, _ := body["graph"].(map[string]any)[pass].(map[string]any)
 		if n == nil || n["Swept"].(float64) != 0 || n["Closed"].(float64)+n["Enumerated"].(float64) == 0 || n["Largest"].(float64) < 1 {
 			t.Fatalf("stats: graph.%s = %v", pass, n)
@@ -365,11 +365,7 @@ func TestProgressPublishDefaultOff(t *testing.T) {
 // with the marginals filled in. The watcher captures the intermediate
 // through Published(), the same broadcast subscribers use.
 func TestProgressPublish(t *testing.T) {
-	// GlobalFinish: the watcher below needs a finish stage it can win a
-	// race against, and an unsupervised document's scoped finish (no
-	// learning, two dirty variables) is over before a goroutine wakes.
-	kb := spouseKB(t, deepdive.WithProgressPublish(time.Nanosecond),
-		deepdive.WithLesions(deepdive.Lesions{GlobalFinish: true}))
+	kb := spouseKB(t, deepdive.WithProgressPublish(time.Nanosecond))
 	t.Cleanup(func() { kb.Close() })
 	ctx := context.Background()
 
@@ -387,44 +383,40 @@ func TestProgressPublish(t *testing.T) {
 	}
 
 	// Pin the intermediate snapshot's content by freezing the pipeline at
-	// it: a watcher on Published() cancels the apply the moment the
+	// it: the finish stage is held until the update's context is done, and
+	// a watcher on Published() cancels that context the moment the
 	// intermediate lands, so the finish stage aborts and the intermediate
 	// stays the served view — new candidates present, marginals unknown.
-	// The watcher races the (fast) finish stage; a lost race means the
-	// apply completed normally, costing nothing but a retry.
-	for attempt := 0; attempt < 50; attempt++ {
-		e0 := kb.Snapshot().Epoch()
-		pair := deepdive.Tuple{fmt.Sprintf("p%da", 200+attempt), fmt.Sprintf("p%db", 200+attempt)}
-		pub := kb.Published()
-		cctx, cancel := context.WithCancel(ctx)
-		go func() {
-			<-pub
-			cancel()
-		}()
-		_, err := kb.Apply(cctx, docUpdate(200+attempt))
+	kb.HoldFinish(func(ctx context.Context) { <-ctx.Done() })
+	e0 = kb.Snapshot().Epoch()
+	pair := deepdive.Tuple{"p200a", "p200b"}
+	pub := kb.Published()
+	cctx, cancel := context.WithCancel(ctx)
+	go func() {
+		<-pub
 		cancel()
-		if err == nil {
-			continue // finish outran the watcher; retry
-		}
-		s := kb.Snapshot()
-		if s.Epoch() != e0+1 {
-			t.Fatalf("after aborted finish: epoch %d, want the intermediate %d", s.Epoch(), e0+1)
-		}
-		present := false
-		for _, cand := range s.Candidates("HasSpouse") {
-			if cand.Key() == pair.Key() {
-				present = true
-			}
-		}
-		if !present {
-			t.Fatalf("intermediate snapshot is missing the new candidate %v", pair)
-		}
-		if _, known := s.Marginal("HasSpouse", pair); known {
-			t.Fatalf("intermediate snapshot already has a marginal for %v — it cannot have inferred yet", pair)
-		}
-		return
+	}()
+	_, err = kb.Apply(cctx, docUpdate(200))
+	cancel()
+	if err != context.Canceled {
+		t.Fatalf("held finish: err = %v, want context.Canceled", err)
 	}
-	t.Fatal("watcher never beat the finish stage in 50 attempts")
+	s := kb.Snapshot()
+	if s.Epoch() != e0+1 {
+		t.Fatalf("after aborted finish: epoch %d, want the intermediate %d", s.Epoch(), e0+1)
+	}
+	present := false
+	for _, cand := range s.Candidates("HasSpouse") {
+		if cand.Key() == pair.Key() {
+			present = true
+		}
+	}
+	if !present {
+		t.Fatalf("intermediate snapshot is missing the new candidate %v", pair)
+	}
+	if _, known := s.Marginal("HasSpouse", pair); known {
+		t.Fatalf("intermediate snapshot already has a marginal for %v — it cannot have inferred yet", pair)
+	}
 }
 
 // TestServeHTTPRejectsMalformedTuples: the wire twin of

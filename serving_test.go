@@ -65,21 +65,26 @@ func spouseKBRaw(t *testing.T, opts ...deepdive.Option) *deepdive.KB {
 }
 
 // chainSource couples every node to its successor: conditioned on nothing,
-// n nodes are one connected component of n free variables.
+// n nodes are one connected component of n free variables. A Seed node is
+// labelled on.
 const chainSource = `
 @relation Node(a).
 @relation Next(a, b).
+@relation Seed(a).
 @variable On(a).
+@relation On_Ev(a, label).
 
 @semantics(ratio).
 
 Cand: On(a) :- Node(a).
 Prior: On(a) :- Node(a) weight = 0.3.
 Chain: On(b) :- On(a), Next(a, b) weight = 0.8.
+Sup: On_Ev(a, true) :- On(a), Seed(a).
 `
 
-// chainKB is the chain program over n nodes after its initial grounding.
-func chainKB(t *testing.T, n int, opts ...deepdive.Option) *deepdive.KB {
+// chainKB is the chain program over n nodes after its initial grounding,
+// the first seeds of them labelled.
+func chainKB(t *testing.T, n, seeds int, opts ...deepdive.Option) *deepdive.KB {
 	t.Helper()
 	kb, err := deepdive.OpenKB(chainSource, append([]deepdive.Option{deepdive.WithSeed(7)}, opts...)...)
 	if err != nil {
@@ -95,6 +100,7 @@ func chainKB(t *testing.T, n int, opts ...deepdive.Option) *deepdive.KB {
 	}
 	must(t, kb.Load("Node", nodes))
 	must(t, kb.Load("Next", next))
+	must(t, kb.Load("Seed", nodes[:seeds]))
 	must(t, kb.Init(context.Background()))
 	return kb
 }
@@ -228,7 +234,7 @@ func TestKBContextCancellation(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel2()
 	}()
-	kbLong := chainKB(t, 40, deepdive.WithInference(50_000_000, 1))
+	kbLong := chainKB(t, 40, 0, deepdive.WithInference(50_000_000, 1))
 	epochBefore := kbLong.Snapshot().Epoch()
 	start := time.Now()
 	_, err := kbLong.Infer(ctx)
@@ -244,7 +250,7 @@ func TestKBContextCancellation(t *testing.T) {
 	// The same for a materialization that owes the chain 5e7 stored sweeps.
 	ctx, cancel3 := context.WithCancel(context.Background())
 	time.AfterFunc(30*time.Millisecond, cancel3)
-	kbLong = chainKB(t, 40, deepdive.WithMaterialization(50_000_000, 0.01))
+	kbLong = chainKB(t, 40, 0, deepdive.WithMaterialization(50_000_000, 0.01))
 	start = time.Now()
 	if _, err := kbLong.Materialize(ctx); err != context.Canceled {
 		t.Fatalf("Materialize err = %v, want context.Canceled", err)
@@ -271,13 +277,14 @@ func TestKBContextCancellation(t *testing.T) {
 	}
 }
 
-// TestSolvedStats: Infer and Materialize record how they came by their
-// result, readable off the snapshot they publish. The spouse graph's
-// components all enumerate — nothing is swept and every free variable is
-// accounted for; the chain program's 40 coupled variables are past the bound
-// under any budget, so they go to the runtime's chain — sequential, sharded
-// and replica alike — while inference and materialization still complete and
-// serve a marginal for every node.
+// TestSolvedStats: Learn, Infer and Materialize record how they came by
+// their result, readable off the snapshot they publish. The spouse graph's
+// components all enumerate — nothing is swept, every free variable is
+// accounted for, and so is every evidence variable learning's gradient
+// reads; the chain program's 40 coupled variables, one of them labelled, are
+// past the bound under any budget, so they go to the runtime's chain —
+// sequential, sharded and replica alike — while learning, inference and
+// materialization still complete and serve a marginal for every node.
 func TestSolvedStats(t *testing.T) {
 	kb := spouseKB(t)
 	st := kb.Snapshot().Stats()
@@ -286,11 +293,14 @@ func TestSolvedStats(t *testing.T) {
 			t.Errorf("spouse %s solved %+v of %d free variables", pass, n, st.QueryFacts)
 		}
 	}
+	if n := st.Learned; n.Swept != 0 || n.Closed+n.Enumerated < st.Evidence || n.Largest < 1 {
+		t.Errorf("spouse Learn solved %+v around %d evidence variables", n, st.Evidence)
+	}
 	if _, err := kb.Apply(context.Background(), docUpdate(0)); err != nil {
 		t.Fatal(err)
 	}
-	if got := kb.Snapshot().Stats(); got.Inferred != st.Inferred || got.Materialized != st.Materialized {
-		t.Errorf("an update rewrote the record: %+v, %+v", got.Inferred, got.Materialized)
+	if got := kb.Snapshot().Stats(); got.Inferred != st.Inferred || got.Materialized != st.Materialized || got.Learned != st.Learned {
+		t.Errorf("an update rewrote the record: %+v, %+v, %+v", got.Inferred, got.Materialized, got.Learned)
 	}
 
 	for name, opt := range map[string]deepdive.Option{
@@ -298,23 +308,26 @@ func TestSolvedStats(t *testing.T) {
 		"sharded":    deepdive.WithParallelism(4),
 		"replicas":   deepdive.WithReplicas(2, 8),
 	} {
-		kb := chainKB(t, 40, opt, deepdive.WithInference(30, 300), deepdive.WithMaterialization(200, 0.01))
-		if st := kb.Snapshot().Stats(); st.Inferred != (deepdive.Solved{}) || st.Materialized != (deepdive.Solved{}) {
+		kb := chainKB(t, 40, 1, opt, deepdive.WithInference(30, 300), deepdive.WithMaterialization(200, 0.01))
+		if st := kb.Snapshot().Stats(); st.Inferred != (deepdive.Solved{}) || st.Materialized != (deepdive.Solved{}) || st.Learned != (deepdive.Solved{}) {
 			t.Fatalf("%s: a record before any pass: %+v", name, st)
 		}
-		if _, err := kb.Infer(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := kb.Materialize(context.Background()); err != nil {
-			t.Fatal(err)
+		for _, pass := range []func(context.Context) (time.Duration, error){kb.Learn, kb.Infer, kb.Materialize} {
+			if _, err := pass(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 		}
 		st := kb.Snapshot().Stats()
-		want := deepdive.Solved{Swept: 40, Largest: 40}
+		want := deepdive.Solved{Swept: 39, Largest: 39}
 		if st.Inferred != want || st.Materialized != want || st.Autopilot.StoreLen != 200 {
-			t.Fatalf("%s: chain of 40 solved %+v / %+v with %d worlds stored, want %+v and 200", name, st.Inferred, st.Materialized, st.Autopilot.StoreLen, want)
+			t.Fatalf("%s: chain of 39 free nodes solved %+v / %+v with %d worlds stored, want %+v and 200", name, st.Inferred, st.Materialized, st.Autopilot.StoreLen, want)
 		}
-		// Positive couplings and a positive prior: every node leans on.
-		for i := 0; i < 40; i++ {
+		if want := (deepdive.Solved{Swept: 40, Largest: 40}); st.Learned != want {
+			t.Fatalf("%s: learning over the labelled chain of 40 solved %+v, want %+v", name, st.Learned, want)
+		}
+		// Positive couplings and a positive prior: every node the label
+		// does not fix leans on.
+		for i := 1; i < 40; i++ {
 			if p, ok := kb.Snapshot().Marginal("On", deepdive.Tuple{fmt.Sprint("n", i)}); !ok || p < 0.5 || p > 0.99 {
 				t.Fatalf("%s: On(n%d) = %v, %v", name, i, p, ok)
 			}
