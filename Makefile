@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-serving race-serve race-pipeline race-persist soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-ground bench-finish bench-incupdate bench-replicas bench-serving bench-serve-http bench-serve-http-smoke bench-hotpath bench-hotpath-full bench-pipeline bench-pipeline-full bench-persist profile
+.PHONY: check fmt vet build test race race-serving race-serve race-pipeline race-persist soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-ground bench-finish bench-incupdate bench-replicas bench-serving bench-hotpath bench-hotpath-full bench-pipeline bench-pipeline-full bench-persist profile
 
 # Everything CI runs. (go test ./... includes the short soak; the full
 # acceptance-length soak is `make soak`.)
@@ -35,8 +35,8 @@ race:
 
 # The serving API's concurrency proof: lock-free snapshot readers
 # against live Apply/queue writers, context cancellation, coalescing,
-# and the background re-materializer (swap vs readers, write preemption,
-# Close/CloseNow mid-materialization).
+# and the finish stage's store refills (engine swaps vs readers, a refill
+# cancelled with its update).
 race-serving:
 	$(GO) test -race -count=1 -run 'TestSnapshot|TestKBContext|TestCoalesce|TestQueue|TestApplyModifies|TestCancelled|TestRemat' .
 
@@ -51,8 +51,7 @@ race-serve:
 
 # Interactive demo of the network serving tier: builds and materializes
 # the News KB, serves it on :8090, and streams the rule iterations
-# through the update queue while it runs. Curl the printed endpoints or
-# point `go run ./cmd/kbload -addr http://127.0.0.1:8090` at it.
+# through the update queue while it runs. Curl the printed endpoints.
 serve-demo:
 	$(GO) run ./cmd/deepdive -system News -serve 127.0.0.1:8090 -serve-for 30s
 
@@ -145,16 +144,6 @@ bench-replicas:
 # recorded in BENCH_serving.json). Smoke: one short cell per column.
 bench-serving:
 	$(GO) test -bench='ServingThroughput/readers=1' -benchtime=0.1s -run=xxx .
-
-# Wire-level serving benchmark (results recorded in
-# BENCH_serve_http.json): p50/p99 HTTP read latency and SSE fan-out lag
-# under a sustained writer, swept over 1/4/8 reader clients against a
-# self-hosted KB. The smoke variant runs one short single-client phase.
-bench-serve-http:
-	$(GO) run ./cmd/kbload -self -clients 1,4,8 -duration 3s -out BENCH_serve_http.json
-
-bench-serve-http-smoke:
-	$(GO) run ./cmd/kbload -self -clients 1 -subscribers 1 -duration 500ms
 
 # Gibbs hot-path suite (results recorded in BENCH_hotpath.json): corpus
 # sweep throughput on all three runtimes, the near-convergence regime the

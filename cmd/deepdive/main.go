@@ -60,11 +60,10 @@ func run(args []string, out io.Writer) int {
 	replicas := fs.Int("replicas", 0, "replica engine workers (0 off, -1 one per core); overrides -parallel")
 	syncEvery := fs.Int("syncevery", 0, "replica merge interval in sweeps (0 = default)")
 	rebuild := fs.Bool("rebuild", false, "rebuild the factor graph on every update (lesion; default is the O(Δ) in-place patch)")
-	staticOpt := fs.Bool("static-optimizer", false, "lesion: static §3.3 strategy rules, per-update change sets, no re-materialization")
+	staticOpt := fs.Bool("static-optimizer", false, "lesion: static §3.3 strategy rules, per-update change sets, no store refill")
 	serve := fs.String("serve", "", "serve the KB over HTTP on this address (e.g. 127.0.0.1:8090, :0 for a free port) while the rule iterations stream through the update queue")
 	serveFor := fs.Duration("serve-for", 0, "shut the -serve server down after this long (0 = serve until SIGINT/SIGTERM)")
-	rematLow := fs.Int("remat-low", 0, "background re-materialization low-water mark in unconsumed samples (0 off)")
-	rematBudget := fs.Duration("remat-budget", 0, "extra sampling time per background re-materialization")
+	rematLow := fs.Int("remat-low", 0, "re-materialize in the update that leaves fewer unconsumed samples than this (0 off)")
 	dataDir := fs.String("data-dir", "", "durable KB directory (snapshot + WAL); rerunning with the same directory restarts from disk")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")
 	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file")
@@ -124,7 +123,7 @@ func run(args []string, out io.Writer) int {
 		deepdive.WithSeed(*seed),
 		deepdive.WithParallelism(*parallel),
 		deepdive.WithReplicas(*replicas, *syncEvery),
-		deepdive.WithRematerialization(*rematLow, *rematBudget),
+		deepdive.WithRematerialization(*rematLow, 0),
 		deepdive.WithLesions(deepdive.Lesions{RebuildUpdates: *rebuild, StaticOptimizer: *staticOpt}),
 	}
 	if *dataDir != "" {
@@ -325,8 +324,8 @@ func (d *demo) serve(addr string, serveFor time.Duration) error {
 	fmt.Fprintf(d.out, "autopilot: %d sampling / %d variational / %d rerun runs (%d fallbacks), store %d/%d",
 		ap.SamplingRuns, ap.VariationalRuns, ap.RerunRuns, ap.Fallbacks, ap.StoreRemaining, ap.StoreLen)
 	if ap.LowWater > 0 {
-		fmt.Fprintf(d.out, ", low-water %d, %d re-materializations (%d preempted, %d forced slots)",
-			ap.LowWater, ap.Rematerializations, ap.RematPreempted, ap.RematForced)
+		fmt.Fprintf(d.out, ", low-water %d, %d re-materializations (%d preempted)",
+			ap.LowWater, ap.Rematerializations, ap.RematPreempted)
 	}
 	fmt.Fprintln(d.out)
 	if ap.LastProbe >= 0 {

@@ -153,31 +153,15 @@ type Options struct {
 	// unbounded.
 	MaxPending int
 
-	// RematLowWater arms the quality autopilot's background
-	// re-materializer: when an update leaves fewer than this many
-	// unconsumed sample worlds in the store, the KB re-materializes Pr(0)
-	// in the background (sampling off-lock in the write locks' idle gaps)
-	// and atomically swaps the fresh engine in, resetting the
-	// materialization boundary. Any incoming write preempts an in-flight
-	// re-materialization. 0 (the default) disables background
-	// re-materialization.
+	// RematLowWater arms the quality autopilot's store refill: when an
+	// update's inference leaves fewer than this many unconsumed sample
+	// worlds in the store, that update's finish stage re-materializes Pr(0)
+	// from the current graph and weights (MatSamples fresh worlds) before
+	// it publishes, resetting the materialization boundary, and publishes
+	// the fresh store's means. The refill is part of the update — WAL
+	// replay repeats it — and costs what Materialize costs. 0 (the
+	// default) never refills.
 	RematLowWater int
-
-	// RematBudget extends each background re-materialization beyond the
-	// initial MatSamples worlds: after the baseline materialization the
-	// sampler keeps drawing for this much wall-clock time (the paper's
-	// "materialize as many samples as possible when idle" protocol,
-	// budget-bounded). 0 stops at MatSamples.
-	RematBudget time.Duration
-
-	// RematForceAfter bounds re-materialization starvation under a
-	// saturated update queue: after this many consecutive preempted (or
-	// superseded) background re-materializations, the update queue holds
-	// one cooperative slot — it waits for the in-flight (or a freshly
-	// launched) re-materialization to finish before taking the next batch,
-	// guaranteeing the store is eventually refilled no matter how dense
-	// the write stream is. 0 (the default) never holds the queue.
-	RematForceAfter int
 
 	// DataDir enables durability: the directory holds snapshot files
 	// (sectioned, checksummed images of the full KB state) and write-ahead
@@ -256,7 +240,8 @@ type Lesions struct {
 	// StaticOptimizer reverts the quality autopilot: the §3.3 static
 	// strategy rules instead of the §3.2 measured acceptance probe,
 	// per-update change sets instead of the cumulative
-	// post-materialization set, and no background re-materialization.
+	// post-materialization set, and no store refill whatever
+	// RematLowWater says.
 	StaticOptimizer bool
 	// NoAutoRepair turns the background WAL repair loop off: after a
 	// failed append the KB stays DurabilityDegraded (refusing updates)
@@ -346,20 +331,18 @@ func WithReplicas(n, syncEvery int) Option {
 // drains a batch. n <= 0 means unbounded (the default).
 func WithMaxPending(n int) Option { return func(o *Options) { o.MaxPending = n } }
 
-// WithRematerialization arms the background re-materializer: when fewer
-// than lowWater unconsumed samples remain after an update, Pr(0) is
-// re-materialized in the background and swapped in atomically, with
-// budget of extra sampling time beyond the baseline sample count (see
-// Options.RematLowWater / Options.RematBudget). lowWater <= 0 disables.
+// WithRematerialization arms the store refill (see Options.RematLowWater):
+// when fewer than lowWater unconsumed samples remain after an update's
+// inference, the same update re-materializes Pr(0) before it publishes.
+// lowWater <= 0 disables. budget is ignored: a refill draws
+// WithMaterialization's sample count, because a wall-clock extension would
+// make WAL replay diverge. The refill runs on the update that triggers it —
+// milliseconds where every component enumerates, but a graph with
+// components past the enumeration bound sweeps them in line, holding that
+// update for a Gibbs run.
 func WithRematerialization(lowWater int, budget time.Duration) Option {
-	return func(o *Options) { o.RematLowWater = lowWater; o.RematBudget = budget }
+	return func(o *Options) { o.RematLowWater = lowWater }
 }
-
-// WithRematForceAfter bounds re-materialization starvation (see
-// Options.RematForceAfter): after n consecutive preempted background
-// re-materializations the update queue holds one cooperative slot for
-// the next one to finish. n <= 0 (the default) never holds the queue.
-func WithRematForceAfter(n int) Option { return func(o *Options) { o.RematForceAfter = n } }
 
 // WithProgressPublish auto-publishes an intermediate snapshot after the
 // graph commit of any update whose grounding stage ran at least d (see
@@ -511,11 +494,11 @@ type GraphStats struct {
 	// on snapshots published before Materialize).
 	Autopilot *AutopilotStats
 	// Inferred and Materialized say how the last Infer and the live engine's
-	// materialization (Materialize, or a background re-materialization) came
-	// by their result, Learned how the last Learn came by its gradient over
-	// the evidence-bearing components of the evidence-released graph; zero
-	// before the call and on a KB restored from its data directory, which ran
-	// none of them.
+	// materialization (Materialize, or a store refill) came by their result,
+	// Learned how the last Learn came by its gradient over the
+	// evidence-bearing components of the evidence-released graph; zero before
+	// the call and on a KB restored from its data directory until it runs one
+	// itself.
 	Inferred, Materialized, Learned Solved
 }
 

@@ -149,7 +149,7 @@ func (kb *KB) launchRepair() {
 // exponential backoff until the chain is whole (or the KB closes). Each
 // attempt is a full Checkpoint: it takes the writer locks exclusively,
 // so an attempt naturally queues behind (never preempts) in-flight
-// writes and background re-materialization — contention is bounded
+// writes — contention is bounded
 // because every update is refusing fast while the chain is broken.
 func (kb *KB) repairLoop(ctx context.Context) {
 	defer kb.repairWG.Done()

@@ -34,9 +34,7 @@ func (e *Engine) AppendSnapshot(b *persist.Buf) {
 }
 
 // RestoreEngine rebuilds an engine around an already-decoded Pr(0)
-// graph. No sampling happens: the store is the persisted one, and the
-// evaluation behind it (needed by the MaterializeForBudget idle path only)
-// is redone when that path first asks.
+// graph. No sampling happens: the store is the persisted one.
 func RestoreEngine(old *factor.Graph, opts Options, r *persist.Rd) (*Engine, error) {
 	if v := r.U8("engine version"); r.Err() == nil && v != engineCodecVersion {
 		return nil, fmt.Errorf("inc: unsupported engine codec version %d", v)

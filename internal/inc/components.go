@@ -224,8 +224,8 @@ type worldComp struct {
 }
 
 // topUpWorlds is how many worlds a top-up draws at a time: enough that the
-// per-component cost of a column is shared, few enough that a budget or a
-// cancellation is overshot by little.
+// per-component cost of a column is shared, few enough that a budget is
+// overshot by little.
 const topUpWorlds = 64
 
 // newWorlds evaluates g under a budget of o.Burnin plus n sweeps; nil when

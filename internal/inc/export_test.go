@@ -230,7 +230,7 @@ func (e *Engine) InferDecomposedRef(ctx context.Context, newG *factor.Graph, cs 
 	}
 	// A whole-graph run spends every world it replayed. A scoped run read
 	// len(scope) of each world's n columns and spends that share of them
-	// (rounded up), so rule 4 and the low-water re-materializer meter the
+	// (rounded up), so rule 4 and the KB's low-water refill meter the
 	// stored bits a run used, not the number of runs.
 	if scope != nil {
 		used = (used*len(scope) + n - 1) / n

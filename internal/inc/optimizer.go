@@ -178,8 +178,7 @@ type Engine struct {
 	old   *factor.Graph
 	store *gibbs.Store
 	vm    *Variational
-	// worlds draws Pr(0)'s samples; nil on a restored engine until a top-up
-	// asks for more.
+	// worlds draws Pr(0)'s samples; nil on a restored engine.
 	worlds *worlds
 
 	// accum is the union of every change set noted since materialization
@@ -257,27 +256,13 @@ func NewEngineCtx(ctx context.Context, g *factor.Graph, opts Options) (*Engine, 
 
 // MaterializeForBudget keeps drawing samples until the wall-clock budget
 // is spent (the paper's Figure 15 protocol, scaled down from 8 hours) and
-// returns how many samples are now stored.
+// returns how many samples are now stored. Worlds arrive topUpWorlds at a
+// time, continuing the stream NewEngine began. A restored engine, which
+// keeps no evaluation to draw from, stores nothing more.
 func (e *Engine) MaterializeForBudget(budget time.Duration) int {
-	return e.MaterializeForBudgetCtx(nil, budget)
-}
-
-// MaterializeForBudgetCtx is MaterializeForBudget with a cooperative
-// cancellation check — the form the background re-materializer uses so an
-// incoming write can preempt it mid-budget. Worlds arrive topUpWorlds at a
-// time, continuing the stream NewEngine began; the store keeps every batch
-// completed before the cancellation.
-func (e *Engine) MaterializeForBudgetCtx(ctx context.Context, budget time.Duration) int {
 	deadline := time.Now().Add(budget)
-	if e.worlds == nil {
-		// A restored engine: the evaluation is not persisted, and the stream
-		// must not replay the worlds the store already holds.
-		e.worlds = newWorlds(ctx, e.old, e.opts, e.store.Len(), e.opts.Seed+int64(e.store.Len()))
-	}
 	for e.worlds != nil && time.Now().Before(deadline) {
-		if !e.worlds.draw(ctx, e.store, topUpWorlds) {
-			break // cancelled
-		}
+		e.worlds.draw(nil, e.store, topUpWorlds)
 	}
 	return e.store.Len()
 }
@@ -902,7 +887,7 @@ func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs 
 	}
 	// A whole-graph run spends every world it replayed. A scoped run read
 	// len(scope) of each world's n columns and spends that share of them
-	// (rounded up), so rule 4 and the low-water re-materializer meter the
+	// (rounded up), so rule 4 and the KB's low-water refill meter the
 	// stored bits a run used, not the number of runs.
 	if scope != nil {
 		used = (used*len(scope) + n - 1) / n

@@ -81,33 +81,13 @@ type KB struct {
 	inferSolved, learnSolved inc.Solved
 
 	// curGraph is the graph the served state corresponds to — the same
-	// pointer grounder.Graph() last returned, mirrored here so the
-	// background re-materializer can read it without touching the
-	// grounder (which would need groundMu). Guarded by stateMu.
+	// pointer grounder.Graph() last returned, mirrored here so readers
+	// under stateMu need not touch the grounder (which would need
+	// groundMu). Guarded by stateMu.
 	curGraph *factor.Graph
-	// stateGen counts state mutations (graph commits, weight learning,
-	// engine swaps). A background re-materialization snapshots it at
-	// launch and installs its engine only if it is unchanged — a stale
-	// materialization (preempted by any write) is discarded. Guarded by
-	// stateMu.
-	stateGen uint64
 	// auto aggregates quality-autopilot statistics (strategy counts,
-	// acceptance histogram). Guarded by stateMu.
+	// acceptance histogram, store refills). Guarded by stateMu.
 	auto autoCounters
-
-	// Background re-materializer coordination; see autopilot.go.
-	// rematPreemptStreak counts consecutive launches lost to writer
-	// preemption (guarded by rematMu); rematForced counts cooperative
-	// slots the update queue held for a starving re-materialization.
-	rematMu            sync.Mutex
-	rematRun           *rematRun
-	rematClosed        bool
-	rematSpawns        int64
-	rematPreemptStreak int
-	rematWG            sync.WaitGroup
-	remats             atomic.Uint64
-	rematLost          atomic.Uint64
-	rematForced        atomic.Uint64
 
 	// Durability state; see persist.go. wal/walGen form the active
 	// write-ahead segment (appends run under groundMu; Checkpoint swaps
@@ -116,8 +96,8 @@ type KB struct {
 	// groundMu). walBroken latches a failed append — every later update
 	// reports a durability error until a Checkpoint writes a complete
 	// chain again. ckptMu serializes checkpoints; replaying marks WAL
-	// replay during recovery (suppresses re-logging and background
-	// re-materialization); recovered reports restore-from-snapshot;
+	// replay during recovery (suppresses re-logging and progress
+	// publication); recovered reports restore-from-snapshot;
 	// engineSeed is the seed the live engine was materialized with
 	// (persisted so a restored engine is reconstructed identically);
 	// snapBytes is the size of the last snapshot image written or restored
@@ -261,18 +241,12 @@ func (kb *KB) seqDrain() {
 
 // lockExclusive acquires both writer locks for a monolithic operation:
 // groundMu first stops new grounding stages, the drain then waits out
-// every staged finish, an in-flight background re-materialization is
-// preempted (every caller mutates graph or weight state the
-// re-materializer may be reading), and stateMu finally claims the
-// inference state. The generation bump invalidates any re-materialization
-// that already finished sampling but has not swapped in yet.
+// every staged finish, and stateMu finally claims the inference state.
 // Release through the returned func.
 func (kb *KB) lockExclusive() func() {
 	kb.groundMu.Lock()
 	kb.seqDrain()
-	kb.preemptRemat()
 	kb.stateMu.Lock()
-	kb.stateGen++
 	return func() {
 		kb.stateMu.Unlock()
 		kb.groundMu.Unlock()
@@ -373,8 +347,8 @@ func (kb *KB) runtime() gibbs.Runtime {
 }
 
 // engineOpts derives the incremental-engine configuration — shared by
-// Materialize and the background re-materializer so a swapped-in engine
-// behaves identically to an explicitly materialized one. The measured
+// Materialize and the finish stage's refill so a refilled engine behaves
+// identically to an explicitly materialized one. The measured
 // §3.2 optimizer and cumulative change tracking are on unless the
 // StaticOptimizer lesion reverts to the pre-autopilot behavior.
 func (kb *KB) engineOpts(seed int64) inc.Options {
@@ -599,13 +573,10 @@ func (kb *KB) applyGround(ctx context.Context, u Update) (*stagedApply, error) {
 
 	// Committing patches the served graph's lineage, which must observe
 	// the previous apply's learned weights (the patch snapshots the
-	// weight vector) and must not race its still-running inference. Wait
-	// for the preceding finish, then commit under stateMu. The preempt
-	// sits between the two: it must run after the preceding finish (which
-	// may spawn a re-materialization at its end) and before the commit
-	// patches pool state a re-materializer could be sampling from
-	// (factor.Patch is not safe against in-flight evaluation anywhere in
-	// the lineage).
+	// weight vector) and must not race its still-running inference or
+	// refill (factor.Patch is not safe against in-flight evaluation
+	// anywhere in the lineage). Wait for the preceding finish, then commit
+	// under stateMu.
 	kb.seqAwait(st.seq)
 	// Write-ahead: once a durable log is active, the record describing
 	// this commit must be on disk before the commit happens — recovery
@@ -647,11 +618,9 @@ func (kb *KB) applyGround(ctx context.Context, u Update) (*stagedApply, error) {
 			}
 		}
 	}
-	kb.preemptRemat()
 	kb.stateMu.Lock()
 	prev := kb.curGraph
 	commit()
-	kb.stateGen++
 	st.graph = kb.grounder.Graph()
 	kb.curGraph = st.graph
 	st.seeds = deltaSeeds(delta, prev, st.graph)
@@ -708,9 +677,10 @@ func deltaSeeds(d *ground.Delta, prev, g *factor.Graph) []factor.VarID {
 
 // applyFinish runs the finish stage of the apply pipeline — warmstart
 // learning when the model changed, incremental inference under the
-// optimizer's strategy choice, snapshot publication — and retires the
-// pipeline ticket. It holds only stateMu, so the next update's grounding
-// stage evaluates concurrently under groundMu.
+// optimizer's strategy choice, a store refill when inference drew the
+// store below the low-water mark (see refill), snapshot publication — and
+// retires the pipeline ticket. It holds only stateMu, so the next update's
+// grounding stage evaluates concurrently under groundMu.
 //
 // Both stages run on their own scope, not on the graph: connected
 // components grown outward from the delta's seed variables in O(|scope|) —
@@ -775,30 +745,35 @@ func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, 
 	// What this publication changes: the skeleton's structural changes and
 	// the re-estimated variables, or everything when the marginal vector is
 	// replaced.
-	pub := st.changed
+	pub, marg := st.changed, ir.Marginals
 	if dirty == nil {
 		res.DirtyVars = g.NumVars()
-		kb.marg = ir.Marginals
 		pub = changeSet{full: true}
 	} else {
 		res.DirtyVars = len(dirty.Vars)
 		// Readers share the published vector: merge into a copy (the one
 		// per-update cost that still follows the number of variables, eight
 		// pointer-free bytes each).
-		marg := make([]float64, g.NumVars())
+		marg = make([]float64, g.NumVars())
 		copy(marg, kb.marg)
 		for i, v := range dirty.Vars { // sorted by AutoInferCtx: ir.Marginals follows it
 			marg[v] = ir.Marginals[i]
 		}
-		kb.marg = marg
 		pub.vars = append(pub.vars, dirty.Vars...)
 	}
+	// With the store drawn below the low-water mark by this update's
+	// inference, re-materialize before publishing; the fresh store's means
+	// replace every marginal.
+	refilled, err := kb.refill(ctx, g)
+	if err != nil {
+		return nil, err
+	}
+	if refilled {
+		marg, pub = kb.engine.Store().Means(), changeSet{full: true}
+	}
+	kb.marg = marg
 	kb.pending = inc.ChangeSet{} // published: nothing carries over
 	res.Epoch = kb.publishStaged(st.skel, pub).Epoch()
-	// With the store drawn down by this update's inference, check the
-	// low-water mark and kick off a background re-materialization while
-	// the write locks are idle.
-	kb.maybeRematerialize()
 	return res, nil
 }
 
@@ -895,15 +870,14 @@ func (kb *KB) Updates() *UpdateQueue {
 
 // Close shuts the update queue down (draining already-submitted updates)
 // and leaves the KB serving its last published snapshot. Any background
-// re-materialization is cancelled and waited out — after Close returns no
-// KB goroutine is left running. Reads stay valid after Close; further
+// WAL repair is cancelled and waited out — after Close returns no KB
+// goroutine is left running. Reads stay valid after Close; further
 // writes are the caller's responsibility to stop. Close is idempotent and
 // safe against a concurrent first Updates() call: it resolves the queue
 // through the same once, so an update submitted before Close is always
 // drained.
 func (kb *KB) Close() error {
 	kb.Updates().Close()
-	kb.shutdownRemat()
 	kb.shutdownRepair()
 	return kb.closeWAL()
 }
@@ -924,11 +898,10 @@ func (kb *KB) closeWAL() error {
 
 // CloseNow is Close without draining: queued updates that have not
 // started resolve with ErrQueueClosed, in-flight batches are cancelled
-// through the queue's lifecycle context, and any background
-// re-materialization is cancelled and waited out.
+// through the queue's lifecycle context, and any background WAL repair is
+// cancelled and waited out.
 func (kb *KB) CloseNow() error {
 	kb.Updates().CloseNow()
-	kb.shutdownRemat()
 	kb.shutdownRepair()
 	return kb.closeWAL()
 }

@@ -57,9 +57,10 @@ import (
 const kbSnapMagic uint64 = 0x31504e53424b4444
 
 // kbSnapVersion is bumped on any incompatible snapshot-layout change
-// (v2 appended the probe-skip counter to the autopilot section); Open
-// rejects snapshots from other versions rather than guessing.
-const kbSnapVersion = 2
+// (v2 appended the probe-skip counter to the autopilot section, v3 dropped
+// the forced re-materialization counter from it); Open rejects snapshots
+// from other versions rather than guessing.
+const kbSnapVersion = 3
 
 // Snapshot section kinds.
 const (
@@ -333,9 +334,7 @@ func (kb *KB) encodeSnapshotLocked(walGen uint64) []byte {
 	e.U64(kb.commitTicket)
 	e.U64(kb.epoch.Load())
 	e.I64(kb.engineSeed)
-	kb.rematMu.Lock()
-	e.I64(kb.rematSpawns)
-	kb.rematMu.Unlock()
+	e.I64(kb.auto.rematSpawns)
 	e.End()
 
 	e.Begin(secProgram)
@@ -380,9 +379,8 @@ func (kb *KB) encodeSnapshotLocked(walGen uint64) []byte {
 	e.F64(kb.auto.lastAccept)
 	e.F64(kb.auto.lastProbe)
 	e.U64(kb.auto.probeSkips)
-	e.U64(kb.remats.Load())
-	e.U64(kb.rematLost.Load())
-	e.U64(kb.rematForced.Load())
+	e.U64(kb.auto.remats)
+	e.U64(kb.auto.rematLost)
 	e.End()
 
 	data := e.Finish()
@@ -537,7 +535,7 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 	kb.recovered = true
 	kb.commitTicket = ticket
 	kb.engineSeed = engineSeed
-	kb.rematSpawns = rematSpawns
+	kb.auto.rematSpawns = rematSpawns
 	kb.epoch.Store(epoch)
 
 	if eb := persist.FindSection(secs, secEngine); eb != nil {
@@ -585,9 +583,8 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 	kb.auto.lastAccept = ard.F64("auto lastAccept")
 	kb.auto.lastProbe = ard.F64("auto lastProbe")
 	kb.auto.probeSkips = ard.U64("auto probeSkips")
-	kb.remats.Store(ard.U64("auto remats"))
-	kb.rematLost.Store(ard.U64("auto rematLost"))
-	kb.rematForced.Store(ard.U64("auto rematForced"))
+	kb.auto.remats = ard.U64("auto remats")
+	kb.auto.rematLost = ard.U64("auto rematLost")
 	if err := ard.Err(); err != nil {
 		return nil, err
 	}
@@ -630,9 +627,9 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 // replayWAL applies the logged tail: every record with a ticket past
 // the snapshot's, across every segment of the snapshot's generation and
 // later, in order. Replay runs through the ordinary Apply path with
-// kb.replaying set, which suppresses re-logging and background
-// re-materialization; a record whose update was logged but never
-// published (crash in that window) is completed here, exactly as the
+// kb.replaying set, which suppresses re-logging and progress publication;
+// the store refills the live finish stages ran, replay runs too. A record whose update was logged but
+// never published (crash in that window) is completed here, exactly as the
 // live process would have.
 func (kb *KB) replayWAL(fromGen, snapTicket uint64) error {
 	gens, err := persistGens(kb.opts.DataDir, "wal-", ".log")

@@ -609,6 +609,45 @@ func TestWALReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestWALReplayRefills: a store refill is a step of the update that
+// runs it, seeded by the persisted launch count, so WAL replay repeats it.
+// A KB whose stream refills after its last checkpoint is dropped without
+// another one; the reopened KB serves the same marginal bits, holds the
+// same store and counts the same refills as the KB that never crashed.
+func TestWALReplayRefills(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	remat := deepdive.WithRematerialization(590, 0)
+	kb := persistSpouseKB(t, deepdive.WithDataDir(dir), remat)
+	bmust(t, kb.Checkpoint(ctx))
+	apply := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := kb.Apply(ctx, docDelta(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	apply(0, 4)
+	bmust(t, kb.Checkpoint(ctx))
+	atCheckpoint := kb.Autopilot().Rematerializations
+	apply(4, 10)
+	live := kb.Autopilot()
+	if live.Rematerializations <= atCheckpoint {
+		t.Fatalf("no refill after the last checkpoint (%d before it, %d after)", atCheckpoint, live.Rematerializations)
+	}
+	want := spouseBits(kb)
+
+	// Crash: drop the KB without checkpointing.
+	kb2 := reopenSpouseKB(t, dir, remat)
+	defer kb2.Close()
+	assertSameBits(t, want, spouseBits(kb2), "refills replayed")
+	got := kb2.Autopilot()
+	if got.StoreLen != live.StoreLen || got.StoreRemaining != live.StoreRemaining || got.Rematerializations != live.Rematerializations {
+		t.Fatalf("recovered store %d/%d after %d refills, the live KB %d/%d after %d",
+			got.StoreRemaining, got.StoreLen, got.Rematerializations, live.StoreRemaining, live.StoreLen, live.Rematerializations)
+	}
+}
+
 // ---------------------------------------------------------------------
 // Benchmarks behind BENCH_persist.json.
 

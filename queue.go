@@ -377,11 +377,6 @@ func (q *UpdateQueue) runFinish(done chan struct{}) {
 // inference.
 func (q *UpdateQueue) drain() {
 	for {
-		// Starvation bound: after enough consecutive preempted
-		// re-materializations, hold one cooperative slot for the current
-		// one to finish before taking more write work (see
-		// Options.RematForceAfter).
-		q.kb.cooperativeRematSlot(q.lifeCtx)
 		merged, tickets, ctxs := q.takeBatch()
 		if len(tickets) == 0 {
 			return

@@ -1,59 +1,43 @@
 package deepdive_test
 
-// Tests for the quality autopilot's background re-materializer: the swap
-// must land and refill the consumed store, any write must preempt an
-// in-flight materialization (no torn graph reads — meaningful under
-// -race), concurrent snapshot readers must stay consistent across engine
-// swaps, and Close/CloseNow during a materialization must cancel it and
-// leave no goroutine behind.
+// Tests for the quality autopilot's store refill: the update whose
+// inference drains the store below the low-water mark re-materializes
+// Pr(0) before it publishes, so it returns with the store full; refills are
+// a deterministic function of the seed and the stream; a refill cancelled
+// with its update publishes nothing and the next update lands it; and
+// concurrent snapshot readers stay consistent across engine swaps
+// (meaningful under -race).
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"deepdive"
 )
 
 // rematKB builds the spouse KB with a deliberately small store and an
 // aggressive low-water mark, so a single update's inference drains the
-// store below the mark and arms the re-materializer. (The mark sits at
-// 290 of 300 because a scoped update spends only its share of the worlds
-// it replays: a new document's two variables of eight, 30 of 120.)
-func rematKB(t *testing.T, budget time.Duration, opts ...deepdive.Option) *deepdive.KB {
+// store below the mark and triggers a refill. (The mark sits at 290 of
+// 300 because a scoped update spends only its share of the worlds it
+// replays: a new document's two variables of eight, 30 of 120.)
+func rematKB(t *testing.T, opts ...deepdive.Option) *deepdive.KB {
 	t.Helper()
 	return spouseKB(t, append([]deepdive.Option{
 		deepdive.WithMaterialization(300, 0.01),
 		deepdive.WithInference(20, 120),
-		deepdive.WithRematerialization(290, budget),
+		deepdive.WithRematerialization(290, 0),
 	}, opts...)...)
 }
 
-// waitAutopilot polls the live autopilot state until cond holds.
-func waitAutopilot(t *testing.T, kb *deepdive.KB, what string, cond func(deepdive.AutopilotStats) bool) deepdive.AutopilotStats {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		ap := kb.Autopilot()
-		if cond(ap) {
-			return ap
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s; autopilot: %+v", what, ap)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestRematLandsAndRefillsStore pins the happy path: one update drains
-// the store below the low-water mark, the background re-materialization
-// swaps in a full fresh store, publishes a snapshot, and the KB keeps
-// serving sampling-strategy updates instead of falling back to
-// variational for good.
+// TestRematLandsAndRefillsStore pins the happy path: the update that drains
+// the store below the low-water mark returns with it already full again,
+// one refill counted and one snapshot published, and the KB keeps serving
+// sampling-strategy updates instead of falling back to variational for
+// good.
 func TestRematLandsAndRefillsStore(t *testing.T) {
-	kb := rematKB(t, 0)
+	kb := rematKB(t)
 	defer kb.Close()
 	ctx := context.Background()
 
@@ -70,25 +54,26 @@ func TestRematLandsAndRefillsStore(t *testing.T) {
 	if res.Strategy != deepdive.StrategySampling {
 		t.Fatalf("first update strategy = %v, want sampling (store is full)", res.Strategy)
 	}
-
-	ap := waitAutopilot(t, kb, "re-materialization to land", func(ap deepdive.AutopilotStats) bool {
-		return ap.Rematerializations >= 1 && !ap.Rematerializing
-	})
-	if ap.StoreRemaining != ap.StoreLen || ap.StoreLen < 300 {
-		t.Fatalf("swapped store not full: %d/%d", ap.StoreRemaining, ap.StoreLen)
+	ap := kb.Autopilot()
+	if ap.Rematerializations != 1 || ap.RematPreempted != 0 {
+		t.Fatalf("after the draining update: %d refills, %d lost, want 1 and 0", ap.Rematerializations, ap.RematPreempted)
+	}
+	if ap.StoreRemaining != ap.StoreLen || ap.StoreLen != 300 {
+		t.Fatalf("refilled store not full: %d/%d", ap.StoreRemaining, ap.StoreLen)
 	}
 	snap := kb.Snapshot()
-	if snap.Epoch() <= epoch+1 {
-		t.Fatalf("re-materialization did not publish (epoch %d, update published %d)", snap.Epoch(), epoch+1)
+	if snap.Epoch() != epoch+1 || res.Epoch != snap.Epoch() {
+		t.Fatalf("the refilling update published epochs %d..%d (result %d), want one publication", epoch+1, snap.Epoch(), res.Epoch)
 	}
-	// The swapped-in marginals are a fresh i.i.d. estimate of the current
-	// distribution: every candidate stays resolvable and the update's
-	// wife-feature pair stays confidently extracted.
+	// The published marginals are the fresh store's means, an i.i.d.
+	// estimate of the current distribution: every candidate stays
+	// resolvable and the update's wife-feature pair stays confidently
+	// extracted.
 	if p, ok := snap.Marginal("HasSpouse", deepdive.Tuple{"p0a", "p0b"}); !ok || p < 0.5 {
-		t.Fatalf("post-swap marginal for inserted pair = (%v, %v), want > 0.5", p, ok)
+		t.Fatalf("post-refill marginal for inserted pair = (%v, %v), want > 0.5", p, ok)
 	}
-	if s := snap.Stats().Autopilot; s == nil || s.Rematerializations < 1 {
-		t.Fatalf("published snapshot does not carry the swap: %+v", s)
+	if s := snap.Stats().Autopilot; s == nil || s.Rematerializations != 1 || s.StoreRemaining != s.StoreLen {
+		t.Fatalf("published snapshot does not carry the refill: %+v", s)
 	}
 
 	// The reset boundary is live: the next update draws on the fresh
@@ -98,51 +83,82 @@ func TestRematLandsAndRefillsStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Strategy != deepdive.StrategySampling {
-		t.Fatalf("post-swap update strategy = %v, want sampling off the refilled store", res.Strategy)
+		t.Fatalf("post-refill update strategy = %v, want sampling off the refilled store", res.Strategy)
 	}
 }
 
-// TestRematPreemptedByApply pins the write-preemption contract: a write
-// arriving while a re-materialization is sampling cancels it (the swap
-// is abandoned, counted in RematPreempted) and the write proceeds
-// normally; a later idle window still lands a fresh materialization.
-func TestRematPreemptedByApply(t *testing.T) {
-	// A long budget holds the materialization in its cancellable sampling
-	// loop so the next Apply reliably catches it in flight.
-	kb := rematKB(t, 2*time.Second)
+// TestRematDeterministic: two KBs opened with the same seed and fed the
+// same stream refill at the same updates and publish bit-identical
+// marginals after every one of them.
+func TestRematDeterministic(t *testing.T) {
+	ctx := context.Background()
+	a, b := rematKB(t), rematKB(t)
+	defer a.Close()
+	defer b.Close()
+	for i := 0; i < 6; i++ {
+		u := docDelta(i)
+		for _, kb := range []*deepdive.KB{a, b} {
+			if _, err := kb.Apply(ctx, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		apA, apB := a.Autopilot(), b.Autopilot()
+		if apA.Rematerializations != apB.Rematerializations || apA.StoreRemaining != apB.StoreRemaining {
+			t.Fatalf("update %d: refills %d vs %d, store %d vs %d", i, apA.Rematerializations, apB.Rematerializations, apA.StoreRemaining, apB.StoreRemaining)
+		}
+		assertSameBits(t, spouseBits(a), spouseBits(b), fmt.Sprintf("update %d", i))
+	}
+	if n := a.Autopilot().Rematerializations; n < 2 {
+		t.Fatalf("the stream refilled %d times, want at least 2", n)
+	}
+}
+
+// TestRematCancelled: an update cancelled inside its refill follows the
+// update's cancellation semantics — it returns the context's error,
+// publishes nothing and installs no engine, and the refill counts as lost —
+// and the next update lands the refill and publishes both documents.
+func TestRematCancelled(t *testing.T) {
+	kb := rematKB(t)
 	defer kb.Close()
 	ctx := context.Background()
+	snap := kb.Snapshot()
 
-	if _, err := kb.Apply(ctx, docUpdate(0)); err != nil {
+	if _, err := kb.Apply(kb.CancelAtRefill(ctx), docUpdate(0)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("update cancelled in its refill: err %v, want context.Canceled", err)
+	}
+	if got := kb.Snapshot(); got != snap {
+		t.Fatalf("the cancelled update published epoch %d", got.Epoch())
+	}
+	ap := kb.Autopilot()
+	if ap.Rematerializations != 0 || ap.RematPreempted != 1 || ap.StoreRemaining >= ap.LowWater {
+		t.Fatalf("after the cancelled refill: %+v, want 0 refills, 1 lost, the store still below low-water", ap)
+	}
+
+	res, err := kb.Apply(ctx, docUpdate(1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	waitAutopilot(t, kb, "re-materialization to start", func(ap deepdive.AutopilotStats) bool {
-		return ap.Rematerializing
-	})
-	if _, err := kb.Apply(ctx, docUpdate(1)); err != nil {
-		t.Fatal(err)
+	ap = kb.Autopilot()
+	if ap.Rematerializations != 1 || ap.StoreRemaining != ap.StoreLen {
+		t.Fatalf("the next update did not land the refill: %+v", ap)
 	}
-	if got := kb.Autopilot().RematPreempted; got < 1 {
-		t.Fatalf("RematPreempted = %d after preempting write, want >= 1", got)
+	if res.Epoch != snap.Epoch()+1 {
+		t.Fatalf("the next update published epoch %d, want %d", res.Epoch, snap.Epoch()+1)
 	}
-
-	// The preempting update re-armed the trigger on its way out; with the
-	// writers now idle that relaunched materialization must land.
-	ap := waitAutopilot(t, kb, "post-preemption re-materialization", func(ap deepdive.AutopilotStats) bool {
-		return ap.Rematerializations >= 1
-	})
-	if ap.StoreRemaining < ap.LowWater {
-		t.Fatalf("landed swap left the store below low-water: %+v", ap)
+	for _, p := range []deepdive.Tuple{{"p0a", "p0b"}, {"p1a", "p1b"}} {
+		if _, ok := kb.Snapshot().Marginal("HasSpouse", p); !ok {
+			t.Fatalf("candidate %v has no marginal after the refill", p)
+		}
 	}
 }
 
 // TestRematRaceWithReadersAndApplies races lock-free snapshot readers
-// against a pipelined update stream with the re-materializer armed on a
-// short budget, so engine swaps, preemptions, delta grounding, and
-// reads all interleave. Meaningful under -race; the assertions check
-// every observed view stays internally consistent across swaps.
+// against a pipelined update stream with refills armed, so engine swaps,
+// delta grounding, and reads all interleave. Meaningful under -race; the
+// assertions check every observed view stays internally consistent across
+// swaps.
 func TestRematRaceWithReadersAndApplies(t *testing.T) {
-	kb := rematKB(t, 20*time.Millisecond, deepdive.WithParallelism(2))
+	kb := rematKB(t, deepdive.WithParallelism(2))
 	defer kb.Close()
 
 	stop := make(chan struct{})
@@ -187,67 +203,16 @@ func TestRematRaceWithReadersAndApplies(t *testing.T) {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
-	// Quiesce: the last update re-armed the materializer; let one land
-	// while the readers are still hammering.
-	waitAutopilot(t, kb, "a swap to land under reader load", func(ap deepdive.AutopilotStats) bool {
-		return ap.Rematerializations >= 1
-	})
 	close(stop)
 	for r := 0; r < 4; r++ {
 		if err := <-readerDone; err != nil {
 			t.Fatal(err)
 		}
 	}
+	if ap := kb.Autopilot(); ap.Rematerializations < 1 {
+		t.Fatalf("no refill landed across the stream: %+v", ap)
+	}
 	if got, want := kb.Snapshot().GroundVersion(), uint64(9); got != want {
 		t.Fatalf("final ground version %d, want %d", got, want)
-	}
-}
-
-// TestRematCloseDuringMaterialization pins the shutdown contract: Close
-// (drain) and CloseNow (abort) arriving while a re-materialization is
-// sampling must cancel it promptly, wait the goroutine out, and leave
-// nothing running — the KB keeps serving its last snapshot.
-func TestRematCloseDuringMaterialization(t *testing.T) {
-	for _, mode := range []string{"close", "closenow"} {
-		t.Run(mode, func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
-			kb := rematKB(t, 5*time.Second)
-			if _, err := kb.Apply(context.Background(), docUpdate(0)); err != nil {
-				t.Fatal(err)
-			}
-			waitAutopilot(t, kb, "re-materialization to start", func(ap deepdive.AutopilotStats) bool {
-				return ap.Rematerializing
-			})
-			snap := kb.Snapshot()
-
-			start := time.Now()
-			if mode == "close" {
-				kb.Close()
-			} else {
-				kb.CloseNow()
-			}
-			// A 5s sampling budget was pending; shutdown must cancel it
-			// cooperatively, not wait it out.
-			if elapsed := time.Since(start); elapsed > 3*time.Second {
-				t.Fatalf("%s took %v with a materialization in flight", mode, elapsed)
-			}
-			if ap := kb.Autopilot(); ap.Rematerializing {
-				t.Fatalf("%s returned with a run still marked in flight: %+v", mode, ap)
-			}
-			if got := kb.Snapshot(); got != snap {
-				t.Fatalf("%s published a snapshot (epoch %d -> %d)", mode, snap.Epoch(), got.Epoch())
-			}
-
-			// Drain assertion: every KB goroutine (queue worker and
-			// re-materializer) must be gone. Poll briefly — exiting
-			// goroutines unwind asynchronously after Close returns.
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > baseline {
-				t.Fatalf("%s leaked goroutines: %d running, baseline %d", mode, n, baseline)
-			}
-		})
 	}
 }

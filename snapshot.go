@@ -349,7 +349,7 @@ func (kb *KB) factState(g *factor.Graph, v factor.VarID) (st uint8) {
 // buildSkeleton is the base case: every relation's fact table from the
 // grounder's variable tables, with no tombstones and nothing shared. It
 // runs where there is no predecessor to derive from — Init, Learn, Infer,
-// Materialize, a landed re-materialization, Checkpoint, restore — and when
+// Materialize, Checkpoint, restore — and when
 // nextSkeleton gives up. Callers hold groundMu (the skeleton reads
 // grounder state) and pass the committed graph the snapshot pins.
 func (kb *KB) buildSkeleton(g *factor.Graph) *skeleton {

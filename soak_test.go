@@ -22,7 +22,7 @@ package deepdive_test
 //
 // Every mode runs under Lesions.GlobalFinish: what the soak pins is the
 // whole-graph machinery — store exhaustion, the rule-4 fallback,
-// cumulative change sets, idle-time re-materialization — and a document
+// cumulative change sets, store refills — and a document
 // stream no longer reaches it by default. The scoped finish stage
 // re-estimates only the components an update touched, from its own few
 // columns of the stored worlds without consuming them, so the store
@@ -31,15 +31,14 @@ package deepdive_test
 // default stack against this one.
 //
 // Three modes:
-//   - autopilot: re-materialization + measured optimizer + cumulative
-//     change sets (the default stack). Must track the oracle throughout
-//     and re-materialize during the stream's idle windows.
-//   - cumulative-only: no re-materialization; the store exhausts for
-//     good, but cumulative change tracking keeps every
-//     post-materialization delta encoded in the variational graph. Must
-//     still track the oracle.
+//   - autopilot: store refills + measured optimizer + cumulative change
+//     sets (the default stack). Must track the oracle throughout and
+//     refill the store at least once.
+//   - cumulative-only: no refill; the store exhausts for good, but
+//     cumulative change tracking keeps every post-materialization delta
+//     encoded in the variational graph. Must still track the oracle.
 //   - static lesion (Lesions.StaticOptimizer): per-update change sets, no
-//     re-materialization. Must FAIL the drift bound — this proves the
+//     refill. Must FAIL the drift bound — this proves the
 //     soak detects the regression rather than passing vacuously.
 //
 // The default stream length keeps CI fast; set SOAK_UPDATES=200 (or run
@@ -52,7 +51,6 @@ import (
 	"os"
 	"strconv"
 	"testing"
-	"time"
 
 	"deepdive"
 )
@@ -83,10 +81,8 @@ type soakCheckpoint struct {
 
 // runSoak streams n document updates through the queue one ticket at a
 // time (Submit+Wait, so nothing coalesces and every update runs the full
-// ground→learn→infer path). Every tenth update the stream idles until no
-// re-materialization is in flight — the extractor-latency gaps the
-// paper's idle-time materialization exploits; without them a saturated
-// stream preempts every launch. At each checkpoint the served snapshot
+// ground→learn→infer path, refilling the store when it drains). At each
+// checkpoint the served snapshot
 // is frozen, then KB.Infer computes the exact current-model marginals
 // and the drift over the tracked facts (the mention pairs of the first
 // ten documents — the facts a drifting approximation forgets first) is
@@ -115,16 +111,6 @@ func runSoak(t *testing.T, n int, lesions deepdive.Lesions, opts ...deepdive.Opt
 		pairs = append(pairs, deepdive.Tuple{fmt.Sprintf("p%da", 100+i), fmt.Sprintf("p%db", 100+i)})
 	}
 
-	idle := func() {
-		deadline := time.Now().Add(30 * time.Second)
-		for kb.Autopilot().Rematerializing {
-			if time.Now().After(deadline) {
-				t.Fatal("re-materialization never settled during an idle window")
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-
 	every := n / 3
 	if every < 1 {
 		every = 1
@@ -133,9 +119,6 @@ func runSoak(t *testing.T, n int, lesions deepdive.Lesions, opts ...deepdive.Opt
 	for i := 0; i < n; i++ {
 		if _, err := q.Submit(docUpdate(100 + i)).Wait(ctx); err != nil {
 			t.Fatalf("update %d: %v", i, err)
-		}
-		if (i+1)%10 == 0 {
-			idle()
 		}
 		if (i+1)%every == 0 || i == n-1 {
 			served := kb.Snapshot()
@@ -186,9 +169,9 @@ const soakTolerance = 0.25
 const soakMeanTolerance = 0.12
 
 // TestSoakAutopilot is the acceptance soak: the full autopilot stack
-// must track the exact-inference oracle at every checkpoint, keep
-// re-materializing through the stream's idle windows, and keep the
-// sampling strategy alive past the first store exhaustion.
+// must track the exact-inference oracle at every checkpoint, refill the
+// store as the stream drains it, and keep the sampling strategy alive past
+// the first store exhaustion.
 func TestSoakAutopilot(t *testing.T) {
 	n := soakUpdates(t)
 	cps := runSoak(t, n, deepdive.Lesions{}, deepdive.WithRematerialization(250, 0))
@@ -202,7 +185,7 @@ func TestSoakAutopilot(t *testing.T) {
 	}
 	final := cps[len(cps)-1].auto
 	if final.Rematerializations < 1 {
-		t.Errorf("no background re-materialization landed across %d updates: %+v", n, final)
+		t.Errorf("no refill landed across %d updates: %+v", n, final)
 	}
 	if final.SamplingRuns == 0 {
 		t.Errorf("autopilot never chose sampling: %+v", final)
