@@ -56,10 +56,11 @@ serve-demo:
 	$(GO) run ./cmd/deepdive -system News -serve 127.0.0.1:8090 -serve-for 30s
 
 # The quality-autopilot oracle soak at acceptance length: 200 queued
-# updates against an undersized store in all three modes (autopilot,
-# cumulative-only, static lesion), checkpoint marginals vs a
-# from-scratch inference oracle. The short variant (60 updates) runs in
-# the plain test suite.
+# updates growing a chain past the enumeration bound (the only kind of
+# component that reaches the optimizer) against an undersized store in all
+# three modes (autopilot, cumulative-only, static lesion), checkpoint
+# marginals vs a from-scratch inference oracle. The short variant (60
+# updates) runs in the plain test suite.
 soak:
 	SOAK_UPDATES=200 $(GO) test -run 'TestSoak' -v -timeout 40m -count=1 .
 
@@ -122,9 +123,9 @@ bench-ground:
 # on the served News corpus at 1× and 4× the documents, then the six rule
 # iterations at 1× and 4× the candidates (the added ones query-only);
 # reports ns/update, the x4/x1 ratio and, for the rule updates, the
-# ground/learn/infer split, the learn stage's own ratio and how many
-# variables the variational runs left to a Gibbs chain (swept-vars/update:
-# 0 when every component of their inference graphs was solved exactly), and
+# ground/learn/infer split, the learn stage's own ratio and how many dirty
+# variables an update left to the optimizer's strategy (swept-vars/update:
+# 0 when every dirty component was solved exactly on the patched graph), and
 # the three from-scratch passes of set-up (Materialize, Infer, Learn) at 1×
 # and 4× (a single pass; repeat it, wall clock on a small box swings ±10 %).
 # CI runs it as the finish-stage smoke.

@@ -9,9 +9,11 @@ import (
 
 // refill is the quality autopilot's re-materialization (the paper's §3.2
 // "materialize samples when idle"), run in line by the finish stage that
-// needs it. The sample store is a consuming cursor — every sampling-strategy
-// update draws it down — and once it runs dry the engine falls back to
-// variational inference for good. When an update's inference leaves fewer
+// needs it. The sample store is a consuming cursor — a sampling run over an
+// update's remainder (the dirty components past the enumeration bound; an
+// update solved exactly reads no world) draws it down — and once it runs dry
+// the engine falls back to variational inference for good. When an update's
+// inference leaves fewer
 // than RematLowWater worlds, refill builds a fresh engine from g, the graph
 // and weights the update just finished on: its store full, its cumulative
 // change set empty. It reports whether it installed one; the caller then
@@ -51,6 +53,7 @@ type autoCounters struct {
 	sampling    uint64
 	variational uint64
 	rerun       uint64
+	exact       uint64
 	fallbacks   uint64
 	hist        [10]uint64
 	lastAccept  float64
@@ -69,6 +72,8 @@ func (kb *KB) recordAutoResult(ir *inc.Result) {
 		kb.auto.sampling++
 	case inc.StrategyVariational:
 		kb.auto.variational++
+	case inc.StrategyExact:
+		kb.auto.exact++
 	default:
 		kb.auto.rerun++
 	}
@@ -94,10 +99,14 @@ func (kb *KB) recordAutoResult(ir *inc.Result) {
 // histogram), the sample store's fill level against the low-water mark,
 // and how often the store was refilled.
 type AutopilotStats struct {
-	// Strategy counts across updates since the KB opened.
+	// Strategy counts across updates since the KB opened. ExactRuns counts
+	// the updates whose dirty components all enumerated (or that dirtied
+	// nothing): they read no stored world and leave the others alone; the
+	// rest count under the strategy their remainder ran.
 	SamplingRuns    uint64
 	VariationalRuns uint64
 	RerunRuns       uint64
+	ExactRuns       uint64
 	// Fallbacks counts sampling runs that exhausted the store mid-update
 	// and finished variationally (rule 4).
 	Fallbacks uint64
@@ -142,6 +151,7 @@ func (kb *KB) autopilotLocked() AutopilotStats {
 		SamplingRuns:       kb.auto.sampling,
 		VariationalRuns:    kb.auto.variational,
 		RerunRuns:          kb.auto.rerun,
+		ExactRuns:          kb.auto.exact,
 		Fallbacks:          kb.auto.fallbacks,
 		AcceptanceHist:     kb.auto.hist,
 		LastAcceptance:     kb.auto.lastAccept,

@@ -189,9 +189,9 @@ func BenchmarkApplyDocDelta(b *testing.B) {
 // development iterations through KB.Apply on the harness's News corpus as
 // it is and with four times the candidates, the added ones query-only
 // (withQueryOnlyCopies). Each size reports ns/update and its ground, learn
-// and infer parts from UpdateResult, and beside them how many variables
-// the variational runs left to a Gibbs chain (0: every component of their
-// inference graphs was solved exactly); x4 also reports its learn stage's
+// and infer parts from UpdateResult, and beside them how many dirty
+// variables an update could not solve exactly and left to the optimizer's
+// strategy (0: every dirty component enumerated); x4 also reports its learn stage's
 // ratio to x1, which learning on the evidence scope keeps near 1 while
 // grounding and inference, which a rule does owe every candidate, grow.
 func BenchmarkApplyRuleDelta(b *testing.B) {

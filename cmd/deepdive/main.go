@@ -321,8 +321,8 @@ func (d *demo) serve(addr string, serveFor time.Duration) error {
 	fmt.Fprintf(d.out, "final snapshot: epoch %d, ground version %d, graph epoch %d, %d vars\n",
 		snap.Epoch(), snap.GroundVersion(), snap.GraphEpoch(), snap.Stats().Variables)
 	ap := kb.Autopilot()
-	fmt.Fprintf(d.out, "autopilot: %d sampling / %d variational / %d rerun runs (%d fallbacks), store %d/%d",
-		ap.SamplingRuns, ap.VariationalRuns, ap.RerunRuns, ap.Fallbacks, ap.StoreRemaining, ap.StoreLen)
+	fmt.Fprintf(d.out, "autopilot: %d exact / %d sampling / %d variational / %d rerun runs (%d fallbacks), store %d/%d",
+		ap.ExactRuns, ap.SamplingRuns, ap.VariationalRuns, ap.RerunRuns, ap.Fallbacks, ap.StoreRemaining, ap.StoreLen)
 	if ap.LowWater > 0 {
 		fmt.Fprintf(d.out, ", low-water %d, %d re-materializations (%d preempted)",
 			ap.LowWater, ap.Rematerializations, ap.RematPreempted)

@@ -68,7 +68,9 @@ const (
 	Ratio   = factor.Ratio
 )
 
-// Strategy identifies the incremental-inference strategy an update used.
+// Strategy identifies how an update computed its marginals: exactly, or by
+// the incremental-inference strategy its remainder ran (see
+// UpdateResult.Strategy).
 type Strategy = inc.Strategy
 
 // Strategies reported by Update results.
@@ -76,6 +78,7 @@ const (
 	StrategySampling    = inc.StrategySampling
 	StrategyVariational = inc.StrategyVariational
 	StrategyRerun       = inc.StrategyRerun
+	StrategyExact       = inc.StrategyExact
 )
 
 // I/O fault injection. Unlike the crash-point FaultHook (which simulates
@@ -237,10 +240,10 @@ type Lesions struct {
 	// instead of overlapping batch N+1's grounding with batch N's finish
 	// stage. Results are bit-identical either way.
 	SerializedUpdates bool
-	// StaticOptimizer reverts the quality autopilot: the §3.3 static
-	// strategy rules instead of the §3.2 measured acceptance probe,
-	// per-update change sets instead of the cumulative
-	// post-materialization set, and no store refill whatever
+	// StaticOptimizer reverts the quality autopilot for an update's
+	// remainder: the §3.3 static strategy rules instead of the §3.2
+	// measured acceptance probe, per-update change sets instead of the
+	// cumulative post-materialization set, and no store refill whatever
 	// RematLowWater says.
 	StaticOptimizer bool
 	// NoAutoRepair turns the background WAL repair loop off: after a
@@ -249,20 +252,25 @@ type Lesions struct {
 	NoAutoRepair bool
 
 	// NoSampling and NoVariational disable one materialization strategy
-	// (Figure 11: every update runs variationally / by sampling with a
-	// rerun fallback). NoWorkloadInfo ignores what the update changed:
-	// always try sampling first and fall back on store exhaustion.
+	// (Figure 11: every update's remainder — the dirty components past the
+	// enumeration bound — runs variationally / by sampling with a rerun
+	// fallback). NoWorkloadInfo ignores what the update changed: the
+	// remainder always tries sampling first and falls back on store
+	// exhaustion. The components that enumerate are solved exactly under
+	// all three, as StaticOptimizer leaves them too.
 	NoSampling     bool
 	NoVariational  bool
 	NoWorkloadInfo bool
 	// NoDecomposition disables the Algorithm 2 blocked inference (Figure
-	// 14): a sampling update runs one global acceptance test instead of
-	// one per connected component, and inference always covers the graph.
+	// 14): nothing is solved component by component — every update goes to
+	// the optimizer whole —, a sampling update runs one global acceptance
+	// test instead of one per connected component, and inference always
+	// covers the graph.
 	NoDecomposition bool
 	// GlobalFinish makes every update's finish stage cover the graph:
 	// warmstart learning moves every learnable weight over every variable
-	// and inference re-estimates every marginal, instead of working on the
-	// connected components the delta touched.
+	// and inference solves every component of the graph, instead of working
+	// on the connected components the delta touched.
 	GlobalFinish bool
 }
 
@@ -334,6 +342,9 @@ func WithMaxPending(n int) Option { return func(o *Options) { o.MaxPending = n }
 // WithRematerialization arms the store refill (see Options.RematLowWater):
 // when fewer than lowWater unconsumed samples remain after an update's
 // inference, the same update re-materializes Pr(0) before it publishes.
+// Only a sampling run over an update's remainder — the dirty components
+// past the enumeration bound — draws the store down; an update whose
+// components all enumerate never triggers a refill.
 // lowWater <= 0 disables. budget is ignored: a refill draws
 // WithMaterialization's sample count, because a wall-clock extension would
 // make WAL replay diverge. The refill runs on the update that triggers it —
@@ -436,6 +447,11 @@ type UpdateResult struct {
 	GroundTime time.Duration
 	LearnTime  time.Duration
 	InferTime  time.Duration
+	// Strategy is StrategyExact when every dirty component enumerated on the
+	// updated graph (or nothing was dirty): the marginals are KB.Infer's, no
+	// stored world was read. Otherwise it is the strategy the §3.2 optimizer
+	// ran on the remainder, the components past the enumeration bound; the
+	// others still got their exact marginals.
 	Strategy   Strategy
 	Acceptance float64
 	// Probe is the measured acceptance-rate estimate the optimizer based
@@ -458,10 +474,11 @@ type UpdateResult struct {
 	ScopeVars      int
 	LearnedWeights int
 	DirtyVars      int
-	// SweptVars is how many variables a variational run (or a rerun
-	// fallback) left to its Gibbs chain — the rest it solved exactly, one
-	// connected component of its graph at a time (inc.RerunWithCtx). 0
-	// after a sampling run.
+	// SweptVars is how many of the update's dirty free variables were not
+	// solved exactly: those of the components past the enumeration bound,
+	// which went to Strategy. 0 on an exact update. Under NoDecomposition,
+	// which solves nothing by component, it is what a variational run (or a
+	// rerun fallback) left to its Gibbs chain, and 0 after a sampling run.
 	SweptVars int
 	// Coalesced is how many queued updates the batch merged (1 for a
 	// direct Apply; set by the update queue).

@@ -309,13 +309,16 @@ func Fig11(sc Scale, seed int64) *Report {
 
 // fig14Variants are the columns of Figure 14: the sampling approach with
 // and without the Algorithm 2 decomposition. Both run with the
-// variational side off, so that every update takes the acceptance test
-// the figure is about: on the default loop the optimizer measures the
-// undecomposed test's collapse and routes the update to variational.
+// variational side off, so that every update the optimizer sees takes the
+// acceptance test the figure is about: on the default loop the optimizer
+// measures the undecomposed test's collapse and routes the update to
+// variational. With the decomposition every component of these graphs is
+// solved exactly, so that column accepts everything.
 var fig14Variants = []deepdive.Lesions{{NoVariational: true}, {NoVariational: true, NoDecomposition: true}}
 
 // Fig14 reproduces the Figure 14 lesion: inference time with and without
-// the Algorithm 2 decomposition, on a loop that always samples.
+// the Algorithm 2 decomposition, on a loop that samples whatever it does
+// not solve exactly.
 func Fig14(sc Scale, seed int64) *Report {
 	r := &Report{Title: "Figure 14: lesion study of decomposition (News, sampling forced)"}
 	r.addf("%-5s %12s %16s %14s %14s", "Rule", "Sampling", "NoDecomposition", "acc(Sampling)", "acc(NoDec)")

@@ -191,9 +191,10 @@ func TestChooseStrategyMeasured(t *testing.T) {
 // a sampling run's observed acceptance rate, when decisive by the 2x
 // margin, decides the next strategy choice without measuring a probe —
 // and the prior is one-shot, so the choice after a skip probes again
-// unless another sampling run re-validated it.
+// unless another sampling run re-validated it. The chain of 30 is past the
+// enumeration bound: AutoInferCtx hands it to the optimizer.
 func TestAcceptancePriorSkipsProbe(t *testing.T) {
-	g := chainGraph(6, 0.6)
+	g := chainGraph(30, 0.6)
 	eng, err := NewEngine(g, Options{
 		MaterializationSamples: 600,
 		KeepSamples:            100,
@@ -212,7 +213,7 @@ func TestAcceptancePriorSkipsProbe(t *testing.T) {
 	// Cold engine: the first update probes, runs sampling (near-identical
 	// distribution), and its observed acceptance becomes a decisive prior.
 	g1, cs1 := retune(0)
-	r := eng.AutoInferCtx(nil, g1, cs1, nil, false)
+	r := eng.AutoInferCtx(nil, g1, cs1, nil, true)
 	if r.Strategy != StrategySampling || r.Probed < 0 || r.ProbeSkipped {
 		t.Fatalf("cold update: strategy=%v probed=%v skipped=%v, want probed sampling", r.Strategy, r.Probed, r.ProbeSkipped)
 	}

@@ -15,8 +15,10 @@
 //     graph from a log-determinant relaxation with ℓ1 box constraints;
 //     updates are applied directly to the approximate graph.
 //
-// A rule-based optimizer (Section 3.3) chooses between sampling and
-// variational per update. Of Algorithm 2 (Appendix B.1) what is
+// An update first solves its dirty components on the updated graph, the
+// strawman wherever it is feasible (Engine.AutoInferCtx); an optimizer
+// (Sections 3.2 and 3.3) chooses between sampling and variational for the
+// components past that bound. Of Algorithm 2 (Appendix B.1) what is
 // implemented is the case with no active variables: the connected
 // components of the free variables (ComponentGroups), each with its own
 // acceptance test. The same components, grown outward from an update's

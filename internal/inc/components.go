@@ -31,9 +31,10 @@ import (
 //   - otherwise the component is left to a Gibbs chain (restChain).
 //
 // A solved component is a table of world weights with two read-outs:
-// marginals (RerunWithCtx: from-scratch inference, the rerun fallbacks, the
-// variational runner) and worlds (the worlds type: exact independent draws
-// for the materialized sample store).
+// marginals (componentMarginals: an update's dirty components in
+// AutoInferCtx; through RerunWithCtx from-scratch inference, the rerun
+// fallbacks, the variational runner) and worlds (the worlds type: exact
+// independent draws for the materialized sample store).
 
 // Solved counts how an evaluation came by a graph's free variables: Closed
 // in closed form (a component of one), Enumerated by walking every world of
@@ -151,21 +152,18 @@ func restChain(g *factor.Graph, rest []factor.VarID, seed int64, rt gibbs.Runtim
 	return chain, vars
 }
 
-// RerunWithCtx is the from-scratch baseline ("Rerun" in Section 4.2), and
-// the solver of a variational run's inference graph: the marginals of g
-// (evidence reports its value), exact for every component solveComponents
-// solves under the budget of burnin+keep sweeps — the seed does not move
-// those — and estimated over keep sweeps after burnin for the rest, on the
-// chain the runtime config selects (sequential, sharded, or replica). A
-// cancelled run returns what it has.
-func RerunWithCtx(ctx context.Context, g *factor.Graph, burnin, keep int, seed int64, rt gibbs.Runtime) ([]float64, Solved) {
-	out := make([]float64, g.NumVars())
+// componentMarginals is the marginal read-out of solveComponents: g's
+// marginals, evidence reporting its value and every component solved under
+// the budget of sweeps exactly, and the variables of the others (rest,
+// ascending, left at 0).
+func componentMarginals(ctx context.Context, g *factor.Graph, sweeps int) (out []float64, rest []factor.VarID, n Solved, ok bool) {
+	out = make([]float64, g.NumVars())
 	for v := range out {
 		if id := factor.VarID(v); g.IsEvidence(id) && g.EvidenceValue(id) {
 			out[v] = 1
 		}
 	}
-	rest, n, ok := solveComponents(ctx, g, burnin+keep, func(comp []int, weights []float64, z float64) {
+	rest, n, ok = solveComponents(ctx, g, sweeps, func(comp []int, weights []float64, z float64) {
 		var sums [MaxStrawmanVars]float64
 		for i, p := range weights {
 			for world := uint(i ^ i>>1); world != 0; world &= world - 1 {
@@ -176,6 +174,18 @@ func RerunWithCtx(ctx context.Context, g *factor.Graph, burnin, keep int, seed i
 			out[v] = sums[b] / z
 		}
 	})
+	return out, rest, n, ok
+}
+
+// RerunWithCtx is the from-scratch baseline ("Rerun" in Section 4.2), and
+// the solver of a variational run's inference graph: the marginals of g
+// (evidence reports its value), exact for every component solveComponents
+// solves under the budget of burnin+keep sweeps — the seed does not move
+// those — and estimated over keep sweeps after burnin for the rest, on the
+// chain the runtime config selects (sequential, sharded, or replica). A
+// cancelled run returns what it has.
+func RerunWithCtx(ctx context.Context, g *factor.Graph, burnin, keep int, seed int64, rt gibbs.Runtime) ([]float64, Solved) {
+	out, rest, n, ok := componentMarginals(ctx, g, burnin+keep)
 	if !ok || len(rest) == 0 {
 		return out, n
 	}

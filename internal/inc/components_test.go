@@ -514,6 +514,99 @@ func TestRerunSweepsOnlyTheRemainder(t *testing.T) {
 	}
 }
 
+// TestUpdateSolvesWhatEnumerates: an update of a graph holding a chain of 30
+// past the enumeration bound among singletons and pairs (sweptCase) —
+// patched: a variable added beside a singleton, a weight moved on each side
+// — is solved by component. The small components get the marginals of
+// enumerating the graph without the chain, to 1e-9. Only the chain goes to
+// the optimizer: Solved.Swept is its 30 variables, its marginals are bit for
+// bit those of the sampling runner handed the chain's scope alone, and the
+// store spends the chain's share of the worlds that run replayed.
+func TestUpdateSolvesWhatEnumerates(t *testing.T) {
+	const keep, stored = 120, 600
+	for seed := int64(0); seed < 6; seed++ {
+		oldG, chain, induced := sweptCase(30, seed)
+		opts := Options{MaterializationSamples: stored, KeepSamples: keep, Burnin: 20, Seed: seed}
+		e, err := NewEngine(oldG, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var single factor.VarID // the first free variable off the chain
+		for oldG.IsEvidence(single) || slices.Contains(chain, single) {
+			single++
+		}
+		p := factor.NewPatch(oldG)
+		gi := p.AddGroup(p.AddVar(), p.AddWeight(0.8), factor.Ratio)
+		p.AddGrounding(gi, []factor.Literal{{Var: single}})
+		newG := p.Apply()
+		cs := ChangeSet{ChangedNew: []int32{int32(gi)}}
+		for _, v := range []factor.VarID{chain[0], single} {
+			moved := newG.AdjacentGroups(v)[0]
+			w := newG.GroupWeight(int(moved))
+			newG.SetWeight(w, newG.Weight(w)+0.5)
+			cs.ChangedOld, cs.ChangedNew = append(cs.ChangedOld, moved), append(cs.ChangedNew, moved)
+		}
+
+		res := e.AutoInferCtx(nil, newG, cs, nil, true)
+		var small []factor.VarID
+		for v := factor.VarID(0); int(v) < newG.NumVars(); v++ {
+			if !slices.Contains(chain, v) {
+				small = append(small, v)
+			}
+		}
+		sub, _ := newG.Induced(small)
+		want := MaterializeStrawmanMust(t, sub).ExactMarginals(nil, nil, nil)
+		free := len(freeVarsOf(sub))
+		if n := res.Solved; res.Strategy != StrategySampling || n.Swept != 30 || n.Largest != 30 || n.Closed+n.Enumerated != free {
+			t.Fatalf("seed %d: %v run, solved %+v, want the chain of 30 swept and %d variables exactly", seed, res.Strategy, n, free)
+		}
+		for l, v := range small {
+			if math.Abs(res.Marginals[v]-want[l]) > 1e-9 {
+				t.Fatalf("seed %d: variable %d is %.12f, enumeration without the chain gives %.12f", seed, v, res.Marginals[v], want[l])
+			}
+		}
+
+		ref, err := NewEngine(oldG, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newG.NewReach(true)
+		r.Grow(chain[0], false)
+		if scope := r.Sorted(); !slices.Equal(scope, induced) {
+			t.Fatalf("seed %d: the chain's scope is %v, its induced graph %v", seed, scope, induced)
+		}
+		chainRes := ref.InferDecomposedCtx(nil, newG, cs.within(newG, r), ComponentGroups(newG, induced), induced)
+		for l, v := range induced {
+			if math.Float64bits(res.Marginals[v]) != math.Float64bits(chainRes.Marginals[l]) {
+				t.Fatalf("seed %d: chain variable %d is %v, the runner on the chain alone gives %v", seed, v, res.Marginals[v], chainRes.Marginals[l])
+			}
+		}
+		n := newG.NumVars()
+		if spent, share := stored-e.Store().Remaining(), (keep*len(induced)+n-1)/n; spent != share || ref.Store().Remaining() != e.Store().Remaining() {
+			t.Fatalf("seed %d: the update spent %d worlds, the chain's share is %d", seed, spent, share)
+		}
+	}
+}
+
+// TestEmptyScopeIsExact: an update that dirtied nothing (the A1 case) is
+// reported exact — nothing solved or swept, no marginal — and reads neither
+// the store nor the acceptance prior.
+func TestEmptyScopeIsExact(t *testing.T) {
+	g := chainGraph(30, 0.6)
+	e, err := NewEngine(g, Options{MaterializationSamples: 200, KeepSamples: 100, Seed: 3, MeasuredOptimizer: true, CumulativeChanges: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	left := e.Store().Remaining()
+	res := e.AutoInferCtx(nil, g, ChangeSet{}, g.NewReach(true), true)
+	if res.Strategy != StrategyExact || res.Solved != (Solved{}) || res.Marginals != nil || res.AcceptanceRate != 1 || res.Probed != -1 {
+		t.Fatalf("empty scope reported %+v", res)
+	}
+	if e.Store().Remaining() != left || e.priorValid || e.probeValid {
+		t.Fatalf("empty scope touched the store (%d of %d left) or the optimizer's memory", e.Store().Remaining(), left)
+	}
+}
+
 // chiSquareBound is the 1 − 1e-5 quantile of χ² with df degrees of freedom
 // (Wilson–Hilferty).
 func chiSquareBound(df int) float64 {

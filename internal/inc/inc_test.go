@@ -468,29 +468,33 @@ func TestEngineLesionSwitches(t *testing.T) {
 	}
 }
 
+// TestEngineInferUnchangedMatchesTruth: a chain of 30 is past the
+// enumeration bound, so AutoInferCtx hands it to the optimizer, which
+// samples the unchanged distribution off the store — within sampling error
+// of a long Gibbs run.
 func TestEngineInferUnchangedMatchesTruth(t *testing.T) {
-	g := chainGraph(6, 0.7)
+	g := chainGraph(30, 0.7)
 	e, err := NewEngine(g, Options{MaterializationSamples: 3000, KeepSamples: 2000, Burnin: 100, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.AutoInferCtx(nil, g, ChangeSet{}, nil, false)
-	if res.Strategy != StrategySampling || res.FellBack {
-		t.Fatalf("unchanged inference used %v (fellback=%v)", res.Strategy, res.FellBack)
+	res := e.AutoInferCtx(nil, g, ChangeSet{}, nil, true)
+	if res.Strategy != StrategySampling || res.FellBack || res.Solved.Swept != 30 {
+		t.Fatalf("unchanged inference used %v (fellback=%v), solved %+v", res.Strategy, res.FellBack, res.Solved)
 	}
-	truth := MaterializeStrawmanMust(t, g).ExactMarginals(nil, nil, nil)
+	truth := gibbs.New(g, 34).Marginals(500, 50000)
 	if d := maxAbsDiff(res.Marginals, truth, g); d > 0.05 {
 		t.Fatalf("marginals diff %v", d)
 	}
 }
 
 func TestEngineFallsBackOnExhaustion(t *testing.T) {
-	g := chainGraph(6, 0.7)
+	g := chainGraph(30, 0.7)
 	e, err := NewEngine(g, Options{MaterializationSamples: 50, KeepSamples: 500, Burnin: 20, Seed: 35})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.AutoInferCtx(nil, g, ChangeSet{}, nil, false)
+	res := e.AutoInferCtx(nil, g, ChangeSet{}, nil, true)
 	if !res.FellBack || res.Strategy != StrategyVariational {
 		t.Fatalf("expected variational fallback, got %v fellback=%v", res.Strategy, res.FellBack)
 	}

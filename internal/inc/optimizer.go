@@ -19,7 +19,10 @@ func canceled(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
 }
 
-// Strategy identifies a materialization/inference strategy.
+// Strategy identifies how an update's marginals were computed: exactly, by
+// enumerating its dirty components on the updated graph, or — for the
+// components past the enumeration bound — by one of the strategies the §3.2
+// optimizer chooses between.
 type Strategy uint8
 
 const (
@@ -30,6 +33,11 @@ const (
 	// StrategyRerun runs Gibbs from scratch (the baseline, not chosen by
 	// the optimizer; used by lesion configurations).
 	StrategyRerun
+	// StrategyExact is the strawman of Section 3.2.1 applied to the update
+	// itself: every dirty component enumerated on the updated graph, no
+	// stored world read and no approximation built. An update reports it
+	// when nothing was left for the optimizer, or nothing was dirty.
+	StrategyExact
 )
 
 // String implements fmt.Stringer.
@@ -41,6 +49,8 @@ func (s Strategy) String() string {
 		return "variational"
 	case StrategyRerun:
 		return "rerun"
+	case StrategyExact:
+		return "exact"
 	default:
 		return fmt.Sprintf("Strategy(%d)", uint8(s))
 	}
@@ -161,7 +171,10 @@ type Result struct {
 	// was decisive on its own (see the acceptance prior in
 	// ChooseStrategyMeasured). Probed is -1 on such runs.
 	ProbeSkipped bool
-	// Solved counts the variables a variational or rerun pass (chosen or
+	// Solved is how AutoInferCtx's per-component solve split the dirty
+	// components: Closed and Enumerated exactly, Swept the remainder it
+	// handed to Strategy. Without that solve (decompose off, or a runner
+	// called directly) it counts what a variational or rerun pass (chosen or
 	// fallen back to) solved in closed form, by enumeration and by sweeping;
 	// zero after a sampling pass.
 	Solved Solved
@@ -514,8 +527,16 @@ func (e *Engine) Scope(newG *factor.Graph, touched, evidenceChanged []factor.Var
 			r.Grow(v, false)
 		}
 	}
+	e.growEdges(newG, r)
+	return r
+}
+
+// growEdges closes r under the variational approximation's edges: a
+// variational run couples their endpoints, so each needs the other's
+// component in its scope.
+func (e *Engine) growEdges(newG *factor.Graph, r *factor.Reach) {
 	if e.vm == nil {
-		return r
+		return
 	}
 	// The approximation's edges follow the materialized graph's adjacency,
 	// which compaction may since have dropped: follow them from every free
@@ -531,7 +552,6 @@ func (e *Engine) Scope(newG *factor.Graph, touched, evidenceChanged []factor.Var
 			}
 		}
 	}
-	return r
 }
 
 // within restricts the change set to a scope: the groups with a free
@@ -562,19 +582,31 @@ func (c ChangeSet) within(g *factor.Graph, r *factor.Reach) ChangeSet {
 	return out
 }
 
-// AutoInferCtx is the serving layer's inference entry point: it notes cs
-// into the cumulative post-materialization change set (when enabled),
-// chooses a strategy — measured (§3.2) or static (§3.3) per the options —
-// and dispatches to the decomposed sampling path (one acceptance test per
-// connected component, when the structure changed and decompose is set)
-// or the plain strategy runner. Result.Probed carries the measured
-// estimate (-1 when the choice was unprobed).
+// AutoInferCtx is the serving layer's inference entry point. It notes cs
+// into the cumulative post-materialization change set (when enabled), then
+// solves the update's dirty components on newG itself, one at a time, under
+// the budget of Burnin+KeepSamples sweeps (componentMarginals, the read-out
+// from-scratch inference uses): every component that enumerates gets its
+// exact marginals, reading and consuming no stored world and building no
+// approximation. An update left with nothing else reports StrategyExact.
+//
+// Only the remainder — the components past the bound — goes to the §3.2
+// optimizer: its scope is their free reach plus the variational edges
+// leaving it (as Scope grows them), its change set is cs restricted to that
+// scope, and the strategy chosen for it — measured (§3.2) or static (§3.3)
+// per the options — runs the decomposed sampling path (one acceptance test
+// per connected component, when the structure changed) or the plain
+// strategy runner. The result reports that strategy, its acceptance and its
+// probe (Result.Probed, -1 when unprobed); the enumerated components keep
+// their exact marginals. With decompose off (the NoDecomposition lesion: the
+// components are the decomposition) nothing is solved exactly and the whole
+// scope goes to the optimizer.
 //
 // dirty is the update's scope (see Scope), or nil for the whole
-// graph. With a scope, the strategy is chosen for, and inference runs
-// over, the scope's share of the change set and its variables only, every
-// buffer sized by the scope; dirty.Vars is left sorted and
-// Result.Marginals[i] is the marginal of dirty.Vars[i].
+// graph. With a scope, inference runs over its variables only, every buffer
+// sized by the scope; dirty.Vars is left sorted and Result.Marginals[i] is
+// the marginal of dirty.Vars[i]. An empty scope (nothing changed: the A1
+// case) reports StrategyExact and no marginals.
 func (e *Engine) AutoInferCtx(ctx context.Context, newG *factor.Graph, cs ChangeSet, dirty *factor.Reach, decompose bool) *Result {
 	if e.opts.CumulativeChanges {
 		e.note(cs)
@@ -583,12 +615,50 @@ func (e *Engine) AutoInferCtx(ctx context.Context, newG *factor.Graph, cs Change
 	var scope []factor.VarID
 	if dirty != nil {
 		if len(dirty.Vars) == 0 {
-			// Nothing changed: every published marginal stands (the A1 case,
-			// reported under the strategy the rules name for it).
-			return &Result{Strategy: e.ChooseStrategy(ChangeSet{}), AcceptanceRate: 1, Probed: -1}
+			return &Result{Strategy: StrategyExact, AcceptanceRate: 1, Probed: -1}
 		}
-		cs, scope = cs.within(newG, dirty), dirty.Sorted()
+		scope = dirty.Sorted()
 	}
+	if !decompose {
+		if dirty != nil {
+			cs = cs.within(newG, dirty)
+		}
+		return e.optimize(ctx, newG, cs, scope, false)
+	}
+	start := time.Now()
+	target := newG
+	if scope != nil {
+		target, _ = newG.Induced(scope)
+	}
+	m, rest, solved, ok := componentMarginals(ctx, target, e.opts.Burnin+e.opts.KeepSamples)
+	if !ok || len(rest) == 0 {
+		return &Result{Marginals: m, Strategy: StrategyExact, AcceptanceRate: 1, Probed: -1, Solved: solved, Elapsed: time.Since(start)}
+	}
+	// rest is by target id: a position in the scope, or newG's own.
+	global := func(l factor.VarID) factor.VarID {
+		if scope == nil {
+			return l
+		}
+		return scope[l]
+	}
+	r := newG.NewReach(true)
+	for _, l := range rest {
+		r.Grow(global(l), false)
+	}
+	e.growEdges(newG, r)
+	sub := r.Sorted()
+	res := e.optimize(ctx, newG, cs.within(newG, r), sub, true)
+	for _, l := range rest {
+		i, _ := slices.BinarySearch(sub, global(l))
+		m[l] = res.Marginals[i]
+	}
+	res.Marginals, res.Solved, res.Elapsed = m, solved, time.Since(start)
+	return res
+}
+
+// optimize is the §3.2 optimizer over a scope (nil: the graph) and its share
+// of the change set: it chooses a strategy and runs it.
+func (e *Engine) optimize(ctx context.Context, newG *factor.Graph, cs ChangeSet, scope []factor.VarID, decompose bool) *Result {
 	strat, probed := e.ChooseStrategyMeasured(newG, cs)
 	skipped := e.probeSkip
 	var res *Result

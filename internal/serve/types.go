@@ -73,7 +73,8 @@ type UpdateResult struct {
 	// learning sampled and the weights it could move, and the variables
 	// inference re-estimated. 0/0/0 is "nothing to do"; the stats'
 	// variable count is "the whole graph". SweptVars is the part of
-	// DirtyVars a variational run sampled instead of solving exactly.
+	// DirtyVars not solved exactly: the components past the enumeration
+	// bound, which went to Strategy ("exact" when there were none).
 	ScopeVars      int     `json:"scope_vars"`
 	LearnedWeights int     `json:"learned_weights"`
 	DirtyVars      int     `json:"dirty_vars"`

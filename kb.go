@@ -676,8 +676,9 @@ func deltaSeeds(d *ground.Delta, prev, g *factor.Graph) []factor.VarID {
 }
 
 // applyFinish runs the finish stage of the apply pipeline — warmstart
-// learning when the model changed, incremental inference under the
-// optimizer's strategy choice, a store refill when inference drew the
+// learning when the model changed, inference (every dirty component that
+// enumerates solved exactly, the optimizer's strategy on the rest: see
+// inc.Engine.AutoInferCtx), a store refill when that strategy drew the
 // store below the low-water mark (see refill), snapshot publication — and
 // retires the pipeline ticket. It holds only stateMu, so the next update's
 // grounding stage evaluates concurrently under groundMu.

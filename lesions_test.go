@@ -7,48 +7,64 @@ import (
 )
 
 // TestEngineLesionsReachUpdateResult: each of the inference lesions
-// changes what the update it targets reports — a new document (a
-// structural change the optimizer samples) or new supervision (an
-// evidence change the optimizer routes to the variational side).
+// changes what the update it targets reports. The strategy lesions act on
+// an update's remainder, the components past the enumeration bound, so
+// they are pinned on the chain KB: a node appended to the chain (a
+// structural change the optimizer samples) or a node labelled (an
+// evidence change the optimizer routes to the variational side; it cuts
+// off five nodes, which are solved exactly either way). NoDecomposition
+// and GlobalFinish are pinned on the spouse KB, whose every component
+// enumerates: with the decomposition an update is solved exactly, without
+// it one global acceptance test runs.
 func TestEngineLesionsReachUpdateResult(t *testing.T) {
 	newDoc := docUpdate(1)
-	newEvidence := deepdive.Update{Inserts: map[string][]deepdive.Tuple{"Married": {{"Carl", "Dana"}}}}
-	apply := func(l deepdive.Lesions, u deepdive.Update) (*deepdive.UpdateResult, int) {
-		t.Helper()
-		kb := spouseMaterialized(t, deepdive.WithLesions(l))
-		res, err := kb.Apply(ctx, u)
-		must(t, err)
-		return res, kb.Stats().Variables
+	newNode := chainGrow(0)
+	newLabel := deepdive.Update{Inserts: map[string][]deepdive.Tuple{"Seed": {{"n5"}}}}
+	spouse := func(t *testing.T, l deepdive.Lesions) *deepdive.KB {
+		return spouseMaterialized(t, deepdive.WithLesions(l))
+	}
+	chain := func(t *testing.T, l deepdive.Lesions) *deepdive.KB {
+		return chainMaterialized(t, deepdive.WithLesions(l))
 	}
 	global := deepdive.Lesions{GlobalFinish: true}
 	for _, tc := range []struct {
 		name string
+		kb   func(*testing.T, deepdive.Lesions) *deepdive.KB
 		// common is on for both runs, lesion only for the second.
 		common, lesion deepdive.Lesions
 		update         deepdive.Update
 		// base is the strategy without the lesion, want with it.
 		base, want deepdive.Strategy
 	}{
-		{"NoSampling", deepdive.Lesions{}, deepdive.Lesions{NoSampling: true}, newDoc, deepdive.StrategySampling, deepdive.StrategyVariational},
-		{"NoVariational", deepdive.Lesions{}, deepdive.Lesions{NoVariational: true}, newEvidence, deepdive.StrategyVariational, deepdive.StrategySampling},
-		{"NoWorkloadInfo", deepdive.Lesions{}, deepdive.Lesions{NoWorkloadInfo: true}, newEvidence, deepdive.StrategyVariational, deepdive.StrategySampling},
-		// Re-pinned onto GlobalFinish: the unsupervised document no longer
-		// triggers learning, so by default no weight moves, the change set
-		// is the document's own component, and one global test is that
-		// component's test. With every weight relearned, every component
-		// changes and the global test shows.
-		{"NoDecomposition", global, deepdive.Lesions{GlobalFinish: true, NoDecomposition: true}, newDoc, deepdive.StrategySampling, deepdive.StrategySampling},
-		{"GlobalFinish", deepdive.Lesions{}, global, newDoc, deepdive.StrategySampling, deepdive.StrategySampling},
+		{"NoSampling", chain, deepdive.Lesions{}, deepdive.Lesions{NoSampling: true}, newNode, deepdive.StrategySampling, deepdive.StrategyVariational},
+		{"NoVariational", chain, deepdive.Lesions{}, deepdive.Lesions{NoVariational: true}, newLabel, deepdive.StrategyVariational, deepdive.StrategySampling},
+		{"NoWorkloadInfo", chain, deepdive.Lesions{}, deepdive.Lesions{NoWorkloadInfo: true}, newLabel, deepdive.StrategyVariational, deepdive.StrategySampling},
+		// On GlobalFinish, where every weight is relearned and every
+		// component changes, one global test shows.
+		{"NoDecomposition", spouse, global, deepdive.Lesions{GlobalFinish: true, NoDecomposition: true}, newDoc, deepdive.StrategyExact, deepdive.StrategySampling},
+		{"GlobalFinish", spouse, deepdive.Lesions{}, global, newDoc, deepdive.StrategyExact, deepdive.StrategyExact},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base, _ := apply(tc.common, tc.update)
-			got, vars := apply(tc.lesion, tc.update)
+			apply := func(l deepdive.Lesions) (*deepdive.UpdateResult, int) {
+				t.Helper()
+				kb := tc.kb(t, l)
+				res, err := kb.Apply(ctx, tc.update)
+				must(t, err)
+				return res, kb.Stats().Variables
+			}
+			base, _ := apply(tc.common)
+			got, vars := apply(tc.lesion)
 			if base.Strategy != tc.base || got.Strategy != tc.want {
 				t.Fatalf("strategy %v without the lesion (want %v), %v with it (want %v)",
 					base.Strategy, tc.base, got.Strategy, tc.want)
 			}
-			// One global acceptance test rejects where the new document's
-			// own component would have accepted.
+			// The strategy lesions leave the exact solve alone: the chain is
+			// the remainder either way, the five labelled-off nodes are not.
+			if tc.update.Inserts["Seed"] != nil && (base.SweptVars != 34 || got.SweptVars != 34) {
+				t.Fatalf("swept %d variables without the lesion, %d with it, want the 34 nodes past the label", base.SweptVars, got.SweptVars)
+			}
+			// One global acceptance test rejects where the decomposition,
+			// solving each component exactly, accepts everything.
 			if tc.lesion.NoDecomposition && got.Acceptance >= base.Acceptance {
 				t.Fatalf("acceptance %.3f with decomposition, %.3f without", base.Acceptance, got.Acceptance)
 			}

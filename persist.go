@@ -58,9 +58,9 @@ const kbSnapMagic uint64 = 0x31504e53424b4444
 
 // kbSnapVersion is bumped on any incompatible snapshot-layout change
 // (v2 appended the probe-skip counter to the autopilot section, v3 dropped
-// the forced re-materialization counter from it); Open rejects snapshots
-// from other versions rather than guessing.
-const kbSnapVersion = 3
+// the forced re-materialization counter from it, v4 added the exact-run
+// counter); Open rejects snapshots from other versions rather than guessing.
+const kbSnapVersion = 4
 
 // Snapshot section kinds.
 const (
@@ -372,6 +372,7 @@ func (kb *KB) encodeSnapshotLocked(walGen uint64) []byte {
 	e.U64(kb.auto.sampling)
 	e.U64(kb.auto.variational)
 	e.U64(kb.auto.rerun)
+	e.U64(kb.auto.exact)
 	e.U64(kb.auto.fallbacks)
 	for _, h := range kb.auto.hist {
 		e.U64(h)
@@ -576,6 +577,7 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 	kb.auto.sampling = ard.U64("auto sampling")
 	kb.auto.variational = ard.U64("auto variational")
 	kb.auto.rerun = ard.U64("auto rerun")
+	kb.auto.exact = ard.U64("auto exact")
 	kb.auto.fallbacks = ard.U64("auto fallbacks")
 	for i := range kb.auto.hist {
 		kb.auto.hist[i] = ard.U64("auto hist")

@@ -91,11 +91,14 @@ func reopenSpouseKB(tb testing.TB, dir string, opts ...deepdive.Option) *deepdiv
 
 // spouseBits captures every HasSpouse candidate's marginal as raw
 // float64 bits: the harness asserts bit-identity, not tolerance.
-func spouseBits(kb *deepdive.KB) map[string]uint64 {
+func spouseBits(kb *deepdive.KB) map[string]uint64 { return marginalBits(kb, "HasSpouse") }
+
+// marginalBits is spouseBits for any variable relation.
+func marginalBits(kb *deepdive.KB, relation string) map[string]uint64 {
 	snap := kb.Snapshot()
 	out := make(map[string]uint64)
-	for _, c := range snap.Candidates("HasSpouse") {
-		m, ok := snap.Marginal("HasSpouse", c)
+	for _, c := range snap.Candidates(relation) {
+		m, ok := snap.Marginal(relation, c)
 		if !ok {
 			continue
 		}
@@ -613,16 +616,17 @@ func TestWALReplayDeterminism(t *testing.T) {
 // runs it, seeded by the persisted launch count, so WAL replay repeats it.
 // A KB whose stream refills after its last checkpoint is dropped without
 // another one; the reopened KB serves the same marginal bits, holds the
-// same store and counts the same refills as the KB that never crashed.
+// same store and counts the same refills and runs as the KB that never
+// crashed. The stream grows the chain KB, whose updates sample.
 func TestWALReplayRefills(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	remat := deepdive.WithRematerialization(590, 0)
-	kb := persistSpouseKB(t, deepdive.WithDataDir(dir), remat)
+	opts := []deepdive.Option{deepdive.WithRematerialization(450, 0), deepdive.WithMaterialization(600, 0.01), deepdive.WithInference(30, 100)}
+	kb := chainMaterialized(t, append(opts, deepdive.WithDataDir(dir))...)
 	bmust(t, kb.Checkpoint(ctx))
 	apply := func(from, to int) {
 		for i := from; i < to; i++ {
-			if _, err := kb.Apply(ctx, docDelta(i)); err != nil {
+			if _, err := kb.Apply(ctx, chainGrow(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -632,19 +636,21 @@ func TestWALReplayRefills(t *testing.T) {
 	atCheckpoint := kb.Autopilot().Rematerializations
 	apply(4, 10)
 	live := kb.Autopilot()
-	if live.Rematerializations <= atCheckpoint {
-		t.Fatalf("no refill after the last checkpoint (%d before it, %d after)", atCheckpoint, live.Rematerializations)
+	if live.Rematerializations <= atCheckpoint || live.SamplingRuns == 0 {
+		t.Fatalf("no refill after the last checkpoint (%d before it, %d after; %d sampling runs)", atCheckpoint, live.Rematerializations, live.SamplingRuns)
 	}
-	want := spouseBits(kb)
+	want := marginalBits(kb, "On")
 
 	// Crash: drop the KB without checkpointing.
-	kb2 := reopenSpouseKB(t, dir, remat)
+	kb2, err := deepdive.OpenKB(chainSource, append([]deepdive.Option{deepdive.WithSeed(7), deepdive.WithDataDir(dir)}, opts...)...)
+	bmust(t, err)
 	defer kb2.Close()
-	assertSameBits(t, want, spouseBits(kb2), "refills replayed")
-	got := kb2.Autopilot()
-	if got.StoreLen != live.StoreLen || got.StoreRemaining != live.StoreRemaining || got.Rematerializations != live.Rematerializations {
-		t.Fatalf("recovered store %d/%d after %d refills, the live KB %d/%d after %d",
-			got.StoreRemaining, got.StoreLen, got.Rematerializations, live.StoreRemaining, live.StoreLen, live.Rematerializations)
+	if !kb2.Recovered() {
+		t.Fatal("reopened KB did not recover from snapshot")
+	}
+	assertSameBits(t, want, marginalBits(kb2, "On"), "refills replayed")
+	if got := kb2.Autopilot(); got != live {
+		t.Fatalf("recovered autopilot %+v, the live KB's %+v", got, live)
 	}
 }
 

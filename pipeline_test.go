@@ -23,7 +23,10 @@ import (
 // pins the queue's batching to one update per batch independent of
 // worker timing — the property the differential tests need to compare
 // epoch streams across queue configurations.
-func conflictMark(u deepdive.Update) deepdive.Update {
+func conflictMark(u deepdive.Update) deepdive.Update { return markConflict(u, "Sentence") }
+
+// markConflict is conflictMark with the marker in any two-column relation.
+func markConflict(u deepdive.Update, relation string) deepdive.Update {
 	marker := deepdive.Tuple{"conflict-marker", "pipeline"}
 	if u.Inserts == nil {
 		u.Inserts = map[string][]deepdive.Tuple{}
@@ -31,8 +34,8 @@ func conflictMark(u deepdive.Update) deepdive.Update {
 	if u.Deletes == nil {
 		u.Deletes = map[string][]deepdive.Tuple{}
 	}
-	u.Inserts["Sentence"] = append(u.Inserts["Sentence"], marker)
-	u.Deletes["Sentence"] = append(u.Deletes["Sentence"], marker)
+	u.Inserts[relation] = append(u.Inserts[relation], marker)
+	u.Deletes[relation] = append(u.Deletes[relation], marker)
 	return u
 }
 

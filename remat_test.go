@@ -6,7 +6,9 @@ package deepdive_test
 // a deterministic function of the seed and the stream; a refill cancelled
 // with its update publishes nothing and the next update lands it; and
 // concurrent snapshot readers stay consistent across engine swaps
-// (meaningful under -race).
+// (meaningful under -race). Only a sampling run over an update's remainder
+// — the components past the enumeration bound — reads the store, so the
+// tests grow a chain that is one such component.
 
 import (
 	"context"
@@ -17,17 +19,15 @@ import (
 	"deepdive"
 )
 
-// rematKB builds the spouse KB with a deliberately small store and an
-// aggressive low-water mark, so a single update's inference drains the
-// store below the mark and triggers a refill. (The mark sits at 290 of
-// 300 because a scoped update spends only its share of the worlds it
-// replays: a new document's two variables of eight, 30 of 120.)
+// rematKB builds the chain KB with a deliberately small store and a
+// low-water mark one update crosses: a chainGrow update samples the whole
+// chain, spending 120 of the 300 worlds.
 func rematKB(t *testing.T, opts ...deepdive.Option) *deepdive.KB {
 	t.Helper()
-	return spouseKB(t, append([]deepdive.Option{
+	return chainMaterialized(t, append([]deepdive.Option{
 		deepdive.WithMaterialization(300, 0.01),
 		deepdive.WithInference(20, 120),
-		deepdive.WithRematerialization(290, 0),
+		deepdive.WithRematerialization(250, 0),
 	}, opts...)...)
 }
 
@@ -38,7 +38,6 @@ func rematKB(t *testing.T, opts ...deepdive.Option) *deepdive.KB {
 // good.
 func TestRematLandsAndRefillsStore(t *testing.T) {
 	kb := rematKB(t)
-	defer kb.Close()
 	ctx := context.Background()
 
 	before := kb.Autopilot()
@@ -47,7 +46,7 @@ func TestRematLandsAndRefillsStore(t *testing.T) {
 	}
 	epoch := kb.Snapshot().Epoch()
 
-	res, err := kb.Apply(ctx, docUpdate(0))
+	res, err := kb.Apply(ctx, chainGrow(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +64,11 @@ func TestRematLandsAndRefillsStore(t *testing.T) {
 	if snap.Epoch() != epoch+1 || res.Epoch != snap.Epoch() {
 		t.Fatalf("the refilling update published epochs %d..%d (result %d), want one publication", epoch+1, snap.Epoch(), res.Epoch)
 	}
-	// The published marginals are the fresh store's means, an i.i.d.
-	// estimate of the current distribution: every candidate stays
-	// resolvable and the update's wife-feature pair stays confidently
-	// extracted.
-	if p, ok := snap.Marginal("HasSpouse", deepdive.Tuple{"p0a", "p0b"}); !ok || p < 0.5 {
-		t.Fatalf("post-refill marginal for inserted pair = (%v, %v), want > 0.5", p, ok)
+	// The published marginals are the fresh store's means, an estimate of
+	// the current distribution: every node stays resolvable and the
+	// appended one leans on, like every node of the chain.
+	if p, ok := snap.Marginal("On", deepdive.Tuple{"n40"}); !ok || p < 0.5 {
+		t.Fatalf("post-refill marginal for the appended node = (%v, %v), want > 0.5", p, ok)
 	}
 	if s := snap.Stats().Autopilot; s == nil || s.Rematerializations != 1 || s.StoreRemaining != s.StoreLen {
 		t.Fatalf("published snapshot does not carry the refill: %+v", s)
@@ -78,7 +76,7 @@ func TestRematLandsAndRefillsStore(t *testing.T) {
 
 	// The reset boundary is live: the next update draws on the fresh
 	// store and runs the sampling strategy again.
-	res, err = kb.Apply(ctx, docUpdate(1))
+	res, err = kb.Apply(ctx, chainGrow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +91,8 @@ func TestRematLandsAndRefillsStore(t *testing.T) {
 func TestRematDeterministic(t *testing.T) {
 	ctx := context.Background()
 	a, b := rematKB(t), rematKB(t)
-	defer a.Close()
-	defer b.Close()
 	for i := 0; i < 6; i++ {
-		u := docDelta(i)
+		u := chainGrow(i)
 		for _, kb := range []*deepdive.KB{a, b} {
 			if _, err := kb.Apply(ctx, u); err != nil {
 				t.Fatal(err)
@@ -106,7 +102,7 @@ func TestRematDeterministic(t *testing.T) {
 		if apA.Rematerializations != apB.Rematerializations || apA.StoreRemaining != apB.StoreRemaining {
 			t.Fatalf("update %d: refills %d vs %d, store %d vs %d", i, apA.Rematerializations, apB.Rematerializations, apA.StoreRemaining, apB.StoreRemaining)
 		}
-		assertSameBits(t, spouseBits(a), spouseBits(b), fmt.Sprintf("update %d", i))
+		assertSameBits(t, marginalBits(a, "On"), marginalBits(b, "On"), fmt.Sprintf("update %d", i))
 	}
 	if n := a.Autopilot().Rematerializations; n < 2 {
 		t.Fatalf("the stream refilled %d times, want at least 2", n)
@@ -116,14 +112,13 @@ func TestRematDeterministic(t *testing.T) {
 // TestRematCancelled: an update cancelled inside its refill follows the
 // update's cancellation semantics — it returns the context's error,
 // publishes nothing and installs no engine, and the refill counts as lost —
-// and the next update lands the refill and publishes both documents.
+// and the next update lands the refill and publishes both appended nodes.
 func TestRematCancelled(t *testing.T) {
 	kb := rematKB(t)
-	defer kb.Close()
 	ctx := context.Background()
 	snap := kb.Snapshot()
 
-	if _, err := kb.Apply(kb.CancelAtRefill(ctx), docUpdate(0)); !errors.Is(err, context.Canceled) {
+	if _, err := kb.Apply(kb.CancelAtRefill(ctx), chainGrow(0)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("update cancelled in its refill: err %v, want context.Canceled", err)
 	}
 	if got := kb.Snapshot(); got != snap {
@@ -134,7 +129,7 @@ func TestRematCancelled(t *testing.T) {
 		t.Fatalf("after the cancelled refill: %+v, want 0 refills, 1 lost, the store still below low-water", ap)
 	}
 
-	res, err := kb.Apply(ctx, docUpdate(1))
+	res, err := kb.Apply(ctx, chainGrow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +140,9 @@ func TestRematCancelled(t *testing.T) {
 	if res.Epoch != snap.Epoch()+1 {
 		t.Fatalf("the next update published epoch %d, want %d", res.Epoch, snap.Epoch()+1)
 	}
-	for _, p := range []deepdive.Tuple{{"p0a", "p0b"}, {"p1a", "p1b"}} {
-		if _, ok := kb.Snapshot().Marginal("HasSpouse", p); !ok {
-			t.Fatalf("candidate %v has no marginal after the refill", p)
+	for _, node := range []deepdive.Tuple{{"n40"}, {"n41"}} {
+		if _, ok := kb.Snapshot().Marginal("On", node); !ok {
+			t.Fatalf("node %v has no marginal after the refill", node)
 		}
 	}
 }
@@ -159,7 +154,6 @@ func TestRematCancelled(t *testing.T) {
 // swaps.
 func TestRematRaceWithReadersAndApplies(t *testing.T) {
 	kb := rematKB(t, deepdive.WithParallelism(2))
-	defer kb.Close()
 
 	stop := make(chan struct{})
 	readerDone := make(chan error, 4)
@@ -180,9 +174,9 @@ func TestRematRaceWithReadersAndApplies(t *testing.T) {
 				} else {
 					lastEpoch = e
 				}
-				for _, tup := range s.Candidates("HasSpouse") {
-					if _, ok := s.Marginal("HasSpouse", tup); !ok {
-						err = fmt.Errorf("epoch %d: candidate %v lost its marginal across a swap", s.Epoch(), tup)
+				for _, tup := range s.Candidates("On") {
+					if _, ok := s.Marginal("On", tup); !ok {
+						err = fmt.Errorf("epoch %d: node %v lost its marginal across a swap", s.Epoch(), tup)
 					}
 				}
 				if ap := s.Stats().Autopilot; ap != nil && ap.StoreRemaining > ap.StoreLen {
@@ -196,7 +190,7 @@ func TestRematRaceWithReadersAndApplies(t *testing.T) {
 	q := kb.Updates()
 	var tickets []*deepdive.Ticket
 	for i := 0; i < 8; i++ {
-		tickets = append(tickets, q.Submit(conflictMark(docUpdate(100+i))))
+		tickets = append(tickets, q.Submit(markConflict(chainGrow(i), "Next")))
 	}
 	for i, tk := range tickets {
 		if _, err := tk.Wait(context.Background()); err != nil {

@@ -105,6 +105,29 @@ func chainKB(t *testing.T, n, seeds int, opts ...deepdive.Option) *deepdive.KB {
 	return kb
 }
 
+// chainMaterialized is chainKB over 40 unlabelled nodes, learned, inferred
+// and materialized. Its one component of 40 free variables is past the
+// enumeration bound under any budget, so an update touching it leaves that
+// component to the optimizer: the KB on which the sampling and variational
+// strategies, the sample store and its refill still run.
+func chainMaterialized(t *testing.T, opts ...deepdive.Option) *deepdive.KB {
+	t.Helper()
+	kb := chainKB(t, 40, 0, opts...)
+	for _, pass := range []func(context.Context) (time.Duration, error){kb.Learn, kb.Infer, kb.Materialize} {
+		if _, err := pass(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return kb
+}
+
+// chainGrow is the i-th update of a stream growing chainMaterialized's
+// chain: it appends node n(40+i) after n(39+i).
+func chainGrow(i int) deepdive.Update {
+	prev, node := fmt.Sprint("n", 39+i), fmt.Sprint("n", 40+i)
+	return deepdive.Update{Inserts: map[string][]deepdive.Tuple{"Node": {{node}}, "Next": {{prev, node}}}}
+}
+
 // docUpdate builds the update inserting one two-mention document; the
 // resulting ordered mention pairs always arrive atomically in one update.
 func docUpdate(i int) deepdive.Update {

@@ -20,15 +20,12 @@ package deepdive_test
 // serving" is the invariant every incremental inference strategy must
 // track.
 //
-// Every mode runs under Lesions.GlobalFinish: what the soak pins is the
-// whole-graph machinery — store exhaustion, the rule-4 fallback,
-// cumulative change sets, store refills — and a document
-// stream no longer reaches it by default. The scoped finish stage
-// re-estimates only the components an update touched, from its own few
-// columns of the stored worlds without consuming them, so the store
-// never drains and an untouched fact cannot be forgotten (without the
-// lesion the static mode's worst drift is 0.01); scope_test.go holds the
-// default stack against this one.
+// The stream grows the chain KB (chainMaterialized) one node at a time:
+// what the soak pins is the machinery behind the §3.2 optimizer — store
+// exhaustion, the rule-4 fallback, cumulative change sets, store refills —
+// and only a component past the enumeration bound reaches it. A document
+// stream on the spouse KB does not: every component it dirties is solved
+// exactly, reads no stored world, and tracks the oracle to the bit.
 //
 // Three modes:
 //   - autopilot: store refills + measured optimizer + cumulative change
@@ -79,18 +76,17 @@ type soakCheckpoint struct {
 	auto      deepdive.AutopilotStats
 }
 
-// runSoak streams n document updates through the queue one ticket at a
-// time (Submit+Wait, so nothing coalesces and every update runs the full
+// runSoak streams n chain-growing updates through the queue one ticket at
+// a time (Submit+Wait, so nothing coalesces and every update runs the full
 // ground→learn→infer path, refilling the store when it drains). At each
-// checkpoint the served snapshot
-// is frozen, then KB.Infer computes the exact current-model marginals
-// and the drift over the tracked facts (the mention pairs of the first
-// ten documents — the facts a drifting approximation forgets first) is
+// checkpoint the served snapshot is frozen, then KB.Infer computes the
+// current-model marginals — on the chain, past the enumeration bound, a
+// Gibbs estimate — and the drift over the tracked facts (the first ten
+// appended nodes — the facts a drifting approximation forgets first) is
 // recorded.
 func runSoak(t *testing.T, n int, lesions deepdive.Lesions, opts ...deepdive.Option) []soakCheckpoint {
 	t.Helper()
-	lesions.GlobalFinish = true
-	kb := spouseKB(t, append([]deepdive.Option{
+	kb := chainMaterialized(t, append([]deepdive.Option{
 		deepdive.WithLesions(lesions),
 		// Undersized on purpose: the store holds ~3 updates' worth of
 		// proposals, so the stream spends most of its life past the
@@ -98,7 +94,6 @@ func runSoak(t *testing.T, n int, lesions deepdive.Lesions, opts ...deepdive.Opt
 		deepdive.WithMaterialization(300, 0.01),
 		deepdive.WithInference(20, 100),
 	}, opts...)...)
-	defer kb.Close()
 	q := kb.Updates()
 	ctx := context.Background()
 
@@ -106,9 +101,9 @@ func runSoak(t *testing.T, n int, lesions deepdive.Lesions, opts ...deepdive.Opt
 	if tracked > n {
 		tracked = n
 	}
-	var pairs []deepdive.Tuple
+	var nodes []deepdive.Tuple
 	for i := 0; i < tracked; i++ {
-		pairs = append(pairs, deepdive.Tuple{fmt.Sprintf("p%da", 100+i), fmt.Sprintf("p%db", 100+i)})
+		nodes = append(nodes, deepdive.Tuple{fmt.Sprint("n", 40+i)})
 	}
 
 	every := n / 3
@@ -117,7 +112,7 @@ func runSoak(t *testing.T, n int, lesions deepdive.Lesions, opts ...deepdive.Opt
 	}
 	var cps []soakCheckpoint
 	for i := 0; i < n; i++ {
-		if _, err := q.Submit(docUpdate(100 + i)).Wait(ctx); err != nil {
+		if _, err := q.Submit(chainGrow(i)).Wait(ctx); err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
 		if (i+1)%every == 0 || i == n-1 {
@@ -128,11 +123,11 @@ func runSoak(t *testing.T, n int, lesions deepdive.Lesions, opts ...deepdive.Opt
 			}
 			oracle := kb.Snapshot()
 			drift, sum := 0.0, 0.0
-			for _, p := range pairs {
-				got, okG := served.Marginal("HasSpouse", p)
-				want, okO := oracle.Marginal("HasSpouse", p)
+			for _, p := range nodes {
+				got, okG := served.Marginal("On", p)
+				want, okO := oracle.Marginal("On", p)
 				if !okG || !okO {
-					t.Fatalf("checkpoint %d: tracked pair %v missing (served=%v oracle=%v)", i+1, p, okG, okO)
+					t.Fatalf("checkpoint %d: tracked node %v missing (served=%v oracle=%v)", i+1, p, okG, okO)
 				}
 				d := math.Abs(got - want)
 				sum += d
@@ -140,7 +135,7 @@ func runSoak(t *testing.T, n int, lesions deepdive.Lesions, opts ...deepdive.Opt
 					drift = d
 				}
 			}
-			mean := sum / float64(len(pairs))
+			mean := sum / float64(len(nodes))
 			t.Logf("checkpoint %3d updates: drift max %.3f mean %.3f (autopilot: %d sampling / %d variational / %d remat / %d preempted, store %d/%d)",
 				i+1, drift, mean, auto.SamplingRuns, auto.VariationalRuns,
 				auto.Rematerializations, auto.RematPreempted, auto.StoreRemaining, auto.StoreLen)
