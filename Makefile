@@ -113,9 +113,10 @@ kbbench:
 bench:
 	$(GO) test -bench='SamplerSequentialCorpus|SamplerParallelCorpus|GibbsSweep' -run=xxx .
 
-# The grounding join engine alone: full-rule evaluation and a
-# one-document delta on a 500- and a 2000-sentence corpus, with
-# allocations.
+# The grounder alone (join engine and binding application): full-rule
+# evaluation and a one-document delta on a 500- and a 2000-sentence
+# corpus, with allocations. TestGroundAllocationsPerGrounding holds the
+# first one's allocs/op per grounding in tier-1.
 bench-ground:
 	$(GO) test -bench='GroundFullRule|GroundDocDelta' -benchmem -run=xxx ./internal/ground/
 

@@ -54,7 +54,8 @@ import (
 // Tuple is one relational row (all values are strings).
 type Tuple = db.Tuple
 
-// UDF maps bound weight-expression arguments to a tie key.
+// UDF maps bound weight-expression arguments to a tie key. It must be pure
+// and must not keep args past the call (see ground.UDF).
 type UDF = ground.UDF
 
 // Semantics selects the counting semantics g(n) of a rule (Figure 4 of

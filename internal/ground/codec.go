@@ -2,6 +2,8 @@ package ground
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"deepdive/internal/factor"
 	"deepdive/internal/persist"
@@ -16,7 +18,8 @@ import (
 // ground.New, which recompiles rules in declaration order and so
 // reproduces the same rule indexes, weight keys, and topo order. The
 // side maps (varIdx, weightIdx, groupIdx) are rebuilt from the ordered
-// lists.
+// lists; a group is persisted under a key string (appendGroupKey) the
+// rule index is read back out of.
 const grounderCodecVersion = 1
 
 // AppendSnapshot encodes the grounder's dynamic state into b.
@@ -47,8 +50,10 @@ func (g *Grounder) AppendSnapshot(b *persist.Buf) {
 	b.Bools(g.weightLearn)
 
 	b.U64(uint64(len(g.groups)))
+	var key []byte
 	for _, gs := range g.groups {
-		b.Str(gs.key)
+		key = g.appendGroupKey(key[:0], gs)
+		b.StrBytes(key)
 		b.I64(int64(gs.head))
 		b.I64(int64(gs.weight))
 		b.U8(uint8(gs.sem))
@@ -68,6 +73,25 @@ func (g *Grounder) AppendSnapshot(b *persist.Buf) {
 			b.I32s(lits)
 		}
 	}
+}
+
+// appendGroupKey appends the key a group is persisted under,
+// "g:<rule>:<head tuple key>:<weight>".
+func (g *Grounder) appendGroupKey(buf []byte, gs *groupState) []byte {
+	buf = strconv.AppendInt(append(buf, "g:"...), int64(gs.rule), 10)
+	buf = append(append(buf, ':'), g.vars[gs.head].key...)
+	return strconv.AppendInt(append(buf, ':'), int64(gs.weight), 10)
+}
+
+// groupRule parses the rule index back out of a persisted group key.
+func groupRule(key string) (int32, bool) {
+	rest, ok := strings.CutPrefix(key, "g:")
+	i := strings.IndexByte(rest, ':')
+	if !ok || i < 0 {
+		return 0, false
+	}
+	rule, err := strconv.ParseInt(rest[:i], 10, 32)
+	return int32(rule), err == nil
 }
 
 // RestoreSnapshot decodes state written by AppendSnapshot into a
@@ -127,52 +151,31 @@ func (g *Grounder) RestoreSnapshot(rd *persist.Rd, cur *factor.Graph) error {
 		g.weightIdx[k] = factor.WeightID(i)
 	}
 
-	// Group, grounding and literal records are cut from chunks: most groups
-	// hold one grounding, and one object each per group and per grounding is
-	// most of what a restored KB gives the collector to walk.
-	const chunk = 1024
-	var (
-		groupChunk []groupState
-		gndChunk   []gndState
-		orderChunk []*gndState
-		litChunk   []factor.Literal
-		enc        []int32
-	)
+	// Records come from the slabs the live grounder cuts its own from.
+	var enc []int32
 	nGroups := rd.Count(33, "group count")
 	g.groups = make([]*groupState, 0, nGroups+nGroups/8)
-	g.groupIdx = make(map[string]int, nGroups)
+	g.groupIdx = make(map[groupKey]int, nGroups)
 	for gi := 0; gi < nGroups && rd.Err() == nil; gi++ {
-		if len(groupChunk) == 0 {
-			groupChunk = make([]groupState, min(chunk, nGroups-gi))
+		rule, ok := groupRule(rd.Str("group key"))
+		key := groupKey{rule, factor.VarID(rd.I64("group head")), factor.WeightID(rd.I64("group weight"))}
+		sem := factor.Semantics(rd.U8("group sem"))
+		if rd.Err() == nil && (!ok || uint(key.head) >= uint(len(g.vars))) {
+			rd.Fail("group key")
 		}
-		gs := &groupChunk[0]
-		groupChunk = groupChunk[1:]
-		*gs = groupState{
-			key:    rd.Str("group key"),
-			head:   factor.VarID(rd.I64("group head")),
-			weight: factor.WeightID(rd.I64("group weight")),
-			sem:    factor.Semantics(rd.U8("group sem")),
-		}
+		gs := g.addGroup(key, sem)
 		nGnds := rd.Count(32, "grounding count")
-		if len(orderChunk) < nGnds {
-			orderChunk = make([]*gndState, max(chunk, nGnds))
+		if nGnds > len(gs.one) {
+			gs.gnds = cut(&g.slab.order, nGnds)[:0]
 		}
-		gs.gnds, orderChunk = orderChunk[:0:nGnds], orderChunk[nGnds:]
 		for k := 0; k < nGnds && rd.Err() == nil; k++ {
-			if len(gndChunk) == 0 {
-				gndChunk = make([]gndState, chunk)
-			}
-			gnd := &gndChunk[0]
-			gndChunk = gndChunk[1:]
+			gnd := &cut(&g.slab.gnds, 1)[0]
 			gnd.key = rd.Str("grounding key")
 			gnd.count = int(rd.I64("grounding count"))
 			gnd.flatID = int32(rd.I64("grounding flatID"))
 			enc = rd.AppendI32s(enc[:0], "grounding lits")
 			if len(enc) > 0 {
-				if len(litChunk) < len(enc) {
-					litChunk = make([]factor.Literal, max(chunk, len(enc)))
-				}
-				gnd.lits, litChunk = litChunk[:len(enc):len(enc)], litChunk[len(enc):]
+				gnd.lits = cut(&g.slab.lits, len(enc))
 				for i, e := range enc {
 					gnd.lits[i] = factor.Literal{Var: factor.VarID(e >> 1), Neg: e&1 == 1}
 				}
@@ -182,8 +185,6 @@ func (g *Grounder) RestoreSnapshot(rd *persist.Rd, cur *factor.Graph) error {
 				g.nGroundings++
 			}
 		}
-		g.groupIdx[gs.key] = len(g.groups)
-		g.groups = append(g.groups, gs)
 	}
 	if err := rd.Err(); err != nil {
 		return err

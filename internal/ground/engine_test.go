@@ -189,13 +189,13 @@ func corpusBase(n, k int) baseData {
 }
 
 // maxAllocsPerBinding is the bound TestGroundAllocationsPerBinding holds
-// full-rule evaluation to. A weighted-rule binding costs its head tuple,
-// its UDF arguments and weight key, its binding key, its literal tuples
-// and, the first time the grounding is seen, the grounding itself (state,
-// literals, map and order slots) and its group; a derivation-rule binding
-// costs its head tuple, the relation row and the delta-list entry. Join
-// evaluation itself — probes, key building, register loads — costs none.
-const maxAllocsPerBinding = 16
+// full-rule evaluation to (4.0 measured). A weighted-rule binding costs
+// what its UDF allocates and, the first time the grounding is seen, the
+// grounding's key — its keys are built in a reused arena, its records cut
+// from slabs; a derivation-rule binding costs its head tuple, the relation
+// row and its key, and the variable's key. Join evaluation itself —
+// probes, key building, register loads — costs none.
+const maxAllocsPerBinding = 6
 
 func TestGroundAllocationsPerBinding(t *testing.T) {
 	const k = 4

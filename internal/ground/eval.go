@@ -3,7 +3,6 @@ package ground
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"deepdive/internal/datalog"
 	"deepdive/internal/db"
@@ -23,16 +22,33 @@ type atomSpec struct {
 	args []argSrc
 }
 
+func (a *atomSpec) arg(i int, regs []db.Value) db.Value {
+	s := a.args[i]
+	if s.slot < 0 {
+		return s.val
+	}
+	return regs[s.slot]
+}
+
 func (a *atomSpec) instantiate(regs []db.Value) db.Tuple {
 	t := make(db.Tuple, len(a.args))
-	for i, s := range a.args {
-		if s.slot < 0 {
-			t[i] = s.val
-		} else {
-			t[i] = regs[s.slot]
-		}
+	for i := range a.args {
+		t[i] = a.arg(i, regs)
 	}
 	return t
+}
+
+// appendVarKey appends the variable key (the package's appendVarKey) of
+// the atom's tuple without instantiating the tuple.
+func (a *atomSpec) appendVarKey(buf []byte, regs []db.Value) []byte {
+	buf = append(append(buf, a.pred...), 0)
+	for i := range a.args {
+		if i > 0 {
+			buf = append(buf, 0x1f)
+		}
+		buf = append(buf, a.arg(i, regs)...)
+	}
+	return buf
 }
 
 // ruleEval is a compiled rule: its body as a db.Query in canonical item
@@ -196,8 +212,7 @@ type tracker struct {
 	liveToggled    []factor.VarID // pre-existing variables whose tuple left or re-entered; repeats allowed
 	evChanged      map[factor.VarID]bool
 	modifiedGroups map[int]bool
-	addedGroups    []int
-	addedSet       map[int]bool
+	addedGroups    []int // ascending: groups are append-only
 	newWeights     []factor.WeightID
 	// touched records, per pre-existing group, the binding keys of
 	// groundings whose visibility toggled — the grounding-grained ΔF the
@@ -211,9 +226,13 @@ func newTracker() *tracker {
 		removed:        make(map[string][]db.Tuple),
 		evChanged:      make(map[factor.VarID]bool),
 		modifiedGroups: make(map[int]bool),
-		addedSet:       make(map[int]bool),
 		touched:        make(map[int]map[string]bool),
 	}
+}
+
+// newGroup reports whether group gi was created by this pass.
+func (tr *tracker) newGroup(gi int) bool {
+	return len(tr.addedGroups) > 0 && gi >= tr.addedGroups[0]
 }
 
 // changed reports whether the pass toggled any tuple of the relation.
@@ -304,64 +323,82 @@ func (g *Grounder) applyEvidenceDelta(tr *tracker, baseRel string, evTuple db.Tu
 	return nil
 }
 
+// keyArena holds the keys precompute derives, back to back in buf; ends
+// records where each key ends, so key i starts where key i−1 ended. The
+// driver resets its one arena per binding; a parallel job keeps its own
+// for as long as its bindings wait to be applied. args is the UDF
+// argument scratch.
+type keyArena struct {
+	buf  []byte
+	ends []int32
+	args []string
+}
+
+func (a *keyArena) reset() { a.buf, a.ends = a.buf[:0], a.ends[:0] }
+
+// end closes the key appended to buf since the previous one.
+func (a *keyArena) end() { a.ends = append(a.ends, int32(len(a.buf))) }
+
+// key returns key i.
+func (a *keyArena) key(i int) []byte {
+	start := int32(0)
+	if i > 0 {
+		start = a.ends[i-1]
+	}
+	return a.buf[start:a.ends[i]]
+}
+
 // bindingPre holds the pure derivations of one rule binding — everything
-// applying it needs that does not touch mutable grounder state: the
-// instantiated head, the weight key (including the UDF evaluation, the
-// expensive part of feature-extraction rules), the grounding's binding
-// key, and the instantiated literal tuples. The parallel path computes
-// it inside the evaluation workers; the sequential path builds it inline
-// in applyBinding. Both produce identical values — every field is a pure
-// function of (rule, binding) — which keeps the parallel path
-// bit-identical.
+// applying it needs that does not touch mutable grounder state. For a
+// derivation or supervision rule: the instantiated head, which the delta
+// lists keep. For a weighted rule: keys at, at+1, … of its arena — the
+// head's variable key, the weight key (with the UDF evaluation, the
+// expensive part of feature-extraction rules), the binding key, then one
+// variable key per literal; applyPre allocates a string only for what it
+// interns. Workers compute bindings on the parallel path, applyBinding on
+// the sequential one; each key is a pure function of (rule, binding),
+// which keeps the two bit-identical.
 type bindingPre struct {
-	head  db.Tuple
-	wkey  string
-	winit float64
-	learn bool
-	bkey  string
-	lits  []db.Tuple
+	head db.Tuple
+	at   int
 }
 
 // precompute derives a binding's pure apply inputs from a plan's register
-// file. Safe to call from evaluation workers: it reads only immutable rule
-// state and the (pure) UDF registry; regs is not retained.
-func (re *ruleEval) precompute(regs []db.Value) bindingPre {
-	p := bindingPre{head: re.head.instantiate(regs)}
+// file into a. Safe to call from evaluation workers, each with its own
+// arena: it reads only immutable rule state and the (pure) UDF registry;
+// regs is not retained.
+func (re *ruleEval) precompute(regs []db.Value, a *keyArena) bindingPre {
 	if re.rule.Kind != datalog.KindInference {
-		return p
+		return bindingPre{head: re.head.instantiate(regs)}
 	}
+	p := bindingPre{at: len(a.ends)}
+	a.buf = re.head.appendVarKey(a.buf, regs)
+	a.end()
 	// Weight key: the rule, then its tie values.
-	if w := re.rule.Weight; w.IsFixed {
-		p.wkey, p.winit = re.wprefix, w.Fixed
+	a.buf = append(a.buf, re.wprefix...)
+	if re.udf != nil {
+		a.args = a.args[:0]
+		for _, s := range re.weightArgs {
+			a.args = append(a.args, regs[s])
+		}
+		a.buf = append(a.buf, re.udf(a.args)...)
 	} else {
-		vals := make([]string, len(re.weightArgs))
 		for i, s := range re.weightArgs {
-			vals[i] = regs[s]
+			if i > 0 {
+				a.buf = append(a.buf, 0x1f)
+			}
+			a.buf = append(a.buf, regs[s]...)
 		}
-		if re.udf != nil {
-			p.wkey = re.wprefix + re.udf(vals)
-		} else {
-			p.wkey = re.wprefix + db.Tuple(vals).Key()
-		}
-		p.learn = true
 	}
+	a.end()
 	// Binding key: the rule's full binding c̄.
-	n := 0
 	for _, s := range re.keySlots {
-		n += len(regs[s]) + 1
+		a.buf = append(append(a.buf, regs[s]...), 0x1f)
 	}
-	var sb strings.Builder
-	sb.Grow(n)
-	for _, s := range re.keySlots {
-		sb.WriteString(regs[s])
-		sb.WriteByte(0x1f)
-	}
-	p.bkey = sb.String()
-	if len(re.lits) > 0 {
-		p.lits = make([]db.Tuple, len(re.lits))
-		for k := range re.lits {
-			p.lits[k] = re.lits[k].instantiate(regs)
-		}
+	a.end()
+	for k := range re.lits {
+		a.buf = re.lits[k].appendVarKey(a.buf, regs)
+		a.end()
 	}
 	return p
 }
@@ -371,53 +408,55 @@ func (re *ruleEval) precompute(regs []db.Value) bindingPre {
 // weighted rules materialize factor groundings over existing candidate
 // variables (the head-guard join guarantees the head tuple exists).
 func (g *Grounder) applyBinding(re *ruleEval, regs []db.Value, sign int, tr *tracker) error {
-	p := re.precompute(regs)
-	return g.applyPre(re, &p, sign, tr)
+	g.keys.reset()
+	p := re.precompute(regs, &g.keys)
+	return g.applyPre(re, &p, &g.keys, sign, tr)
 }
 
-// applyPre applies one precomputed rule binding: all remaining work is
-// the stateful part — relation deltas, variable/weight/group interning,
-// grounding counts — and must run on the driver goroutine.
-func (g *Grounder) applyPre(re *ruleEval, p *bindingPre, sign int, tr *tracker) error {
+// applyPre applies one precomputed rule binding, whose keys are in a: all
+// remaining work is the stateful part — relation deltas,
+// variable/weight/group interning, grounding counts — and must run on the
+// driver goroutine.
+func (g *Grounder) applyPre(re *ruleEval, p *bindingPre, a *keyArena, sign int, tr *tracker) error {
 	if re.rule.Kind != datalog.KindInference {
 		return g.applyTupleDelta(tr, re.head.pred, p.head, sign)
 	}
 	// Weighted rule: materialize the grounding. The candidate is visible
 	// (guard join) but its var may not be assigned yet — it is when the
 	// candidate was loaded as base data before Ground.
-	internVar := func(rel string, t db.Tuple) factor.VarID {
-		id, isNew := g.varFor(rel, t)
+	internVar := func(rel string, key []byte) factor.VarID {
+		id, isNew := g.varForKey(rel, key)
 		if isNew {
 			tr.newVars = append(tr.newVars, id)
 		}
 		return id
 	}
-	headVar := internVar(re.head.pred, p.head)
-	wid, isNewW := g.weightFor(p.wkey, p.winit, p.learn)
+	headVar := internVar(re.head.pred, a.key(p.at))
+	winit, learn := 0.0, true
+	if w := re.rule.Weight; w.IsFixed {
+		winit, learn = w.Fixed, false
+	}
+	wid, isNewW := g.weightFor(a.key(p.at+1), winit, learn)
 	if isNewW {
 		tr.newWeights = append(tr.newWeights, wid)
 	}
-	var a [160]byte
-	gkey := append(a[:0], "g:"...)
-	gkey = strconv.AppendInt(gkey, int64(re.idx), 10)
-	gkey = append(gkey, ':')
-	gkey = p.head.AppendKey(gkey)
-	gkey = append(gkey, ':')
-	gkey = strconv.AppendInt(gkey, int64(wid), 10)
-	gi, isNewG := g.groupFor(gkey, headVar, wid, g.prog.SemOf(re.rule))
-	if isNewG {
+	gk := groupKey{int32(re.idx), headVar, wid}
+	gi, ok := g.groupIdx[gk]
+	if !ok {
+		gi = len(g.groups)
+		g.addGroup(gk, g.prog.SemOf(re.rule))
 		tr.addedGroups = append(tr.addedGroups, gi)
-		tr.addedSet[gi] = true
 	}
 	// A grounding seen before already has its literals (and their vars).
-	gs := g.groups[gi]
-	gnd := gs.find(p.bkey)
+	gs, bkey := g.groups[gi], a.key(p.at+2)
+	gnd := gs.find(bkey)
 	if gnd == nil {
-		gnd = &gndState{key: p.bkey, flatID: -1}
+		gnd = &cut(&g.slab.gnds, 1)[0]
+		*gnd = gndState{key: string(bkey), flatID: -1}
 		if len(re.lits) > 0 {
-			gnd.lits = make([]factor.Literal, len(re.lits))
+			gnd.lits = cut(&g.slab.lits, len(re.lits))
 			for k := range re.lits {
-				gnd.lits[k] = factor.Literal{Var: internVar(re.lits[k].pred, p.lits[k])}
+				gnd.lits[k] = factor.Literal{Var: internVar(re.lits[k].pred, a.key(p.at+3+k))}
 			}
 		}
 		gs.add(gnd)
@@ -426,9 +465,9 @@ func (g *Grounder) applyPre(re *ruleEval, p *bindingPre, sign int, tr *tracker) 
 	// modified: they do not exist in the pre-update graph, so reporting
 	// them in ModifiedGroups would leak an out-of-range index into
 	// ChangedGroupsOld.
-	if g.addCount(gs, gnd, sign) && !tr.addedSet[gi] {
+	if g.addCount(gs, gnd, sign) && !tr.newGroup(gi) {
 		tr.modifiedGroups[gi] = true
-		tr.touch(gi, p.bkey)
+		tr.touch(gi, gnd.key)
 	}
 	g.graphDirty = true
 	return nil
@@ -453,7 +492,8 @@ func (g *Grounder) Ground() error {
 	g.weightLearn = nil
 	g.weightIdx = make(map[string]factor.WeightID)
 	g.groups = nil
-	g.groupIdx = make(map[string]int)
+	g.groupIdx = make(map[groupKey]int)
+	g.slab = slabs{}
 	g.nGroundings = 0
 	g.lastGraph = nil
 	g.graphDirty = true

@@ -24,7 +24,8 @@ import (
 
 // UDF is a user-defined function used in weight expressions: it maps the
 // bound argument values to a tie key (rule FE1's phrase(...) in the
-// paper). UDFs must be pure.
+// paper). UDFs must be pure. args is valid only during the call: the
+// grounder reuses the slice for the next binding.
 type UDF func(args []string) string
 
 // UDFRegistry names the UDFs available to a program.
@@ -56,14 +57,51 @@ type gndState struct {
 }
 
 // groupState accumulates the groundings of one grounded rule instance
-// γ = (rule, head binding, weight binding).
+// γ = (rule, head binding, weight binding), interned by its groupKey. It
+// keeps no key string: the snapshot codec derives the persisted one
+// (appendGroupKey). Records are cut from the grounder's slabs, and the
+// first grounding pointer sits in one, so a group of one grounding — most
+// of them — costs no object of its own.
 type groupState struct {
-	key    string
+	rule   int32 // ruleEval.idx
 	head   factor.VarID
 	weight factor.WeightID
 	sem    factor.Semantics
-	gnds   []*gndState          // in creation order
+	gnds   []*gndState          // in creation order; one[:0] when empty
+	one    [1]*gndState         // backs gnds until a second grounding arrives
 	byKey  map[string]*gndState // nil while a scan of gnds is as fast
+}
+
+// groupKey identifies a group: the rule, its head variable and the weight.
+type groupKey struct {
+	rule   int32
+	head   factor.VarID
+	weight factor.WeightID
+}
+
+// slabs are the chunks group, grounding and literal records and the
+// grounding lists of groups are cut from — by the live grounder and by
+// RestoreSnapshot alike. One object per group, grounding and literal list
+// would be most of what a grounder gives the collector to walk.
+type slabs struct {
+	groups []groupState
+	gnds   []gndState
+	order  []*gndState
+	lits   []factor.Literal
+}
+
+const slabChunk = 1024
+
+// cut returns n zeroed elements cut from slab, starting a new chunk when
+// the current one is short. The result's capacity is n: appending to it
+// never reaches a neighbour.
+func cut[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, max(slabChunk, n))
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // A group of up to smallGroup groundings is searched by scanning gnds. Most
@@ -72,12 +110,12 @@ type groupState struct {
 const smallGroup = 8
 
 // find returns the grounding of gs with the given key, or nil.
-func (gs *groupState) find(key string) *gndState {
+func (gs *groupState) find(key []byte) *gndState {
 	if gs.byKey != nil {
-		return gs.byKey[key]
+		return gs.byKey[string(key)]
 	}
 	for _, gnd := range gs.gnds {
-		if gnd.key == key {
+		if gnd.key == string(key) {
 			return gnd
 		}
 	}
@@ -121,16 +159,19 @@ type Grounder struct {
 	weightIdx   map[string]factor.WeightID
 
 	groups      []*groupState
-	groupIdx    map[string]int
+	groupIdx    map[groupKey]int
 	nGroundings int // visible groundings across groups, kept at the count transitions
+	slab        slabs
 
 	// exec is the driver goroutine's plan-execution state (the sequential
 	// path and Ground); parallel workers bring their own. jobs is the
 	// driver's job list, refilled per rule (sequential path) or per level
 	// (parallel path): one job per rule × changed atom × delta tuple adds up
-	// to hundreds of kilobytes per document update if built afresh.
+	// to hundreds of kilobytes per document update if built afresh. keys is
+	// the driver's key arena, reset per binding.
 	exec db.Exec
 	jobs []evalJob
+	keys keyArena
 
 	graphDirty bool
 	lastGraph  *factor.Graph
@@ -205,7 +246,7 @@ func New(prog *datalog.Program, udfs UDFRegistry) (*Grounder, error) {
 		derived:     make(map[string]bool),
 		varIdx:      make(map[string]factor.VarID),
 		weightIdx:   make(map[string]factor.WeightID),
-		groupIdx:    make(map[string]int),
+		groupIdx:    make(map[groupKey]int),
 		graphDirty:  true,
 		inPlace:     true,
 	}
@@ -348,11 +389,16 @@ func (g *Grounder) LoadBase(rel string, tuples []db.Tuple) error {
 // transitions in applyTupleDelta, not here.
 func (g *Grounder) varFor(rel string, t db.Tuple) (factor.VarID, bool) {
 	var a [160]byte
-	buf := appendVarKey(a[:0], rel, t)
-	if id, ok := g.varIdx[string(buf)]; ok {
+	return g.varForKey(rel, appendVarKey(a[:0], rel, t))
+}
+
+// varForKey is varFor on the tuple's variable key (appendVarKey): it
+// allocates only the key of a variable it creates.
+func (g *Grounder) varForKey(rel string, key []byte) (factor.VarID, bool) {
+	if id, ok := g.varIdx[string(key)]; ok {
 		return id, false
 	}
-	k := string(buf)
+	k := string(key)
 	id := factor.VarID(len(g.vars))
 	g.vars = append(g.vars, varInfo{rel: rel, key: k[len(rel)+1:]})
 	g.live = append(g.live, true)
@@ -388,15 +434,16 @@ func (g *Grounder) IsLive(v factor.VarID) bool { return g.live[v] }
 func (g *Grounder) NumVars() int { return len(g.vars) }
 
 // weightFor interns a weight key.
-func (g *Grounder) weightFor(key string, init float64, learn bool) (factor.WeightID, bool) {
-	if id, ok := g.weightIdx[key]; ok {
+func (g *Grounder) weightFor(key []byte, init float64, learn bool) (factor.WeightID, bool) {
+	if id, ok := g.weightIdx[string(key)]; ok {
 		return id, false
 	}
+	k := string(key)
 	id := factor.WeightID(len(g.weightKeys))
-	g.weightKeys = append(g.weightKeys, key)
+	g.weightKeys = append(g.weightKeys, k)
 	g.weightInit = append(g.weightInit, init)
 	g.weightLearn = append(g.weightLearn, learn)
-	g.weightIdx[key] = id
+	g.weightIdx[k] = id
 	return id, true
 }
 
@@ -421,16 +468,14 @@ func (g *Grounder) NumGroups() int { return len(g.groups) }
 // NumGroundings returns the number of visible groundings across groups.
 func (g *Grounder) NumGroundings() int { return g.nGroundings }
 
-// groupFor interns a group. Returns the group index and whether it is new.
-func (g *Grounder) groupFor(key []byte, head factor.VarID, w factor.WeightID, sem factor.Semantics) (int, bool) {
-	if gi, ok := g.groupIdx[string(key)]; ok {
-		return gi, false
-	}
-	gi := len(g.groups)
-	gs := &groupState{key: string(key), head: head, weight: w, sem: sem}
+// addGroup appends a group without grounding records.
+func (g *Grounder) addGroup(k groupKey, sem factor.Semantics) *groupState {
+	gs := &cut(&g.slab.groups, 1)[0]
+	*gs = groupState{rule: k.rule, head: k.head, weight: k.weight, sem: sem}
+	gs.gnds = gs.one[:0]
+	g.groupIdx[k] = len(g.groups)
 	g.groups = append(g.groups, gs)
-	g.groupIdx[gs.key] = gi
-	return gi, true
+	return gs
 }
 
 // addCount adds count derivations (negative for removal) to a grounding
@@ -439,7 +484,7 @@ func (g *Grounder) addCount(gs *groupState, gnd *gndState, count int) bool {
 	was := gnd.count > 0
 	gnd.count += count
 	if gnd.count < 0 {
-		panic(fmt.Sprintf("ground: grounding count below zero in group %s", gs.key))
+		panic(fmt.Sprintf("ground: grounding count below zero in the group of rule %d, head %d, weight %d", gs.rule, gs.head, gs.weight))
 	}
 	now := gnd.count > 0
 	if was == now {
@@ -477,17 +522,16 @@ func (g *Grounder) Graph() *factor.Graph {
 	// can address groundings in the flat pool later.
 	var flatID int32
 	for _, gs := range g.groups {
-		var gnds []factor.Grounding
+		b.AddGroup(gs.head, gs.weight, gs.sem, nil)
 		for _, gnd := range gs.gnds {
 			if gnd.count > 0 {
-				gnds = append(gnds, factor.Grounding{Lits: gnd.lits})
+				b.AddGrounding(gnd.lits)
 				gnd.flatID = flatID
 				flatID++
 			} else {
 				gnd.flatID = -1
 			}
 		}
-		b.AddGroup(gs.head, gs.weight, gs.sem, gnds)
 	}
 	graph := b.MustBuild()
 	for v := range g.vars {

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -721,5 +722,106 @@ Class(x) :- R(x, f) weight = 0.5.
 		if d := factor.DiffGraphs(restored.Graph(), live.Graph(), 50, 1); len(d) > 0 {
 			t.Fatalf("after %v their graphs differ: %v", u, d)
 		}
+	}
+}
+
+// encodedGroupKeys reads the group keys out of a spouse grounder's snapshot,
+// walking the format without RestoreSnapshot.
+func encodedGroupKeys(t *testing.T, image []byte) []string {
+	t.Helper()
+	rd := persist.NewRd(image)
+	rd.U8("codec version")
+	rd.U64("grounding version")
+	rels, err := New(datalog.MustParse(spouseSrc), testUDFs())
+	bmust(t, err)
+	for _, name := range rd.Strs("relation names") {
+		bmust(t, rels.DB().Relation(name).RestoreSnapshot(rd))
+	}
+	rd.Strs("var rels")
+	rd.Strs("var keys")
+	rd.Bools("var live")
+	rd.Ints("var evTrue")
+	rd.Ints("var evFalse")
+	rd.Strs("weight keys")
+	rd.F64s("weight init")
+	rd.Bools("weight learn")
+	keys := make([]string, rd.U64("group count"))
+	for i := range keys {
+		keys[i] = rd.Str("group key")
+		rd.I64("group head")
+		rd.I64("group weight")
+		rd.U8("group sem")
+		for n := rd.U64("grounding count"); n > 0; n-- {
+			rd.Str("grounding key")
+			rd.I64("grounding count")
+			rd.I64("grounding flatID")
+			rd.I32s("grounding lits")
+		}
+	}
+	if !rd.Done() {
+		t.Fatalf("walking the snapshot: %v (done %v)", rd.Err(), rd.Done())
+	}
+	return keys
+}
+
+// TestSnapshotGroupKeys pins the group section of the grounder codec:
+// groups are interned by (rule, head, weight) but persisted under the key
+// string "g:<rule>:<head tuple key>:<weight>" — snapshots written before
+// the integer keys decode unchanged — and a restored grounder finds every
+// group by its integers and encodes the image it was restored from.
+func TestSnapshotGroupKeys(t *testing.T) {
+	const symRule = "I1: MarriedMentions(m2, m1) :- MarriedMentions(m1, m2), MarriedCandidate(m2, m1) weight = 0.8."
+	live := newSpouseGrounder(t, spouseBase())
+	_, err := live.ApplyUpdate(Update{
+		Inserts:  map[string][]db.Tuple{"PersonCandidate": {{"s2", "m5"}}, "Mentions": {{"s2", "m5"}}},
+		NewRules: datalog.MustParse(spouseSrc + symRule).Rules[4:],
+	})
+	bmust(t, err)
+	var b persist.Buf
+	live.AppendSnapshot(&b)
+	image := b.Bytes()
+
+	graph := live.Graph()
+	keys := encodedGroupKeys(t, image)
+	if len(keys) != graph.NumGroups() {
+		t.Fatalf("%d encoded groups, the graph has %d", len(keys), graph.NumGroups())
+	}
+	if keys[0] != "g:2:m1\x1fm2:0" {
+		t.Fatalf("first group key %q, want %q", keys[0], "g:2:m1\x1fm2:0")
+	}
+	// The rule index is also the weight key's: "w:<rule>[:…]".
+	ruleOf := func(w factor.WeightID) int {
+		rest := strings.TrimPrefix(live.WeightKey(w), "w:")
+		rule, err := strconv.Atoi(rest[:strings.IndexByte(rest+":", ':')])
+		bmust(t, err)
+		return rule
+	}
+	var vb persist.Buf
+	graph.AppendSnapshot(&vb)
+	cur, err := factor.DecodeGraphSnapshot(persist.NewRd(vb.Bytes()))
+	bmust(t, err)
+	restored, err := New(datalog.MustParse(spouseSrc+symRule), testUDFs())
+	bmust(t, err)
+	bmust(t, restored.RestoreSnapshot(persist.NewRdOwned(append([]byte(nil), image...)), cur))
+	rules := map[int]int{}
+	for gi := range keys {
+		gr := graph.Group(gi)
+		_, head := live.VarTuple(gr.Head)
+		rule := ruleOf(gr.Weight)
+		rules[rule]++
+		if want := fmt.Sprintf("g:%d:%s:%d", rule, head.Key(), gr.Weight); keys[gi] != want {
+			t.Fatalf("group %d encoded as %q, want %q", gi, keys[gi], want)
+		}
+		if at, ok := restored.groupIdx[groupKey{int32(rule), gr.Head, gr.Weight}]; !ok || at != gi {
+			t.Fatalf("restored grounder finds group %d (%q) at %d, %v", gi, keys[gi], at, ok)
+		}
+	}
+	if rules[2] == 0 || rules[4] == 0 {
+		t.Fatalf("groups by rule %v, want both weighted rules", rules)
+	}
+	var rb persist.Buf
+	restored.AppendSnapshot(&rb)
+	if !bytes.Equal(rb.Bytes(), image) {
+		t.Fatal("the restored grounder encodes another image than the one it was restored from")
 	}
 }

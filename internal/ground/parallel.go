@@ -48,7 +48,8 @@ type evalJob struct {
 	seed db.Tuple // nil for a full evaluation
 	sign int      // +1 derive, -1 retract
 
-	out []bindingPre // precomputed bindings in emission order
+	out  []bindingPre // precomputed bindings in emission order
+	keys keyArena     // their keys
 }
 
 // parallelism resolves the configured worker count.
@@ -75,16 +76,16 @@ func (g *Grounder) evalApply(j *evalJob, tr *tracker) error {
 
 // collect evaluates one job, collecting precomputed bindings in emission
 // order. Precomputing in the worker moves every pure per-binding
-// derivation — head/literal instantiation, the UDF weight key, the
-// binding key — off the serial apply path; the plan's reused register
-// file need not be copied because precompute retains nothing of it.
+// derivation — the head and literal keys, the UDF weight key, the binding
+// key — off the serial apply path; the plan's reused register file need
+// not be copied because precompute retains nothing of it.
 func (j *evalJob) collect(x *db.Exec) {
 	if j.plan == nil {
-		j.out = []bindingPre{j.re.precompute(nil)}
+		j.out = []bindingPre{j.re.precompute(nil, &j.keys)}
 		return
 	}
 	j.plan.Run(x, j.seed, func(regs []db.Value) bool {
-		j.out = append(j.out, j.re.precompute(regs))
+		j.out = append(j.out, j.re.precompute(regs, &j.keys))
 		return true
 	})
 }
@@ -198,7 +199,7 @@ func (g *Grounder) runRuleLevel(rules []*ruleEval, tr *tracker, newRules map[*ru
 	for i := range jobs {
 		j := &jobs[i]
 		for k := range j.out {
-			if err := g.applyPre(j.re, &j.out[k], j.sign, tr); err != nil {
+			if err := g.applyPre(j.re, &j.out[k], &j.keys, j.sign, tr); err != nil {
 				return err
 			}
 		}

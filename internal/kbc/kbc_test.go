@@ -2,6 +2,7 @@ package kbc
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -110,6 +111,21 @@ func TestIterationRulesParse(t *testing.T) {
 	}
 }
 
+// parseMentionIDSplit is ParseMentionID as first written, on
+// strings.Split: the reference the allocation-free version must agree with.
+func parseMentionIDSplit(mid string) (sid string, start, end int, ok bool) {
+	parts := strings.Split(mid, ":")
+	if len(parts) != 4 || parts[0] != "m" {
+		return "", 0, 0, false
+	}
+	s, err1 := strconv.Atoi(parts[2])
+	e, err2 := strconv.Atoi(parts[3])
+	if err1 != nil || err2 != nil {
+		return "", 0, 0, false
+	}
+	return parts[1], s, e, true
+}
+
 func TestParseMentionID(t *testing.T) {
 	sid, s, e, ok := ParseMentionID("m:s3_1:2:4")
 	if !ok || sid != "s3_1" || s != 2 || e != 4 {
@@ -119,6 +135,24 @@ func TestParseMentionID(t *testing.T) {
 		if _, _, _, ok := ParseMentionID(bad); ok {
 			t.Fatalf("bad mention id %q accepted", bad)
 		}
+	}
+	for _, mid := range []string{
+		"m:s3_1:2:4", "m::0:0", "m:s:-1:+2", "m:s:007:8",
+		// wrong part count
+		"", "m", "m:", "m:s", "m:s:1", "m:s:1:", "m:s:1:2:", "m:s:1:2:3", "m:s:x:1:2", "::::",
+		// wrong prefix
+		"x:s:1:2", "M:s:1:2", "mm:s:1:2", ":s:1:2", " m:s:1:2",
+		// non-numeric offsets
+		"m:s:a:2", "m:s:1:b", "m:s::2", "m:s:1: 2", "m:s:1.5:2", "m:s:1:99999999999999999999",
+	} {
+		s1, a1, b1, ok1 := ParseMentionID(mid)
+		s2, a2, b2, ok2 := parseMentionIDSplit(mid)
+		if s1 != s2 || a1 != a2 || b1 != b2 || ok1 != ok2 {
+			t.Errorf("ParseMentionID(%q) = %q %d %d %v, the reference says %q %d %d %v", mid, s1, a1, b1, ok1, s2, a2, b2, ok2)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ParseMentionID("m:s3_1:2:4") }); n != 0 {
+		t.Errorf("ParseMentionID allocates %.0f times per call, want 0", n)
 	}
 }
 

@@ -103,18 +103,24 @@ func IterationRules(sys *corpus.System, name string) string {
 // IterationNames is the development sequence used in Section 4.2.
 var IterationNames = []string{"A1", "FE1", "FE2", "I1", "S1", "S2"}
 
-// ParseMentionID decodes "m:<sid>:<start>:<end>".
+// ParseMentionID decodes "m:<sid>:<start>:<end>". It allocates nothing: the
+// feature UDFs call it twice per binding.
 func ParseMentionID(mid string) (sid string, start, end int, ok bool) {
-	parts := strings.Split(mid, ":")
-	if len(parts) != 4 || parts[0] != "m" {
+	rest, ok := strings.CutPrefix(mid, "m:")
+	i := strings.IndexByte(rest, ':')
+	if !ok || i < 0 {
 		return "", 0, 0, false
 	}
-	s, err1 := strconv.Atoi(parts[2])
-	e, err2 := strconv.Atoi(parts[3])
+	sid, rest = rest[:i], rest[i+1:]
+	if i = strings.IndexByte(rest, ':'); i < 0 {
+		return "", 0, 0, false
+	}
+	s, err1 := strconv.Atoi(rest[:i])
+	e, err2 := strconv.Atoi(rest[i+1:])
 	if err1 != nil || err2 != nil {
 		return "", 0, 0, false
 	}
-	return parts[1], s, e, true
+	return sid, s, e, true
 }
 
 // UDFs returns the feature-extraction UDF registry shared by all systems:
