@@ -24,9 +24,11 @@ test:
 # patched graphs share pool backing arrays across the lineage, and the
 # learner drives those samplers' fan-out between weight steps under any
 # runtime; run all three packages under the race detector (covers the
-# cached-state and differential tests). internal/ground's parallel delta grounding has
-# workers run compiled plans over internal/db's in-place indexes and
-# old-state view concurrently, so both are in the set. internal/inc drives
+# cached-state and differential tests). internal/ground's parallel grounding
+# — every update's, the initial grounding's too — has workers run compiled
+# plans over internal/db's in-place indexes and old-state view
+# concurrently, so both are in the set, with the loaded-evidence regression
+# test (TestLoadBaseIsTheFirstUpdate). internal/inc drives
 # the samplers (materialization on the configured runtime, the sharded
 # sampling runner, the variational runner's swept remainder) over graphs a
 # patch lineage shares.
@@ -35,8 +37,8 @@ race:
 
 # The serving API's concurrency proof: lock-free snapshot readers
 # against live Apply/queue writers, context cancellation, coalescing,
-# and the finish stage's store refills (engine swaps vs readers, a refill
-# cancelled with its update).
+# and the store refills the finish stage runs in line (a refilled engine
+# vs readers, a refill cancelled with its update).
 race-serving:
 	$(GO) test -race -count=1 -run 'TestSnapshot|TestKBContext|TestCoalesce|TestQueue|TestApplyModifies|TestCancelled|TestRemat' .
 
@@ -65,7 +67,7 @@ soak:
 	SOAK_UPDATES=200 $(GO) test -run 'TestSoak' -v -timeout 40m -count=1 .
 
 # The ground→learn→infer pipeline's concurrency proof: the pipelined
-# queue's bit-identical differential against the serialized lesion,
+# queue's bit-identical differential against the serialized queue,
 # per-ticket cancellation, CloseNow teardown, and snapshot readers
 # racing a parallel-grounded pipelined stream.
 race-pipeline:
@@ -160,7 +162,7 @@ bench-hotpath-full:
 	$(GO) test -bench='SamplerSequentialCorpus$$|SamplerParallelCorpus$$|SamplerNearConvergenceCorpus|ReplicaVsShardedCorpus/mode=(sharded|replica)/workers=4$$' -benchtime=400ms -run=xxx .
 	$(GO) test ./internal/gibbs -bench='EstimatorObserve|StoreAdd' -benchtime=200ms -run=xxx
 
-# Stage-overlapped update pipeline vs the serialized lesion, plus the
+# Stage-overlapped update pipeline vs the serialized queue, plus the
 # sharded delta-grounding bench (results recorded in BENCH_pipeline.json;
 # run each with -count=6 and take minima for the recorded protocol). The
 # smoke variant runs one short extractor-regime pair.

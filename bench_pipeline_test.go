@@ -5,7 +5,7 @@ package deepdive_test
 // conflict-chained document inserts/deletes to the queue and waits for
 // every ticket — comparing the stage-overlapped pipeline (grounding of
 // batch N+1 concurrent with learning/inference of batch N) against the
-// serialized lesion (Lesions.SerializedUpdates). The documents are larger
+// serialized queue (KB.SerializeUpdates). The documents are larger
 // than the serving bench's (more mentions per sentence, so candidate
 // generation joins quadratically more pairs) to give the grounding stage
 // weight comparable to the finish stage — the regime the pipeline is
@@ -56,7 +56,7 @@ func wideDocUpdate(i, m int) deepdive.Update {
 	return u
 }
 
-func runPipelineThroughput(b *testing.B, opts ...deepdive.Option) {
+func runPipelineThroughput(b *testing.B, serialized bool, opts ...deepdive.Option) {
 	// At GOMAXPROCS=1 a goroutine parked in an extractor wait is only
 	// rescheduled when the sampling loop gets preempted (~10ms quanta), so
 	// the stages serialize no matter how the pipeline schedules them. Two
@@ -73,6 +73,9 @@ func runPipelineThroughput(b *testing.B, opts ...deepdive.Option) {
 		deepdive.WithInference(450, 3400),
 	}, opts...)...)
 	defer kb.Close()
+	if serialized {
+		kb.SerializeUpdates()
+	}
 	q := kb.Updates()
 	const burst = 12   // updates per iteration
 	const mentions = 5 // mentions per document
@@ -118,11 +121,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 				mode = "serialized"
 			}
 			b.Run(fmt.Sprintf("udf=%s/mode=%s", u.name, mode), func(b *testing.B) {
-				opts := append([]deepdive.Option{}, u.opts...)
-				if serialized {
-					opts = append(opts, deepdive.WithLesions(deepdive.Lesions{SerializedUpdates: true}))
-				}
-				runPipelineThroughput(b, opts...)
+				runPipelineThroughput(b, serialized, u.opts...)
 			})
 		}
 	}

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	deepdive [-system News] [-sem ratio] [-threshold 0.9] [-seed 1] [-full]
-//	         [-parallel -1 | -replicas -1 [-syncevery 8]] [-rebuild]
+//	         [-parallel -1 | -replicas -1 [-syncevery 8]]
 //	         [-serve 127.0.0.1:8090 [-serve-for 30s] [-data-dir ./kb]]
 //
 // -serve starts the HTTP serving tier (KB.Serve) on the given address
@@ -59,7 +59,6 @@ func run(args []string, out io.Writer) int {
 	parallel := fs.Int("parallel", 1, "Gibbs worker shards (<=1 sequential, -1 one per core)")
 	replicas := fs.Int("replicas", 0, "replica engine workers (0 off, -1 one per core); overrides -parallel")
 	syncEvery := fs.Int("syncevery", 0, "replica merge interval in sweeps (0 = default)")
-	rebuild := fs.Bool("rebuild", false, "rebuild the factor graph on every update (lesion; default is the O(Δ) in-place patch)")
 	staticOpt := fs.Bool("static-optimizer", false, "lesion: static §3.3 strategy rules, per-update change sets, no store refill")
 	serve := fs.String("serve", "", "serve the KB over HTTP on this address (e.g. 127.0.0.1:8090, :0 for a free port) while the rule iterations stream through the update queue")
 	serveFor := fs.Duration("serve-for", 0, "shut the -serve server down after this long (0 = serve until SIGINT/SIGTERM)")
@@ -124,7 +123,7 @@ func run(args []string, out io.Writer) int {
 		deepdive.WithParallelism(*parallel),
 		deepdive.WithReplicas(*replicas, *syncEvery),
 		deepdive.WithRematerialization(*rematLow, 0),
-		deepdive.WithLesions(deepdive.Lesions{RebuildUpdates: *rebuild, StaticOptimizer: *staticOpt}),
+		deepdive.WithLesions(deepdive.Lesions{StaticOptimizer: *staticOpt}),
 	}
 	if *dataDir != "" {
 		opts = append(opts, deepdive.WithDataDir(*dataDir))

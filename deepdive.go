@@ -229,18 +229,11 @@ type Options struct {
 
 // Lesions is the ablation surface: each field switches one mechanism of
 // the development loop off, the way the paper's lesion studies (Figures
-// 11 and 14) and this repository's differential tests and benchmarks do.
-// The zero value runs everything; no field is meant for production.
+// 11 and 14) and this repository's benchmarks do. (The oracles of the
+// differential tests — the rebuilding update, the serialized queue — are
+// test seams, not lesions.) The zero value runs everything; no field is
+// meant for production.
 type Lesions struct {
-	// RebuildUpdates marks the factor graph dirty on every update for an
-	// O(V+F) rebuild of the flat pools, instead of splicing (ΔV, ΔF) into
-	// the live graph through factor.Patch in O(|Δ|).
-	RebuildUpdates bool
-	// SerializedUpdates makes the update queue finish each batch
-	// (learning, inference, publication) before grounding the next,
-	// instead of overlapping batch N+1's grounding with batch N's finish
-	// stage. Results are bit-identical either way.
-	SerializedUpdates bool
 	// StaticOptimizer reverts the quality autopilot for an update's
 	// remainder: the §3.3 static strategy rules instead of the §3.2
 	// measured acceptance probe, per-update change sets instead of the

@@ -185,6 +185,42 @@ func TestEngineErrors(t *testing.T) {
 	if got := eng.Candidates("HasSpouse"); len(got) != 6 {
 		t.Fatalf("candidates = %d, want 6", len(got))
 	}
+	if err := eng.Init(ctx); err == nil {
+		t.Fatal("second Init accepted")
+	}
+}
+
+// TestLoadedEvidenceIsServed: an evidence relation loaded before Init
+// supervises its facts, as the same tuples inserted by an update would.
+// Loaded tuples reach the database at Init.
+func TestLoadedEvidenceIsServed(t *testing.T) {
+	kb, err := deepdive.OpenKB(`
+@variable Q(x).
+@relation Q_Ev(x, label).
+@relation R(x).
+Cand: Q(x) :- R(x).
+F: Q(x) :- R(x) weight = 0.5.
+`)
+	must(t, err)
+	defer kb.Close()
+	must(t, kb.Load("R", []deepdive.Tuple{{"a"}, {"b"}}))
+	must(t, kb.Load("Q_Ev", []deepdive.Tuple{{"a", "true"}}))
+	if got := kb.Relation("Q_Ev"); len(got) != 0 {
+		t.Fatalf("Q_Ev = %v before Init, want it empty", got)
+	}
+	must(t, kb.Init(ctx))
+	if got := kb.Relation("Q_Ev"); len(got) != 1 {
+		t.Fatalf("Q_Ev = %v after Init, want the loaded tuple", got)
+	}
+	facts := kb.Snapshot().Facts("Q")
+	if len(facts) != 2 {
+		t.Fatalf("facts of Q: %+v, want two", facts)
+	}
+	for _, f := range facts {
+		if want := f.Tuple[0] == "a"; f.Evidence != want || (want && f.Probability != 1) {
+			t.Fatalf("fact %v: evidence %v, probability %v; want evidence %v", f.Tuple, f.Evidence, f.Probability, want)
+		}
+	}
 }
 
 func TestOpenRejectsUnknownUDF(t *testing.T) {

@@ -1,10 +1,29 @@
 package deepdive
 
-import "context"
+import (
+	"context"
+
+	"deepdive/internal/ground"
+)
 
 // HoldFinish makes every later finish stage wait for hold(ctx) to return
 // before it starts, ctx being the update's context.
 func (kb *KB) HoldFinish(hold func(ctx context.Context)) { kb.holdFinish = hold }
+
+// SerializeUpdates makes the update queue finish each batch — learning,
+// inference, publication — before grounding the next, instead of
+// overlapping the two stages: the pipelined queue's oracle. Call it before
+// the queue starts (Updates).
+func (kb *KB) SerializeUpdates() { kb.serialUpdates = true }
+
+// RebuildUpdates makes every later update rebuild the factor graph's flat
+// pools in O(V+F) instead of splicing (ΔV, ΔF) into them through
+// factor.Patch in O(|Δ|): the in-place patch path's oracle.
+func (kb *KB) RebuildUpdates() {
+	kb.groundMu.Lock()
+	defer kb.groundMu.Unlock()
+	kb.grounder.SetInPlaceUpdates(false)
+}
 
 // CancelAtRefill returns a context derived from parent that reports itself
 // cancelled from the moment a store refill starts: an update applied with
@@ -31,8 +50,8 @@ func (c refillCtx) Err() error {
 }
 
 // RebuiltSnapshot is the differential tests' oracle: what the KB serves —
-// the same marginal vector, the same epoch — over a skeleton rebuilt from
-// the grounder's tables, sharing nothing with the served lineage.
+// the same marginal vector, the same epoch — over a skeleton derived from
+// the empty one, sharing nothing with the served lineage.
 func (kb *KB) RebuiltSnapshot() *Snapshot {
 	kb.groundMu.Lock()
 	defer kb.groundMu.Unlock()
@@ -40,7 +59,8 @@ func (kb *KB) RebuiltSnapshot() *Snapshot {
 	kb.stateMu.Lock()
 	defer kb.stateMu.Unlock()
 	served := kb.snap.Load()
-	s := &Snapshot{skeleton: *kb.buildSkeleton(kb.curGraph), epoch: served.epoch, marg: kb.marg}
+	sk, _ := kb.nextSkeleton(nil, kb.curGraph, &ground.Delta{})
+	s := &Snapshot{skeleton: *sk, epoch: served.epoch, marg: kb.marg}
 	s.stats.Autopilot = served.stats.Autopilot
 	return s
 }

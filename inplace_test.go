@@ -9,9 +9,9 @@ import (
 
 // TestEngineInPlaceUpdateMatchesRebuild runs the same development
 // sequence — a new document, then a new rule — through the default
-// O(Δ) patch path and the RebuildUpdates lesion, and requires the
-// resulting knowledge bases to agree: same candidates, same evidence,
-// marginals within sampling tolerance.
+// O(Δ) patch path and the rebuild oracle (KB.RebuildUpdates), and
+// requires the resulting knowledge bases to agree: same candidates, same
+// evidence, marginals within sampling tolerance.
 func TestEngineInPlaceUpdateMatchesRebuild(t *testing.T) {
 	updates := []deepdive.Update{
 		{Inserts: map[string][]deepdive.Tuple{
@@ -22,9 +22,10 @@ func TestEngineInPlaceUpdateMatchesRebuild(t *testing.T) {
 	}
 
 	engines := map[string]*deepdive.KB{
-		"rebuild": spouseMaterialized(t, deepdive.WithLesions(deepdive.Lesions{RebuildUpdates: true})),
+		"rebuild": spouseMaterialized(t),
 		"inplace": spouseMaterialized(t),
 	}
+	engines["rebuild"].RebuildUpdates()
 	for name, eng := range engines {
 		for i, u := range updates {
 			if _, err := eng.Apply(ctx, u); err != nil {

@@ -425,8 +425,21 @@ func Grounding(sc Scale, seed int64) *Report {
 	}
 	incTime := time.Since(start)
 
+	// From scratch: a fresh grounder loaded with the corpus and the delta.
+	full, err := kbc.Load(sys, factor.Ratio, 2)
+	if err == nil {
+		for rel, ts := range ins {
+			if err = full.LoadBase(rel, ts); err != nil {
+				break
+			}
+		}
+	}
+	if err != nil {
+		r.addf("full reground error: %v", err)
+		return r
+	}
 	start = time.Now()
-	if err := g.Ground(); err != nil {
+	if err := full.Ground(); err != nil {
 		r.addf("full reground error: %v", err)
 		return r
 	}

@@ -204,8 +204,8 @@ func TestGroundAllocationsPerBinding(t *testing.T) {
 	// corpus is all per-binding work.
 	bindings := func(n int) float64 { return float64(3*k*(k-1)*n + (n+4)/5) }
 	allocs := func(n int) float64 {
-		g := newSpouseGrounder(t, corpusBase(n, k))
-		return testing.AllocsPerRun(3, func() { bmust(t, g.Ground()) })
+		a, _ := groundingAllocs(t, corpusBase(n, k))
+		return a
 	}
 	small, large := 50, 250
 	per := (allocs(large) - allocs(small)) / (bindings(large) - bindings(small))
@@ -220,10 +220,13 @@ func TestGroundAllocationsPerBinding(t *testing.T) {
 // update, a from-scratch rerun and the KB's set-up spend their grounding
 // time on.
 func BenchmarkGroundFullRule(b *testing.B) {
-	g := newSpouseGrounder(b, corpusBase(500, 4))
+	base := corpusBase(500, 4)
 	b.ReportAllocs()
-	b.ResetTimer()
+	var g *Grounder
 	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		g = loadGrounder(b, spouseSrc, base, testUDFs())
+		b.StartTimer()
 		bmust(b, g.Ground())
 	}
 	b.ReportMetric(float64(g.NumGroundings()), "groundings")

@@ -421,9 +421,8 @@ func (g *Grounder) applyPre(re *ruleEval, p *bindingPre, a *keyArena, sign int, 
 	if re.rule.Kind != datalog.KindInference {
 		return g.applyTupleDelta(tr, re.head.pred, p.head, sign)
 	}
-	// Weighted rule: materialize the grounding. The candidate is visible
-	// (guard join) but its var may not be assigned yet — it is when the
-	// candidate was loaded as base data before Ground.
+	// Weighted rule: materialize the grounding over the candidate the guard
+	// join found visible.
 	internVar := func(rel string, key []byte) factor.VarID {
 		id, isNew := g.varForKey(rel, key)
 		if isNew {
@@ -473,72 +472,15 @@ func (g *Grounder) applyPre(re *ruleEval, p *bindingPre, a *keyArena, sign int, 
 	return nil
 }
 
-// Ground performs full (from scratch) grounding: it clears all derived
-// state, evaluates every rule in topological order, creates variables for
-// every visible variable-relation tuple, and applies evidence. Call once
-// after LoadBase; use ApplyUpdate for everything afterwards.
+// Ground performs the initial grounding: the first update, from the empty
+// database, with the tuples LoadBase staged as its inserts. Like any update
+// that finds the grounder at version 0, it evaluates every rule in full
+// (see ApplyUpdateStaged); there is no separate from-scratch path. Call it
+// once: a grounder that has grounded refuses it, and takes ApplyUpdate.
 func (g *Grounder) Ground() error {
-	// Reset derived relations and all factor state.
-	for name := range g.derived {
-		g.data.Relation(name).Clear()
+	if g.version > 0 {
+		return fmt.Errorf("ground: Ground on a grounder at version %d; use ApplyUpdate", g.version)
 	}
-	g.vars = nil
-	g.live = nil
-	g.evTrue = nil
-	g.evFalse = nil
-	g.varIdx = make(map[string]factor.VarID)
-	g.weightKeys = nil
-	g.weightInit = nil
-	g.weightLearn = nil
-	g.weightIdx = make(map[string]factor.WeightID)
-	g.groups = nil
-	g.groupIdx = make(map[groupKey]int)
-	g.slab = slabs{}
-	g.nGroundings = 0
-	g.lastGraph = nil
-	g.graphDirty = true
-
-	g.data.BeginPass()
-	tr := newTracker()
-	// Phase 1: the deterministic derivation pipeline, in topological order.
-	for _, relName := range g.topo {
-		for _, re := range g.rulesByHead[relName] {
-			if err := g.runRuleFull(re, tr); err != nil {
-				return err
-			}
-		}
-	}
-	g.ensureCandidateVars()
-	// Phase 2: weighted rules ground factors over the final candidate sets.
-	for _, re := range g.weighted {
-		if err := g.runRuleFull(re, tr); err != nil {
-			return err
-		}
-	}
-	g.version++
-	return nil
-}
-
-// runRuleFull evaluates a rule over current state and applies every
-// binding with sign +1.
-func (g *Grounder) runRuleFull(re *ruleEval, tr *tracker) error {
-	j := re.fullJob()
-	return g.evalApply(&j, tr)
-}
-
-// ensureCandidateVars creates variables for every visible tuple of every
-// variable relation, so isolated candidates still get marginals.
-func (g *Grounder) ensureCandidateVars() {
-	for _, name := range g.prog.DeclOrder {
-		d := g.prog.Decls[name]
-		if !d.Variable {
-			continue
-		}
-		rel := g.data.Relation(name)
-		rel.Each(func(t db.Tuple) bool {
-			id, _ := g.varFor(name, t)
-			g.live[id] = true
-			return true
-		})
-	}
+	_, err := g.ApplyUpdate(Update{})
+	return err
 }

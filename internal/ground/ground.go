@@ -164,11 +164,11 @@ type Grounder struct {
 	slab        slabs
 
 	// exec is the driver goroutine's plan-execution state (the sequential
-	// path and Ground); parallel workers bring their own. jobs is the
-	// driver's job list, refilled per rule (sequential path) or per level
-	// (parallel path): one job per rule × changed atom × delta tuple adds up
-	// to hundreds of kilobytes per document update if built afresh. keys is
-	// the driver's key arena, reset per binding.
+	// path); parallel workers bring their own. jobs is the driver's job
+	// list, refilled per rule (sequential path) or per level (parallel
+	// path): one job per rule × changed atom × delta tuple adds up to
+	// hundreds of kilobytes per document update if built afresh. keys is the
+	// driver's key arena, reset per binding.
 	exec db.Exec
 	jobs []evalJob
 	keys keyArena
@@ -176,11 +176,14 @@ type Grounder struct {
 	graphDirty bool
 	lastGraph  *factor.Graph
 
-	// version counts grounding generations: 0 before the initial Ground,
-	// then +1 per Ground/ApplyUpdate. Serving snapshots pin themselves to
-	// (version, graph epoch) so a reader can tell which update generation
+	// version counts grounding generations: 0 before the first update (the
+	// initial Ground), then +1 per update. Serving snapshots pin themselves
+	// to (version, graph epoch) so a reader can tell which update generation
 	// it observes.
 	version uint64
+	// loaded holds the base tuples LoadBase staged: the first update's
+	// inserts.
+	loaded map[string][]db.Tuple
 
 	// In-place update state: when enabled (the default), ApplyUpdate
 	// splices the delta into the current graph through a factor.Patch in
@@ -190,7 +193,7 @@ type Grounder struct {
 	inPlace       bool
 	compactThresh float64
 
-	// par is the delta-grounding worker count (see SetParallelism):
+	// par is the grounding worker count (see SetParallelism):
 	// <= 1 sequential, n > 1 shards DRed join evaluation across n
 	// workers, negative one worker per core.
 	par int
@@ -208,20 +211,22 @@ const DefaultCompactionThreshold = 0.25
 // Graph call rebuilds the flat pools from scratch.
 func (g *Grounder) SetInPlaceUpdates(on bool) { g.inPlace = on }
 
-// SetParallelism selects the worker count for incremental (DRed) delta
-// grounding: <= 1 keeps the sequential path, n > 1 fans the per-rule,
-// per-delta-seed join evaluations of each pipeline stage out across n
-// workers, negative means one worker per core. The parallel path is
-// bit-identical to the sequential one: workers only *evaluate* joins
-// (read-only), and the resulting bindings are applied serially in
-// exactly the order the sequential path would have produced them, so
-// variable/weight/group interning order — and therefore the graph — is
-// unchanged. See parallel.go for the decomposition.
+// SetParallelism selects the worker count for grounding — the initial
+// Ground and every update, which take the same path: <= 1 keeps the
+// sequential path, n > 1 fans the per-rule, per-delta-seed join
+// evaluations of each pipeline stage out across n workers, negative means
+// one worker per core. The parallel path is bit-identical to the
+// sequential one: workers only *evaluate* joins (read-only), and the
+// resulting bindings are applied serially in exactly the order the
+// sequential path would have produced them, so variable/weight/group
+// interning order — and therefore the graph — is unchanged. See
+// parallel.go for the decomposition.
 func (g *Grounder) SetParallelism(n int) { g.par = n }
 
-// Version returns the grounding generation: 0 before the initial Ground,
-// incremented by Ground and by every ApplyUpdate. Together with the
-// graph's patch epoch it pins a serving snapshot to one consistent view.
+// Version returns the grounding generation: 0 before the first update —
+// the initial Ground, which grounds every rule from the empty database —
+// and incremented by every update after it. Together with the graph's
+// patch epoch it pins a serving snapshot to one consistent view.
 func (g *Grounder) Version() uint64 { return g.version }
 
 // SetCompactionThreshold overrides DefaultCompactionThreshold. t <= 0
@@ -367,8 +372,13 @@ func (g *Grounder) DB() *db.Database { return g.data }
 // Program returns the (possibly extended) program.
 func (g *Grounder) Program() *datalog.Program { return g.prog }
 
-// LoadBase inserts base tuples into a non-derived relation before the
-// initial Ground call.
+// LoadBase validates base tuples for a non-derived relation and stages
+// them as inserts of the first update: the initial Ground applies them
+// through the same delta path as any update's inserts (an evidence
+// relation's tuples supervise their variables, a variable relation's
+// become candidates). They are not in DB() before that, and the tuples
+// themselves must not be modified until then. After the first update, use
+// ApplyUpdate.
 func (g *Grounder) LoadBase(rel string, tuples []db.Tuple) error {
 	if err := g.checkBaseTuples(rel, tuples); err != nil {
 		return err
@@ -376,11 +386,13 @@ func (g *Grounder) LoadBase(rel string, tuples []db.Tuple) error {
 	if g.derived[rel] {
 		return fmt.Errorf("ground: %s is derived; load base data into base relations only", rel)
 	}
-	r := g.data.Relation(rel)
-	for _, t := range tuples {
-		r.Insert(t)
+	if g.version > 0 {
+		return fmt.Errorf("ground: LoadBase after the initial grounding; use ApplyUpdate")
 	}
-	g.graphDirty = true
+	if g.loaded == nil {
+		g.loaded = make(map[string][]db.Tuple)
+	}
+	g.loaded[rel] = append(g.loaded[rel], tuples...)
 	return nil
 }
 

@@ -81,7 +81,17 @@ func newSpouseGrounder(t testing.TB, base baseData) *Grounder {
 
 func newSpouseGrounderUDFs(t testing.TB, base baseData, udfs UDFRegistry) *Grounder {
 	t.Helper()
-	g, err := New(datalog.MustParse(spouseSrc), udfs)
+	g := loadGrounder(t, spouseSrc, base, udfs)
+	if err := g.Ground(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// loadGrounder is a grounder of src with base loaded, not grounded.
+func loadGrounder(t testing.TB, src string, base baseData, udfs UDFRegistry) *Grounder {
+	t.Helper()
+	g, err := New(datalog.MustParse(src), udfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +99,6 @@ func newSpouseGrounderUDFs(t testing.TB, base baseData, udfs UDFRegistry) *Groun
 		if err := g.LoadBase(rel, tuples); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := g.Ground(); err != nil {
-		t.Fatal(err)
 	}
 	return g
 }
@@ -469,6 +476,53 @@ S: Q_Ev(x, l) :- R(x, l).
 	}
 }
 
+// TestLoadBaseIsTheFirstUpdate: base tuples loaded before Ground ground
+// exactly as the same tuples inserted by a first ApplyUpdate — the same
+// graph, evidence and grounder image. In particular a loaded evidence
+// relation supervises its variables, as an inserted one does.
+func TestLoadBaseIsTheFirstUpdate(t *testing.T) {
+	const src = `
+@variable Q(x).
+@relation Q_Ev(x, label).
+@relation R(x, f).
+Q(x) :- R(x, f) weight = w(f).
+`
+	base := baseData{
+		"Q":    {{"a"}, {"b"}, {"c"}},
+		"Q_Ev": {{"a", "true"}, {"b", "false"}},
+		"R":    {{"a", "f1"}, {"b", "f1"}, {"c", "f2"}},
+	}
+	loaded := loadGrounder(t, src, base, nil)
+	bmust(t, loaded.Ground())
+	inserted, err := New(datalog.MustParse(src), nil)
+	bmust(t, err)
+	_, err = inserted.ApplyUpdate(Update{Inserts: base})
+	bmust(t, err)
+
+	graph := loaded.Graph()
+	for _, want := range []struct {
+		x           string
+		ev, evValue bool
+	}{{"a", true, true}, {"b", true, false}, {"c", false, false}} {
+		v, ok := loaded.VarOf("Q", db.Tuple{want.x})
+		if !ok || graph.IsEvidence(v) != want.ev || graph.EvidenceValue(v) != want.evValue {
+			t.Fatalf("Q(%s): var %v, evidence %v value %v; want evidence %v value %v",
+				want.x, ok, graph.IsEvidence(v), graph.EvidenceValue(v), want.ev, want.evValue)
+		}
+	}
+	if d := factor.DiffGraphs(graph, inserted.Graph(), 50, 1); len(d) > 0 {
+		t.Fatalf("loaded and inserted base ground different graphs: %v", d)
+	}
+	image := func(g *Grounder) []byte {
+		var b persist.Buf
+		g.AppendSnapshot(&b)
+		return b.Bytes()
+	}
+	if !bytes.Equal(image(loaded), image(inserted)) {
+		t.Fatal("loaded and inserted base leave different grounding tables")
+	}
+}
+
 func TestUpdateEmpty(t *testing.T) {
 	u := Update{}
 	if !u.Empty() {
@@ -487,6 +541,12 @@ func TestLoadBaseErrors(t *testing.T) {
 	}
 	if err := g.LoadBase("MarriedCandidate", nil); err == nil {
 		t.Fatal("derived relation accepted")
+	}
+	if err := g.LoadBase("Sentence", []db.Tuple{{"s9", "late"}}); err == nil {
+		t.Fatal("base accepted after the initial grounding")
+	}
+	if err := g.Ground(); err == nil {
+		t.Fatal("second Ground accepted")
 	}
 }
 

@@ -3,6 +3,7 @@ package ground
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"deepdive/internal/datalog"
@@ -109,7 +110,8 @@ func (g *Grounder) checkBaseTuples(rel string, tuples []db.Tuple) error {
 // base deltas propagate through the rule pipeline with DRed-style delta
 // joins (old rules touched by changed relations re-evaluate only the
 // delta terms; untouched rules are skipped), and new rules are evaluated
-// once in full. Returns the Δ bookkeeping for incremental inference.
+// once in full. Returns the Δ bookkeeping for incremental inference. The
+// first update is the from-scratch grounding: see ApplyUpdateStaged.
 func (g *Grounder) ApplyUpdate(u Update) (*Delta, error) {
 	d, commit, err := g.ApplyUpdateStaged(u)
 	if err != nil {
@@ -130,7 +132,7 @@ func (g *Grounder) ApplyUpdate(u Update) (*Delta, error) {
 // longer being evaluated.
 //
 // The caller must invoke commit exactly once, before any subsequent
-// Ground/ApplyUpdate/ApplyUpdateStaged/Graph call on this grounder, and
+// ApplyUpdate/ApplyUpdateStaged/Graph call on this grounder, and
 // must not run commit concurrently with evaluation over any graph of the
 // cached graph's lineage (commit patches shared pool state; see
 // factor.Patch). An update rejected up front (unknown or derived target
@@ -139,7 +141,19 @@ func (g *Grounder) ApplyUpdate(u Update) (*Delta, error) {
 // plan or stay non-recursive) leaves the grounder exactly as it was; an error during
 // evaluation (a bad evidence label) returns no commit and may leave it
 // partially updated with a dirty graph. ApplyUpdate behaves the same.
+//
+// The first update (version 0) grounds from the empty database: every
+// rule counts as new and is evaluated in full, and the tuples LoadBase
+// staged join the update's inserts, ahead of its own. That is the initial
+// Ground; grounding from scratch has no path of its own.
 func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
+	if g.loaded != nil {
+		ins := maps.Clone(g.loaded)
+		for rel, ts := range u.Inserts {
+			ins[rel] = slices.Concat(ins[rel], ts)
+		}
+		u.Inserts = ins
+	}
 	// 1. Everything that can reject the update runs before the first
 	// mutation, so a rejected update leaves the program, every relation and
 	// the version untouched: base deltas must name existing, non-derived
@@ -193,6 +207,8 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 			newRules[re] = true
 		}
 	}
+
+	g.loaded = nil
 
 	// In-place patching needs the cached graph to reflect the pre-update
 	// state; decide before mutating anything. The dirty flag is set

@@ -120,10 +120,11 @@ func (g *Grounder) runJobs(jobs []evalJob) {
 }
 
 // ruleJobs appends one rule's share of an update to jobs: a full
-// evaluation for a rule the update introduced, the DRed delta terms for
-// an existing one.
+// evaluation for a rule the update introduced — every rule, on the first
+// update, which grounds from the empty database — and the DRed delta terms
+// for an existing one.
 func (g *Grounder) ruleJobs(jobs []evalJob, re *ruleEval, tr *tracker, isNew bool) []evalJob {
-	if isNew {
+	if isNew || g.version == 0 {
 		return append(jobs, re.fullJob())
 	}
 	return g.deltaJobs(jobs, re, tr)

@@ -1,11 +1,12 @@
 package ground
 
-// Differential test for sharded delta grounding: the same randomized
-// update stream is applied to a sequential grounder and a parallel one
-// (SetParallelism > 1), and after every step the two must agree
-// bit-for-bit — identical deltas (the parallel path applies bindings in
-// the canonical sequential order, so interning order is preserved),
-// identical derived relations, and semantically identical graphs.
+// Differential test for sharded grounding: the initial grounding and then
+// the same randomized update stream are applied to a sequential grounder
+// and a parallel one (SetParallelism > 1), and after every step the two
+// must agree bit-for-bit — identical deltas (the parallel path applies
+// bindings in the canonical sequential order, so interning order is
+// preserved), identical derived relations, and semantically identical
+// graphs.
 // Failures name the subtest seed; re-run with
 // -run 'TestParallelDeltaGroundingMatchesSequential/seed=N'.
 
@@ -33,15 +34,17 @@ func TestParallelDeltaGroundingMatchesSequential(t *testing.T) {
 
 func runParallelDifferential(t *testing.T, seed int64, workers int) {
 	rng := rand.New(rand.NewSource(seed))
-	seq := &patchedPair{g: newSpouseGrounder(t, spouseBase()), src: spouseSrc}
-	par := &patchedPair{g: newSpouseGrounder(t, spouseBase()), src: spouseSrc}
+	seq := &patchedPair{g: loadGrounder(t, spouseSrc, spouseBase(), testUDFs()), src: spouseSrc}
+	par := &patchedPair{g: loadGrounder(t, spouseSrc, spouseBase(), testUDFs()), src: spouseSrc}
 	par.g.SetParallelism(workers)
-	seq.g.Graph()
-	par.g.Graph()
 
 	gen := newSpouseStream()
-	for step := 0; step < 25; step++ {
-		u, ruleSrc := gen.next(rng)
+	for step := 0; step <= 25; step++ {
+		// Step 0 is the initial grounding of the loaded base, from scratch.
+		u, ruleSrc := Update{}, ""
+		if step > 0 {
+			u, ruleSrc = gen.next(rng)
+		}
 
 		ds := seq.apply(t, cloneUpdate(u), ruleSrc)
 		dp := par.apply(t, cloneUpdate(u), ruleSrc)

@@ -232,6 +232,16 @@ func Program(sys *corpus.System, sem factor.Semantics, upTo int) string {
 // a bare grounder, for single-layer measurements that need the grounding
 // tables or the factor graph itself, which a KB does not expose.
 func Ground(sys *corpus.System, sem factor.Semantics, upTo int) (*ground.Grounder, error) {
+	g, err := Load(sys, sem, upTo)
+	if err != nil {
+		return nil, err
+	}
+	return g, g.Ground()
+}
+
+// Load is Ground up to the grounding itself: a bare grounder of
+// Program(sys, sem, upTo) with the system's base tuples loaded.
+func Load(sys *corpus.System, sem factor.Semantics, upTo int) (*ground.Grounder, error) {
 	prog, err := datalog.Parse(Program(sys, sem, upTo))
 	if err != nil {
 		return nil, fmt.Errorf("kbc: %s: %w", sys.Spec.Name, err)
@@ -245,7 +255,7 @@ func Ground(sys *corpus.System, sem factor.Semantics, upTo int) (*ground.Grounde
 			return nil, err
 		}
 	}
-	return g, g.Ground()
+	return g, nil
 }
 
 // OpenKB opens a KB over Program(sys, sem, upTo) with the feature UDFs

@@ -151,6 +151,10 @@ type KB struct {
 	// tests use to act between an update's graph commit and its finish. Nil
 	// outside tests.
 	holdFinish func(ctx context.Context)
+	// serialUpdates makes the update queue finish each batch before
+	// grounding the next: the pipelined queue's differential oracle. False
+	// outside tests.
+	serialUpdates bool
 }
 
 // OpenKB parses and validates a DeepDive program and returns a serving
@@ -193,7 +197,6 @@ func OpenKB(source string, opts ...Option) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.SetInPlaceUpdates(!o.Lesions.RebuildUpdates)
 	g.SetParallelism(o.Parallelism)
 	kb := &KB{opts: o, grounder: g}
 	kb.seqCond = sync.NewCond(&kb.seqMu)
@@ -300,8 +303,11 @@ func (kb *KB) notifyPublish() {
 	kb.pubMu.Unlock()
 }
 
-// Load inserts base tuples into a base relation. Call before Init; use
-// Apply (or the update queue) for changes afterwards.
+// Load stages base tuples for a base relation as inserts of Init's
+// grounding — the KB's first update — so they become visible to Relation,
+// and an evidence relation's tuples supervise their facts, at Init; the
+// tuples must not be modified until then. Call before Init; use Apply (or
+// the update queue) for changes afterwards.
 func (kb *KB) Load(relation string, tuples []Tuple) error {
 	kb.groundMu.Lock()
 	defer kb.groundMu.Unlock()
@@ -313,11 +319,18 @@ func (kb *KB) Load(relation string, tuples []Tuple) error {
 
 // Init performs the initial grounding (candidate generation, feature
 // extraction, supervision, factor-graph construction) and publishes the
-// first snapshot (evidence-only until inference runs).
+// first snapshot (evidence-only until inference runs). The grounding is
+// the KB's first update, from the empty database, with the loaded tuples
+// as its inserts: it runs the delta path every later update runs (sharded
+// under WithParallelism), and its snapshot skeleton is derived from the
+// empty one. Init runs once; a second call is refused.
 func (kb *KB) Init(ctx context.Context) error {
 	defer kb.lockExclusive()()
 	if err := ctxErr(ctx); err != nil {
 		return err
+	}
+	if kb.inited {
+		return fmt.Errorf("deepdive: Init of an initialized KB; use Apply")
 	}
 	if err := kb.grounder.Ground(); err != nil {
 		return err
@@ -933,15 +946,19 @@ func (kb *KB) publishStaged(sk *skeleton, cs changeSet) *Snapshot {
 	return s
 }
 
-// publishLocked freezes the current grounding + marginal state into a
-// fresh Snapshot and swaps it in as the served view — the monolithic
-// writer path, which rebuilds the skeleton and may have replaced the
-// marginals: the publication changes everything. Callers hold both writer
-// locks (lockExclusive).
+// publishLocked publishes the current grounding and marginals as a change
+// to everything — the monolithic writers' path (Init, Learn, Infer,
+// Materialize, Checkpoint, restore). Learn, Infer and Materialize change no
+// grounding and republish the last committed skeleton. A graph rebuilt
+// since (Checkpoint's compaction) steps it over an empty delta, which
+// picks up the new graph epoch; with no skeleton yet (Init, a restore) it
+// is derived from the empty one. Callers hold both writer locks
+// (lockExclusive).
 func (kb *KB) publishLocked() *Snapshot {
-	g := kb.grounder.Graph()
-	kb.curGraph = g
-	kb.skel = kb.buildSkeleton(g)
+	if g := kb.grounder.Graph(); kb.skel == nil || g != kb.curGraph {
+		kb.curGraph = g
+		kb.skel, _ = kb.nextSkeleton(kb.skel, g, &ground.Delta{})
+	}
 	return kb.publishStaged(kb.skel, changeSet{full: true})
 }
 

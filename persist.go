@@ -509,7 +509,6 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.SetInPlaceUpdates(!o.Lesions.RebuildUpdates)
 	g.SetParallelism(o.Parallelism)
 
 	crd, err := sectionRd(secs, secGraphCur, "current graph")

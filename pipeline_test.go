@@ -114,16 +114,19 @@ func requireSnapshotsEqual(t *testing.T, a, b *deepdive.Snapshot, la, lb string)
 
 // TestPipelinedQueueMatchesSerialized is the differential harness for
 // the stage-overlapped queue: the same conflict-chained update stream
-// runs through (1) the pipelined queue, (2) the serialized-queue lesion,
+// runs through (1) the pipelined queue, (2) the serialized queue,
 // and (3) direct synchronous Apply calls, and all three must publish
 // bit-identical final views — the pipeline is a pure throughput
 // optimization with no observable semantic difference.
 func TestPipelinedQueueMatchesSerialized(t *testing.T) {
 	ups := pipelineStream(8)
 
-	viaQueue := func(opts ...deepdive.Option) *deepdive.Snapshot {
-		kb := spouseKB(t, opts...)
+	viaQueue := func(serialized bool) *deepdive.Snapshot {
+		kb := spouseKB(t)
 		defer kb.Close()
+		if serialized {
+			kb.SerializeUpdates()
+		}
 		q := kb.Updates()
 		var tickets []*deepdive.Ticket
 		for _, u := range ups {
@@ -140,8 +143,8 @@ func TestPipelinedQueueMatchesSerialized(t *testing.T) {
 		return kb.Snapshot()
 	}
 
-	pipelined := viaQueue()
-	serialized := viaQueue(deepdive.WithLesions(deepdive.Lesions{SerializedUpdates: true}))
+	pipelined := viaQueue(false)
+	serialized := viaQueue(true)
 	requireSnapshotsEqual(t, pipelined, serialized, "pipelined", "serialized")
 
 	direct := spouseKB(t)

@@ -80,9 +80,9 @@ type stagedBatch struct {
 // batch N+1's grounding overlaps batch N's learning/inference; the KB's
 // sequencer still forces commits and publications into submission order,
 // so the published epoch stream — and every marginal in it — is
-// bit-identical to fully serialized execution (Lesions.SerializedUpdates
-// disables the overlap for comparison). At most one grounded batch is
-// staged ahead at a time.
+// bit-identical to fully serialized execution (the pipelined-vs-serialized
+// differential test pins that). At most one grounded batch is staged ahead
+// at a time.
 //
 // # Cancellation
 //
@@ -389,7 +389,7 @@ func (q *UpdateQueue) drain() {
 			q.resolveBatch(tickets, nil, err)
 			continue
 		}
-		if q.kb.opts.Lesions.SerializedUpdates {
+		if q.kb.serialUpdates {
 			res, ferr := q.kb.applyFinish(bctx, st)
 			release()
 			if ferr == nil {

@@ -42,8 +42,9 @@ type Snapshot struct {
 // A document update derives its skeleton from the previous one and the
 // committed delta (KB.nextSkeleton): relations the delta did not touch
 // share their relView, a touched relation shares its fact storage and its
-// key index with its predecessor, and loc grows in place. buildSkeleton
-// from the grounder is the base case.
+// key index with its predecessor, and loc grows in place. The empty
+// skeleton is the only base case: Init's, a restore's and a compacting
+// rebuild's skeletons are all derived from it.
 type skeleton struct {
 	groundVersion uint64
 	graphEpoch    int32
@@ -60,8 +61,9 @@ type skeleton struct {
 }
 
 // factLoc places one variable's fact: position pos of relation rel's
-// storage, or pos < 0 for a variable that was not live when the lineage's
-// base skeleton was built (it has no storage until a rebuild).
+// storage, or pos < 0 for a variable that was not live when the lineage
+// was derived from the empty skeleton (it has no storage until the next
+// such derivation).
 type factLoc struct {
 	rel string
 	pos int32
@@ -150,8 +152,8 @@ func emptySnapshot() *Snapshot {
 // update batch n and nothing of batch n+1.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// GroundVersion returns the grounding generation (one per Ground or
-// applied update batch) the snapshot is pinned to.
+// GroundVersion returns the grounding generation (one per applied update
+// batch, Init's grounding the first) the snapshot is pinned to.
 func (s *Snapshot) GroundVersion() uint64 { return s.groundVersion }
 
 // GraphEpoch returns the factor graph's patch epoch at snapshot time
@@ -346,81 +348,23 @@ func (kb *KB) factState(g *factor.Graph, v factor.VarID) (st uint8) {
 	return st
 }
 
-// buildSkeleton is the base case: every relation's fact table from the
-// grounder's variable tables, with no tombstones and nothing shared. It
-// runs where there is no predecessor to derive from — Init, Learn, Infer,
-// Materialize, Checkpoint, restore — and when
-// nextSkeleton gives up. Callers hold groundMu (the skeleton reads
-// grounder state) and pass the committed graph the snapshot pins.
-func (kb *KB) buildSkeleton(g *factor.Graph) *skeleton {
-	nv := kb.grounder.NumVars()
-	s := &skeleton{
-		groundVersion: kb.grounder.Version(),
-		graphEpoch:    g.Epoch(),
-		rels:          map[string]*relView{},
-		loc:           make([]factLoc, nv, nv+nv/8+16),
-	}
-	keys := map[string]map[string]int32{}
-	for v := 0; v < nv; v++ {
-		id := factor.VarID(v)
-		st := kb.factState(g, id)
-		if st&factEvidence != 0 {
-			s.stats.Evidence++
-		}
-		if st&factLive == 0 {
-			s.loc[v] = factLoc{rel: kb.grounder.VarRelation(id), pos: -1}
-			continue
-		}
-		rel, tuple := kb.grounder.VarTuple(id)
-		rv := s.rels[rel]
-		if rv == nil {
-			rv = &relView{}
-			s.rels[rel], keys[rel] = rv, map[string]int32{}
-		}
-		s.loc[v] = factLoc{rel: rel, pos: int32(len(rv.facts))}
-		keys[rel][kb.grounder.VarKey(id)] = int32(len(rv.facts))
-		rv.facts = append(rv.facts, snapFact{tuple: tuple, v: int32(v)})
-		rv.state = append(rv.state, st)
-		rv.live++
-		s.stored++
-	}
-	for rel, rv := range s.rels {
-		rv.index = keyIndex{keys[rel]}
-	}
-	s.setGraphStats(kb, g)
-	return s
-}
-
-// setGraphStats fills the statistics read off the graph and the grounder;
-// Evidence is counted by the caller.
-func (s *skeleton) setGraphStats(kb *KB, g *factor.Graph) {
-	s.stats.Variables = g.NumVars()
-	s.stats.Factors = kb.grounder.NumGroundings()
-	s.stats.Weights = g.NumWeights()
-	s.stats.QueryFacts = s.stats.Variables - s.stats.Evidence
-}
-
 // nextSkeleton derives the skeleton of a committed update from its
 // predecessor and the update's delta, in O(|delta|) plus one byte per
 // stored fact of each relation the delta touched: new variables are
 // appended to their relation's storage, liveness and evidence changes flip
 // state bits. It also returns what the step changed, for the
 // publication's change set: the variables whose fact was born, died,
-// revived or had its supervision flipped — or everything, when it rebuilt
-// from scratch instead (storage positions moved): there is no
-// predecessor, the delta touches a variable the lineage has no storage
-// for, or dead facts have outgrown a quarter of the live ones. Callers
-// hold groundMu and stateMu.
+// revived or had its supervision flipped — or everything, when it derives
+// from the empty skeleton instead (storage positions moved): there is no
+// predecessor (Init, a restore), the delta touches a variable the lineage
+// has no storage for, or dead facts have outgrown a quarter of the live
+// ones. A derivation from empty stores live facts only, so it compacts.
+// Callers hold groundMu and stateMu.
 func (kb *KB) nextSkeleton(prev *skeleton, g *factor.Graph, d *ground.Delta) (s *skeleton, changed changeSet) {
-	if prev == nil || prev.dead > 16+(prev.stored-prev.dead)/4 {
-		return kb.buildSkeleton(g), changeSet{full: true}
-	}
-	for _, vs := range [][]factor.VarID{d.LivenessChanged, d.EvidenceChanged} {
-		for _, v := range vs {
-			if int(v) < len(prev.loc) && prev.loc[v].pos < 0 {
-				return kb.buildSkeleton(g), changeSet{full: true}
-			}
-		}
+	if prev == nil || prev.dead > 16+(prev.stored-prev.dead)/4 || unstored(prev, d) {
+		nv := kb.grounder.NumVars()
+		prev = &skeleton{rels: map[string]*relView{}, loc: make([]factLoc, 0, nv+nv/8+16)}
+		changed.full = true
 	}
 	sk := *prev
 	s = &sk
@@ -455,7 +399,9 @@ func (kb *KB) nextSkeleton(prev *skeleton, g *factor.Graph, d *ground.Delta) (s 
 		rv.live += live
 		s.dead -= live
 		s.stats.Evidence += (int(st&factEvidence) - int(old&factEvidence)) / factEvidence
-		changed.vars = append(changed.vars, v)
+		if !changed.full {
+			changed.vars = append(changed.vars, v)
+		}
 	}
 	for _, vs := range [][]factor.VarID{d.LivenessChanged, d.EvidenceChanged} {
 		for _, v := range vs {
@@ -465,25 +411,53 @@ func (kb *KB) nextSkeleton(prev *skeleton, g *factor.Graph, d *ground.Delta) (s 
 			}
 		}
 	}
+	// New variables come in runs of one relation: rel, rv and keys are the
+	// last one's.
+	var rel string
+	var rv *relView
+	var keys map[string]int32
 	for v := len(prev.loc); v < kb.grounder.NumVars(); v++ {
 		id := factor.VarID(v)
-		rel, tuple := kb.grounder.VarTuple(id)
-		rv := own(rel)
-		pos := int32(len(rv.facts))
-		if newKeys[rel] == nil {
-			newKeys[rel] = map[string]int32{}
+		st := kb.factState(g, id)
+		r := kb.grounder.VarRelation(id)
+		if changed.full && st&factLive == 0 { // from empty: live facts only
+			s.loc = append(s.loc, factLoc{rel: r, pos: -1})
+			s.stats.Evidence += int(st&factEvidence) / factEvidence
+			continue
 		}
-		newKeys[rel][kb.grounder.VarKey(id)] = pos
+		if rv == nil || r != rel {
+			rel, rv = r, own(r)
+			if keys = newKeys[rel]; keys == nil {
+				keys = map[string]int32{}
+				newKeys[rel] = keys
+			}
+		}
+		_, tuple := kb.grounder.VarTuple(id)
+		pos := int32(len(rv.facts))
+		keys[kb.grounder.VarKey(id)] = pos
 		rv.facts = append(rv.facts, snapFact{tuple: tuple, v: int32(v)})
 		rv.state = append(rv.state, 0)
 		s.loc = append(s.loc, factLoc{rel: rel, pos: pos})
 		s.stored++
 		s.dead++ // until set finds it live
-		set(id, rv, pos, kb.factState(g, id))
+		set(id, rv, pos, st)
 	}
 	for rel, add := range newKeys {
 		owned[rel].index = owned[rel].index.with(add)
 	}
-	s.setGraphStats(kb, g)
+	s.stats.Variables, s.stats.Factors, s.stats.Weights = g.NumVars(), kb.grounder.NumGroundings(), g.NumWeights()
+	s.stats.QueryFacts = s.stats.Variables - s.stats.Evidence
 	return s, changed
+}
+
+// unstored reports whether d touches a variable prev has no storage for.
+func unstored(prev *skeleton, d *ground.Delta) bool {
+	for _, vs := range [][]factor.VarID{d.LivenessChanged, d.EvidenceChanged} {
+		for _, v := range vs {
+			if int(v) < len(prev.loc) && prev.loc[v].pos < 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
