@@ -29,9 +29,9 @@ test:
 # plans over internal/db's in-place indexes and old-state view
 # concurrently, so both are in the set, with the loaded-evidence regression
 # test (TestLoadBaseIsTheFirstUpdate). internal/inc drives
-# the samplers (materialization on the configured runtime, the sharded
-# sampling runner, the variational runner's swept remainder) over graphs a
-# patch lineage shares.
+# the samplers (materialization and the rerun on the configured runtime,
+# the variational runner's swept remainder) and its one Metropolis-Hastings
+# runner over graphs a patch lineage shares.
 race:
 	$(GO) test -race ./internal/gibbs/... ./internal/factor/... ./internal/learn/... ./internal/inc/... ./internal/ground/... ./internal/db/...
 

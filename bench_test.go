@@ -598,7 +598,7 @@ func BenchmarkSamplingAcceptanceTest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		store.Reset()
-		inc.SamplingInfer(g, newG, store, cs, 100, 3)
+		inc.SamplingInferCtx(nil, g, newG, store, cs, nil, nil, 100, 3)
 	}
 }
 

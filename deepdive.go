@@ -82,8 +82,8 @@ const (
 	StrategyExact       = inc.StrategyExact
 )
 
-// I/O fault injection. Unlike the crash-point FaultHook (which simulates
-// a process kill), an injected I/O fault *returns*: the write path sees
+// I/O fault injection. Unlike a crash at a kill point (which the recovery
+// tests simulate), an injected I/O fault *returns*: the write path sees
 // ENOSPC/EIO-style errors or added latency and must degrade gracefully.
 // IOFaultPlan is the concrete injector — arm one-shot, sticky, or
 // probabilistic errors and per-op latency, then pass it via WithIOFaults.
@@ -130,11 +130,9 @@ type Options struct {
 	Lambda     float64 // variational regularization λ (default 0.01)
 
 	// Parallelism shards Gibbs sweeps (inference, learning chains,
-	// materialization) across this many workers and, during incremental
-	// inference, shards each Metropolis-Hastings proposal's acceptance
-	// scoring over large changed-group sets: <= 1 sequential, n > 1 uses
-	// n workers, negative means one worker per core. Ignored for sweep
-	// sharding when Replicas selects the replica engine.
+	// materialization) and grounding across this many workers: <= 1
+	// sequential, n > 1 uses n workers, negative means one worker per core.
+	// Ignored for sweep sharding when Replicas selects the replica engine.
 	Parallelism int
 
 	// Replicas selects the DimmWitted-style replica engine for every Gibbs
@@ -179,18 +177,11 @@ type Options struct {
 	// default) disables persistence.
 	DataDir string
 
-	// PersistFault is the crash-injection hook used by the recovery tests:
-	// when set, it is invoked at the named kill points of the WAL-append
-	// and checkpoint paths (see the Fault* constants), and a non-nil error
-	// aborts the operation at exactly that point — simulating a crash whose
-	// on-disk state recovery must handle. Nil in production.
-	PersistFault FaultHook
-
 	// IOFaults injects returned I/O errors and latency into the durability
 	// layer's write paths — WAL append, WAL fsync, segment creation,
 	// snapshot write, snapshot fsync (see the IO* operation constants).
-	// The degraded-mode counterpart of the crash-point PersistFault hook:
-	// the KB must survive these, not just recover from them. Nil in
+	// Unlike a crash, which the recovery tests inject at kill points, these
+	// return: the KB must survive them, not just recover from them. Nil in
 	// production.
 	IOFaults IOInjector
 
@@ -258,8 +249,8 @@ type Lesions struct {
 	// NoDecomposition disables the Algorithm 2 blocked inference (Figure
 	// 14): nothing is solved component by component — every update goes to
 	// the optimizer whole —, a sampling update runs one global acceptance
-	// test instead of one per connected component, and inference always
-	// covers the graph.
+	// test instead of one per connected component (the same runner, handed
+	// one block), and inference always covers the graph.
 	NoDecomposition bool
 	// GlobalFinish makes every update's finish stage cover the graph:
 	// warmstart learning moves every learnable weight over every variable
@@ -315,9 +306,8 @@ func WithMaterialization(samples int, lambda float64) Option {
 }
 
 // WithParallelism shards every Gibbs chain the engine runs (inference,
-// learning, materialization) and the incremental acceptance scoring
-// across n workers. n <= 1 keeps the sequential paths; a negative n
-// means one worker per core.
+// learning, materialization) and grounding across n workers. n <= 1 keeps
+// the sequential paths; a negative n means one worker per core.
 func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
 
 // WithReplicas runs every Gibbs chain on the replica engine: n workers
@@ -361,10 +351,6 @@ func WithProgressPublish(d time.Duration) Option {
 // files there, committed updates are write-ahead logged, and reopening
 // recovers the latest snapshot plus the WAL tail (see Options.DataDir).
 func WithDataDir(dir string) Option { return func(o *Options) { o.DataDir = dir } }
-
-// WithPersistFaultHook installs a crash-injection hook for recovery
-// testing (see Options.PersistFault).
-func WithPersistFaultHook(h FaultHook) Option { return func(o *Options) { o.PersistFault = h } }
 
 // WithIOFaults installs an I/O fault injector on the durability layer's
 // write paths (see Options.IOFaults). Build one with NewIOFaultPlan.

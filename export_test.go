@@ -10,6 +10,22 @@ import (
 // before it starts, ctx being the update's context.
 func (kb *KB) HoldFinish(hold func(ctx context.Context)) { kb.holdFinish = hold }
 
+// FaultHook is the crash tests' injector: see InstallFaultHook.
+type FaultHook = faultHook
+
+// Kill points passed to a FaultHook (see persist.go).
+const (
+	FaultWALAppend   = faultWALAppend
+	FaultWALAppended = faultWALAppended
+	FaultSnapWrite   = faultSnapWrite
+	FaultSnapWritten = faultSnapWritten
+)
+
+// InstallFaultHook makes every later WAL append and checkpoint call h at
+// their kill points; an error from h aborts the operation there, leaving
+// the on-disk state a crash at that instant would leave.
+func (kb *KB) InstallFaultHook(h FaultHook) { kb.faultHook = h }
+
 // SerializeUpdates makes the update queue finish each batch — learning,
 // inference, publication — before grounding the next, instead of
 // overlapping the two stages: the pipelined queue's oracle. Call it before

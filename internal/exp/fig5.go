@@ -55,7 +55,7 @@ func Fig5a(sizes []int, seed int64) *Report {
 
 		store.Reset()
 		start = time.Now()
-		inc.SamplingInfer(g, newG, store, cs, min(keep, matSamples-1), seed+3)
+		inc.SamplingInferCtx(nil, g, newG, store, cs, nil, nil, keep, seed+3)
 		infSa := time.Since(start)
 
 		start = time.Now()
@@ -95,14 +95,14 @@ func Fig5b(n int, deltas []float64, seed int64) *Report {
 
 		store.Reset()
 		start := time.Now()
-		sr := inc.SamplingInfer(g, newG, store, cs, keep, seed+3)
+		sr := inc.SamplingInferCtx(nil, g, newG, store, cs, nil, nil, keep, seed+3)
 		infSa := time.Since(start)
 
 		start = time.Now()
 		inc.VariationalInfer(vm, g, newG, changed, 20, keep, seed+4)
 		infV := time.Since(start)
 
-		r.addf("%8.2f  %12.3f  %12s %12s", d, sr.AcceptanceRate(), ms(infSa), ms(infV))
+		r.addf("%8.2f  %12.3f  %12s %12s", d, sr.AcceptanceRate, ms(infSa), ms(infV))
 	}
 	r.addf("(high acceptance favors sampling; large changes favor the variational side)")
 	return r
@@ -135,7 +135,7 @@ func Fig5c(n int, sparsities []float64, seed int64) *Report {
 
 		store.Reset()
 		start := time.Now()
-		inc.SamplingInfer(g, newG, store, cs, keep, seed+3)
+		inc.SamplingInferCtx(nil, g, newG, store, cs, nil, nil, keep, seed+3)
 		infSa := time.Since(start)
 
 		start = time.Now()

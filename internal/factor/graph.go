@@ -164,6 +164,12 @@ func (g *Graph) NumWeights() int { return len(g.weights) }
 // than frozen directly by a Builder).
 func (g *Graph) Patched() bool { return g.epoch > 0 }
 
+// Epoch returns the patch generation of this graph view: 0 for freshly
+// built graphs, incremented by each Patch along a lineage. Together with
+// a grounding-layer version it pins a serving snapshot to one consistent
+// view of the shared pool backing arrays.
+func (g *Graph) Epoch() int32 { return g.epoch }
+
 // Fragmentation returns the fraction of the grounding pool that costs the
 // evaluators extra work: tombstoned groundings (dead weight in the frozen
 // CSR rows) plus overflow groundings (reached through per-row indirection

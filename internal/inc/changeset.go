@@ -10,7 +10,8 @@
 //     exponential space, feasible only below ~20 variables.
 //   - Sampling (3.2.2): MCDB-style tuple-bundle samples from Pr(0) reused
 //     as independent Metropolis-Hastings proposals; the acceptance test
-//     touches only the changed factors.
+//     touches only the changed factors. One runner implements it
+//     (SamplingInferCtx).
 //   - Variational (3.2.3, Algorithm 1): a sparser approximate factor
 //     graph from a log-determinant relaxation with ℓ1 box constraints;
 //     updates are applied directly to the approximate graph.
@@ -21,10 +22,12 @@
 // components past that bound. Of Algorithm 2 (Appendix B.1) what is
 // implemented is the case with no active variables: the connected
 // components of the free variables (ComponentGroups), each with its own
-// acceptance test. The same components, grown outward from an update's
-// seed variables (Engine.Scope), bound what an update re-estimates: the
-// runners cover that dirty set and every other marginal stays as
-// published.
+// acceptance test. With one block — the trivial decomposition — the
+// runner's test is the global one of §3.2.2, so the two are one loop; the
+// NoDecomposition lesion hands it that block. The same components, grown
+// outward from an update's seed variables (Engine.Scope), bound what an
+// update re-estimates: the runners cover that dirty set and every other
+// marginal stays as published.
 package inc
 
 import (

@@ -575,7 +575,7 @@ func TestUpdateSolvesWhatEnumerates(t *testing.T) {
 		if scope := r.Sorted(); !slices.Equal(scope, induced) {
 			t.Fatalf("seed %d: the chain's scope is %v, its induced graph %v", seed, scope, induced)
 		}
-		chainRes := ref.InferDecomposedCtx(nil, newG, cs.within(newG, r), ComponentGroups(newG, induced), induced)
+		chainRes := SamplingInferCtx(nil, oldG, newG, ref.Store(), cs.within(newG, r), ComponentGroups(newG, induced), induced, keep, seed+31)
 		for l, v := range induced {
 			if math.Float64bits(res.Marginals[v]) != math.Float64bits(chainRes.Marginals[l]) {
 				t.Fatalf("seed %d: chain variable %d is %v, the runner on the chain alone gives %v", seed, v, res.Marginals[v], chainRes.Marginals[l])
@@ -809,9 +809,10 @@ func TestTopUpContinuesTheStream(t *testing.T) {
 // TestSamplingOverExactStoreMatchesExactMarginals is the Metropolis-Hastings
 // half of the differential oracle: on generated updates of at most 17 free
 // variables (a grounding tombstoned, one added, a group on a new variable, a
-// weight moved) both sampling runners, replaying 6 000 exact independent
-// worlds of the old graph, land within 0.05 of the exact marginals of the
-// updated graph — enumerated whole — on every variable. (The bound is
+// weight moved) the sampling runner — one global acceptance test, and one
+// test per connected component — replaying 6 000 exact independent worlds of
+// the old graph, lands within 0.05 of the exact marginals of the updated
+// graph — enumerated whole — on every variable. (The bound is
 // sampling error: an independence chain of n proposals at acceptance rate a
 // has a standard error near sqrt(p(1−p)(2−a)/(a·n)) ≤ 0.013 at a = 0.5;
 // the smallest acceptance rate met here is logged.)
@@ -822,22 +823,14 @@ func TestSamplingOverExactStoreMatchesExactMarginals(t *testing.T) {
 		c := genUpdate(seed, false)
 		cs := ChangeSet{ChangedOld: clampToGraph(c.oldG, c.changed), ChangedNew: c.changed, NewFeatures: true}
 		want := MaterializeStrawmanMust(t, c.newG).ExactMarginals(nil, nil, nil)
-		run := map[string]func(e *Engine) ([]float64, float64){
-			"global": func(e *Engine) ([]float64, float64) {
-				sr := SamplingInferCtx(nil, c.oldG, c.newG, e.Store(), cs, keep, seed+1, 0)
-				return sr.Marginals, sr.AcceptanceRate()
-			},
-			"decomposed": func(e *Engine) ([]float64, float64) {
-				res := e.InferDecomposedCtx(nil, c.newG, cs, ComponentGroups(c.newG, nil), nil)
-				return res.Marginals, res.AcceptanceRate
-			},
-		}
-		for name, infer := range run {
+		run := map[string][]DecompGroup{"global": nil, "decomposed": ComponentGroups(c.newG, nil)}
+		for name, blocks := range run {
 			e, err := NewEngine(c.oldG, Options{MaterializationSamples: keep + 1, KeepSamples: keep, Seed: seed + 50, DisableVariational: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, accept := infer(e)
+			res := SamplingInferCtx(nil, c.oldG, c.newG, e.Store(), cs, blocks, nil, keep, seed+50+31)
+			got, accept := res.Marginals, res.AcceptanceRate
 			lowest = min(lowest, accept)
 			for v := range want {
 				d := math.Abs(got[v] - want[v])

@@ -12,7 +12,7 @@ type DecompGroup struct {
 // as inference blocks — Algorithm 2 (Appendix B.1) with the empty active
 // set, the natural blocks when no interest area is declared (per-sentence
 // clusters in KBC graphs) — so each component keeps its own acceptance
-// test in InferDecomposedCtx. With a non-nil scope (Engine.Scope, sorted)
+// test in SamplingInferCtx. With a non-nil scope (Engine.Scope, sorted)
 // only the scope's components are computed, in O(|scope|) graph work.
 func ComponentGroups(g *factor.Graph, scope []factor.VarID) []DecompGroup {
 	comps := components(g, scope)

@@ -59,17 +59,17 @@ func visitAdjacentRef(g *factor.Graph, comp []int, local map[int]int, f func(a, 
 	}
 }
 
-// InferDecomposedRef is InferDecomposedCtx as it stood before it learned to
+// SamplingInferRef is SamplingInferCtx as it stood before it learned to
 // skip a block whose proposal equals the chain's values and to keep each
 // block's current score: every touched block is scored on the hybrid and on
 // the current world for every replayed world. Kept verbatim as the
 // reference TestDecomposedSkipIsBitIdentical compares against.
-func (e *Engine) InferDecomposedRef(ctx context.Context, newG *factor.Graph, cs ChangeSet, groups []DecompGroup, scope []factor.VarID) *Result {
+func SamplingInferRef(ctx context.Context, oldG, newG *factor.Graph, store *gibbs.Store, cs ChangeSet, groups []DecompGroup, scope []factor.VarID, keep int, seed int64) *Result {
 	start := time.Now()
 	res := &Result{Strategy: StrategySampling, AcceptanceRate: 1, Probed: -1}
 	// Groups created by post-materialization updates are not part of
 	// Pr(0); a later modification of one has no old-side energy.
-	cs.ChangedOld = clampToGraph(e.old, cs.ChangedOld)
+	cs.ChangedOld = clampToGraph(oldG, cs.ChangedOld)
 
 	// The chain lives on target: the graph, or the subgraph induced by the
 	// scope, whose variable l is vars[l]. A free member of a scope keeps
@@ -113,7 +113,7 @@ func (e *Engine) InferDecomposedRef(ctx context.Context, newG *factor.Graph, cs 
 		if b := blockOf[l]; b >= 0 {
 			varsByBlock[b] = append(varsByBlock[b], m)
 		}
-		if int(v) < e.store.NumVars() {
+		if int(v) < store.NumVars() {
 			stored = append(stored, m)
 		} else {
 			fresh = append(fresh, m)
@@ -144,13 +144,13 @@ func (e *Engine) InferDecomposedRef(ctx context.Context, newG *factor.Graph, cs 
 	}
 	changedOldByBlock := make([][]int32, nBlocks)
 	for _, gi := range cs.ChangedOld {
-		b := blockForGroup(e.old, gi)
+		b := blockForGroup(oldG, gi)
 		changedOldByBlock[b] = append(changedOldByBlock[b], gi)
 	}
 
-	rng := rand.New(rand.NewSource(e.opts.Seed + 31))
+	rng := rand.New(rand.NewSource(seed))
 	st := factor.NewState(target)
-	sampler := gibbs.FromState(st, e.opts.Seed+37)
+	sampler := gibbs.FromState(st, seed+6)
 
 	// Old-graph groups reference only old variables, so the (wider) new
 	// world can be scored against both graphs directly.
@@ -159,7 +159,7 @@ func (e *Engine) InferDecomposedRef(ctx context.Context, newG *factor.Graph, cs 
 			return 0
 		}
 		return newG.EnergyOfGroups(world, changedNewByBlock[b]) -
-			e.old.EnergyOfGroups(world, changedOldByBlock[b])
+			oldG.EnergyOfGroups(world, changedOldByBlock[b])
 	}
 
 	// Worlds are scored under newG's variable ids (a byte per variable):
@@ -182,17 +182,17 @@ func (e *Engine) InferDecomposedRef(ctx context.Context, newG *factor.Graph, cs 
 		}
 	}
 	accepted, proposed := 0, 0
-	next, used := e.store.Len()-e.store.Remaining(), 0
-	for est.N() < e.opts.KeepSamples {
+	next, used := store.Len()-store.Remaining(), 0
+	for est.N() < keep {
 		if canceled(ctx) {
 			break
 		}
-		if used == e.store.Remaining() {
+		if used == store.Remaining() {
 			res.FellBack = true
 			break
 		}
 		for _, m := range stored {
-			prop[m.v] = e.store.Bit(next+used, int(m.v))
+			prop[m.v] = store.Bit(next+used, int(m.v))
 		}
 		used++
 		for _, m := range fresh {
@@ -235,19 +235,10 @@ func (e *Engine) InferDecomposedRef(ctx context.Context, newG *factor.Graph, cs 
 	if scope != nil {
 		used = (used*len(scope) + n - 1) / n
 	}
-	e.store.Skip(used)
-	if res.FellBack && e.vm != nil && est.N() < e.opts.KeepSamples && !canceled(ctx) {
-		res.Marginals, res.Solved = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
-			e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+41)
-		res.Strategy = StrategyVariational
-	} else {
-		res.Marginals = est.Means()
-	}
+	store.Skip(used)
+	res.Marginals = est.Means()
 	if proposed > 0 {
 		res.AcceptanceRate = float64(accepted) / float64(proposed)
-	}
-	if !canceled(ctx) {
-		e.notePrior(res.AcceptanceRate, proposed)
 	}
 	res.SamplesUsed = proposed
 	res.Elapsed = time.Since(start)

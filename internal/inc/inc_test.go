@@ -1,6 +1,7 @@
 package inc
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -161,9 +162,9 @@ func TestSamplingNoChangeFullAcceptance(t *testing.T) {
 	g := chainGraph(6, 0.6)
 	sampler := gibbs.New(g, 11)
 	store := sampler.CollectSamples(100, 2000)
-	res := SamplingInfer(g, g, store, ChangeSet{}, 1500, 12)
-	if res.AcceptanceRate() != 1 {
-		t.Fatalf("acceptance = %v, want 1 for unchanged distribution", res.AcceptanceRate())
+	res := SamplingInferCtx(nil, g, g, store, ChangeSet{}, nil, nil, 1500, 12)
+	if res.AcceptanceRate != 1 {
+		t.Fatalf("acceptance = %v, want 1 for unchanged distribution", res.AcceptanceRate)
 	}
 	truth := MaterializeStrawmanMust(t, g).ExactMarginals(nil, nil, nil)
 	if d := maxAbsDiff(res.Marginals, truth, g); d > 0.05 {
@@ -191,9 +192,9 @@ func TestSamplingTracksChangedWeights(t *testing.T) {
 			newG.SetWeight(newG.Group(0).Weight, -0.6)
 			changed := []int32{0, 1, 2, 3, 4}
 			cs := ChangeSet{ChangedOld: changed, ChangedNew: changed}
-			res := SamplingInfer(g, newG, store, cs, 19000, 14)
-			if res.AcceptanceRate() >= 1 {
-				t.Fatalf("acceptance = %v, want < 1 for changed distribution", res.AcceptanceRate())
+			res := SamplingInferCtx(nil, g, newG, store, cs, nil, nil, 19000, 14)
+			if res.AcceptanceRate >= 1 {
+				t.Fatalf("acceptance = %v, want < 1 for changed distribution", res.AcceptanceRate)
 			}
 			truth := MaterializeStrawmanMust(t, g).ExactMarginals(newG, changed, changed)
 			if d := maxAbsDiff(res.Marginals, truth, g); d > 0.06 {
@@ -223,7 +224,7 @@ func TestSamplingHandlesNewVariablesAndEvidence(t *testing.T) {
 				ChangedNew:      []int32{int32(gi)},
 				EvidenceChanged: []factor.VarID{2},
 			}
-			res := SamplingInfer(g, newG, store, cs, 2500, 16)
+			res := SamplingInferCtx(nil, g, newG, store, cs, nil, nil, 2500, 16)
 			if res.Marginals[2] != 1 {
 				t.Fatalf("evidence var marginal = %v, want 1", res.Marginals[2])
 			}
@@ -241,12 +242,12 @@ func TestSamplingHandlesNewVariablesAndEvidence(t *testing.T) {
 func TestSamplingExhaustion(t *testing.T) {
 	g := chainGraph(4, 0.5)
 	store := gibbs.New(g, 17).CollectSamples(10, 50)
-	res := SamplingInfer(g, g, store, ChangeSet{}, 500, 18)
-	if !res.Exhausted {
+	res := SamplingInferCtx(nil, g, g, store, ChangeSet{}, nil, nil, 500, 18)
+	if !res.FellBack {
 		t.Fatal("store of 50 samples should exhaust before 500 keeps")
 	}
-	if res.WorldsObserved >= 500 {
-		t.Fatalf("observed %d worlds from 50 samples", res.WorldsObserved)
+	if store.Remaining() != 0 {
+		t.Fatalf("exhausted with %d of 50 samples left", store.Remaining())
 	}
 }
 
@@ -276,10 +277,10 @@ func TestEstimateAcceptanceRateClampsProbe(t *testing.T) {
 	}
 }
 
-// TestSamplingInferEdgeCases covers the seed-world guard: keep <= 0 is
-// clamped, and a store of one sample (whose only world is consumed to
-// seed the chain) must still yield one observed world instead of the
-// all-zero marginal vector Means() produces over zero observations.
+// TestSamplingInferEdgeCases covers the runner's ends: keep <= 0 counts
+// as 1, a store of one world yields that world as the one observation
+// instead of the all-zero marginal vector Means() produces over none, and an
+// empty store reports exhaustion with marginals as wide as the graph.
 func TestSamplingInferEdgeCases(t *testing.T) {
 	for _, mode := range deriveModes {
 		t.Run(mode, func(t *testing.T) {
@@ -292,39 +293,53 @@ func TestSamplingInferEdgeCases(t *testing.T) {
 				}
 				return gibbs.New(g, 45).CollectSamples(200, n)
 			}
+			// observedOne requires the marginals to be the store's first world:
+			// one observation of it, not all zero.
+			observedOne := func(label string, res *Result, store *gibbs.Store) {
+				t.Helper()
+				any := false
+				for v, bit := range store.Get(0, nil) {
+					want := 0.0
+					if bit {
+						want = 1
+					}
+					if res.Marginals[v] != want {
+						t.Fatalf("%s: marginal %d is %v, the one stored world holds %v", label, v, res.Marginals[v], bit)
+					}
+					any = any || bit
+				}
+				if !any {
+					t.Fatalf("%s: marginals all zero — the world was lost", label)
+				}
+			}
 
-			// store.Len() == 0: nothing to seed from.
-			res := SamplingInfer(g, newG, makeStore(0), ChangeSet{}, 1, 46)
-			if !res.Exhausted || res.WorldsObserved != 0 {
-				t.Fatalf("empty store: exhausted=%v observed=%d", res.Exhausted, res.WorldsObserved)
+			// store.Len() == 0: nothing to replay.
+			res := SamplingInferCtx(nil, g, newG, makeStore(0), ChangeSet{}, nil, nil, 1, 46)
+			if !res.FellBack {
+				t.Fatal("empty store: not reported exhausted")
 			}
 			if len(res.Marginals) != newG.NumVars() {
 				t.Fatalf("empty store marginal width %d", len(res.Marginals))
 			}
 
-			// store.Len() == 1 with keep in {0, 1}: the single sample seeds
-			// the chain and must be observed.
+			// store.Len() == 1 with keep in {0, 1}: the single world is
+			// replayed and observed.
 			for _, keep := range []int{0, 1} {
-				res := SamplingInfer(g, newG, makeStore(1), ChangeSet{}, keep, 47)
-				if res.WorldsObserved != 1 {
-					t.Fatalf("keep=%d single-sample store observed %d worlds, want 1", keep, res.WorldsObserved)
+				store := makeStore(1)
+				res := SamplingInferCtx(nil, g, newG, store, ChangeSet{}, nil, nil, keep, 47)
+				if res.FellBack || store.Remaining() != 0 {
+					t.Fatalf("keep=%d single-world store: exhausted=%v, %d left", keep, res.FellBack, store.Remaining())
 				}
-				any := false
-				for v := 0; v < g.NumVars(); v++ {
-					if res.Marginals[v] != 0 {
-						any = true
-					}
-				}
-				if !any {
-					t.Fatalf("keep=%d single-sample marginals all zero — seed world lost", keep)
-				}
+				observedOne(fmt.Sprintf("keep=%d single-world store", keep), res, store)
 			}
 
 			// keep <= 0 with a full store behaves as keep = 1.
-			res = SamplingInfer(g, newG, makeStore(50), ChangeSet{}, 0, 48)
-			if res.WorldsObserved != 1 || res.Exhausted {
-				t.Fatalf("keep=0 observed %d worlds (exhausted=%v), want 1", res.WorldsObserved, res.Exhausted)
+			store := makeStore(50)
+			res = SamplingInferCtx(nil, g, newG, store, ChangeSet{}, nil, nil, 0, 48)
+			if res.FellBack || store.Remaining() != 49 {
+				t.Fatalf("keep=0 replayed %d worlds (exhausted=%v), want 1", 50-store.Remaining(), res.FellBack)
 			}
+			observedOne("keep=0", res, store)
 		})
 	}
 }
@@ -541,7 +556,7 @@ func TestInferDecomposedUntouchedBlocksFree(t *testing.T) {
 			if !reflect.DeepEqual(groups, want) {
 				t.Fatalf("component groups = %+v, want %+v", groups, want)
 			}
-			res := e.InferDecomposedCtx(nil, newG, cs, groups, nil)
+			res := SamplingInferCtx(nil, g, newG, e.Store(), cs, groups, nil, 3000, 39+31)
 			truth := MaterializeStrawmanMust(t, g).ExactMarginals(newG, cs.ChangedOld, cs.ChangedNew)
 			if d := maxAbsDiff(res.Marginals, truth, newG); d > 0.08 {
 				t.Fatalf("decomposed marginals diff %v (truth %v, got %v)", d, truth, res.Marginals)

@@ -3,8 +3,6 @@ package inc
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -70,9 +68,8 @@ type Options struct {
 	Lambda float64
 	// MaxDenseComponent caps the dense log-det solve (default 300).
 	MaxDenseComponent int
-	// Runtime selects the Gibbs chain for materialization and rerun
-	// fallbacks (sequential, sharded or replica); its Workers also shards
-	// the sampling runner's acceptance scoring.
+	// Runtime selects the Gibbs chain for materialization and the rerun
+	// (sequential, sharded or replica).
 	Runtime gibbs.Runtime
 	Seed    int64
 
@@ -148,9 +145,14 @@ func (o Options) fill() Options {
 type Result struct {
 	// Marginals are indexed by variable id after a whole-graph run, by
 	// position in the (sorted) scope after a scoped one.
-	Marginals      []float64
-	Strategy       Strategy
-	FellBack       bool // sampling exhausted; variational finished the job
+	Marginals []float64
+	Strategy  Strategy
+	// FellBack reports that the store ran out before a sampling run
+	// observed every world it was to keep. After an engine run that is rule
+	// 4: Strategy says what finished the job (variational, or a rerun
+	// without the variational side); after SamplingInferCtx alone the
+	// marginals are those of the worlds it did observe.
+	FellBack       bool
 	AcceptanceRate float64
 	SamplesUsed    int
 	Elapsed        time.Duration
@@ -594,9 +596,9 @@ func (c ChangeSet) within(g *factor.Graph, r *factor.Reach) ChangeSet {
 // optimizer: its scope is their free reach plus the variational edges
 // leaving it (as Scope grows them), its change set is cs restricted to that
 // scope, and the strategy chosen for it — measured (§3.2) or static (§3.3)
-// per the options — runs the decomposed sampling path (one acceptance test
-// per connected component, when the structure changed) or the plain
-// strategy runner. The result reports that strategy, its acceptance and its
+// per the options — runs on it (a sampling run takes one acceptance test
+// per connected component when the structure changed, one global test
+// otherwise). The result reports that strategy, its acceptance and its
 // probe (Result.Probed, -1 when unprobed); the enumerated components keep
 // their exact marginals. With decompose off (the NoDecomposition lesion: the
 // components are the decomposition) nothing is solved exactly and the whole
@@ -657,74 +659,59 @@ func (e *Engine) AutoInferCtx(ctx context.Context, newG *factor.Graph, cs Change
 }
 
 // optimize is the §3.2 optimizer over a scope (nil: the graph) and its share
-// of the change set: it chooses a strategy and runs it.
+// of the change set: it chooses a strategy and runs it. A sampling run whose
+// structure changed takes one acceptance test per connected component
+// (ComponentGroups) when decompose is on, one global test otherwise.
 func (e *Engine) optimize(ctx context.Context, newG *factor.Graph, cs ChangeSet, scope []factor.VarID, decompose bool) *Result {
 	strat, probed := e.ChooseStrategyMeasured(newG, cs)
 	skipped := e.probeSkip
-	var res *Result
+	var blocks []DecompGroup
 	if strat == StrategySampling && cs.StructureChanged() && decompose {
-		res = e.InferDecomposedCtx(ctx, newG, cs, ComponentGroups(newG, scope), scope)
-	} else {
-		res = e.inferAs(ctx, newG, cs, strat, scope)
+		blocks = ComponentGroups(newG, scope)
 	}
+	res := e.inferAs(ctx, newG, cs, strat, scope, blocks)
 	res.Probed = probed
 	res.ProbeReused = e.probeHit
 	res.ProbeSkipped = skipped
 	return res
 }
 
-// inferAs runs one inference pass under an already-chosen strategy (the
-// run-time exhaustion fallback of rule 4 still applies inside the
-// sampling branch). Only the variational runner is scoped; the global
-// Metropolis-Hastings chain and the rerun always cover the graph, and
-// their estimate is then read off at the scope.
-func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, strat Strategy, scope []factor.VarID) *Result {
+// inferAs runs one inference pass over a scope (nil: the graph) under an
+// already-chosen strategy. Sampling runs SamplingInferCtx over blocks (nil:
+// one global acceptance test), and rule 4 applies to it here, the one place it
+// does: a store that runs out before KeepSamples worlds falls back to the
+// variational side, or to a rerun when there is none. The rerun covers the
+// graph and is read off at the scope.
+func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, strat Strategy, scope []factor.VarID, blocks []DecompGroup) *Result {
 	start := time.Now()
 	res := &Result{Strategy: strat, AcceptanceRate: 1, Probed: -1}
-	atScope := func(m []float64) []float64 {
-		if scope == nil {
-			return m
+	if strat == StrategySampling {
+		res = SamplingInferCtx(ctx, e.old, newG, e.store, cs, blocks, scope, e.opts.KeepSamples, e.opts.Seed+31)
+		if canceled(ctx) {
+			return res
 		}
-		out := make([]float64, len(scope))
-		for i, v := range scope {
-			out[i] = m[v]
+		e.notePrior(res.AcceptanceRate, res.SamplesUsed)
+		if !res.FellBack {
+			return res
 		}
-		return out
-	}
-	rerun := func() {
-		var m []float64
-		m, res.Solved = RerunWithCtx(ctx, newG, e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+29, e.opts.Runtime)
-		res.Marginals = atScope(m)
+		res.Strategy = StrategyVariational // rule 4: out of samples
+		if e.vm == nil {
+			res.Strategy = StrategyRerun // a lesion without the variational side
+		}
 	}
 	switch res.Strategy {
-	case StrategySampling:
-		sr := SamplingInferCtx(ctx, e.old, newG, e.store, cs, e.opts.KeepSamples, e.opts.Seed+17, e.opts.Runtime.Workers)
-		res.AcceptanceRate = sr.AcceptanceRate()
-		res.SamplesUsed = sr.Proposed
-		if !canceled(ctx) {
-			e.notePrior(res.AcceptanceRate, sr.Proposed)
-		}
-		if sr.Exhausted && sr.WorldsObserved < e.opts.KeepSamples && !canceled(ctx) {
-			if e.vm != nil {
-				// Rule 4: out of samples → variational.
-				res.Marginals, res.Solved = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
-					e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+23)
-				res.Strategy = StrategyVariational
-				res.FellBack = true
-			} else {
-				// Lesion configuration without the variational side: rerun.
-				rerun()
-				res.Strategy = StrategyRerun
-				res.FellBack = true
-			}
-		} else {
-			res.Marginals = atScope(sr.Marginals)
-		}
 	case StrategyVariational:
 		res.Marginals, res.Solved = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
 			e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+23)
-	default:
-		rerun()
+	case StrategyRerun:
+		m, solved := RerunWithCtx(ctx, newG, e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+29, e.opts.Runtime)
+		res.Marginals, res.Solved = m, solved
+		if scope != nil {
+			res.Marginals = make([]float64, len(scope))
+			for i, v := range scope {
+				res.Marginals[i] = m[v]
+			}
+		}
 	}
 	res.Elapsed = time.Since(start)
 	return res
@@ -740,243 +727,4 @@ func localOf(scope []factor.VarID, v factor.VarID) int {
 		return i
 	}
 	return -1
-}
-
-// InferDecomposedCtx runs per-block incremental inference over a
-// decomposition into independent blocks (ComponentGroups): blocks
-// untouched by the update adopt stored samples directly (acceptance rate
-// 1 — no computation on their factors), touched blocks run a block-local
-// acceptance test. This is the mechanism behind the Figure 14 lesion:
-// without decomposition a single global acceptance test collapses when
-// any part of the distribution changes. ctx is checked between
-// stored-sample proposals.
-//
-// With a nil scope the blocks cover the graph, free variables in no block
-// share a residual one, and the run consumes the worlds it replays. With
-// a scope (sorted; cs and groups restricted to it) the chain runs on the
-// scope's induced subgraph — its state, estimator and result are sized by
-// the scope, Result.Marginals[i] belonging to scope[i] — and the run,
-// which reads only its own columns of the worlds it replays, consumes only
-// that share of them.
-func (e *Engine) InferDecomposedCtx(ctx context.Context, newG *factor.Graph, cs ChangeSet, groups []DecompGroup, scope []factor.VarID) *Result {
-	start := time.Now()
-	res := &Result{Strategy: StrategySampling, AcceptanceRate: 1, Probed: -1}
-	// Groups created by post-materialization updates are not part of
-	// Pr(0); a later modification of one has no old-side energy.
-	cs.ChangedOld = clampToGraph(e.old, cs.ChangedOld)
-
-	// The chain lives on target: the graph, or the subgraph induced by the
-	// scope, whose variable l is vars[l]. A free member of a scope keeps
-	// every one of its groups there, so its conditional is the graph's.
-	n := newG.NumVars()
-	target, vars := newG, scope
-	if scope != nil {
-		target, _ = newG.Induced(scope)
-	} else {
-		vars = make([]factor.VarID, n)
-		for v := range vars {
-			vars[v] = factor.VarID(v)
-		}
-	}
-	est := gibbs.NewEstimator(len(vars))
-	blockOf := make([]int32, len(vars)) // by target id
-	for l := range blockOf {
-		blockOf[l] = -1
-	}
-	for bi, grp := range groups {
-		for _, v := range grp.Inactive {
-			blockOf[localOf(scope, v)] = int32(bi)
-		}
-	}
-	// Residual block for unassigned free vars (e.g. new vars). Of a
-	// block's variables a stored world proposes the stored ones; the fresh
-	// ones — appended since materialization — keep their chain values.
-	residual := len(groups)
-	nBlocks := residual + 1
-	type member struct{ v, l factor.VarID } // one variable: its id in newG, its id in target
-	varsByBlock := make([][]member, nBlocks)
-	var stored, fresh []member
-	for l, v := range vars {
-		if newG.IsEvidence(v) {
-			continue
-		}
-		if blockOf[l] == -1 && scope == nil {
-			blockOf[l] = int32(residual)
-		}
-		m := member{v: v, l: factor.VarID(l)}
-		if b := blockOf[l]; b >= 0 {
-			varsByBlock[b] = append(varsByBlock[b], m)
-		}
-		if int(v) < e.store.NumVars() {
-			stored = append(stored, m)
-		} else {
-			fresh = append(fresh, m)
-		}
-	}
-
-	// CSR-direct: GroupVars reports the head first, then each live
-	// grounding's variables in pool order — the same scan order the
-	// nested-view walk used, without synthesizing the grounding list.
-	blockForGroup := func(g *factor.Graph, gi int32) int {
-		block := residual
-		found := false
-		g.GroupVars(gi, func(v factor.VarID) {
-			if found || g.IsEvidence(v) {
-				return
-			}
-			if l := localOf(scope, v); l >= 0 && blockOf[l] >= 0 {
-				block = int(blockOf[l])
-				found = true
-			}
-		})
-		return block
-	}
-	// A block is closed when every variable its changed groups read that
-	// the chain can move is its own: its score then moves only when the
-	// block itself does, and is kept between proposals. (A group straddles
-	// blocks once compaction has dropped the tombstoned grounding that
-	// tied them; such a block is rescored on every test.)
-	changedNewByBlock := make([][]int32, nBlocks)
-	changedOldByBlock := make([][]int32, nBlocks)
-	closed := make([]bool, nBlocks)
-	for b := range closed {
-		closed[b] = true
-	}
-	place := func(g *factor.Graph, changed []int32, byBlock [][]int32) {
-		for _, gi := range changed {
-			b := blockForGroup(g, gi)
-			byBlock[b] = append(byBlock[b], gi)
-			g.GroupVars(gi, func(v factor.VarID) {
-				if l := localOf(scope, v); l >= 0 && !newG.IsEvidence(v) && int(blockOf[l]) != b {
-					closed[b] = false
-				}
-			})
-		}
-	}
-	place(newG, cs.ChangedNew, changedNewByBlock)
-	place(e.old, cs.ChangedOld, changedOldByBlock)
-
-	rng := rand.New(rand.NewSource(e.opts.Seed + 31))
-	st := factor.NewState(target)
-	sampler := gibbs.FromState(st, e.opts.Seed+37)
-
-	// Old-graph groups reference only old variables, so the (wider) new
-	// world can be scored against both graphs directly.
-	blockScore := func(world []bool, b int) float64 {
-		return newG.EnergyOfGroups(world, changedNewByBlock[b]) -
-			e.old.EnergyOfGroups(world, changedOldByBlock[b])
-	}
-
-	// Worlds are scored under newG's variable ids (a byte per variable):
-	// cur is the chain's world — its own assignment on the whole graph, a
-	// mirror of it laid over the evidence on a scope — and hybrid is cur
-	// except within the block under test.
-	cur := st.Assign
-	if scope != nil {
-		cur = make([]bool, n)
-		for v := range cur {
-			cur[v] = newG.IsEvidence(factor.VarID(v)) && newG.EvidenceValue(factor.VarID(v))
-		}
-	}
-	prop := make([]bool, n)
-	hybrid := slices.Clone(cur)
-	adopt := func(ms []member) {
-		for _, m := range ms {
-			st.Set(m.l, prop[m.v])
-			cur[m.v], hybrid[m.v] = prop[m.v], prop[m.v]
-		}
-	}
-	// curScore[b] is blockScore(cur, b) while known[b]: set when block b
-	// adopts a proposal (the hybrid it was scored on is then the chain's
-	// world), dropped when a fresh variable of the block is resampled, and
-	// never kept for a block that is not closed.
-	curScore := make([]float64, nBlocks)
-	known := make([]bool, nBlocks)
-	accepted, proposed := 0, 0
-	next, used := e.store.Len()-e.store.Remaining(), 0
-	for est.N() < e.opts.KeepSamples {
-		if canceled(ctx) {
-			break
-		}
-		if used == e.store.Remaining() {
-			res.FellBack = true
-			break
-		}
-		for _, m := range stored {
-			prop[m.v] = e.store.Bit(next+used, int(m.v))
-		}
-		used++
-		for _, m := range fresh {
-			prop[m.v] = cur[m.v]
-		}
-		for b, ms := range varsByBlock {
-			touched := len(changedNewByBlock[b]) > 0 || len(changedOldByBlock[b]) > 0
-			if !touched {
-				// Untouched block: adopt the proposal outright.
-				adopt(ms)
-				continue
-			}
-			proposed++
-			differs := false
-			for _, m := range ms {
-				hybrid[m.v] = prop[m.v]
-				differs = differs || prop[m.v] != cur[m.v]
-			}
-			if !differs {
-				// The proposal is the chain's world on this block: d = 0
-				// exactly, accepted without a score or a draw.
-				accepted++
-				continue
-			}
-			if !known[b] {
-				curScore[b], known[b] = blockScore(cur, b), closed[b]
-			}
-			propScore := blockScore(hybrid, b)
-			if d := propScore - curScore[b]; d >= 0 || rng.Float64() < math.Exp(d) {
-				accepted++
-				adopt(ms)
-				curScore[b] = propScore
-			} else {
-				for _, m := range ms {
-					hybrid[m.v] = cur[m.v]
-				}
-			}
-		}
-		// Resample the variables the update appended from their
-		// conditionals given the adopted world.
-		for _, m := range fresh {
-			was := st.Assign[m.l] // cur is st.Assign itself on the whole graph
-			sampler.SampleVar(m.l)
-			if b := blockOf[m.l]; b >= 0 && st.Assign[m.l] != was {
-				known[b] = false
-			}
-			cur[m.v] = st.Assign[m.l]
-			hybrid[m.v] = cur[m.v]
-		}
-		est.Observe(st.Assign)
-	}
-	// A whole-graph run spends every world it replayed. A scoped run read
-	// len(scope) of each world's n columns and spends that share of them
-	// (rounded up), so rule 4 and the KB's low-water refill meter the
-	// stored bits a run used, not the number of runs.
-	if scope != nil {
-		used = (used*len(scope) + n - 1) / n
-	}
-	e.store.Skip(used)
-	if res.FellBack && e.vm != nil && est.N() < e.opts.KeepSamples && !canceled(ctx) {
-		res.Marginals, res.Solved = VariationalInferCtx(ctx, e.vm, e.old, newG, cs.ChangedNew, scope,
-			e.opts.Burnin, e.opts.KeepSamples, e.opts.Seed+41)
-		res.Strategy = StrategyVariational
-	} else {
-		res.Marginals = est.Means()
-	}
-	if proposed > 0 {
-		res.AcceptanceRate = float64(accepted) / float64(proposed)
-	}
-	if !canceled(ctx) {
-		e.notePrior(res.AcceptanceRate, proposed)
-	}
-	res.SamplesUsed = proposed
-	res.Elapsed = time.Since(start)
-	return res
 }

@@ -4,150 +4,252 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"time"
 
 	"deepdive/internal/factor"
 	"deepdive/internal/gibbs"
 )
 
-// SamplingResult reports the outcome of the sampling (independent
-// Metropolis-Hastings) inference phase.
-type SamplingResult struct {
-	Marginals      []float64
-	Accepted       int
-	Proposed       int
-	Exhausted      bool // ran out of stored samples before collecting keep worlds
-	WorldsObserved int
-}
-
-// AcceptanceRate returns accepted/proposed (1 when nothing was proposed).
-func (r *SamplingResult) AcceptanceRate() float64 {
-	if r.Proposed == 0 {
-		return 1
-	}
-	return float64(r.Accepted) / float64(r.Proposed)
-}
-
-// SamplingInfer implements the inference phase of the sampling approach
-// (Section 3.2.2): stored samples from Pr(0) are proposals for an
-// independent Metropolis-Hastings chain targeting Pr(∆). The acceptance
-// test evaluates only the changed factors:
+// SamplingInferCtx is the inference phase of the sampling approach (Section
+// 3.2.2), and the package's one Metropolis-Hastings runner: the stored worlds
+// of Pr(0), replayed from the store's cursor, are independent proposals for a
+// chain targeting Pr(∆), and the acceptance test scores only the changed
+// factors:
 //
 //	α = min(1, exp(score(I') − score(I)))
 //	score(I) = E_newΔ(I) − E_oldΔ(I)
 //
-// so when the distribution did not change (score ≡ 0) every proposal is
-// accepted and inference is nearly free — the paper's A1 case.
+// Algorithm 2 (Appendix B.1) splits that test into one per block of
+// variables independent of the others given the evidence (blocks, such as
+// ComponentGroups): a block the update did not touch adopts every proposal
+// outright, acceptance rate 1 and nothing scored, and a touched block runs its
+// own test. Free variables in no block share one residual block, so nil blocks
+// is the single global test — and when nothing changed every proposal is
+// accepted and inference is nearly free, the paper's A1 case.
 //
-// New variables (beyond the stored samples' width) are drawn from their
-// Gibbs conditionals given each adopted world; evidence variables are
-// forced to their (possibly updated) values. The store is consumed from
-// its cursor; exhaustion is reported so the optimizer can fall back.
+// The chain starts from the all-false world (evidence at its values) and
+// observes one world per replayed world until it holds keep (keep < 1 counts
+// as 1). Of a block's variables a stored world proposes the stored ones; the
+// ones appended since materialization, past the store's width, are drawn from
+// their conditionals given each adopted world. The acceptance coin draws from
+// seed, that sampler from seed+6. ctx is checked between replayed worlds.
 //
-// keep < 1 is clamped to 1, and the chain's seed world counts as an
-// observation whenever the store exhausts before any proposal is adopted
-// or rejected — a one-sample store still yields one observed world
-// instead of an all-zero marginal vector.
-func SamplingInfer(oldG, newG *factor.Graph, store *gibbs.Store, cs ChangeSet, keep int, seed int64) *SamplingResult {
-	return SamplingInferCtx(nil, oldG, newG, store, cs, keep, seed, 0)
-}
-
-// SamplingInferCtx is SamplingInfer with a cooperative cancellation check
-// between proposals and with the per-proposal acceptance scoring sharded
-// across up to `workers` goroutines (factor.EnergyOfGroupsParallel). The
-// Metropolis-Hastings chain itself stays sequential — only each
-// proposal's evaluation of the changed groups fans out, which is the
-// dominant per-proposal cost when an update touches a large ΔF. workers
-// <= 1 keeps the sequential scorer; negative means one per core.
-func SamplingInferCtx(ctx context.Context, oldG, newG *factor.Graph, store *gibbs.Store, cs ChangeSet, keep int, seed int64, workers int) *SamplingResult {
-	if keep < 1 {
-		keep = 1
-	}
-	// Groups created by post-materialization updates have no old-side
-	// energy: they are not part of Pr(0), so a later modification of one
-	// appears only on the new side of the score.
+// With a nil scope the blocks cover the graph and the run spends the worlds it
+// replays. With a scope (sorted; cs and blocks restricted to it) the chain runs
+// on the scope's induced subgraph — its state, estimator and result are sized
+// by the scope, Result.Marginals[i] belonging to scope[i] — and the run, which
+// reads only its own columns of the worlds it replays, spends only that share
+// of them (rounded up), so rule 4 and the KB's low-water refill meter the
+// stored bits a run used, not the number of runs.
+//
+// Result.FellBack reports that the store ran out before keep worlds were
+// observed; the marginals are then those of the worlds that were. Falling back
+// (rule 4) is the caller's: see Engine.inferAs.
+func SamplingInferCtx(ctx context.Context, oldG, newG *factor.Graph, store *gibbs.Store, cs ChangeSet, blocks []DecompGroup, scope []factor.VarID, keep int, seed int64) *Result {
+	start := time.Now()
+	res := &Result{Strategy: StrategySampling, AcceptanceRate: 1, Probed: -1}
+	keep = max(keep, 1)
+	// Groups created by post-materialization updates are not part of
+	// Pr(0); a later modification of one has no old-side energy.
 	cs.ChangedOld = clampToGraph(oldG, cs.ChangedOld)
-	rng := rand.New(rand.NewSource(seed))
-	res := &SamplingResult{}
-	est := gibbs.NewEstimator(newG.NumVars())
 
-	// Working state over the new graph (handles new vars + new evidence).
-	st := factor.NewState(newG)
-	sampler := gibbs.FromState(st, seed+1)
-
-	// One unpack buffer and one proposal buffer serve every proposal (the
-	// chain state copies what it adopts), and the evidence to force is
-	// listed once.
-	evidence := evidenceVars(newG)
-	raw := make([]bool, store.NumVars())
-	full := make([]bool, newG.NumVars())
-	propose := func() ([]bool, bool) {
-		var ok bool
-		if raw, ok = store.Next(raw); !ok {
-			return nil, false
+	// The chain lives on target: the graph, or the subgraph induced by the
+	// scope, whose variable l is vars[l]. A free member of a scope keeps
+	// every one of its groups there, so its conditional is the graph's.
+	n := newG.NumVars()
+	target, vars := newG, scope
+	if scope != nil {
+		target, _ = newG.Induced(scope)
+	} else {
+		vars = make([]factor.VarID, n)
+		for v := range vars {
+			vars[v] = factor.VarID(v)
 		}
-		clear(full[copy(full, raw):])
-		for _, v := range evidence {
-			full[v] = newG.EvidenceValue(v)
-		}
-		return full, true
 	}
+	est := gibbs.NewEstimator(len(vars))
+	blockOf := make([]int32, len(vars)) // by target id; -1 for evidence
+	for l := range blockOf {
+		blockOf[l] = -1
+	}
+	for bi, grp := range blocks {
+		for _, v := range grp.Inactive {
+			blockOf[localOf(scope, v)] = int32(bi)
+		}
+	}
+	residual := len(blocks)
+	nBlocks := residual + 1
+	type member struct{ v, l factor.VarID } // one variable: its id in newG, its id in target
+	varsByBlock := make([][]member, nBlocks)
+	var stored, fresh []member
+	for l, v := range vars {
+		if newG.IsEvidence(v) {
+			continue
+		}
+		if blockOf[l] == -1 {
+			blockOf[l] = int32(residual)
+		}
+		m := member{v: v, l: factor.VarID(l)}
+		varsByBlock[blockOf[l]] = append(varsByBlock[blockOf[l]], m)
+		if int(v) < store.NumVars() {
+			stored = append(stored, m)
+		} else {
+			fresh = append(fresh, m)
+		}
+	}
+
+	// A changed group belongs to the block of its first member in the scope
+	// that is free on both graphs (GroupVars reports the head first, then each
+	// live grounding's variables in pool order), or to the residual block when
+	// it has none.
+	blockForGroup := func(g *factor.Graph, gi int32) int {
+		block := residual
+		found := false
+		g.GroupVars(gi, func(v factor.VarID) {
+			if found || g.IsEvidence(v) {
+				return
+			}
+			if l := localOf(scope, v); l >= 0 && blockOf[l] >= 0 {
+				block = int(blockOf[l])
+				found = true
+			}
+		})
+		return block
+	}
+	// A block is closed when every variable its changed groups read that
+	// the chain can move is its own: its score then moves only when the
+	// block itself does, and is kept between proposals. (A group straddles
+	// blocks once compaction has dropped the tombstoned grounding that
+	// tied them; such a block is rescored on every test.)
+	changedNewByBlock := make([][]int32, nBlocks)
+	changedOldByBlock := make([][]int32, nBlocks)
+	closed := make([]bool, nBlocks)
+	for b := range closed {
+		closed[b] = true
+	}
+	place := func(g *factor.Graph, changed []int32, byBlock [][]int32) {
+		for _, gi := range changed {
+			b := blockForGroup(g, gi)
+			byBlock[b] = append(byBlock[b], gi)
+			g.GroupVars(gi, func(v factor.VarID) {
+				if l := localOf(scope, v); l >= 0 && !newG.IsEvidence(v) && int(blockOf[l]) != b {
+					closed[b] = false
+				}
+			})
+		}
+	}
+	place(newG, cs.ChangedNew, changedNewByBlock)
+	place(oldG, cs.ChangedOld, changedOldByBlock)
+
+	rng := rand.New(rand.NewSource(seed))
+	st := factor.NewState(target)
+	sampler := gibbs.FromState(st, seed+6)
 
 	// Old-graph groups reference only old variables, so the (wider) new
-	// world scores against both graphs directly.
-	score := func(full []bool) float64 {
-		if len(cs.ChangedOld) == 0 && len(cs.ChangedNew) == 0 {
-			return 0
+	// world can be scored against both graphs directly.
+	blockScore := func(world []bool, b int) float64 {
+		return newG.EnergyOfGroups(world, changedNewByBlock[b]) -
+			oldG.EnergyOfGroups(world, changedOldByBlock[b])
+	}
+
+	// Worlds are scored under newG's variable ids (a byte per variable):
+	// cur is the chain's world — its own assignment on the whole graph, a
+	// mirror of it laid over the evidence on a scope — and hybrid is cur
+	// except within the block under test.
+	cur := st.Assign
+	if scope != nil {
+		cur = make([]bool, n)
+		for v := range cur {
+			cur[v] = newG.IsEvidence(factor.VarID(v)) && newG.EvidenceValue(factor.VarID(v))
 		}
-		return newG.EnergyOfGroupsParallel(full, cs.ChangedNew, workers) -
-			oldG.EnergyOfGroupsParallel(full, cs.ChangedOld, workers)
 	}
-
-	// Initialize the chain from the first proposal (unconditionally).
-	cur, ok := propose()
-	if !ok {
-		res.Exhausted = true
-		res.Marginals = est.Means()
-		return res
+	prop := make([]bool, n)
+	hybrid := slices.Clone(cur)
+	adopt := func(ms []member) {
+		for _, m := range ms {
+			st.Set(m.l, prop[m.v])
+			cur[m.v], hybrid[m.v] = prop[m.v], prop[m.v]
+		}
 	}
-	st.SetAssignment(cur)
-	completeNewVars(sampler, oldG.NumVars())
-	curScore := score(st.Assign)
-
+	// curScore[b] is blockScore(cur, b) while known[b]: set when block b
+	// adopts a proposal (the hybrid it was scored on is then the chain's
+	// world), dropped when a fresh variable of the block is resampled, and
+	// never kept for a block that is not closed.
+	curScore := make([]float64, nBlocks)
+	known := make([]bool, nBlocks)
+	accepted, proposed := 0, 0
+	next, used := store.Len()-store.Remaining(), 0
 	for est.N() < keep {
 		if canceled(ctx) {
 			break
 		}
-		prop, ok := propose()
-		if !ok {
-			res.Exhausted = true
+		if used == store.Remaining() {
+			res.FellBack = true
 			break
 		}
-		res.Proposed++
-		// Score the proposal: new vars get conditionals after adoption, so
-		// score on the proposal with current new-var values carried over.
-		for v := oldG.NumVars(); v < newG.NumVars(); v++ {
-			if !newG.IsEvidence(factor.VarID(v)) {
-				prop[v] = st.Assign[v]
+		for _, m := range stored {
+			prop[m.v] = store.Bit(next+used, int(m.v))
+		}
+		used++
+		for _, m := range fresh {
+			prop[m.v] = cur[m.v]
+		}
+		for b, ms := range varsByBlock {
+			touched := len(changedNewByBlock[b]) > 0 || len(changedOldByBlock[b]) > 0
+			if !touched {
+				// Untouched block: adopt the proposal outright.
+				adopt(ms)
+				continue
+			}
+			proposed++
+			differs := false
+			for _, m := range ms {
+				hybrid[m.v] = prop[m.v]
+				differs = differs || prop[m.v] != cur[m.v]
+			}
+			if !differs {
+				// The proposal is the chain's world on this block: d = 0
+				// exactly, accepted without a score or a draw.
+				accepted++
+				continue
+			}
+			if !known[b] {
+				curScore[b], known[b] = blockScore(cur, b), closed[b]
+			}
+			propScore := blockScore(hybrid, b)
+			if d := propScore - curScore[b]; d >= 0 || rng.Float64() < math.Exp(d) {
+				accepted++
+				adopt(ms)
+				curScore[b] = propScore
+			} else {
+				for _, m := range ms {
+					hybrid[m.v] = cur[m.v]
+				}
 			}
 		}
-		propScore := score(prop)
-		if propScore >= curScore || rng.Float64() < math.Exp(propScore-curScore) {
-			res.Accepted++
-			st.SetAssignment(prop)
-			completeNewVars(sampler, oldG.NumVars())
-			curScore = score(st.Assign)
+		// Resample the variables the update appended from their
+		// conditionals given the adopted world.
+		for _, m := range fresh {
+			was := st.Assign[m.l] // cur is st.Assign itself on the whole graph
+			sampler.SampleVar(m.l)
+			if st.Assign[m.l] != was {
+				known[blockOf[m.l]] = false
+			}
+			cur[m.v] = st.Assign[m.l]
+			hybrid[m.v] = cur[m.v]
 		}
 		est.Observe(st.Assign)
 	}
-	if est.N() == 0 {
-		// The store exhausted right after seeding: the seed world was
-		// consumed but never observed, and Means() over zero observations
-		// would report every marginal as 0. The seeded chain state is a
-		// valid MH state — observe it once.
-		est.Observe(st.Assign)
+	if scope != nil {
+		used = (used*len(scope) + n - 1) / n
 	}
-	res.WorldsObserved = est.N()
+	store.Skip(used)
 	res.Marginals = est.Means()
+	if proposed > 0 {
+		res.AcceptanceRate = float64(accepted) / float64(proposed)
+	}
+	res.SamplesUsed = proposed
+	res.Elapsed = time.Since(start)
 	return res
 }
 
@@ -170,27 +272,6 @@ func clampToGraph(g *factor.Graph, groups []int32) []int32 {
 	for _, gi := range groups {
 		if gi < n {
 			out = append(out, gi)
-		}
-	}
-	return out
-}
-
-// completeNewVars resamples the variables appended by the update from
-// their conditionals given the adopted world.
-func completeNewVars(s *gibbs.Sampler, firstNew int) {
-	for _, v := range s.FreeVars() {
-		if int(v) >= firstNew {
-			s.SampleVar(v)
-		}
-	}
-}
-
-// evidenceVars lists g's evidence variables, ascending.
-func evidenceVars(g *factor.Graph) []factor.VarID {
-	var out []factor.VarID
-	for v := 0; v < g.NumVars(); v++ {
-		if g.IsEvidence(factor.VarID(v)) {
-			out = append(out, factor.VarID(v))
 		}
 	}
 	return out

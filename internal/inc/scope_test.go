@@ -63,17 +63,18 @@ func marginalHash(m []float64) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestSamplingRunnersKeepTheirChains pins the whole-graph sampling
-// runners bit for bit across the buffer reuse: the hashes and counters
-// were recorded from the per-proposal-allocating implementation on this
-// fixture (fresh unpack and proposal buffers, evidence re-forced over
-// every variable, a full copy of the hybrid world per proposal).
+// TestSamplingRunnersKeepTheirChains pins the sampling runner, one
+// acceptance test per connected component, bit for bit across the buffer
+// reuse: the hash and counters were recorded from the per-proposal-allocating
+// implementation on this fixture (fresh proposal buffers, a full copy of the
+// hybrid world per proposal).
 //
 // They were recorded over the store NewEngine collected then — 700
 // consecutive sweeps of one Gibbs chain. NewEngine now draws exact
 // independent worlds (this fixture's components all enumerate), a different
-// store; the runners did not change, so they are held to the recorded values
-// on the store they were recorded on.
+// store; the runner did not change, so it is held to the recorded values on
+// the store they were recorded on, after the 201 worlds the global runner
+// that ran first then spent.
 func TestSamplingRunnersKeepTheirChains(t *testing.T) {
 	e, newG, cs, _ := scopeFixture(t)
 	if n := e.Solved(); n.Swept != 0 || n.Closed+n.Enumerated != 24 {
@@ -82,24 +83,22 @@ func TestSamplingRunnersKeepTheirChains(t *testing.T) {
 	chain := gibbs.New(e.OldGraph(), 11)
 	chain.RandomizeState()
 	e.store = chain.CollectSamples(30, 700)
-	sr := SamplingInferCtx(nil, e.OldGraph(), newG, e.Store(), cs, 200, 28, 0)
-	if got := marginalHash(sr.Marginals); got != "87dcc7c85311bea2" || sr.Accepted != 122 || sr.Proposed != 200 || e.Store().Remaining() != 499 {
-		t.Fatalf("global chain moved: marginals %s, %d/%d accepted, %d worlds left", got, sr.Accepted, sr.Proposed, e.Store().Remaining())
-	}
-	res := e.InferDecomposedCtx(nil, newG, cs, ComponentGroups(newG, nil), nil)
+	e.store.Skip(201)
+	res := SamplingInferCtx(nil, e.OldGraph(), newG, e.Store(), cs, ComponentGroups(newG, nil), nil, 200, 11+31)
 	if got := marginalHash(res.Marginals); got != "378989c9d05ba49e" || res.AcceptanceRate != 0.8616666666666667 || res.SamplesUsed != 600 || e.Store().Remaining() != 299 {
 		t.Fatalf("decomposed chain moved: marginals %s, acceptance %v over %d tests, %d worlds left", got, res.AcceptanceRate, res.SamplesUsed, e.Store().Remaining())
 	}
 }
 
 // TestScopedInferenceCoversItsComponents: the dirty set of an update is
-// the union of the components of its seeds; both runners, handed that
-// scope, estimate its variables — and nothing else: the result is as long
-// as the scope — as the whole-graph run does; and a scoped sampling run
+// the union of the components of its seeds; the sampling runner — one test
+// per component, and one global test — and the variational runner, handed
+// that scope, estimate its variables — and nothing else: the result is as
+// long as the scope — as the whole-graph run does; and a scoped sampling run
 // spends only its share of the worlds it replays.
 func TestScopedInferenceCoversItsComponents(t *testing.T) {
-	for _, strat := range []Strategy{StrategySampling, StrategyVariational} {
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, name := range []string{"sampling", "one-block", "variational"} {
+		t.Run(name, func(t *testing.T) {
 			e, newG, cs, seeds := scopeFixture(t)
 			dirty := e.Scope(newG, seeds, nil)
 			scope := dirty.Sorted()
@@ -111,17 +110,20 @@ func TestScopedInferenceCoversItsComponents(t *testing.T) {
 				t.Fatalf("scope = %v", scope)
 			}
 			run := func(e *Engine, scope []factor.VarID) *Result {
-				if strat == StrategyVariational {
-					return e.inferAs(nil, newG, cs, strat, scope)
+				switch name {
+				case "variational":
+					return e.inferAs(nil, newG, cs, StrategyVariational, scope, nil)
+				case "one-block":
+					return e.inferAs(nil, newG, cs, StrategySampling, scope, nil)
 				}
-				return e.InferDecomposedCtx(nil, newG, cs, ComponentGroups(newG, scope), scope)
+				return e.inferAs(nil, newG, cs, StrategySampling, scope, ComponentGroups(newG, scope))
 			}
 			left := e.Store().Remaining()
 			got := run(e, scope)
-			if strat == StrategySampling {
+			if name != "variational" {
 				// 200 worlds replayed, 9 of 30 columns read: ⌈200·9/30⌉.
-				if spent := left - e.Store().Remaining(); spent != 60 {
-					t.Fatalf("scoped run spent %d worlds, want 60", spent)
+				if spent := left - e.Store().Remaining(); spent != 60 || got.Strategy != StrategySampling {
+					t.Fatalf("scoped %v run spent %d worlds, want a sampling run spending 60", got.Strategy, spent)
 				}
 			}
 			e2, _, _, _ := scopeFixture(t)

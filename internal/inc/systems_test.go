@@ -142,11 +142,11 @@ func TestDecomposedSkipIsBitIdentical(t *testing.T) {
 					if scoped {
 						c, sc = scopedCS, scope
 					}
-					infer := e.InferDecomposedCtx
+					infer := inc.SamplingInferCtx
 					if i == 1 {
-						infer = e.InferDecomposedRef
+						infer = inc.SamplingInferRef
 					}
-					res[i] = infer(nil, newG, c, inc.ComponentGroups(newG, sc), sc)
+					res[i] = infer(nil, e.OldGraph(), newG, e.Store(), c, inc.ComponentGroups(newG, sc), sc, opts.KeepSamples, opts.Seed+31)
 				}
 				got, want := res[0], res[1]
 				if got.AcceptanceRate != want.AcceptanceRate || got.SamplesUsed != want.SamplesUsed || got.FellBack != want.FellBack ||
@@ -214,7 +214,8 @@ func TestDecomposedStraddlingGroup(t *testing.T) {
 	if len(blocks) != 12 {
 		t.Fatalf("%d blocks, want every variable its own", len(blocks))
 	}
-	a, b := got.InferDecomposedCtx(nil, newG, cs, blocks, nil), want.InferDecomposedRef(nil, newG, cs, blocks, nil)
+	a := inc.SamplingInferCtx(nil, oldG, newG, got.Store(), cs, blocks, nil, opts.KeepSamples, opts.Seed+31)
+	b := inc.SamplingInferRef(nil, oldG, newG, want.Store(), cs, blocks, nil, opts.KeepSamples, opts.Seed+31)
 	if a.AcceptanceRate != b.AcceptanceRate || a.SamplesUsed != b.SamplesUsed || b.AcceptanceRate == 1 || !slices.Equal(a.Marginals, b.Marginals) {
 		t.Fatalf("acceptance %v over %d tests, marginals %v; the reference loop %v over %d, %v", a.AcceptanceRate, a.SamplesUsed, a.Marginals, b.AcceptanceRate, b.SamplesUsed, b.Marginals)
 	}

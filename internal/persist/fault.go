@@ -14,8 +14,8 @@ import (
 // KB in a recoverable, still-serving state. The Injector interface lets
 // tests (and the chaos harness) place such faults at exact operations —
 // the fault *returns* as an error or delay instead of killing the
-// process, which is what distinguishes it from the crash-point FaultHook
-// in the root package.
+// process, which is what distinguishes it from the kill points the root
+// package's crash tests abort at.
 
 // Op identifies one injectable I/O operation of the durability layer.
 type Op string

@@ -155,6 +155,10 @@ type KB struct {
 	// grounding the next: the pipelined queue's differential oracle. False
 	// outside tests.
 	serialUpdates bool
+	// faultHook, when set, is called at the kill points of the WAL-append and
+	// checkpoint paths, and an error aborts the operation there: the crash
+	// tests' injector. Nil outside tests.
+	faultHook faultHook
 }
 
 // OpenKB parses and validates a DeepDive program and returns a serving
@@ -609,8 +613,8 @@ func (kb *KB) applyGround(ctx context.Context, u Update) (*stagedApply, error) {
 			st.walErr = ErrDurabilitySuspended
 		} else {
 			payload := encodeUpdate(&u)
-			if h := kb.opts.PersistFault; h != nil {
-				st.walErr = h(FaultWALAppend)
+			if h := kb.faultHook; h != nil {
+				st.walErr = h(faultWALAppend)
 			}
 			if st.walErr == nil {
 				st.walErr = kb.wal.Append(kb.commitTicket+1, payload)
@@ -623,10 +627,10 @@ func (kb *KB) applyGround(ctx context.Context, u Update) (*stagedApply, error) {
 				st.walErr = fmt.Errorf("%w: %w", ErrDurabilitySuspended, st.walErr)
 			} else {
 				kb.commitTicket++
-				if h := kb.opts.PersistFault; h != nil {
+				if h := kb.faultHook; h != nil {
 					// The record is durable; an abort past this point
 					// loses only the publication, which replay completes.
-					st.walErr = h(FaultWALAppended)
+					st.walErr = h(faultWALAppended)
 				}
 			}
 		}

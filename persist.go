@@ -75,29 +75,29 @@ const (
 	secAuto     = 9 // autopilot counters, for stats continuity
 )
 
-// FaultHook is a crash-injection callback for the recovery tests: it is
-// invoked at the named kill points below and a non-nil error aborts the
-// operation at exactly that point, leaving the on-disk state a crash at
-// that instant would leave.
-type FaultHook func(point string) error
+// faultHook is a crash-injection callback for the recovery tests (installed
+// through the KB.InstallFaultHook test seam): it is invoked at the named kill
+// points below and a non-nil error aborts the operation at exactly that
+// point, leaving the on-disk state a crash at that instant would leave.
+type faultHook func(point string) error
 
-// Kill points passed to a FaultHook.
+// Kill points passed to a faultHook.
 const (
-	// FaultWALAppend fires before a committed update's record is written.
+	// faultWALAppend fires before a committed update's record is written.
 	// An error simulates a crash that loses the record: the in-memory
 	// commit still proceeds, and durability latches broken until the next
 	// checkpoint.
-	FaultWALAppend = "wal-append"
-	// FaultWALAppended fires once the record is durable, before the
+	faultWALAppend = "wal-append"
+	// faultWALAppended fires once the record is durable, before the
 	// update's inference publishes. An error simulates a crash in that
 	// window; replay completes the update.
-	FaultWALAppended = "wal-appended"
-	// FaultSnapWrite fires after the WAL has rotated to the new
+	faultWALAppended = "wal-appended"
+	// faultSnapWrite fires after the WAL has rotated to the new
 	// generation but before the snapshot file is written.
-	FaultSnapWrite = "snap-write"
-	// FaultSnapWritten fires once the new snapshot is durable, before
+	faultSnapWrite = "snap-write"
+	// faultSnapWritten fires once the new snapshot is durable, before
 	// stale generations are removed.
-	FaultSnapWritten = "snap-written"
+	faultSnapWritten = "snap-written"
 )
 
 // ErrDurabilitySuspended is reported by every update between a failed
@@ -299,8 +299,8 @@ func (kb *KB) checkpoint(ctx context.Context, auto bool) error {
 		locked = false
 		unlock()
 	}
-	if h := kb.opts.PersistFault; h != nil {
-		if err := h(FaultSnapWrite); err != nil {
+	if h := kb.faultHook; h != nil {
+		if err := h(faultSnapWrite); err != nil {
 			return err
 		}
 	}
@@ -312,8 +312,8 @@ func (kb *KB) checkpoint(ctx context.Context, auto bool) error {
 	}
 	kb.walBroken.Store(false)
 	kb.noteChainRepaired()
-	if h := kb.opts.PersistFault; h != nil {
-		if err := h(FaultSnapWritten); err != nil {
+	if h := kb.faultHook; h != nil {
+		if err := h(faultSnapWritten); err != nil {
 			return err
 		}
 	}

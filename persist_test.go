@@ -310,8 +310,8 @@ func TestCrashWALAppendLost(t *testing.T) {
 	arm := &faultArm{}
 	// Auto-repair off: this test pins the latched-broken behavior itself
 	// (the self-healing loop has its own tests in health_test.go).
-	victim := persistSpouseKB(t, deepdive.WithDataDir(dir),
-		deepdive.WithPersistFaultHook(arm.hook), deepdive.WithLesions(deepdive.Lesions{NoAutoRepair: true}))
+	victim := persistSpouseKB(t, deepdive.WithDataDir(dir), deepdive.WithLesions(deepdive.Lesions{NoAutoRepair: true}))
+	victim.InstallFaultHook(arm.hook)
 	bmust(t, victim.Checkpoint(ctx))
 	for i := 0; i < 2; i++ {
 		if _, err := victim.Apply(ctx, docDelta(i)); err != nil {
@@ -346,8 +346,8 @@ func TestWALRepairCheckpoint(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	arm := &faultArm{}
-	kb := persistSpouseKB(t, deepdive.WithDataDir(dir),
-		deepdive.WithPersistFaultHook(arm.hook), deepdive.WithLesions(deepdive.Lesions{NoAutoRepair: true}))
+	kb := persistSpouseKB(t, deepdive.WithDataDir(dir), deepdive.WithLesions(deepdive.Lesions{NoAutoRepair: true}))
+	kb.InstallFaultHook(arm.hook)
 	bmust(t, kb.Checkpoint(ctx))
 	if _, err := kb.Apply(ctx, docDelta(0)); err != nil {
 		t.Fatal(err)
@@ -390,8 +390,8 @@ func TestCrashLoggedUnpublished(t *testing.T) {
 
 	dir := t.TempDir()
 	arm := &faultArm{}
-	victim := persistSpouseKB(t, deepdive.WithDataDir(dir),
-		deepdive.WithPersistFaultHook(arm.hook))
+	victim := persistSpouseKB(t, deepdive.WithDataDir(dir))
+	victim.InstallFaultHook(arm.hook)
 	bmust(t, victim.Checkpoint(ctx))
 	for i := 0; i < 2; i++ {
 		if _, err := victim.Apply(ctx, docDelta(i)); err != nil {
@@ -447,7 +447,9 @@ func TestCrashDeleteReinsertTail(t *testing.T) {
 
 	dir := t.TempDir()
 	arm := &faultArm{}
-	run(persistSpouseKB(t, deepdive.WithDataDir(dir), deepdive.WithPersistFaultHook(arm.hook)), arm)
+	victim := persistSpouseKB(t, deepdive.WithDataDir(dir))
+	victim.InstallFaultHook(arm.hook)
+	run(victim, arm)
 	if arm.firedCount() != 1 {
 		t.Fatal("fault hook did not fire")
 	}
@@ -494,8 +496,8 @@ func crashedCheckpointVictim(t *testing.T, point string) string {
 	ctx := context.Background()
 	dir := t.TempDir()
 	arm := &faultArm{}
-	kb := persistSpouseKB(t, deepdive.WithDataDir(dir),
-		deepdive.WithPersistFaultHook(arm.hook))
+	kb := persistSpouseKB(t, deepdive.WithDataDir(dir))
+	kb.InstallFaultHook(arm.hook)
 	bmust(t, kb.Checkpoint(ctx))
 	for i := 0; i < 2; i++ {
 		if _, err := kb.Apply(ctx, docDelta(i)); err != nil {

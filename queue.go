@@ -475,20 +475,11 @@ func (q *UpdateQueue) takeBatch() (Update, []*Ticket, []context.Context) {
 	if len(q.pending) == 0 {
 		return Update{}, nil, nil
 	}
-	var merged Update
-	var tickets []*Ticket
-	var ctxs []context.Context
-	touched := map[string]bool{}
-	n := 0
-	for _, p := range q.pending {
-		if n > 0 && updateConflicts(touched, &p.u) {
-			break
-		}
-		mergeUpdate(&merged, &p.u)
-		touchKeys(&p.u, touched)
-		tickets = append(tickets, p.t)
-		ctxs = append(ctxs, p.ctx)
-		n++
+	merged, n := mergePrefix(len(q.pending), func(i int) *Update { return &q.pending[i].u })
+	tickets := make([]*Ticket, n)
+	ctxs := make([]context.Context, n)
+	for i, p := range q.pending[:n] {
+		tickets[i], ctxs[i] = p.t, p.ctx
 	}
 	rest := q.pending[n:]
 	q.pending = append(q.pending[:0:0], rest...)
@@ -503,24 +494,28 @@ func (q *UpdateQueue) takeBatch() (Update, []*Ticket, []context.Context) {
 // batching offline.
 func CoalesceUpdates(updates []Update) []Update {
 	var out []Update
-	var cur Update
-	touched := map[string]bool{}
-	n := 0
-	for i := range updates {
-		if n > 0 && updateConflicts(touched, &updates[i]) {
-			out = append(out, cur)
-			cur = Update{}
-			touched = map[string]bool{}
-			n = 0
-		}
-		mergeUpdate(&cur, &updates[i])
-		touchKeys(&updates[i], touched)
-		n++
-	}
-	if n > 0 {
-		out = append(out, cur)
+	for len(updates) > 0 {
+		merged, n := mergePrefix(len(updates), func(i int) *Update { return &updates[i] })
+		out = append(out, merged)
+		updates = updates[n:]
 	}
 	return out
+}
+
+// mergePrefix merges the longest prefix of the n updates at(0), …, at(n-1)
+// in which no update touches a (relation, tuple) key an earlier one touched,
+// and reports its length: at least 1 when n > 0.
+func mergePrefix(n int, at func(i int) *Update) (merged Update, taken int) {
+	touched := map[string]bool{}
+	for ; taken < n; taken++ {
+		u := at(taken)
+		if taken > 0 && updateConflicts(touched, u) {
+			break
+		}
+		mergeUpdate(&merged, u)
+		touchKeys(u, touched)
+	}
+	return merged, taken
 }
 
 // touchKey builds the conflict-set key of one tuple of one relation.
