@@ -98,10 +98,15 @@ chaos:
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSoak' .
 
-# Short native-fuzz pass over the datalog parser (no-panic + String
-# round-trip); extend -fuzztime for a real hunt.
+# Short native-fuzz passes over the three untrusted-input decoders: the
+# datalog parser (no-panic + String round-trip), the wire update body (any
+# body answered 200/400/409/413, the queue still live) and the WAL record
+# decoder (refuse or round-trip, allocation bounded by the payload); extend
+# -fuzztime for a real hunt.
 fuzz-smoke:
-	$(GO) test ./internal/datalog -run='^$$' -fuzz=FuzzDatalogParser -fuzztime=10s
+	$(GO) test ./internal/datalog -run='^$$' -fuzz='^FuzzDatalogParser$$' -fuzztime=10s
+	$(GO) test . -run='^$$' -fuzz='^FuzzServeUpdateBody$$' -fuzztime=10s
+	$(GO) test . -run='^$$' -fuzz='^FuzzDecodeUpdate$$' -fuzztime=10s
 
 # The repository's benchmark (BENCHMARK.json; bench/README.md): one
 # workload of the served-KB harness, e.g.

@@ -58,7 +58,6 @@ type autoCounters struct {
 	hist        [10]uint64
 	lastAccept  float64
 	lastProbe   float64
-	probeSkips  uint64
 	remats      uint64
 	rematLost   uint64
 	rematSpawns int64
@@ -79,9 +78,6 @@ func (kb *KB) recordAutoResult(ir *inc.Result) {
 	}
 	if ir.FellBack {
 		kb.auto.fallbacks++
-	}
-	if ir.ProbeSkipped {
-		kb.auto.probeSkips++
 	}
 	kb.auto.lastAccept = ir.AcceptanceRate
 	kb.auto.lastProbe = ir.Probed
@@ -117,10 +113,6 @@ type AutopilotStats struct {
 	// LastProbe its pre-inference probe (-1 when the choice was unprobed).
 	LastAcceptance float64
 	LastProbe      float64
-	// ProbeSkips counts strategy choices decided from the previous
-	// sampling run's observed acceptance rate — a decisive prior — with
-	// no probe measured at all (these do not enter AcceptanceHist).
-	ProbeSkips uint64
 	// Store fill level: total stored worlds and how many remain
 	// unconsumed, against the configured low-water mark.
 	StoreLen       int
@@ -156,7 +148,6 @@ func (kb *KB) autopilotLocked() AutopilotStats {
 		AcceptanceHist:     kb.auto.hist,
 		LastAcceptance:     kb.auto.lastAccept,
 		LastProbe:          kb.auto.lastProbe,
-		ProbeSkips:         kb.auto.probeSkips,
 		LowWater:           kb.opts.RematLowWater,
 		Rematerializations: kb.auto.remats,
 		RematPreempted:     kb.auto.rematLost,

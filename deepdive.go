@@ -439,9 +439,8 @@ type UpdateResult struct {
 	// probing (static rules, empty change set, or an upfront store-level
 	// decision).
 	Probe float64
-	// ProbeReused reports that the optimizer served its strategy verdict
-	// from the per-batch probe memo instead of re-measuring (the probe for
-	// an identical change-set fingerprint was amortized).
+	// ProbeReused is always false: the optimizer keeps no probe memo, so
+	// every probe is measured. The field stays for callers that read it.
 	ProbeReused bool
 	NewVars     int
 	NewFactors  int

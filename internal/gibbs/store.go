@@ -113,18 +113,6 @@ func eachSetBit(w []uint64, f func(v int)) {
 	}
 }
 
-// Next returns the next unconsumed sample, advancing the cursor. ok is
-// false when the store is exhausted — the signal for the optimizer's
-// "if we run out of samples, use the variational approach" rule.
-func (s *Store) Next(dst []bool) (out []bool, ok bool) {
-	if s.cursor >= len(s.samples) {
-		return dst, false
-	}
-	out = s.Get(s.cursor, dst)
-	s.cursor++
-	return out, true
-}
-
 // Skip consumes the next n samples without unpacking them — for callers
 // that read the columns they need through Bit. n is clamped to Remaining.
 func (s *Store) Skip(n int) { s.cursor += min(n, s.Remaining()) }

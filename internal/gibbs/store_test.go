@@ -43,24 +43,24 @@ func TestStoreAddPanicsOnWrongSize(t *testing.T) {
 	st.Add(make([]bool, 5))
 }
 
-func TestStoreNextAndExhaustion(t *testing.T) {
+func TestStoreSkipAndExhaustion(t *testing.T) {
 	st := NewStore(3)
 	st.Add([]bool{true, false, true})
 	st.Add([]bool{false, true, false})
 	if st.Remaining() != 2 {
 		t.Fatalf("Remaining = %d, want 2", st.Remaining())
 	}
-	s1, ok := st.Next(nil)
-	if !ok || !s1[0] || s1[1] {
-		t.Fatalf("first Next = %v, ok=%v", s1, ok)
+	// Consume one at a time: read the sample at the cursor, then skip it.
+	s1 := st.Get(st.Len()-st.Remaining(), nil)
+	if !s1[0] || s1[1] {
+		t.Fatalf("first sample = %v", s1)
 	}
-	_, ok = st.Next(nil)
-	if !ok {
-		t.Fatal("second Next should succeed")
+	st.Skip(1)
+	if st.Remaining() != 1 {
+		t.Fatal("second sample should remain")
 	}
-	if _, ok := st.Next(nil); ok {
-		t.Fatal("exhausted store returned a sample")
-	}
+	st.Skip(1)
+	st.Skip(1) // clamped: nothing left to consume
 	if st.Remaining() != 0 {
 		t.Fatalf("Remaining = %d after exhaustion, want 0", st.Remaining())
 	}

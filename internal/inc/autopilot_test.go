@@ -18,11 +18,10 @@ func TestEstimateAcceptanceRateCursorInvariance(t *testing.T) {
 	store := gibbs.New(g, 19).CollectSamples(100, 200)
 
 	// Consume a prefix so the unconsumed window is a strict suffix.
-	for i := 0; i < 50; i++ {
-		if _, ok := store.Next(nil); !ok {
-			t.Fatal("store exhausted during setup")
-		}
+	if store.Remaining() < 50 {
+		t.Fatal("store exhausted during setup")
 	}
+	store.Skip(50)
 	before := store.Remaining()
 
 	newG := factor.NewBuilderFrom(g).MustBuild()
@@ -42,9 +41,7 @@ func TestEstimateAcceptanceRateCursorInvariance(t *testing.T) {
 	// A fully consumed store has nothing left to propose: the probe must
 	// report 0 (the upfront form of the run-time exhaustion fallback),
 	// not score consumed samples as if they were still available.
-	for store.Remaining() > 0 {
-		store.Next(nil)
-	}
+	store.Skip(store.Remaining())
 	if r := EstimateAcceptanceRate(g, newG, store, cs, 40, 7); r != 0 {
 		t.Fatalf("exhausted store probe = %v, want 0", r)
 	}
@@ -132,15 +129,30 @@ func TestCumulativeChangesetEncodesEarlierUpdates(t *testing.T) {
 // TestChooseStrategyMeasured pins the §3.2 decision rule: high measured
 // acceptance → sampling, low → variational, an empty change set skips the
 // probe, and a store too drained to finish a sampling pass chooses
-// variational upfront without burning a probe.
+// variational upfront without burning a probe. It also pins that the choice
+// keeps no memory: it is a function of the store position, the change set
+// and the updated graph alone, so asking twice answers alike, moved weights
+// are measured afresh, and an engine that has just sampled chooses as a
+// fresh engine at the same store position does.
 func TestChooseStrategyMeasured(t *testing.T) {
 	g := chainGraph(6, 0.6)
-	eng, err := NewEngine(g, Options{
+	opts := Options{
 		MaterializationSamples: 400,
 		KeepSamples:            100,
 		Seed:                   13,
 		MeasuredOptimizer:      true,
-	})
+	}
+	// fresh is a new engine over g with its store consumed up to eng's.
+	fresh := func(eng *Engine) *Engine {
+		t.Helper()
+		f, err := NewEngine(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Store().Skip(eng.Store().Len() - eng.Store().Remaining())
+		return f
+	}
+	eng, err := NewEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +163,33 @@ func TestChooseStrategyMeasured(t *testing.T) {
 	}
 
 	// Near-identical distribution: probe ≈ 1 → sampling.
-	tweak := factor.NewBuilderFrom(g).MustBuild()
-	tweak.SetWeight(tweak.Group(0).Weight, 0.6+1e-6)
+	reweigh := func(w float64) *factor.Graph {
+		ng := factor.NewBuilderFrom(g).MustBuild()
+		ng.SetWeight(ng.Group(0).Weight, w)
+		return ng
+	}
+	tweak := reweigh(0.6 + 1e-6)
 	cs := ChangeSet{ChangedOld: []int32{0}, ChangedNew: []int32{0}}
 	s, p := eng.ChooseStrategyMeasured(tweak, cs)
-	if s != StrategySampling || p < eng.opts.AcceptHigh {
+	if s != StrategySampling || p < acceptHigh {
 		t.Fatalf("tiny change: (%v, %v), want sampling with high probe", s, p)
+	}
+
+	// The same question again: the same answer, and the store is untouched.
+	left := eng.Store().Remaining()
+	if s2, p2 := eng.ChooseStrategyMeasured(tweak, cs); s2 != s || p2 != p || eng.Store().Remaining() != left {
+		t.Fatalf("repeated question: (%v, %v) with %d left, want (%v, %v) with %d", s2, p2, eng.Store().Remaining(), s, p, left)
+	}
+
+	// The same change set at the same store position, but moved weights: the
+	// probe is measured again, as a fresh engine measures it.
+	moved := reweigh(-0.9)
+	sm, pm := eng.ChooseStrategyMeasured(moved, cs)
+	if sf, pf := fresh(eng).ChooseStrategyMeasured(moved, cs); sm != sf || pm != pf {
+		t.Fatalf("moved weights: (%v, %v), a fresh engine chose (%v, %v)", sm, pm, sf, pf)
+	}
+	if pm == p {
+		t.Fatalf("moved weights probed %v, as the tweak did: a stale verdict would pass the check above", pm)
 	}
 
 	// Heavy change: probe collapses → variational, even though the static
@@ -174,78 +207,23 @@ func TestChooseStrategyMeasured(t *testing.T) {
 		t.Fatalf("static rules chose %v — the measured rule would not be load-bearing", st)
 	}
 	s, p = eng.ChooseStrategyMeasured(heavy, csAll)
-	if s != StrategyVariational || p < 0 || p >= eng.opts.AcceptLow {
-		t.Fatalf("heavy change: (%v, %v), want variational with probe < %v", s, p, eng.opts.AcceptLow)
+	if s != StrategyVariational || p < 0 || p >= acceptLow {
+		t.Fatalf("heavy change: (%v, %v), want variational with probe < %v", s, p, acceptLow)
+	}
+
+	// A sampling pass leaves nothing behind but its place in the store: the
+	// next choice is a fresh engine's at that place.
+	if r := eng.optimize(nil, tweak, cs, nil, false); r.Strategy != StrategySampling || r.FellBack {
+		t.Fatalf("sampling pass: strategy=%v fellBack=%v", r.Strategy, r.FellBack)
+	}
+	s, p = eng.ChooseStrategyMeasured(tweak, cs)
+	if sf, pf := fresh(eng).ChooseStrategyMeasured(tweak, cs); s != sf || p != pf || p < 0 {
+		t.Fatalf("after sampling: (%v, %v), a fresh engine chose (%v, %v)", s, p, sf, pf)
 	}
 
 	// Drain the store below KeepSamples: variational upfront, unprobed.
-	for eng.Store().Remaining() >= eng.opts.KeepSamples {
-		eng.Store().Next(nil)
-	}
+	eng.Store().Skip(eng.Store().Remaining() - eng.opts.KeepSamples + 1)
 	if s, p := eng.ChooseStrategyMeasured(tweak, cs); s != StrategyVariational || p != -1 {
 		t.Fatalf("drained store: (%v, %v), want (variational, -1)", s, p)
-	}
-}
-
-// TestAcceptancePriorSkipsProbe pins the acceptance-prior short-circuit:
-// a sampling run's observed acceptance rate, when decisive by the 2x
-// margin, decides the next strategy choice without measuring a probe —
-// and the prior is one-shot, so the choice after a skip probes again
-// unless another sampling run re-validated it. The chain of 30 is past the
-// enumeration bound: AutoInferCtx hands it to the optimizer.
-func TestAcceptancePriorSkipsProbe(t *testing.T) {
-	g := chainGraph(30, 0.6)
-	eng, err := NewEngine(g, Options{
-		MaterializationSamples: 600,
-		KeepSamples:            100,
-		Seed:                   13,
-		MeasuredOptimizer:      true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	retune := func(gi int) (*factor.Graph, ChangeSet) {
-		ng := factor.NewBuilderFrom(g).MustBuild()
-		ng.SetWeight(ng.Group(gi).Weight, 0.6+1e-6)
-		return ng, ChangeSet{ChangedOld: []int32{int32(gi)}, ChangedNew: []int32{int32(gi)}}
-	}
-
-	// Cold engine: the first update probes, runs sampling (near-identical
-	// distribution), and its observed acceptance becomes a decisive prior.
-	g1, cs1 := retune(0)
-	r := eng.AutoInferCtx(nil, g1, cs1, nil, true)
-	if r.Strategy != StrategySampling || r.Probed < 0 || r.ProbeSkipped {
-		t.Fatalf("cold update: strategy=%v probed=%v skipped=%v, want probed sampling", r.Strategy, r.Probed, r.ProbeSkipped)
-	}
-	if !eng.priorValid || eng.priorAccept < 2*eng.opts.AcceptHigh {
-		t.Fatalf("sampling run left prior (valid=%v, %v), want decisive >= %v", eng.priorValid, eng.priorAccept, 2*eng.opts.AcceptHigh)
-	}
-
-	// Next choice (new fingerprint, so the memo cannot answer): the prior
-	// decides sampling without a probe.
-	g2, cs2 := retune(1)
-	if s, p := eng.ChooseStrategyMeasured(g2, cs2); s != StrategySampling || p != -1 || !eng.ProbeSkipped() {
-		t.Fatalf("primed prior: (%v, %v, skipped=%v), want (sampling, -1, true)", s, p, eng.ProbeSkipped())
-	}
-
-	// The skip consumed the prior: the same question again must measure.
-	if s, p := eng.ChooseStrategyMeasured(g2, cs2); s != StrategySampling || p < 0 || eng.ProbeSkipped() {
-		t.Fatalf("consumed prior: (%v, %v, skipped=%v), want a fresh probe", s, p, eng.ProbeSkipped())
-	}
-
-	// A wholesale-rejection observation skips straight to variational.
-	eng.notePrior(0, 200)
-	g3, cs3 := retune(2)
-	if s, p := eng.ChooseStrategyMeasured(g3, cs3); s != StrategyVariational || p != -1 || !eng.ProbeSkipped() {
-		t.Fatalf("low prior: (%v, %v, skipped=%v), want (variational, -1, true)", s, p, eng.ProbeSkipped())
-	}
-
-	// ResetProbeCache (the checkpoint hook) drops the prior along with the
-	// memo, so a recovered process starts from the same cold state.
-	eng.notePrior(1, 200)
-	eng.ResetProbeCache()
-	g4, cs4 := retune(3)
-	if s, p := eng.ChooseStrategyMeasured(g4, cs4); s != StrategySampling || p < 0 || eng.ProbeSkipped() {
-		t.Fatalf("after reset: (%v, %v, skipped=%v), want a fresh probe", s, p, eng.ProbeSkipped())
 	}
 }

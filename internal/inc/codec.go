@@ -12,13 +12,12 @@ import (
 // Snapshot codec for Engine. Persisted: the sample store (bit-packed
 // blob + consumption cursor), the variational materialization, the
 // accumulated post-materialization change set, and the wall-clock
-// materialization cost (for stats continuity). NOT persisted: the
-// options (the caller reopens with the same configuration, like any
-// config), the Pr(0) graph (serialized separately by the caller — it
-// may be shared with the current graph), and the probe-verdict cache
-// (restored engines start cold so WAL replay from a checkpoint sees
-// the same cache evolution as the original process did after its
-// checkpoint).
+// materialization cost (for stats continuity). That is every input a
+// strategy choice reads besides the updated graph, so a restored engine
+// chooses as the original would have. NOT persisted: the options (the
+// caller reopens with the same configuration, like any config) and the
+// Pr(0) graph (serialized separately by the caller — it may be shared
+// with the current graph).
 const engineCodecVersion = 1
 
 // AppendSnapshot encodes the engine's dynamic state into b.

@@ -66,8 +66,6 @@ type Options struct {
 	KeepSamples int
 	// Lambda is the variational regularization parameter (default 0.01).
 	Lambda float64
-	// MaxDenseComponent caps the dense log-det solve (default 300).
-	MaxDenseComponent int
 	// Runtime selects the Gibbs chain for materialization and the rerun
 	// (sequential, sharded or replica).
 	Runtime gibbs.Runtime
@@ -76,23 +74,10 @@ type Options struct {
 	// MeasuredOptimizer drives the sampling-vs-variational choice from a
 	// measured acceptance-rate probe over the stored samples (the §3.2
 	// optimizer) instead of the purely rule-based §3.3 decision: sampling
-	// when the measured rate is ≥ AcceptHigh, variational when it is
-	// < AcceptLow, with the static rules as tie-breakers in between.
+	// when the measured rate is ≥ acceptHigh, variational when it is
+	// < acceptLow, with the static rules as tie-breakers in between.
 	// Off by default — ChooseStrategy keeps the static behavior.
 	MeasuredOptimizer bool
-	// ProbeSamples is how many stored (unconsumed) samples a measured
-	// probe scores (default 24). Probing never consumes the store.
-	ProbeSamples int
-	// AcceptHigh is the normalized measured acceptance score
-	// (NormalizeAcceptance) at or above which sampling is chosen outright
-	// (default 0.2): stored proposals are still being adopted often
-	// enough to converge within the sample budget.
-	AcceptHigh float64
-	// AcceptLow is the normalized measured acceptance score below which
-	// the variational path is chosen outright (default 0.02): nearly
-	// every proposal would be rejected, so replaying the store would burn
-	// it without mixing.
-	AcceptLow float64
 
 	// CumulativeChanges makes the engine accumulate every change set it
 	// infers over since materialization, scoring each update against the
@@ -126,20 +111,24 @@ func (o Options) fill() Options {
 	if o.Lambda <= 0 {
 		o.Lambda = 0.01
 	}
-	if o.MaxDenseComponent <= 0 {
-		o.MaxDenseComponent = 300
-	}
-	if o.ProbeSamples <= 0 {
-		o.ProbeSamples = 24
-	}
-	if o.AcceptHigh <= 0 {
-		o.AcceptHigh = 0.2
-	}
-	if o.AcceptLow <= 0 {
-		o.AcceptLow = 0.02
-	}
 	return o
 }
+
+// The measured optimizer's probe and thresholds (ChooseStrategyMeasured).
+const (
+	// probeSamples is how many stored (unconsumed) samples a probe scores.
+	// Probing never consumes the store.
+	probeSamples = 24
+	// acceptHigh is the normalized measured acceptance score
+	// (NormalizeAcceptance) at or above which sampling is chosen outright:
+	// stored proposals are still being adopted often enough to converge
+	// within the sample budget.
+	acceptHigh = 0.2
+	// acceptLow is the normalized measured acceptance score below which
+	// the variational path is chosen outright: nearly every proposal would
+	// be rejected, so replaying the store would burn it without mixing.
+	acceptLow = 0.02
+)
 
 // Result reports one incremental inference run.
 type Result struct {
@@ -161,18 +150,6 @@ type Result struct {
 	// probing (static rules, empty change set, or an upfront store-level
 	// decision).
 	Probed float64
-	// ProbeReused reports that the measured verdict was served from the
-	// engine's memo instead of re-scoring stored samples: the probe's
-	// inputs (store position, accumulated change set, graph shape) were
-	// identical to the previous probe's, which happens on every member
-	// of a coalesced batch after the first once cumulative change sets
-	// stabilize.
-	ProbeReused bool
-	// ProbeSkipped reports that the measured probe was skipped because
-	// the acceptance rate observed by the previous actual sampling run
-	// was decisive on its own (see the acceptance prior in
-	// ChooseStrategyMeasured). Probed is -1 on such runs.
-	ProbeSkipped bool
 	// Solved is how AutoInferCtx's per-component solve split the dirty
 	// components: Closed and Enumerated exactly, Swept the remainder it
 	// handed to Strategy. Without that solve (decompose off, or a runner
@@ -204,30 +181,6 @@ type Engine struct {
 	// an update costs O(|update|), not O(|accum|).
 	inOld, inNew []bool
 
-	// Probe-verdict memo (see ChooseStrategyMeasured): the last measured
-	// (strategy, probe) pair and the fingerprint of the inputs it was
-	// measured under. Weight drift between applies with an unchanged
-	// change set is deliberately tolerated — that small staleness is the
-	// amortization — while anything that moves the store cursor, the
-	// accumulated change set, or the graph shape forces a re-probe.
-	probeKey   uint64
-	probeStrat Strategy
-	probeVal   float64
-	probeValid bool
-	probeHit   bool // last ChooseStrategyMeasured call reused the memo
-
-	// Acceptance prior: the normalized acceptance score the previous
-	// *actual* sampling run observed over its full replay — a far larger
-	// sample than any probe. When the prior is decisive by a wide margin
-	// (see ChooseStrategyMeasured) the probe is skipped outright. The
-	// prior is one-shot: consumed by the decision it informs and
-	// re-validated only by the next sampling run, so a variational
-	// stretch (which observes no acceptance) can never coast on a stale
-	// prior indefinitely.
-	priorAccept float64
-	priorValid  bool
-	probeSkip   bool // last ChooseStrategyMeasured call decided from the prior
-
 	matElapsed time.Duration
 }
 
@@ -256,10 +209,7 @@ func NewEngineCtx(ctx context.Context, g *factor.Graph, opts Options) (*Engine, 
 		return nil, ctx.Err()
 	}
 	if !o.DisableVariational {
-		vm, err := MaterializeVariationalCtx(ctx, g, e.store, VariationalOptions{
-			Lambda:            o.Lambda,
-			MaxDenseComponent: o.MaxDenseComponent,
-		})
+		vm, err := MaterializeVariationalCtx(ctx, g, e.store, VariationalOptions{Lambda: o.Lambda})
 		if err != nil {
 			return nil, err
 		}
@@ -335,15 +285,15 @@ func (e *Engine) ChooseStrategy(cs ChangeSet) Strategy {
 // achieve against the updated distribution (EstimateAcceptanceRate — a
 // non-consuming peek over the unconsumed region) and chooses:
 //
-//   - probe ≥ AcceptHigh → sampling: stored proposals still mix.
-//   - probe <  AcceptLow → variational: proposals would be rejected
+//   - probe ≥ acceptHigh → sampling: stored proposals still mix.
+//   - probe <  acceptLow → variational: proposals would be rejected
 //     wholesale; replaying the store burns it without converging.
 //   - in between → the §3.3 static rules tie-break.
 //
 // The raw rate is rescaled by NormalizeAcceptance before thresholding —
 // a short probe chain accepts every new-record score no matter how much
 // the distribution changed, so the raw rate has a floor of ≈ H(n)/n that
-// would keep AcceptLow unreachable.
+// would keep acceptLow unreachable.
 //
 // The probe is skipped (returning -1) when measurement cannot inform the
 // choice: MeasuredOptimizer off, a lesion forcing one side, or the
@@ -353,9 +303,12 @@ func (e *Engine) ChooseStrategy(cs ChangeSet) Strategy {
 // the shift from group-energy scoring, so rule 2 decides); or too few
 // unconsumed samples to finish a sampling pass anyway (rule 4 applied
 // upfront instead of after burning what is left).
+//
+// The choice is a function of its inputs alone — the store's cursor, cs
+// and newG — and keeps no memory between calls: asking twice answers
+// twice alike, and a restarted engine at the same store position chooses
+// as the original did.
 func (e *Engine) ChooseStrategyMeasured(newG *factor.Graph, cs ChangeSet) (Strategy, float64) {
-	e.probeHit = false
-	e.probeSkip = false
 	if !e.opts.MeasuredOptimizer || e.opts.DisableSampling || e.opts.DisableVariational || e.opts.IgnoreWorkload {
 		return e.ChooseStrategy(cs), -1
 	}
@@ -368,123 +321,17 @@ func (e *Engine) ChooseStrategyMeasured(newG *factor.Graph, cs ChangeSet) (Strat
 	if e.vm != nil && e.store.Remaining() < e.opts.KeepSamples {
 		return StrategyVariational, -1
 	}
-	// Probe amortization: scoring stored samples against the updated
-	// distribution costs a full EnergyOfGroups pass per probe sample, and
-	// a coalesced batch re-asks the same question per member once the
-	// cumulative change set has absorbed the batch's groups. Reuse the
-	// last verdict while its inputs are unchanged; a sampling run (cursor
-	// moves), a structural delta (change set grows), or a re-shaped graph
-	// invalidates the key. Weight-only drift under an identical change
-	// set reuses the verdict — the documented staleness this trades for
-	// not re-probing every batch member.
-	key := e.probeFingerprint(newG, cs)
-	if e.probeValid && key == e.probeKey {
-		e.probeHit = true
-		return e.probeStrat, e.probeVal
-	}
-	// Acceptance-prior short-circuit: the previous sampling run scored
-	// every proposal it replayed against the then-current distribution —
-	// a measurement over KeepSamples proposals, versus the probe's
-	// ProbeSamples. When that observation is decisive by a 2x margin
-	// (the distribution has not shifted enough between two adjacent
-	// updates to cross half an order of magnitude), re-measuring adds
-	// nothing: skip the probe and spend the EnergyOfGroups pass on the
-	// inference itself. The margins are deliberately asymmetric-safe —
-	// an indecisive prior falls through to a normal probe, and the prior
-	// is consumed either way it decides, so the next choice after a
-	// skip is measured afresh unless a new sampling run re-validated it.
-	if e.priorValid {
-		switch {
-		case e.priorAccept >= 2*e.opts.AcceptHigh:
-			e.priorValid = false
-			e.probeSkip = true
-			return StrategySampling, -1
-		case e.vm != nil && e.priorAccept < e.opts.AcceptLow/2:
-			e.priorValid = false
-			e.probeSkip = true
-			return StrategyVariational, -1
-		}
-	}
-	n := e.opts.ProbeSamples
-	if r := e.store.Remaining(); n > r {
-		n = r
-	}
+	n := min(probeSamples, e.store.Remaining())
 	probe := NormalizeAcceptance(
 		EstimateAcceptanceRate(e.old, newG, e.store, cs, n, e.opts.Seed+43), n)
-	var strat Strategy
 	switch {
-	case probe >= e.opts.AcceptHigh:
-		strat = StrategySampling
-	case e.vm != nil && probe < e.opts.AcceptLow:
-		strat = StrategyVariational
+	case probe >= acceptHigh:
+		return StrategySampling, probe
+	case e.vm != nil && probe < acceptLow:
+		return StrategyVariational, probe
 	default:
-		strat = e.ChooseStrategy(cs)
+		return e.ChooseStrategy(cs), probe
 	}
-	e.probeKey, e.probeStrat, e.probeVal, e.probeValid = key, strat, probe, true
-	return strat, probe
-}
-
-// probeFingerprint hashes (FNV-1a) everything a probe's outcome depends
-// on apart from the weight values: the store's consumption position and
-// size, the updated graph's shape, and the change-set membership.
-func (e *Engine) probeFingerprint(newG *factor.Graph, cs ChangeSet) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(e.store.Len()))
-	mix(uint64(e.store.Remaining()))
-	mix(uint64(newG.NumVars()))
-	mix(uint64(newG.NumGroups()))
-	mix(uint64(newG.NumGroundings()))
-	mix(uint64(len(cs.ChangedOld)))
-	for _, gi := range cs.ChangedOld {
-		mix(uint64(uint32(gi)))
-	}
-	mix(uint64(len(cs.ChangedNew)))
-	for _, gi := range cs.ChangedNew {
-		mix(uint64(uint32(gi)))
-	}
-	if cs.NewFeatures {
-		mix(1)
-	}
-	return h
-}
-
-// ProbeSkipped reports whether the most recent strategy choice was
-// decided from the acceptance prior without probing.
-func (e *Engine) ProbeSkipped() bool { return e.probeSkip }
-
-// notePrior records the acceptance rate an actual sampling pass
-// observed over proposed replayed proposals, normalized the same way
-// probe scores are (NormalizeAcceptance) so it is comparable against
-// the AcceptHigh/AcceptLow thresholds.
-func (e *Engine) notePrior(rate float64, proposed int) {
-	if proposed <= 0 {
-		return
-	}
-	e.priorAccept = NormalizeAcceptance(rate, proposed)
-	e.priorValid = true
-}
-
-// ResetProbeCache drops the memoized probe verdict and the acceptance
-// prior. The serving layer calls it at every checkpoint so a process
-// recovered from that checkpoint (whose restored engine starts with a
-// cold memo and no prior) makes the same probe decisions the original
-// process made after it.
-func (e *Engine) ResetProbeCache() {
-	e.probeValid = false
-	e.probeHit = false
-	e.priorValid = false
-	e.probeSkip = false
 }
 
 // Accumulated returns the change sets noted since materialization (the
@@ -664,15 +511,12 @@ func (e *Engine) AutoInferCtx(ctx context.Context, newG *factor.Graph, cs Change
 // (ComponentGroups) when decompose is on, one global test otherwise.
 func (e *Engine) optimize(ctx context.Context, newG *factor.Graph, cs ChangeSet, scope []factor.VarID, decompose bool) *Result {
 	strat, probed := e.ChooseStrategyMeasured(newG, cs)
-	skipped := e.probeSkip
 	var blocks []DecompGroup
 	if strat == StrategySampling && cs.StructureChanged() && decompose {
 		blocks = ComponentGroups(newG, scope)
 	}
 	res := e.inferAs(ctx, newG, cs, strat, scope, blocks)
 	res.Probed = probed
-	res.ProbeReused = e.probeHit
-	res.ProbeSkipped = skipped
 	return res
 }
 
@@ -687,11 +531,7 @@ func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, 
 	res := &Result{Strategy: strat, AcceptanceRate: 1, Probed: -1}
 	if strat == StrategySampling {
 		res = SamplingInferCtx(ctx, e.old, newG, e.store, cs, blocks, scope, e.opts.KeepSamples, e.opts.Seed+31)
-		if canceled(ctx) {
-			return res
-		}
-		e.notePrior(res.AcceptanceRate, res.SamplesUsed)
-		if !res.FellBack {
+		if canceled(ctx) || !res.FellBack {
 			return res
 		}
 		res.Strategy = StrategyVariational // rule 4: out of samples

@@ -50,15 +50,17 @@ func (vm *Variational) NumFactors() int { return len(vm.Edges) + len(vm.Unaries)
 type VariationalOptions struct {
 	Lambda            float64 // ℓ1 box half-width (paper default search starts at 0.001)
 	MaxDenseComponent int     // per-component cap for the dense log-det solve (default 300)
-	Solver            linalg.LogDetOptions
 }
+
+// maxDenseComponent is MaxDenseComponent's default.
+const maxDenseComponent = 300
 
 func (o VariationalOptions) fill() VariationalOptions {
 	if o.Lambda <= 0 {
 		o.Lambda = 0.01
 	}
 	if o.MaxDenseComponent <= 0 {
-		o.MaxDenseComponent = 300
+		o.MaxDenseComponent = maxDenseComponent
 	}
 	return o
 }
@@ -140,7 +142,7 @@ func (vm *Variational) solveComponent(g *factor.Graph, store *gibbs.Store, comp 
 		}
 	}
 	prob := &linalg.LogDetProblem{M: m, Pattern: pat, Lambda: o.Lambda}
-	res, err := prob.Solve(&o.Solver)
+	res, err := prob.Solve(nil)
 	if err != nil {
 		return err
 	}

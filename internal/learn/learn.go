@@ -58,6 +58,9 @@ func (m Method) String() string {
 	}
 }
 
+// stepDecay is the multiplicative step-size decay per epoch.
+const stepDecay = 0.95
+
 // Options configures Train. Burnin, Seed and Runtime act on the remainder's
 // chain pair only, and BatchSweeps sizes its estimates besides the SGD epoch:
 // on a graph whose evidence-bearing components all enumerate no chain runs.
@@ -65,7 +68,6 @@ type Options struct {
 	Method   Method
 	Epochs   int     // optimizer epochs (default 20)
 	StepSize float64 // initial learning rate (default 0.1)
-	Decay    float64 // multiplicative step decay per epoch (default 0.95)
 	L2       float64 // ℓ2 regularization strength (default 1e-4)
 	// BatchSweeps is the SGD steps per epoch and the sweep pairs a GD step
 	// averages the remainder's statistics over (default 10).
@@ -92,9 +94,6 @@ func (o Options) fill() Options {
 	}
 	if o.StepSize <= 0 {
 		o.StepSize = 0.1
-	}
-	if o.Decay <= 0 || o.Decay > 1 {
-		o.Decay = 0.95
 	}
 	if o.L2 < 0 {
 		o.L2 = 0
@@ -250,7 +249,7 @@ func (t *Trainer) gradient(sweeps int, out []float64) bool {
 // Cancellation mid-epoch abandons the in-flight gradient step; steps
 // already applied remain (the weight vector stays a coherent model).
 func (t *Trainer) Epoch(epoch int) float64 {
-	step := t.opt.StepSize * math.Pow(t.opt.Decay, float64(epoch))
+	step := t.opt.StepSize * math.Pow(stepDecay, float64(epoch))
 	grad := make([]float64, len(t.weights))
 	apply := func() {
 		for k := range t.weights {

@@ -242,7 +242,7 @@ func TestMethodString(t *testing.T) {
 
 func TestOptionsFillDefaults(t *testing.T) {
 	o := Options{}.fill()
-	if o.Epochs != 20 || o.StepSize != 0.1 || o.Decay != 0.95 || o.BatchSweeps != 10 || o.Burnin != 10 {
+	if o.Epochs != 20 || o.StepSize != 0.1 || o.BatchSweeps != 10 || o.Burnin != 10 {
 		t.Fatalf("defaults = %+v", o)
 	}
 	o2 := Options{L2: -1}.fill()

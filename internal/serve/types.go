@@ -65,7 +65,6 @@ type UpdateResult struct {
 	Strategy          string  `json:"strategy"`
 	Acceptance        float64 `json:"acceptance"`
 	Probe             float64 `json:"probe"`
-	ProbeReused       bool    `json:"probe_reused,omitempty"`
 	NewVars           int     `json:"new_vars"`
 	NewFactors        int     `json:"new_factors"`
 	// ScopeVars, LearnedWeights and DirtyVars say how much of the graph the

@@ -757,7 +757,6 @@ func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, 
 	res.Strategy = ir.Strategy
 	res.Acceptance = ir.AcceptanceRate
 	res.Probe = ir.Probed
-	res.ProbeReused = ir.ProbeReused
 	res.SweptVars = ir.Solved.Swept
 	kb.recordAutoResult(ir)
 	// What this publication changes: the skeleton's structural changes and

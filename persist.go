@@ -59,8 +59,9 @@ const kbSnapMagic uint64 = 0x31504e53424b4444
 // kbSnapVersion is bumped on any incompatible snapshot-layout change
 // (v2 appended the probe-skip counter to the autopilot section, v3 dropped
 // the forced re-materialization counter from it, v4 added the exact-run
-// counter); Open rejects snapshots from other versions rather than guessing.
-const kbSnapVersion = 4
+// counter, v5 dropped the probe-skip counter again); Open rejects snapshots
+// from other versions rather than guessing.
+const kbSnapVersion = 5
 
 // Snapshot section kinds.
 const (
@@ -181,8 +182,8 @@ func decodeUpdate(p []byte) (Update, error) {
 	r := persist.NewRd(p)
 	var u Update
 	u.RuleSource = r.Str("update rules")
-	u.Inserts = readTupleMap(r, p, "update inserts")
-	u.Deletes = readTupleMap(r, p, "update deletes")
+	u.Inserts = readTupleMap(r, "update inserts")
+	u.Deletes = readTupleMap(r, "update deletes")
 	if err := r.Err(); err != nil {
 		return Update{}, err
 	}
@@ -192,20 +193,23 @@ func decodeUpdate(p []byte) (Update, error) {
 	return u, nil
 }
 
-func readTupleMap(r *persist.Rd, p []byte, what string) map[string][]Tuple {
+// readTupleMap decodes appendTupleMap's layout. Every count is checked
+// against the bytes left before anything is sized by it (an encoded tuple
+// takes at least its 8-byte column count), so a corrupt prefix fails the
+// decode instead of driving an allocation.
+func readTupleMap(r *persist.Rd, what string) map[string][]Tuple {
 	names := r.Strs(what + " relations")
 	if len(names) == 0 {
 		return nil
 	}
 	m := make(map[string][]Tuple, len(names))
 	for _, n := range names {
-		cnt := r.U64(what + " tuple count")
-		if cnt > uint64(len(p)) { // corrupt count; records are CRC-guarded, be safe anyway
-			r.Fail(what + " tuple count")
+		cnt := r.Count(8, what+" tuple count")
+		if r.Err() != nil {
 			return nil
 		}
 		ts := make([]Tuple, 0, cnt)
-		for i := uint64(0); i < cnt && r.Err() == nil; i++ {
+		for i := 0; i < cnt && r.Err() == nil; i++ {
 			ts = append(ts, Tuple(r.Strs(what+" tuple")))
 		}
 		m[n] = ts
@@ -220,11 +224,12 @@ func readTupleMap(r *persist.Rd, p []byte, what string) map[string][]Tuple {
 // rotates the write-ahead log, bounding recovery replay to the updates
 // committed after this call. The state is compacted first: any patch
 // overflow the incremental applies accumulated is folded into a freshly
-// rebuilt frozen CSR base, and the measured optimizer's probe memo is
-// reset (so WAL replay from the snapshot sees the same cache evolution
-// the live process does after its checkpoint). Encoding happens under
-// the writer locks; the file write — the slow, fsync-bound half — runs
-// off-lock, so updates stream on while the image lands on disk.
+// rebuilt frozen CSR base. The engine needs no reset: its strategy
+// choices depend on the persisted store position and change set alone,
+// so WAL replay from the snapshot chooses as the live process did.
+// Encoding happens under the writer locks; the file write — the slow,
+// fsync-bound half — runs off-lock, so updates stream on while the image
+// lands on disk.
 //
 // Checkpoint is also the repair path after a failed WAL append: it
 // re-establishes a complete durable chain (in that case the file write
@@ -262,9 +267,6 @@ func (kb *KB) checkpoint(ctx context.Context, auto bool) error {
 	// across the rebuild, so change-set indexes stay valid).
 	kb.grounder.MarkGraphDirty()
 	kb.publishLocked()
-	if kb.engine != nil {
-		kb.engine.ResetProbeCache()
-	}
 
 	newGen := kb.walGen + 1
 	data := kb.encodeSnapshotLocked(newGen)
@@ -379,7 +381,6 @@ func (kb *KB) encodeSnapshotLocked(walGen uint64) []byte {
 	}
 	e.F64(kb.auto.lastAccept)
 	e.F64(kb.auto.lastProbe)
-	e.U64(kb.auto.probeSkips)
 	e.U64(kb.auto.remats)
 	e.U64(kb.auto.rematLost)
 	e.End()
@@ -583,7 +584,6 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 	}
 	kb.auto.lastAccept = ard.F64("auto lastAccept")
 	kb.auto.lastProbe = ard.F64("auto lastProbe")
-	kb.auto.probeSkips = ard.U64("auto probeSkips")
 	kb.auto.remats = ard.U64("auto remats")
 	kb.auto.rematLost = ard.U64("auto rematLost")
 	if err := ard.Err(); err != nil {
@@ -647,16 +647,12 @@ func (kb *KB) replayWAL(fromGen, snapTicket uint64) error {
 		if gen > fromGen {
 			// A segment past the snapshot's generation exists only because
 			// a later checkpoint rotated to it and then crashed before its
-			// image became usable. That checkpoint compacted the graph and
-			// reset the probe memo under the locks immediately before
-			// rotating, so records in this segment were committed against
-			// the perturbed state; reproduce the perturbation here to keep
-			// the replay trajectory bit-identical.
+			// image became usable. That checkpoint compacted the graph under
+			// the locks immediately before rotating, so records in this
+			// segment were committed against the compacted graph; compact
+			// here too to keep the replay trajectory bit-identical.
 			kb.grounder.MarkGraphDirty()
 			kb.publishLocked()
-			if kb.engine != nil {
-				kb.engine.ResetProbeCache()
-			}
 		}
 		recs, err := persist.ReadWAL(walPath(kb.opts.DataDir, gen))
 		if err != nil {

@@ -249,7 +249,6 @@ func wireResult(r *UpdateResult) *serve.UpdateResult {
 		Strategy:          r.Strategy.String(),
 		Acceptance:        r.Acceptance,
 		Probe:             r.Probe,
-		ProbeReused:       r.ProbeReused,
 		NewVars:           r.NewVars,
 		NewFactors:        r.NewFactors,
 		ScopeVars:         r.ScopeVars,
