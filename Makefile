@@ -98,15 +98,16 @@ chaos:
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSoak' .
 
-# Short native-fuzz passes over the three untrusted-input decoders: the
+# Short native-fuzz passes over the four untrusted-input decoders: the
 # datalog parser (no-panic + String round-trip), the wire update body (any
-# body answered 200/400/409/413, the queue still live) and the WAL record
-# decoder (refuse or round-trip, allocation bounded by the payload); extend
-# -fuzztime for a real hunt.
+# body answered 200/400/409/413, the queue still live), the WAL record
+# decoder and the grounder snapshot decoder (each: refuse or round-trip,
+# allocation bounded by the input); extend -fuzztime for a real hunt.
 fuzz-smoke:
 	$(GO) test ./internal/datalog -run='^$$' -fuzz='^FuzzDatalogParser$$' -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz='^FuzzServeUpdateBody$$' -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz='^FuzzDecodeUpdate$$' -fuzztime=10s
+	$(GO) test ./internal/ground -run='^$$' -fuzz='^FuzzRestoreGrounder$$' -fuzztime=10s
 
 # The repository's benchmark (BENCHMARK.json; bench/README.md): one
 # workload of the served-KB harness, e.g.

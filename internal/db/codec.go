@@ -7,27 +7,50 @@ import (
 	"deepdive/internal/persist"
 )
 
-// Snapshot codec for Relation. The full `order` walk is persisted —
+// AppendSnapshot encodes the symbol table: its values in id order.
+func (s *Symbols) AppendSnapshot(b *persist.Buf) { b.Strs(s.text) }
+
+// RestoreSnapshot replaces the table with one written by AppendSnapshot.
+// Ids handed out before are void: only a table whose relations are still
+// empty may be restored, and whatever compiled against it (rule constants)
+// must compile again. A table holding a value twice is refused.
+func (s *Symbols) RestoreSnapshot(rd *persist.Rd) error {
+	text := rd.Strs("symbols")
+	if err := rd.Err(); err != nil {
+		return err
+	}
+	ids := make(map[string]Sym, len(text))
+	for i, v := range text {
+		if _, dup := ids[v]; dup {
+			return fmt.Errorf("db: snapshot symbol table holds %q twice", v)
+		}
+		ids[v] = Sym(i)
+	}
+	s.text, s.ids = text, ids
+	return nil
+}
+
+// Snapshot codec for Relation. The full row storage is persisted —
 // including tombstoned count-0 rows — because first-insertion order is
 // the iteration order every downstream computation (grounding, delta
-// evaluation) keys off; dropping dead keys on save would change where
-// future compaction fires and thus perturb replay determinism.
+// evaluation) keys off; dropping dead rows on save would change where
+// future compaction fires and thus perturb replay determinism. Rows are
+// ids of the database's symbol table, which is persisted beside them.
 func (r *Relation) AppendSnapshot(b *persist.Buf) {
 	b.Str(r.name)
 	b.Strs(r.cols)
 	b.U64(r.version)
-	b.U64(uint64(len(r.order)))
-	for _, row := range r.order {
-		b.I64(int64(row.Count))
-		b.Strs(row.Tuple)
-	}
+	b.U32s(r.cells)
+	b.I32s(r.counts)
 }
 
 // RestoreSnapshot decodes rows written by AppendSnapshot into r, which
-// must be freshly created (same name and columns, no rows yet). Indexes
-// already built on r (compiled plans hold handles to them) are refilled.
+// must be freshly created (same name and columns, no rows yet) over the
+// restored symbol table. Indexes already built on r (compiled plans hold
+// handles to them) are refilled. Rows naming an id past the table, a
+// negative count or a row stored twice are refused.
 func (r *Relation) RestoreSnapshot(rd *persist.Rd) error {
-	if len(r.rows) != 0 || len(r.order) != 0 {
+	if len(r.counts) != 0 {
 		return fmt.Errorf("db: RestoreSnapshot into non-empty relation %s", r.name)
 	}
 	name := rd.Str("relation name")
@@ -37,45 +60,31 @@ func (r *Relation) RestoreSnapshot(rd *persist.Rd) error {
 			name, cols, r.name, r.cols)
 	}
 	r.version = rd.U64("relation version")
-	// Rows, their column values and their keys are cut from one slab each:
-	// a restored relation is a handful of objects, not a handful per row.
-	n := rd.Count(16, "relation row count")
-	arity := len(r.cols)
-	slab, cells := make([]Row, n), make([]string, n*arity)
-	keyBytes := 0
-	for i := range slab {
-		count := rd.I64("row count")
-		tup := Tuple(cells[i*arity : (i+1)*arity : (i+1)*arity])
-		rd.StrsInto(tup, "row tuple")
-		if rd.Err() != nil {
-			return rd.Err()
-		}
-		if count < 0 {
-			return fmt.Errorf("db: corrupt snapshot row %v (count %d) in relation %s", tup, count, r.name)
-		}
-		slab[i] = Row{Tuple: tup, Count: int(count)}
-		keyBytes += max(arity-1, 0)
-		for _, v := range tup {
-			keyBytes += len(v)
+	cells := rd.U32s("relation rows")
+	counts := rd.I32s("relation counts")
+	if err := rd.Err(); err != nil {
+		return err
+	}
+	if len(cells) != len(counts)*r.arity {
+		return fmt.Errorf("db: corrupt snapshot of relation %s: %d ids for %d rows of %d columns", r.name, len(cells), len(counts), r.arity)
+	}
+	for _, id := range cells {
+		if int(id) >= r.syms.Len() {
+			return fmt.Errorf("db: corrupt snapshot of relation %s: symbol %d of %d", r.name, id, r.syms.Len())
 		}
 	}
-	keys, ends := make([]byte, 0, keyBytes), make([]int, n)
-	for i := range slab {
-		keys = slab[i].Tuple.AppendKey(keys)
-		ends[i] = len(keys)
-	}
-	allKeys, start := string(keys), 0
-	r.rows = make(map[string]*Row, n)
-	r.order = make([]*Row, n, n+n/8)
-	for i := range slab {
-		row, key := &slab[i], allKeys[start:ends[i]]
-		start = ends[i]
-		if r.rows[key] != nil {
-			return fmt.Errorf("db: corrupt snapshot row %v (count %d) in relation %s", row.Tuple, row.Count, r.name)
+	r.cells, r.counts, r.flips = cells, counts, make([]uint64, len(counts))
+	r.rows.reset(len(counts))
+	for pos, c := range counts {
+		row := r.row(int32(pos))
+		h := hashSyms(row)
+		if _, dup := r.rows.find(r, nil, row, h); dup || c < 0 {
+			r.cells, r.counts, r.flips = nil, nil, nil
+			r.rows.reset(0)
+			return fmt.Errorf("db: corrupt snapshot row %v (count %d) in relation %s", r.syms.Tuple(row), c, r.name)
 		}
-		r.rows[key] = row
-		r.order[i] = row
-		if row.Count > 0 {
+		r.rows.place(h, int32(pos), 0)
+		if c > 0 {
 			r.live++
 		} else {
 			r.dead++
@@ -84,5 +93,5 @@ func (r *Relation) RestoreSnapshot(rd *persist.Rd) error {
 	for _, ix := range r.indexes {
 		ix.rebuild()
 	}
-	return rd.Err()
+	return nil
 }

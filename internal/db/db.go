@@ -4,11 +4,21 @@
 // maintenance needs), hash indexes maintained in place, and compiled
 // conjunctive-query plans used by grounding (plan.go).
 //
+// Symbols: a database interns every value once, in a symbol table of its
+// own (Symbols: string ↔ Sym, a uint32), and relations store, index and
+// join rows of fixed-width ids. Value and Tuple are boundary types — what
+// loading, updates, the write-ahead log and Tuples speak — converted to ids
+// on the way in and back to text on the way out. The table is append-only:
+// values are interned when base tuples are applied and when rule constants
+// compile, never forgotten (a compacted-away row leaves its symbols), and
+// persisted with the grounder. It is read-only while compiled plans run, so
+// any number of evaluation workers may resolve ids to text concurrently.
+//
 // Counted semantics: every distinct tuple carries a derivation count. A
 // tuple is *visible* while its count is positive. Inserting an existing
-// tuple increments the count; deleting decrements it. The boolean returns
-// of Insert/Delete report visibility transitions, which is exactly the
-// delta stream downstream rules consume.
+// tuple increments the count; deleting (a negative insert) decrements it.
+// InsertRow reports visibility transitions, which is exactly the delta
+// stream downstream rules consume.
 //
 // Passes: an incremental grounding pass brackets its mutations with
 // BeginPass. Every row remembers the parity of its visibility toggles in
@@ -19,25 +29,26 @@ package db
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 )
 
-// Value is a single column value. DeepDive stores everything as strings
-// (identifiers, text spans, feature keys); numeric experiments encode
-// numbers with strconv.
+// Value is a single column value as text. DeepDive stores everything as
+// strings (identifiers, text spans, feature keys); numeric experiments
+// encode numbers with strconv.
 type Value = string
 
-// Tuple is one row.
+// Tuple is one row as text.
 type Tuple []Value
 
-// keySep separates column values in tuple and index keys.
+// keySep separates column values in text tuple keys.
 const keySep = 0x1f
 
-// Key returns the canonical map key of a tuple. Column values may contain
-// any bytes except the 0x1f unit separator.
+// Key returns the canonical text key of a tuple. Column values may
+// contain any bytes except the 0x1f unit separator.
 func (t Tuple) Key() string { return strings.Join(t, "\x1f") }
 
 // AppendKey appends the tuple's canonical key to buf. Lookups through
@@ -61,13 +72,90 @@ func (t Tuple) String() string { return "(" + strings.Join(t, ", ") + ")" }
 // TupleFromKey reverses Tuple.Key.
 func TupleFromKey(k string) Tuple { return strings.Split(k, "\x1f") }
 
-// Row is a stored tuple with its derivation count.
-type Row struct {
-	Tuple Tuple
-	Count int
-	// flip is pass<<1|parity: the parity of this row's visibility toggles
-	// in the pass that last toggled it.
-	flip uint64
+// Sym is a value's id in its database's symbol table.
+type Sym = uint32
+
+// Symbols interns values: the first distinct value is 0, the next 1, and
+// so on. Intern mutates; Text and FindIDs only read, and may run
+// concurrently with each other.
+type Symbols struct {
+	text []string
+	ids  map[string]Sym
+}
+
+// NewSymbols returns an empty table.
+func NewSymbols() *Symbols { return &Symbols{ids: make(map[string]Sym)} }
+
+// Intern returns v's id, adding v to the table when it is new.
+func (s *Symbols) Intern(v Value) Sym {
+	if id, ok := s.ids[v]; ok {
+		return id
+	}
+	if len(s.text) == math.MaxUint32 {
+		panic("db: symbol table full")
+	}
+	id := Sym(len(s.text))
+	s.text = append(s.text, v)
+	s.ids[v] = id
+	return id
+}
+
+// Text returns the value of an id.
+func (s *Symbols) Text(id Sym) Value { return s.text[id] }
+
+// Len returns the number of symbols.
+func (s *Symbols) Len() int { return len(s.text) }
+
+// Truncate forgets the symbols interned since the table held n: the undo
+// of a rejected update's rule compilation, which is the only thing that
+// can intern before an update is known to be accepted.
+func (s *Symbols) Truncate(n int) {
+	for _, v := range s.text[n:] {
+		delete(s.ids, v)
+	}
+	clear(s.text[n:])
+	s.text = s.text[:n]
+}
+
+// AppendIDs appends the ids of t's values to dst, interning new ones.
+func (s *Symbols) AppendIDs(dst []Sym, t Tuple) []Sym {
+	for _, v := range t {
+		dst = append(dst, s.Intern(v))
+	}
+	return dst
+}
+
+// FindIDs appends the ids of t's values to dst; false when a value is not
+// in the table (no row can hold it).
+func (s *Symbols) FindIDs(dst []Sym, t Tuple) ([]Sym, bool) {
+	for _, v := range t {
+		id, ok := s.ids[v]
+		if !ok {
+			return dst, false
+		}
+		dst = append(dst, id)
+	}
+	return dst, true
+}
+
+// Tuple returns the text of a row of ids.
+func (s *Symbols) Tuple(row []Sym) Tuple {
+	t := make(Tuple, len(row))
+	for i, id := range row {
+		t[i] = s.text[id]
+	}
+	return t
+}
+
+// AppendKey appends the text key (Tuple.Key) of a row of ids to buf.
+func (s *Symbols) AppendKey(buf []byte, row []Sym) []byte {
+	for i, id := range row {
+		if i > 0 {
+			buf = append(buf, keySep)
+		}
+		buf = append(buf, s.text[id]...)
+	}
+	return buf
 }
 
 // Relation is a named, counted multiset of tuples with hash indexes.
@@ -76,17 +164,28 @@ type Row struct {
 // from zero before its tombstone is compacted away reappears in its
 // original position.
 //
-// Concurrency: mutations (Insert/Delete/Clear/BeginPass) require
-// exclusive access, but any number of goroutines may read (Each, Tuples,
-// Lookup, Plan.Run) concurrently between mutations. Reads take no lock;
-// only IndexOn, which may build a new index, serializes on idxMu.
+// Storage is pointer-free: row i is cells[i*arity:(i+1)*arity], its count
+// and pass bits sit at i of parallel slices, and the row map and every
+// index are open-addressing tables of row positions keyed by the rows'
+// ids (table), so a stored tuple costs no object of its own.
+//
+// Concurrency: mutations (InsertRow/Clear/BeginPass) require exclusive
+// access, but any number of goroutines may read (Tuples, Count, Plan.Run)
+// concurrently between mutations. Reads take no lock; only IndexOn, which
+// may build a new index, serializes on idxMu.
 type Relation struct {
-	name    string
-	cols    []string
-	rows    map[string]*Row
-	order   []*Row // first-insertion order; may contain dead (count 0) rows
+	name  string
+	cols  []string
+	arity int
+	syms  *Symbols
+
+	cells  []Sym    // rows in first-insertion order; dead (count 0) rows stay until compaction
+	counts []int32  // per row: derivation count
+	flips  []uint64 // per row: pass<<1|parity of its visibility toggles in the pass that last toggled it
+	rows   table    // row ids → position
+
 	live    int    // visible rows
-	dead    int    // dead rows in order
+	dead    int    // dead rows stored
 	pinned  int    // dead rows that died this pass: the old-state view still shows them
 	pass    uint64 // current pass number (see BeginPass)
 	version uint64 // bumped on every visibility change
@@ -94,13 +193,10 @@ type Relation struct {
 	indexes []*Index
 }
 
-// NewRelation creates an empty relation with the given column names.
-func NewRelation(name string, cols ...string) *Relation {
-	return &Relation{
-		name: name,
-		cols: append([]string(nil), cols...),
-		rows: make(map[string]*Row),
-	}
+// NewRelation creates an empty relation with the given column names over
+// a symbol table (Database.Create passes the database's).
+func NewRelation(syms *Symbols, name string, cols ...string) *Relation {
+	return &Relation{name: name, cols: append([]string(nil), cols...), arity: len(cols), syms: syms}
 }
 
 // Name returns the relation name.
@@ -110,18 +206,27 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Cols() []string { return r.cols }
 
 // Arity returns the number of columns.
-func (r *Relation) Arity() int { return len(r.cols) }
+func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of visible (count > 0) distinct tuples.
 func (r *Relation) Len() int { return r.live }
 
+// stored returns the number of rows stored, dead ones included.
+func (r *Relation) stored() int { return len(r.counts) }
+
+// row returns the ids of the row at a position (shared; do not mutate).
+func (r *Relation) row(pos int32) []Sym {
+	i := int(pos) * r.arity
+	return r.cells[i : i+r.arity : i+r.arity]
+}
+
 // Accepts reports why t cannot be stored in r — the wrong number of
-// columns, or a value holding the 0x1f byte tuple keys are joined with —
+// columns, or a value holding the 0x1f byte text keys are joined with —
 // or nil. Mutations panic on a wrong arity: callers taking tuples from
 // outside the program check them here first.
 func (r *Relation) Accepts(t Tuple) error {
-	if len(t) != len(r.cols) {
-		return fmt.Errorf("%s has %d columns, tuple %q has %d", r.name, len(r.cols), []string(t), len(t))
+	if len(t) != r.arity {
+		return fmt.Errorf("%s has %d columns, tuple %q has %d", r.name, r.arity, []string(t), len(t))
 	}
 	for _, v := range t {
 		if strings.IndexByte(v, keySep) >= 0 {
@@ -131,9 +236,9 @@ func (r *Relation) Accepts(t Tuple) error {
 	return nil
 }
 
-func (r *Relation) checkArity(t Tuple) {
-	if len(t) != len(r.cols) {
-		panic(fmt.Sprintf("db: %s: tuple arity %d, want %d", r.name, len(t), len(r.cols)))
+func (r *Relation) checkArity(n int) {
+	if n != r.arity {
+		panic(fmt.Sprintf("db: %s: tuple arity %d, want %d", r.name, n, r.arity))
 	}
 }
 
@@ -144,66 +249,74 @@ func (r *Relation) BeginPass() {
 	r.pinned = 0
 }
 
-// toggledOdd reports whether row's visibility toggled an odd number of
-// times in the current pass.
-func (r *Relation) toggledOdd(row *Row) bool { return row.flip == r.pass<<1|1 }
+// toggledOdd reports whether the row at pos toggled its visibility an
+// odd number of times in the current pass.
+func (r *Relation) toggledOdd(pos int32) bool { return r.flips[pos] == r.pass<<1|1 }
 
-// visible reports whether row is visible in the live state (old=false)
-// or was visible when the current pass began (old=true).
-func (r *Relation) visible(row *Row, old bool) bool {
-	return (row.Count > 0) != (old && r.toggledOdd(row))
+// visible reports whether the row at pos is visible in the live state
+// (old=false) or was visible when the current pass began (old=true).
+func (r *Relation) visible(pos int32, old bool) bool {
+	return (r.counts[pos] > 0) != (old && r.toggledOdd(pos))
 }
 
-// find returns the row stored for t, or nil.
-func (r *Relation) find(t Tuple) *Row {
-	var a [128]byte
-	return r.rows[string(t.AppendKey(a[:0]))]
+// find returns the position of the row holding ids, or -1.
+func (r *Relation) find(ids []Sym) int32 {
+	if i, ok := r.rows.find(r, nil, ids, hashSyms(ids)); ok {
+		return r.rows.slots[i].pos - 1
+	}
+	return -1
 }
 
-// Insert adds one derivation of t and reports whether the tuple became
-// visible (count went 0 → 1).
-func (r *Relation) Insert(t Tuple) bool { return r.InsertN(t, 1) }
-
-// InsertN adds n derivations (n may be negative for deletion) and reports
-// whether visibility changed in either direction. Indexes are maintained
-// in place: a first-seen tuple is appended to its bucket of every built
-// index; a tuple that dies stays in its buckets as a tombstone (lookups
-// skip it), so a revival needs no index work and lands in its original
-// slot.
-func (r *Relation) InsertN(t Tuple, n int) bool {
-	r.checkArity(t)
+// InsertRow adds n derivations (n may be negative for deletion) of the row
+// of ids and reports whether visibility changed in either direction. The
+// ids must come from the relation's symbol table; row is copied. Indexes
+// are maintained in place: a first-seen row is appended to its bucket of
+// every built index; a row that dies stays in its buckets as a tombstone
+// (lookups skip it), so a revival needs no index work and lands in its
+// original slot.
+func (r *Relation) InsertRow(row []Sym, n int) bool {
+	r.checkArity(len(row))
 	if n == 0 {
 		return false
 	}
-	row := r.find(t)
-	fresh := row == nil
-	if fresh {
-		row = &Row{Tuple: t.Clone()}
-		r.rows[row.Tuple.Key()] = row
-		r.order = append(r.order, row)
+	h := hashSyms(row)
+	i, found := r.rows.find(r, nil, row, h)
+	var pos int32
+	if found {
+		pos = r.rows.slots[i].pos - 1
+	} else {
+		if len(r.counts) == math.MaxInt32 {
+			panic(fmt.Sprintf("db: %s: relation full", r.name))
+		}
+		pos = int32(len(r.counts))
+		r.cells = append(r.cells, row...)
+		r.counts = append(r.counts, 0)
+		r.flips = append(r.flips, 0)
+		r.rows.put(i, h, pos, 0)
 		for _, ix := range r.indexes {
-			ix.add(row)
+			ix.add(pos)
 		}
 	}
-	was := row.Count > 0
-	row.Count += n
-	if row.Count < 0 {
+	was := r.counts[pos] > 0
+	c := int64(r.counts[pos]) + int64(n)
+	if c < 0 || c > math.MaxInt32 {
 		// Deleting more derivations than exist is a logic error upstream.
-		panic(fmt.Sprintf("db: %s: negative count for %v", r.name, t))
+		panic(fmt.Sprintf("db: %s: count %d for %v", r.name, c, r.syms.Tuple(row)))
 	}
-	now := row.Count > 0
+	r.counts[pos] = int32(c)
+	now := c > 0
 	if was == now {
 		return false
 	}
 	r.version++
-	wasOdd := r.toggledOdd(row)
-	row.flip = r.pass << 1
+	wasOdd := r.toggledOdd(pos)
+	r.flips[pos] = r.pass << 1
 	if !wasOdd {
-		row.flip |= 1
+		r.flips[pos] |= 1
 	}
 	if now {
 		r.live++
-		if !fresh {
+		if found {
 			r.dead--
 			if wasOdd {
 				r.pinned--
@@ -220,70 +333,61 @@ func (r *Relation) InsertN(t Tuple, n int) bool {
 	return true
 }
 
-// maybeCompact drops dead rows from the iteration order (and the indexes)
-// once they dominate. Rows that died in the current pass are kept — the
-// old-state view still enumerates them — and do not count towards the
-// trigger, so a pass that deletes most of a relation compacts it on a
-// later pass instead of rescanning it on every delete.
+// maybeCompact drops dead rows (from the row storage, the row map and the
+// indexes) once they dominate. Rows that died in the current pass are kept
+// — the old-state view still enumerates them — and do not count towards
+// the trigger, so a pass that deletes most of a relation compacts it on a
+// later pass instead of rescanning it on every delete. Positions shift;
+// the symbols of a dropped row stay interned.
 func (r *Relation) maybeCompact() {
 	droppable := r.dead - r.pinned
-	if droppable <= 64 || droppable*2 < len(r.order) {
+	if droppable <= 64 || droppable*2 < len(r.counts) {
 		return
 	}
-	var a [128]byte
-	keep := r.order[:0]
-	for _, row := range r.order {
-		if row.Count > 0 || r.toggledOdd(row) {
-			keep = append(keep, row)
-		} else {
-			delete(r.rows, string(row.Tuple.AppendKey(a[:0])))
+	keep := int32(0)
+	for pos := range int32(len(r.counts)) {
+		if r.counts[pos] > 0 || r.toggledOdd(pos) {
+			copy(r.cells[int(keep)*r.arity:], r.row(pos))
+			r.counts[keep], r.flips[keep] = r.counts[pos], r.flips[pos]
+			keep++
 		}
 	}
-	clear(r.order[len(keep):])
-	r.order = keep
+	r.cells = r.cells[:int(keep)*r.arity]
+	r.counts, r.flips = r.counts[:keep], r.flips[:keep]
 	r.dead = r.pinned
+	r.reindex()
+}
+
+// reindex rebuilds the row map and every index from the row storage.
+func (r *Relation) reindex() {
+	r.rows.reset(len(r.counts))
+	for pos := range int32(len(r.counts)) {
+		r.rows.place(hashSyms(r.row(pos)), pos, 0)
+	}
 	for _, ix := range r.indexes {
 		ix.rebuild()
 	}
 }
 
-// Delete removes one derivation of t and reports whether the tuple became
-// invisible (count went 1 → 0). Deleting an absent tuple panics.
-func (r *Relation) Delete(t Tuple) bool {
-	r.checkArity(t)
-	if row := r.find(t); row == nil || row.Count == 0 {
-		panic(fmt.Sprintf("db: %s: delete of absent tuple %v", r.name, t))
-	}
-	return r.InsertN(t, -1)
-}
-
-// Contains reports whether t is visible.
-func (r *Relation) Contains(t Tuple) bool { return r.Count(t) > 0 }
-
 // Count returns the derivation count of t (0 when absent).
 func (r *Relation) Count(t Tuple) int {
-	if row := r.find(t); row != nil {
-		return row.Count
+	var a [16]Sym
+	ids, ok := r.syms.FindIDs(a[:0], t)
+	if !ok || len(ids) != r.arity {
+		return 0
+	}
+	if pos := r.find(ids); pos >= 0 {
+		return int(r.counts[pos])
 	}
 	return 0
 }
 
-// Each visits every visible tuple in first-insertion order. Returning
-// false from f stops the walk. f must not mutate the relation.
-func (r *Relation) Each(f func(Tuple) bool) {
-	for _, row := range r.order {
-		if row.Count > 0 && !f(row.Tuple) {
-			return
-		}
-	}
-}
-
-// Tuples returns all visible tuples in deterministic order.
+// Tuples returns all visible tuples, as text, in deterministic order.
 func (r *Relation) Tuples() []Tuple {
 	out := make([]Tuple, 0, r.live)
-	for _, row := range r.order {
-		if row.Count > 0 {
-			out = append(out, row.Tuple)
+	for pos := range int32(len(r.counts)) {
+		if r.counts[pos] > 0 {
+			out = append(out, r.syms.Tuple(r.row(pos)))
 		}
 	}
 	return out
@@ -292,35 +396,25 @@ func (r *Relation) Tuples() []Tuple {
 // Clear removes every tuple. Built indexes stay registered (compiled
 // plans hold handles to them) and are emptied.
 func (r *Relation) Clear() {
-	r.rows = make(map[string]*Row)
-	r.order = nil
+	r.cells, r.counts, r.flips = nil, nil, nil
 	r.live, r.dead, r.pinned = 0, 0, 0
 	r.version++
-	for _, ix := range r.indexes {
-		ix.rebuild()
-	}
+	r.reindex()
 }
 
 // Index is a hash index on a subset of columns, maintained in place by
 // the relation's mutations. A bucket lists its rows — dead ones included,
 // until compaction — in the relation's first-insertion order, so the
 // enumeration of a bucket is exactly what a rebuild from scratch, or a
-// relation restored from its snapshot, would yield.
+// relation restored from its snapshot, would yield. Buckets are chains
+// through next: no slice, map entry or key string per row or per key.
 type Index struct {
-	rel     *Relation
-	cols    []int
-	buckets map[string]*bucket
-	spare   []bucket // the unused rest of the chunk buckets are cut from
-}
-
-// bucket is boxed so that appending to an existing bucket is a lookup
-// (no key allocation) rather than a map assignment. A bucket's first row
-// is stored in the bucket itself — on a key column that is every row — and
-// buckets are allocated in chunks, so an index costs the collector a few
-// objects per hundred keys rather than three per key.
-type bucket struct {
-	rows []*Row
-	one  [1]*Row
+	rel  *Relation
+	cols []int
+	tab  table   // key ids → bucket
+	head []int32 // per bucket: its first row
+	tail []int32 // per bucket: its last row
+	next []int32 // per row: the next row of its bucket, -1 after the last
 }
 
 // IndexOn returns (building it on first use) the index on the given
@@ -328,7 +422,7 @@ type bucket struct {
 // any read.
 func (r *Relation) IndexOn(cols ...int) *Index {
 	for _, c := range cols {
-		if c < 0 || c >= len(r.cols) {
+		if c < 0 || c >= r.arity {
 			panic(fmt.Sprintf("db: %s: index column %d out of range", r.name, c))
 		}
 	}
@@ -345,83 +439,177 @@ func (r *Relation) IndexOn(cols ...int) *Index {
 	return ix
 }
 
-// rebuild refills the buckets from the relation's row order.
+// rebuild refills the buckets from the relation's rows.
 func (ix *Index) rebuild() {
-	ix.buckets, ix.spare = make(map[string]*bucket), nil
-	for _, row := range ix.rel.order {
-		ix.add(row)
+	n := ix.rel.stored()
+	ix.tab.reset(n)
+	ix.head, ix.tail, ix.next = ix.head[:0], ix.tail[:0], ix.next[:0]
+	for pos := range int32(n) {
+		ix.add(pos)
 	}
 }
 
-// add appends row to its bucket.
-func (ix *Index) add(row *Row) {
-	var a [128]byte
+// add appends the row at pos, the relation's newest, to its bucket.
+func (ix *Index) add(pos int32) {
+	var a [8]Sym
 	key := a[:0]
-	for i, c := range ix.cols {
-		if i > 0 {
-			key = append(key, keySep)
-		}
-		key = append(key, row.Tuple[c]...)
+	for _, c := range ix.cols {
+		key = append(key, ix.rel.cells[int(pos)*ix.rel.arity+c])
 	}
-	b := ix.buckets[string(key)]
-	if b == nil {
-		if len(ix.spare) == 0 {
-			ix.spare = make([]bucket, min(max(8, len(ix.buckets)/2), 512))
-		}
-		b, ix.spare = &ix.spare[0], ix.spare[1:]
-		b.rows = b.one[:0]
-		if len(ix.cols) == 1 {
-			ix.buckets[row.Tuple[ix.cols[0]]] = b // the row's own string: no key to allocate
-		} else {
-			ix.buckets[string(key)] = b
-		}
+	h := hashSyms(key)
+	i, found := ix.tab.find(ix.rel, ix.cols, key, h)
+	ix.next = append(ix.next, -1)
+	if found {
+		b := ix.tab.slots[i].val
+		ix.next[ix.tail[b]] = pos
+		ix.tail[b] = pos
+		return
 	}
-	b.rows = append(b.rows, row)
+	ix.tab.put(i, h, pos, int32(len(ix.head)))
+	ix.head = append(ix.head, pos)
+	ix.tail = append(ix.tail, pos)
 }
 
-// probe returns the bucket for an index key (the indexed column values
-// joined by the key separator). The rows may be dead; callers filter by
-// visibility. Lock-free and allocation-free.
-func (ix *Index) probe(key []byte) []*Row {
-	if b := ix.buckets[string(key)]; b != nil {
-		return b.rows
+// first returns the first row of the bucket for a key (the indexed
+// columns' ids), -1 when there is none; next[pos] continues the walk. The
+// rows may be dead; callers filter by visibility. Lock-free and
+// allocation-free.
+func (ix *Index) first(key []Sym) int32 {
+	if i, ok := ix.tab.find(ix.rel, ix.cols, key, hashSyms(key)); ok {
+		return ix.head[ix.tab.slots[i].val]
 	}
-	return nil
+	return -1
 }
 
-// Lookup returns the visible tuples whose indexed columns equal vals, in
-// the relation's iteration order.
-func (ix *Index) Lookup(vals ...Value) []Tuple {
-	if len(vals) != len(ix.cols) {
-		panic(fmt.Sprintf("db: index lookup with %d values, want %d", len(vals), len(ix.cols)))
+// table is an open-addressing hash table (linear probing, at most 3/4
+// full) from keys of ids to int32 values. It stores no keys: a slot holds
+// the position of a row whose columns hold its key, which find compares
+// against. Entries are only added; a compaction rebuilds the table.
+type table struct {
+	slots []slot // power-of-two length, or empty
+	n     int
+}
+
+type slot struct {
+	hash uint32
+	pos  int32 // the key's row position + 1; 0 marks an empty slot
+	val  int32
+}
+
+// find returns the slot holding key (hash h) on the given columns of r's
+// rows (nil: all of them) and true, or the empty slot it would go to
+// (-1 on an empty table) and false.
+func (t *table) find(r *Relation, cols []int, key []Sym, h uint32) (int, bool) {
+	if len(t.slots) == 0 {
+		return -1, false
 	}
-	var a [128]byte
-	var out []Tuple
-	for _, row := range ix.probe(Tuple(vals).AppendKey(a[:0])) {
-		if row.Count > 0 {
-			out = append(out, row.Tuple)
+	mask := len(t.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.pos == 0 {
+			return i, false
+		}
+		if s.hash == h && r.keyAt(s.pos-1, cols, key) {
+			return i, true
 		}
 	}
-	return out
 }
 
-// Database is a named collection of relations.
+// put fills slot i, which find returned for an absent key, with the key's
+// row and value, growing the table first when it is full.
+func (t *table) put(i int, h uint32, pos, val int32) {
+	if i < 0 || 4*(t.n+1) > 3*len(t.slots) {
+		t.grow()
+		t.place(h, pos, val)
+		return
+	}
+	t.slots[i] = slot{h, pos + 1, val}
+	t.n++
+}
+
+// place adds an entry for a key known to be absent.
+func (t *table) place(h uint32, pos, val int32) {
+	mask := len(t.slots) - 1
+	i := int(h) & mask
+	for t.slots[i].pos != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = slot{h, pos + 1, val}
+	t.n++
+}
+
+func (t *table) grow() {
+	old := t.slots
+	t.slots, t.n = make([]slot, max(16, 2*len(old))), 0
+	for _, s := range old {
+		if s.pos != 0 {
+			t.place(s.hash, s.pos-1, s.val)
+		}
+	}
+}
+
+// reset empties the table, sized for n entries.
+func (t *table) reset(n int) {
+	size := 16
+	for 3*size < 4*n {
+		size *= 2
+	}
+	if size == len(t.slots) {
+		clear(t.slots)
+	} else {
+		t.slots = make([]slot, size)
+	}
+	t.n = 0
+}
+
+// keyAt reports whether the row at pos holds key on cols (nil: the whole
+// row).
+func (r *Relation) keyAt(pos int32, cols []int, key []Sym) bool {
+	row := r.row(pos)
+	if cols == nil {
+		return slices.Equal(row, key)
+	}
+	for i, c := range cols {
+		if row[c] != key[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// hashSyms mixes a key of ids into 32 bits whose low bits index a table.
+func hashSyms(key []Sym) uint32 {
+	h := uint32(0x9e3779b9)
+	for _, v := range key {
+		h ^= v
+		h *= 0x85ebca6b
+		h ^= h >> 15
+	}
+	h *= 0xc2b2ae35
+	return h ^ h>>16
+}
+
+// Database is a named collection of relations over one symbol table.
 type Database struct {
+	syms  *Symbols
 	rels  map[string]*Relation
 	names []string
 }
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
-	return &Database{rels: make(map[string]*Relation)}
+	return &Database{syms: NewSymbols(), rels: make(map[string]*Relation)}
 }
+
+// Symbols returns the database's symbol table.
+func (d *Database) Symbols() *Symbols { return d.syms }
 
 // Create adds a new empty relation. Creating a duplicate name errors.
 func (d *Database) Create(name string, cols ...string) (*Relation, error) {
 	if _, ok := d.rels[name]; ok {
 		return nil, fmt.Errorf("db: relation %q already exists", name)
 	}
-	r := NewRelation(name, cols...)
+	r := NewRelation(d.syms, name, cols...)
 	d.rels[name] = r
 	d.names = append(d.names, name)
 	return r, nil

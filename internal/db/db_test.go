@@ -10,6 +10,21 @@ import (
 	"deepdive/internal/persist"
 )
 
+// testSyms is the symbol table the package's test relations share, as the
+// relations of one database do.
+var testSyms = NewSymbols()
+
+func newRel(name string, cols ...string) *Relation { return NewRelation(testSyms, name, cols...) }
+
+// each visits r's visible tuples in iteration order until f returns false.
+func each(r *Relation, f func(Tuple) bool) {
+	for _, tu := range r.Tuples() {
+		if !f(tu) {
+			return
+		}
+	}
+}
+
 func TestTupleKeyRoundTrip(t *testing.T) {
 	tu := Tuple{"a", "b,c", ""}
 	if got := TupleFromKey(tu.Key()); got.Key() != tu.Key() {
@@ -21,7 +36,7 @@ func TestTupleKeyRoundTrip(t *testing.T) {
 }
 
 func TestInsertDeleteVisibility(t *testing.T) {
-	r := NewRelation("R", "x", "y")
+	r := newRel("R", "x", "y")
 	if !r.Insert(Tuple{"a", "1"}) {
 		t.Fatal("first insert should report newly visible")
 	}
@@ -43,7 +58,7 @@ func TestInsertDeleteVisibility(t *testing.T) {
 }
 
 func TestDeleteAbsentPanics(t *testing.T) {
-	r := NewRelation("R", "x")
+	r := newRel("R", "x")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("delete of absent tuple did not panic")
@@ -53,7 +68,7 @@ func TestDeleteAbsentPanics(t *testing.T) {
 }
 
 func TestArityChecked(t *testing.T) {
-	r := NewRelation("R", "x", "y")
+	r := newRel("R", "x", "y")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("wrong arity insert did not panic")
@@ -63,12 +78,12 @@ func TestArityChecked(t *testing.T) {
 }
 
 func TestEachDeterministicOrder(t *testing.T) {
-	r := NewRelation("R", "x")
+	r := newRel("R", "x")
 	for i := 0; i < 10; i++ {
 		r.Insert(Tuple{fmt.Sprint(i)})
 	}
 	var got []string
-	r.Each(func(tu Tuple) bool {
+	each(r, func(tu Tuple) bool {
 		got = append(got, tu[0])
 		return true
 	})
@@ -79,14 +94,14 @@ func TestEachDeterministicOrder(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	r.Each(func(Tuple) bool { n++; return n < 3 })
+	each(r, func(Tuple) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Fatalf("early stop visited %d", n)
 	}
 }
 
 func TestReinsertAfterDeleteKeepsWorking(t *testing.T) {
-	r := NewRelation("R", "x")
+	r := newRel("R", "x")
 	r.Insert(Tuple{"a"})
 	r.Delete(Tuple{"a"})
 	if !r.Insert(Tuple{"a"}) {
@@ -98,7 +113,7 @@ func TestReinsertAfterDeleteKeepsWorking(t *testing.T) {
 }
 
 func TestCompaction(t *testing.T) {
-	r := NewRelation("R", "x")
+	r := newRel("R", "x")
 	for i := 0; i < 300; i++ {
 		r.Insert(Tuple{fmt.Sprint(i)})
 	}
@@ -109,7 +124,7 @@ func TestCompaction(t *testing.T) {
 		t.Fatalf("Len = %d, want 10", r.Len())
 	}
 	var got []string
-	r.Each(func(tu Tuple) bool { got = append(got, tu[0]); return true })
+	each(r, func(tu Tuple) bool { got = append(got, tu[0]); return true })
 	if len(got) != 10 || got[0] != "290" {
 		t.Fatalf("post-compaction iteration wrong: %v", got)
 	}
@@ -129,15 +144,15 @@ func oldTuples(t *testing.T, r *Relation) []string {
 		t.Fatal(err)
 	}
 	var out []string
-	p.Run(new(Exec), nil, func(regs []Value) bool {
-		out = append(out, Tuple(regs).Key())
+	p.Run(new(Exec), nil, func(regs []Sym) bool {
+		out = append(out, r.syms.Tuple(regs).Key())
 		return true
 	})
 	return out
 }
 
 func TestOldStateView(t *testing.T) {
-	r := NewRelation("R", "x")
+	r := newRel("R", "x")
 	r.Insert(Tuple{"a"})
 	r.InsertN(Tuple{"b"}, 3)
 	r.Insert(Tuple{"c"})
@@ -166,7 +181,7 @@ func TestOldStateView(t *testing.T) {
 // pass drops only rows the old-state view no longer shows, and a row it
 // kept revives into its original slot.
 func TestInPassCompactionKeepsOldState(t *testing.T) {
-	r := NewRelation("R", "x")
+	r := newRel("R", "x")
 	for i := 0; i < 200; i++ {
 		r.Insert(Tuple{fmt.Sprint(i)})
 	}
@@ -175,13 +190,13 @@ func TestInPassCompactionKeepsOldState(t *testing.T) {
 		r.Delete(Tuple{fmt.Sprint(i)})
 	}
 	// Everything that died is pinned by this pass's old-state view.
-	if len(r.order) != 200 || len(oldTuples(t, r)) != 200 {
-		t.Fatalf("pass 1: %d rows kept, old state %d; want 200 and 200", len(r.order), len(oldTuples(t, r)))
+	if r.stored() != 200 || len(oldTuples(t, r)) != 200 {
+		t.Fatalf("pass 1: %d rows kept, old state %d; want 200 and 200", r.stored(), len(oldTuples(t, r)))
 	}
 	r.BeginPass()
 	r.Delete(Tuple{"175"}) // first death of pass 2 compacts pass 1's tombstones away
-	if len(r.order) != 50 || r.dead != 1 {
-		t.Fatalf("pass 2: %d rows kept (%d dead), want 50 (1 dead)", len(r.order), r.dead)
+	if r.stored() != 50 || r.dead != 1 {
+		t.Fatalf("pass 2: %d rows kept (%d dead), want 50 (1 dead)", r.stored(), r.dead)
 	}
 	old := oldTuples(t, r)
 	if len(old) != 50 || old[25] != "175" {
@@ -197,13 +212,13 @@ func TestInPassCompactionKeepsOldState(t *testing.T) {
 	for i := 150; i < 199; i++ {
 		r.Delete(Tuple{fmt.Sprint(i)})
 	}
-	if len(r.order) != 50 || r.pinned != 49 {
-		t.Fatalf("pass 3: %d rows kept, %d pinned; want 50 and 49", len(r.order), r.pinned)
+	if r.stored() != 50 || r.pinned != 49 {
+		t.Fatalf("pass 3: %d rows kept, %d pinned; want 50 and 49", r.stored(), r.pinned)
 	}
 }
 
 func TestIndexMaintainedInPlace(t *testing.T) {
-	r := NewRelation("R", "x", "y")
+	r := newRel("R", "x", "y")
 	r.Insert(Tuple{"a", "1"})
 	r.Insert(Tuple{"a", "2"})
 	r.Insert(Tuple{"b", "1"})
@@ -247,24 +262,24 @@ func TestIndexesMatchRestoredRelation(t *testing.T) {
 	colSets := [][]int{{0}, {1}, {2}, {0, 1}, {2, 0}, {0, 1, 2}}
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		r := NewRelation("R", "x", "y", "z")
+		r := newRel("R", "x", "y", "z")
 		val := func(n int) Value { return fmt.Sprint(rng.Intn(n)) }
 		check := func(step int) {
 			var b persist.Buf
 			r.AppendSnapshot(&b)
-			fresh := NewRelation("R", "x", "y", "z")
+			fresh := newRel("R", "x", "y", "z")
 			if err := fresh.RestoreSnapshot(persist.NewRd(b.Bytes())); err != nil {
 				t.Fatal(err)
 			}
 			live := 0
-			for _, row := range r.rows {
-				if row.Count > 0 {
+			for _, c := range r.counts {
+				if c > 0 {
 					live++
 				}
 			}
-			if r.Len() != live || fresh.Len() != live || r.dead != len(r.order)-live {
+			if r.Len() != live || fresh.Len() != live || r.dead != r.stored()-live {
 				t.Fatalf("seed %d step %d: Len %d (restored %d), recount %d; dead %d of %d rows",
-					seed, step, r.Len(), fresh.Len(), live, r.dead, len(r.order))
+					seed, step, r.Len(), fresh.Len(), live, r.dead, r.stored())
 			}
 			if !slices.EqualFunc(r.Tuples(), fresh.Tuples(), func(a, b Tuple) bool { return slices.Equal(a, b) }) {
 				t.Fatalf("seed %d step %d: iteration order differs from the restored relation", seed, step)
@@ -312,8 +327,8 @@ func TestIndexesMatchRestoredRelation(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			r.Insert(Tuple{val(6), val(6), val(12)})
 		}
-		if len(r.order) > 300 {
-			t.Fatalf("seed %d: %d rows kept for %d live: compaction never fired", seed, len(r.order), r.Len())
+		if r.stored() > 300 {
+			t.Fatalf("seed %d: %d rows kept for %d live: compaction never fired", seed, r.stored(), r.Len())
 		}
 		check(1500)
 	}
@@ -346,7 +361,7 @@ func TestDatabaseCreateAndNames(t *testing.T) {
 func TestQuickCountedSemantics(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := NewRelation("R", "x")
+		r := newRel("R", "x")
 		shadow := map[string]int{}
 		for step := 0; step < 300; step++ {
 			k := fmt.Sprint(rng.Intn(10))

@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -60,10 +61,8 @@ const (
 // register layout.
 func (q *Query) Vars() []string {
 	var out []string
-	seen := map[string]bool{}
 	add := func(t Term) {
-		if t.IsVar && !seen[t.Var] {
-			seen[t.Var] = true
+		if t.IsVar && !slices.Contains(out, t.Var) {
 			out = append(out, t.Var)
 		}
 	}
@@ -83,10 +82,10 @@ func (q *Query) Vars() []string {
 // slot < 0.
 type src struct {
 	slot int
-	val  Value
+	val  Sym
 }
 
-func (s src) get(regs []Value) Value {
+func (s src) get(regs []Sym) Sym {
 	if s.slot < 0 {
 		return s.val
 	}
@@ -99,21 +98,21 @@ type colSlot struct{ col, slot int }
 // colVal pairs a tuple column with a constant.
 type colVal struct {
 	col int
-	val Value
+	val Sym
 }
 
-// matcher checks a tuple against an atom's term pattern and loads its
-// free variables: consts are (column, value) checks (seed tuples only —
+// matcher checks a row against an atom's term pattern and loads its free
+// variables: consts are (column, value) checks (seed rows only —
 // elsewhere constants are part of the probe key), bind loads a column
 // into a register, and same checks a column against a register loaded
-// earlier from the same tuple (a variable repeated within the atom).
+// earlier from the same row (a variable repeated within the atom).
 type matcher struct {
 	consts []colVal
 	bind   []colSlot
 	same   []colSlot
 }
 
-func (m *matcher) match(t Tuple, regs []Value) bool {
+func (m *matcher) match(t []Sym, regs []Sym) bool {
 	for _, c := range m.consts {
 		if t[c.col] != c.val {
 			return false
@@ -162,19 +161,21 @@ type step struct {
 	l, r src
 }
 
-// Plan is a compiled query: variables numbered into a register file, a
-// static join order, and per atom the precomputed probe-key sources,
-// free-column loads and resolved index handle. A plan is immutable and
-// may be run by any number of goroutines at once, each with its own Exec.
+// Plan is a compiled query: variables numbered into a register file of
+// ids, a static join order, and per atom the precomputed probe-key
+// sources, free-column loads and resolved index handle. Constants are ids
+// interned when the plan compiles. A plan is immutable and may be run by
+// any number of goroutines at once, each with its own Exec.
 type Plan struct {
+	syms   *Symbols
 	nslots int
-	seed   *matcher // binds the seed tuple; nil for unseeded plans
+	seed   *matcher // binds the seed row; nil for unseeded plans
 	steps  []step
 	order  []int // atom indexes in evaluation order (seed first)
 }
 
 // Compile plans the query for one seed position. seed >= 0 names a
-// positive atom that Run binds to a given tuple instead of scanning —
+// positive atom that Run binds to a given row instead of scanning —
 // one term of the DRed telescoping sum: atoms before it in canonical
 // order read the live state, atoms after it the state as of BeginPass.
 // seed = ScanLive or ScanOld plans a full evaluation over one state.
@@ -184,41 +185,70 @@ type Plan struct {
 // (constants included), ties to the earlier canonical position. Negated
 // atoms and constraints run at the earliest point all their variables
 // are bound; one that never gets there makes the query unplannable,
-// which is the only error besides an unknown comparison operator.
+// which is the only error besides an unknown comparison operator and the
+// two preconditions: a query has atoms, and their relations share one
+// symbol table, into which Compile interns the query's constants.
 func (q *Query) Compile(seed int) (*Plan, error) {
-	vars := q.Vars()
-	slotOf := make(map[string]int, len(vars))
-	for i, v := range vars {
-		slotOf[v] = i
+	if len(q.Atoms) == 0 {
+		return nil, fmt.Errorf("db: query without atoms")
 	}
-	p := &Plan{nslots: len(vars)}
-	bound := make([]bool, len(vars))
-	termSrc := func(t Term) (src, bool) {
-		if !t.IsVar {
-			return src{slot: -1, val: t.Const}, true
+	syms := q.Atoms[0].Rel.syms
+	for _, a := range q.Atoms {
+		if a.Rel.syms != syms {
+			return nil, fmt.Errorf("db: relations %s and %s have different symbol tables", q.Atoms[0].Rel.name, a.Rel.name)
 		}
-		s := slotOf[t.Var]
-		return src{slot: s}, bound[s]
 	}
+	// Terms resolve to register slots (or interned constants) once; the
+	// planner below works on slices over the slots.
+	vars := q.Vars()
+	resolve := func(t Term) src {
+		if !t.IsVar {
+			return src{slot: -1, val: syms.Intern(t.Const)}
+		}
+		return src{slot: slices.Index(vars, t.Var)}
+	}
+	atomSrcs := make([][]src, len(q.Atoms))
+	for i, a := range q.Atoms {
+		atomSrcs[i] = make([]src, len(a.Terms))
+		for col, t := range a.Terms {
+			atomSrcs[i][col] = resolve(t)
+		}
+	}
+	p := &Plan{syms: syms, nslots: len(vars)}
+	bound := make([]bool, len(vars))
+	isBound := func(s src) bool { return s.slot < 0 || bound[s.slot] }
+	// loaded marks the slots the atom being patterned loads itself, by
+	// pattern call: no set to clear or allocate per call.
+	loaded := make([]int, len(vars))
+	calls := 0
 	// pattern compiles an atom's terms against the current bound set: bound
 	// positions become probe-key sources, the rest matcher loads/checks.
-	pattern := func(terms []Term) (keyCols []int, key []src, m matcher) {
-		loaded := map[int]bool{}
-		for col, t := range terms {
-			if s, ok := termSrc(t); ok {
+	pattern := func(srcs []src) (keyCols []int, key []src, m matcher) {
+		calls++
+		for col, s := range srcs {
+			if isBound(s) {
 				keyCols = append(keyCols, col)
 				key = append(key, s)
 				continue
 			}
-			slot := slotOf[t.Var]
-			if loaded[slot] {
-				m.same = append(m.same, colSlot{col, slot})
+			if loaded[s.slot] == calls {
+				m.same = append(m.same, colSlot{col, s.slot})
 			} else {
-				loaded[slot] = true
-				m.bind = append(m.bind, colSlot{col, slot})
+				loaded[s.slot] = calls
+				m.bind = append(m.bind, colSlot{col, s.slot})
 			}
 		}
 		return keyCols, key, m
+	}
+	// boundCols counts an atom's bound positions, as pattern would.
+	boundCols := func(srcs []src) int {
+		n := 0
+		for _, s := range srcs {
+			if isBound(s) {
+				n++
+			}
+		}
+		return n
 	}
 	bindAll := func(m *matcher) {
 		for _, b := range m.bind {
@@ -232,9 +262,9 @@ func (q *Query) Compile(seed int) (*Plan, error) {
 		if seed >= len(q.Atoms) || q.Atoms[seed].Neg {
 			return nil, fmt.Errorf("db: seed position %d is not a positive atom", seed)
 		}
-		// The seed tuple is matched whole, so its key columns (nothing is
+		// The seed row is matched whole, so its key columns (nothing is
 		// bound yet: the atom's constants) become checks instead.
-		keyCols, key, m := pattern(q.Atoms[seed].Terms)
+		keyCols, key, m := pattern(atomSrcs[seed])
 		for i, col := range keyCols {
 			m.consts = append(m.consts, colVal{col, key[i].val})
 		}
@@ -252,9 +282,8 @@ func (q *Query) Compile(seed int) (*Plan, error) {
 			if doneCon[i] {
 				continue
 			}
-			l, lok := termSrc(c.L)
-			r, rok := termSrc(c.R)
-			if !lok || !rok {
+			l, r := resolve(c.L), resolve(c.R)
+			if !isBound(l) || !isBound(r) {
 				continue
 			}
 			op, ok := cmpOps[c.Op]
@@ -265,13 +294,10 @@ func (q *Query) Compile(seed int) (*Plan, error) {
 			doneCon[i] = true
 		}
 		for i, a := range q.Atoms {
-			if doneAtom[i] || !a.Neg {
+			if doneAtom[i] || !a.Neg || boundCols(atomSrcs[i]) != len(a.Terms) {
 				continue
 			}
-			keyCols, key, _ := pattern(a.Terms)
-			if len(keyCols) != len(a.Terms) {
-				continue
-			}
+			_, key, _ := pattern(atomSrcs[i])
 			p.steps = append(p.steps, step{kind: stepAnti, rel: a.Rel, old: readsOld(i), key: key})
 			p.order = append(p.order, i)
 			doneAtom[i] = true
@@ -291,15 +317,15 @@ func (q *Query) Compile(seed int) (*Plan, error) {
 				best = i
 				break
 			}
-			if keyCols, _, _ := pattern(a.Terms); len(keyCols) > bestBound {
-				best, bestBound = i, len(keyCols)
+			if n := boundCols(atomSrcs[i]); n > bestBound {
+				best, bestBound = i, n
 			}
 		}
 		if best < 0 {
 			break
 		}
 		a := q.Atoms[best]
-		keyCols, key, m := pattern(a.Terms)
+		keyCols, key, m := pattern(atomSrcs[best])
 		st := step{kind: stepScan, rel: a.Rel, old: readsOld(best), key: key, m: m}
 		switch {
 		case len(keyCols) == len(a.Terms):
@@ -317,8 +343,8 @@ func (q *Query) Compile(seed int) (*Plan, error) {
 	}
 	for i, a := range q.Atoms {
 		if !doneAtom[i] {
-			for _, t := range a.Terms {
-				if _, ok := termSrc(t); !ok {
+			for col, t := range a.Terms {
+				if !isBound(atomSrcs[i][col]) {
 					return nil, fmt.Errorf("db: negated atom over %s has unbound variable %q", a.Rel.Name(), t.Var)
 				}
 			}
@@ -335,36 +361,33 @@ func (q *Query) Compile(seed int) (*Plan, error) {
 // Exec is the reusable per-goroutine state of plan execution: the
 // register file and the probe-key buffer. The zero value is ready to use.
 type Exec struct {
-	regs []Value
-	key  []byte
+	regs []Sym
+	key  []Sym
 }
 
 // Run enumerates every binding of the plan and calls emit with the
-// register file, indexed by the slot order of Query.Vars. The slice is
-// reused across calls — copy out what must be retained. Returning false
-// from emit stops the enumeration. seed is the tuple bound at the plan's
-// seed position (ignored by unseeded plans). The enumeration order is a
-// pure function of the plan and of the relations' contents and insertion
-// order.
-func (p *Plan) Run(x *Exec, seed Tuple, emit func(regs []Value) bool) {
+// register file of ids, indexed by the slot order of Query.Vars. The
+// slice is reused across calls — copy out what must be retained.
+// Returning false from emit stops the enumeration. seed is the row of ids
+// bound at the plan's seed position (ignored by unseeded plans). The
+// enumeration order is a pure function of the plan and of the relations'
+// contents and insertion order.
+func (p *Plan) Run(x *Exec, seed []Sym, emit func(regs []Sym) bool) {
 	if cap(x.regs) < p.nslots {
-		x.regs = make([]Value, p.nslots)
+		x.regs = make([]Sym, p.nslots)
 	}
 	x.regs = x.regs[:p.nslots]
 	if p.seed != nil && !p.seed.match(seed, x.regs) {
 		return
 	}
-	x.run(p.steps, emit)
+	x.run(p, p.steps, emit)
 }
 
 // probeKey builds a step's probe key in the reused buffer.
-func (x *Exec) probeKey(key []src) []byte {
+func (x *Exec) probeKey(key []src) []Sym {
 	buf := x.key[:0]
-	for i, s := range key {
-		if i > 0 {
-			buf = append(buf, keySep)
-		}
-		buf = append(buf, s.get(x.regs)...)
+	for _, s := range key {
+		buf = append(buf, s.get(x.regs))
 	}
 	x.key = buf
 	return buf
@@ -372,54 +395,60 @@ func (x *Exec) probeKey(key []src) []byte {
 
 // run executes steps over the current registers; false means emit asked
 // to stop.
-func (x *Exec) run(steps []step, emit func([]Value) bool) bool {
+func (x *Exec) run(p *Plan, steps []step, emit func([]Sym) bool) bool {
 	if len(steps) == 0 {
 		return emit(x.regs)
 	}
 	st, rest := &steps[0], steps[1:]
+	rel := st.rel
 	switch st.kind {
 	case stepCmp:
-		if !compare(st.op, st.l.get(x.regs), st.r.get(x.regs)) {
+		if !p.compare(st.op, st.l.get(x.regs), st.r.get(x.regs)) {
 			return true
 		}
-		return x.run(rest, emit)
+		return x.run(p, rest, emit)
 	case stepExists, stepAnti:
-		row := st.rel.rows[string(x.probeKey(st.key))]
-		found := row != nil && st.rel.visible(row, st.old)
+		pos := rel.find(x.probeKey(st.key))
+		found := pos >= 0 && rel.visible(pos, st.old)
 		if found == (st.kind == stepAnti) {
 			return true
 		}
-		return x.run(rest, emit)
+		return x.run(p, rest, emit)
 	}
-	rows := st.rel.order
-	if st.idx != nil {
-		rows = st.idx.probe(x.probeKey(st.key))
-	}
-	for _, row := range rows {
-		if !st.rel.visible(row, st.old) || !st.m.match(row.Tuple, x.regs) {
-			continue
+	if st.idx == nil {
+		for pos := range int32(rel.stored()) {
+			if rel.visible(pos, st.old) && st.m.match(rel.row(pos), x.regs) && !x.run(p, rest, emit) {
+				return false
+			}
 		}
-		if !x.run(rest, emit) {
+		return true
+	}
+	for pos := st.idx.first(x.probeKey(st.key)); pos >= 0; pos = st.idx.next[pos] {
+		if rel.visible(pos, st.old) && st.m.match(rel.row(pos), x.regs) && !x.run(p, rest, emit) {
 			return false
 		}
 	}
 	return true
 }
 
-func compare(op cmpOp, l, r Value) bool {
+// compare evaluates a constraint: = and != on ids (one id per value), <
+// and <= on the values' text — numeric when both sides parse as integers,
+// lexicographic otherwise.
+func (p *Plan) compare(op cmpOp, l, r Sym) bool {
 	switch op {
 	case opEq:
 		return l == r
 	case opNe:
 		return l != r
 	}
-	li, lerr := strconv.Atoi(l)
-	ri, rerr := strconv.Atoi(r)
+	ls, rs := p.syms.Text(l), p.syms.Text(r)
+	li, lerr := strconv.Atoi(ls)
+	ri, rerr := strconv.Atoi(rs)
 	var less, eq bool
 	if lerr == nil && rerr == nil {
 		less, eq = li < ri, li == ri
 	} else {
-		less, eq = l < r, l == r
+		less, eq = ls < rs, ls == rs
 	}
 	return less || (op == opLe && eq)
 }

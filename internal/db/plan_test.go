@@ -9,11 +9,11 @@ import (
 )
 
 func buildSample() (*Relation, *Relation) {
-	person := NewRelation("PersonCandidate", "s", "m")
+	person := newRel("PersonCandidate", "s", "m")
 	person.Insert(Tuple{"s1", "m1"})
 	person.Insert(Tuple{"s1", "m2"})
 	person.Insert(Tuple{"s2", "m3"})
-	sentence := NewRelation("Sentence", "s", "text")
+	sentence := newRel("Sentence", "s", "text")
 	sentence.Insert(Tuple{"s1", "B. Obama and Michelle were married"})
 	sentence.Insert(Tuple{"s2", "Malia attended the dinner"})
 	// Loading is over: from here the old state equals the live one.
@@ -50,8 +50,9 @@ func runBoth(t testing.TB, q *Query, seed int, seedTuple Tuple, old map[*Relatio
 	}
 	var x Exec
 	var got [][]Value
-	p.Run(&x, seedTuple, func(regs []Value) bool {
-		got = append(got, slices.Clone(regs))
+	syms := q.Atoms[0].Rel.syms
+	p.Run(&x, syms.AppendIDs(nil, seedTuple), func(regs []Sym) bool {
+		got = append(got, syms.Tuple(regs))
 		return true
 	})
 	tuples := func(i int) []Tuple {
@@ -187,7 +188,7 @@ func TestPlanSeed(t *testing.T) {
 
 func TestPlanNegation(t *testing.T) {
 	person, _ := buildSample()
-	married := NewRelation("Married", "m")
+	married := newRel("Married", "m")
 	married.Insert(Tuple{"m1"})
 	// The negated atom comes first in canonical order: the planner defers
 	// it until m is bound.
@@ -224,7 +225,7 @@ func TestPlanUnplannableRejected(t *testing.T) {
 }
 
 func TestPlanRepeatedVarInAtom(t *testing.T) {
-	pair := NewRelation("Pair", "a", "b")
+	pair := newRel("Pair", "a", "b")
 	pair.Insert(Tuple{"x", "x"})
 	pair.Insert(Tuple{"x", "y"})
 	q := &Query{Atoms: []QueryAtom{{Rel: pair, Terms: []Term{V("v"), V("v")}}}}
@@ -238,7 +239,7 @@ func TestPlanRepeatedVarInAtom(t *testing.T) {
 }
 
 func TestPlanConstraintOps(t *testing.T) {
-	nums := NewRelation("N", "v")
+	nums := newRel("N", "v")
 	for _, v := range []string{"2", "10", "3", "apple", "pear"} {
 		nums.Insert(Tuple{v})
 	}
@@ -273,7 +274,7 @@ func TestPlanConstraintOps(t *testing.T) {
 }
 
 func TestPlanEarlyStopAndRegisterReuse(t *testing.T) {
-	r := NewRelation("R", "x")
+	r := newRel("R", "x")
 	for i := 0; i < 100; i++ {
 		r.Insert(Tuple{fmt.Sprint(i)})
 	}
@@ -284,28 +285,28 @@ func TestPlanEarlyStopAndRegisterReuse(t *testing.T) {
 	}
 	var x Exec
 	var seen []Value
-	var first []Value
-	p.Run(&x, nil, func(regs []Value) bool {
+	var first []Sym
+	p.Run(&x, nil, func(regs []Sym) bool {
 		if first == nil {
 			first = regs // retained without a copy: overwritten by later bindings
 		}
-		seen = append(seen, regs[0])
+		seen = append(seen, testSyms.Text(regs[0]))
 		return len(seen) < 5
 	})
 	if !slices.Equal(seen, []Value{"0", "1", "2", "3", "4"}) {
 		t.Fatalf("early stop saw %v", seen)
 	}
-	if first[0] != "4" {
-		t.Fatalf("register file not reused: first binding still reads %q", first[0])
+	if got := testSyms.Text(first[0]); got != "4" {
+		t.Fatalf("register file not reused: first binding still reads %q", got)
 	}
 }
 
 // TestJoinOrder pins the static join-order rule on the rule shapes the
 // KBC programs use.
 func TestJoinOrder(t *testing.T) {
-	mention := NewRelation("Mention", "mid", "sid", "etype", "eid")
-	sentence := NewRelation("Sentence", "sid", "words")
-	cand := NewRelation("Rel", "m1", "m2")
+	mention := newRel("Mention", "mid", "sid", "etype", "eid")
+	sentence := newRel("Sentence", "sid", "words")
+	cand := newRel("Rel", "m1", "m2")
 	// FE1: Rel(m1,m2) :- Mention(m1,s,t1,e1), Mention(m2,s,t2,e2),
 	// Sentence(s,w), m1 != m2, with the head guard last in canonical order.
 	q := &Query{
@@ -388,7 +389,7 @@ func TestCompiledMatchesReference(t *testing.T) {
 	compiled, rejected := 0, 0
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		rels := []*Relation{NewRelation("P", "x"), NewRelation("Q", "x", "y"), NewRelation("R", "x", "y", "z")}
+		rels := []*Relation{newRel("P", "x"), newRel("Q", "x", "y"), newRel("R", "x", "y", "z")}
 		randTuple := func(rel *Relation) Tuple {
 			tu := make(Tuple, rel.Arity())
 			for i := range tu {
@@ -448,7 +449,7 @@ func TestCompiledMatchesReference(t *testing.T) {
 // allocates nothing.
 func TestWarmRunDoesNotAllocate(t *testing.T) {
 	person, sentence := buildSample()
-	married := NewRelation("Married", "m")
+	married := newRel("Married", "m")
 	married.Insert(Tuple{"m1"})
 	q := &Query{
 		Atoms: []QueryAtom{
@@ -465,7 +466,7 @@ func TestWarmRunDoesNotAllocate(t *testing.T) {
 	}
 	var x Exec
 	n := 0
-	emit := func([]Value) bool { n++; return true }
+	emit := func([]Sym) bool { n++; return true }
 	p.Run(&x, nil, emit)
 	if n != 1 { // (m1, m2): m2 is unmarried, (m2, m1) is killed by the anti-join
 		t.Fatalf("plan emitted %d bindings, want 1", n)
@@ -474,10 +475,10 @@ func TestWarmRunDoesNotAllocate(t *testing.T) {
 		t.Fatalf("warm plan run allocates %.1f times, want 0", allocs)
 	}
 	ix := person.IndexOn(0)
-	key := []byte("s1")
+	key := testSyms.AppendIDs(nil, Tuple{"s1"})
 	if allocs := testing.AllocsPerRun(100, func() {
-		for _, row := range ix.probe(key) {
-			if row.Count > 0 {
+		for pos := ix.first(key); pos >= 0; pos = ix.next[pos] {
+			if person.counts[pos] > 0 {
 				n++
 			}
 		}
@@ -490,7 +491,7 @@ func TestWarmRunDoesNotAllocate(t *testing.T) {
 // read-only, by any number of goroutines (the parallel grounding path's
 // workers), each with its own Exec. Run under -race.
 func TestConcurrentRuns(t *testing.T) {
-	r := NewRelation("E", "a", "b")
+	r := newRel("E", "a", "b")
 	for i := 0; i < 200; i++ {
 		r.Insert(Tuple{fmt.Sprint(i % 20), fmt.Sprint(i % 7)})
 	}
@@ -508,7 +509,8 @@ func TestConcurrentRuns(t *testing.T) {
 	}
 	count := func(x *Exec, seed Tuple) int {
 		n := 0
-		p.Run(x, seed, func([]Value) bool { n++; return true })
+		ids, _ := testSyms.FindIDs(nil, seed)
+		p.Run(x, ids, func([]Sym) bool { n++; return true })
 		return n
 	}
 	seeds := r.Tuples()

@@ -145,6 +145,49 @@ type Graph struct {
 	adjExtra  paged[[]int32]   // per var: overflow adjacent group ids
 	nDead     int              // tombstoned groundings visible at this epoch
 	nExtra    int              // groundings living in overflow rows
+
+	// The value tables a patch does not copy — weights, evidence, evValue —
+	// are shared along the lineage, each tracked on its own (see lineage).
+	wShare, evShare, valShare lineage
+}
+
+// lineage tracks a value table a patched graph shares with the graph it
+// was patched from. NewPatch hands the child the parent's backing array:
+// a write to an entry of the shared prefix, on either side, copies the
+// table first, and only the graph holding the tail — the parent until it
+// is patched, then the child — appends in place (entries it appends are
+// its own); one that lent the tail copies on its next append. The zero
+// value owns its table and its tail.
+type lineage struct {
+	shared int // entries [0, shared) may be read by another graph
+	lent   bool
+}
+
+// fork marks the parent's table shared and returns the child's state: the
+// tail moves to the child, if the parent still held it.
+func (l *lineage) fork(n int) lineage {
+	child := lineage{shared: n, lent: l.lent}
+	l.shared, l.lent = n, true
+	return child
+}
+
+// own makes entry i of s writable in place (i < 0: every entry), copying
+// a table whose shared prefix holds it.
+func own[T any](s []T, l *lineage, i int) []T {
+	if l.shared > 0 && i < l.shared {
+		s = append(make([]T, 0, len(s)+len(s)/8+8), s...)
+		*l = lineage{}
+	}
+	return s
+}
+
+// grow appends v to s, in place only when this graph holds the tail.
+func grow[T any](s []T, l *lineage, v T) []T {
+	if l.lent || len(s) == cap(s) {
+		s = append(make([]T, 0, 2*len(s)+8), s...)
+		*l = lineage{}
+	}
+	return append(s, v)
 }
 
 // NumVars returns the number of variables.
@@ -271,11 +314,13 @@ func (g *Graph) Weight(w WeightID) float64 { return g.weights[w] }
 // change immediately (weights are read at evaluation time; cached
 // conditionals are invalidated through the weight generation).
 func (g *Graph) SetWeight(w WeightID, v float64) {
+	g.weights = own(g.weights, &g.wShare, int(w))
 	g.weights[w] = v
 	g.weightGen++
 }
 
-// Weights returns the live weight slice (shared, not a copy).
+// Weights returns the live weight slice (shared, not a copy; read only —
+// a graph of the same lineage may share it).
 func (g *Graph) Weights() []float64 { return g.weights }
 
 // SetWeights replaces all weight values. len(vals) must match NumWeights.
@@ -283,6 +328,7 @@ func (g *Graph) SetWeights(vals []float64) {
 	if len(vals) != len(g.weights) {
 		panic(fmt.Sprintf("factor: SetWeights got %d values, want %d", len(vals), len(g.weights)))
 	}
+	g.weights = own(g.weights, &g.wShare, -1)
 	copy(g.weights, vals)
 	g.weightGen++
 }
@@ -339,6 +385,8 @@ func (g *Graph) EvidenceValue(v VarID) bool { return g.evValue[v] }
 // Used by supervision-rule updates; States must be rebuilt or re-synced
 // afterwards.
 func (g *Graph) SetEvidence(v VarID, ev bool, val bool) {
+	g.evidence = own(g.evidence, &g.evShare, int(v))
+	g.evValue = own(g.evValue, &g.valShare, int(v))
 	g.evidence[v] = ev
 	g.evValue[v] = val
 }

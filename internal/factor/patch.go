@@ -77,16 +77,16 @@ func (s *groupVarSet) add(v VarID) {
 }
 
 // NewPatch starts a patch over g. The working copy's weight table and
-// evidence arrays are private from the start — callers mutate both
-// directly on a live graph (learning writes weights, supervision flips
-// evidence) and the base graph must keep its values; the heavyweight
-// pools are shared per the lineage rules above.
+// evidence arrays start out as g's (see lineage): callers mutate both on a
+// live graph (learning writes weights, supervision flips evidence), and
+// the first such write on either graph copies the table, so the base
+// graph keeps its values without a patch paying 8·W + 2·V bytes up front;
+// the heavyweight pools are shared per the lineage rules above.
 func NewPatch(g *Graph) *Patch {
 	ng := *g
 	ng.epoch = g.epoch + 1
-	ng.weights = append([]float64(nil), g.weights...)
-	ng.evidence = append([]bool(nil), g.evidence...)
-	ng.evValue = append([]bool(nil), g.evValue...)
+	ng.wShare = g.wShare.fork(len(g.weights))
+	ng.evShare, ng.valShare = g.evShare.fork(g.numVars), g.valShare.fork(g.numVars)
 	return &Patch{
 		base:          g,
 		g:             &ng,
@@ -124,8 +124,8 @@ func (p *Patch) AddVar() VarID {
 	p.checkOpen()
 	p.ownStruct()
 	g := p.g
-	g.evidence = append(g.evidence, false)
-	g.evValue = append(g.evValue, false)
+	g.evidence = grow(g.evidence, &g.evShare, false)
+	g.evValue = grow(g.evValue, &g.valShare, false)
 	g.bodyOff = append(g.bodyOff, g.bodyOff[len(g.bodyOff)-1])
 	g.adjOff = append(g.adjOff, g.adjOff[len(g.adjOff)-1])
 	g.nbrOff = append(g.nbrOff, g.nbrOff[len(g.nbrOff)-1])
@@ -144,14 +144,13 @@ func (p *Patch) SetEvidence(v VarID, ev, val bool) {
 	if int(v) < 0 || int(v) >= g.numVars {
 		panic(fmt.Sprintf("factor: Patch.SetEvidence var %d out of range [0,%d)", v, g.numVars))
 	}
-	g.evidence[v] = ev
-	g.evValue[v] = val
+	g.SetEvidence(v, ev, val)
 }
 
 // AddWeight registers a weight with an initial value and returns its id.
 func (p *Patch) AddWeight(init float64) WeightID {
 	p.checkOpen()
-	p.g.weights = append(p.g.weights, init)
+	p.g.weights = grow(p.g.weights, &p.g.wShare, init)
 	return WeightID(len(p.g.weights) - 1)
 }
 

@@ -22,44 +22,71 @@ import "slices"
 type Reach struct {
 	g    *Graph
 	free bool
-	mark []uint8 // 0 unseen, 1 member, 2 visited and dropped, 3 boundary member
+	mark marks
 	// Vars are the members in discovery order until Sorted is called.
 	Vars []VarID
+}
+
+// marks is a Reach's per-variable state — 0 unseen, 1 member, 2 visited
+// and dropped, 3 boundary member — in pages allocated on first write, so
+// a reach over a few variables of a large graph costs a few pages and a
+// pointer per page, not a byte per variable of the graph.
+type marks struct{ pages []*[markPage]uint8 }
+
+const (
+	markShift = 8
+	markPage  = 1 << markShift
+)
+
+func (m *marks) get(v VarID) uint8 {
+	if p := m.pages[v>>markShift]; p != nil {
+		return p[v&(markPage-1)]
+	}
+	return 0
+}
+
+func (m *marks) set(v VarID, x uint8) {
+	p := &m.pages[v>>markShift]
+	if *p == nil {
+		*p = new([markPage]uint8)
+	}
+	(*p)[v&(markPage-1)] = x
 }
 
 // NewReach returns the empty set over g, over the free-variable adjacency
 // or the evidence-released one.
 func (g *Graph) NewReach(free bool) *Reach {
-	return &Reach{g: g, free: free, mark: make([]uint8, g.numVars)}
+	pages := make([]*[markPage]uint8, (g.numVars+markPage-1)>>markShift)
+	return &Reach{g: g, free: free, mark: marks{pages}}
 }
 
 // Has reports whether v is a member.
-func (r *Reach) Has(v VarID) bool { return r.mark[v]&1 == 1 }
+func (r *Reach) Has(v VarID) bool { return r.mark.get(v)&1 == 1 }
 
 // Grow adds the connected component of v unless it was visited before.
 // With evidenceOnly, a component holding no evidence variable is marked
 // visited but not added.
 func (r *Reach) Grow(v VarID, evidenceOnly bool) {
 	start := len(r.Vars)
-	switch r.mark[v] {
+	switch r.mark.get(v) {
 	case 0:
 		r.Vars = append(r.Vars, v)
 	case 3: // a boundary member grown in its own right: expand from it
 	default:
 		return
 	}
-	r.mark[v] = 1
+	r.mark.set(v, 1)
 	evidence := r.g.evidence[v]
 	expand := func(u VarID) {
 		r.g.Neighbors(u, func(w VarID) {
-			if r.mark[w] != 0 {
+			if r.mark.get(w) != 0 {
 				return
 			}
-			r.mark[w] = 1
+			r.mark.set(w, 1)
 			if r.g.evidence[w] {
 				evidence = true
 				if r.free {
-					r.mark[w] = 3
+					r.mark.set(w, 3)
 				}
 			}
 			r.Vars = append(r.Vars, w)
@@ -67,13 +94,13 @@ func (r *Reach) Grow(v VarID, evidenceOnly bool) {
 	}
 	expand(v)
 	for i := start; i < len(r.Vars); i++ {
-		if u := r.Vars[i]; u != v && r.mark[u] == 1 {
+		if u := r.Vars[i]; u != v && r.mark.get(u) == 1 {
 			expand(u)
 		}
 	}
 	if evidenceOnly && !evidence {
 		for _, u := range r.Vars[start:] {
-			r.mark[u] = 2
+			r.mark.set(u, 2)
 		}
 		r.Vars = r.Vars[:start]
 	}

@@ -7,13 +7,13 @@ import (
 
 // maxAllocsPerGrounding bounds what full grounding allocates per grounding
 // it produces, on the 500-sentence spouse corpus of BenchmarkGroundFullRule
-// (6 000 groundings; 12.2 measured). Per grounding the corpus grounds two
-// derivation bindings and one weighted one. What remains is interned state
-// — variable and grounding keys, relation rows and their keys — plus the
-// derivation heads the delta lists keep and the test UDF's own garbage;
-// group, grounding and literal records come from slabs. A weighted binding
-// that builds its keys as strings, or a record per group or grounding, puts
-// it back above 20.
+// (6 000 groundings; 4.1 measured). Per grounding the corpus grounds two
+// derivation bindings and one weighted one. What remains is interned
+// state — a variable's and a grounding's fixed-width key — plus the test
+// UDF's own garbage and the amortised growth of the tables; relation rows,
+// their index chains, the delta lists' rows and group, grounding and
+// literal records come from slabs. A weighted binding that builds its keys
+// as strings, or a record per group or grounding, puts it back above 20.
 const maxAllocsPerGrounding = 14
 
 func TestGroundAllocationsPerGrounding(t *testing.T) {

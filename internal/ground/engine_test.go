@@ -26,8 +26,8 @@ func requireCounters(t *testing.T, g *Grounder) {
 	}
 	total := 0
 	for _, name := range g.data.Names() {
-		rel, live := g.data.Relation(name), 0
-		rel.Each(func(db.Tuple) bool { live++; return true })
+		rel := g.data.Relation(name)
+		live := len(rel.Tuples())
 		if rel.Len() != live {
 			t.Fatalf("%s.Len() = %d, recount %d", name, rel.Len(), live)
 		}
@@ -100,15 +100,16 @@ func TestNegatedAtomBeforeItsBinder(t *testing.T) {
 // TestRejectedUpdateLeavesGrounderUntouched: an update that cannot be
 // applied — a rule the planner cannot schedule, an unknown UDF, a
 // recursive rule set, a bad base delta — is refused before any mutation:
-// the program's rules, every relation, the version and the cached graph
-// are as they were, and the grounder keeps working.
+// the program's rules, every relation, the symbol table (a refused rule's
+// constants included), the version and the cached graph are as they were,
+// and the grounder keeps working.
 func TestRejectedUpdateLeavesGrounderUntouched(t *testing.T) {
 	g := newSpouseGrounder(t, spouseBase())
 	graph := g.Graph()
 	state := func() string {
 		var sb strings.Builder
-		fmt.Fprintf(&sb, "v%d rules=%d vars=%d groups=%d gnds=%d weighted=%d topo=%v\n",
-			g.Version(), len(g.Program().Rules), g.NumVars(), g.NumGroups(), g.NumGroundings(), len(g.weighted), g.topo)
+		fmt.Fprintf(&sb, "v%d rules=%d vars=%d groups=%d gnds=%d weighted=%d topo=%v symbols=%d\n",
+			g.Version(), len(g.Program().Rules), g.NumVars(), g.NumGroups(), g.NumGroundings(), len(g.weighted), g.topo, g.DB().Symbols().Len())
 		for _, name := range g.DB().Names() {
 			fmt.Fprintf(&sb, "%s derived=%v rules=%d %v\n", name, g.derived[name], len(g.rulesByHead[name]), g.DB().Relation(name).Tuples())
 		}
@@ -130,6 +131,7 @@ func TestRejectedUpdateLeavesGrounderUntouched(t *testing.T) {
 		"unplannable rule after a good one": {Inserts: doc, NewRules: append(datalog.MustParse(spouseSrc + okRule).Rules[4:], unplannable...)},
 		"unknown UDF":                       {Inserts: doc, NewRules: datalog.MustParse(spouseSrc + okRule + "\nF: MarriedMentions(m1, m2) :- MarriedCandidate(m1, m2) weight = mystery(m1).").Rules[4:]},
 		"recursion":                         {Inserts: doc, NewRules: datalog.MustParse(spouseSrc + "X: PersonCandidate(s, m) :- MarriedCandidate(m, m2), Mentions(s, m).").Rules[4:]},
+		"recursion through a new constant":  {Inserts: doc, NewRules: datalog.MustParse(spouseSrc + `X: PersonCandidate(s, "m-new") :- MarriedCandidate(m, "m-other"), Mentions(s, m).`).Rules[4:]},
 		"validation":                        {Inserts: doc, NewRules: []*datalog.Rule{{Head: datalog.Atom{Pred: "Nope"}}}},
 		"insert into derived relation":      {Inserts: map[string][]db.Tuple{"EL": {{"m8", "Pat"}}, "MarriedCandidate": {{"mX", "mY"}}}},
 		"unknown relation":                  {Inserts: doc, Deletes: map[string][]db.Tuple{"Nope": {{"x"}}}},
@@ -189,12 +191,12 @@ func corpusBase(n, k int) baseData {
 }
 
 // maxAllocsPerBinding is the bound TestGroundAllocationsPerBinding holds
-// full-rule evaluation to (4.0 measured). A weighted-rule binding costs
+// full-rule evaluation to (1.4 measured). A weighted-rule binding costs
 // what its UDF allocates and, the first time the grounding is seen, the
 // grounding's key — its keys are built in a reused arena, its records cut
-// from slabs; a derivation-rule binding costs its head tuple, the relation
-// row and its key, and the variable's key. Join evaluation itself —
-// probes, key building, register loads — costs none.
+// from slabs; a derivation-rule binding costs the variable's key, its row
+// and head living in slabs. Join evaluation itself — probes, key
+// building, register loads — costs none.
 const maxAllocsPerBinding = 6
 
 func TestGroundAllocationsPerBinding(t *testing.T) {
@@ -240,10 +242,9 @@ func BenchmarkGroundFullRule(b *testing.B) {
 // as the KB does after every commit, which compacts it whenever
 // fragmentation crosses the threshold — the figures hold that rebuild,
 // amortised. (While a patch copied its side tables whole this benchmark
-// switched patching off to show the join engine at all. What a patch still
-// copies flat — the weight values and evidence flags, see factor.NewPatch —
-// is most of the bytes here, because this corpus has a weight per sentence;
-// the join evaluation itself is the ~22 KB it was.)
+// switched patching off to show the join engine at all; the weight values
+// and evidence flags a patch shares with its base until a write, see
+// factor.NewPatch.)
 func BenchmarkGroundDocDelta(b *testing.B) {
 	for _, sentences := range []int{500, 2000} {
 		b.Run(fmt.Sprintf("corpus=%d", sentences), func(b *testing.B) {

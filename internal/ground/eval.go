@@ -1,6 +1,7 @@
 package ground
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 
@@ -10,19 +11,21 @@ import (
 )
 
 // argSrc is one argument of an atom to instantiate from a binding: a
-// register of the rule's plans, or a constant when slot < 0.
+// register of the rule's plans, or a constant (interned when the rule
+// compiled) when slot < 0.
 type argSrc struct {
 	slot int
-	val  db.Value
+	val  db.Sym
 }
 
-// atomSpec instantiates an atom's tuple from a plan's register file.
+// atomSpec instantiates an atom's row of ids from a plan's register file.
 type atomSpec struct {
 	pred string
+	seq  uint32 // the relation's position in the program's declarations: its variable-key prefix
 	args []argSrc
 }
 
-func (a *atomSpec) arg(i int, regs []db.Value) db.Value {
+func (a *atomSpec) arg(i int, regs []db.Sym) db.Sym {
 	s := a.args[i]
 	if s.slot < 0 {
 		return s.val
@@ -30,23 +33,20 @@ func (a *atomSpec) arg(i int, regs []db.Value) db.Value {
 	return regs[s.slot]
 }
 
-func (a *atomSpec) instantiate(regs []db.Value) db.Tuple {
-	t := make(db.Tuple, len(a.args))
+// appendRow appends the atom's row of ids to dst.
+func (a *atomSpec) appendRow(dst []db.Sym, regs []db.Sym) []db.Sym {
 	for i := range a.args {
-		t[i] = a.arg(i, regs)
+		dst = append(dst, a.arg(i, regs))
 	}
-	return t
+	return dst
 }
 
 // appendVarKey appends the variable key (the package's appendVarKey) of
-// the atom's tuple without instantiating the tuple.
-func (a *atomSpec) appendVarKey(buf []byte, regs []db.Value) []byte {
-	buf = append(append(buf, a.pred...), 0)
+// the atom's row without instantiating the row.
+func (a *atomSpec) appendVarKey(buf []byte, regs []db.Sym) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, a.seq)
 	for i := range a.args {
-		if i > 0 {
-			buf = append(buf, 0x1f)
-		}
-		buf = append(buf, a.arg(i, regs)...)
+		buf = binary.LittleEndian.AppendUint32(buf, a.arg(i, regs))
 	}
 	return buf
 }
@@ -60,6 +60,7 @@ func (a *atomSpec) appendVarKey(buf []byte, regs []db.Value) []byte {
 type ruleEval struct {
 	rule  *datalog.Rule
 	idx   int // stable index for weight keys
+	syms  *db.Symbols
 	query db.Query
 	// plans caches the compiled plan per db.Query.Compile seed (an atom
 	// position, db.ScanLive or db.ScanOld). Filled on the driver goroutine
@@ -69,7 +70,7 @@ type ruleEval struct {
 	head       atomSpec
 	lits       []atomSpec // body atoms that become factor literals (weighted rules)
 	weightArgs []int      // slots of the weight expression's arguments
-	keySlots   []int      // slots of every rule variable: a grounding's identity c̄ (Section 2.4)
+	keySlots   []int      // slots of every rule variable: a grounding's identity c̄ (Section 2.4), 4 bytes each in its key
 	wprefix    string     // weight key up to the tie values
 	udf        UDF        // weight UDF, nil for fixed and w(...) weights
 }
@@ -101,7 +102,7 @@ func (g *Grounder) queryAtom(a *datalog.Atom, neg, lead bool) db.QueryAtom {
 // cancellation). For deterministic rules every atom joins — negation over
 // a variable relation there is a plain anti-join over the candidate set.
 func (g *Grounder) compileRule(r *datalog.Rule, idx int) (*ruleEval, error) {
-	re := &ruleEval{rule: r, idx: idx, plans: make(map[int]*db.Plan)}
+	re := &ruleEval{rule: r, idx: idx, syms: g.data.Symbols(), plans: make(map[int]*db.Plan)}
 	weighted := r.Kind == datalog.KindInference
 	if r.Weight.HasWeight && !r.Weight.IsFixed && r.Weight.Func != "w" {
 		udf, ok := g.udfs[r.Weight.Func]
@@ -141,12 +142,12 @@ func (g *Grounder) compileRule(r *datalog.Rule, idx int) (*ruleEval, error) {
 		slotOf[v] = i
 	}
 	spec := func(a *datalog.Atom) atomSpec {
-		s := atomSpec{pred: a.Pred, args: make([]argSrc, len(a.Args))}
+		s := atomSpec{pred: a.Pred, seq: g.relSeq[a.Pred], args: make([]argSrc, len(a.Args))}
 		for i, t := range a.Args {
 			if t.IsVar {
 				s.args[i] = argSrc{slot: slotOf[t.Name]}
 			} else {
-				s.args[i] = argSrc{slot: -1, val: t.Value}
+				s.args[i] = argSrc{slot: -1, val: re.syms.Intern(t.Value)}
 			}
 		}
 		return s
@@ -205,8 +206,9 @@ func (re *ruleEval) mustPlan(seed int) *db.Plan {
 // incremental): relation deltas for downstream rules and the ΔV/ΔF
 // bookkeeping reported to incremental inference.
 type tracker struct {
-	added   map[string][]db.Tuple
-	removed map[string][]db.Tuple
+	added   map[string][][]db.Sym
+	removed map[string][][]db.Sym
+	rows    []db.Sym // the slab the delta lists' rows are cut from
 
 	newVars        []factor.VarID
 	liveToggled    []factor.VarID // pre-existing variables whose tuple left or re-entered; repeats allowed
@@ -214,19 +216,19 @@ type tracker struct {
 	modifiedGroups map[int]bool
 	addedGroups    []int // ascending: groups are append-only
 	newWeights     []factor.WeightID
-	// touched records, per pre-existing group, the binding keys of
-	// groundings whose visibility toggled — the grounding-grained ΔF the
-	// in-place patch path splices into the flat graph.
-	touched map[int]map[string]bool
+	// touched records, per pre-existing group, the groundings whose
+	// visibility toggled — the grounding-grained ΔF the in-place patch path
+	// splices into the flat graph.
+	touched map[int]map[*gndState]bool
 }
 
 func newTracker() *tracker {
 	return &tracker{
-		added:          make(map[string][]db.Tuple),
-		removed:        make(map[string][]db.Tuple),
+		added:          make(map[string][][]db.Sym),
+		removed:        make(map[string][][]db.Sym),
 		evChanged:      make(map[factor.VarID]bool),
 		modifiedGroups: make(map[int]bool),
-		touched:        make(map[int]map[string]bool),
+		touched:        make(map[int]map[*gndState]bool),
 	}
 }
 
@@ -241,44 +243,50 @@ func (tr *tracker) changed(name string) bool {
 }
 
 // touch records a grounding visibility toggle in a pre-existing group.
-func (tr *tracker) touch(gi int, key string) {
+func (tr *tracker) touch(gi int, gnd *gndState) {
 	if tr.touched[gi] == nil {
-		tr.touched[gi] = make(map[string]bool)
+		tr.touched[gi] = make(map[*gndState]bool)
 	}
-	tr.touched[gi][key] = true
+	tr.touched[gi][gnd] = true
 }
 
-// applyTupleDelta adds count derivations of t to rel, maintaining variable
-// liveness, evidence counts, and the delta stream. The relation's state
-// before the pass stays readable through old-state plan atoms (see
-// db.Relation.BeginPass).
-func (g *Grounder) applyTupleDelta(tr *tracker, relName string, t db.Tuple, count int) error {
+// keep returns a copy of row the pass's delta lists may hold.
+func (tr *tracker) keep(row []db.Sym) []db.Sym {
+	kept := cut(&tr.rows, len(row))
+	copy(kept, row)
+	return kept
+}
+
+// applyTupleDelta adds count derivations of a row of ids to rel,
+// maintaining variable liveness, evidence counts, and the delta stream.
+// The relation's state before the pass stays readable through old-state
+// plan atoms (see db.Relation.BeginPass). row is not retained.
+func (g *Grounder) applyTupleDelta(tr *tracker, relName string, row []db.Sym, count int) error {
 	r := g.data.Relation(relName)
 	if r == nil {
 		return fmt.Errorf("ground: unknown relation %s", relName)
 	}
-	if !r.InsertN(t, count) {
+	if !r.InsertRow(row, count) {
 		return nil // visibility unchanged: nothing propagates
 	}
-	// The delta lists live for this pass only, and t is either a tuple of
-	// the update in flight or a freshly instantiated head: no copy needed.
+	row = tr.keep(row)
 	visible := count > 0
 	if visible {
-		tr.added[relName] = append(tr.added[relName], t)
+		tr.added[relName] = append(tr.added[relName], row)
 	} else {
-		tr.removed[relName] = append(tr.removed[relName], t)
+		tr.removed[relName] = append(tr.removed[relName], row)
 	}
 	decl := g.prog.Decls[relName]
 	if decl != nil && decl.Variable {
 		if visible {
-			id, isNew := g.varFor(relName, t)
+			id, isNew := g.varFor(relName, row)
 			if isNew {
 				tr.newVars = append(tr.newVars, id)
 			} else if !g.live[id] {
 				tr.liveToggled = append(tr.liveToggled, id)
 			}
 			g.live[id] = true
-		} else if id, ok := g.VarOf(relName, t); ok {
+		} else if id, ok := g.varOf(relName, row); ok {
 			if g.live[id] {
 				tr.liveToggled = append(tr.liveToggled, id)
 			}
@@ -286,7 +294,7 @@ func (g *Grounder) applyTupleDelta(tr *tracker, relName string, t db.Tuple, coun
 		}
 	}
 	if base, isEv := datalog.EvidenceTarget(relName); isEv && g.prog.Decls[base] != nil {
-		if err := g.applyEvidenceDelta(tr, base, t, visible); err != nil {
+		if err := g.applyEvidenceDelta(tr, base, row, visible); err != nil {
 			return err
 		}
 	}
@@ -294,9 +302,9 @@ func (g *Grounder) applyTupleDelta(tr *tracker, relName string, t db.Tuple, coun
 }
 
 // applyEvidenceDelta updates per-variable evidence counts when an
-// evidence tuple (base..., label) changes visibility.
-func (g *Grounder) applyEvidenceDelta(tr *tracker, baseRel string, evTuple db.Tuple, nowVisible bool) error {
-	label := evTuple[len(evTuple)-1]
+// evidence row (base..., label) changes visibility.
+func (g *Grounder) applyEvidenceDelta(tr *tracker, baseRel string, evRow []db.Sym, nowVisible bool) error {
+	label := g.data.Symbols().Text(evRow[len(evRow)-1])
 	var isTrue bool
 	switch label {
 	case "true":
@@ -306,7 +314,7 @@ func (g *Grounder) applyEvidenceDelta(tr *tracker, baseRel string, evTuple db.Tu
 	default:
 		return fmt.Errorf("ground: evidence label %q in %s_Ev must be true or false", label, baseRel)
 	}
-	id, isNew := g.varFor(baseRel, evTuple[:len(evTuple)-1])
+	id, isNew := g.varFor(baseRel, evRow[:len(evRow)-1])
 	if isNew {
 		tr.newVars = append(tr.newVars, id)
 	}
@@ -324,17 +332,18 @@ func (g *Grounder) applyEvidenceDelta(tr *tracker, baseRel string, evTuple db.Tu
 }
 
 // keyArena holds the keys precompute derives, back to back in buf; ends
-// records where each key ends, so key i starts where key i−1 ended. The
-// driver resets its one arena per binding; a parallel job keeps its own
-// for as long as its bindings wait to be applied. args is the UDF
-// argument scratch.
+// records where each key ends, so key i starts where key i−1 ended. rows
+// holds the instantiated heads of derivation rules. The driver resets its
+// one arena per binding; a parallel job keeps its own for as long as its
+// bindings wait to be applied. args is the UDF argument scratch.
 type keyArena struct {
 	buf  []byte
 	ends []int32
+	rows []db.Sym
 	args []string
 }
 
-func (a *keyArena) reset() { a.buf, a.ends = a.buf[:0], a.ends[:0] }
+func (a *keyArena) reset() { a.buf, a.ends, a.rows = a.buf[:0], a.ends[:0], a.rows[:0] }
 
 // end closes the key appended to buf since the previous one.
 func (a *keyArena) end() { a.ends = append(a.ends, int32(len(a.buf))) }
@@ -349,37 +358,40 @@ func (a *keyArena) key(i int) []byte {
 }
 
 // bindingPre holds the pure derivations of one rule binding — everything
-// applying it needs that does not touch mutable grounder state. For a
-// derivation or supervision rule: the instantiated head, which the delta
-// lists keep. For a weighted rule: keys at, at+1, … of its arena — the
-// head's variable key, the weight key (with the UDF evaluation, the
-// expensive part of feature-extraction rules), the binding key, then one
-// variable key per literal; applyPre allocates a string only for what it
-// interns. Workers compute bindings on the parallel path, applyBinding on
-// the sequential one; each key is a pure function of (rule, binding),
-// which keeps the two bit-identical.
+// applying it needs that does not touch mutable grounder state — in its
+// arena, from at on. For a derivation or supervision rule: the
+// instantiated head, rows[at:at+arity]. For a weighted rule: keys at,
+// at+1, … — the head's variable key, the weight key (with the UDF
+// evaluation, the expensive part of feature-extraction rules), the
+// binding key, then one variable key per literal; applyPre allocates a
+// string only for what it interns. Variable and binding keys are
+// fixed-width ids, so no key carries a value's text. Workers compute
+// bindings on the parallel path, applyBinding on the sequential one; each
+// key is a pure function of (rule, binding), which keeps the two
+// bit-identical.
 type bindingPre struct {
-	head db.Tuple
-	at   int
+	at int
 }
 
 // precompute derives a binding's pure apply inputs from a plan's register
 // file into a. Safe to call from evaluation workers, each with its own
-// arena: it reads only immutable rule state and the (pure) UDF registry;
-// regs is not retained.
-func (re *ruleEval) precompute(regs []db.Value, a *keyArena) bindingPre {
+// arena: it reads only immutable rule state, the symbol table (read-only
+// while workers run) and the (pure) UDF registry; regs is not retained.
+func (re *ruleEval) precompute(regs []db.Sym, a *keyArena) bindingPre {
 	if re.rule.Kind != datalog.KindInference {
-		return bindingPre{head: re.head.instantiate(regs)}
+		p := bindingPre{at: len(a.rows)}
+		a.rows = re.head.appendRow(a.rows, regs)
+		return p
 	}
 	p := bindingPre{at: len(a.ends)}
 	a.buf = re.head.appendVarKey(a.buf, regs)
 	a.end()
-	// Weight key: the rule, then its tie values.
+	// Weight key: the rule, then its tie values' text.
 	a.buf = append(a.buf, re.wprefix...)
 	if re.udf != nil {
 		a.args = a.args[:0]
 		for _, s := range re.weightArgs {
-			a.args = append(a.args, regs[s])
+			a.args = append(a.args, re.syms.Text(regs[s]))
 		}
 		a.buf = append(a.buf, re.udf(a.args)...)
 	} else {
@@ -387,13 +399,13 @@ func (re *ruleEval) precompute(regs []db.Value, a *keyArena) bindingPre {
 			if i > 0 {
 				a.buf = append(a.buf, 0x1f)
 			}
-			a.buf = append(a.buf, regs[s]...)
+			a.buf = append(a.buf, re.syms.Text(regs[s])...)
 		}
 	}
 	a.end()
 	// Binding key: the rule's full binding c̄.
 	for _, s := range re.keySlots {
-		a.buf = append(append(a.buf, regs[s]...), 0x1f)
+		a.buf = binary.LittleEndian.AppendUint32(a.buf, regs[s])
 	}
 	a.end()
 	for k := range re.lits {
@@ -407,7 +419,7 @@ func (re *ruleEval) precompute(regs []db.Value, a *keyArena) bindingPre {
 // −1 retract). Derivation and supervision rules derive head tuples;
 // weighted rules materialize factor groundings over existing candidate
 // variables (the head-guard join guarantees the head tuple exists).
-func (g *Grounder) applyBinding(re *ruleEval, regs []db.Value, sign int, tr *tracker) error {
+func (g *Grounder) applyBinding(re *ruleEval, regs []db.Sym, sign int, tr *tracker) error {
 	g.keys.reset()
 	p := re.precompute(regs, &g.keys)
 	return g.applyPre(re, &p, &g.keys, sign, tr)
@@ -419,7 +431,7 @@ func (g *Grounder) applyBinding(re *ruleEval, regs []db.Value, sign int, tr *tra
 // driver goroutine.
 func (g *Grounder) applyPre(re *ruleEval, p *bindingPre, a *keyArena, sign int, tr *tracker) error {
 	if re.rule.Kind != datalog.KindInference {
-		return g.applyTupleDelta(tr, re.head.pred, p.head, sign)
+		return g.applyTupleDelta(tr, re.head.pred, a.rows[p.at:p.at+len(re.head.args)], sign)
 	}
 	// Weighted rule: materialize the grounding over the candidate the guard
 	// join found visible.
@@ -466,7 +478,7 @@ func (g *Grounder) applyPre(re *ruleEval, p *bindingPre, a *keyArena, sign int, 
 	// ChangedGroupsOld.
 	if g.addCount(gs, gnd, sign) && !tr.newGroup(gi) {
 		tr.modifiedGroups[gi] = true
-		tr.touch(gi, gnd.key)
+		tr.touch(gi, gnd)
 	}
 	g.graphDirty = true
 	return nil

@@ -14,6 +14,7 @@
 package ground
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -25,24 +26,43 @@ import (
 // UDF is a user-defined function used in weight expressions: it maps the
 // bound argument values to a tie key (rule FE1's phrase(...) in the
 // paper). UDFs must be pure. args is valid only during the call: the
-// grounder reuses the slice for the next binding.
+// grounder reuses the slice for the next binding (its strings are the
+// symbol table's, resolved without a copy).
 type UDF func(args []string) string
 
 // UDFRegistry names the UDFs available to a program.
 type UDFRegistry map[string]UDF
 
-// appendVarKey appends the variable-map key for a tuple of a variable
-// relation: the relation name, a NUL, the tuple key.
-func appendVarKey(buf []byte, rel string, t db.Tuple) []byte {
-	buf = append(buf, rel...)
-	buf = append(buf, 0)
-	return t.AppendKey(buf)
+// appendVarKey appends the variable-map key for a row of a variable
+// relation: the relation's declaration position, then the row's ids, each
+// a little-endian uint32. The key is fixed-width for a relation and holds
+// no value's text.
+func appendVarKey(buf []byte, seq uint32, row []db.Sym) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, seq)
+	for _, id := range row {
+		buf = binary.LittleEndian.AppendUint32(buf, id)
+	}
+	return buf
 }
 
 // varInfo records which tuple a VarID stands for.
 type varInfo struct {
 	rel string
-	key string // tuple key
+	key string // its variable key (appendVarKey)
+}
+
+// appendRow appends the ids of the variable's tuple, decoded from its
+// key, to dst.
+func (v varInfo) appendRow(dst []db.Sym) []db.Sym {
+	for i := 4; i+4 <= len(v.key); i += 4 {
+		dst = append(dst, le32(v.key[i:]))
+	}
+	return dst
+}
+
+// le32 decodes a little-endian uint32 from the head of a key.
+func le32(k string) uint32 {
+	return uint32(k[0]) | uint32(k[1])<<8 | uint32(k[2])<<16 | uint32(k[3])<<24
 }
 
 // gndState is one grounding of a group with its derivation count. flatID
@@ -50,16 +70,15 @@ type varInfo struct {
 // graph when the grounding is visible there, -1 otherwise — the handle
 // the in-place patch path uses to tombstone retracted groundings.
 type gndState struct {
-	key    string // the body binding's key, unique within the group
+	key    string // the binding's key (4 bytes per rule variable), unique within the group
 	lits   []factor.Literal
 	count  int
 	flatID int32
 }
 
 // groupState accumulates the groundings of one grounded rule instance
-// γ = (rule, head binding, weight binding), interned by its groupKey. It
-// keeps no key string: the snapshot codec derives the persisted one
-// (appendGroupKey). Records are cut from the grounder's slabs, and the
+// γ = (rule, head binding, weight binding), interned — and persisted — by
+// its groupKey. Records are cut from the grounder's slabs, and the
 // first grounding pointer sits in one, so a group of one grounding — most
 // of them — costs no object of its own.
 type groupState struct {
@@ -137,9 +156,10 @@ func (gs *groupState) add(gnd *gndState) {
 
 // Grounder holds the database and all grounding state for one program.
 type Grounder struct {
-	prog *datalog.Program
-	udfs UDFRegistry
-	data *db.Database
+	prog   *datalog.Program
+	udfs   UDFRegistry
+	data   *db.Database
+	relSeq map[string]uint32 // relation → its declaration position (variable-key prefix)
 
 	topo        []string               // relation evaluation order (derivation pipeline)
 	rulesByHead map[string][]*ruleEval // derivation & supervision rules
@@ -243,10 +263,24 @@ func (g *Grounder) compactionThreshold() float64 {
 // New creates a Grounder for a validated program. Relations declared in
 // the program are created in a fresh database.
 func New(prog *datalog.Program, udfs UDFRegistry) (*Grounder, error) {
+	g, err := newGrounder(prog, udfs)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := g.addRules(prog.Rules); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// newGrounder is New up to compiling the rules: the declared relations
+// over an empty symbol table.
+func newGrounder(prog *datalog.Program, udfs UDFRegistry) (*Grounder, error) {
 	g := &Grounder{
 		prog:        prog,
 		udfs:        udfs,
 		data:        db.NewDatabase(),
+		relSeq:      make(map[string]uint32),
 		rulesByHead: make(map[string][]*ruleEval),
 		derived:     make(map[string]bool),
 		varIdx:      make(map[string]factor.VarID),
@@ -255,14 +289,12 @@ func New(prog *datalog.Program, udfs UDFRegistry) (*Grounder, error) {
 		graphDirty:  true,
 		inPlace:     true,
 	}
-	for _, name := range prog.DeclOrder {
+	for i, name := range prog.DeclOrder {
 		d := prog.Decls[name]
 		if _, err := g.data.Create(d.Name, d.Cols...); err != nil {
 			return nil, err
 		}
-	}
-	if _, err := g.addRules(prog.Rules); err != nil {
-		return nil, err
+		g.relSeq[d.Name] = uint32(i)
 	}
 	return g, nil
 }
@@ -397,14 +429,14 @@ func (g *Grounder) LoadBase(rel string, tuples []db.Tuple) error {
 }
 
 // varFor returns (creating if needed) the VarID of a variable-relation
-// tuple, and whether it was created. Liveness is managed by visibility
+// row, and whether it was created. Liveness is managed by visibility
 // transitions in applyTupleDelta, not here.
-func (g *Grounder) varFor(rel string, t db.Tuple) (factor.VarID, bool) {
-	var a [160]byte
-	return g.varForKey(rel, appendVarKey(a[:0], rel, t))
+func (g *Grounder) varFor(rel string, row []db.Sym) (factor.VarID, bool) {
+	var a [64]byte
+	return g.varForKey(rel, appendVarKey(a[:0], g.relSeq[rel], row))
 }
 
-// varForKey is varFor on the tuple's variable key (appendVarKey): it
+// varForKey is varFor on the row's variable key (appendVarKey): it
 // allocates only the key of a variable it creates.
 func (g *Grounder) varForKey(rel string, key []byte) (factor.VarID, bool) {
 	if id, ok := g.varIdx[string(key)]; ok {
@@ -412,7 +444,7 @@ func (g *Grounder) varForKey(rel string, key []byte) (factor.VarID, bool) {
 	}
 	k := string(key)
 	id := factor.VarID(len(g.vars))
-	g.vars = append(g.vars, varInfo{rel: rel, key: k[len(rel)+1:]})
+	g.vars = append(g.vars, varInfo{rel: rel, key: k})
 	g.live = append(g.live, true)
 	g.evTrue = append(g.evTrue, 0)
 	g.evFalse = append(g.evFalse, 0)
@@ -420,24 +452,63 @@ func (g *Grounder) varForKey(rel string, key []byte) (factor.VarID, bool) {
 	return id, true
 }
 
+// varOf looks up the VarID of a row without creating it.
+func (g *Grounder) varOf(rel string, row []db.Sym) (factor.VarID, bool) {
+	var a [64]byte
+	id, ok := g.varIdx[string(appendVarKey(a[:0], g.relSeq[rel], row))]
+	return id, ok
+}
+
 // VarOf looks up the VarID of a tuple without creating it.
 func (g *Grounder) VarOf(rel string, t db.Tuple) (factor.VarID, bool) {
-	var a [160]byte
-	id, ok := g.varIdx[string(appendVarKey(a[:0], rel, t))]
-	return id, ok
+	var a [16]db.Sym
+	row, ok := g.data.Symbols().FindIDs(a[:0], t)
+	if !ok || g.data.Relation(rel) == nil {
+		return 0, false
+	}
+	return g.varOf(rel, row)
 }
 
 // VarTuple reverses VarOf.
 func (g *Grounder) VarTuple(v factor.VarID) (rel string, t db.Tuple) {
 	info := g.vars[v]
-	return info.rel, db.TupleFromKey(info.key)
+	var a [16]db.Sym
+	return info.rel, g.data.Symbols().Tuple(info.appendRow(a[:0]))
 }
 
 // VarRelation returns the relation the variable's tuple belongs to.
 func (g *Grounder) VarRelation(v factor.VarID) string { return g.vars[v].rel }
 
-// VarKey returns the canonical key (Tuple.Key) of the variable's tuple.
-func (g *Grounder) VarKey(v factor.VarID) string { return g.vars[v].key }
+// VarFacts returns the tuples of variables [from, to) and their
+// canonical text keys (Tuple.Key) — the serving skeleton's view of them.
+// Tuples are cut from one slab of the symbol table's strings and keys from
+// one string: a run of new variables costs a few allocations, not a few
+// per variable.
+func (g *Grounder) VarFacts(from, to int) (tuples []db.Tuple, keys []string) {
+	syms := g.data.Symbols()
+	cells, buf, ends := 0, []byte(nil), make([]int, to-from)
+	var row []db.Sym
+	for v := from; v < to; v++ {
+		row = g.vars[v].appendRow(row[:0])
+		cells += len(row)
+		buf = syms.AppendKey(buf, row)
+		ends[v-from] = len(buf)
+	}
+	slab, all := make([]string, 0, cells), string(buf)
+	tuples, keys = make([]db.Tuple, to-from), make([]string, to-from)
+	start := 0
+	for v := from; v < to; v++ {
+		row = g.vars[v].appendRow(row[:0])
+		n := len(slab)
+		for _, id := range row {
+			slab = append(slab, syms.Text(id))
+		}
+		tuples[v-from] = db.Tuple(slab[n:len(slab):len(slab)])
+		keys[v-from] = all[start:ends[v-from]]
+		start = ends[v-from]
+	}
+	return tuples, keys
+}
 
 // IsLive reports whether the variable's tuple is still visible.
 func (g *Grounder) IsLive(v factor.VarID) bool { return g.live[v] }

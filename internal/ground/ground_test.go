@@ -315,7 +315,7 @@ func TestIncrementalDeleteMatchesFullReground(t *testing.T) {
 	}
 	// Candidates involving m2 must be gone.
 	mc := inc.DB().Relation("MarriedCandidate")
-	if mc.Contains(db.Tuple{"m1", "m2"}) || mc.Contains(db.Tuple{"m2", "m1"}) {
+	if mc.Count(db.Tuple{"m1", "m2"}) > 0 || mc.Count(db.Tuple{"m2", "m1"}) > 0 {
 		t.Fatalf("deleted candidate still visible: %v", mc.Tuples())
 	}
 
@@ -759,8 +759,8 @@ Class(x) :- R(x, f) weight = 0.5.
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := build()
-	if err := restored.RestoreSnapshot(persist.NewRdOwned(image(live)), graph); err != nil {
+	restored, err := Restore(datalog.MustParse(src), nil, persist.NewRdOwned(image(live)), graph)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(image(restored), image(live)) {
@@ -785,15 +785,17 @@ Class(x) :- R(x, f) weight = 0.5.
 	}
 }
 
-// encodedGroupKeys reads the group keys out of a spouse grounder's snapshot,
-// walking the format without RestoreSnapshot.
-func encodedGroupKeys(t *testing.T, image []byte) []string {
+// encodedGroups reads the group keys and the binding keys of their
+// groundings out of a spouse grounder's snapshot, walking the format
+// without RestoreSnapshot.
+func encodedGroups(t *testing.T, image []byte) (groups []groupKey, bindings []string) {
 	t.Helper()
 	rd := persist.NewRd(image)
 	rd.U8("codec version")
 	rd.U64("grounding version")
 	rels, err := New(datalog.MustParse(spouseSrc), testUDFs())
 	bmust(t, err)
+	bmust(t, rels.DB().Symbols().RestoreSnapshot(rd))
 	for _, name := range rd.Strs("relation names") {
 		bmust(t, rels.DB().Relation(name).RestoreSnapshot(rd))
 	}
@@ -805,14 +807,12 @@ func encodedGroupKeys(t *testing.T, image []byte) []string {
 	rd.Strs("weight keys")
 	rd.F64s("weight init")
 	rd.Bools("weight learn")
-	keys := make([]string, rd.U64("group count"))
-	for i := range keys {
-		keys[i] = rd.Str("group key")
-		rd.I64("group head")
-		rd.I64("group weight")
+	groups = make([]groupKey, rd.U64("group count"))
+	for i := range groups {
+		groups[i] = groupKey{int32(rd.U32("group rule")), factor.VarID(rd.I64("group head")), factor.WeightID(rd.I64("group weight"))}
 		rd.U8("group sem")
 		for n := rd.U64("grounding count"); n > 0; n-- {
-			rd.Str("grounding key")
+			bindings = append(bindings, rd.Str("grounding key"))
 			rd.I64("grounding count")
 			rd.I64("grounding flatID")
 			rd.I32s("grounding lits")
@@ -821,14 +821,14 @@ func encodedGroupKeys(t *testing.T, image []byte) []string {
 	if !rd.Done() {
 		t.Fatalf("walking the snapshot: %v (done %v)", rd.Err(), rd.Done())
 	}
-	return keys
+	return groups, bindings
 }
 
 // TestSnapshotGroupKeys pins the group section of the grounder codec:
-// groups are interned by (rule, head, weight) but persisted under the key
-// string "g:<rule>:<head tuple key>:<weight>" — snapshots written before
-// the integer keys decode unchanged — and a restored grounder finds every
-// group by its integers and encodes the image it was restored from.
+// groups are interned and persisted by their integer key (rule, head,
+// weight), a grounding by its binding's ids — 4 bytes per rule variable,
+// no value's text — and a restored grounder finds every group by its
+// integers and encodes the image it was restored from.
 func TestSnapshotGroupKeys(t *testing.T) {
 	const symRule = "I1: MarriedMentions(m2, m1) :- MarriedMentions(m1, m2), MarriedCandidate(m2, m1) weight = 0.8."
 	live := newSpouseGrounder(t, spouseBase())
@@ -842,12 +842,13 @@ func TestSnapshotGroupKeys(t *testing.T) {
 	image := b.Bytes()
 
 	graph := live.Graph()
-	keys := encodedGroupKeys(t, image)
-	if len(keys) != graph.NumGroups() {
-		t.Fatalf("%d encoded groups, the graph has %d", len(keys), graph.NumGroups())
+	groups, bindings := encodedGroups(t, image)
+	if len(groups) != graph.NumGroups() {
+		t.Fatalf("%d encoded groups, the graph has %d", len(groups), graph.NumGroups())
 	}
-	if keys[0] != "g:2:m1\x1fm2:0" {
-		t.Fatalf("first group key %q, want %q", keys[0], "g:2:m1\x1fm2:0")
+	first, _ := live.VarOf("MarriedMentions", db.Tuple{"m1", "m2"})
+	if want := (groupKey{2, first, 0}); groups[0] != want {
+		t.Fatalf("first group key %v, want %v", groups[0], want)
 	}
 	// The rule index is also the weight key's: "w:<rule>[:…]".
 	ruleOf := func(w factor.WeightID) int {
@@ -860,24 +861,28 @@ func TestSnapshotGroupKeys(t *testing.T) {
 	graph.AppendSnapshot(&vb)
 	cur, err := factor.DecodeGraphSnapshot(persist.NewRd(vb.Bytes()))
 	bmust(t, err)
-	restored, err := New(datalog.MustParse(spouseSrc+symRule), testUDFs())
+	restored, err := Restore(datalog.MustParse(spouseSrc+symRule), testUDFs(), persist.NewRdOwned(append([]byte(nil), image...)), cur)
 	bmust(t, err)
-	bmust(t, restored.RestoreSnapshot(persist.NewRdOwned(append([]byte(nil), image...)), cur))
 	rules := map[int]int{}
-	for gi := range keys {
+	for gi, key := range groups {
 		gr := graph.Group(gi)
-		_, head := live.VarTuple(gr.Head)
 		rule := ruleOf(gr.Weight)
 		rules[rule]++
-		if want := fmt.Sprintf("g:%d:%s:%d", rule, head.Key(), gr.Weight); keys[gi] != want {
-			t.Fatalf("group %d encoded as %q, want %q", gi, keys[gi], want)
+		if want := (groupKey{int32(rule), gr.Head, gr.Weight}); key != want {
+			t.Fatalf("group %d encoded as %v, want %v", gi, key, want)
 		}
-		if at, ok := restored.groupIdx[groupKey{int32(rule), gr.Head, gr.Weight}]; !ok || at != gi {
-			t.Fatalf("restored grounder finds group %d (%q) at %d, %v", gi, keys[gi], at, ok)
+		if at, ok := restored.groupIdx[key]; !ok || at != gi {
+			t.Fatalf("restored grounder finds group %d (%v) at %d, %v", gi, key, at, ok)
 		}
 	}
 	if rules[2] == 0 || rules[4] == 0 {
 		t.Fatalf("groups by rule %v, want both weighted rules", rules)
+	}
+	for _, k := range bindings {
+		// Rule 2 binds m1, m2, s and the sentence; rule 4 binds m1 and m2.
+		if len(k) != 16 && len(k) != 8 {
+			t.Fatalf("binding key %q: %d bytes, want 4 per rule variable", k, len(k))
+		}
 	}
 	var rb persist.Buf
 	restored.AppendSnapshot(&rb)

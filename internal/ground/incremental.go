@@ -159,7 +159,8 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 	// the version untouched: base deltas must name existing, non-derived
 	// relations (a new rule's head counts as derived only once the rule is
 	// in), and new rules must validate at the program level, compile —
-	// including join planning — and keep the rule set non-recursive.
+	// including join planning — and keep the rule set non-recursive. So a
+	// rejected update interns no symbol either.
 	for _, m := range []map[string][]db.Tuple{u.Inserts, u.Deletes} {
 		for rel, ts := range m {
 			if err := g.checkBaseTuples(rel, ts); err != nil {
@@ -192,7 +193,9 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 	}
 	newRules := make(map[*ruleEval]bool)
 	if len(u.NewRules) > 0 {
-		nOld := len(g.prog.Rules)
+		// Compiling interns the rules' constants: a rule set that is
+		// refused takes its symbols back with it.
+		nOld, nSyms := len(g.prog.Rules), g.data.Symbols().Len()
 		g.prog.Rules = append(g.prog.Rules, u.NewRules...)
 		err := datalog.Validate(g.prog)
 		var res []*ruleEval
@@ -201,6 +204,7 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 		}
 		if err != nil {
 			g.prog.Rules = g.prog.Rules[:nOld]
+			g.data.Symbols().Truncate(nSyms)
 			return nil, nil, err
 		}
 		for _, re := range res {
@@ -220,20 +224,26 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 	tr := newTracker()
 
 	// 2. Apply base-relation deltas, relations in sorted-name order:
-	// applyTupleDelta interns variables for variable base relations, so a
-	// map-order walk here would make VarID assignment depend on Go's map
-	// iteration — breaking the bit-for-bit determinism WAL replay (and
-	// the differential harnesses) relies on.
+	// applyTupleDelta interns variables for variable base relations (and
+	// an insert its values' symbols), so a map-order walk here would make
+	// VarID and symbol assignment depend on Go's map iteration — breaking
+	// the bit-for-bit determinism WAL replay (and the differential
+	// harnesses) relies on. A delete's values are interned already: the
+	// relation holds the tuple.
+	syms := g.data.Symbols()
+	var row []db.Sym
 	for _, rel := range sortedRelNames(u.Inserts) {
 		for _, t := range u.Inserts[rel] {
-			if err := g.applyTupleDelta(tr, rel, t, +1); err != nil {
+			row = syms.AppendIDs(row[:0], t)
+			if err := g.applyTupleDelta(tr, rel, row, +1); err != nil {
 				return nil, nil, err
 			}
 		}
 	}
 	for _, rel := range sortedRelNames(u.Deletes) {
 		for _, t := range u.Deletes[rel] {
-			if err := g.applyTupleDelta(tr, rel, t, -1); err != nil {
+			row, _ = syms.FindIDs(row[:0], t)
+			if err := g.applyTupleDelta(tr, rel, row, -1); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -339,9 +349,9 @@ func (g *Grounder) patchGraph(tr *tracker) {
 	slices.Sort(modGroups)
 	for _, gi := range modGroups {
 		gs := g.groups[gi]
-		keys := tr.touched[gi]
+		touched := tr.touched[gi]
 		for _, gnd := range gs.gnds {
-			if !keys[gnd.key] {
+			if !touched[gnd] {
 				continue
 			}
 			if gnd.count > 0 {

@@ -25,8 +25,11 @@ package ground
 // Concurrent evaluation is safe because a plan run only reads: the db
 // indexes are maintained by the mutations themselves (none runs during a
 // fan-out), warm probes take no lock, and every plan a job needs is
-// compiled — and its indexes built — on the driver while the jobs are
-// generated.
+// compiled — and its indexes built, its constants interned — on the driver
+// while the jobs are generated. Workers read the symbol table (UDF
+// arguments, weight keys) and nothing interns into it during a fan-out:
+// base tuples intern before the pipeline runs, and derived heads are rows
+// of ids already interned.
 
 import (
 	"runtime"
@@ -45,7 +48,7 @@ import (
 type evalJob struct {
 	re   *ruleEval
 	plan *db.Plan // nil for an empty-body rule: one binding, no variables
-	seed db.Tuple // nil for a full evaluation
+	seed []db.Sym // nil for a full evaluation
 	sign int      // +1 derive, -1 retract
 
 	out  []bindingPre // precomputed bindings in emission order
@@ -67,7 +70,7 @@ func (g *Grounder) evalApply(j *evalJob, tr *tracker) error {
 		return g.applyBinding(j.re, nil, j.sign, tr)
 	}
 	var err error
-	j.plan.Run(&g.exec, j.seed, func(regs []db.Value) bool {
+	j.plan.Run(&g.exec, j.seed, func(regs []db.Sym) bool {
 		err = g.applyBinding(j.re, regs, j.sign, tr)
 		return err == nil
 	})
@@ -84,7 +87,7 @@ func (j *evalJob) collect(x *db.Exec) {
 		j.out = []bindingPre{j.re.precompute(nil, &j.keys)}
 		return
 	}
-	j.plan.Run(x, j.seed, func(regs []db.Value) bool {
+	j.plan.Run(x, j.seed, func(regs []db.Sym) bool {
 		j.out = append(j.out, j.re.precompute(regs, &j.keys))
 		return true
 	})

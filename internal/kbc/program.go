@@ -129,39 +129,37 @@ func ParseMentionID(mid string) (sid string, start, end int, ok bool) {
 //	tagpath(m1, m2, words)   — POS-tag path with one-token context (FE2)
 //	proximity(m1, m2, words) — bucketed token distance (I1 for asymmetric relations)
 func UDFs() ground.UDFRegistry {
-	spans := func(args []string) (tokens []string, aS, aE, bS, bE int, ok bool) {
+	// The sentence (args[2]) is read in place: no token slice per binding.
+	spans := func(args []string) (aS, aE, bS, bE int, ok bool) {
 		_, aS, aE, ok1 := ParseMentionID(args[0])
 		_, bS, bE, ok2 := ParseMentionID(args[1])
-		if !ok1 || !ok2 {
-			return nil, 0, 0, 0, 0, false
-		}
-		return strings.Fields(args[2]), aS, aE, bS, bE, true
+		return aS, aE, bS, bE, ok1 && ok2
 	}
 	return ground.UDFRegistry{
 		"phrase": func(args []string) string {
-			tokens, aS, aE, bS, bE, ok := spans(args)
+			aS, aE, bS, bE, ok := spans(args)
 			if !ok {
 				return "bad"
 			}
-			p := nlp.PhraseBetween(tokens, aS, aE, bS, bE, 4)
+			p := nlp.PhraseBetweenText(args[2], aS, aE, bS, bE, 4)
 			if p == "" {
 				return "adjacent"
 			}
 			return p
 		},
 		"tagpath": func(args []string) string {
-			tokens, aS, aE, bS, bE, ok := spans(args)
+			aS, aE, bS, bE, ok := spans(args)
 			if !ok {
 				return "bad"
 			}
-			p := nlp.TagPath(tokens, aS, aE, bS, bE)
+			p := nlp.TagPathText(args[2], aS, aE, bS, bE)
 			if p == "" {
 				return "overlap"
 			}
 			return p
 		},
 		"proximity": func(args []string) string {
-			_, aS, aE, bS, bE, ok := spans(args)
+			aS, aE, bS, bE, ok := spans(args)
 			if !ok {
 				return "bad"
 			}

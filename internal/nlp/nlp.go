@@ -9,6 +9,7 @@ package nlp
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is one token with its heuristic part-of-speech tag.
@@ -138,40 +139,65 @@ func Tag(tokens []string) []Token {
 }
 
 func tagWord(w string) string {
-	lw := strings.ToLower(w)
+	var a [64]byte
+	return tagLower(w, appendLower(a[:0], w))
+}
+
+// tagLower is tagWord given lw, the token lowered into a caller's buffer:
+// the map probes and suffix tests read it in place.
+func tagLower(w string, lw []byte) string {
+	suffix := func(s string) bool { return len(lw) >= len(s) && string(lw[len(lw)-len(s):]) == s }
 	switch {
 	case isPunct(w):
 		return "PUNCT"
 	case isNumber(w):
 		return "CD"
-	case determiners[lw]:
+	case determiners[string(lw)]:
 		return "DT"
-	case prepositions[lw]:
+	case prepositions[string(lw)]:
 		return "IN"
-	case conjunctions[lw]:
+	case conjunctions[string(lw)]:
 		return "CC"
-	case pronouns[lw]:
+	case pronouns[string(lw)]:
 		return "PRP"
-	case beVerbs[lw]:
+	case beVerbs[string(lw)]:
 		return "VB"
-	case commonVerbs[lw]:
-		if strings.HasSuffix(lw, "ed") {
+	case commonVerbs[string(lw)]:
+		if suffix("ed") {
 			return "VBD"
 		}
 		return "VB"
-	case strings.HasSuffix(lw, "ed") && len(lw) > 4:
+	case suffix("ed") && len(lw) > 4:
 		return "VBD"
-	case strings.HasSuffix(lw, "ing") && len(lw) > 5:
+	case suffix("ing") && len(lw) > 5:
 		return "VBG"
-	case strings.HasSuffix(lw, "ly") && len(lw) > 4:
+	case suffix("ly") && len(lw) > 4:
 		return "RB"
-	case strings.HasSuffix(lw, "ous") || strings.HasSuffix(lw, "ful") || strings.HasSuffix(lw, "ive"):
+	case suffix("ous") || suffix("ful") || suffix("ive"):
 		return "JJ"
-	case w != lw && len(w) > 1: // capitalized
+	case w != string(lw) && len(w) > 1: // capitalized
 		return "NNP"
 	default:
 		return "NN"
 	}
+}
+
+// appendLower appends strings.ToLower(w) to b, allocating nothing when w
+// is ASCII.
+func appendLower(b []byte, w string) []byte {
+	for i := 0; i < len(w); i++ {
+		if w[i] >= utf8.RuneSelf {
+			return append(b, strings.ToLower(w)...)
+		}
+	}
+	for i := 0; i < len(w); i++ {
+		c := w[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return b
 }
 
 func isPunct(w string) bool {
@@ -296,6 +322,106 @@ func TagPath(tokens []string, aStart, aEnd, bStart, bEnd int) string {
 		parts[i] = t.Tag
 	}
 	return strings.Join(parts, "-")
+}
+
+// fields walks the tokens of a sentence in place: the fields
+// strings.Fields returns, split on runs of unicode.IsSpace.
+type fields struct {
+	s string
+	i int
+}
+
+// next returns the next token, or false past the last one.
+func (f *fields) next() (string, bool) {
+	s, i := f.s, f.i
+	space := func(i int) (bool, int) {
+		if c := s[i]; c < utf8.RuneSelf {
+			return unicode.IsSpace(rune(c)), 1
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		return unicode.IsSpace(r), w
+	}
+	for i < len(s) {
+		sp, w := space(i)
+		if !sp {
+			break
+		}
+		i += w
+	}
+	start := i
+	for i < len(s) {
+		sp, w := space(i)
+		if sp {
+			break
+		}
+		i += w
+	}
+	f.i = i
+	return s[start:i], i > start
+}
+
+// between orders two spans and returns the token range strictly between
+// them, as PhraseBetween and TagPath read it.
+func between(aStart, aEnd, bStart, bEnd int) (lo, hi int) {
+	if bEnd <= aStart {
+		return bEnd, aStart
+	}
+	return aEnd, bStart
+}
+
+// PhraseBetweenText is PhraseBetween over strings.Fields(sent), reading
+// the sentence in place: the result is its only allocation.
+func PhraseBetweenText(sent string, aStart, aEnd, bStart, bEnd, maxWords int) string {
+	lo, hi := between(aStart, aEnd, bStart, bEnd)
+	if lo >= hi || lo < 0 {
+		return ""
+	}
+	var a [128]byte
+	out := a[:0]
+	f := fields{s: sent}
+	for k := 0; k < hi; k++ {
+		w, ok := f.next()
+		if !ok {
+			return "" // hi is past the last token
+		}
+		if k >= lo && k < lo+maxWords {
+			if k > lo {
+				out = append(out, '_')
+			}
+			out = appendLower(out, w)
+		}
+	}
+	return string(out)
+}
+
+// TagPathText is TagPath over strings.Fields(sent), reading the sentence
+// in place and tagging each token without building a []Token.
+func TagPathText(sent string, aStart, aEnd, bStart, bEnd int) string {
+	lo, hi := between(aStart, aEnd, bStart, bEnd)
+	if lo > hi || lo < 0 {
+		return ""
+	}
+	var a [128]byte
+	var lw [64]byte
+	out := a[:0]
+	f := fields{s: sent}
+	n := 0 // tokens read
+	for ; n <= hi; n++ {
+		w, ok := f.next()
+		if !ok {
+			break
+		}
+		if n >= lo-1 {
+			if len(out) > 0 {
+				out = append(out, '-')
+			}
+			out = append(out, tagLower(w, appendLower(lw[:0], w))...)
+		}
+	}
+	if hi > n {
+		return ""
+	}
+	return string(out)
 }
 
 // WindowWords returns lowercase tokens in a window before and after a

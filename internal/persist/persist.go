@@ -95,6 +95,8 @@ func rawAppend[T any](b *Buf, s []T, size int) {
 		switch v := any(s[i]).(type) {
 		case int32:
 			b.U32(uint32(v))
+		case uint32:
+			b.U32(v)
 		case uint64:
 			b.U64(v)
 		case float64:
@@ -108,6 +110,7 @@ func rawAppend[T any](b *Buf, s []T, size int) {
 }
 
 func (b *Buf) I32s(s []int32)   { rawAppend(b, s, 4) }
+func (b *Buf) U32s(s []uint32)  { rawAppend(b, s, 4) }
 func (b *Buf) U64s(s []uint64)  { rawAppend(b, s, 8) }
 func (b *Buf) F64s(s []float64) { rawAppend(b, s, 8) }
 
@@ -274,6 +277,8 @@ func rawRead[T any](r *Rd, size int, what string) []T {
 		switch any(out[i]).(type) {
 		case int32:
 			out[i] = any(int32(sub.U32(what))).(T)
+		case uint32:
+			out[i] = any(sub.U32(what)).(T)
 		case uint64:
 			out[i] = any(sub.U64(what)).(T)
 		case float64:
@@ -297,9 +302,31 @@ func (r *Rd) AppendI32s(dst []int32, what string) []int32 {
 }
 
 func (r *Rd) I32s(what string) []int32   { return rawRead[int32](r, 4, what) }
+func (r *Rd) U32s(what string) []uint32  { return rawRead[uint32](r, 4, what) }
 func (r *Rd) U64s(what string) []uint64  { return rawRead[uint64](r, 8, what) }
 func (r *Rd) F64s(what string) []float64 { return rawRead[float64](r, 8, what) }
-func (r *Rd) Bools(what string) []bool   { return rawRead[bool](r, 1, what) }
+
+// Bools reads a []bool written by Buf.Bools; a byte other than 0 or 1
+// fails the decoder.
+func (r *Rd) Bools(what string) []bool {
+	n := r.Count(1, what)
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	p := r.take(n, what)
+	if p == nil {
+		return nil
+	}
+	out := make([]bool, n)
+	for i, c := range p {
+		if c > 1 {
+			r.fail(what)
+			return nil
+		}
+		out[i] = c == 1
+	}
+	return out
+}
 
 func (r *Rd) Ints(what string) []int {
 	n := r.Count(8, what)

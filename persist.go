@@ -59,9 +59,10 @@ const kbSnapMagic uint64 = 0x31504e53424b4444
 // kbSnapVersion is bumped on any incompatible snapshot-layout change
 // (v2 appended the probe-skip counter to the autopilot section, v3 dropped
 // the forced re-materialization counter from it, v4 added the exact-run
-// counter, v5 dropped the probe-skip counter again); Open rejects snapshots
-// from other versions rather than guessing.
-const kbSnapVersion = 5
+// counter, v5 dropped the probe-skip counter again, v6 carries the grounder
+// as rows and keys of symbol ids); Open rejects snapshots from other
+// versions rather than guessing.
+const kbSnapVersion = 6
 
 // Snapshot section kinds.
 const (
@@ -479,7 +480,7 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 		return nil, err
 	}
 	if v := mrd.U8("snapshot version"); mrd.Err() == nil && v != kbSnapVersion {
-		return nil, fmt.Errorf("deepdive: unsupported snapshot version %d", v)
+		return nil, fmt.Errorf("deepdive: unsupported snapshot version %d (this build reads version %d)", v, kbSnapVersion)
 	}
 	walGen := mrd.U64("wal generation")
 	ticket := mrd.U64("commit ticket")
@@ -506,12 +507,6 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 	for name, f := range o.UDFs {
 		udfs[name] = f
 	}
-	g, err := ground.New(prog, udfs)
-	if err != nil {
-		return nil, err
-	}
-	g.SetParallelism(o.Parallelism)
-
 	crd, err := sectionRd(secs, secGraphCur, "current graph")
 	if err != nil {
 		return nil, err
@@ -524,9 +519,11 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := g.RestoreSnapshot(grd, curG); err != nil {
+	g, err := ground.Restore(prog, udfs, grd, curG)
+	if err != nil {
 		return nil, err
 	}
+	g.SetParallelism(o.Parallelism)
 
 	kb := &KB{opts: o, grounder: g, snapBytes: len(data)}
 	kb.seqCond = sync.NewCond(&kb.seqMu)

@@ -1,0 +1,115 @@
+package deepdive
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"deepdive/internal/persist"
+)
+
+// TestOlderSnapshotVersionRefused pins the format-bump refusal: a data
+// directory whose snapshot is a well-formed image of the previous format
+// version (every section checksummed) does not reopen. OpenKB names the
+// version it found and the one it reads, and leaves every file of the
+// directory as it was.
+func TestOlderSnapshotVersionRefused(t *testing.T) {
+	const src = `
+@relation R(x).
+@variable Q(x).
+Q(x) :- R(x) weight = 0.5.
+`
+	ctx := context.Background()
+	dir := t.TempDir()
+	kb, err := OpenKB(src, WithDataDir(dir), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kb.Load("R", []Tuple{{"a"}, {"b"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := kb.Init(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kb.Materialize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := kb.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := kb.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Re-encode the snapshot with its meta section at the older version.
+	const older = kbSnapVersion - 1
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.ddkb"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots %v, %v", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := persist.DecodeFile(kbSnapMagic, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := persist.NewFileEnc(kbSnapMagic, len(data))
+	for _, s := range secs {
+		e.Begin(s.Kind)
+		p := bytes.Clone(s.Payload)
+		if s.Kind == secMeta {
+			if p[0] != kbSnapVersion {
+				t.Fatalf("meta section starts with version %d, want %d", p[0], kbSnapVersion)
+			}
+			p[0] = older
+		}
+		for _, c := range p {
+			e.U8(c)
+		}
+		e.End()
+	}
+	if err := os.WriteFile(snaps[0], e.Finish(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	files := func() map[string]string {
+		out := map[string]string{}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[ent.Name()] = string(b)
+		}
+		return out
+	}
+	before := files()
+	back, err := OpenKB(src, WithDataDir(dir), WithSeed(3))
+	if err == nil {
+		back.CloseNow()
+		t.Fatal("OpenKB reopened a snapshot of the older format version")
+	}
+	found, reads := fmt.Sprintf("version %d", older), fmt.Sprintf("version %d", kbSnapVersion)
+	if !strings.Contains(err.Error(), found) || !strings.Contains(err.Error(), reads) {
+		t.Fatalf("OpenKB refused with %q, want it to name the %s it found and the %s it reads", err, found, reads)
+	}
+	after := files()
+	if len(after) != len(before) {
+		t.Fatalf("refusing the directory changed its files: %d before, %d after", len(before), len(after))
+	}
+	for name, b := range before {
+		if after[name] != b {
+			t.Fatalf("refusing the directory changed %s", name)
+		}
+	}
+}

@@ -416,6 +416,7 @@ func (kb *KB) nextSkeleton(prev *skeleton, g *factor.Graph, d *ground.Delta) (s 
 	var rel string
 	var rv *relView
 	var keys map[string]int32
+	tuples, tkeys := kb.grounder.VarFacts(len(prev.loc), kb.grounder.NumVars())
 	for v := len(prev.loc); v < kb.grounder.NumVars(); v++ {
 		id := factor.VarID(v)
 		st := kb.factState(g, id)
@@ -432,10 +433,9 @@ func (kb *KB) nextSkeleton(prev *skeleton, g *factor.Graph, d *ground.Delta) (s 
 				newKeys[rel] = keys
 			}
 		}
-		_, tuple := kb.grounder.VarTuple(id)
 		pos := int32(len(rv.facts))
-		keys[kb.grounder.VarKey(id)] = pos
-		rv.facts = append(rv.facts, snapFact{tuple: tuple, v: int32(v)})
+		keys[tkeys[v-len(prev.loc)]] = pos
+		rv.facts = append(rv.facts, snapFact{tuple: tuples[v-len(prev.loc)], v: int32(v)})
 		rv.state = append(rv.state, 0)
 		s.loc = append(s.loc, factLoc{rel: rel, pos: pos})
 		s.stored++
