@@ -98,16 +98,18 @@ chaos:
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSoak' .
 
-# Short native-fuzz passes over the four untrusted-input decoders: the
+# Short native-fuzz passes over the five untrusted-input decoders: the
 # datalog parser (no-panic + String round-trip), the wire update body (any
 # body answered 200/400/409/413, the queue still live), the WAL record
-# decoder and the grounder snapshot decoder (each: refuse or round-trip,
-# allocation bounded by the input); extend -fuzztime for a real hunt.
+# decoder, the grounder snapshot decoder and the graph snapshot decoder
+# (each: refuse or round-trip, allocation bounded by the input); extend
+# -fuzztime for a real hunt.
 fuzz-smoke:
 	$(GO) test ./internal/datalog -run='^$$' -fuzz='^FuzzDatalogParser$$' -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz='^FuzzServeUpdateBody$$' -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz='^FuzzDecodeUpdate$$' -fuzztime=10s
 	$(GO) test ./internal/ground -run='^$$' -fuzz='^FuzzRestoreGrounder$$' -fuzztime=10s
+	$(GO) test ./internal/factor -run='^$$' -fuzz='^FuzzDecodeGraphSnapshot$$' -fuzztime=10s
 
 # The repository's benchmark (BENCHMARK.json; bench/README.md): one
 # workload of the served-KB harness, e.g.
@@ -123,10 +125,12 @@ bench:
 
 # The grounder alone (join engine and binding application): full-rule
 # evaluation and a one-document delta on a 500- and a 2000-sentence
-# corpus, with allocations. TestGroundAllocationsPerGrounding holds the
-# first one's allocs/op per grounding in tier-1.
+# corpus, and the grounder snapshot's decode (Restore: slabs read back,
+# lookup tables rebuilt) at both sizes, with allocations.
+# TestGroundAllocationsPerGrounding holds the first one's allocs/op per
+# grounding in tier-1.
 bench-ground:
-	$(GO) test -bench='GroundFullRule|GroundDocDelta' -benchmem -run=xxx ./internal/ground/
+	$(GO) test -bench='GroundFullRule|GroundDocDelta|GroundRestore' -benchmem -run=xxx ./internal/ground/
 
 # The finish stage's scaling check: 64 document deltas through KB.Apply
 # on the served News corpus at 1× and 4× the documents, then the six rule

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"deepdive/internal/idtab"
 	"deepdive/internal/persist"
 )
 
@@ -74,16 +75,16 @@ func (r *Relation) RestoreSnapshot(rd *persist.Rd) error {
 		}
 	}
 	r.cells, r.counts, r.flips = cells, counts, make([]uint64, len(counts))
-	r.rows.reset(len(counts))
+	r.rows.Reset(len(counts))
 	for pos, c := range counts {
 		row := r.row(int32(pos))
-		h := hashSyms(row)
-		if _, dup := r.rows.find(r, nil, row, h); dup || c < 0 {
+		h := idtab.Hash(row)
+		if _, dup := r.lookup(&r.rows, nil, row, h); dup || c < 0 {
 			r.cells, r.counts, r.flips = nil, nil, nil
-			r.rows.reset(0)
+			r.rows.Reset(0)
 			return fmt.Errorf("db: corrupt snapshot row %v (count %d) in relation %s", r.syms.Tuple(row), c, r.name)
 		}
-		r.rows.place(h, int32(pos), 0)
+		r.rows.Place(h, int32(pos), 0)
 		if c > 0 {
 			r.live++
 		} else {

@@ -34,6 +34,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"deepdive/internal/idtab"
 )
 
 // Value is a single column value as text. DeepDive stores everything as
@@ -167,7 +169,7 @@ func (s *Symbols) AppendKey(buf []byte, row []Sym) []byte {
 // Storage is pointer-free: row i is cells[i*arity:(i+1)*arity], its count
 // and pass bits sit at i of parallel slices, and the row map and every
 // index are open-addressing tables of row positions keyed by the rows'
-// ids (table), so a stored tuple costs no object of its own.
+// ids (idtab.Table), so a stored tuple costs no object of its own.
 //
 // Concurrency: mutations (InsertRow/Clear/BeginPass) require exclusive
 // access, but any number of goroutines may read (Tuples, Count, Plan.Run)
@@ -179,10 +181,10 @@ type Relation struct {
 	arity int
 	syms  *Symbols
 
-	cells  []Sym    // rows in first-insertion order; dead (count 0) rows stay until compaction
-	counts []int32  // per row: derivation count
-	flips  []uint64 // per row: pass<<1|parity of its visibility toggles in the pass that last toggled it
-	rows   table    // row ids → position
+	cells  []Sym       // rows in first-insertion order; dead (count 0) rows stay until compaction
+	counts []int32     // per row: derivation count
+	flips  []uint64    // per row: pass<<1|parity of its visibility toggles in the pass that last toggled it
+	rows   idtab.Table // row ids → position
 
 	live    int    // visible rows
 	dead    int    // dead rows stored
@@ -261,8 +263,8 @@ func (r *Relation) visible(pos int32, old bool) bool {
 
 // find returns the position of the row holding ids, or -1.
 func (r *Relation) find(ids []Sym) int32 {
-	if i, ok := r.rows.find(r, nil, ids, hashSyms(ids)); ok {
-		return r.rows.slots[i].pos - 1
+	if i, ok := r.lookup(&r.rows, nil, ids, idtab.Hash(ids)); ok {
+		return r.rows.Pos(i)
 	}
 	return -1
 }
@@ -279,20 +281,20 @@ func (r *Relation) InsertRow(row []Sym, n int) bool {
 	if n == 0 {
 		return false
 	}
-	h := hashSyms(row)
-	i, found := r.rows.find(r, nil, row, h)
+	h := idtab.Hash(row)
+	i, found := r.lookup(&r.rows, nil, row, h)
 	var pos int32
 	if found {
-		pos = r.rows.slots[i].pos - 1
+		pos = r.rows.Pos(i)
 	} else {
 		if len(r.counts) == math.MaxInt32 {
 			panic(fmt.Sprintf("db: %s: relation full", r.name))
 		}
 		pos = int32(len(r.counts))
-		r.cells = append(r.cells, row...)
-		r.counts = append(r.counts, 0)
-		r.flips = append(r.flips, 0)
-		r.rows.put(i, h, pos, 0)
+		r.cells = append(idtab.Grow(r.cells, len(row)), row...)
+		r.counts = append(idtab.Grow(r.counts, 1), 0)
+		r.flips = append(idtab.Grow(r.flips, 1), 0)
+		r.rows.Put(i, h, pos, 0)
 		for _, ix := range r.indexes {
 			ix.add(pos)
 		}
@@ -360,9 +362,9 @@ func (r *Relation) maybeCompact() {
 
 // reindex rebuilds the row map and every index from the row storage.
 func (r *Relation) reindex() {
-	r.rows.reset(len(r.counts))
+	r.rows.Reset(len(r.counts))
 	for pos := range int32(len(r.counts)) {
-		r.rows.place(hashSyms(r.row(pos)), pos, 0)
+		r.rows.Place(idtab.Hash(r.row(pos)), pos, 0)
 	}
 	for _, ix := range r.indexes {
 		ix.rebuild()
@@ -411,10 +413,10 @@ func (r *Relation) Clear() {
 type Index struct {
 	rel  *Relation
 	cols []int
-	tab  table   // key ids → bucket
-	head []int32 // per bucket: its first row
-	tail []int32 // per bucket: its last row
-	next []int32 // per row: the next row of its bucket, -1 after the last
+	tab  idtab.Table // key ids → bucket
+	head []int32     // per bucket: its first row
+	tail []int32     // per bucket: its last row
+	next []int32     // per row: the next row of its bucket, -1 after the last
 }
 
 // IndexOn returns (building it on first use) the index on the given
@@ -442,7 +444,7 @@ func (r *Relation) IndexOn(cols ...int) *Index {
 // rebuild refills the buckets from the relation's rows.
 func (ix *Index) rebuild() {
 	n := ix.rel.stored()
-	ix.tab.reset(n)
+	ix.tab.Reset(n)
 	ix.head, ix.tail, ix.next = ix.head[:0], ix.tail[:0], ix.next[:0]
 	for pos := range int32(n) {
 		ix.add(pos)
@@ -456,18 +458,18 @@ func (ix *Index) add(pos int32) {
 	for _, c := range ix.cols {
 		key = append(key, ix.rel.cells[int(pos)*ix.rel.arity+c])
 	}
-	h := hashSyms(key)
-	i, found := ix.tab.find(ix.rel, ix.cols, key, h)
-	ix.next = append(ix.next, -1)
+	h := idtab.Hash(key)
+	i, found := ix.rel.lookup(&ix.tab, ix.cols, key, h)
+	ix.next = append(idtab.Grow(ix.next, 1), -1)
 	if found {
-		b := ix.tab.slots[i].val
+		b := ix.tab.Val(i)
 		ix.next[ix.tail[b]] = pos
 		ix.tail[b] = pos
 		return
 	}
-	ix.tab.put(i, h, pos, int32(len(ix.head)))
-	ix.head = append(ix.head, pos)
-	ix.tail = append(ix.tail, pos)
+	ix.tab.Put(i, h, pos, int32(len(ix.head)))
+	ix.head = append(idtab.Grow(ix.head, 1), pos)
+	ix.tail = append(idtab.Grow(ix.tail, 1), pos)
 }
 
 // first returns the first row of the bucket for a key (the indexed
@@ -475,91 +477,17 @@ func (ix *Index) add(pos int32) {
 // rows may be dead; callers filter by visibility. Lock-free and
 // allocation-free.
 func (ix *Index) first(key []Sym) int32 {
-	if i, ok := ix.tab.find(ix.rel, ix.cols, key, hashSyms(key)); ok {
-		return ix.head[ix.tab.slots[i].val]
+	if i, ok := ix.rel.lookup(&ix.tab, ix.cols, key, idtab.Hash(key)); ok {
+		return ix.head[ix.tab.Val(i)]
 	}
 	return -1
 }
 
-// table is an open-addressing hash table (linear probing, at most 3/4
-// full) from keys of ids to int32 values. It stores no keys: a slot holds
-// the position of a row whose columns hold its key, which find compares
-// against. Entries are only added; a compaction rebuilds the table.
-type table struct {
-	slots []slot // power-of-two length, or empty
-	n     int
-}
-
-type slot struct {
-	hash uint32
-	pos  int32 // the key's row position + 1; 0 marks an empty slot
-	val  int32
-}
-
-// find returns the slot holding key (hash h) on the given columns of r's
-// rows (nil: all of them) and true, or the empty slot it would go to
-// (-1 on an empty table) and false.
-func (t *table) find(r *Relation, cols []int, key []Sym, h uint32) (int, bool) {
-	if len(t.slots) == 0 {
-		return -1, false
-	}
-	mask := len(t.slots) - 1
-	for i := int(h) & mask; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.pos == 0 {
-			return i, false
-		}
-		if s.hash == h && r.keyAt(s.pos-1, cols, key) {
-			return i, true
-		}
-	}
-}
-
-// put fills slot i, which find returned for an absent key, with the key's
-// row and value, growing the table first when it is full.
-func (t *table) put(i int, h uint32, pos, val int32) {
-	if i < 0 || 4*(t.n+1) > 3*len(t.slots) {
-		t.grow()
-		t.place(h, pos, val)
-		return
-	}
-	t.slots[i] = slot{h, pos + 1, val}
-	t.n++
-}
-
-// place adds an entry for a key known to be absent.
-func (t *table) place(h uint32, pos, val int32) {
-	mask := len(t.slots) - 1
-	i := int(h) & mask
-	for t.slots[i].pos != 0 {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = slot{h, pos + 1, val}
-	t.n++
-}
-
-func (t *table) grow() {
-	old := t.slots
-	t.slots, t.n = make([]slot, max(16, 2*len(old))), 0
-	for _, s := range old {
-		if s.pos != 0 {
-			t.place(s.hash, s.pos-1, s.val)
-		}
-	}
-}
-
-// reset empties the table, sized for n entries.
-func (t *table) reset(n int) {
-	size := 16
-	for 3*size < 4*n {
-		size *= 2
-	}
-	if size == len(t.slots) {
-		clear(t.slots)
-	} else {
-		t.slots = make([]slot, size)
-	}
-	t.n = 0
+// lookup returns the slot of tab holding the row whose columns cols (nil:
+// all of them) hold key of hash h and true, or the empty slot the key
+// would go to and false.
+func (r *Relation) lookup(tab *idtab.Table, cols []int, key []Sym, h uint32) (int, bool) {
+	return tab.Find(h, func(pos int32) bool { return r.keyAt(pos, cols, key) })
 }
 
 // keyAt reports whether the row at pos holds key on cols (nil: the whole
@@ -575,18 +503,6 @@ func (r *Relation) keyAt(pos int32, cols []int, key []Sym) bool {
 		}
 	}
 	return true
-}
-
-// hashSyms mixes a key of ids into 32 bits whose low bits index a table.
-func hashSyms(key []Sym) uint32 {
-	h := uint32(0x9e3779b9)
-	for _, v := range key {
-		h ^= v
-		h *= 0x85ebca6b
-		h ^= h >> 15
-	}
-	h *= 0xc2b2ae35
-	return h ^ h>>16
 }
 
 // Database is a named collection of relations over one symbol table.

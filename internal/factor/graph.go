@@ -582,6 +582,12 @@ func (b *Builder) Grow(vars, weights, groups int) {
 	b.groupSem, b.gndOff = slices.Grow(b.groupSem, groups), slices.Grow(b.gndOff, groups+1)
 }
 
+// GrowGroundings reserves room for groundings more groundings holding lits
+// more literals in all, like Grow.
+func (b *Builder) GrowGroundings(groundings, lits int) {
+	b.litOff, b.lits = slices.Grow(b.litOff, groundings+1), slices.Grow(b.lits, lits)
+}
+
 // AddVar registers a new free variable and returns its id.
 func (b *Builder) AddVar() VarID {
 	b.evidence = append(b.evidence, false)

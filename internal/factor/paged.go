@@ -40,16 +40,6 @@ func newPaged[T any](n int) (paged[T], []T) {
 	return t, flat[:n]
 }
 
-// pagedOf is the table holding a copy of rows: absent for nil.
-func pagedOf[T any](rows []T) paged[T] {
-	if rows == nil {
-		return paged[T]{}
-	}
-	t, flat := newPaged[T](len(rows))
-	copy(flat, rows)
-	return t
-}
-
 func (t *paged[T]) present() bool { return t.pages != nil }
 
 // at returns row i.

@@ -70,7 +70,7 @@ func (m *model) clone() *model {
 }
 
 // build rebuilds a compact reference graph from the model's live state.
-func (m *model) build(t *testing.T) *factor.Graph {
+func (m *model) build(t testing.TB) *factor.Graph {
 	t.Helper()
 	b := factor.NewBuilder()
 	for v := range m.evidence {
@@ -115,7 +115,7 @@ var allSems = []factor.Semantics{factor.Linear, factor.Logical, factor.Ratio}
 // seedModel builds the starting graph and its model, and stamps the
 // initial flat ids (Build assigns them sequentially in group order). A
 // big model spreads its side tables over several copy-on-write pages.
-func seedModel(rng *rand.Rand, t *testing.T, big bool) (*model, *factor.Graph) {
+func seedModel(rng *rand.Rand, t testing.TB, big bool) (*model, *factor.Graph) {
 	m := &model{}
 	nVars := 8 + rng.Intn(8)
 	if big {

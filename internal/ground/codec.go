@@ -2,27 +2,31 @@ package ground
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"deepdive/internal/datalog"
 	"deepdive/internal/factor"
+	"deepdive/internal/idtab"
 	"deepdive/internal/persist"
 )
 
 // Snapshot codec for Grounder. Persisted: the symbol table, the
 // extraction tables (every db relation as rows of ids, first-insertion
-// order preserved), the variable / weight / group interning tables in
-// creation order, each group's groundings in creation order with counts
-// and flat-pool handles, and the grounding version. NOT persisted: the
-// compiled rules — the caller re-parses the persisted program source and
-// hands it to Restore, which compiles the rules in declaration order
-// against the restored symbol table (it holds every rule constant) and so
-// reproduces the same rule indexes, weight keys, and topo order. The side
-// maps (varIdx, weightIdx, groupIdx) are rebuilt from the ordered lists;
-// a group is persisted as its groupKey. Relation rows, variable keys and
-// binding keys are symbol ids; an image of another version is refused.
-const grounderCodecVersion = 2
+// order preserved), the grounding version, and the grounder's record slabs
+// as bulk arrays in creation order — the variable keys, liveness and
+// evidence counts; the weight keys, initial values and learn flags; each
+// group's (rule, head, weight, semantics); each grounding's (group, count,
+// flat-pool handle), then every binding key and every literal. NOT
+// persisted, rebuilt on Restore: the compiled rules — the caller re-parses
+// the persisted program source and hands it to Restore, which compiles the
+// rules in declaration order against the restored symbol table (it holds
+// every rule constant) and so reproduces the same rule indexes, weight
+// keys, and topo order —, the offsets of variable keys, binding keys and
+// literals (their widths follow from the relations and the rules), each
+// group's grounding chain (from the groundings' order), and the lookup
+// tables (varTab, weightIdx, groupTab, gndTab). An image of another
+// version is refused.
+const grounderCodecVersion = 3
 
 // AppendSnapshot encodes the grounder's dynamic state into b.
 func (g *Grounder) AppendSnapshot(b *persist.Buf) {
@@ -36,14 +40,7 @@ func (g *Grounder) AppendSnapshot(b *persist.Buf) {
 		g.data.Relation(name).AppendSnapshot(b)
 	}
 
-	rels := make([]string, len(g.vars))
-	keys := make([]string, len(g.vars))
-	for i, v := range g.vars {
-		rels[i] = v.rel
-		keys[i] = v.key
-	}
-	b.Strs(rels)
-	b.Strs(keys)
+	b.U32s(g.varKeys)
 	b.Bools(g.live)
 	b.Ints(g.evTrue)
 	b.Ints(g.evFalse)
@@ -52,29 +49,32 @@ func (g *Grounder) AppendSnapshot(b *persist.Buf) {
 	b.F64s(g.weightInit)
 	b.Bools(g.weightLearn)
 
-	b.U64(uint64(len(g.groups)))
+	groups := make([]uint32, 0, groupWords*len(g.groups))
 	for _, gs := range g.groups {
-		b.U32(uint32(gs.rule))
-		b.I64(int64(gs.head))
-		b.I64(int64(gs.weight))
-		b.U8(uint8(gs.sem))
-		b.U64(uint64(len(gs.gnds)))
-		for _, gnd := range gs.gnds {
-			b.Str(gnd.key)
-			b.I64(int64(gnd.count))
-			b.I64(int64(gnd.flatID))
-			lits := make([]int32, len(gnd.lits))
-			for i, l := range gnd.lits {
-				enc := int32(l.Var) << 1
-				if l.Neg {
-					enc |= 1
-				}
-				lits[i] = enc
-			}
-			b.I32s(lits)
+		groups = append(groups, uint32(gs.rule), uint32(gs.head), uint32(gs.weight), uint32(gs.sem))
+	}
+	b.U32s(groups)
+	gnds := make([]int32, 0, gndWords*len(g.gnds))
+	for _, gnd := range g.gnds {
+		gnds = append(gnds, gnd.group, gnd.count, gnd.flatID)
+	}
+	b.I32s(gnds)
+	b.U32s(g.gndKeys)
+	lits := make([]int32, len(g.lits))
+	for i, l := range g.lits {
+		lits[i] = int32(l.Var) << 1
+		if l.Neg {
+			lits[i] |= 1
 		}
 	}
+	b.I32s(lits)
 }
+
+// The words a group and a grounding take in the snapshot's arrays.
+const (
+	groupWords = 4 // rule, head, weight, semantics
+	gndWords   = 3 // group, count, flatID
+)
 
 // Restore builds the grounder AppendSnapshot encoded into rd, for the
 // program it was encoded with (the persisted program source, re-parsed):
@@ -133,27 +133,30 @@ func (g *Grounder) restore(rd *persist.Rd, cur *factor.Graph) error {
 		}
 	}
 
-	rels := rd.Strs("var rels")
-	keys := rd.Strs("var keys")
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	if len(rels) != len(keys) {
-		return fmt.Errorf("ground: corrupt var table: %d rels, %d keys", len(rels), len(keys))
-	}
-	g.vars = make([]varInfo, len(rels))
-	g.varIdx = make(map[string]factor.VarID, len(rels))
-	for i, rel := range rels {
-		info := varInfo{rel: rel, key: keys[i]}
-		seq, declared := g.relSeq[rel]
-		if !declared || !g.validKey(info.key, seq, g.data.Relation(rel).Arity()) {
-			return fmt.Errorf("ground: corrupt var table: key %d of %s", i, rel)
+	// Variables: each key is its relation's position, then as many ids as
+	// the relation has columns.
+	g.varKeys = rd.U32s("var keys")
+	for off := 0; off < len(g.varKeys); {
+		seq := g.varKeys[off]
+		if uint64(seq) >= uint64(len(g.rels)) {
+			return fmt.Errorf("ground: corrupt var table: relation %d of variable %d", seq, g.NumVars())
 		}
-		if _, dup := g.varIdx[info.key]; dup {
-			return fmt.Errorf("ground: corrupt var table: variable %d of %s stored twice", i, rel)
+		end := off + 1 + g.rels[seq].rel.Arity()
+		if end > len(g.varKeys) || slices.ContainsFunc(g.varKeys[off+1:end], func(id uint32) bool { return id >= uint32(nSyms) }) {
+			return fmt.Errorf("ground: corrupt var table: key of variable %d", g.NumVars())
 		}
-		g.vars[i] = info
-		g.varIdx[info.key] = factor.VarID(i)
+		g.varOff = append(g.varOff, int32(end))
+		off = end
+	}
+	g.varTab.Reset(g.NumVars())
+	for v := range factor.VarID(g.NumVars()) {
+		k := g.varKey(v)
+		h := idtab.HashAfter(k[0], k[1:])
+		i, dup := g.findVar(k[0], k[1:], h)
+		if dup {
+			return fmt.Errorf("ground: corrupt var table: variable %d stored twice", v)
+		}
+		g.varTab.Put(i, h, int32(v), 0)
 	}
 	g.live = rd.Bools("var live")
 	g.evTrue = rd.Ints("var evTrue")
@@ -171,7 +174,7 @@ func (g *Grounder) restore(rd *persist.Rd, cur *factor.Graph) error {
 	if err := rd.Err(); err != nil {
 		return err
 	}
-	nv, nw := len(g.vars), len(g.weightKeys)
+	nv, nw := g.NumVars(), len(g.weightKeys)
 	if len(g.live) != nv || len(g.evTrue) != nv || len(g.evFalse) != nv ||
 		slices.ContainsFunc(g.evTrue, negative) || slices.ContainsFunc(g.evFalse, negative) {
 		return fmt.Errorf("ground: corrupt variable tables in snapshot")
@@ -180,62 +183,76 @@ func (g *Grounder) restore(rd *persist.Rd, cur *factor.Graph) error {
 		return fmt.Errorf("ground: corrupt weight tables in snapshot")
 	}
 
-	// Records come from the slabs the live grounder cuts its own from.
-	var enc []int32
-	nGroups := rd.Count(29, "group count")
-	g.groups = make([]*groupState, 0, nGroups+nGroups/8)
-	g.groupIdx = make(map[groupKey]int, nGroups)
-	for gi := 0; gi < nGroups && rd.Err() == nil; gi++ {
-		rule, head, weight := rd.U32("group rule"), rd.I64("group head"), rd.I64("group weight")
-		sem := factor.Semantics(rd.U8("group sem"))
-		if rd.Err() != nil {
-			break
-		}
+	groups := rd.U32s("groups")
+	if rd.Err() == nil && len(groups)%groupWords != 0 {
+		return fmt.Errorf("ground: corrupt group table: %d words", len(groups))
+	}
+	g.groups = make([]groupState, 0, withRoom(len(groups)/groupWords))
+	g.groupTab.Reset(len(groups) / groupWords)
+	for w := 0; w < len(groups); w += groupWords {
+		gi := len(g.groups)
+		rule, head, weight, sem := groups[w], groups[w+1], groups[w+2], factor.Semantics(groups[w+3])
 		var re *ruleEval
 		if uint64(rule) < uint64(len(byIdx)) {
 			re = byIdx[rule]
 		}
-		key := groupKey{int32(rule), factor.VarID(head), factor.WeightID(weight)}
 		if re == nil || re.rule.Kind != datalog.KindInference || uint64(head) >= uint64(nv) ||
-			uint64(weight) >= uint64(nw) || sem > factor.Ratio {
-			return fmt.Errorf("ground: corrupt group %d: rule %d, head %d, weight %d, semantics %d", gi, rule, head, weight, sem)
+			uint64(weight) >= uint64(nw) || groups[w+3] > uint32(factor.Ratio) {
+			return fmt.Errorf("ground: corrupt group %d: rule %d, head %d, weight %d, semantics %d", gi, rule, head, weight, groups[w+3])
 		}
-		if _, dup := g.groupIdx[key]; dup {
+		key := groupKey{int32(rule), factor.VarID(head), factor.WeightID(weight)}
+		h := hashGroup(key)
+		i, dup := g.findGroup(key, h)
+		if dup {
 			return fmt.Errorf("ground: corrupt group %d: stored twice", gi)
 		}
-		gs := g.addGroup(key, sem)
-		nGnds := rd.Count(32, "grounding count")
-		if nGnds > len(gs.one) {
-			gs.gnds = cut(&g.slab.order, nGnds)[:0]
+		g.addGroup(i, h, key, sem)
+	}
+
+	// Groundings: each key and literal list is as wide as its group's rule
+	// makes it, and together they take the key and literal arrays exactly.
+	gnds := rd.I32s("groundings")
+	keys := rd.U32s("grounding keys")
+	lits := rd.I32s("grounding lits")
+	if err := rd.Err(); err != nil {
+		return err
+	}
+	if len(gnds)%gndWords != 0 {
+		return fmt.Errorf("ground: corrupt grounding table: %d words", len(gnds))
+	}
+	g.gnds = make([]gndState, 0, withRoom(len(gnds)/gndWords))
+	g.gndTab.Reset(len(gnds) / gndWords)
+	g.gndKeys = make([]uint32, 0, withRoom(len(keys)))
+	g.lits = make([]factor.Literal, 0, withRoom(len(lits)))
+	for w := 0; w < len(gnds); w += gndWords {
+		k := len(g.gnds)
+		gi, count, flatID := gnds[w], gnds[w+1], gnds[w+2]
+		if gi < 0 || int(gi) >= len(g.groups) || count < 0 || flatID < -1 {
+			return fmt.Errorf("ground: corrupt grounding %d: group %d, count %d, flatID %d", k, gi, count, flatID)
 		}
-		for k := 0; k < nGnds && rd.Err() == nil; k++ {
-			gkey := rd.Str("grounding key")
-			count, flatID := rd.I64("grounding count"), rd.I64("grounding flatID")
-			enc = rd.AppendI32s(enc[:0], "grounding lits")
-			if rd.Err() != nil {
-				break
-			}
-			if len(gkey) != 4*len(re.keySlots) || count < 0 || count > math.MaxInt32 ||
-				flatID < -1 || flatID > math.MaxInt32 || len(enc) != len(re.lits) ||
-				slices.ContainsFunc(enc, func(e int32) bool { return e < 0 || int(e>>1) >= nv }) {
-				return fmt.Errorf("ground: corrupt grounding %d of group %d", k, gi)
-			}
-			if gs.find([]byte(gkey)) != nil {
-				return fmt.Errorf("ground: corrupt group %d: grounding stored twice", gi)
-			}
-			gnd := &cut(&g.slab.gnds, 1)[0]
-			*gnd = gndState{key: gkey, count: int(count), flatID: int32(flatID)}
-			if len(enc) > 0 {
-				gnd.lits = cut(&g.slab.lits, len(enc))
-				for i, e := range enc {
-					gnd.lits[i] = factor.Literal{Var: factor.VarID(e >> 1), Neg: e&1 == 1}
-				}
-			}
-			gs.add(gnd)
-			if gnd.count > 0 {
-				g.nGroundings++
-			}
+		re := byIdx[g.groups[gi].rule]
+		keyEnd, litEnd := len(g.gndKeys)+len(re.keySlots), len(g.lits)+len(re.lits)
+		if keyEnd > len(keys) || litEnd > len(lits) ||
+			slices.ContainsFunc(lits[len(g.lits):litEnd], func(e int32) bool { return e < 0 || int(e>>1) >= nv }) {
+			return fmt.Errorf("ground: corrupt grounding %d of group %d", k, gi)
 		}
+		key := keys[len(g.gndKeys):keyEnd]
+		h := idtab.HashAfter(uint32(gi), key)
+		i, dup := g.findGnd(gi, key, h)
+		if dup {
+			return fmt.Errorf("ground: corrupt group %d: grounding stored twice", gi)
+		}
+		g.addGnd(i, h, gi, key)
+		for _, e := range lits[len(g.lits):litEnd] {
+			g.lits = append(g.lits, factor.Literal{Var: factor.VarID(e >> 1), Neg: e&1 == 1})
+		}
+		g.gnds[k].count, g.gnds[k].flatID = count, flatID
+		if count > 0 {
+			g.nGroundings++
+		}
+	}
+	if len(g.gndKeys) != len(keys) || len(g.lits) != len(lits) {
+		return fmt.Errorf("ground: corrupt grounding table: %d key ids and %d literals left over", len(keys)-len(g.gndKeys), len(lits)-len(g.lits))
 	}
 	if err := rd.Err(); err != nil {
 		return err
@@ -250,22 +267,10 @@ func (g *Grounder) restore(rd *persist.Rd, cur *factor.Graph) error {
 
 func negative(n int) bool { return n < 0 }
 
-// validKey reports whether key is a variable key of a relation at seq of
-// the given arity whose ids are all in the symbol table.
-func (g *Grounder) validKey(key string, seq uint32, arity int) bool {
-	if len(key) != 4*(1+arity) {
-		return false
-	}
-	if le32(key) != seq {
-		return false
-	}
-	for i := 4; i < len(key); i += 4 {
-		if int(le32(key[i:])) >= g.data.Symbols().Len() {
-			return false
-		}
-	}
-	return true
-}
+// withRoom is the capacity a slab of n restored records is rebuilt with:
+// room for the updates after a recovery to add some before the slab grows,
+// which copies it whole.
+func withRoom(n int) int { return n + n/8 }
 
 // allRules returns every compiled rule: derivation and supervision rules
 // by head relation in declaration order, then the weighted ones.

@@ -1,13 +1,13 @@
 package ground
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strconv"
 
 	"deepdive/internal/datalog"
 	"deepdive/internal/db"
 	"deepdive/internal/factor"
+	"deepdive/internal/idtab"
 )
 
 // argSrc is one argument of an atom to instantiate from a binding: a
@@ -20,7 +20,6 @@ type argSrc struct {
 
 // atomSpec instantiates an atom's row of ids from a plan's register file.
 type atomSpec struct {
-	pred string
 	seq  uint32 // the relation's position in the program's declarations: its variable-key prefix
 	args []argSrc
 }
@@ -41,14 +40,10 @@ func (a *atomSpec) appendRow(dst []db.Sym, regs []db.Sym) []db.Sym {
 	return dst
 }
 
-// appendVarKey appends the variable key (the package's appendVarKey) of
-// the atom's row without instantiating the row.
-func (a *atomSpec) appendVarKey(buf []byte, regs []db.Sym) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, a.seq)
-	for i := range a.args {
-		buf = binary.LittleEndian.AppendUint32(buf, a.arg(i, regs))
-	}
-	return buf
+// appendVarKey appends the variable key of the atom's row (its relation's
+// declaration position, then the row's ids) to dst.
+func (a *atomSpec) appendVarKey(dst []uint32, regs []db.Sym) []uint32 {
+	return a.appendRow(append(dst, a.seq), regs)
 }
 
 // ruleEval is a compiled rule: its body as a db.Query in canonical item
@@ -70,7 +65,7 @@ type ruleEval struct {
 	head       atomSpec
 	lits       []atomSpec // body atoms that become factor literals (weighted rules)
 	weightArgs []int      // slots of the weight expression's arguments
-	keySlots   []int      // slots of every rule variable: a grounding's identity c̄ (Section 2.4), 4 bytes each in its key
+	keySlots   []int      // slots of every rule variable: a grounding's identity c̄ (Section 2.4), one id each in its key
 	wprefix    string     // weight key up to the tie values
 	udf        UDF        // weight UDF, nil for fixed and w(...) weights
 }
@@ -142,7 +137,7 @@ func (g *Grounder) compileRule(r *datalog.Rule, idx int) (*ruleEval, error) {
 		slotOf[v] = i
 	}
 	spec := func(a *datalog.Atom) atomSpec {
-		s := atomSpec{pred: a.Pred, seq: g.relSeq[a.Pred], args: make([]argSrc, len(a.Args))}
+		s := atomSpec{seq: g.relSeq[a.Pred], args: make([]argSrc, len(a.Args))}
 		for i, t := range a.Args {
 			if t.IsVar {
 				s.args[i] = argSrc{slot: slotOf[t.Name]}
@@ -206,30 +201,47 @@ func (re *ruleEval) mustPlan(seed int) *db.Plan {
 // incremental): relation deltas for downstream rules and the ΔV/ΔF
 // bookkeeping reported to incremental inference.
 type tracker struct {
-	added   map[string][][]db.Sym
-	removed map[string][][]db.Sym
-	rows    []db.Sym // the slab the delta lists' rows are cut from
+	// added and removed are the DRed delta lists, per relation (by
+	// declaration position): the rows whose visibility the pass toggled on
+	// and off. They are kept only when a later rule may evaluate delta
+	// terms over them — not on the first update, where every rule is
+	// evaluated in full.
+	added, removed []deltaRows
+	deltas         bool
 
-	newVars        []factor.VarID
-	liveToggled    []factor.VarID // pre-existing variables whose tuple left or re-entered; repeats allowed
-	evChanged      map[factor.VarID]bool
-	modifiedGroups map[int]bool
-	addedGroups    []int // ascending: groups are append-only
-	newWeights     []factor.WeightID
-	// touched records, per pre-existing group, the groundings whose
-	// visibility toggled — the grounding-grained ΔF the in-place patch path
-	// splices into the flat graph.
-	touched map[int]map[*gndState]bool
+	newVars     []factor.VarID
+	liveToggled []factor.VarID // pre-existing variables whose tuple left or re-entered; repeats allowed
+	evChanged   map[factor.VarID]bool
+	addedGroups []int // ascending: groups are append-only
+	newWeights  []factor.WeightID
+	// touched lists the groundings of pre-existing groups whose visibility
+	// toggled, repeats allowed — the grounding-grained ΔF the in-place patch
+	// path splices into the flat graph; their groups are the modified ones.
+	touched []int32
 }
 
-func newTracker() *tracker {
-	return &tracker{
-		added:          make(map[string][][]db.Sym),
-		removed:        make(map[string][][]db.Sym),
-		evChanged:      make(map[factor.VarID]bool),
-		modifiedGroups: make(map[int]bool),
-		touched:        make(map[int]map[*gndState]bool),
+// deltaRows is a delta list: n rows of one relation, back to back in ids.
+type deltaRows struct {
+	ids []db.Sym
+	n   int
+}
+
+func (d *deltaRows) add(row []db.Sym) {
+	d.ids = append(idtab.Grow(d.ids, len(row)), row...)
+	d.n++
+}
+
+// row returns row i of a relation of the given arity.
+func (d *deltaRows) row(i, arity int) []db.Sym {
+	return d.ids[i*arity : (i+1)*arity : (i+1)*arity]
+}
+
+func newTracker(nRels int, deltas bool) *tracker {
+	tr := &tracker{deltas: deltas, evChanged: make(map[factor.VarID]bool)}
+	if deltas {
+		tr.added, tr.removed = make([]deltaRows, nRels), make([]deltaRows, nRels)
 	}
+	return tr
 }
 
 // newGroup reports whether group gi was created by this pass.
@@ -237,64 +249,47 @@ func (tr *tracker) newGroup(gi int) bool {
 	return len(tr.addedGroups) > 0 && gi >= tr.addedGroups[0]
 }
 
-// changed reports whether the pass toggled any tuple of the relation.
-func (tr *tracker) changed(name string) bool {
-	return len(tr.added[name]) > 0 || len(tr.removed[name]) > 0
+// changed reports whether the pass toggled any tuple of the relation at
+// seq.
+func (tr *tracker) changed(seq uint32) bool {
+	return tr.added[seq].n > 0 || tr.removed[seq].n > 0
 }
 
-// touch records a grounding visibility toggle in a pre-existing group.
-func (tr *tracker) touch(gi int, gnd *gndState) {
-	if tr.touched[gi] == nil {
-		tr.touched[gi] = make(map[*gndState]bool)
-	}
-	tr.touched[gi][gnd] = true
-}
-
-// keep returns a copy of row the pass's delta lists may hold.
-func (tr *tracker) keep(row []db.Sym) []db.Sym {
-	kept := cut(&tr.rows, len(row))
-	copy(kept, row)
-	return kept
-}
-
-// applyTupleDelta adds count derivations of a row of ids to rel,
-// maintaining variable liveness, evidence counts, and the delta stream.
-// The relation's state before the pass stays readable through old-state
-// plan atoms (see db.Relation.BeginPass). row is not retained.
-func (g *Grounder) applyTupleDelta(tr *tracker, relName string, row []db.Sym, count int) error {
-	r := g.data.Relation(relName)
-	if r == nil {
-		return fmt.Errorf("ground: unknown relation %s", relName)
-	}
-	if !r.InsertRow(row, count) {
+// applyTupleDelta adds count derivations of a row of ids to the relation
+// at seq, maintaining variable liveness, evidence counts, and the delta
+// stream. The relation's state before the pass stays readable through
+// old-state plan atoms (see db.Relation.BeginPass). row is not retained.
+func (g *Grounder) applyTupleDelta(tr *tracker, seq uint32, row []db.Sym, count int) error {
+	ri := &g.rels[seq]
+	if !ri.rel.InsertRow(row, count) {
 		return nil // visibility unchanged: nothing propagates
 	}
-	row = tr.keep(row)
 	visible := count > 0
-	if visible {
-		tr.added[relName] = append(tr.added[relName], row)
-	} else {
-		tr.removed[relName] = append(tr.removed[relName], row)
-	}
-	decl := g.prog.Decls[relName]
-	if decl != nil && decl.Variable {
+	if tr.deltas {
 		if visible {
-			id, isNew := g.varFor(relName, row)
+			tr.added[seq].add(row)
+		} else {
+			tr.removed[seq].add(row)
+		}
+	}
+	if ri.variable {
+		if visible {
+			id, isNew := g.varFor(seq, row)
 			if isNew {
 				tr.newVars = append(tr.newVars, id)
 			} else if !g.live[id] {
 				tr.liveToggled = append(tr.liveToggled, id)
 			}
 			g.live[id] = true
-		} else if id, ok := g.varOf(relName, row); ok {
+		} else if id, ok := g.varOf(seq, row); ok {
 			if g.live[id] {
 				tr.liveToggled = append(tr.liveToggled, id)
 			}
 			g.live[id] = false
 		}
 	}
-	if base, isEv := datalog.EvidenceTarget(relName); isEv && g.prog.Decls[base] != nil {
-		if err := g.applyEvidenceDelta(tr, base, row, visible); err != nil {
+	if ri.evidenceOf >= 0 {
+		if err := g.applyEvidenceDelta(tr, uint32(ri.evidenceOf), row, visible); err != nil {
 			return err
 		}
 	}
@@ -303,7 +298,7 @@ func (g *Grounder) applyTupleDelta(tr *tracker, relName string, row []db.Sym, co
 
 // applyEvidenceDelta updates per-variable evidence counts when an
 // evidence row (base..., label) changes visibility.
-func (g *Grounder) applyEvidenceDelta(tr *tracker, baseRel string, evRow []db.Sym, nowVisible bool) error {
+func (g *Grounder) applyEvidenceDelta(tr *tracker, base uint32, evRow []db.Sym, nowVisible bool) error {
 	label := g.data.Symbols().Text(evRow[len(evRow)-1])
 	var isTrue bool
 	switch label {
@@ -312,9 +307,9 @@ func (g *Grounder) applyEvidenceDelta(tr *tracker, baseRel string, evRow []db.Sy
 	case "false":
 		isTrue = false
 	default:
-		return fmt.Errorf("ground: evidence label %q in %s_Ev must be true or false", label, baseRel)
+		return fmt.Errorf("ground: evidence label %q in %s_Ev must be true or false", label, g.rels[base].rel.Name())
 	}
-	id, isNew := g.varFor(baseRel, evRow[:len(evRow)-1])
+	id, isNew := g.varFor(base, evRow[:len(evRow)-1])
 	if isNew {
 		tr.newVars = append(tr.newVars, id)
 	}
@@ -331,46 +326,32 @@ func (g *Grounder) applyEvidenceDelta(tr *tracker, baseRel string, evRow []db.Sy
 	return nil
 }
 
-// keyArena holds the keys precompute derives, back to back in buf; ends
-// records where each key ends, so key i starts where key i−1 ended. rows
-// holds the instantiated heads of derivation rules. The driver resets its
-// one arena per binding; a parallel job keeps its own for as long as its
-// bindings wait to be applied. args is the UDF argument scratch.
+// keyArena holds what precompute derives, back to back: variable and
+// binding keys and derived heads as ids in ids, weight keys as text in
+// text. The driver resets its one arena per binding; a parallel job keeps
+// its own for as long as its bindings wait to be applied. args is the UDF
+// argument scratch.
 type keyArena struct {
-	buf  []byte
-	ends []int32
-	rows []db.Sym
+	ids  []uint32
+	text []byte
 	args []string
 }
 
-func (a *keyArena) reset() { a.buf, a.ends, a.rows = a.buf[:0], a.ends[:0], a.rows[:0] }
+func (a *keyArena) reset() { a.ids, a.text = a.ids[:0], a.text[:0] }
 
-// end closes the key appended to buf since the previous one.
-func (a *keyArena) end() { a.ends = append(a.ends, int32(len(a.buf))) }
-
-// key returns key i.
-func (a *keyArena) key(i int) []byte {
-	start := int32(0)
-	if i > 0 {
-		start = a.ends[i-1]
-	}
-	return a.buf[start:a.ends[i]]
-}
-
-// bindingPre holds the pure derivations of one rule binding — everything
+// bindingPre locates the pure derivations of one rule binding — everything
 // applying it needs that does not touch mutable grounder state — in its
-// arena, from at on. For a derivation or supervision rule: the
-// instantiated head, rows[at:at+arity]. For a weighted rule: keys at,
-// at+1, … — the head's variable key, the weight key (with the UDF
-// evaluation, the expensive part of feature-extraction rules), the
-// binding key, then one variable key per literal; applyPre allocates a
-// string only for what it interns. Variable and binding keys are
-// fixed-width ids, so no key carries a value's text. Workers compute
-// bindings on the parallel path, applyBinding on the sequential one; each
-// key is a pure function of (rule, binding), which keeps the two
-// bit-identical.
+// arena. For a derivation or supervision rule: the instantiated head,
+// ids[at:at+arity]. For a weighted rule: from ids[at] on, the head's
+// variable key, the binding key, then one variable key per literal, each
+// as wide as the rule makes it; and the weight key (with the UDF
+// evaluation, the expensive part of feature-extraction rules),
+// text[w:wEnd]. Variable and binding keys are fixed-width ids, so none
+// carries a value's text. Workers compute bindings on the parallel path,
+// applyBinding on the sequential one; each key is a pure function of
+// (rule, binding), which keeps the two bit-identical.
 type bindingPre struct {
-	at int
+	at, w, wEnd int32
 }
 
 // precompute derives a binding's pure apply inputs from a plan's register
@@ -378,40 +359,37 @@ type bindingPre struct {
 // arena: it reads only immutable rule state, the symbol table (read-only
 // while workers run) and the (pure) UDF registry; regs is not retained.
 func (re *ruleEval) precompute(regs []db.Sym, a *keyArena) bindingPre {
+	p := bindingPre{at: int32(len(a.ids))}
 	if re.rule.Kind != datalog.KindInference {
-		p := bindingPre{at: len(a.rows)}
-		a.rows = re.head.appendRow(a.rows, regs)
+		a.ids = re.head.appendRow(a.ids, regs)
 		return p
 	}
-	p := bindingPre{at: len(a.ends)}
-	a.buf = re.head.appendVarKey(a.buf, regs)
-	a.end()
+	a.ids = re.head.appendVarKey(a.ids, regs)
+	// Binding key: the rule's full binding c̄.
+	for _, s := range re.keySlots {
+		a.ids = append(a.ids, regs[s])
+	}
+	for k := range re.lits {
+		a.ids = re.lits[k].appendVarKey(a.ids, regs)
+	}
 	// Weight key: the rule, then its tie values' text.
-	a.buf = append(a.buf, re.wprefix...)
+	p.w = int32(len(a.text))
+	a.text = append(a.text, re.wprefix...)
 	if re.udf != nil {
 		a.args = a.args[:0]
 		for _, s := range re.weightArgs {
 			a.args = append(a.args, re.syms.Text(regs[s]))
 		}
-		a.buf = append(a.buf, re.udf(a.args)...)
+		a.text = append(a.text, re.udf(a.args)...)
 	} else {
 		for i, s := range re.weightArgs {
 			if i > 0 {
-				a.buf = append(a.buf, 0x1f)
+				a.text = append(a.text, 0x1f)
 			}
-			a.buf = append(a.buf, re.syms.Text(regs[s])...)
+			a.text = append(a.text, re.syms.Text(regs[s])...)
 		}
 	}
-	a.end()
-	// Binding key: the rule's full binding c̄.
-	for _, s := range re.keySlots {
-		a.buf = binary.LittleEndian.AppendUint32(a.buf, regs[s])
-	}
-	a.end()
-	for k := range re.lits {
-		a.buf = re.lits[k].appendVarKey(a.buf, regs)
-		a.end()
-	}
+	p.wEnd = int32(len(a.text))
 	return p
 }
 
@@ -430,55 +408,62 @@ func (g *Grounder) applyBinding(re *ruleEval, regs []db.Sym, sign int, tr *track
 // variable/weight/group interning, grounding counts — and must run on the
 // driver goroutine.
 func (g *Grounder) applyPre(re *ruleEval, p *bindingPre, a *keyArena, sign int, tr *tracker) error {
+	ids := a.ids[p.at:]
 	if re.rule.Kind != datalog.KindInference {
-		return g.applyTupleDelta(tr, re.head.pred, a.rows[p.at:p.at+len(re.head.args)], sign)
+		return g.applyTupleDelta(tr, re.head.seq, ids[:len(re.head.args)], sign)
 	}
 	// Weighted rule: materialize the grounding over the candidate the guard
-	// join found visible.
-	internVar := func(rel string, key []byte) factor.VarID {
-		id, isNew := g.varForKey(rel, key)
+	// join found visible. next cuts the arena's next key of n ids.
+	next := func(n int) []uint32 {
+		k := ids[:n:n]
+		ids = ids[n:]
+		return k
+	}
+	internVar := func(key []uint32) factor.VarID {
+		id, isNew := g.varFor(key[0], key[1:])
 		if isNew {
 			tr.newVars = append(tr.newVars, id)
 		}
 		return id
 	}
-	headVar := internVar(re.head.pred, a.key(p.at))
+	headVar := internVar(next(1 + len(re.head.args)))
 	winit, learn := 0.0, true
 	if w := re.rule.Weight; w.IsFixed {
 		winit, learn = w.Fixed, false
 	}
-	wid, isNewW := g.weightFor(a.key(p.at+1), winit, learn)
+	wid, isNewW := g.weightFor(a.text[p.w:p.wEnd], winit, learn)
 	if isNewW {
 		tr.newWeights = append(tr.newWeights, wid)
 	}
 	gk := groupKey{int32(re.idx), headVar, wid}
-	gi, ok := g.groupIdx[gk]
-	if !ok {
-		gi = len(g.groups)
-		g.addGroup(gk, g.prog.SemOf(re.rule))
-		tr.addedGroups = append(tr.addedGroups, gi)
+	gh := hashGroup(gk)
+	slot, ok := g.findGroup(gk, gh)
+	var gi int32
+	if ok {
+		gi = g.groupTab.Pos(slot)
+	} else {
+		gi = int32(g.addGroup(slot, gh, gk, g.prog.SemOf(re.rule)))
+		tr.addedGroups = append(tr.addedGroups, int(gi))
 	}
 	// A grounding seen before already has its literals (and their vars).
-	gs, bkey := g.groups[gi], a.key(p.at+2)
-	gnd := gs.find(bkey)
-	if gnd == nil {
-		gnd = &cut(&g.slab.gnds, 1)[0]
-		*gnd = gndState{key: string(bkey), flatID: -1}
-		if len(re.lits) > 0 {
-			gnd.lits = cut(&g.slab.lits, len(re.lits))
-			for k := range re.lits {
-				gnd.lits[k] = factor.Literal{Var: internVar(re.lits[k].pred, a.key(p.at+3+k))}
-			}
+	bkey := next(len(re.keySlots))
+	bh := idtab.HashAfter(uint32(gi), bkey)
+	slot, ok = g.findGnd(gi, bkey, bh)
+	var gnd int32
+	if ok {
+		gnd = g.gndTab.Pos(slot)
+	} else {
+		gnd = g.addGnd(slot, bh, gi, bkey)
+		for k := range re.lits {
+			g.lits = append(idtab.Grow(g.lits, 1), factor.Literal{Var: internVar(next(1 + len(re.lits[k].args)))})
 		}
-		gs.add(gnd)
 	}
 	// Groups created earlier in this same pass count as added, not
 	// modified: they do not exist in the pre-update graph, so reporting
 	// them in ModifiedGroups would leak an out-of-range index into
 	// ChangedGroupsOld.
-	if g.addCount(gs, gnd, sign) && !tr.newGroup(gi) {
-		tr.modifiedGroups[gi] = true
-		tr.touch(gi, gnd)
+	if g.addCount(gnd, sign) && !tr.newGroup(int(gi)) {
+		tr.touched = append(tr.touched, gnd)
 	}
 	g.graphDirty = true
 	return nil

@@ -12,13 +12,13 @@ import (
 )
 
 // maxRestoreBytesPerByte bounds what Restore allocates per byte of the
-// image beyond restoreFixedBytes: an ungrounded grounder (23 KB) and the
-// first chunks of the record slabs (about 125 KB, whatever the image
-// holds). Measured on the seeds below, beyond the ungrounded grounder: at
-// most 20.4 bytes a byte, on the smallest, most of it those chunks (7.0 on
-// the largest; TestRestoreAllocationBound logs them). A decoder that sizes
-// a table by a count the image claims, and not by the bytes left to back
-// it, exceeds the bound by orders of magnitude.
+// image beyond restoreFixedBytes, which covers an ungrounded grounder (24
+// KB). The slabs are decoded at their own size and the lookup tables are
+// sized by the records decoded, so measured on the seeds below, beyond the
+// ungrounded grounder, it is 2.4 to 3.7 bytes a byte
+// (TestRestoreAllocationBound logs them). A decoder that sizes a table by
+// a count the image claims, and not by the bytes left to back it, exceeds
+// the bound by orders of magnitude.
 const (
 	maxRestoreBytesPerByte = 24
 	restoreFixedBytes      = 256 << 10
@@ -117,7 +117,7 @@ func FuzzRestoreGrounder(f *testing.F) {
 	for _, p := range restoreSeeds(f) {
 		f.Add(p)
 	}
-	// A group count claiming far more than the image holds.
+	// A count (the symbol table's) claiming far more than the image holds.
 	huge := binary.LittleEndian.AppendUint64(nil, 1<<62)
 	f.Add(append([]byte{grounderCodecVersion, 0, 0, 0, 0, 0, 0, 0, 0}, huge...))
 	prog := datalog.MustParse(spouseSrc)

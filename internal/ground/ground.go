@@ -11,16 +11,28 @@
 // so the graph before an update and the graph after it are directly
 // comparable — which is what the incremental-inference strategies in
 // package inc rely on.
+//
+// The grounder's per-record state holds no pointer: variables, groups and
+// groundings are records in slabs of ids and fixed-size values (a variable
+// key arena, a group slab, a grounding slab with its binding-key arena and
+// literal slab), each found through an open-addressing table keyed on the
+// ids that identify it (idtab.Table), so what a grounder gives the
+// collector to walk does not grow with what it grounds. Only weights keep
+// text keys: there are few of them, and they carry UDF output. The
+// snapshot codec (codec.go) writes the slabs as bulk arrays; Restore
+// rebuilds the offsets, the groups' grounding chains and the tables.
 package ground
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"deepdive/internal/datalog"
 	"deepdive/internal/db"
 	"deepdive/internal/factor"
+	"deepdive/internal/idtab"
 )
 
 // UDF is a user-defined function used in weight expressions: it maps the
@@ -33,62 +45,20 @@ type UDF func(args []string) string
 // UDFRegistry names the UDFs available to a program.
 type UDFRegistry map[string]UDF
 
-// appendVarKey appends the variable-map key for a row of a variable
-// relation: the relation's declaration position, then the row's ids, each
-// a little-endian uint32. The key is fixed-width for a relation and holds
-// no value's text.
-func appendVarKey(buf []byte, seq uint32, row []db.Sym) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, seq)
-	for _, id := range row {
-		buf = binary.LittleEndian.AppendUint32(buf, id)
-	}
-	return buf
-}
+// A variable is its key — its relation's declaration position, then its
+// row's ids — stored back to back with the others in Grounder.varKeys, and
+// found through Grounder.varTab.
 
-// varInfo records which tuple a VarID stands for.
-type varInfo struct {
-	rel string
-	key string // its variable key (appendVarKey)
-}
-
-// appendRow appends the ids of the variable's tuple, decoded from its
-// key, to dst.
-func (v varInfo) appendRow(dst []db.Sym) []db.Sym {
-	for i := 4; i+4 <= len(v.key); i += 4 {
-		dst = append(dst, le32(v.key[i:]))
-	}
-	return dst
-}
-
-// le32 decodes a little-endian uint32 from the head of a key.
-func le32(k string) uint32 {
-	return uint32(k[0]) | uint32(k[1])<<8 | uint32(k[2])<<16 | uint32(k[3])<<24
-}
-
-// gndState is one grounding of a group with its derivation count. flatID
-// is the grounding's index in the flat pool of the grounder's current
-// graph when the grounding is visible there, -1 otherwise — the handle
-// the in-place patch path uses to tombstone retracted groundings.
-type gndState struct {
-	key    string // the binding's key (4 bytes per rule variable), unique within the group
-	lits   []factor.Literal
-	count  int
-	flatID int32
-}
-
-// groupState accumulates the groundings of one grounded rule instance
-// γ = (rule, head binding, weight binding), interned — and persisted — by
-// its groupKey. Records are cut from the grounder's slabs, and the
-// first grounding pointer sits in one, so a group of one grounding — most
-// of them — costs no object of its own.
+// groupState is one grounded rule instance γ = (rule, head binding, weight
+// binding), interned — and persisted — by its groupKey. Its groundings are
+// chained in creation order through gndState.next.
 type groupState struct {
 	rule   int32 // ruleEval.idx
 	head   factor.VarID
 	weight factor.WeightID
 	sem    factor.Semantics
-	gnds   []*gndState          // in creation order; one[:0] when empty
-	one    [1]*gndState         // backs gnds until a second grounding arrives
-	byKey  map[string]*gndState // nil while a scan of gnds is as fast
+	first  int32 // its first grounding, -1 while it has none
+	last   int32 // its last grounding, -1 while it has none
 }
 
 // groupKey identifies a group: the rule, its head variable and the weight.
@@ -98,60 +68,27 @@ type groupKey struct {
 	weight factor.WeightID
 }
 
-// slabs are the chunks group, grounding and literal records and the
-// grounding lists of groups are cut from — by the live grounder and by
-// RestoreSnapshot alike. One object per group, grounding and literal list
-// would be most of what a grounder gives the collector to walk.
-type slabs struct {
-	groups []groupState
-	gnds   []gndState
-	order  []*gndState
-	lits   []factor.Literal
+// gndState is one grounding with its derivation count, identified within
+// its group by its binding key (4 bytes per rule variable: the binding's
+// ids). Its key and literals sit in the grounder's gndKeys and lits slabs,
+// in grounding order: they end where the next grounding's begin. flatID is
+// the grounding's index in the flat pool of the grounder's current graph
+// when the grounding is visible there, -1 otherwise — the handle the
+// in-place patch path uses to tombstone retracted groundings.
+type gndState struct {
+	group  int32
+	next   int32 // the group's next grounding, -1 after its last
+	key    int32 // its binding key starts at gndKeys[key]
+	lit    int32 // its literals start at lits[lit]
+	count  int32
+	flatID int32
 }
 
-const slabChunk = 1024
-
-// cut returns n zeroed elements cut from slab, starting a new chunk when
-// the current one is short. The result's capacity is n: appending to it
-// never reaches a neighbour.
-func cut[T any](slab *[]T, n int) []T {
-	if len(*slab) < n {
-		*slab = make([]T, max(slabChunk, n))
-	}
-	s := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return s
-}
-
-// A group of up to smallGroup groundings is searched by scanning gnds. Most
-// groups hold one grounding, and a map each would be most of the grounding
-// tables' memory.
-const smallGroup = 8
-
-// find returns the grounding of gs with the given key, or nil.
-func (gs *groupState) find(key []byte) *gndState {
-	if gs.byKey != nil {
-		return gs.byKey[string(key)]
-	}
-	for _, gnd := range gs.gnds {
-		if gnd.key == string(key) {
-			return gnd
-		}
-	}
-	return nil
-}
-
-// add appends a grounding whose key gs does not hold yet.
-func (gs *groupState) add(gnd *gndState) {
-	gs.gnds = append(gs.gnds, gnd)
-	if gs.byKey != nil {
-		gs.byKey[gnd.key] = gnd
-	} else if len(gs.gnds) > smallGroup {
-		gs.byKey = make(map[string]*gndState, 2*len(gs.gnds))
-		for _, o := range gs.gnds {
-			gs.byKey[o.key] = o
-		}
-	}
+// relInfo is what applying a row to a relation needs to know of it.
+type relInfo struct {
+	rel        *db.Relation
+	variable   bool  // a variable relation: its rows are candidates
+	evidenceOf int32 // for an evidence relation R_Ev of a declared R, R's position; else -1
 }
 
 // Grounder holds the database and all grounding state for one program.
@@ -160,6 +97,7 @@ type Grounder struct {
 	udfs   UDFRegistry
 	data   *db.Database
 	relSeq map[string]uint32 // relation → its declaration position (variable-key prefix)
+	rels   []relInfo         // by declaration position
 
 	topo        []string               // relation evaluation order (derivation pipeline)
 	rulesByHead map[string][]*ruleEval // derivation & supervision rules
@@ -167,8 +105,9 @@ type Grounder struct {
 	derived     map[string]bool        // heads of derivation/supervision rules
 	nextRuleIdx int
 
-	vars    []varInfo
-	varIdx  map[string]factor.VarID
+	varKeys []uint32 // variable keys, back to back in VarID order
+	varOff  []int32  // variable v's key is varKeys[varOff[v]:varOff[v+1]]
+	varTab  idtab.Table
 	live    []bool
 	evTrue  []int // per var: count of true evidence derivations
 	evFalse []int
@@ -178,10 +117,13 @@ type Grounder struct {
 	weightLearn []bool
 	weightIdx   map[string]factor.WeightID
 
-	groups      []*groupState
-	groupIdx    map[groupKey]int
-	nGroundings int // visible groundings across groups, kept at the count transitions
-	slab        slabs
+	groups      []groupState
+	groupTab    idtab.Table // groupKey → group
+	gnds        []gndState
+	gndKeys     []uint32         // binding keys, in grounding order
+	lits        []factor.Literal // literals, in grounding order
+	gndTab      idtab.Table      // (group, binding key) → grounding
+	nGroundings int              // visible groundings across groups, kept at the count transitions
 
 	// exec is the driver goroutine's plan-execution state (the sequential
 	// path); parallel workers bring their own. jobs is the driver's job
@@ -283,18 +225,26 @@ func newGrounder(prog *datalog.Program, udfs UDFRegistry) (*Grounder, error) {
 		relSeq:      make(map[string]uint32),
 		rulesByHead: make(map[string][]*ruleEval),
 		derived:     make(map[string]bool),
-		varIdx:      make(map[string]factor.VarID),
+		varOff:      []int32{0},
 		weightIdx:   make(map[string]factor.WeightID),
-		groupIdx:    make(map[groupKey]int),
 		graphDirty:  true,
 		inPlace:     true,
 	}
 	for i, name := range prog.DeclOrder {
 		d := prog.Decls[name]
-		if _, err := g.data.Create(d.Name, d.Cols...); err != nil {
+		rel, err := g.data.Create(d.Name, d.Cols...)
+		if err != nil {
 			return nil, err
 		}
 		g.relSeq[d.Name] = uint32(i)
+		g.rels = append(g.rels, relInfo{rel: rel, variable: d.Variable, evidenceOf: -1})
+	}
+	for i, name := range prog.DeclOrder {
+		if base, isEv := datalog.EvidenceTarget(name); isEv {
+			if seq, declared := g.relSeq[base]; declared {
+				g.rels[i].evidenceOf = int32(seq)
+			}
+		}
 	}
 	return g, nil
 }
@@ -428,56 +378,71 @@ func (g *Grounder) LoadBase(rel string, tuples []db.Tuple) error {
 	return nil
 }
 
-// varFor returns (creating if needed) the VarID of a variable-relation
-// row, and whether it was created. Liveness is managed by visibility
-// transitions in applyTupleDelta, not here.
-func (g *Grounder) varFor(rel string, row []db.Sym) (factor.VarID, bool) {
-	var a [64]byte
-	return g.varForKey(rel, appendVarKey(a[:0], g.relSeq[rel], row))
+// varKey returns variable v's key: its relation's declaration position,
+// then its row's ids.
+func (g *Grounder) varKey(v factor.VarID) []uint32 {
+	return g.varKeys[g.varOff[v]:g.varOff[v+1]]
 }
 
-// varForKey is varFor on the row's variable key (appendVarKey): it
-// allocates only the key of a variable it creates.
-func (g *Grounder) varForKey(rel string, key []byte) (factor.VarID, bool) {
-	if id, ok := g.varIdx[string(key)]; ok {
-		return id, false
+// findVar returns the slot of varTab holding the variable of the row of
+// the relation at seq (hash h: idtab.HashAfter(seq, row)) and true, or
+// the slot it would go to and false.
+func (g *Grounder) findVar(seq uint32, row []db.Sym, h uint32) (int, bool) {
+	return g.varTab.Find(h, func(v int32) bool {
+		k := g.varKey(factor.VarID(v))
+		return k[0] == seq && slices.Equal(k[1:], row)
+	})
+}
+
+// varFor returns (creating if needed) the VarID of a row of the relation
+// at seq, and whether it was created. Liveness is managed by visibility
+// transitions in applyTupleDelta, not here.
+func (g *Grounder) varFor(seq uint32, row []db.Sym) (factor.VarID, bool) {
+	h := idtab.HashAfter(seq, row)
+	i, ok := g.findVar(seq, row, h)
+	if ok {
+		return factor.VarID(g.varTab.Pos(i)), false
 	}
-	k := string(key)
-	id := factor.VarID(len(g.vars))
-	g.vars = append(g.vars, varInfo{rel: rel, key: k})
-	g.live = append(g.live, true)
-	g.evTrue = append(g.evTrue, 0)
-	g.evFalse = append(g.evFalse, 0)
-	g.varIdx[k] = id
+	id := factor.VarID(g.NumVars())
+	g.varKeys = append(append(idtab.Grow(g.varKeys, 1+len(row)), seq), row...)
+	g.varOff = append(idtab.Grow(g.varOff, 1), int32(len(g.varKeys)))
+	g.live = append(idtab.Grow(g.live, 1), true)
+	g.evTrue = append(idtab.Grow(g.evTrue, 1), 0)
+	g.evFalse = append(idtab.Grow(g.evFalse, 1), 0)
+	g.varTab.Put(i, h, int32(id), 0)
 	return id, true
 }
 
 // varOf looks up the VarID of a row without creating it.
-func (g *Grounder) varOf(rel string, row []db.Sym) (factor.VarID, bool) {
-	var a [64]byte
-	id, ok := g.varIdx[string(appendVarKey(a[:0], g.relSeq[rel], row))]
-	return id, ok
+func (g *Grounder) varOf(seq uint32, row []db.Sym) (factor.VarID, bool) {
+	i, ok := g.findVar(seq, row, idtab.HashAfter(seq, row))
+	if !ok {
+		return 0, false
+	}
+	return factor.VarID(g.varTab.Pos(i)), true
 }
 
 // VarOf looks up the VarID of a tuple without creating it.
 func (g *Grounder) VarOf(rel string, t db.Tuple) (factor.VarID, bool) {
 	var a [16]db.Sym
 	row, ok := g.data.Symbols().FindIDs(a[:0], t)
-	if !ok || g.data.Relation(rel) == nil {
+	seq, declared := g.relSeq[rel]
+	if !ok || !declared {
 		return 0, false
 	}
-	return g.varOf(rel, row)
+	return g.varOf(seq, row)
 }
 
 // VarTuple reverses VarOf.
 func (g *Grounder) VarTuple(v factor.VarID) (rel string, t db.Tuple) {
-	info := g.vars[v]
-	var a [16]db.Sym
-	return info.rel, g.data.Symbols().Tuple(info.appendRow(a[:0]))
+	k := g.varKey(v)
+	return g.prog.DeclOrder[k[0]], g.data.Symbols().Tuple(k[1:])
 }
 
 // VarRelation returns the relation the variable's tuple belongs to.
-func (g *Grounder) VarRelation(v factor.VarID) string { return g.vars[v].rel }
+func (g *Grounder) VarRelation(v factor.VarID) string {
+	return g.prog.DeclOrder[g.varKey(v)[0]]
+}
 
 // VarFacts returns the tuples of variables [from, to) and their
 // canonical text keys (Tuple.Key) — the serving skeleton's view of them.
@@ -486,21 +451,18 @@ func (g *Grounder) VarRelation(v factor.VarID) string { return g.vars[v].rel }
 // per variable.
 func (g *Grounder) VarFacts(from, to int) (tuples []db.Tuple, keys []string) {
 	syms := g.data.Symbols()
-	cells, buf, ends := 0, []byte(nil), make([]int, to-from)
-	var row []db.Sym
+	buf, ends := []byte(nil), make([]int, to-from)
 	for v := from; v < to; v++ {
-		row = g.vars[v].appendRow(row[:0])
-		cells += len(row)
-		buf = syms.AppendKey(buf, row)
+		buf = syms.AppendKey(buf, g.varKey(factor.VarID(v))[1:])
 		ends[v-from] = len(buf)
 	}
+	cells := int(g.varOff[to]-g.varOff[from]) - (to - from)
 	slab, all := make([]string, 0, cells), string(buf)
 	tuples, keys = make([]db.Tuple, to-from), make([]string, to-from)
 	start := 0
 	for v := from; v < to; v++ {
-		row = g.vars[v].appendRow(row[:0])
 		n := len(slab)
-		for _, id := range row {
+		for _, id := range g.varKey(factor.VarID(v))[1:] {
 			slab = append(slab, syms.Text(id))
 		}
 		tuples[v-from] = db.Tuple(slab[n:len(slab):len(slab)])
@@ -514,7 +476,7 @@ func (g *Grounder) VarFacts(from, to int) (tuples []db.Tuple, keys []string) {
 func (g *Grounder) IsLive(v factor.VarID) bool { return g.live[v] }
 
 // NumVars returns the total number of variables ever created.
-func (g *Grounder) NumVars() int { return len(g.vars) }
+func (g *Grounder) NumVars() int { return len(g.varOff) - 1 }
 
 // weightFor interns a weight key.
 func (g *Grounder) weightFor(key []byte, init float64, learn bool) (factor.WeightID, bool) {
@@ -551,25 +513,77 @@ func (g *Grounder) NumGroups() int { return len(g.groups) }
 // NumGroundings returns the number of visible groundings across groups.
 func (g *Grounder) NumGroundings() int { return g.nGroundings }
 
-// addGroup appends a group without grounding records.
-func (g *Grounder) addGroup(k groupKey, sem factor.Semantics) *groupState {
-	gs := &cut(&g.slab.groups, 1)[0]
-	*gs = groupState{rule: k.rule, head: k.head, weight: k.weight, sem: sem}
-	gs.gnds = gs.one[:0]
-	g.groupIdx[k] = len(g.groups)
-	g.groups = append(g.groups, gs)
-	return gs
+// findGroup returns the slot of groupTab holding group k (hash h:
+// hashGroup(k)) and true, or the slot it would go to and false.
+func (g *Grounder) findGroup(k groupKey, h uint32) (int, bool) {
+	return g.groupTab.Find(h, func(gi int32) bool {
+		gs := &g.groups[gi]
+		return gs.rule == k.rule && gs.head == k.head && gs.weight == k.weight
+	})
 }
 
-// addCount adds count derivations (negative for removal) to a grounding
-// of gs and reports whether the group's visible grounding set changed.
-func (g *Grounder) addCount(gs *groupState, gnd *gndState, count int) bool {
-	was := gnd.count > 0
-	gnd.count += count
-	if gnd.count < 0 {
-		panic(fmt.Sprintf("ground: grounding count below zero in the group of rule %d, head %d, weight %d", gs.rule, gs.head, gs.weight))
+func hashGroup(k groupKey) uint32 {
+	return idtab.Hash([]uint32{uint32(k.rule), uint32(k.head), uint32(k.weight)})
+}
+
+// addGroup appends group k, whose slot in groupTab is i (findGroup), with
+// no groundings.
+func (g *Grounder) addGroup(i int, h uint32, k groupKey, sem factor.Semantics) int {
+	gi := len(g.groups)
+	g.groups = append(idtab.Grow(g.groups, 1), groupState{rule: k.rule, head: k.head, weight: k.weight, sem: sem, first: -1, last: -1})
+	g.groupTab.Put(i, h, int32(gi), 0)
+	return gi
+}
+
+// findGnd returns the slot of gndTab holding group gi's grounding of the
+// binding key (hash h: idtab.HashAfter(gi, key)) and true, or the slot it
+// would go to and false. Every grounding of a group has a key of the same
+// length, its rule's.
+func (g *Grounder) findGnd(gi int32, key []uint32, h uint32) (int, bool) {
+	return g.gndTab.Find(h, func(i int32) bool {
+		gnd := &g.gnds[i]
+		return gnd.group == gi && slices.Equal(g.gndKeys[gnd.key:int(gnd.key)+len(key)], key)
+	})
+}
+
+// addGnd appends a grounding of group gi with the binding key, whose slot
+// in gndTab is i (findGnd), and no literals: the caller appends them to
+// g.lits before the next grounding is added.
+func (g *Grounder) addGnd(i int, h uint32, gi int32, key []uint32) int32 {
+	n := int32(len(g.gnds))
+	g.gnds = append(idtab.Grow(g.gnds, 1), gndState{group: gi, next: -1, key: int32(len(g.gndKeys)), lit: int32(len(g.lits)), flatID: -1})
+	g.gndKeys = append(idtab.Grow(g.gndKeys, len(key)), key...)
+	if gs := &g.groups[gi]; gs.last < 0 {
+		gs.first = n
+	} else {
+		g.gnds[gs.last].next = n
 	}
-	now := gnd.count > 0
+	g.groups[gi].last = n
+	g.gndTab.Put(i, h, n, 0)
+	return n
+}
+
+// gndLits returns grounding i's literals.
+func (g *Grounder) gndLits(i int32) []factor.Literal {
+	end := int32(len(g.lits))
+	if int(i)+1 < len(g.gnds) {
+		end = g.gnds[i+1].lit
+	}
+	return g.lits[g.gnds[i].lit:end]
+}
+
+// addCount adds count derivations (negative for removal) to grounding i
+// and reports whether its group's visible grounding set changed.
+func (g *Grounder) addCount(i int32, count int) bool {
+	gnd := &g.gnds[i]
+	was := gnd.count > 0
+	c := int64(gnd.count) + int64(count)
+	if c < 0 || c > math.MaxInt32 {
+		gs := &g.groups[gnd.group]
+		panic(fmt.Sprintf("ground: grounding count %d in the group of rule %d, head %d, weight %d", c, gs.rule, gs.head, gs.weight))
+	}
+	gnd.count = int32(c)
+	now := c > 0
 	if was == now {
 		return false
 	}
@@ -590,7 +604,15 @@ func (g *Grounder) Graph() *factor.Graph {
 		return g.lastGraph
 	}
 	b := factor.NewBuilder()
-	for range g.vars {
+	lits := 0
+	for i := range g.gnds {
+		if g.gnds[i].count > 0 {
+			lits += len(g.gndLits(int32(i)))
+		}
+	}
+	b.Grow(g.NumVars(), len(g.weightKeys), len(g.groups))
+	b.GrowGroundings(g.nGroundings, lits)
+	for range g.NumVars() {
 		b.AddVar()
 	}
 	for i := range g.weightKeys {
@@ -606,9 +628,9 @@ func (g *Grounder) Graph() *factor.Graph {
 	var flatID int32
 	for _, gs := range g.groups {
 		b.AddGroup(gs.head, gs.weight, gs.sem, nil)
-		for _, gnd := range gs.gnds {
-			if gnd.count > 0 {
-				b.AddGrounding(gnd.lits)
+		for i := gs.first; i >= 0; i = g.gnds[i].next {
+			if gnd := &g.gnds[i]; gnd.count > 0 {
+				b.AddGrounding(g.gndLits(i))
 				gnd.flatID = flatID
 				flatID++
 			} else {
@@ -617,7 +639,7 @@ func (g *Grounder) Graph() *factor.Graph {
 		}
 	}
 	graph := b.MustBuild()
-	for v := range g.vars {
+	for v := range g.NumVars() {
 		if g.evTrue[v]+g.evFalse[v] > 0 {
 			graph.SetEvidence(factor.VarID(v), true, g.evTrue[v] >= g.evFalse[v])
 		}

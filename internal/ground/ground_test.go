@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -713,10 +714,11 @@ func TestQuickRandomUpdateSequences(t *testing.T) {
 	}
 }
 
-// A group is searched by scanning up to smallGroup groundings and through a
-// map beyond; the snapshot codec rebuilds either from the same records.
-// Groups on both sides of the boundary must survive a snapshot round trip
-// and keep taking updates exactly as the grounder they were saved from.
+// A group's groundings are chained through the grounding slab and found
+// through the grounder-wide grounding table, both rebuilt by the snapshot
+// codec from the groundings' order. Groups of one, a few and many
+// groundings, growing and shrinking, must survive a snapshot round trip and
+// keep taking updates exactly as the grounder they were saved from.
 func TestSnapshotRestoreAcrossGroupSizes(t *testing.T) {
 	const src = `
 @variable Class(x).
@@ -733,10 +735,11 @@ Class(x) :- R(x, f) weight = 0.5.
 	}
 	live := build()
 	var base []db.Tuple
-	for i := 0; i < 2*smallGroup; i++ { // wide: one group, 2·smallGroup groundings
+	const few = 8
+	for i := 0; i < 2*few; i++ { // wide: one group, 2·few groundings
 		base = append(base, db.Tuple{"wide", fmt.Sprint("f", i)})
 	}
-	for i := 0; i < smallGroup; i++ { // edge: exactly smallGroup, grows past it below
+	for i := 0; i < few; i++ { // edge: exactly few, grows past it below
 		base = append(base, db.Tuple{"edge", fmt.Sprint("f", i)})
 	}
 	base = append(base, db.Tuple{"one", "f0"})
@@ -788,7 +791,7 @@ Class(x) :- R(x, f) weight = 0.5.
 // encodedGroups reads the group keys and the binding keys of their
 // groundings out of a spouse grounder's snapshot, walking the format
 // without RestoreSnapshot.
-func encodedGroups(t *testing.T, image []byte) (groups []groupKey, bindings []string) {
+func encodedGroups(t *testing.T, image []byte) (groups []groupKey, bindings [][]uint32) {
 	t.Helper()
 	rd := persist.NewRd(image)
 	rd.U8("codec version")
@@ -799,24 +802,35 @@ func encodedGroups(t *testing.T, image []byte) (groups []groupKey, bindings []st
 	for _, name := range rd.Strs("relation names") {
 		bmust(t, rels.DB().Relation(name).RestoreSnapshot(rd))
 	}
-	rd.Strs("var rels")
-	rd.Strs("var keys")
+	rd.U32s("var keys")
 	rd.Bools("var live")
 	rd.Ints("var evTrue")
 	rd.Ints("var evFalse")
 	rd.Strs("weight keys")
 	rd.F64s("weight init")
 	rd.Bools("weight learn")
-	groups = make([]groupKey, rd.U64("group count"))
-	for i := range groups {
-		groups[i] = groupKey{int32(rd.U32("group rule")), factor.VarID(rd.I64("group head")), factor.WeightID(rd.I64("group weight"))}
-		rd.U8("group sem")
-		for n := rd.U64("grounding count"); n > 0; n-- {
-			bindings = append(bindings, rd.Str("grounding key"))
-			rd.I64("grounding count")
-			rd.I64("grounding flatID")
-			rd.I32s("grounding lits")
+	words := rd.U32s("groups")
+	for w := 0; w+groupWords <= len(words); w += groupWords {
+		groups = append(groups, groupKey{int32(words[w]), factor.VarID(words[w+1]), factor.WeightID(words[w+2])})
+	}
+	gnds := rd.I32s("groundings")
+	keys := rd.U32s("grounding keys")
+	rd.I32s("grounding lits")
+	// Rule 2 binds m1, m2, s and the sentence; rule 4 binds m1 and m2: one
+	// id each, and the groundings' keys take the key array exactly.
+	for w := 0; w+gndWords <= len(gnds); w += gndWords {
+		n := 2
+		if groups[gnds[w]].rule == 2 {
+			n = 4
 		}
+		if len(keys) < n {
+			t.Fatalf("grounding %d: %d key ids left, want %d", w/gndWords, len(keys), n)
+		}
+		bindings = append(bindings, keys[:n])
+		keys = keys[n:]
+	}
+	if len(keys) > 0 {
+		t.Fatalf("%d binding key ids left over", len(keys))
 	}
 	if !rd.Done() {
 		t.Fatalf("walking the snapshot: %v (done %v)", rd.Err(), rd.Done())
@@ -871,17 +885,16 @@ func TestSnapshotGroupKeys(t *testing.T) {
 		if want := (groupKey{int32(rule), gr.Head, gr.Weight}); key != want {
 			t.Fatalf("group %d encoded as %v, want %v", gi, key, want)
 		}
-		if at, ok := restored.groupIdx[key]; !ok || at != gi {
-			t.Fatalf("restored grounder finds group %d (%v) at %d, %v", gi, key, at, ok)
+		if i, ok := restored.findGroup(key, hashGroup(key)); !ok || restored.groupTab.Pos(i) != int32(gi) {
+			t.Fatalf("restored grounder does not find group %d (%v) at its index", gi, key)
 		}
 	}
 	if rules[2] == 0 || rules[4] == 0 {
 		t.Fatalf("groups by rule %v, want both weighted rules", rules)
 	}
 	for _, k := range bindings {
-		// Rule 2 binds m1, m2, s and the sentence; rule 4 binds m1 and m2.
-		if len(k) != 16 && len(k) != 8 {
-			t.Fatalf("binding key %q: %d bytes, want 4 per rule variable", k, len(k))
+		if slices.ContainsFunc(k, func(id uint32) bool { return int(id) >= live.DB().Symbols().Len() }) {
+			t.Fatalf("binding key %v holds an id past the symbol table", k)
 		}
 	}
 	var rb persist.Buf

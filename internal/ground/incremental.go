@@ -1,6 +1,7 @@
 package ground
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
@@ -221,7 +222,9 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 	canPatch := g.inPlace && g.lastGraph != nil && !g.graphDirty
 	g.graphDirty = true
 	g.data.BeginPass()
-	tr := newTracker()
+	// The first update evaluates every rule in full: no rule reads a delta
+	// list.
+	tr := newTracker(len(g.rels), g.version > 0)
 
 	// 2. Apply base-relation deltas, relations in sorted-name order:
 	// applyTupleDelta interns variables for variable base relations (and
@@ -235,7 +238,7 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 	for _, rel := range sortedRelNames(u.Inserts) {
 		for _, t := range u.Inserts[rel] {
 			row = syms.AppendIDs(row[:0], t)
-			if err := g.applyTupleDelta(tr, rel, row, +1); err != nil {
+			if err := g.applyTupleDelta(tr, g.relSeq[rel], row, +1); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -243,7 +246,7 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 	for _, rel := range sortedRelNames(u.Deletes) {
 		for _, t := range u.Deletes[rel] {
 			row, _ = syms.FindIDs(row[:0], t)
-			if err := g.applyTupleDelta(tr, rel, row, -1); err != nil {
+			if err := g.applyTupleDelta(tr, g.relSeq[rel], row, -1); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -278,16 +281,26 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 		}
 	}
 
+	// Touched groundings in group order, then grounding order — the order
+	// a walk of each group's groundings meets them — so patchGraph lays them
+	// out the same on every run.
+	slices.SortFunc(tr.touched, func(a, b int32) int {
+		if ga, gb := g.gnds[a].group, g.gnds[b].group; ga != gb {
+			return cmp.Compare(ga, gb)
+		}
+		return cmp.Compare(a, b)
+	})
+	tr.touched = slices.Compact(tr.touched)
 	d := &Delta{
 		NewVars:    tr.newVars,
 		NewWeights: tr.newWeights,
 	}
-	for gi := range tr.modifiedGroups {
-		d.ModifiedGroups = append(d.ModifiedGroups, gi)
+	for _, i := range tr.touched {
+		if gi := int(g.gnds[i].group); len(d.ModifiedGroups) == 0 || d.ModifiedGroups[len(d.ModifiedGroups)-1] != gi {
+			d.ModifiedGroups = append(d.ModifiedGroups, gi)
+		}
 	}
-	slices.Sort(d.ModifiedGroups)
-	d.AddedGroups = append(d.AddedGroups, tr.addedGroups...)
-	slices.Sort(d.AddedGroups)
+	d.AddedGroups = tr.addedGroups // ascending: groups are append-only
 	for v := range tr.evChanged {
 		d.EvidenceChanged = append(d.EvidenceChanged, v)
 	}
@@ -317,7 +330,7 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 func (g *Grounder) patchGraph(tr *tracker) {
 	old := g.lastGraph
 	p := factor.NewPatch(old)
-	for i := old.NumVars(); i < len(g.vars); i++ {
+	for i := old.NumVars(); i < g.NumVars(); i++ {
 		p.AddVar()
 	}
 	for i := old.NumWeights(); i < len(g.weightKeys); i++ {
@@ -327,41 +340,30 @@ func (g *Grounder) patchGraph(tr *tracker) {
 	// addedGroups is in creation order, i.e. consecutive indices starting
 	// at the old graph's group count.
 	for _, gi := range tr.addedGroups {
-		gs := g.groups[gi]
+		gs := &g.groups[gi]
 		if pgi := p.AddGroup(gs.head, gs.weight, gs.sem); pgi != gi {
 			panic(fmt.Sprintf("ground: patch group index %d does not match grounder group %d", pgi, gi))
 		}
-		for _, gnd := range gs.gnds {
-			if gnd.count > 0 {
-				gnd.flatID = p.AddGrounding(gi, gnd.lits)
+		for i := gs.first; i >= 0; i = g.gnds[i].next {
+			if gnd := &g.gnds[i]; gnd.count > 0 {
+				gnd.flatID = p.AddGrounding(gi, g.gndLits(i))
 			} else {
 				gnd.flatID = -1
 			}
 		}
 	}
-	// Visibility toggles in pre-existing groups, in deterministic order
-	// (group index, then the group's stable grounding order) so repeated
-	// runs produce identical layouts.
-	var modGroups []int
-	for gi := range tr.touched {
-		modGroups = append(modGroups, gi)
-	}
-	slices.Sort(modGroups)
-	for _, gi := range modGroups {
-		gs := g.groups[gi]
-		touched := tr.touched[gi]
-		for _, gnd := range gs.gnds {
-			if !touched[gnd] {
-				continue
+	// Visibility toggles in pre-existing groups, in the deterministic order
+	// ApplyUpdateStaged sorted them into, so repeated runs produce
+	// identical layouts.
+	for _, i := range tr.touched {
+		gnd := &g.gnds[i]
+		if gnd.count > 0 {
+			if gnd.flatID < 0 {
+				gnd.flatID = p.AddGrounding(int(gnd.group), g.gndLits(i))
 			}
-			if gnd.count > 0 {
-				if gnd.flatID < 0 {
-					gnd.flatID = p.AddGrounding(gi, gnd.lits)
-				}
-			} else if gnd.flatID >= 0 {
-				p.RemoveGrounding(gnd.flatID)
-				gnd.flatID = -1
-			}
+		} else if gnd.flatID >= 0 {
+			p.RemoveGrounding(gnd.flatID)
+			gnd.flatID = -1
 		}
 	}
 	// Evidence: supervision changes on existing variables plus the labels
@@ -381,7 +383,7 @@ func (g *Grounder) patchGraph(tr *tracker) {
 	for _, v := range evs {
 		applyEv(v)
 	}
-	for i := old.NumVars(); i < len(g.vars); i++ {
+	for i := old.NumVars(); i < g.NumVars(); i++ {
 		applyEv(factor.VarID(i))
 	}
 	ng := p.Apply()

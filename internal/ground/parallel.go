@@ -160,7 +160,7 @@ func (re *ruleEval) fullJob() evalJob {
 func (g *Grounder) deltaJobs(jobs []evalJob, re *ruleEval, tr *tracker) []evalJob {
 	touches, negOnChanged := false, false
 	for _, a := range re.query.Atoms {
-		if tr.changed(a.Rel.Name()) {
+		if tr.changed(g.relSeq[a.Rel.Name()]) {
 			touches = true
 			negOnChanged = negOnChanged || a.Neg
 		}
@@ -172,16 +172,16 @@ func (g *Grounder) deltaJobs(jobs []evalJob, re *ruleEval, tr *tracker) []evalJo
 		return append(jobs, evalJob{re: re, plan: re.mustPlan(db.ScanOld), sign: -1}, re.fullJob())
 	}
 	for i, a := range re.query.Atoms {
-		name := a.Rel.Name()
-		if a.Neg || !tr.changed(name) {
+		seq := g.relSeq[a.Rel.Name()]
+		if a.Neg || !tr.changed(seq) {
 			continue
 		}
-		plan := re.mustPlan(i)
-		for _, t := range tr.added[name] {
-			jobs = append(jobs, evalJob{re: re, plan: plan, seed: t, sign: +1})
+		plan, arity := re.mustPlan(i), a.Rel.Arity()
+		for k := range tr.added[seq].n {
+			jobs = append(jobs, evalJob{re: re, plan: plan, seed: tr.added[seq].row(k, arity), sign: +1})
 		}
-		for _, t := range tr.removed[name] {
-			jobs = append(jobs, evalJob{re: re, plan: plan, seed: t, sign: -1})
+		for k := range tr.removed[seq].n {
+			jobs = append(jobs, evalJob{re: re, plan: plan, seed: tr.removed[seq].row(k, arity), sign: -1})
 		}
 	}
 	return jobs

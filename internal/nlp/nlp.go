@@ -108,24 +108,33 @@ func isInitial(w string) bool {
 	return len(w) == 2 && w[1] == '.' && unicode.IsUpper(rune(w[0]))
 }
 
-// determiner/preposition/verb dictionaries for the heuristic tagger.
-var (
-	determiners  = wordSet("the a an this that these those")
-	prepositions = wordSet("of in on at by for with from to between into over under near")
-	conjunctions = wordSet("and or but nor so yet")
-	pronouns     = wordSet("he she it they we his her its their our who which")
-	beVerbs      = wordSet("is are was were be been being am")
-	commonVerbs  = wordSet("married met said visited found reported causes inhibits " +
-		"binds interacts occurs described collected attended wrote works tied")
-)
-
-func wordSet(s string) map[string]bool {
-	m := map[string]bool{}
-	for _, w := range strings.Fields(s) {
-		m[w] = true
+// closedClass tags the heuristic tagger's dictionary words: determiners,
+// prepositions, conjunctions, pronouns, forms of "be" and common verbs, a
+// word listed twice taking its first class. A common verb ending in "ed"
+// is VBD. One probe of one map tags any of them.
+var closedClass = func() map[string]string {
+	m := map[string]string{}
+	add := func(tag, words string) {
+		for _, w := range strings.Fields(words) {
+			if _, dup := m[w]; dup {
+				continue
+			}
+			if tag == "VB" && strings.HasSuffix(w, "ed") {
+				m[w] = "VBD"
+			} else {
+				m[w] = tag
+			}
+		}
 	}
+	add("DT", "the a an this that these those")
+	add("IN", "of in on at by for with from to between into over under near")
+	add("CC", "and or but nor so yet")
+	add("PRP", "he she it they we his her its their our who which")
+	add("VB", "is are was were be been being am")
+	add("VB", "married met said visited found reported causes inhibits "+
+		"binds interacts occurs described collected attended wrote works tied")
 	return m
-}
+}()
 
 // Tag assigns a heuristic part-of-speech tag to each token. The tagset is
 // a small Penn-style subset: NNP (proper), NN, VB, VBD, IN, DT, CC, PRP,
@@ -152,21 +161,11 @@ func tagLower(w string, lw []byte) string {
 		return "PUNCT"
 	case isNumber(w):
 		return "CD"
-	case determiners[string(lw)]:
-		return "DT"
-	case prepositions[string(lw)]:
-		return "IN"
-	case conjunctions[string(lw)]:
-		return "CC"
-	case pronouns[string(lw)]:
-		return "PRP"
-	case beVerbs[string(lw)]:
-		return "VB"
-	case commonVerbs[string(lw)]:
-		if suffix("ed") {
-			return "VBD"
-		}
-		return "VB"
+	}
+	if tag, ok := closedClass[string(lw)]; ok {
+		return tag
+	}
+	switch {
 	case suffix("ed") && len(lw) > 4:
 		return "VBD"
 	case suffix("ing") && len(lw) > 5:
@@ -324,6 +323,9 @@ func TagPath(tokens []string, aStart, aEnd, bStart, bEnd int) string {
 	return strings.Join(parts, "-")
 }
 
+// asciiSpace holds unicode.IsSpace for the bytes below utf8.RuneSelf.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
 // fields walks the tokens of a sentence in place: the fields
 // strings.Fields returns, split on runs of unicode.IsSpace.
 type fields struct {
@@ -336,7 +338,7 @@ func (f *fields) next() (string, bool) {
 	s, i := f.s, f.i
 	space := func(i int) (bool, int) {
 		if c := s[i]; c < utf8.RuneSelf {
-			return unicode.IsSpace(rune(c)), 1
+			return asciiSpace[c], 1
 		}
 		r, w := utf8.DecodeRuneInString(s[i:])
 		return unicode.IsSpace(r), w

@@ -3,6 +3,8 @@ package nlp
 import (
 	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 )
 
 func TestSplitSentences(t *testing.T) {
@@ -59,6 +61,12 @@ func TestTagHeuristics(t *testing.T) {
 		"famous":  "JJ",
 		",":       "PUNCT",
 		"he":      "PRP",
+		"met":     "VB",  // a common verb without the "ed" suffix
+		"tied":    "VBD", // a common verb with it, shorter than the suffix rule's
+		"Were":    "VB",  // the dictionary reads the lowered word
+		"those":   "DT",
+		"which":   "PRP",
+		"yet":     "CC",
 	}
 	for w, want := range cases {
 		if got := tagWord(w); got != want {
@@ -68,6 +76,16 @@ func TestTagHeuristics(t *testing.T) {
 	tags := Tag([]string{"the", "wife"})
 	if tags[0].Tag != "DT" || tags[1].Text != "wife" {
 		t.Fatalf("Tag = %+v", tags)
+	}
+}
+
+// TestASCIISpace: the tokenizer's byte table agrees with unicode.IsSpace
+// on every byte below utf8.RuneSelf.
+func TestASCIISpace(t *testing.T) {
+	for c := 0; c < utf8.RuneSelf; c++ {
+		if asciiSpace[c] != unicode.IsSpace(rune(c)) {
+			t.Errorf("asciiSpace[%#x] = %v, unicode.IsSpace says %v", c, asciiSpace[c], !asciiSpace[c])
+		}
 	}
 }
 

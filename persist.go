@@ -60,9 +60,10 @@ const kbSnapMagic uint64 = 0x31504e53424b4444
 // (v2 appended the probe-skip counter to the autopilot section, v3 dropped
 // the forced re-materialization counter from it, v4 added the exact-run
 // counter, v5 dropped the probe-skip counter again, v6 carries the grounder
-// as rows and keys of symbol ids); Open rejects snapshots from other
-// versions rather than guessing.
-const kbSnapVersion = 6
+// as rows and keys of symbol ids, v7 carries its variables, groups and
+// groundings as bulk arrays); Open rejects snapshots from other versions
+// rather than guessing.
+const kbSnapVersion = 7
 
 // Snapshot section kinds.
 const (
