@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-serving race-serve race-pipeline race-persist soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-ground bench-finish bench-incupdate bench-replicas bench-serving bench-hotpath bench-hotpath-full bench-pipeline bench-pipeline-full bench-persist profile
+.PHONY: check fmt vet build test race race-serving race-serve race-pipeline race-persist bench-harness figures-smoke soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-ground bench-finish bench-incupdate bench-replicas bench-serving bench-hotpath bench-hotpath-full bench-pipeline bench-pipeline-full bench-persist profile
 
 # Everything CI runs. (go test ./... includes the short soak; the full
 # acceptance-length soak is `make soak`.)
-check: fmt vet build test race race-serving race-serve chaos-smoke fuzz-smoke
+check: fmt vet build test race race-serving race-serve race-persist bench-harness figures-smoke chaos-smoke fuzz-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -50,6 +50,16 @@ race-serving:
 race-serve:
 	$(GO) test -race -count=1 -run 'TestServeHTTP|TestProgressPublish' .
 	$(GO) test -race -count=1 ./internal/serve/
+
+# The benchmark harness (bench/, BENCHMARK.json) is its own Go module, so
+# the root vet and test never reach it: vet it and run its smoke.
+bench-harness:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The paper figures on the served stack: the development loop (Fig. 10a)
+# and the decomposition lesion (Fig. 14).
+figures-smoke:
+	$(GO) run ./cmd/deepdive-exp f10a f14
 
 # Interactive demo of the network serving tier: builds and materializes
 # the News KB, serves it on :8090, and streams the rule iterations

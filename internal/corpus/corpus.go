@@ -103,16 +103,6 @@ func (s *System) IsTrue(rel string, e1, e2 string) bool {
 	return false
 }
 
-// RelationSpecByName looks up a relation spec.
-func (s *System) RelationSpecByName(name string) *RelationSpec {
-	for i := range s.Spec.Relations {
-		if s.Spec.Relations[i].Name == name {
-			return &s.Spec.Relations[i]
-		}
-	}
-	return nil
-}
-
 // Generate builds the corpus deterministically from the spec.
 func Generate(spec Spec) *System {
 	rng := rand.New(rand.NewSource(spec.Seed))

@@ -2,7 +2,6 @@ package factor
 
 import (
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -468,68 +467,6 @@ func (g *Graph) EnergyOfGroups(assign []bool, groups []int32) float64 {
 		e += g.groupEnergy(gi, assign)
 	}
 	return e
-}
-
-// PairAdjacency returns, for each unordered variable pair co-occurring in
-// some group (head-body or body-body within a grounding, plus head with
-// every body var of the group), a flattened n×n boolean pattern. This is
-// the NZ set of Algorithm 1. The diagonal is set. Only call on small
-// graphs (the variational approach runs it per decomposition component).
-func (g *Graph) PairAdjacency() []bool {
-	n := g.numVars
-	pat := make([]bool, n*n)
-	mark := func(a, b VarID) {
-		pat[int(a)*n+int(b)] = true
-		pat[int(b)*n+int(a)] = true
-	}
-	for i := 0; i < n; i++ {
-		pat[i*n+i] = true
-	}
-	for gi := range g.groupHead {
-		head := VarID(g.groupHead[gi])
-		g.eachLiveGnd(int32(gi), func(k int32) {
-			lits := g.lits[g.litOff[k]:g.litOff[k+1]]
-			for ai, la := range lits {
-				va := VarID(la >> 1)
-				mark(head, va)
-				for _, lb := range lits[ai+1:] {
-					mark(va, VarID(lb>>1))
-				}
-			}
-		})
-	}
-	return pat
-}
-
-// MarginalOfIsolated computes the exact marginal of a variable whose
-// adjacent groups reference no other free variables, by direct evaluation
-// of the two worlds. Returns NaN when the variable is not isolated in that
-// sense. Used in tests and calibration checks.
-func (g *Graph) MarginalOfIsolated(v VarID, assign []bool) float64 {
-	adj := g.AdjacentGroups(v)
-	for _, gi := range adj {
-		if h := VarID(g.groupHead[gi]); h != v && !g.evidence[h] {
-			return math.NaN()
-		}
-		free := false
-		g.eachLiveGnd(gi, func(k int32) {
-			for li := g.litOff[k]; li < g.litOff[k+1]; li++ {
-				if u := VarID(g.lits[li] >> 1); u != v && !g.evidence[u] {
-					free = true
-				}
-			}
-		})
-		if free {
-			return math.NaN()
-		}
-	}
-	work := make([]bool, len(assign))
-	copy(work, assign)
-	work[v] = true
-	e1 := g.EnergyOfGroups(work, adj)
-	work[v] = false
-	e0 := g.EnergyOfGroups(work, adj)
-	return 1 / (1 + math.Exp(e0-e1))
 }
 
 // Builder accumulates variables, weights, and groups, then freezes them

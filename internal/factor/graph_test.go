@@ -189,30 +189,6 @@ func TestAdjacentGroups(t *testing.T) {
 	}
 }
 
-func TestPairAdjacency(t *testing.T) {
-	b := NewBuilder()
-	a := b.AddVar()
-	c := b.AddVar()
-	d := b.AddVar()
-	e := b.AddVar() // isolated
-	w := b.AddWeight(1)
-	b.AddGroup(a, w, Linear, []Grounding{{Lits: []Literal{{Var: c}, {Var: d}}}})
-	g := b.MustBuild()
-	pat := g.PairAdjacency()
-	n := g.NumVars()
-	check := func(i, j VarID, want bool) {
-		t.Helper()
-		if pat[int(i)*n+int(j)] != want || pat[int(j)*n+int(i)] != want {
-			t.Fatalf("pair (%d,%d) = %v, want %v", i, j, pat[int(i)*n+int(j)], want)
-		}
-	}
-	check(a, c, true)  // head-body
-	check(a, d, true)  // head-body
-	check(c, d, true)  // body-body same grounding
-	check(a, e, false) // isolated
-	check(e, e, true)  // diagonal
-}
-
 func TestStateCountersMatchRecount(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g, _ := votingGraph(Ratio, 6, 6, false)
@@ -350,22 +326,6 @@ func TestWeightStats(t *testing.T) {
 	s.WeightStats(stats)
 	if stats[0] != -1 || stats[1] != -1 {
 		t.Fatalf("stats = %v, want [-1 -1]", stats)
-	}
-}
-
-func TestMarginalOfIsolated(t *testing.T) {
-	g, q := votingGraph(Linear, 2, 1, true)
-	s := NewState(g)
-	p := g.MarginalOfIsolated(q, s.Assign)
-	// W = 2·(g(2)·1 − g(1)·1)… E(q=1) = 1·(2) + (−1)·(1) = 1; E(q=0) = −1.
-	want := 1 / (1 + math.Exp(-2.0))
-	if math.Abs(p-want) > 1e-12 {
-		t.Fatalf("marginal = %v, want %v", p, want)
-	}
-	// Non-isolated: free body var.
-	g2, q2 := votingGraph(Linear, 2, 1, false)
-	if !math.IsNaN(g2.MarginalOfIsolated(q2, make([]bool, g2.NumVars()))) {
-		t.Fatal("MarginalOfIsolated should be NaN for non-isolated variable")
 	}
 }
 

@@ -472,17 +472,6 @@ func (s *State) SyncEvidence() {
 	}
 }
 
-// CopyAssignment copies the current assignment into dst (allocating when
-// dst is too small) and returns it.
-func (s *State) CopyAssignment(dst []bool) []bool {
-	if cap(dst) < len(s.Assign) {
-		dst = make([]bool, len(s.Assign))
-	}
-	dst = dst[:len(s.Assign)]
-	copy(dst, s.Assign)
-	return dst
-}
-
 // SetAssignment overwrites the whole assignment (respecting evidence) and
 // recounts (dropping all cached conditionals). Used when adopting a
 // proposal world wholesale.

@@ -66,18 +66,125 @@ var (
 	_ Chain = (*ReplicaSampler)(nil)
 )
 
+// kernel is what a runtime contributes to the shared sweep loop: its
+// sweep, and the exact worlds that sweep leaves.
+type kernel interface {
+	Sweep()
+	// eachWorld calls f with every world the last sweep left — the
+	// chain's assignment, or one per replica — shared, not copied. Call
+	// between sweeps only.
+	eachWorld(f func([]bool))
+}
+
+// driver is the sweep loop every runtime embeds: running, marginal
+// estimation and sample collection are written once, over the runtime's
+// kernel, so a runtime carries only what differs — its sweep and the
+// worlds it leaves.
+type driver struct {
+	k    kernel
+	g    *factor.Graph
+	free []factor.VarID // non-evidence variables, scan order
+}
+
+// newDriver returns the loop over k's sweeps of g.
+func newDriver(k kernel, g *factor.Graph) driver {
+	return driver{k: k, g: g, free: freeVars(g)}
+}
+
+// freeVars lists g's non-evidence variables, ascending.
+func freeVars(g *factor.Graph) []factor.VarID {
+	var free []factor.VarID
+	for v := 0; v < g.NumVars(); v++ {
+		if !g.IsEvidence(factor.VarID(v)) {
+			free = append(free, factor.VarID(v))
+		}
+	}
+	return free
+}
+
 // canceled reports whether ctx is non-nil and already cancelled — the
 // single cooperative check every sweep loop consults.
 func canceled(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
 }
 
+// NumFree returns the number of free (sampled) variables.
+func (d *driver) NumFree() int { return len(d.free) }
+
+// Graph returns the underlying factor graph.
+func (d *driver) Graph() *factor.Graph { return d.g }
+
+// Run performs n sweeps.
+func (d *driver) Run(n int) { d.RunCtx(nil, n) }
+
+// RunCtx performs up to n sweeps, checking ctx between sweeps, and
+// returns how many completed. A sweep's fan-out (and any merge it
+// triggers) finishes before the check, so cancellation never observes a
+// half-swept world.
+func (d *driver) RunCtx(ctx context.Context, n int) int {
+	for i := 0; i < n; i++ {
+		if canceled(ctx) {
+			return i
+		}
+		d.k.Sweep()
+	}
+	return n
+}
+
+// Marginals runs burnin sweeps, then keep sweeps, and returns the
+// empirical P(v = true) for every variable over every world those keep
+// sweeps leave (keep×Replicas for the replica engine). Evidence variables
+// report their fixed value.
+func (d *driver) Marginals(burnin, keep int) []float64 {
+	return d.MarginalsCtx(nil, burnin, keep)
+}
+
+// MarginalsCtx is Marginals with a cooperative cancellation check
+// between sweeps.
+func (d *driver) MarginalsCtx(ctx context.Context, burnin, keep int) []float64 {
+	est := newEstimatorOver(d.g, d.free)
+	d.RunCtx(ctx, burnin)
+	for i := 0; i < keep && !canceled(ctx); i++ {
+		d.k.Sweep()
+		d.k.eachWorld(est.Observe)
+	}
+	return est.Means()
+}
+
+// StoreWorlds appends the worlds the last sweep left to st.
+func (d *driver) StoreWorlds(st *Store) { d.k.eachWorld(st.Add) }
+
+// CollectSamples runs burnin sweeps and then stores exactly n worlds,
+// every world a sweep leaves in turn — the materialization loop of the
+// sampling approach (Section 3.2.2).
+func (d *driver) CollectSamples(burnin, n int) *Store {
+	return d.CollectSamplesCtx(nil, burnin, n)
+}
+
+// CollectSamplesCtx is CollectSamples with a cooperative cancellation
+// check between sweeps.
+func (d *driver) CollectSamplesCtx(ctx context.Context, burnin, n int) *Store {
+	st := NewStore(d.g.NumVars())
+	add := func(w []bool) {
+		if st.Len() < n {
+			st.Add(w)
+		}
+	}
+	d.RunCtx(ctx, burnin)
+	for st.Len() < n && !canceled(ctx) {
+		d.k.Sweep()
+		d.k.eachWorld(add)
+	}
+	return st
+}
+
 // Runtime selects the sampling runtime by configuration: the replica
 // engine when Replicas is non-zero, otherwise the sharded/sequential
 // chain by worker count. It is the single knob every layer (learning,
-// materialization, rerun inference) threads through, so the sharded
-// sampler stays available as the lesion configuration of the replica
-// engine.
+// materialization, rerun inference) threads through. The three runtimes
+// share one driver: a Runtime picks a kernel — how a sweep moves the world
+// and which worlds it leaves — not another way to run, estimate or
+// collect.
 type Runtime struct {
 	// Workers shards sweeps over one shared assignment (ParallelSampler):
 	// <= 1 sequential, n > 1 that many shards, negative one per core.

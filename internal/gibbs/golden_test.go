@@ -118,6 +118,14 @@ func TestGoldenMarginalsPinned(t *testing.T) {
 			st := gibbs.New(goldenGraph(), 11).CollectSamples(10, 100)
 			return st.Means()
 		}},
+		{"parallel-4-store-collect", 0x5b00ce1e04e1a796, func() []float64 {
+			return gibbs.NewParallel(goldenGraph(), 4, 11).CollectSamples(10, 100).Means()
+		}},
+		// n = 100 is not a multiple of 3: the last sweep stores one of its
+		// three replica worlds.
+		{"replica-3-store-collect", 0xff2c1639155d89a3, func() []float64 {
+			return gibbs.NewReplica(goldenGraph(), 3, 4, 11).CollectSamples(10, 100).Means()
+		}},
 	}
 	for _, c := range cases {
 		c := c

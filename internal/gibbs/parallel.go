@@ -1,7 +1,6 @@
 package gibbs
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -37,8 +36,7 @@ import (
 // The sampler itself is driven from one goroutine; only its internal
 // sweeps fan out.
 type ParallelSampler struct {
-	g    *factor.Graph
-	free []factor.VarID // non-evidence variables, scan order
+	driver
 
 	workers int
 	shards  [][]factor.VarID // contiguous slices of free
@@ -64,9 +62,6 @@ type ParallelSampler struct {
 	flips   [][]int32 // per-worker flip log of the last sweep
 	wgen    uint64    // graph weight generation the cache was filled under
 	cacheOn bool      // lesion toggle (SetConditionalCache); default on
-
-	collecting bool
-	counts     []float64 // per-variable true counts; workers write own shard only
 }
 
 // splitmix64 is the SplitMix64 mixer; used to derive independent,
@@ -86,7 +81,6 @@ func NewParallel(g *factor.Graph, workers int, seed int64) *ParallelSampler {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &ParallelSampler{
-		g:       g,
 		master:  rand.New(rand.NewSource(seed)),
 		cur:     make([]bool, g.NumVars()),
 		snap:    make([]bool, g.NumVars()),
@@ -97,12 +91,9 @@ func NewParallel(g *factor.Graph, workers int, seed int64) *ParallelSampler {
 		wgen:    g.WeightGeneration(),
 		cacheOn: true,
 	}
-	for v := 0; v < g.NumVars(); v++ {
-		if g.IsEvidence(factor.VarID(v)) {
-			p.cur[v] = g.EvidenceValue(factor.VarID(v))
-		} else {
-			p.free = append(p.free, factor.VarID(v))
-		}
+	p.driver = newDriver(p, g)
+	for v := range p.cur {
+		p.cur[v] = g.IsEvidence(factor.VarID(v)) && g.EvidenceValue(factor.VarID(v))
 	}
 	copy(p.snap, p.cur)
 	if workers > len(p.free) {
@@ -147,12 +138,6 @@ func NewParallel(g *factor.Graph, workers int, seed int64) *ParallelSampler {
 
 // Workers returns the number of worker shards.
 func (p *ParallelSampler) Workers() int { return p.workers }
-
-// NumFree returns the number of free (sampled) variables.
-func (p *ParallelSampler) NumFree() int { return len(p.free) }
-
-// Graph returns the underlying factor graph.
-func (p *ParallelSampler) Graph() *factor.Graph { return p.g }
 
 // Assign returns the live assignment (read it only between sweeps).
 func (p *ParallelSampler) Assign() []bool { return p.cur }
@@ -208,11 +193,10 @@ func (p *ParallelSampler) propagateFlips() {
 // sweepShard samples worker w's shard once. Reads of variables inside the
 // shard see this sweep's values (Gauss-Seidel); reads of other shards see
 // the sweep-start snapshot (factor.EnergyDeltaShard's read rule). Writes
-// touch only cur[v], cSig[v], cStamp[v], and the flip log for owned v
-// (and the owned slots of counts when collecting), so concurrent shards
-// never race: in-sweep cache invalidation is clipped to the shard's
-// ownership window, and cross-shard invalidation is the driver's
-// propagateFlips pass.
+// touch only cur[v], cSig[v], cStamp[v], and the flip log for owned v,
+// so concurrent shards never race: in-sweep cache invalidation is clipped
+// to the shard's ownership window, and cross-shard invalidation is the
+// driver's propagateFlips pass.
 func (p *ParallelSampler) sweepShard(w int) {
 	if p.cacheOn {
 		p.sweepShardCached(w)
@@ -229,14 +213,9 @@ func (p *ParallelSampler) sweepShardUncached(w int) {
 	cur, snap := p.cur, p.snap
 	lo, hi := p.lo[w], p.hi[w]
 	rng := p.rngs[w]
-	collecting := p.collecting
 	for _, v := range p.shards[w] {
 		delta := g.EnergyDeltaShard(cur, snap, lo, hi, v)
-		val := rng.Float64() < 1/(1+math.Exp(-delta))
-		cur[v] = val
-		if collecting && val {
-			p.counts[v]++
-		}
+		cur[v] = rng.Float64() < 1/(1+math.Exp(-delta))
 	}
 }
 
@@ -263,7 +242,6 @@ func (p *ParallelSampler) sweepShardCached(w int) {
 	cSig, cStamp, stamp := p.cSig, p.cStamp, p.stamp
 	nbrOff, nbrs := p.csr.NbrOff, p.csr.Nbrs
 	flips := p.flips[w][:0]
-	collecting := p.collecting
 	for _, v := range p.shards[w] {
 		var sig float64
 		if cStamp[v] == stamp {
@@ -298,9 +276,6 @@ func (p *ParallelSampler) sweepShardCached(w int) {
 				}
 			}
 		}
-		if collecting && val {
-			p.counts[v]++
-		}
 	}
 	p.flips[w] = flips
 }
@@ -334,91 +309,8 @@ func (p *ParallelSampler) Sweep() {
 	wg.Wait()
 }
 
-// Run performs n sweeps.
-func (p *ParallelSampler) Run(n int) { p.RunCtx(nil, n) }
-
-// RunCtx performs up to n sweeps, checking ctx between sweeps, and
-// returns how many completed. A sweep's worker fan-out always finishes
-// before the check, so cancellation never observes a half-swept world.
-func (p *ParallelSampler) RunCtx(ctx context.Context, n int) int {
-	for i := 0; i < n; i++ {
-		if canceled(ctx) {
-			return i
-		}
-		p.Sweep()
-	}
-	return n
-}
-
-// Marginals runs burnin sweeps, then keep sweeps with per-worker marginal
-// accumulators (each worker counts only its own shard — no shared
-// accumulator contention), and returns the merged empirical P(v = true)
-// for every variable. Evidence variables report their fixed value.
-func (p *ParallelSampler) Marginals(burnin, keep int) []float64 {
-	return p.MarginalsCtx(nil, burnin, keep)
-}
-
-// MarginalsCtx is Marginals with a cooperative cancellation check
-// between sweeps; the estimate covers the sweeps completed before
-// cancellation.
-func (p *ParallelSampler) MarginalsCtx(ctx context.Context, burnin, keep int) []float64 {
-	p.RunCtx(ctx, burnin)
-	n := p.g.NumVars()
-	p.counts = make([]float64, n)
-	p.collecting = true
-	kept := 0
-	for i := 0; i < keep; i++ {
-		if canceled(ctx) {
-			break
-		}
-		p.Sweep()
-		kept++
-	}
-	p.collecting = false
-	out := make([]float64, n)
-	inv := 0.0
-	if kept > 0 {
-		inv = 1 / float64(kept)
-	}
-	for v := 0; v < n; v++ {
-		if p.g.IsEvidence(factor.VarID(v)) {
-			if p.g.EvidenceValue(factor.VarID(v)) {
-				out[v] = 1
-			}
-		} else {
-			out[v] = p.counts[v] * inv
-		}
-	}
-	// Release the accumulator: leaving it allocated would let a later
-	// collecting run double-count into stale totals.
-	p.counts = nil
-	return out
-}
-
-// StoreWorlds appends the chain's current world to st.
-func (p *ParallelSampler) StoreWorlds(st *Store) { st.Add(p.cur) }
-
-// CollectSamples runs burnin sweeps and then stores n worlds (one per
-// sweep) into a new Store — the materialization loop of the sampling
-// approach (Section 3.2.2), now fed by the parallel chain.
-func (p *ParallelSampler) CollectSamples(burnin, n int) *Store {
-	return p.CollectSamplesCtx(nil, burnin, n)
-}
-
-// CollectSamplesCtx is CollectSamples with a cooperative cancellation
-// check between sweeps.
-func (p *ParallelSampler) CollectSamplesCtx(ctx context.Context, burnin, n int) *Store {
-	st := NewStore(p.g.NumVars())
-	p.RunCtx(ctx, burnin)
-	for i := 0; i < n; i++ {
-		if canceled(ctx) {
-			break
-		}
-		p.Sweep()
-		st.Add(p.cur)
-	}
-	return st
-}
+// eachWorld yields the live assignment, the chain's one world.
+func (p *ParallelSampler) eachWorld(f func([]bool)) { f(p.cur) }
 
 // CondProb returns P(v = true | rest) under the current assignment by
 // direct evaluation. Driver-side only (not safe during a Sweep).

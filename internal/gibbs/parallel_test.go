@@ -147,11 +147,10 @@ func TestNewChainSelection(t *testing.T) {
 }
 
 // TestParallelMarginalsRepeatedCalls is the regression test for the
-// stale-accumulator bug: Marginals used to leave p.counts allocated (and
-// pointing at the previous run's totals) after returning, so a later
-// collecting run could fold new sweeps into stale counts. The accumulator
-// must be released on return, and a second Marginals call on the same
-// sampler must report values from its own keep window only.
+// stale-accumulator bug: Marginals used to keep its counts on the sampler
+// after returning, so a later run could fold new sweeps into stale totals.
+// A second Marginals call on the same sampler must report values from its
+// own keep window only.
 func TestParallelMarginalsRepeatedCalls(t *testing.T) {
 	base := chainGraph(90, 0.5)
 	patch := factor.NewPatch(base)
@@ -170,12 +169,6 @@ func testMarginalsRepeated(t *testing.T, g *factor.Graph) {
 	p := NewParallel(g, 3, 21)
 	p.RandomizeState()
 	first := p.Marginals(20, 400)
-	if p.counts != nil {
-		t.Fatal("Marginals left the count accumulator allocated")
-	}
-	if p.collecting {
-		t.Fatal("Marginals left collecting enabled")
-	}
 	second := p.Marginals(0, 400)
 	for v := range second {
 		if second[v] < 0 || second[v] > 1 {
@@ -195,9 +188,6 @@ func testMarginalsRepeated(t *testing.T, g *factor.Graph) {
 	}
 	if mad/float64(n) > 0.1 {
 		t.Fatalf("repeated Marginals drifted: MAD %.4f", mad/float64(n))
-	}
-	if p.counts != nil {
-		t.Fatal("second Marginals left the accumulator allocated")
 	}
 }
 

@@ -1,7 +1,6 @@
 package gibbs
 
 import (
-	"context"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -48,9 +47,10 @@ func deriveSeed(mixed uint64, i int) int64 {
 // counters and cached conditionals describe the world, so they travel
 // with it and stay valid across merges.
 //
-// Marginal counts are pooled across all replicas — one Sweep yields one
-// observation per replica, so a keep-sweep run pools keep×R worlds, the
-// replica analogue of DimmWitted averaging per-node sample batches.
+// A Sweep leaves one exact world per replica, and the shared loop takes
+// each: a keep-sweep Marginals run pools keep×R worlds, the replica
+// analogue of DimmWitted averaging per-node sample batches, and the store
+// gets every replica's world, never the consensus, which would bias it.
 //
 // Because each worker touches only its own arrays between merges, sweeps
 // are race-free and the chain is bit-for-bit deterministic for a fixed
@@ -60,8 +60,7 @@ func deriveSeed(mixed uint64, i int) int64 {
 // The sampler itself is driven from one goroutine; only its internal
 // sweeps fan out.
 type ReplicaSampler struct {
-	g    *factor.Graph
-	free []factor.VarID // non-evidence variables, scan order
+	driver
 
 	replicas  int
 	syncEvery int
@@ -72,9 +71,6 @@ type ReplicaSampler struct {
 	cons   []bool          // consensus world (majority vote), driver view
 	fresh  bool            // cons reflects the current worlds
 	since  int             // sweeps since the last merge
-
-	collecting bool
-	counts     [][]float64 // per-replica true counts
 
 	scratch []float64 // WeightStats' per-replica buffer, kept across calls
 }
@@ -93,7 +89,6 @@ func NewReplica(g *factor.Graph, replicas, syncEvery int, seed int64) *ReplicaSa
 		syncEvery = DefaultSyncEvery
 	}
 	r := &ReplicaSampler{
-		g:         g,
 		replicas:  replicas,
 		syncEvery: syncEvery,
 		master:    rand.New(rand.NewSource(seed)),
@@ -102,12 +97,9 @@ func NewReplica(g *factor.Graph, replicas, syncEvery int, seed int64) *ReplicaSa
 		cons:      make([]bool, g.NumVars()),
 		fresh:     true,
 	}
-	for v := 0; v < g.NumVars(); v++ {
-		if g.IsEvidence(factor.VarID(v)) {
-			r.cons[v] = g.EvidenceValue(factor.VarID(v))
-		} else {
-			r.free = append(r.free, factor.VarID(v))
-		}
+	r.driver = newDriver(r, g)
+	for v := range r.cons {
+		r.cons[v] = g.IsEvidence(factor.VarID(v)) && g.EvidenceValue(factor.VarID(v))
 	}
 	base := mixSeed(seed)
 	for w := 0; w < replicas; w++ {
@@ -124,12 +116,6 @@ func (r *ReplicaSampler) Replicas() int { return r.replicas }
 
 // SyncEvery returns the merge interval in sweeps.
 func (r *ReplicaSampler) SyncEvery() int { return r.syncEvery }
-
-// NumFree returns the number of free (sampled) variables.
-func (r *ReplicaSampler) NumFree() int { return len(r.free) }
-
-// Graph returns the underlying factor graph.
-func (r *ReplicaSampler) Graph() *factor.Graph { return r.g }
 
 // Assign returns the consensus world: the per-variable majority vote
 // across replicas, refreshed lazily between sweeps. Evidence variables
@@ -202,23 +188,12 @@ func (r *ReplicaSampler) merge() {
 // sweepReplica runs one full Gauss-Seidel scan of replica w's private
 // world through the fused State.SampleVar kernel (counter-maintained
 // supports, cached conditionals). Reads and writes touch only that
-// replica's State (and its own count row when collecting), so concurrent
-// replicas never race.
+// replica's State, so concurrent replicas never race.
 func (r *ReplicaSampler) sweepReplica(w int) {
 	st := r.states[w]
 	rng := r.rngs[w]
-	var counts []float64
-	if r.collecting {
-		counts = r.counts[w]
-	}
 	for _, v := range r.free {
-		val := st.SampleVar(v, rng.Float64())
-		// counts first: it is loop-invariant (and usually nil), so the
-		// branch predicts perfectly; testing the freshly sampled val first
-		// would mispredict half the time.
-		if counts != nil && val {
-			counts[v]++
-		}
+		st.SampleVar(v, rng.Float64())
 	}
 }
 
@@ -249,104 +224,11 @@ func (r *ReplicaSampler) Sweep() {
 	}
 }
 
-// Run performs n sweeps.
-func (r *ReplicaSampler) Run(n int) { r.RunCtx(nil, n) }
-
-// RunCtx performs up to n sweeps, checking ctx between sweeps, and
-// returns how many completed. The replica fan-out (and any merge the
-// sweep triggers) always finishes before the check, so cancellation
-// never observes a half-merged world.
-func (r *ReplicaSampler) RunCtx(ctx context.Context, n int) int {
-	for i := 0; i < n; i++ {
-		if canceled(ctx) {
-			return i
-		}
-		r.Sweep()
+// eachWorld yields every replica's current world, in ring order.
+func (r *ReplicaSampler) eachWorld(f func([]bool)) {
+	for _, st := range r.states {
+		f(st.Assign)
 	}
-	return n
-}
-
-// Marginals runs burnin sweeps, then keep sweeps with per-replica count
-// rows (no shared accumulator contention), and returns the pooled
-// empirical P(v = true): keep×Replicas observations per variable.
-// Evidence variables report their fixed value.
-func (r *ReplicaSampler) Marginals(burnin, keep int) []float64 {
-	return r.MarginalsCtx(nil, burnin, keep)
-}
-
-// MarginalsCtx is Marginals with a cooperative cancellation check
-// between sweeps; the estimate pools the sweeps completed before
-// cancellation.
-func (r *ReplicaSampler) MarginalsCtx(ctx context.Context, burnin, keep int) []float64 {
-	r.RunCtx(ctx, burnin)
-	n := r.g.NumVars()
-	r.counts = make([][]float64, r.replicas)
-	for w := range r.counts {
-		r.counts[w] = make([]float64, n)
-	}
-	r.collecting = true
-	kept := 0
-	for i := 0; i < keep; i++ {
-		if canceled(ctx) {
-			break
-		}
-		r.Sweep()
-		kept++
-	}
-	r.collecting = false
-	out := make([]float64, n)
-	inv := 0.0
-	if kept > 0 {
-		inv = 1 / float64(kept*r.replicas)
-	}
-	for v := 0; v < n; v++ {
-		if r.g.IsEvidence(factor.VarID(v)) {
-			if r.g.EvidenceValue(factor.VarID(v)) {
-				out[v] = 1
-			}
-			continue
-		}
-		var c float64
-		for w := 0; w < r.replicas; w++ {
-			c += r.counts[w][v]
-		}
-		out[v] = c * inv
-	}
-	r.counts = nil // release; a later collecting run starts clean
-	return out
-}
-
-// StoreWorlds appends every replica's current world to st — the
-// replica-aware materialization step (each Sweep yields Replicas exact
-// samples, not one consensus world, which would be biased).
-func (r *ReplicaSampler) StoreWorlds(st *Store) {
-	for _, rs := range r.states {
-		st.Add(rs.Assign)
-	}
-}
-
-// CollectSamples runs burnin sweeps and then stores n worlds, draining
-// the replicas round-robin — the materialization loop of the sampling
-// approach (Section 3.2.2) at one sweep per Replicas stored worlds.
-func (r *ReplicaSampler) CollectSamples(burnin, n int) *Store {
-	return r.CollectSamplesCtx(nil, burnin, n)
-}
-
-// CollectSamplesCtx is CollectSamples with a cooperative cancellation
-// check between sweeps.
-func (r *ReplicaSampler) CollectSamplesCtx(ctx context.Context, burnin, n int) *Store {
-	st := NewStore(r.g.NumVars())
-	r.RunCtx(ctx, burnin)
-	for st.Len() < n {
-		if canceled(ctx) {
-			break
-		}
-		r.Sweep()
-		for w := 0; w < r.replicas && st.Len() < n; w++ {
-			st.Add(r.states[w].Assign)
-		}
-	}
-	return st
 }
 
 // CondProb returns P(v = true | rest) under the consensus world by direct

@@ -1,15 +1,17 @@
 // Package gibbs implements the Gibbs sampling machinery DeepDive uses for
 // statistical inference (Section 2.5 of the paper): a sequential scan
-// sampler over a factor.Graph, a sharded ParallelSampler in the style of
-// the production DimmWitted engine (one worker per core over the flat CSR
-// layout), marginal-probability estimation, bit-packed sample storage
-// ("tuple bundles", after MCDB), and convergence probes used by the
-// semantics experiments of Appendix A. The Chain interface abstracts over
-// the two samplers so callers opt into parallelism by configuration.
+// sampler over a factor.Graph, a sharded ParallelSampler and a replica
+// ReplicaSampler in the style of the production DimmWitted engine (one
+// worker per core over the flat CSR layout), marginal-probability
+// estimation, bit-packed sample storage ("tuple bundles", after MCDB), and
+// convergence probes used by the semantics experiments of Appendix A. The
+// Chain interface abstracts over the three samplers so callers opt into
+// parallelism by configuration; the loop they share — running, marginal
+// estimation, sample collection — is written once, in chain.go's driver,
+// and each runtime supplies only its sweep and the worlds it leaves.
 package gibbs
 
 import (
-	"context"
 	"math"
 	"math/rand"
 
@@ -20,9 +22,9 @@ import (
 // It owns a State; callers that need the current world read
 // Sampler.State.Assign. Not safe for concurrent use.
 type Sampler struct {
+	driver
 	State *factor.State
 	rng   *rand.Rand
-	free  []factor.VarID // non-evidence variables, scan order
 }
 
 // New creates a sampler over g with a fresh all-false (plus evidence)
@@ -33,25 +35,10 @@ func New(g *factor.Graph, seed int64) *Sampler {
 
 // FromState wraps an existing state. The sampler takes ownership.
 func FromState(st *factor.State, seed int64) *Sampler {
-	return &Sampler{State: st, rng: rand.New(rand.NewSource(seed)), free: freeVars(st.G)}
+	s := &Sampler{State: st, rng: rand.New(rand.NewSource(seed))}
+	s.driver = newDriver(s, st.G)
+	return s
 }
-
-// freeVars lists g's non-evidence variables, ascending.
-func freeVars(g *factor.Graph) []factor.VarID {
-	var free []factor.VarID
-	for v := 0; v < g.NumVars(); v++ {
-		if !g.IsEvidence(factor.VarID(v)) {
-			free = append(free, factor.VarID(v))
-		}
-	}
-	return free
-}
-
-// NumFree returns the number of free (sampled) variables.
-func (s *Sampler) NumFree() int { return len(s.free) }
-
-// Graph returns the underlying factor graph.
-func (s *Sampler) Graph() *factor.Graph { return s.State.G }
 
 // Assign returns the chain's current world (shared, not a copy).
 func (s *Sampler) Assign() []bool { return s.State.Assign }
@@ -62,10 +49,6 @@ func (s *Sampler) CondProb(v factor.VarID) float64 { return s.State.CondProb(v) 
 // WeightStats accumulates the current world's per-weight sufficient
 // statistic into out, from the state's maintained support counters.
 func (s *Sampler) WeightStats(out []float64) { s.State.WeightStats(out) }
-
-// FreeVars returns the free-variable scan order (shared slice; do not
-// mutate).
-func (s *Sampler) FreeVars() []factor.VarID { return s.free }
 
 // RandomizeState assigns every free variable uniformly at random; useful
 // for over-dispersed chain starts.
@@ -91,67 +74,8 @@ func (s *Sampler) Sweep() {
 	}
 }
 
-// Run performs n sweeps.
-func (s *Sampler) Run(n int) { s.RunCtx(nil, n) }
-
-// RunCtx performs up to n sweeps, checking ctx between sweeps, and
-// returns how many completed.
-func (s *Sampler) RunCtx(ctx context.Context, n int) int {
-	for i := 0; i < n; i++ {
-		if canceled(ctx) {
-			return i
-		}
-		s.Sweep()
-	}
-	return n
-}
-
-// Marginals runs burnin sweeps, then keep sweeps, and returns the
-// empirical P(v = true) for every variable. Evidence variables report
-// their fixed value (0 or 1). keep must be ≥ 1.
-func (s *Sampler) Marginals(burnin, keep int) []float64 {
-	return s.MarginalsCtx(nil, burnin, keep)
-}
-
-// MarginalsCtx is Marginals with a cooperative cancellation check
-// between sweeps.
-func (s *Sampler) MarginalsCtx(ctx context.Context, burnin, keep int) []float64 {
-	est := newEstimatorOver(s.State.G, s.free)
-	s.RunCtx(ctx, burnin)
-	for i := 0; i < keep; i++ {
-		if canceled(ctx) {
-			break
-		}
-		s.Sweep()
-		est.Observe(s.State.Assign)
-	}
-	return est.Means()
-}
-
-// StoreWorlds appends the chain's current world to st.
-func (s *Sampler) StoreWorlds(st *Store) { st.Add(s.State.Assign) }
-
-// CollectSamples runs burnin sweeps and then stores n worlds (one per
-// sweep) into a new Store. This is the materialization loop of the
-// sampling approach (Section 3.2.2).
-func (s *Sampler) CollectSamples(burnin, n int) *Store {
-	return s.CollectSamplesCtx(nil, burnin, n)
-}
-
-// CollectSamplesCtx is CollectSamples with a cooperative cancellation
-// check between sweeps.
-func (s *Sampler) CollectSamplesCtx(ctx context.Context, burnin, n int) *Store {
-	st := NewStore(s.State.G.NumVars())
-	s.RunCtx(ctx, burnin)
-	for i := 0; i < n; i++ {
-		if canceled(ctx) {
-			break
-		}
-		s.Sweep()
-		st.Add(s.State.Assign)
-	}
-	return st
-}
+// eachWorld yields the chain's one world.
+func (s *Sampler) eachWorld(f func([]bool)) { f(s.State.Assign) }
 
 // Estimator accumulates marginal estimates from observed worlds. Built
 // through NewEstimatorFor it observes only the graph's free variables —

@@ -133,12 +133,6 @@ func (b *Buf) Str(s string) {
 	b.b = append(b.b, s...)
 }
 
-// StrBytes writes p as Str writes string(p).
-func (b *Buf) StrBytes(p []byte) {
-	b.U64(uint64(len(p)))
-	b.b = append(b.b, p...)
-}
-
 // Strs writes a string table in CSR form: count, a u32 length table,
 // then the concatenated bytes — two contiguous reads on decode.
 func (b *Buf) Strs(s []string) {

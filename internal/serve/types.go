@@ -83,19 +83,24 @@ type UpdateResult struct {
 	InferMillis    float64 `json:"infer_ms"`
 }
 
-// QueueStats is the wire form of the update queue's counters. The
-// field set and order mirror deepdive.QueueStats exactly — the adapter
-// converts by struct conversion.
+// QueueStats is a point-in-time summary of the update queue's counters
+// (deepdive.QueueStats is this type).
 type QueueStats struct {
+	// Pending is how many submitted updates await application.
 	Pending int `json:"pending"`
 	// Capacity is the queue's backpressure bound (0 = unbounded).
-	Capacity int    `json:"capacity,omitempty"`
-	Batches  uint64 `json:"batches"`
-	Applied  uint64 `json:"applied"`
-	// AvgBatchMillis is the EWMA of recent batch apply wall times; the
-	// Retry-After hint under saturation is Pending × AvgBatchMillis.
+	Capacity int `json:"capacity,omitempty"`
+	// Batches is how many coalesced batches have been applied.
+	Batches uint64 `json:"batches"`
+	// Applied is how many submitted updates have been resolved.
+	Applied uint64 `json:"applied"`
+	// AvgBatchMillis is an exponentially-weighted moving average of
+	// recent batch wall times (grounding through publication), in
+	// milliseconds; 0 until the first batch completes. The Retry-After
+	// hint under saturation is Pending × AvgBatchMillis.
 	AvgBatchMillis float64 `json:"avg_batch_ms,omitempty"`
-	Closed         bool    `json:"closed,omitempty"`
+	// Closed reports that the queue no longer accepts updates.
+	Closed bool `json:"closed,omitempty"`
 }
 
 // HealthInfo is the backend's degraded-mode report behind /v1/health:

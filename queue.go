@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"deepdive/internal/serve"
 )
 
 // ErrQueueClosed is returned for updates submitted after Close.
@@ -259,24 +261,8 @@ func (q *UpdateQueue) CloseNow() {
 }
 
 // QueueStats is a point-in-time summary of the update queue, as reported
-// by Stats (and served over the network by the /v1/stats endpoint).
-type QueueStats struct {
-	// Pending is how many submitted updates await application.
-	Pending int
-	// Capacity is the WithMaxPending backpressure bound (0 = unbounded).
-	Capacity int
-	// Batches is how many coalesced batches have been applied.
-	Batches uint64
-	// Applied is how many submitted updates have been resolved.
-	Applied uint64
-	// AvgBatchMillis is an exponentially-weighted moving average of
-	// recent batch wall times (grounding through publication), in
-	// milliseconds; 0 until the first batch completes. The serve tier
-	// derives its Retry-After hint from Pending × AvgBatchMillis.
-	AvgBatchMillis float64
-	// Closed reports that the queue no longer accepts updates.
-	Closed bool
-}
+// by Stats; it is the wire type the /v1/stats endpoint serves.
+type QueueStats = serve.QueueStats
 
 // Stats reports the queue's counters in one consistent-enough read (the
 // counters are sampled individually; only Pending/Closed share a lock).

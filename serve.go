@@ -143,7 +143,7 @@ type kbBackend struct{ kb *KB }
 
 func (b kbBackend) View() serve.View             { return kbView{b.kb.Snapshot()} }
 func (b kbBackend) Published() <-chan struct{}   { return b.kb.Published() }
-func (b kbBackend) QueueStats() serve.QueueStats { return serve.QueueStats(b.kb.Updates().Stats()) }
+func (b kbBackend) QueueStats() serve.QueueStats { return b.kb.Updates().Stats() }
 
 // Health maps the KB's state machine onto the wire report. Lock-free on
 // the KB side, so the liveness probe answers through any fault.
