@@ -29,8 +29,8 @@ import (
 // publishes nothing, like any other cancelled finish, and the next one
 // refills. Callers hold stateMu.
 func (kb *KB) refill(ctx context.Context, g *factor.Graph) (bool, error) {
-	if kb.opts.RematLowWater <= 0 || kb.opts.Lesions.StaticOptimizer ||
-		kb.engine.Store().Remaining() >= kb.opts.RematLowWater {
+	if _, left := kb.engine.StoreLevel(); kb.opts.RematLowWater <= 0 || kb.opts.Lesions.StaticOptimizer ||
+		left >= kb.opts.RematLowWater {
 		return false, nil
 	}
 	// Vary the seed per launch so a re-materialized Pr(0) is a fresh sample
@@ -114,13 +114,17 @@ type AutopilotStats struct {
 	LastAcceptance float64
 	LastProbe      float64
 	// Store fill level: total stored worlds and how many remain
-	// unconsumed, against the configured low-water mark.
+	// unconsumed, against the configured low-water mark. Reading them
+	// draws nothing: until an update first reads the store (see
+	// inc.NewEngine) both are WithMaterialization's sample count, the
+	// worlds that read will store.
 	StoreLen       int
 	StoreRemaining int
 	LowWater       int
 	// VariationalFactors is the factor count of the materialized
 	// variational approximation (the quantity Figure 6 plots against λ);
-	// 0 under the NoVariational lesion.
+	// 0 under the NoVariational lesion, and 0 until an update first reads
+	// the approximation, which fits it.
 	VariationalFactors int
 	// Rematerializations counts store refills that landed (see
 	// Options.RematLowWater); RematPreempted counts refills lost to the
@@ -153,10 +157,11 @@ func (kb *KB) autopilotLocked() AutopilotStats {
 		RematPreempted:     kb.auto.rematLost,
 	}
 	if kb.engine != nil {
-		st.StoreLen = kb.engine.Store().Len()
-		st.StoreRemaining = kb.engine.Store().Remaining()
-		if vm := kb.engine.Variational(); vm != nil {
-			st.VariationalFactors = vm.NumFactors()
+		st.StoreLen, st.StoreRemaining = kb.engine.StoreLevel()
+		if kb.engine.Drawn() {
+			if vm := kb.engine.Variational(); vm != nil {
+				st.VariationalFactors = vm.NumFactors()
+			}
 		}
 	}
 	return st

@@ -4,11 +4,27 @@ import (
 	"context"
 
 	"deepdive/internal/ground"
+	"deepdive/internal/inc"
 )
 
 // HoldFinish makes every later finish stage wait for hold(ctx) to return
 // before it starts, ctx being the update's context.
 func (kb *KB) HoldFinish(hold func(ctx context.Context)) { kb.holdFinish = hold }
+
+// Engine returns the live incremental-inference engine (nil before
+// Materialize) and the options it was built with.
+func (kb *KB) Engine() (*inc.Engine, inc.Options) {
+	kb.stateMu.Lock()
+	defer kb.stateMu.Unlock()
+	return kb.engine, kb.engineOpts(kb.engineSeed)
+}
+
+// Pending returns the change set carried to the next update.
+func (kb *KB) Pending() inc.ChangeSet {
+	kb.stateMu.Lock()
+	defer kb.stateMu.Unlock()
+	return kb.pending
+}
 
 // FaultHook is the crash tests' injector: see InstallFaultHook.
 type FaultHook = faultHook

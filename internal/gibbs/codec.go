@@ -40,9 +40,12 @@ func DecodeStoreSnapshot(r *persist.Rd) (*Store, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if s.words <= 0 {
-		if s.words < 0 || len(blob) != 0 {
-			return nil, fmt.Errorf("gibbs: corrupt store snapshot: %d words", s.words)
+	if s.nVars < 0 || s.words != (s.nVars+63)/64 {
+		return nil, fmt.Errorf("gibbs: corrupt store snapshot: %d words for %d variables", s.words, s.nVars)
+	}
+	if s.words == 0 {
+		if len(blob) != 0 || s.cursor != 0 {
+			return nil, fmt.Errorf("gibbs: corrupt store snapshot: %d words and cursor %d for no variables", len(blob), s.cursor)
 		}
 		return s, nil
 	}

@@ -648,3 +648,13 @@ func (g *Grounder) Graph() *factor.Graph {
 	g.graphDirty = false
 	return graph
 }
+
+// ForkGraph replaces the cached graph with a fork of it (factor.NewPatch
+// applied with no change): the same grounding, sharing every pool, with its
+// weights and evidence copied on first write. A caller that keeps the graph
+// Graph returned — an incremental-inference engine holding it as Pr(0) —
+// then keeps its values while the grounder's graph is trained on.
+func (g *Grounder) ForkGraph() *factor.Graph {
+	g.lastGraph = factor.NewPatch(g.Graph()).Apply()
+	return g.lastGraph
+}

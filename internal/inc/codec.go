@@ -2,6 +2,7 @@ package inc
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"deepdive/internal/factor"
@@ -9,55 +10,79 @@ import (
 	"deepdive/internal/persist"
 )
 
-// Snapshot codec for Engine. Persisted: the sample store (bit-packed
-// blob + consumption cursor), the variational materialization, the
-// accumulated post-materialization change set, and the wall-clock
-// materialization cost (for stats continuity). That is every input a
-// strategy choice reads besides the updated graph, so a restored engine
-// chooses as the original would have. NOT persisted: the options (the
-// caller reopens with the same configuration, like any config) and the
-// Pr(0) graph (serialized separately by the caller — it may be shared
-// with the current graph).
-const engineCodecVersion = 1
+// Snapshot codec for Engine. Persisted: whether the deferred step has run
+// (see NewEngine) and, once it has, the sample store (bit-packed blob +
+// consumption cursor) and the variational materialization; the accumulated
+// post-materialization change set; and the wall-clock materialization cost
+// (for stats continuity). That is every input a strategy choice reads
+// besides the updated graph, so a restored engine chooses as the original
+// would have: one persisted before the deferred step rebuilds the tables
+// from the Pr(0) graph and the seed on its first read and draws the worlds
+// the original would have drawn. NOT persisted: the options (the caller
+// reopens with the same configuration, like any config) and the Pr(0)
+// graph (serialized separately by the caller — it may be shared with the
+// current graph). Version 2 added the deferred step's flag.
+const engineCodecVersion = 2
 
-// AppendSnapshot encodes the engine's dynamic state into b.
+// AppendSnapshot encodes the engine's dynamic state into b. It draws
+// nothing: a deferred store is written as the flag alone.
 func (e *Engine) AppendSnapshot(b *persist.Buf) {
 	b.U8(engineCodecVersion)
 	b.I64(int64(e.matElapsed))
-	e.store.AppendSnapshot(b)
-	b.Bool(e.vm != nil)
-	if e.vm != nil {
-		e.vm.AppendSnapshot(b)
+	b.Bool(e.store != nil)
+	if e.store != nil {
+		e.store.AppendSnapshot(b)
+		b.Bool(e.vm != nil)
+		if e.vm != nil {
+			e.vm.AppendSnapshot(b)
+		}
 	}
 	e.accum.AppendSnapshot(b)
 }
 
-// RestoreEngine rebuilds an engine around an already-decoded Pr(0)
-// graph. No sampling happens: the store is the persisted one.
+// RestoreEngine rebuilds an engine around an already-decoded Pr(0) graph
+// from an image AppendSnapshot wrote, and nothing else: it refuses a store
+// or an approximation sized for another graph, a change set naming a
+// negative or repeated id, and trailing bytes. No sampling happens: the
+// store is the persisted one, or is drawn on the first read that needs it.
 func RestoreEngine(old *factor.Graph, opts Options, r *persist.Rd) (*Engine, error) {
 	if v := r.U8("engine version"); r.Err() == nil && v != engineCodecVersion {
-		return nil, fmt.Errorf("inc: unsupported engine codec version %d", v)
+		return nil, fmt.Errorf("inc: unsupported engine codec version %d (this build reads version %d)", v, engineCodecVersion)
 	}
-	o := opts.fill()
-	e := &Engine{opts: o, old: old}
+	e := &Engine{opts: opts.fill(), old: old}
 	e.matElapsed = time.Duration(r.I64("engine matElapsed"))
-	store, err := gibbs.DecodeStoreSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	e.store = store
-	if r.Bool("variational present") {
-		vm, err := DecodeVariationalSnapshot(r)
+	if r.Bool("engine drawn") {
+		store, err := gibbs.DecodeStoreSnapshot(r)
 		if err != nil {
 			return nil, err
 		}
-		e.vm = vm
+		if store.NumVars() != old.NumVars() {
+			return nil, fmt.Errorf("inc: a store of %d variables for a graph of %d", store.NumVars(), old.NumVars())
+		}
+		e.store = store
+		if r.Bool("variational present") {
+			vm, err := DecodeVariationalSnapshot(r)
+			if err != nil {
+				return nil, err
+			}
+			if vm.NumVars != old.NumVars() {
+				return nil, fmt.Errorf("inc: an approximation of %d variables for a graph of %d", vm.NumVars, old.NumVars())
+			}
+			e.vm = vm
+		}
 	}
 	accum, err := DecodeChangeSet(r)
 	if err != nil {
 		return nil, err
 	}
 	e.note(accum)
+	if len(e.accum.ChangedOld) != len(accum.ChangedOld) || len(e.accum.ChangedNew) != len(accum.ChangedNew) ||
+		len(e.accum.EvidenceChanged) != len(accum.EvidenceChanged) {
+		return nil, fmt.Errorf("inc: the accumulated change set repeats an id")
+	}
+	if !r.Done() {
+		return nil, fmt.Errorf("inc: trailing bytes after the engine image")
+	}
 	return e, nil
 }
 
@@ -95,9 +120,13 @@ func DecodeVariationalSnapshot(r *persist.Rd) (*Variational, error) {
 	if len(ei) != len(ej) || len(ei) != len(ew) {
 		return nil, fmt.Errorf("inc: corrupt variational edge pools")
 	}
+	outside := func(x int32) bool { return x < 0 || int64(x) >= int64(v.NumVars) }
 	if len(ei) > 0 {
 		v.Edges = make([]PairFactor, len(ei))
 		for i := range ei {
+			if outside(ei[i]) || outside(ej[i]) {
+				return nil, fmt.Errorf("inc: variational edge %d joins %d and %d, outside %d variables", i, ei[i], ej[i], v.NumVars)
+			}
 			v.Edges[i] = PairFactor{I: factor.VarID(ei[i]), J: factor.VarID(ej[i]), W: ew[i]}
 		}
 	}
@@ -109,6 +138,9 @@ func DecodeVariationalSnapshot(r *persist.Rd) (*Variational, error) {
 	if len(uv) > 0 {
 		v.Unaries = make([]UnaryFactor, len(uv))
 		for i := range uv {
+			if outside(uv[i]) {
+				return nil, fmt.Errorf("inc: variational unary %d on %d, outside %d variables", i, uv[i], v.NumVars)
+			}
 			v.Unaries[i] = UnaryFactor{V: factor.VarID(uv[i]), W: uw[i]}
 		}
 	}
@@ -127,12 +159,18 @@ func (cs ChangeSet) AppendSnapshot(b *persist.Buf) {
 	b.Bool(cs.NewFeatures)
 }
 
-// DecodeChangeSet reverses ChangeSet.AppendSnapshot.
+// DecodeChangeSet reverses ChangeSet.AppendSnapshot. It refuses a
+// negative group or variable id.
 func DecodeChangeSet(r *persist.Rd) (ChangeSet, error) {
 	var cs ChangeSet
 	cs.ChangedOld = r.I32s("changeset changedOld")
 	cs.ChangedNew = r.I32s("changeset changedNew")
 	ev := r.I32s("changeset evidence")
+	for _, ids := range [][]int32{cs.ChangedOld, cs.ChangedNew, ev} {
+		if slices.ContainsFunc(ids, func(id int32) bool { return id < 0 }) {
+			return cs, fmt.Errorf("inc: corrupt change set: a negative id")
+		}
+	}
 	if len(ev) > 0 {
 		cs.EvidenceChanged = make([]factor.VarID, len(ev))
 		for i, v := range ev {

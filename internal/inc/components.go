@@ -219,7 +219,6 @@ type worlds struct {
 	chain     gibbs.Chain // nil when every component is solved
 	chainVars []factor.VarID
 	burnin    int // sweeps before the chain's first world; 0 once they are done
-	solved    Solved
 }
 
 // worldComp is one solved component: its k variables from worlds.vars[at],
@@ -238,22 +237,23 @@ type worldComp struct {
 // overshot by little.
 const topUpWorlds = 64
 
-// newWorlds evaluates g under a budget of o.Burnin plus n sweeps; nil when
-// ctx was cancelled.
-func newWorlds(ctx context.Context, g *factor.Graph, o Options, n int, seed int64) *worlds {
+// newWorlds evaluates g under a budget of o.Burnin plus n sweeps, and
+// reports how its components were solved; nil when ctx was cancelled. The
+// tables hold g's weights as they are now: a later write to them does not
+// move the worlds drawn.
+func newWorlds(ctx context.Context, g *factor.Graph, o Options, n int, seed int64) (*worlds, Solved) {
 	w := &worlds{rng: rand.New(rand.NewSource(seed)), mode: make([]bool, g.NumVars()), burnin: o.Burnin}
 	for v := range w.mode {
 		w.mode[v] = g.IsEvidence(factor.VarID(v)) && g.EvidenceValue(factor.VarID(v))
 	}
 	rest, solved, ok := solveComponents(ctx, g, o.Burnin+n, w.table)
 	if !ok {
-		return nil
+		return nil, solved
 	}
-	w.solved = solved
 	if len(rest) > 0 {
 		w.chain, w.chainVars = restChain(g, rest, seed, o.Runtime)
 	}
-	return w
+	return w, solved
 }
 
 // table adds a solved component.

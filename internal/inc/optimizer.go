@@ -164,22 +164,27 @@ type Result struct {
 // materializes *both* the sampling and the variational form ("we propose
 // to materialize the factor graph using both the sampling approach and
 // the variational approach, and defer the decision to the inference
-// phase").
+// phase") — and, when nothing is left for a chain to sweep, defers both
+// until an update first reads them (see NewEngine).
 type Engine struct {
-	opts  Options
-	old   *factor.Graph
-	store *gibbs.Store
-	vm    *Variational
-	// worlds draws Pr(0)'s samples; nil on a restored engine.
+	opts Options
+	old  *factor.Graph
+	// store and vm are Pr(0)'s stored worlds and its variational
+	// approximation (vm nil with the variational side off): both nil until
+	// materialize draws and fits them. worlds draws the worlds; nil on a
+	// restored engine until materialize rebuilds it.
+	store  *gibbs.Store
+	vm     *Variational
 	worlds *worlds
+	solved Solved
 
 	// accum is the union of every change set noted since materialization
 	// (Options.CumulativeChanges): the updated distribution differs from
 	// Pr(0) by all of them, so every inference pass scores the union.
 	accum ChangeSet
-	// inOld/inNew mark accum's group membership by group index, so noting
-	// an update costs O(|update|), not O(|accum|).
-	inOld, inNew []bool
+	// inOld/inNew mark accum's group membership, so noting an update costs
+	// O(|update|), not O(|accum|).
+	inOld, inNew map[int32]bool
 
 	matElapsed time.Duration
 }
@@ -191,6 +196,15 @@ type Engine struct {
 // Section 3.2.2 assumes: no burn-in, no correlation between consecutive
 // worlds. Only components past that bound are sampled, one world a sweep
 // after Burnin sweeps, on the chain Options.Runtime selects.
+//
+// NewEngine solves the components and holds their tables, so g's weights
+// may change afterwards without moving Pr(0). When a chain is left to sweep
+// it then draws the store and fits the variational approximation at once.
+// Otherwise it defers both to the first read that needs them — Store,
+// Variational, MaterializeForBudget, a strategy choice or run, an
+// AutoInferCtx remainder — which draws the worlds this call would have drawn:
+// the same seeded stream, bit for bit. An update its components solve
+// exactly reads neither, and so never pays for them.
 func NewEngine(g *factor.Graph, opts Options) (*Engine, error) {
 	return NewEngineCtx(nil, g, opts)
 }
@@ -202,29 +216,74 @@ func NewEngine(g *factor.Graph, opts Options) (*Engine, error) {
 // partially materialized Pr(0).
 func NewEngineCtx(ctx context.Context, g *factor.Graph, opts Options) (*Engine, error) {
 	o := opts.fill()
-	e := &Engine{opts: o, old: g, store: gibbs.NewStore(g.NumVars())}
+	e := &Engine{opts: o, old: g}
 	start := time.Now()
-	e.worlds = newWorlds(ctx, g, o, o.MaterializationSamples, o.Seed)
-	if e.worlds == nil || !e.worlds.draw(ctx, e.store, o.MaterializationSamples) {
+	if e.worlds, e.solved = newWorlds(ctx, g, o, o.MaterializationSamples, o.Seed); e.worlds == nil {
 		return nil, ctx.Err()
 	}
-	if !o.DisableVariational {
-		vm, err := MaterializeVariationalCtx(ctx, g, e.store, VariationalOptions{Lambda: o.Lambda})
-		if err != nil {
+	e.matElapsed = time.Since(start)
+	if e.solved.Swept > 0 {
+		if err := e.materialize(ctx); err != nil {
 			return nil, err
 		}
-		e.vm = vm
 	}
-	e.matElapsed = time.Since(start)
 	return e, nil
 }
+
+// materialize draws the store's first MaterializationSamples worlds and fits
+// the variational approximation to them, once: the step NewEngine defers. A
+// restored engine first rebuilds the tables from the Pr(0) graph and the
+// seed. Cancelled, it leaves the engine as it was, the stream rewound, and
+// returns ctx's error, so a later attempt draws the same worlds. A fit that
+// fails otherwise leaves the engine without the variational side and
+// returns its error.
+func (e *Engine) materialize(ctx context.Context) error {
+	if e.store != nil {
+		return nil
+	}
+	start := time.Now()
+	w := e.worlds
+	if w == nil {
+		if w, _ = newWorlds(ctx, e.old, e.opts, e.opts.MaterializationSamples, e.opts.Seed); w == nil {
+			return ctx.Err()
+		}
+	}
+	store := gibbs.NewStore(e.old.NumVars())
+	if !w.draw(ctx, store, e.opts.MaterializationSamples) {
+		w.rng.Seed(e.opts.Seed)
+		return ctx.Err()
+	}
+	var vm *Variational
+	var err error
+	if !e.opts.DisableVariational {
+		if vm, err = MaterializeVariationalCtx(ctx, e.old, store, VariationalOptions{Lambda: e.opts.Lambda}); err != nil && canceled(ctx) {
+			w.rng.Seed(e.opts.Seed)
+			return err
+		}
+	}
+	e.worlds, e.store, e.vm = w, store, vm
+	e.matElapsed += time.Since(start)
+	return err
+}
+
+// ready runs the deferred step, reporting false when ctx cancelled it.
+func (e *Engine) ready(ctx context.Context) bool {
+	return e.materialize(ctx) == nil || !canceled(ctx)
+}
+
+// Drawn reports whether the store has been drawn and the approximation fit
+// (see NewEngine).
+func (e *Engine) Drawn() bool { return e.store != nil }
 
 // MaterializeForBudget keeps drawing samples until the wall-clock budget
 // is spent (the paper's Figure 15 protocol, scaled down from 8 hours) and
 // returns how many samples are now stored. Worlds arrive topUpWorlds at a
-// time, continuing the stream NewEngine began. A restored engine, which
-// keeps no evaluation to draw from, stores nothing more.
+// time, continuing the stream NewEngine began; the budget starts once the
+// deferred step has run. A restored engine draws more only when it was
+// persisted before that step: it then rebuilds the tables and draws on. One
+// that had drawn its worlds keeps no tables and stores nothing more.
 func (e *Engine) MaterializeForBudget(budget time.Duration) int {
+	e.materialize(nil)
 	deadline := time.Now().Add(budget)
 	for e.worlds != nil && time.Now().Before(deadline) {
 		e.worlds.draw(nil, e.store, topUpWorlds)
@@ -235,24 +294,39 @@ func (e *Engine) MaterializeForBudget(budget time.Duration) int {
 // Solved reports how the materialization came by its worlds: the variables
 // drawn exactly (Closed, Enumerated) and those swept by the chain. Zero on a
 // restored engine, which materialized nothing.
-func (e *Engine) Solved() Solved {
-	if e.worlds == nil {
-		return Solved{}
-	}
-	return e.worlds.solved
-}
+func (e *Engine) Solved() Solved { return e.solved }
 
-// MaterializationTime returns the time spent in NewEngine.
+// MaterializationTime returns the time spent materializing: in NewEngine,
+// and in the deferred step once it has run.
 func (e *Engine) MaterializationTime() time.Duration { return e.matElapsed }
 
-// Store exposes the sample store (for statistics).
-func (e *Engine) Store() *gibbs.Store { return e.store }
+// Store exposes the sample store (for statistics), drawing it first if
+// that was deferred.
+func (e *Engine) Store() *gibbs.Store {
+	e.materialize(nil)
+	return e.store
+}
+
+// StoreLevel reports how many worlds the store holds and how many of them
+// are unconsumed, without drawing a deferred store: until then both are
+// MaterializationSamples, the worlds the draw will store.
+func (e *Engine) StoreLevel() (stored, remaining int) {
+	if e.store == nil {
+		return e.opts.MaterializationSamples, e.opts.MaterializationSamples
+	}
+	return e.store.Len(), e.store.Remaining()
+}
 
 // OldGraph returns the materialized Pr(0) graph.
 func (e *Engine) OldGraph() *factor.Graph { return e.old }
 
-// Variational exposes the variational materialization (nil when disabled).
-func (e *Engine) Variational() *Variational { return e.vm }
+// Variational exposes the variational materialization, fitting it first if
+// that was deferred; nil when disabled, or when a deferred fit failed (see
+// materialize).
+func (e *Engine) Variational() *Variational {
+	e.materialize(nil)
+	return e.vm
+}
 
 // ChooseStrategy applies the rule-based optimizer of Section 3.3:
 //
@@ -318,6 +392,7 @@ func (e *Engine) ChooseStrategyMeasured(newG *factor.Graph, cs ChangeSet) (Strat
 	if len(cs.EvidenceChanged) > 0 {
 		return e.ChooseStrategy(cs), -1
 	}
+	e.materialize(nil)
 	if e.vm != nil && e.store.Remaining() < e.opts.KeepSamples {
 		return StrategyVariational, -1
 	}
@@ -341,11 +416,11 @@ func (e *Engine) Accumulated() ChangeSet { return e.accum }
 // note folds cs into the accumulated change set, duplicate-free and in
 // first-noted order, as ChangeSet.Merge would.
 func (e *Engine) note(cs ChangeSet) {
-	unseen := func(dst, src []int32, in *[]bool) []int32 {
+	unseen := func(dst, src []int32, in *map[int32]bool) []int32 {
+		if *in == nil {
+			*in = make(map[int32]bool, len(src))
+		}
 		for _, gi := range src {
-			if int(gi) >= len(*in) {
-				*in = append(*in, make([]bool, int(gi)+1-len(*in))...)
-			}
 			if !(*in)[gi] {
 				(*in)[gi] = true
 				dst = append(dst, gi)
@@ -490,6 +565,9 @@ func (e *Engine) AutoInferCtx(ctx context.Context, newG *factor.Graph, cs Change
 		}
 		return scope[l]
 	}
+	if !e.ready(ctx) {
+		return &Result{Marginals: m, Strategy: StrategyExact, AcceptanceRate: 1, Probed: -1, Solved: solved, Elapsed: time.Since(start)}
+	}
 	r := newG.NewReach(true)
 	for _, l := range rest {
 		r.Grow(global(l), false)
@@ -510,6 +588,9 @@ func (e *Engine) AutoInferCtx(ctx context.Context, newG *factor.Graph, cs Change
 // structure changed takes one acceptance test per connected component
 // (ComponentGroups) when decompose is on, one global test otherwise.
 func (e *Engine) optimize(ctx context.Context, newG *factor.Graph, cs ChangeSet, scope []factor.VarID, decompose bool) *Result {
+	if !e.ready(ctx) {
+		return cancelled(newG, scope)
+	}
 	strat, probed := e.ChooseStrategyMeasured(newG, cs)
 	var blocks []DecompGroup
 	if strat == StrategySampling && cs.StructureChanged() && decompose {
@@ -527,6 +608,9 @@ func (e *Engine) optimize(ctx context.Context, newG *factor.Graph, cs ChangeSet,
 // variational side, or to a rerun when there is none. The rerun covers the
 // graph and is read off at the scope.
 func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, strat Strategy, scope []factor.VarID, blocks []DecompGroup) *Result {
+	if !e.ready(ctx) {
+		return cancelled(newG, scope)
+	}
 	start := time.Now()
 	res := &Result{Strategy: strat, AcceptanceRate: 1, Probed: -1}
 	if strat == StrategySampling {
@@ -555,6 +639,16 @@ func (e *Engine) inferAs(ctx context.Context, newG *factor.Graph, cs ChangeSet, 
 	}
 	res.Elapsed = time.Since(start)
 	return res
+}
+
+// cancelled is the result of a pass cancelled before it ran: a marginal of
+// 0 for every variable of the scope (nil: the graph).
+func cancelled(g *factor.Graph, scope []factor.VarID) *Result {
+	n := len(scope)
+	if scope == nil {
+		n = g.NumVars()
+	}
+	return &Result{Marginals: make([]float64, n), AcceptanceRate: 1, Probed: -1}
 }
 
 // localOf is v's index in the sorted scope, or v itself on the whole graph

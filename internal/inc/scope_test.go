@@ -14,7 +14,7 @@ import (
 // fourth one anchored on an evidence variable), materialized, and an
 // update that appends a variable pair to component 2 and moves the
 // weights of components 0 and 5: three components changed, nine not.
-func scopeFixture(t *testing.T) (e *Engine, newG *factor.Graph, cs ChangeSet, seeds []factor.VarID) {
+func scopeFixture(t testing.TB) (e *Engine, newG *factor.Graph, cs ChangeSet, seeds []factor.VarID) {
 	t.Helper()
 	b := factor.NewBuilder()
 	anchor := b.AddEvidenceVar(true)
@@ -80,6 +80,7 @@ func TestSamplingRunnersKeepTheirChains(t *testing.T) {
 	if n := e.Solved(); n.Swept != 0 || n.Closed+n.Enumerated != 24 {
 		t.Fatalf("the fixture's materialization solved %+v, want its 24 free variables exactly", n)
 	}
+	e.materialize(nil) // the deferred step runs first, so the store written here is not drawn over
 	chain := gibbs.New(e.OldGraph(), 11)
 	chain.RandomizeState()
 	e.store = chain.CollectSamples(30, 700)
@@ -148,6 +149,7 @@ func TestScopeFollowsVariationalEdges(t *testing.T) {
 	if e.Scope(newG, []factor.VarID{a}, nil).Has(b) {
 		t.Fatal("unrelated components share a scope")
 	}
+	e.materialize(nil) // fit the approximation the edge is added to
 	e.vm.Edges = append(e.vm.Edges, PairFactor{I: b, J: a, W: 0.5})
 	if r := e.Scope(newG, []factor.VarID{a}, nil); !r.Has(b) || len(r.Vars) != 5 {
 		t.Fatalf("scope across the edge = %v", r.Sorted())

@@ -211,7 +211,15 @@ func (r *Rd) U8(what string) uint8 {
 	return p[0]
 }
 
-func (r *Rd) Bool(what string) bool { return r.U8(what) != 0 }
+// Bool decodes a flag: 0 or 1, any other byte fails the decoder (so an
+// image that decodes re-encodes to itself).
+func (r *Rd) Bool(what string) bool {
+	c := r.U8(what)
+	if c > 1 {
+		r.fail(what)
+	}
+	return c == 1
+}
 
 func (r *Rd) U32(what string) uint32 {
 	p := r.take(4, what)

@@ -405,6 +405,9 @@ func (kb *KB) Learn(ctx context.Context) (time.Duration, error) {
 	}
 	start := time.Now()
 	g := kb.grounder.Graph()
+	if kb.engine != nil && kb.engine.OldGraph() == g {
+		g = kb.grounder.ForkGraph() // the engine's Pr(0) keeps its weights
+	}
 	warm := append([]float64(nil), g.Weights()...)
 	for _, w := range kb.grounder.LearnableWeights() {
 		warm[w] = 0
@@ -469,7 +472,11 @@ func (kb *KB) Infer(ctx context.Context) (time.Duration, error) {
 // enumerated under the budget of WithMaterialization's samples plus
 // WithInference's burnin sweeps — the independent proposals the acceptance
 // test assumes — and one world a Gibbs sweep after burnin for the others
-// (Stats().Materialized).
+// (Stats().Materialized). The call solves the components; when none is left
+// to a Gibbs chain, drawing the worlds and fitting the approximation wait
+// for the first update that reads them (an update whose dirty components
+// all enumerate reads neither), and that read draws the worlds this call
+// would have drawn (see inc.NewEngine).
 // Materialization is all-or-nothing under cancellation: a cancelled call
 // installs no engine and returns the context's error.
 func (kb *KB) Materialize(ctx context.Context) (time.Duration, error) {

@@ -61,9 +61,10 @@ const kbSnapMagic uint64 = 0x31504e53424b4444
 // the forced re-materialization counter from it, v4 added the exact-run
 // counter, v5 dropped the probe-skip counter again, v6 carries the grounder
 // as rows and keys of symbol ids, v7 carries its variables, groups and
-// groundings as bulk arrays); Open rejects snapshots from other versions
-// rather than guessing.
-const kbSnapVersion = 7
+// groundings as bulk arrays, v8 an engine section that may defer its store
+// and approximation: engine codec 2); Open rejects snapshots from other
+// versions rather than guessing.
+const kbSnapVersion = 8
 
 // Snapshot section kinds.
 const (
@@ -72,7 +73,7 @@ const (
 	secGrounder = 3 // grounding tables, including every db relation
 	secGraphCur = 4 // the served factor graph (frozen CSR pools)
 	secGraphOld = 5 // the engine's Pr(0) graph, when distinct from cur
-	secEngine   = 6 // sample store, variational materialization, accum
+	secEngine   = 6 // drawn flag, sample store, variational materialization, accum
 	secMarg     = 7 // published marginal vector
 	secPending  = 8 // carried change set of unpublished grounded deltas
 	secAuto     = 9 // autopilot counters, for stats continuity
