@@ -82,6 +82,10 @@ type Server struct {
 	// (see hub.go).
 	ring resumeRing
 
+	// facts maps a relation to the *factsTable its last /v1/facts scan
+	// rendered (see handleFacts).
+	facts sync.Map
+
 	// Drain state: StartDrain flips draining (readiness fails, new
 	// updates and subscriptions are refused 503 shutting_down) and closes
 	// drainCh, which tells every live subscription loop to finish its
@@ -229,6 +233,25 @@ func (s *Server) handleAutopilot(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// marginalReply is the /v1/marginal body. Its fields follow the order
+// encoding/json sorts map keys in, the shape the endpoint has always had.
+type marginalReply struct {
+	Epoch       uint64   `json:"epoch"`
+	Known       bool     `json:"known"`
+	Probability float64  `json:"probability"`
+	Relation    string   `json:"relation"`
+	Tuple       []string `json:"tuple"`
+}
+
+// unknownFactReply is the 404 body of /v1/marginal: marginalReply
+// without a probability.
+type unknownFactReply struct {
+	Epoch    uint64   `json:"epoch"`
+	Known    bool     `json:"known"`
+	Relation string   `json:"relation"`
+	Tuple    []string `json:"tuple"`
+}
+
 // handleMarginal is the wire point read: one fact's probability off the
 // current snapshot. The whole request path is lock-free on the KB side —
 // an atomic snapshot load plus a map lookup.
@@ -244,19 +267,20 @@ func (s *Server) handleMarginal(w http.ResponseWriter, r *http.Request) {
 	v := s.b.View()
 	p, ok := v.Marginal(rel, tuple)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]any{
-			"relation": rel, "tuple": tuple, "known": false, "epoch": v.Epoch(),
-		})
+		writeJSON(w, http.StatusNotFound, unknownFactReply{Epoch: v.Epoch(), Relation: rel, Tuple: tuple})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"relation": rel, "tuple": tuple, "probability": p, "known": true, "epoch": v.Epoch(),
-	})
+	writeJSON(w, http.StatusOK, marginalReply{Epoch: v.Epoch(), Known: true, Probability: p, Relation: rel, Tuple: tuple})
 }
 
 // handleFacts is the bulk read: one relation's fact table, optionally
-// thresholded (facts with Known && Probability >= threshold, plus
-// supervised-true evidence).
+// thresholded (facts with Known && Probability > threshold; supervised-true
+// evidence reports probability 1, so it is kept below a threshold of 1).
+//
+// The body is the one json.Encoder writes for
+// {"epoch":E,"facts":[...],"relation":R}, assembled from the relation's
+// table as rendered once for the view (factsTable): a scan copies the
+// JSON of the facts that pass the threshold and encodes nothing.
 func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	s.reads.Add(1)
 	q := r.URL.Query()
@@ -265,28 +289,131 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "relation parameter required")
 		return
 	}
-	v := s.b.View()
-	facts := v.Facts(rel)
+	th, thresholded := 0.0, false
 	if ts := q.Get("threshold"); ts != "" {
-		th, err := strconv.ParseFloat(ts, 64)
-		if err != nil {
+		var err error
+		th, err = strconv.ParseFloat(ts, 64)
+		if err != nil || math.IsNaN(th) {
 			writeErr(w, http.StatusBadRequest, "bad threshold %q", ts)
 			return
 		}
-		kept := facts[:0:0]
-		for _, f := range facts {
-			if f.Known && f.Probability > th {
-				kept = append(kept, f)
+		thresholded = true
+	}
+	t := s.cachedFacts(s.b.View(), rel)
+	bp := bodyPool.Get().(*[]byte)
+	body := t.appendBody((*bp)[:0], thresholded, th)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write is the client's loss; nothing is left to send
+	*bp = body
+	bodyPool.Put(bp)
+}
+
+// bodyPool recycles /v1/facts response buffers: a body is about the size
+// of its relation's table, and allocating one per scan doubled the CPU of
+// a cached scan.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// factsTable is one relation's /v1/facts rendering for the view of one
+// epoch: every live fact's JSON, threshold-free, so that any threshold is
+// a filter over the copy.
+type factsTable struct {
+	epoch uint64
+	// head and tail wrap the facts: `{"epoch":E,"facts":[` and
+	// `],"relation":R}` plus the newline json.Encoder ends a value with.
+	head, tail []byte
+	// slab is the facts' JSON, comma-separated, as the unthresholded
+	// body carries them.
+	slab  []byte
+	facts []renderedFact
+}
+
+// renderedFact is one fact of a factsTable: where its JSON ends in the
+// slab, and what a threshold tests.
+type renderedFact struct {
+	end   int
+	p     float64
+	known bool
+}
+
+// appendBody appends the reply to dst: every fact of t, or, thresholded,
+// those with known && p > th.
+func (t *factsTable) appendBody(dst []byte, thresholded bool, th float64) []byte {
+	if n := len(t.head) + len(t.slab) + len(t.tail); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	dst = append(dst, t.head...)
+	if !thresholded {
+		dst = append(dst, t.slab...)
+	} else {
+		// Kept facts that are neighbours in the slab are copied as one
+		// stretch, the commas between them included.
+		first, start, run := len(dst), 0, -1 // run: where the current stretch starts
+		for _, f := range t.facts {
+			if f.known && f.p > th {
+				if run < 0 {
+					run = start
+				}
+			} else if run >= 0 {
+				dst = appendStretch(dst, first, t.slab[run:start-1])
+				run = -1
 			}
+			start = f.end + 1
 		}
-		facts = kept
+		if run >= 0 {
+			dst = appendStretch(dst, first, t.slab[run:])
+		}
 	}
-	if facts == nil {
-		facts = []Fact{}
+	return append(dst, t.tail...)
+}
+
+// appendStretch appends a stretch of facts' JSON to a list that starts at
+// dst[first], after a comma unless it is the list's first.
+func appendStretch(dst []byte, first int, stretch []byte) []byte {
+	if len(dst) > first {
+		dst = append(dst, ',')
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"relation": rel, "epoch": v.Epoch(), "facts": facts,
-	})
+	return append(dst, stretch...)
+}
+
+// cachedFacts returns relation rel's table for view v, rendering it on the
+// first scan of rel in v. Entries are checked by epoch, which names
+// exactly one view of a backend (View.Epoch); a reader holding an older
+// or newer view than the cached entry's renders its own and stores it —
+// the last store wins, and two renderings of one view are the same bytes.
+// A relation without facts is cached only once it had some, so request
+// strings alone cannot grow the map.
+func (s *Server) cachedFacts(v View, rel string) *factsTable {
+	epoch := v.Epoch()
+	cached, ok := s.facts.Load(rel)
+	if ok {
+		if t := cached.(*factsTable); t.epoch == epoch {
+			return t
+		}
+	}
+	t := renderFacts(epoch, rel, v.Facts(rel))
+	if ok || len(t.facts) > 0 {
+		s.facts.Store(rel, t)
+	}
+	return t
+}
+
+// renderFacts renders one relation's facts as a factsTable.
+func renderFacts(epoch uint64, rel string, facts []Fact) *factsTable {
+	t := &factsTable{epoch: epoch, facts: make([]renderedFact, len(facts))}
+	t.head = strconv.AppendUint([]byte(`{"epoch":`), epoch, 10)
+	t.head = append(t.head, `,"facts":[`...)
+	name, _ := json.Marshal(rel) // a string always marshals
+	t.tail = append(append([]byte(`],"relation":`), name...), "}\n"...)
+	for i, f := range facts {
+		if i > 0 {
+			t.slab = append(t.slab, ',')
+		}
+		b, _ := json.Marshal(f) // fails only on a non-finite probability, which no marginal is
+		t.slab = append(t.slab, b...)
+		t.facts[i] = renderedFact{end: len(t.slab), p: f.Probability, known: f.Known}
+	}
+	return t
 }
 
 // writeStatusErr writes one coded JSON error with its Retry-After hint.

@@ -188,6 +188,10 @@ func TestReadEndpoints(t *testing.T) {
 	if code, _ = get(t, ts.URL+"/v1/facts?relation=HasSpouse&threshold=nan-ish"); code != 400 {
 		t.Fatalf("bad threshold: %d, want 400", code)
 	}
+	// ParseFloat accepts NaN, and no probability is > NaN.
+	if code, _ = get(t, ts.URL+"/v1/facts?relation=HasSpouse&threshold=NaN"); code != 400 {
+		t.Fatalf("NaN threshold: %d, want 400", code)
+	}
 	if code, _ = get(t, ts.URL+"/v1/facts"); code != 400 {
 		t.Fatalf("relationless facts: %d, want 400", code)
 	}

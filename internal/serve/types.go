@@ -23,7 +23,8 @@
 //
 // Every read endpoint serves straight off the current snapshot — an
 // atomic pointer load on the Backend side — and never touches a KB
-// write lock. See the package's handler documentation and the README
+// write lock. A /v1/facts scan copies JSON rendered once per relation
+// and view. See the package's handler documentation and the README
 // "Network serving" section for the subscription semantics.
 package serve
 
@@ -140,7 +141,9 @@ func (e *StatusError) Error() string { return e.Msg }
 // block on KB writers (the deepdive adapter wraps an immutable
 // Snapshot).
 type View interface {
-	// Epoch is the snapshot's publication generation (monotone).
+	// Epoch is the snapshot's publication generation (monotone). Every
+	// publication takes a new epoch, so an epoch names exactly one view of
+	// a backend: the server keys the /v1/facts renderings it caches on it.
 	Epoch() uint64
 	// Relations lists the relations with live facts, sorted.
 	Relations() []string

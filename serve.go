@@ -261,7 +261,10 @@ func wireResult(r *UpdateResult) *serve.UpdateResult {
 	}
 }
 
-// kbView adapts one immutable Snapshot to the serve.View interface.
+// kbView adapts one immutable Snapshot to the serve.View interface. Its
+// epoch is the one publishStaged took for the snapshot, and every
+// publication takes the next, so no two views share an epoch (the
+// serve.View.Epoch contract).
 type kbView struct{ s *Snapshot }
 
 func (v kbView) Epoch() uint64       { return v.s.Epoch() }

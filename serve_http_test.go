@@ -1,18 +1,22 @@
 package deepdive_test
 
 // Wire-level tests of the HTTP serving tier over a live KB: endpoint
-// round-trips, concurrent readers and subscribers against the pipelined
+// round-trips, read replies byte for byte, concurrent readers and subscribers against the pipelined
 // update queue (run under -race by the race-serve CI job), a stalled
 // raw-TCP subscriber that must not delay publications, and the
 // partial-progress publication of long coalesced batches.
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,6 +24,7 @@ import (
 	"time"
 
 	"deepdive"
+	"deepdive/internal/serve"
 )
 
 // serveKB starts the HTTP tier over kb on a loopback port.
@@ -188,6 +193,131 @@ func sseEvents(resp *http.Response) <-chan [2]string {
 		}
 	}()
 	return out
+}
+
+// getBytes is one GET's status and raw body.
+func getBytes(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// encodeReply is a reply map as encoding/json writes it: the bytes the
+// read endpoints have always sent.
+func encodeReply(t *testing.T, body map[string]any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(body); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestServeHTTPFactsBytes pins /v1/facts and /v1/marginal over a live KB
+// to the encoder's bytes for the snapshot they serve — every relation,
+// thresholds on and between the probabilities, tuples the encoder escapes,
+// evidence true and false — on the scan that renders a table, the scan
+// that copies it, and after updates publish new snapshots.
+func TestServeHTTPFactsBytes(t *testing.T) {
+	kb, err := deepdive.OpenKB(`
+@variable Q(x, k).
+@relation Q_Ev(x, k, label).
+@relation R(x, k).
+Cand: Q(x, k) :- R(x, k).
+F: Q(x, k) :- R(x, k) weight = w(k).
+`, deepdive.WithSeed(7))
+	must(t, err)
+	t.Cleanup(func() { kb.Close() })
+	must(t, kb.Load("R", []deepdive.Tuple{{"<b>", "k1"}, {"a&b", "k1"}, {"Zoë", "k1"}, {"e", "k2"}, {"f", "k2"}}))
+	must(t, kb.Load("Q_Ev", []deepdive.Tuple{{"<b>", "k1", "true"}}))
+	must(t, kb.Init(ctx))
+	_, err = kb.Learn(ctx)
+	must(t, err)
+	_, err = kb.Infer(ctx)
+	must(t, err)
+	_, err = kb.Materialize(ctx)
+	must(t, err)
+	srv := serveKB(t, kb, deepdive.ServeOptions{})
+	base := "http://" + srv.Addr()
+
+	check := func() []byte {
+		t.Helper()
+		snap := kb.Snapshot()
+		var all []byte
+		for _, rel := range append(snap.Relations(), "NoSuchRelation") {
+			for _, th := range []string{"", "0", "0.1", "0.5", "1"} {
+				thv, _ := strconv.ParseFloat(th, 64)
+				var facts []serve.Fact
+				for _, f := range snap.Facts(rel) {
+					if th == "" || f.Known && f.Probability > thv {
+						facts = append(facts, serve.Fact{Tuple: f.Tuple, Probability: f.Probability, Known: f.Known, Evidence: f.Evidence})
+					}
+				}
+				if facts == nil {
+					facts = []serve.Fact{}
+				}
+				want := encodeReply(t, map[string]any{"relation": rel, "epoch": snap.Epoch(), "facts": facts})
+				q := url.Values{"relation": {rel}}
+				if th != "" {
+					q.Set("threshold", th)
+				}
+				for pass := 0; pass < 2; pass++ {
+					code, got := getBytes(t, base+"/v1/facts?"+q.Encode())
+					if code != 200 || !bytes.Equal(got, want) {
+						t.Fatalf("epoch %d %s: %d\n got %s\nwant %s", snap.Epoch(), q.Encode(), code, got, want)
+					}
+				}
+				if th == "" {
+					all = append(all, want...)
+				}
+			}
+		}
+		for _, tuple := range [][]string{{"<b>", "k1"}, {"Zoë", "k1"}, {"e", "k2"}, {"no", "such"}} {
+			want := map[string]any{"relation": "Q", "tuple": tuple, "known": false, "epoch": snap.Epoch()}
+			wantCode := 404
+			if p, ok := snap.Marginal("Q", deepdive.Tuple(tuple)); ok {
+				want["known"], want["probability"], wantCode = true, p, 200
+			}
+			q := url.Values{"relation": {"Q"}, "tuple": tuple}
+			code, got := getBytes(t, base+"/v1/marginal?"+q.Encode())
+			if code != wantCode || !bytes.Equal(got, encodeReply(t, want)) {
+				t.Fatalf("epoch %d marginal %q: %d\n got %s\nwant %s", snap.Epoch(), tuple, code, got, encodeReply(t, want))
+			}
+		}
+		return all
+	}
+	before := check()
+
+	// A false label pins (e, k2) at probability 0 and moves the weight
+	// (f, k2) shares with it; a new fact joins Q.
+	code, res := postUpdate(t, base, `{"inserts": {
+		"Q_Ev": [["e", "k2", "false"]],
+		"R": [["日本", "k1"]]
+	}}`, true)
+	if code != 200 {
+		t.Fatalf("update: %d %v", code, res)
+	}
+	if p, ok := kb.Snapshot().Marginal("Q", deepdive.Tuple{"e", "k2"}); !ok || p != 0 {
+		t.Fatalf("(e, k2) after a false label: p = %v, known %v; want a known 0", p, ok)
+	}
+	after := check()
+	if bytes.Equal(before, after) {
+		t.Fatal("an update changed no /v1/facts body")
+	}
+	if code, res = postUpdate(t, base, `{"inserts": {"Q_Ev": [["Zoë", "k1", "true"]]}}`, true); code != 200 {
+		t.Fatalf("update: %d %v", code, res)
+	}
+	if bytes.Equal(after, check()) {
+		t.Fatal("an update changed no /v1/facts body")
+	}
 }
 
 // TestServeHTTPConcurrent is the wire-level counterpart of
