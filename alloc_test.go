@@ -122,3 +122,49 @@ func TestCheckpointRecoveryAllocation(t *testing.T) {
 		t.Errorf("a recovery allocates one object per %.0f bytes of image, want at most one per 48", image/openObjects)
 	}
 }
+
+// ruleUpdateAllocs applies the six development iterations to the wire
+// corpus at 1×, materialized without them, and returns the bytes and heap
+// objects each rule update allocates, by iteration name.
+func ruleUpdateAllocs(t *testing.T) (bytes, objects map[string]float64) {
+	t.Helper()
+	w := newWireCorpus(t, 3, 1, 0)
+	kb := w.open(t, 0, 0)
+	_, err := kb.Materialize(ctx)
+	must(t, err)
+	bytes, objects = map[string]float64{}, map[string]float64{}
+	for _, name := range kbc.IterationNames {
+		u := deepdive.Update{RuleSource: kbc.IterationRules(w.sys, name)}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := kb.Apply(ctx, u)
+		runtime.ReadMemStats(&after)
+		must(t, err)
+		bytes[name] = float64(after.TotalAlloc - before.TotalAlloc)
+		objects[name] = float64(after.Mallocs - before.Mallocs)
+	}
+	return bytes, objects
+}
+
+// TestRuleUpdateAllocations is the allocation guard on whole-rule updates:
+// the heap objects of the three iterations that add a rule's groups (FE1,
+// FE2, I1) on the wire corpus at 1×. With hash sets on the update path —
+// a map per patched group for its variables, a map of (variable, group)
+// pairs for adjacency and one of blanket pairs, maps to accumulate change
+// sets — the same updates allocated 12 188 / 12 235 / 11 801 objects
+// (1 979 / 2 375 / 1 542 KB); with id-indexed bookkeeping 7 083 / 6 982 /
+// 6 757. The bound, 8 000, leaves 13 % over the largest of those; a hash
+// set per new group brings the 1 141 groups a rule adds back over it.
+func TestRuleUpdateAllocations(t *testing.T) {
+	const maxObjects = 8000
+	bytes, objects := ruleUpdateAllocs(t)
+	for _, name := range kbc.IterationNames {
+		t.Logf("%s: %.0f KB in %.0f objects", name, bytes[name]/1024, objects[name])
+	}
+	for _, name := range []string{"FE1", "FE2", "I1"} {
+		if objects[name] > maxObjects {
+			t.Errorf("%s allocates %.0f objects, want ≤ %d", name, objects[name], maxObjects)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package deepdive
 import (
 	"context"
 
+	"deepdive/internal/factor"
 	"deepdive/internal/ground"
 	"deepdive/internal/inc"
 )
@@ -95,4 +96,12 @@ func (kb *KB) RebuiltSnapshot() *Snapshot {
 	s := &Snapshot{skeleton: *sk, epoch: served.epoch, marg: kb.marg}
 	s.stats.Autopilot = served.stats.Autopilot
 	return s
+}
+
+// Served returns the graph and the marginal vector the served state
+// corresponds to. Callers must not mutate either.
+func (kb *KB) Served() (*factor.Graph, []float64) {
+	kb.stateMu.Lock()
+	defer kb.stateMu.Unlock()
+	return kb.curGraph, kb.marg
 }

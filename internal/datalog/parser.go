@@ -402,8 +402,13 @@ func (p *parser) parseRule() error {
 }
 
 // Validate checks a program's static semantics and assigns rule kinds.
-func Validate(prog *Program) error {
-	for _, r := range prog.Rules {
+func Validate(prog *Program) error { return ValidateRules(prog, prog.Rules) }
+
+// ValidateRules checks rules against prog's declarations and assigns their
+// kinds. A rule's checks read only the declarations, so rules added to a
+// validated program are validated alone.
+func ValidateRules(prog *Program, rules []*Rule) error {
+	for _, r := range rules {
 		if err := validateRule(prog, r); err != nil {
 			return err
 		}

@@ -2,7 +2,7 @@ package factor
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Patch derives a new Graph from an existing one at delta cost: new
@@ -25,6 +25,14 @@ import (
 // of magnitude already at percent-scale deltas and the gap widens with
 // graph size; see BenchmarkApplyUpdatePatched vs
 // BenchmarkApplyUpdateRebuild.
+//
+// Membership. A patch keeps no hash set of the pairs it links. Each group
+// it grounds into carries its distinct-variable set (groupVars): that set
+// is exactly the variables whose adjacency row lists the group, and its
+// variables are pairwise blanket neighbors, so a grounding variable already
+// in it needs no link at all, and one that is not gets the group appended
+// to its adjacency row and a blanket check against each member — a binary
+// search of the frozen neighbor row, then a scan of the overflow row.
 //
 // Lineage sharing. Apply returns a new *Graph that shares the pool
 // backing arrays with the base graph. Appends land past the base graph's
@@ -51,28 +59,65 @@ type Patch struct {
 	structOwned bool // overflow side tables copied for this patch
 	applied     bool
 
-	// adjacency-membership memo for pairs checked or added this patch;
-	// key is int64(var)<<32 | group.
-	adjSeen map[int64]bool
-	// blanket-membership memo for neighbor pairs checked or added this
-	// patch; key is int64(min)<<32 | max.
-	nbrSeen map[int64]bool
-	// per-group distinct-variable memo: seeded by one scan on the first
-	// AddGrounding into a group, extended as groundings land, so streamed
+	// Per-group distinct-variable sets, which also answer adjacency
+	// membership (see groupVars): newGroupVars[gi-base.NumGroups()] for a
+	// group this patch added, seeded with its head; oldGroupVars for a
+	// pre-existing group, seeded by one scan on its first AddGrounding and
+	// allocated then. Both are extended as groundings land, so streamed
 	// additions stay O(Δ) instead of rescanning the group per call.
-	groupVarsMemo map[int32]*groupVarSet
+	newGroupVars []groupVarSet
+	oldGroupVars map[int32]*groupVarSet
 }
 
-// groupVarSet tracks the distinct variables of one group during a patch.
+// groupVarSetSmall is the size up to which a groupVarSet answers
+// membership by scanning its list; past it the set keeps an index.
+const groupVarSetSmall = 32
+
+// groupVarSet tracks the distinct variables of one group during a patch:
+// its head, then the others in first-seen order. Small sets — almost every
+// group — are the list alone (a group that is only its head allocates
+// nothing); a set that outgrows groupVarSetSmall indexes it, so a large
+// group stays O(1) per check.
 type groupVarSet struct {
-	seen map[VarID]bool
-	vars []VarID
+	head  VarID
+	rest  []VarID
+	index map[VarID]struct{}
 }
 
+func (s *groupVarSet) has(v VarID) bool {
+	if v == s.head {
+		return true
+	}
+	if s.index != nil {
+		_, ok := s.index[v]
+		return ok
+	}
+	for _, u := range s.rest {
+		if u == v {
+			return true
+		}
+	}
+	return false
+}
+
+// add appends v, which must not be in the set yet.
 func (s *groupVarSet) add(v VarID) {
-	if !s.seen[v] {
-		s.seen[v] = true
-		s.vars = append(s.vars, v)
+	s.rest = append(s.rest, v)
+	switch {
+	case s.index != nil:
+		s.index[v] = struct{}{}
+	case len(s.rest) > groupVarSetSmall:
+		s.index = make(map[VarID]struct{}, 2*len(s.rest))
+		for _, u := range s.rest {
+			s.index[u] = struct{}{}
+		}
+	}
+}
+
+// addNew adds v unless the set holds it.
+func (s *groupVarSet) addNew(v VarID) {
+	if !s.has(v) {
+		s.add(v)
 	}
 }
 
@@ -87,13 +132,7 @@ func NewPatch(g *Graph) *Patch {
 	ng.epoch = g.epoch + 1
 	ng.wShare = g.wShare.fork(len(g.weights))
 	ng.evShare, ng.valShare = g.evShare.fork(g.numVars), g.valShare.fork(g.numVars)
-	return &Patch{
-		base:          g,
-		g:             &ng,
-		adjSeen:       make(map[int64]bool),
-		nbrSeen:       make(map[int64]bool),
-		groupVarsMemo: make(map[int32]*groupVarSet),
-	}
+	return &Patch{base: g, g: &ng}
 }
 
 // checkOpen panics after Apply: a patch is single-use.
@@ -176,72 +215,23 @@ func (p *Patch) AddGroup(head VarID, w WeightID, sem Semantics) int {
 	g.gndExtra.push(nil)
 	g.semGrow(sem, 0)
 	gi := len(g.groupHead) - 1
-	p.addAdj(head, int32(gi))
+	// A brand-new group is in no adjacency row yet: link its head, the
+	// first member of its variable set, without a lookup.
+	g.adjExtra.set(&p.base.adjExtra, int32(head), append(g.adjExtra.at(int32(head)), int32(gi)))
+	p.newGroupVars = append(p.newGroupVars, groupVarSet{head: head})
 	return gi
 }
 
-// hasAdj reports whether group gi is already in v's adjacency (frozen row
-// — binary search, it is ascending — or overflow row), memoizing lookups.
-func (p *Patch) hasAdj(v VarID, gi int32) bool {
-	key := int64(v)<<32 | int64(uint32(gi))
-	if p.adjSeen[key] {
-		return true
-	}
-	g := p.g
-	row := g.adjGroups[g.adjOff[v]:g.adjOff[v+1]]
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= gi })
-	found := i < len(row) && row[i] == gi
-	if !found {
-		for _, x := range g.adjExtra.at(int32(v)) {
-			if x == gi {
-				found = true
-				break
-			}
-		}
-	}
-	if found {
-		p.adjSeen[key] = true
-	}
-	return found
-}
-
-// addAdj links group gi into v's adjacency if absent.
-func (p *Patch) addAdj(v VarID, gi int32) {
-	if p.hasAdj(v, gi) {
-		return
-	}
-	p.g.adjExtra.set(&p.base.adjExtra, int32(v), append(p.g.adjExtra.at(int32(v)), gi))
-	p.adjSeen[int64(v)<<32|int64(uint32(gi))] = true
-}
-
-// hasNbr reports whether a and b are already Markov-blanket neighbors
-// (frozen row — binary search, it is ascending — or overflow row),
-// memoizing lookups. Rows are kept symmetric, so one direction suffices.
+// hasNbr reports whether a and b are already Markov-blanket neighbors:
+// in a's frozen row (binary search, it is ascending) or its overflow row.
+// Rows are kept symmetric, so one direction suffices.
 func (p *Patch) hasNbr(a, b VarID) bool {
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	key := int64(lo)<<32 | int64(uint32(hi))
-	if p.nbrSeen[key] {
-		return true
-	}
 	g := p.g
 	row := g.nbrs[g.nbrOff[a]:g.nbrOff[a+1]]
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= int32(b) })
-	found := i < len(row) && row[i] == int32(b)
-	if !found {
-		for _, x := range g.nbrExtra.at(int32(a)) {
-			if x == int32(b) {
-				found = true
-				break
-			}
-		}
+	if _, found := slices.BinarySearch(row, int32(b)); found {
+		return true
 	}
-	if found {
-		p.nbrSeen[key] = true
-	}
-	return found
+	return slices.Contains(g.nbrExtra.at(int32(a)), int32(b))
 }
 
 // addNbr links a and b as blanket neighbors (both directions) if absent.
@@ -252,36 +242,40 @@ func (p *Patch) addNbr(a, b VarID) {
 	nx, bx := &p.g.nbrExtra, &p.base.nbrExtra
 	nx.set(bx, int32(a), append(nx.at(int32(a)), int32(b)))
 	nx.set(bx, int32(b), append(nx.at(int32(b)), int32(a)))
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	p.nbrSeen[int64(lo)<<32|int64(uint32(hi))] = true
 }
 
-// groupVars returns the memoized distinct-variable set of group gi (head
-// plus every grounding's literals, frozen and overflow, tombstones
-// included — stale blanket links only cost spurious invalidations). The
-// first call for a group scans it once; later calls return the tracked
-// set, which AddGrounding extends as new groundings land.
+// groupVars returns the tracked distinct-variable set of group gi: its
+// head plus every grounding's literals, frozen and overflow, tombstones
+// included — stale blanket links only cost spurious invalidations. The set
+// is exactly the variables whose adjacency row lists gi (Build and every
+// patch link a group into the row of each of its variables, and a
+// tombstone unlinks nothing), so membership in it answers adjacency too.
+// The first call for a pre-existing group scans it once; later calls
+// return the tracked set, which AddGrounding extends as groundings land.
 func (p *Patch) groupVars(gi int32) *groupVarSet {
-	if s := p.groupVarsMemo[gi]; s != nil {
+	if nb := int32(p.base.NumGroups()); gi >= nb {
+		return &p.newGroupVars[gi-nb]
+	}
+	if s := p.oldGroupVars[gi]; s != nil {
 		return s
 	}
 	g := p.g
-	s := &groupVarSet{seen: map[VarID]bool{}}
-	s.add(VarID(g.groupHead[gi]))
-	for k := g.gndOff[gi]; k < g.gndOff[gi+1]; k++ {
+	s := &groupVarSet{head: VarID(g.groupHead[gi])}
+	scan := func(k int32) {
 		for li := g.litOff[k]; li < g.litOff[k+1]; li++ {
-			s.add(VarID(g.lits[li] >> 1))
+			s.addNew(VarID(g.lits[li] >> 1))
 		}
+	}
+	for k := g.gndOff[gi]; k < g.gndOff[gi+1]; k++ {
+		scan(k)
 	}
 	for _, k := range g.gndExtra.at(gi) {
-		for li := g.litOff[k]; li < g.litOff[k+1]; li++ {
-			s.add(VarID(g.lits[li] >> 1))
-		}
+		scan(k)
 	}
-	p.groupVarsMemo[gi] = s
+	if p.oldGroupVars == nil {
+		p.oldGroupVars = make(map[int32]*groupVarSet)
+	}
+	p.oldGroupVars[gi] = s
 	return s
 }
 
@@ -349,12 +343,17 @@ func (p *Patch) AddGrounding(gi int, lits []Literal) int32 {
 			}
 		}
 		g.bodyExtra.set(&p.base.bodyExtra, int32(lit.Var), append(g.bodyExtra.at(int32(lit.Var)), occ))
-		p.addAdj(lit.Var, int32(gi))
+		if gv.has(lit.Var) {
+			// Already in the group: already in its adjacency row, and
+			// already linked to every other variable of the group.
+			continue
+		}
+		g.adjExtra.set(&p.base.adjExtra, int32(lit.Var), append(g.adjExtra.at(int32(lit.Var)), int32(gi)))
 		// Blanket links: to every variable already tracked for the group —
 		// including this grounding's earlier variables, which were added to
-		// the set as they were processed (addNbr dedupes both directions
-		// and skips self-links).
-		for _, u := range gv.vars {
+		// the set as they were processed (addNbr dedupes both directions).
+		p.addNbr(lit.Var, gv.head)
+		for _, u := range gv.rest {
 			p.addNbr(lit.Var, u)
 		}
 		gv.add(lit.Var)

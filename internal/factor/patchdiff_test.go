@@ -385,3 +385,55 @@ func TestPatchBasics(t *testing.T) {
 		t.Fatalf("energy after tombstone %v, want base %v", e2, eBase)
 	}
 }
+
+// TestPatchLargeGroups grows groups past the size at which a patch stops
+// scanning a group's variable list and indexes it: a pre-existing group
+// and a new one each take groundings over most of a 120-variable graph,
+// across patches and within one, repeating variables. The patched graph
+// must equal its rebuild, and no adjacency or blanket row may list a
+// group or a neighbor twice.
+func TestPatchLargeGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	m, g := seedModel(rng, t, true)
+	for len(m.evidence) < 120 {
+		m.evidence, m.evValue = append(m.evidence, false), append(m.evValue, false)
+	}
+	g = m.build(t)
+	for step := 0; step < 4; step++ {
+		p := factor.NewPatch(g)
+		head := factor.VarID(rng.Intn(len(m.evidence)))
+		gi := p.AddGroup(head, 0, factor.Ratio)
+		m.groups = append(m.groups, &modelGroup{head: head, w: 0, sem: factor.Ratio})
+		for _, target := range []int{0, gi} {
+			for k := 0; k < 40; k++ {
+				lits := randLits(rng, len(m.evidence))
+				id := p.AddGrounding(target, lits)
+				m.groups[target].gnds = append(m.groups[target].gnds, &modelGnd{lits: lits, live: true, flatID: id})
+			}
+		}
+		g = p.Apply()
+		if diffs := factor.DiffGraphs(g, m.build(t), 2, int64(step)); len(diffs) > 0 {
+			t.Fatalf("step %d: patched != rebuilt:\n%s", step, joinLines(diffs))
+		}
+		for v := 0; v < g.NumVars(); v++ {
+			adj := g.AdjacentGroups(factor.VarID(v))
+			seen := map[factor.VarID]bool{}
+			g.Neighbors(factor.VarID(v), func(u factor.VarID) {
+				if seen[u] {
+					t.Fatalf("step %d: var %d lists neighbor %d twice", step, v, u)
+				}
+				seen[u] = true
+			})
+			for i := range adj {
+				for j := i + 1; j < len(adj); j++ {
+					if adj[i] == adj[j] {
+						t.Fatalf("step %d: var %d lists group %d twice", step, v, adj[i])
+					}
+				}
+			}
+		}
+	}
+	if n := len(m.groups[0].gnds); n < 160 {
+		t.Fatalf("group 0 holds %d groundings", n)
+	}
+}

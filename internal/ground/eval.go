@@ -211,8 +211,8 @@ type tracker struct {
 
 	newVars     []factor.VarID
 	liveToggled []factor.VarID // pre-existing variables whose tuple left or re-entered; repeats allowed
-	evChanged   map[factor.VarID]bool
-	addedGroups []int // ascending: groups are append-only
+	evChanged   []factor.VarID // variables whose evidence counts moved; repeats allowed
+	addedGroups []int          // ascending: groups are append-only
 	newWeights  []factor.WeightID
 	// touched lists the groundings of pre-existing groups whose visibility
 	// toggled, repeats allowed — the grounding-grained ΔF the in-place patch
@@ -237,7 +237,7 @@ func (d *deltaRows) row(i, arity int) []db.Sym {
 }
 
 func newTracker(nRels int, deltas bool) *tracker {
-	tr := &tracker{deltas: deltas, evChanged: make(map[factor.VarID]bool)}
+	tr := &tracker{deltas: deltas}
 	if deltas {
 		tr.added, tr.removed = make([]deltaRows, nRels), make([]deltaRows, nRels)
 	}
@@ -322,7 +322,7 @@ func (g *Grounder) applyEvidenceDelta(tr *tracker, base uint32, evRow []db.Sym, 
 	} else {
 		g.evFalse[id] += d
 	}
-	tr.evChanged[id] = true
+	tr.evChanged = append(tr.evChanged, id)
 	return nil
 }
 

@@ -198,7 +198,9 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 		// refused takes its symbols back with it.
 		nOld, nSyms := len(g.prog.Rules), g.data.Symbols().Len()
 		g.prog.Rules = append(g.prog.Rules, u.NewRules...)
-		err := datalog.Validate(g.prog)
+		// The program's rules were validated when they were added, and
+		// validation reads only the declarations: check the new ones.
+		err := datalog.ValidateRules(g.prog, u.NewRules)
 		var res []*ruleEval
 		if err == nil {
 			res, err = g.addRules(u.NewRules)
@@ -301,10 +303,9 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 		}
 	}
 	d.AddedGroups = tr.addedGroups // ascending: groups are append-only
-	for v := range tr.evChanged {
-		d.EvidenceChanged = append(d.EvidenceChanged, v)
-	}
-	slices.Sort(d.EvidenceChanged)
+	slices.Sort(tr.evChanged)
+	tr.evChanged = slices.Compact(tr.evChanged)
+	d.EvidenceChanged = tr.evChanged
 	slices.Sort(tr.liveToggled)
 	d.LivenessChanged = slices.Compact(tr.liveToggled)
 	commit := func() {
@@ -375,12 +376,7 @@ func (g *Grounder) patchGraph(tr *tracker) {
 			p.SetEvidence(v, false, false)
 		}
 	}
-	var evs []factor.VarID
-	for v := range tr.evChanged {
-		evs = append(evs, v)
-	}
-	slices.Sort(evs)
-	for _, v := range evs {
+	for _, v := range tr.evChanged { // ascending, each once
 		applyEv(v)
 	}
 	for i := old.NumVars(); i < g.NumVars(); i++ {

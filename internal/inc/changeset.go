@@ -31,6 +31,9 @@
 package inc
 
 import (
+	"fmt"
+	"slices"
+
 	"deepdive/internal/factor"
 	"deepdive/internal/ground"
 )
@@ -64,50 +67,114 @@ func FromDelta(d *ground.Delta) ChangeSet {
 
 // Merge returns the union of two change sets with duplicate group and
 // variable entries removed (duplicates would double-count energy in
-// EnergyOfGroups). Callers use it to accumulate the deltas of several
-// grounding passes — e.g. an apply retrying after a cancelled
-// predecessor whose grounding already committed — into one set to score.
+// EnergyOfGroups), each id where it first occurs. Callers use it to
+// accumulate the deltas of several grounding passes — e.g. an apply
+// retrying after a cancelled predecessor whose grounding already
+// committed — into one set to score.
 func (c ChangeSet) Merge(o ChangeSet) ChangeSet {
 	return ChangeSet{
-		ChangedOld:      mergeInt32(c.ChangedOld, o.ChangedOld),
-		ChangedNew:      mergeInt32(c.ChangedNew, o.ChangedNew),
-		EvidenceChanged: mergeVarIDs(c.EvidenceChanged, o.EvidenceChanged),
+		ChangedOld:      mergeIDs(c.ChangedOld, o.ChangedOld),
+		ChangedNew:      mergeIDs(c.ChangedNew, o.ChangedNew),
+		EvidenceChanged: mergeIDs(c.EvidenceChanged, o.EvidenceChanged),
 		NewFeatures:     c.NewFeatures || o.NewFeatures,
 	}
 }
 
-func mergeInt32(a, b []int32) []int32 {
-	if len(a) == 0 && len(b) == 0 {
+// mergeIDs returns a followed by b, each id once, where it first occurs.
+// It marks the ids in a bitset up to the largest while that costs at most a
+// few words per id; ids sparser than that — a small update's groups in a
+// large graph, or whatever an image names — are deduplicated by sorting
+// their positions instead, so the work stays proportional to the ids, not
+// to the graph.
+func mergeIDs[T ~int32](a, b []T) []T {
+	n := len(a) + len(b)
+	if n == 0 {
 		return nil
 	}
-	seen := make(map[int32]bool, len(a)+len(b))
-	out := make([]int32, 0, len(a)+len(b))
-	for _, xs := range [][]int32{a, b} {
+	out := make([]T, 0, n)
+	lo, hi := T(0), T(0)
+	for _, xs := range [2][]T{a, b} {
 		for _, x := range xs {
-			if !seen[x] {
-				seen[x] = true
-				out = append(out, x)
-			}
+			lo, hi = min(lo, x), max(hi, x)
 		}
 	}
-	return out
+	if lo >= 0 && int(hi)>>6 < 4*n+64 {
+		seen := make(idSet, int(hi)>>6+1)
+		for _, xs := range [2][]T{a, b} {
+			for _, x := range xs {
+				if seen.add(int32(x)) {
+					out = append(out, x)
+				}
+			}
+		}
+		return out
+	}
+	out = append(append(out, a...), b...)
+	keys := make([]int64, n) // id<<32 | position: sorted, an id's first position leads
+	for i, x := range out {
+		keys[i] = int64(x)<<32 | int64(i)
+	}
+	slices.Sort(keys)
+	first := make([]bool, n)
+	for i, k := range keys {
+		if i == 0 || k>>32 != keys[i-1]>>32 {
+			first[uint32(k)] = true
+		}
+	}
+	kept := out[:0]
+	for i, x := range out {
+		if first[i] {
+			kept = append(kept, x)
+		}
+	}
+	return kept
 }
 
-func mergeVarIDs(a, b []factor.VarID) []factor.VarID {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
+// idSet marks non-negative dense ids: a bitset that grows to the largest
+// id marked.
+type idSet []uint64
+
+// add marks id and reports whether it was unmarked.
+func (s *idSet) add(id int32) bool {
+	w := int(id >> 6)
+	if w >= len(*s) {
+		*s = append(*s, make([]uint64, w+1-len(*s))...)
 	}
-	seen := make(map[factor.VarID]bool, len(a)+len(b))
-	out := make([]factor.VarID, 0, len(a)+len(b))
-	for _, xs := range [][]factor.VarID{a, b} {
-		for _, x := range xs {
-			if !seen[x] {
-				seen[x] = true
-				out = append(out, x)
-			}
+	bit := uint64(1) << (id & 63)
+	if (*s)[w]&bit != 0 {
+		return false
+	}
+	(*s)[w] |= bit
+	return true
+}
+
+// union appends to dst the ids of src it has not marked, marking them.
+func union[T ~int32](s *idSet, dst, src []T) []T {
+	for _, x := range src {
+		if s.add(int32(x)) {
+			dst = append(dst, x)
 		}
 	}
-	return out
+	return dst
+}
+
+// CheckIndexes refuses a change set naming a group at or past g's groups or
+// a variable at or past its variables. Groups and variables are
+// append-only along a lineage, so a change set accumulated over updates
+// that ended in g — whichever graph of the lineage each id indexed when it
+// was noted — names none: a restore checks a decoded one against the
+// graph it restores.
+func (c ChangeSet) CheckIndexes(g *factor.Graph) error {
+	nG, nV := int32(g.NumGroups()), int32(g.NumVars())
+	for _, ids := range [2][]int32{c.ChangedOld, c.ChangedNew} {
+		if i := slices.IndexFunc(ids, func(gi int32) bool { return gi >= nG }); i >= 0 {
+			return fmt.Errorf("inc: a change set names group %d of a graph of %d", ids[i], nG)
+		}
+	}
+	if i := slices.IndexFunc(c.EvidenceChanged, func(v factor.VarID) bool { return int32(v) >= nV }); i >= 0 {
+		return fmt.Errorf("inc: a change set names variable %d of a graph of %d", c.EvidenceChanged[i], nV)
+	}
+	return nil
 }
 
 // Empty reports whether the distribution is unchanged (the paper's A1

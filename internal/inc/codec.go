@@ -45,6 +45,12 @@ func (e *Engine) AppendSnapshot(b *persist.Buf) {
 // or an approximation sized for another graph, a change set naming a
 // negative or repeated id, and trailing bytes. No sampling happens: the
 // store is the persisted one, or is drawn on the first read that needs it.
+//
+// The accumulated change set indexes the graph the engine's last update
+// ran on, which neither the image nor Pr(0) bounds — its groups, on both
+// sides, may lie past Pr(0)'s — so a caller holding that graph checks it
+// (ChangeSet.CheckIndexes on Accumulated). Nothing here is sized by an id
+// the image names: the engine marks the set's ids on its first update.
 func RestoreEngine(old *factor.Graph, opts Options, r *persist.Rd) (*Engine, error) {
 	if v := r.U8("engine version"); r.Err() == nil && v != engineCodecVersion {
 		return nil, fmt.Errorf("inc: unsupported engine codec version %d (this build reads version %d)", v, engineCodecVersion)
@@ -75,11 +81,12 @@ func RestoreEngine(old *factor.Graph, opts Options, r *persist.Rd) (*Engine, err
 	if err != nil {
 		return nil, err
 	}
-	e.note(accum)
-	if len(e.accum.ChangedOld) != len(accum.ChangedOld) || len(e.accum.ChangedNew) != len(accum.ChangedNew) ||
-		len(e.accum.EvidenceChanged) != len(accum.EvidenceChanged) {
+	if len(mergeIDs(accum.ChangedOld, nil)) != len(accum.ChangedOld) ||
+		len(mergeIDs(accum.ChangedNew, nil)) != len(accum.ChangedNew) ||
+		len(mergeIDs(accum.EvidenceChanged, nil)) != len(accum.EvidenceChanged) {
 		return nil, fmt.Errorf("inc: the accumulated change set repeats an id")
 	}
+	e.accum = accum
 	if !r.Done() {
 		return nil, fmt.Errorf("inc: trailing bytes after the engine image")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"testing"
 
 	"deepdive/internal/factor"
@@ -15,7 +16,9 @@ import (
 // undrawn engine. The store's rows are cut from their blob (a slice header,
 // 24 bytes, per row of at least 8), the approximation's pools are decoded
 // at their own size and rebuilt as edges and unaries, and the change set's
-// membership maps grow with its ids; TestRestoreEngineAllocationBound logs
+// repeat check takes scratch in proportion to its ids — never to the
+// largest id: the engine marks them on its first update, not while
+// decoding; TestRestoreEngineAllocationBound logs
 // the seeds' figures. A decoder that sizes a table by a count or an id the
 // image claims, and not by the bytes left to back it, exceeds the bound by
 // orders of magnitude.
@@ -91,11 +94,19 @@ func FuzzRestoreEngine(f *testing.F) {
 	for _, p := range seeds {
 		f.Add(p)
 	}
-	// A drawn image whose store claims far more words than it holds, and an
-	// undrawn one whose change set names a group past any graph.
+	// A drawn image whose store claims far more words than it holds, an
+	// undrawn one whose change set claims far more ids than it holds, and
+	// undrawn ones whose change set names group 2³¹−1, past any graph, on
+	// the old side and on the new, and variable 2³¹−1.
 	huge := binary.LittleEndian.AppendUint64(nil, 1<<62)
 	f.Add(append(append([]byte{engineCodecVersion, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1}, huge...), huge...))
 	f.Add(append([]byte{engineCodecVersion, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}, make([]byte, 9)...))
+	undrawn := []byte{engineCodecVersion, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	last := []byte{1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}
+	none := make([]byte, 8)
+	for _, cs := range [][3][]byte{{last, none, none}, {none, last, none}, {none, none, last}} {
+		f.Add(slices.Concat(undrawn, cs[0], cs[1], cs[2], []byte{0}))
+	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		e, grew := restoreEngineAllocs(old, opts, p)
 		if grew > maxRestoreEngineBytesPerByte*uint64(len(p))+restoreEngineFixedBytes {

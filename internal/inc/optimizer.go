@@ -182,9 +182,12 @@ type Engine struct {
 	// (Options.CumulativeChanges): the updated distribution differs from
 	// Pr(0) by all of them, so every inference pass scores the union.
 	accum ChangeSet
-	// inOld/inNew mark accum's group membership, so noting an update costs
-	// O(|update|), not O(|accum|).
-	inOld, inNew map[int32]bool
+	// inOld, inNew and inEv mark accum's ids, so noting an update costs
+	// O(|update|), not O(|accum|). marked is false until they do: a
+	// restored engine marks its accumulated set on its first note, not
+	// while decoding an image that may name any id.
+	inOld, inNew, inEv idSet
+	marked             bool
 
 	matElapsed time.Duration
 }
@@ -416,21 +419,15 @@ func (e *Engine) Accumulated() ChangeSet { return e.accum }
 // note folds cs into the accumulated change set, duplicate-free and in
 // first-noted order, as ChangeSet.Merge would.
 func (e *Engine) note(cs ChangeSet) {
-	unseen := func(dst, src []int32, in *map[int32]bool) []int32 {
-		if *in == nil {
-			*in = make(map[int32]bool, len(src))
-		}
-		for _, gi := range src {
-			if !(*in)[gi] {
-				(*in)[gi] = true
-				dst = append(dst, gi)
-			}
-		}
-		return dst
+	if !e.marked {
+		e.marked = true
+		union(&e.inOld, nil, e.accum.ChangedOld)
+		union(&e.inNew, nil, e.accum.ChangedNew)
+		union(&e.inEv, nil, e.accum.EvidenceChanged)
 	}
-	e.accum.ChangedOld = unseen(e.accum.ChangedOld, cs.ChangedOld, &e.inOld)
-	e.accum.ChangedNew = unseen(e.accum.ChangedNew, cs.ChangedNew, &e.inNew)
-	e.accum.EvidenceChanged = mergeVarIDs(e.accum.EvidenceChanged, cs.EvidenceChanged)
+	e.accum.ChangedOld = union(&e.inOld, e.accum.ChangedOld, cs.ChangedOld)
+	e.accum.ChangedNew = union(&e.inNew, e.accum.ChangedNew, cs.ChangedNew)
+	e.accum.EvidenceChanged = union(&e.inEv, e.accum.EvidenceChanged, cs.EvidenceChanged)
 	e.accum.NewFeatures = e.accum.NewFeatures || cs.NewFeatures
 }
 

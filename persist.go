@@ -550,6 +550,10 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Both change sets index the current graph: refuse ids past it.
+		if err := eng.Accumulated().CheckIndexes(curG); err != nil {
+			return nil, err
+		}
 		kb.engine = eng
 	}
 	if mb := persist.FindSection(secs, secMarg); mb != nil {
@@ -564,6 +568,9 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 		return nil, err
 	}
 	pend, err := inc.DecodeChangeSet(pendRd)
+	if err == nil {
+		err = pend.CheckIndexes(curG)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"deepdive/internal/factor"
+	"deepdive/internal/inc"
 	"deepdive/internal/persist"
 )
 
@@ -110,6 +112,110 @@ Q(x) :- R(x) weight = 0.5.
 	for name, b := range before {
 		if after[name] != b {
 			t.Fatalf("refusing the directory changed %s", name)
+		}
+	}
+}
+
+// rewriteSnapshot re-encodes the one snapshot in dir with every section's
+// payload passed through edit (checksums recomputed).
+func rewriteSnapshot(t *testing.T, dir string, edit func(kind uint32, p []byte) []byte) {
+	t.Helper()
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.ddkb"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots %v, %v", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := persist.DecodeFile(kbSnapMagic, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := persist.NewFileEnc(kbSnapMagic, len(data))
+	for _, s := range secs {
+		e.Begin(s.Kind)
+		for _, c := range edit(s.Kind, bytes.Clone(s.Payload)) {
+			e.U8(c)
+		}
+		e.End()
+	}
+	if err := os.WriteFile(snaps[0], e.Finish(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreRefusesChangeSetsPastTheGraph: the change sets a snapshot
+// carries — the engine's accumulated one and the KB's pending one — index
+// the current graph, and OpenKB refuses an image in which either names a
+// group or a variable past it, before an update would size a bitset by the
+// id or score a group the graph does not have.
+func TestRestoreRefusesChangeSetsPastTheGraph(t *testing.T) {
+	const src = `
+@relation R(x).
+@variable Q(x).
+Cand: Q(x) :- R(x).
+F: Q(x) :- R(x) weight = 0.5.
+`
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		kind uint32
+		cs   func(g *factor.Graph) inc.ChangeSet
+	}{
+		{"accumulated group", secEngine, func(g *factor.Graph) inc.ChangeSet {
+			return inc.ChangeSet{ChangedNew: []int32{int32(g.NumGroups())}}
+		}},
+		{"accumulated group 2³¹−1", secEngine, func(g *factor.Graph) inc.ChangeSet {
+			return inc.ChangeSet{ChangedOld: []int32{1<<31 - 1}}
+		}},
+		{"pending variable", secPending, func(g *factor.Graph) inc.ChangeSet {
+			return inc.ChangeSet{EvidenceChanged: []factor.VarID{factor.VarID(g.NumVars())}}
+		}},
+	} {
+		dir := t.TempDir()
+		kb, err := OpenKB(src, WithDataDir(dir), WithSeed(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := kb.Load("R", []Tuple{{"a"}, {"b"}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := kb.Init(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := kb.Materialize(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := kb.Checkpoint(ctx); err != nil {
+			t.Fatal(err)
+		}
+		g := kb.curGraph
+		if kb.engine.Drawn() || g.NumGroups() == 0 {
+			t.Fatalf("the engine drew its store, or the graph has no groups (%d)", g.NumGroups())
+		}
+		if err := kb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var bad persist.Buf
+		tc.cs(g).AppendSnapshot(&bad)
+		rewriteSnapshot(t, dir, func(kind uint32, p []byte) []byte {
+			switch {
+			case kind != tc.kind:
+				return p
+			case kind == secEngine:
+				return append(p[:10:10], bad.Bytes()...) // an undrawn engine, up to its change set
+			default:
+				return bad.Bytes()
+			}
+		})
+		back, err := OpenKB(src, WithDataDir(dir), WithSeed(3))
+		if err == nil {
+			back.CloseNow()
+			t.Fatalf("%s: OpenKB restored a change set past a graph of %d groups, %d variables", tc.name, g.NumGroups(), g.NumVars())
+		}
+		if !strings.Contains(err.Error(), "change set names") {
+			t.Fatalf("%s: OpenKB refused with %q", tc.name, err)
 		}
 	}
 }
