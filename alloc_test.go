@@ -68,11 +68,15 @@ func TestDocUpdateAllocationScaling(t *testing.T) {
 // from the last image: beside the graph compaction it allocates about one
 // image (2.3 in all here; 9.7 with a buffer per section grown by doubling,
 // then copied). A recovery cuts the KB's strings from the image it read and
-// its row, group and grounding records from slabs: an object per 84 bytes
-// of image here, not one per persisted string and record (one per 24
-// bytes). On a small durable KB those two were most of the garbage and
-// most of the live objects — the collector's pace and the cost of each
-// collection, which lands on whatever update or recovery runs meanwhile.
+// its row, group and grounding records from slabs: 9.1 k objects for an
+// image of 607 KB here, one per 69 bytes, not one per persisted string and
+// record (one per 24 bytes). Most of them come from re-parsing the program
+// and compiling its rules; with a map per rule variable set and a list
+// grown per plan step they were 16.8 k, one per 37 bytes once the image
+// stopped carrying the served graph beside the grounding it is built from.
+// On a small durable KB these were most of the garbage and most of the
+// live objects — the collector's pace and the cost of each collection,
+// which lands on whatever update or recovery runs meanwhile.
 func TestCheckpointRecoveryAllocation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("materializes the wire corpus")
@@ -156,6 +160,8 @@ func ruleUpdateAllocs(t *testing.T) (bytes, objects map[string]float64) {
 // (1 979 / 2 375 / 1 542 KB); with id-indexed bookkeeping 7 083 / 6 982 /
 // 6 757. The bound, 8 000, leaves 13 % over the largest of those; a hash
 // set per new group brings the 1 141 groups a rule adds back over it.
+// (Validating and compiling the new rule without a map per rule and a list
+// grown per plan step took them to 5 675 / 5 573 / 5 564.)
 func TestRuleUpdateAllocations(t *testing.T) {
 	const maxObjects = 8000
 	bytes, objects := ruleUpdateAllocs(t)

@@ -50,19 +50,6 @@ func (a Atom) String() string {
 	return a.Pred + "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Vars returns the distinct variable names of the atom, in order.
-func (a Atom) Vars() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, t := range a.Args {
-		if t.IsVar && !seen[t.Name] {
-			seen[t.Name] = true
-			out = append(out, t.Name)
-		}
-	}
-	return out
-}
-
 // Cond is a comparison body item.
 type Cond struct {
 	Op   string // "=", "!=", "<", "<="
@@ -186,24 +173,6 @@ func (r *Rule) String() string {
 	}
 	sb.WriteString(".")
 	return sb.String()
-}
-
-// BodyVars returns the distinct variables bound by positive body atoms.
-func (r *Rule) BodyVars() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, b := range r.Body {
-		if b.Atom == nil || b.Neg {
-			continue
-		}
-		for _, v := range b.Atom.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	return out
 }
 
 // Program is a parsed and validated DeepDive program.

@@ -177,8 +177,9 @@ func (l *lexer) next() (token, error) {
 		}
 		switch c {
 		case '(', ')', ',', '.', ':', '=', '<', '!', '@':
+			text := l.src[l.pos : l.pos+1]
 			l.advance()
-			return token{kind: tokPunct, text: string(c), line: line, col: col}, nil
+			return token{kind: tokPunct, text: text, line: line, col: col}, nil
 		}
 		return token{}, l.errorf(line, col, "unexpected character %q", string(c))
 	}

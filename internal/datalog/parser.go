@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -426,7 +427,8 @@ func validateRule(prog *Program, r *Rule) error {
 		return fmt.Errorf("datalog: %s: head %s has %d args, declared arity %d",
 			name, r.Head.Pred, len(r.Head.Args), headDecl.Arity())
 	}
-	bodyVars := map[string]bool{}
+	// The variables positive body atoms bind: a handful, so a list.
+	bound := make([]string, 0, 16)
 	for _, b := range r.Body {
 		if b.Atom == nil {
 			continue
@@ -440,47 +442,46 @@ func validateRule(prog *Program, r *Rule) error {
 				name, b.Atom.Pred, len(b.Atom.Args), d.Arity())
 		}
 		if !b.Neg {
-			for _, v := range b.Atom.Vars() {
-				bodyVars[v] = true
+			for _, t := range b.Atom.Args {
+				if t.IsVar && !slices.Contains(bound, t.Name) {
+					bound = append(bound, t.Name)
+				}
 			}
 		}
 	}
+	isBound := func(t Term) bool { return !t.IsVar || slices.Contains(bound, t.Name) }
 	// Negation and condition safety: variables must be bound positively.
 	for _, b := range r.Body {
 		if b.Atom != nil && b.Neg {
-			for _, v := range b.Atom.Vars() {
-				if !bodyVars[v] {
+			for _, t := range b.Atom.Args {
+				if !isBound(t) {
 					return fmt.Errorf("datalog: %s: variable %s in negated atom %s is not bound by a positive atom",
-						name, v, b.Atom.Pred)
+						name, t.Name, b.Atom.Pred)
 				}
 			}
 		}
 		if b.Cond != nil {
 			for _, t := range []Term{b.Cond.L, b.Cond.R} {
-				if t.IsVar && !bodyVars[t.Name] {
+				if !isBound(t) {
 					return fmt.Errorf("datalog: %s: variable %s in condition is not bound by a positive atom", name, t.Name)
 				}
 			}
 		}
 	}
 	// Range restriction: head variables bound in body (facts exempt).
-	if len(r.Body) > 0 {
-		for _, v := range r.Head.Vars() {
-			if !bodyVars[v] {
-				return fmt.Errorf("datalog: %s: head variable %s is not bound in the body", name, v)
-			}
+	for _, t := range r.Head.Args {
+		if len(r.Body) == 0 && t.IsVar {
+			return fmt.Errorf("datalog: %s: fact with variables", name)
 		}
-	} else if len(r.Head.Vars()) > 0 {
-		return fmt.Errorf("datalog: %s: fact with variables", name)
+		if !isBound(t) {
+			return fmt.Errorf("datalog: %s: head variable %s is not bound in the body", name, t.Name)
+		}
 	}
 	// Weight arguments bound in body or head.
 	if r.Weight.HasWeight && !r.Weight.IsFixed {
-		headVars := map[string]bool{}
-		for _, v := range r.Head.Vars() {
-			headVars[v] = true
-		}
 		for _, v := range r.Weight.Args {
-			if !bodyVars[v] && !headVars[v] {
+			inHead := slices.ContainsFunc(r.Head.Args, func(t Term) bool { return t.IsVar && t.Name == v })
+			if !inHead && !slices.Contains(bound, v) {
 				return fmt.Errorf("datalog: %s: weight argument %s is not bound", name, v)
 			}
 		}

@@ -207,14 +207,22 @@ func (q *Query) Compile(seed int) (*Plan, error) {
 		}
 		return src{slot: slices.Index(vars, t.Var)}
 	}
+	// The atoms' sources, the steps' probe keys and their matchers' loads
+	// are cut from one slab each, as long as the atoms' terms: each atom is
+	// patterned once, and each of its terms is a key source or a load.
+	nTerms := 0
+	for _, a := range q.Atoms {
+		nTerms += len(a.Terms)
+	}
+	termSrcs, keys, loads := make([]src, 0, nTerms), make([]src, 0, nTerms), make([]colSlot, 0, nTerms)
 	atomSrcs := make([][]src, len(q.Atoms))
 	for i, a := range q.Atoms {
-		atomSrcs[i] = make([]src, len(a.Terms))
-		for col, t := range a.Terms {
-			atomSrcs[i][col] = resolve(t)
+		for _, t := range a.Terms {
+			termSrcs = append(termSrcs, resolve(t))
 		}
+		atomSrcs[i] = termSrcs[len(termSrcs)-len(a.Terms):]
 	}
-	p := &Plan{syms: syms, nslots: len(vars)}
+	p := &Plan{syms: syms, nslots: len(vars), steps: make([]step, 0, len(q.Atoms)+len(q.Cons)), order: make([]int, 0, len(q.Atoms))}
 	bound := make([]bool, len(vars))
 	isBound := func(s src) bool { return s.slot < 0 || bound[s.slot] }
 	// loaded marks the slots the atom being patterned loads itself, by
@@ -225,20 +233,22 @@ func (q *Query) Compile(seed int) (*Plan, error) {
 	// positions become probe-key sources, the rest matcher loads/checks.
 	pattern := func(srcs []src) (keyCols []int, key []src, m matcher) {
 		calls++
+		k, b := len(keys), len(loads)
 		for col, s := range srcs {
 			if isBound(s) {
 				keyCols = append(keyCols, col)
-				key = append(key, s)
+				keys = append(keys, s)
 				continue
 			}
 			if loaded[s.slot] == calls {
 				m.same = append(m.same, colSlot{col, s.slot})
 			} else {
 				loaded[s.slot] = calls
-				m.bind = append(m.bind, colSlot{col, s.slot})
+				loads = append(loads, colSlot{col, s.slot})
 			}
 		}
-		return keyCols, key, m
+		m.bind = loads[b:len(loads):len(loads)]
+		return keyCols, keys[k:len(keys):len(keys)], m
 	}
 	// boundCols counts an atom's bound positions, as pattern would.
 	boundCols := func(srcs []src) int {

@@ -16,7 +16,9 @@ import (
 // The large pools are written as raw little-endian dumps (one memmove
 // each on LE hosts); only bodyOcc records are re-packed, into 3 int32
 // words per record. weightGen is not persisted: it only versions the
-// conditional caches, which start cold after a restart anyway.
+// conditional caches, which start cold after a restart anyway. In a KB's
+// checkpoint image the codec carries only the engine's Pr(0): a past
+// grounding, which the grounder cannot rebuild as it does the served graph.
 const graphCodecVersion = 1
 
 // AppendSnapshot encodes the graph into b.

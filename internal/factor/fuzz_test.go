@@ -142,8 +142,8 @@ func TestDecodeGraphRefusesBadOffsets(t *testing.T) {
 }
 
 // FuzzDecodeGraphSnapshot throws arbitrary graph images at
-// DecodeGraphSnapshot, the decoder recovery runs right before
-// ground.Restore. An image is refused, or it decodes to a graph that
+// DecodeGraphSnapshot, the decoder recovery runs on the engine's Pr(0)
+// graph. An image is refused, or it decodes to a graph that
 // re-encodes to exactly that image and whose evaluators walk it without
 // panicking (every group's nested view, every variable's adjacency and
 // blanket, the graph induced on all variables); the decoder never panics

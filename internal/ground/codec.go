@@ -15,18 +15,18 @@ import (
 // order preserved), the grounding version, and the grounder's record slabs
 // as bulk arrays in creation order — the variable keys, liveness and
 // evidence counts; the weight keys, initial values and learn flags; each
-// group's (rule, head, weight, semantics); each grounding's (group, count,
-// flat-pool handle), then every binding key and every literal. NOT
-// persisted, rebuilt on Restore: the compiled rules — the caller re-parses
-// the persisted program source and hands it to Restore, which compiles the
-// rules in declaration order against the restored symbol table (it holds
-// every rule constant) and so reproduces the same rule indexes, weight
-// keys, and topo order —, the offsets of variable keys, binding keys and
-// literals (their widths follow from the relations and the rules), each
-// group's grounding chain (from the groundings' order), and the lookup
-// tables (varTab, weightIdx, groupTab, gndTab). An image of another
-// version is refused.
-const grounderCodecVersion = 3
+// group's (rule, head, weight, semantics); each grounding's (group, count),
+// then every binding key and every literal. NOT persisted, rebuilt on
+// Restore: the compiled rules — the caller re-parses the persisted program
+// source and hands it to Restore, which compiles the rules in declaration
+// order against the restored symbol table (it holds every rule constant)
+// and so reproduces the same rule indexes, weight keys, and topo order —,
+// the offsets of variable keys, binding keys and literals (their widths
+// follow from the relations and the rules), each group's grounding chain
+// (from the groundings' order), the lookup tables (varTab, weightIdx,
+// groupTab, gndTab), and the factor graph with the groundings' flat-pool
+// handles, which the first Graph call builds. Another version is refused.
+const grounderCodecVersion = 4
 
 // AppendSnapshot encodes the grounder's dynamic state into b.
 func (g *Grounder) AppendSnapshot(b *persist.Buf) {
@@ -56,7 +56,7 @@ func (g *Grounder) AppendSnapshot(b *persist.Buf) {
 	b.U32s(groups)
 	gnds := make([]int32, 0, gndWords*len(g.gnds))
 	for _, gnd := range g.gnds {
-		gnds = append(gnds, gnd.group, gnd.count, gnd.flatID)
+		gnds = append(gnds, gnd.group, gnd.count)
 	}
 	b.I32s(gnds)
 	b.U32s(g.gndKeys)
@@ -73,16 +73,15 @@ func (g *Grounder) AppendSnapshot(b *persist.Buf) {
 // The words a group and a grounding take in the snapshot's arrays.
 const (
 	groupWords = 4 // rule, head, weight, semantics
-	gndWords   = 3 // group, count, flatID
+	gndWords   = 2 // group, count
 )
 
 // Restore builds the grounder AppendSnapshot encoded into rd, for the
 // program it was encoded with (the persisted program source, re-parsed):
 // its symbol table is decoded first and the program's rules compile
 // against it — in declaration order, reproducing the rule indexes, weight
-// keys and topo order — finding every constant already there. cur becomes
-// the grounder's cached current graph, so Graph() serves it without a
-// rebuild.
+// keys and topo order — finding every constant already there. The first
+// Graph call builds the factor graph, with the weights' initial values.
 //
 // The image is checked as it is read: an image this program could not
 // have written — another codec version, a symbol table without the
@@ -91,18 +90,18 @@ const (
 // shape, a reference past a table, a count below zero, a key stored
 // twice, trailing bytes — is refused, so a grounder restored from any
 // accepted image re-encodes to exactly that image.
-func Restore(prog *datalog.Program, udfs UDFRegistry, rd *persist.Rd, cur *factor.Graph) (*Grounder, error) {
+func Restore(prog *datalog.Program, udfs UDFRegistry, rd *persist.Rd) (*Grounder, error) {
 	g, err := newGrounder(prog, udfs)
 	if err != nil {
 		return nil, err
 	}
-	if err := g.restore(rd, cur); err != nil {
+	if err := g.restore(rd); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-func (g *Grounder) restore(rd *persist.Rd, cur *factor.Graph) error {
+func (g *Grounder) restore(rd *persist.Rd) error {
 	if v := rd.U8("grounder version"); rd.Err() == nil && v != grounderCodecVersion {
 		return fmt.Errorf("ground: unsupported grounder codec version %d (this build reads %d)", v, grounderCodecVersion)
 	}
@@ -226,9 +225,9 @@ func (g *Grounder) restore(rd *persist.Rd, cur *factor.Graph) error {
 	g.lits = make([]factor.Literal, 0, withRoom(len(lits)))
 	for w := 0; w < len(gnds); w += gndWords {
 		k := len(g.gnds)
-		gi, count, flatID := gnds[w], gnds[w+1], gnds[w+2]
-		if gi < 0 || int(gi) >= len(g.groups) || count < 0 || flatID < -1 {
-			return fmt.Errorf("ground: corrupt grounding %d: group %d, count %d, flatID %d", k, gi, count, flatID)
+		gi, count := gnds[w], gnds[w+1]
+		if gi < 0 || int(gi) >= len(g.groups) || count < 0 {
+			return fmt.Errorf("ground: corrupt grounding %d: group %d, count %d", k, gi, count)
 		}
 		re := byIdx[g.groups[gi].rule]
 		keyEnd, litEnd := len(g.gndKeys)+len(re.keySlots), len(g.lits)+len(re.lits)
@@ -246,7 +245,7 @@ func (g *Grounder) restore(rd *persist.Rd, cur *factor.Graph) error {
 		for _, e := range lits[len(g.lits):litEnd] {
 			g.lits = append(g.lits, factor.Literal{Var: factor.VarID(e >> 1), Neg: e&1 == 1})
 		}
-		g.gnds[k].count, g.gnds[k].flatID = count, flatID
+		g.gnds[k].count = count
 		if count > 0 {
 			g.nGroundings++
 		}
@@ -260,8 +259,6 @@ func (g *Grounder) restore(rd *persist.Rd, cur *factor.Graph) error {
 	if !rd.Done() {
 		return fmt.Errorf("ground: trailing bytes after the grounder image")
 	}
-	g.lastGraph = cur
-	g.graphDirty = cur == nil
 	return nil
 }
 

@@ -272,8 +272,9 @@ func BenchmarkGroundDocDelta(b *testing.B) {
 // image of a grounded spouse corpus of 500 and 2 000 sentences read back by
 // Restore — the symbol table, the relations with their row tables, the
 // variable, weight, group and grounding slabs, and the lookup tables
-// rebuilt over them — what a recovery spends on the grounder. (The graph
-// it is handed is nil: the graph image has a decoder of its own.)
+// rebuilt over them — what a recovery spends decoding the grounder. (The
+// factor graph is not in the image: recovery's first Graph call builds it
+// from the restored tables.)
 func BenchmarkGroundRestore(b *testing.B) {
 	prog := datalog.MustParse(spouseSrc)
 	for _, sentences := range []int{500, 2000} {
@@ -284,7 +285,7 @@ func BenchmarkGroundRestore(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				if _, err := Restore(prog, testUDFs(), persist.NewRd(img.Bytes()), nil); err != nil {
+				if _, err := Restore(prog, testUDFs(), persist.NewRd(img.Bytes())); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package ground
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"deepdive/internal/datalog"
@@ -107,6 +108,7 @@ func (g *Grounder) compileRule(r *datalog.Rule, idx int) (*ruleEval, error) {
 		re.udf = udf
 	}
 	var litAtoms []*datalog.Atom
+	re.query.Atoms = make([]db.QueryAtom, 0, len(r.Body)+1)
 	for _, item := range r.Body {
 		if item.Cond != nil {
 			re.query.Cons = append(re.query.Cons, db.Constraint{Op: item.Cond.Op, L: toTerm(item.Cond.L), R: toTerm(item.Cond.R)})
@@ -132,15 +134,13 @@ func (g *Grounder) compileRule(r *datalog.Rule, idx int) (*ruleEval, error) {
 		}
 	}
 
-	slotOf := map[string]int{}
-	for i, v := range re.query.Vars() {
-		slotOf[v] = i
-	}
+	vars := re.query.Vars()
+	slotOf := func(name string) int { return slices.Index(vars, name) }
 	spec := func(a *datalog.Atom) atomSpec {
 		s := atomSpec{seq: g.relSeq[a.Pred], args: make([]argSrc, len(a.Args))}
 		for i, t := range a.Args {
 			if t.IsVar {
-				s.args[i] = argSrc{slot: slotOf[t.Name]}
+				s.args[i] = argSrc{slot: slotOf(t.Name)}
 			} else {
 				s.args[i] = argSrc{slot: -1, val: re.syms.Intern(t.Value)}
 			}
@@ -154,17 +154,26 @@ func (g *Grounder) compileRule(r *datalog.Rule, idx int) (*ruleEval, error) {
 	for _, a := range litAtoms {
 		re.lits = append(re.lits, spec(a))
 	}
-	seen := map[string]bool{}
-	for _, v := range append(r.Head.Vars(), r.BodyVars()...) {
-		if !seen[v] {
-			seen[v] = true
-			re.keySlots = append(re.keySlots, slotOf[v])
+	// The key: the head's variables, then those the positive body atoms
+	// bind, each once.
+	re.keySlots = make([]int, 0, len(vars))
+	keyVars := func(a *datalog.Atom) {
+		for _, t := range a.Args {
+			if s := slotOf(t.Name); t.IsVar && !slices.Contains(re.keySlots, s) {
+				re.keySlots = append(re.keySlots, s)
+			}
+		}
+	}
+	keyVars(&r.Head)
+	for _, item := range r.Body {
+		if item.Atom != nil && !item.Neg {
+			keyVars(item.Atom)
 		}
 	}
 	re.wprefix = "w:" + strconv.Itoa(idx)
 	if w := r.Weight; !w.IsFixed {
 		for _, arg := range w.Args {
-			re.weightArgs = append(re.weightArgs, slotOf[arg])
+			re.weightArgs = append(re.weightArgs, slotOf(arg))
 		}
 		re.wprefix += ":"
 		if re.udf != nil {

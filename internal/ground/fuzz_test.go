@@ -76,7 +76,7 @@ func restoreSeeds(t testing.TB) [][]byte {
 func restoreAllocs(prog *datalog.Program, p []byte) (*Grounder, uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	g, err := Restore(prog, testUDFs(), persist.NewRd(p), nil)
+	g, err := Restore(prog, testUDFs(), persist.NewRd(p))
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		g = nil
@@ -107,7 +107,8 @@ func TestRestoreAllocationBound(t *testing.T) {
 }
 
 // FuzzRestoreGrounder throws arbitrary grounder images at Restore. An image
-// is refused, or it restores a grounder whose re-encoded image equals it;
+// is refused, or it restores a grounder whose re-encoded image equals it
+// and whose factor graph builds — recovery builds it right after Restore;
 // Restore never panics, and allocates in proportion to the image — counts
 // are bounded by the bytes left to back them (persist.Rd.Count) — never to
 // a count the image claims.
@@ -133,6 +134,9 @@ func FuzzRestoreGrounder(f *testing.F) {
 		g.AppendSnapshot(&b)
 		if !bytes.Equal(b.Bytes(), p) {
 			t.Fatalf("a restored image of %d bytes re-encodes to %d other bytes", len(p), b.Len())
+		}
+		if gr := g.Graph(); gr.NumVars() != g.NumVars() || gr.NumGroups() != len(g.groups) {
+			t.Fatalf("a restored grounder of %d variables and %d groups builds a graph of %d and %d", g.NumVars(), len(g.groups), gr.NumVars(), gr.NumGroups())
 		}
 	})
 }

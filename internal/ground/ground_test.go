@@ -754,20 +754,22 @@ Class(x) :- R(x, f) weight = 0.5.
 		g.AppendSnapshot(&b)
 		return b.Bytes()
 	}
-	// Graph numbers the groundings the snapshot records; the restored
-	// grounder patches a decoded copy of it, as a restored KB does.
-	var gb persist.Buf
-	live.Graph().AppendSnapshot(&gb)
-	graph, err := factor.DecodeGraphSnapshot(persist.NewRd(gb.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(datalog.MustParse(src), nil, persist.NewRdOwned(image(live)), graph)
+	restored, err := Restore(datalog.MustParse(src), nil, persist.NewRdOwned(image(live)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(image(restored), image(live)) {
 		t.Fatal("the restored grounder encodes another snapshot than the one it was restored from")
+	}
+	// The restored grounder builds its graph from the restored tables, as a
+	// restored KB does, numbering the groundings as the live one's did.
+	graphImage := func(g *Grounder) []byte {
+		var b persist.Buf
+		g.Graph().AppendSnapshot(&b)
+		return b.Bytes()
+	}
+	if !bytes.Equal(graphImage(restored), graphImage(live)) {
+		t.Fatal("the restored grounder builds another graph than the live one's")
 	}
 	for _, u := range []Update{
 		{Inserts: map[string][]db.Tuple{"R": {{"edge", "f100"}, {"one", "f1"}, {"wide", "f100"}}}},
@@ -871,11 +873,7 @@ func TestSnapshotGroupKeys(t *testing.T) {
 		bmust(t, err)
 		return rule
 	}
-	var vb persist.Buf
-	graph.AppendSnapshot(&vb)
-	cur, err := factor.DecodeGraphSnapshot(persist.NewRd(vb.Bytes()))
-	bmust(t, err)
-	restored, err := Restore(datalog.MustParse(spouseSrc+symRule), testUDFs(), persist.NewRdOwned(append([]byte(nil), image...)), cur)
+	restored, err := Restore(datalog.MustParse(spouseSrc+symRule), testUDFs(), persist.NewRdOwned(append([]byte(nil), image...)))
 	bmust(t, err)
 	rules := map[int]int{}
 	for gi, key := range groups {

@@ -20,8 +20,8 @@ import (
 // from the Pr(0) graph and the seed on its first read and draws the worlds
 // the original would have drawn. NOT persisted: the options (the caller
 // reopens with the same configuration, like any config) and the Pr(0)
-// graph (serialized separately by the caller — it may be shared with the
-// current graph). Version 2 added the deferred step's flag.
+// graph (the caller serializes it in a section of its own). Version 2
+// added the deferred step's flag.
 const engineCodecVersion = 2
 
 // AppendSnapshot encodes the engine's dynamic state into b. It draws

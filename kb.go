@@ -181,7 +181,7 @@ func OpenKB(source string, opts ...Option) (*KB, error) {
 		if err := os.MkdirAll(o.DataDir, 0o755); err != nil {
 			return nil, err
 		}
-		kb, err := recoverKB(source, o)
+		kb, err := recoverKB(o)
 		if err != nil {
 			return nil, err
 		}

@@ -19,10 +19,11 @@ package deepdive
 // the commit it describes (write-ahead), so recovery never finds a
 // committed-but-unlogged mutation. Recovery opens the newest snapshot
 // that validates (falling back generation by generation), restores the
-// grounder, databases, factor graphs, engine, and sample store exactly,
-// and replays the WAL tail through the ordinary Apply path — which is
-// deterministic for a fixed configuration, so the recovered marginals
-// are bit-identical to a process that never crashed.
+// grounder, databases, engine, and sample store exactly, rebuilds the
+// served factor graph from the grounder (the image holds its weights, not
+// the graph), and replays the WAL tail through the ordinary Apply path —
+// which is deterministic for a fixed configuration, so the recovered
+// marginals are bit-identical to a process that never crashed.
 //
 // Crash windows. Every kill point lands in a recoverable state:
 //
@@ -62,17 +63,19 @@ const kbSnapMagic uint64 = 0x31504e53424b4444
 // counter, v5 dropped the probe-skip counter again, v6 carries the grounder
 // as rows and keys of symbol ids, v7 carries its variables, groups and
 // groundings as bulk arrays, v8 an engine section that may defer its store
-// and approximation: engine codec 2); Open rejects snapshots from other
-// versions rather than guessing.
-const kbSnapVersion = 8
+// and approximation: engine codec 2, v9 the served graph's weights in place
+// of the graph, and groundings without their flat-pool handles: grounder
+// codec 4); Open rejects snapshots from other versions rather than
+// guessing.
+const kbSnapVersion = 9
 
 // Snapshot section kinds.
 const (
 	secMeta     = 1 // format version, generations, tickets, seeds
 	secProgram  = 2 // full program source (base rules + applied updates)
 	secGrounder = 3 // grounding tables, including every db relation
-	secGraphCur = 4 // the served factor graph (frozen CSR pools)
-	secGraphOld = 5 // the engine's Pr(0) graph, when distinct from cur
+	secWeights  = 4 // the served graph's weights; the graph is rebuilt from the grounder
+	secGraphOld = 5 // the engine's Pr(0) graph (frozen CSR pools), with the engine
 	secEngine   = 6 // drawn flag, sample store, variational materialization, accum
 	secMarg     = 7 // published marginal vector
 	secPending  = 8 // carried change set of unpublished grounded deltas
@@ -264,10 +267,10 @@ func (kb *KB) checkpoint(ctx context.Context, auto bool) error {
 		return fmt.Errorf("deepdive: Checkpoint before Init")
 	}
 
-	// Compact: rebuild the flat pools from the grounding tables so the
-	// snapshot's base carries no patch overflow, and install the rebuilt
-	// graph as the served one (group order and flat handles are stable
-	// across the rebuild, so change-set indexes stay valid).
+	// Compact: rebuild the flat pools from the grounding tables and install
+	// the rebuilt graph as the served one (group order and flat handles are
+	// stable across the rebuild, so change-set indexes stay valid): recovery
+	// rebuilds this graph from the restored grounder.
 	kb.grounder.MarkGraphDirty()
 	kb.publishLocked()
 
@@ -350,16 +353,14 @@ func (kb *KB) encodeSnapshotLocked(walGen uint64) []byte {
 	kb.grounder.AppendSnapshot(&e.Buf)
 	e.End()
 
-	e.Begin(secGraphCur)
-	kb.curGraph.AppendSnapshot(&e.Buf)
+	e.Begin(secWeights)
+	e.F64s(kb.curGraph.Weights())
 	e.End()
 
 	if kb.engine != nil {
-		if old := kb.engine.OldGraph(); old != kb.curGraph {
-			e.Begin(secGraphOld)
-			old.AppendSnapshot(&e.Buf)
-			e.End()
-		}
+		e.Begin(secGraphOld)
+		kb.engine.OldGraph().AppendSnapshot(&e.Buf)
+		e.End()
 		e.Begin(secEngine)
 		kb.engine.AppendSnapshot(&e.Buf)
 		e.End()
@@ -426,7 +427,7 @@ func (kb *KB) Recovered() bool { return kb.recovered }
 // (nil, nil) when the directory holds no snapshot (fresh start); an
 // error when snapshots exist but none is usable (surfacing corruption
 // rather than silently discarding state).
-func recoverKB(source string, o Options) (*KB, error) {
+func recoverKB(o Options) (*KB, error) {
 	gens, err := persistGens(o.DataDir, "snap-", ".ddkb")
 	if err != nil {
 		return nil, err
@@ -436,7 +437,7 @@ func recoverKB(source string, o Options) (*KB, error) {
 	}
 	var lastErr error
 	for i := len(gens) - 1; i >= 0; i-- {
-		kb, err := restoreKB(source, o, gens[i])
+		kb, err := restoreKB(o, gens[i])
 		if err != nil {
 			lastErr = err
 			continue
@@ -464,10 +465,10 @@ func sectionRd(secs []persist.Section, kind uint32, name string) (*persist.Rd, e
 // includes every rule update applied before the checkpoint — and ground
 // by a fresh Grounder, reproducing the original rule indexes, weight
 // keys, and topo order; the caller's source is superseded (it must be
-// the same base program). The caller's UDFs and runtime options apply
-// as configuration, exactly as on first open.
-func restoreKB(source string, o Options, gen uint64) (*KB, error) {
-	_ = source
+// the same base program). The served graph is the restored grounder's
+// rebuild, carrying the persisted weights. The caller's UDFs and runtime
+// options apply as configuration, exactly as on first open.
+func restoreKB(o Options, gen uint64) (*KB, error) {
 	data, err := os.ReadFile(snapPath(o.DataDir, gen))
 	if err != nil {
 		return nil, err
@@ -509,23 +510,29 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 	for name, f := range o.UDFs {
 		udfs[name] = f
 	}
-	crd, err := sectionRd(secs, secGraphCur, "current graph")
-	if err != nil {
-		return nil, err
-	}
-	curG, err := factor.DecodeGraphSnapshot(crd)
-	if err != nil {
-		return nil, err
-	}
 	grd, err := sectionRd(secs, secGrounder, "grounder")
 	if err != nil {
 		return nil, err
 	}
-	g, err := ground.Restore(prog, udfs, grd, curG)
+	g, err := ground.Restore(prog, udfs, grd)
 	if err != nil {
 		return nil, err
 	}
 	g.SetParallelism(o.Parallelism)
+	// The served graph is the grounding's rebuild, which Checkpoint
+	// compacted to: all it lacks is the learned weights.
+	wrd, err := sectionRd(secs, secWeights, "weights")
+	if err != nil {
+		return nil, err
+	}
+	curG, weights := g.Graph(), wrd.F64s("weights")
+	if err := wrd.Err(); err != nil {
+		return nil, err
+	}
+	if len(weights) != curG.NumWeights() {
+		return nil, fmt.Errorf("deepdive: snapshot holds %d weights, its grounding has %d", len(weights), curG.NumWeights())
+	}
+	curG.SetWeights(weights)
 
 	kb := &KB{opts: o, grounder: g, snapBytes: len(data)}
 	kb.seqCond = sync.NewCond(&kb.seqMu)
@@ -539,12 +546,13 @@ func restoreKB(source string, o Options, gen uint64) (*KB, error) {
 	kb.epoch.Store(epoch)
 
 	if eb := persist.FindSection(secs, secEngine); eb != nil {
-		oldG := curG
-		if ob := persist.FindSection(secs, secGraphOld); ob != nil {
-			oldG, err = factor.DecodeGraphSnapshot(persist.NewRdOwned(ob))
-			if err != nil {
-				return nil, err
-			}
+		ord, err := sectionRd(secs, secGraphOld, "Pr(0) graph")
+		if err != nil {
+			return nil, err
+		}
+		oldG, err := factor.DecodeGraphSnapshot(ord)
+		if err != nil {
+			return nil, err
 		}
 		eng, err := inc.RestoreEngine(oldG, kb.engineOpts(engineSeed), persist.NewRdOwned(eb))
 		if err != nil {

@@ -7,15 +7,18 @@ package deepdive_test
 // behind BENCH_persist.json.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"deepdive"
+	"deepdive/internal/persist"
 )
 
 // persistSpouseKB is spouseKB for any testing.TB (benchmarks included):
@@ -188,12 +191,14 @@ func TestCheckpointRestart(t *testing.T) {
 		}
 	}
 	want := spouseBits(kb)
+	wantGraph, wantWeights := servedImage(kb)
 	learned := kb.Stats().Learned
 	bmust(t, kb.Close())
 
 	// Restart replays the three logged updates on top of the snapshot.
 	kb2 := reopenSpouseKB(t, dir)
 	assertSameBits(t, want, spouseBits(kb2), "after restart")
+	assertSameServed(t, wantGraph, wantWeights, kb2, "after restart")
 	// The restored KB ran none of the from-scratch passes: it records none.
 	if st := kb2.Stats(); learned == (deepdive.Solved{}) || st.Learned != (deepdive.Solved{}) ||
 		st.Inferred != (deepdive.Solved{}) || st.Materialized != (deepdive.Solved{}) {
@@ -205,19 +210,63 @@ func TestCheckpointRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	bmust(t, kb2.Checkpoint(ctx))
+	// A delete right after the checkpoint is patched in, tombstoning
+	// groundings of the compacted graph by their flat-pool handles; replay
+	// repeats it on the graph recovery derives from the restored grounding,
+	// by the handles that derivation assigned.
+	candidates := len(spouseBits(kb2))
+	if _, err := kb2.Apply(ctx, deepdive.Update{Deletes: map[string][]deepdive.Tuple{
+		"PersonMention": docDelta(0).Inserts["PersonMention"][:1],
+	}}); err != nil {
+		t.Fatal(err)
+	}
 	want2 := spouseBits(kb2)
+	wantGraph, wantWeights = servedImage(kb2)
+	if g, _ := kb2.Served(); !g.Patched() || len(want2) >= candidates {
+		t.Fatalf("the delete compacted the graph, or left %d of %d candidates", len(want2), candidates)
+	}
 	bmust(t, kb2.Close())
 
-	// Second restart lands on the new snapshot with an empty WAL tail.
+	// Second restart lands on the new snapshot and replays the delete: the
+	// served graph — derived from the restored grounding, carrying the
+	// persisted weights, then patched — is the live one, byte for byte.
 	kb3 := reopenSpouseKB(t, dir)
 	defer kb3.Close()
 	assertSameBits(t, want2, spouseBits(kb3), "after second restart")
+	assertSameServed(t, wantGraph, wantWeights, kb3, "after second restart")
 
 	// Only the newest generation survives a successful checkpoint.
 	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.ddkb"))
 	bmust(t, err)
 	if len(snaps) != 1 {
 		t.Fatalf("stale snapshots not removed: %v", snaps)
+	}
+}
+
+// servedImage returns the encoded image of the graph the KB serves and a
+// copy of its weights.
+func servedImage(kb *deepdive.KB) ([]byte, []float64) {
+	g, _ := kb.Served()
+	var b persist.Buf
+	g.AppendSnapshot(&b)
+	return b.Bytes(), slices.Clone(g.Weights())
+}
+
+// assertSameServed checks that kb serves the graph whose image and weights
+// servedImage recorded, bit for bit.
+func assertSameServed(tb testing.TB, image []byte, weights []float64, kb *deepdive.KB, label string) {
+	tb.Helper()
+	gotImage, gotWeights := servedImage(kb)
+	if len(gotWeights) != len(weights) {
+		tb.Fatalf("%s: %d weights served, want %d", label, len(gotWeights), len(weights))
+	}
+	for i, w := range weights {
+		if math.Float64bits(gotWeights[i]) != math.Float64bits(w) {
+			tb.Fatalf("%s: weight %d is %v, want %v", label, i, gotWeights[i], w)
+		}
+	}
+	if !bytes.Equal(gotImage, image) {
+		tb.Fatalf("%s: the served graph's image differs (%d bytes, want %d)", label, len(gotImage), len(image))
 	}
 }
 

@@ -149,7 +149,9 @@ func rewriteSnapshot(t *testing.T, dir string, edit func(kind uint32, p []byte) 
 // carries — the engine's accumulated one and the KB's pending one — index
 // the current graph, and OpenKB refuses an image in which either names a
 // group or a variable past it, before an update would size a bitset by the
-// id or score a group the graph does not have.
+// id or score a group the graph does not have. It refuses, too, a weight
+// vector longer or shorter than the weight table of the graph recovery
+// derives from the grounding, rather than install it.
 func TestRestoreRefusesChangeSetsPastTheGraph(t *testing.T) {
 	const src = `
 @relation R(x).
@@ -158,20 +160,39 @@ Cand: Q(x) :- R(x).
 F: Q(x) :- R(x) weight = 0.5.
 `
 	ctx := context.Background()
+	changeSet := func(cs inc.ChangeSet) []byte {
+		var b persist.Buf
+		cs.AppendSnapshot(&b)
+		return b.Bytes()
+	}
+	weights := func(n int) []byte {
+		var b persist.Buf
+		b.F64s(make([]float64, n))
+		return b.Bytes()
+	}
+	// engine keeps an undrawn engine's image up to its change set.
+	engine := func(p []byte, cs inc.ChangeSet) []byte { return append(p[:10:10], changeSet(cs)...) }
 	for _, tc := range []struct {
 		name string
 		kind uint32
-		cs   func(g *factor.Graph) inc.ChangeSet
+		edit func(g *factor.Graph, p []byte) []byte
+		want string
 	}{
-		{"accumulated group", secEngine, func(g *factor.Graph) inc.ChangeSet {
-			return inc.ChangeSet{ChangedNew: []int32{int32(g.NumGroups())}}
-		}},
-		{"accumulated group 2³¹−1", secEngine, func(g *factor.Graph) inc.ChangeSet {
-			return inc.ChangeSet{ChangedOld: []int32{1<<31 - 1}}
-		}},
-		{"pending variable", secPending, func(g *factor.Graph) inc.ChangeSet {
-			return inc.ChangeSet{EvidenceChanged: []factor.VarID{factor.VarID(g.NumVars())}}
-		}},
+		{"accumulated group", secEngine, func(g *factor.Graph, p []byte) []byte {
+			return engine(p, inc.ChangeSet{ChangedNew: []int32{int32(g.NumGroups())}})
+		}, "change set names"},
+		{"accumulated group 2³¹−1", secEngine, func(g *factor.Graph, p []byte) []byte {
+			return engine(p, inc.ChangeSet{ChangedOld: []int32{1<<31 - 1}})
+		}, "change set names"},
+		{"pending variable", secPending, func(g *factor.Graph, _ []byte) []byte {
+			return changeSet(inc.ChangeSet{EvidenceChanged: []factor.VarID{factor.VarID(g.NumVars())}})
+		}, "change set names"},
+		{"one weight short", secWeights, func(g *factor.Graph, _ []byte) []byte {
+			return weights(g.NumWeights() - 1)
+		}, "weights"},
+		{"one weight over", secWeights, func(g *factor.Graph, _ []byte) []byte {
+			return weights(g.NumWeights() + 1)
+		}, "weights"},
 	} {
 		dir := t.TempDir()
 		kb, err := OpenKB(src, WithDataDir(dir), WithSeed(3))
@@ -197,24 +218,18 @@ F: Q(x) :- R(x) weight = 0.5.
 		if err := kb.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var bad persist.Buf
-		tc.cs(g).AppendSnapshot(&bad)
 		rewriteSnapshot(t, dir, func(kind uint32, p []byte) []byte {
-			switch {
-			case kind != tc.kind:
+			if kind != tc.kind {
 				return p
-			case kind == secEngine:
-				return append(p[:10:10], bad.Bytes()...) // an undrawn engine, up to its change set
-			default:
-				return bad.Bytes()
 			}
+			return tc.edit(g, p)
 		})
 		back, err := OpenKB(src, WithDataDir(dir), WithSeed(3))
 		if err == nil {
 			back.CloseNow()
-			t.Fatalf("%s: OpenKB restored a change set past a graph of %d groups, %d variables", tc.name, g.NumGroups(), g.NumVars())
+			t.Fatalf("%s: OpenKB restored the image over a graph of %d groups, %d variables, %d weights", tc.name, g.NumGroups(), g.NumVars(), g.NumWeights())
 		}
-		if !strings.Contains(err.Error(), "change set names") {
+		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: OpenKB refused with %q", tc.name, err)
 		}
 	}
