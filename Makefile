@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-serving race-serve race-pipeline race-persist bench-harness figures-smoke soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-ground bench-finish bench-incupdate bench-replicas bench-serving bench-hotpath bench-hotpath-full bench-pipeline bench-pipeline-full bench-persist profile
+.PHONY: check fmt vet build test race race-serving race-serve race-pipeline race-persist bench-harness figures-smoke soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-ground bench-finish profile
 
 # Everything CI runs. (go test ./... includes the short soak; the full
 # acceptance-length soak is `make soak`.)
@@ -100,10 +100,10 @@ race-persist:
 # the full HTTP serving stack, asserting zero acked-update loss, zero
 # read/health-probe unavailability, typed-only refusals, auto-repair
 # with no operator action, a bit-identical crash-restart coda, and the
-# wedged auto-repair lesion. `chaos` runs a 10s window and records
-# BENCH_chaos.json; `chaos-smoke` runs the short default window.
+# wedged auto-repair lesion. `chaos` runs a 10s window; `chaos-smoke`
+# runs the short default window.
 chaos:
-	CHAOS_SECONDS=10 CHAOS_JSON=BENCH_chaos.json $(GO) test -race -count=1 -run 'TestChaosSoak' -v -timeout 20m .
+	CHAOS_SECONDS=10 $(GO) test -race -count=1 -run 'TestChaosSoak' -v -timeout 20m .
 
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSoak' .
@@ -155,53 +155,6 @@ bench-ground:
 # CI runs it as the finish-stage smoke.
 bench-finish:
 	$(GO) test -bench='ApplyDocDelta|ApplyRuleDelta|^BenchmarkMaterialize$$|InferFromScratch|LearnFromScratch' -benchtime=1x -run=xxx .
-
-# Δ-vs-full graph update cost (results recorded in BENCH_incupdate.json).
-bench-incupdate:
-	$(GO) test -bench='ApplyUpdatePatched|ApplyUpdateRebuild' -run=xxx .
-
-# Replica vs sharded sampler throughput (results recorded in
-# BENCH_replicas.json). The smoke variant runs the 1-worker pair once.
-bench-replicas:
-	$(GO) test -bench='ReplicaVsShardedCorpus/mode=(sharded|replica)/workers=1$$' -benchtime=1x -run=xxx .
-
-# Snapshot-read throughput with and without a concurrent writer (results
-# recorded in BENCH_serving.json). Smoke: one short cell per column.
-bench-serving:
-	$(GO) test -bench='ServingThroughput/readers=1' -benchtime=0.1s -run=xxx .
-
-# Gibbs hot-path suite (results recorded in BENCH_hotpath.json): corpus
-# sweep throughput on all three runtimes, the near-convergence regime the
-# conditional cache targets (with its no-cache lesion), and the
-# estimator/store micro-benchmarks. The smoke variant runs one short
-# near-convergence cell.
-bench-hotpath:
-	$(GO) test -bench='SamplerNearConvergenceCorpus/mode=sequential$$' -benchtime=1x -run=xxx .
-
-# Full hot-path sweep, one iteration of the min-of-6 protocol.
-bench-hotpath-full:
-	$(GO) test -bench='SamplerSequentialCorpus$$|SamplerParallelCorpus$$|SamplerNearConvergenceCorpus|ReplicaVsShardedCorpus/mode=(sharded|replica)/workers=4$$' -benchtime=400ms -run=xxx .
-	$(GO) test ./internal/gibbs -bench='EstimatorObserve|StoreAdd' -benchtime=200ms -run=xxx
-
-# Stage-overlapped update pipeline vs the serialized queue, plus the
-# sharded delta-grounding bench (results recorded in BENCH_pipeline.json;
-# run each with -count=6 and take minima for the recorded protocol). The
-# smoke variant runs one short extractor-regime pair.
-bench-pipeline:
-	$(GO) test -bench='PipelineThroughput/udf=extractor' -benchtime=1x -run=xxx .
-	$(GO) test -bench='ApplyUpdateParallel/udf=extractor' -benchtime=1x -run=xxx ./internal/ground/
-
-# Full pipeline suite, one iteration of the min-of-6 protocol.
-bench-pipeline-full:
-	$(GO) test -bench='PipelineThroughput' -benchtime=4x -run=xxx .
-	$(GO) test -bench='ApplyUpdateParallel' -benchtime=3x -run=xxx ./internal/ground/
-
-# Cold start from snapshot vs re-materializing from scratch at the same
-# sample budget, plus WAL replay throughput (results recorded in
-# BENCH_persist.json; run with -benchtime=2s -count=6 and take minima
-# for the recorded protocol). The smoke variant runs each once.
-bench-persist:
-	$(GO) test -bench='ColdStartFromSnapshot|RematerializeFromScratch|WALReplay' -benchtime=1x -run=xxx .
 
 # CPU-profile the corpus sweep benchmark under pprof; cmd/deepdive takes
 # the same -cpuprofile/-memprofile flags for whole-pipeline profiles.

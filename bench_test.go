@@ -6,7 +6,6 @@
 package deepdive_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -410,204 +409,6 @@ func BenchmarkSamplerParallelCorpus(b *testing.B) {
 		s.Sweep()
 	}
 	b.ReportMetric(float64(s.NumFree()*b.N)/b.Elapsed().Seconds(), "samples/s")
-}
-
-// ---- Near-convergence sweeps on a sharpened corpus graph ---------------
-//
-// BenchmarkSamplerNearConvergenceCorpus measures sweep throughput at
-// stationarity on a sharpened copy of the corpus graph: every weight is
-// set to a strong nonzero value (the freshly grounded graph's learnable
-// weights are all zero, leaving conditionals at coin flips — a trained
-// model is sharp instead), so the conditionals saturate and most
-// resamples keep the current value. This is the regime the Markov-blanket
-// conditional cache targets — a sweep where almost no variable flips
-// should cost almost no adjacency walks. Results are recorded in
-// BENCH_hotpath.json.
-
-var (
-	sharpGraphOnce sync.Once
-	sharpGraphVal  *factor.Graph
-)
-
-// sharpCorpusGraph returns a private copy of the corpus graph with
-// strong deterministic weights (the shared corpusGraph must stay
-// untouched for the other benchmarks).
-func sharpCorpusGraph(b *testing.B) *factor.Graph {
-	b.Helper()
-	base := corpusGraph(b)
-	sharpGraphOnce.Do(func() {
-		g := factor.NewBuilderFrom(base).MustBuild()
-		for w := 0; w < g.NumWeights(); w++ {
-			g.SetWeight(factor.WeightID(w), 1.5+float64(w%3))
-		}
-		sharpGraphVal = g
-	})
-	return sharpGraphVal
-}
-
-func BenchmarkSamplerNearConvergenceCorpus(b *testing.B) {
-	g := sharpCorpusGraph(b)
-	b.Run("mode=sequential", func(b *testing.B) {
-		s := gibbs.New(g, 1)
-		s.Run(50) // settle into stationarity before the timer
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Sweep()
-		}
-		b.ReportMetric(float64(s.NumFree()*b.N)/b.Elapsed().Seconds(), "samples/s")
-	})
-	b.Run("mode=sequential-nocache", func(b *testing.B) {
-		// Lesion: identical chain with the conditional cache disabled —
-		// the fused-kernel-only cost, isolating the cache's contribution.
-		s := gibbs.New(g, 1)
-		s.State.SetConditionalCache(false)
-		s.Run(50)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Sweep()
-		}
-		b.ReportMetric(float64(s.NumFree()*b.N)/b.Elapsed().Seconds(), "samples/s")
-	})
-	b.Run("mode=parallel/workers=4", func(b *testing.B) {
-		s := gibbs.NewParallel(g, 4, 1)
-		s.Run(50)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Sweep()
-		}
-		b.ReportMetric(float64(s.NumFree()*b.N)/b.Elapsed().Seconds(), "samples/s")
-	})
-	b.Run("mode=replica/workers=4", func(b *testing.B) {
-		s := gibbs.NewReplica(g, 4, 8, 1)
-		s.Run(50)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Sweep()
-		}
-		b.ReportMetric(float64(s.NumFree()*s.Replicas()*b.N)/b.Elapsed().Seconds(), "samples/s")
-	})
-}
-
-// ---- Replica vs sharded engine on the systems corpus -------------------
-//
-// BenchmarkReplicaVsShardedCorpus is the before/after pair for the
-// replica engine: the identical grounded News graph sampled by the
-// sharded ParallelSampler (one shared assignment, per-sweep snapshot,
-// workers own contiguous shards) and by the ReplicaSampler (full private
-// assignment per worker, merge every 8 sweeps). The samples/s metric
-// counts variable resamples, so the two modes are directly comparable:
-// a sharded sweep resamples NumFree variables, a replica sweep
-// NumFree × workers. Measured ratios are recorded in BENCH_replicas.json
-// (reproduce with `make bench-replicas`).
-
-func BenchmarkReplicaVsShardedCorpus(b *testing.B) {
-	g := corpusGraph(b)
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("mode=sharded/workers=%d", workers), func(b *testing.B) {
-			s := gibbs.NewParallel(g, workers, 1)
-			s.RandomizeState()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Sweep()
-			}
-			b.ReportMetric(float64(s.NumFree()*b.N)/b.Elapsed().Seconds(), "samples/s")
-		})
-		b.Run(fmt.Sprintf("mode=replica/workers=%d", workers), func(b *testing.B) {
-			s := gibbs.NewReplica(g, workers, 8, 1)
-			s.RandomizeState()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Sweep()
-			}
-			b.ReportMetric(float64(s.NumFree()*s.Replicas()*b.N)/b.Elapsed().Seconds(), "samples/s")
-		})
-	}
-}
-
-// ---- Incremental graph update: Δ-cost patch vs full rebuild ------------
-//
-// BenchmarkApplyUpdatePatched vs BenchmarkApplyUpdateRebuild is the
-// before/after pair for the in-place CSR patch path: the same delta —
-// new groups with one grounding each over existing variables, the shape
-// incremental grounding emits for new documents — is applied to the
-// grounded News corpus graph either through factor.Patch (O(|Δ|)) or by
-// deep-copy-and-rebuild through factor.NewBuilderFrom (O(V+F)). Sub-
-// benchmarks sweep the delta at 1%, 5%, and 25% of the group count;
-// measured ratios are recorded in BENCH_incupdate.json.
-//
-// Patching the same base repeatedly (rather than chaining the lineage)
-// keeps the measured delta size constant; the discarded patch results may
-// share grown pool capacity, which is safe because only the base graph's
-// length-delimited view is ever reused.
-
-var benchDeltaFracs = []struct {
-	name string
-	frac float64
-}{{"delta=1%", 0.01}, {"delta=5%", 0.05}, {"delta=25%", 0.25}}
-
-// benchDelta generates a deterministic delta of k new single-grounding
-// groups over the graph's existing variables.
-type benchDeltaGroup struct {
-	head factor.VarID
-	body factor.VarID
-}
-
-func benchDelta(g *factor.Graph, frac float64) []benchDeltaGroup {
-	k := int(float64(g.NumGroups()) * frac)
-	if k < 1 {
-		k = 1
-	}
-	out := make([]benchDeltaGroup, k)
-	n := int32(g.NumVars())
-	state := uint64(12345)
-	next := func() int32 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return int32((state >> 33) % uint64(n))
-	}
-	for i := range out {
-		out[i] = benchDeltaGroup{head: factor.VarID(next()), body: factor.VarID(next())}
-	}
-	return out
-}
-
-// BenchmarkApplyUpdateRebuild applies the delta by rebuilding the flat
-// pools from a deep copy — the pre-patch update path.
-func BenchmarkApplyUpdateRebuild(b *testing.B) {
-	g := corpusGraph(b)
-	for _, d := range benchDeltaFracs {
-		delta := benchDelta(g, d.frac)
-		b.Run(d.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				nb := factor.NewBuilderFrom(g)
-				w := nb.AddWeight(0.3)
-				for _, dg := range delta {
-					nb.AddGroup(dg.head, w, factor.Ratio,
-						[]factor.Grounding{{Lits: []factor.Literal{{Var: dg.body}}}})
-				}
-				nb.MustBuild()
-			}
-		})
-	}
-}
-
-// BenchmarkApplyUpdatePatched applies the identical delta through the
-// in-place patch path.
-func BenchmarkApplyUpdatePatched(b *testing.B) {
-	g := corpusGraph(b)
-	for _, d := range benchDeltaFracs {
-		delta := benchDelta(g, d.frac)
-		b.Run(d.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := factor.NewPatch(g)
-				w := p.AddWeight(0.3)
-				for _, dg := range delta {
-					gi := p.AddGroup(dg.head, w, factor.Ratio)
-					p.AddGrounding(gi, []factor.Literal{{Var: dg.body}})
-				}
-				p.Apply()
-			}
-		})
-	}
 }
 
 // BenchmarkSamplingAcceptanceTest measures the per-proposal cost of the

@@ -21,7 +21,7 @@ package deepdive_test
 // manual Checkpoint.
 //
 // The default window keeps `go test ./...` fast; CHAOS_SECONDS extends
-// the soak (`make chaos`) and CHAOS_JSON records BENCH_chaos.json.
+// the soak (`make chaos` runs 10 s).
 
 import (
 	"bufio"
@@ -52,52 +52,6 @@ func chaosWindow(t *testing.T) time.Duration {
 		return time.Duration(sec * float64(time.Second))
 	}
 	return 1500 * time.Millisecond
-}
-
-// chaosDoc is the BENCH_chaos.json shape.
-type chaosDoc struct {
-	Bench  string `json:"bench"`
-	Config struct {
-		WindowMS   float64 `json:"window_ms"`
-		Seed       int64   `json:"seed"`
-		MaxPending int     `json:"max_pending"`
-		BackoffMS  float64 `json:"repair_backoff_ms"`
-	} `json:"config"`
-	Faults struct {
-		Schedule map[string]int    `json:"schedule"` // fault class -> times fired
-		Injected map[string]uint64 `json:"injected"` // persist op -> errors returned
-	} `json:"faults"`
-	Updates struct {
-		Acked        int               `json:"acked"`
-		Refused      uint64            `json:"refused"`
-		ErrorClasses map[string]uint64 `json:"error_classes"`
-		AckedLost    int               `json:"acked_lost"`
-	} `json:"updates"`
-	Reads struct {
-		HealthProbes   uint64 `json:"health_probes"`
-		MarginalProbes uint64 `json:"marginal_probes"`
-		Failures       uint64 `json:"failures"`
-	} `json:"reads"`
-	Subscriber struct {
-		Deltas     uint64 `json:"deltas"`
-		Reconnects uint64 `json:"reconnects"`
-		Resumes    uint64 `json:"resumes"`
-	} `json:"subscriber"`
-	Repair struct {
-		AutoRepairs   uint64 `json:"auto_repairs"`
-		Attempts      uint64 `json:"repair_attempts"`
-		Failures      uint64 `json:"repair_failures"`
-		FinalState    string `json:"final_state"`
-		ManualRepairs int    `json:"manual_checkpoints_during_soak"`
-		ReadOnlySeen  bool   `json:"read_only_seen"`
-	} `json:"repair"`
-	Lesion struct {
-		Wedged         bool    `json:"wedged"`
-		WindowMS       float64 `json:"window_ms"`
-		RepairAttempts uint64  `json:"repair_attempts"`
-		ManualHeals    bool    `json:"manual_checkpoint_heals"`
-	} `json:"lesion"`
-	Repro []string `json:"repro"`
 }
 
 // chaosHist is a tiny string-class counter shared across the traffic
@@ -421,16 +375,12 @@ func TestChaosSoak(t *testing.T) {
 		"http_429_queue_saturated": true, "http_503_durability_suspended": true,
 		"http_503_read_only": true, "http_503_update_timeout": true,
 	}
-	readOnlySeen := false
 	for class, n := range hist.get() {
 		if strings.HasPrefix(class, "probe_") || class == "conn" {
 			continue
 		}
 		if !allowed[class] {
 			t.Errorf("undocumented refusal class %q (%d times)", class, n)
-		}
-		if class == "http_503_read_only" {
-			readOnlySeen = true
 		}
 	}
 	if deltas == 0 {
@@ -454,57 +404,12 @@ func TestChaosSoak(t *testing.T) {
 	// The lesion: the identical WAL fault with auto-repair disabled stays
 	// wedged until a manual Checkpoint — proving the soak's recovery was
 	// the repair loop's doing, not an accident of the write path.
-	lesion := runChaosLesion(t)
-
-	if out := os.Getenv("CHAOS_JSON"); out != "" {
-		doc := &chaosDoc{Bench: "chaos"}
-		doc.Config.WindowMS = float64(window.Milliseconds())
-		doc.Config.Seed = seed
-		doc.Config.MaxPending = 4
-		doc.Config.BackoffMS = 10
-		doc.Faults.Schedule = schedule
-		doc.Faults.Injected = map[string]uint64{
-			string(deepdive.IOWALAppend): plan.Injected(deepdive.IOWALAppend),
-			string(deepdive.IOWALSync):   plan.Injected(deepdive.IOWALSync),
-			string(deepdive.IOWALCreate): plan.Injected(deepdive.IOWALCreate),
-			string(deepdive.IOSnapWrite): plan.Injected(deepdive.IOSnapWrite),
-		}
-		doc.Updates.Acked = len(ackedDocs)
-		doc.Updates.Refused = refused
-		doc.Updates.ErrorClasses = hist.get()
-		doc.Updates.AckedLost = len(lost)
-		doc.Reads.HealthProbes = healthProbes
-		doc.Reads.MarginalProbes = marginalProbes
-		doc.Reads.Failures = probeFailures
-		doc.Subscriber.Deltas = deltas
-		doc.Subscriber.Reconnects = reconnects
-		doc.Subscriber.Resumes = resumes
-		doc.Repair.AutoRepairs = st.AutoRepairs
-		doc.Repair.Attempts = st.RepairAttempts
-		doc.Repair.Failures = st.RepairFailures
-		doc.Repair.FinalState = st.State.String()
-		doc.Repair.ReadOnlySeen = readOnlySeen
-		doc.Lesion = lesion
-		doc.Repro = []string{
-			"make chaos        # full window under -race, writes BENCH_chaos.json",
-			"make chaos-smoke  # short window under -race",
-			"CHAOS_SECONDS=10 CHAOS_JSON=BENCH_chaos.json go test -race -count=1 -run 'TestChaosSoak' .",
-		}
-		enc, _ := json.MarshalIndent(doc, "", "  ")
-		if err := os.WriteFile(out, append(enc, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", out)
-	}
+	runChaosLesion(t)
 }
 
-// runChaosLesion runs the auto-repair-off control and returns its report.
-func runChaosLesion(t *testing.T) (lesion struct {
-	Wedged         bool    `json:"wedged"`
-	WindowMS       float64 `json:"window_ms"`
-	RepairAttempts uint64  `json:"repair_attempts"`
-	ManualHeals    bool    `json:"manual_checkpoint_heals"`
-}) {
+// runChaosLesion runs the auto-repair-off control: the KB must stay
+// wedged until a manual Checkpoint heals it.
+func runChaosLesion(t *testing.T) {
 	t.Helper()
 	ctx := context.Background()
 	plan := deepdive.NewIOFaultPlan(42)
@@ -521,19 +426,13 @@ func runChaosLesion(t *testing.T) (lesion struct {
 	}
 	const wedgeWindow = 150 * time.Millisecond
 	time.Sleep(wedgeWindow) // many backoff periods' worth of nothing
-	st := kb.Health()
-	lesion.WindowMS = float64(wedgeWindow.Milliseconds())
-	lesion.Wedged = st.State == deepdive.DurabilityDegraded && st.RepairAttempts == 0
-	lesion.RepairAttempts = st.RepairAttempts
-	if !lesion.Wedged {
+	if st := kb.Health(); st.State != deepdive.DurabilityDegraded || st.RepairAttempts != 0 {
 		t.Fatalf("lesion KB did not stay wedged: %+v", st)
 	}
 	bmust(t, kb.Checkpoint(ctx))
-	lesion.ManualHeals = kb.Health().State == deepdive.Healthy
-	if !lesion.ManualHeals {
-		t.Fatalf("lesion KB did not heal on manual Checkpoint: %+v", kb.Health())
+	if st := kb.Health(); st.State != deepdive.Healthy {
+		t.Fatalf("lesion KB did not heal on manual Checkpoint: %+v", st)
 	}
-	return lesion
 }
 
 // probeJSON fires one GET and returns (status, decoded body); status 0

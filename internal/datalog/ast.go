@@ -183,9 +183,6 @@ type Program struct {
 	DefaultSem factor.Semantics
 }
 
-// Decl returns the declaration of a relation (nil when absent).
-func (p *Program) Decl(name string) *RelDecl { return p.Decls[name] }
-
 // RuleByLabel returns the first rule with the given label, or nil.
 func (p *Program) RuleByLabel(label string) *Rule {
 	for _, r := range p.Rules {

@@ -1,15 +1,17 @@
 package factor_test
 
 // Differential harness for the Markov-blanket conditional cache: over
-// randomized build→update→flip sequences, a cached State and an uncached
-// State stepped through identical mutations must report bit-identical
-// EnergyDelta and CondProb for every variable after every step — the
-// cache's contract is bitwise transparency, so the comparison is exact
-// (==), not epsilon-based. Both update modes run: "inplace" applies each
-// update through factor.Patch (exercising overflow rows, tombstones, and
-// the patched semantics tables / blanket links), "rebuild" rebuilds the
-// graph from the independent model oracle. Weight mutations are mixed in
-// to exercise bulk invalidation through the weight generation.
+// randomized build→update→flip sequences, a long-lived State must report
+// EnergyDelta and CondProb bit-identical to a State built fresh from its
+// assignment at each comparison — a fresh State's cache is empty, so every
+// conditional it reports is recomputed. The cache's contract is bitwise
+// transparency, so the comparison is exact (==), not epsilon-based; each
+// SampleVar draw is checked against the recomputed conditional taken
+// before it. Both update modes run: "inplace" applies each update through
+// factor.Patch (exercising overflow rows, tombstones, and the patched
+// semantics tables / blanket links), "rebuild" rebuilds the graph from the
+// independent model oracle. Weight mutations are mixed in to exercise bulk
+// invalidation through the weight generation.
 //
 // Failures print the subtest seed; re-run with
 // -run 'TestConditionalCacheDifferential/<mode>/seed=N' to reproduce.
@@ -45,13 +47,6 @@ func runCacheDifferential(t *testing.T, mode string, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	m, g := seedModel(rng, t, false)
 
-	newStates := func(g *factor.Graph, assign []bool) (cached, plain *factor.State) {
-		cached = factor.NewStateWith(g, assign)
-		plain = factor.NewStateWith(g, assign)
-		plain.SetConditionalCache(false)
-		return cached, plain
-	}
-
 	randomAssign := func(n int) []bool {
 		out := make([]bool, n)
 		for i := range out {
@@ -60,19 +55,20 @@ func runCacheDifferential(t *testing.T, mode string, seed int64) {
 		return out
 	}
 
-	compareAll := func(step int, cached, plain *factor.State) {
+	compareAll := func(step int, cached *factor.State) {
 		g := cached.G
+		fresh := factor.NewStateWith(g, cached.Assign)
 		for v := 0; v < g.NumVars(); v++ {
 			id := factor.VarID(v)
 			dc := cached.EnergyDelta(id)
-			dp := plain.EnergyDelta(id)
-			if math.Float64bits(dc) != math.Float64bits(dp) {
-				t.Fatalf("step %d var %d: cached EnergyDelta %v != uncached %v (bit drift)", step, v, dc, dp)
+			df := fresh.EnergyDelta(id)
+			if math.Float64bits(dc) != math.Float64bits(df) {
+				t.Fatalf("step %d var %d: cached EnergyDelta %v != recomputed %v (bit drift)", step, v, dc, df)
 			}
 			pc := cached.CondProb(id)
-			pp := plain.CondProb(id)
-			if math.Float64bits(pc) != math.Float64bits(pp) {
-				t.Fatalf("step %d var %d: cached CondProb %v != uncached %v (bit drift)", step, v, pc, pp)
+			pf := fresh.CondProb(id)
+			if math.Float64bits(pc) != math.Float64bits(pf) {
+				t.Fatalf("step %d var %d: cached CondProb %v != recomputed %v (bit drift)", step, v, pc, pf)
 			}
 			// The direct evaluator is a different float reduction only for
 			// patched layouts; on both it must agree to within epsilon.
@@ -83,7 +79,7 @@ func runCacheDifferential(t *testing.T, mode string, seed int64) {
 		}
 	}
 
-	cached, plain := newStates(g, randomAssign(g.NumVars()))
+	var cached *factor.State
 	for step := 0; step < cacheSteps; step++ {
 		// Mutate the graph: in-place patch or model rebuild.
 		if mode == "inplace" {
@@ -108,12 +104,12 @@ func runCacheDifferential(t *testing.T, mode string, seed int64) {
 			}
 		}
 
-		// Fresh states over the updated graph from one random assignment.
-		cached, plain = newStates(g, randomAssign(g.NumVars()))
-		compareAll(step, cached, plain)
+		// A new state over the updated graph from a random assignment.
+		cached = factor.NewStateWith(g, randomAssign(g.NumVars()))
+		compareAll(step, cached)
 
-		// A burst of identical random flips through the fused kernel (Set)
-		// and occasional weight changes, comparing after each operation.
+		// A burst of random draws through the fused kernel (SampleVar),
+		// flips (Set) and occasional weight changes.
 		for op := 0; op < 12; op++ {
 			switch rng.Intn(5) {
 			case 0: // weight change: bulk invalidation via weight generation
@@ -126,22 +122,19 @@ func runCacheDifferential(t *testing.T, mode string, seed int64) {
 					continue
 				}
 				u := rng.Float64()
-				vc := cached.SampleVar(v, u)
-				vp := plain.SampleVar(v, u)
-				if vc != vp {
-					t.Fatalf("step %d op %d var %d: SampleVar diverged (%v vs %v)", step, op, v, vc, vp)
+				want := u < factor.NewStateWith(g, cached.Assign).CondProb(v)
+				if got := cached.SampleVar(v, u); got != want {
+					t.Fatalf("step %d op %d var %d: SampleVar drew %v, recomputed conditional gives %v", step, op, v, got, want)
 				}
 			default: // plain flip
 				v := randomFreeVar(rng, g)
 				if v < 0 {
 					continue
 				}
-				val := rng.Intn(2) == 0
-				cached.Set(v, val)
-				plain.Set(v, val)
+				cached.Set(v, rng.Intn(2) == 0)
 			}
 		}
-		compareAll(step, cached, plain)
+		compareAll(step, cached)
 	}
 }
 

@@ -26,7 +26,8 @@ type CSR struct {
 
 	// Group g's frozen groundings are the global grounding indices
 	// [GndOff[g], GndOff[g+1]); grounding k's literals are
-	// Lits[LitOff[k]:LitOff[k+1]], encoded LitVar/LitNeg.
+	// Lits[LitOff[k]:LitOff[k+1]], each var<<1 | negated (LitVar decodes
+	// the variable).
 	GndOff []int32
 	LitOff []int32
 	Lits   []int32
@@ -49,9 +50,6 @@ type CSR struct {
 
 // LitVar decodes the variable of a pooled literal.
 func LitVar(l int32) int32 { return l >> 1 }
-
-// LitNeg decodes the negation flag of a pooled literal.
-func LitNeg(l int32) bool { return l&1 == 1 }
 
 // CSR returns the flat layout of the graph. The arrays are shared; treat
 // them as read-only.

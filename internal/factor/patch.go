@@ -23,8 +23,8 @@ import (
 // (8·W + 2·V bytes), because callers mutate both on a live graph. A full
 // rebuild is O(Σ groundings·literals), so the patch path wins by an order
 // of magnitude already at percent-scale deltas and the gap widens with
-// graph size; see BenchmarkApplyUpdatePatched vs
-// BenchmarkApplyUpdateRebuild.
+// graph size (the benchmark harness reports the two as factor.graph_ms and
+// factor.rebuild_ms).
 //
 // Membership. A patch keeps no hash set of the pairs it links. Each group
 // it grounds into carries its distinct-variable set (groupVars): that set

@@ -29,7 +29,7 @@ type occDelta struct {
 // resamples keep the current value, a sweep then skips both the adjacency
 // walk and the math.Exp for most variables. The cache is bitwise
 // transparent: a hit returns exactly the float64 a recomputation would
-// produce, so chains are bit-for-bit identical with the cache on or off.
+// produce, so a chain draws what direct evaluation would draw.
 // Weight changes invalidate in bulk, either automatically through the
 // graph's weight generation (SetWeight/SetWeights) or explicitly through
 // InvalidateConditionals when weights are mutated behind the graph's back.
@@ -44,13 +44,12 @@ type State struct {
 	// cStamp[v] == stamp; sigOK marks entries whose sigmoid has also been
 	// materialized. stamp starts at 1 so zeroed entries are invalid, and
 	// bulk invalidation is one increment.
-	cDelta  []float64
-	cSig    []float64
-	sigOK   []bool
-	cStamp  []uint32
-	stamp   uint32
-	wgen    uint64 // graph weight generation the cache was filled under
-	noCache bool
+	cDelta []float64
+	cSig   []float64
+	sigOK  []bool
+	cStamp []uint32
+	stamp  uint32
+	wgen   uint64 // graph weight generation the cache was filled under
 
 	scratch []occDelta // fused-kernel transition buffer, grown once
 }
@@ -174,15 +173,6 @@ func (s *State) InvalidateConditionals() {
 		}
 		s.stamp = 1
 	}
-}
-
-// SetConditionalCache toggles the Markov-blanket conditional cache
-// (enabled by default). The cache is bitwise transparent, so this knob
-// changes performance only; it exists for lesion benchmarks and the
-// cached-vs-uncached differential harness.
-func (s *State) SetConditionalCache(on bool) {
-	s.noCache = !on
-	s.InvalidateConditionals()
 }
 
 // ensureFresh bulk-invalidates when the graph's weights changed since the
@@ -329,18 +319,16 @@ func (s *State) applyScratch(v VarID, val bool) {
 // bulk.
 func (s *State) EnergyDelta(v VarID) float64 {
 	s.ensureFresh()
-	if !s.noCache && s.cStamp[v] == s.stamp {
+	if s.cStamp[v] == s.stamp {
 		return s.cDelta[v]
 	}
 	if s.overflowVar(v) {
 		return s.G.EnergyDeltaOf(s.Assign, v)
 	}
 	d := s.deltaFused(v)
-	if !s.noCache {
-		s.cDelta[v] = d
-		s.sigOK[v] = false
-		s.cStamp[v] = s.stamp
-	}
+	s.cDelta[v] = d
+	s.sigOK[v] = false
+	s.cStamp[v] = s.stamp
 	return d
 }
 
@@ -348,7 +336,7 @@ func (s *State) EnergyDelta(v VarID) float64 {
 // v's counter transitions from a fresh kernel walk this call (so a flip
 // can apply without re-walking).
 func (s *State) condSig(v VarID) (sig float64, fresh bool) {
-	if !s.noCache && s.cStamp[v] == s.stamp {
+	if s.cStamp[v] == s.stamp {
 		if s.sigOK[v] {
 			return s.cSig[v], false
 		}
@@ -362,12 +350,10 @@ func (s *State) condSig(v VarID) (sig float64, fresh bool) {
 	}
 	d := s.deltaFused(v)
 	sig = 1 / (1 + math.Exp(-d))
-	if !s.noCache {
-		s.cDelta[v] = d
-		s.cSig[v] = sig
-		s.sigOK[v] = true
-		s.cStamp[v] = s.stamp
-	}
+	s.cDelta[v] = d
+	s.cSig[v] = sig
+	s.sigOK[v] = true
+	s.cStamp[v] = s.stamp
 	return sig, true
 }
 

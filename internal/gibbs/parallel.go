@@ -30,8 +30,8 @@ import (
 // stays valid until a Markov-blanket neighbor flips (in-shard flips
 // invalidate immediately, cross-shard flips at the next snapshot refresh
 // — see sweepShard and propagateFlips), so near-convergence sweeps skip
-// most adjacency walks. The cache is bitwise transparent: chains are
-// bit-for-bit identical with it on or off.
+// most adjacency walks. The cache is bitwise transparent: a hit returns
+// exactly the float64 a recomputation would produce.
 //
 // The sampler itself is driven from one goroutine; only its internal
 // sweeps fan out.
@@ -55,13 +55,12 @@ type ParallelSampler struct {
 	// invalidated by the driver at the next sweep start (exactly when the
 	// refreshed snapshot makes the flip visible to them). Each worker logs
 	// its flips into a private row for the driver pass.
-	csr     factor.CSR
-	cSig    []float64
-	cStamp  []uint32
-	stamp   uint32
-	flips   [][]int32 // per-worker flip log of the last sweep
-	wgen    uint64    // graph weight generation the cache was filled under
-	cacheOn bool      // lesion toggle (SetConditionalCache); default on
+	csr    factor.CSR
+	cSig   []float64
+	cStamp []uint32
+	stamp  uint32
+	flips  [][]int32 // per-worker flip log of the last sweep
+	wgen   uint64    // graph weight generation the cache was filled under
 }
 
 // splitmix64 is the SplitMix64 mixer; used to derive independent,
@@ -81,15 +80,14 @@ func NewParallel(g *factor.Graph, workers int, seed int64) *ParallelSampler {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &ParallelSampler{
-		master:  rand.New(rand.NewSource(seed)),
-		cur:     make([]bool, g.NumVars()),
-		snap:    make([]bool, g.NumVars()),
-		csr:     g.CSR(),
-		cSig:    make([]float64, g.NumVars()),
-		cStamp:  make([]uint32, g.NumVars()),
-		stamp:   1,
-		wgen:    g.WeightGeneration(),
-		cacheOn: true,
+		master: rand.New(rand.NewSource(seed)),
+		cur:    make([]bool, g.NumVars()),
+		snap:   make([]bool, g.NumVars()),
+		csr:    g.CSR(),
+		cSig:   make([]float64, g.NumVars()),
+		cStamp: make([]uint32, g.NumVars()),
+		stamp:  1,
+		wgen:   g.WeightGeneration(),
 	}
 	p.driver = newDriver(p, g)
 	for v := range p.cur {
@@ -192,49 +190,13 @@ func (p *ParallelSampler) propagateFlips() {
 
 // sweepShard samples worker w's shard once. Reads of variables inside the
 // shard see this sweep's values (Gauss-Seidel); reads of other shards see
-// the sweep-start snapshot (factor.EnergyDeltaShard's read rule). Writes
-// touch only cur[v], cSig[v], cStamp[v], and the flip log for owned v,
-// so concurrent shards never race: in-sweep cache invalidation is clipped
-// to the shard's ownership window, and cross-shard invalidation is the
-// driver's propagateFlips pass.
+// the sweep-start snapshot (factor.EnergyDeltaShard's read rule).
+// Conditionals come from the shard-local cache when valid. Writes touch
+// only cur[v], cSig[v], cStamp[v], and the flip log for owned v, so
+// concurrent shards never race: a flip invalidates its in-shard blanket
+// window immediately, and cross-shard invalidation is the driver's
+// propagateFlips pass.
 func (p *ParallelSampler) sweepShard(w int) {
-	if p.cacheOn {
-		p.sweepShardCached(w)
-	} else {
-		p.sweepShardUncached(w)
-	}
-}
-
-// sweepShardUncached is the lesion kernel (SetConditionalCache(false)):
-// plain direct evaluation with no cache bookkeeping, the pre-overhaul
-// sweep loop.
-func (p *ParallelSampler) sweepShardUncached(w int) {
-	g := p.g
-	cur, snap := p.cur, p.snap
-	lo, hi := p.lo[w], p.hi[w]
-	rng := p.rngs[w]
-	for _, v := range p.shards[w] {
-		delta := g.EnergyDeltaShard(cur, snap, lo, hi, v)
-		cur[v] = rng.Float64() < 1/(1+math.Exp(-delta))
-	}
-}
-
-// SetConditionalCache toggles the shard-local conditional cache (enabled
-// by default). The cache is bitwise transparent, so this knob changes
-// performance only; it exists for lesion benchmarks and differential
-// tests.
-func (p *ParallelSampler) SetConditionalCache(on bool) {
-	p.cacheOn = on
-	p.bumpStamp()
-	for w := range p.flips {
-		p.flips[w] = p.flips[w][:0]
-	}
-}
-
-// sweepShardCached is the hot kernel: conditionals come from the
-// shard-local cache when valid, flips log for the driver pass and
-// invalidate their in-shard blanket window immediately.
-func (p *ParallelSampler) sweepShardCached(w int) {
 	g := p.g
 	cur, snap := p.cur, p.snap
 	lo, hi := p.lo[w], p.hi[w]
@@ -290,9 +252,7 @@ func (p *ParallelSampler) Sweep() {
 		p.wgen = wg
 		p.bumpStamp()
 	}
-	if p.cacheOn {
-		p.propagateFlips()
-	}
+	p.propagateFlips()
 	copy(p.snap, p.cur)
 	if p.workers == 1 {
 		p.sweepShard(0)

@@ -77,28 +77,21 @@ func (s *Sampler) Sweep() {
 // eachWorld yields the chain's one world.
 func (s *Sampler) eachWorld(f func([]bool)) { f(s.State.Assign) }
 
-// Estimator accumulates marginal estimates from observed worlds. Built
-// through NewEstimatorFor it observes only the graph's free variables —
-// evidence variables never change, so their fixed contribution is filled
-// in once at read time instead of being re-counted every sweep.
+// Estimator accumulates marginal estimates from observed worlds. It
+// observes only the graph's free variables — evidence variables never
+// change, so their fixed contribution is filled in once at read time
+// instead of being re-counted every sweep.
 type Estimator struct {
 	counts []float64
 	n      int
 
-	// Free-vars-only mode (NewEstimatorFor): the observe loop walks free,
-	// and reads reconstruct evidence entries from ev/evTrue. The
-	// reconstruction replays the counting arithmetic (n·(1/n), n/n) so the
-	// results are bit-identical to observing every variable.
-	freeOnly bool
-	free     []factor.VarID
-	ev       []bool // per variable: fixed (evidence)
-	evTrue   []bool // fixed value (meaningful when ev)
-}
-
-// NewEstimator returns an estimator over nVars variables that counts
-// every variable of each observed world.
-func NewEstimator(nVars int) *Estimator {
-	return &Estimator{counts: make([]float64, nVars)}
+	// The observe loop walks free, and reads reconstruct evidence entries
+	// from ev/evTrue. The reconstruction replays the counting arithmetic
+	// (n·(1/n), n/n) so the results are bit-identical to observing every
+	// variable.
+	free   []factor.VarID
+	ev     []bool // per variable: fixed (evidence)
+	evTrue []bool // fixed value (meaningful when ev)
 }
 
 // NewEstimatorFor returns an estimator over g's variables whose observe
@@ -111,11 +104,10 @@ func NewEstimatorFor(g *factor.Graph) *Estimator {
 // variables — a chain's scan order, all it ever moves.
 func newEstimatorOver(g *factor.Graph, free []factor.VarID) *Estimator {
 	e := &Estimator{
-		counts:   make([]float64, g.NumVars()),
-		freeOnly: true,
-		free:     free,
-		ev:       make([]bool, g.NumVars()),
-		evTrue:   make([]bool, g.NumVars()),
+		counts: make([]float64, g.NumVars()),
+		free:   free,
+		ev:     make([]bool, g.NumVars()),
+		evTrue: make([]bool, g.NumVars()),
 	}
 	for v := range e.ev {
 		id := factor.VarID(v)
@@ -127,18 +119,10 @@ func newEstimatorOver(g *factor.Graph, free []factor.VarID) *Estimator {
 
 // Observe adds one world.
 func (e *Estimator) Observe(assign []bool) {
-	if e.freeOnly {
-		counts := e.counts
-		for _, v := range e.free {
-			if assign[v] {
-				counts[v]++
-			}
-		}
-	} else {
-		for i, v := range assign {
-			if v {
-				e.counts[i]++
-			}
+	counts := e.counts
+	for _, v := range e.free {
+		if assign[v] {
+			counts[v]++
 		}
 	}
 	e.n++
@@ -152,7 +136,7 @@ func (e *Estimator) Mean(v factor.VarID) float64 {
 	if e.n == 0 {
 		return 0
 	}
-	if e.freeOnly && e.ev[v] {
+	if e.ev[v] {
 		if e.evTrue[v] {
 			return float64(e.n) / float64(e.n) // n/n: what counting would yield
 		}
@@ -164,26 +148,20 @@ func (e *Estimator) Mean(v factor.VarID) float64 {
 // Means returns all marginal estimates.
 func (e *Estimator) Means() []float64 {
 	out := make([]float64, len(e.counts))
-	inv := 0.0
-	if e.n > 0 {
-		inv = 1 / float64(e.n)
-	}
-	if e.freeOnly && e.n > 0 {
-		one := float64(e.n) * inv // n·(1/n): what counting would yield
-		for i, c := range e.counts {
-			switch {
-			case e.ev[i] && e.evTrue[i]:
-				out[i] = one
-			case e.ev[i]:
-				out[i] = 0
-			default:
-				out[i] = c * inv
-			}
-		}
+	if e.n == 0 {
 		return out
 	}
+	inv := 1 / float64(e.n)
+	one := float64(e.n) * inv // n·(1/n): what counting would yield
 	for i, c := range e.counts {
-		out[i] = c * inv
+		switch {
+		case e.ev[i] && e.evTrue[i]:
+			out[i] = one
+		case e.ev[i]:
+			out[i] = 0
+		default:
+			out[i] = c * inv
+		}
 	}
 	return out
 }

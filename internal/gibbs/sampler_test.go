@@ -117,7 +117,10 @@ func TestSamplerDeterministicBySeed(t *testing.T) {
 }
 
 func TestEstimator(t *testing.T) {
-	e := NewEstimator(2)
+	b := factor.NewBuilder()
+	b.AddVar()
+	b.AddVar()
+	e := NewEstimatorFor(b.MustBuild())
 	if e.N() != 0 || e.Mean(0) != 0 {
 		t.Fatal("fresh estimator not zeroed")
 	}

@@ -77,16 +77,28 @@ func spouseBase() baseData {
 
 func newSpouseGrounder(t testing.TB, base baseData) *Grounder {
 	t.Helper()
-	return newSpouseGrounderUDFs(t, base, testUDFs())
-}
-
-func newSpouseGrounderUDFs(t testing.TB, base baseData, udfs UDFRegistry) *Grounder {
-	t.Helper()
-	g := loadGrounder(t, spouseSrc, base, udfs)
+	g := loadGrounder(t, spouseSrc, base, testUDFs())
 	if err := g.Ground(); err != nil {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// wideDocUpdate inserts document i of the spouse program: one sentence
+// mentioning m people, so candidate generation joins m·(m−1) ordered pairs
+// plus the feature and supervision rules.
+func wideDocUpdate(i, m int) Update {
+	sid := fmt.Sprintf("bx%d", i)
+	u := Update{Inserts: map[string][]db.Tuple{
+		"Sentence": {{sid, "a sentence mentioning very many people at once"}},
+	}}
+	for k := 0; k < m; k++ {
+		mid := fmt.Sprintf("q%dm%d", i, k)
+		u.Inserts["PersonCandidate"] = append(u.Inserts["PersonCandidate"], db.Tuple{sid, mid})
+		u.Inserts["Mentions"] = append(u.Inserts["Mentions"], db.Tuple{sid, mid})
+		u.Inserts["EL"] = append(u.Inserts["EL"], db.Tuple{mid, "E" + mid})
+	}
+	return u
 }
 
 // loadGrounder is a grounder of src with base loaded, not grounded.

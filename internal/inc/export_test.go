@@ -84,7 +84,8 @@ func SamplingInferRef(ctx context.Context, oldG, newG *factor.Graph, store *gibb
 			vars[v] = factor.VarID(v)
 		}
 	}
-	est := gibbs.NewEstimator(len(vars))
+	counts := make([]float64, len(vars)) // per target variable: observed worlds holding it true
+	kept := 0
 	blockOf := make([]int32, len(vars)) // by target id
 	for l := range blockOf {
 		blockOf[l] = -1
@@ -183,7 +184,7 @@ func SamplingInferRef(ctx context.Context, oldG, newG *factor.Graph, store *gibb
 	}
 	accepted, proposed := 0, 0
 	next, used := store.Len()-store.Remaining(), 0
-	for est.N() < keep {
+	for kept < keep {
 		if canceled(ctx) {
 			break
 		}
@@ -226,7 +227,12 @@ func SamplingInferRef(ctx context.Context, oldG, newG *factor.Graph, store *gibb
 			cur[m.v] = st.Assign[m.l]
 			hybrid[m.v] = cur[m.v]
 		}
-		est.Observe(st.Assign)
+		for l, val := range st.Assign {
+			if val {
+				counts[l]++
+			}
+		}
+		kept++
 	}
 	// A whole-graph run spends every world it replayed. A scoped run read
 	// len(scope) of each world's n columns and spends that share of them
@@ -236,7 +242,14 @@ func SamplingInferRef(ctx context.Context, oldG, newG *factor.Graph, store *gibb
 		used = (used*len(scope) + n - 1) / n
 	}
 	store.Skip(used)
-	res.Marginals = est.Means()
+	inv := 0.0
+	if kept > 0 {
+		inv = 1 / float64(kept)
+	}
+	res.Marginals = make([]float64, len(counts))
+	for l, c := range counts {
+		res.Marginals[l] = c * inv
+	}
 	if proposed > 0 {
 		res.AcceptanceRate = float64(accepted) / float64(proposed)
 	}

@@ -67,7 +67,7 @@ func SamplingInferCtx(ctx context.Context, oldG, newG *factor.Graph, store *gibb
 			vars[v] = factor.VarID(v)
 		}
 	}
-	est := gibbs.NewEstimator(len(vars))
+	est := gibbs.NewEstimatorFor(target)
 	blockOf := make([]int32, len(vars)) // by target id; -1 for evidence
 	for l := range blockOf {
 		blockOf[l] = -1

@@ -16,9 +16,8 @@ const walRecMagic = 0x31524457 // "WDR1" little-endian
 // per-record: the record is fully written and fsync'd before Append
 // returns, which callers rely on to order "logged" before "published".
 type WAL struct {
-	f    *os.File
-	path string
-	inj  Injector
+	f   *os.File
+	inj Injector
 }
 
 // SetInjector installs an I/O fault injector consulted at OpWALAppend
@@ -34,7 +33,7 @@ func CreateWAL(path string) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WAL{f: f, path: path}, nil
+	return &WAL{f: f}, nil
 }
 
 // OpenWALAppend opens an existing segment (creating it if absent) for
@@ -57,11 +56,8 @@ func OpenWALAppend(path string) (*WAL, error) {
 		f.Close()
 		return nil, err
 	}
-	return &WAL{f: f, path: path}, nil
+	return &WAL{f: f}, nil
 }
-
-// Path returns the segment's file path.
-func (w *WAL) Path() string { return w.path }
 
 // Append writes one record and fsyncs the segment. On return the
 // record is durable; on error the segment may hold a torn tail, which

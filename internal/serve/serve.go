@@ -140,9 +140,6 @@ func (s *Server) StartDrain() {
 	})
 }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // retryAfterSeconds derives the Retry-After hint from queue pressure:
 // the estimated time to drain the current backlog (pending updates ×
 // the EWMA batch wall time), clamped to [1s, 60s].

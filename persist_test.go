@@ -3,8 +3,7 @@ package deepdive_test
 // Durability tests: checkpoint/restart round trips, the crash
 // kill-point harness (recovery must serve marginals bit-identical to a
 // never-crashed oracle at every injection point), WAL replay
-// determinism across worker counts, and the cold-start benchmarks
-// behind BENCH_persist.json.
+// determinism across worker counts, and the store refills replay repeats.
 
 import (
 	"bytes"
@@ -21,8 +20,7 @@ import (
 	"deepdive/internal/persist"
 )
 
-// persistSpouseKB is spouseKB for any testing.TB (benchmarks included):
-// program parsed, base data loaded, grounded, learned, inferred, and
+// persistSpouseKB is spouseKB for any testing.TB: program parsed, base data loaded, grounded, learned, inferred, and
 // materialized.
 func persistSpouseKB(tb testing.TB, opts ...deepdive.Option) *deepdive.KB {
 	tb.Helper()
@@ -703,90 +701,4 @@ func TestWALReplayRefills(t *testing.T) {
 	if got := kb2.Autopilot(); got != live {
 		t.Fatalf("recovered autopilot %+v, the live KB's %+v", got, live)
 	}
-}
-
-// ---------------------------------------------------------------------
-// Benchmarks behind BENCH_persist.json.
-
-// benchSnapshotDir builds a checkpointed KB directory once per process.
-var benchSnapshotDir struct {
-	sync.Once
-	dir string
-}
-
-func benchPersistDir(b *testing.B) string {
-	b.Helper()
-	benchSnapshotDir.Do(func() {
-		dir, err := os.MkdirTemp("", "ddkb-bench-*")
-		if err != nil {
-			b.Fatal(err)
-		}
-		kb := persistSpouseKB(b, deepdive.WithDataDir(dir))
-		ctx := context.Background()
-		for i := 0; i < 8; i++ {
-			if _, err := kb.Apply(ctx, docUpdate(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		bmust(b, kb.Checkpoint(ctx))
-		bmust(b, kb.Close())
-		benchSnapshotDir.dir = dir
-	})
-	if benchSnapshotDir.dir == "" {
-		b.Fatal("benchmark snapshot dir setup failed")
-	}
-	return benchSnapshotDir.dir
-}
-
-// BenchmarkColdStartFromSnapshot measures restart latency when the WAL
-// tail is empty: decode the snapshot, restore the engine, serve.
-func BenchmarkColdStartFromSnapshot(b *testing.B) {
-	dir := benchPersistDir(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kb := reopenSpouseKB(b, dir)
-		if len(kb.Candidates("HasSpouse")) == 0 {
-			b.Fatal("recovered KB has no candidates")
-		}
-		kb.Close()
-	}
-}
-
-// BenchmarkRematerializeFromScratch measures the alternative: ground,
-// learn, infer, and materialize the same KB at the same sample budget.
-func BenchmarkRematerializeFromScratch(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		kb := persistSpouseKB(b)
-		for j := 0; j < 8; j++ {
-			if _, err := kb.Apply(ctx, docUpdate(j)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		kb.Close()
-	}
-}
-
-// BenchmarkWALReplay measures replay throughput: each iteration
-// restarts from a snapshot with a 16-update WAL tail.
-func BenchmarkWALReplay(b *testing.B) {
-	dir, err := os.MkdirTemp("", "ddkb-walbench-*")
-	bmust(b, err)
-	defer os.RemoveAll(dir)
-	kb := persistSpouseKB(b, deepdive.WithDataDir(dir))
-	ctx := context.Background()
-	bmust(b, kb.Checkpoint(ctx))
-	const tail = 16
-	for i := 0; i < tail; i++ {
-		if _, err := kb.Apply(ctx, docUpdate(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	bmust(b, kb.Close())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kb := reopenSpouseKB(b, dir)
-		kb.Close()
-	}
-	b.ReportMetric(tail, "replayed_updates/op")
 }
