@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-serving race-serve race-pipeline race-persist bench-harness figures-smoke soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-ground bench-finish profile
+.PHONY: check fmt vet build test race race-serving race-serve race-persist bench-harness figures-smoke soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-ground bench-finish profile
 
 # Everything CI runs. (go test ./... includes the short soak; the full
 # acceptance-length soak is `make soak`.)
@@ -36,14 +36,17 @@ race:
 	$(GO) test -race ./internal/gibbs/... ./internal/factor/... ./internal/learn/... ./internal/inc/... ./internal/ground/... ./internal/db/...
 
 # The serving API's concurrency proof: lock-free snapshot readers
-# against live Apply/queue writers, context cancellation, coalescing,
-# and the store refills the finish stage runs in line (a refilled engine
-# vs readers, a refill cancelled with its update).
+# against live Apply/queue writers (a parallel-grounded queued stream
+# among them), concurrent Apply callers serializing on the writer lock
+# into one epoch stream, the queue's differential against direct Apply,
+# context and per-ticket cancellation, CloseNow teardown, coalescing, and
+# the store refills the finish stage runs in line (a refilled engine vs
+# readers, a refill cancelled with its update).
 race-serving:
-	$(GO) test -race -count=1 -run 'TestSnapshot|TestKBContext|TestCoalesce|TestQueue|TestApplyModifies|TestCancelled|TestRemat' .
+	$(GO) test -race -count=1 -run 'TestSnapshot|TestKBContext|TestCoalesce|TestQueue|TestSubmitCtx|TestConcurrentApplies|TestApplyModifies|TestCancelled|TestRemat' .
 
 # The HTTP serving tier's concurrency proof: concurrent wire readers and
-# SSE subscribers against the live pipelined writer (epoch monotonicity
+# SSE subscribers against the live queued writer (epoch monotonicity
 # per subscriber, a deliberately stalled client cannot delay a publish),
 # plus the internal/serve handler and hub suite (overload shedding,
 # typed refusals, drain, Last-Event-ID resume).
@@ -75,14 +78,6 @@ serve-demo:
 # updates) runs in the plain test suite.
 soak:
 	SOAK_UPDATES=200 $(GO) test -run 'TestSoak' -v -timeout 40m -count=1 .
-
-# The ground→learn→infer pipeline's concurrency proof: the pipelined
-# queue's bit-identical differential against the serialized queue,
-# per-ticket cancellation, CloseNow teardown, and snapshot readers
-# racing a parallel-grounded pipelined stream.
-race-pipeline:
-	$(GO) test -race -count=1 -run 'TestPipelined|TestSubmitCtx|TestQueueCloseNow|TestSnapshotReadersDuringPipelinedStream' .
-	$(GO) test -race -count=1 ./internal/ground/
 
 # The durability proof under the race detector: checkpoint/restart,
 # every crash kill point vs the never-crashed oracle, WAL replay

@@ -27,7 +27,7 @@ import (
 // process did. A refill that fails installs nothing and counts in
 // RematPreempted; a cancelled one returns ctx's error, so the update
 // publishes nothing, like any other cancelled finish, and the next one
-// refills. Callers hold stateMu.
+// refills. Callers hold mu.
 func (kb *KB) refill(ctx context.Context, g *factor.Graph) (bool, error) {
 	if _, left := kb.engine.StoreLevel(); kb.opts.RematLowWater <= 0 || kb.opts.Lesions.StaticOptimizer ||
 		left >= kb.opts.RematLowWater {
@@ -48,7 +48,7 @@ func (kb *KB) refill(ctx context.Context, g *factor.Graph) (bool, error) {
 }
 
 // autoCounters aggregates per-update optimizer outcomes and the refills
-// (rematSpawns counts launches, which seed them). Guarded by KB.stateMu.
+// (rematSpawns counts launches, which seed them). Guarded by KB.mu.
 type autoCounters struct {
 	sampling    uint64
 	variational uint64
@@ -64,7 +64,7 @@ type autoCounters struct {
 }
 
 // recordAutoResult folds one update's inference outcome into the
-// autopilot statistics. Callers hold stateMu.
+// autopilot statistics. Callers hold mu.
 func (kb *KB) recordAutoResult(ir *inc.Result) {
 	switch ir.Strategy {
 	case inc.StrategySampling:
@@ -136,12 +136,12 @@ type AutopilotStats struct {
 // Autopilot reports the live quality-autopilot state. Snapshots carry the
 // state frozen at their publication via Stats().Autopilot.
 func (kb *KB) Autopilot() AutopilotStats {
-	kb.stateMu.Lock()
-	defer kb.stateMu.Unlock()
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
 	return kb.autopilotLocked()
 }
 
-// autopilotLocked assembles AutopilotStats. Callers hold stateMu.
+// autopilotLocked assembles AutopilotStats. Callers hold mu.
 func (kb *KB) autopilotLocked() AutopilotStats {
 	st := AutopilotStats{
 		SamplingRuns:       kb.auto.sampling,

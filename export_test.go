@@ -9,21 +9,22 @@ import (
 )
 
 // HoldFinish makes every later finish stage wait for hold(ctx) to return
-// before it starts, ctx being the update's context.
+// before it starts, ctx being the update's context. hold runs under the
+// writer lock, after the update's graph commit.
 func (kb *KB) HoldFinish(hold func(ctx context.Context)) { kb.holdFinish = hold }
 
 // Engine returns the live incremental-inference engine (nil before
 // Materialize) and the options it was built with.
 func (kb *KB) Engine() (*inc.Engine, inc.Options) {
-	kb.stateMu.Lock()
-	defer kb.stateMu.Unlock()
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
 	return kb.engine, kb.engineOpts(kb.engineSeed)
 }
 
 // Pending returns the change set carried to the next update.
 func (kb *KB) Pending() inc.ChangeSet {
-	kb.stateMu.Lock()
-	defer kb.stateMu.Unlock()
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
 	return kb.pending
 }
 
@@ -43,18 +44,12 @@ const (
 // the on-disk state a crash at that instant would leave.
 func (kb *KB) InstallFaultHook(h FaultHook) { kb.faultHook = h }
 
-// SerializeUpdates makes the update queue finish each batch — learning,
-// inference, publication — before grounding the next, instead of
-// overlapping the two stages: the pipelined queue's oracle. Call it before
-// the queue starts (Updates).
-func (kb *KB) SerializeUpdates() { kb.serialUpdates = true }
-
 // RebuildUpdates makes every later update rebuild the factor graph's flat
 // pools in O(V+F) instead of splicing (ΔV, ΔF) into them through
 // factor.Patch in O(|Δ|): the in-place patch path's oracle.
 func (kb *KB) RebuildUpdates() {
-	kb.groundMu.Lock()
-	defer kb.groundMu.Unlock()
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
 	kb.grounder.SetInPlaceUpdates(false)
 }
 
@@ -64,8 +59,8 @@ func (kb *KB) RebuildUpdates() {
 // on the goroutine that checks the context, so reading its launch count
 // there needs no lock.
 func (kb *KB) CancelAtRefill(parent context.Context) context.Context {
-	kb.stateMu.Lock()
-	defer kb.stateMu.Unlock()
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
 	return refillCtx{parent, kb, kb.auto.rematSpawns}
 }
 
@@ -86,11 +81,8 @@ func (c refillCtx) Err() error {
 // the same marginal vector, the same epoch — over a skeleton derived from
 // the empty one, sharing nothing with the served lineage.
 func (kb *KB) RebuiltSnapshot() *Snapshot {
-	kb.groundMu.Lock()
-	defer kb.groundMu.Unlock()
-	kb.seqDrain()
-	kb.stateMu.Lock()
-	defer kb.stateMu.Unlock()
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
 	served := kb.snap.Load()
 	sk, _ := kb.nextSkeleton(nil, kb.curGraph, &ground.Delta{})
 	s := &Snapshot{skeleton: *sk, epoch: served.epoch, marg: kb.marg}
@@ -101,7 +93,7 @@ func (kb *KB) RebuiltSnapshot() *Snapshot {
 // Served returns the graph and the marginal vector the served state
 // corresponds to. Callers must not mutate either.
 func (kb *KB) Served() (*factor.Graph, []float64) {
-	kb.stateMu.Lock()
-	defer kb.stateMu.Unlock()
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
 	return kb.curGraph, kb.marg
 }

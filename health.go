@@ -87,7 +87,7 @@ type HealthStats struct {
 }
 
 // Health reports the KB's health state and repair counters. Safe from
-// any goroutine; never blocks on the writer locks.
+// any goroutine; never blocks on the writer lock.
 func (kb *KB) Health() HealthStats {
 	kb.repairMu.Lock()
 	active := kb.repairActive
@@ -112,8 +112,8 @@ func (kb *KB) Health() HealthStats {
 }
 
 // noteWALBroken latches the broken durable chain, transitions the health
-// state, and launches the background repair loop. Called under groundMu
-// from the failed append.
+// state, and launches the background repair loop. Called under mu from
+// the failed append.
 func (kb *KB) noteWALBroken() {
 	kb.walBroken.Store(true)
 	kb.health.CompareAndSwap(int32(Healthy), int32(DurabilityDegraded))
@@ -147,7 +147,7 @@ func (kb *KB) launchRepair() {
 
 // repairLoop retries the repair checkpoint with capped, jittered
 // exponential backoff until the chain is whole (or the KB closes). Each
-// attempt is a full Checkpoint: it takes the writer locks exclusively,
+// attempt is a full Checkpoint: it takes the writer lock,
 // so an attempt naturally queues behind (never preempts) in-flight
 // writes — contention is bounded
 // because every update is refusing fast while the chain is broken.

@@ -122,15 +122,13 @@ func (g *Grounder) ApplyUpdate(u Update) (*Delta, error) {
 	return d, nil
 }
 
-// ApplyUpdateStaged is the two-phase form of ApplyUpdate for pipelined
-// callers: the returned Delta reflects a fully evaluated update (all
-// relation, variable, weight, and group state is mutated), but the
-// cached factor graph has not advanced and the grounding version has not
-// bumped — that is what commit does. The split lets a serving layer run
-// the (expensive, read-heavy) delta evaluation of the next update while
-// inference over the current graph is still in flight, and perform the
-// (cheap, graph-mutating) commit only once the current graph is no
-// longer being evaluated.
+// ApplyUpdateStaged is the two-phase form of ApplyUpdate: the returned
+// Delta reflects a fully evaluated update (all relation, variable,
+// weight, and group state is mutated), but the cached factor graph has
+// not advanced and the grounding version has not bumped — that is what
+// commit does. The split lets a serving layer act between the two, e.g.
+// make the update's write-ahead record durable before the commit it
+// describes.
 //
 // The caller must invoke commit exactly once, before any subsequent
 // ApplyUpdate/ApplyUpdateStaged/Graph call on this grounder, and

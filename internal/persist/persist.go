@@ -294,15 +294,6 @@ func rawRead[T any](r *Rd, size int, what string) []T {
 	return out
 }
 
-// AppendI32s is I32s into the caller's storage.
-func (r *Rd) AppendI32s(dst []int32, what string) []int32 {
-	n := r.Count(4, what)
-	for p := r.take(4*n, what); len(p) > 0; p = p[4:] {
-		dst = append(dst, int32(binary.LittleEndian.Uint32(p)))
-	}
-	return dst
-}
-
 func (r *Rd) I32s(what string) []int32   { return rawRead[int32](r, 4, what) }
 func (r *Rd) U32s(what string) []uint32  { return rawRead[uint32](r, 4, what) }
 func (r *Rd) U64s(what string) []uint64  { return rawRead[uint64](r, 8, what) }
@@ -356,56 +347,37 @@ func (r *Rd) cut(n int, what string) string {
 
 func (r *Rd) Str(what string) string { return r.cut(r.Count(1, what), what) }
 
+// Strs reads a string table written by Buf.Strs: the length table, then
+// the bytes. The strings share one allocation (none on an owned payload).
 func (r *Rd) Strs(what string) []string {
 	n := r.Count(4, what)
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]string, n)
-	if !r.strsBody(out, what) {
-		return nil
-	}
-	return out
-}
-
-// StrsInto decodes a string table of exactly len(dst) strings into dst,
-// the caller's storage; any other count fails the decoder.
-func (r *Rd) StrsInto(dst []string, what string) {
-	if n := r.Count(4, what); r.err == nil && n != len(dst) {
-		r.Fail(what)
-	}
-	if r.err == nil && len(dst) > 0 {
-		r.strsBody(dst, what)
-	}
-}
-
-// strsBody decodes the length table and the bytes of len(out) strings. The
-// strings share one allocation (none on an owned payload).
-func (r *Rd) strsBody(out []string, what string) bool {
-	n := len(out)
 	lens := r.take(4*n, what)
 	if lens == nil {
-		return false
+		return nil
 	}
 	total := 0
 	for i := 0; i < n; i++ {
 		total += int(binary.LittleEndian.Uint32(lens[4*i:]))
 		if total > len(r.b)-r.off {
 			r.fail(what)
-			return false
+			return nil
 		}
 	}
 	blob := r.cut(total, what)
 	if r.err != nil {
-		return false
+		return nil
 	}
+	out := make([]string, n)
 	off := 0
 	for i := range out {
 		l := int(binary.LittleEndian.Uint32(lens[4*i:]))
 		out[i] = blob[off : off+l]
 		off += l
 	}
-	return true
+	return out
 }
 
 // ---------------------------------------------------------------------

@@ -293,13 +293,12 @@ func TestWriteFileAtomic(t *testing.T) {
 }
 
 // An owned decoder cuts its strings from the payload; a copying one must
-// not. Both decode the same values, into the caller's storage too.
-func TestRdOwnedAndInto(t *testing.T) {
+// not. Both decode the same values, and both refuse a read past the end.
+func TestRdOwned(t *testing.T) {
 	var b Buf
 	b.Str("relation")
 	b.Strs([]string{"a", "", "ccc"})
 	b.I32s([]int32{7, -1, 1 << 30})
-	b.Strs([]string{"x", "y"})
 	for _, owned := range []bool{false, true} {
 		payload := append([]byte(nil), b.Bytes()...)
 		r := NewRd(payload)
@@ -307,15 +306,13 @@ func TestRdOwnedAndInto(t *testing.T) {
 			r = NewRdOwned(payload)
 		}
 		name := r.Str("name")
-		cols := make([]string, 3)
-		r.StrsInto(cols, "cols")
-		ints := r.AppendI32s([]int32{5}, "ints")
-		if name != "relation" || !slices.Equal(cols, []string{"a", "", "ccc"}) || !slices.Equal(ints, []int32{5, 7, -1, 1 << 30}) || r.Err() != nil {
+		cols := r.Strs("cols")
+		ints := r.I32s("ints")
+		if name != "relation" || !slices.Equal(cols, []string{"a", "", "ccc"}) || !slices.Equal(ints, []int32{7, -1, 1 << 30}) || r.Err() != nil {
 			t.Fatalf("owned=%v: decoded %q %q %v, err %v", owned, name, cols, ints, r.Err())
 		}
-		r.StrsInto(make([]string, 3), "two strings into three")
-		if r.Err() == nil {
-			t.Fatalf("owned=%v: StrsInto accepted a table of another length", owned)
+		if r.Strs("past the end"); r.Err() == nil {
+			t.Fatalf("owned=%v: Strs read a table past the end of the payload", owned)
 		}
 		for i := range payload {
 			payload[i] = '#'

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -181,7 +182,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 	if md := q.Get("min_delta"); md != "" {
 		v, err := strconv.ParseFloat(md, 64)
-		if err != nil || v < 0 {
+		if err != nil || v < 0 || math.IsNaN(v) {
 			writeErr(w, http.StatusBadRequest, "bad min_delta %q", md)
 			return
 		}

@@ -505,6 +505,9 @@ func TestSubscribeMinDelta(t *testing.T) {
 	if code, _ := get(t, ts.URL+"/v1/subscribe?min_delta=-1"); code != 400 {
 		t.Fatalf("negative min_delta: %d, want 400", code)
 	}
+	if code, _ := get(t, ts.URL+"/v1/subscribe?min_delta=NaN"); code != 400 {
+		t.Fatalf("NaN min_delta: %d, want 400", code)
+	}
 	if code, _ := get(t, ts.URL+"/v1/subscribe?tuple=a"); code != 400 {
 		t.Fatalf("tuple filter without relation: %d, want 400", code)
 	}

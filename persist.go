@@ -13,7 +13,7 @@ package deepdive
 //
 // Durability begins at the first Checkpoint: it compacts the factor
 // graph (folding patch overflow into a freshly rebuilt frozen base),
-// encodes the full state under the writer locks, rotates to a new WAL
+// encodes the full state under the writer lock, rotates to a new WAL
 // generation, and writes the snapshot file off-lock. From then on every
 // committed update is appended to the active segment — fsync'd before
 // the commit it describes (write-ahead), so recovery never finds a
@@ -45,7 +45,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"deepdive/internal/datalog"
 	"deepdive/internal/factor"
@@ -233,13 +232,13 @@ func readTupleMap(r *persist.Rd, what string) map[string][]Tuple {
 // rebuilt frozen CSR base. The engine needs no reset: its strategy
 // choices depend on the persisted store position and change set alone,
 // so WAL replay from the snapshot chooses as the live process did.
-// Encoding happens under the writer locks; the file write — the slow,
+// Encoding happens under the writer lock; the file write — the slow,
 // fsync-bound half — runs off-lock, so updates stream on while the image
 // lands on disk.
 //
 // Checkpoint is also the repair path after a failed WAL append: it
 // re-establishes a complete durable chain (in that case the file write
-// stays under the locks so no update can commit against a chain that is
+// stays under the lock so no update can commit against a chain that is
 // still incomplete).
 func (kb *KB) Checkpoint(ctx context.Context) error { return kb.checkpoint(ctx, false) }
 
@@ -253,11 +252,11 @@ func (kb *KB) checkpoint(ctx context.Context, auto bool) error {
 	kb.ckptMu.Lock()
 	defer kb.ckptMu.Unlock()
 
-	unlock := kb.lockExclusive()
+	kb.mu.Lock()
 	locked := true
 	defer func() {
 		if locked {
-			unlock()
+			kb.mu.Unlock()
 		}
 	}()
 	if err := ctxErr(ctx); err != nil {
@@ -277,7 +276,7 @@ func (kb *KB) checkpoint(ctx context.Context, auto bool) error {
 	newGen := kb.walGen + 1
 	data := kb.encodeSnapshotLocked(newGen)
 
-	// Rotate the WAL before releasing the locks: records committed from
+	// Rotate the WAL before releasing the lock: records committed from
 	// now on land in the new generation's segment, whose existence must
 	// be durable before its first append.
 	if err := persistInject(kb.opts.IOFaults, persist.OpWALCreate); err != nil {
@@ -299,13 +298,13 @@ func (kb *KB) checkpoint(ctx context.Context, auto bool) error {
 	kb.walGen = newGen
 
 	// Off-lock file write on the normal path. When repairing a broken
-	// chain the write stays under the locks: the old segment is missing a
+	// chain the write stays under the lock: the old segment is missing a
 	// committed record, so new-segment records are only replayable on top
 	// of this snapshot — no commit may slip in before it is durable.
 	repairing := kb.walBroken.Load()
 	if !repairing {
 		locked = false
-		unlock()
+		kb.mu.Unlock()
 	}
 	if h := kb.faultHook; h != nil {
 		if err := h(faultSnapWrite); err != nil {
@@ -315,11 +314,16 @@ func (kb *KB) checkpoint(ctx context.Context, auto bool) error {
 	if err := persist.WriteFileAtomic(snapPath(kb.opts.DataDir, newGen), data, kb.opts.IOFaults); err != nil {
 		return err
 	}
-	if repairing && auto {
-		kb.autoRepairs.Add(1)
+	// Only a repair clears the latch: on the normal path an update may
+	// have broken the new segment since the lock was released, and that
+	// break stands until a checkpoint writes a chain holding its commit.
+	if repairing {
+		if auto {
+			kb.autoRepairs.Add(1)
+		}
+		kb.walBroken.Store(false)
+		kb.noteChainRepaired()
 	}
-	kb.walBroken.Store(false)
-	kb.noteChainRepaired()
 	if h := kb.faultHook; h != nil {
 		if err := h(faultSnapWritten); err != nil {
 			return err
@@ -329,8 +333,7 @@ func (kb *KB) checkpoint(ctx context.Context, auto bool) error {
 	return nil
 }
 
-// encodeSnapshotLocked assembles the snapshot file image. Callers hold
-// both writer locks with the pipeline drained (lockExclusive).
+// encodeSnapshotLocked assembles the snapshot file image. Callers hold mu.
 func (kb *KB) encodeSnapshotLocked(walGen uint64) []byte {
 	// One buffer for the whole image, sized from the previous one: a
 	// checkpoint allocates about one file image, whatever the KB's size.
@@ -535,7 +538,6 @@ func restoreKB(o Options, gen uint64) (*KB, error) {
 	curG.SetWeights(weights)
 
 	kb := &KB{opts: o, grounder: g, snapBytes: len(data)}
-	kb.seqCond = sync.NewCond(&kb.seqMu)
 	kb.snap.Store(emptySnapshot())
 	kb.curGraph = curG
 	kb.inited = true
@@ -662,7 +664,7 @@ func (kb *KB) replayWAL(fromGen, snapTicket uint64) error {
 			// A segment past the snapshot's generation exists only because
 			// a later checkpoint rotated to it and then crashed before its
 			// image became usable. That checkpoint compacted the graph under
-			// the locks immediately before rotating, so records in this
+			// the lock immediately before rotating, so records in this
 			// segment were committed against the compacted graph; compact
 			// here too to keep the replay trajectory bit-identical.
 			kb.grounder.MarkGraphDirty()

@@ -418,6 +418,50 @@ func TestWALRepairCheckpoint(t *testing.T) {
 	assertSameBits(t, want, spouseBits(kb2), "after repair checkpoint")
 }
 
+// TestCheckpointKeepsALaterBreak: a checkpoint writes its image after
+// releasing the writer lock, and an update may break the new segment's
+// chain in that window. The break must outlive the checkpoint — the image
+// predates the broken update's commit — until a repair checkpoint covers
+// it; recovery then matches the live KB.
+func TestCheckpointKeepsALaterBreak(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	kb := persistSpouseKB(t, deepdive.WithDataDir(dir), deepdive.WithLesions(deepdive.Lesions{NoAutoRepair: true}))
+	bmust(t, kb.Checkpoint(ctx))
+	arm := &faultArm{}
+	var applyErr error
+	kb.InstallFaultHook(func(p string) error {
+		if p == deepdive.FaultSnapWrite && arm.firedCount() == 0 {
+			arm.arm(deepdive.FaultWALAppend)
+			_, applyErr = kb.Apply(ctx, docDelta(0))
+		}
+		return arm.hook(p)
+	})
+	bmust(t, kb.Checkpoint(ctx))
+	if applyErr == nil || arm.firedCount() != 1 {
+		t.Fatalf("update in the checkpoint's write window: err %v, %d faults fired", applyErr, arm.firedCount())
+	}
+	if h := kb.Health(); !h.WALBroken || h.State == deepdive.Healthy {
+		t.Fatalf("checkpoint cleared a break from after its rotation: %+v", h)
+	}
+	if _, err := kb.Apply(ctx, docDelta(1)); err == nil {
+		t.Fatal("update accepted on broken chain")
+	}
+	bmust(t, kb.Checkpoint(ctx)) // repair
+	if h := kb.Health(); h.WALBroken || h.State != deepdive.Healthy {
+		t.Fatalf("after the repair checkpoint: %+v", h)
+	}
+	if _, err := kb.Apply(ctx, docDelta(2)); err != nil {
+		t.Fatalf("update after repair: %v", err)
+	}
+	want := spouseBits(kb)
+	bmust(t, kb.Close())
+
+	kb2 := reopenSpouseKB(t, dir)
+	defer kb2.Close()
+	assertSameBits(t, want, spouseBits(kb2), "after the repair checkpoint")
+}
+
 // TestCrashLoggedUnpublished covers the window where the record is
 // durable but the crash hits before the update's inference publishes:
 // replay completes the update, so recovery matches an oracle that

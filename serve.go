@@ -162,7 +162,7 @@ func (b kbBackend) Health() serve.HealthInfo {
 }
 
 // Autopilot returns the autopilot state frozen into the latest snapshot
-// (taking KB.Autopilot's live state would mean acquiring stateMu, which
+// (taking KB.Autopilot's live state would mean acquiring the writer lock, which
 // a slow writer could hold for a whole inference run).
 func (b kbBackend) Autopilot() any {
 	return b.kb.Snapshot().Stats().Autopilot

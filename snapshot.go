@@ -36,8 +36,8 @@ type Snapshot struct {
 // skeleton is the grounding-dependent half of a snapshot: the per-relation
 // fact tables and graph statistics, pinned to one grounding version and
 // graph epoch. The marginal vector and the publication epoch are attached
-// by publishStaged once inference has run — which is what lets the
-// pipelined apply path prepare the skeleton during its grounding stage.
+// by publishStaged once inference has run — which is what lets an apply
+// prepare the skeleton during its grounding stage.
 //
 // A document update derives its skeleton from the previous one and the
 // committed delta (KB.nextSkeleton): relations the delta did not touch
@@ -359,7 +359,7 @@ func (kb *KB) factState(g *factor.Graph, v factor.VarID) (st uint8) {
 // predecessor (Init, a restore), the delta touches a variable the lineage
 // has no storage for, or dead facts have outgrown a quarter of the live
 // ones. A derivation from empty stores live facts only, so it compacts.
-// Callers hold groundMu and stateMu.
+// Callers hold mu.
 func (kb *KB) nextSkeleton(prev *skeleton, g *factor.Graph, d *ground.Delta) (s *skeleton, changed changeSet) {
 	if prev == nil || prev.dead > 16+(prev.stored-prev.dead)/4 || unstored(prev, d) {
 		nv := kb.grounder.NumVars()
