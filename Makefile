@@ -20,8 +20,8 @@ test:
 	$(GO) test ./...
 
 # The parallel and replica samplers' sweeps fan out across goroutines
-# (including the shard-local conditional-cache fills/invalidation),
-# patched graphs share pool backing arrays across the lineage, and the
+# (including the shard-local conditional-cache fills/invalidation), their
+# workers read the overflow rows of graphs patched in place, and the
 # learner drives those samplers' fan-out between weight steps under any
 # runtime; run all three packages under the race detector (covers the
 # cached-state and differential tests). internal/ground's parallel grounding
@@ -31,7 +31,7 @@ test:
 # test (TestLoadBaseIsTheFirstUpdate). internal/inc drives
 # the samplers (materialization and the rerun on the configured runtime,
 # the variational runner's swept remainder) and its one Metropolis-Hastings
-# runner over graphs a patch lineage shares.
+# runner over the engine's Pr(0) clone and the patched graph.
 race:
 	$(GO) test -race ./internal/gibbs/... ./internal/factor/... ./internal/learn/... ./internal/inc/... ./internal/ground/... ./internal/db/...
 

@@ -117,9 +117,8 @@ type Options struct {
 	UDFs map[string]UDF
 
 	// Learning.
-	LearnEpochs    int     // full learning epochs (default 12)
-	IncLearnEpochs int     // warmstart epochs per update (default 3)
-	LearnStep      float64 // SGD step size (default 0.25)
+	LearnEpochs int     // full learning epochs (default 12)
+	LearnStep   float64 // SGD step size (default 0.25)
 
 	// Inference.
 	InferBurnin int // Gibbs burn-in sweeps (default 30)
@@ -374,9 +373,6 @@ func WithLesions(l Lesions) Option { return func(o *Options) { o.Lesions = l } }
 func (o *Options) fill() {
 	if o.LearnEpochs <= 0 {
 		o.LearnEpochs = 12
-	}
-	if o.IncLearnEpochs <= 0 {
-		o.IncLearnEpochs = 3
 	}
 	if o.LearnStep <= 0 {
 		o.LearnStep = 0.25

@@ -1,6 +1,7 @@
 package deepdive_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -13,14 +14,18 @@ import (
 	"deepdive/internal/factor"
 	"deepdive/internal/gibbs"
 	"deepdive/internal/inc"
+	"deepdive/internal/kbc"
 	"deepdive/internal/persist"
 )
 
-// TestLearnAfterMaterializeKeepsPr0: Learn on a materialized KB trains a
-// graph of its own. The engine's Pr(0) keeps the weights it was materialized
-// under, so its worlds — drawn later, or by a restored engine from the
-// persisted Pr(0) graph — are the ones Materialize meant, and the drift
-// reaches the next update as pending change.
+// TestLearnAfterMaterializeKeepsPr0: Learn on a materialized KB trains the
+// served graph, never the engine's Pr(0). Pr(0) keeps the weights it was
+// materialized under, so its worlds — drawn later, or by a restored engine
+// from the persisted Pr(0) graph — are the ones Materialize meant, and the
+// drift reaches the next update as pending change, a cancelled Learn's
+// too. On the wire corpus Pr(0)'s image stays byte for byte what it was
+// through Learn, the six rule iterations and a document stream, all of
+// which train or patch the served graph in place.
 func TestLearnAfterMaterializeKeepsPr0(t *testing.T) {
 	kb := spouseKBRaw(t)
 	must(t, kb.Init(ctx))
@@ -44,6 +49,55 @@ func TestLearnAfterMaterializeKeepsPr0(t *testing.T) {
 	}
 	if p := kb.Pending(); !p.StructureChanged() {
 		t.Fatalf("the learned drift did not reach the next update: pending %+v", p)
+	}
+
+	// A cancelled Learn leaves its last completed step's weights installed:
+	// they are served, and their drift carries to the next update.
+	for _, after := range []int{5, 20, 100} {
+		kb := spouseKBRaw(t)
+		must(t, kb.Init(ctx))
+		_, err := kb.Materialize(ctx)
+		must(t, err)
+		w0 := kb.Weights()
+		if _, err := kb.Learn(&cancelAt{Context: ctx, after: after}); err == nil {
+			t.Fatalf("Learn cancelled at check %d finished", after)
+		}
+		if slices.Equal(kb.Weights(), w0) {
+			t.Fatalf("Learn cancelled at check %d: the served weights did not move", after)
+		}
+		if p := kb.Pending(); !p.StructureChanged() {
+			t.Fatalf("Learn cancelled at check %d: its drift did not reach the next update: pending %+v", after, p)
+		}
+	}
+
+	w := newWireCorpus(t, 3, 1, 8)
+	kb = w.open(t, 0, 0)
+	_, err = kb.Materialize(ctx)
+	must(t, err)
+	eng, _ = kb.Engine()
+	image := func() []byte {
+		var b persist.Buf
+		eng.OldGraph().AppendSnapshot(&b)
+		return b.Bytes()
+	}
+	pr0 := image()
+	step := func(name string) {
+		if !bytes.Equal(image(), pr0) {
+			t.Fatalf("after %s Pr(0)'s image moved", name)
+		}
+	}
+	_, err = kb.Learn(ctx)
+	must(t, err)
+	step("Learn")
+	for _, name := range kbc.IterationNames {
+		_, err := kb.Apply(ctx, deepdive.Update{RuleSource: kbc.IterationRules(w.sys, name)})
+		must(t, err)
+		step(name)
+	}
+	for i, u := range w.stream {
+		_, err := kb.Apply(ctx, u)
+		must(t, err)
+		step(fmt.Sprintf("stream update %d", i))
 	}
 }
 
@@ -126,7 +180,7 @@ func TestDeferredMaterializationOnTheWireCorpus(t *testing.T) {
 	}
 
 	// One sampling run, over every store: weight 0 of the Pr(0) graph moved.
-	newG := factor.NewPatch(ref.OldGraph()).Apply()
+	newG := factor.NewPatch(ref.OldGraph().Clone()).Apply()
 	newG.SetWeight(0, newG.Weight(0)+0.7)
 	var cs inc.ChangeSet
 	for gi := 0; gi < newG.NumGroups(); gi++ {

@@ -12,7 +12,7 @@ import (
 // frozen CSR pools, patch overflow rows, tombstone epochs — is written
 // verbatim, so a decoded graph is semantically indistinguishable from
 // the original: the same groundings are live, the same evaluation order
-// is walked, and a subsequent Patch produces the same derived graph.
+// is walked, and a subsequent Patch produces the same patched graph.
 // The large pools are written as raw little-endian dumps (one memmove
 // each on LE hosts); only bodyOcc records are re-packed, into 3 int32
 // words per record. weightGen is not persisted: it only versions the
@@ -51,14 +51,14 @@ func (g *Graph) AppendSnapshot(b *persist.Buf) {
 	b.F64s(semTab)
 	b.I32s(g.nbrOff)
 	b.I32s(g.nbrs)
-	appendRows(b, g.nbrExtra.rows())
+	appendRows(b, g.nbrExtra)
 	b.Bool(g.deadAt != nil)
 	if g.deadAt != nil {
 		b.I32s(g.deadAt)
 	}
-	appendRows(b, g.gndExtra.rows())
-	appendBodyRows(b, g.bodyExtra.rows())
-	appendRows(b, g.adjExtra.rows())
+	appendRows(b, g.gndExtra)
+	appendBodyRows(b, g.bodyExtra)
+	appendRows(b, g.adjExtra)
 }
 
 // DecodeGraphSnapshot rebuilds a graph from r. The image is checked as it
@@ -174,28 +174,28 @@ func (g *Graph) checkDecoded() error {
 	}
 	for _, t := range []struct {
 		what string
-		rows paged[[]int32]
+		rows [][]int32
 		n    int // rows
 		ids  int // the bound on their entries
 	}{{"blanket overflow", g.nbrExtra, nv, nv}, {"grounding overflow", g.gndExtra, nG, nGnd}, {"adjacency overflow", g.adjExtra, nv, nG}} {
-		if !t.rows.present() {
+		if t.rows == nil {
 			continue
 		}
-		if t.rows.n != t.n {
-			return fmt.Errorf("%s: %d rows, want %d", t.what, t.rows.n, t.n)
+		if len(t.rows) != t.n {
+			return fmt.Errorf("%s: %d rows, want %d", t.what, len(t.rows), t.n)
 		}
-		for i := range int32(t.n) {
-			if outside(t.rows.at(i), t.ids) >= 0 {
+		for i, row := range t.rows {
+			if outside(row, t.ids) >= 0 {
 				return fmt.Errorf("%s: row %d holds an id past %d", t.what, i, t.ids)
 			}
 		}
 	}
-	if g.bodyExtra.present() {
-		if g.bodyExtra.n != nv {
-			return fmt.Errorf("occurrence overflow: %d rows, want %d", g.bodyExtra.n, nv)
+	if g.bodyExtra != nil {
+		if len(g.bodyExtra) != nv {
+			return fmt.Errorf("occurrence overflow: %d rows, want %d", len(g.bodyExtra), nv)
 		}
-		for v := range int32(nv) {
-			if err := checkOccs(g.bodyExtra.at(v), nG, nGnd); err != nil {
+		for _, row := range g.bodyExtra {
+			if err := checkOccs(row, nG, nGnd); err != nil {
 				return err
 			}
 		}
@@ -342,31 +342,31 @@ func appendRows(b *persist.Buf, rows [][]int32) {
 	b.I32s(flat)
 }
 
-// decodeRows reads a CSR overflow table into a paged table (absent when
-// the image says so). Rows are three-index subslices of one backing array
+// decodeRows reads a CSR overflow table (nil when the image says it is
+// absent). Rows are three-index subslices of one backing array
 // (len == cap), so a later append to a row reallocates instead of
 // clobbering its neighbor. Offsets must be what appendRows writes: from 0,
 // never decreasing, to the end of the flat array.
-func decodeRows(r *persist.Rd, what string) paged[[]int32] {
+func decodeRows(r *persist.Rd, what string) [][]int32 {
 	if !r.Bool(what + " present") {
-		return paged[[]int32]{}
+		return nil
 	}
 	return cutRows(r, r.I32s(what+" offsets"), r.I32s(what+" flat"), what)
 }
 
 // cutRows cuts the rows of a CSR table out of its flat array.
-func cutRows[T any](r *persist.Rd, off []int32, flat []T, what string) paged[[]T] {
+func cutRows[T any](r *persist.Rd, off []int32, flat []T, what string) [][]T {
 	if r.Err() != nil || !offsets(off, len(flat), true) {
 		r.Fail(what + " row bounds")
-		return paged[[]T]{}
+		return nil
 	}
-	t, rows := newPaged[[]T](len(off) - 1)
+	rows := make([][]T, len(off)-1)
 	for i := range rows {
 		if a, b := off[i], off[i+1]; a < b {
 			rows[i] = flat[a:b:b]
 		}
 	}
-	return t
+	return rows
 }
 
 // appendBodyRows / decodeBodyRows: the same CSR treatment for the
@@ -390,9 +390,9 @@ func appendBodyRows(b *persist.Buf, rows [][]bodyOcc) {
 	b.I32s(packBodyRecs(flat))
 }
 
-func decodeBodyRows(r *persist.Rd, what string) paged[[]bodyOcc] {
+func decodeBodyRows(r *persist.Rd, what string) [][]bodyOcc {
 	if !r.Bool(what + " present") {
-		return paged[[]bodyOcc]{}
+		return nil
 	}
 	return cutRows(r, r.I32s(what+" offsets"), unpackBodyRecs(r, what+" flat"), what)
 }

@@ -11,11 +11,10 @@ import (
 // directly instead of walking the nested Group view.
 //
 // On a patched graph the frozen arrays alone are not the whole story: the
-// patched-in groundings and adjacency entries live in copy-on-write
-// overflow tables read through Graph.ExtraNeighbors/ExtraAdjacent, and
-// DeadAt/Epoch mark tombstoned groundings (a grounding k is dead when
-// DeadAt[k] != 0 && DeadAt[k] <= Epoch). Rebuild through NewBuilderFrom to
-// recover a purely contiguous view.
+// patched-in groundings and adjacency entries live in overflow rows read
+// through Graph.ExtraNeighbors/ExtraAdjacent, and tombstoned groundings
+// stay in the pools. Rebuild through NewBuilderFrom to recover a purely
+// contiguous view.
 //
 // All slices are shared with the Graph and must be treated as read-only.
 type CSR struct {
@@ -42,10 +41,6 @@ type CSR struct {
 	// self excluded). Conditional caches invalidate along these rows.
 	NbrOff []int32
 	Nbrs   []int32
-
-	// Patch extensions (zero-valued on freshly built graphs).
-	DeadAt []int32 // per grounding: tombstoning epoch (0 = live)
-	Epoch  int32   // this view's patch generation
 }
 
 // LitVar decodes the variable of a pooled literal.
@@ -65,8 +60,6 @@ func (g *Graph) CSR() CSR {
 		AdjGroups:   g.adjGroups,
 		NbrOff:      g.nbrOff,
 		Nbrs:        g.nbrs,
-		DeadAt:      g.deadAt,
-		Epoch:       g.epoch,
 	}
 }
 

@@ -23,8 +23,8 @@ const (
 	decodeFixedBytes      = 16 << 10
 )
 
-// graphSeeds are real graph images: a built graph, the heads of a patch
-// lineage (overflow rows, tombstones, new variables, weights and groups)
+// graphSeeds are real graph images: a built graph, the same graph patched
+// in place (overflow rows, tombstones, new variables, weights and groups)
 // after a few and after many steps, and the compacted rebuild of the last.
 func graphSeeds(t testing.TB) [][]byte {
 	image := func(g *factor.Graph) []byte {

@@ -64,8 +64,8 @@ func b2i(b bool) int {
 }
 
 // Graph is a grounded factor graph: variables, evidence assignments, tied
-// weights, and rule groups. Build one through a Builder, or derive one
-// from an existing graph in O(|Δ|) through a Patch.
+// weights, and rule groups. Build one through a Builder, and extend it in
+// O(|Δ|) through a Patch.
 //
 // Internally Build freezes the structure into a flat CSR
 // (compressed-sparse-row) layout — contiguous group attribute arrays, a
@@ -73,14 +73,13 @@ func b2i(b bool) int {
 // indexes — so sampling walks contiguous int32 arrays instead of chasing
 // nested slices (the DimmWitted layout).
 //
-// A Patch extends the frozen layout without rewriting it: new groundings
-// are appended to the pools and linked to their group (and to the
-// adjacency rows of the variables they touch) through small per-row
+// A Patch extends the frozen layout in place without rewriting it: new
+// groundings are appended to the pools and linked to their group (and to
+// the adjacency rows of the variables they touch) through small per-row
 // overflow slices, and removed groundings are tombstoned in an
-// epoch-stamped deadAt array. Graphs along a patch lineage share the pool
-// backing arrays; each graph's slice lengths and epoch delimit its own
-// consistent view, so the pre-patch graph keeps evaluating the old
-// distribution while the patched graph evaluates the new one.
+// epoch-stamped deadAt array. A graph has one owner, and a patch moves it
+// on: a caller that must keep reading the pre-patch distribution — the
+// incremental-inference engine's Pr(0) — keeps a Clone.
 type Graph struct {
 	numVars  int
 	evidence []bool // per variable: value is fixed
@@ -113,8 +112,7 @@ type Graph struct {
 	// Table-driven semantics: semTabs[s][n] is g(n) of semantics s for every
 	// n up to the largest grounding count of any group using s, so the hot
 	// evaluators replace the Semantics.G switch (and Ratio's log1p) with one
-	// indexed load. g(n) depends on nothing but (s, n): the graphs of a
-	// patch lineage share the tables, a patch only ever appends to them.
+	// indexed load. A patch only ever appends to them.
 	semTabs [numSemantics][]float64
 
 	// Markov-blanket adjacency, CSR: variable v's neighbors — every other
@@ -125,7 +123,7 @@ type Graph struct {
 	// Patched-in couplings live in the nbrExtra overflow rows.
 	nbrOff   []int32
 	nbrs     []int32
-	nbrExtra paged[[]int32]
+	nbrExtra [][]int32
 
 	// weightGen counts weight mutations (SetWeight, SetWeights).
 	// Conditional caches compare it against the value they were filled
@@ -136,57 +134,57 @@ type Graph struct {
 	nGnd int // grounding pool size (live + tombstoned)
 
 	// Patch state (zero on freshly built graphs); see Patch. The overflow
-	// tables are copy-on-write along the lineage; see paged.
-	epoch     int32            // patch generation of this view
-	deadAt    []int32          // per grounding: epoch that tombstoned it (0 = live)
-	gndExtra  paged[[]int32]   // per group: overflow grounding ids
-	bodyExtra paged[[]bodyOcc] // per var: overflow occurrence records
-	adjExtra  paged[[]int32]   // per var: overflow adjacent group ids
-	nDead     int              // tombstoned groundings visible at this epoch
-	nExtra    int              // groundings living in overflow rows
-
-	// The value tables a patch does not copy — weights, evidence, evValue —
-	// are shared along the lineage, each tracked on its own (see lineage).
-	wShare, evShare, valShare lineage
+	// tables are nil until the first patch that links a row.
+	epoch     int32       // patch generation of this graph
+	deadAt    []int32     // per grounding: epoch that tombstoned it (0 = live)
+	gndExtra  [][]int32   // per group: overflow grounding ids
+	bodyExtra [][]bodyOcc // per var: overflow occurrence records
+	adjExtra  [][]int32   // per var: overflow adjacent group ids
+	nDead     int         // tombstoned groundings visible at this epoch
+	nExtra    int         // groundings living in overflow rows
 }
 
-// lineage tracks a value table a patched graph shares with the graph it
-// was patched from. NewPatch hands the child the parent's backing array:
-// a write to an entry of the shared prefix, on either side, copies the
-// table first, and only the graph holding the tail — the parent until it
-// is patched, then the child — appends in place (entries it appends are
-// its own); one that lent the tail copies on its next append. The zero
-// value owns its table and its tail.
-type lineage struct {
-	shared int // entries [0, shared) may be read by another graph
-	lent   bool
-}
-
-// fork marks the parent's table shared and returns the child's state: the
-// tail moves to the child, if the parent still held it.
-func (l *lineage) fork(n int) lineage {
-	child := lineage{shared: n, lent: l.lent}
-	l.shared, l.lent = n, true
-	return child
-}
-
-// own makes entry i of s writable in place (i < 0: every entry), copying
-// a table whose shared prefix holds it.
-func own[T any](s []T, l *lineage, i int) []T {
-	if l.shared > 0 && i < l.shared {
-		s = append(make([]T, 0, len(s)+len(s)/8+8), s...)
-		*l = lineage{}
+// Clone returns a deep copy of g, sharing no table with it: the one way to
+// keep a graph's distribution readable while a Patch moves g on.
+func (g *Graph) Clone() *Graph {
+	c := *g
+	c.evidence, c.evValue = slices.Clone(g.evidence), slices.Clone(g.evValue)
+	c.weights = slices.Clone(g.weights)
+	c.groupHead, c.groupWeight = slices.Clone(g.groupHead), slices.Clone(g.groupWeight)
+	c.groupSem = slices.Clone(g.groupSem)
+	c.gndOff, c.litOff, c.lits = slices.Clone(g.gndOff), slices.Clone(g.litOff), slices.Clone(g.lits)
+	c.bodyOff, c.bodyRecs = slices.Clone(g.bodyOff), slices.Clone(g.bodyRecs)
+	c.adjOff, c.adjGroups = slices.Clone(g.adjOff), slices.Clone(g.adjGroups)
+	c.nbrOff, c.nbrs = slices.Clone(g.nbrOff), slices.Clone(g.nbrs)
+	for s := range c.semTabs {
+		c.semTabs[s] = slices.Clone(g.semTabs[s])
 	}
-	return s
+	c.deadAt = slices.Clone(g.deadAt)
+	c.nbrExtra, c.gndExtra, c.adjExtra = cloneRows(g.nbrExtra), cloneRows(g.gndExtra), cloneRows(g.adjExtra)
+	c.bodyExtra = cloneRows(g.bodyExtra)
+	return &c
 }
 
-// grow appends v to s, in place only when this graph holds the tail.
-func grow[T any](s []T, l *lineage, v T) []T {
-	if l.lent || len(s) == cap(s) {
-		s = append(make([]T, 0, 2*len(s)+8), s...)
-		*l = lineage{}
+// cloneRows copies an overflow table into one backing array. Each row is
+// capped at its length, so an append to it reallocates instead of
+// clobbering its neighbor.
+func cloneRows[T any](rows [][]T) [][]T {
+	if rows == nil {
+		return nil
 	}
-	return append(s, v)
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	flat, out := make([]T, 0, n), make([][]T, len(rows))
+	for i, r := range rows {
+		if len(r) > 0 {
+			at := len(flat)
+			flat = append(flat, r...)
+			out[i] = flat[at:len(flat):len(flat)]
+		}
+	}
+	return out
 }
 
 // NumVars returns the number of variables.
@@ -202,14 +200,13 @@ func (g *Graph) NumGroundings() int { return g.nGnd - g.nDead }
 // NumWeights returns the size of the tied-weight table.
 func (g *Graph) NumWeights() int { return len(g.weights) }
 
-// Patched reports whether this graph was derived through a Patch (rather
-// than frozen directly by a Builder).
+// Patched reports whether a Patch has extended this graph since a Builder
+// froze it.
 func (g *Graph) Patched() bool { return g.epoch > 0 }
 
-// Epoch returns the patch generation of this graph view: 0 for freshly
-// built graphs, incremented by each Patch along a lineage. Together with
-// a grounding-layer version it pins a serving snapshot to one consistent
-// view of the shared pool backing arrays.
+// Epoch returns the patch generation of this graph: 0 for freshly built
+// graphs, incremented by each Patch. A serving snapshot records it next to
+// the grounding-layer version it was published at.
 func (g *Graph) Epoch() int32 { return g.epoch }
 
 // Fragmentation returns the fraction of the grounding pool that costs the
@@ -225,8 +222,8 @@ func (g *Graph) Fragmentation() float64 {
 }
 
 // gndLive reports whether grounding k is visible at this graph's epoch.
-// Tombstones written by later patches in the lineage carry later epochs
-// and are ignored.
+// A graph patched in place carries no later stamp, but a Pr(0) image
+// written while graphs shared their tombstone array may: those are ignored.
 func (g *Graph) gndLive(k int32) bool {
 	if g.deadAt == nil {
 		return true
@@ -237,29 +234,29 @@ func (g *Graph) gndLive(k int32) bool {
 
 // extraGnds returns group gi's overflow grounding ids (nil when none).
 func (g *Graph) extraGnds(gi int32) []int32 {
-	if !g.gndExtra.present() {
+	if g.gndExtra == nil {
 		return nil
 	}
-	return g.gndExtra.at(gi)
+	return g.gndExtra[gi]
 }
 
 // ExtraNeighbors returns v's patched-in blanket neighbors (nil when none):
 // the overflow half of Neighbors, for kernels that walk the frozen CSR row
 // themselves.
 func (g *Graph) ExtraNeighbors(v VarID) []int32 {
-	if !g.nbrExtra.present() {
+	if g.nbrExtra == nil {
 		return nil
 	}
-	return g.nbrExtra.at(int32(v))
+	return g.nbrExtra[v]
 }
 
 // ExtraAdjacent returns v's patched-in adjacent groups (nil when none), the
 // overflow half of AdjacentGroups.
 func (g *Graph) ExtraAdjacent(v VarID) []int32 {
-	if !g.adjExtra.present() {
+	if g.adjExtra == nil {
 		return nil
 	}
-	return g.adjExtra.at(int32(v))
+	return g.adjExtra[v]
 }
 
 // eachLiveGnd calls f for every live grounding of group gi, frozen range
@@ -313,13 +310,11 @@ func (g *Graph) Weight(w WeightID) float64 { return g.weights[w] }
 // change immediately (weights are read at evaluation time; cached
 // conditionals are invalidated through the weight generation).
 func (g *Graph) SetWeight(w WeightID, v float64) {
-	g.weights = own(g.weights, &g.wShare, int(w))
 	g.weights[w] = v
 	g.weightGen++
 }
 
-// Weights returns the live weight slice (shared, not a copy; read only —
-// a graph of the same lineage may share it).
+// Weights returns the live weight slice (shared, not a copy; read only).
 func (g *Graph) Weights() []float64 { return g.weights }
 
 // SetWeights replaces all weight values. len(vals) must match NumWeights.
@@ -327,7 +322,6 @@ func (g *Graph) SetWeights(vals []float64) {
 	if len(vals) != len(g.weights) {
 		panic(fmt.Sprintf("factor: SetWeights got %d values, want %d", len(vals), len(g.weights)))
 	}
-	g.weights = own(g.weights, &g.wShare, -1)
 	copy(g.weights, vals)
 	g.weightGen++
 }
@@ -384,8 +378,6 @@ func (g *Graph) EvidenceValue(v VarID) bool { return g.evValue[v] }
 // Used by supervision-rule updates; States must be rebuilt or re-synced
 // afterwards.
 func (g *Graph) SetEvidence(v VarID, ev bool, val bool) {
-	g.evidence = own(g.evidence, &g.evShare, int(v))
-	g.evValue = own(g.evValue, &g.valShare, int(v))
 	g.evidence[v] = ev
 	g.evValue[v] = val
 }

@@ -5,26 +5,16 @@ import (
 	"slices"
 )
 
-// Patch derives a new Graph from an existing one at delta cost: new
-// variables, weights, groups, and groundings are appended to the flat
-// pools, removed groundings are tombstoned, and the per-variable
-// adjacency CSR rows are spliced through small overflow slices — the
-// untouched pools are never rewritten. This is the Δ-cost update path the
-// paper's incremental-grounding contribution calls for.
-//
-// Precisely, a patch costs O(|Δ|) pool writes, plus what it shares the
-// side tables for: the per-variable and per-group overflow rows live in
-// copy-on-write paged tables (see paged), so a patch copies one pointer
-// per 32 rows of each table and clones only the pages holding a row it
-// rewrites — rows it appends land in the shared tail page — and an older
-// graph of the lineage, the engine's Pr(0) graph hundreds of patches back
-// included, keeps every row it had. What is still copied flat is
-// pointer-free and small: the weight values and the evidence flags
-// (8·W + 2·V bytes), because callers mutate both on a live graph. A full
-// rebuild is O(Σ groundings·literals), so the patch path wins by an order
-// of magnitude already at percent-scale deltas and the gap widens with
-// graph size (the benchmark harness reports the two as factor.graph_ms and
-// factor.rebuild_ms).
+// Patch extends a Graph in place at delta cost: new variables, weights,
+// groups, and groundings are appended to the flat pools, removed
+// groundings are tombstoned, and the per-variable adjacency CSR rows are
+// spliced through small overflow rows — the untouched pools are never
+// rewritten. This is the Δ-cost update path the paper's
+// incremental-grounding contribution calls for: a patch costs O(|Δ|)
+// writes, where a full rebuild is O(Σ groundings·literals), so the patch
+// path wins by an order of magnitude already at percent-scale deltas and
+// the gap widens with graph size (the benchmark harness reports the two as
+// factor.graph_ms and factor.rebuild_ms).
 //
 // Membership. A patch keeps no hash set of the pairs it links. Each group
 // it grounds into carries its distinct-variable set (groupVars): that set
@@ -34,37 +24,28 @@ import (
 // to its adjacency row and a blanket check against each member — a binary
 // search of the frozen neighbor row, then a scan of the overflow row.
 //
-// Lineage sharing. Apply returns a new *Graph that shares the pool
-// backing arrays with the base graph. Appends land past the base graph's
-// slice lengths, and tombstones are stamped with the new graph's epoch,
-// so the base graph keeps evaluating the old distribution unchanged —
-// exactly what the incremental-inference engine needs, since it scores
-// proposals against both Pr(0) and Pr(∆). Two rules follow:
-//
-//   - The lineage must be linear: once a Patch has been applied to a
-//     graph, derive further patches from the result, not from the base
-//     again (a second patch from the same base would append into pool
-//     capacity the first patch's result already owns).
-//   - Patching is not concurrency-safe with in-flight evaluation on any
-//     graph of the lineage: apply patches between sweeps.
+// Ownership. A patch writes the graph it was started on, and Apply returns
+// that same graph: nothing of the pre-patch graph survives it. A caller
+// that must keep evaluating the old distribution — the
+// incremental-inference engine scores proposals against both Pr(0) and
+// Pr(∆) — takes a Clone first. Patching is not concurrency-safe with
+// in-flight evaluation of the graph: apply patches between sweeps.
 //
 // Repeated patching fragments the layout (tombstones in the frozen rows,
 // groundings reachable only through overflow). Monitor
 // Graph.Fragmentation and compact by rebuilding through NewBuilderFrom
 // when it crosses a threshold.
 type Patch struct {
-	base *Graph
-	g    *Graph
-
-	structOwned bool // overflow side tables copied for this patch
-	applied     bool
+	g       *Graph
+	applied bool
 
 	// Per-group distinct-variable sets, which also answer adjacency
-	// membership (see groupVars): newGroupVars[gi-base.NumGroups()] for a
-	// group this patch added, seeded with its head; oldGroupVars for a
+	// membership (see groupVars): newGroupVars[gi-baseGroups] for a group
+	// this patch added, seeded with its head; oldGroupVars for a
 	// pre-existing group, seeded by one scan on its first AddGrounding and
 	// allocated then. Both are extended as groundings land, so streamed
 	// additions stay O(Δ) instead of rescanning the group per call.
+	baseGroups   int32
 	newGroupVars []groupVarSet
 	oldGroupVars map[int32]*groupVarSet
 }
@@ -121,18 +102,11 @@ func (s *groupVarSet) addNew(v VarID) {
 	}
 }
 
-// NewPatch starts a patch over g. The working copy's weight table and
-// evidence arrays start out as g's (see lineage): callers mutate both on a
-// live graph (learning writes weights, supervision flips evidence), and
-// the first such write on either graph copies the table, so the base
-// graph keeps its values without a patch paying 8·W + 2·V bytes up front;
-// the heavyweight pools are shared per the lineage rules above.
+// NewPatch starts a patch over g, which it writes in place and advances
+// to the next epoch.
 func NewPatch(g *Graph) *Patch {
-	ng := *g
-	ng.epoch = g.epoch + 1
-	ng.wShare = g.wShare.fork(len(g.weights))
-	ng.evShare, ng.valShare = g.evShare.fork(g.numVars), g.valShare.fork(g.numVars)
-	return &Patch{base: g, g: &ng}
+	g.epoch++
+	return &Patch{g: g, baseGroups: int32(len(g.groupHead))}
 }
 
 // checkOpen panics after Apply: a patch is single-use.
@@ -142,20 +116,22 @@ func (p *Patch) checkOpen() {
 	}
 }
 
-// ownStruct forks the side tables (see paged) so this patch can write
-// them: one pointer per page is copied, the pages stay shared until a
-// write lands on one. Called before any structural mutation.
+// ownStruct allocates the overflow tables the graph does not have yet.
+// Called before any structural mutation.
 func (p *Patch) ownStruct() {
-	if p.structOwned {
-		return
+	g := p.g
+	if g.gndExtra == nil {
+		g.gndExtra = make([][]int32, len(g.groupHead))
 	}
-	p.structOwned = true
-	g, b := p.g, p.base
-	nG, nV := len(g.groupHead), g.numVars
-	g.gndExtra = b.gndExtra.fork(nG)
-	g.adjExtra = b.adjExtra.fork(nV)
-	g.bodyExtra = b.bodyExtra.fork(nV)
-	g.nbrExtra = b.nbrExtra.fork(nV)
+	if g.adjExtra == nil {
+		g.adjExtra = make([][]int32, g.numVars)
+	}
+	if g.bodyExtra == nil {
+		g.bodyExtra = make([][]bodyOcc, g.numVars)
+	}
+	if g.nbrExtra == nil {
+		g.nbrExtra = make([][]int32, g.numVars)
+	}
 }
 
 // AddVar registers a new free variable and returns its id.
@@ -163,20 +139,19 @@ func (p *Patch) AddVar() VarID {
 	p.checkOpen()
 	p.ownStruct()
 	g := p.g
-	g.evidence = grow(g.evidence, &g.evShare, false)
-	g.evValue = grow(g.evValue, &g.valShare, false)
+	g.evidence = append(g.evidence, false)
+	g.evValue = append(g.evValue, false)
 	g.bodyOff = append(g.bodyOff, g.bodyOff[len(g.bodyOff)-1])
 	g.adjOff = append(g.adjOff, g.adjOff[len(g.adjOff)-1])
 	g.nbrOff = append(g.nbrOff, g.nbrOff[len(g.nbrOff)-1])
-	g.bodyExtra.push(nil)
-	g.adjExtra.push(nil)
-	g.nbrExtra.push(nil)
+	g.bodyExtra = append(g.bodyExtra, nil)
+	g.adjExtra = append(g.adjExtra, nil)
+	g.nbrExtra = append(g.nbrExtra, nil)
 	g.numVars++
 	return VarID(g.numVars - 1)
 }
 
-// SetEvidence fixes (or releases) the value of a variable in the patched
-// graph; the base graph keeps its evidence state.
+// SetEvidence fixes (or releases) the value of a variable.
 func (p *Patch) SetEvidence(v VarID, ev, val bool) {
 	p.checkOpen()
 	g := p.g
@@ -189,12 +164,12 @@ func (p *Patch) SetEvidence(v VarID, ev, val bool) {
 // AddWeight registers a weight with an initial value and returns its id.
 func (p *Patch) AddWeight(init float64) WeightID {
 	p.checkOpen()
-	p.g.weights = grow(p.g.weights, &p.g.wShare, init)
+	p.g.weights = append(p.g.weights, init)
 	return WeightID(len(p.g.weights) - 1)
 }
 
 // AddGroup appends an empty rule group; populate it with AddGrounding.
-// Returns the group index (indexes are append-only across the lineage).
+// Returns the group index (group indexes are append-only).
 func (p *Patch) AddGroup(head VarID, w WeightID, sem Semantics) int {
 	p.checkOpen()
 	p.ownStruct()
@@ -212,12 +187,12 @@ func (p *Patch) AddGroup(head VarID, w WeightID, sem Semantics) int {
 	// in the overflow row. The repeated offset keeps len(gndOff) ==
 	// NumGroups+1 with an empty [off, off) main range.
 	g.gndOff = append(g.gndOff, g.gndOff[len(g.gndOff)-1])
-	g.gndExtra.push(nil)
+	g.gndExtra = append(g.gndExtra, nil)
 	g.semGrow(sem, 0)
 	gi := len(g.groupHead) - 1
 	// A brand-new group is in no adjacency row yet: link its head, the
 	// first member of its variable set, without a lookup.
-	g.adjExtra.set(&p.base.adjExtra, int32(head), append(g.adjExtra.at(int32(head)), int32(gi)))
+	g.adjExtra[head] = append(g.adjExtra[head], int32(gi))
 	p.newGroupVars = append(p.newGroupVars, groupVarSet{head: head})
 	return gi
 }
@@ -231,7 +206,7 @@ func (p *Patch) hasNbr(a, b VarID) bool {
 	if _, found := slices.BinarySearch(row, int32(b)); found {
 		return true
 	}
-	return slices.Contains(g.nbrExtra.at(int32(a)), int32(b))
+	return slices.Contains(g.nbrExtra[a], int32(b))
 }
 
 // addNbr links a and b as blanket neighbors (both directions) if absent.
@@ -239,9 +214,9 @@ func (p *Patch) addNbr(a, b VarID) {
 	if a == b || p.hasNbr(a, b) {
 		return
 	}
-	nx, bx := &p.g.nbrExtra, &p.base.nbrExtra
-	nx.set(bx, int32(a), append(nx.at(int32(a)), int32(b)))
-	nx.set(bx, int32(b), append(nx.at(int32(b)), int32(a)))
+	nx := p.g.nbrExtra
+	nx[a] = append(nx[a], int32(b))
+	nx[b] = append(nx[b], int32(a))
 }
 
 // groupVars returns the tracked distinct-variable set of group gi: its
@@ -253,8 +228,8 @@ func (p *Patch) addNbr(a, b VarID) {
 // The first call for a pre-existing group scans it once; later calls
 // return the tracked set, which AddGrounding extends as groundings land.
 func (p *Patch) groupVars(gi int32) *groupVarSet {
-	if nb := int32(p.base.NumGroups()); gi >= nb {
-		return &p.newGroupVars[gi-nb]
+	if gi >= p.baseGroups {
+		return &p.newGroupVars[gi-p.baseGroups]
 	}
 	if s := p.oldGroupVars[gi]; s != nil {
 		return s
@@ -269,7 +244,7 @@ func (p *Patch) groupVars(gi int32) *groupVarSet {
 	for k := g.gndOff[gi]; k < g.gndOff[gi+1]; k++ {
 		scan(k)
 	}
-	for _, k := range g.gndExtra.at(gi) {
+	for _, k := range g.gndExtra[gi] {
 		scan(k)
 	}
 	if p.oldGroupVars == nil {
@@ -311,12 +286,11 @@ func (p *Patch) AddGrounding(gi int, lits []Literal) int32 {
 		g.deadAt = append(g.deadAt, 0)
 	}
 
-	extra := g.gndExtra.at(int32(gi))
 	g.semGrow(g.groupSem[gi], g.gndCount(int32(gi))+1)
 
 	g.nGnd++
 	g.nExtra++
-	g.gndExtra.set(&p.base.gndExtra, int32(gi), append(extra, k))
+	g.gndExtra[gi] = append(g.gndExtra[gi], k)
 
 	// Occurrence records: one per distinct variable of the grounding,
 	// merging repeated (possibly negated) occurrences, like Build.
@@ -342,13 +316,13 @@ func (p *Patch) AddGrounding(gi int, lits []Literal) int32 {
 				occ.n[0]++
 			}
 		}
-		g.bodyExtra.set(&p.base.bodyExtra, int32(lit.Var), append(g.bodyExtra.at(int32(lit.Var)), occ))
+		g.bodyExtra[lit.Var] = append(g.bodyExtra[lit.Var], occ)
 		if gv.has(lit.Var) {
 			// Already in the group: already in its adjacency row, and
 			// already linked to every other variable of the group.
 			continue
 		}
-		g.adjExtra.set(&p.base.adjExtra, int32(lit.Var), append(g.adjExtra.at(int32(lit.Var)), int32(gi)))
+		g.adjExtra[lit.Var] = append(g.adjExtra[lit.Var], int32(gi))
 		// Blanket links: to every variable already tracked for the group —
 		// including this grounding's earlier variables, which were added to
 		// the set as they were processed (addNbr dedupes both directions).
@@ -363,9 +337,9 @@ func (p *Patch) AddGrounding(gi int, lits []Literal) int32 {
 
 // RemoveGrounding tombstones grounding k (as returned by AddGrounding, or
 // a frozen pool index). The grounding stays in the pools — its occurrence
-// records become dead weight until compaction — but no evaluator at this
-// patch's epoch or later counts it. Tombstoning is permanent for the
-// lineage: to re-add an identical grounding later, append a fresh one.
+// records become dead weight until compaction — but no evaluator counts it
+// any more. Tombstoning is permanent: to re-add an identical grounding
+// later, append a fresh one.
 func (p *Patch) RemoveGrounding(k int32) {
 	p.checkOpen()
 	g := p.g
@@ -374,10 +348,6 @@ func (p *Patch) RemoveGrounding(k int32) {
 	}
 	if g.deadAt == nil {
 		g.deadAt = make([]int32, g.nGnd)
-	} else if len(g.deadAt) < g.nGnd {
-		grown := make([]int32, g.nGnd)
-		copy(grown, g.deadAt)
-		g.deadAt = grown
 	}
 	if !g.gndLive(k) {
 		panic(fmt.Sprintf("factor: Patch.RemoveGrounding id %d already tombstoned", k))
@@ -386,8 +356,8 @@ func (p *Patch) RemoveGrounding(k int32) {
 	g.nDead++
 }
 
-// Apply finalizes the patch and returns the new graph. The patch must not
-// be used afterwards; derive further patches from the returned graph.
+// Apply finalizes the patch and returns the patched graph — the one
+// NewPatch was given. The patch must not be used afterwards.
 func (p *Patch) Apply() *Graph {
 	p.checkOpen()
 	p.applied = true

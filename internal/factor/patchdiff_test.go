@@ -6,9 +6,10 @@ package factor_test
 // through factor.Builder after every step — and the two graphs must stay
 // semantically identical (energies, conditional deltas under both
 // evaluation paths, weight statistics, adjacency sets, marginals at a
-// fixed seed). The pre-patch graph is also re-checked after each step, and
-// every graph of the lineage once more after the last one: lineage sharing
-// must leave each older distribution untouched, however many patches on.
+// fixed seed). A patch writes its graph in place, so a Clone taken before
+// each patch is re-checked after it, and every such clone once more after
+// the last patch: a clone shares nothing with the graph it was taken from,
+// however many patches on.
 //
 // Failures print the subtest seed (t.Run("seed=N")); re-run with
 // -run 'TestPatchDifferential/seed=N' to reproduce.
@@ -25,7 +26,7 @@ import (
 )
 
 // modelGnd is one grounding of the oracle model with its flat-pool id in
-// the patched lineage (for targeted removal).
+// the patched graph (for targeted removal).
 type modelGnd struct {
 	lits   []factor.Literal
 	live   bool
@@ -114,7 +115,7 @@ var allSems = []factor.Semantics{factor.Linear, factor.Logical, factor.Ratio}
 
 // seedModel builds the starting graph and its model, and stamps the
 // initial flat ids (Build assigns them sequentially in group order). A
-// big model spreads its side tables over several copy-on-write pages.
+// big model has a few hundred rows in each overflow table.
 func seedModel(rng *rand.Rand, t testing.TB, big bool) (*model, *factor.Graph) {
 	m := &model{}
 	nVars := 8 + rng.Intn(8)
@@ -230,8 +231,9 @@ func mutateStep(rng *rand.Rand, p *factor.Patch, m *model) {
 	}
 }
 
-// retained is one graph of a patch lineage as it looked when it was the
-// head: its model, and the adjacency and blanket of every variable.
+// retained is a clone of a patched graph as it looked before the next
+// patch: its model, and the adjacency and blanket of every variable read
+// off the graph it was cloned from.
 type retained struct {
 	g    *factor.Graph
 	m    *model
@@ -240,7 +242,7 @@ type retained struct {
 }
 
 func retain(g *factor.Graph, m *model) retained {
-	r := retained{g: g, m: m.clone()}
+	r := retained{g: g.Clone(), m: m.clone()}
 	for v := 0; v < g.NumVars(); v++ {
 		r.adj = append(r.adj, g.AdjacentGroups(factor.VarID(v)))
 		var nb []factor.VarID
@@ -251,31 +253,34 @@ func retain(g *factor.Graph, m *model) retained {
 }
 
 // TestPatchDifferential is the headline harness: 8 seeds × 30 steps = 240
-// randomized update steps, each asserting patched ≡ rebuilt, plus
-// old-lineage preservation — one step back after every patch, the whole
-// lineage after the last — and periodic fixed-seed marginal agreement.
+// randomized update steps, each asserting patched ≡ rebuilt, plus clone
+// preservation — the clone taken before each patch after it, every clone
+// after the last — and periodic fixed-seed marginal agreement.
 func TestPatchDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			m, g := seedModel(rng, t, seed > 4)
-			lineage := []retained{retain(g, m)}
+			var clones []retained
 			for step := 0; step < 30; step++ {
-				prevG, prevM := g, m.clone()
+				before := retain(g, m)
+				clones = append(clones, before)
 
 				p := factor.NewPatch(g)
 				mutateStep(rng, p, m)
-				g = p.Apply()
+				if ng := p.Apply(); ng != g {
+					t.Fatalf("seed %d step %d: Apply returned another graph than the one patched", seed, step)
+				}
 
 				ref := m.build(t)
 				if diffs := factor.DiffGraphs(g, ref, 4, seed*1000+int64(step)); len(diffs) > 0 {
 					t.Fatalf("seed %d step %d: patched != rebuilt:\n%s", seed, step, joinLines(diffs))
 				}
-				// The pre-patch graph must still present the old distribution.
-				prevRef := prevM.build(t)
-				if diffs := factor.DiffGraphs(prevG, prevRef, 2, seed*2000+int64(step)); len(diffs) > 0 {
-					t.Fatalf("seed %d step %d: patch corrupted its base graph:\n%s", seed, step, joinLines(diffs))
+				// The clone taken before the patch still presents the old
+				// distribution.
+				if diffs := factor.DiffGraphs(before.g, before.m.build(t), 2, seed*2000+int64(step)); len(diffs) > 0 {
+					t.Fatalf("seed %d step %d: patch changed the clone taken before it:\n%s", seed, step, joinLines(diffs))
 				}
 				// NewBuilderFrom over the patched graph must compact to the
 				// same distribution (the synthesized nested view is what the
@@ -284,8 +289,6 @@ func TestPatchDifferential(t *testing.T) {
 				if diffs := factor.DiffGraphs(g, compact, 2, seed*3000+int64(step)); len(diffs) > 0 {
 					t.Fatalf("seed %d step %d: patched != NewBuilderFrom compaction:\n%s", seed, step, joinLines(diffs))
 				}
-
-				lineage = append(lineage, retain(g, m))
 
 				if step%10 == 9 {
 					mp := gibbs.New(g, seed+99).Marginals(20, 400)
@@ -301,15 +304,15 @@ func TestPatchDifferential(t *testing.T) {
 			if frag := g.Fragmentation(); frag <= 0 {
 				t.Fatalf("seed %d: expected fragmentation after 30 patch steps, got %v", seed, frag)
 			}
-			// Every graph of the lineage, the step-0 one included, is what it
-			// was when the patches after it had not happened.
-			for step, r := range lineage {
+			// Every clone, the step-0 one included, is what its graph was
+			// before the patches after it.
+			for step, r := range clones {
 				if diffs := factor.DiffGraphs(r.g, r.m.build(t), 2, seed*4000+int64(step)); len(diffs) > 0 {
-					t.Fatalf("seed %d: the graph of step %d changed under later patches:\n%s", seed, step, joinLines(diffs))
+					t.Fatalf("seed %d: the clone of step %d changed under later patches:\n%s", seed, step, joinLines(diffs))
 				}
 				now := retain(r.g, r.m)
 				if !reflect.DeepEqual(now.adj, r.adj) || !reflect.DeepEqual(now.nbrs, r.nbrs) {
-					t.Fatalf("seed %d: AdjacentGroups/Neighbors of the step-%d graph changed under later patches", seed, step)
+					t.Fatalf("seed %d: AdjacentGroups/Neighbors of the step-%d clone differ from its graph's", seed, step)
 				}
 			}
 		})
@@ -333,54 +336,55 @@ func TestPatchBasics(t *testing.T) {
 	b.AddGroup(v0, w, factor.Linear,
 		[]factor.Grounding{{Lits: []factor.Literal{{Var: v1}}}})
 	g := b.MustBuild()
+	base := g.Clone()
 
 	p := factor.NewPatch(g)
 	v2 := p.AddVar()
 	w2 := p.AddWeight(-1)
 	gi := p.AddGroup(v2, w2, factor.Ratio)
 	id := p.AddGrounding(gi, []factor.Literal{{Var: v0}, {Var: v1, Neg: true}})
-	ng := p.Apply()
-
-	if ng == g {
-		t.Fatal("Apply returned the base graph")
+	if ng := p.Apply(); ng != g {
+		t.Fatal("Apply returned another graph than the one patched")
 	}
-	if !ng.Patched() || g.Patched() {
+
+	if !g.Patched() || base.Patched() {
 		t.Fatal("Patched flags wrong")
 	}
-	if ng.NumVars() != 3 || ng.NumGroups() != 2 || ng.NumWeights() != 2 {
-		t.Fatalf("patched dims: vars=%d groups=%d weights=%d", ng.NumVars(), ng.NumGroups(), ng.NumWeights())
+	if g.NumVars() != 3 || g.NumGroups() != 2 || g.NumWeights() != 2 {
+		t.Fatalf("patched dims: vars=%d groups=%d weights=%d", g.NumVars(), g.NumGroups(), g.NumWeights())
 	}
-	if g.NumVars() != 2 || g.NumGroups() != 1 || g.NumGroundings() != 1 {
-		t.Fatalf("base dims mutated: vars=%d groups=%d gnds=%d", g.NumVars(), g.NumGroups(), g.NumGroundings())
+	if base.NumVars() != 2 || base.NumGroups() != 1 || base.NumGroundings() != 1 {
+		t.Fatalf("clone dims mutated: vars=%d groups=%d gnds=%d", base.NumVars(), base.NumGroups(), base.NumGroundings())
 	}
-	if ng.NumGroundings() != 2 {
-		t.Fatalf("patched NumGroundings = %d, want 2", ng.NumGroundings())
+	if g.NumGroundings() != 2 {
+		t.Fatalf("patched NumGroundings = %d, want 2", g.NumGroundings())
 	}
 	// Adjacency picked up the new group for the old vars.
-	if adj := ng.AdjacentGroups(v0); len(adj) != 2 {
+	if adj := g.AdjacentGroups(v0); len(adj) != 2 {
 		t.Fatalf("v0 adjacency after patch: %v", adj)
 	}
-	if adj := g.AdjacentGroups(v0); len(adj) != 1 {
-		t.Fatalf("base v0 adjacency grew: %v", adj)
+	if adj := base.AdjacentGroups(v0); len(adj) != 1 {
+		t.Fatalf("clone's v0 adjacency grew: %v", adj)
 	}
 
 	// Tombstone the patched-in grounding on a second patch.
-	p2 := factor.NewPatch(ng)
+	before := g.Clone()
+	p2 := factor.NewPatch(g)
 	p2.RemoveGrounding(id)
-	ng2 := p2.Apply()
-	if ng2.NumGroundings() != 1 {
-		t.Fatalf("after tombstone NumGroundings = %d, want 1", ng2.NumGroundings())
+	p2.Apply()
+	if g.NumGroundings() != 1 {
+		t.Fatalf("after tombstone NumGroundings = %d, want 1", g.NumGroundings())
 	}
-	if ng.NumGroundings() != 2 {
-		t.Fatalf("tombstone leaked into earlier epoch: %d", ng.NumGroundings())
+	if before.NumGroundings() != 2 {
+		t.Fatalf("tombstone leaked into the clone taken before it: %d", before.NumGroundings())
 	}
-	if ng2.Fragmentation() <= 0 {
+	if g.Fragmentation() <= 0 {
 		t.Fatal("fragmentation not reported")
 	}
 	// The dead group contributes zero energy, like an empty group.
 	assign := []bool{true, true, true}
-	e2 := ng2.Energy(assign)
-	eBase := g.Energy(assign[:2])
+	e2 := g.Energy(assign)
+	eBase := base.Energy(assign[:2])
 	if math.Abs(e2-eBase) > 1e-12 {
 		t.Fatalf("energy after tombstone %v, want base %v", e2, eBase)
 	}

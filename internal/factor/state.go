@@ -190,7 +190,7 @@ func (s *State) ensureFresh() {
 // the fast path still covers the untouched bulk).
 func (s *State) overflowVar(v VarID) bool {
 	g := s.G
-	return g.adjExtra.present() && (g.bodyExtra.at(int32(v)) != nil || g.adjExtra.at(int32(v)) != nil)
+	return len(g.ExtraAdjacent(v)) > 0 || g.bodyExtra != nil && len(g.bodyExtra[v]) > 0
 }
 
 // invalidateBlanket drops the cached conditionals of every variable whose
@@ -426,8 +426,8 @@ func (s *State) setAny(v VarID, val bool) bool {
 			}
 		}
 	}
-	if g.bodyExtra.present() {
-		extra := g.bodyExtra.at(int32(v))
+	if g.bodyExtra != nil {
+		extra := g.bodyExtra[v]
 		for i := range extra {
 			occ := &extra[i]
 			u := unsat[occ.gnd]

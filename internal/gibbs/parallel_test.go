@@ -153,7 +153,7 @@ func TestNewChainSelection(t *testing.T) {
 // own keep window only.
 func TestParallelMarginalsRepeatedCalls(t *testing.T) {
 	base := chainGraph(90, 0.5)
-	patch := factor.NewPatch(base)
+	patch := factor.NewPatch(base.Clone())
 	w := patch.AddWeight(0.4)
 	gi := patch.AddGroup(factor.VarID(1), w, factor.Ratio)
 	patch.AddGrounding(gi, []factor.Literal{{Var: factor.VarID(2)}})

@@ -54,8 +54,8 @@ func deriveSeed(mixed uint64, i int) int64 {
 //
 // Because each worker touches only its own arrays between merges, sweeps
 // are race-free and the chain is bit-for-bit deterministic for a fixed
-// (seed, replicas, syncEvery) triple. Replicas share one graph — on a
-// patch lineage that means one immutable CSR pool backing all workers.
+// (seed, replicas, syncEvery) triple. Replicas share one graph, which no
+// one patches while they sweep.
 //
 // The sampler itself is driven from one goroutine; only its internal
 // sweeps fan out.

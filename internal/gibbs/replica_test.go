@@ -200,9 +200,9 @@ func TestReplicaWeightStatsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestReplicaOnPatchedGraph composes the replica engine with the PR 2
-// patch path: replicas over a patched graph (shared immutable pool
-// lineage) must agree with a sequential chain over the same graph.
+// TestReplicaOnPatchedGraph composes the replica engine with the in-place
+// patch path: replicas over a patched graph (overflow rows read by every
+// worker) must agree with a sequential chain over the same graph.
 func TestReplicaOnPatchedGraph(t *testing.T) {
 	g := chainGraph(80, 0.5)
 	p := factor.NewPatch(g)

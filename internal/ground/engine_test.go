@@ -242,10 +242,7 @@ func BenchmarkGroundFullRule(b *testing.B) {
 // the flat graph through a factor.Patch, and the loop reads the graph back
 // as the KB does after every commit, which compacts it whenever
 // fragmentation crosses the threshold — the figures hold that rebuild,
-// amortised. (While a patch copied its side tables whole this benchmark
-// switched patching off to show the join engine at all; the weight values
-// and evidence flags a patch shares with its base until a write, see
-// factor.NewPatch.)
+// amortised.
 func BenchmarkGroundDocDelta(b *testing.B) {
 	for _, sentences := range []int{500, 2000} {
 		b.Run(fmt.Sprintf("corpus=%d", sentences), func(b *testing.B) {

@@ -131,13 +131,14 @@ func (g *Grounder) ApplyUpdate(u Update) (*Delta, error) {
 // describes.
 //
 // The caller must invoke commit exactly once, before any subsequent
-// ApplyUpdate/ApplyUpdateStaged/Graph call on this grounder, and
-// must not run commit concurrently with evaluation over any graph of the
-// cached graph's lineage (commit patches shared pool state; see
-// factor.Patch). An update rejected up front (unknown or derived target
-// relations, tuples of the wrong arity, with a reserved byte or deleting
-// what is not there — ErrBadTuple —, rules that do not validate, compile,
-// plan or stay non-recursive) leaves the grounder exactly as it was; an error during
+// ApplyUpdate/ApplyUpdateStaged/Graph call on this grounder, and must not
+// run commit concurrently with evaluation over the cached graph: commit
+// patches that graph in place (see factor.Patch), so a caller that still
+// needs the pre-update graph reads it before commit. An update rejected
+// up front (unknown or derived target relations, tuples of the wrong
+// arity, with a reserved byte or deleting what is not there —
+// ErrBadTuple —, rules that do not validate, compile, plan or stay
+// non-recursive) leaves the grounder exactly as it was; an error during
 // evaluation (a bad evidence label) returns no commit and may leave it
 // partially updated with a dirty graph. ApplyUpdate behaves the same.
 //
@@ -315,29 +316,29 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 	return d, commit, nil
 }
 
-// patchGraph splices the update's ΔV/ΔF into the current graph through a
-// factor.Patch in O(|Δ|): new variables, weights, and groups are
+// patchGraph splices the update's ΔV/ΔF into the current graph in place
+// through a factor.Patch in O(|Δ|): new variables, weights, and groups are
 // appended, toggled groundings of pre-existing groups are appended or
 // tombstoned by their recorded flat ids, and evidence changes are applied
-// — the pools of untouched variables and factors are never rewritten. The
-// pre-patch graph object keeps presenting the old distribution (the
-// incremental-inference engine scores proposals against both), and the
-// grounder's cached graph advances to the patched lineage head. When
-// fragmentation from accumulated tombstones and overflow rows crosses the
-// compaction threshold, the graph is left dirty so the next Graph call
-// performs an O(V+F) compacting rebuild.
+// — the pools of untouched variables and factors are never rewritten.
+// Nothing of the pre-patch graph survives (the incremental-inference
+// engine keeps its own clone of Pr(0)). When fragmentation from
+// accumulated tombstones and overflow rows crosses the compaction
+// threshold, the graph is left dirty so the next Graph call performs an
+// O(V+F) compacting rebuild.
 func (g *Grounder) patchGraph(tr *tracker) {
-	old := g.lastGraph
-	p := factor.NewPatch(old)
-	for i := old.NumVars(); i < g.NumVars(); i++ {
+	gr := g.lastGraph
+	oldVars := gr.NumVars()
+	p := factor.NewPatch(gr)
+	for i := oldVars; i < g.NumVars(); i++ {
 		p.AddVar()
 	}
-	for i := old.NumWeights(); i < len(g.weightKeys); i++ {
+	for i := gr.NumWeights(); i < len(g.weightKeys); i++ {
 		p.AddWeight(g.weightInit[i])
 	}
 	// Groups created by this update, with their visible groundings.
 	// addedGroups is in creation order, i.e. consecutive indices starting
-	// at the old graph's group count.
+	// at the pre-patch group count.
 	for _, gi := range tr.addedGroups {
 		gs := &g.groups[gi]
 		if pgi := p.AddGroup(gs.head, gs.weight, gs.sem); pgi != gi {
@@ -377,12 +378,11 @@ func (g *Grounder) patchGraph(tr *tracker) {
 	for _, v := range tr.evChanged { // ascending, each once
 		applyEv(v)
 	}
-	for i := old.NumVars(); i < g.NumVars(); i++ {
+	for i := oldVars; i < g.NumVars(); i++ {
 		applyEv(factor.VarID(i))
 	}
-	ng := p.Apply()
-	g.lastGraph = ng
-	g.graphDirty = ng.Fragmentation() > g.compactionThreshold()
+	p.Apply()
+	g.graphDirty = gr.Fragmentation() > g.compactionThreshold()
 }
 
 // sortedRelNames returns a delta map's relation names in sorted order.

@@ -52,11 +52,11 @@ func TestEstimateAcceptanceRateCursorInvariance(t *testing.T) {
 
 // addBiasedVar appends one new variable with a single strong positive
 // bias group (anchored on the evidence-true var 0 that chainGraph
-// creates) and returns the new graph, the new var, and the new group's
-// index.
+// creates) to a clone of g and returns the clone, the new var, and the new
+// group's index.
 func addBiasedVar(t *testing.T, g *factor.Graph, w float64) (*factor.Graph, factor.VarID, int32) {
 	t.Helper()
-	p := factor.NewPatch(g)
+	p := factor.NewPatch(g.Clone())
 	v := p.AddVar()
 	wid := p.AddWeight(w)
 	gi := p.AddGroup(v, wid, factor.Linear)

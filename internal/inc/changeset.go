@@ -160,10 +160,10 @@ func union[T ~int32](s *idSet, dst, src []T) []T {
 
 // CheckIndexes refuses a change set naming a group at or past g's groups or
 // a variable at or past its variables. Groups and variables are
-// append-only along a lineage, so a change set accumulated over updates
-// that ended in g — whichever graph of the lineage each id indexed when it
-// was noted — names none: a restore checks a decoded one against the
-// graph it restores.
+// append-only across updates, so a change set accumulated over updates
+// that ended in g — whichever graph each id indexed when it was noted —
+// names none: a restore checks a decoded one against the graph it
+// restores.
 func (c ChangeSet) CheckIndexes(g *factor.Graph) error {
 	nG, nV := int32(g.NumGroups()), int32(g.NumVars())
 	for _, ids := range [2][]int32{c.ChangedOld, c.ChangedNew} {

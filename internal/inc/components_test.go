@@ -141,7 +141,7 @@ func genUpdate(seed int64, evidenceChange bool) oracleCase {
 		}
 	}
 
-	p := factor.NewPatch(c.oldG)
+	p := factor.NewPatch(c.oldG.Clone())
 	csr := c.oldG.CSR()
 	note := func(gi int) { c.changed = append(c.changed, int32(gi)) }
 	// Tombstone one grounding of the first group that has two.
@@ -535,7 +535,7 @@ func TestUpdateSolvesWhatEnumerates(t *testing.T) {
 		for oldG.IsEvidence(single) || slices.Contains(chain, single) {
 			single++
 		}
-		p := factor.NewPatch(oldG)
+		p := factor.NewPatch(oldG.Clone())
 		gi := p.AddGroup(p.AddVar(), p.AddWeight(0.8), factor.Ratio)
 		p.AddGrounding(gi, []factor.Literal{{Var: single}})
 		newG := p.Apply()

@@ -77,7 +77,7 @@ func rebuildOrPatch(t *testing.T, g *factor.Graph, mode string, edit func(graphE
 		}
 		return nb.MustBuild()
 	case "patch":
-		p := factor.NewPatch(g)
+		p := factor.NewPatch(g.Clone())
 		if edit != nil {
 			edit(patchEditor{p})
 		}

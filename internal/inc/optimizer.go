@@ -200,10 +200,11 @@ type Engine struct {
 // worlds. Only components past that bound are sampled, one world a sweep
 // after Burnin sweeps, on the chain Options.Runtime selects.
 //
-// NewEngine solves the components and holds their tables, so g's weights
-// may change afterwards without moving Pr(0). When a chain is left to sweep
-// it then draws the store and fits the variational approximation at once.
-// Otherwise it defers both to the first read that needs them — Store,
+// NewEngine materializes a clone of g, which the engine owns as Pr(0): g
+// may be patched and its weights trained afterwards without moving Pr(0).
+// It solves the components and holds their tables. When a chain is left
+// to sweep it then draws the store and fits the variational approximation
+// at once. Otherwise it defers both to the first read that needs them — Store,
 // Variational, MaterializeForBudget, a strategy choice or run, an
 // AutoInferCtx remainder — which draws the worlds this call would have drawn:
 // the same seeded stream, bit for bit. An update its components solve
@@ -219,9 +220,9 @@ func NewEngine(g *factor.Graph, opts Options) (*Engine, error) {
 // partially materialized Pr(0).
 func NewEngineCtx(ctx context.Context, g *factor.Graph, opts Options) (*Engine, error) {
 	o := opts.fill()
-	e := &Engine{opts: o, old: g}
 	start := time.Now()
-	if e.worlds, e.solved = newWorlds(ctx, g, o, o.MaterializationSamples, o.Seed); e.worlds == nil {
+	e := &Engine{opts: o, old: g.Clone()}
+	if e.worlds, e.solved = newWorlds(ctx, e.old, o, o.MaterializationSamples, o.Seed); e.worlds == nil {
 		return nil, ctx.Err()
 	}
 	e.matElapsed = time.Since(start)
@@ -320,7 +321,8 @@ func (e *Engine) StoreLevel() (stored, remaining int) {
 	return e.store.Len(), e.store.Remaining()
 }
 
-// OldGraph returns the materialized Pr(0) graph.
+// OldGraph returns the materialized Pr(0) graph, which the engine owns:
+// callers read it and must not patch it or set its weights or evidence.
 func (e *Engine) OldGraph() *factor.Graph { return e.old }
 
 // Variational exposes the variational materialization, fitting it first if

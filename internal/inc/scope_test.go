@@ -35,7 +35,7 @@ func scopeFixture(t testing.TB) (e *Engine, newG *factor.Graph, cs ChangeSet, se
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := factor.NewPatch(g)
+	p := factor.NewPatch(g.Clone())
 	nv := p.AddVar()
 	ne := p.AddVar()
 	p.SetEvidence(ne, true, true)

@@ -104,7 +104,7 @@ func TestDecomposedSkipIsBitIdentical(t *testing.T) {
 			}
 			gr, err := kbc.Ground(sys, factor.Ratio, k)
 			must(t, err)
-			oldG := train(gr, 5, 3)
+			oldG := train(gr, 5, 3).Clone()
 			var engines [2]*inc.Engine
 			for i := range engines {
 				engines[i], err = inc.NewEngine(oldG, opts)
@@ -231,7 +231,7 @@ func BenchmarkVariationalRun(b *testing.B) {
 	sys := corpus.Generate(spec)
 	gr, err := kbc.Ground(sys, factor.Ratio, 3)
 	must(b, err)
-	oldG := train(gr, 5, 3)
+	oldG := train(gr, 5, 3).Clone()
 	eng, err := inc.NewEngine(oldG, inc.Options{MaterializationSamples: 300, KeepSamples: 300, Burnin: 30, Seed: 7})
 	must(b, err)
 	delta := applyIteration(b, gr, sys, kbc.IterationNames[3])

@@ -319,7 +319,8 @@ func (kb *KB) engineOpts(seed int64) inc.Options {
 // Stats().Learned on the published snapshot says which way the components
 // went. Cancellation via ctx returns promptly with the context's error; the
 // weights of the last completed gradient step remain installed (a coherent,
-// partially trained model) but no new snapshot is published.
+// partially trained model) and, on a materialized KB, their drift reaches
+// the next update, but no new snapshot is published.
 func (kb *KB) Learn(ctx context.Context) (time.Duration, error) {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
@@ -328,9 +329,6 @@ func (kb *KB) Learn(ctx context.Context) (time.Duration, error) {
 	}
 	start := time.Now()
 	g := kb.grounder.Graph()
-	if kb.engine != nil && kb.engine.OldGraph() == g {
-		g = kb.grounder.ForkGraph() // the engine's Pr(0) keeps its weights
-	}
 	warm := append([]float64(nil), g.Weights()...)
 	for _, w := range kb.grounder.LearnableWeights() {
 		warm[w] = 0
@@ -343,12 +341,9 @@ func (kb *KB) Learn(ctx context.Context) (time.Duration, error) {
 		Warmstart: warm,
 		Frozen:    kb.frozen(g),
 	})
-	if err != nil {
-		return time.Since(start), err
-	}
-	kb.learnSolved = res.Solved
 	if kb.engine != nil {
-		// The engine still materializes the old weights: carry the drift,
+		// The engine still materializes the old weights: carry the drift —
+		// a cancelled run's too, whose last completed step stays installed —
 		// so the next update scores it and covers the graph.
 		all := make([]bool, g.NumWeights())
 		for w := range all {
@@ -357,6 +352,10 @@ func (kb *KB) Learn(ctx context.Context) (time.Duration, error) {
 		drift, _ := weightChanges(kb.engine, g, all)
 		kb.pending = kb.pending.Merge(drift)
 	}
+	if err != nil {
+		return time.Since(start), err
+	}
+	kb.learnSolved = res.Solved
 	kb.publishLocked()
 	return time.Since(start), nil
 }
@@ -544,11 +543,13 @@ func (kb *KB) applyGround(ctx context.Context, u Update) (*stagedApply, error) {
 			}
 		}
 	}
-	prev := kb.curGraph
+	// commit patches the graph in place, and only the pre-update graph
+	// sees the groundings the delta removes: list their variables first.
+	removed := groupVars(nil, kb.curGraph, delta.ModifiedGroups)
 	commit()
 	st.graph = kb.grounder.Graph()
 	kb.curGraph = st.graph
-	st.seeds = deltaSeeds(delta, prev, st.graph)
+	st.seeds = deltaSeeds(delta, removed, st.graph)
 	st.carried = !kb.pending.Empty()
 	// The grounded delta is now committed. Fold it into the pending
 	// change set immediately: if this update's learning or inference is
@@ -583,20 +584,23 @@ func (kb *KB) applyGround(ctx context.Context, u Update) (*stagedApply, error) {
 
 // deltaSeeds lists the variables a committed delta touched: the new
 // ones, those whose evidence changed, and every variable of a modified or
-// added group — read off both the pre-update graph (which still sees the
-// groundings the update removed) and the committed one. The finish stage
-// grows its scopes outward from them. Duplicates are harmless.
-func deltaSeeds(d *ground.Delta, prev, g *factor.Graph) []factor.VarID {
+// added group — read off the committed graph g, plus pre, those of the
+// modified groups on the pre-update graph (which alone saw the groundings
+// the update removed). The finish stage grows its scopes outward from
+// them. Duplicates are harmless.
+func deltaSeeds(d *ground.Delta, pre []factor.VarID, g *factor.Graph) []factor.VarID {
 	seeds := append(slices.Clone(d.NewVars), d.EvidenceChanged...)
-	add := func(v factor.VarID) { seeds = append(seeds, v) }
-	for _, gi := range d.ModifiedGroups {
-		prev.GroupVars(int32(gi), add)
-		g.GroupVars(int32(gi), add)
+	seeds = append(seeds, pre...)
+	seeds = groupVars(seeds, g, d.ModifiedGroups)
+	return groupVars(seeds, g, d.AddedGroups)
+}
+
+// groupVars appends the variables of g's groups gis to vs.
+func groupVars(vs []factor.VarID, g *factor.Graph, gis []int) []factor.VarID {
+	for _, gi := range gis {
+		g.GroupVars(int32(gi), func(v factor.VarID) { vs = append(vs, v) })
 	}
-	for _, gi := range d.AddedGroups {
-		g.GroupVars(int32(gi), add)
-	}
-	return seeds
+	return vs
 }
 
 // applyFinish runs the finish stage of an apply — warmstart learning when
@@ -701,7 +705,10 @@ func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, 
 // the variables, extracting a subgraph saves nothing worth its cost.
 func beyondHalf(r *factor.Reach, g *factor.Graph) bool { return 2*len(r.Vars) > g.NumVars() }
 
-// learnDelta is the finish stage's warmstart learning: IncLearnEpochs of
+// incLearnEpochs is the epochs of warmstart learning an update runs.
+const incLearnEpochs = 3
+
+// learnDelta is the finish stage's warmstart learning: incLearnEpochs of
 // SGD from the current weights, on the subgraph and the weights the delta
 // can inform. log Pr[E] is a sum over the connected components of the
 // evidence-released graph, a query-only component contributes exactly
@@ -757,7 +764,7 @@ func (kb *KB) learnDelta(ctx context.Context, st *stagedApply, scoped bool) ([]b
 	before := slices.Clone(g.Weights())
 	start := time.Now()
 	_, err := learn.TrainCtx(ctx, target, learn.Options{
-		Epochs:    kb.opts.IncLearnEpochs,
+		Epochs:    incLearnEpochs,
 		StepSize:  kb.opts.LearnStep,
 		Runtime:   kb.runtime(),
 		Seed:      kb.opts.Seed + 5,

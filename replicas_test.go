@@ -48,8 +48,8 @@ func TestEngineWithReplicas(t *testing.T) {
 }
 
 // TestEngineReplicasOnPatchedGraph composes the replica engine with
-// the O(Δ) patch path (the default): replicas sample over a patched CSR
-// pool lineage.
+// the O(Δ) patch path (the default): replicas sample over a graph patched
+// in place.
 func TestEngineReplicasOnPatchedGraph(t *testing.T) {
 	eng, err := deepdive.OpenKB(spouseSource,
 		deepdive.WithUDF("phrase", phraseUDF),

@@ -157,7 +157,7 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 func (s *Snapshot) GroundVersion() uint64 { return s.groundVersion }
 
 // GraphEpoch returns the factor graph's patch epoch at snapshot time
-// (0 = freshly built, +1 per in-place patch along the lineage).
+// (0 = freshly built or rebuilt, +1 per in-place patch since).
 func (s *Snapshot) GraphEpoch() int32 { return s.graphEpoch }
 
 // Stats reports the grounded factor-graph statistics at snapshot time.
