@@ -103,19 +103,16 @@ chaos:
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSoak' .
 
-# Short native-fuzz passes over the six untrusted-input decoders: the
+# Short native-fuzz passes over the four untrusted-input decoders: the
 # datalog parser (no-panic + String round-trip), the wire update body (any
 # body answered 200/400/409/413, the queue still live), the WAL record
-# decoder, the grounder snapshot decoder, the graph snapshot decoder and the
-# engine snapshot decoder (each: refuse or round-trip, allocation bounded by
-# the input); extend -fuzztime for a real hunt.
+# decoder and the grounder snapshot decoder (each: refuse or round-trip,
+# allocation bounded by the input); extend -fuzztime for a real hunt.
 fuzz-smoke:
 	$(GO) test ./internal/datalog -run='^$$' -fuzz='^FuzzDatalogParser$$' -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz='^FuzzServeUpdateBody$$' -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz='^FuzzDecodeUpdate$$' -fuzztime=10s
 	$(GO) test ./internal/ground -run='^$$' -fuzz='^FuzzRestoreGrounder$$' -fuzztime=10s
-	$(GO) test ./internal/factor -run='^$$' -fuzz='^FuzzDecodeGraphSnapshot$$' -fuzztime=10s
-	$(GO) test ./internal/inc -run='^$$' -fuzz='^FuzzRestoreEngine$$' -fuzztime=10s
 
 # The repository's benchmark (BENCHMARK.json; bench/README.md): one
 # workload of the served-KB harness, e.g.

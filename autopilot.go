@@ -33,18 +33,48 @@ func (kb *KB) refill(ctx context.Context, g *factor.Graph) (bool, error) {
 		left >= kb.opts.RematLowWater {
 		return false, nil
 	}
-	// Vary the seed per launch so a re-materialized Pr(0) is a fresh sample
-	// set, not a replay of the previous one.
+	if err := kb.launch(ctx, g); err != nil {
+		kb.auto.rematLost++
+		return false, ctxErr(ctx)
+	}
+	kb.auto.remats++
+	return true, nil
+}
+
+// launch materializes a fresh engine over g and installs it: a refill's
+// and a checkpoint's re-materialization. The seed varies per launch, so a
+// re-materialized Pr(0) is a fresh sample set, not a replay of the
+// previous one, and follows the persisted launch count, so recovery and
+// replay launch with the seeds the live process did. Callers hold mu.
+func (kb *KB) launch(ctx context.Context, g *factor.Graph) error {
 	seed := kb.opts.Seed + 1009 + kb.auto.rematSpawns*7919
 	kb.auto.rematSpawns++
 	eng, err := inc.NewEngineCtx(ctx, g, kb.engineOpts(seed))
 	if err != nil {
-		kb.auto.rematLost++
-		return false, ctxErr(ctx)
+		return err
 	}
 	kb.engine, kb.engineSeed = eng, seed
-	kb.auto.remats++
-	return true, nil
+	return nil
+}
+
+// compactLocked is a checkpoint's compaction: it rebuilds the flat pools
+// from the grounding tables and installs the rebuilt graph as the served
+// one (group order and flat handles are stable across the rebuild, so
+// change-set indexes stay valid), which recovery rebuilds from the restored
+// grounder; then, on a materialized KB, it ends the materialization epoch
+// by launching a fresh engine on that graph, and publishes. The served
+// marginals stay, and so does the change set a cancelled update carried:
+// its groups score no energy change against the new Pr(0), and the next
+// update still answers for it over the whole graph. WAL replay runs it where
+// the checkpoint did. Callers hold mu.
+func (kb *KB) compactLocked(ctx context.Context) error {
+	kb.grounder.MarkGraphDirty()
+	var err error
+	if kb.engine != nil {
+		err = kb.launch(ctx, kb.grounder.Graph())
+	}
+	kb.publishLocked()
+	return err
 }
 
 // autoCounters aggregates per-update optimizer outcomes and the refills

@@ -486,11 +486,12 @@ type GraphStats struct {
 	// on snapshots published before Materialize).
 	Autopilot *AutopilotStats
 	// Inferred and Materialized say how the last Infer and the live engine's
-	// materialization (Materialize, or a store refill) came by their result,
-	// Learned how the last Learn came by its gradient over the
-	// evidence-bearing components of the evidence-released graph; zero before
-	// the call and on a KB restored from its data directory until it runs one
-	// itself.
+	// materialization (Materialize, a store refill, or a checkpoint's
+	// re-materialization) came by their result, Learned how the last Learn
+	// came by its gradient over the evidence-bearing components of the
+	// evidence-released graph; zero before the call. A KB restored from its
+	// data directory reports the materialization recovery repeated — the
+	// checkpoint's — and zero Inferred and Learned until it runs them itself.
 	Inferred, Materialized, Learned Solved
 }
 

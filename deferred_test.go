@@ -148,20 +148,18 @@ func drawnDigest(st *gibbs.Store, vm *inc.Variational) string {
 
 // TestDeferredMaterializationOnTheWireCorpus: every component of the News
 // wire corpus enumerates, so Materialize draws no world and fits nothing,
-// and neither the autopilot's stats, nor updates solved exactly, nor a
-// checkpoint make it. The first read then draws the store and fits the
-// approximation the eager materialization made — the digest was recorded
-// from it — whether it comes at once, after stream updates, on an engine
-// checkpointed and restored (its Pr(0) graph through its own codec) before
-// the draw, or after a cancelled attempt; and a sampling run over each
-// store is the same run.
+// and neither the autopilot's stats nor updates solved exactly make it. The
+// first read then draws the store and fits the approximation the eager
+// materialization made — the digest was recorded from it — whether it
+// comes at once, after stream updates, or after a cancelled attempt; and a
+// sampling run over each store is the same run.
 func TestDeferredMaterializationOnTheWireCorpus(t *testing.T) {
 	w := newWireCorpus(t, 3, 1, 6)
-	open := func() (*deepdive.KB, *inc.Engine, inc.Options) {
+	open := func() (*deepdive.KB, *inc.Engine) {
 		kb := w.open(t, 6, 0)
 		_, err := kb.Materialize(ctx)
 		must(t, err)
-		eng, opts := kb.Engine()
+		eng, _ := kb.Engine()
 		if eng.Drawn() || eng.Solved().Swept != 0 {
 			t.Fatalf("Materialize drew its store (solved %+v)", eng.Solved())
 		}
@@ -169,9 +167,9 @@ func TestDeferredMaterializationOnTheWireCorpus(t *testing.T) {
 		if ap.StoreLen != 1200 || ap.StoreRemaining != 1200 || ap.VariationalFactors != 0 || eng.Drawn() {
 			t.Fatalf("before the draw the autopilot reads %+v", ap)
 		}
-		return kb, eng, opts
+		return kb, eng
 	}
-	kb, ref, _ := open()
+	kb, ref := open()
 	if got := drawnDigest(ref.Store(), ref.Variational()); got != "95d2d0dca3f85780" {
 		t.Fatalf("the drawn engine moved from the eager one: digest %s", got)
 	}
@@ -197,21 +195,11 @@ func TestDeferredMaterializationOnTheWireCorpus(t *testing.T) {
 		t.Fatalf("the sampling run tests nothing: %d groups changed, acceptance %v", len(cs.ChangedNew), want.AcceptanceRate)
 	}
 
-	restored := func(e *inc.Engine, opts inc.Options) *inc.Engine {
-		var gb, eb persist.Buf
-		e.OldGraph().AppendSnapshot(&gb)
-		e.AppendSnapshot(&eb)
-		old, err := factor.DecodeGraphSnapshot(persist.NewRd(gb.Bytes()))
-		must(t, err)
-		r, err := inc.RestoreEngine(old, opts, persist.NewRd(eb.Bytes()))
-		must(t, err)
-		return r
-	}
 	for _, point := range []struct {
 		name string
-		at   func(*deepdive.KB, *inc.Engine, inc.Options) *inc.Engine
+		at   func(*deepdive.KB, *inc.Engine) *inc.Engine
 	}{
-		{"after updates", func(kb *deepdive.KB, e *inc.Engine, _ inc.Options) *inc.Engine {
+		{"after updates", func(kb *deepdive.KB, e *inc.Engine) *inc.Engine {
 			for _, u := range w.stream {
 				res, err := kb.Apply(ctx, u)
 				must(t, err)
@@ -224,8 +212,7 @@ func TestDeferredMaterializationOnTheWireCorpus(t *testing.T) {
 			}
 			return e
 		}},
-		{"restored", func(_ *deepdive.KB, e *inc.Engine, opts inc.Options) *inc.Engine { return restored(e, opts) }},
-		{"after a cancelled attempt", func(_ *deepdive.KB, e *inc.Engine, _ inc.Options) *inc.Engine {
+		{"after a cancelled attempt", func(_ *deepdive.KB, e *inc.Engine) *inc.Engine {
 			for _, after := range []int{1, 3, 40} {
 				c := &cancelAt{Context: ctx, after: after}
 				e.AutoInferCtx(c, e.OldGraph(), inc.ChangeSet{}, nil, false)
@@ -236,8 +223,8 @@ func TestDeferredMaterializationOnTheWireCorpus(t *testing.T) {
 			return e
 		}},
 	} {
-		kb, e, opts := open()
-		e = point.at(kb, e, opts)
+		kb, e := open()
+		e = point.at(kb, e)
 		if e.Drawn() {
 			t.Fatalf("%s: drawn before the first read", point.name)
 		}

@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"deepdive/internal/factor"
@@ -28,11 +29,13 @@ type Term struct {
 }
 
 // String renders the term in source syntax.
-func (t Term) String() string {
+func (t Term) String() string { return string(t.appendTo(nil)) }
+
+func (t Term) appendTo(b []byte) []byte {
 	if t.IsVar {
-		return t.Name
+		return append(b, t.Name...)
 	}
-	return fmt.Sprintf("%q", t.Value)
+	return strconv.AppendQuote(b, t.Value)
 }
 
 // Atom is a predicate applied to terms.
@@ -42,12 +45,17 @@ type Atom struct {
 }
 
 // String renders the atom in source syntax.
-func (a Atom) String() string {
-	parts := make([]string, len(a.Args))
+func (a Atom) String() string { return string(a.appendTo(nil)) }
+
+func (a Atom) appendTo(b []byte) []byte {
+	b = append(append(b, a.Pred...), '(')
 	for i, t := range a.Args {
-		parts[i] = t.String()
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = t.appendTo(b)
 	}
-	return a.Pred + "(" + strings.Join(parts, ", ") + ")"
+	return append(b, ')')
 }
 
 // Cond is a comparison body item.
@@ -57,7 +65,13 @@ type Cond struct {
 }
 
 // String renders the condition.
-func (c Cond) String() string { return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R) }
+func (c Cond) String() string { return string(c.appendTo(nil)) }
+
+func (c Cond) appendTo(b []byte) []byte {
+	b = append(c.L.appendTo(b), ' ')
+	b = append(append(b, c.Op...), ' ')
+	return c.R.appendTo(b)
+}
 
 // BodyItem is one conjunct of a rule body: an atom (possibly negated) or
 // a comparison.
@@ -68,14 +82,16 @@ type BodyItem struct {
 }
 
 // String renders the body item.
-func (b BodyItem) String() string {
+func (b BodyItem) String() string { return string(b.appendTo(nil)) }
+
+func (b BodyItem) appendTo(dst []byte) []byte {
 	if b.Cond != nil {
-		return b.Cond.String()
+		return b.Cond.appendTo(dst)
 	}
 	if b.Neg {
-		return "!" + b.Atom.String()
+		dst = append(dst, '!')
 	}
-	return b.Atom.String()
+	return b.Atom.appendTo(dst)
 }
 
 // WeightExpr describes a rule's weight clause.
@@ -97,14 +113,24 @@ type WeightExpr struct {
 }
 
 // String renders the weight clause ("" when absent).
-func (w WeightExpr) String() string {
+func (w WeightExpr) String() string { return string(w.appendTo(nil)) }
+
+func (w WeightExpr) appendTo(b []byte) []byte {
 	if !w.HasWeight {
-		return ""
+		return b
 	}
+	b = append(b, "weight = "...)
 	if w.IsFixed {
-		return fmt.Sprintf("weight = %g", w.Fixed)
+		return strconv.AppendFloat(b, w.Fixed, 'g', -1, 64)
 	}
-	return fmt.Sprintf("weight = %s(%s)", w.Func, strings.Join(w.Args, ", "))
+	b = append(append(b, w.Func...), '(')
+	for i, a := range w.Args {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, a...)
+	}
+	return append(b, ')')
 }
 
 // RuleKind classifies rules by their role in the KBC pipeline
@@ -149,30 +175,28 @@ type Rule struct {
 }
 
 // String renders the rule in source syntax.
-func (r *Rule) String() string {
-	var sb strings.Builder
+func (r *Rule) String() string { return string(r.appendTo(nil)) }
+
+func (r *Rule) appendTo(b []byte) []byte {
 	if r.Label != "" {
-		sb.WriteString(r.Label)
-		sb.WriteString(": ")
+		b = append(append(b, r.Label...), ": "...)
 	}
-	sb.WriteString(r.Head.String())
-	if len(r.Body) > 0 {
-		sb.WriteString(" :- ")
-		parts := make([]string, len(r.Body))
-		for i, b := range r.Body {
-			parts[i] = b.String()
+	b = r.Head.appendTo(b)
+	for i, item := range r.Body {
+		if i == 0 {
+			b = append(b, " :- "...)
+		} else {
+			b = append(b, ", "...)
 		}
-		sb.WriteString(strings.Join(parts, ", "))
+		b = item.appendTo(b)
 	}
 	if r.Weight.HasWeight {
-		sb.WriteString(" ")
-		sb.WriteString(r.Weight.String())
+		b = r.Weight.appendTo(append(b, ' '))
 	}
 	if r.SemSet {
-		fmt.Fprintf(&sb, " sem = %s", r.Sem)
+		b = append(append(b, " sem = "...), r.Sem.String()...)
 	}
-	sb.WriteString(".")
-	return sb.String()
+	return append(b, '.')
 }
 
 // Program is a parsed and validated DeepDive program.
@@ -216,21 +240,28 @@ func (p *Program) SemOf(r *Rule) factor.Semantics {
 	return p.DefaultSem
 }
 
-// String renders the whole program in source syntax.
+// String renders the whole program in source syntax, into one buffer: a
+// checkpoint renders it for its image.
 func (p *Program) String() string {
-	var sb strings.Builder
+	var b []byte
 	for _, name := range p.DeclOrder {
 		d := p.Decls[name]
-		kind := "@relation"
+		kind := "@relation "
 		if d.Variable {
-			kind = "@variable"
+			kind = "@variable "
 		}
-		fmt.Fprintf(&sb, "%s %s(%s).\n", kind, d.Name, strings.Join(d.Cols, ", "))
+		b = append(append(append(b, kind...), d.Name...), '(')
+		for i, c := range d.Cols {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = append(b, c...)
+		}
+		b = append(b, ").\n"...)
 	}
-	fmt.Fprintf(&sb, "@semantics(%s).\n", p.DefaultSem)
+	b = append(append(append(b, "@semantics("...), p.DefaultSem.String()...), ").\n"...)
 	for _, r := range p.Rules {
-		sb.WriteString(r.String())
-		sb.WriteString("\n")
+		b = append(r.appendTo(b), '\n')
 	}
-	return sb.String()
+	return string(b)
 }

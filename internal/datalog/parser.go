@@ -101,6 +101,29 @@ type parser struct {
 	toks []token
 	pos  int
 	prog *Program
+	// Slabs the rules, body atoms, terms and bodies are cut from: a
+	// program's worth in a few allocations each, not one or more per atom.
+	// A cut is a full slice (len == cap), so an append to it reallocates
+	// instead of writing into the next one.
+	rules []Rule
+	atoms []Atom
+	terms []Term
+	body  []BodyItem
+}
+
+// cut returns the slab's elements from start on as a full slice, or nil
+// when there are none.
+func cut[T any](slab []T, start int) []T {
+	if len(slab) == start {
+		return nil
+	}
+	return slab[start:len(slab):len(slab)]
+}
+
+// bodyAtom moves a parsed body atom into the atom slab.
+func (p *parser) bodyAtom(a Atom) *Atom {
+	p.atoms = append(p.atoms, a)
+	return &p.atoms[len(p.atoms)-1]
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -243,25 +266,25 @@ func (p *parser) parseTerm() (Term, error) {
 	}
 }
 
-func (p *parser) parseAtom() (*Atom, error) {
+func (p *parser) parseAtom() (Atom, error) {
 	name, err := p.expectIdent()
 	if err != nil {
-		return nil, err
+		return Atom{}, err
 	}
 	if err := p.expectPunct("("); err != nil {
-		return nil, err
+		return Atom{}, err
 	}
-	a := &Atom{Pred: name}
+	start := len(p.terms)
 	for {
 		if p.cur().kind == tokPunct && p.cur().text == ")" {
 			p.advance()
-			return a, nil
+			return Atom{Pred: name, Args: cut(p.terms, start)}, nil
 		}
 		term, err := p.parseTerm()
 		if err != nil {
-			return nil, err
+			return Atom{}, err
 		}
-		a.Args = append(a.Args, term)
+		p.terms = append(p.terms, term)
 		if p.cur().kind == tokPunct && p.cur().text == "," {
 			p.advance()
 		}
@@ -276,7 +299,7 @@ func (p *parser) parseBodyItem() (BodyItem, error) {
 		if err != nil {
 			return BodyItem{}, err
 		}
-		return BodyItem{Atom: a, Neg: true}, nil
+		return BodyItem{Atom: p.bodyAtom(a), Neg: true}, nil
 	}
 	// Lookahead: Ident '(' is an atom; otherwise a comparison.
 	if p.cur().kind == tokIdent && isUpperIdent(p.cur().text) &&
@@ -285,7 +308,7 @@ func (p *parser) parseBodyItem() (BodyItem, error) {
 		if err != nil {
 			return BodyItem{}, err
 		}
-		return BodyItem{Atom: a}, nil
+		return BodyItem{Atom: p.bodyAtom(a)}, nil
 	}
 	l, err := p.parseTerm()
 	if err != nil {
@@ -309,7 +332,8 @@ func (p *parser) parseBodyItem() (BodyItem, error) {
 }
 
 func (p *parser) parseRule() error {
-	r := &Rule{}
+	p.rules = append(p.rules, Rule{})
+	r := &p.rules[len(p.rules)-1]
 	// Optional label: Ident ':' (but not ':-').
 	if p.cur().kind == tokIdent && p.peek().kind == tokPunct && p.peek().text == ":" {
 		r.Label = p.advance().text
@@ -319,21 +343,23 @@ func (p *parser) parseRule() error {
 	if err != nil {
 		return err
 	}
-	r.Head = *head
+	r.Head = head
 	if p.cur().kind == tokPunct && p.cur().text == ":-" {
 		p.advance()
+		start := len(p.body)
 		for {
 			item, err := p.parseBodyItem()
 			if err != nil {
 				return err
 			}
-			r.Body = append(r.Body, item)
+			p.body = append(p.body, item)
 			if p.cur().kind == tokPunct && p.cur().text == "," {
 				p.advance()
 				continue
 			}
 			break
 		}
+		r.Body = cut(p.body, start)
 	}
 	// Optional weight clause.
 	if p.cur().kind == tokIdent && p.cur().text == "weight" {

@@ -60,7 +60,11 @@ const (
 // function of the query alone, so every plan compiled from it shares one
 // register layout.
 func (q *Query) Vars() []string {
-	var out []string
+	n := 2 * len(q.Cons)
+	for _, a := range q.Atoms {
+		n += len(a.Terms)
+	}
+	out := make([]string, 0, n)
 	add := func(t Term) {
 		if t.IsVar && !slices.Contains(out, t.Var) {
 			out = append(out, t.Var)

@@ -221,16 +221,8 @@ func (g *Graph) Fragmentation() float64 {
 	return float64(g.nDead+g.nExtra) / float64(g.nGnd)
 }
 
-// gndLive reports whether grounding k is visible at this graph's epoch.
-// A graph patched in place carries no later stamp, but a Pr(0) image
-// written while graphs shared their tombstone array may: those are ignored.
-func (g *Graph) gndLive(k int32) bool {
-	if g.deadAt == nil {
-		return true
-	}
-	d := g.deadAt[k]
-	return d == 0 || d > g.epoch
-}
+// gndLive reports whether grounding k is live: no patch tombstoned it.
+func (g *Graph) gndLive(k int32) bool { return g.deadAt == nil || g.deadAt[k] == 0 }
 
 // extraGnds returns group gi's overflow grounding ids (nil when none).
 func (g *Graph) extraGnds(gi int32) []int32 {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"deepdive/internal/factor"
-	"deepdive/internal/persist"
 )
 
 // mergeByMap is the map-based union mergeIDs replaced: a then b, each id
@@ -55,8 +54,8 @@ func TestMergeIDsMatchesTheMap(t *testing.T) {
 }
 
 // TestNoteAccumulatesAsMerge: the engine's accumulated set is the Merge of
-// the change sets it noted, order included, on a fresh engine and on one
-// restored between the notes.
+// the change sets it noted, order included, on a bare engine and on a
+// materialized one.
 func TestNoteAccumulatesAsMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ids := func(n int32) []int32 {
@@ -83,31 +82,20 @@ func TestNoteAccumulatesAsMerge(t *testing.T) {
 		fresh.note(cs)
 	}
 	e, _, _, _ := scopeFixture(t)
-	for i, cs := range sets {
-		if i == 5 {
-			var b persist.Buf
-			e.AppendSnapshot(&b)
-			r, err := RestoreEngine(e.old, e.opts, persist.NewRd(b.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e = r
-		}
+	for _, cs := range sets {
 		e.note(cs)
 	}
-	for name, got := range map[string]ChangeSet{"fresh": fresh.accum, "restored": e.accum} {
+	for name, got := range map[string]ChangeSet{"bare": fresh.accum, "materialized": e.accum} {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s engine accumulated %+v, Merge gives %+v", name, got, want)
 		}
 	}
 }
 
-// TestCheckIndexes: a restored engine's accumulated set indexes the graph
-// its last update ran on, not Pr(0) — the fixture's update appends group
-// 24 to Pr(0)'s 24 — and CheckIndexes refuses an id past that graph on
-// either side and among the variables. RestoreEngine leaves the check to
-// its caller and takes what an image naming id 2³¹−1 holds in proportion
-// to the image.
+// TestCheckIndexes: an engine's accumulated set indexes the graph its last
+// update ran on, not Pr(0) — the fixture's update appends group 24 to
+// Pr(0)'s 24 — and CheckIndexes refuses an id past that graph on either
+// side and among the variables.
 func TestCheckIndexes(t *testing.T) {
 	e, newG, cs, _ := scopeFixture(t)
 	e.opts.CumulativeChanges = true
@@ -126,18 +114,6 @@ func TestCheckIndexes(t *testing.T) {
 	} {
 		if err := bad.CheckIndexes(newG); err == nil {
 			t.Errorf("%+v passed against a graph of %d groups, %d variables", bad, newG.NumGroups(), newG.NumVars())
-		}
-		var b persist.Buf
-		(&Engine{}).AppendSnapshot(&b)
-		img := b.Bytes()[:10] // an undrawn engine, up to its change set
-		var cb persist.Buf
-		bad.AppendSnapshot(&cb)
-		r, grew := restoreEngineAllocs(e.old, e.opts, append(img, cb.Bytes()...))
-		if r == nil || grew > restoreEngineFixedBytes {
-			t.Fatalf("%+v: restored %v, allocating %d bytes", bad, r != nil, grew)
-		}
-		if err := r.Accumulated().CheckIndexes(newG); err == nil {
-			t.Errorf("%+v: the restored set passed", bad)
 		}
 	}
 }

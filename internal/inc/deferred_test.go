@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"deepdive/internal/gibbs"
-	"deepdive/internal/persist"
 )
 
 // drawnHash digests what a drawn engine holds of Pr(0): every stored world,
@@ -50,9 +49,8 @@ func drawnHash(st *gibbs.Store, vm *Variational) string {
 // store and fits its approximation on the first read, and that read makes
 // what NewEngine made when it did both at once — the same worlds, the same
 // edges and unaries, the same sampling run over them — whether it comes
-// right after NewEngine, after updates its components solved exactly, on
-// an engine checkpointed and restored before the draw, or after a
-// cancelled attempt. The digest and the sampling run were recorded from
+// right after NewEngine, after updates its components solved exactly, or
+// after a cancelled attempt. The digest and the sampling run were recorded from
 // the eager NewEngine on this fixture.
 func TestDeferredStepIsTheEagerOne(t *testing.T) {
 	e, newG, cs, _ := scopeFixture(t)
@@ -83,15 +81,6 @@ func TestDeferredStepIsTheEagerOne(t *testing.T) {
 		t.Fatalf("the sampling run over the eager store moved: %s, acceptance %v over %d tests", got, want.AcceptanceRate, want.SamplesUsed)
 	}
 
-	restored := func(e *Engine) *Engine {
-		var b persist.Buf
-		e.AppendSnapshot(&b)
-		r, err := RestoreEngine(e.old, e.opts, persist.NewRd(b.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
 	for _, point := range []struct {
 		name string
 		at   func(e *Engine) *Engine
@@ -105,11 +94,6 @@ func TestDeferredStepIsTheEagerOne(t *testing.T) {
 			}
 			return e
 		}},
-		{"restored", restored},
-		{"restored after updates", func(e *Engine) *Engine {
-			e.AutoInferCtx(nil, newG, cs, nil, true)
-			return restored(e)
-		}},
 		{"after a cancelled draw", func(e *Engine) *Engine {
 			if err := e.materialize(&countdown{Context: context.Background(), after: 1}); err != context.Canceled {
 				t.Fatalf("the cancelled draw returned %v", err)
@@ -121,13 +105,6 @@ func TestDeferredStepIsTheEagerOne(t *testing.T) {
 				t.Fatalf("the cancelled fit returned %v", err)
 			}
 			return e
-		}},
-		{"restored after a cancelled rebuild", func(e *Engine) *Engine {
-			r := restored(e)
-			if err := r.materialize(&countdown{Context: context.Background(), after: 2}); err != context.Canceled {
-				t.Fatalf("the cancelled rebuild returned %v", err)
-			}
-			return r
 		}},
 	} {
 		e, _, _, _ := scopeFixture(t)
@@ -149,19 +126,13 @@ func TestDeferredStepIsTheEagerOne(t *testing.T) {
 
 // TestDeferredStepReads: every read that needs the store or the
 // approximation draws them — a strategy choice, a run, a top-up, Store,
-// Variational — and a scope, a store level and a checkpoint do not. A
-// restored engine persisted before the draw draws on past it.
+// Variational — and a scope and a store level do not.
 func TestDeferredStepReads(t *testing.T) {
 	e, newG, cs, seeds := scopeFixture(t)
 	e.Scope(newG, seeds, nil)
 	e.StoreLevel()
-	var b persist.Buf
-	e.AppendSnapshot(&b)
 	if e.Drawn() {
-		t.Fatal("a scope, a store level or a checkpoint drew the store")
-	}
-	if n := b.Len(); n > 64 {
-		t.Fatalf("an undrawn engine's image is %d bytes", n)
+		t.Fatal("a scope or a store level drew the store")
 	}
 	for name, read := range map[string]func(e *Engine){
 		"Store":                     func(e *Engine) { e.Store() },
@@ -175,19 +146,5 @@ func TestDeferredStepReads(t *testing.T) {
 		if read(e); !e.Drawn() {
 			t.Errorf("%s did not draw the store", name)
 		}
-	}
-	r, err := RestoreEngine(e.old, e.opts, persist.NewRd(b.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := r.MaterializeForBudget(0); n != 700 || r.Solved() != (Solved{}) {
-		t.Fatalf("the restored engine stores %d worlds and reports %+v solved", n, r.Solved())
-	}
-	e.MaterializeForBudget(0)
-	for _, x := range []*Engine{r, e} {
-		x.worlds.draw(nil, x.store, topUpWorlds)
-	}
-	if !reflect.DeepEqual(storeWorlds(r.Store(), 0), storeWorlds(e.Store(), 0)) {
-		t.Fatal("the restored engine's top-up left the stream")
 	}
 }

@@ -171,8 +171,7 @@ type Engine struct {
 	old  *factor.Graph
 	// store and vm are Pr(0)'s stored worlds and its variational
 	// approximation (vm nil with the variational side off): both nil until
-	// materialize draws and fits them. worlds draws the worlds; nil on a
-	// restored engine until materialize rebuilds it.
+	// materialize draws and fits them. worlds draws the worlds.
 	store  *gibbs.Store
 	vm     *Variational
 	worlds *worlds
@@ -183,11 +182,8 @@ type Engine struct {
 	// Pr(0) by all of them, so every inference pass scores the union.
 	accum ChangeSet
 	// inOld, inNew and inEv mark accum's ids, so noting an update costs
-	// O(|update|), not O(|accum|). marked is false until they do: a
-	// restored engine marks its accumulated set on its first note, not
-	// while decoding an image that may name any id.
+	// O(|update|), not O(|accum|).
 	inOld, inNew, inEv idSet
-	marked             bool
 
 	matElapsed time.Duration
 }
@@ -235,9 +231,8 @@ func NewEngineCtx(ctx context.Context, g *factor.Graph, opts Options) (*Engine, 
 }
 
 // materialize draws the store's first MaterializationSamples worlds and fits
-// the variational approximation to them, once: the step NewEngine defers. A
-// restored engine first rebuilds the tables from the Pr(0) graph and the
-// seed. Cancelled, it leaves the engine as it was, the stream rewound, and
+// the variational approximation to them, once: the step NewEngine defers.
+// Cancelled, it leaves the engine as it was, the stream rewound, and
 // returns ctx's error, so a later attempt draws the same worlds. A fit that
 // fails otherwise leaves the engine without the variational side and
 // returns its error.
@@ -247,11 +242,6 @@ func (e *Engine) materialize(ctx context.Context) error {
 	}
 	start := time.Now()
 	w := e.worlds
-	if w == nil {
-		if w, _ = newWorlds(ctx, e.old, e.opts, e.opts.MaterializationSamples, e.opts.Seed); w == nil {
-			return ctx.Err()
-		}
-	}
 	store := gibbs.NewStore(e.old.NumVars())
 	if !w.draw(ctx, store, e.opts.MaterializationSamples) {
 		w.rng.Seed(e.opts.Seed)
@@ -265,7 +255,7 @@ func (e *Engine) materialize(ctx context.Context) error {
 			return err
 		}
 	}
-	e.worlds, e.store, e.vm = w, store, vm
+	e.store, e.vm = store, vm
 	e.matElapsed += time.Since(start)
 	return err
 }
@@ -283,21 +273,18 @@ func (e *Engine) Drawn() bool { return e.store != nil }
 // is spent (the paper's Figure 15 protocol, scaled down from 8 hours) and
 // returns how many samples are now stored. Worlds arrive topUpWorlds at a
 // time, continuing the stream NewEngine began; the budget starts once the
-// deferred step has run. A restored engine draws more only when it was
-// persisted before that step: it then rebuilds the tables and draws on. One
-// that had drawn its worlds keeps no tables and stores nothing more.
+// deferred step has run.
 func (e *Engine) MaterializeForBudget(budget time.Duration) int {
 	e.materialize(nil)
 	deadline := time.Now().Add(budget)
-	for e.worlds != nil && time.Now().Before(deadline) {
+	for time.Now().Before(deadline) {
 		e.worlds.draw(nil, e.store, topUpWorlds)
 	}
 	return e.store.Len()
 }
 
 // Solved reports how the materialization came by its worlds: the variables
-// drawn exactly (Closed, Enumerated) and those swept by the chain. Zero on a
-// restored engine, which materialized nothing.
+// drawn exactly (Closed, Enumerated) and those swept by the chain.
 func (e *Engine) Solved() Solved { return e.solved }
 
 // MaterializationTime returns the time spent materializing: in NewEngine,
@@ -421,12 +408,6 @@ func (e *Engine) Accumulated() ChangeSet { return e.accum }
 // note folds cs into the accumulated change set, duplicate-free and in
 // first-noted order, as ChangeSet.Merge would.
 func (e *Engine) note(cs ChangeSet) {
-	if !e.marked {
-		e.marked = true
-		union(&e.inOld, nil, e.accum.ChangedOld)
-		union(&e.inNew, nil, e.accum.ChangedNew)
-		union(&e.inEv, nil, e.accum.EvidenceChanged)
-	}
 	e.accum.ChangedOld = union(&e.inOld, e.accum.ChangedOld, cs.ChangedOld)
 	e.accum.ChangedNew = union(&e.inNew, e.accum.ChangedNew, cs.ChangedNew)
 	e.accum.EvidenceChanged = union(&e.inEv, e.accum.EvidenceChanged, cs.EvidenceChanged)

@@ -43,10 +43,10 @@ type KB struct {
 
 	// mu is the writer lock. Every write holds it for its whole length —
 	// an Apply from delta evaluation through publication, a monolithic
-	// writer (Init, Learn, Infer, Materialize, Checkpoint's encode)
-	// throughout — and so do the reads of live writer state (Relation,
-	// Program, Weights, Autopilot). The fields below are guarded by it
-	// unless they say otherwise.
+	// writer (Init, Learn, Infer, Materialize, Checkpoint's compaction,
+	// re-materialization and encode) throughout — and so do the reads of
+	// live writer state (Relation, Program, Weights, Autopilot). The fields
+	// below are guarded by it unless they say otherwise.
 	mu sync.Mutex
 
 	grounder *ground.Grounder
@@ -78,7 +78,7 @@ type KB struct {
 	// replay during recovery (suppresses re-logging and progress
 	// publication); recovered reports restore-from-snapshot;
 	// engineSeed is the seed the live engine was materialized with
-	// (persisted so a restored engine is reconstructed identically);
+	// (persisted so recovery materializes the checkpoint's engine again);
 	// snapBytes is the size of the last snapshot image written or restored
 	// (guarded by ckptMu), the next checkpoint's buffer size.
 	wal          *persist.WAL
@@ -401,7 +401,9 @@ func (kb *KB) Infer(ctx context.Context) (time.Duration, error) {
 // all enumerate reads neither), and that read draws the worlds this call
 // would have drawn (see inc.NewEngine).
 // Materialization is all-or-nothing under cancellation: a cancelled call
-// installs no engine and returns the context's error.
+// installs no engine and returns the context's error. The change set a
+// cancelled update carried stays for the next update to answer for: the new
+// Pr(0) holds that delta, but the served marginals do not.
 func (kb *KB) Materialize(ctx context.Context) (time.Duration, error) {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
@@ -414,7 +416,6 @@ func (kb *KB) Materialize(ctx context.Context) (time.Duration, error) {
 	}
 	kb.engine = eng
 	kb.engineSeed = kb.opts.Seed + 3
-	kb.pending = inc.ChangeSet{} // the new Pr(0) bakes in every grounded delta
 	kb.publishLocked()
 	return eng.MaterializationTime(), nil
 }

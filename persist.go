@@ -11,19 +11,23 @@ package deepdive
 //	                  record with ticket > the snapshot's commit ticket
 //	                  post-dates the image
 //
-// Durability begins at the first Checkpoint: it compacts the factor
-// graph (folding patch overflow into a freshly rebuilt frozen base),
-// encodes the full state under the writer lock, rotates to a new WAL
-// generation, and writes the snapshot file off-lock. From then on every
+// Durability begins at the first Checkpoint: it rotates to a new WAL
+// generation, compacts the factor graph (folding patch overflow into a
+// freshly rebuilt frozen base), re-materializes the incremental engine on
+// the compacted graph — a checkpoint ends the materialization epoch, so
+// the image holds no Pr(0) graph, stored world or approximation, only the
+// seed the fresh engine was drawn with — encodes the full state under the
+// writer lock, and writes the snapshot file off-lock. From then on every
 // committed update is appended to the active segment — fsync'd before
 // the commit it describes (write-ahead), so recovery never finds a
 // committed-but-unlogged mutation. Recovery opens the newest snapshot
 // that validates (falling back generation by generation), restores the
-// grounder, databases, engine, and sample store exactly, rebuilds the
-// served factor graph from the grounder (the image holds its weights, not
-// the graph), and replays the WAL tail through the ordinary Apply path —
-// which is deterministic for a fixed configuration, so the recovered
-// marginals are bit-identical to a process that never crashed.
+// grounder and databases exactly, rebuilds the served factor graph from
+// the grounder (the image holds its weights, not the graph), materializes
+// the engine on it with the persisted seed — the call the checkpoint made
+// — and replays the WAL tail through the ordinary Apply path, which is
+// deterministic for a fixed configuration, so the recovered marginals are
+// bit-identical to a process that never crashed.
 //
 // Crash windows. Every kill point lands in a recoverable state:
 //
@@ -33,7 +37,8 @@ package deepdive
 //	mid snapshot write    the new generation's image is missing or fails
 //	                      validation; recovery falls back to the previous
 //	                      snapshot and replays both its segment and the
-//	                      already-rotated new one
+//	                      already-rotated new one, compacting and
+//	                      re-materializing where the crashed checkpoint did
 //	written, pre-cleanup  stale generations are ignored and removed by
 //	                      the next checkpoint
 
@@ -47,7 +52,6 @@ import (
 	"strings"
 
 	"deepdive/internal/datalog"
-	"deepdive/internal/factor"
 	"deepdive/internal/ground"
 	"deepdive/internal/inc"
 	"deepdive/internal/persist"
@@ -64,18 +68,18 @@ const kbSnapMagic uint64 = 0x31504e53424b4444
 // groundings as bulk arrays, v8 an engine section that may defer its store
 // and approximation: engine codec 2, v9 the served graph's weights in place
 // of the graph, and groundings without their flat-pool handles: grounder
-// codec 4); Open rejects snapshots from other versions rather than
-// guessing.
-const kbSnapVersion = 9
+// codec 4, v10 no engine: a checkpoint re-materializes, so the Pr(0) graph
+// and engine sections are gone and the meta section says whether there is
+// an engine to rebuild); Open rejects snapshots from other versions rather
+// than guessing.
+const kbSnapVersion = 10
 
-// Snapshot section kinds.
+// Snapshot section kinds (5 and 6 were version 9's engine sections).
 const (
-	secMeta     = 1 // format version, generations, tickets, seeds
+	secMeta     = 1 // format version, generations, tickets, seeds, materialized flag
 	secProgram  = 2 // full program source (base rules + applied updates)
 	secGrounder = 3 // grounding tables, including every db relation
 	secWeights  = 4 // the served graph's weights; the graph is rebuilt from the grounder
-	secGraphOld = 5 // the engine's Pr(0) graph (frozen CSR pools), with the engine
-	secEngine   = 6 // drawn flag, sample store, variational materialization, accum
 	secMarg     = 7 // published marginal vector
 	secPending  = 8 // carried change set of unpublished grounded deltas
 	secAuto     = 9 // autopilot counters, for stats continuity
@@ -229,12 +233,17 @@ func readTupleMap(r *persist.Rd, what string) map[string][]Tuple {
 // rotates the write-ahead log, bounding recovery replay to the updates
 // committed after this call. The state is compacted first: any patch
 // overflow the incremental applies accumulated is folded into a freshly
-// rebuilt frozen CSR base. The engine needs no reset: its strategy
-// choices depend on the persisted store position and change set alone,
-// so WAL replay from the snapshot chooses as the live process did.
-// Encoding happens under the writer lock; the file write — the slow,
-// fsync-bound half — runs off-lock, so updates stream on while the image
-// lands on disk.
+// rebuilt frozen CSR base. A materialized KB is then re-materialized on the
+// compacted graph — the call a store refill makes, seeded by the persisted
+// launch count — so Pr(0) is the checkpointed graph, which recovery
+// rebuilds from the grounding, and the image carries no engine. The served
+// marginals and the change set carried from a cancelled update stay. The
+// rotation, the compaction and the re-materialization are one step: once
+// the new segment exists, cancellation no longer stops the checkpoint, so
+// every record in the new segment was committed against the state the
+// image holds. Encoding happens under the writer lock; the file write —
+// the slow, fsync-bound half — runs off-lock, so updates stream on while
+// the image lands on disk.
 //
 // Checkpoint is also the repair path after a failed WAL append: it
 // re-establishes a complete durable chain (in that case the file write
@@ -266,23 +275,16 @@ func (kb *KB) checkpoint(ctx context.Context, auto bool) error {
 		return fmt.Errorf("deepdive: Checkpoint before Init")
 	}
 
-	// Compact: rebuild the flat pools from the grounding tables and install
-	// the rebuilt graph as the served one (group order and flat handles are
-	// stable across the rebuild, so change-set indexes stay valid): recovery
-	// rebuilds this graph from the restored grounder.
-	kb.grounder.MarkGraphDirty()
-	kb.publishLocked()
-
-	newGen := kb.walGen + 1
-	data := kb.encodeSnapshotLocked(newGen)
-
 	// Rotate the WAL before releasing the lock: records committed from
 	// now on land in the new generation's segment, whose existence must
-	// be durable before its first append.
+	// be durable before its first append. It comes first, so a failed
+	// rotation leaves the KB as it was.
+	newGen := kb.walGen + 1
 	if err := persistInject(kb.opts.IOFaults, persist.OpWALCreate); err != nil {
 		return err
 	}
-	w, err := persist.CreateWAL(walPath(kb.opts.DataDir, newGen))
+	newPath := walPath(kb.opts.DataDir, newGen)
+	w, err := persist.CreateWAL(newPath)
 	if err != nil {
 		return err
 	}
@@ -291,6 +293,14 @@ func (kb *KB) checkpoint(ctx context.Context, auto bool) error {
 		w.Close()
 		return err
 	}
+	// Compact and re-materialize: replay does both where it crosses into
+	// the new segment, so neither may be cancelled half way.
+	if err := kb.compactLocked(context.WithoutCancel(ctx)); err != nil {
+		w.Close()
+		os.Remove(newPath)
+		return err
+	}
+	data := kb.encodeSnapshotLocked(newGen)
 	if kb.wal != nil {
 		kb.wal.Close()
 	}
@@ -344,6 +354,7 @@ func (kb *KB) encodeSnapshotLocked(walGen uint64) []byte {
 	e.U64(walGen)
 	e.U64(kb.commitTicket)
 	e.U64(kb.epoch.Load())
+	e.Bool(kb.engine != nil)
 	e.I64(kb.engineSeed)
 	e.I64(kb.auto.rematSpawns)
 	e.End()
@@ -360,14 +371,6 @@ func (kb *KB) encodeSnapshotLocked(walGen uint64) []byte {
 	e.F64s(kb.curGraph.Weights())
 	e.End()
 
-	if kb.engine != nil {
-		e.Begin(secGraphOld)
-		kb.engine.OldGraph().AppendSnapshot(&e.Buf)
-		e.End()
-		e.Begin(secEngine)
-		kb.engine.AppendSnapshot(&e.Buf)
-		e.End()
-	}
 	if kb.marg != nil {
 		e.Begin(secMarg)
 		e.F64s(kb.marg)
@@ -469,8 +472,10 @@ func sectionRd(secs []persist.Section, kind uint32, name string) (*persist.Rd, e
 // by a fresh Grounder, reproducing the original rule indexes, weight
 // keys, and topo order; the caller's source is superseded (it must be
 // the same base program). The served graph is the restored grounder's
-// rebuild, carrying the persisted weights. The caller's UDFs and runtime
-// options apply as configuration, exactly as on first open.
+// rebuild, carrying the persisted weights, and the engine of a
+// materialized KB is materialized on it with the persisted seed, as the
+// checkpoint did. The caller's UDFs and runtime options apply as
+// configuration, exactly as on first open.
 func restoreKB(o Options, gen uint64) (*KB, error) {
 	data, err := os.ReadFile(snapPath(o.DataDir, gen))
 	if err != nil {
@@ -491,6 +496,7 @@ func restoreKB(o Options, gen uint64) (*KB, error) {
 	walGen := mrd.U64("wal generation")
 	ticket := mrd.U64("commit ticket")
 	epoch := mrd.U64("kb epoch")
+	materialized := mrd.Bool("materialized")
 	engineSeed := mrd.I64("engine seed")
 	rematSpawns := mrd.I64("remat spawns")
 	if err := mrd.Err(); err != nil {
@@ -547,24 +553,10 @@ func restoreKB(o Options, gen uint64) (*KB, error) {
 	kb.auto.rematSpawns = rematSpawns
 	kb.epoch.Store(epoch)
 
-	if eb := persist.FindSection(secs, secEngine); eb != nil {
-		ord, err := sectionRd(secs, secGraphOld, "Pr(0) graph")
-		if err != nil {
+	if materialized {
+		if kb.engine, err = inc.NewEngine(curG, kb.engineOpts(engineSeed)); err != nil {
 			return nil, err
 		}
-		oldG, err := factor.DecodeGraphSnapshot(ord)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := inc.RestoreEngine(oldG, kb.engineOpts(engineSeed), persist.NewRdOwned(eb))
-		if err != nil {
-			return nil, err
-		}
-		// Both change sets index the current graph: refuse ids past it.
-		if err := eng.Accumulated().CheckIndexes(curG); err != nil {
-			return nil, err
-		}
-		kb.engine = eng
 	}
 	if mb := persist.FindSection(secs, secMarg); mb != nil {
 		mr := persist.NewRd(mb)
@@ -577,6 +569,7 @@ func restoreKB(o Options, gen uint64) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The carried change set indexes the current graph: refuse ids past it.
 	pend, err := inc.DecodeChangeSet(pendRd)
 	if err == nil {
 		err = pend.CheckIndexes(curG)
@@ -663,12 +656,14 @@ func (kb *KB) replayWAL(fromGen, snapTicket uint64) error {
 		if gen > fromGen {
 			// A segment past the snapshot's generation exists only because
 			// a later checkpoint rotated to it and then crashed before its
-			// image became usable. That checkpoint compacted the graph under
-			// the lock immediately before rotating, so records in this
-			// segment were committed against the compacted graph; compact
-			// here too to keep the replay trajectory bit-identical.
-			kb.grounder.MarkGraphDirty()
-			kb.publishLocked()
+			// image became usable. That checkpoint compacted the graph and
+			// re-materialized under the lock right after rotating, so
+			// records in this segment were committed against the compacted
+			// graph and a fresh engine; do both here too to keep the replay
+			// trajectory bit-identical.
+			if err := kb.compactLocked(context.Background()); err != nil {
+				return err
+			}
 		}
 		recs, err := persist.ReadWAL(walPath(kb.opts.DataDir, gen))
 		if err != nil {

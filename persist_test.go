@@ -183,6 +183,7 @@ func TestCheckpointRestart(t *testing.T) {
 	dir := t.TempDir()
 	kb := persistSpouseKB(t, deepdive.WithDataDir(dir))
 	bmust(t, kb.Checkpoint(ctx))
+	materialized := kb.Stats().Materialized
 	for i := 0; i < 3; i++ {
 		if _, err := kb.Apply(ctx, docDelta(i)); err != nil {
 			t.Fatal(err)
@@ -197,10 +198,11 @@ func TestCheckpointRestart(t *testing.T) {
 	kb2 := reopenSpouseKB(t, dir)
 	assertSameBits(t, want, spouseBits(kb2), "after restart")
 	assertSameServed(t, wantGraph, wantWeights, kb2, "after restart")
-	// The restored KB ran none of the from-scratch passes: it records none.
+	// The restored KB ran neither Learn nor Infer: it records neither. It
+	// materialized what the checkpoint re-materialized, and records that.
 	if st := kb2.Stats(); learned == (deepdive.Solved{}) || st.Learned != (deepdive.Solved{}) ||
-		st.Inferred != (deepdive.Solved{}) || st.Materialized != (deepdive.Solved{}) {
-		t.Fatalf("restored KB records passes it did not run: %+v (the original learned %+v)", st, learned)
+		st.Inferred != (deepdive.Solved{}) || materialized == (deepdive.Solved{}) || st.Materialized != materialized {
+		t.Fatalf("restored KB records %+v (the original learned %+v, and materialized %+v at the checkpoint)", st, learned, materialized)
 	}
 
 	// The recovered KB is live: it takes updates and checkpoints.
@@ -744,5 +746,71 @@ func TestWALReplayRefills(t *testing.T) {
 	assertSameBits(t, want, marginalBits(kb2, "On"), "refills replayed")
 	if got := kb2.Autopilot(); got != live {
 		t.Fatalf("recovered autopilot %+v, the live KB's %+v", got, live)
+	}
+}
+
+// TestCheckpointRematerializesSampling: a checkpoint ends the
+// materialization epoch, and recovery materializes where it did. On the
+// chain KB, whose updates sample, the store's position and the engine's
+// seed decide the served bits. (a) A KB checkpointed partway through a
+// stream that has drawn part of its store, then streamed on and dropped,
+// recovers to the same marginal bits and autopilot state. (b) One whose
+// second checkpoint crashed before its image landed, then streamed into
+// the rotated segment, recovers from the first snapshot by replaying
+// across the crossing — re-materializing there, as the crashed checkpoint
+// did — to the same bits and state.
+func TestCheckpointRematerializesSampling(t *testing.T) {
+	ctx := context.Background()
+	opts := []deepdive.Option{deepdive.WithMaterialization(600, 0.01), deepdive.WithInference(30, 100)}
+	for _, crash := range []bool{false, true} {
+		label := map[bool]string{false: "checkpoint", true: "crashed second checkpoint"}[crash]
+		dir := t.TempDir()
+		arm := &faultArm{}
+		kb := chainMaterialized(t, append(opts, deepdive.WithDataDir(dir))...)
+		kb.InstallFaultHook(arm.hook)
+		apply := func(from, to int) {
+			for i := from; i < to; i++ {
+				if _, err := kb.Apply(ctx, chainGrow(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if crash {
+			bmust(t, kb.Checkpoint(ctx))
+		}
+		apply(0, 3)
+		before := kb.Autopilot()
+		if before.SamplingRuns == 0 || before.StoreRemaining == before.StoreLen {
+			t.Fatalf("%s: the stream drew nothing from the store: %+v", label, before)
+		}
+		if crash {
+			arm.arm(deepdive.FaultSnapWrite)
+			if err := kb.Checkpoint(ctx); err == nil {
+				t.Fatal("the faulted checkpoint reported success")
+			}
+		} else {
+			bmust(t, kb.Checkpoint(ctx))
+		}
+		if ap := kb.Autopilot(); ap.StoreRemaining != ap.StoreLen {
+			t.Fatalf("%s: the checkpoint left a drawn-down store: %+v", label, ap)
+		}
+		apply(3, 8)
+		live := kb.Autopilot()
+		if live.SamplingRuns <= before.SamplingRuns {
+			t.Fatalf("%s: no sampling update after the checkpoint: %+v", label, live)
+		}
+		want := marginalBits(kb, "On")
+
+		// Crash: drop the KB without checkpointing.
+		kb2, err := deepdive.OpenKB(chainSource, append([]deepdive.Option{deepdive.WithSeed(7), deepdive.WithDataDir(dir)}, opts...)...)
+		bmust(t, err)
+		if !kb2.Recovered() {
+			t.Fatalf("%s: the reopened KB did not recover from snapshot", label)
+		}
+		assertSameBits(t, want, marginalBits(kb2, "On"), label)
+		if got := kb2.Autopilot(); got != live {
+			t.Fatalf("%s: recovered autopilot %+v, the live KB's %+v", label, got, live)
+		}
+		bmust(t, kb2.Close())
 	}
 }

@@ -145,11 +145,11 @@ func rewriteSnapshot(t *testing.T, dir string, edit func(kind uint32, p []byte) 
 	}
 }
 
-// TestRestoreRefusesChangeSetsPastTheGraph: the change sets a snapshot
-// carries — the engine's accumulated one and the KB's pending one — index
-// the current graph, and OpenKB refuses an image in which either names a
-// group or a variable past it, before an update would size a bitset by the
-// id or score a group the graph does not have. It refuses, too, a weight
+// TestRestoreRefusesChangeSetsPastTheGraph: the change set a snapshot
+// carries — the KB's pending one — indexes the current graph, and OpenKB
+// refuses an image in which it names a group or a variable past it, before
+// an update would size a bitset by the id or score a group the graph does
+// not have. It refuses, too, a weight
 // vector longer or shorter than the weight table of the graph recovery
 // derives from the grounding, rather than install it.
 func TestRestoreRefusesChangeSetsPastTheGraph(t *testing.T) {
@@ -170,20 +170,12 @@ F: Q(x) :- R(x) weight = 0.5.
 		b.F64s(make([]float64, n))
 		return b.Bytes()
 	}
-	// engine keeps an undrawn engine's image up to its change set.
-	engine := func(p []byte, cs inc.ChangeSet) []byte { return append(p[:10:10], changeSet(cs)...) }
 	for _, tc := range []struct {
 		name string
 		kind uint32
 		edit func(g *factor.Graph, p []byte) []byte
 		want string
 	}{
-		{"accumulated group", secEngine, func(g *factor.Graph, p []byte) []byte {
-			return engine(p, inc.ChangeSet{ChangedNew: []int32{int32(g.NumGroups())}})
-		}, "change set names"},
-		{"accumulated group 2³¹−1", secEngine, func(g *factor.Graph, p []byte) []byte {
-			return engine(p, inc.ChangeSet{ChangedOld: []int32{1<<31 - 1}})
-		}, "change set names"},
 		{"pending variable", secPending, func(g *factor.Graph, _ []byte) []byte {
 			return changeSet(inc.ChangeSet{EvidenceChanged: []factor.VarID{factor.VarID(g.NumVars())}})
 		}, "change set names"},

@@ -570,6 +570,44 @@ func TestCancelledApplyCarriesChangeSet(t *testing.T) {
 	}
 }
 
+// TestMaterializeKeepsCarriedDelta: a re-materialization — Materialize,
+// or a checkpoint's — does not answer for an update cancelled after its
+// grounding committed. It takes the cancelled delta into Pr(0) but
+// publishes no marginal for it, so the next update must still re-estimate
+// the whole graph: it serves the cancelled document's pairs at KB.Infer's
+// marginals, not at the 0 of a vector they were never estimated into.
+func TestMaterializeKeepsCarriedDelta(t *testing.T) {
+	ctx := context.Background()
+	for name, remat := range map[string]func(kb *deepdive.KB) error{
+		"Materialize": func(kb *deepdive.KB) error { _, err := kb.Materialize(ctx); return err },
+		"Checkpoint":  func(kb *deepdive.KB) error { return kb.Checkpoint(ctx) },
+	} {
+		kb := spouseKB(t, deepdive.WithDataDir(t.TempDir()))
+		cctx, cancel := context.WithCancel(ctx)
+		kb.HoldFinish(func(context.Context) { cancel() })
+		if _, err := kb.Apply(cctx, docUpdate(1)); err != context.Canceled {
+			t.Fatalf("%s: the held update returned %v, want context.Canceled", name, err)
+		}
+		kb.HoldFinish(nil)
+		must(t, remat(kb))
+		if _, err := kb.Apply(ctx, docUpdate(2)); err != nil {
+			t.Fatal(err)
+		}
+		served := kb.Snapshot()
+		if _, err := kb.Infer(ctx); err != nil {
+			t.Fatal(err)
+		}
+		inferred := kb.Snapshot()
+		for _, pair := range []deepdive.Tuple{{"p1a", "p1b"}, {"p1b", "p1a"}, {"p2a", "p2b"}} {
+			got, ok := served.Marginal("HasSpouse", pair)
+			want, _ := inferred.Marginal("HasSpouse", pair)
+			if !ok || got != want {
+				t.Errorf("%s: pair %v served at %v (served: %v), KB.Infer gives %v", name, pair, got, ok, want)
+			}
+		}
+	}
+}
+
 // TestQueueSequentialConflicts checks the queue preserves sequential
 // semantics across a conflicting stream: delete and re-insert of the same
 // document land in different batches and the fact survives.
