@@ -103,16 +103,21 @@ chaos:
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSoak' .
 
-# Short native-fuzz passes over the four untrusted-input decoders: the
-# datalog parser (no-panic + String round-trip), the wire update body (any
-# body answered 200/400/409/413, the queue still live), the WAL record
-# decoder and the grounder snapshot decoder (each: refuse or round-trip,
-# allocation bounded by the input); extend -fuzztime for a real hunt.
+# Short native-fuzz passes over the untrusted-input decoders and the
+# reply encoder: the datalog parser (no-panic + String round-trip), the
+# wire update body (any body answered 200/400/409/413, the queue still
+# live), the WAL record decoder and the grounder snapshot decoder (each:
+# refuse or round-trip, allocation bounded by the input), the read
+# endpoints' query scan (the values url.ParseQuery decodes) and their
+# appended replies (encoding/json's bytes); extend -fuzztime for a real
+# hunt.
 fuzz-smoke:
 	$(GO) test ./internal/datalog -run='^$$' -fuzz='^FuzzDatalogParser$$' -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz='^FuzzServeUpdateBody$$' -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz='^FuzzDecodeUpdate$$' -fuzztime=10s
 	$(GO) test ./internal/ground -run='^$$' -fuzz='^FuzzRestoreGrounder$$' -fuzztime=10s
+	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzReadQuery$$' -fuzztime=10s
+	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzReplyBytes$$' -fuzztime=10s
 
 # The repository's benchmark (BENCHMARK.json; bench/README.md): one
 # workload of the served-KB harness, e.g.

@@ -20,8 +20,8 @@ import (
 
 // TestLearnAfterMaterializeKeepsPr0: Learn on a materialized KB trains the
 // served graph, never the engine's Pr(0). Pr(0) keeps the weights it was
-// materialized under, so its worlds — drawn later, or by a restored engine
-// from the persisted Pr(0) graph — are the ones Materialize meant, and the
+// materialized under, so its worlds — drawn later, or by the engine a
+// recovery re-materializes — are the ones Materialize meant, and the
 // drift reaches the next update as pending change, a cancelled Learn's
 // too. On the wire corpus Pr(0)'s image stays byte for byte what it was
 // through Learn, the six rule iterations and a document stream, all of

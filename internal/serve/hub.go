@@ -200,17 +200,14 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	rc := http.NewResponseController(w)
 	// Every event carries an id line — the epoch it brings the subscriber
-	// to — which SSE clients echo back as Last-Event-ID on reconnect.
-	writeEvent := func(name string, id uint64, v any) error {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
+	// to — which SSE clients echo back as Last-Event-ID on reconnect. An
+	// event is one write of its whole frame.
+	writeFrame := func(frame []byte) error {
 		if err := rc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout)); err != nil &&
 			!errors.Is(err, http.ErrNotSupported) {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, name, data); err != nil {
+		if _, err := w.Write(frame); err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				s.subsDropped.Add(1)
 			}
@@ -220,6 +217,21 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			return err
 		}
 		return nil
+	}
+	var frame []byte // reused from event to event
+	writeEvent := func(name string, id uint64, v any) error {
+		data, err := json.Marshal(v)
+		if err != nil {
+			return err
+		}
+		frame = append(append(appendEventHead(frame[:0], name, id), data...), "\n\n"...)
+		return writeFrame(frame)
+	}
+	// writeDelta is writeEvent for the stream's steady state, a delta per
+	// publication, appended without reflection.
+	writeDelta := func(ev *deltaEvent) error {
+		frame = append(appendDelta(appendEventHead(frame[:0], "delta", ev.Epoch), ev), "\n\n"...)
+		return writeFrame(frame)
 	}
 
 	// Arm the publication channel BEFORE reading the view: a publication
@@ -261,7 +273,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			if !ev.suppressed() {
 				ev.Skipped = v.Epoch() - lastEpoch - 1
 				lastEpoch = v.Epoch()
-				if err := writeEvent("delta", ev.Epoch, ev); err != nil {
+				if err := writeDelta(&ev); err != nil {
 					return
 				}
 			}
@@ -333,7 +345,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 		ev.Skipped = v.Epoch() - lastEpoch - 1
 		lastEpoch = v.Epoch()
-		if err := writeEvent("delta", ev.Epoch, ev); err != nil {
+		if err := writeDelta(&ev); err != nil {
 			return
 		}
 	}
@@ -343,6 +355,14 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 // change and a movement below the min_delta floor is why. An event that is
 // empty because nothing moved is written — its epoch is news.
 func (ev *deltaEvent) suppressed() bool { return len(ev.Changes) == 0 && ev.held }
+
+// appendEventHead appends an SSE event's id and event lines and the start
+// of its data line.
+func appendEventHead(dst []byte, name string, id uint64) []byte {
+	dst = strconv.AppendUint(append(dst, "id: "...), id, 10)
+	dst = append(append(append(dst, "\nevent: "...), name...), "\ndata: "...)
+	return dst
+}
 
 // collectSent seeds a subscriber's sent-state map with the filtered
 // facts of one view (the state the client is assumed to already hold).

@@ -230,44 +230,29 @@ func (s *Server) handleAutopilot(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// marginalReply is the /v1/marginal body. Its fields follow the order
-// encoding/json sorts map keys in, the shape the endpoint has always had.
-type marginalReply struct {
-	Epoch       uint64   `json:"epoch"`
-	Known       bool     `json:"known"`
-	Probability float64  `json:"probability"`
-	Relation    string   `json:"relation"`
-	Tuple       []string `json:"tuple"`
-}
-
-// unknownFactReply is the 404 body of /v1/marginal: marginalReply
-// without a probability.
-type unknownFactReply struct {
-	Epoch    uint64   `json:"epoch"`
-	Known    bool     `json:"known"`
-	Relation string   `json:"relation"`
-	Tuple    []string `json:"tuple"`
-}
-
 // handleMarginal is the wire point read: one fact's probability off the
 // current snapshot. The whole request path is lock-free on the KB side —
-// an atomic snapshot load plus a map lookup.
+// an atomic snapshot load plus a map lookup — and builds neither a query
+// map nor a reflected reply: the query is scanned once (readQuery) and the
+// body appended into a pooled buffer (appendMarginal).
 func (s *Server) handleMarginal(w http.ResponseWriter, r *http.Request) {
 	s.reads.Add(1)
-	q := r.URL.Query()
-	rel := q.Get("relation")
-	tuple := q["tuple"]
-	if rel == "" || len(tuple) == 0 {
+	q := getQuery(r.URL.RawQuery)
+	defer putQuery(q)
+	if q.relation == "" || len(q.tuple) == 0 {
 		writeErr(w, http.StatusBadRequest, "relation and at least one tuple parameter required")
 		return
 	}
 	v := s.b.View()
-	p, ok := v.Marginal(rel, tuple)
+	p, ok := v.Marginal(q.relation, q.tuple)
+	code := http.StatusOK
 	if !ok {
-		writeJSON(w, http.StatusNotFound, unknownFactReply{Epoch: v.Epoch(), Relation: rel, Tuple: tuple})
-		return
+		code = http.StatusNotFound
 	}
-	writeJSON(w, http.StatusOK, marginalReply{Epoch: v.Epoch(), Known: true, Probability: p, Relation: rel, Tuple: tuple})
+	bp := bodyPool.Get().(*[]byte)
+	*bp = appendMarginal((*bp)[:0], v.Epoch(), ok, p, q.relation, q.tuple)
+	writeBody(w, code, *bp)
+	bodyPool.Put(bp)
 }
 
 // handleFacts is the bulk read: one relation's fact table, optionally
@@ -280,14 +265,15 @@ func (s *Server) handleMarginal(w http.ResponseWriter, r *http.Request) {
 // JSON of the facts that pass the threshold and encodes nothing.
 func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	s.reads.Add(1)
-	q := r.URL.Query()
-	rel := q.Get("relation")
+	q := getQuery(r.URL.RawQuery)
+	defer putQuery(q)
+	rel := q.relation
 	if rel == "" {
 		writeErr(w, http.StatusBadRequest, "relation parameter required")
 		return
 	}
 	th, thresholded := 0.0, false
-	if ts := q.Get("threshold"); ts != "" {
+	if ts := q.threshold; ts != "" {
 		var err error
 		th, err = strconv.ParseFloat(ts, 64)
 		if err != nil || math.IsNaN(th) {
@@ -298,18 +284,26 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	}
 	t := s.cachedFacts(s.b.View(), rel)
 	bp := bodyPool.Get().(*[]byte)
-	body := t.appendBody((*bp)[:0], thresholded, th)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body) // a failed write is the client's loss; nothing is left to send
-	*bp = body
+	*bp = t.appendBody((*bp)[:0], thresholded, th)
+	writeBody(w, http.StatusOK, *bp)
 	bodyPool.Put(bp)
 }
 
-// bodyPool recycles /v1/facts response buffers: a body is about the size
-// of its relation's table, and allocating one per scan doubled the CPU of
-// a cached scan.
+// bodyPool recycles the response buffers of /v1/marginal and /v1/facts: a
+// scan's body is about the size of its relation's table, and allocating
+// one per scan doubled the CPU of a cached scan.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// jsonContentType is the Content-Type value of the appended bodies, set
+// without Header().Set's allocation. Nothing writes to it.
+var jsonContentType = []string{"application/json"}
+
+// writeBody writes one appended JSON body.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(code)
+	_, _ = w.Write(body) // a failed write is the client's loss; nothing is left to send
+}
 
 // factsTable is one relation's /v1/facts rendering for the view of one
 // epoch: every live fact's JSON, threshold-free, so that any threshold is
@@ -400,14 +394,13 @@ func renderFacts(epoch uint64, rel string, facts []Fact) *factsTable {
 	t := &factsTable{epoch: epoch, facts: make([]renderedFact, len(facts))}
 	t.head = strconv.AppendUint([]byte(`{"epoch":`), epoch, 10)
 	t.head = append(t.head, `,"facts":[`...)
-	name, _ := json.Marshal(rel) // a string always marshals
-	t.tail = append(append([]byte(`],"relation":`), name...), "}\n"...)
-	for i, f := range facts {
+	t.tail = append(appendString([]byte(`],"relation":`), rel), "}\n"...)
+	for i := range facts {
+		f := &facts[i]
 		if i > 0 {
 			t.slab = append(t.slab, ',')
 		}
-		b, _ := json.Marshal(f) // fails only on a non-finite probability, which no marginal is
-		t.slab = append(t.slab, b...)
+		t.slab = appendFact(t.slab, f)
 		t.facts[i] = renderedFact{end: len(t.slab), p: f.Probability, known: f.Known}
 	}
 	return t

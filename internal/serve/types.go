@@ -24,8 +24,9 @@
 // Every read endpoint serves straight off the current snapshot — an
 // atomic pointer load on the Backend side — and never touches a KB
 // write lock. A /v1/facts scan copies JSON rendered once per relation
-// and view. See the package's handler documentation and the README
-// "Network serving" section for the subscription semantics.
+// and view; a point read scans its query once and appends its reply
+// (query.go, encode.go). See the package's handler documentation and the
+// README "Network serving" section for the subscription semantics.
 package serve
 
 import "context"
@@ -149,7 +150,8 @@ type View interface {
 	Relations() []string
 	// Facts enumerates one relation's facts in stable order.
 	Facts(relation string) []Fact
-	// Marginal is the point read behind /v1/marginal.
+	// Marginal is the point read behind /v1/marginal. The tuple slice is
+	// reused once the call returns: an implementation must not keep it.
 	Marginal(relation string, tuple []string) (float64, bool)
 	// Stats returns the JSON-marshalable graph statistics blob.
 	Stats() any
