@@ -31,9 +31,13 @@ test:
 # test (TestLoadBaseIsTheFirstUpdate). internal/inc drives
 # the samplers (materialization and the rerun on the configured runtime,
 # the variational runner's swept remainder) and its one Metropolis-Hastings
-# runner over the engine's Pr(0) clone and the patched graph.
+# runner over the engine's Pr(0) clone and the patched graph. Every
+# whole-graph solve (internal/inc's solveComponents) takes its State and
+# component arrays from one pool shared across KBs: TestConcurrentWholeGraphSolves
+# runs KB.Infer on one KB beside rule updates on another.
 race:
 	$(GO) test -race ./internal/gibbs/... ./internal/factor/... ./internal/learn/... ./internal/inc/... ./internal/ground/... ./internal/db/...
+	$(GO) test -race -count=1 -run 'TestConcurrentWholeGraphSolves' .
 
 # The serving API's concurrency proof: lock-free snapshot readers
 # against live Apply/queue writers (a parallel-grounded queued stream

@@ -171,19 +171,23 @@ func ruleUpdateAllocs(t *testing.T) (bytes, objects map[string]float64) {
 // pairs for adjacency and one of blanket pairs, maps to accumulate change
 // sets — the same updates allocated 12 188 / 12 235 / 11 801 objects
 // (1 979 / 2 375 / 1 542 KB); with id-indexed bookkeeping 7 083 / 6 982 /
-// 6 757. The bound, 8 000, leaves 13 % over the largest of those; a hash
-// set per new group brings the 1 141 groups a rule adds back over it.
-// (Validating and compiling the new rule without a map per rule and a list
-// grown per plan step took them to 5 675 / 5 573 / 5 564.)
+// 6 757. (Validating and compiling the new rule without a map per rule and
+// a list grown per plan step took them to 5 675 / 5 573 / 5 564.) FE1 and
+// FE2 take the graph past the compaction threshold, so their commit builds
+// no patch and the graph is rebuilt, and the whole-graph exact solve
+// reuses its State and component arrays: 2 819 / 2 720 objects (1 161 /
+// 1 569 KB), from 5 280 / 5 178 (1 625 / 2 197 KB) when they patched a
+// graph the rebuild then discarded and solved on fresh arrays. I1 still
+// patches: 4 969, from 5 224. The bounds leave about 15 % over each.
 func TestRuleUpdateAllocations(t *testing.T) {
-	const maxObjects = 8000
+	maxObjects := map[string]float64{"FE1": 3300, "FE2": 3300, "I1": 5700}
 	bytes, objects := ruleUpdateAllocs(t)
 	for _, name := range kbc.IterationNames {
 		t.Logf("%s: %.0f KB in %.0f objects", name, bytes[name]/1024, objects[name])
 	}
 	for _, name := range []string{"FE1", "FE2", "I1"} {
-		if objects[name] > maxObjects {
-			t.Errorf("%s allocates %.0f objects, want ≤ %d", name, objects[name], maxObjects)
+		if objects[name] > maxObjects[name] {
+			t.Errorf("%s allocates %.0f objects, want ≤ %.0f", name, objects[name], maxObjects[name])
 		}
 	}
 }

@@ -214,11 +214,18 @@ func (g *Graph) Epoch() int32 { return g.epoch }
 // CSR rows) plus overflow groundings (reached through per-row indirection
 // instead of the contiguous ranges). Callers compact by rebuilding —
 // NewBuilderFrom(g).Build() — when this crosses their threshold.
-func (g *Graph) Fragmentation() float64 {
-	if g.nGnd == 0 { // patched-in groundings count toward nGnd, so the pool is truly empty
+func (g *Graph) Fragmentation() float64 { return g.FragmentationAfter(0, 0) }
+
+// FragmentationAfter returns what Fragmentation would read after a patch
+// that appends appended groundings and tombstones tombstoned live ones —
+// so a caller can choose between patching and rebuilding before it builds
+// the patch.
+func (g *Graph) FragmentationAfter(appended, tombstoned int) float64 {
+	n := g.nGnd + appended
+	if n == 0 { // patched-in groundings count toward nGnd, so the pool is truly empty
 		return 0
 	}
-	return float64(g.nDead+g.nExtra) / float64(g.nGnd)
+	return float64(g.nDead+tombstoned+g.nExtra+appended) / float64(n)
 }
 
 // gndLive reports whether grounding k is live: no patch tombstoned it.
@@ -377,9 +384,14 @@ func (g *Graph) SetEvidence(v VarID, ev bool, val bool) {
 // AdjacentGroups returns the indices of every group variable v touches
 // (as head or in a body), deduplicated. The frozen entries come first in
 // ascending order, followed by patched-in entries in patch order.
-func (g *Graph) AdjacentGroups(v VarID) []int32 {
-	out := append([]int32(nil), g.adjGroups[g.adjOff[v]:g.adjOff[v+1]]...)
-	return append(out, g.ExtraAdjacent(v)...)
+func (g *Graph) AdjacentGroups(v VarID) []int32 { return g.AppendAdjacentGroups(nil, v) }
+
+// AppendAdjacentGroups appends AdjacentGroups(v) to dst and returns it: a
+// caller that walks many variables reuses one buffer instead of a copy per
+// variable.
+func (g *Graph) AppendAdjacentGroups(dst []int32, v VarID) []int32 {
+	dst = append(dst, g.adjGroups[g.adjOff[v]:g.adjOff[v+1]]...)
+	return append(dst, g.ExtraAdjacent(v)...)
 }
 
 // gndSatisfied reports whether grounding k holds under assign.

@@ -57,13 +57,41 @@ type State struct {
 // NewState builds a State with every free variable false and evidence
 // variables at their fixed values.
 func NewState(g *Graph) *State {
-	assign := make([]bool, g.numVars)
-	for v := 0; v < g.numVars; v++ {
-		if g.evidence[v] {
-			assign[v] = g.evValue[v]
-		}
+	s := new(State)
+	s.Reset(g)
+	return s
+}
+
+// Reset makes s the State NewState(g) builds — every free variable false,
+// evidence at its value, the counters recounted, no conditional cached —
+// reusing s's arrays wherever they are large enough: a caller that
+// evaluates one graph after another keeps one State instead of building
+// one per graph.
+func (s *State) Reset(g *Graph) {
+	s.G = g
+	s.Assign = resize(s.Assign, g.numVars)
+	for v := range s.Assign {
+		s.Assign[v] = g.evidence[v] && g.evValue[v]
 	}
-	return NewStateWith(g, assign)
+	s.unsat = resize(s.unsat, g.nGnd)
+	s.sat = resize(s.sat, g.NumGroups())
+	s.cDelta = resize(s.cDelta, g.numVars)
+	s.cSig = resize(s.cSig, g.numVars)
+	s.sigOK = resize(s.sigOK, g.numVars)
+	s.cStamp = resize(s.cStamp, g.numVars)
+	clear(s.cStamp)
+	s.stamp = 1
+	s.wgen = g.weightGen
+	s.Recount()
+}
+
+// resize returns s at length n, on its own array when that is large
+// enough; the contents are left as they are.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // NewStateWith builds a State from an explicit assignment. Evidence

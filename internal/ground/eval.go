@@ -58,6 +58,9 @@ type ruleEval struct {
 	idx   int // stable index for weight keys
 	syms  *db.Symbols
 	query db.Query
+	// atomSeq is the declaration position of each of query.Atoms'
+	// relations, looked up once here rather than by name on every update.
+	atomSeq []uint32
 	// plans caches the compiled plan per db.Query.Compile seed (an atom
 	// position, db.ScanLive or db.ScanOld). Filled on the driver goroutine
 	// only: workers receive resolved plans in their jobs.
@@ -125,6 +128,10 @@ func (g *Grounder) compileRule(r *datalog.Rule, idx int) (*ruleEval, error) {
 	}
 	if weighted && len(r.Body) > 0 {
 		re.query.Atoms = append(re.query.Atoms, g.queryAtom(&r.Head, false, true))
+	}
+	re.atomSeq = make([]uint32, len(re.query.Atoms))
+	for i, a := range re.query.Atoms {
+		re.atomSeq[i] = g.relSeq[a.Rel.Name()]
 	}
 	if len(r.Body) > 0 {
 		// Every seeded plan schedules the same atoms over the same

@@ -308,12 +308,39 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 	slices.Sort(tr.liveToggled)
 	d.LivenessChanged = slices.Compact(tr.liveToggled)
 	commit := func() {
-		if canPatch {
+		if canPatch && g.lastGraph.FragmentationAfter(g.patchCounts(tr)) <= g.compactionThreshold() {
 			g.patchGraph(tr)
 		}
 		g.version++
 	}
 	return d, commit, nil
+}
+
+// patchCounts returns how many groundings patchGraph would append to the
+// current graph — the visible groundings of the added groups, the touched
+// groundings that came back — and how many it would tombstone — the
+// touched groundings that left. A patch that would take the graph past the
+// compaction threshold is not built: the next Graph call rebuilds from the
+// grounder's tables either way, and a rebuild reads nothing a patch writes
+// but the weights it appends at their initial values, which it takes from
+// the grounder too.
+func (g *Grounder) patchCounts(tr *tracker) (appended, tombstoned int) {
+	for _, gi := range tr.addedGroups {
+		for i := g.groups[gi].first; i >= 0; i = g.gnds[i].next {
+			if g.gnds[i].count > 0 {
+				appended++
+			}
+		}
+	}
+	for _, i := range tr.touched {
+		switch gnd := &g.gnds[i]; {
+		case gnd.count > 0 && gnd.flatID < 0:
+			appended++
+		case gnd.count == 0 && gnd.flatID >= 0:
+			tombstoned++
+		}
+	}
+	return appended, tombstoned
 }
 
 // patchGraph splices the update's ΔV/ΔF into the current graph in place
@@ -322,10 +349,10 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 // tombstoned by their recorded flat ids, and evidence changes are applied
 // — the pools of untouched variables and factors are never rewritten.
 // Nothing of the pre-patch graph survives (the incremental-inference
-// engine keeps its own clone of Pr(0)). When fragmentation from
-// accumulated tombstones and overflow rows crosses the compaction
-// threshold, the graph is left dirty so the next Graph call performs an
-// O(V+F) compacting rebuild.
+// engine keeps its own clone of Pr(0)). The commit calls it only when the
+// patched graph stays within the compaction threshold (patchCounts); past
+// it the graph is left dirty, unpatched, so the next Graph call performs
+// an O(V+F) compacting rebuild.
 func (g *Grounder) patchGraph(tr *tracker) {
 	gr := g.lastGraph
 	oldVars := gr.NumVars()
@@ -382,7 +409,7 @@ func (g *Grounder) patchGraph(tr *tracker) {
 		applyEv(factor.VarID(i))
 	}
 	p.Apply()
-	g.graphDirty = gr.Fragmentation() > g.compactionThreshold()
+	g.graphDirty = false
 }
 
 // sortedRelNames returns a delta map's relation names in sorted order.

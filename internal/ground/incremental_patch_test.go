@@ -11,13 +11,16 @@ package ground
 // 'TestApplyUpdateInPlaceMatchesRebuild/seed=N' to reproduce.
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"deepdive/internal/datalog"
 	"deepdive/internal/db"
 	"deepdive/internal/factor"
+	"deepdive/internal/persist"
 )
 
 // patchedPair is one grounder under test plus its own copy of the
@@ -247,5 +250,88 @@ func TestApplyUpdatePatchCost(t *testing.T) {
 	if after.NumVars() <= varsBefore || after.NumGroundings() <= gndsBefore {
 		t.Fatalf("update added no vars or groundings: %d -> %d vars, %d -> %d groundings",
 			varsBefore, after.NumVars(), gndsBefore, after.NumGroundings())
+	}
+}
+
+// TestPatchOrRebuildDecidedBeforePatching pins the commit's choice between
+// patching and rebuilding. A delta whose patch would take the graph past
+// the compaction threshold leaves the cached graph as it was — unpatched,
+// its epoch and fragmentation unmoved — and dirty, and the graph Graph then
+// rebuilds is the one a patch followed by the compacting rebuild gives,
+// byte for byte. With the threshold at exactly the fragmentation that
+// patch reaches, the same delta is patched in place.
+func TestPatchOrRebuildDecidedBeforePatching(t *testing.T) {
+	doc := func() Update {
+		return Update{Inserts: map[string][]db.Tuple{
+			"Sentence":        {{"s9", "Pat and Sam wed"}},
+			"PersonCandidate": {{"s9", "m8"}, {"s9", "m9"}},
+			"Mentions":        {{"s9", "m8"}, {"s9", "m9"}},
+			"EL":              {{"m8", "Pat"}, {"m9", "Sam"}},
+		}, Deletes: map[string][]db.Tuple{
+			"Mentions": {{"s1", "m1"}},
+		}}
+	}
+	grounder := func(thresh float64) (*Grounder, *factor.Graph) {
+		g := newSpouseGrounder(t, spouseBase())
+		g.SetCompactionThreshold(thresh)
+		return g, g.Graph()
+	}
+	image := func(g *factor.Graph) []byte {
+		var b persist.Buf
+		g.AppendSnapshot(&b)
+		return b.Bytes()
+	}
+
+	// The oracle: patch whatever the fragmentation, then rebuild.
+	oracle, oracleBefore := grounder(0.999)
+	if _, err := oracle.ApplyUpdate(doc()); err != nil {
+		t.Fatal(err)
+	}
+	if oracle.Graph() != oracleBefore || !oracleBefore.Patched() {
+		t.Fatal("the oracle did not patch its graph in place")
+	}
+	reached := oracleBefore.Fragmentation()
+	if reached <= DefaultCompactionThreshold {
+		t.Fatalf("the delta's patch reaches fragmentation %.3f, want past the default threshold %.2f", reached, DefaultCompactionThreshold)
+	}
+	oracle.graphDirty = true
+	want := oracle.Graph()
+
+	for _, c := range []struct {
+		name   string
+		thresh float64
+	}{{"default threshold", 0}, {"threshold just under the patch", math.Nextafter(reached, 0)}} {
+		g, before := grounder(c.thresh)
+		epoch, frag, nGnd := before.Epoch(), before.Fragmentation(), before.NumGroundings()
+		if _, err := g.ApplyUpdate(doc()); err != nil {
+			t.Fatal(err)
+		}
+		if !g.graphDirty || g.lastGraph != before {
+			t.Fatalf("%s: the commit did not leave the cached graph dirty", c.name)
+		}
+		if before.Epoch() != epoch || before.Fragmentation() != frag || before.NumGroundings() != nGnd {
+			t.Fatalf("%s: the commit patched a graph it then discards (epoch %d→%d, fragmentation %.3f→%.3f)",
+				c.name, epoch, before.Epoch(), frag, before.Fragmentation())
+		}
+		got := g.Graph()
+		if got == before || got.Patched() {
+			t.Fatalf("%s: Graph did not rebuild", c.name)
+		}
+		if diffs := factor.DiffGraphs(got, want, 3, 1); len(diffs) > 0 {
+			t.Fatalf("%s: rebuilt graph != patched-then-rebuilt graph: %v", c.name, diffs)
+		}
+		if !bytes.Equal(image(got), image(want)) {
+			t.Fatalf("%s: rebuilt graph's image differs from the patched-then-rebuilt one's", c.name)
+		}
+	}
+
+	// At the threshold itself the patch stays within it: patched in place.
+	g, before := grounder(reached)
+	if _, err := g.ApplyUpdate(doc()); err != nil {
+		t.Fatal(err)
+	}
+	if g.graphDirty || g.Graph() != before || !before.Patched() || before.Fragmentation() != reached {
+		t.Fatalf("a delta at the threshold was not patched in place (dirty %v, fragmentation %.3f, want %.3f)",
+			g.graphDirty, before.Fragmentation(), reached)
 	}
 }

@@ -159,8 +159,8 @@ func (re *ruleEval) fullJob() evalJob {
 // a rule never consumes deltas its own bindings produce.
 func (g *Grounder) deltaJobs(jobs []evalJob, re *ruleEval, tr *tracker) []evalJob {
 	touches, negOnChanged := false, false
-	for _, a := range re.query.Atoms {
-		if tr.changed(g.relSeq[a.Rel.Name()]) {
+	for i, a := range re.query.Atoms {
+		if tr.changed(re.atomSeq[i]) {
 			touches = true
 			negOnChanged = negOnChanged || a.Neg
 		}
@@ -172,7 +172,7 @@ func (g *Grounder) deltaJobs(jobs []evalJob, re *ruleEval, tr *tracker) []evalJo
 		return append(jobs, evalJob{re: re, plan: re.mustPlan(db.ScanOld), sign: -1}, re.fullJob())
 	}
 	for i, a := range re.query.Atoms {
-		seq := g.relSeq[a.Rel.Name()]
+		seq := re.atomSeq[i]
 		if a.Neg || !tr.changed(seq) {
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 
 	"deepdive/internal/factor"
 	"deepdive/internal/gibbs"
@@ -50,18 +51,37 @@ type Solved struct {
 // 2^k ≤ sweeps·k — the conditional evaluations sampling it would cost.
 func Enumerable(k, sweeps int) bool { return k <= MaxStrawmanVars && 1<<k <= sweeps*k }
 
+// solver is the scratch of one solveComponents call: the State its
+// conditionals and enumerations run on, the component walk's arrays and
+// one enumeration's worlds. A whole-graph solve would otherwise allocate
+// all of them at the graph's size on every from-scratch pass and every
+// update left unscoped; solvers keeps them between calls, one per caller
+// at a time.
+type solver struct {
+	st      factor.State
+	comps   compBuf
+	weights []float64
+}
+
+var solvers = sync.Pool{New: func() any { return new(solver) }}
+
 // solveComponents walks the connected components of g's free variables
 // under a budget of sweeps, hands each solved one to table — weights[i] the
 // unnormalized probability of the world i ^ i>>1 (bit b is comp[b]), z their
-// sum, weights scratch that is valid for the call — and returns the
-// variables of the others, ascending. ctx is checked every few hundred
-// components and every thousand worlds of an enumeration; ok is false when
-// it was cancelled, n then counting what was handed over before.
+// sum; comp and weights are scratch that is valid for the call — and
+// returns the variables of the others, ascending. ctx is checked every few
+// hundred components and every thousand worlds of an enumeration; ok is
+// false when it was cancelled, n then counting what was handed over before.
 func solveComponents(ctx context.Context, g *factor.Graph, sweeps int, table func(comp []int, weights []float64, z float64)) (rest []factor.VarID, n Solved, ok bool) {
-	st := factor.NewState(g)
-	var weights []float64 // one enumeration's worlds, reused
-	lone := make([]float64, 2)
-	for ci, comp := range components(g, nil) {
+	s := solvers.Get().(*solver)
+	defer func() {
+		s.st.G = nil // the pool keeps the arrays, not the graph
+		solvers.Put(s)
+	}()
+	st := &s.st
+	st.Reset(g)
+	var lone [2]float64
+	for ci, comp := range s.comps.components(g, nil) {
 		if ci&255 == 0 && canceled(ctx) {
 			return nil, n, false
 		}
@@ -71,13 +91,14 @@ func solveComponents(ctx context.Context, g *factor.Graph, sweeps int, table fun
 		case k == 1:
 			lone[1] = st.CondProb(factor.VarID(comp[0]))
 			lone[0] = 1 - lone[1]
-			table(comp, lone, 1)
+			table(comp, lone[:], 1)
 			n.Closed++
 		case Enumerable(k, sweeps):
-			var z float64
-			if weights, z = enumerate(ctx, st, comp, weights); weights == nil {
+			weights, z := enumerate(ctx, st, comp, s.weights)
+			if weights == nil {
 				return nil, n, false
 			}
+			s.weights = weights
 			table(comp, weights, z)
 			n.Enumerated += k
 		default:
@@ -358,6 +379,23 @@ func (w *worlds) draw(ctx context.Context, st *gibbs.Store, n int) bool {
 // (factor.Graph.GroupVars reports the head first, then each live
 // grounding's variables), so no nested view is synthesized per group.
 func components(g *factor.Graph, scope []factor.VarID) [][]int {
+	return new(compBuf).components(g, scope)
+}
+
+// compBuf is the scratch of components: the union-find, the component
+// index of each root, the sizes, and the components themselves, all cut
+// from arrays a later call reuses.
+type compBuf struct {
+	parent, compAt []int32
+	sizes          []int
+	flat           []int
+	out            [][]int
+	adj            []int32
+}
+
+// components is the package function on b's arrays: the result is valid
+// until b's next call.
+func (b *compBuf) components(g *factor.Graph, scope []factor.VarID) [][]int {
 	// Union-find over the walked variables: the graph's, or the scope's by
 	// position (a free member shares groups only with members, so variables
 	// outside the scope are skipped, not linked).
@@ -365,7 +403,8 @@ func components(g *factor.Graph, scope []factor.VarID) [][]int {
 	if scope != nil {
 		n = len(scope)
 	}
-	parent := make([]int32, n)
+	parent := slices.Grow(b.parent[:0], n)[:n]
+	b.parent = parent
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -396,7 +435,8 @@ func components(g *factor.Graph, scope []factor.VarID) [][]int {
 		}
 	} else {
 		for _, v := range scope {
-			for _, gi := range g.AdjacentGroups(v) {
+			b.adj = g.AppendAdjacentGroups(b.adj[:0], v)
+			for _, gi := range b.adj {
 				link(gi)
 			}
 		}
@@ -409,8 +449,10 @@ func components(g *factor.Graph, scope []factor.VarID) [][]int {
 		}
 		return v, !g.IsEvidence(factor.VarID(v))
 	}
-	var sizes []int
-	compAt := make([]int32, n) // root → 1 + its index in sizes and out
+	sizes := b.sizes[:0]
+	compAt := slices.Grow(b.compAt[:0], n)[:n] // root → 1 + its index in sizes and out
+	clear(compAt)
+	b.compAt = compAt
 	total := 0
 	for l := 0; l < n; l++ {
 		if _, ok := free(l); ok {
@@ -423,8 +465,11 @@ func components(g *factor.Graph, scope []factor.VarID) [][]int {
 			total++
 		}
 	}
-	flat := make([]int, total)
-	out := make([][]int, len(sizes))
+	b.sizes = sizes
+	flat := slices.Grow(b.flat[:0], total)[:total]
+	b.flat = flat
+	out := slices.Grow(b.out[:0], len(sizes))[:len(sizes)]
+	b.out = out
 	for c, size := range sizes {
 		out[c], flat = flat[:0:size], flat[size:]
 	}

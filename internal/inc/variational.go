@@ -246,7 +246,7 @@ func visitAdjacent(g *factor.Graph, comp []int, local map[int]int, f func(a, b i
 	}
 	var groups []int32
 	for _, v := range comp {
-		groups = append(groups, g.AdjacentGroups(factor.VarID(v))...)
+		groups = g.AppendAdjacentGroups(groups, factor.VarID(v))
 	}
 	slices.Sort(groups)
 	var vars []factor.VarID

@@ -103,7 +103,7 @@ func newPlan(ctx context.Context, g *factor.Graph, sweeps int) *plan {
 		slices.Sort(comp) // members in one order: isomorphic components merge more often
 		c.groups = c.groups[:0]
 		for _, u := range comp {
-			c.groups = append(c.groups, g.AdjacentGroups(u)...)
+			c.groups = g.AppendAdjacentGroups(c.groups, u)
 		}
 		slices.Sort(c.groups)
 		c.groups = slices.Compact(c.groups)

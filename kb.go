@@ -619,7 +619,9 @@ func groupVars(vs []factor.VarID, g *factor.Graph, gis []int) []factor.VarID {
 // re-estimating only the dirty variables is what the whole-graph
 // computation would have produced for them, and everything else keeps its
 // weights and published marginals bit for bit. A scope beyond half the
-// graph's variables is the graph: no subgraph is extracted. So is the
+// graph's variables is the graph: no subgraph is extracted (and when the
+// delta's distinct free seeds alone pass half, the inference scope is not
+// grown first: freeBeyondHalf). So is the
 // scope of an update that answers for a carried delta, and every scope
 // under the GlobalFinish lesion.
 func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, error) {
@@ -652,8 +654,11 @@ func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, 
 	// or without the decomposition, it is the graph.
 	var dirty *factor.Reach
 	if scoped && kb.marg != nil && !kb.opts.Lesions.NoDecomposition {
-		if dirty = kb.engine.Scope(g, append(st.seeds, touched...), delta.EvidenceChanged); beyondHalf(dirty, g) {
-			dirty = nil
+		seeds := append(st.seeds, touched...)
+		if !freeBeyondHalf(seeds, g) {
+			if dirty = kb.engine.Scope(g, seeds, delta.EvidenceChanged); beyondHalf(dirty, g) {
+				dirty = nil
+			}
 		}
 	}
 	start := time.Now()
@@ -706,6 +711,26 @@ func (kb *KB) applyFinish(ctx context.Context, st *stagedApply) (*UpdateResult, 
 // the variables, extracting a subgraph saves nothing worth its cost.
 func beyondHalf(r *factor.Reach, g *factor.Graph) bool { return 2*len(r.Vars) > g.NumVars() }
 
+// freeBeyondHalf reports whether the distinct free variables among seeds
+// already pass half of g's: the inference scope grown from them holds every
+// one, so beyondHalf would turn it into the graph, and growing it first —
+// a walk of most of the graph on a whole-rule update — can be skipped.
+func freeBeyondHalf(seeds []factor.VarID, g *factor.Graph) bool {
+	if 2*len(seeds) <= g.NumVars() {
+		return false
+	}
+	seen, n := make([]uint64, (g.NumVars()+63)/64), 0
+	for _, v := range seeds {
+		if bit := uint64(1) << (v & 63); !g.IsEvidence(v) && seen[v>>6]&bit == 0 {
+			seen[v>>6] |= bit
+			if n++; 2*n > g.NumVars() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // incLearnEpochs is the epochs of warmstart learning an update runs.
 const incLearnEpochs = 3
 
@@ -745,8 +770,10 @@ func (kb *KB) learnDelta(ctx context.Context, st *stagedApply, scoped bool) ([]b
 		for w := range frozen {
 			frozen[w] = true
 		}
+		var adj []int32
 		for _, v := range lr.Vars {
-			for _, gi := range g.AdjacentGroups(v) {
+			adj = g.AppendAdjacentGroups(adj[:0], v)
+			for _, gi := range adj {
 				w := g.GroupWeight(int(gi))
 				frozen[w] = st.frozen[w]
 			}
