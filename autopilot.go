@@ -34,10 +34,10 @@ func (kb *KB) refill(ctx context.Context, g *factor.Graph) (bool, error) {
 		return false, nil
 	}
 	if err := kb.launch(ctx, g); err != nil {
-		kb.auto.rematLost++
+		kb.auto.RematPreempted++
 		return false, ctxErr(ctx)
 	}
-	kb.auto.remats++
+	kb.auto.Rematerializations++
 	return true, nil
 }
 
@@ -47,8 +47,8 @@ func (kb *KB) refill(ctx context.Context, g *factor.Graph) (bool, error) {
 // previous one, and follows the persisted launch count, so recovery and
 // replay launch with the seeds the live process did. Callers hold mu.
 func (kb *KB) launch(ctx context.Context, g *factor.Graph) error {
-	seed := kb.opts.Seed + 1009 + kb.auto.rematSpawns*7919
-	kb.auto.rematSpawns++
+	seed := kb.opts.Seed + 1009 + kb.rematSpawns*7919
+	kb.rematSpawns++
 	eng, err := inc.NewEngineCtx(ctx, g, kb.engineOpts(seed))
 	if err != nil {
 		return err
@@ -77,46 +77,30 @@ func (kb *KB) compactLocked(ctx context.Context) error {
 	return err
 }
 
-// autoCounters aggregates per-update optimizer outcomes and the refills
-// (rematSpawns counts launches, which seed them). Guarded by KB.mu.
-type autoCounters struct {
-	sampling    uint64
-	variational uint64
-	rerun       uint64
-	exact       uint64
-	fallbacks   uint64
-	hist        [10]uint64
-	lastAccept  float64
-	lastProbe   float64
-	remats      uint64
-	rematLost   uint64
-	rematSpawns int64
-}
-
 // recordAutoResult folds one update's inference outcome into the
 // autopilot statistics. Callers hold mu.
 func (kb *KB) recordAutoResult(ir *inc.Result) {
 	switch ir.Strategy {
 	case inc.StrategySampling:
-		kb.auto.sampling++
+		kb.auto.SamplingRuns++
 	case inc.StrategyVariational:
-		kb.auto.variational++
+		kb.auto.VariationalRuns++
 	case inc.StrategyExact:
-		kb.auto.exact++
+		kb.auto.ExactRuns++
 	default:
-		kb.auto.rerun++
+		kb.auto.RerunRuns++
 	}
 	if ir.FellBack {
-		kb.auto.fallbacks++
+		kb.auto.Fallbacks++
 	}
-	kb.auto.lastAccept = ir.AcceptanceRate
-	kb.auto.lastProbe = ir.Probed
+	kb.auto.LastAcceptance = ir.AcceptanceRate
+	kb.auto.LastProbe = ir.Probed
 	if ir.Probed >= 0 {
 		b := int(ir.Probed * 10)
 		if b > 9 {
 			b = 9
 		}
-		kb.auto.hist[b]++
+		kb.auto.AcceptanceHist[b]++
 	}
 }
 
@@ -171,21 +155,11 @@ func (kb *KB) Autopilot() AutopilotStats {
 	return kb.autopilotLocked()
 }
 
-// autopilotLocked assembles AutopilotStats. Callers hold mu.
+// autopilotLocked completes the KB's counters with the store's and the
+// approximation's levels. Callers hold mu.
 func (kb *KB) autopilotLocked() AutopilotStats {
-	st := AutopilotStats{
-		SamplingRuns:       kb.auto.sampling,
-		VariationalRuns:    kb.auto.variational,
-		RerunRuns:          kb.auto.rerun,
-		ExactRuns:          kb.auto.exact,
-		Fallbacks:          kb.auto.fallbacks,
-		AcceptanceHist:     kb.auto.hist,
-		LastAcceptance:     kb.auto.lastAccept,
-		LastProbe:          kb.auto.lastProbe,
-		LowWater:           kb.opts.RematLowWater,
-		Rematerializations: kb.auto.remats,
-		RematPreempted:     kb.auto.rematLost,
-	}
+	st := kb.auto
+	st.LowWater = kb.opts.RematLowWater
 	if kb.engine != nil {
 		st.StoreLen, st.StoreRemaining = kb.engine.StoreLevel()
 		if kb.engine.Drawn() {

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"deepdive"
+	"deepdive/internal/serve"
 )
 
 func chaosWindow(t *testing.T) time.Duration {
@@ -120,10 +121,10 @@ func TestChaosSoak(t *testing.T) {
 		deepdive.WithRepairBackoff(10*time.Millisecond, 80*time.Millisecond),
 		deepdive.WithReadOnlyAfter(6))
 	bmust(t, kb.Checkpoint(ctx)) // the last manual checkpoint of the soak
-	srv := serveKB(t, kb, deepdive.ServeOptions{
+	srv := serveKB(t, kb, deepdive.ServeOptions{Options: serve.Options{
 		WriteTimeout: 250 * time.Millisecond,
 		ResumeWindow: 64,
-	})
+	}})
 	base := "http://" + srv.Addr()
 
 	stop := make(chan struct{})

@@ -49,6 +49,7 @@ import (
 	"deepdive/internal/ground"
 	"deepdive/internal/inc"
 	"deepdive/internal/persist"
+	"deepdive/internal/serve"
 )
 
 // Tuple is one relational row (all values are strings).
@@ -405,12 +406,9 @@ func (o *Options) fill() {
 // values as its relation has columns, a value holds any bytes but 0x1f,
 // and a delete names a tuple the relation holds (counting this update's
 // own inserts): an update breaking any of that is refused whole, before it
-// changes anything, with an error matching ErrInvalidTuple.
-type Update struct {
-	RuleSource string
-	Inserts    map[string][]Tuple
-	Deletes    map[string][]Tuple
-}
+// changes anything, with an error matching ErrInvalidTuple. Its JSON form
+// is the body of POST /v1/update.
+type Update = serve.Update
 
 // ErrInvalidTuple is the class of the errors refusing an update (or a
 // Load) for a malformed base tuple; see Update. The serving tier answers

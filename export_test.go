@@ -61,7 +61,7 @@ func (kb *KB) RebuildUpdates() {
 func (kb *KB) CancelAtRefill(parent context.Context) context.Context {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
-	return refillCtx{parent, kb, kb.auto.rematSpawns}
+	return refillCtx{parent, kb, kb.rematSpawns}
 }
 
 type refillCtx struct {
@@ -71,7 +71,7 @@ type refillCtx struct {
 }
 
 func (c refillCtx) Err() error {
-	if c.kb.auto.rematSpawns > c.spawns {
+	if c.kb.rematSpawns > c.spawns {
 		return context.Canceled
 	}
 	return c.Context.Err()

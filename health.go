@@ -35,36 +35,20 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"deepdive/internal/serve"
 )
 
-// HealthState is one state of the KB's degraded-mode state machine.
-type HealthState int32
+// HealthState is one state of the KB's degraded-mode state machine; its
+// JSON form is its name ("healthy").
+type HealthState = serve.HealthState
 
+// The three health states; see serve.HealthState.
 const (
-	// Healthy: the write path is fully operational (for a durable KB, the
-	// WAL chain is complete; a non-durable KB is always Healthy).
-	Healthy HealthState = iota
-	// DurabilityDegraded: a WAL append failed, updates are refused with
-	// ErrDurabilitySuspended, and the background repair loop is retrying
-	// the repair checkpoint. Reads serve normally.
-	DurabilityDegraded
-	// ReadOnly: repair has failed Options.ReadOnlyAfter consecutive times;
-	// updates are refused with ErrReadOnly. Reads serve normally and the
-	// repair loop keeps retrying at the capped backoff.
-	ReadOnly
+	Healthy            = serve.Healthy
+	DurabilityDegraded = serve.DurabilityDegraded
+	ReadOnly           = serve.ReadOnly
 )
-
-func (s HealthState) String() string {
-	switch s {
-	case Healthy:
-		return "healthy"
-	case DurabilityDegraded:
-		return "durability-degraded"
-	case ReadOnly:
-		return "read-only"
-	}
-	return "unknown"
-}
 
 // ErrReadOnly is reported by updates while the KB is in the ReadOnly
 // health state (repair has failed Options.ReadOnlyAfter consecutive
@@ -72,19 +56,9 @@ func (s HealthState) String() string {
 // a refinement of the suspended-durability refusal, not a new class.
 var ErrReadOnly = fmt.Errorf("%w; repair has failed repeatedly, KB is read-only", ErrDurabilitySuspended)
 
-// HealthStats is a point-in-time report of the degraded-mode machinery.
-type HealthStats struct {
-	State     HealthState
-	Durable   bool // a data directory is configured
-	WALBroken bool // the durable chain is currently incomplete
-
-	AutoRepair bool // background repair is enabled
-	Repairing  bool // the chain is broken and the repair goroutine is running
-
-	RepairAttempts uint64 // auto-repair checkpoint attempts
-	RepairFailures uint64 // attempts that failed
-	AutoRepairs    uint64 // repairs that landed (chain restored without an operator)
-}
+// HealthStats is a point-in-time report of the degraded-mode machinery,
+// the one /v1/health serves.
+type HealthStats = serve.HealthInfo
 
 // Health reports the KB's health state and repair counters. Safe from
 // any goroutine; never blocks on the writer lock.

@@ -202,7 +202,7 @@ func TestHealthDegradedReporting(t *testing.T) {
 	b := newFakeBackend(baseView())
 	b.mu.Lock()
 	b.health = HealthInfo{
-		State: "durability-degraded", Durable: true, WALBroken: true,
+		State: DurabilityDegraded, Durable: true, WALBroken: true,
 		AutoRepair: true, Repairing: true, RepairAttempts: 3, RepairFailures: 3,
 	}
 	b.mu.Unlock()

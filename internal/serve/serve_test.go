@@ -112,7 +112,7 @@ func (b *fakeBackend) Health() HealthInfo {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.health == (HealthInfo{}) {
-		return HealthInfo{State: "healthy"}
+		return HealthInfo{State: Healthy}
 	}
 	return b.health
 }

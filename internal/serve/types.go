@@ -29,11 +29,16 @@
 // README "Network serving" section for the subscription semantics.
 package serve
 
-import "context"
+import (
+	"context"
 
-// Fact is one fact of a snapshot relation on the wire.
+	"deepdive/internal/db"
+)
+
+// Fact is one fact of a snapshot relation, as deepdive.Snapshot.Facts
+// enumerates it and the wire carries it (deepdive.Fact is this type).
 type Fact struct {
-	Tuple []string `json:"tuple"`
+	Tuple db.Tuple `json:"tuple"`
 	// Probability is the fact's marginal (evidence facts report their
 	// supervised 0/1 value). Meaningless when Known is false.
 	Probability float64 `json:"probability"`
@@ -44,12 +49,14 @@ type Fact struct {
 	Evidence bool `json:"evidence,omitempty"`
 }
 
-// Update is the wire form of one KB update: rule source and/or inserted
-// and deleted tuples per relation.
+// Update is one KB update — rule source and/or inserted and deleted
+// tuples per relation — in process and as the body of POST /v1/update
+// (deepdive.Update is this type; its documentation says what the KB
+// accepts).
 type Update struct {
 	RuleSource string                `json:"rule_source,omitempty"`
-	Inserts    map[string][][]string `json:"inserts,omitempty"`
-	Deletes    map[string][][]string `json:"deletes,omitempty"`
+	Inserts    map[string][]db.Tuple `json:"inserts,omitempty"`
+	Deletes    map[string][]db.Tuple `json:"deletes,omitempty"`
 }
 
 // Empty reports whether the update carries no work.
@@ -105,18 +112,54 @@ type QueueStats struct {
 	Closed bool `json:"closed,omitempty"`
 }
 
-// HealthInfo is the backend's degraded-mode report behind /v1/health:
-// the KB health state machine, WAL status, and self-repair counters.
+// HealthState is one state of the KB's degraded-mode state machine
+// (deepdive.HealthState is this type; the root package's health.go runs
+// the machine).
+type HealthState int32
+
+const (
+	// Healthy: the write path is fully operational (for a durable KB, the
+	// WAL chain is complete; a non-durable KB is always Healthy).
+	Healthy HealthState = iota
+	// DurabilityDegraded: a WAL append failed, updates are refused with
+	// deepdive.ErrDurabilitySuspended, and the background repair loop is
+	// retrying the repair checkpoint. Reads serve normally.
+	DurabilityDegraded
+	// ReadOnly: repair has failed deepdive.Options.ReadOnlyAfter
+	// consecutive times; updates are refused with deepdive.ErrReadOnly.
+	// Reads serve normally and the repair loop keeps retrying at the
+	// capped backoff.
+	ReadOnly
+)
+
+func (s HealthState) String() string {
+	switch s {
+	case Healthy:
+		return "healthy"
+	case DurabilityDegraded:
+		return "durability-degraded"
+	case ReadOnly:
+		return "read-only"
+	}
+	return "unknown"
+}
+
+// MarshalText writes the state's name, so JSON reads "healthy".
+func (s HealthState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// HealthInfo is a point-in-time report of the KB's degraded-mode
+// machinery, the one behind /v1/health (deepdive.HealthStats is this
+// type): the health state, WAL status, and self-repair counters.
 type HealthInfo struct {
-	// State is the KB health state: "healthy", "durability-degraded", or
-	// "read-only". Non-durable KBs are always "healthy".
-	State string `json:"state"`
+	// State is the KB health state. Non-durable KBs are always Healthy.
+	State HealthState `json:"state"`
 	// Durable reports whether a data directory is configured at all.
 	Durable bool `json:"durable"`
 	// WALBroken reports an incomplete durable chain (updates refused).
 	WALBroken bool `json:"wal_broken,omitempty"`
 	// AutoRepair / Repairing report the background repair loop's
-	// configuration and liveness; the counters its history.
+	// configuration and liveness; the counters its history (attempts,
+	// failed attempts, repairs that landed).
 	AutoRepair     bool   `json:"auto_repair"`
 	Repairing      bool   `json:"repairing,omitempty"`
 	RepairAttempts uint64 `json:"repair_attempts,omitempty"`

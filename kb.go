@@ -67,8 +67,10 @@ type KB struct {
 	// graph rebuilt since (Checkpoint's compaction) is noticed.
 	curGraph *factor.Graph
 	// auto aggregates quality-autopilot statistics (strategy counts,
-	// acceptance histogram, store refills).
-	auto autoCounters
+	// acceptance histogram, store refills); rematSpawns counts engine
+	// launches, which seed them.
+	auto        AutopilotStats
+	rematSpawns int64
 
 	// Durability state; see persist.go. wal/walGen form the active
 	// write-ahead segment; commitTicket numbers logged commits in WAL

@@ -356,7 +356,7 @@ func (kb *KB) encodeSnapshotLocked(walGen uint64) []byte {
 	e.U64(kb.epoch.Load())
 	e.Bool(kb.engine != nil)
 	e.I64(kb.engineSeed)
-	e.I64(kb.auto.rematSpawns)
+	e.I64(kb.rematSpawns)
 	e.End()
 
 	e.Begin(secProgram)
@@ -381,18 +381,18 @@ func (kb *KB) encodeSnapshotLocked(walGen uint64) []byte {
 	e.End()
 
 	e.Begin(secAuto)
-	e.U64(kb.auto.sampling)
-	e.U64(kb.auto.variational)
-	e.U64(kb.auto.rerun)
-	e.U64(kb.auto.exact)
-	e.U64(kb.auto.fallbacks)
-	for _, h := range kb.auto.hist {
+	e.U64(kb.auto.SamplingRuns)
+	e.U64(kb.auto.VariationalRuns)
+	e.U64(kb.auto.RerunRuns)
+	e.U64(kb.auto.ExactRuns)
+	e.U64(kb.auto.Fallbacks)
+	for _, h := range kb.auto.AcceptanceHist {
 		e.U64(h)
 	}
-	e.F64(kb.auto.lastAccept)
-	e.F64(kb.auto.lastProbe)
-	e.U64(kb.auto.remats)
-	e.U64(kb.auto.rematLost)
+	e.F64(kb.auto.LastAcceptance)
+	e.F64(kb.auto.LastProbe)
+	e.U64(kb.auto.Rematerializations)
+	e.U64(kb.auto.RematPreempted)
 	e.End()
 
 	data := e.Finish()
@@ -550,7 +550,7 @@ func restoreKB(o Options, gen uint64) (*KB, error) {
 	kb.recovered = true
 	kb.commitTicket = ticket
 	kb.engineSeed = engineSeed
-	kb.auto.rematSpawns = rematSpawns
+	kb.rematSpawns = rematSpawns
 	kb.epoch.Store(epoch)
 
 	if materialized {
@@ -583,18 +583,18 @@ func restoreKB(o Options, gen uint64) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	kb.auto.sampling = ard.U64("auto sampling")
-	kb.auto.variational = ard.U64("auto variational")
-	kb.auto.rerun = ard.U64("auto rerun")
-	kb.auto.exact = ard.U64("auto exact")
-	kb.auto.fallbacks = ard.U64("auto fallbacks")
-	for i := range kb.auto.hist {
-		kb.auto.hist[i] = ard.U64("auto hist")
+	kb.auto.SamplingRuns = ard.U64("auto sampling")
+	kb.auto.VariationalRuns = ard.U64("auto variational")
+	kb.auto.RerunRuns = ard.U64("auto rerun")
+	kb.auto.ExactRuns = ard.U64("auto exact")
+	kb.auto.Fallbacks = ard.U64("auto fallbacks")
+	for i := range kb.auto.AcceptanceHist {
+		kb.auto.AcceptanceHist[i] = ard.U64("auto hist")
 	}
-	kb.auto.lastAccept = ard.F64("auto lastAccept")
-	kb.auto.lastProbe = ard.F64("auto lastProbe")
-	kb.auto.remats = ard.U64("auto remats")
-	kb.auto.rematLost = ard.U64("auto rematLost")
+	kb.auto.LastAcceptance = ard.F64("auto lastAccept")
+	kb.auto.LastProbe = ard.F64("auto lastProbe")
+	kb.auto.Rematerializations = ard.U64("auto remats")
+	kb.auto.RematPreempted = ard.U64("auto rematLost")
 	if err := ard.Err(); err != nil {
 		return nil, err
 	}

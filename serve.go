@@ -11,31 +11,14 @@ import (
 	"deepdive/internal/serve"
 )
 
-// ServeOptions configure KB.Serve's HTTP front end.
+// ServeOptions configure KB.Serve's HTTP front end: the listen address
+// and the serving tier's own options (subscription defaults, timeouts,
+// the resume window; see serve.Options).
 type ServeOptions struct {
 	// Addr is the listen address ("127.0.0.1:0" picks a free port;
 	// KBServer.Addr reports the bound address).
 	Addr string
-	// MinDelta is the default minimum |Δ probability| a subscription
-	// pushes (per-request ?min_delta overrides). 0 pushes every change.
-	MinDelta float64
-	// WriteTimeout bounds one subscriber event write; a client stalled
-	// past it is dropped with resync-on-reconnect semantics. Default 30s.
-	WriteTimeout time.Duration
-	// Heartbeat is the idle keep-alive interval on subscription streams.
-	// Default 15s.
-	Heartbeat time.Duration
-	// MaxSubscribers caps concurrent subscription streams (0 = unbounded).
-	MaxSubscribers int
-	// ReadTimeout bounds one read-endpoint request (0 = unbounded; health
-	// is exempt — liveness must always answer).
-	ReadTimeout time.Duration
-	// UpdateTimeout bounds one POST /v1/update including its ?wait=1 wait
-	// (503 update_timeout on expiry; 0 = unbounded).
-	UpdateTimeout time.Duration
-	// ResumeWindow is how many recently published views are held for SSE
-	// Last-Event-ID resumption (0 = default 32, negative disables).
-	ResumeWindow int
+	serve.Options
 }
 
 // KBServer is a running HTTP serving tier over one KB (see KB.Serve).
@@ -98,15 +81,7 @@ func (kb *KB) Serve(ctx context.Context, o ServeOptions) (*KBServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("deepdive: serve: %w", err)
 	}
-	inner := serve.New(kbBackend{kb}, serve.Options{
-		MinDelta:       o.MinDelta,
-		WriteTimeout:   o.WriteTimeout,
-		Heartbeat:      o.Heartbeat,
-		MaxSubscribers: o.MaxSubscribers,
-		ReadTimeout:    o.ReadTimeout,
-		UpdateTimeout:  o.UpdateTimeout,
-		ResumeWindow:   o.ResumeWindow,
-	})
+	inner := serve.New(kbBackend{kb}, o.Options)
 	srv := &KBServer{
 		inner: inner,
 		ln:    ln,
@@ -145,21 +120,9 @@ func (b kbBackend) View() serve.View             { return kbView{b.kb.Snapshot()
 func (b kbBackend) Published() <-chan struct{}   { return b.kb.Published() }
 func (b kbBackend) QueueStats() serve.QueueStats { return b.kb.Updates().Stats() }
 
-// Health maps the KB's state machine onto the wire report. Lock-free on
-// the KB side, so the liveness probe answers through any fault.
-func (b kbBackend) Health() serve.HealthInfo {
-	h := b.kb.Health()
-	return serve.HealthInfo{
-		State:          h.State.String(),
-		Durable:        h.Durable,
-		WALBroken:      h.WALBroken,
-		AutoRepair:     h.AutoRepair,
-		Repairing:      h.Repairing,
-		RepairAttempts: h.RepairAttempts,
-		RepairFailures: h.RepairFailures,
-		AutoRepairs:    h.AutoRepairs,
-	}
-}
+// Health is the KB's own report. Lock-free on the KB side, so the
+// liveness probe answers through any fault.
+func (b kbBackend) Health() serve.HealthInfo { return b.kb.Health() }
 
 // Autopilot returns the autopilot state frozen into the latest snapshot
 // (taking KB.Autopilot's live state would mean acquiring the writer lock, which
@@ -169,20 +132,7 @@ func (b kbBackend) Autopilot() any {
 }
 
 func (b kbBackend) Submit(ctx context.Context, u serve.Update, wait bool) (*serve.UpdateResult, error) {
-	du := Update{RuleSource: u.RuleSource}
-	if len(u.Inserts) > 0 {
-		du.Inserts = make(map[string][]Tuple, len(u.Inserts))
-		for rel, ts := range u.Inserts {
-			du.Inserts[rel] = wireTuples(ts)
-		}
-	}
-	if len(u.Deletes) > 0 {
-		du.Deletes = make(map[string][]Tuple, len(u.Deletes))
-		for rel, ts := range u.Deletes {
-			du.Deletes[rel] = wireTuples(ts)
-		}
-	}
-	t, err := b.kb.Updates().SubmitCtx(ctx, du)
+	t, err := b.kb.Updates().SubmitCtx(ctx, u)
 	if err != nil {
 		return nil, err
 	}
@@ -233,14 +183,6 @@ func (b kbBackend) mapKBError(err error) error {
 	return err
 }
 
-func wireTuples(ts [][]string) []Tuple {
-	out := make([]Tuple, len(ts))
-	for i, t := range ts {
-		out[i] = Tuple(t)
-	}
-	return out
-}
-
 func wireResult(r *UpdateResult) *serve.UpdateResult {
 	return &serve.UpdateResult{
 		Epoch:             r.Epoch,
@@ -275,32 +217,8 @@ func (v kbView) Marginal(relation string, tuple []string) (float64, bool) {
 	return v.s.Marginal(relation, Tuple(tuple))
 }
 
-func (v kbView) Facts(relation string) []serve.Fact {
-	facts := v.s.Facts(relation)
-	out := make([]serve.Fact, len(facts))
-	for i, f := range facts {
-		out[i] = wireFact(f)
-	}
-	return out
-}
+func (v kbView) Facts(relation string) []serve.Fact { return v.s.Facts(relation) }
 
 func (v kbView) ChangedSince(since uint64) ([]serve.FactChange, bool) {
-	changed, ok := v.s.changedSince(since)
-	if !ok {
-		return nil, false
-	}
-	out := make([]serve.FactChange, len(changed))
-	for i, c := range changed {
-		out[i] = serve.FactChange{Relation: c.relation, Fact: wireFact(c.fact), Live: c.live}
-	}
-	return out, true
-}
-
-func wireFact(f Fact) serve.Fact {
-	return serve.Fact{
-		Tuple:       []string(f.Tuple),
-		Probability: f.Probability,
-		Known:       f.Known,
-		Evidence:    f.Evidence,
-	}
+	return v.s.changedSince(since)
 }

@@ -331,10 +331,10 @@ F: Q(x, k) :- R(x, k) weight = w(k).
 func TestServeHTTPConcurrent(t *testing.T) {
 	kb := spouseKB(t)
 	t.Cleanup(func() { kb.Close() })
-	srv := serveKB(t, kb, deepdive.ServeOptions{
+	srv := serveKB(t, kb, deepdive.ServeOptions{Options: serve.Options{
 		WriteTimeout: 500 * time.Millisecond,
 		Heartbeat:    50 * time.Millisecond,
-	})
+	}})
 	base := "http://" + srv.Addr()
 
 	// Stalled subscriber: full request, never reads a byte of response.

@@ -7,6 +7,7 @@ import (
 
 	"deepdive/internal/factor"
 	"deepdive/internal/ground"
+	"deepdive/internal/serve"
 )
 
 // Snapshot is an immutable, point-in-time view of the knowledge base: the
@@ -229,12 +230,8 @@ func (s *Snapshot) Extractions(relation string, threshold float64) []Extraction 
 // report their inferred marginal, with Known false when no inference has
 // covered the variable yet (e.g. on a partial-progress snapshot
 // published before the batch that grounded the fact finished inferring).
-type Fact struct {
-	Tuple       Tuple
-	Probability float64
-	Known       bool
-	Evidence    bool
-}
+// Its JSON form is the one /v1/facts serves.
+type Fact = serve.Fact
 
 // Facts enumerates every live fact of a relation with its probability,
 // in stable (variable-id) order — the bulk form of Marginal, built for
@@ -284,21 +281,13 @@ func (s *Snapshot) Candidates(relation string) []Tuple {
 	return out
 }
 
-// factChange is one entry of changedSince: a fact as this snapshot holds
-// it, or — live false — one it no longer does.
-type factChange struct {
-	relation string
-	fact     Fact
-	live     bool
-}
-
 // changedSince lists every fact whose state in this snapshot may differ
 // from the one it had at publication epoch since, ordered by relation and
 // within a relation by variable id: the union of the change sets published
 // after since. ok is false when that union is not known — since lies
 // beyond the window the snapshot carries, or one of the publications in
 // between changed everything — and the caller has to compare all facts.
-func (s *Snapshot) changedSince(since uint64) (changed []factChange, ok bool) {
+func (s *Snapshot) changedSince(since uint64) (changed []serve.FactChange, ok bool) {
 	if since >= s.epoch {
 		return nil, true
 	}
@@ -318,18 +307,18 @@ func (s *Snapshot) changedSince(since uint64) (changed []factChange, ok bool) {
 	}
 	slices.Sort(vars)
 	vars = slices.Compact(vars)
-	changed = make([]factChange, 0, len(vars))
+	changed = make([]serve.FactChange, 0, len(vars))
 	for _, v := range vars {
 		l := s.loc[v]
 		if l.pos < 0 {
 			continue // never live in this lineage: no reader has seen it
 		}
 		rv := s.rels[l.rel]
-		c := factChange{relation: l.rel, live: rv.state[l.pos]&factLive != 0}
-		s.fill(&c.fact, rv, int(l.pos))
+		c := serve.FactChange{Relation: l.rel, Live: rv.state[l.pos]&factLive != 0}
+		s.fill(&c.Fact, rv, int(l.pos))
 		changed = append(changed, c)
 	}
-	sort.SliceStable(changed, func(i, j int) bool { return changed[i].relation < changed[j].relation })
+	sort.SliceStable(changed, func(i, j int) bool { return changed[i].Relation < changed[j].Relation })
 	return changed, true
 }
 
