@@ -24,28 +24,27 @@ test:
 # workers read the overflow rows of graphs patched in place, and the
 # learner drives those samplers' fan-out between weight steps under any
 # runtime; run all three packages under the race detector (covers the
-# cached-state and differential tests). internal/ground's parallel grounding
-# — every update's, the initial grounding's too — has workers run compiled
-# plans over internal/db's in-place indexes and old-state view
-# concurrently, so both are in the set, with the loaded-evidence regression
-# test (TestLoadBaseIsTheFirstUpdate). internal/inc drives
-# the samplers (materialization and the rerun on the configured runtime,
-# the variational runner's swept remainder) and its one Metropolis-Hastings
-# runner over the engine's Pr(0) clone and the patched graph. Every
-# whole-graph solve (internal/inc's solveComponents) takes its State and
-# component arrays from one pool shared across KBs: TestConcurrentWholeGraphSolves
-# runs KB.Infer on one KB beside rule updates on another.
+# cached-state and differential tests). internal/ground and internal/db
+# have one writer (grounding is sequential); they stay in the set for
+# internal/db's concurrent plan runs (TestConcurrentRuns) and the
+# loaded-evidence regression test (TestLoadBaseIsTheFirstUpdate).
+# internal/inc drives the samplers (materialization and the rerun on the
+# configured runtime, the variational runner's swept remainder) and its
+# one Metropolis-Hastings runner over the engine's Pr(0) clone and the
+# patched graph. Every whole-graph solve (internal/inc's solveComponents)
+# takes its State and component arrays from one pool shared across KBs:
+# TestConcurrentWholeGraphSolves runs KB.Infer on one KB beside rule
+# updates on another.
 race:
 	$(GO) test -race ./internal/gibbs/... ./internal/factor/... ./internal/learn/... ./internal/inc/... ./internal/ground/... ./internal/db/...
 	$(GO) test -race -count=1 -run 'TestConcurrentWholeGraphSolves' .
 
 # The serving API's concurrency proof: lock-free snapshot readers
-# against live Apply/queue writers (a parallel-grounded queued stream
-# among them), concurrent Apply callers serializing on the writer lock
-# into one epoch stream, the queue's differential against direct Apply,
-# context and per-ticket cancellation, CloseNow teardown, coalescing, and
-# the store refills the finish stage runs in line (a refilled engine vs
-# readers, a refill cancelled with its update).
+# against live Apply/queue writers, concurrent Apply callers serializing
+# on the writer lock into one epoch stream, the queue's differential
+# against direct Apply, context and per-ticket cancellation, CloseNow
+# teardown, coalescing, and the store refills the finish stage runs in
+# line (a refilled engine vs readers, a refill cancelled with its update).
 race-serving:
 	$(GO) test -race -count=1 -run 'TestSnapshot|TestKBContext|TestCoalesce|TestQueue|TestSubmitCtx|TestConcurrentApplies|TestApplyModifies|TestCancelled|TestRemat' .
 
@@ -55,7 +54,7 @@ race-serving:
 # plus the internal/serve handler and hub suite (overload shedding,
 # typed refusals, drain, Last-Event-ID resume).
 race-serve:
-	$(GO) test -race -count=1 -run 'TestServeHTTP|TestProgressPublish' .
+	$(GO) test -race -count=1 -run 'TestServeHTTP' .
 	$(GO) test -race -count=1 ./internal/serve/
 
 # The benchmark harness (bench/, BENCHMARK.json) is its own Go module, so

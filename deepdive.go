@@ -130,9 +130,9 @@ type Options struct {
 	Lambda     float64 // variational regularization λ (default 0.01)
 
 	// Parallelism shards Gibbs sweeps (inference, learning chains,
-	// materialization) and grounding across this many workers: <= 1
-	// sequential, n > 1 uses n workers, negative means one worker per core.
-	// Ignored for sweep sharding when Replicas selects the replica engine.
+	// materialization) across this many workers: <= 1 sequential, n > 1
+	// uses n workers, negative means one worker per core. Ignored when
+	// Replicas selects the replica engine. Grounding is sequential.
 	Parallelism int
 
 	// Replicas selects the DimmWitted-style replica engine for every Gibbs
@@ -199,17 +199,6 @@ type Options struct {
 	// hot-retrying a KB whose disk is probably gone. 0 (the default)
 	// never escalates.
 	ReadOnlyAfter int
-
-	// ProgressPublish auto-publishes partial progress on long coalesced
-	// batches: when an update's grounding stage (delta evaluation + graph
-	// commit) runs for at least this long, an intermediate snapshot is
-	// published immediately after the commit — new candidates, evidence
-	// values, and deletions become visible right away instead of after the
-	// batch's learning and inference finish. The intermediate snapshot
-	// carries the previous marginal vector: facts the batch grounded
-	// report no marginal until the final publication. 0 (the default)
-	// publishes only final states.
-	ProgressPublish time.Duration
 
 	// Lesions switches mechanisms off for ablation studies (see Lesions).
 	// The zero value — everything on — is the production configuration.
@@ -306,8 +295,9 @@ func WithMaterialization(samples int, lambda float64) Option {
 }
 
 // WithParallelism shards every Gibbs chain the engine runs (inference,
-// learning, materialization) and grounding across n workers. n <= 1 keeps
-// the sequential paths; a negative n means one worker per core.
+// learning, materialization) across n workers. n <= 1 keeps the
+// sequential sampler; a negative n means one worker per core. Grounding
+// has one evaluator and does not shard.
 func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
 
 // WithReplicas runs every Gibbs chain on the replica engine: n workers
@@ -337,14 +327,6 @@ func WithMaxPending(n int) Option { return func(o *Options) { o.MaxPending = n }
 // update for a Gibbs run.
 func WithRematerialization(lowWater int, budget time.Duration) Option {
 	return func(o *Options) { o.RematLowWater = lowWater }
-}
-
-// WithProgressPublish auto-publishes an intermediate snapshot after the
-// graph commit of any update whose grounding stage ran at least d (see
-// Options.ProgressPublish). d <= 0 (the default) publishes only final
-// states.
-func WithProgressPublish(d time.Duration) Option {
-	return func(o *Options) { o.ProgressPublish = d }
 }
 
 // WithDataDir enables durability under dir: checkpoints write snapshot
@@ -459,11 +441,6 @@ type UpdateResult struct {
 	// Epoch is the snapshot generation this update's results were
 	// published under.
 	Epoch uint64
-	// IntermediateEpoch is the partial-progress snapshot published after
-	// this update's graph commit, or 0 when none was (the grounding stage
-	// finished under the Options.ProgressPublish threshold, or the
-	// threshold is unset).
-	IntermediateEpoch uint64
 }
 
 // Extraction is one fact of the output knowledge base.

@@ -11,8 +11,7 @@
 // on the way in and back to text on the way out. The table is append-only:
 // values are interned when base tuples are applied and when rule constants
 // compile, never forgotten (a compacted-away row leaves its symbols), and
-// persisted with the grounder. It is read-only while compiled plans run, so
-// any number of evaluation workers may resolve ids to text concurrently.
+// persisted with the grounder. It is read-only while compiled plans run.
 //
 // Counted semantics: every distinct tuple carries a derivation count. A
 // tuple is *visible* while its count is positive. Inserting an existing
@@ -33,7 +32,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"deepdive/internal/idtab"
 )
@@ -78,8 +76,8 @@ func TupleFromKey(k string) Tuple { return strings.Split(k, "\x1f") }
 type Sym = uint32
 
 // Symbols interns values: the first distinct value is 0, the next 1, and
-// so on. Intern mutates; Text and FindIDs only read, and may run
-// concurrently with each other.
+// so on. Intern mutates; Text and FindIDs only read. Like the relations,
+// the table has one writer: the grounder, under its caller's lock.
 type Symbols struct {
 	text []string
 	ids  map[string]Sym
@@ -171,10 +169,11 @@ func (s *Symbols) AppendKey(buf []byte, row []Sym) []byte {
 // index are open-addressing tables of row positions keyed by the rows'
 // ids (idtab.Table), so a stored tuple costs no object of its own.
 //
-// Concurrency: mutations (InsertRow/Clear/BeginPass) require exclusive
-// access, but any number of goroutines may read (Tuples, Count, Plan.Run)
-// concurrently between mutations. Reads take no lock; only IndexOn, which
-// may build a new index, serializes on idxMu.
+// Concurrency: one writer. Mutations (InsertRow/Clear/BeginPass) and
+// IndexOn, which may build a new index, require exclusive access; the
+// grounder makes every call under its caller's lock. Reads (Tuples, Count,
+// Plan.Run) take no lock and write nothing, so reads between mutations do
+// not race with each other.
 type Relation struct {
 	name  string
 	cols  []string
@@ -191,7 +190,6 @@ type Relation struct {
 	pinned  int    // dead rows that died this pass: the old-state view still shows them
 	pass    uint64 // current pass number (see BeginPass)
 	version uint64 // bumped on every visibility change
-	idxMu   sync.Mutex
 	indexes []*Index
 }
 
@@ -420,16 +418,13 @@ type Index struct {
 }
 
 // IndexOn returns (building it on first use) the index on the given
-// column positions. Building requires that no mutation is in flight, like
-// any read.
+// column positions. It may write the relation, like a mutation.
 func (r *Relation) IndexOn(cols ...int) *Index {
 	for _, c := range cols {
 		if c < 0 || c >= r.arity {
 			panic(fmt.Sprintf("db: %s: index column %d out of range", r.name, c))
 		}
 	}
-	r.idxMu.Lock()
-	defer r.idxMu.Unlock()
 	for _, ix := range r.indexes {
 		if slices.Equal(ix.cols, cols) {
 			return ix

@@ -168,8 +168,8 @@ type step struct {
 // Plan is a compiled query: variables numbered into a register file of
 // ids, a static join order, and per atom the precomputed probe-key
 // sources, free-column loads and resolved index handle. Constants are ids
-// interned when the plan compiles. A plan is immutable and may be run by
-// any number of goroutines at once, each with its own Exec.
+// interned when the plan compiles. A plan is immutable; running it only
+// reads, through the Exec it is given.
 type Plan struct {
 	syms   *Symbols
 	nslots int
@@ -372,8 +372,8 @@ func (q *Query) Compile(seed int) (*Plan, error) {
 	return p, nil
 }
 
-// Exec is the reusable per-goroutine state of plan execution: the
-// register file and the probe-key buffer. The zero value is ready to use.
+// Exec is the reusable state of plan execution: the register file and the
+// probe-key buffer. The zero value is ready to use.
 type Exec struct {
 	regs []Sym
 	key  []Sym

@@ -487,9 +487,9 @@ func TestWarmRunDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestConcurrentRuns: a plan and the indexes behind it are shared,
-// read-only, by any number of goroutines (the parallel grounding path's
-// workers), each with its own Exec. Run under -race.
+// TestConcurrentRuns: running a plan only reads it and the indexes
+// behind it, so runs with their own Execs between mutations do not race.
+// Run under -race.
 func TestConcurrentRuns(t *testing.T) {
 	r := newRel("E", "a", "b")
 	for i := 0; i < 200; i++ {

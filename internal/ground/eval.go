@@ -62,8 +62,7 @@ type ruleEval struct {
 	// relations, looked up once here rather than by name on every update.
 	atomSeq []uint32
 	// plans caches the compiled plan per db.Query.Compile seed (an atom
-	// position, db.ScanLive or db.ScanOld). Filled on the driver goroutine
-	// only: workers receive resolved plans in their jobs.
+	// position, db.ScanLive or db.ScanOld), compiled on first use.
 	plans map[int]*db.Plan
 
 	head       atomSpec
@@ -342,112 +341,50 @@ func (g *Grounder) applyEvidenceDelta(tr *tracker, base uint32, evRow []db.Sym, 
 	return nil
 }
 
-// keyArena holds what precompute derives, back to back: variable and
-// binding keys and derived heads as ids in ids, weight keys as text in
-// text. The driver resets its one arena per binding; a parallel job keeps
-// its own for as long as its bindings wait to be applied. args is the UDF
-// argument scratch.
-type keyArena struct {
-	ids  []uint32
-	text []byte
-	args []string
-}
-
-func (a *keyArena) reset() { a.ids, a.text = a.ids[:0], a.text[:0] }
-
-// bindingPre locates the pure derivations of one rule binding — everything
-// applying it needs that does not touch mutable grounder state — in its
-// arena. For a derivation or supervision rule: the instantiated head,
-// ids[at:at+arity]. For a weighted rule: from ids[at] on, the head's
-// variable key, the binding key, then one variable key per literal, each
-// as wide as the rule makes it; and the weight key (with the UDF
-// evaluation, the expensive part of feature-extraction rules),
-// text[w:wEnd]. Variable and binding keys are fixed-width ids, so none
-// carries a value's text. Workers compute bindings on the parallel path,
-// applyBinding on the sequential one; each key is a pure function of
-// (rule, binding), which keeps the two bit-identical.
-type bindingPre struct {
-	at, w, wEnd int32
-}
-
-// precompute derives a binding's pure apply inputs from a plan's register
-// file into a. Safe to call from evaluation workers, each with its own
-// arena: it reads only immutable rule state, the symbol table (read-only
-// while workers run) and the (pure) UDF registry; regs is not retained.
-func (re *ruleEval) precompute(regs []db.Sym, a *keyArena) bindingPre {
-	p := bindingPre{at: int32(len(a.ids))}
-	if re.rule.Kind != datalog.KindInference {
-		a.ids = re.head.appendRow(a.ids, regs)
-		return p
-	}
-	a.ids = re.head.appendVarKey(a.ids, regs)
-	// Binding key: the rule's full binding c̄.
-	for _, s := range re.keySlots {
-		a.ids = append(a.ids, regs[s])
-	}
-	for k := range re.lits {
-		a.ids = re.lits[k].appendVarKey(a.ids, regs)
-	}
-	// Weight key: the rule, then its tie values' text.
-	p.w = int32(len(a.text))
-	a.text = append(a.text, re.wprefix...)
-	if re.udf != nil {
-		a.args = a.args[:0]
-		for _, s := range re.weightArgs {
-			a.args = append(a.args, re.syms.Text(regs[s]))
-		}
-		a.text = append(a.text, re.udf(a.args)...)
-	} else {
-		for i, s := range re.weightArgs {
-			if i > 0 {
-				a.text = append(a.text, 0x1f)
-			}
-			a.text = append(a.text, re.syms.Text(regs[s])...)
-		}
-	}
-	p.wEnd = int32(len(a.text))
-	return p
-}
-
 // applyBinding applies one rule binding with the given sign (+1 derive,
 // −1 retract). Derivation and supervision rules derive head tuples;
 // weighted rules materialize factor groundings over existing candidate
-// variables (the head-guard join guarantees the head tuple exists).
+// variables (the head-guard join guarantees the head tuple exists). The
+// keys it looks up — a variable's (its relation's declaration position,
+// then the row's ids), the binding's (the rule's full binding c̄) and the
+// weight's (the rule, then its tie values' text; with the UDF evaluation,
+// the expensive part of feature-extraction rules) — are built in the
+// grounder's scratch, which every interning copies out of; regs is not
+// retained.
 func (g *Grounder) applyBinding(re *ruleEval, regs []db.Sym, sign int, tr *tracker) error {
-	g.keys.reset()
-	p := re.precompute(regs, &g.keys)
-	return g.applyPre(re, &p, &g.keys, sign, tr)
-}
-
-// applyPre applies one precomputed rule binding, whose keys are in a: all
-// remaining work is the stateful part — relation deltas,
-// variable/weight/group interning, grounding counts — and must run on the
-// driver goroutine.
-func (g *Grounder) applyPre(re *ruleEval, p *bindingPre, a *keyArena, sign int, tr *tracker) error {
-	ids := a.ids[p.at:]
 	if re.rule.Kind != datalog.KindInference {
-		return g.applyTupleDelta(tr, re.head.seq, ids[:len(re.head.args)], sign)
+		g.keyIDs = re.head.appendRow(g.keyIDs[:0], regs)
+		return g.applyTupleDelta(tr, re.head.seq, g.keyIDs, sign)
 	}
-	// Weighted rule: materialize the grounding over the candidate the guard
-	// join found visible. next cuts the arena's next key of n ids.
-	next := func(n int) []uint32 {
-		k := ids[:n:n]
-		ids = ids[n:]
-		return k
-	}
-	internVar := func(key []uint32) factor.VarID {
-		id, isNew := g.varFor(key[0], key[1:])
+	internVar := func(a *atomSpec) factor.VarID {
+		g.keyIDs = a.appendVarKey(g.keyIDs[:0], regs)
+		id, isNew := g.varFor(g.keyIDs[0], g.keyIDs[1:])
 		if isNew {
 			tr.newVars = append(tr.newVars, id)
 		}
 		return id
 	}
-	headVar := internVar(next(1 + len(re.head.args)))
+	headVar := internVar(&re.head)
 	winit, learn := 0.0, true
 	if w := re.rule.Weight; w.IsFixed {
 		winit, learn = w.Fixed, false
 	}
-	wid, isNewW := g.weightFor(a.text[p.w:p.wEnd], winit, learn)
+	g.keyText = append(g.keyText[:0], re.wprefix...)
+	if re.udf != nil {
+		g.udfArgs = g.udfArgs[:0]
+		for _, s := range re.weightArgs {
+			g.udfArgs = append(g.udfArgs, re.syms.Text(regs[s]))
+		}
+		g.keyText = append(g.keyText, re.udf(g.udfArgs)...)
+	} else {
+		for i, s := range re.weightArgs {
+			if i > 0 {
+				g.keyText = append(g.keyText, 0x1f)
+			}
+			g.keyText = append(g.keyText, re.syms.Text(regs[s])...)
+		}
+	}
+	wid, isNewW := g.weightFor(g.keyText, winit, learn)
 	if isNewW {
 		tr.newWeights = append(tr.newWeights, wid)
 	}
@@ -462,16 +399,19 @@ func (g *Grounder) applyPre(re *ruleEval, p *bindingPre, a *keyArena, sign int, 
 		tr.addedGroups = append(tr.addedGroups, int(gi))
 	}
 	// A grounding seen before already has its literals (and their vars).
-	bkey := next(len(re.keySlots))
-	bh := idtab.HashAfter(uint32(gi), bkey)
-	slot, ok = g.findGnd(gi, bkey, bh)
+	g.keyIDs = g.keyIDs[:0]
+	for _, s := range re.keySlots {
+		g.keyIDs = append(g.keyIDs, regs[s])
+	}
+	bh := idtab.HashAfter(uint32(gi), g.keyIDs)
+	slot, ok = g.findGnd(gi, g.keyIDs, bh)
 	var gnd int32
 	if ok {
 		gnd = g.gndTab.Pos(slot)
 	} else {
-		gnd = g.addGnd(slot, bh, gi, bkey)
+		gnd = g.addGnd(slot, bh, gi, g.keyIDs)
 		for k := range re.lits {
-			g.lits = append(idtab.Grow(g.lits, 1), factor.Literal{Var: internVar(next(1 + len(re.lits[k].args)))})
+			g.lits = append(idtab.Grow(g.lits, 1), factor.Literal{Var: internVar(&re.lits[k])})
 		}
 	}
 	// Groups created earlier in this same pass count as added, not

@@ -125,15 +125,16 @@ type Grounder struct {
 	gndTab      idtab.Table      // (group, binding key) → grounding
 	nGroundings int              // visible groundings across groups, kept at the count transitions
 
-	// exec is the driver goroutine's plan-execution state (the sequential
-	// path); parallel workers bring their own. jobs is the driver's job
-	// list, refilled per rule (sequential path) or per level (parallel
-	// path): one job per rule × changed atom × delta tuple adds up to
-	// hundreds of kilobytes per document update if built afresh. keys is the
-	// driver's key arena, reset per binding.
-	exec db.Exec
-	jobs []evalJob
-	keys keyArena
+	// exec is the plan-execution state. jobs is the job list, refilled per
+	// rule: one job per rule × changed atom × delta tuple adds up to
+	// hundreds of kilobytes per document update if built afresh. keyIDs,
+	// keyText and udfArgs are applyBinding's key scratch, reused per
+	// binding.
+	exec    db.Exec
+	jobs    []evalJob
+	keyIDs  []uint32
+	keyText []byte
+	udfArgs []string
 
 	graphDirty bool
 	lastGraph  *factor.Graph
@@ -154,11 +155,6 @@ type Grounder struct {
 	// compactThresh.
 	inPlace       bool
 	compactThresh float64
-
-	// par is the grounding worker count (see SetParallelism):
-	// <= 1 sequential, n > 1 shards DRed join evaluation across n
-	// workers, negative one worker per core.
-	par int
 }
 
 // DefaultCompactionThreshold is the fragmentation ratio (tombstoned plus
@@ -172,18 +168,6 @@ const DefaultCompactionThreshold = 0.25
 // configuration, where every update marks the graph dirty and the next
 // Graph call rebuilds the flat pools from scratch.
 func (g *Grounder) SetInPlaceUpdates(on bool) { g.inPlace = on }
-
-// SetParallelism selects the worker count for grounding — the initial
-// Ground and every update, which take the same path: <= 1 keeps the
-// sequential path, n > 1 fans the per-rule, per-delta-seed join
-// evaluations of each pipeline stage out across n workers, negative means
-// one worker per core. The parallel path is bit-identical to the
-// sequential one: workers only *evaluate* joins (read-only), and the
-// resulting bindings are applied serially in exactly the order the
-// sequential path would have produced them, so variable/weight/group
-// interning order — and therefore the graph — is unchanged. See
-// parallel.go for the decomposition.
-func (g *Grounder) SetParallelism(n int) { g.par = n }
 
 // Version returns the grounding generation: 0 before the first update —
 // the initial Ground, which grounds every rule from the empty database —

@@ -255,23 +255,15 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 
 	// 3. Propagate through the derivation pipeline in topological order,
 	// then ground weighted rules over the final candidate sets: new rules
-	// are evaluated once in full, existing rules by their DRed delta terms
-	// (parallel.go). With parallelism configured, each level fans its join
-	// evaluations out across workers; the sequential path interleaves
-	// evaluate and apply, which never materializes binding lists.
-	par := g.parallelism() > 1
+	// are evaluated once in full, existing rules by their DRed delta terms.
+	// Each rule's jobs are listed before any is evaluated, then evaluated
+	// and applied in turn, which never materializes binding lists.
 	levels := make([][]*ruleEval, 0, len(g.topo)+1)
 	for _, relName := range g.topo {
 		levels = append(levels, g.rulesByHead[relName])
 	}
 	levels = append(levels, g.weighted)
 	for _, rules := range levels {
-		if par {
-			if err := g.runRuleLevel(rules, tr, newRules); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
 		for _, re := range rules {
 			g.jobs = g.ruleJobs(g.jobs[:0], re, tr, newRules[re])
 			for i := range g.jobs {
@@ -314,6 +306,94 @@ func (g *Grounder) ApplyUpdateStaged(u Update) (*Delta, func(), error) {
 		g.version++
 	}
 	return d, commit, nil
+}
+
+// evalJob is one join evaluation: a rule's plan for one DRed term (or a
+// full evaluation), the delta tuple bound at the plan's seed position, and
+// the sign its bindings are applied with.
+type evalJob struct {
+	re   *ruleEval
+	plan *db.Plan // nil for an empty-body rule: one binding, no variables
+	seed []db.Sym // nil for a full evaluation
+	sign int      // +1 derive, -1 retract
+}
+
+// evalApply evaluates one job and applies each binding as it is emitted.
+func (g *Grounder) evalApply(j *evalJob, tr *tracker) error {
+	if j.plan == nil {
+		return g.applyBinding(j.re, nil, j.sign, tr)
+	}
+	var err error
+	j.plan.Run(&g.exec, j.seed, func(regs []db.Sym) bool {
+		err = g.applyBinding(j.re, regs, j.sign, tr)
+		return err == nil
+	})
+	return err
+}
+
+// ruleJobs appends one rule's share of an update to jobs: a full
+// evaluation for a rule the update introduced — every rule, on the first
+// update, which grounds from the empty database — and the DRed delta terms
+// for an existing one.
+func (g *Grounder) ruleJobs(jobs []evalJob, re *ruleEval, tr *tracker, isNew bool) []evalJob {
+	if isNew || g.version == 0 {
+		return append(jobs, re.fullJob())
+	}
+	return g.deltaJobs(jobs, re, tr)
+}
+
+// fullJob is a full-rule evaluation over the live state.
+func (re *ruleEval) fullJob() evalJob {
+	if len(re.rule.Body) == 0 {
+		return evalJob{re: re, sign: +1}
+	}
+	return evalJob{re: re, plan: re.mustPlan(db.ScanLive), sign: +1}
+}
+
+// deltaJobs decomposes an existing rule's DRed delta evaluation
+//
+//	Δ(A₁ ⋈ … ⋈ Aₙ) = Σᵢ A₁ⁿᵉʷ ⋈ … ⋈ Aᵢ₋₁ⁿᵉʷ ⋈ ΔAᵢ ⋈ Aᵢ₊₁ᵒˡᵈ ⋈ … ⋈ Aₙᵒˡᵈ
+//
+// into one job per (changed positive atom i, delta tuple, sign). The sum
+// telescopes over the rule's canonical item order (ruleEval.query); the
+// plan seeded at i reads the live state before i and the old state after
+// it, in whatever join order the planner chose. Rules with a negated atom
+// over a changed relation fall back to retracting every old derivation
+// (a full evaluation over the old state) and re-deriving against the new
+// one — counts make the pair exact. Rules whose body touches no changed
+// relation yield no jobs: this skip is where the incremental-grounding
+// speedup comes from.
+//
+// The jobs — appended to jobs — hold the delta tuples as of this call, so
+// a rule never consumes deltas its own bindings produce.
+func (g *Grounder) deltaJobs(jobs []evalJob, re *ruleEval, tr *tracker) []evalJob {
+	touches, negOnChanged := false, false
+	for i, a := range re.query.Atoms {
+		if tr.changed(re.atomSeq[i]) {
+			touches = true
+			negOnChanged = negOnChanged || a.Neg
+		}
+	}
+	if !touches { // includes facts, which never re-fire
+		return jobs
+	}
+	if negOnChanged {
+		return append(jobs, evalJob{re: re, plan: re.mustPlan(db.ScanOld), sign: -1}, re.fullJob())
+	}
+	for i, a := range re.query.Atoms {
+		seq := re.atomSeq[i]
+		if a.Neg || !tr.changed(seq) {
+			continue
+		}
+		plan, arity := re.mustPlan(i), a.Rel.Arity()
+		for k := range tr.added[seq].n {
+			jobs = append(jobs, evalJob{re: re, plan: plan, seed: tr.added[seq].row(k, arity), sign: +1})
+		}
+		for k := range tr.removed[seq].n {
+			jobs = append(jobs, evalJob{re: re, plan: plan, seed: tr.removed[seq].row(k, arity), sign: -1})
+		}
+	}
+	return jobs
 }
 
 // patchCounts returns how many groundings patchGraph would append to the

@@ -109,10 +109,10 @@ func runInPlaceDifferential(t *testing.T, seed int64, compactThresh float64) {
 	}
 }
 
-// spouseStream generates the randomized update stream both differential
-// tests (in-place vs rebuild, parallel vs sequential) drive the spouse
-// program with: new documents, retracted and re-asserted mentions,
-// supervision changes, and occasional new inference rules.
+// spouseStream generates the randomized update stream the in-place vs
+// rebuild differential test drives the spouse program with: new
+// documents, retracted and re-asserted mentions, supervision changes, and
+// occasional new inference rules.
 type spouseStream struct {
 	docID, mentionID, ruleID int
 	mentions                 []spouseMention // Mentions tuples currently present

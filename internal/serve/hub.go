@@ -313,17 +313,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			_ = writeEvent("drain", lastEpoch, map[string]uint64{"epoch": lastEpoch})
 			return
 		case <-heartbeat.C:
-			if err := rc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout)); err != nil &&
-				!errors.Is(err, http.ErrNotSupported) {
-				return
-			}
-			if _, err := fmt.Fprint(w, ": hb\n\n"); err != nil {
-				if errors.Is(err, os.ErrDeadlineExceeded) {
-					s.subsDropped.Add(1)
-				}
-				return
-			}
-			if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			if err := writeFrame(heartbeatFrame); err != nil {
 				return
 			}
 		case <-pub:
@@ -355,6 +345,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 // change and a movement below the min_delta floor is why. An event that is
 // empty because nothing moved is written — its epoch is news.
 func (ev *deltaEvent) suppressed() bool { return len(ev.Changes) == 0 && ev.held }
+
+// heartbeatFrame is the SSE comment an idle stream writes every
+// Options.Heartbeat: it keeps proxies from timing the connection out and
+// carries no event.
+var heartbeatFrame = []byte(": hb\n\n")
 
 // appendEventHead appends an SSE event's id and event lines and the start
 // of its data line.

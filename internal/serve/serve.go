@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -454,6 +455,15 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&u); err != nil {
+		writeErr(w, http.StatusBadRequest, "bad update body: %v", err)
+		return
+	}
+	// One JSON value per body: anything but whitespace after it is
+	// refused, not dropped.
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the update object")
+		}
 		writeErr(w, http.StatusBadRequest, "bad update body: %v", err)
 		return
 	}

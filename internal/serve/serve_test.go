@@ -466,6 +466,23 @@ func TestSubscribeStream(t *testing.T) {
 	}
 }
 
+// TestSubscribeHeartbeat pins the keep-alive bytes of an idle stream:
+// after the snapshot event, nothing is published, and every Heartbeat the
+// stream writes the SSE comment ": hb" and a blank line — no event, no id.
+func TestSubscribeHeartbeat(t *testing.T) {
+	b := newFakeBackend(baseView())
+	ts := testServer(t, b, Options{Heartbeat: 20 * time.Millisecond})
+	c := dialSSE(t, ts.URL+"/v1/subscribe")
+	if name, _ := c.next(t); name != "snapshot" {
+		t.Fatalf("first event %q, want snapshot", name)
+	}
+	for i := 0; i < 3; i++ {
+		if frame := readFrame(t, c.rd); frame != ": hb\n\n" {
+			t.Fatalf("idle frame %d: %q, want %q", i, frame, ": hb\n\n")
+		}
+	}
+}
+
 // TestSubscribeMinDelta pins the min_delta floor AND its accumulation
 // semantics: sub-floor movements are suppressed but not forgotten — the
 // diff runs against last-SENT state, so drift crossing the floor across

@@ -43,8 +43,8 @@ type Fact struct {
 	// supervised 0/1 value). Meaningless when Known is false.
 	Probability float64 `json:"probability"`
 	// Known is false when no inference run has covered the fact yet —
-	// e.g. on a partial-progress snapshot published between a batch's
-	// graph commit and its inference.
+	// e.g. on the snapshot Init publishes, before the first Infer or
+	// Materialize.
 	Known    bool `json:"known"`
 	Evidence bool `json:"evidence,omitempty"`
 }
@@ -59,23 +59,31 @@ type Update struct {
 	Deletes    map[string][]db.Tuple `json:"deletes,omitempty"`
 }
 
-// Empty reports whether the update carries no work.
+// Empty reports whether the update carries no work: no rule source and
+// no tuple in any relation.
 func (u *Update) Empty() bool {
-	return u.RuleSource == "" && len(u.Inserts) == 0 && len(u.Deletes) == 0
+	if u.RuleSource != "" {
+		return false
+	}
+	for _, m := range []map[string][]db.Tuple{u.Inserts, u.Deletes} {
+		for _, ts := range m {
+			if len(ts) > 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // UpdateResult is the wire form of a batch's application report.
 type UpdateResult struct {
-	Epoch uint64 `json:"epoch"`
-	// IntermediateEpoch is the partial-progress snapshot published after
-	// the batch's graph commit (0 when none was).
-	IntermediateEpoch uint64  `json:"intermediate_epoch,omitempty"`
-	Coalesced         int     `json:"coalesced"`
-	Strategy          string  `json:"strategy"`
-	Acceptance        float64 `json:"acceptance"`
-	Probe             float64 `json:"probe"`
-	NewVars           int     `json:"new_vars"`
-	NewFactors        int     `json:"new_factors"`
+	Epoch      uint64  `json:"epoch"`
+	Coalesced  int     `json:"coalesced"`
+	Strategy   string  `json:"strategy"`
+	Acceptance float64 `json:"acceptance"`
+	Probe      float64 `json:"probe"`
+	NewVars    int     `json:"new_vars"`
+	NewFactors int     `json:"new_factors"`
 	// ScopeVars, LearnedWeights and DirtyVars say how much of the graph the
 	// finish stage worked on (deepdive.UpdateResult): the variables
 	// learning sampled and the weights it could move, and the variables

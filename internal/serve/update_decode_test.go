@@ -14,6 +14,8 @@ import (
 // backend received ("" where the handler refused the body before Submit),
 // as recorded while Update's tuples were [][]string, on two passes. A 400
 // that quotes the JSON decoder may name db.Tuple where it named []string.
+// The rows with data after the object and with relations holding no tuple
+// were queued (202) until the handler refused them.
 func TestUpdateBodyDecodes(t *testing.T) {
 	var got string
 	b := newFakeBackend(baseView())
@@ -30,8 +32,8 @@ func TestUpdateBodyDecodes(t *testing.T) {
 			reply  string
 			update string
 		}{
-			{`{"inserts": {"R": null}}`, 202, `{"status":"queued"}`, `{"inserts":{"R":null}}`},
-			{`{"inserts": {"R": []}, "deletes": {"S": null}}`, 202, `{"status":"queued"}`, `{"inserts":{"R":[]},"deletes":{"S":null}}`},
+			{`{"inserts": {"R": null}}`, 400, `{"error":"empty update: provide rule_source, inserts, or deletes"}`, ``},
+			{`{"inserts": {"R": []}, "deletes": {"S": null}}`, 400, `{"error":"empty update: provide rule_source, inserts, or deletes"}`, ``},
 			{`{"inserts": {"R": [null]}}`, 400, `{"error":"empty tuple in inserts[\"R\"]"}`, ``},
 			{`{"inserts": {"R": [[]]}}`, 400, `{"error":"empty tuple in inserts[\"R\"]"}`, ``},
 			{`{"deletes": {"R": [["a"], []]}}`, 400, `{"error":"empty tuple in deletes[\"R\"]"}`, ``},
@@ -44,7 +46,9 @@ func TestUpdateBodyDecodes(t *testing.T) {
 			{`{"rule_source": "F: Q(x) :- R(x).", "inserts": {"R": [["a"]]}, "deletes": {"R": [["a"]]}}`, 202, `{"status":"queued"}`, `{"rule_source":"F: Q(x) :- R(x).","inserts":{"R":[["a"]]},"deletes":{"R":[["a"]]}}`},
 			{`{"inserts": {"R": [["a"]], "R": [["b"]]}}`, 202, `{"status":"queued"}`, `{"inserts":{"R":[["b"]]}}`},
 			{`{"INSERTS": {"R": [["a"]]}, "Deletes": {"S": [["b"]]}}`, 202, `{"status":"queued"}`, `{"inserts":{"R":[["a"]]},"deletes":{"S":[["b"]]}}`},
-			{`{"inserts": {"R": [["a"]]}} trailing`, 202, `{"status":"queued"}`, `{"inserts":{"R":[["a"]]}}`},
+			{`{"inserts": {"R": [["a"]]}} trailing`, 400, `{"error":"bad update body: invalid character 'a' in literal true (expecting 'u')"}`, ``},
+			{`{"inserts": {"R": [["a"]]}} {}`, 400, `{"error":"bad update body: data after the update object"}`, ``},
+			{"{\"inserts\": {\"R\": [[\"a\"]]}} \r\n\t\n", 202, `{"status":"queued"}`, `{"inserts":{"R":[["a"]]}}`},
 			{`{"inserts": {"R": [["a"]]}, "extra": 1}`, 400, `{"error":"bad update body: json: unknown field \"extra\""}`, ``},
 			{`{"inserts": {"R": [["a"]]}, "rule_source": 7}`, 400, `{"error":"bad update body: json: cannot unmarshal number into Go struct field Update.rule_source of type string"}`, ``},
 			{`{"inserts": {"R": [[1]]}}`, 400, `{"error":"bad update body: json: cannot unmarshal number into Go struct field Update.inserts of type string"}`, ``},

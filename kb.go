@@ -77,8 +77,7 @@ type KB struct {
 	// order. walBroken latches a failed append — every later update
 	// reports a durability error until a Checkpoint writes a complete
 	// chain again. ckptMu serializes checkpoints; replaying marks WAL
-	// replay during recovery (suppresses re-logging and progress
-	// publication); recovered reports restore-from-snapshot;
+	// replay during recovery (suppresses re-logging); recovered reports restore-from-snapshot;
 	// engineSeed is the seed the live engine was materialized with
 	// (persisted so recovery materializes the checkpoint's engine again);
 	// snapBytes is the size of the last snapshot image written or restored
@@ -177,7 +176,6 @@ func OpenKB(source string, opts ...Option) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.SetParallelism(o.Parallelism)
 	kb := &KB{opts: o, grounder: g}
 	kb.snap.Store(emptySnapshot())
 	return kb, nil
@@ -470,10 +468,9 @@ type stagedApply struct {
 	walErr error
 }
 
-// applyGround runs the grounding stage of an apply: DRed delta evaluation
-// (often parallel itself; see ground.SetParallelism), the write-ahead
-// append, then the graph commit, pending-change-set merge, and snapshot
-// skeleton. Callers hold mu.
+// applyGround runs the grounding stage of an apply: DRed delta evaluation,
+// the write-ahead append, then the graph commit, pending-change-set merge,
+// and snapshot skeleton. Callers hold mu.
 func (kb *KB) applyGround(ctx context.Context, u Update) (*stagedApply, error) {
 	if !kb.inited {
 		return nil, fmt.Errorf("deepdive: Apply before Init")
@@ -560,24 +557,11 @@ func (kb *KB) applyGround(ctx context.Context, u Update) (*stagedApply, error) {
 	// silently dropping their energy from the acceptance test.
 	kb.pending = kb.pending.Merge(inc.FromDelta(delta))
 	st.frozen = kb.frozen(st.graph)
-	// Partial-progress publication: when this batch's grounding stage
-	// already ran longer than the configured threshold, its learning and
-	// inference will hold the final publication back for at least as long
-	// again — publish an intermediate snapshot right after the commit so
-	// readers and subscribers see the new structure (fresh candidates,
-	// evidence values, deletions) immediately instead of a minutes-stale
-	// view. The intermediate carries the previous marginals; facts grounded
-	// by this batch report "no marginal yet" until the final publication
-	// re-scores everything. Suppressed during WAL replay (replay timing is
-	// not the original run's) — recovery re-publishes only final states.
 	var step changeSet
 	kb.skel, step = kb.nextSkeleton(kb.skel, st.graph, delta)
 	kb.unpublished.full = kb.unpublished.full || step.full
 	kb.unpublished.vars = append(kb.unpublished.vars, step.vars...)
 	st.skel, st.changed = kb.skel, kb.unpublished
-	if d := kb.opts.ProgressPublish; d > 0 && !kb.replaying && time.Since(start) >= d {
-		st.res.IntermediateEpoch = kb.publishStaged(st.skel, st.changed).Epoch()
-	}
 
 	res.GroundTime = time.Since(start)
 	res.NewVars = len(delta.NewVars)

@@ -527,7 +527,6 @@ func restoreKB(o Options, gen uint64) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.SetParallelism(o.Parallelism)
 	// The served graph is the grounding's rebuild, which Checkpoint
 	// compacted to: all it lacks is the learned weights.
 	wrd, err := sectionRd(secs, secWeights, "weights")

@@ -185,21 +185,20 @@ func (b kbBackend) mapKBError(err error) error {
 
 func wireResult(r *UpdateResult) *serve.UpdateResult {
 	return &serve.UpdateResult{
-		Epoch:             r.Epoch,
-		IntermediateEpoch: r.IntermediateEpoch,
-		Coalesced:         r.Coalesced,
-		Strategy:          r.Strategy.String(),
-		Acceptance:        r.Acceptance,
-		Probe:             r.Probe,
-		NewVars:           r.NewVars,
-		NewFactors:        r.NewFactors,
-		ScopeVars:         r.ScopeVars,
-		LearnedWeights:    r.LearnedWeights,
-		DirtyVars:         r.DirtyVars,
-		SweptVars:         r.SweptVars,
-		GroundMillis:      float64(r.GroundTime) / float64(time.Millisecond),
-		LearnMillis:       float64(r.LearnTime) / float64(time.Millisecond),
-		InferMillis:       float64(r.InferTime) / float64(time.Millisecond),
+		Epoch:          r.Epoch,
+		Coalesced:      r.Coalesced,
+		Strategy:       r.Strategy.String(),
+		Acceptance:     r.Acceptance,
+		Probe:          r.Probe,
+		NewVars:        r.NewVars,
+		NewFactors:     r.NewFactors,
+		ScopeVars:      r.ScopeVars,
+		LearnedWeights: r.LearnedWeights,
+		DirtyVars:      r.DirtyVars,
+		SweptVars:      r.SweptVars,
+		GroundMillis:   float64(r.GroundTime) / float64(time.Millisecond),
+		LearnMillis:    float64(r.LearnTime) / float64(time.Millisecond),
+		InferMillis:    float64(r.InferTime) / float64(time.Millisecond),
 	}
 }
 

@@ -1,10 +1,10 @@
 package deepdive_test
 
 // Wire-level tests of the HTTP serving tier over a live KB: endpoint
-// round-trips, read replies byte for byte, concurrent readers and subscribers against the pipelined
-// update queue (run under -race by the race-serve CI job), a stalled
-// raw-TCP subscriber that must not delay publications, and the
-// partial-progress publication of long coalesced batches.
+// round-trips, read replies byte for byte, concurrent readers and
+// subscribers against the update queue (run under -race by the race-serve
+// CI job), and a stalled raw-TCP subscriber that must not delay
+// publications.
 
 import (
 	"bufio"
@@ -472,80 +472,6 @@ func TestServeHTTPConcurrent(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-	}
-}
-
-// TestProgressPublishDefaultOff pins that without WithProgressPublish no
-// intermediate snapshot is published.
-func TestProgressPublishDefaultOff(t *testing.T) {
-	kb := spouseKB(t)
-	t.Cleanup(func() { kb.Close() })
-	res, err := kb.Apply(context.Background(), docUpdate(1))
-	must(t, err)
-	if res.IntermediateEpoch != 0 {
-		t.Fatalf("IntermediateEpoch = %d with progress publishing off", res.IntermediateEpoch)
-	}
-}
-
-// TestProgressPublish pins the partial-progress publication: with the
-// threshold set (here: zero-ish, so every batch qualifies) a long batch
-// publishes an intermediate snapshot right after its graph commit —
-// observable at epoch e0+1 with the batch's new candidates present but
-// their marginals unknown — and the final publication lands at e0+2
-// with the marginals filled in. The watcher captures the intermediate
-// through Published(), the same broadcast subscribers use.
-func TestProgressPublish(t *testing.T) {
-	kb := spouseKB(t, deepdive.WithProgressPublish(time.Nanosecond))
-	t.Cleanup(func() { kb.Close() })
-	ctx := context.Background()
-
-	// Happy path: both epochs reported, adjacent, and the final state
-	// serves the new fact's marginal.
-	e0 := kb.Snapshot().Epoch()
-	res, err := kb.Apply(ctx, docUpdate(199))
-	must(t, err)
-	if res.IntermediateEpoch != e0+1 || res.Epoch != e0+2 {
-		t.Fatalf("result epochs: intermediate %d, final %d, want %d and %d",
-			res.IntermediateEpoch, res.Epoch, e0+1, e0+2)
-	}
-	if _, ok := kb.Snapshot().Marginal("HasSpouse", deepdive.Tuple{"p199a", "p199b"}); !ok {
-		t.Fatal("final snapshot is missing the new fact's marginal")
-	}
-
-	// Pin the intermediate snapshot's content by freezing the pipeline at
-	// it: the finish stage is held until the update's context is done, and
-	// a watcher on Published() cancels that context the moment the
-	// intermediate lands, so the finish stage aborts and the intermediate
-	// stays the served view — new candidates present, marginals unknown.
-	kb.HoldFinish(func(ctx context.Context) { <-ctx.Done() })
-	e0 = kb.Snapshot().Epoch()
-	pair := deepdive.Tuple{"p200a", "p200b"}
-	pub := kb.Published()
-	cctx, cancel := context.WithCancel(ctx)
-	go func() {
-		<-pub
-		cancel()
-	}()
-	_, err = kb.Apply(cctx, docUpdate(200))
-	cancel()
-	if err != context.Canceled {
-		t.Fatalf("held finish: err = %v, want context.Canceled", err)
-	}
-	s := kb.Snapshot()
-	if s.Epoch() != e0+1 {
-		t.Fatalf("after aborted finish: epoch %d, want the intermediate %d", s.Epoch(), e0+1)
-	}
-	present := false
-	for _, cand := range s.Candidates("HasSpouse") {
-		if cand.Key() == pair.Key() {
-			present = true
-		}
-	}
-	if !present {
-		t.Fatalf("intermediate snapshot is missing the new candidate %v", pair)
-	}
-	if _, known := s.Marginal("HasSpouse", pair); known {
-		t.Fatalf("intermediate snapshot already has a marginal for %v — it cannot have inferred yet", pair)
 	}
 }
 

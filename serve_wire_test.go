@@ -195,6 +195,7 @@ func TestServeHTTPWireBodies(t *testing.T) {
 				`{"bogus_field": 1}`,
 				`{}`,
 				`{"inserts": {}}`,
+				`{"inserts": {"Sentence": null}}`,
 				`{"inserts": {"Sentence": [[]]}}`,
 				`{"deletes": {"Sentence": [null]}}`,
 				`{"inserts": {"Sentence": ["s9"]}}`,
@@ -215,7 +216,6 @@ func TestServeHTTPWireBodies(t *testing.T) {
 			`{"deletes": {"Sentence": [["sx1", "Pat and his wife Sam"]], "PersonMention": [["p1a", "sx1", "Patsx1"], ["p1b", "sx1", "Samsx1"]]}}`,
 			`{"inserts": {"Sentence": [["sz", "Zoë and her wife Ĳssel"]], "PersonMention": [["z1", "sz", "Zoë"], ["z2", "sz", "Ĳssel"]]}, "deletes": {"Sentence": [["sz", "Zoë and her wife Ĳssel"]]}}`,
 			`{"inserts": {"Sentence": [["s9", null]]}}`,
-			`{"inserts": {"Sentence": null}}`,
 		} {
 			post(body, true)
 		}
@@ -238,7 +238,7 @@ func TestServeHTTPWireBodies(t *testing.T) {
 			`wait=true {"inserts": {"Sentence": [[]]}}`:               {400, `{"error":"empty tuple in inserts[\"Sentence\"]"}`},
 			`wait=true {"inserts": {"Sentence": ["s9"]}}`:             {400, `{"error":"bad update body: json: cannot unmarshal string into Go struct field Update.inserts of type []string"}`},
 			`wait=true {"inserts": {"Sentence": "s9"}}`:               {400, `{"error":"bad update body: json: cannot unmarshal string into Go struct field Update.inserts of type [][]string"}`},
-			`wait=true {"inserts": {"Sentence": null}}`:               {200, `{"epoch":9,"coalesced":1,"strategy":"exact","acceptance":1,"probe":-1,"new_vars":0,"new_factors":0,"scope_vars":0,"learned_weights":0,"dirty_vars":0,"ground_ms":0,"learn_ms":0,"infer_ms":0}`},
+			`wait=true {"inserts": {"Sentence": null}}`:               {400, `{"error":"empty update: provide rule_source, inserts, or deletes"}`},
 			`wait=true {"inserts": {}}`:                               {400, `{"error":"empty update: provide rule_source, inserts, or deletes"}`},
 			`wait=true {"rule_source": "Broken: HasSpouse(m1) :- ."}`: {409, `{"error":"update failed: datalog: 1:26: expected term, found \".\""}`},
 			`wait=true {}`: {400, `{"error":"empty update: provide rule_source, inserts, or deletes"}`},

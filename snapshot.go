@@ -228,8 +228,8 @@ func (s *Snapshot) Extractions(relation string, threshold float64) []Extraction 
 // tuple, its probability, and how that probability is determined.
 // Evidence facts report their supervised value (0 or 1); query facts
 // report their inferred marginal, with Known false when no inference has
-// covered the variable yet (e.g. on a partial-progress snapshot
-// published before the batch that grounded the fact finished inferring).
+// covered the variable yet (e.g. on the snapshot Init publishes, before
+// the first Infer or Materialize).
 // Its JSON form is the one /v1/facts serves.
 type Fact = serve.Fact
 
