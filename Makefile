@@ -111,9 +111,10 @@ chaos-smoke:
 # wire update body (any body answered 200/400/409/413, the queue still
 # live), the WAL record decoder and the grounder snapshot decoder (each:
 # refuse or round-trip, allocation bounded by the input), the read
-# endpoints' query scan (the values url.ParseQuery decodes) and their
-# appended replies (encoding/json's bytes); extend -fuzztime for a real
-# hunt.
+# endpoints' query scan (the values url.ParseQuery decodes), their
+# appended replies (encoding/json's bytes) and the /v1/marginal reply
+# cache (a kept reply is the fresh render's bytes); extend -fuzztime for
+# a real hunt.
 fuzz-smoke:
 	$(GO) test ./internal/datalog -run='^$$' -fuzz='^FuzzDatalogParser$$' -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz='^FuzzServeUpdateBody$$' -fuzztime=10s
@@ -121,6 +122,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ground -run='^$$' -fuzz='^FuzzRestoreGrounder$$' -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzReadQuery$$' -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzReplyBytes$$' -fuzztime=10s
+	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzMarginalReplies$$' -fuzztime=10s
 
 # The repository's benchmark (BENCHMARK.json; bench/README.md): one
 # workload of the served-KB harness, e.g.

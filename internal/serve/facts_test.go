@@ -263,34 +263,57 @@ func TestFactsScanAllocations(t *testing.T) {
 	}
 }
 
-// TestReadAllocations pins what a point read and a cached facts scan
-// allocate: the one string their query's unescaped values are cut from,
-// and nothing else — no query map, no reflected encoder, no header slice.
-// (The point read allocated 7, the scans 5 and 4, when the handlers read
-// r.URL.Query() and wrote through json.Encoder.)
+// TestReadAllocations pins what the reads allocate. A point read answered
+// from the reply kept for its epoch allocates nothing; one that renders at
+// a new epoch allocates the string its query's unescaped values are cut
+// from and the reply it keeps (the entry, its query and its body); a
+// cached facts scan allocates at most that one string. None builds a query
+// map, a reflected encoder or a header slice. (The point read allocated 7,
+// the scans 5 and 4, when the handlers read r.URL.Query() and wrote
+// through json.Encoder; before replies were kept, every point read
+// allocated 1.)
 func TestReadAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
 	}
 	v := epochView(1, 100)
 	v.rels["R"][7].Tuple = []string{"m:s3_1:2:4 b"} // one component: the fake's lookup then allocates nothing
-	h := New(newFakeBackend(v), Options{}).Handler()
+	b := newFakeBackend(v)
+	h := New(b, Options{}).Handler()
 	w := &discardWriter{h: http.Header{}}
-	marginal := url.Values{"relation": {"R"}, "tuple": v.rels["R"][7].Tuple}
+	marginal := "/v1/marginal?" + url.Values{"relation": {"R"}, "tuple": v.rels["R"][7].Tuple}.Encode()
 	for _, c := range []struct {
 		path string
 		max  float64
 	}{
-		{"/v1/marginal?" + marginal.Encode(), 1},
+		{marginal, 0},
 		{factsPath("R", "0.45"), 1},
 		{factsPath("R", ""), 1},
 	} {
 		req := httptest.NewRequest(http.MethodGet, c.path, nil)
-		h.ServeHTTP(w, req) // renders R's table
+		h.ServeHTTP(w, req) // renders R's table, or keeps the point read's reply
 		n := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) })
 		t.Logf("GET %s: %.1f allocs", c.path, n)
 		if n > c.max {
 			t.Errorf("GET %s: %.1f allocs, want at most %.0f", c.path, n, c.max)
 		}
+	}
+
+	// Each read of the point read's query at a new epoch renders its reply.
+	const runs = 200
+	views := make([]*fakeView, runs+2)
+	for i := range views {
+		views[i] = &fakeView{epoch: uint64(i + 2), rels: v.rels}
+	}
+	req := httptest.NewRequest(http.MethodGet, marginal, nil)
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		b.publish(views[next])
+		next++
+		h.ServeHTTP(w, req)
+	})
+	t.Logf("GET %s at a new epoch: %.1f allocs", marginal, n)
+	if n > 4 {
+		t.Errorf("GET %s at a new epoch: %.1f allocs, want at most 4", marginal, n)
 	}
 }

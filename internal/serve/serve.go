@@ -1,14 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,6 +73,10 @@ type Server struct {
 	b    Backend
 	opts Options
 	mux  *http.ServeMux
+	// marginalRoute and factsRoute are the read handlers the mux holds for
+	// GET /v1/marginal and GET /v1/facts, which ServeHTTP also routes
+	// itself.
+	marginalRoute, factsRoute http.Handler
 
 	subscribers atomic.Int64 // live subscription streams
 	subsTotal   atomic.Uint64
@@ -78,6 +85,13 @@ type Server struct {
 	reads       atomic.Uint64 // read-endpoint requests served
 	updates     atomic.Uint64 // update POSTs accepted
 	shed        atomic.Uint64 // updates refused 429 at the admission gate
+	renders     atomic.Uint64 // /v1/marginal 200s and 404s rendered: reads the kept replies missed
+
+	// replies holds /v1/marginal replies as rendered for the current
+	// epoch, one per slot, the slot chosen by a hash of the raw query
+	// under replySeed (see handleMarginal).
+	replies   [replySlots]atomic.Pointer[cachedReply]
+	replySeed maphash.Seed
 
 	// ring holds recently published views for Last-Event-ID resumption
 	// (see hub.go).
@@ -99,13 +113,14 @@ type Server struct {
 
 // New builds the serving tier over b.
 func New(b Backend, opts Options) *Server {
-	s := &Server{b: b, opts: opts.fill(), mux: http.NewServeMux(), drainCh: make(chan struct{})}
+	s := &Server{b: b, opts: opts.fill(), mux: http.NewServeMux(), drainCh: make(chan struct{}), replySeed: maphash.MakeSeed()}
 	s.ring.cap = s.opts.ResumeWindow
+	s.marginalRoute, s.factsRoute = s.read(s.handleMarginal), s.read(s.handleFacts)
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
 	s.mux.Handle("GET /v1/stats", s.read(s.handleStats))
 	s.mux.Handle("GET /v1/autopilot", s.read(s.handleAutopilot))
-	s.mux.Handle("GET /v1/marginal", s.read(s.handleMarginal))
-	s.mux.Handle("GET /v1/facts", s.read(s.handleFacts))
+	s.mux.Handle("GET /v1/marginal", s.marginalRoute)
+	s.mux.Handle("GET /v1/facts", s.factsRoute)
 	s.mux.HandleFunc("POST /v1/update", s.handleUpdate)
 	s.mux.HandleFunc("GET /v1/subscribe", s.handleSubscribe)
 	return s
@@ -122,8 +137,29 @@ func (s *Server) read(h http.HandlerFunc) http.Handler {
 }
 
 // Handler returns the root handler (mountable under httptest or any
-// http.Server).
-func (s *Server) Handler() http.Handler { return s.mux }
+// http.Server): the Server itself.
+func (s *Server) Handler() http.Handler { return s }
+
+// ServeHTTP routes a GET or HEAD of exactly /v1/marginal or /v1/facts to
+// its read handler and every other request to the mux. The two routes are
+// registered on the mux as well, so that the mux still answers what it
+// alone decides (404, 405 with Allow, the 301 to a clean path, OPTIONS *,
+// an escaped spelling of a route) in its own bytes; taking the two hot
+// routes here only spares every read the mux's pattern match, which cost
+// about as much as the rest of a cached point read.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if (r.Method == http.MethodGet || r.Method == http.MethodHead) && r.URL.RawPath == "" {
+		switch r.URL.Path {
+		case "/v1/marginal":
+			s.marginalRoute.ServeHTTP(w, r)
+			return
+		case "/v1/facts":
+			s.factsRoute.ServeHTTP(w, r)
+			return
+		}
+	}
+	s.mux.ServeHTTP(w, r)
+}
 
 // Subscribers reports the number of live subscription streams.
 func (s *Server) Subscribers() int { return int(s.subscribers.Load()) }
@@ -219,6 +255,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"reads":               s.reads.Load(),
 			"updates_accepted":    s.updates.Load(),
 			"updates_shed":        s.shed.Load(),
+			"marginal_renders":    s.renders.Load(),
 			"draining":            s.draining.Load(),
 		},
 	})
@@ -236,24 +273,62 @@ func (s *Server) handleAutopilot(w http.ResponseWriter, r *http.Request) {
 // an atomic snapshot load plus a map lookup — and builds neither a query
 // map nor a reflected reply: the query is scanned once (readQuery) and the
 // body appended into a pooled buffer (appendMarginal).
+//
+// A reply is rendered once per epoch and raw query: a 200 or a 404 is kept
+// in the slot its raw query hashes to, and a later read of the same raw
+// query at the same epoch writes the kept bytes. An epoch names exactly
+// one view (View.Epoch), so nothing is cleared when it moves: an entry of
+// an older epoch no longer matches and the next miss replaces it. Only
+// queries of at most maxCachedQuery bytes are kept, which bounds the
+// cache by replySlots entries of a few times that size; a 400 depends on
+// no view and is never kept.
 func (s *Server) handleMarginal(w http.ResponseWriter, r *http.Request) {
 	s.reads.Add(1)
-	q := getQuery(r.URL.RawQuery)
+	raw := r.URL.RawQuery
+	v := s.b.View()
+	epoch := v.Epoch()
+	slot := &s.replies[maphash.String(s.replySeed, raw)%replySlots]
+	if c := slot.Load(); c != nil && c.epoch == epoch && c.query == raw {
+		writeBody(w, c.code, c.body)
+		return
+	}
+	q := getQuery(raw)
 	defer putQuery(q)
 	if q.relation == "" || len(q.tuple) == 0 {
 		writeErr(w, http.StatusBadRequest, "relation and at least one tuple parameter required")
 		return
 	}
-	v := s.b.View()
+	s.renders.Add(1)
 	p, ok := v.Marginal(q.relation, q.tuple)
 	code := http.StatusOK
 	if !ok {
 		code = http.StatusNotFound
 	}
 	bp := bodyPool.Get().(*[]byte)
-	*bp = appendMarginal((*bp)[:0], v.Epoch(), ok, p, q.relation, q.tuple)
+	*bp = appendMarginal((*bp)[:0], epoch, ok, p, q.relation, q.tuple)
 	writeBody(w, code, *bp)
+	if len(raw) <= maxCachedQuery {
+		slot.Store(&cachedReply{epoch: epoch, query: strings.Clone(raw), code: code, body: bytes.Clone(*bp)})
+	}
 	bodyPool.Put(bp)
+}
+
+// The /v1/marginal reply cache: replySlots slots (a served KB of about a
+// thousand point-read keys fits with few collisions, where a quarter of
+// that thrashed), each holding at most one reply to a raw query of at
+// most maxCachedQuery bytes.
+const (
+	replySlots     = 4096
+	maxCachedQuery = 256
+)
+
+// cachedReply is one /v1/marginal reply as rendered for the view of one
+// epoch. Nothing changes it once it is stored.
+type cachedReply struct {
+	epoch uint64
+	query string // the raw query it answers
+	code  int
+	body  []byte
 }
 
 // handleFacts is the bulk read: one relation's fact table, optionally

@@ -204,6 +204,18 @@ func TestReadEndpoints(t *testing.T) {
 	if code != 200 || body["autopilot"].(map[string]any)["sampling_runs"] != float64(2) {
 		t.Fatalf("autopilot: %d %v", code, body)
 	}
+
+	// A point read repeated at the same epoch is answered from the reply
+	// kept for it: of the five point reads, the 200 and the 404 rendered a
+	// reply, and the two 400s render none.
+	if code, _ = get(t, ts.URL+"/v1/marginal?relation=HasSpouse&tuple=Alan&tuple=Beth"); code != 200 {
+		t.Fatalf("repeated marginal: %d", code)
+	}
+	code, body = get(t, ts.URL+"/v1/stats")
+	serving := body["serving"].(map[string]any)
+	if code != 200 || serving["marginal_renders"] != float64(2) || serving["reads"] != float64(11) {
+		t.Fatalf("stats serving block: %d %v, want marginal_renders 2 of reads 11", code, serving)
+	}
 }
 
 // TestUpdateValidation pins the 400 surface of POST /v1/update: the

@@ -24,9 +24,12 @@
 // Every read endpoint serves straight off the current snapshot — an
 // atomic pointer load on the Backend side — and never touches a KB
 // write lock. A /v1/facts scan copies JSON rendered once per relation
-// and view; a point read scans its query once and appends its reply
-// (query.go, encode.go). See the package's handler documentation and the
-// README "Network serving" section for the subscription semantics.
+// and view. A point read writes the reply kept for its raw query at the
+// current epoch; only a miss scans its query and appends its reply
+// (query.go, encode.go). Server.ServeHTTP routes GET and HEAD of the two
+// read endpoints itself and hands every other request to an
+// http.ServeMux. See the package's handler documentation and the README
+// "Network serving" section for the subscription semantics.
 package serve
 
 import (
