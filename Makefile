@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race race-serving race-serve race-persist bench-harness figures-smoke soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-ground bench-finish profile
+.PHONY: check fmt vet build test race race-serving race-serve race-persist bench-harness figures-smoke soak chaos chaos-smoke fuzz-smoke serve-demo kbbench bench bench-extract bench-ground bench-finish profile
 
 # Everything CI runs. (go test ./... includes the short soak; the full
 # acceptance-length soak is `make soak`.)
@@ -112,9 +112,10 @@ chaos-smoke:
 # live), the WAL record decoder and the grounder snapshot decoder (each:
 # refuse or round-trip, allocation bounded by the input), the read
 # endpoints' query scan (the values url.ParseQuery decodes), their
-# appended replies (encoding/json's bytes) and the /v1/marginal reply
-# cache (a kept reply is the fresh render's bytes); extend -fuzztime for
-# a real hunt.
+# appended replies (encoding/json's bytes), the /v1/marginal reply
+# cache (a kept reply is the fresh render's bytes) and the NLP substrate
+# (sentences, tokens and mentions equal to the rune-by-rune reference's);
+# extend -fuzztime for a real hunt.
 fuzz-smoke:
 	$(GO) test ./internal/datalog -run='^$$' -fuzz='^FuzzDatalogParser$$' -fuzztime=10s
 	$(GO) test . -run='^$$' -fuzz='^FuzzServeUpdateBody$$' -fuzztime=10s
@@ -123,6 +124,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzReadQuery$$' -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzReplyBytes$$' -fuzztime=10s
 	$(GO) test ./internal/serve -run='^$$' -fuzz='^FuzzMarginalReplies$$' -fuzztime=10s
+	$(GO) test ./internal/nlp -run='^$$' -fuzz='^FuzzNLPSubstrate$$' -fuzztime=10s
 
 # The repository's benchmark (BENCHMARK.json; bench/README.md): one
 # workload of the served-KB harness, e.g.
@@ -135,6 +137,13 @@ kbbench:
 
 bench:
 	$(GO) test -bench='SamplerSequentialCorpus|SamplerParallelCorpus|GibbsSweep' -run=xxx .
+
+# Extraction alone: kbc.BaseTuples (sentence splitting, tokenization,
+# gazetteer recognition, tuple ids) over the five systems' documents, with
+# allocations. TestBaseTuplesAllocations holds its allocations per
+# sentence in tier-1.
+bench-extract:
+	$(GO) test -bench='BaseTuples' -benchmem -run=xxx ./internal/kbc/
 
 # The grounder alone (join engine and binding application): full-rule
 # evaluation and a one-document delta on a 500- and a 2000-sentence

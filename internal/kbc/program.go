@@ -189,16 +189,31 @@ func BaseTuples(sys *corpus.System) map[string][]db.Tuple {
 		gaz.Add(surface, typ, eid)
 	}
 	out := map[string][]db.Tuple{}
+	var sentences, mentions []db.Tuple
+	var id []byte
 	for di, doc := range sys.Docs {
 		for si, sent := range nlp.SplitSentences(doc) {
 			tokens := nlp.Tokenize(sent)
-			sid := fmt.Sprintf("s%d_%d", di, si)
-			out["Sentence"] = append(out["Sentence"], db.Tuple{sid, strings.Join(tokens, " ")})
+			id = append(id[:0], 's')
+			id = strconv.AppendInt(id, int64(di), 10)
+			id = append(id, '_')
+			id = strconv.AppendInt(id, int64(si), 10)
+			sid := string(id)
+			// A fresh string: no tuple keeps the document alive.
+			sentences = append(sentences, db.Tuple{sid, strings.Join(tokens, " ")})
 			for _, m := range gaz.Recognize(tokens) {
-				mid := fmt.Sprintf("m:%s:%d:%d", sid, m.Start, m.End)
-				out["Mention"] = append(out["Mention"], db.Tuple{mid, sid, m.Type, m.Entity})
+				id = append(append(id[:0], "m:"...), sid...)
+				id = append(strconv.AppendInt(append(id, ':'), int64(m.Start), 10), ':')
+				id = strconv.AppendInt(id, int64(m.End), 10)
+				mentions = append(mentions, db.Tuple{string(id), sid, m.Type, m.Entity})
 			}
 		}
+	}
+	if len(sentences) > 0 {
+		out["Sentence"] = sentences
+	}
+	if len(mentions) > 0 {
+		out["Mention"] = mentions
 	}
 	for _, r := range sys.Spec.Relations {
 		for _, p := range sys.KB[r.Name] {
@@ -209,7 +224,7 @@ func BaseTuples(sys *corpus.System) map[string][]db.Tuple {
 		}
 		for _, lp := range sys.Seeds[r.Name] {
 			out["SeedKB_"+r.Name] = append(out["SeedKB_"+r.Name],
-				db.Tuple{lp.E1, lp.E2, fmt.Sprint(lp.Label)})
+				db.Tuple{lp.E1, lp.E2, strconv.FormatBool(lp.Label)})
 		}
 	}
 	return out

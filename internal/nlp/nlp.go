@@ -4,6 +4,13 @@
 // tagger, gazetteer-based named-entity recognition, and the feature
 // functions (phrase-between, word sequences, tag paths) the paper's
 // FE1/FE2 rules use as UDFs.
+//
+// Extraction slices its input instead of rebuilding it: the sentences
+// SplitSentences returns are substrings of the document and the tokens
+// Tokenize returns are substrings of the sentence, so each keeps its input
+// alive. A caller that keeps a sentence or a token past its document, and
+// not the document, copies it (kbc.BaseTuples joins the tokens into a
+// fresh string).
 package nlp
 
 import (
@@ -19,85 +26,122 @@ type Token struct {
 }
 
 // SplitSentences splits a document into sentences on ./!/? boundaries,
-// protecting common abbreviations and initials ("Dr.", "B. Obama").
+// protecting common abbreviations and initials ("Dr.", "B. Obama"). Each
+// sentence is a substring of doc (of its valid UTF-8 form, where doc holds
+// invalid bytes: each becomes U+FFFD), so it keeps doc alive.
 func SplitSentences(doc string) []string {
-	var out []string
-	var cur strings.Builder
-	abbrev := map[string]bool{
-		"dr": true, "mr": true, "mrs": true, "ms": true, "prof": true,
-		"inc": true, "corp": true, "vs": true, "etc": true, "jr": true,
-		"st": true, "no": true, "fig": true, "al": true, "oct": true,
-		"jan": true, "feb": true, "mar": true, "apr": true, "jun": true,
-		"jul": true, "aug": true, "sep": true, "nov": true, "dec": true,
-	}
-	flush := func() {
-		s := strings.TrimSpace(cur.String())
-		if s != "" {
+	doc = validUTF8(doc)
+	// Every sentence but the last ends at a boundary character.
+	out := make([]string, 0, strings.Count(doc, ".")+strings.Count(doc, "!")+strings.Count(doc, "?")+1)
+	flush := func(s string) {
+		if s = strings.TrimSpace(s); s != "" {
 			out = append(out, s)
 		}
-		cur.Reset()
 	}
-	runes := []rune(doc)
-	for i := 0; i < len(runes); i++ {
-		c := runes[i]
-		cur.WriteRune(c)
+	start := 0 // the current sentence's first byte: past the last boundary
+	for i := 0; i < len(doc); i++ {
+		c := doc[i]
 		if c != '.' && c != '!' && c != '?' {
 			continue
 		}
-		if c == '.' {
-			// Look back at the word before the period.
-			s := cur.String()
-			j := len(s) - 1
-			for j > 0 && s[j-1] != ' ' && s[j-1] != '.' {
-				j--
-			}
-			word := strings.ToLower(strings.TrimSuffix(s[j:], "."))
-			if abbrev[word] || len(word) == 1 {
-				continue // initial or abbreviation, not a boundary
-			}
-			// A digit on both sides ("Oct. 3, 1992" handled above; "3.5").
-			if i+1 < len(runes) && unicode.IsDigit(runes[i+1]) {
-				continue
-			}
+		if c == '.' && !periodEnds(doc, start, i) {
+			continue
 		}
-		flush()
+		flush(doc[start : i+1])
+		start = i + 1
 	}
-	flush()
+	flush(doc[start:])
 	return out
 }
 
+// periodEnds reports whether the period at doc[i] ends the sentence that
+// began at doc[start]: not when the word before it (back to a space or a
+// period, within the sentence) is an abbreviation or one letter long, nor
+// when a digit follows it ("3.5").
+func periodEnds(doc string, start, i int) bool {
+	j := i
+	for j > start && doc[j-1] != ' ' && doc[j-1] != '.' {
+		j--
+	}
+	// A word of more than 16 bytes has more than four runes and lowers to
+	// more bytes than the longest abbreviation; one of at most 16 lowers
+	// to at most 32.
+	if word := doc[j:i]; len(word) <= 16 {
+		var a [32]byte
+		lw := appendLower(a[:0], word)
+		if abbreviations[string(lw)] || len(lw) == 1 {
+			return false
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(doc[i+1:])
+	return !unicode.IsDigit(r)
+}
+
+// abbreviations are the lowered words whose period ends no sentence.
+var abbreviations = map[string]bool{
+	"dr": true, "mr": true, "mrs": true, "ms": true, "prof": true,
+	"inc": true, "corp": true, "vs": true, "etc": true, "jr": true,
+	"st": true, "no": true, "fig": true, "al": true, "oct": true,
+	"jan": true, "feb": true, "mar": true, "apr": true, "jun": true,
+	"jul": true, "aug": true, "sep": true, "nov": true, "dec": true,
+}
+
+// validUTF8 returns s, or where s holds invalid UTF-8, s with each invalid
+// byte replaced by U+FFFD, as ranging over s decodes it.
+func validUTF8(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	return string([]rune(s))
+}
+
 // Tokenize splits a sentence into word tokens, separating punctuation.
+// Each token is a substring of sent (of its valid UTF-8 form, as
+// SplitSentences), so it keeps sent alive.
 func Tokenize(sent string) []string {
-	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
+	sent = validUTF8(sent)
+	// A token per space-separated word, and room for a punctuation mark
+	// and a split final period.
+	out := make([]string, 0, strings.Count(sent, " ")+2)
+	start := -1 // the current token's first byte, -1 between tokens
+	flush := func(i int) {
+		if start >= 0 {
+			out = append(out, sent[start:i])
+			start = -1
 		}
 	}
-	for _, r := range sent {
+	for i := 0; i < len(sent); {
+		c, w := sent[i], 1
+		var space bool
+		if c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
+			r, w = utf8.DecodeRuneInString(sent[i:])
+			space = unicode.IsSpace(r)
+		}
 		switch {
-		case unicode.IsSpace(r):
-			flush()
-		case r == ',' || r == ';' || r == ':' || r == '(' || r == ')' ||
-			r == '!' || r == '?' || r == '"':
-			flush()
-			out = append(out, string(r))
-		case r == '.':
-			// Keep periods inside abbreviations/initials; final periods
-			// become their own token.
-			cur.WriteRune(r)
+		case space:
+			flush(i)
+		case c == ',' || c == ';' || c == ':' || c == '(' || c == ')' ||
+			c == '!' || c == '?' || c == '"':
+			flush(i)
+			out = append(out, sent[i:i+1])
 		default:
-			cur.WriteRune(r)
+			// Periods stay inside abbreviations/initials; a final period
+			// becomes its own token below.
+			if start < 0 {
+				start = i
+			}
 		}
+		i += w
 	}
-	flush()
+	flush(len(sent))
 	// Split trailing period from the final word ("1992." -> "1992", ".").
 	if n := len(out); n > 0 {
 		last := out[n-1]
 		if len(last) > 1 && strings.HasSuffix(last, ".") && !isInitial(last) {
-			out[n-1] = strings.TrimSuffix(last, ".")
+			out[n-1] = last[:len(last)-1]
 			out = append(out, ".")
 		}
 	}
@@ -233,21 +277,27 @@ type Mention struct {
 // single spaces between tokens.
 type Gazetteer struct {
 	entries map[string]gazEntry
-	maxLen  int
+	// parts maps the first space-separated part of a surface to the most
+	// space-separated parts of any surface starting with it: no longer
+	// span starting with that token can match.
+	parts  map[string]int
+	maxLen int // the most strings.Fields parts of any surface
 }
 
 type gazEntry struct {
-	typ, entity string
+	surface, typ, entity string
 }
 
 // NewGazetteer builds an empty gazetteer.
 func NewGazetteer() *Gazetteer {
-	return &Gazetteer{entries: make(map[string]gazEntry), maxLen: 1}
+	return &Gazetteer{entries: make(map[string]gazEntry), parts: make(map[string]int), maxLen: 1}
 }
 
 // Add registers a surface form for an entity.
 func (g *Gazetteer) Add(surface, typ, entity string) {
-	g.entries[surface] = gazEntry{typ: typ, entity: entity}
+	g.entries[surface] = gazEntry{surface: surface, typ: typ, entity: entity}
+	first, _, _ := strings.Cut(surface, " ")
+	g.parts[first] = max(g.parts[first], strings.Count(surface, " ")+1)
 	if n := len(strings.Fields(surface)); n > g.maxLen {
 		g.maxLen = n
 	}
@@ -257,25 +307,40 @@ func (g *Gazetteer) Add(surface, typ, entity string) {
 func (g *Gazetteer) Len() int { return len(g.entries) }
 
 // Recognize finds non-overlapping mentions by greedy longest match over
-// the token sequence.
+// the token sequence. A span matches a surface equal to its tokens joined
+// by single spaces; a mention's Text is that surface.
 func (g *Gazetteer) Recognize(tokens []string) []Mention {
 	var out []Mention
+	var a [128]byte
+	buf := a[:0]
 	for i := 0; i < len(tokens); {
-		matched := false
-		for l := min(g.maxLen, len(tokens)-i); l >= 1; l-- {
-			surface := strings.Join(tokens[i:i+l], " ")
-			if e, ok := g.entries[surface]; ok {
-				out = append(out, Mention{
-					Start: i, End: i + l, Text: surface, Type: e.typ, Entity: e.entity,
-				})
-				i += l
-				matched = true
+		// A span's joined text starts with its first token's first
+		// space-separated part, and it has at least as many parts as
+		// tokens: a token no surface starts with matches nothing. Spans
+		// stay within maxLen too, which only an empty token can exceed.
+		first, _, _ := strings.Cut(tokens[i], " ")
+		n := min(g.parts[first], g.maxLen, len(tokens)-i)
+		if n == 0 {
+			i++
+			continue
+		}
+		buf = append(buf[:0], tokens[i]...)
+		for _, t := range tokens[i+1 : i+n] {
+			buf = append(append(buf, ' '), t...)
+		}
+		// Longest first: each shorter span's text is a prefix of buf.
+		end, l := len(buf), n
+		for ; l >= 1; l-- {
+			if e, ok := g.entries[string(buf[:end])]; ok {
+				if out == nil {
+					out = make([]Mention, 0, 2) // a candidate pair
+				}
+				out = append(out, Mention{Start: i, End: i + l, Text: e.surface, Type: e.typ, Entity: e.entity})
 				break
 			}
+			end -= len(tokens[i+l-1]) + 1
 		}
-		if !matched {
-			i++
-		}
+		i += max(l, 1)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -135,6 +136,59 @@ func TestMarginalReplyCache(t *testing.T) {
 		}
 	}
 	t.Run("under publication", replyCacheUnderPublication)
+}
+
+// TestMarginalReplyCollision: two raw queries hashing to one slot under
+// the server's replySeed, read in turn within one epoch, are each rendered
+// once. A direct-mapped slot made each evict the other on every read. A
+// third query of the same bucket evicts one of them, and at the next epoch
+// the two are each rendered once again.
+func TestMarginalReplyCollision(t *testing.T) {
+	b := newFakeBackend(replyView(1))
+	s := New(b, Options{})
+	slotOf := func(raw string) uint64 { return maphash.String(s.replySeed, raw) % replySlots }
+	var colliding []string // three raw queries: two of one slot, then one of its bucket
+	seen := map[uint64]string{}
+	for i := 0; len(colliding) < 2; i++ {
+		raw := fmt.Sprintf("relation=F&tuple=f%d&n=%d", 2*(i%50), i)
+		if other, ok := seen[slotOf(raw)]; ok {
+			colliding = []string{other, raw}
+		}
+		seen[slotOf(raw)] = raw
+	}
+	for i := 0; len(colliding) < 3; i++ {
+		if raw := fmt.Sprintf("relation=F&tuple=f4&m=%d", i); slotOf(raw)^1 == slotOf(colliding[0]) {
+			colliding = append(colliding, raw)
+		}
+	}
+	read := func(v *fakeView, raw string) uint64 {
+		t.Helper()
+		renders := s.renders.Load()
+		wantCode, want := marginalRender(v, raw)
+		if code, got := serveMarginal(s, raw); code != wantCode || !bytes.Equal(got, want) {
+			t.Fatalf("epoch %d GET ?%s: %d %s\nwant %d %s", v.epoch, raw, code, got, wantCode, want)
+		}
+		return s.renders.Load() - renders
+	}
+	for e := uint64(1); e <= 3; e++ {
+		v := replyView(e)
+		b.publish(v)
+		rendered := uint64(0)
+		for pass := 0; pass < 10; pass++ {
+			rendered += read(v, colliding[0]) + read(v, colliding[1])
+		}
+		if rendered != 2 {
+			t.Fatalf("epoch %d: %d renders of two colliding queries read in turn 10 times each, want 2", e, rendered)
+		}
+		// The bucket holds two current replies: a third query's reply
+		// evicts one of them, which is then rendered once more.
+		if n := read(v, colliding[2]) + read(v, colliding[2]); n != 1 {
+			t.Fatalf("epoch %d: a third query of the bucket rendered %d times in two reads, want 1", e, n)
+		}
+		if n := read(v, colliding[0]) + read(v, colliding[1]); n != 1 {
+			t.Fatalf("epoch %d: after a third query of the bucket, the two colliding ones rendered %d times, want 1", e, n)
+		}
+	}
 }
 
 // replyCacheUnderPublication races point readers against a writer

@@ -88,8 +88,8 @@ type Server struct {
 	renders     atomic.Uint64 // /v1/marginal 200s and 404s rendered: reads the kept replies missed
 
 	// replies holds /v1/marginal replies as rendered for the current
-	// epoch, one per slot, the slot chosen by a hash of the raw query
-	// under replySeed (see handleMarginal).
+	// epoch, one per slot, the bucket of two slots chosen by a hash of the
+	// raw query under replySeed (see handleMarginal).
 	replies   [replySlots]atomic.Pointer[cachedReply]
 	replySeed maphash.Seed
 
@@ -275,22 +275,26 @@ func (s *Server) handleAutopilot(w http.ResponseWriter, r *http.Request) {
 // body appended into a pooled buffer (appendMarginal).
 //
 // A reply is rendered once per epoch and raw query: a 200 or a 404 is kept
-// in the slot its raw query hashes to, and a later read of the same raw
-// query at the same epoch writes the kept bytes. An epoch names exactly
-// one view (View.Epoch), so nothing is cleared when it moves: an entry of
-// an older epoch no longer matches and the next miss replaces it. Only
-// queries of at most maxCachedQuery bytes are kept, which bounds the
-// cache by replySlots entries of a few times that size; a 400 depends on
-// no view and is never kept.
+// in the bucket its raw query hashes to (the slot i it hashes to and slot
+// i^1), and a later read of the same raw query at the same epoch writes
+// the kept bytes. A miss stores into an empty entry of the bucket or one
+// of an older epoch first, so two queries hashing to one bucket are both
+// kept. An epoch names exactly one view (View.Epoch), so nothing is
+// cleared when it moves: an entry of an older epoch no longer matches and
+// a later miss replaces it. Only queries of at most maxCachedQuery bytes
+// are kept, which bounds the cache by replySlots entries of a few times
+// that size; a 400 depends on no view and is never kept.
 func (s *Server) handleMarginal(w http.ResponseWriter, r *http.Request) {
 	s.reads.Add(1)
 	raw := r.URL.RawQuery
 	v := s.b.View()
 	epoch := v.Epoch()
-	slot := &s.replies[maphash.String(s.replySeed, raw)%replySlots]
-	if c := slot.Load(); c != nil && c.epoch == epoch && c.query == raw {
-		writeBody(w, c.code, c.body)
-		return
+	i := maphash.String(s.replySeed, raw) % replySlots
+	for _, j := range [2]uint64{i, i ^ 1} {
+		if c := s.replies[j].Load(); c != nil && c.epoch == epoch && c.query == raw {
+			writeBody(w, c.code, c.body)
+			return
+		}
 	}
 	q := getQuery(raw)
 	defer putQuery(q)
@@ -308,15 +312,21 @@ func (s *Server) handleMarginal(w http.ResponseWriter, r *http.Request) {
 	*bp = appendMarginal((*bp)[:0], epoch, ok, p, q.relation, q.tuple)
 	writeBody(w, code, *bp)
 	if len(raw) <= maxCachedQuery {
-		slot.Store(&cachedReply{epoch: epoch, query: strings.Clone(raw), code: code, body: bytes.Clone(*bp)})
+		j := i // slot i is evicted only when slot i^1 is as current
+		if c := s.replies[i].Load(); c != nil && c.epoch >= epoch {
+			if c := s.replies[i^1].Load(); c == nil || c.epoch < epoch {
+				j = i ^ 1
+			}
+		}
+		s.replies[j].Store(&cachedReply{epoch: epoch, query: strings.Clone(raw), code: code, body: bytes.Clone(*bp)})
 	}
 	bodyPool.Put(bp)
 }
 
-// The /v1/marginal reply cache: replySlots slots (a served KB of about a
-// thousand point-read keys fits with few collisions, where a quarter of
-// that thrashed), each holding at most one reply to a raw query of at
-// most maxCachedQuery bytes.
+// The /v1/marginal reply cache: replySlots slots in buckets of two (a
+// served KB of about a thousand point-read keys fits with few collisions,
+// where a quarter of that thrashed), each holding at most one reply to a
+// raw query of at most maxCachedQuery bytes.
 const (
 	replySlots     = 4096
 	maxCachedQuery = 256
